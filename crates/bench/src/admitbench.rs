@@ -1,7 +1,8 @@
 //! Deterministic JSON export of the overload sweep (`repro overload`).
 //!
-//! `generate` drives [`platform::run_admitted`] — admission-controlled,
-//! self-healing pools over the Catalyzer fork-boot ladder — through an
+//! `generate` drives the closed-loop [`platform::Simulation`] —
+//! admission-controlled, self-healing pools over the Catalyzer fork-boot
+//! ladder — through an
 //! arrival-gap × concurrency-limit × breaker-policy grid (fault-free), plus
 //! one fault *storm* comparing the no-admission baseline against the full
 //! overload-protection posture on the identical trace and capacity. The
@@ -24,7 +25,7 @@
 use catalyzer::{BootMode, CatalyzerEngine};
 use faultsim::{FaultPlan, InjectionPoint, PointPlan};
 use platform::simulate::TraceRequest;
-use platform::{run_admitted, AdmissionPolicy, AdmittedOutcome, ResiliencePolicy};
+use platform::{AdmissionPolicy, ResiliencePolicy, SimReport, Simulation};
 use runtimes::AppProfile;
 use serde::{Deserialize, Serialize};
 use simtime::{CostModel, SimNanos};
@@ -269,22 +270,27 @@ fn drive(
     policy: ResiliencePolicy,
     admission: AdmissionPolicy,
     model: &CostModel,
-) -> AdmittedOutcome {
+) -> SimReport {
     // max_idle 0: a fork-boot fleet keeps no warm instances (the paper's
     // posture — boots are cheap), so every request exercises the ladder.
-    run_admitted(
-        &[AppProfile::c_hello()],
-        requests,
-        SimNanos::from_secs(1),
-        0,
-        0,
-        |_| CatalyzerEngine::standalone(BootMode::Fork),
-        model,
-        plan,
-        policy,
-        admission,
-    )
-    .expect("bench traces only fail through counted availability loss")
+    let mut sim = Simulation::new(vec![AppProfile::c_hello()])
+        .with_engine(|_| CatalyzerEngine::standalone(BootMode::Fork))
+        .with_model(model.clone())
+        .with_keep_alive(SimNanos::from_secs(1))
+        .with_max_idle(0)
+        .with_resilience(policy)
+        .with_admission(admission);
+    if let Some(plan) = plan {
+        sim = sim.with_faults(plan);
+    }
+    sim.run(requests)
+        .expect("bench traces only fail through counted availability loss")
+}
+
+/// `goodput / requests` — the fraction of *offered* load answered within
+/// its deadline.
+fn goodput_rate(report: &SimReport) -> f64 {
+    report.goodput as f64 / report.requests as f64
 }
 
 fn run_cell(
@@ -313,9 +319,9 @@ fn run_cell(
         shed_breaker: outcome.shed_breaker,
         goodput: outcome.goodput,
         availability: outcome.availability(),
-        goodput_rate: outcome.goodput_rate(),
-        p50: outcome.e2e.as_ref().map_or(SimNanos::ZERO, |s| s.p50),
-        p99: outcome.e2e.as_ref().map_or(SimNanos::ZERO, |s| s.p99),
+        goodput_rate: goodput_rate(&outcome),
+        p50: outcome.end_to_end.map_or(SimNanos::ZERO, |s| s.p50),
+        p99: outcome.end_to_end.map_or(SimNanos::ZERO, |s| s.p99),
         breaker_opens: outcome.breaker_opens,
     }
 }
@@ -339,9 +345,9 @@ fn storm_side(admission: AdmissionPolicy, model: &CostModel) -> StormSide {
         shed_breaker: outcome.shed_breaker,
         goodput: outcome.goodput,
         availability: outcome.availability(),
-        goodput_rate: outcome.goodput_rate(),
-        p50: outcome.e2e.as_ref().map_or(SimNanos::ZERO, |s| s.p50),
-        p99: outcome.e2e.as_ref().map_or(SimNanos::ZERO, |s| s.p99),
+        goodput_rate: goodput_rate(&outcome),
+        p50: outcome.end_to_end.map_or(SimNanos::ZERO, |s| s.p50),
+        p99: outcome.end_to_end.map_or(SimNanos::ZERO, |s| s.p99),
         breaker_opens: outcome.breaker_opens,
         repairs: outcome.repairs.repairs,
         faults: outcome.faults,
@@ -397,24 +403,6 @@ pub fn generate(model: &CostModel) -> AdmitBenchExport {
         cells,
         storm,
     }
-}
-
-/// Serializes an export to its canonical JSON form.
-///
-/// # Errors
-///
-/// Serialization errors (none in practice: the types are closed).
-pub fn to_json(export: &AdmitBenchExport) -> Result<String, serde_json::Error> {
-    serde_json::to_string(export)
-}
-
-/// Parses a previously exported document.
-///
-/// # Errors
-///
-/// Malformed JSON or schema drift.
-pub fn from_json(text: &str) -> Result<AdmitBenchExport, serde_json::Error> {
-    serde_json::from_str(text)
 }
 
 fn check_side(side: &StormSide, requests: u64) -> Result<(), String> {
@@ -565,6 +553,23 @@ pub fn validate(export: &AdmitBenchExport) -> Result<(), String> {
     Ok(())
 }
 
+impl crate::Export for AdmitBenchExport {
+    const COMMAND: &'static str = "overload";
+    const DEFAULT_PATH: &'static str = "BENCH_pr4.json";
+
+    fn generate(model: &CostModel) -> Result<Self, Box<dyn std::error::Error>> {
+        Ok(generate(model))
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        validate(self)
+    }
+
+    fn summary(&self) -> String {
+        format!("{} cells + storm", self.cells.len())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,17 +580,20 @@ mod tests {
         let a = generate(&model);
         validate(&a).unwrap();
         let b = generate(&model);
-        assert_eq!(to_json(&a).unwrap(), to_json(&b).unwrap());
+        assert_eq!(
+            serde_json::to_string(&a).unwrap(),
+            serde_json::to_string(&b).unwrap()
+        );
     }
 
     #[test]
     fn export_roundtrips_through_json() {
         let model = CostModel::experimental_machine();
         let export = generate(&model);
-        let text = to_json(&export).unwrap();
-        let back = from_json(&text).unwrap();
+        let text = serde_json::to_string(&export).unwrap();
+        let back = serde_json::from_str::<AdmitBenchExport>(&text).unwrap();
         validate(&back).unwrap();
-        assert_eq!(to_json(&back).unwrap(), text);
+        assert_eq!(serde_json::to_string(&back).unwrap(), text);
     }
 
     #[test]

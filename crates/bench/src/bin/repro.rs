@@ -5,17 +5,26 @@
 //! repro quick          # everything, with Fig. 15 capped at 100 instances
 //! repro fig11          # one experiment
 //! repro list           # available experiment ids
+//! repro export         # boot observability export -> BENCH_pr2.json
 //! repro faults         # fault-injection sweep -> BENCH_pr3.json
 //! repro overload       # admission/overload sweep -> BENCH_pr4.json
 //! repro fleet          # fleet density grid -> BENCH_pr7.json
 //! repro cluster        # cluster routing sweep -> BENCH_pr8.json
 //! repro chaos          # node-fault survivability grid -> BENCH_pr9.json
+//! repro chaos --check  # any export: regenerate, validate, byte-compare
 //! repro all --check    # validate all six checked-in bench exports
 //! ```
 
+use bench::admitbench::AdmitBenchExport;
+use bench::chaosbench::ChaosBenchExport;
+use bench::clusterbench::ClusterBenchExport;
+use bench::export::BenchExport;
+use bench::faultbench::FaultBenchExport;
 use bench::figures::{
     ablation, endtoend, generality, hostopts, pipeline, platformsim, scale, startup,
 };
+use bench::fleetbench::FleetBenchExport;
+use bench::Export;
 use simtime::CostModel;
 
 const EXPERIMENTS: &[&str] = &[
@@ -134,262 +143,67 @@ fn csv(id: &str) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Writes the observability export (span trees + latency histograms per
-/// Fig. 11 engine) to `path`, or with `check = true` re-generates it and
-/// verifies `path` is valid and byte-identical (determinism gate).
-fn export(path: &str, check: bool) -> Result<(), Box<dyn std::error::Error>> {
-    let model = CostModel::experimental_machine();
-    let fresh = bench::export::generate(&model)?;
-    bench::export::validate(&fresh)?;
-    let text = bench::export::to_json(&fresh)?;
+/// Regenerates export `E` in memory and validates it; then either writes
+/// its canonical JSON to `path`, or — with `check` — verifies the file at
+/// `path` parses, validates, and is byte-identical to the fresh run (the
+/// determinism gate). `path` defaults to [`Export::DEFAULT_PATH`].
+fn export_or_check<E: Export>(
+    path: Option<&str>,
+    check: bool,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let path = path.unwrap_or(E::DEFAULT_PATH);
+    let fresh = E::generate(&CostModel::experimental_machine())?;
+    fresh.validate()?;
+    let text = serde_json::to_string(&fresh)?;
     if check {
         let on_disk = std::fs::read_to_string(path)?;
-        let parsed = bench::export::from_json(&on_disk)?;
-        bench::export::validate(&parsed)?;
+        let parsed: E = serde_json::from_str(&on_disk)?;
+        parsed.validate()?;
         if on_disk != text {
-            return Err(format!("{path} is stale: regenerate with 'repro export {path}'").into());
+            let command = E::COMMAND;
+            return Err(
+                format!("{path} is stale: regenerate with 'repro {command} {path}'").into(),
+            );
         }
-        println!(
-            "{path}: valid, {} engines, up to date",
-            parsed.engines.len()
-        );
+        println!("{path}: valid, {}, up to date", parsed.summary());
     } else {
         std::fs::write(path, &text)?;
-        println!(
-            "wrote {path} ({} engines, {} bytes)",
-            fresh.engines.len(),
-            text.len()
-        );
+        println!("wrote {path} ({}, {} bytes)", fresh.summary(), text.len());
     }
     Ok(())
 }
 
-/// Writes the fault-injection sweep (availability, degraded counts, and
-/// recovery latency per fault-rate × policy cell, plus the storm run) to
-/// `path`, or with `check = true` re-generates it and verifies `path` is
-/// valid and byte-identical (determinism gate).
-fn faults(path: &str, check: bool) -> Result<(), Box<dyn std::error::Error>> {
-    let model = CostModel::experimental_machine();
-    let fresh = bench::faultbench::generate(&model);
-    bench::faultbench::validate(&fresh)?;
-    let text = bench::faultbench::to_json(&fresh)?;
-    if check {
-        let on_disk = std::fs::read_to_string(path)?;
-        let parsed = bench::faultbench::from_json(&on_disk)?;
-        bench::faultbench::validate(&parsed)?;
-        if on_disk != text {
-            return Err(format!("{path} is stale: regenerate with 'repro faults {path}'").into());
-        }
-        println!(
-            "{path}: valid, {} cells + storm, up to date",
-            parsed.cells.len()
-        );
-    } else {
-        std::fs::write(path, &text)?;
-        println!(
-            "wrote {path} ({} cells + storm, {} bytes)",
-            fresh.cells.len(),
-            text.len()
-        );
-    }
-    Ok(())
+/// One `repro <command> [--check] [path]` gate per checked-in export.
+type Gate = fn(Option<&str>, bool) -> Result<(), Box<dyn std::error::Error>>;
+
+/// The `repro` subcommand and gate of export `E`.
+const fn gate<E: Export>() -> (&'static str, Gate) {
+    (E::COMMAND, export_or_check::<E>)
 }
 
-/// Writes the overload sweep (admission grid + baseline-vs-full storm
-/// comparison) to `path`, or with `check = true` re-generates it and
-/// verifies `path` is valid and byte-identical (determinism gate).
-fn overload(path: &str, check: bool) -> Result<(), Box<dyn std::error::Error>> {
-    let model = CostModel::experimental_machine();
-    let fresh = bench::admitbench::generate(&model);
-    bench::admitbench::validate(&fresh)?;
-    let text = bench::admitbench::to_json(&fresh)?;
-    if check {
-        let on_disk = std::fs::read_to_string(path)?;
-        let parsed = bench::admitbench::from_json(&on_disk)?;
-        bench::admitbench::validate(&parsed)?;
-        if on_disk != text {
-            return Err(format!("{path} is stale: regenerate with 'repro overload {path}'").into());
-        }
-        println!(
-            "{path}: valid, {} cells + storm, up to date",
-            parsed.cells.len()
-        );
-    } else {
-        std::fs::write(path, &text)?;
-        println!(
-            "wrote {path} ({} cells + storm, {} bytes)",
-            fresh.cells.len(),
-            text.len()
-        );
-    }
-    Ok(())
-}
-
-/// Writes the fleet density grid (open-loop event engine over a 10k-function
-/// synthetic catalogue, burst ladder 10^3–10^6 concurrent instances) to
-/// `path`, or with `check = true` re-generates it and verifies `path` is
-/// valid and byte-identical (determinism gate).
-fn fleet(path: &str, check: bool) -> Result<(), Box<dyn std::error::Error>> {
-    let model = CostModel::experimental_machine();
-    let fresh = bench::fleetbench::generate(&model)?;
-    bench::fleetbench::validate(&fresh)?;
-    let text = bench::fleetbench::to_json(&fresh)?;
-    if check {
-        let on_disk = std::fs::read_to_string(path)?;
-        let parsed = bench::fleetbench::from_json(&on_disk)?;
-        bench::fleetbench::validate(&parsed)?;
-        if on_disk != text {
-            return Err(format!("{path} is stale: regenerate with 'repro fleet {path}'").into());
-        }
-        let top = parsed.cells.last().map_or(0, |c| c.peak_instances);
-        println!(
-            "{path}: valid, {} cells, peak {top} instances, up to date",
-            parsed.cells.len()
-        );
-    } else {
-        std::fs::write(path, &text)?;
-        let top = fresh.cells.last().map_or(0, |c| c.peak_instances);
-        println!(
-            "wrote {path} ({} cells, peak {top} instances, {} bytes)",
-            fresh.cells.len(),
-            text.len()
-        );
-    }
-    Ok(())
-}
-
-/// Writes the cluster sweep (nodes × placement budget × routing policy on
-/// a shared viral flash-crowd trace, plus the single-node parity probe and
-/// the poisoned-transfer storm) to `path`, or with `check = true`
-/// re-generates it and verifies `path` is valid and byte-identical
-/// (determinism gate).
-fn cluster(path: &str, check: bool) -> Result<(), Box<dyn std::error::Error>> {
-    let model = CostModel::experimental_machine();
-    let fresh = bench::clusterbench::generate(&model)?;
-    bench::clusterbench::validate(&fresh)?;
-    let text = bench::clusterbench::to_json(&fresh)?;
-    if check {
-        let on_disk = std::fs::read_to_string(path)?;
-        let parsed = bench::clusterbench::from_json(&on_disk)?;
-        bench::clusterbench::validate(&parsed)?;
-        if on_disk != text {
-            return Err(format!("{path} is stale: regenerate with 'repro cluster {path}'").into());
-        }
-        println!(
-            "{path}: valid, {} cells + parity + storm, up to date",
-            parsed.cells.len()
-        );
-    } else {
-        std::fs::write(path, &text)?;
-        println!(
-            "wrote {path} ({} cells + parity + storm, {} bytes)",
-            fresh.cells.len(),
-            text.len()
-        );
-    }
-    Ok(())
-}
-
-/// Exports the chaos/survivability grid (fault class × cluster size ×
-/// failover policy, plus the gray-then-crash storm) to `path`, or with
-/// `check = true` re-generates it and verifies `path` is valid and
-/// byte-identical (determinism gate).
-fn chaos(path: &str, check: bool) -> Result<(), Box<dyn std::error::Error>> {
-    let model = CostModel::experimental_machine();
-    let fresh = bench::chaosbench::generate(&model)?;
-    bench::chaosbench::validate(&fresh)?;
-    let text = bench::chaosbench::to_json(&fresh)?;
-    if check {
-        let on_disk = std::fs::read_to_string(path)?;
-        let parsed = bench::chaosbench::from_json(&on_disk)?;
-        bench::chaosbench::validate(&parsed)?;
-        if on_disk != text {
-            return Err(format!("{path} is stale: regenerate with 'repro chaos {path}'").into());
-        }
-        println!(
-            "{path}: valid, {} cells + 2 storms, up to date",
-            parsed.cells.len()
-        );
-    } else {
-        std::fs::write(path, &text)?;
-        println!(
-            "wrote {path} ({} cells + 2 storms, {} bytes)",
-            fresh.cells.len(),
-            text.len()
-        );
-    }
-    Ok(())
-}
+/// The six checked-in bench exports, in `repro all --check` order: the
+/// observability export (pr2), the fault sweep (pr3), the overload sweep
+/// (pr4), the fleet density grid (pr7), the cluster sweep (pr8), and the
+/// chaos grid (pr9).
+const EXPORTS: [(&str, Gate); 6] = [
+    gate::<BenchExport>(),
+    gate::<FaultBenchExport>(),
+    gate::<AdmitBenchExport>(),
+    gate::<FleetBenchExport>(),
+    gate::<ClusterBenchExport>(),
+    gate::<ChaosBenchExport>(),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str).unwrap_or("all");
+    let check = args.iter().any(|a| a == "--check");
     let result = match command {
         "list" => {
             for id in EXPERIMENTS {
                 println!("{id}");
             }
             Ok(())
-        }
-        "export" => {
-            let check = args.iter().any(|a| a == "--check");
-            let path = args
-                .iter()
-                .skip(1)
-                .find(|a| *a != "--check")
-                .map(String::as_str)
-                .unwrap_or("BENCH_pr2.json");
-            export(path, check)
-        }
-        "faults" => {
-            let check = args.iter().any(|a| a == "--check");
-            let path = args
-                .iter()
-                .skip(1)
-                .find(|a| *a != "--check")
-                .map(String::as_str)
-                .unwrap_or("BENCH_pr3.json");
-            faults(path, check)
-        }
-        "overload" => {
-            let check = args.iter().any(|a| a == "--check");
-            let path = args
-                .iter()
-                .skip(1)
-                .find(|a| *a != "--check")
-                .map(String::as_str)
-                .unwrap_or("BENCH_pr4.json");
-            overload(path, check)
-        }
-        "fleet" => {
-            let check = args.iter().any(|a| a == "--check");
-            let path = args
-                .iter()
-                .skip(1)
-                .find(|a| *a != "--check")
-                .map(String::as_str)
-                .unwrap_or("BENCH_pr7.json");
-            fleet(path, check)
-        }
-        "cluster" => {
-            let check = args.iter().any(|a| a == "--check");
-            let path = args
-                .iter()
-                .skip(1)
-                .find(|a| *a != "--check")
-                .map(String::as_str)
-                .unwrap_or("BENCH_pr8.json");
-            cluster(path, check)
-        }
-        "chaos" => {
-            let check = args.iter().any(|a| a == "--check");
-            let path = args
-                .iter()
-                .skip(1)
-                .find(|a| *a != "--check")
-                .map(String::as_str)
-                .unwrap_or("BENCH_pr9.json");
-            chaos(path, check)
         }
         "csv" => match args.get(1) {
             Some(id) => csv(id),
@@ -398,15 +212,10 @@ fn main() {
                 std::process::exit(2);
             }
         },
-        "all" | "quick" if args.iter().any(|a| a == "--check") => {
+        "all" | "quick" if check => {
             // The one-stop determinism gate: every checked-in bench export
             // regenerated in-memory and verified byte-identical.
-            export("BENCH_pr2.json", true)
-                .and_then(|()| faults("BENCH_pr3.json", true))
-                .and_then(|()| overload("BENCH_pr4.json", true))
-                .and_then(|()| fleet("BENCH_pr7.json", true))
-                .and_then(|()| cluster("BENCH_pr8.json", true))
-                .and_then(|()| chaos("BENCH_pr9.json", true))
+            EXPORTS.iter().try_for_each(|(_, gate)| gate(None, true))
         }
         "all" | "quick" => {
             let fig15_max = if command == "quick" { 100 } else { 1000 };
@@ -414,7 +223,13 @@ fn main() {
             println!("(virtual-time simulation; see DESIGN.md for the substitution rules)");
             EXPERIMENTS.iter().try_for_each(|id| run(id, fig15_max))
         }
-        id => run(id, 1000),
+        id => match EXPORTS.iter().find(|(name, _)| *name == id) {
+            Some((_, gate)) => {
+                let path = args.iter().skip(1).find(|a| *a != "--check");
+                gate(path.map(String::as_str), check)
+            }
+            None => run(id, 1000),
+        },
     };
     if let Err(e) = result {
         eprintln!("repro failed: {e}");

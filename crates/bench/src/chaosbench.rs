@@ -34,6 +34,8 @@
 //! `BENCH_pr9.json` the same way it gates the pr2–pr4, pr7, and pr8
 //! exports.
 
+use crate::clusterbench::FlashCrowd;
+use crate::fleetbench::QuantRow;
 use faultsim::NodePlan;
 use platform::cluster::{ChaosOutcome, ChaosPolicy, ClusterConfig, ClusterSim, RoutingPolicy};
 use platform::simulate::TraceRequest;
@@ -41,10 +43,6 @@ use platform::PlatformError;
 use runtimes::AppProfile;
 use serde::{Deserialize, Serialize};
 use simtime::{CostModel, SimNanos};
-use workloads::catalogue;
-use workloads::generator::{open_loop, Arrivals, Popularity, TraceSpec};
-
-use crate::fleetbench::QuantRow;
 
 /// Schema tag so downstream tooling can reject stale files.
 pub const SCHEMA: &str = "catalyzer-bench/pr9-v1";
@@ -232,51 +230,20 @@ pub struct ChaosBenchExport {
     pub storm_none: ChaosCell,
 }
 
-/// The grid catalogue: [`FUNCTIONS`] functions cycling the fourteen paper
-/// profiles, each with its own name (its own placement and warm set).
-fn chaos_catalogue() -> Vec<AppProfile> {
-    let bases = catalogue::fig1_functions();
-    (0..FUNCTIONS)
-        .map(|i| {
-            let mut p = bases[i % bases.len()].clone();
-            p.name = format!("{}-{i:04}", p.name);
-            p
-        })
-        .collect()
-}
-
-/// The shared flash-crowd trace: a Zipf Poisson baseline with [`BURST`]
-/// extra arrivals for [`VIRAL_FUNCTION`] spread evenly over
-/// [`BURST_WIDTH`] at [`BURST_AT`].
-fn flash_crowd_trace() -> Vec<TraceRequest> {
-    let spec = TraceSpec {
-        functions: FUNCTIONS,
-        count: TAIL,
-        arrivals: Arrivals::Poisson {
-            rate_hz: BASE_RATE_HZ,
-        },
-        popularity: Popularity::Zipf {
-            exponent: ZIPF_EXPONENT,
-        },
-        seed: SEED,
-    };
-    let mut trace: Vec<TraceRequest> = open_loop(&spec)
-        .into_iter()
-        .map(|r| TraceRequest {
-            arrival: r.arrival,
-            function: r.function,
-        })
-        .collect();
-    let step = BURST_WIDTH.as_nanos().max(1) / BURST as u64;
-    for i in 0..BURST {
-        trace.push(TraceRequest {
-            arrival: BURST_AT.saturating_add(SimNanos::from_nanos(step.saturating_mul(i as u64))),
-            function: VIRAL_FUNCTION,
-        });
-    }
-    trace.sort_by_key(|r| r.arrival);
-    trace
-}
+/// The shared pr9 workload — the pr8 flash-crowd shape at this grid's
+/// constants: [`BURST`] arrivals for [`VIRAL_FUNCTION`] spread over
+/// [`BURST_WIDTH`] at [`BURST_AT`], on a [`FUNCTIONS`]-wide Zipf baseline.
+const CROWD: FlashCrowd = FlashCrowd {
+    functions: FUNCTIONS,
+    tail: TAIL,
+    base_rate_hz: BASE_RATE_HZ,
+    zipf_exponent: ZIPF_EXPONENT,
+    seed: SEED,
+    viral_function: VIRAL_FUNCTION,
+    burst: BURST,
+    burst_at: BURST_AT,
+    burst_width: BURST_WIDTH,
+};
 
 /// The grid's three fault classes, all aimed at the viral function's
 /// first template holder (node 0).
@@ -373,8 +340,8 @@ fn run_cell(
 /// Propagates [`PlatformError`] from the engine (none in practice: the
 /// generated traces and plans are valid by construction).
 pub fn generate(model: &CostModel) -> Result<ChaosBenchExport, PlatformError> {
-    let cat = chaos_catalogue();
-    let trace = flash_crowd_trace();
+    let cat = CROWD.catalogue();
+    let trace = CROWD.trace();
     let knobs = ChaosPolicy::full();
 
     let mut cells = Vec::new();
@@ -411,24 +378,6 @@ pub fn generate(model: &CostModel) -> Result<ChaosBenchExport, PlatformError> {
         storm_full,
         storm_none,
     })
-}
-
-/// Serializes an export to its canonical JSON form.
-///
-/// # Errors
-///
-/// Serialization errors (none in practice: the types are closed).
-pub fn to_json(export: &ChaosBenchExport) -> Result<String, serde_json::Error> {
-    serde_json::to_string(export)
-}
-
-/// Parses a previously exported document.
-///
-/// # Errors
-///
-/// Malformed JSON or schema drift.
-pub fn from_json(text: &str) -> Result<ChaosBenchExport, serde_json::Error> {
-    serde_json::from_str(text)
 }
 
 fn check_conservation(tag: &str, cell: &ChaosCell) -> Result<(), String> {
@@ -677,6 +626,23 @@ pub fn validate(export: &ChaosBenchExport) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+impl crate::Export for ChaosBenchExport {
+    const COMMAND: &'static str = "chaos";
+    const DEFAULT_PATH: &'static str = "BENCH_pr9.json";
+
+    fn generate(model: &CostModel) -> Result<Self, Box<dyn std::error::Error>> {
+        Ok(generate(model)?)
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        validate(self)
+    }
+
+    fn summary(&self) -> String {
+        format!("{} cells + 2 storms", self.cells.len())
+    }
 }
 
 #[cfg(test)]

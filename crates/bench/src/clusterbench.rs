@@ -29,7 +29,7 @@ use catalyzer::{BootMode, CatalyzerEngine};
 use faultsim::{FaultPlan, InjectionPoint, PointPlan};
 use platform::cluster::{ClusterConfig, ClusterOutcome, ClusterSim, RoutingPolicy, TransferCosts};
 use platform::simulate::TraceRequest;
-use platform::{Cluster, Gateway, Invocation, PlatformError};
+use platform::{Cluster, Gateway, Invocation, InvokeRequest, PlatformError};
 use runtimes::AppProfile;
 use serde::{Deserialize, Serialize};
 use simtime::{CostModel, SimNanos};
@@ -207,54 +207,97 @@ fn fnv_bytes(hash: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// The grid catalogue: [`FUNCTIONS`] functions cycling the fourteen paper
-/// profiles — every function gets its own name (its own placement,
-/// routing, and warm set) while the underlying cost shapes repeat, so the
-/// per-cell calibration pass stays a fixed fourteen shapes instead of
-/// growing with the catalogue.
-fn cluster_catalogue() -> Vec<AppProfile> {
-    let bases = catalogue::fig1_functions();
-    (0..FUNCTIONS)
-        .map(|i| {
-            let mut p = bases[i % bases.len()].clone();
-            p.name = format!("{}-{i:05}", p.name);
-            p
-        })
-        .collect()
+/// A flash-crowd workload shape: a Zipf Poisson baseline over a catalogue
+/// cycling the fourteen paper profiles, plus one viral burst. The pr8 grid
+/// and the pr9 chaos grid run the same shape at different constants.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FlashCrowd {
+    /// Functions in the catalogue.
+    pub functions: usize,
+    /// Baseline requests around the burst.
+    pub tail: usize,
+    /// Poisson baseline rate.
+    pub base_rate_hz: f64,
+    /// Zipf exponent of baseline popularity.
+    pub zipf_exponent: f64,
+    /// Trace seed.
+    pub seed: u64,
+    /// The function that goes viral.
+    pub viral_function: usize,
+    /// Burst size.
+    pub burst: usize,
+    /// Instant the burst lands.
+    pub burst_at: SimNanos,
+    /// Window the burst's arrivals spread evenly over.
+    pub burst_width: SimNanos,
 }
 
-/// The shared flash-crowd trace: a Zipf Poisson baseline with [`BURST`]
-/// extra arrivals for [`VIRAL_FUNCTION`] spread evenly over
-/// [`BURST_WIDTH`] at [`BURST_AT`].
-fn flash_crowd_trace() -> Vec<TraceRequest> {
-    let spec = TraceSpec {
-        functions: FUNCTIONS,
-        count: TAIL,
-        arrivals: Arrivals::Poisson {
-            rate_hz: BASE_RATE_HZ,
-        },
-        popularity: Popularity::Zipf {
-            exponent: ZIPF_EXPONENT,
-        },
-        seed: SEED,
-    };
-    let mut trace: Vec<TraceRequest> = open_loop(&spec)
-        .into_iter()
-        .map(|r| TraceRequest {
-            arrival: r.arrival,
-            function: r.function,
-        })
-        .collect();
-    let step = BURST_WIDTH.as_nanos().max(1) / BURST as u64;
-    for i in 0..BURST {
-        trace.push(TraceRequest {
-            arrival: BURST_AT.saturating_add(SimNanos::from_nanos(step.saturating_mul(i as u64))),
-            function: VIRAL_FUNCTION,
-        });
+impl FlashCrowd {
+    /// The catalogue: every function gets its own name (its own placement,
+    /// routing, and warm set) — the base profile's, suffixed with the
+    /// index zero-padded to the catalogue size's width — while the
+    /// underlying cost shapes repeat, so the per-cell calibration pass
+    /// stays a fixed fourteen shapes instead of growing with the catalogue.
+    pub(crate) fn catalogue(&self) -> Vec<AppProfile> {
+        let bases = catalogue::fig1_functions();
+        let width = self.functions.to_string().len();
+        (0..self.functions)
+            .map(|i| {
+                let mut p = bases[i % bases.len()].clone();
+                p.name = format!("{}-{i:0width$}", p.name);
+                p
+            })
+            .collect()
     }
-    trace.sort_by_key(|r| r.arrival);
-    trace
+
+    /// The trace: the baseline with [`FlashCrowd::burst`] extra arrivals
+    /// for the viral function merged in, time-sorted.
+    pub(crate) fn trace(&self) -> Vec<TraceRequest> {
+        let spec = TraceSpec {
+            functions: self.functions,
+            count: self.tail,
+            arrivals: Arrivals::Poisson {
+                rate_hz: self.base_rate_hz,
+            },
+            popularity: Popularity::Zipf {
+                exponent: self.zipf_exponent,
+            },
+            seed: self.seed,
+        };
+        let mut trace: Vec<TraceRequest> = open_loop(&spec)
+            .into_iter()
+            .map(|r| TraceRequest {
+                arrival: r.arrival,
+                function: r.function,
+            })
+            .collect();
+        let step = self.burst_width.as_nanos().max(1) / self.burst as u64;
+        for i in 0..self.burst {
+            let offset = SimNanos::from_nanos(step.saturating_mul(i as u64));
+            trace.push(TraceRequest {
+                arrival: self.burst_at.saturating_add(offset),
+                function: self.viral_function,
+            });
+        }
+        trace.sort_by_key(|r| r.arrival);
+        trace
+    }
 }
+
+/// The shared pr8 workload: [`BURST`] arrivals for [`VIRAL_FUNCTION`]
+/// spread over [`BURST_WIDTH`] at [`BURST_AT`], on a [`FUNCTIONS`]-wide
+/// Zipf baseline.
+const CROWD: FlashCrowd = FlashCrowd {
+    functions: FUNCTIONS,
+    tail: TAIL,
+    base_rate_hz: BASE_RATE_HZ,
+    zipf_exponent: ZIPF_EXPONENT,
+    seed: SEED,
+    viral_function: VIRAL_FUNCTION,
+    burst: BURST,
+    burst_at: BURST_AT,
+    burst_width: BURST_WIDTH,
+};
 
 fn cell_row(
     nodes: usize,
@@ -360,7 +403,7 @@ fn parity_probe(model: &CostModel) -> Result<ParityProbe, PlatformError> {
     gateway.register(AppProfile::c_nginx());
     let mut gateway_digest = 0xcbf2_9ce4_8422_2325u64;
     for function in &sequence {
-        let invocation = gateway.invoke_detailed(function)?;
+        let invocation = gateway.call(InvokeRequest::new(function))?;
         fold_invocation(&mut gateway_digest, &invocation)?;
     }
     fold_metrics(&mut gateway_digest, gateway.metrics())?;
@@ -411,8 +454,8 @@ fn storm_plan() -> FaultPlan {
 /// Propagates [`PlatformError`] from the engines (none in practice: the
 /// generated traces and configs are valid by construction).
 pub fn generate(model: &CostModel) -> Result<ClusterBenchExport, PlatformError> {
-    let cat = cluster_catalogue();
-    let trace = flash_crowd_trace();
+    let cat = CROWD.catalogue();
+    let trace = CROWD.trace();
     let costs = TransferCosts::rdma_defaults();
 
     let mut cells = Vec::new();
@@ -457,24 +500,6 @@ pub fn generate(model: &CostModel) -> Result<ClusterBenchExport, PlatformError> 
         cells,
         storm,
     })
-}
-
-/// Serializes an export to its canonical JSON form.
-///
-/// # Errors
-///
-/// Serialization errors (none in practice: the types are closed).
-pub fn to_json(export: &ClusterBenchExport) -> Result<String, serde_json::Error> {
-    serde_json::to_string(export)
-}
-
-/// Parses a previously exported document.
-///
-/// # Errors
-///
-/// Malformed JSON or schema drift.
-pub fn from_json(text: &str) -> Result<ClusterBenchExport, serde_json::Error> {
-    serde_json::from_str(text)
 }
 
 fn check_conservation(tag: &str, cell: &ClusterCell) -> Result<(), String> {
@@ -624,6 +649,23 @@ pub fn validate(export: &ClusterBenchExport) -> Result<(), String> {
     Ok(())
 }
 
+impl crate::Export for ClusterBenchExport {
+    const COMMAND: &'static str = "cluster";
+    const DEFAULT_PATH: &'static str = "BENCH_pr8.json";
+
+    fn generate(model: &CostModel) -> Result<Self, Box<dyn std::error::Error>> {
+        Ok(generate(model)?)
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        validate(self)
+    }
+
+    fn summary(&self) -> String {
+        format!("{} cells + parity + storm", self.cells.len())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -644,7 +686,9 @@ mod tests {
     fn a_small_cell_is_deterministic_and_conserves_requests() {
         let model = CostModel::experimental_machine();
         let cat = vec![AppProfile::c_hello()];
-        let trace: Vec<TraceRequest> = (0..300u64)
+        // 300 arrivals past the lone holder's capacity, all airborne before
+        // any boot completes: the overflow has to take the remote rung.
+        let trace: Vec<TraceRequest> = (0..NODE_CAPACITY as u64 + 300)
             .map(|i| TraceRequest {
                 arrival: SimNanos::from_nanos(i),
                 function: 0,

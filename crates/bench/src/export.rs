@@ -2,8 +2,8 @@
 //!
 //! `generate` boots every Fig. 11 engine repeatedly on a fixed profile set,
 //! collects each engine's boot-latency histogram plus one representative
-//! span tree, and `to_json` serializes the result to a stable string: the
-//! whole pipeline runs on virtual time, so two runs on the same machine
+//! span tree, and `repro export` serializes the result to a stable
+//! string: the whole pipeline runs on virtual time, so two runs on the same machine
 //! model produce byte-identical output (`tests/figure_smoke.rs` and
 //! `tools/check.sh` rely on this to validate `BENCH_pr2.json`).
 
@@ -136,24 +136,6 @@ pub fn generate(model: &CostModel) -> Result<BenchExport, SandboxError> {
     })
 }
 
-/// Serializes an export to its canonical JSON form.
-///
-/// # Errors
-///
-/// Serialization errors (none in practice: the types are closed).
-pub fn to_json(export: &BenchExport) -> Result<String, serde_json::Error> {
-    serde_json::to_string(export)
-}
-
-/// Parses a previously exported document.
-///
-/// # Errors
-///
-/// Malformed JSON or schema drift.
-pub fn from_json(text: &str) -> Result<BenchExport, serde_json::Error> {
-    serde_json::from_str(text)
-}
-
 /// The Fig. 11 systems every export must cover.
 pub const REQUIRED_SYSTEMS: &[&str] = &[
     "HyperContainer",
@@ -217,6 +199,23 @@ pub fn validate(export: &BenchExport) -> Result<(), String> {
     Ok(())
 }
 
+impl crate::Export for BenchExport {
+    const COMMAND: &'static str = "export";
+    const DEFAULT_PATH: &'static str = "BENCH_pr2.json";
+
+    fn generate(model: &CostModel) -> Result<Self, Box<dyn std::error::Error>> {
+        Ok(generate(model)?)
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        validate(self)
+    }
+
+    fn summary(&self) -> String {
+        format!("{} engines", self.engines.len())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,17 +226,20 @@ mod tests {
         let a = generate(&model).unwrap();
         validate(&a).unwrap();
         let b = generate(&model).unwrap();
-        assert_eq!(to_json(&a).unwrap(), to_json(&b).unwrap());
+        assert_eq!(
+            serde_json::to_string(&a).unwrap(),
+            serde_json::to_string(&b).unwrap()
+        );
     }
 
     #[test]
     fn export_roundtrips_through_json() {
         let model = CostModel::experimental_machine();
         let export = generate(&model).unwrap();
-        let text = to_json(&export).unwrap();
-        let back = from_json(&text).unwrap();
+        let text = serde_json::to_string(&export).unwrap();
+        let back = serde_json::from_str::<BenchExport>(&text).unwrap();
         validate(&back).unwrap();
-        assert_eq!(to_json(&back).unwrap(), text);
+        assert_eq!(serde_json::to_string(&back).unwrap(), text);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use catalyzer::{BootMode, CatalyzerEngine};
 use faultsim::{FaultPlan, InjectionPoint};
-use platform::{Gateway, ResiliencePolicy};
+use platform::{Gateway, InvokeRequest, ResiliencePolicy};
 use runtimes::AppProfile;
 use serde::{Deserialize, Serialize};
 use simtime::names;
@@ -169,10 +169,10 @@ fn drive(
     let mut failed = 0u64;
     let mut totals = LatencyHistogram::new();
     for _ in 0..requests {
-        match gateway.invoke("C-hello") {
-            Ok(report) => {
+        match gateway.call(InvokeRequest::new("C-hello")) {
+            Ok(invocation) => {
                 ok += 1;
-                totals.record(report.total());
+                totals.record(invocation.report.total());
             }
             Err(_) => failed += 1,
         }
@@ -285,24 +285,6 @@ pub fn generate(model: &CostModel) -> FaultBenchExport {
     }
 }
 
-/// Serializes an export to its canonical JSON form.
-///
-/// # Errors
-///
-/// Serialization errors (none in practice: the types are closed).
-pub fn to_json(export: &FaultBenchExport) -> Result<String, serde_json::Error> {
-    serde_json::to_string(export)
-}
-
-/// Parses a previously exported document.
-///
-/// # Errors
-///
-/// Malformed JSON or schema drift.
-pub fn from_json(text: &str) -> Result<FaultBenchExport, serde_json::Error> {
-    serde_json::from_str(text)
-}
-
 /// Validates an export's internal consistency: schema tag, full grid
 /// coverage, count arithmetic, and the resilience claims the sweep exists
 /// to demonstrate — zero-rate and retry+fallback rows keep availability at
@@ -392,6 +374,23 @@ pub fn validate(export: &FaultBenchExport) -> Result<(), String> {
     Ok(())
 }
 
+impl crate::Export for FaultBenchExport {
+    const COMMAND: &'static str = "faults";
+    const DEFAULT_PATH: &'static str = "BENCH_pr3.json";
+
+    fn generate(model: &CostModel) -> Result<Self, Box<dyn std::error::Error>> {
+        Ok(generate(model))
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        validate(self)
+    }
+
+    fn summary(&self) -> String {
+        format!("{} cells + storm", self.cells.len())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,17 +401,20 @@ mod tests {
         let a = generate(&model);
         validate(&a).unwrap();
         let b = generate(&model);
-        assert_eq!(to_json(&a).unwrap(), to_json(&b).unwrap());
+        assert_eq!(
+            serde_json::to_string(&a).unwrap(),
+            serde_json::to_string(&b).unwrap()
+        );
     }
 
     #[test]
     fn export_roundtrips_through_json() {
         let model = CostModel::experimental_machine();
         let export = generate(&model);
-        let text = to_json(&export).unwrap();
-        let back = from_json(&text).unwrap();
+        let text = serde_json::to_string(&export).unwrap();
+        let back = serde_json::from_str::<FaultBenchExport>(&text).unwrap();
         validate(&back).unwrap();
-        assert_eq!(to_json(&back).unwrap(), text);
+        assert_eq!(serde_json::to_string(&back).unwrap(), text);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! End-to-end experiments: Fig. 1 (CDF) and Fig. 13 (three suites).
 
 use catalyzer::{BootMode, CatalyzerEngine};
-use platform::Gateway;
+use platform::{Gateway, InvokeRequest};
 use runtimes::AppProfile;
 use sandbox::GvisorEngine;
 use simtime::stats::Cdf;
@@ -48,21 +48,21 @@ fn run_suite(functions: &[AppProfile], model: &CostModel) -> Result<Vec<E2eRow>,
         cold.register(p.clone());
     }
     for p in functions {
-        let r = gv.invoke(&p.name)?;
+        let r = gv.call(InvokeRequest::new(&p.name))?.report;
         rows.push(E2eRow {
             system: "gVisor",
             function: p.name.clone(),
             boot: r.boot,
             exec: r.exec,
         });
-        let r = fork.invoke(&p.name)?;
+        let r = fork.call(InvokeRequest::new(&p.name))?.report;
         rows.push(E2eRow {
             system: "C-sfork",
             function: p.name.clone(),
             boot: r.boot,
             exec: r.exec,
         });
-        let r = cold.invoke(&p.name)?;
+        let r = cold.call(InvokeRequest::new(&p.name))?.report;
         rows.push(E2eRow {
             system: "C-restore",
             function: p.name.clone(),
@@ -143,8 +143,16 @@ pub fn fig01(model: &CostModel) -> Result<(Cdf, Cdf), PlatformError> {
     let mut gv_ratios = Vec::new();
     let mut cat_ratios = Vec::new();
     for p in &fns {
-        gv_ratios.push(gv.invoke(&p.name)?.execution_ratio());
-        cat_ratios.push(cat.invoke(&p.name)?.execution_ratio());
+        gv_ratios.push(
+            gv.call(InvokeRequest::new(&p.name))?
+                .report
+                .execution_ratio(),
+        );
+        cat_ratios.push(
+            cat.call(InvokeRequest::new(&p.name))?
+                .report
+                .execution_ratio(),
+        );
     }
     Ok((Cdf::from_samples(gv_ratios), Cdf::from_samples(cat_ratios)))
 }

@@ -2,7 +2,8 @@
 //! fork-boot comparison, and the warm-boot phase breakdown.
 
 use catalyzer::{BootMode, Catalyzer, CatalyzerEngine};
-use platform::simulate::{self, SimulationOutcome, TraceRequest};
+use platform::simulate::TraceRequest;
+use platform::{SimReport, Simulation};
 use runtimes::AppProfile;
 use sandbox::{BootCtx, GvisorRestoreEngine, SandboxError};
 use simtime::{Breakdown, CostModel, SimNanos};
@@ -34,9 +35,7 @@ fn shared_trace(functions: &[AppProfile]) -> Vec<TraceRequest> {
 /// # Errors
 ///
 /// Platform errors.
-pub fn platform_sim(
-    model: &CostModel,
-) -> Result<(SimulationOutcome, SimulationOutcome), platform::PlatformError> {
+pub fn platform_sim(model: &CostModel) -> Result<(SimReport, SimReport), platform::PlatformError> {
     let functions = [
         AppProfile::c_hello(),
         AppProfile::c_nginx(),
@@ -46,27 +45,24 @@ pub fn platform_sim(
         AppProfile::python_django(),
     ];
     let requests = shared_trace(&functions);
-    let pooled = simulate::run(
-        &functions,
-        &requests,
-        SimNanos::from_secs(2),
-        2,
-        |_| GvisorRestoreEngine::new(),
-        model,
-    )?;
-    let forked = simulate::run(
-        &functions,
-        &requests,
-        SimNanos::from_secs(2),
-        0, // fork boot keeps nothing idle: the template is the cache
-        |_| CatalyzerEngine::standalone(BootMode::Fork),
-        model,
-    )?;
+    let fleet = || {
+        Simulation::new(functions.to_vec())
+            .with_model(model.clone())
+            .with_keep_alive(SimNanos::from_secs(2))
+    };
+    let pooled = fleet()
+        .with_engine(|_| GvisorRestoreEngine::new())
+        .with_max_idle(2)
+        .run(&requests)?;
+    let forked = fleet()
+        .with_engine(|_| CatalyzerEngine::standalone(BootMode::Fork))
+        .with_max_idle(0) // fork boot keeps nothing idle: the template is the cache
+        .run(&requests)?;
     Ok((pooled, forked))
 }
 
 /// Prints the platform simulation.
-pub fn render_platform_sim(pooled: &SimulationOutcome, forked: &SimulationOutcome) {
+pub fn render_platform_sim(pooled: &SimReport, forked: &SimReport) {
     println!("\nplatform simulation — 60 zipf requests over 6 functions (extension)");
     rule(86);
     println!(
@@ -77,15 +73,18 @@ pub fn render_platform_sim(pooled: &SimulationOutcome, forked: &SimulationOutcom
         ("gVisor-restore + pool", pooled),
         ("Catalyzer fork boot", forked),
     ] {
+        let Some(startup) = &o.startup else { continue };
         println!(
             "{:<26} {:>9} {:>9} {:>9} {:>7.0}% {:>8} {:>6}",
             label,
-            ms(o.startup.p50),
-            ms(o.startup.p95),
-            ms(o.startup.p99),
-            o.reuse_rate * 100.0,
+            ms(startup.p50),
+            ms(startup.p95),
+            ms(startup.p99),
+            o.reuse_rate() * 100.0,
             o.pools.boots,
-            o.peak_concurrency
+            // The column counts the arriving request on top of the set
+            // already in flight.
+            o.peak_in_flight + 1
         );
     }
 }

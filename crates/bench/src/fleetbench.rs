@@ -242,24 +242,6 @@ pub fn generate(model: &CostModel) -> Result<FleetBenchExport, PlatformError> {
     })
 }
 
-/// Serializes an export to its canonical JSON form.
-///
-/// # Errors
-///
-/// Serialization errors (none in practice: the types are closed).
-pub fn to_json(export: &FleetBenchExport) -> Result<String, serde_json::Error> {
-    serde_json::to_string(export)
-}
-
-/// Parses a previously exported document.
-///
-/// # Errors
-///
-/// Malformed JSON or schema drift.
-pub fn from_json(text: &str) -> Result<FleetBenchExport, serde_json::Error> {
-    serde_json::from_str(text)
-}
-
 /// Validates an export's internal consistency: schema tag, the full
 /// ascending ladder, count arithmetic per cell, and the density claims the
 /// grid exists to demonstrate — every cell's peak reaches its burst size,
@@ -325,6 +307,24 @@ pub fn validate(export: &FleetBenchExport) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+impl crate::Export for FleetBenchExport {
+    const COMMAND: &'static str = "fleet";
+    const DEFAULT_PATH: &'static str = "BENCH_pr7.json";
+
+    fn generate(model: &CostModel) -> Result<Self, Box<dyn std::error::Error>> {
+        Ok(generate(model)?)
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        validate(self)
+    }
+
+    fn summary(&self) -> String {
+        let top = self.cells.last().map_or(0, |c| c.peak_instances);
+        format!("{} cells, peak {top} instances", self.cells.len())
+    }
 }
 
 #[cfg(test)]
@@ -395,8 +395,8 @@ mod tests {
             burst_width: BURST_WIDTH,
             cells: vec![cell],
         };
-        let text = to_json(&export).unwrap();
-        let back = from_json(&text).unwrap();
-        assert_eq!(to_json(&back).unwrap(), text);
+        let text = serde_json::to_string(&export).unwrap();
+        let back = serde_json::from_str::<FleetBenchExport>(&text).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), text);
     }
 }

@@ -23,6 +23,35 @@ pub mod faultbench;
 pub mod figures;
 pub mod fleetbench;
 
+/// One checked-in `BENCH_*.json` export: everything `repro <command>
+/// [--check] [path]` needs to regenerate, validate, and describe it. Each
+/// `*bench` module implements this for its document type; the `repro`
+/// binary's `export_or_check` is the one driver behind all of them.
+pub trait Export: serde::Serialize + serde::Deserialize + Sized {
+    /// The `repro` subcommand that writes or checks this export.
+    const COMMAND: &'static str;
+    /// The checked-in file the export lives in.
+    const DEFAULT_PATH: &'static str;
+
+    /// Runs the sweep on `model`.
+    ///
+    /// # Errors
+    ///
+    /// Engine errors (none in practice: inputs are valid by construction).
+    fn generate(model: &simtime::CostModel) -> Result<Self, Box<dyn std::error::Error>>;
+
+    /// Checks internal consistency and the claims the sweep demonstrates.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first violated invariant.
+    fn validate(&self) -> Result<(), String>;
+
+    /// What the document holds, for the one-line report (`18 cells + 2
+    /// storms`).
+    fn summary(&self) -> String;
+}
+
 /// Formats a `SimNanos` latency as the paper prints them (ms with 2–3
 /// significant decimals).
 pub fn ms(d: simtime::SimNanos) -> String {

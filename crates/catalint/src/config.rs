@@ -123,18 +123,15 @@ impl Config {
                 // Latency accounting happens where boots are driven:
                 // the gateway/pool invocation paths and the resilience
                 // ladder, on top of the seam roots above.
-                "invoke".into(),
-                "invoke_detailed".into(),
-                "invoke_at".into(),
                 "call".into(),
-                "run_admitted".into(),
                 "run_closed".into(),
                 "run_fleet".into(),
-                // The cluster layer: the open-loop cluster engine and the
-                // closed-loop scheduler's routing decision.
+                // The cluster layer: the two entry points of the one
+                // open-loop cluster kernel (`drive`: routing, transfers,
+                // node faults, failover, hedging — all SimNanos arithmetic
+                // on the hot path) and the closed-loop scheduler's routing
+                // decision.
                 "run_cluster".into(),
-                // The chaos engine: node faults, failover, hedged
-                // transfers — all SimNanos arithmetic on the hot path.
                 "run_chaos".into(),
                 "route".into(),
                 "resilient_boot".into(),
@@ -169,12 +166,9 @@ impl Config {
             events_file: "crates/platform/src/simulate/events.rs".into(),
             event_enum: "Event".into(),
             tiebreak_fns: vec!["class".into(), "key".into(), "subkey".into()],
-            event_loops: vec![
-                "run_closed".into(),
-                "run_fleet".into(),
-                "run_cluster".into(),
-                "run_chaos".into(),
-            ],
+            // The closed loop, the single-node fleet, and the cluster
+            // kernel behind both `run_cluster` and `run_chaos`.
+            event_loops: vec!["run_closed".into(), "run_fleet".into(), "drive".into()],
             arena_file: "crates/platform/src/simulate/arena.rs".into(),
         }
     }
@@ -273,7 +267,7 @@ mod tests {
         assert_eq!(c.events_file, "crates/platform/src/simulate/events.rs");
         assert_eq!(c.event_enum, "Event");
         assert_eq!(c.tiebreak_fns, ["class", "key", "subkey"]);
-        assert!(c.event_loops.iter().any(|l| l == "run_chaos"));
+        assert_eq!(c.event_loops, ["run_closed", "run_fleet", "drive"]);
         assert_eq!(c.arena_file, "crates/platform/src/simulate/arena.rs");
     }
 }

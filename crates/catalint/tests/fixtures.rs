@@ -445,7 +445,7 @@ fn integer_arithmetic_off_the_duration_flow_is_clean() {
 pub struct State {
     completions: Vec<SimNanos>,
 }
-pub fn run_admitted(state: &State, limit: usize) -> usize {
+pub fn run_closed(state: &State, limit: usize) -> usize {
     let in_flight = state.completions.len();
     let waiting = in_flight - limit + 1;
     waiting
@@ -466,7 +466,7 @@ fn finding_order_is_deterministic_and_sorted() {
     let files = [
         (
             "crates/platform/src/scratch_z.rs",
-            "pub fn run_admitted(spent: SimNanos, extra: SimNanos) -> SimNanos {\n    \
+            "pub fn run_closed(spent: SimNanos, extra: SimNanos) -> SimNanos {\n    \
              let x = spent + extra;\n    let y = spent - extra;\n    x\n}\n",
         ),
         (
@@ -507,7 +507,7 @@ fn hermetic_taint_reaches_through_helpers_with_chain() {
     let v = run(
         "crates/platform/src/scratch_gw.rs",
         r#"
-pub fn invoke(&mut self) {
+pub fn call(&mut self) {
     stage();
 }
 fn stage() {
@@ -524,7 +524,7 @@ fn finish() {
         .unwrap_or_else(|| panic!("expected a hermetic finding in `finish`, got: {v:?}"));
     assert_eq!(
         hit.chain,
-        vec!["invoke", "stage", "finish"],
+        vec!["call", "stage", "finish"],
         "the finding must carry the root-to-sink chain"
     );
 }
@@ -577,7 +577,7 @@ fn clock_seam_registration_stops_the_taint() {
     let files = [(
         "crates/platform/src/scratch_gw.rs",
         r#"
-pub fn invoke(&mut self) {
+pub fn call(&mut self) {
     let _t = realtime_now();
 }
 fn realtime_now() -> std::time::Instant {

@@ -223,7 +223,7 @@ fn golden_hermetic_chain() {
     // sim-root chain.
     let got = render(&[(
         "crates/platform/src/scratch_gw.rs",
-        "pub fn invoke(&mut self) {\n    \
+        "pub fn call(&mut self) {\n    \
              stamp();\n\
          }\n\
          fn stamp() {\n    \
@@ -235,7 +235,7 @@ fn golden_hermetic_chain() {
         [
             "crates/platform/src/scratch_gw.rs:5 [determinism] fn stamp: \
           wall-clock `Instant::now()`; use simtime::SimClock",
-            "crates/platform/src/scratch_gw.rs:5 [hermetic] invoke → stamp: \
+            "crates/platform/src/scratch_gw.rs:5 [hermetic] call → stamp: \
           wall-clock `Instant::now()` on a sim-reachable path; read the virtual clock \
           (or register the function under [[clock_seam]])"
         ]

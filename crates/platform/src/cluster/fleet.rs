@@ -1,5 +1,6 @@
 //! The open-loop cluster engine: calibrated per-node costs, template
-//! transfers and node repairs as event classes, fleet-scale traces.
+//! transfers, node repairs and node faults as event classes, fleet-scale
+//! traces — one event loop for the plain grid and the chaos grid alike.
 //!
 //! [`Cluster`](super::Cluster) serves requests through real per-node
 //! gateways — full fidelity, closed loop. This module is its open-loop
@@ -11,26 +12,40 @@
 //! traffic, flash crowds saturating the template holders, transfer faults
 //! degrading down the ladder — all live in the event loop:
 //!
+//! - **reuse** — a warm instance on a routable node serves at the
+//!   scheduler hand-off cost;
 //! - **local** — a template-holder node under capacity sforks at the
 //!   calibrated steady fork cost;
 //! - **remote** — holders saturated: a non-holder starts (or joins) a
-//!   template transfer ([`Event::TransferComplete`]) and forks when it
-//!   lands. The transfer consults [`InjectionPoint::TemplateTransfer`]; a
-//!   poison corrupts the in-flight replica, the request degrades to a cold
-//!   boot, and a background [`Event::NodeRepair`] heals the fabric;
+//!   template transfer ([`Event::TransferComplete`]) and its waiters fork
+//!   when it lands. The transfer consults
+//!   [`InjectionPoint::TemplateTransfer`]; a transient re-prices the wire,
+//!   a poison corrupts the in-flight replica, the request degrades to a
+//!   cold boot, and a background [`Event::NodeRepair`] heals the fabric;
 //! - **cold** — no reachable template (or the [`RoutingPolicy::LocalCold`]
 //!   baseline): pay the registry pull once per node, then the full cold
 //!   boot;
-//! - **shed** — every node at capacity.
+//! - **shed** — every routable node at capacity.
 //!
 //! Holder nodes are *provisioned*: their templates are built offline (the
 //! placement budget is exactly the provisioned-concurrency knob), so a
 //! holder's first boot already runs at the steady fork cost.
 //!
+//! **One kernel, an optional chaos layer.** [`ClusterSim::run_cluster`] and
+//! [`ClusterSim::run_chaos`] are two thin entry points over the same
+//! private loop. `run_chaos` installs a [`ChaosState`] — node crashes,
+//! partitions and gray windows from a [`NodePlan`], heartbeat beliefs,
+//! hedged transfers, waiter timeouts, re-replication. `run_cluster` runs
+//! the loop with no chaos state at all: every node is reachable, believed
+//! `Up`, at slowdown 1.0, and no crash, heal, heartbeat or hedge event is
+//! ever scheduled. `tests/cluster.rs` proves the layer inert: a quiet plan
+//! under either policy and no plan at all agree on every outcome field but
+//! the event count and the metric rollup.
+//!
 //! Determinism is byte-exact: same catalogue, config, knobs, and trace —
 //! same [`ClusterOutcome`], including the routing-decision hash.
 
-use faultsim::{FaultInjector, FaultKind, FaultPlan, InjectionPoint, NodePlan};
+use faultsim::{FaultInjector, FaultKind, FaultPlan, InjectionPoint, NodeFault, NodePlan};
 use runtimes::AppProfile;
 use sandbox::BootCtx;
 use serde::Serialize;
@@ -41,8 +56,8 @@ use super::chaos::{ChaosEvent, ChaosPolicy, ChaosRecord, ChaosState, NodeHealth}
 use super::{ClusterConfig, RoutingPolicy};
 use crate::resilience::{resilient_boot, ResiliencePolicy};
 use crate::simulate::{
-    validate_trace, Arena, Event, EventQueue, FnId, InstanceId, Quantiles, TraceRequest,
-    REUSE_HANDOFF,
+    calibrate_shapes, fraction, validate_trace, Arena, Event, EventQueue, FnId, InstanceId,
+    Quantiles, TraceRequest, REUSE_HANDOFF,
 };
 use crate::PlatformError;
 
@@ -263,22 +278,6 @@ fn slot_index(node: usize, width: usize, function: usize) -> usize {
     node * width + function
 }
 
-/// Per-(node, function) serving state.
-#[derive(Default)]
-struct NodeFn {
-    /// The node holds a usable template replica (placement holder, or a
-    /// completed transfer).
-    has_template: bool,
-    /// An in-flight transfer lands at this instant.
-    transfer_done: Option<SimNanos>,
-    /// The cold image has been pulled to this node already.
-    pulled: bool,
-    /// LIFO warm stack (lazily pruned against the arena generation).
-    idle: Vec<InstanceId>,
-    /// Warm instances actually live.
-    idle_live: usize,
-}
-
 /// Per-node aggregates.
 #[derive(Default)]
 struct NodeState {
@@ -299,12 +298,11 @@ struct Slot {
     idle_since: SimNanos,
 }
 
-/// One in-flight template transfer under chaos. Unlike the plain engine's
-/// `transfer_done` instant, a chaos transfer is a first-class object: it
-/// knows its source (so a source crash can abort it), carries a generation
-/// (so a cancelled or hedged-out completion lazy-misses), and holds its
-/// waiters (so the initiator and every joiner share one fate — the
-/// timeout/degrade path the plain engine's joiners never had).
+/// One in-flight template transfer — a first-class object: it knows its
+/// source (so a source crash can abort it), carries a generation (so a
+/// cancelled or hedged-out completion lazy-misses), and holds its waiters
+/// (so the initiator and every joiner share one fate: fork when it lands,
+/// time out and re-route when it aborts).
 struct Transfer {
     /// Generation this transfer's events carry; stale events miss.
     gen: u32,
@@ -319,10 +317,11 @@ struct Transfer {
     waiters: Vec<(u64, InstanceId)>,
 }
 
-/// Per-(node, function) serving state under chaos.
+/// Per-(node, function) serving state.
 #[derive(Default)]
-struct ChaosFn {
-    /// The node physically holds a usable template replica.
+struct Replica {
+    /// The node physically holds a usable template replica (placement
+    /// holder, or a completed transfer).
     has_template: bool,
     /// The in-flight transfer targeting this node, if any.
     transfer: Option<Transfer>,
@@ -337,6 +336,29 @@ struct ChaosFn {
     idle_live: usize,
 }
 
+impl Replica {
+    /// Registers a new in-flight transfer under the slot's next generation
+    /// and returns that generation for the events that will carry it.
+    fn begin_transfer(
+        &mut self,
+        source: usize,
+        done: SimNanos,
+        hedged: bool,
+        waiters: Vec<(u64, InstanceId)>,
+    ) -> u32 {
+        let gen = self.gen_counter;
+        self.gen_counter += 1;
+        self.transfer = Some(Transfer {
+            gen,
+            source,
+            done,
+            hedged,
+            waiters,
+        });
+        gen
+    }
+}
+
 /// `t` stretched by a gray node's latency multiplier; the healthy `1.0`
 /// case takes the untouched value, not a `scale(1.0)` round-trip.
 fn stretch(t: SimNanos, slowdown: f64) -> SimNanos {
@@ -347,405 +369,37 @@ fn stretch(t: SimNanos, slowdown: f64) -> SimNanos {
     }
 }
 
-fn mix(hash: &mut u64, value: u64) {
-    for byte in value.to_le_bytes() {
-        *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+/// Folds one routing decision `(request, node, kind)` into the FNV-1a
+/// routing-history hash.
+fn mix_route(hash: &mut u64, request: u64, node: u64, kind: u64) {
+    for value in [request, node, kind] {
+        for byte in value.to_le_bytes() {
+            *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+        }
     }
 }
 
 impl ClusterSim {
-    /// Drives `trace` through the open-loop cluster engine — see the
-    /// module docs for the rung semantics. This is the entry point the
-    /// `BENCH_pr8` grid sweeps.
+    /// Drives `trace` through the open-loop cluster engine with no chaos
+    /// layer — see the module docs for the rung semantics. This is the
+    /// entry point the `BENCH_pr8` grid sweeps.
     ///
     /// # Errors
     ///
     /// [`PlatformError::ClusterConfig`] for a zero node count or placement
     /// budget; [`PlatformError::InvalidTrace`] for malformed traces;
     /// engine or handler errors surfaced during calibration.
-    pub fn run_cluster(mut self, trace: &[TraceRequest]) -> Result<ClusterOutcome, PlatformError> {
-        self.config.ensure_valid()?;
-        validate_trace(trace, self.catalogue.len())?;
-        let fns = self.calibrate()?;
-        let nodes = self.config.nodes;
-        let cap = if self.node_capacity == 0 {
-            usize::MAX
-        } else {
-            self.node_capacity
-        };
-        let mut injector = self.plan.take().map(FaultInjector::new);
-
-        // Placement: the same round-robin spread as the closed-loop
-        // scheduler — holders are provisioned (template built offline).
-        let replicas = self.config.placement_budget.min(nodes);
-        let mut state: Vec<NodeFn> = Vec::new();
-        state.resize_with(nodes.saturating_mul(fns.len()), NodeFn::default);
-        for f in 0..fns.len() {
-            for r in 0..replicas {
-                let node = (f + r) % nodes;
-                state[slot_index(node, fns.len(), f)].has_template = true;
-            }
-        }
-        let mut node_state: Vec<NodeState> = Vec::new();
-        node_state.resize_with(nodes, NodeState::default);
-
-        let mut instances: Arena<Slot> = Arena::with_capacity(trace.len().min(1 << 20));
-        let mut queue = EventQueue::with_capacity(trace.len().saturating_mul(2));
-        for (i, req) in trace.iter().enumerate() {
-            queue.schedule(req.arrival, Event::Arrival { request: i as u64 });
-        }
-
-        let mut completed = 0u64;
-        let mut shed = 0u64;
-        let mut reuses = 0u64;
-        let mut local = 0u64;
-        let mut remote = 0u64;
-        let mut cold = 0u64;
-        let mut reroutes = 0u64;
-        let mut transfers = 0u64;
-        let mut transfer_faults = 0u64;
-        let mut node_repairs = 0u64;
-        let mut expirations = 0u64;
-        let mut horizon = SimNanos::ZERO;
-        let mut startup_hist = LatencyHistogram::new();
-        let mut e2e_hist = LatencyHistogram::new();
-        let mut remote_hist = LatencyHistogram::new();
-        let mut cold_hist = LatencyHistogram::new();
-        let mut route_hash = 0xcbf2_9ce4_8422_2325u64;
-
-        while let Some((now, event)) = queue.pop() {
-            horizon = now;
-            match event {
-                Event::Arrival { request } => {
-                    let Some(req) = trace.get(usize::try_from(request).unwrap_or(usize::MAX))
-                    else {
-                        continue;
-                    };
-                    let Some(f) = fns.get(req.function) else {
-                        continue;
-                    };
-                    let fnid = FnId::from_index(req.function);
-                    let nf = |node: usize| slot_index(node, fns.len(), req.function);
-
-                    // Rung 0 — reuse: the lowest-indexed node with a live
-                    // warm instance serves at the hand-off cost.
-                    let mut warm = None;
-                    for node in 0..nodes {
-                        let s = &mut state[nf(node)];
-                        while let Some(id) = s.idle.pop() {
-                            if instances.contains(id) {
-                                s.idle_live = s.idle_live.saturating_sub(1);
-                                warm = Some((node, id));
-                                break;
-                            }
-                        }
-                        if warm.is_some() {
-                            break;
-                        }
-                    }
-                    if let Some((node, id)) = warm {
-                        if let Some(slot) = instances.get_mut(id) {
-                            slot.busy = true;
-                            slot.request = request;
-                        }
-                        reuses += 1;
-                        startup_hist.record(REUSE_HANDOFF);
-                        e2e_hist.record(REUSE_HANDOFF.saturating_add(f.exec));
-                        mix(&mut route_hash, request);
-                        mix(&mut route_hash, node as u64);
-                        mix(&mut route_hash, ROUTE_REUSE);
-                        queue.schedule(
-                            now.saturating_add(REUSE_HANDOFF).saturating_add(f.exec),
-                            Event::ExecComplete {
-                                request,
-                                instance: Some(id),
-                            },
-                        );
-                        continue;
-                    }
-
-                    // Rung 1 — local sfork on the least-loaded template
-                    // holder under capacity.
-                    let holder = (0..nodes)
-                        .filter(|&n| state[nf(n)].has_template && node_state[n].live < cap)
-                        .min_by_key(|&n| (node_state[n].live, n));
-                    let (node, kind, cost) = if let Some(node) = holder {
-                        local += 1;
-                        (node, ROUTE_LOCAL, f.boot)
-                    } else {
-                        // Template-local nodes saturated (or nonexistent):
-                        // the scheduler pushes the request off-holder. A
-                        // re-route is only counted when some other node
-                        // actually serves it — with nowhere to go, the
-                        // request sheds and only the shed bucket moves.
-                        let joinable = (0..nodes)
-                            .filter(|&n| {
-                                self.config.routing == RoutingPolicy::RemoteFork
-                                    && state[nf(n)].transfer_done.is_some()
-                                    && node_state[n].live < cap
-                            })
-                            .min_by_key(|&n| (node_state[n].live, n));
-                        let transferable = (0..nodes)
-                            .filter(|&n| {
-                                self.config.routing == RoutingPolicy::RemoteFork
-                                    && !state[nf(n)].has_template
-                                    && state[nf(n)].transfer_done.is_none()
-                                    && node_state[n].live < cap
-                            })
-                            .min_by_key(|&n| (node_state[n].live, n));
-                        let coldable = (0..nodes)
-                            .filter(|&n| node_state[n].live < cap)
-                            .min_by_key(|&n| (node_state[n].live, n));
-                        if let Some(node) = joinable {
-                            // Rung 2a — join the in-flight transfer: fork
-                            // the moment the template lands.
-                            let done = state[nf(node)].transfer_done.unwrap_or(now);
-                            reroutes += 1;
-                            remote += 1;
-                            let cost = done.saturating_sub(now).saturating_add(f.boot);
-                            remote_hist.record(cost);
-                            (node, ROUTE_REMOTE, cost)
-                        } else if let Some(node) = transferable {
-                            // Rung 2b — start a transfer from a holder.
-                            reroutes += 1;
-                            let mut wire = f.transfer;
-                            let mut poisoned = false;
-                            let mut detect = SimNanos::ZERO;
-                            if let Some(injector) = &mut injector {
-                                if let Some(fault) =
-                                    injector.check(InjectionPoint::TemplateTransfer, now)
-                                {
-                                    transfer_faults += 1;
-                                    if fault.kind == FaultKind::Poison {
-                                        // The in-flight replica is corrupt:
-                                        // degrade this request down the
-                                        // ladder and repair the fabric in
-                                        // the background.
-                                        poisoned = true;
-                                        detect = fault.delay;
-                                        if !node_state[node].repair_pending {
-                                            node_state[node].repair_pending = true;
-                                            queue.schedule(
-                                                now.saturating_add(self.repair_delay),
-                                                Event::NodeRepair { node: node as u32 },
-                                            );
-                                        }
-                                    } else {
-                                        // Transient/stall: detection delay
-                                        // plus one retry backoff, then the
-                                        // retry goes through.
-                                        wire = wire
-                                            .saturating_add(fault.delay)
-                                            .saturating_add(self.backoff);
-                                    }
-                                }
-                            }
-                            if poisoned {
-                                let s = &mut state[nf(node)];
-                                let mut cost = detect.saturating_add(f.cold_boot);
-                                if !s.pulled {
-                                    cost = cost.saturating_add(self.config.costs.cold_pull);
-                                    s.pulled = true;
-                                }
-                                cold += 1;
-                                cold_hist.record(cost);
-                                (node, ROUTE_COLD, cost)
-                            } else {
-                                transfers += 1;
-                                let done = now.saturating_add(wire);
-                                state[nf(node)].transfer_done = Some(done);
-                                queue.schedule(
-                                    done,
-                                    Event::TransferComplete {
-                                        node: node as u32,
-                                        function: fnid,
-                                        gen: 0,
-                                    },
-                                );
-                                remote += 1;
-                                let cost = wire.saturating_add(f.boot);
-                                remote_hist.record(cost);
-                                (node, ROUTE_REMOTE, cost)
-                            }
-                        } else if let Some(node) = coldable {
-                            // Rung 3 — cold: registry pull (once per node)
-                            // plus the full cold boot. The LocalCold
-                            // baseline always lands here.
-                            reroutes += 1;
-                            let s = &mut state[nf(node)];
-                            let mut cost = f.cold_boot;
-                            if !s.pulled {
-                                cost = cost.saturating_add(self.config.costs.cold_pull);
-                                s.pulled = true;
-                            }
-                            cold += 1;
-                            cold_hist.record(cost);
-                            (node, ROUTE_COLD, cost)
-                        } else {
-                            // Every node at capacity: shed.
-                            shed += 1;
-                            mix(&mut route_hash, request);
-                            mix(&mut route_hash, u64::MAX);
-                            mix(&mut route_hash, ROUTE_SHED);
-                            continue;
-                        }
-                    };
-
-                    mix(&mut route_hash, request);
-                    mix(&mut route_hash, node as u64);
-                    mix(&mut route_hash, kind);
-                    let id = instances.insert(Slot {
-                        node,
-                        function: fnid,
-                        request,
-                        busy: true,
-                        idle_since: SimNanos::ZERO,
-                    });
-                    let ns = &mut node_state[node];
-                    ns.live += 1;
-                    ns.peak = ns.peak.max(ns.live);
-                    startup_hist.record(cost);
-                    e2e_hist.record(cost.saturating_add(f.exec));
-                    queue.schedule(
-                        now.saturating_add(cost),
-                        Event::BootComplete { instance: id },
-                    );
-                }
-                Event::BootComplete { instance } => {
-                    let Some(slot) = instances.get(instance) else {
-                        continue;
-                    };
-                    let exec = fns
-                        .get(slot.function.index())
-                        .map_or(SimNanos::ZERO, |f| f.exec);
-                    queue.schedule(
-                        now.saturating_add(exec),
-                        Event::ExecComplete {
-                            request: slot.request,
-                            instance: Some(instance),
-                        },
-                    );
-                }
-                Event::ExecComplete { instance, .. } => {
-                    let Some(id) = instance else { continue };
-                    let Some(slot) = instances.get_mut(id) else {
-                        continue;
-                    };
-                    completed += 1;
-                    let node = slot.node;
-                    let function = slot.function;
-                    let s = &mut state[slot_index(node, fns.len(), function.index())];
-                    if s.idle_live < self.max_idle {
-                        slot.busy = false;
-                        slot.idle_since = now;
-                        s.idle.push(id);
-                        s.idle_live += 1;
-                        queue.schedule(
-                            now.saturating_add(self.keep_alive),
-                            Event::KeepAliveExpiry { instance: id },
-                        );
-                    } else {
-                        instances.remove(id);
-                        node_state[node].live = node_state[node].live.saturating_sub(1);
-                    }
-                }
-                Event::KeepAliveExpiry { instance } => {
-                    let due = match instances.get(instance) {
-                        Some(slot) if slot.busy => false,
-                        Some(slot) => now.saturating_sub(slot.idle_since) >= self.keep_alive,
-                        None => false,
-                    };
-                    if due {
-                        if let Some(slot) = instances.remove(instance) {
-                            expirations += 1;
-                            let s =
-                                &mut state[slot_index(slot.node, fns.len(), slot.function.index())];
-                            s.idle_live = s.idle_live.saturating_sub(1);
-                            node_state[slot.node].live =
-                                node_state[slot.node].live.saturating_sub(1);
-                        }
-                    }
-                }
-                Event::TransferComplete { node, function, .. } => {
-                    let node = usize::try_from(node).unwrap_or(usize::MAX);
-                    if let Some(s) = state.get_mut(slot_index(node, fns.len(), function.index())) {
-                        s.transfer_done = None;
-                        s.has_template = true;
-                    }
-                }
-                Event::NodeRepair { node } => {
-                    let node = usize::try_from(node).unwrap_or(usize::MAX);
-                    if let Some(ns) = node_state.get_mut(node) {
-                        ns.repair_pending = false;
-                        node_repairs += 1;
-                        if let Some(injector) = &mut injector {
-                            injector.heal(InjectionPoint::TemplateTransfer);
-                        }
-                    }
-                }
-                // Chaos-only classes: without a node plan the engine never
-                // schedules them — the chaos layer is provably inert here.
-                Event::PoolTick { .. }
-                | Event::NodeCrash { .. }
-                | Event::PartitionHeal { .. }
-                | Event::HedgeFire { .. }
-                | Event::HeartbeatTick { .. } => {}
-            }
-        }
-
-        let per_node_peak: Vec<usize> = node_state.iter().map(|n| n.peak).collect();
-        let peak_node_instances = per_node_peak.iter().copied().max().unwrap_or(0);
-        let mut metrics = MetricsRegistry::new();
-        metrics.add(names::CLUSTER_LOCAL, local);
-        metrics.add(names::CLUSTER_REMOTE, remote);
-        metrics.add(names::CLUSTER_COLD, cold);
-        metrics.add(names::CLUSTER_REUSE, reuses);
-        metrics.add(names::CLUSTER_SHED, shed);
-        metrics.add(names::CLUSTER_REROUTES, reroutes);
-        metrics.add(names::CLUSTER_TRANSFERS, transfers);
-        metrics.add(names::CLUSTER_TRANSFER_FAULTS, transfer_faults);
-        metrics.add(names::CLUSTER_NODE_REPAIRS, node_repairs);
-        metrics.set_gauge(
-            names::CLUSTER_PEAK_NODE_INSTANCES,
-            i64::try_from(peak_node_instances).unwrap_or(i64::MAX),
-        );
-
-        let requests = u64::try_from(trace.len()).unwrap_or(u64::MAX);
-        Ok(ClusterOutcome {
-            requests,
-            completed,
-            shed,
-            reuses,
-            local,
-            remote,
-            cold,
-            reroutes,
-            transfers,
-            transfer_faults,
-            node_repairs,
-            expirations,
-            events: queue.scheduled(),
-            horizon,
-            per_node_peak,
-            peak_node_instances,
-            goodput: crate::simulate::fraction(completed, requests),
-            cold_rate: crate::simulate::fraction(cold, requests),
-            startup: Quantiles::from_histogram(&startup_hist),
-            end_to_end: Quantiles::from_histogram(&e2e_hist),
-            remote_startup: Quantiles::from_histogram(&remote_hist),
-            cold_startup: Quantiles::from_histogram(&cold_hist),
-            route_hash,
-            metrics,
-        })
+    pub fn run_cluster(self, trace: &[TraceRequest]) -> Result<ClusterOutcome, PlatformError> {
+        Ok(self.drive(trace, None)?.cluster)
     }
 
-    /// Drives `trace` through the chaos-aware cluster engine: the same
-    /// serving ladder as [`ClusterSim::run_cluster`], with the installed
+    /// Drives `trace` through the same engine with the installed
     /// [`NodePlan`] misbehaving underneath and the [`ChaosPolicy`] deciding
     /// what the scheduler does about it — health-aware routing, holder
     /// re-replication, hedged transfers, and waiter timeouts under
     /// [`ChaosPolicy::full`]; static-placement routing that fails typed,
-    /// hangs, and sheds under [`ChaosPolicy::none`].
+    /// hangs, and sheds under [`ChaosPolicy::none`]. Without
+    /// [`ClusterSim::with_chaos`] the plan is quiet and the policy full.
     ///
     /// Requests end in exactly one of three buckets — completed, shed,
     /// failed — and `completed + shed + failed == requests` under every
@@ -758,6 +412,23 @@ impl ClusterSim {
     /// placement budget, or a plan touching a node the cluster lacks;
     /// [`PlatformError::InvalidTrace`]; calibration errors.
     pub fn run_chaos(mut self, trace: &[TraceRequest]) -> Result<ChaosOutcome, PlatformError> {
+        let chaos = self
+            .chaos
+            .take()
+            .unwrap_or((NodePlan::quiet(0), ChaosPolicy::full()));
+        self.drive(trace, Some(chaos))
+    }
+
+    /// The cluster kernel: the one event loop behind both entry points.
+    /// `chaos` is the optional node-fault layer; with `None` there is no
+    /// [`ChaosState`], every node stays reachable, believed `Up` and at
+    /// slowdown 1.0, and the crash/heal/heartbeat/hedge classes are never
+    /// scheduled.
+    fn drive(
+        mut self,
+        trace: &[TraceRequest],
+        chaos: Option<(NodePlan, ChaosPolicy)>,
+    ) -> Result<ChaosOutcome, PlatformError> {
         self.config.ensure_valid()?;
         validate_trace(trace, self.catalogue.len())?;
         let fns = self.calibrate()?;
@@ -768,18 +439,26 @@ impl ClusterSim {
         } else {
             self.node_capacity
         };
-        let (plan, policy) = self
-            .chaos
-            .take()
-            .unwrap_or((NodePlan::quiet(0), ChaosPolicy::full()));
-        let mut chaos = ChaosState::new(plan, policy, nodes)?;
+        let remote_fork = self.config.routing == RoutingPolicy::RemoteFork;
+        let mut injector = self.plan.take().map(FaultInjector::new);
+        let mut chaos = chaos
+            .map(|(plan, policy)| ChaosState::new(plan, policy, nodes))
+            .transpose()?;
+        // Health-aware routing, re-replication, hedging and waiter
+        // timeouts; off both for the no-failover baseline and for a run
+        // with no chaos layer, where static placement is simply true.
+        let policy = chaos.as_ref().map(|c| *c.policy());
+        let failover = policy.is_some_and(|p| p.failover);
+        let hedge_delay = policy.filter(|p| p.failover).map(|p| p.hedge_delay);
 
+        // Placement: the same round-robin spread as the closed-loop
+        // scheduler — holders are provisioned (template built offline).
         let replicas = self.config.placement_budget.min(nodes);
         let original_holder = |node: usize, function: usize| -> bool {
             (0..replicas).any(|r| (function + r) % nodes == node)
         };
-        let mut state: Vec<ChaosFn> = Vec::new();
-        state.resize_with(nodes.saturating_mul(width), ChaosFn::default);
+        let mut state: Vec<Replica> = Vec::new();
+        state.resize_with(nodes.saturating_mul(width), Replica::default);
         for f in 0..width {
             for r in 0..replicas {
                 state[slot_index((f + r) % nodes, width, f)].has_template = true;
@@ -797,22 +476,23 @@ impl ClusterSim {
         // `NodeCrash`, partition heals as `PartitionHeal` (epoch = plan
         // order). Partition *starts* and gray windows need no events —
         // reachability and slowdown are pure functions of the plan.
-        for event in chaos.plan().events() {
-            if event.fault == faultsim::NodeFault::Crash {
-                queue.schedule(event.at, Event::NodeCrash { node: event.node });
-            }
-        }
-        let heals: Vec<(SimNanos, u32)> = chaos
-            .partitions()
-            .enumerate()
-            .map(|(epoch, (_, until, _))| (until, u32::try_from(epoch).unwrap_or(u32::MAX)))
-            .collect();
-        for (until, epoch) in heals {
-            queue.schedule(until, Event::PartitionHeal { epoch });
-        }
         let hb_end = trace.last().map_or(SimNanos::ZERO, |r| r.arrival);
-        if policy.heartbeat_interval <= hb_end {
-            queue.schedule(policy.heartbeat_interval, Event::HeartbeatTick { round: 0 });
+        if let Some(c) = &chaos {
+            for event in c.plan().events() {
+                if event.fault == NodeFault::Crash {
+                    queue.schedule(event.at, Event::NodeCrash { node: event.node });
+                }
+            }
+            for (epoch, (_, until, _)) in c.partitions().enumerate() {
+                let epoch = u32::try_from(epoch).unwrap_or(u32::MAX);
+                queue.schedule(until, Event::PartitionHeal { epoch });
+            }
+            if c.policy().heartbeat_interval <= hb_end {
+                queue.schedule(
+                    c.policy().heartbeat_interval,
+                    Event::HeartbeatTick { round: 0 },
+                );
+            }
         }
 
         let mut completed = 0u64;
@@ -824,6 +504,8 @@ impl ClusterSim {
         let mut cold = 0u64;
         let mut reroutes = 0u64;
         let mut transfers = 0u64;
+        let mut transfer_faults = 0u64;
+        let mut node_repairs = 0u64;
         let mut expirations = 0u64;
         let mut crashes = 0u64;
         let mut failovers = 0u64;
@@ -838,6 +520,13 @@ impl ClusterSim {
         let mut remote_hist = LatencyHistogram::new();
         let mut cold_hist = LatencyHistogram::new();
         let mut route_hash = 0xcbf2_9ce4_8422_2325u64;
+        // What the scheduler sees of each node at the current arrival:
+        // physically reachable, gray stretch, and eligible for new work.
+        // Refreshed per arrival from the chaos layer; without one they
+        // keep these inert values for the whole run.
+        let mut reach = vec![true; nodes];
+        let mut slow = vec![1.0f64; nodes];
+        let mut elig = vec![true; nodes];
 
         while let Some((now, event)) = queue.pop() {
             horizon = now;
@@ -855,36 +544,72 @@ impl ClusterSim {
                     // A failover re-arrival is served later than the trace
                     // arrival; its latency honestly includes the wait.
                     let lag = now.saturating_sub(req.arrival);
-                    let reach: Vec<bool> = (0..nodes).map(|n| chaos.reachable(n, now)).collect();
-                    let slow: Vec<f64> = (0..nodes).map(|n| chaos.slowdown(n, now)).collect();
-                    // Full policy routes only at reachable nodes believed
-                    // `Up`, falling back to any reachable node when the
-                    // belief map offers none. The baseline believes static
-                    // placement and routes anywhere — and pays for it.
-                    let any_up = (0..nodes).any(|n| reach[n] && chaos.health(n) == NodeHealth::Up);
-                    let elig: Vec<bool> = (0..nodes)
-                        .map(|n| {
-                            if !policy.failover {
-                                true
-                            } else {
-                                reach[n] && (!any_up || chaos.health(n) == NodeHealth::Up)
-                            }
-                        })
-                        .collect();
+                    if let Some(c) = &chaos {
+                        for (n, (r, s)) in reach.iter_mut().zip(&mut slow).enumerate() {
+                            *r = c.reachable(n, now);
+                            *s = c.slowdown(n, now);
+                        }
+                        // Full policy routes only at reachable nodes
+                        // believed `Up`, falling back to any reachable node
+                        // when the belief map offers none. The baseline
+                        // believes static placement and routes anywhere —
+                        // and pays for it.
+                        let any_up = (0..nodes).any(|n| reach[n] && c.health(n) == NodeHealth::Up);
+                        for (n, e) in elig.iter_mut().enumerate() {
+                            *e = !failover
+                                || (reach[n] && (!any_up || c.health(n) == NodeHealth::Up));
+                        }
+                    }
                     macro_rules! fail_unreachable {
                         ($node:expr) => {{
                             let node = $node;
                             failed += 1;
                             unreachable += 1;
-                            chaos.record(now, node, ChaosEvent::Unreachable);
-                            mix(&mut route_hash, request);
-                            mix(&mut route_hash, node as u64);
-                            mix(&mut route_hash, ROUTE_FAILED);
+                            if let Some(c) = &mut chaos {
+                                c.record(now, node, ChaosEvent::Unreachable);
+                            }
+                            mix_route(&mut route_hash, request, node as u64, ROUTE_FAILED);
                             continue;
                         }};
                     }
+                    // Commits the routing decision: hash it and reserve a
+                    // busy instance on the node.
+                    macro_rules! place {
+                        ($node:expr, $kind:expr) => {{
+                            let node = $node;
+                            mix_route(&mut route_hash, request, node as u64, $kind);
+                            let ns = &mut node_state[node];
+                            ns.live += 1;
+                            ns.peak = ns.peak.max(ns.live);
+                            instances.insert(Slot {
+                                node,
+                                function: fnid,
+                                request,
+                                busy: true,
+                                idle_since: SimNanos::ZERO,
+                            })
+                        }};
+                    }
+                    // Starts serving on `$node` after `$cost` of startup.
+                    macro_rules! serve {
+                        ($id:expr, $node:expr, $cost:expr) => {{
+                            let cost = $cost;
+                            let startup = lag.saturating_add(cost);
+                            let exec = stretch(f.exec, slow[$node]);
+                            startup_hist.record(startup);
+                            e2e_hist.record(startup.saturating_add(exec));
+                            queue.schedule(
+                                now.saturating_add(cost).saturating_add(exec),
+                                Event::ExecComplete {
+                                    request,
+                                    instance: Some($id),
+                                },
+                            );
+                        }};
+                    }
 
-                    // Rung 0 — reuse a warm instance on a routable node.
+                    // Rung 0 — reuse: the lowest-indexed routable node with
+                    // a live warm instance serves at the hand-off cost.
                     let mut warm = None;
                     for node in 0..nodes {
                         if !elig[node] {
@@ -913,32 +638,18 @@ impl ClusterSim {
                             slot.request = request;
                         }
                         reuses += 1;
-                        let exec_s = stretch(f.exec, slow[node]);
-                        startup_hist.record(lag.saturating_add(REUSE_HANDOFF));
-                        e2e_hist.record(lag.saturating_add(REUSE_HANDOFF).saturating_add(exec_s));
-                        mix(&mut route_hash, request);
-                        mix(&mut route_hash, node as u64);
-                        mix(&mut route_hash, ROUTE_REUSE);
-                        queue.schedule(
-                            now.saturating_add(REUSE_HANDOFF).saturating_add(exec_s),
-                            Event::ExecComplete {
-                                request,
-                                instance: Some(id),
-                            },
-                        );
+                        mix_route(&mut route_hash, request, node as u64, ROUTE_REUSE);
+                        serve!(id, node, REUSE_HANDOFF);
                         continue;
                     }
 
-                    // Rung 1 — local sfork on a believed template holder.
-                    // Full policy believes physical placement (crashes
-                    // clear it, re-replication restores it); the baseline
-                    // believes the original round-robin spread.
-                    let believed = |state: &[ChaosFn], n: usize| {
-                        if policy.failover {
-                            state[nf(n)].has_template
-                        } else {
-                            original_holder(n, req.function) || state[nf(n)].has_template
-                        }
+                    // Rung 1 — local sfork on the least-loaded believed
+                    // template holder under capacity. Full policy believes
+                    // physical placement (crashes clear it, re-replication
+                    // restores it); otherwise the scheduler believes the
+                    // original round-robin spread.
+                    let believed = |state: &[Replica], n: usize| {
+                        state[nf(n)].has_template || (!failover && original_holder(n, req.function))
                     };
                     let holder = (0..nodes)
                         .filter(|&n| elig[n] && believed(&state, n) && node_state[n].live < cap)
@@ -948,40 +659,25 @@ impl ClusterSim {
                             fail_unreachable!(node);
                         }
                         local += 1;
-                        let cost = stretch(f.boot, slow[node]);
-                        let exec_s = stretch(f.exec, slow[node]);
-                        mix(&mut route_hash, request);
-                        mix(&mut route_hash, node as u64);
-                        mix(&mut route_hash, ROUTE_LOCAL);
-                        let id = instances.insert(Slot {
-                            node,
-                            function: fnid,
-                            request,
-                            busy: true,
-                            idle_since: SimNanos::ZERO,
-                        });
-                        let ns = &mut node_state[node];
-                        ns.live += 1;
-                        ns.peak = ns.peak.max(ns.live);
-                        startup_hist.record(lag.saturating_add(cost));
-                        e2e_hist.record(lag.saturating_add(cost).saturating_add(exec_s));
-                        queue.schedule(
-                            now.saturating_add(cost).saturating_add(exec_s),
-                            Event::ExecComplete {
-                                request,
-                                instance: Some(id),
-                            },
-                        );
+                        let id = place!(node, ROUTE_LOCAL);
+                        serve!(id, node, stretch(f.boot, slow[node]));
                         continue;
                     }
 
+                    // Template-local nodes saturated (or nonexistent): the
+                    // scheduler pushes the request off-holder. A re-route
+                    // is only counted when some other node actually serves
+                    // it — with nowhere to go, the request sheds and only
+                    // the shed bucket moves.
+                    //
                     // Rung 2a — join the in-flight transfer: the joiner
                     // becomes a waiter with the same fate as the initiator
-                    // (timeout and re-route on abort under the full
-                    // policy; a hang under the baseline).
+                    // (fork when the template lands; timeout and re-route
+                    // on abort under the full policy; a hang under the
+                    // baseline).
                     let joinable = (0..nodes)
                         .filter(|&n| {
-                            self.config.routing == RoutingPolicy::RemoteFork
+                            remote_fork
                                 && elig[n]
                                 && state[nf(n)].transfer.is_some()
                                 && node_state[n].live < cap
@@ -993,19 +689,7 @@ impl ClusterSim {
                         }
                         reroutes += 1;
                         remote += 1;
-                        mix(&mut route_hash, request);
-                        mix(&mut route_hash, node as u64);
-                        mix(&mut route_hash, ROUTE_REMOTE);
-                        let id = instances.insert(Slot {
-                            node,
-                            function: fnid,
-                            request,
-                            busy: true,
-                            idle_since: SimNanos::ZERO,
-                        });
-                        let ns = &mut node_state[node];
-                        ns.live += 1;
-                        ns.peak = ns.peak.max(ns.live);
+                        let id = place!(node, ROUTE_REMOTE);
                         if let Some(t) = state[nf(node)].transfer.as_mut() {
                             t.waiters.push((request, id));
                         }
@@ -1017,27 +701,23 @@ impl ClusterSim {
                     // exactly what the hedge exists to beat.
                     let transferable = (0..nodes)
                         .filter(|&n| {
-                            self.config.routing == RoutingPolicy::RemoteFork
+                            remote_fork
                                 && elig[n]
                                 && !state[nf(n)].has_template
                                 && state[nf(n)].transfer.is_none()
                                 && node_state[n].live < cap
                         })
                         .min_by_key(|&n| (node_state[n].live, n));
-                    let mut transfer_started = false;
+                    // A poisoned transfer pins its cold fallback to the
+                    // node it was headed for: `(node, detection delay)`.
+                    let mut poisoned = None;
                     if let Some(node) = transferable {
                         if !reach[node] {
                             fail_unreachable!(node);
                         }
                         let source = (0..nodes)
                             .filter(|&n| {
-                                n != node
-                                    && if policy.failover {
-                                        state[nf(n)].has_template && reach[n]
-                                    } else {
-                                        original_holder(n, req.function)
-                                            || state[nf(n)].has_template
-                                    }
+                                n != node && believed(&state, n) && (!failover || reach[n])
                             })
                             .min_by_key(|&n| (node_state[n].live, n));
                         match source {
@@ -1047,111 +727,104 @@ impl ClusterSim {
                                 fail_unreachable!(src);
                             }
                             Some(src) => {
-                                reroutes += 1;
-                                remote += 1;
-                                transfers += 1;
-                                mix(&mut route_hash, request);
-                                mix(&mut route_hash, node as u64);
-                                mix(&mut route_hash, ROUTE_REMOTE);
-                                let id = instances.insert(Slot {
-                                    node,
-                                    function: fnid,
-                                    request,
-                                    busy: true,
-                                    idle_since: SimNanos::ZERO,
-                                });
-                                let ns = &mut node_state[node];
-                                ns.live += 1;
-                                ns.peak = ns.peak.max(ns.live);
-                                let wire = stretch(f.transfer, slow[src]);
-                                let done = now.saturating_add(wire);
-                                let s = &mut state[nf(node)];
-                                let gen = s.gen_counter;
-                                s.gen_counter += 1;
-                                s.transfer = Some(Transfer {
-                                    gen,
-                                    source: src,
-                                    done,
-                                    hedged: !policy.failover,
-                                    waiters: vec![(request, id)],
-                                });
-                                queue.schedule(
-                                    done,
-                                    Event::TransferComplete {
-                                        node: node as u32,
-                                        function: fnid,
-                                        gen,
-                                    },
-                                );
-                                if policy.failover {
+                                let mut wire = stretch(f.transfer, slow[src]);
+                                let fault = injector
+                                    .as_mut()
+                                    .and_then(|i| i.check(InjectionPoint::TemplateTransfer, now));
+                                if let Some(fault) = fault {
+                                    transfer_faults += 1;
+                                    if fault.kind == FaultKind::Poison {
+                                        // The in-flight replica is corrupt:
+                                        // degrade this request down the
+                                        // ladder and repair the fabric in
+                                        // the background.
+                                        poisoned = Some((node, fault.delay));
+                                        let ns = &mut node_state[node];
+                                        if !ns.repair_pending {
+                                            ns.repair_pending = true;
+                                            queue.schedule(
+                                                now.saturating_add(self.repair_delay),
+                                                Event::NodeRepair { node: node as u32 },
+                                            );
+                                        }
+                                    } else {
+                                        // Transient/stall: detection delay
+                                        // plus one retry backoff, then the
+                                        // retry goes through.
+                                        wire = wire
+                                            .saturating_add(fault.delay)
+                                            .saturating_add(self.backoff);
+                                    }
+                                }
+                                if poisoned.is_none() {
+                                    reroutes += 1;
+                                    remote += 1;
+                                    transfers += 1;
+                                    let id = place!(node, ROUTE_REMOTE);
+                                    let done = now.saturating_add(wire);
+                                    let gen = state[nf(node)].begin_transfer(
+                                        src,
+                                        done,
+                                        !failover,
+                                        vec![(request, id)],
+                                    );
                                     queue.schedule(
-                                        now.saturating_add(policy.hedge_delay),
-                                        Event::HedgeFire {
+                                        done,
+                                        Event::TransferComplete {
                                             node: node as u32,
                                             function: fnid,
                                             gen,
                                         },
                                     );
+                                    if let Some(delay) = hedge_delay {
+                                        queue.schedule(
+                                            now.saturating_add(delay),
+                                            Event::HedgeFire {
+                                                node: node as u32,
+                                                function: fnid,
+                                                gen,
+                                            },
+                                        );
+                                    }
+                                    continue;
                                 }
-                                transfer_started = true;
                             }
                             // No holder left anywhere: fall to cold.
                             None => {}
                         }
                     }
-                    if transfer_started {
-                        continue;
-                    }
 
-                    // Rung 3 — cold: registry pull (once per node) plus
-                    // the full cold boot.
-                    let coldable = (0..nodes)
-                        .filter(|&n| elig[n] && node_state[n].live < cap)
-                        .min_by_key(|&n| (node_state[n].live, n));
-                    if let Some(node) = coldable {
+                    // Rung 3 — cold: registry pull (once per node) plus the
+                    // full cold boot, on the poisoned transfer's node or
+                    // the least-loaded routable one. The LocalCold baseline
+                    // always lands here.
+                    let coldable = poisoned.or_else(|| {
+                        (0..nodes)
+                            .filter(|&n| elig[n] && node_state[n].live < cap)
+                            .min_by_key(|&n| (node_state[n].live, n))
+                            .map(|n| (n, SimNanos::ZERO))
+                    });
+                    if let Some((node, detect)) = coldable {
                         if !reach[node] {
                             fail_unreachable!(node);
                         }
                         reroutes += 1;
                         cold += 1;
                         let s = &mut state[nf(node)];
-                        let mut cost = stretch(f.cold_boot, slow[node]);
+                        let mut cost = detect.saturating_add(stretch(f.cold_boot, slow[node]));
                         if !s.pulled {
                             cost = cost.saturating_add(self.config.costs.cold_pull);
                             s.pulled = true;
                         }
-                        let exec_s = stretch(f.exec, slow[node]);
-                        mix(&mut route_hash, request);
-                        mix(&mut route_hash, node as u64);
-                        mix(&mut route_hash, ROUTE_COLD);
-                        let id = instances.insert(Slot {
-                            node,
-                            function: fnid,
-                            request,
-                            busy: true,
-                            idle_since: SimNanos::ZERO,
-                        });
-                        let ns = &mut node_state[node];
-                        ns.live += 1;
-                        ns.peak = ns.peak.max(ns.live);
                         cold_hist.record(lag.saturating_add(cost));
-                        startup_hist.record(lag.saturating_add(cost));
-                        e2e_hist.record(lag.saturating_add(cost).saturating_add(exec_s));
-                        queue.schedule(
-                            now.saturating_add(cost).saturating_add(exec_s),
-                            Event::ExecComplete {
-                                request,
-                                instance: Some(id),
-                            },
-                        );
+                        let id = place!(node, ROUTE_COLD);
+                        serve!(id, node, cost);
                         continue;
                     }
 
                     // Every routable node at capacity: shed.
                     shed += 1;
-                    mix(&mut route_hash, request);
-                    mix(&mut route_hash, u64::MAX);
-                    mix(&mut route_hash, ROUTE_SHED);
+                    mix_route(&mut route_hash, request, u64::MAX, ROUTE_SHED);
                 }
                 Event::ExecComplete { instance, .. } => {
                     let Some(id) = instance else { continue };
@@ -1198,30 +871,21 @@ impl ClusterSim {
                     gen,
                 } => {
                     let node = usize::try_from(node).unwrap_or(usize::MAX);
-                    let idx = slot_index(node, width, function.index());
-                    let current = state
-                        .get(idx)
-                        .and_then(|s| s.transfer.as_ref())
-                        .is_some_and(|t| t.gen == gen);
-                    if !current {
-                        // Stale generation: aborted, orphaned, hedged out,
-                        // or the destination crashed — lazy miss.
+                    let Some(s) = state.get_mut(slot_index(node, width, function.index())) else {
                         continue;
-                    }
-                    let t = state[idx].transfer.take().unwrap_or(Transfer {
-                        gen,
-                        source: node,
-                        done: now,
-                        hedged: true,
-                        waiters: Vec::new(),
-                    });
-                    state[idx].has_template = true;
+                    };
+                    // Stale generation: aborted, orphaned, hedged out, or
+                    // the destination crashed — lazy miss.
+                    let Some(t) = s.transfer.take_if(|t| t.gen == gen) else {
+                        continue;
+                    };
+                    s.has_template = true;
                     let Some(f) = fns.get(function.index()) else {
                         continue;
                     };
-                    let slowdown = chaos.slowdown(node, now);
-                    let boot_s = stretch(f.boot, slowdown);
-                    let exec_s = stretch(f.exec, slowdown);
+                    let slowdown = chaos.as_ref().map_or(1.0, |c| c.slowdown(node, now));
+                    let boot = stretch(f.boot, slowdown);
+                    let exec = stretch(f.exec, slowdown);
                     for (request, id) in t.waiters {
                         if !instances.contains(id) {
                             continue;
@@ -1229,12 +893,12 @@ impl ClusterSim {
                         let arrival = trace
                             .get(usize::try_from(request).unwrap_or(usize::MAX))
                             .map_or(now, |r| r.arrival);
-                        let startup = now.saturating_sub(arrival).saturating_add(boot_s);
+                        let startup = now.saturating_sub(arrival).saturating_add(boot);
                         startup_hist.record(startup);
                         remote_hist.record(startup);
-                        e2e_hist.record(startup.saturating_add(exec_s));
+                        e2e_hist.record(startup.saturating_add(exec));
                         queue.schedule(
-                            now.saturating_add(boot_s).saturating_add(exec_s),
+                            now.saturating_add(boot).saturating_add(exec),
                             Event::ExecComplete {
                                 request,
                                 instance: Some(id),
@@ -1242,10 +906,21 @@ impl ClusterSim {
                         );
                     }
                 }
+                Event::NodeRepair { node } => {
+                    let node = usize::try_from(node).unwrap_or(usize::MAX);
+                    if let Some(ns) = node_state.get_mut(node) {
+                        ns.repair_pending = false;
+                        node_repairs += 1;
+                        if let Some(injector) = &mut injector {
+                            injector.heal(InjectionPoint::TemplateTransfer);
+                        }
+                    }
+                }
                 Event::NodeCrash { node } => {
+                    let Some(c) = &mut chaos else { continue };
                     let node = usize::try_from(node).unwrap_or(usize::MAX);
                     crashes += 1;
-                    chaos.record(now, node, ChaosEvent::Crash);
+                    c.record(now, node, ChaosEvent::Crash);
                     // 1. Kill sweep: every instance on the node dies; busy
                     // ones take their requests with them. Their pending
                     // events lazy-miss on the bumped arena generation.
@@ -1291,32 +966,27 @@ impl ClusterSim {
                             continue;
                         }
                         for fi in 0..width {
-                            let idx = slot_index(n, width, fi);
-                            let sourced = state[idx]
-                                .transfer
-                                .as_ref()
-                                .is_some_and(|t| t.source == node);
-                            if !sourced {
+                            let s = &mut state[slot_index(n, width, fi)];
+                            if s.transfer.as_ref().is_none_or(|t| t.source != node) {
                                 continue;
                             }
                             aborted_transfers += 1;
-                            chaos.record(now, n, ChaosEvent::TransferAbort);
-                            if policy.failover {
-                                if let Some(t) = state[idx].transfer.take() {
+                            c.record(now, n, ChaosEvent::TransferAbort);
+                            if failover {
+                                if let Some(t) = s.transfer.take() {
                                     for (request, id) in t.waiters {
                                         if instances.remove(id).is_some() {
                                             ns.live = ns.live.saturating_sub(1);
                                         }
                                         failovers += 1;
                                         queue.schedule(
-                                            now.saturating_add(policy.transfer_timeout),
+                                            now.saturating_add(c.policy().transfer_timeout),
                                             Event::Arrival { request },
                                         );
                                     }
                                 }
-                                chaos.record(now, n, ChaosEvent::Failover);
+                                c.record(now, n, ChaosEvent::Failover);
                             } else {
-                                let s = &mut state[idx];
                                 if let Some(t) = s.transfer.as_mut() {
                                     t.done = SimNanos::MAX;
                                     t.gen = s.gen_counter;
@@ -1329,21 +999,20 @@ impl ClusterSim {
                     // lost template back up to the placement budget, from
                     // the least-loaded surviving holder onto the lowest
                     // reachable non-holder.
-                    if policy.failover {
+                    if failover {
                         for fi in held {
                             let holders: Vec<usize> = (0..nodes)
                                 .filter(|&n| {
                                     state[slot_index(n, width, fi)].has_template
-                                        && chaos.reachable(n, now)
+                                        && c.reachable(n, now)
                                 })
                                 .collect();
                             if holders.len() >= replicas {
                                 continue;
                             }
                             let dest = (0..nodes).find(|&n| {
-                                chaos.reachable(n, now)
-                                    && !state[slot_index(n, width, fi)].has_template
-                                    && state[slot_index(n, width, fi)].transfer.is_none()
+                                let s = &state[slot_index(n, width, fi)];
+                                c.reachable(n, now) && !s.has_template && s.transfer.is_none()
                             });
                             let source = holders
                                 .iter()
@@ -1353,23 +1022,19 @@ impl ClusterSim {
                                 continue;
                             };
                             let Some(f) = fns.get(fi) else { continue };
-                            let wire = self
-                                .repair_delay
-                                .saturating_add(stretch(f.transfer, chaos.slowdown(src, now)));
-                            let idx = slot_index(dest, width, fi);
-                            let s = &mut state[idx];
-                            let gen = s.gen_counter;
-                            s.gen_counter += 1;
-                            s.transfer = Some(Transfer {
-                                gen,
-                                source: src,
-                                done: now.saturating_add(wire),
-                                // Background repairs are not hedged.
-                                hedged: true,
-                                waiters: Vec::new(),
-                            });
+                            let done = now
+                                .saturating_add(self.repair_delay)
+                                .saturating_add(stretch(f.transfer, c.slowdown(src, now)));
+                            // Background repairs are not hedged and carry
+                            // no waiters.
+                            let gen = state[slot_index(dest, width, fi)].begin_transfer(
+                                src,
+                                done,
+                                true,
+                                Vec::new(),
+                            );
                             queue.schedule(
-                                now.saturating_add(wire),
+                                done,
                                 Event::TransferComplete {
                                     node: dest as u32,
                                     function: FnId::from_index(fi),
@@ -1377,26 +1042,30 @@ impl ClusterSim {
                                 },
                             );
                             rereplications += 1;
-                            chaos.record(now, dest, ChaosEvent::Rereplicate);
+                            c.record(now, dest, ChaosEvent::Rereplicate);
                         }
                     }
                 }
                 Event::PartitionHeal { epoch } => {
-                    chaos.heal(epoch, now);
+                    if let Some(c) = &mut chaos {
+                        c.heal(epoch, now);
+                    }
                 }
                 Event::HedgeFire {
                     node,
                     function,
                     gen,
                 } => {
+                    let Some(c) = &mut chaos else { continue };
                     let node = usize::try_from(node).unwrap_or(usize::MAX);
                     let idx = slot_index(node, width, function.index());
-                    let pending = state.get(idx).and_then(|s| s.transfer.as_ref());
-                    let Some(t) = pending else { continue };
+                    let Some(t) = state.get(idx).and_then(|s| s.transfer.as_ref()) else {
+                        continue;
+                    };
                     if t.gen != gen || t.hedged {
                         continue;
                     }
-                    let (primary_src, primary_done) = (t.source, t.done);
+                    let primary_src = t.source;
                     // A second source, distinct from the primary: the
                     // least-loaded other reachable holder.
                     let alt = (0..nodes)
@@ -1404,7 +1073,7 @@ impl ClusterSim {
                             n != node
                                 && n != primary_src
                                 && state[slot_index(n, width, function.index())].has_template
-                                && chaos.reachable(n, now)
+                                && c.reachable(n, now)
                         })
                         .min_by_key(|&n| (node_state[n].live, n));
                     let Some(s) = state.get_mut(idx) else {
@@ -1419,20 +1088,17 @@ impl ClusterSim {
                         continue;
                     };
                     hedges += 1;
-                    chaos.record(now, node, ChaosEvent::HedgeFired);
-                    let alt_wire = stretch(f.transfer, chaos.slowdown(alt, now));
-                    let alt_done = now.saturating_add(alt_wire);
-                    if alt_done < primary_done {
+                    c.record(now, node, ChaosEvent::HedgeFired);
+                    let alt_done = now.saturating_add(stretch(f.transfer, c.slowdown(alt, now)));
+                    if alt_done < t.done {
                         // The hedge wins: re-point the transfer at the new
                         // source under a fresh generation. The primary's
                         // completion event now lazy-misses — cancellation
                         // by generation, no un-scheduling needed.
                         hedge_wins += 1;
-                        chaos.record(now, node, ChaosEvent::HedgeWon);
-                        let gen = s.gen_counter;
+                        c.record(now, node, ChaosEvent::HedgeWon);
+                        t.gen = s.gen_counter;
                         s.gen_counter += 1;
-                        let t = s.transfer.as_mut().unwrap();
-                        t.gen = gen;
                         t.source = alt;
                         t.done = alt_done;
                         transfers += 1;
@@ -1441,14 +1107,15 @@ impl ClusterSim {
                             Event::TransferComplete {
                                 node: node as u32,
                                 function,
-                                gen,
+                                gen: t.gen,
                             },
                         );
                     }
                 }
                 Event::HeartbeatTick { round } => {
-                    chaos.heartbeat(now);
-                    let next = now.saturating_add(policy.heartbeat_interval);
+                    let Some(c) = &mut chaos else { continue };
+                    c.heartbeat(now);
+                    let next = now.saturating_add(c.policy().heartbeat_interval);
                     if next <= hb_end {
                         queue.schedule(
                             next,
@@ -1458,10 +1125,9 @@ impl ClusterSim {
                         );
                     }
                 }
-                // Never scheduled by the chaos engine: boots collapse into
-                // `ExecComplete`, and the injector seam belongs to
-                // `run_cluster`.
-                Event::BootComplete { .. } | Event::NodeRepair { .. } | Event::PoolTick { .. } => {}
+                // Never scheduled by the cluster kernel: boots collapse
+                // into `ExecComplete`, and pools tick only in `run_fleet`.
+                Event::BootComplete { .. } | Event::PoolTick { .. } => {}
             }
         }
 
@@ -1480,7 +1146,9 @@ impl ClusterSim {
                     if instances.contains(id) {
                         hung += 1;
                         failed += 1;
-                        chaos.record(horizon, n, ChaosEvent::Hung);
+                        if let Some(c) = &mut chaos {
+                            c.record(horizon, n, ChaosEvent::Hung);
+                        }
                     }
                 }
             }
@@ -1488,8 +1156,8 @@ impl ClusterSim {
 
         let per_node_peak: Vec<usize> = node_state.iter().map(|n| n.peak).collect();
         let peak_node_instances = per_node_peak.iter().copied().max().unwrap_or(0);
-        let heartbeats = chaos.heartbeats();
-        let suspected = chaos.count(ChaosEvent::Suspect);
+        let heartbeats = chaos.as_ref().map_or(0, ChaosState::heartbeats);
+        let suspected = chaos.as_ref().map_or(0, |c| c.count(ChaosEvent::Suspect));
         let mut metrics = MetricsRegistry::new();
         metrics.add(names::CLUSTER_LOCAL, local);
         metrics.add(names::CLUSTER_REMOTE, remote);
@@ -1498,24 +1166,28 @@ impl ClusterSim {
         metrics.add(names::CLUSTER_SHED, shed);
         metrics.add(names::CLUSTER_REROUTES, reroutes);
         metrics.add(names::CLUSTER_TRANSFERS, transfers);
-        metrics.add(names::CHAOS_CRASHES, crashes);
-        metrics.add(names::CHAOS_FAILED, failed);
-        metrics.add(names::CHAOS_HUNG, hung);
-        metrics.add(names::CHAOS_FAILOVERS, failovers);
-        metrics.add(names::CHAOS_REREPLICATIONS, rereplications);
-        metrics.add(names::CHAOS_HEDGES, hedges);
-        metrics.add(names::CHAOS_HEDGE_WINS, hedge_wins);
-        metrics.add(names::CHAOS_ABORTED_TRANSFERS, aborted_transfers);
-        metrics.add(names::CHAOS_UNREACHABLE, unreachable);
-        metrics.add(names::CHAOS_HEARTBEATS, heartbeats);
-        metrics.add(names::CHAOS_SUSPECTED, suspected);
+        metrics.add(names::CLUSTER_TRANSFER_FAULTS, transfer_faults);
+        metrics.add(names::CLUSTER_NODE_REPAIRS, node_repairs);
+        if chaos.is_some() {
+            metrics.add(names::CHAOS_CRASHES, crashes);
+            metrics.add(names::CHAOS_FAILED, failed);
+            metrics.add(names::CHAOS_HUNG, hung);
+            metrics.add(names::CHAOS_FAILOVERS, failovers);
+            metrics.add(names::CHAOS_REREPLICATIONS, rereplications);
+            metrics.add(names::CHAOS_HEDGES, hedges);
+            metrics.add(names::CHAOS_HEDGE_WINS, hedge_wins);
+            metrics.add(names::CHAOS_ABORTED_TRANSFERS, aborted_transfers);
+            metrics.add(names::CHAOS_UNREACHABLE, unreachable);
+            metrics.add(names::CHAOS_HEARTBEATS, heartbeats);
+            metrics.add(names::CHAOS_SUSPECTED, suspected);
+        }
         metrics.set_gauge(
             names::CLUSTER_PEAK_NODE_INSTANCES,
             i64::try_from(peak_node_instances).unwrap_or(i64::MAX),
         );
 
         let requests = u64::try_from(trace.len()).unwrap_or(u64::MAX);
-        let availability = crate::simulate::fraction(completed, requests);
+        let availability = fraction(completed, requests);
         Ok(ChaosOutcome {
             cluster: ClusterOutcome {
                 requests,
@@ -1527,15 +1199,15 @@ impl ClusterSim {
                 cold,
                 reroutes,
                 transfers,
-                transfer_faults: 0,
-                node_repairs: 0,
+                transfer_faults,
+                node_repairs,
                 expirations,
                 events: queue.scheduled(),
                 horizon,
                 per_node_peak,
                 peak_node_instances,
                 goodput: availability,
-                cold_rate: crate::simulate::fraction(cold, requests),
+                cold_rate: fraction(cold, requests),
                 startup: Quantiles::from_histogram(&startup_hist),
                 end_to_end: Quantiles::from_histogram(&e2e_hist),
                 remote_startup: Quantiles::from_histogram(&remote_hist),
@@ -1555,7 +1227,7 @@ impl ClusterSim {
             aborted_transfers,
             unreachable,
             availability,
-            chaos_log: chaos.log().to_vec(),
+            chaos_log: chaos.map_or_else(Vec::new, |c| c.log().to_vec()),
         })
     }
 
@@ -1564,64 +1236,39 @@ impl ClusterSim {
     /// first), plus the full cold restore (Cold mode) for the rung the
     /// remote fork is competing against. Functions differing only in name
     /// share one calibration.
-    fn calibrate(&mut self) -> Result<Vec<ClusterFn>, PlatformError> {
+    fn calibrate(&self) -> Result<Vec<ClusterFn>, PlatformError> {
         let calibration = ResiliencePolicy::none();
         let mut scratch = MetricsRegistry::new();
-        type Costs = (SimNanos, SimNanos, SimNanos);
-        let mut shapes: Vec<(AppProfile, Costs)> = Vec::new();
-        let mut out = Vec::with_capacity(self.catalogue.len());
-        for profile in &self.catalogue {
-            let mut key = profile.clone();
-            key.name = String::new();
-            let costs = match shapes.iter().find(|(shape, _)| *shape == key) {
-                Some((_, costs)) => *costs,
-                None => {
-                    let mut fork = CatalyzerEngine::standalone(BootMode::Fork);
-                    // Pay template construction offline — holders are
-                    // provisioned, so only the steady boot is on-path.
-                    let mut first_ctx = BootCtx::fresh(&self.model);
-                    resilient_boot(
-                        &mut fork,
-                        profile,
-                        &calibration,
-                        &mut first_ctx,
-                        &mut scratch,
-                    )?;
-                    let mut steady_ctx = BootCtx::fresh(&self.model);
-                    let booted = resilient_boot(
-                        &mut fork,
-                        profile,
-                        &calibration,
-                        &mut steady_ctx,
-                        &mut scratch,
-                    )?;
-                    let mut outcome = booted.outcome;
-                    let exec_ctx = BootCtx::fresh(&self.model);
-                    outcome
-                        .program
-                        .invoke_handler(exec_ctx.clock(), exec_ctx.model())?;
-                    let mut cold_engine = CatalyzerEngine::standalone(BootMode::Cold);
-                    let mut cold_ctx = BootCtx::fresh(&self.model);
-                    resilient_boot(
-                        &mut cold_engine,
-                        profile,
-                        &calibration,
-                        &mut cold_ctx,
-                        &mut scratch,
-                    )?;
-                    let costs = (steady_ctx.now(), exec_ctx.now(), cold_ctx.now());
-                    shapes.push((key, costs));
-                    costs
-                }
-            };
-            out.push(ClusterFn {
-                boot: costs.0,
-                exec: costs.1,
+        let mut boot = |engine: &mut CatalyzerEngine, profile: &AppProfile| {
+            let mut ctx = BootCtx::fresh(&self.model);
+            let booted = resilient_boot(engine, profile, &calibration, &mut ctx, &mut scratch)?;
+            Ok::<_, PlatformError>((ctx.now(), booted.outcome))
+        };
+        let costs = calibrate_shapes(&self.catalogue, |profile| {
+            let mut fork = CatalyzerEngine::standalone(BootMode::Fork);
+            // Pay template construction offline — holders are
+            // provisioned, so only the steady boot is on-path.
+            boot(&mut fork, profile)?;
+            let (steady, mut outcome) = boot(&mut fork, profile)?;
+            let exec_ctx = BootCtx::fresh(&self.model);
+            outcome
+                .program
+                .invoke_handler(exec_ctx.clock(), exec_ctx.model())?;
+            let mut cold_engine = CatalyzerEngine::standalone(BootMode::Cold);
+            let (cold_boot, _) = boot(&mut cold_engine, profile)?;
+            Ok((steady, exec_ctx.now(), cold_boot))
+        })?;
+        Ok(self
+            .catalogue
+            .iter()
+            .zip(costs)
+            .map(|(profile, (boot, exec, cold_boot))| ClusterFn {
+                boot,
+                exec,
                 transfer: self.config.costs.transfer_time(profile),
-                cold_boot: costs.2,
-            });
-        }
-        Ok(out)
+                cold_boot,
+            })
+            .collect())
     }
 }
 

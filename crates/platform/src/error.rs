@@ -68,7 +68,7 @@ pub enum PlatformError {
 }
 
 /// Why a request trace was rejected by the simulator, with the offending
-/// position — the typed replacement for the old `simulate::run` panics.
+/// position — malformed traces are typed errors, never panics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TraceError {

@@ -153,8 +153,8 @@ impl<E: BootEngine> Gateway<E> {
     }
 
     /// Arms admission control with `policy`, builder-style. An
-    /// admission-controlled gateway is driven through
-    /// [`Gateway::invoke_at`] with time-sorted arrivals; sheds surface as
+    /// admission-controlled gateway is driven through [`Gateway::call`]
+    /// with time-sorted [`InvokeRequest::at`] arrivals; sheds surface as
     /// the typed [`PlatformError::Overload`] /
     /// [`PlatformError::DeadlineExceeded`] / [`PlatformError::CircuitOpen`]
     /// and land in the `shed.*` counters.
@@ -222,51 +222,9 @@ impl<E: BootEngine> Gateway<E> {
         Ok(())
     }
 
-    /// Serves one request end to end: boot an ephemeral sandbox, run the
-    /// handler, tear down. Returns the latency split.
-    ///
-    /// Equivalent to `call(InvokeRequest::new(function))?.report`.
-    ///
-    /// # Errors
-    ///
-    /// [`PlatformError::UnknownFunction`]; engine and handler errors.
-    pub fn invoke(&mut self, function: &str) -> Result<InvocationReport, PlatformError> {
-        Ok(self.call(InvokeRequest::new(function))?.report)
-    }
-
-    /// [`Gateway::invoke`], returning the full [`Invocation`] for
-    /// experiments that need breakdowns, the span tree, or the live sandbox.
-    ///
-    /// Equivalent to `call(InvokeRequest::new(function))`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Gateway::invoke`].
-    pub fn invoke_detailed(&mut self, function: &str) -> Result<Invocation, PlatformError> {
-        self.call(InvokeRequest::new(function))
-    }
-
-    /// Serves one request arriving at `arrival` on the *platform* timeline,
-    /// gated by admission control when armed.
-    ///
-    /// Equivalent to `call(InvokeRequest::at(function, arrival))`.
-    ///
-    /// # Errors
-    ///
-    /// [`PlatformError::UnknownFunction`]; typed admission sheds
-    /// (`Overload`, `DeadlineExceeded`, `CircuitOpen`); engine and handler
-    /// errors.
-    pub fn invoke_at(
-        &mut self,
-        function: &str,
-        arrival: SimNanos,
-    ) -> Result<Invocation, PlatformError> {
-        self.call(InvokeRequest::at(function, arrival))
-    }
-
-    /// Serves one request — the single entry point behind
-    /// [`Gateway::invoke`], [`Gateway::invoke_detailed`], and
-    /// [`Gateway::invoke_at`], which are one-line wrappers over this.
+    /// Serves one request end to end — boot an ephemeral sandbox, run the
+    /// handler, tear down — and returns everything it produced. The
+    /// gateway's single entry point.
     ///
     /// An untimestamped request ([`InvokeRequest::new`]) runs on a
     /// request-local clock starting at zero and bypasses admission control —
@@ -457,7 +415,7 @@ mod tests {
         let model = CostModel::experimental_machine();
         let mut gw = Gateway::new(GvisorEngine::new(), model);
         assert!(matches!(
-            gw.invoke("ghost").unwrap_err(),
+            gw.call(InvokeRequest::new("ghost")).unwrap_err(),
             PlatformError::UnknownFunction { .. }
         ));
         assert!(matches!(
@@ -471,7 +429,7 @@ mod tests {
         let model = CostModel::experimental_machine();
         let mut gw = Gateway::new(GvisorEngine::new(), model);
         gw.register(AppProfile::python_hello());
-        let r = gw.invoke("Python-hello").unwrap();
+        let r = gw.call(InvokeRequest::new("Python-hello")).unwrap().report;
         // Fig. 1: in gVisor, startup dominates for most functions.
         assert!(r.execution_ratio() < 0.3, "ratio {}", r.execution_ratio());
         assert_eq!(gw.invocations(), 1);
@@ -482,7 +440,7 @@ mod tests {
         let model = CostModel::experimental_machine();
         let mut gw = Gateway::new(CatalyzerEngine::standalone(BootMode::Fork), model);
         gw.register(AppProfile::python_django());
-        let r = gw.invoke("Python-Django").unwrap();
+        let r = gw.call(InvokeRequest::new("Python-Django")).unwrap().report;
         assert!(r.execution_ratio() > 0.9, "ratio {}", r.execution_ratio());
     }
 
@@ -491,7 +449,7 @@ mod tests {
         let model = CostModel::experimental_machine();
         let mut gw = Gateway::new(GvisorEngine::new(), model);
         gw.register(AppProfile::c_hello());
-        let inv = gw.invoke_detailed("C-hello").unwrap();
+        let inv = gw.call(InvokeRequest::new("C-hello")).unwrap();
 
         // The invoke root holds exactly [boot, exec], contiguous in time.
         assert_eq!(inv.trace.name, "invoke:C-hello");
@@ -513,7 +471,7 @@ mod tests {
         let mut gw = Gateway::new(CatalyzerEngine::standalone(BootMode::Fork), model);
         gw.register(AppProfile::c_hello());
         gw.warm("C-hello").unwrap();
-        let r = gw.invoke("C-hello").unwrap();
+        let r = gw.call(InvokeRequest::new("C-hello")).unwrap().report;
         assert!(r.boot < SimNanos::from_millis(1), "fork boot {}", r.boot);
         assert_eq!(gw.metrics().counter("warm.count"), 1);
     }
@@ -525,9 +483,9 @@ mod tests {
         gw.register(AppProfile::c_hello());
         gw.register(AppProfile::python_hello());
         for _ in 0..3 {
-            gw.invoke("C-hello").unwrap();
+            gw.call(InvokeRequest::new("C-hello")).unwrap();
         }
-        gw.invoke("Python-hello").unwrap();
+        gw.call(InvokeRequest::new("Python-hello")).unwrap();
         assert_eq!(gw.metrics().counter("invoke.count"), 4);
         assert_eq!(gw.metrics().counter("invoke.C-hello.count"), 3);
         let h = gw.metrics().histogram("boot.C-hello").unwrap();

@@ -5,8 +5,10 @@
 //! user-visible latency is `boot + execution`. This crate provides:
 //!
 //! - [`FunctionRegistry`]: the deployed functions;
-//! - [`Gateway`]: per-request invocation over any [`sandbox::BootEngine`],
-//!   producing [`InvocationReport`]s (Fig. 1's ratio, Fig. 13's bars);
+//! - [`Gateway`]: per-request invocation over any [`sandbox::BootEngine`]
+//!   through one entry point, [`Gateway::call`] on an [`InvokeRequest`],
+//!   producing an [`Invocation`] whose [`InvocationReport`] is Fig. 1's
+//!   ratio and Fig. 13's bars;
 //! - [`scaling`]: startup latency under 0–1000 concurrent running instances
 //!   (Fig. 15), with a deterministic contention model;
 //! - [`memory`]: RSS/PSS accounting across concurrent sandboxes (Fig. 14);
@@ -25,19 +27,23 @@
 //! - [`simulate`]: the discrete-event simulation core — one central event
 //!   queue and generational instance arenas behind the builder-style
 //!   [`Simulation`] API, with a full-fidelity closed-loop engine
-//!   ([`Simulation::run`]) and a calibrated open-loop fleet engine
-//!   ([`Simulation::run_fleet`]) that extends Fig. 15's density axis to
-//!   10^5–10^6 concurrent instances;
+//!   ([`Simulation::run`], reporting a [`SimReport`]) and a calibrated
+//!   open-loop fleet engine ([`Simulation::run_fleet`]) that extends
+//!   Fig. 15's density axis to 10^5–10^6 concurrent instances — the
+//!   builder is the only way in;
 //! - [`cluster`]: the multi-node layer above all of it — per-node gateways
 //!   behind a placement/routing scheduler, a MITOSIS-style *remote sfork*
 //!   rung (cross-node template transfer, its own fault seam) between local
 //!   sfork and warm/cold, and an open-loop cluster engine
-//!   ([`ClusterSim`]) sweeping nodes × placement budget × routing policy.
+//!   ([`ClusterSim`]) sweeping nodes × placement budget × routing policy
+//!   — one event loop whose optional chaos layer (node crashes,
+//!   partitions, gray failures, failover) is inert under
+//!   [`ClusterSim::run_cluster`] and live under [`ClusterSim::run_chaos`].
 //!
 //! # Example
 //!
 //! ```
-//! use platform::Gateway;
+//! use platform::{Gateway, InvokeRequest};
 //! use runtimes::AppProfile;
 //! use sandbox::GvisorEngine;
 //! use simtime::CostModel;
@@ -45,7 +51,7 @@
 //! let model = CostModel::experimental_machine();
 //! let mut gw = Gateway::new(GvisorEngine::new(), model);
 //! gw.register(AppProfile::c_hello());
-//! let report = gw.invoke("C-hello")?;
+//! let report = gw.call(InvokeRequest::new("C-hello"))?.report;
 //! assert!(report.boot > report.exec, "hello is startup-dominated");
 //! # Ok::<(), platform::PlatformError>(())
 //! ```
@@ -77,7 +83,4 @@ pub use gateway::{Gateway, Invocation, InvocationReport, InvokeRequest};
 pub use pool::{InstancePool, PoolServe, RepairStats};
 pub use registry::FunctionRegistry;
 pub use resilience::{resilient_boot, ResiliencePolicy, ResilientBoot};
-pub use simulate::{
-    run, run_admitted, run_with_faults, AdmittedOutcome, FleetOutcome, SimReport, Simulation,
-    SimulationOutcome, TraceRequest,
-};
+pub use simulate::{FleetOutcome, SimReport, Simulation, TraceRequest};

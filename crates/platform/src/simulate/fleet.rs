@@ -444,65 +444,80 @@ impl Simulation {
         })
     }
 
-    /// Boots each function's real engine on an offline clock to extract
-    /// its three calibrated costs; the engines are dropped afterwards.
+    /// Boots each distinct cost shape's real engine on an offline clock to
+    /// extract its three calibrated costs; the engines are dropped
+    /// afterwards.
     fn calibrate(&mut self) -> Result<Vec<FleetFn>, PlatformError> {
         let calibration = ResiliencePolicy::none();
         let mut scratch = MetricsRegistry::new();
-        // Functions that differ only in name share one calibration: engines
-        // derive their behaviour from the profile's cost fields, never its
-        // name, so a synthetic fleet catalogue with a bounded set of
-        // distinct cost shapes (e.g. `workloads::catalogue::synthetic`)
-        // pays dozens of calibration boots instead of thousands.
-        let mut shapes: Vec<(AppProfile, (SimNanos, SimNanos, SimNanos))> = Vec::new();
-        let mut out = Vec::with_capacity(self.catalogue.len());
-        for profile in &self.catalogue {
-            let mut key = profile.clone();
-            key.name = String::new();
-            let costs = match shapes.iter().find(|(shape, _)| *shape == key) {
-                Some((_, costs)) => *costs,
-                None => {
-                    let mut engine = (self.engine)(profile);
-                    let mut first_ctx = BootCtx::fresh(&self.model);
-                    let booted = resilient_boot(
-                        &mut engine,
-                        profile,
-                        &calibration,
-                        &mut first_ctx,
-                        &mut scratch,
-                    )?;
-                    let mut outcome = booted.outcome;
-                    let exec_ctx = BootCtx::fresh(&self.model);
-                    outcome
-                        .program
-                        .invoke_handler(exec_ctx.clock(), exec_ctx.model())?;
-                    let mut steady_ctx = BootCtx::fresh(&self.model);
-                    resilient_boot(
-                        &mut engine,
-                        profile,
-                        &calibration,
-                        &mut steady_ctx,
-                        &mut scratch,
-                    )?;
-                    let costs = (first_ctx.now(), steady_ctx.now(), exec_ctx.now());
-                    shapes.push((key, costs));
-                    costs
-                }
-            };
-            out.push(FleetFn {
-                first: costs.0,
-                boot: costs.1,
-                exec: costs.2,
+        let costs = calibrate_shapes(&self.catalogue, |profile| {
+            let mut engine = (self.engine)(profile);
+            let mut first_ctx = BootCtx::fresh(&self.model);
+            let booted = resilient_boot(
+                &mut engine,
+                profile,
+                &calibration,
+                &mut first_ctx,
+                &mut scratch,
+            )?;
+            let mut outcome = booted.outcome;
+            let exec_ctx = BootCtx::fresh(&self.model);
+            outcome
+                .program
+                .invoke_handler(exec_ctx.clock(), exec_ctx.model())?;
+            let mut steady_ctx = BootCtx::fresh(&self.model);
+            resilient_boot(
+                &mut engine,
+                profile,
+                &calibration,
+                &mut steady_ctx,
+                &mut scratch,
+            )?;
+            Ok((first_ctx.now(), steady_ctx.now(), exec_ctx.now()))
+        })?;
+        Ok(costs
+            .into_iter()
+            .map(|(first, boot, exec)| FleetFn {
+                first,
+                boot,
+                exec,
                 booted_once: false,
                 poisoned: false,
                 idle: Vec::new(),
                 idle_live: 0,
                 in_flight: 0,
                 tick_pending: false,
-            });
-        }
-        Ok(out)
+            })
+            .collect())
     }
+}
+
+/// Runs `boot` once per distinct cost shape in `catalogue` and returns the
+/// calibrated costs per function, in catalogue order. Functions that differ
+/// only in name share one calibration: engines derive their behaviour from
+/// the profile's cost fields, never its name, so a synthetic fleet
+/// catalogue with a bounded set of distinct cost shapes (e.g.
+/// `workloads::catalogue::synthetic`) pays dozens of calibration boots
+/// instead of thousands. Both open-loop engines — the single-node fleet
+/// and the cluster kernel — memoise through here.
+pub(crate) fn calibrate_shapes<C: Copy>(
+    catalogue: &[AppProfile],
+    mut boot: impl FnMut(&AppProfile) -> Result<C, PlatformError>,
+) -> Result<Vec<C>, PlatformError> {
+    let mut shapes: Vec<(AppProfile, C)> = Vec::new();
+    catalogue
+        .iter()
+        .map(|profile| {
+            let mut key = profile.clone();
+            key.name = String::new();
+            if let Some((_, costs)) = shapes.iter().find(|(shape, _)| *shape == key) {
+                return Ok(*costs);
+            }
+            let costs = boot(profile)?;
+            shapes.push((key, costs));
+            Ok(costs)
+        })
+        .collect()
 }
 
 #[cfg(test)]

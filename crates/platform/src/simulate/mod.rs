@@ -13,14 +13,17 @@
 //! - **Closed-loop** ([`Simulation::run`]): every request is served to
 //!   completion through real [`InstancePool`]s, boot engines, fault
 //!   injection, resilience, and admission control — full fidelity, suited
-//!   to thousands of requests. This is what the legacy `run` /
-//!   `run_with_faults` / `run_admitted` entry points (kept as thin
-//!   wrappers, byte-identical outputs) compile down to.
+//!   to thousands of requests. Everything the run produced comes back in
+//!   one [`SimReport`].
 //! - **Open-loop fleet** ([`Simulation::run_fleet`]): per-function boot and
 //!   execution costs are calibrated once through the real engines, then
 //!   millions of requests flow through the event queue against arena-held
 //!   instances — the regime that extends Figure 15 from 10^3 to 10^5–10^6
 //!   concurrent instances.
+//!
+//! The queue, the arenas, and the calibration memoiser are shared with the
+//! multi-node kernel in [`crate::cluster`], which adds the transfer, repair
+//! and node-fault event classes.
 //!
 //! Determinism is the contract: the same catalogue, knobs, and trace
 //! produce byte-identical outcomes, logs, and metrics.
@@ -73,6 +76,7 @@ use crate::PlatformError;
 
 pub use arena::{Arena, FnId, InstanceId};
 pub use events::{Event, EventQueue};
+pub(crate) use fleet::calibrate_shapes;
 pub use fleet::{FleetOutcome, Quantiles};
 
 /// Scheduler hand-off charged when a request is served by reusing a warm
@@ -90,28 +94,9 @@ pub struct TraceRequest {
     pub function: usize,
 }
 
-/// The outcome of driving a trace through the platform.
-#[derive(Debug, Clone)]
-pub struct SimulationOutcome {
-    /// Startup-latency distribution across all requests.
-    pub startup: Summary,
-    /// End-to-end (startup + execution) distribution.
-    pub end_to_end: Summary,
-    /// Fraction of requests served by reusing an idle instance.
-    pub reuse_rate: f64,
-    /// Aggregated pool statistics (summed over functions).
-    pub pools: PoolStats,
-    /// Maximum requests in flight at any instant.
-    pub peak_concurrency: usize,
-    /// Injected faults absorbed across all pools (0 without a fault plan).
-    pub faults: u64,
-    /// Boots that succeeded only after recovering from at least one fault.
-    pub degraded: u64,
-}
-
 /// Checks the trace contract once, up front: time-sorted arrivals,
-/// in-range function indices, at least one request. The typed replacement
-/// for the panics the legacy drivers documented.
+/// in-range function indices, at least one request — typed errors, never
+/// panics.
 pub(crate) fn validate_trace(trace: &[TraceRequest], functions: usize) -> Result<(), TraceError> {
     if trace.is_empty() {
         return Err(TraceError::Empty);
@@ -158,8 +143,8 @@ pub struct Simulation {
     policy: ResiliencePolicy,
     admission: Option<AdmissionPolicy>,
     /// Boot clocks start at the arrival time (platform timeline) rather
-    /// than at zero per request. The legacy `run`/`run_with_faults`
-    /// wrappers clear this to preserve their request-local semantics.
+    /// than at zero per request; [`Simulation::with_request_local_clocks`]
+    /// clears it.
     platform_time: bool,
 }
 
@@ -255,10 +240,10 @@ impl Simulation {
         self
     }
 
-    /// Starts each boot's clock at zero instead of at the arrival time —
-    /// the legacy `run`/`run_with_faults` semantics, where fault windows
-    /// are request-local. New code should prefer the default platform
-    /// timeline.
+    /// Starts each boot's clock at zero instead of at the arrival time, so
+    /// fault windows are request-local — the semantics the pinned
+    /// `tests/event_engine.rs` fixtures were captured under. New code
+    /// should prefer the default platform timeline.
     pub fn with_request_local_clocks(mut self) -> Simulation {
         self.platform_time = false;
         self
@@ -581,174 +566,6 @@ impl SimReport {
     }
 }
 
-/// An all-zero [`Summary`] for runs that completed nothing.
-fn empty_summary() -> Summary {
-    Summary {
-        count: 0,
-        mean: SimNanos::ZERO,
-        min: SimNanos::ZERO,
-        max: SimNanos::ZERO,
-        p50: SimNanos::ZERO,
-        p95: SimNanos::ZERO,
-        p99: SimNanos::ZERO,
-    }
-}
-
-/// Drives `requests` (sorted by arrival) through one pool per function.
-///
-/// `make_engine` constructs the boot engine for each function's pool, so a
-/// caller can simulate a homogeneous fleet (`|_| GvisorRestoreEngine::new()`)
-/// or per-function choices.
-///
-/// Legacy entry point, kept as a thin wrapper over [`Simulation`] (which
-/// new code should prefer): equivalent to
-/// `Simulation::new(...).with_engine(...).with_request_local_clocks().run(...)`
-/// plus the historical outcome shape.
-///
-/// # Errors
-///
-/// [`PlatformError::InvalidTrace`] when any request indexes past
-/// `functions`, arrivals go backwards, or the trace is empty (these used
-/// to panic); engine or handler errors.
-pub fn run<E, F>(
-    functions: &[AppProfile],
-    requests: &[TraceRequest],
-    keep_alive: SimNanos,
-    max_idle: usize,
-    make_engine: F,
-    model: &CostModel,
-) -> Result<SimulationOutcome, PlatformError>
-where
-    E: BootEngine + 'static,
-    F: FnMut(&AppProfile) -> E + 'static,
-{
-    run_with_faults(
-        functions,
-        requests,
-        keep_alive,
-        max_idle,
-        make_engine,
-        model,
-        None,
-        ResiliencePolicy::full(),
-    )
-}
-
-/// [`run`], with deterministic fault injection: all pools share one seeded
-/// injector built from `plan` (when given), and scale-up boots recover
-/// through `policy`. [`SimulationOutcome::faults`] / `degraded` report what
-/// the fleet absorbed.
-///
-/// Legacy entry point, kept as a thin wrapper over [`Simulation`].
-///
-/// # Errors
-///
-/// Same as [`run`]; unrecovered injected faults.
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_faults<E, F>(
-    functions: &[AppProfile],
-    requests: &[TraceRequest],
-    keep_alive: SimNanos,
-    max_idle: usize,
-    make_engine: F,
-    model: &CostModel,
-    plan: Option<FaultPlan>,
-    policy: ResiliencePolicy,
-) -> Result<SimulationOutcome, PlatformError>
-where
-    E: BootEngine + 'static,
-    F: FnMut(&AppProfile) -> E + 'static,
-{
-    let mut sim = Simulation::new(functions.to_vec())
-        .with_engine(make_engine)
-        .with_model(model.clone())
-        .with_keep_alive(keep_alive)
-        .with_max_idle(max_idle)
-        .with_resilience(policy)
-        .with_request_local_clocks();
-    if let Some(plan) = plan {
-        sim = sim.with_faults(plan);
-    }
-    let report = sim.run(requests)?;
-    Ok(SimulationOutcome {
-        startup: report.startup.unwrap_or_else(empty_summary),
-        end_to_end: report.end_to_end.unwrap_or_else(empty_summary),
-        reuse_rate: report.reuses as f64 / requests.len() as f64,
-        pools: report.pools,
-        // The legacy loop counted the in-flight set *plus* the arriving
-        // request's own completion entry, so its peak sat one above the
-        // event queue's true in-flight maximum.
-        peak_concurrency: report.peak_in_flight.saturating_add(1),
-        faults: report.faults,
-        degraded: report.degraded,
-    })
-}
-
-/// The outcome of driving a trace through admission-controlled,
-/// self-healing pools.
-#[derive(Debug, Clone)]
-pub struct AdmittedOutcome {
-    /// Requests in the trace.
-    pub requests: u64,
-    /// Requests admission let through.
-    pub admitted: u64,
-    /// Admitted requests that served successfully.
-    pub completed: u64,
-    /// Admitted requests that surfaced an error (availability loss).
-    pub failed: u64,
-    /// Requests shed typed as [`PlatformError::Overload`].
-    pub shed_overload: u64,
-    /// Requests shed typed as [`PlatformError::DeadlineExceeded`].
-    pub shed_deadline: u64,
-    /// Requests shed typed as [`PlatformError::CircuitOpen`].
-    pub shed_breaker: u64,
-    /// Completed requests that finished within their deadline (all of them
-    /// when the policy stamps no deadline). The denominator for goodput is
-    /// the *whole* trace, sheds included.
-    pub goodput: u64,
-    /// End-to-end latency (queue wait + startup + execution) of completed
-    /// requests; `None` when nothing completed.
-    pub e2e: Option<Summary>,
-    /// Startup-latency distribution of completed requests.
-    pub startup: Option<Summary>,
-    /// Fraction of completed requests served by reuse.
-    pub reuse_rate: f64,
-    /// Injected faults absorbed across the fleet.
-    pub faults: u64,
-    /// Boots that succeeded only after recovering from at least one fault.
-    pub degraded: u64,
-    /// Breaker trips (transitions into Open) across all functions.
-    pub breaker_opens: u64,
-    /// Background repair-loop work, summed over pools.
-    pub repairs: RepairStats,
-    /// The full admission decision log — byte-identical across runs of the
-    /// same seed.
-    pub admission_log: Vec<AdmissionRecord>,
-    /// Every breaker transition, `(function, transition)`.
-    pub transitions: Vec<(String, BreakerTransition)>,
-    /// Fleet-wide metrics rollup (pool metrics merged, plus `admit.*`,
-    /// `shed.*`, and `breaker.<state>` counters).
-    pub metrics: MetricsRegistry,
-}
-
-impl AdmittedOutcome {
-    /// `completed / admitted` — 1.0 means no admitted request was lost.
-    pub fn availability(&self) -> f64 {
-        fraction(self.completed, self.admitted)
-    }
-
-    /// `goodput / requests` — the fraction of *offered* load answered
-    /// within its deadline.
-    pub fn goodput_rate(&self) -> f64 {
-        fraction(self.goodput, self.requests)
-    }
-
-    /// Total sheds of any type.
-    pub fn shed(&self) -> u64 {
-        self.shed_overload + self.shed_deadline + self.shed_breaker
-    }
-}
-
 /// Exact for the request counts involved (< 2^32) without numeric casts.
 pub(crate) fn fraction(part: u64, whole: u64) -> f64 {
     if whole == 0 {
@@ -756,77 +573,6 @@ pub(crate) fn fraction(part: u64, whole: u64) -> f64 {
     }
     f64::from(u32::try_from(part).unwrap_or(u32::MAX))
         / f64::from(u32::try_from(whole).unwrap_or(u32::MAX))
-}
-
-/// Drives `requests` (sorted by arrival) through per-function self-healing
-/// pools behind an [`AdmissionController`] — the full overload-protection
-/// pipeline: tick the pool's repair loop, gate the arrival (typed sheds,
-/// never panics, never drops silently), serve at the admitted start time on
-/// the platform clock, and feed the completion back into the breaker.
-///
-/// Unlike [`run_with_faults`], a failed *admitted* request does not abort
-/// the simulation: it is counted as availability loss (the subject under
-/// measurement) and reported in [`AdmittedOutcome::failed`].
-///
-/// Pools are always self-healing here (deferred quarantine + background
-/// repair to a `min_ready` floor); `policy`'s retry/fallback knobs still
-/// apply.
-///
-/// Legacy entry point, kept as a thin wrapper over [`Simulation`].
-///
-/// # Errors
-///
-/// [`PlatformError::InvalidTrace`] for malformed traces (these used to
-/// panic); non-fault engine errors from the background repair loop.
-#[allow(clippy::too_many_arguments)]
-pub fn run_admitted<E, F>(
-    functions: &[AppProfile],
-    requests: &[TraceRequest],
-    keep_alive: SimNanos,
-    max_idle: usize,
-    min_ready: usize,
-    make_engine: F,
-    model: &CostModel,
-    plan: Option<FaultPlan>,
-    policy: ResiliencePolicy,
-    admission: AdmissionPolicy,
-) -> Result<AdmittedOutcome, PlatformError>
-where
-    E: BootEngine + 'static,
-    F: FnMut(&AppProfile) -> E + 'static,
-{
-    let mut sim = Simulation::new(functions.to_vec())
-        .with_engine(make_engine)
-        .with_model(model.clone())
-        .with_keep_alive(keep_alive)
-        .with_max_idle(max_idle)
-        .with_prewarm(min_ready)
-        .with_resilience(policy)
-        .with_admission(admission);
-    if let Some(plan) = plan {
-        sim = sim.with_faults(plan);
-    }
-    let report = sim.run(requests)?;
-    Ok(AdmittedOutcome {
-        requests: report.requests,
-        admitted: report.admitted,
-        completed: report.completed,
-        failed: report.failed,
-        shed_overload: report.shed_overload,
-        shed_deadline: report.shed_deadline,
-        shed_breaker: report.shed_breaker,
-        goodput: report.goodput,
-        e2e: report.end_to_end,
-        startup: report.startup,
-        reuse_rate: fraction(report.reuses, report.completed),
-        faults: report.faults,
-        degraded: report.degraded,
-        breaker_opens: report.breaker_opens,
-        repairs: report.repairs,
-        admission_log: report.admission_log,
-        transitions: report.transitions,
-        metrics: report.metrics,
-    })
 }
 
 #[cfg(test)]
@@ -847,193 +593,133 @@ mod tests {
             .collect()
     }
 
+    fn burst(n: u64, gap: SimNanos) -> Vec<TraceRequest> {
+        (0..n)
+            .map(|i| TraceRequest {
+                arrival: gap.saturating_mul(i),
+                function: 0,
+            })
+            .collect()
+    }
+
     #[test]
     fn steady_traffic_reuses_after_warmup() {
-        let model = CostModel::experimental_machine();
-        let outcome = run(
-            &functions(),
-            &steady_trace(20, SimNanos::from_millis(500)),
-            SimNanos::from_secs(5),
-            4,
-            |_| GvisorRestoreEngine::new(),
-            &model,
-        )
-        .unwrap();
+        let report = Simulation::new(functions())
+            .with_engine(|_| GvisorRestoreEngine::new())
+            .run(&steady_trace(20, SimNanos::from_millis(500)))
+            .unwrap();
         // 2 cold boots (one per function), 18 reuses.
-        assert_eq!(outcome.pools.boots, 2);
+        assert_eq!(report.pools.boots, 2);
         assert!(
-            (outcome.reuse_rate - 0.9).abs() < 1e-9,
+            (report.reuse_rate() - 0.9).abs() < 1e-9,
             "{}",
-            outcome.reuse_rate
+            report.reuse_rate()
         );
         // The p99 startup is still a cold boot: caching can't fix the tail.
-        assert!(outcome.startup.p99 > SimNanos::from_millis(50));
-        assert!(outcome.startup.p50 < SimNanos::from_millis(1));
+        let startup = report.startup.unwrap();
+        assert!(startup.p99 > SimNanos::from_millis(50));
+        assert!(startup.p50 < SimNanos::from_millis(1));
     }
 
     #[test]
     fn sparse_traffic_expires_and_recolds() {
-        let model = CostModel::experimental_machine();
-        let outcome = run(
-            &functions(),
-            &steady_trace(8, SimNanos::from_secs(30)),
-            SimNanos::from_secs(5), // shorter than the inter-arrival gap
-            4,
-            |_| GvisorRestoreEngine::new(),
-            &model,
-        )
-        .unwrap();
-        assert_eq!(outcome.pools.boots, 8, "every request cold boots");
-        assert_eq!(outcome.reuse_rate, 0.0);
-        assert!(outcome.pools.expirations > 0);
+        let report = Simulation::new(functions())
+            .with_engine(|_| GvisorRestoreEngine::new())
+            // The default 5 s keep-alive is shorter than the 30 s gap.
+            .run(&steady_trace(8, SimNanos::from_secs(30)))
+            .unwrap();
+        assert_eq!(report.pools.boots, 8, "every request cold boots");
+        assert_eq!(report.reuses, 0);
+        assert!(report.pools.expirations > 0);
     }
 
     #[test]
     fn fork_boot_fleet_has_flat_distribution() {
-        let model = CostModel::experimental_machine();
-        let outcome = run(
-            &functions(),
-            &steady_trace(20, SimNanos::from_secs(30)), // all keep-alive misses
-            SimNanos::from_secs(1),
-            0,
-            |_| CatalyzerEngine::standalone(BootMode::Fork),
-            &model,
-        )
-        .unwrap();
-        assert_eq!(outcome.reuse_rate, 0.0);
-        assert!(
-            outcome.startup.p99 < SimNanos::from_millis(1),
-            "{:?}",
-            outcome.startup
-        );
+        let report = Simulation::new(functions())
+            .with_keep_alive(SimNanos::from_secs(1))
+            .with_max_idle(0)
+            .run(&steady_trace(20, SimNanos::from_secs(30))) // all keep-alive misses
+            .unwrap();
+        assert_eq!(report.reuses, 0);
+        let startup = report.startup.unwrap();
+        assert!(startup.p99 < SimNanos::from_millis(1), "{startup:?}");
         // max/min within 2x: no tail at all.
-        assert!(outcome.startup.max < outcome.startup.min.saturating_mul(2));
+        assert!(startup.max < startup.min.saturating_mul(2));
     }
 
     #[test]
     fn burst_drives_peak_concurrency() {
-        let model = CostModel::experimental_machine();
         // 10 requests in the same millisecond: executions overlap.
-        let burst: Vec<TraceRequest> = (0..10)
-            .map(|i| TraceRequest {
-                arrival: SimNanos::from_micros(i * 100),
-                function: 0,
-            })
-            .collect();
-        let outcome = run(
-            &[AppProfile::c_nginx()],
-            &burst,
-            SimNanos::from_secs(5),
-            0, // no reuse: every request boots its own instance
-            |_| CatalyzerEngine::standalone(BootMode::Fork),
-            &model,
-        )
-        .unwrap();
-        assert!(outcome.peak_concurrency > 1, "{}", outcome.peak_concurrency);
-        assert_eq!(outcome.pools.boots, 10);
+        let report = Simulation::new(vec![AppProfile::c_nginx()])
+            .with_max_idle(0) // no reuse: every request boots its own instance
+            .run(&burst(10, SimNanos::from_micros(100)))
+            .unwrap();
+        assert!(report.peak_in_flight > 1, "{}", report.peak_in_flight);
+        assert_eq!(report.pools.boots, 10);
     }
 
     #[test]
     fn admitted_zero_load_sheds_nothing() {
-        let model = CostModel::experimental_machine();
         // Sparse arrivals, generous limit: admission must be invisible.
-        let outcome = run_admitted(
-            &[AppProfile::c_hello()],
-            &steady_trace(12, SimNanos::from_millis(50))
-                .into_iter()
-                .map(|mut r| {
-                    r.function = 0;
-                    r
-                })
-                .collect::<Vec<_>>(),
-            SimNanos::from_secs(5),
-            4,
-            1,
-            |_| CatalyzerEngine::standalone(BootMode::Fork),
-            &model,
-            None,
-            ResiliencePolicy::full(),
-            crate::AdmissionPolicy::standard(4, SimNanos::from_millis(100)),
-        )
-        .unwrap();
-        assert_eq!(outcome.requests, 12);
-        assert_eq!(outcome.admitted, 12);
-        assert_eq!(outcome.completed, 12);
-        assert_eq!(outcome.shed(), 0, "zero load must shed nothing");
-        assert_eq!(outcome.breaker_opens, 0, "no false breaker trips");
-        assert_eq!(outcome.failed, 0);
-        assert_eq!(outcome.goodput, 12);
-        assert!((outcome.availability() - 1.0).abs() < 1e-12);
-        assert!(outcome.repairs.repairs == 0, "nothing to repair");
-        assert!(outcome.repairs.replenished >= 1, "floor kept warm");
+        let report = Simulation::new(vec![AppProfile::c_hello()])
+            .with_prewarm(1)
+            .with_admission(AdmissionPolicy::standard(4, SimNanos::from_millis(100)))
+            .run(&burst(12, SimNanos::from_millis(50)))
+            .unwrap();
+        assert_eq!(report.requests, 12);
+        assert_eq!(report.admitted, 12);
+        assert_eq!(report.completed, 12);
+        assert_eq!(report.shed(), 0, "zero load must shed nothing");
+        assert_eq!(report.breaker_opens, 0, "no false breaker trips");
+        assert_eq!(report.failed, 0);
+        assert_eq!(report.goodput, 12);
+        assert!((report.availability() - 1.0).abs() < 1e-12);
+        assert!(report.repairs.repairs == 0, "nothing to repair");
+        assert!(report.repairs.replenished >= 1, "floor kept warm");
     }
 
     #[test]
     fn admitted_burst_sheds_typed_and_bounds_the_queue() {
-        let model = CostModel::experimental_machine();
         // Same-instant burst far beyond limit+queue: overload sheds.
-        let burst: Vec<TraceRequest> = (0..24)
-            .map(|i| TraceRequest {
-                arrival: SimNanos::from_micros(i * 10),
-                function: 0,
-            })
-            .collect();
-        let outcome = run_admitted(
-            &[AppProfile::c_nginx()],
-            &burst,
-            SimNanos::from_secs(5),
-            4,
-            0,
-            |_| CatalyzerEngine::standalone(BootMode::Fork),
-            &model,
-            None,
-            ResiliencePolicy::full(),
-            crate::AdmissionPolicy::standard(2, SimNanos::from_secs(10)),
-        )
-        .unwrap();
-        assert!(outcome.shed_overload > 0, "queue is bounded");
+        let trace = burst(24, SimNanos::from_micros(10));
+        let report = Simulation::new(vec![AppProfile::c_nginx()])
+            .with_admission(AdmissionPolicy::standard(2, SimNanos::from_secs(10)))
+            .run(&trace)
+            .unwrap();
+        assert!(report.shed_overload > 0, "queue is bounded");
         assert_eq!(
-            outcome.admitted + outcome.shed(),
-            outcome.requests,
+            report.admitted + report.shed(),
+            report.requests,
             "every request is admitted or shed typed — none dropped"
         );
-        assert_eq!(outcome.failed, 0);
-        assert_eq!(outcome.completed, outcome.admitted);
+        assert_eq!(report.failed, 0);
+        assert_eq!(report.completed, report.admitted);
         // The decision log records every arrival.
-        assert_eq!(outcome.admission_log.len(), burst.len());
+        assert_eq!(report.admission_log.len(), trace.len());
     }
 
     #[test]
     fn admitted_is_deterministic() {
-        let model = CostModel::experimental_machine();
         let trace = steady_trace(16, SimNanos::from_millis(2));
         let run_once = || {
-            let outcome = run_admitted(
-                &functions(),
-                &trace,
-                SimNanos::from_secs(5),
-                4,
-                1,
-                |_| CatalyzerEngine::standalone(BootMode::Fork),
-                &model,
-                Some(FaultPlan::storm(
+            let report = Simulation::new(functions())
+                .with_prewarm(1)
+                .with_faults(FaultPlan::storm(
                     11,
                     0.8,
                     SimNanos::from_millis(4),
                     SimNanos::from_millis(20),
-                )),
-                ResiliencePolicy::full(),
-                crate::AdmissionPolicy::standard(2, SimNanos::from_millis(50)),
-            )
-            .unwrap();
-            serde_json::to_string(&outcome.admission_log).unwrap()
+                ))
+                .with_admission(AdmissionPolicy::standard(2, SimNanos::from_millis(50)))
+                .run(&trace)
+                .unwrap();
+            serde_json::to_string(&report.admission_log).unwrap()
         };
         assert_eq!(run_once(), run_once(), "same seed, same decision history");
     }
 
     #[test]
     fn unsorted_trace_rejected_typed() {
-        let model = CostModel::experimental_machine();
         let bad = vec![
             TraceRequest {
                 arrival: SimNanos::from_secs(1),
@@ -1044,15 +730,9 @@ mod tests {
                 function: 0,
             },
         ];
-        let err = run(
-            &[AppProfile::c_hello()],
-            &bad,
-            SimNanos::from_secs(1),
-            1,
-            |_| CatalyzerEngine::standalone(BootMode::Fork),
-            &model,
-        )
-        .unwrap_err();
+        let err = Simulation::new(vec![AppProfile::c_hello()])
+            .run(&bad)
+            .unwrap_err();
         assert!(
             matches!(
                 err,

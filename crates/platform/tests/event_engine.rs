@@ -1,6 +1,6 @@
 //! Contract tests for the discrete-event simulation core.
 //!
-//! Three claims the PR's API redesign rests on:
+//! Three claims the simulation core's API rests on:
 //!
 //! 1. **Determinism** — the same catalogue, knobs, and trace produce a
 //!    byte-identical report, closed-loop and fleet alike (property tests
@@ -8,23 +8,27 @@
 //! 2. **Insertion-order independence** — the event queue's tie-break is a
 //!    total order over distinct events, so the drain sequence never
 //!    depends on scheduling order (property test over random event sets).
-//! 3. **Wrapper fidelity** — the thin `run` / `run_with_faults` /
-//!    `run_admitted` wrappers over the event engine reproduce the
+//! 3. **Engine fidelity** — the [`Simulation`] builder reproduces the
 //!    pre-refactor closed-loop simulator *exactly*, pinned against four
 //!    fixtures captured before the engine swap (down to the byte for the
-//!    admission decision logs).
+//!    admission decision logs). The fixtures were captured through the
+//!    since-deleted `run` / `run_with_faults` / `run_admitted` free
+//!    functions; each test spells out the builder chain that function
+//!    was, and reads the same numbers off [`SimReport`](platform::SimReport)
+//!    (the legacy `peak_concurrency` was `peak_in_flight + 1`, the legacy
+//!    `reuse_rate` was `reuses / requests`).
 
 use catalyzer::{BootMode, CatalyzerEngine};
 use faultsim::FaultPlan;
 use platform::simulate::arena::{Arena, FnId, InstanceId};
 use platform::simulate::events::{Event, EventQueue};
-use platform::simulate::{self, TraceRequest};
+use platform::simulate::TraceRequest;
 use platform::{AdmissionPolicy, ResiliencePolicy, Simulation};
 use proptest::prelude::*;
 use runtimes::AppProfile;
 use sandbox::GvisorRestoreEngine;
 use simtime::stats::Summary;
-use simtime::{CostModel, SimNanos};
+use simtime::SimNanos;
 
 fn fixture_functions() -> Vec<AppProfile> {
     vec![AppProfile::c_hello(), AppProfile::c_nginx()]
@@ -41,8 +45,10 @@ fn fixture_trace() -> Vec<TraceRequest> {
         .collect()
 }
 
-fn summary(count: usize, stats: [u64; 6]) -> Summary {
-    Summary {
+/// A pinned latency distribution, as [`SimReport`](platform::SimReport)
+/// carries it.
+fn summary(count: usize, stats: [u64; 6]) -> Option<Summary> {
+    Some(Summary {
         count,
         mean: SimNanos::from_nanos(stats[0]),
         min: SimNanos::from_nanos(stats[1]),
@@ -50,21 +56,18 @@ fn summary(count: usize, stats: [u64; 6]) -> Summary {
         p50: SimNanos::from_nanos(stats[3]),
         p95: SimNanos::from_nanos(stats[4]),
         p99: SimNanos::from_nanos(stats[5]),
-    }
+    })
 }
 
 #[test]
-fn run_matches_the_pre_refactor_fixture() {
-    let model = CostModel::experimental_machine();
-    let out = simulate::run(
-        &fixture_functions(),
-        &fixture_trace(),
-        SimNanos::from_secs(5),
-        2,
-        |_| GvisorRestoreEngine::new(),
-        &model,
-    )
-    .unwrap();
+fn closed_loop_matches_the_pre_refactor_fixture() {
+    let out = Simulation::new(fixture_functions())
+        .with_engine(|_| GvisorRestoreEngine::new())
+        .with_keep_alive(SimNanos::from_secs(5))
+        .with_max_idle(2)
+        .with_request_local_clocks()
+        .run(&fixture_trace())
+        .unwrap();
     assert_eq!(
         out.startup,
         summary(
@@ -93,29 +96,26 @@ fn run_matches_the_pre_refactor_fixture() {
             ]
         )
     );
-    assert!((out.reuse_rate - 10.0 / 12.0).abs() < 1e-12);
+    assert_eq!((out.reuses, out.requests), (10, 12));
     assert_eq!(
         (out.pools.reuses, out.pools.boots, out.pools.expirations),
         (10, 2, 0)
     );
-    assert_eq!(out.peak_concurrency, 4);
+    assert_eq!(out.peak_in_flight + 1, 4);
     assert_eq!((out.faults, out.degraded), (0, 0));
 }
 
 #[test]
-fn run_with_faults_matches_the_pre_refactor_fixture() {
-    let model = CostModel::experimental_machine();
-    let out = simulate::run_with_faults(
-        &fixture_functions(),
-        &fixture_trace(),
-        SimNanos::from_secs(5),
-        2,
-        |_| CatalyzerEngine::standalone(BootMode::Fork),
-        &model,
-        Some(FaultPlan::uniform(0xF1D0, 0.2)),
-        ResiliencePolicy::full(),
-    )
-    .unwrap();
+fn faulted_closed_loop_matches_the_pre_refactor_fixture() {
+    let out = Simulation::new(fixture_functions())
+        .with_engine(|_| CatalyzerEngine::standalone(BootMode::Fork))
+        .with_keep_alive(SimNanos::from_secs(5))
+        .with_max_idle(2)
+        .with_faults(FaultPlan::uniform(0xF1D0, 0.2))
+        .with_resilience(ResiliencePolicy::full())
+        .with_request_local_clocks()
+        .run(&fixture_trace())
+        .unwrap();
     assert_eq!(
         out.startup,
         summary(
@@ -144,36 +144,32 @@ fn run_with_faults_matches_the_pre_refactor_fixture() {
             ]
         )
     );
-    assert!((out.reuse_rate - 10.0 / 12.0).abs() < 1e-12);
+    assert_eq!((out.reuses, out.requests), (10, 12));
     assert_eq!(
         (out.pools.reuses, out.pools.boots, out.pools.expirations),
         (10, 2, 0)
     );
-    assert_eq!(out.peak_concurrency, 3);
+    assert_eq!(out.peak_in_flight + 1, 3);
     assert_eq!((out.faults, out.degraded), (1, 1));
 }
 
 #[test]
-fn run_admitted_matches_the_pre_refactor_fixture() {
-    let model = CostModel::experimental_machine();
-    let out = simulate::run_admitted(
-        &fixture_functions(),
-        &fixture_trace(),
-        SimNanos::from_secs(5),
-        2,
-        1,
-        |_| CatalyzerEngine::standalone(BootMode::Fork),
-        &model,
-        Some(FaultPlan::storm(
+fn admitted_closed_loop_matches_the_pre_refactor_fixture() {
+    let out = Simulation::new(fixture_functions())
+        .with_engine(|_| CatalyzerEngine::standalone(BootMode::Fork))
+        .with_keep_alive(SimNanos::from_secs(5))
+        .with_max_idle(2)
+        .with_prewarm(1)
+        .with_faults(FaultPlan::storm(
             11,
             0.8,
             SimNanos::from_millis(4),
             SimNanos::from_millis(20),
-        )),
-        ResiliencePolicy::full(),
-        AdmissionPolicy::standard(2, SimNanos::from_millis(50)),
-    )
-    .unwrap();
+        ))
+        .with_resilience(ResiliencePolicy::full())
+        .with_admission(AdmissionPolicy::standard(2, SimNanos::from_millis(50)))
+        .run(&fixture_trace())
+        .unwrap();
     assert_eq!(
         (out.requests, out.admitted, out.completed, out.failed),
         (12, 12, 12, 0)
@@ -198,18 +194,15 @@ fn run_admitted_matches_the_pre_refactor_fixture() {
     );
     assert_eq!(out.repairs.repair_time, SimNanos::ZERO);
     assert_eq!(
-        out.e2e,
-        Some(summary(
+        out.end_to_end,
+        summary(
             12,
             [1_184_465, 665_850, 1_721_350, 686_730, 1_721_350, 1_721_350]
-        ))
+        )
     );
     assert_eq!(
         out.startup,
-        Some(summary(
-            12,
-            [150_000, 150_000, 150_000, 150_000, 150_000, 150_000]
-        ))
+        summary(12, [150_000, 150_000, 150_000, 150_000, 150_000, 150_000])
     );
     // The full decision log, down to the byte.
     assert_eq!(
@@ -219,27 +212,23 @@ fn run_admitted_matches_the_pre_refactor_fixture() {
 }
 
 #[test]
-fn run_admitted_under_a_hot_burst_matches_the_pre_refactor_fixture() {
-    let model = CostModel::experimental_machine();
+fn admitted_hot_burst_matches_the_pre_refactor_fixture() {
     let burst: Vec<TraceRequest> = (0..20)
         .map(|i| TraceRequest {
             arrival: SimNanos::from_micros(40).saturating_mul(i),
             function: usize::try_from(i % 2).unwrap_or(0),
         })
         .collect();
-    let out = simulate::run_admitted(
-        &fixture_functions(),
-        &burst,
-        SimNanos::from_secs(5),
-        2,
-        1,
-        |_| CatalyzerEngine::standalone(BootMode::Fork),
-        &model,
-        Some(FaultPlan::uniform(0xBEEF, 0.3)),
-        ResiliencePolicy::full(),
-        AdmissionPolicy::standard(1, SimNanos::from_millis(2)),
-    )
-    .unwrap();
+    let out = Simulation::new(fixture_functions())
+        .with_engine(|_| CatalyzerEngine::standalone(BootMode::Fork))
+        .with_keep_alive(SimNanos::from_secs(5))
+        .with_max_idle(2)
+        .with_prewarm(1)
+        .with_faults(FaultPlan::uniform(0xBEEF, 0.3))
+        .with_resilience(ResiliencePolicy::full())
+        .with_admission(AdmissionPolicy::standard(1, SimNanos::from_millis(2)))
+        .run(&burst)
+        .unwrap();
     assert_eq!((out.admitted, out.completed, out.failed), (6, 6, 0));
     assert_eq!(
         (
@@ -260,7 +249,7 @@ fn run_admitted_under_a_hot_burst_matches_the_pre_refactor_fixture() {
         (0, 0, 2)
     );
     assert_eq!(
-        out.e2e.as_ref().map(|s| s.p99),
+        out.end_to_end.as_ref().map(|s| s.p99),
         Some(SimNanos::from_nanos(3_336_600))
     );
     assert_eq!(

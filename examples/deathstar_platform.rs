@@ -28,7 +28,9 @@ fn serve_trace<E: BootEngine>(label: &str, engine: E, model: &CostModel) -> Resu
     );
     let mut worst = SimNanos::ZERO;
     for req in &requests {
-        let report = gateway.invoke(&services[req.function].name)?;
+        let report = gateway
+            .call(InvokeRequest::new(&services[req.function].name))?
+            .report;
         worst = worst.max(report.total());
     }
     // The gateway's own metrics carry the per-function latency histograms.

@@ -96,7 +96,7 @@ impl From<platform::PlatformError> for SuiteError {
 pub mod prelude {
     pub use crate::SuiteError;
     pub use catalyzer::{BootMode, Catalyzer, CatalyzerConfig, CatalyzerEngine, Template};
-    pub use platform::{Gateway, Invocation, InvocationReport};
+    pub use platform::{Gateway, Invocation, InvocationReport, InvokeRequest};
     pub use runtimes::{AppProfile, RuntimeKind, WrappedProgram};
     pub use sandbox::{
         BootCtx, BootEngine, BootOutcome, DockerEngine, FirecrackerEngine, GvisorEngine,

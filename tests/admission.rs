@@ -41,9 +41,11 @@ fn zero_load_admission_is_invisible() {
     bare.register(AppProfile::c_hello());
 
     for i in 0..8u64 {
-        let inv = gated.invoke_at("C-hello", ms(10 * i)).unwrap();
+        let inv = gated
+            .call(InvokeRequest::at("C-hello", ms(10 * i)))
+            .unwrap();
         assert_eq!(inv.queued, SimNanos::ZERO, "nothing queues at zero load");
-        let plain = bare.invoke("C-hello").unwrap();
+        let plain = bare.call(InvokeRequest::new("C-hello")).unwrap().report;
         assert_eq!(inv.report, plain, "admission added no latency");
     }
     assert_eq!(gated.metrics().counter("admit.count"), 8);
@@ -62,10 +64,14 @@ fn queued_requests_carry_the_admission_span() {
     // Limit 1: the second request (arriving mid-service of the first)
     // queues until the first completes.
     let mut gw = fork_gateway(AdmissionPolicy::standard(1, SimNanos::from_secs(10)));
-    let first = gw.invoke_at("C-hello", SimNanos::ZERO).unwrap();
+    let first = gw
+        .call(InvokeRequest::at("C-hello", SimNanos::ZERO))
+        .unwrap();
     assert_eq!(first.queued, SimNanos::ZERO);
 
-    let second = gw.invoke_at("C-hello", SimNanos::from_micros(100)).unwrap();
+    let second = gw
+        .call(InvokeRequest::at("C-hello", SimNanos::from_micros(100)))
+        .unwrap();
     assert!(second.queued > SimNanos::ZERO, "second request must queue");
     // It starts exactly when the first finishes.
     assert_eq!(
@@ -95,7 +101,7 @@ fn overload_and_deadline_sheds_are_typed() {
     let mut gw = fork_gateway(AdmissionPolicy::standard(1, SimNanos::from_secs(10)));
     let mut overloads = 0;
     for i in 0..8u64 {
-        match gw.invoke_at("C-hello", SimNanos::from_micros(i * 10)) {
+        match gw.call(InvokeRequest::at("C-hello", SimNanos::from_micros(i * 10))) {
             Ok(_) => {}
             Err(PlatformError::Overload {
                 function,
@@ -115,8 +121,9 @@ fn overload_and_deadline_sheds_are_typed() {
     // Tight deadline: the queue slot frees too late, so the request is
     // shed `DeadlineExceeded` at admission instead of running doomed.
     let mut gw = fork_gateway(AdmissionPolicy::standard(1, SimNanos::from_micros(500)));
-    gw.invoke_at("C-hello", SimNanos::ZERO).unwrap();
-    match gw.invoke_at("C-hello", SimNanos::from_micros(100)) {
+    gw.call(InvokeRequest::at("C-hello", SimNanos::ZERO))
+        .unwrap();
+    match gw.call(InvokeRequest::at("C-hello", SimNanos::from_micros(100))) {
         Err(PlatformError::DeadlineExceeded {
             function,
             deadline,
@@ -150,8 +157,8 @@ fn poison_trips_the_breaker_and_probes_close_it() {
         .with_policy(ResiliencePolicy::full())
         .with_faults(plan);
 
-    gw.invoke_at("C-hello", ms(0)).unwrap();
-    gw.invoke_at("C-hello", ms(1)).unwrap();
+    gw.call(InvokeRequest::at("C-hello", ms(0))).unwrap();
+    gw.call(InvokeRequest::at("C-hello", ms(1))).unwrap();
     assert_eq!(
         gw.admission().unwrap().breaker_state("C-hello"),
         Some(BreakerState::Open),
@@ -159,7 +166,7 @@ fn poison_trips_the_breaker_and_probes_close_it() {
     );
 
     // While open: typed fast-fail carrying the cooldown end.
-    let until = match gw.invoke_at("C-hello", ms(2)) {
+    let until = match gw.call(InvokeRequest::at("C-hello", ms(2))) {
         Err(PlatformError::CircuitOpen { function, until }) => {
             assert_eq!(function, "C-hello");
             until
@@ -170,12 +177,13 @@ fn poison_trips_the_breaker_and_probes_close_it() {
 
     // At the cooldown's end (past the fault window) probes are admitted
     // and two clean completions close the breaker.
-    gw.invoke_at("C-hello", until).unwrap();
+    gw.call(InvokeRequest::at("C-hello", until)).unwrap();
     assert_eq!(
         gw.admission().unwrap().breaker_state("C-hello"),
         Some(BreakerState::HalfOpen)
     );
-    gw.invoke_at("C-hello", until + ms(1)).unwrap();
+    gw.call(InvokeRequest::at("C-hello", until + ms(1)))
+        .unwrap();
     assert_eq!(
         gw.admission().unwrap().breaker_state("C-hello"),
         Some(BreakerState::Closed)
@@ -215,7 +223,7 @@ fn storm_history(seed: u64) -> String {
 
     let mut history = String::new();
     for i in 0..16u64 {
-        match gw.invoke_at("C-hello", SimNanos::from_micros(i * 500)) {
+        match gw.call(InvokeRequest::at("C-hello", SimNanos::from_micros(i * 500))) {
             Ok(inv) => {
                 history.push_str(&serde_json::to_string(&inv.trace).unwrap());
             }

@@ -12,8 +12,11 @@
 //!    in-flight transfer (not just the one that started it) gets the same
 //!    timeout/re-route path when the source dies; only the no-failover
 //!    baseline hangs them.
+//! 5. **Fault plans compose with chaos** — the template-transfer fault
+//!    seam is consulted under `run_chaos` exactly as under `run_cluster`;
+//!    a fault plan installed next to a node plan is never dropped.
 
-use catalyzer_suite::faultsim::NodePlan;
+use catalyzer_suite::faultsim::{FaultPlan, InjectionPoint, NodePlan, PointPlan};
 use catalyzer_suite::platform::cluster::{ChaosPolicy, ClusterConfig, ClusterSim};
 use catalyzer_suite::platform::simulate::TraceRequest;
 use catalyzer_suite::prelude::*;
@@ -125,6 +128,61 @@ fn joined_waiters_ride_the_same_timeout_as_the_initiator() {
         baseline.hung
     );
     assert_eq!(baseline.failovers, 0);
+}
+
+#[test]
+fn transfer_fault_plans_are_consulted_under_chaos() {
+    // Three nodes, one holder, a same-window burst: overflow must start
+    // template transfers, and every transfer consults the armed seam.
+    let trace: Vec<TraceRequest> = (0..150u64)
+        .map(|i| TraceRequest {
+            arrival: SimNanos::from_nanos(i),
+            function: 0,
+        })
+        .collect();
+    let always = FaultPlan::zero(0xC12).with_point(
+        InjectionPoint::TemplateTransfer,
+        PointPlan {
+            rate: 1.0,
+            stall_ratio: 0.0,
+            max_burst: 1,
+        },
+    );
+    let run = |faults: FaultPlan, policy: ChaosPolicy| {
+        ClusterSim::new(vec![AppProfile::c_hello()], ClusterConfig::new(3, 1))
+            .with_model(model())
+            .with_node_capacity(40)
+            .with_faults(faults)
+            .with_chaos(NodePlan::quiet(7), policy)
+            .run_chaos(&trace)
+            .unwrap()
+    };
+    for policy in [ChaosPolicy::full(), ChaosPolicy::none()] {
+        let transient = run(always.clone(), policy);
+        assert!(
+            transient.cluster.transfer_faults > 0,
+            "{}: the fault plan was dropped: {transient:?}",
+            policy.label()
+        );
+        assert_eq!(transient.cluster.cold, 0, "transients retry on the wire");
+        assert_eq!(transient.cluster.node_repairs, 0);
+
+        let poison = run(always.clone().with_poison_ratio(1.0), policy);
+        assert!(poison.cluster.transfer_faults > 0, "{poison:?}");
+        assert!(
+            poison.cluster.node_repairs > 0,
+            "repairs run in the background"
+        );
+        assert!(poison.cluster.cold > 0, "poisoned transfers fall to cold");
+
+        for out in [&transient, &poison] {
+            assert_eq!(
+                out.cluster.completed + out.cluster.shed + out.failed,
+                out.cluster.requests,
+                "conservation: {out:?}"
+            );
+        }
+    }
 }
 
 proptest! {

@@ -12,10 +12,14 @@
 //!    transfer walks down the ladder (remote → warm → cold) or surfaces a
 //!    typed error; open-loop, every request is completed or shed, none
 //!    are lost.
+//! 4. **The chaos layer is inert when quiet** — `run_cluster` (the kernel
+//!    with no chaos layer) and `run_chaos` under a quiet `NodePlan` (the
+//!    same kernel with the layer installed, either policy) agree on every
+//!    outcome field except the event count and the metric rollup.
 
 use catalyzer_suite::faultsim::{FaultPlan, InjectionPoint, NodePlan, PointPlan};
 use catalyzer_suite::platform::cluster::{
-    ChaosPolicy, Cluster, ClusterConfig, ClusterSim, RoutingPolicy,
+    ChaosPolicy, Cluster, ClusterConfig, ClusterOutcome, ClusterSim, RoutingPolicy,
 };
 use catalyzer_suite::platform::simulate::TraceRequest;
 use catalyzer_suite::platform::{AdmissionPolicy, PlatformError, ResiliencePolicy};
@@ -47,7 +51,7 @@ fn single_node_cluster_is_byte_identical_to_the_plain_gateway() {
     gateway.warm("C-hello").unwrap();
     let mut plain = Vec::new();
     for function in &functions {
-        let invocation = gateway.invoke_detailed(function).unwrap();
+        let invocation = gateway.call(InvokeRequest::new(function)).unwrap();
         plain.push((invocation.trace, invocation.report, invocation.queued));
     }
 
@@ -145,8 +149,67 @@ fn transfer_plan(seed: u64, rate_pct: u32, poison_pct: u32) -> FaultPlan {
         .with_poison_ratio(f64::from(poison_pct) / 100.0)
 }
 
+/// A cluster outcome, serialized with its two layer-dependent fields
+/// blanked: the event count (a chaos layer schedules heartbeats) and the
+/// metric rollup (it adds the `chaos.*` counters).
+fn layer_independent(mut outcome: ClusterOutcome) -> String {
+    outcome.events = 0;
+    outcome.metrics = MetricsRegistry::new();
+    serde_json::to_string(&outcome).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Cross-path agreement: the cluster kernel without a chaos layer and
+    /// the same kernel under a quiet node plan — full failover or none —
+    /// route, serve, and time every request identically. Only the event
+    /// count (heartbeats, hedge timers) and the `chaos.*` metrics differ.
+    #[test]
+    fn quiet_chaos_agrees_with_the_plain_cluster_run(
+        seed in any::<u64>(),
+        nodes in 1usize..9,
+        budget in 1usize..3,
+        capacity in 0usize..64,
+        keep_alive_us in 50u64..20_000,
+        remote in any::<bool>(),
+        bursts in proptest::collection::vec((0u64..3_000, 1u64..60, 0usize..2), 1..6),
+    ) {
+        // Small draws stand for "uncapped" so both regimes are sampled.
+        let capacity = if capacity < 8 { 0 } else { capacity };
+        // Each burst: a gap, then `count` arrivals 1 µs apart for one of
+        // the two functions.
+        let mut trace = Vec::new();
+        let mut at = 0u64;
+        for (gap_us, count, function) in bursts {
+            at += gap_us;
+            for _ in 0..count {
+                trace.push(TraceRequest { arrival: SimNanos::from_micros(at), function });
+                at += 1;
+            }
+        }
+        let sim = || {
+            let mut config = ClusterConfig::new(nodes, budget.min(nodes));
+            config.routing = if remote { RoutingPolicy::RemoteFork } else { RoutingPolicy::LocalCold };
+            ClusterSim::new(vec![AppProfile::c_hello(), AppProfile::c_nginx()], config)
+                .with_node_capacity(capacity)
+                .with_keep_alive(SimNanos::from_micros(keep_alive_us))
+        };
+        let plain = layer_independent(sim().run_cluster(&trace).unwrap());
+        for policy in [ChaosPolicy::full(), ChaosPolicy::none()] {
+            let quiet = sim()
+                .with_chaos(NodePlan::quiet(seed), policy)
+                .run_chaos(&trace)
+                .unwrap();
+            prop_assert_eq!(quiet.failed, 0);
+            prop_assert_eq!(quiet.hung, 0);
+            prop_assert_eq!(
+                &plain,
+                &layer_independent(quiet.cluster),
+                "policy {}", policy.label()
+            );
+        }
+    }
 
     /// Same configuration, same request sequence → byte-identical routing
     /// history and metrics, across cluster shapes and both policies.

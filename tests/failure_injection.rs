@@ -116,7 +116,7 @@ fn unknown_function_and_unknown_image_errors() {
 
     let mut gw = platform::Gateway::new(GvisorEngine::new(), model);
     assert!(matches!(
-        gw.invoke("missing"),
+        gw.call(InvokeRequest::new("missing")),
         Err(platform::PlatformError::UnknownFunction { .. })
     ));
 }

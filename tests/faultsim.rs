@@ -108,8 +108,8 @@ proptest! {
         for _ in 0..requests {
             let fired_before = gateway.injector().unwrap().borrow().total_fired();
             let degraded_before = gateway.metrics().counter("invoke.degraded");
-            match gateway.invoke("C-hello") {
-                Ok(report) => {
+            match gateway.call(InvokeRequest::new("C-hello")) {
+                Ok(invocation) => {
                     let fired = gateway.injector().unwrap().borrow().total_fired() - fired_before;
                     let degraded = gateway.metrics().counter("invoke.degraded") - degraded_before;
                     prop_assert_eq!(
@@ -117,7 +117,7 @@ proptest! {
                         u64::from(fired > 0),
                         "a success that absorbed faults must be counted degraded"
                     );
-                    prop_assert!(report.total() > SimNanos::ZERO);
+                    prop_assert!(invocation.report.total() > SimNanos::ZERO);
                 }
                 Err(PlatformError::Sandbox(SandboxError::Fault(fault))) => {
                     // Typed surface: the failing point is in the fault.
@@ -144,7 +144,7 @@ proptest! {
             let mut gateway = faulted_gateway(plan, ResiliencePolicy::full());
             let mut history = Vec::new();
             for _ in 0..requests {
-                match gateway.invoke_detailed("C-hello") {
+                match gateway.call(InvokeRequest::new("C-hello")) {
                     Ok(invocation) => history.push(format!(
                         "ok boot={} exec={} trace={}",
                         invocation.report.boot,
@@ -198,7 +198,7 @@ fn fallback_rung_poison_does_not_recharge_the_template_rebuild() {
         },
     );
 
-    let invocation = gateway.invoke_detailed("C-hello").unwrap();
+    let invocation = gateway.call(InvokeRequest::new("C-hello")).unwrap();
     assert_eq!(gateway.metrics().counter("quarantine.count"), 2);
     assert_eq!(gateway.metrics().counter("fallback.warm"), 1);
     assert_eq!(gateway.metrics().counter("fallback.cold"), 1);
@@ -233,7 +233,7 @@ fn fixed_seed_full_ladder_keeps_availability() {
         );
         for _ in 0..32 {
             gateway
-                .invoke("C-hello")
+                .call(InvokeRequest::new("C-hello"))
                 .expect("the ladder answers everything");
         }
         let metrics = gateway.metrics();

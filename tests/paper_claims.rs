@@ -71,8 +71,18 @@ fn fig1_execution_ratio_distribution() {
     let mut gv_ratios = Vec::new();
     let mut cat_ratios = Vec::new();
     for p in &fns {
-        gv_ratios.push(gv.invoke(&p.name).unwrap().execution_ratio());
-        cat_ratios.push(cat.invoke(&p.name).unwrap().execution_ratio());
+        gv_ratios.push(
+            gv.call(InvokeRequest::new(&p.name))
+                .unwrap()
+                .report
+                .execution_ratio(),
+        );
+        cat_ratios.push(
+            cat.call(InvokeRequest::new(&p.name))
+                .unwrap()
+                .report
+                .execution_ratio(),
+        );
     }
     let gv_cdf = Cdf::from_samples(gv_ratios.clone());
     let under_30 = gv_ratios.iter().filter(|&&r| r < 0.30).count();
@@ -104,8 +114,8 @@ fn deathstar_end_to_end_speedup_band() {
     }
     for s in Service::ALL {
         let name = s.profile().name;
-        let a = gv.invoke(&name).unwrap().total();
-        let b = fork.invoke(&name).unwrap().total();
+        let a = gv.call(InvokeRequest::new(&name)).unwrap().report.total();
+        let b = fork.call(InvokeRequest::new(&name)).unwrap().report.total();
         let speedup = a.as_nanos() as f64 / b.as_nanos() as f64;
         assert!(
             (25.0..160.0).contains(&speedup),
@@ -126,13 +136,13 @@ fn ecommerce_boot_share() {
     }
     for op in EcommerceOp::ALL {
         let name = op.profile().name;
-        let g = gv.invoke(&name).unwrap();
+        let g = gv.call(InvokeRequest::new(&name)).unwrap().report;
         let share = g.boot.as_nanos() as f64 / g.total().as_nanos() as f64;
         assert!(
             (0.30..0.92).contains(&share),
             "{name}: gVisor boot share {share}"
         );
-        let c = fork.invoke(&name).unwrap();
+        let c = fork.call(InvokeRequest::new(&name)).unwrap().report;
         let share = c.boot.as_nanos() as f64 / c.total().as_nanos() as f64;
         assert!(share < 0.05, "{name}: Catalyzer boot share {share}");
     }

@@ -67,7 +67,10 @@ fn deathstar_compose_flow_served_by_gateway() {
         gw.register(s.profile());
     }
     // Serve a compose-post request end-to-end, then run its real logic.
-    let report = gw.invoke("deathstar-ComposePost").unwrap();
+    let report = gw
+        .call(InvokeRequest::new("deathstar-ComposePost"))
+        .unwrap()
+        .report;
     assert!(report.boot < SimNanos::from_millis(1));
     let post = deathstar::compose_post(9, "hello @world", &["pic.jpg"], 5_000);
     assert_eq!(post.mentions, vec!["world"]);

@@ -49,6 +49,12 @@ catalint_emit() {
 # The fault-injection crate and its cross-layer integration suite: typed
 # surfacing, recovery ladder, zero-overhead-when-inactive, and replay
 # determinism (proptests included).
+# The wall-clock harness prints its table on stderr and the results JSON
+# on stdout; the gate only needs the table and the exit code.
+benchmark_smoke() {
+  bash benchmark/run.sh --smoke >/dev/null
+}
+
 faultsim_suite() {
   cargo test -q -p faultsim
   cargo test -q --test faultsim
@@ -123,6 +129,15 @@ step "cluster sweep (BENCH_pr8.json valid + up to date)" \
 # failover, and hedged transfers are deterministic.
 step "chaos grid (BENCH_pr9.json valid + up to date)" \
   cargo run -q -p bench --bin repro -- chaos --check BENCH_pr9.json
+
+# The repo's wall-clock benchmark, in its 1/20-size single-repetition smoke
+# mode (~35 s cold, ~25 s warm): builds the standalone harness and runs all
+# five workloads once. Timings are not gated here; what is gated is
+# `failed 0` on every workload — each workload's simulated outputs are
+# folded into a digest pinned under benchmark/expected/, so this is the
+# standing guard that `run_fleet` and `run_chaos` (event counts included)
+# did not move. See benchmark/README.md for the full run and `compare`.
+step "benchmark smoke (five workloads, pinned digests, failed 0)" benchmark_smoke
 
 # Smoke-run the simulation-core throughput bench (closed-loop vs fleet
 # engine, simulated requests per wall-clock second): it must build and
