@@ -186,7 +186,7 @@ pub fn validate(export: &BenchExport) -> Result<(), String> {
             return Err(format!("{name}: root span is '{}'", engine.trace.name));
         }
         let phase_sum: SimNanos = engine.phases.iter().map(|p| p.total).sum();
-        if phase_sum + engine.self_time != engine.total {
+        if phase_sum.saturating_add(engine.self_time) != engine.total {
             return Err(format!(
                 "{name}: phases {phase_sum} + self {} != total {}",
                 engine.self_time, engine.total

@@ -31,7 +31,7 @@ pub struct E2eRow {
 impl E2eRow {
     /// Total user-visible latency.
     pub fn total(&self) -> SimNanos {
-        self.boot + self.exec
+        self.boot.saturating_add(self.exec)
     }
 }
 

@@ -40,7 +40,7 @@ pub fn fig16a(model: &CostModel) -> Result<Vec<(String, SimNanos, SimNanos)>, Sa
             boot.program
                 .invoke_handler(ctx.clock(), model)
                 .map_err(sandbox::SandboxError::Runtime)?;
-            Ok(ctx.now() - before)
+            Ok(ctx.now().saturating_sub(before))
         };
         let baseline = run(&base)?;
         let optimized = run(&shifted)?;

@@ -1,198 +1,63 @@
-//! The checked-in violation baseline (`catalint.toml`).
+//! The `[[clock_seam]]` registry reader (`catalint.toml`).
 //!
-//! The baseline records *existing* debt as `(pass, file, function, count)`
-//! tuples. The checker fails only when a `(pass, file, function)` bucket
-//! exceeds its baselined count — so debt is visible and monotonically
-//! decreasing, new debt is impossible to land silently, and the file never
-//! churns on unrelated line-number changes.
+//! `catalint.toml` holds no lint debt and has no syntax to express any:
+//! every finding fails the build, and a genuinely intended exception is a
+//! `catalint: allow(<pass>)` comment at the site. What the file does hold
+//! is the sanctioned nondeterminism boundary the `hermetic` pass stops at
+//! (the future `Clock` seam of the parked dual-clock item). The registry
+//! ships empty — every entry added later is a reviewed hole in the
+//! hermeticity certificate.
 //!
-//! The format is a strict subset of TOML (`[[allow]]` and `[[clock_seam]]`
-//! tables with string and integer values), parsed here directly so the
-//! checker has zero dependencies.
-//!
-//! `[[clock_seam]]` tables are *not* debt: they register the sanctioned
-//! nondeterminism boundary the `hermetic` pass stops at (the future
-//! `Clock` seam of ROADMAP item 2). The registry ships empty — every
-//! entry added later is a reviewed hole in the hermeticity certificate,
-//! visible in the same file that holds the (empty) allow list.
+//! The format is a strict subset of TOML (`[[clock_seam]]` tables with one
+//! string value), parsed here directly so the checker has zero
+//! dependencies.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
-
-use crate::passes::ALL_PASSES;
-use crate::Violation;
-
-/// One tolerated bucket of pre-existing violations.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BaselineEntry {
-    /// Pass name (see [`crate::passes::ALL_PASSES`]).
-    pub pass: String,
-    /// Workspace-relative file path.
-    pub file: String,
-    /// Function name, or `<module>` for top-level findings.
-    pub function: String,
-    /// Number of findings tolerated in this bucket.
-    pub count: u32,
-}
-
-impl BaselineEntry {
-    fn key(&self) -> (String, String, String) {
-        (self.pass.clone(), self.file.clone(), self.function.clone())
-    }
-}
-
-/// A `(pass, file, function)` bucket whose finding count exceeds the baseline.
-#[derive(Debug)]
-pub struct Exceeded {
-    /// The offending bucket.
-    pub entry: BaselineEntry,
-    /// Baselined count (0 when the bucket is new).
-    pub allowed: u32,
-    /// Every finding in the bucket, so new sites are easy to spot.
-    pub sites: Vec<Violation>,
-}
-
-/// Result of diffing findings against the baseline.
-#[derive(Debug, Default)]
-pub struct Diff {
-    /// Buckets with more findings than the baseline allows. Non-empty ⇒ fail.
-    pub exceeded: Vec<Exceeded>,
-    /// Baseline entries whose debt has shrunk — the recorded count with the
-    /// number actually found. Informational: tighten the baseline.
-    pub stale: Vec<(BaselineEntry, u32)>,
-}
-
-impl Diff {
-    /// True when no bucket exceeds its baseline.
-    pub fn is_clean(&self) -> bool {
-        self.exceeded.is_empty()
-    }
-}
-
-/// One sanctioned clock-seam boundary function.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ClockSeamEntry {
-    /// Bare function name the `hermetic` pass stops at.
-    pub function: String,
-}
-
-/// The full parsed `catalint.toml`: tolerated debt plus the declared
-/// nondeterminism boundary.
-#[derive(Debug, Clone, Default)]
-pub struct BaselineDoc {
-    /// `[[allow]]` buckets — tolerated debt.
-    pub allows: Vec<BaselineEntry>,
-    /// `[[clock_seam]]` entries — the hermeticity boundary registry.
-    pub clock_seam: Vec<ClockSeamEntry>,
-}
-
-/// Which table an in-flight entry belongs to.
-enum Table {
-    Allow(BaselineEntry),
-    Seam(ClockSeamEntry),
-}
-
-/// Parses the full document. Accepts only the subset this module renders.
-pub fn parse_document(text: &str) -> Result<BaselineDoc, String> {
-    fn finish(cur: &mut Option<Table>, doc: &mut BaselineDoc, lineno: usize) -> Result<(), String> {
-        match cur.take() {
-            Some(Table::Allow(e)) => doc.allows.push(validate(e, lineno)?),
-            Some(Table::Seam(e)) => doc.clock_seam.push(validate_seam(e, lineno)?),
-            None => {}
-        }
-        Ok(())
-    }
-    let mut doc = BaselineDoc::default();
-    let mut cur: Option<Table> = None;
+/// Parses `catalint.toml`, returning the bare function names registered
+/// under `[[clock_seam]]` in file order. Any other table — `[[allow]]` in
+/// particular — is an error.
+pub fn parse_document(text: &str) -> Result<Vec<String>, String> {
+    // A `[[clock_seam]]` header opens an entry (empty until its `function`
+    // key arrives); keys always belong to the last entry opened.
+    let mut seams: Vec<String> = Vec::new();
     for (ix, raw) in text.lines().enumerate() {
         let lineno = ix + 1;
         let line = strip_comment(raw).trim();
         if line.is_empty() {
             continue;
         }
-        if line == "[[allow]]" {
-            finish(&mut cur, &mut doc, lineno)?;
-            cur = Some(Table::Allow(BaselineEntry::default()));
-            continue;
-        }
         if line == "[[clock_seam]]" {
-            finish(&mut cur, &mut doc, lineno)?;
-            cur = Some(Table::Seam(ClockSeamEntry::default()));
+            seams.push(String::new());
             continue;
         }
         if line.starts_with('[') {
-            return Err(format!("line {lineno}: unsupported table `{line}`"));
+            return Err(format!(
+                "line {lineno}: unsupported table `{line}` — only [[clock_seam]] exists; a \
+                 finding is fixed, or suppressed at its site with `catalint: allow(<pass>)`"
+            ));
         }
         let Some((k, v)) = line.split_once('=') else {
             return Err(format!("line {lineno}: expected `key = value`"));
         };
         let (k, v) = (k.trim(), v.trim());
-        match cur.as_mut() {
-            None => {
+        let Some(function) = seams.last_mut() else {
+            return Err(format!("line {lineno}: key outside a [[clock_seam]] table"));
+        };
+        match k {
+            "function" => *function = unquote(v, lineno)?,
+            other => {
                 return Err(format!(
-                    "line {lineno}: key outside an [[allow]] or [[clock_seam]] table"
+                    "line {lineno}: unknown key `{other}` in [[clock_seam]]"
                 ))
             }
-            Some(Table::Allow(entry)) => match k {
-                "pass" => entry.pass = unquote(v, lineno)?,
-                "file" => entry.file = unquote(v, lineno)?,
-                "function" => entry.function = unquote(v, lineno)?,
-                "count" => {
-                    entry.count = v
-                        .parse::<u32>()
-                        .map_err(|e| format!("line {lineno}: bad count `{v}`: {e}"))?;
-                }
-                other => return Err(format!("line {lineno}: unknown key `{other}`")),
-            },
-            Some(Table::Seam(entry)) => match k {
-                "function" => entry.function = unquote(v, lineno)?,
-                other => {
-                    return Err(format!(
-                        "line {lineno}: unknown key `{other}` in [[clock_seam]]"
-                    ))
-                }
-            },
         }
     }
-    finish(&mut cur, &mut doc, 0)?;
-    Ok(doc)
-}
-
-/// Parses baseline text, returning only the `[[allow]]` buckets.
-pub fn parse_baseline(text: &str) -> Result<Vec<BaselineEntry>, String> {
-    Ok(parse_document(text)?.allows)
-}
-
-fn validate_seam(e: ClockSeamEntry, lineno: usize) -> Result<ClockSeamEntry, String> {
-    let at = if lineno == 0 {
-        "last entry".to_string()
-    } else {
-        format!("entry ending before line {lineno}")
-    };
-    if e.function.is_empty() {
-        return Err(format!("{at}: [[clock_seam]] requires a function name"));
-    }
-    Ok(e)
-}
-
-fn validate(e: BaselineEntry, lineno: usize) -> Result<BaselineEntry, String> {
-    let at = if lineno == 0 {
-        "last entry".to_string()
-    } else {
-        format!("entry ending before line {lineno}")
-    };
-    if e.pass.is_empty() || e.file.is_empty() || e.function.is_empty() {
-        return Err(format!("{at}: pass, file, and function are all required"));
-    }
-    if !ALL_PASSES.contains(&e.pass.as_str()) {
-        return Err(format!("{at}: unknown pass `{}`", e.pass));
-    }
-    if e.count == 0 {
+    if let Some(n) = seams.iter().position(String::is_empty) {
         return Err(format!(
-            "{at}: count must be >= 1 (delete the entry instead)"
+            "[[clock_seam]] entry {} requires a function name",
+            n + 1
         ));
     }
-    Ok(e)
+    Ok(seams)
 }
 
 /// Strips a `#` comment, honouring double-quoted strings.
@@ -216,228 +81,41 @@ fn unquote(v: &str, lineno: usize) -> Result<String, String> {
     Ok(inner.to_string())
 }
 
-/// Groups findings into baseline entries (sorted, counts summed).
-pub fn summarize(violations: &[Violation]) -> Vec<BaselineEntry> {
-    let mut counts: BTreeMap<(String, String, String), u32> = BTreeMap::new();
-    for v in violations {
-        *counts
-            .entry((v.pass.to_string(), v.file.clone(), v.func.clone()))
-            .or_insert(0) += 1;
-    }
-    counts
-        .into_iter()
-        .map(|((pass, file, function), count)| BaselineEntry {
-            pass,
-            file,
-            function,
-            count,
-        })
-        .collect()
-}
-
-/// Renders a baseline file, stably sorted.
-pub fn render_baseline(entries: &[BaselineEntry]) -> String {
-    let mut sorted: Vec<&BaselineEntry> = entries.iter().collect();
-    sorted.sort_by_key(|e| e.key());
-    let mut out = String::from(
-        "# catalint baseline — pre-existing violations, tolerated but visible.\n\
-         #\n\
-         # Each [[allow]] bucket tolerates `count` findings of `pass` in\n\
-         # `function` of `file`. The checker fails when a bucket exceeds its\n\
-         # count, so new debt cannot land silently. Shrink counts (or delete\n\
-         # entries) as debt is paid down; regenerate with\n\
-         # `cargo run -p catalint -- --write-baseline` only when reviewing\n\
-         # every delta. See DESIGN.md, \"Mechanically enforced invariants\".\n\n",
-    );
-    for e in sorted {
-        let _ = write!(
-            out,
-            "[[allow]]\npass = \"{}\"\nfile = \"{}\"\nfunction = \"{}\"\ncount = {}\n\n",
-            e.pass, e.file, e.function, e.count
-        );
-    }
-    out
-}
-
-/// Diffs findings against the baseline.
-pub fn diff(violations: &[Violation], baseline: &[BaselineEntry]) -> Diff {
-    let mut allowed: BTreeMap<(String, String, String), u32> = BTreeMap::new();
-    for e in baseline {
-        *allowed.entry(e.key()).or_insert(0) += e.count;
-    }
-    let mut found: BTreeMap<(String, String, String), Vec<Violation>> = BTreeMap::new();
-    for v in violations {
-        found
-            .entry((v.pass.to_string(), v.file.clone(), v.func.clone()))
-            .or_default()
-            .push(v.clone());
-    }
-
-    let mut out = Diff::default();
-    for (key, sites) in &found {
-        let cap = allowed.get(key).copied().unwrap_or(0);
-        let n = u32::try_from(sites.len()).unwrap_or(u32::MAX);
-        if n > cap {
-            out.exceeded.push(Exceeded {
-                entry: BaselineEntry {
-                    pass: key.0.clone(),
-                    file: key.1.clone(),
-                    function: key.2.clone(),
-                    count: n,
-                },
-                allowed: cap,
-                sites: sites.clone(),
-            });
-        }
-    }
-    for (key, cap) in &allowed {
-        let n = found
-            .get(key)
-            .map_or(0, |v| u32::try_from(v.len()).unwrap_or(u32::MAX));
-        if n < *cap {
-            out.stale.push((
-                BaselineEntry {
-                    pass: key.0.clone(),
-                    file: key.1.clone(),
-                    function: key.2.clone(),
-                    count: *cap,
-                },
-                n,
-            ));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
-    use super::{diff, parse_baseline, parse_document, render_baseline, summarize, BaselineEntry};
-    use crate::Violation;
+    use super::parse_document;
 
-    fn v(pass: &'static str, file: &str, func: &str, line: u32) -> Violation {
-        Violation {
-            pass,
-            file: file.into(),
-            func: func.into(),
-            line,
-            what: "x".into(),
-            chain: Vec::new(),
-        }
+    #[test]
+    fn clock_seam_tables_parse() {
+        let text = "# header\n\n[[clock_seam]]\nfunction = \"realtime_now\" # trailing\n\n[[clock_seam]]\nfunction = \"wall_sleep\"\n";
+        assert_eq!(
+            parse_document(text).expect("parse"),
+            ["realtime_now", "wall_sleep"]
+        );
+        // A comments-only document is an empty registry.
+        assert!(parse_document("# nothing\n").expect("parse").is_empty());
     }
 
     #[test]
-    fn round_trips() {
-        let entries = vec![
-            BaselineEntry {
-                pass: "panic".into(),
-                file: "a.rs".into(),
-                function: "f".into(),
-                count: 3,
-            },
-            BaselineEntry {
-                pass: "hotpath".into(),
-                file: "b.rs".into(),
-                function: "<module>".into(),
-                count: 1,
-            },
-        ];
-        let text = render_baseline(&entries);
-        let mut back = parse_baseline(&text).expect("parse rendered baseline");
-        back.sort_by_key(|e| e.file.clone());
-        let mut want = entries;
-        want.sort_by_key(|e| e.file.clone());
-        assert_eq!(back, want);
+    fn allow_tables_are_rejected() {
+        // The file format cannot express debt: the table that used to
+        // tolerate findings is a parse error, wherever it appears.
+        let bucket = "[[allow]]\npass = \"panic\"\nfile = \"a.rs\"\nfunction = \"f\"\ncount = 1\n";
+        let err = parse_document(bucket).expect_err("[[allow]] must not parse");
+        assert!(err.contains("line 1") && err.contains("[[allow]]"), "{err}");
+        let after_seam = format!("[[clock_seam]]\nfunction = \"realtime_now\"\n\n{bucket}");
+        let err = parse_document(&after_seam).expect_err("[[allow]] must not parse");
+        assert!(err.contains("line 4"), "{err}");
     }
 
     #[test]
     fn rejects_bad_input() {
-        assert!(parse_baseline("[[allow]]\npass = \"panic\"\n").is_err()); // missing fields
-        assert!(parse_baseline(
-            "[[allow]]\npass = \"nope\"\nfile = \"a\"\nfunction = \"f\"\ncount = 1"
-        )
-        .is_err());
-        assert!(parse_baseline("[general]\nx = 1").is_err());
-        assert!(parse_baseline("pass = \"panic\"").is_err()); // key outside table
-        assert!(parse_baseline(
-            "[[allow]]\npass = \"panic\"\nfile = \"a\"\nfunction = \"f\"\ncount = 0"
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn comments_and_blank_lines_ignored() {
-        let text = "# header\n\n[[allow]]\npass = \"panic\" # trailing\nfile = \"a.rs\"\nfunction = \"f\"\ncount = 2\n";
-        let entries = parse_baseline(text).expect("parse");
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].count, 2);
-    }
-
-    #[test]
-    fn clock_seam_tables_parse() {
-        let text = "[[clock_seam]]\nfunction = \"realtime_now\"\n\n[[allow]]\npass = \"panic\"\nfile = \"a.rs\"\nfunction = \"f\"\ncount = 1\n";
-        let doc = parse_document(text).expect("parse");
-        assert_eq!(doc.clock_seam.len(), 1);
-        assert_eq!(doc.clock_seam[0].function, "realtime_now");
-        assert_eq!(doc.allows.len(), 1);
-        // The allow-only view hides the seam registry.
-        assert_eq!(parse_baseline(text).expect("parse").len(), 1);
-        // Seam entries carry exactly one key.
-        assert!(parse_document("[[clock_seam]]\npass = \"x\"").is_err());
+        assert!(parse_document("[general]\nx = 1").is_err());
+        assert!(parse_document("function = \"f\"").is_err()); // key outside table
+        assert!(parse_document("[[clock_seam]]\npass = \"x\"").is_err()); // unknown key
         assert!(parse_document("[[clock_seam]]\n").is_err()); // missing function
-                                                              // A comments-only document is an empty registry and zero debt.
-        let doc = parse_document("# nothing\n").expect("parse");
-        assert!(doc.allows.is_empty() && doc.clock_seam.is_empty());
-    }
-
-    #[test]
-    fn diff_flags_only_exceeded_buckets() {
-        let baseline = vec![BaselineEntry {
-            pass: "panic".into(),
-            file: "a.rs".into(),
-            function: "f".into(),
-            count: 2,
-        }];
-        // Exactly at baseline: clean.
-        let d = diff(
-            &[v("panic", "a.rs", "f", 1), v("panic", "a.rs", "f", 2)],
-            &baseline,
-        );
-        assert!(d.is_clean());
-        // One more: exceeded.
-        let d = diff(
-            &[
-                v("panic", "a.rs", "f", 1),
-                v("panic", "a.rs", "f", 2),
-                v("panic", "a.rs", "f", 3),
-            ],
-            &baseline,
-        );
-        assert!(!d.is_clean());
-        assert_eq!(d.exceeded[0].allowed, 2);
-        assert_eq!(d.exceeded[0].sites.len(), 3);
-        // Fewer: clean but stale.
-        let d = diff(&[v("panic", "a.rs", "f", 1)], &baseline);
-        assert!(d.is_clean());
-        assert_eq!(d.stale.len(), 1);
-        assert_eq!(d.stale[0].1, 1);
-    }
-
-    #[test]
-    fn new_bucket_with_no_baseline_fails() {
-        let d = diff(&[v("determinism", "x.rs", "g", 9)], &[]);
-        assert!(!d.is_clean());
-        assert_eq!(d.exceeded[0].allowed, 0);
-    }
-
-    #[test]
-    fn summarize_groups_and_sorts() {
-        let s = summarize(&[
-            v("panic", "b.rs", "f", 1),
-            v("panic", "a.rs", "f", 1),
-            v("panic", "a.rs", "f", 7),
-        ]);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s[0].file, "a.rs");
-        assert_eq!(s[0].count, 2);
+        assert!(parse_document("[[clock_seam]]\n[[clock_seam]]\nfunction = \"f\"").is_err());
+        assert!(parse_document("[[clock_seam]]\nfunction = f").is_err()); // unquoted
+        assert!(parse_document("[[clock_seam]]\nfunction").is_err()); // no `=`
     }
 }

@@ -1,10 +1,9 @@
 //! Checker configuration.
 //!
-//! The *baseline* (pre-existing, tolerated debt) lives in `catalint.toml`
-//! at the workspace root and is meant to be edited. The *policy* — which
-//! files are parse modules, which functions root the restore hot path —
-//! lives here, in code, because changing policy should look like a code
-//! change and go through review.
+//! The *policy* — which files are parse modules, which functions root the
+//! restore hot path — lives here, in code, because changing policy should
+//! look like a code change and go through review. The one thing
+//! `catalint.toml` contributes is the `[[clock_seam]]` registry.
 
 /// Which files each pass applies to, and where the restore path starts.
 #[derive(Debug, Clone)]
@@ -30,20 +29,17 @@ pub struct Config {
     /// grammar it polices).
     pub namereg_exempt: Vec<String>,
     /// Bare names of the engine boot entry points. Everything reachable
-    /// from these is the seam-coverage (`seamcover`) and duration-
-    /// arithmetic (`simarith`) scope.
+    /// from these is the seam-coverage (`seamcover`) scope, and part of
+    /// the hermeticity (`hermetic`) scope.
     pub seam_roots: Vec<String>,
-    /// Additional roots for the simarith pass: the platform-facing
-    /// invocation paths where latency accounting happens.
+    /// Additional roots for the hermetic pass: the platform-facing
+    /// invocation paths where simulations are driven.
     pub sim_roots: Vec<String>,
     /// The seam registry: each `InjectionPoint` variant mapped to the
     /// bare names of the operations it guards in `core`/`sandbox`. A
     /// boot-path function calling one of these operations must consult
     /// `ctx.fault(<point>)` first.
     pub seam_ops: Vec<(String, Vec<String>)>,
-    /// Path prefixes exempt from the simarith pass: `simtime` itself
-    /// implements the arithmetic being policed.
-    pub simarith_exempt: Vec<String>,
     /// Path prefixes exempt from the spanflow guard scan: `simtime`
     /// implements the tracer whose raw begin/end the pass polices.
     pub spanflow_exempt: Vec<String>,
@@ -67,9 +63,6 @@ pub struct Config {
     /// Bare names of the open-loop run loops whose event matches the
     /// eventproto pass holds to full variant coverage.
     pub event_loops: Vec<String>,
-    /// The generational-arena module. Raw slab access is legal only here;
-    /// everyone else goes through the generation-checked `get`.
-    pub arena_file: String,
 }
 
 impl Config {
@@ -120,17 +113,16 @@ impl Config {
                 "boot_function".into(),
             ],
             sim_roots: vec![
-                // Latency accounting happens where boots are driven:
-                // the gateway/pool invocation paths and the resilience
-                // ladder, on top of the seam roots above.
+                // Simulations are driven from the gateway/pool invocation
+                // paths and the resilience ladder, on top of the seam roots
+                // above.
                 "call".into(),
                 "run_closed".into(),
                 "run_fleet".into(),
                 // The cluster layer: the two entry points of the one
                 // open-loop cluster kernel (`drive`: routing, transfers,
-                // node faults, failover, hedging — all SimNanos arithmetic
-                // on the hot path) and the closed-loop scheduler's routing
-                // decision.
+                // node faults, failover, hedging) and the closed-loop
+                // scheduler's routing decision.
                 "run_cluster".into(),
                 "run_chaos".into(),
                 "route".into(),
@@ -156,7 +148,6 @@ impl Config {
                 // transfer (platform::cluster) behind its own seam.
                 ("TemplateTransfer".into(), vec!["transfer_template".into()]),
             ],
-            simarith_exempt: vec!["crates/simtime/".into()],
             spanflow_exempt: vec!["crates/simtime/".into()],
             registry_file: "crates/simtime/src/names.rs".into(),
             // Empty on purpose: the workspace is fully hermetic today.
@@ -169,7 +160,6 @@ impl Config {
             // The closed loop, the single-node fleet, and the cluster
             // kernel behind both `run_cluster` and `run_chaos`.
             event_loops: vec!["run_closed".into(), "run_fleet".into(), "drive".into()],
-            arena_file: "crates/platform/src/simulate/arena.rs".into(),
         }
     }
 
@@ -199,11 +189,6 @@ impl Config {
             .iter()
             .find(|(_, ops)| ops.iter().any(|o| o == op))
             .map(|(point, _)| point.as_str())
-    }
-
-    /// True when the path is exempt from the simarith pass.
-    pub fn is_simarith_exempt(&self, path: &str) -> bool {
-        self.simarith_exempt.iter().any(|p| path.starts_with(p))
     }
 
     /// True when the path is exempt from the spanflow guard scan.
@@ -253,8 +238,6 @@ mod tests {
             Some("TemplateTransfer")
         );
         assert_eq!(c.seam_point_for("unrelated_op"), None);
-        assert!(c.is_simarith_exempt("crates/simtime/src/duration.rs"));
-        assert!(!c.is_simarith_exempt("crates/platform/src/gateway.rs"));
         assert!(c.is_spanflow_exempt("crates/simtime/src/trace.rs"));
     }
 
@@ -268,6 +251,5 @@ mod tests {
         assert_eq!(c.event_enum, "Event");
         assert_eq!(c.tiebreak_fns, ["class", "key", "subkey"]);
         assert_eq!(c.event_loops, ["run_closed", "run_fleet", "drive"]);
-        assert_eq!(c.arena_file, "crates/platform/src/simulate/arena.rs");
     }
 }

@@ -1,69 +1,30 @@
-//! Per-function def-use dataflow and interprocedural summaries.
+//! Interprocedural fault-seam consultation summaries.
 //!
-//! The contract passes (`seamcover`, `spanflow`, `simarith`) need more
-//! than "who calls whom": they need to know *what flows where* inside a
-//! function — which identifiers carry `SimNanos` values, which
-//! `InjectionPoint` variants a function consults (directly or through its
-//! precise callees), which functions return durations. This module
-//! computes those facts on top of the lexer's token trees and the call
-//! graph, with the same philosophy as the rest of the checker: no
-//! type-checking, deterministic results, tuned so false positives stay
-//! rare enough to fix on the spot.
-//!
-//! Two layers:
-//!
-//! - **Summaries** ([`Summaries::compute`]) — one pass over the graph
-//!   producing, per node, the set of `InjectionPoint` variants consulted
-//!   via `fault(InjectionPoint::V)` (closed under precise call edges,
-//!   borrowcell-style fixpoint), plus the global set of bare function
-//!   names whose signature returns a `SimNanos`-typed value.
-//! - **Per-function taint** ([`duration_taint`]) — the identifiers inside
-//!   one function that carry durations: `SimNanos`-typed parameters,
-//!   `let` bindings (including tuple patterns) whose right-hand side
-//!   mentions `SimNanos` or calls a duration-returning function, and
-//!   same-file struct fields of `SimNanos` type.
+//! The `seamcover` pass needs more than "who calls whom": it needs to know
+//! which `InjectionPoint` variants a function consults, directly or
+//! through its precise callees. [`Summaries::compute`] makes one pass over
+//! the graph producing, per node, the set of variants consulted via
+//! `fault(InjectionPoint::V)`, closed under precise call edges
+//! (borrowcell-style fixpoint). Same philosophy as the rest of the
+//! checker: no type-checking, deterministic results.
 
 use std::collections::BTreeSet;
 
-use crate::graph::{CallGraph, EdgeKind, STOP_EDGES};
+use crate::graph::{CallGraph, EdgeKind};
 use crate::lexer::{Delim, Tok};
-use crate::segment::{is_keyword, FnItem};
 
-/// Interprocedural facts shared by the contract passes.
+/// Interprocedural facts for the `seamcover` pass.
 pub struct Summaries {
     /// Per-node `InjectionPoint` variants consulted directly in the body.
     pub direct_consults: Vec<BTreeSet<String>>,
     /// Per-node variants consulted directly *or* through precise call
     /// edges (transitive closure).
     pub consults: Vec<BTreeSet<String>>,
-    /// Bare names of functions whose signature returns a `SimNanos`-typed
-    /// value (`-> SimNanos`, `-> Result<SimNanos, _>`, `-> Self` inside
-    /// `impl SimNanos`). Overly generic names (`min`, `max`, …) are
-    /// excluded so calls on unrelated types do not taint.
-    pub duration_fns: BTreeSet<String>,
 }
 
-/// Names too generic to treat as duration-returning even when some
-/// `SimNanos` method carries them — `.max(…)` on a `u64` must not taint.
-const GENERIC_DURATION_NAMES: [&str; 2] = ["max", "sum"];
-
-/// The checked arithmetic forms. Every integer type has these too, so a
-/// call is *weak* evidence: it taints at an operand position (adjacent to
-/// the unchecked op being judged, where mixed checked/unchecked chains on
-/// the same value are the signal) but never through a `let` binding
-/// (`let end = start.saturating_add(len)` on a `usize` must not taint).
-const CHECKED_FORMS: [&str; 6] = [
-    "saturating_add",
-    "saturating_sub",
-    "saturating_mul",
-    "checked_add",
-    "checked_sub",
-    "checked_mul",
-];
-
 impl Summaries {
-    /// Computes consult sets (with a fixpoint over precise edges) and the
-    /// duration-returning function set for one graph.
+    /// Computes consult sets (with a fixpoint over precise edges) for one
+    /// graph.
     pub fn compute(graph: &CallGraph<'_>) -> Summaries {
         let direct_consults: Vec<BTreeSet<String>> = graph
             .items
@@ -102,22 +63,9 @@ impl Summaries {
             }
         }
 
-        let mut duration_fns = BTreeSet::new();
-        for (ix, f) in graph.items.iter().enumerate() {
-            let name = graph.nodes[ix].name.as_str();
-            if STOP_EDGES.contains(&name) || GENERIC_DURATION_NAMES.contains(&name) {
-                continue;
-            }
-            let qualified = graph.nodes[ix].qualified.as_deref();
-            if returns_duration(&f.sig, qualified) {
-                duration_fns.insert(name.to_string());
-            }
-        }
-
         Summaries {
             direct_consults,
             consults,
-            duration_fns,
         }
     }
 }
@@ -156,22 +104,6 @@ fn walk_consults(toks: &[Tok], out: &mut Vec<(String, u32)>) {
     }
 }
 
-/// True when a signature's return type mentions `SimNanos` (directly or
-/// inside `Result<…>`/tuples), or returns `Self` from an `impl SimNanos`
-/// block.
-fn returns_duration(sig: &[Tok], qualified: Option<&str>) -> bool {
-    for i in 0..sig.len().saturating_sub(1) {
-        if sig[i].is_punct('-') && sig[i + 1].is_punct('>') {
-            let ret = &sig[i + 2..];
-            let self_is_duration = qualified.is_some_and(|q| q.starts_with("SimNanos::"));
-            return ret
-                .iter()
-                .any(|t| mentions(t, "SimNanos") || (self_is_duration && mentions(t, "Self")));
-        }
-    }
-    false
-}
-
 /// Recursive "does this token (tree) contain the identifier `name`".
 pub fn mentions(t: &Tok, name: &str) -> bool {
     match t {
@@ -181,256 +113,11 @@ pub fn mentions(t: &Tok, name: &str) -> bool {
     }
 }
 
-/// The identifiers carrying `SimNanos` values inside one function:
-/// same-file duration fields, `SimNanos`-typed parameters, and `let`
-/// bindings whose initializer mentions a duration.
-pub fn duration_taint(
-    item: &FnItem,
-    file_fields: &BTreeSet<String>,
-    duration_fns: &BTreeSet<String>,
-) -> BTreeSet<String> {
-    let mut taint = file_fields.clone();
-    if let Some(Tok::Group(Delim::Paren, params, _)) = item.sig.first() {
-        collect_duration_typed(params, &mut taint);
-    }
-    collect_let_taints(&item.body, duration_fns, &mut taint);
-    taint
-}
-
-/// `name: …SimNanos…` declarations up to the next `,` at this level
-/// (struct fields, function parameters).
-pub fn collect_duration_typed(toks: &[Tok], out: &mut BTreeSet<String>) {
-    let mut i = 0usize;
-    while i < toks.len() {
-        if let (Some(Tok::Ident(name, _)), Some(t)) = (toks.get(i), toks.get(i + 1)) {
-            // `name:` but not `name::path`.
-            if t.is_punct(':')
-                && !is_keyword(name)
-                && !toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-            {
-                let end = toks[i + 2..]
-                    .iter()
-                    .position(|t| t.is_punct(','))
-                    .map_or(toks.len(), |p| i + 2 + p);
-                if toks[i + 2..end].iter().any(|t| mentions(t, "SimNanos")) {
-                    out.insert(name.clone());
-                }
-                i = end + 1;
-                continue;
-            }
-        }
-        i += 1;
-    }
-}
-
-/// Struct fields of `SimNanos` type anywhere in a file's loose tokens.
-pub fn collect_duration_fields(toks: &[Tok], out: &mut BTreeSet<String>) {
-    for i in 0..toks.len() {
-        if toks[i].ident() == Some("struct") {
-            if let Some(Tok::Group(Delim::Brace, inner, _)) = toks
-                .iter()
-                .skip(i + 1)
-                .find(|t| matches!(t, Tok::Group(Delim::Brace, _, _) | Tok::Punct(';', _)))
-            {
-                collect_duration_typed(inner, out);
-            }
-        }
-        if let Tok::Group(_, inner, _) = &toks[i] {
-            collect_duration_fields(inner, out);
-        }
-    }
-}
-
-/// Statement-aware walk collecting `let` bindings whose right-hand side
-/// carries a duration. Tuple patterns (`let (queued, slot) = …`) taint
-/// every bound name — a per-element split would need type-checking.
-fn collect_let_taints(toks: &[Tok], duration_fns: &BTreeSet<String>, taint: &mut BTreeSet<String>) {
-    let mut i = 0usize;
-    while i < toks.len() {
-        let stmt_end = toks[i..]
-            .iter()
-            .position(|t| t.is_punct(';'))
-            .map_or(toks.len(), |p| i + p);
-        let stmt = &toks[i..stmt_end];
-        if stmt.first().and_then(Tok::ident) == Some("let") {
-            if let Some(eq) = stmt.iter().position(|t| t.is_punct('=')) {
-                if expr_carries_duration(&stmt[eq + 1..], duration_fns, taint) {
-                    taint_pattern_idents(&stmt[1..eq], taint);
-                }
-            }
-        }
-        for t in stmt {
-            if let Tok::Group(_, inner, _) = t {
-                collect_let_taints(inner, duration_fns, taint);
-            }
-        }
-        i = stmt_end.saturating_add(1);
-    }
-}
-
-fn taint_pattern_idents(pattern: &[Tok], taint: &mut BTreeSet<String>) {
-    // A top-level `:` starts the type annotation (`let fds: Vec<i32>`);
-    // the type's idents are not bindings and must not taint.
-    let end = (0..pattern.len())
-        .find(|&i| {
-            pattern[i].is_punct(':')
-                && !pattern.get(i + 1).is_some_and(|t| t.is_punct(':'))
-                && !(i > 0 && pattern[i - 1].is_punct(':'))
-        })
-        .unwrap_or(pattern.len());
-    for t in &pattern[..end] {
-        match t {
-            Tok::Ident(w, _) if !is_keyword(w) => {
-                taint.insert(w.clone());
-            }
-            Tok::Group(_, inner, _) => taint_pattern_idents(inner, taint),
-            _ => {}
-        }
-    }
-}
-
-/// True when an expression mentions `SimNanos`, calls a
-/// duration-returning function, or reads an already-tainted identifier.
-///
-/// Two precision rules keep `let` taint from snowballing:
-/// - A tainted identifier followed by `.` is a *projection source*, not a
-///   read — `state.completions.len()` on a `Vec<SimNanos>` field yields a
-///   count, not a duration. The chain's final method is judged against
-///   `duration_fns` as the scan continues.
-/// - [`CHECKED_FORMS`] calls are not evidence here (they exist on every
-///   integer type); the operand judges still accept them.
-pub fn expr_carries_duration(
-    toks: &[Tok],
-    duration_fns: &BTreeSet<String>,
-    taint: &BTreeSet<String>,
-) -> bool {
-    for i in 0..toks.len() {
-        match &toks[i] {
-            Tok::Ident(w, _) => {
-                if w == "SimNanos" {
-                    return true;
-                }
-                let called = matches!(toks.get(i + 1), Some(Tok::Group(Delim::Paren, _, _)));
-                let projected = matches!(toks.get(i + 1), Some(Tok::Punct('.', _)));
-                if called
-                    && duration_fns.contains(w.as_str())
-                    && !CHECKED_FORMS.contains(&w.as_str())
-                {
-                    return true;
-                }
-                if !called && !projected && taint.contains(w.as_str()) {
-                    return true;
-                }
-            }
-            Tok::Group(_, inner, _) if expr_carries_duration(inner, duration_fns, taint) => {
-                return true;
-            }
-            _ => {}
-        }
-    }
-    false
-}
-
-/// Judges the operand *ending* at `toks[j]` (just left of an operator):
-/// a tainted identifier, a `SimNanos` path, a duration-returning call, or
-/// a parenthesized sub-expression carrying a duration.
-pub fn left_operand_tainted(
-    toks: &[Tok],
-    mut j: usize,
-    duration_fns: &BTreeSet<String>,
-    taint: &BTreeSet<String>,
-) -> bool {
-    loop {
-        match &toks[j] {
-            // `f(…)? + x` — step over the try to the call.
-            Tok::Punct('?', _) => {
-                if j == 0 {
-                    return false;
-                }
-                j -= 1;
-            }
-            Tok::Group(Delim::Paren | Delim::Bracket, inner, _) => {
-                // `f(…) + x` / `a[…] + x`: judge the callee name if there
-                // is one, else the group contents (`(a - b) * c`).
-                if j >= 1 {
-                    if let Tok::Ident(w, _) = &toks[j - 1] {
-                        if !is_keyword(w) {
-                            return duration_fns.contains(w.as_str());
-                        }
-                    }
-                }
-                return expr_carries_duration(inner, duration_fns, taint);
-            }
-            Tok::Ident(w, _) => {
-                return w == "SimNanos" || taint.contains(w.as_str());
-            }
-            _ => return false,
-        }
-    }
-}
-
-/// Judges the operand *starting* at `toks[k]` (just right of an
-/// operator): scans the operand's token run (idents, `.`, `::`, `?`,
-/// call/index groups, literals) for duration evidence.
-pub fn right_operand_tainted(
-    toks: &[Tok],
-    mut k: usize,
-    duration_fns: &BTreeSet<String>,
-    taint: &BTreeSet<String>,
-) -> bool {
-    while matches!(toks.get(k), Some(Tok::Punct('&' | '*' | '!', _))) {
-        k += 1;
-    }
-    let start = k;
-    while let Some(t) = toks.get(k) {
-        let cont = match t {
-            Tok::Ident(w, _) => !is_keyword(w) || w == "self",
-            Tok::Punct('.' | ':' | '?', _) => true,
-            Tok::Group(Delim::Paren | Delim::Bracket, _, _) => true,
-            Tok::Lit(_) => true,
-            _ => false,
-        };
-        if !cont {
-            break;
-        }
-        k += 1;
-    }
-    let operand = &toks[start..k];
-    for i in 0..operand.len() {
-        match &operand[i] {
-            Tok::Ident(w, _) => {
-                if w == "SimNanos" {
-                    return true;
-                }
-                let called = matches!(operand.get(i + 1), Some(Tok::Group(Delim::Paren, _, _)));
-                let projected = matches!(operand.get(i + 1), Some(Tok::Punct('.', _)));
-                if called {
-                    if duration_fns.contains(w.as_str()) {
-                        return true;
-                    }
-                } else if !projected && taint.contains(w.as_str()) {
-                    return true;
-                }
-            }
-            Tok::Group(_, inner, _) => {
-                // A leading parenthesized sub-expression (`(a - b)`), not
-                // call/index arguments — those belong to the callee.
-                let is_args = i > 0 && matches!(operand[i - 1], Tok::Ident(..));
-                if !is_args && expr_carries_duration(inner, duration_fns, taint) {
-                    return true;
-                }
-            }
-            _ => {}
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::segment::segment;
+    use crate::segment::{segment, FnItem};
 
     fn parse_fn(src: &str) -> FnItem {
         let lexed = lex(src);
@@ -443,92 +130,5 @@ mod tests {
             "fn boot(ctx: &mut BootCtx) -> Result<(), E> {\n    ctx.fault(InjectionPoint::ArenaMap)?;\n    Ok(())\n}",
         );
         assert_eq!(consult_sites(&f.body), vec![("ArenaMap".to_string(), 2)]);
-    }
-
-    #[test]
-    fn let_binding_from_duration_fn_taints() {
-        let dfns: BTreeSet<String> = ["duration".to_string()].into();
-        let f = parse_fn(
-            "fn g(trace: Trace) {\n    let spent = trace.duration();\n    let (queued, slot) = (spent, 1);\n}",
-        );
-        let taint = duration_taint(&f, &BTreeSet::new(), &dfns);
-        assert!(taint.contains("spent"));
-        assert!(taint.contains("queued"), "tuple patterns taint all names");
-    }
-
-    #[test]
-    fn params_and_fields_taint() {
-        let f = parse_fn("fn h(boot: SimNanos, n: u64) -> u64 { n }");
-        let fields: BTreeSet<String> = ["repair_time".to_string()].into();
-        let taint = duration_taint(&f, &fields, &BTreeSet::new());
-        assert!(taint.contains("boot"));
-        assert!(taint.contains("repair_time"));
-        assert!(!taint.contains("n"));
-    }
-
-    #[test]
-    fn annotation_idents_do_not_taint() {
-        // `let socks: Vec<(u64, bool)> = <duration expr>` must taint only
-        // `socks` — never the type idents (`u64` would then match every
-        // `as u64` cast in the function).
-        let dfns: BTreeSet<String> = ["duration".to_string()].into();
-        let f = parse_fn(
-            "fn g(trace: Trace) {\n    let socks: Vec<(u64, bool)> = trace.duration();\n}",
-        );
-        let taint = duration_taint(&f, &BTreeSet::new(), &dfns);
-        assert!(taint.contains("socks"));
-        assert!(!taint.contains("u64"));
-        assert!(!taint.contains("Vec"));
-    }
-
-    #[test]
-    fn projection_does_not_propagate_taint() {
-        // `completions` is a Vec<SimNanos> field, but `.len()` of it is a
-        // count; `in_flight` must stay clean. Indexing (`completions[i]`)
-        // yields an element and must taint.
-        let fields: BTreeSet<String> = ["completions".to_string()].into();
-        let f = parse_fn(
-            "fn g(state: &S) {\n    let in_flight = state.completions.len();\n    let first = state.completions[0];\n}",
-        );
-        let taint = duration_taint(&f, &fields, &BTreeSet::new());
-        assert!(!taint.contains("in_flight"));
-        assert!(taint.contains("first"));
-    }
-
-    #[test]
-    fn checked_forms_are_not_binding_evidence() {
-        // u64 has saturating_add too: a binding initialized through it is
-        // not a duration. At an operand position the same call still
-        // counts (mixed checked/unchecked chains are the simarith signal).
-        let dfns: BTreeSet<String> = ["saturating_add".to_string()].into();
-        let f = parse_fn(
-            "fn g(start: usize, len: usize) {\n    let end = start.saturating_add(len);\n}",
-        );
-        let taint = duration_taint(&f, &BTreeSet::new(), &dfns);
-        assert!(!taint.contains("end"));
-
-        let lexed = lex("base + per_kib.saturating_mul(kib)");
-        let dfns: BTreeSet<String> = ["saturating_mul".to_string()].into();
-        assert!(right_operand_tainted(
-            &lexed.toks,
-            2,
-            &dfns,
-            &BTreeSet::new()
-        ));
-    }
-
-    #[test]
-    fn operand_judgement() {
-        let dfns: BTreeSet<String> = ["duration".to_string()].into();
-        let taint: BTreeSet<String> = ["queued".to_string()].into();
-        // `trace.duration() - exec.duration() - queued`
-        let lexed = lex("trace.duration() - exec.duration() - queued");
-        let toks = &lexed.toks;
-        let minus = toks
-            .iter()
-            .position(|t| t.is_punct('-'))
-            .expect("first minus");
-        assert!(left_operand_tainted(toks, minus - 1, &dfns, &taint));
-        assert!(right_operand_tainted(toks, minus + 1, &dfns, &taint));
     }
 }

@@ -17,7 +17,6 @@
 //! stable across runs.
 
 use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
 
 use crate::lexer::{Delim, Tok};
 use crate::segment::{is_keyword, FnItem};
@@ -122,10 +121,9 @@ pub struct Reach {
 
 impl<'a> CallGraph<'a> {
     /// Builds the graph over library files (`skip` filters paths out —
-    /// tests, benches, examples never join the graph). Files arrive as
-    /// `Rc<ParsedFile>` so cached parses (see [`crate::cache`]) are
-    /// shared, not recomputed; the graph borrows from the slice.
-    pub fn build(parsed: &'a [Rc<ParsedFile>], skip: impl Fn(&str) -> bool) -> CallGraph<'a> {
+    /// tests, benches, examples never join the graph). The graph borrows
+    /// from the slice.
+    pub fn build(parsed: &'a [ParsedFile], skip: impl Fn(&str) -> bool) -> CallGraph<'a> {
         let mut nodes: Vec<FnNode> = Vec::new();
         let mut items: Vec<&'a FnItem> = Vec::new();
         for pf in parsed {

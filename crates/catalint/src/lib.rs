@@ -21,30 +21,33 @@
 //! `HashMap`/`HashSet` iteration order (`hashorder`), and public library
 //! functions return crate error types, not `Box<dyn Error>` (`hygiene`).
 //!
-//! Plus three dataflow-backed contracts (PR 6): every `InjectionPoint`
-//! fault seam is consulted on the boot paths (`seamcover`), span guards
-//! and the name registry balance (`spanflow`), and `SimNanos` arithmetic
-//! on boot-reachable paths is saturating/checked (`simarith`).
+//! Plus two dataflow-backed contracts (PR 6): every `InjectionPoint`
+//! fault seam is consulted on the boot paths (`seamcover`), and span
+//! guards and the name registry balance (`spanflow`).
 //!
 //! Plus the hermeticity certificate (PR 10): no nondeterminism source is
 //! reachable from the sim roots outside the `[[clock_seam]]` registry
-//! (`hermetic`), the DES event protocol is conformant — handler coverage,
-//! schedule discipline, a total tie-break (`eventproto`) — and instance
-//! slabs are only read through generation-checked access (`genarena`).
+//! (`hermetic`), and the DES event protocol is conformant — handler
+//! coverage, schedule discipline, a total tie-break (`eventproto`).
+//!
+//! What a type can forbid is not a pass: overflow-safe `SimNanos`
+//! arithmetic and generation-checked arena access are enforced by the
+//! compiler (`simtime::SimNanos` has no `+`/`-`/`*`;
+//! `InstanceId::index()` is private), each pinned by a `compile_fail`
+//! doctest on the type.
 //!
 //! The checker lexes the workspace (no rustc, no dependencies), segments
-//! it into functions, builds an approximate call graph plus def-use
-//! dataflow summaries, and runs thirteen passes; the interprocedural ones
-//! (`panic`, `hotpath`, `borrowcell`, `seamcover`, `simarith`, `hermetic`)
-//! attach the root → sink call chain to each finding. Findings are diffed
-//! against `catalint.toml`, which is intentionally empty: the workspace
-//! carries zero lint debt, and any finding fails the build. Run it as
+//! it into functions, builds an approximate call graph plus fault-seam
+//! consultation summaries, and runs eleven passes; the interprocedural
+//! ones (`panic`, `hotpath`, `borrowcell`, `seamcover`, `hermetic`) attach
+//! the root → sink call chain to each finding. There is no debt file: the
+//! workspace carries zero findings, and any finding fails the build
+//! (`catalint.toml` holds only the `[[clock_seam]]` registry). Run it as
 //! `cargo run -p catalint` (`--emit json` for machine-readable output,
-//! `--explain <pass>` for rationale, `--jobs N` to parse in parallel); it
-//! also runs inside the tier-1 test suite.
+//! `--explain <pass>` for rationale); it also runs inside the tier-1 test
+//! suite.
 
 pub mod baseline;
-pub mod cache;
 pub mod config;
 pub mod dataflow;
 pub mod graph;
@@ -56,13 +59,11 @@ use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
 
-use baseline::{diff, parse_document, Diff};
-use cache::{fnv1a, parse_source, AnalysisCache};
+use baseline::parse_document;
 use config::Config;
-use lexer::Allow;
-use segment::FileItems;
+use lexer::{lex, Allow};
+use segment::{segment, FileItems};
 
 /// One source file presented to the checker. Paths are workspace-relative
 /// with `/` separators (`crates/imagefmt/src/flat.rs`).
@@ -114,7 +115,7 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Checker errors (I/O and baseline syntax).
+/// Checker errors (I/O and `catalint.toml` syntax).
 #[derive(Debug)]
 pub enum CatalintError {
     /// Reading a file or directory failed.
@@ -150,50 +151,27 @@ pub struct ParsedFile {
     pub allows: Vec<Allow>,
 }
 
-/// Runs all thirteen passes over the given files and returns findings
+/// Runs all eleven passes over the given files and returns findings
 /// sorted by `(file, line, pass)`, with `catalint: allow(...)`
-/// suppressions already applied. One-shot entry point: parses into a
-/// throwaway cache.
+/// suppressions already applied.
 pub fn analyze(files: &[SrcFile], cfg: &Config) -> Vec<Violation> {
-    let mut cache = AnalysisCache::new();
-    analyze_with_cache(files, cfg, &mut cache)
-}
-
-/// Like [`analyze`], but reuses per-file lex/segment results from `cache`
-/// when content hashes match — the entry point for long-lived embedders
-/// (warm rescans in `analyzerbench`, future watch modes).
-pub fn analyze_with_cache(
-    files: &[SrcFile],
-    cfg: &Config,
-    cache: &mut AnalysisCache,
-) -> Vec<Violation> {
-    analyze_with_cache_jobs(files, cfg, cache, 1)
-}
-
-/// Like [`analyze_with_cache`], with lexing and segmentation of cache
-/// misses fanned out over `jobs` worker threads. The passes themselves
-/// stay single-threaded (they share the `Rc` graph); parsing dominates a
-/// cold scan, so that is where the parallelism pays. Findings are
-/// byte-identical to the serial path for every `jobs` value: workers
-/// return plain [`ParsedFile`]s tagged with their input index, and the
-/// coordinating thread re-assembles them in input order before anything
-/// order-sensitive happens.
-pub fn analyze_with_cache_jobs(
-    files: &[SrcFile],
-    cfg: &Config,
-    cache: &mut AnalysisCache,
-    jobs: usize,
-) -> Vec<Violation> {
-    let scanned: Vec<&SrcFile> = files
+    let parsed: Vec<ParsedFile> = files
         .iter()
         .filter(|f| !cfg.is_scan_exempt(&f.path))
+        .map(|f| {
+            let lexed = lex(&f.content);
+            ParsedFile {
+                path: f.path.clone(),
+                items: segment(&lexed.toks),
+                allows: lexed.allows,
+            }
+        })
         .collect();
-    let parsed = parse_files(&scanned, cache, jobs);
 
     // One call graph over library code, shared by the interprocedural
     // passes. Tests, benches, and binaries never join the graph.
     let graph = graph::CallGraph::build(&parsed, |p| cfg.is_non_library_path(p));
-    // Dataflow summaries for the contract passes.
+    // Fault-seam consultation summaries for seamcover.
     let sums = dataflow::Summaries::compute(&graph);
 
     let mut out = Vec::new();
@@ -206,10 +184,8 @@ pub fn analyze_with_cache_jobs(
     passes::hashorder(&parsed, cfg, &mut out);
     passes::seamcover(&parsed, cfg, &graph, &sums, &mut out);
     passes::spanflow(&parsed, cfg, &mut out);
-    passes::simarith(&parsed, cfg, &graph, &sums, &mut out);
     passes::hermetic(cfg, &graph, &mut out);
     passes::eventproto(&parsed, cfg, &graph, &mut out);
-    passes::genarena(&parsed, cfg, &mut out);
 
     let allows: HashMap<&str, &[Allow]> = parsed
         .iter()
@@ -218,57 +194,6 @@ pub fn analyze_with_cache_jobs(
     out.retain(|v| !is_suppressed(v, &allows));
     out.sort_by(|a, b| (a.file.as_str(), a.line, a.pass).cmp(&(b.file.as_str(), b.line, b.pass)));
     out
-}
-
-/// Parses `files` through the cache, optionally fanning cache misses out
-/// over a worker pool. Output order always matches input order, so every
-/// downstream consumer (the call graph's node numbering in particular) is
-/// oblivious to how many workers ran.
-fn parse_files(files: &[&SrcFile], cache: &mut AnalysisCache, jobs: usize) -> Vec<Rc<ParsedFile>> {
-    let mut out: Vec<Option<Rc<ParsedFile>>> = vec![None; files.len()];
-    let mut misses: Vec<(usize, &SrcFile, u64)> = Vec::new();
-    for (ix, f) in files.iter().enumerate() {
-        let hash = fnv1a(f.content.as_bytes());
-        match cache.lookup(&f.path, hash) {
-            Some(parsed) => out[ix] = Some(parsed),
-            None => misses.push((ix, f, hash)),
-        }
-    }
-    let workers = jobs.min(misses.len());
-    if workers <= 1 {
-        for (ix, f, hash) in misses {
-            out[ix] = Some(cache.insert_parsed(hash, parse_source(f)));
-        }
-    } else {
-        // `Rc<ParsedFile>` is not `Send`, so workers produce plain
-        // `ParsedFile`s; the coordinating thread owns the cache and wraps
-        // results as they arrive. Work is claimed off a shared counter so
-        // an unlucky worker stuck on the largest file cannot serialize
-        // the rest of the queue behind it.
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, u64, ParsedFile)>();
-        let misses = &misses;
-        let next = &next;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                scope.spawn(move || loop {
-                    let claim = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(&(ix, f, hash)) = misses.get(claim) else {
-                        break;
-                    };
-                    if tx.send((ix, hash, parse_source(f))).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            for (ix, hash, parsed) in rx {
-                out[ix] = Some(cache.insert_parsed(hash, parsed));
-            }
-        });
-    }
-    out.into_iter().flatten().collect()
 }
 
 /// A finding is suppressed by `catalint: allow(<pass>)` (or `allow(all)`)
@@ -284,44 +209,31 @@ fn is_suppressed(v: &Violation, allows: &HashMap<&str, &[Allow]>) -> bool {
 /// Full check result for a workspace on disk.
 #[derive(Debug)]
 pub struct CheckOutcome {
-    /// All findings (baselined ones included).
+    /// All findings; the check is clean exactly when this is empty.
     pub violations: Vec<Violation>,
-    /// The findings diffed against `catalint.toml`.
-    pub diff: Diff,
     /// Number of files scanned.
     pub files_scanned: usize,
 }
 
-/// Collects, analyzes, and diffs the workspace rooted at `root`.
+/// Collects and analyzes the workspace rooted at `root`. `catalint.toml`
+/// is read *before* analysis: its `[[clock_seam]]` registry feeds the
+/// `hermetic` pass's traversal boundary, so a seam declared there is
+/// honoured in the same run that reads it.
 pub fn check_workspace(root: &Path) -> Result<CheckOutcome, CatalintError> {
-    check_workspace_jobs(root, 1)
-}
-
-/// Like [`check_workspace`], parsing with `jobs` worker threads. The
-/// baseline document is read *before* analysis: its `[[clock_seam]]`
-/// registry feeds the `hermetic` pass's traversal boundary, so a seam
-/// declared in `catalint.toml` is honoured in the same run that reads it.
-pub fn check_workspace_jobs(root: &Path, jobs: usize) -> Result<CheckOutcome, CatalintError> {
     let files = collect_workspace(root)?;
     let mut cfg = Config::workspace_default();
-    let baseline_path = root.join("catalint.toml");
-    let doc = if baseline_path.exists() {
-        let text = fs::read_to_string(&baseline_path).map_err(|err| CatalintError::Io {
-            path: baseline_path,
+    let toml_path = root.join("catalint.toml");
+    if toml_path.exists() {
+        let text = fs::read_to_string(&toml_path).map_err(|err| CatalintError::Io {
+            path: toml_path,
             err,
         })?;
-        parse_document(&text).map_err(CatalintError::Baseline)?
-    } else {
-        baseline::BaselineDoc::default()
-    };
-    cfg.clock_seam
-        .extend(doc.clock_seam.iter().map(|e| e.function.clone()));
-    let mut cache = AnalysisCache::new();
-    let violations = analyze_with_cache_jobs(&files, &cfg, &mut cache, jobs);
+        cfg.clock_seam
+            .extend(parse_document(&text).map_err(CatalintError::Baseline)?);
+    }
     Ok(CheckOutcome {
-        diff: diff(&violations, &doc.allows),
+        violations: analyze(&files, &cfg),
         files_scanned: files.len(),
-        violations,
     })
 }
 

@@ -1,22 +1,19 @@
 //! `cargo run -p catalint` — check the workspace against its invariants.
 //!
-//! Exit codes: 0 = clean (baseline respected), 1 = new violations,
-//! 2 = usage or I/O error.
+//! Exit codes: 0 = clean (no findings), 1 = findings, 2 = usage or I/O
+//! error.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use catalint::baseline::{render_baseline, summarize};
 use catalint::passes::{describe, severity, ALL_PASSES};
-use catalint::{check_workspace_jobs, find_workspace_root, CatalintError, CheckOutcome, Violation};
+use catalint::{check_workspace, find_workspace_root, CatalintError, CheckOutcome, Violation};
 
 struct Args {
     root: Option<PathBuf>,
-    baseline_out: bool,
     emit: Emit,
     explain: Option<String>,
-    jobs: usize,
 }
 
 #[derive(PartialEq)]
@@ -27,37 +24,31 @@ enum Emit {
     Schema,
 }
 
-const USAGE: &str = "usage: catalint [--root DIR] [--write-baseline] [--jobs N]
-                [--emit text|json|sarif|schema] [--explain PASS]
+const USAGE: &str = "usage: catalint [--root DIR] [--emit text|json|sarif|schema]
+                [--explain PASS]
 
 Checks the workspace against its mechanical invariants (determinism,
 panic-free image parsing, restore hot-path copy discipline, RefCell guard
 discipline, metric-name registry use, hash-order hygiene, error hygiene),
-its dataflow contracts (fault-seam coverage, span/registry balance,
-SimNanos arithmetic safety), and its hermeticity certificate (clock-seam
-taint, DES event-protocol conformance, generational-arena access), then
-diffs the findings against catalint.toml.
+its dataflow contracts (fault-seam coverage, span/registry balance), and
+its hermeticity certificate (clock-seam taint, DES event-protocol
+conformance). Every finding fails the check; catalint.toml holds only the
+[[clock_seam]] registry.
 
   --root DIR          workspace root (default: walk up from the cwd)
-  --write-baseline    rewrite catalint.toml from the current findings
-  --jobs N            parse files on N worker threads (findings identical
-                      to serial; default 1)
   --emit json         machine-readable findings on stdout (stable schema)
   --emit sarif        SARIF 2.1.0 findings on stdout (for code-scanning UIs)
   --emit schema       print the JSON output schema and exit
   --explain PASS      print what a pass checks, why, and how to fix findings
 
-Exit codes: 0 = clean (no findings above catalint.toml), 1 = findings,
-2 = usage or I/O error.
+Exit codes: 0 = clean (no findings), 1 = findings, 2 = usage or I/O error.
 ";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: None,
-        baseline_out: false,
         emit: Emit::Text,
         explain: None,
-        jobs: 1,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -65,15 +56,6 @@ fn parse_args() -> Result<Args, String> {
             "--root" => {
                 let v = it.next().ok_or("--root needs a value")?;
                 args.root = Some(PathBuf::from(v));
-            }
-            "--write-baseline" => args.baseline_out = true,
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a thread count")?;
-                args.jobs = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--jobs needs a positive integer, got `{v}`"))?;
             }
             "--emit" => {
                 let v = it
@@ -166,72 +148,47 @@ fn run(args: Args) -> Result<ExitCode, CatalintError> {
         return Ok(ExitCode::from(2));
     }
 
-    let outcome = check_workspace_jobs(&root, args.jobs)?;
+    let outcome = check_workspace(&root)?;
 
     if outcome.files_scanned == 0 {
         eprintln!("catalint: no .rs files found under {}", root.display());
         return Ok(ExitCode::from(2));
     }
 
-    if args.baseline_out {
-        let path = root.join("catalint.toml");
-        let text = render_baseline(&summarize(&outcome.violations));
-        std::fs::write(&path, text).map_err(|err| CatalintError::Io { path, err })?;
-        println!(
-            "catalint: wrote baseline with {} finding(s) across {} file(s)",
-            outcome.violations.len(),
-            outcome.files_scanned
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
+    let code = if outcome.violations.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    };
 
-    if args.emit == Emit::Json || args.emit == Emit::Sarif {
-        if args.emit == Emit::Json {
-            print!("{}", render_json(&outcome));
-        } else {
-            print!("{}", render_sarif(&outcome));
-        }
-        return Ok(if outcome.diff.is_clean() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        });
+    if args.emit == Emit::Json {
+        print!("{}", render_json(&outcome));
+        return Ok(code);
+    }
+    if args.emit == Emit::Sarif {
+        print!("{}", render_sarif(&outcome));
+        return Ok(code);
     }
 
     println!(
-        "catalint: scanned {} file(s), {} finding(s) total",
+        "catalint: scanned {} file(s), {} pass(es), {} finding(s)",
         outcome.files_scanned,
+        ALL_PASSES.len(),
         outcome.violations.len()
     );
-
-    for (entry, found) in &outcome.diff.stale {
-        println!(
-            "catalint: note: baseline allows {} x [{}] in {} fn {}, only {found} found — baseline can be tightened",
-            entry.count, entry.pass, entry.file, entry.function
-        );
+    if outcome.violations.is_empty() {
+        println!("catalint: OK — no violations");
+        return Ok(code);
     }
-
-    if outcome.diff.is_clean() {
-        println!("catalint: OK — no new violations");
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let mut new_sites = 0u32;
-    for ex in &outcome.diff.exceeded {
-        new_sites += ex.entry.count - ex.allowed;
-        eprintln!(
-            "catalint: [{}] {} fn {}: {} found, {} baselined:",
-            ex.entry.pass, ex.entry.file, ex.entry.function, ex.entry.count, ex.allowed
-        );
-        for site in &ex.sites {
-            eprintln!("    {site}");
-        }
+    for v in &outcome.violations {
+        eprintln!("    {v}");
     }
     eprintln!(
-        "catalint: FAIL — {new_sites} finding(s) above baseline. Fix them, or if \
-         genuinely intended, amend catalint.toml in the same change (see DESIGN.md)."
+        "catalint: FAIL — {} finding(s). Fix them, or if genuinely intended, suppress at \
+         the site with a justified `catalint: allow(<pass>)` comment (see DESIGN.md §12).",
+        outcome.violations.len()
     );
-    Ok(ExitCode::FAILURE)
+    Ok(code)
 }
 
 // ---------------------------------------------------------------------------
@@ -245,13 +202,14 @@ fn run(args: Args) -> Result<ExitCode, CatalintError> {
 /// Version history: 1 = seven passes, findings + summary. 2 = adds the
 /// top-level `passes` array (name + severity of every registered pass,
 /// so consumers can render empty reports without hard-coding the list).
-/// 3 = thirteen passes (hermetic/eventproto/genarena); each `passes`
-/// entry gains a required one-line `description`.
+/// 3 = each `passes` entry gains a required one-line `description`.
+/// 4 = `summary` loses its findings-above-the-baseline count (there is no
+/// baseline; `clean` is `findings == 0`).
 const JSON_SCHEMA: &str = r#"{
-  "$comment": "catalint --emit json output schema, version 3",
+  "$comment": "catalint --emit json output schema, version 4",
   "type": "object",
   "properties": {
-    "version": { "type": "integer", "const": 3 },
+    "version": { "type": "integer", "const": 4 },
     "passes": {
       "type": "array",
       "items": {
@@ -285,10 +243,9 @@ const JSON_SCHEMA: &str = r#"{
       "properties": {
         "files_scanned": { "type": "integer" },
         "findings": { "type": "integer" },
-        "above_baseline": { "type": "integer" },
         "clean": { "type": "boolean" }
       },
-      "required": ["files_scanned", "findings", "above_baseline", "clean"]
+      "required": ["files_scanned", "findings", "clean"]
     }
   },
   "required": ["version", "passes", "findings", "summary"]
@@ -296,7 +253,7 @@ const JSON_SCHEMA: &str = r#"{
 "#;
 
 fn render_json(outcome: &CheckOutcome) -> String {
-    let mut s = String::from("{\n  \"version\": 3,\n  \"passes\": [");
+    let mut s = String::from("{\n  \"version\": 4,\n  \"passes\": [");
     for (i, p) in ALL_PASSES.iter().enumerate() {
         if i > 0 {
             s.push(',');
@@ -320,20 +277,13 @@ fn render_json(outcome: &CheckOutcome) -> String {
     if !outcome.violations.is_empty() {
         s.push_str("\n  ");
     }
-    let above: u32 = outcome
-        .diff
-        .exceeded
-        .iter()
-        .map(|ex| ex.entry.count.saturating_sub(ex.allowed))
-        .sum();
     let _ = write!(
         s,
         "],\n  \"summary\": {{ \"files_scanned\": {}, \"findings\": {}, \
-         \"above_baseline\": {}, \"clean\": {} }}\n}}\n",
+         \"clean\": {} }}\n}}\n",
         outcome.files_scanned,
         outcome.violations.len(),
-        above,
-        outcome.diff.is_clean()
+        outcome.violations.is_empty()
     );
     s
 }
@@ -536,19 +486,6 @@ fn explain(pass: &str) -> Option<&'static str> {
              or close the raw span on every early-return path; delete or\n\
              wire up unused registry entries.\n"
         }
-        "simarith" => {
-            "simarith — SimNanos arithmetic on boot paths is overflow-safe.\n\n\
-             SimNanos operators panic on overflow in debug builds and wrap\n\
-             in release; a wrapped duration silently corrupts every latency\n\
-             percentile downstream. On paths reachable from the boot and\n\
-             invocation roots, `+`, `-`, `*` (and the compound forms) on\n\
-             values the dataflow layer can see are durations — SimNanos\n\
-             fields/params, bindings from duration-returning calls — must\n\
-             use the saturating_* or checked_* forms.\n\n\
-             Fix: `a.saturating_add(b)` / `saturating_sub` / `saturating_mul`\n\
-             when clamping is the right answer (accumulators, cost models),\n\
-             or the checked_* form when overflow should be an error.\n"
-        }
         "hermetic" => {
             "hermetic — no nondeterminism source reachable from the sim roots.\n\n\
              The determinism pass flags ambient time/entropy per file; this\n\
@@ -584,20 +521,6 @@ fn explain(pass: &str) -> Option<&'static str> {
              Fix: extend class()/key()/subkey() to bind the field, add the\n\
              missing handler arm (an explicit empty arm documents a\n\
              provably-inert class), or delete the dead variant.\n"
-        }
-        "genarena" => {
-            "genarena — generation-checked instance-slab access only.\n\n\
-             Keep-alive expiry, hedge losers, and crash kills all rely on\n\
-             stale `InstanceId`s *missing* when the slot was reused — which\n\
-             only holds if every read outside the arena module goes through\n\
-             the generation-checked `Arena::get(InstanceId)`. Two reads\n\
-             defeat it: `.index()` on a generational id (the raw slot with\n\
-             the generation stripped) and raw `slots[...]` slab indexing.\n\
-             `FnId::index()` is exempt: functions are never removed, so a\n\
-             plain index cannot go stale.\n\n\
-             Fix: pass the `InstanceId` down and resolve it at the point of\n\
-             use with `arena.get(id)` / `get_mut(id)`; treat `None` as the\n\
-             stale-miss it is.\n"
         }
         "hygiene" => {
             "hygiene — public library functions return crate error types.\n\n\

@@ -1,11 +1,12 @@
-//! The thirteen invariant passes.
+//! The eleven invariant passes.
 //!
 //! Each pass is a pattern scan over token trees (see [`crate::lexer`]);
 //! the interprocedural ones additionally consult the approximate call
 //! graph (see [`crate::graph`]). None of them type-check. They are tuned
 //! so that false positives stay rare enough to fix on the spot — the
-//! baseline is empty and must stay empty — while regressions on the
-//! invariants the paper's numbers depend on fail loudly:
+//! workspace carries zero findings and there is no debt file to park one
+//! in — while regressions on the invariants the paper's numbers depend on
+//! fail loudly:
 //!
 //! - **determinism** — simulated time and seeded randomness only. A stray
 //!   `Instant::now()` silently turns reproducible latency figures into
@@ -44,13 +45,9 @@
 //!   `?`/`return` before a matching `end()`, and the `simtime::names`
 //!   registry must balance in both directions (namereg checks literals →
 //!   registry; spanflow checks registry → emission sites).
-//! - **simarith** — unchecked `+`/`-`/`*` on `SimNanos`/duration values
-//!   in functions reachable from the boot/simulate roots must use the
-//!   saturating/checked forms; a latency underflow panics or wraps into
-//!   a 500-year duration, either of which corrupts exported figures.
 //!
 //! The hermeticity-certification passes (PR 10) close the loop on the
-//! determinism contract ahead of the dual-clock refactor (ROADMAP item 2):
+//! determinism contract ahead of the (parked) dual-clock refactor:
 //!
 //! - **hermetic** — taint analysis over the call graph: no nondeterminism
 //!   source (`Instant::now`, `SystemTime`, ambient RNG, `env::var`,
@@ -64,13 +61,13 @@
 //!   every scheduled variant lands in a non-empty arm, and the
 //!   `(time, class, key, subkey)` tie-break binds every payload field so
 //!   insertion order can never leak into pop order.
-//! - **genarena** — generational-arena access discipline: instance-slab
-//!   reads outside the arena module go through the generation-checked
-//!   `Arena::get(InstanceId)`; raw `.index()` reads off a generational id
-//!   and raw `slots` indexing are findings.
+//!
+//! Two invariants need no pass because the compiler enforces them:
+//! `SimNanos` has no `+`/`-`/`*` operators (only `saturating_*`), and
+//! `InstanceId::index()` is private to the arena module. Their
+//! `compile_fail` doctests live on those types.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::rc::Rc;
 
 use crate::config::Config;
 use crate::dataflow::{self, Summaries};
@@ -98,19 +95,15 @@ pub const PASS_HYGIENE: &str = "hygiene";
 pub const PASS_SEAMCOVER: &str = "seamcover";
 /// Pass name: span-guard leak discipline and registry balance.
 pub const PASS_SPANFLOW: &str = "spanflow";
-/// Pass name: checked/saturating `SimNanos` arithmetic on boot paths.
-pub const PASS_SIMARITH: &str = "simarith";
 /// Pass name: no nondeterminism source reachable from the sim roots
 /// outside the declared clock seam.
 pub const PASS_HERMETIC: &str = "hermetic";
 /// Pass name: DES event-protocol conformance (handler coverage, schedule
 /// discipline, total tie-break).
 pub const PASS_EVENTPROTO: &str = "eventproto";
-/// Pass name: generation-checked instance-slab access discipline.
-pub const PASS_GENARENA: &str = "genarena";
 
-/// All pass names, for validating baselines and allow directives.
-pub const ALL_PASSES: [&str; 13] = [
+/// All pass names, in reporting order.
+pub const ALL_PASSES: [&str; 11] = [
     PASS_DETERMINISM,
     PASS_PANIC,
     PASS_HOTPATH,
@@ -120,10 +113,8 @@ pub const ALL_PASSES: [&str; 13] = [
     PASS_HYGIENE,
     PASS_SEAMCOVER,
     PASS_SPANFLOW,
-    PASS_SIMARITH,
     PASS_HERMETIC,
     PASS_EVENTPROTO,
-    PASS_GENARENA,
 ];
 
 /// Severity of a pass's findings, for machine-readable output. `error`
@@ -132,12 +123,12 @@ pub const ALL_PASSES: [&str; 13] = [
 pub fn severity(pass: &str) -> &'static str {
     match pass {
         PASS_DETERMINISM | PASS_PANIC | PASS_HOTPATH | PASS_BORROWCELL | PASS_SEAMCOVER
-        | PASS_SIMARITH | PASS_HERMETIC | PASS_EVENTPROTO | PASS_GENARENA => "error",
+        | PASS_HERMETIC | PASS_EVENTPROTO => "error",
         _ => "warning",
     }
 }
 
-/// One-line description of each pass, for `--emit json` (schema v3) and
+/// One-line description of each pass, for `--emit json` and
 /// the SARIF rule metadata. Kept to a single sentence; `--explain` has
 /// the long form.
 pub fn describe(pass: &str) -> &'static str {
@@ -155,15 +146,11 @@ pub fn describe(pass: &str) -> &'static str {
         PASS_HYGIENE => "Public library functions return crate error types, not Box<dyn Error>.",
         PASS_SEAMCOVER => "Every fault-injection seam is consulted on the boot paths.",
         PASS_SPANFLOW => "Span guards close on every path; the name registry balances both ways.",
-        PASS_SIMARITH => "SimNanos arithmetic on boot-reachable paths is saturating or checked.",
         PASS_HERMETIC => {
             "No nondeterminism source reachable from the sim roots outside the clock seam."
         }
         PASS_EVENTPROTO => {
             "DES event protocol: handler coverage, schedule discipline, total tie-break."
-        }
-        PASS_GENARENA => {
-            "Instance-slab reads go through generation-checked Arena::get, never raw indices."
         }
         _ => "",
     }
@@ -205,7 +192,7 @@ fn is_path_to(toks: &[Tok], i: usize, target: &str) -> bool {
 // ---------------------------------------------------------------------------
 
 /// Flags ambient time and entropy sources outside `simtime`.
-pub(crate) fn determinism(parsed: &[Rc<ParsedFile>], cfg: &Config, out: &mut Vec<Violation>) {
+pub(crate) fn determinism(parsed: &[ParsedFile], cfg: &Config, out: &mut Vec<Violation>) {
     for pf in parsed {
         if cfg.is_determinism_exempt(&pf.path) {
             continue;
@@ -283,7 +270,7 @@ fn prev_blocks_bare_sleep(toks: &[Tok], i: usize) -> bool {
 /// call graph — parse functions whose precise call chains reach a
 /// hard-panicking helper outside the parse set.
 pub(crate) fn panic_freedom(
-    parsed: &[Rc<ParsedFile>],
+    parsed: &[ParsedFile],
     cfg: &Config,
     graph: &CallGraph<'_>,
     out: &mut Vec<Violation>,
@@ -525,7 +512,7 @@ fn is_full_range(inner: &[Tok]) -> bool {
 // ---------------------------------------------------------------------------
 
 /// Flags public library functions returning `Box<dyn …Error…>`.
-pub(crate) fn hygiene(parsed: &[Rc<ParsedFile>], cfg: &Config, out: &mut Vec<Violation>) {
+pub(crate) fn hygiene(parsed: &[ParsedFile], cfg: &Config, out: &mut Vec<Violation>) {
     for pf in parsed {
         if cfg.is_non_library_path(&pf.path) {
             continue;
@@ -1022,7 +1009,7 @@ pub const NAME_PREFIXES: [&str; 25] = [
 ];
 
 /// Flags registry-grammar string literals outside `simtime::names`.
-pub(crate) fn namereg(parsed: &[Rc<ParsedFile>], cfg: &Config, out: &mut Vec<Violation>) {
+pub(crate) fn namereg(parsed: &[ParsedFile], cfg: &Config, out: &mut Vec<Violation>) {
     for pf in parsed {
         if cfg.is_non_library_path(&pf.path) || cfg.is_namereg_exempt(&pf.path) {
             continue;
@@ -1086,7 +1073,7 @@ const ORDERERS: [&str; 6] = [
 /// Flags iteration over `HashMap`/`HashSet` locals, params, and same-file
 /// struct fields, unless the statement reduces order-insensitively or
 /// re-orders (sort / BTree collect).
-pub(crate) fn hashorder(parsed: &[Rc<ParsedFile>], cfg: &Config, out: &mut Vec<Violation>) {
+pub(crate) fn hashorder(parsed: &[ParsedFile], cfg: &Config, out: &mut Vec<Violation>) {
     for pf in parsed {
         if cfg.is_non_library_path(&pf.path) {
             continue;
@@ -1309,7 +1296,7 @@ fn self_field_tracked(stmt: &[Tok], from: usize, tracked: &[String]) -> bool {
 /// (guest-kernel internals doing on-demand work, cost estimators) are out
 /// of scope: they *cannot* consult a seam and are reached behind one.
 pub(crate) fn seamcover(
-    parsed: &[Rc<ParsedFile>],
+    parsed: &[ParsedFile],
     cfg: &Config,
     graph: &CallGraph<'_>,
     sums: &Summaries,
@@ -1452,7 +1439,7 @@ fn collect_injection_variants(toks: &[Tok], file: &str, out: &mut Vec<(String, S
 /// Registry balance: namereg checks that emitted literals are registered;
 /// this direction checks that every public `simtime::names` entry is
 /// emitted (or referenced) somewhere outside the registry file.
-pub(crate) fn spanflow(parsed: &[Rc<ParsedFile>], cfg: &Config, out: &mut Vec<Violation>) {
+pub(crate) fn spanflow(parsed: &[ParsedFile], cfg: &Config, out: &mut Vec<Violation>) {
     for pf in parsed.iter() {
         if cfg.is_non_library_path(&pf.path) || cfg.is_spanflow_exempt(&pf.path) {
             continue;
@@ -1554,7 +1541,7 @@ fn tracer_receiver(toks: &[Tok], dot: usize) -> bool {
 /// Every public const and fn in the registry file must be referenced
 /// somewhere outside it. `use` re-exports are dropped during
 /// segmentation, so a re-export alone does not count as an emission.
-fn registry_balance(parsed: &[Rc<ParsedFile>], cfg: &Config, out: &mut Vec<Violation>) {
+fn registry_balance(parsed: &[ParsedFile], cfg: &Config, out: &mut Vec<Violation>) {
     let Some(reg) = parsed.iter().find(|p| p.path == cfg.registry_file) else {
         return;
     };
@@ -1628,131 +1615,13 @@ fn collect_used_idents<'a>(toks: &'a [Tok], out: &mut BTreeSet<&'a str>) {
 }
 
 // ---------------------------------------------------------------------------
-// simarith
-// ---------------------------------------------------------------------------
-
-/// Unchecked `+`/`-`/`*` (and `+=`/`-=`) on `SimNanos`/duration values in
-/// functions reachable from the boot/simulate roots. The operator impls
-/// panic on overflow in debug builds and wrap in release; on an
-/// accounting path either silently corrupts exported latency figures.
-/// Findings carry the root → sink chain like the other graph passes.
-pub(crate) fn simarith(
-    parsed: &[Rc<ParsedFile>],
-    cfg: &Config,
-    graph: &CallGraph<'_>,
-    sums: &Summaries,
-    out: &mut Vec<Violation>,
-) {
-    let roots: Vec<usize> = cfg
-        .seam_roots
-        .iter()
-        .chain(cfg.sim_roots.iter())
-        .flat_map(|n| graph.by_name(n))
-        .collect();
-    let reach = graph.reach(&roots, |site, _| {
-        !cfg.hot_stops.iter().any(|s| s == &site.bare)
-    });
-
-    // Same-file `SimNanos` struct fields, by path.
-    let mut fields: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
-    for pf in parsed.iter() {
-        let mut set = BTreeSet::new();
-        dataflow::collect_duration_fields(&pf.items.loose, &mut set);
-        fields.insert(pf.path.as_str(), set);
-    }
-    let empty = BTreeSet::new();
-
-    for ix in 0..graph.nodes.len() {
-        if !reach.seen[ix] {
-            continue;
-        }
-        let node = &graph.nodes[ix];
-        if cfg.is_simarith_exempt(&node.file) {
-            continue;
-        }
-        let item = graph.items[ix];
-        let file_fields = fields.get(node.file.as_str()).unwrap_or(&empty);
-        let taint = dataflow::duration_taint(item, file_fields, &sums.duration_fns);
-        let mut sites: BTreeMap<u32, (&'static str, &'static str)> = BTreeMap::new();
-        scan_unchecked_arith(&item.body, &taint, &sums.duration_fns, &mut sites);
-        for (line, (op, fix)) in sites {
-            out.push(Violation {
-                pass: PASS_SIMARITH,
-                file: node.file.clone(),
-                func: node.name.clone(),
-                line,
-                what: format!(
-                    "unchecked `{op}` on a SimNanos/duration value on a boot-reachable path; \
-                     use `{fix}` (or the checked_* form)"
-                ),
-                chain: graph.chain(&reach, ix),
-            });
-        }
-    }
-}
-
-/// Flags binary `+`/`-`/`*` (and compound `+=`/`-=`) where either operand
-/// carries a duration, deduplicated per line.
-fn scan_unchecked_arith(
-    toks: &[Tok],
-    taint: &BTreeSet<String>,
-    duration_fns: &BTreeSet<String>,
-    out: &mut BTreeMap<u32, (&'static str, &'static str)>,
-) {
-    for i in 0..toks.len() {
-        if let Tok::Punct(op @ ('+' | '-' | '*'), line) = &toks[i] {
-            // `->` return-type arrows.
-            if *op == '-' && toks.get(i + 1).is_some_and(|t| t.is_punct('>')) {
-                continue;
-            }
-            if i == 0 {
-                continue;
-            }
-            // Binary operators follow an operand; unary minus/deref/ref
-            // follow another operator or a delimiter and are skipped.
-            let prev_is_operand = match &toks[i - 1] {
-                Tok::Ident(w, _) => !is_keyword(w),
-                Tok::Lit(_) => true,
-                Tok::Group(Delim::Paren | Delim::Bracket, _, _) => true,
-                Tok::Punct('?', _) => true,
-                _ => false,
-            };
-            if !prev_is_operand {
-                continue;
-            }
-            let mut k = i + 1;
-            let compound = toks.get(k).is_some_and(|t| t.is_punct('='));
-            if compound {
-                k += 1;
-            }
-            let tainted = dataflow::left_operand_tainted(toks, i - 1, duration_fns, taint)
-                || dataflow::right_operand_tainted(toks, k, duration_fns, taint);
-            if tainted {
-                let (op_str, fix) = match (*op, compound) {
-                    ('+', false) => ("+", "saturating_add"),
-                    ('+', true) => ("+=", "saturating_add"),
-                    ('-', false) => ("-", "saturating_sub"),
-                    ('-', true) => ("-=", "saturating_sub"),
-                    ('*', _) => ("*", "saturating_mul"),
-                    _ => unreachable!(),
-                };
-                out.entry(*line).or_insert((op_str, fix));
-            }
-        }
-        if let Tok::Group(_, inner, _) = &toks[i] {
-            scan_unchecked_arith(inner, taint, duration_fns, out);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // hermetic
 // ---------------------------------------------------------------------------
 
 /// Nondeterminism-source taint from the simulation roots.
 ///
 /// The determinism pass flags ambient time/entropy *everywhere*; this pass
-/// proves the stronger property the dual-clock refactor (ROADMAP item 2)
+/// proves the stronger property the (parked) dual-clock refactor
 /// needs: nothing *reachable from the simulation and boot roots* reads a
 /// wall clock, ambient entropy, the environment, the OS scheduler, or a
 /// child process. Reachability follows both edge kinds (missing a source
@@ -1890,7 +1759,7 @@ struct EventVariant {
 /// some schedule site and handled non-emptily in at least one loop;
 /// anything else is protocol surface that exists only on paper.
 pub(crate) fn eventproto(
-    parsed: &[Rc<ParsedFile>],
+    parsed: &[ParsedFile],
     cfg: &Config,
     graph: &CallGraph<'_>,
     out: &mut Vec<Violation>,
@@ -2318,230 +2187,5 @@ fn collect_variant_mentions(toks: &[Tok], enum_name: &str, sink: &mut impl FnMut
         if let Tok::Group(_, inner, _) = &toks[i] {
             collect_variant_mentions(inner, enum_name, sink);
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// genarena
-// ---------------------------------------------------------------------------
-
-/// Generational-arena access discipline outside the arena module.
-///
-/// The lazy-stale-miss pattern (PR 7–9: keep-alive expiries, hedge
-/// losers, crash kills) only works because every instance-slab read goes
-/// through the generation-checked `Arena::get(InstanceId)`: a stale id
-/// must *miss*, not alias whoever reused the slot. Two reads defeat that:
-///
-/// - `.index()` on a generational id — the raw slot number with the
-///   generation stripped. Receivers are tracked from `: InstanceId`
-///   ascriptions in signatures and `let` statements, plus the `Event`
-///   payload fields declared with an `InstanceId` type (match bindings).
-/// - raw indexing of a `slots` slab field (`arena.slots[i]`) — bypassing
-///   the generation check entirely.
-///
-/// `FnId::index()` is exempt by construction: functions are never
-/// removed, so a plain index cannot go stale — and only names the
-/// tracker can see carry `InstanceId`.
-pub(crate) fn genarena(parsed: &[Rc<ParsedFile>], cfg: &Config, out: &mut Vec<Violation>) {
-    // Event payload field names declared with an InstanceId type: a match
-    // arm binding one of these holds a generational id under the field's
-    // name (`instance`), invisible to ascription tracking.
-    let mut id_fields: Vec<String> = Vec::new();
-    if let Some(events) = parsed.iter().find(|p| p.path == cfg.events_file) {
-        let mut typed = BTreeSet::new();
-        collect_instance_typed_fields(&events.items.loose, &cfg.event_enum, &mut typed);
-        id_fields.extend(typed);
-    }
-
-    for pf in parsed {
-        if cfg.is_non_library_path(&pf.path) || pf.path == cfg.arena_file {
-            continue;
-        }
-        for f in &pf.items.fns {
-            let mut tracked: Vec<String> = id_fields.clone();
-            if let Some(Tok::Group(Delim::Paren, params, _)) = f.sig.first() {
-                collect_instance_params(params, &mut tracked);
-            }
-            scan_genarena(&f.body, &mut tracked, &pf.path, &f.name, out);
-        }
-    }
-}
-
-/// `name: …InstanceId…` declarations up to the next `,` at this level.
-fn collect_instance_params(toks: &[Tok], out: &mut Vec<String>) {
-    let mut i = 0usize;
-    while i < toks.len() {
-        if let (Some(Tok::Ident(name, _)), Some(t)) = (toks.get(i), toks.get(i + 1)) {
-            if t.is_punct(':') && !is_keyword(name) {
-                let end = toks[i + 2..]
-                    .iter()
-                    .position(|t| t.is_punct(','))
-                    .map_or(toks.len(), |p| i + 2 + p);
-                if toks[i + 2..end]
-                    .iter()
-                    .any(|t| matches!(t.ident(), Some("InstanceId")))
-                {
-                    out.push(name.clone());
-                }
-                i = end + 1;
-                continue;
-            }
-        }
-        i += 1;
-    }
-}
-
-/// Field names of the event enum's variants whose declared type mentions
-/// `InstanceId`.
-fn collect_instance_typed_fields(toks: &[Tok], enum_name: &str, out: &mut BTreeSet<String>) {
-    for i in 0..toks.len() {
-        if toks[i].ident() == Some("enum")
-            && matches!(toks.get(i + 1), Some(Tok::Ident(w, _)) if w == enum_name)
-        {
-            if let Some(Tok::Group(Delim::Brace, inner, _)) = toks
-                .iter()
-                .skip(i + 2)
-                .find(|t| matches!(t, Tok::Group(Delim::Brace, _, _)))
-            {
-                for t in inner {
-                    if let Tok::Group(Delim::Brace, body, _) = t {
-                        let mut j = 0usize;
-                        while j < body.len() {
-                            if let (Some(Tok::Ident(name, _)), Some(c)) =
-                                (body.get(j), body.get(j + 1))
-                            {
-                                if c.is_punct(':') {
-                                    let end = body[j + 2..]
-                                        .iter()
-                                        .position(|t| t.is_punct(','))
-                                        .map_or(body.len(), |p| j + 2 + p);
-                                    if body[j + 2..end]
-                                        .iter()
-                                        .any(|t| matches!(t.ident(), Some("InstanceId")))
-                                    {
-                                        out.insert(name.clone());
-                                    }
-                                    j = end + 1;
-                                    continue;
-                                }
-                            }
-                            j += 1;
-                        }
-                    }
-                }
-            }
-        }
-        if let Tok::Group(_, inner, _) = &toks[i] {
-            collect_instance_typed_fields(inner, enum_name, out);
-        }
-    }
-}
-
-fn scan_genarena(
-    toks: &[Tok],
-    tracked: &mut Vec<String>,
-    file: &str,
-    func: &str,
-    out: &mut Vec<Violation>,
-) {
-    let mut i = 0usize;
-    while i < toks.len() {
-        let stmt_end = toks[i..]
-            .iter()
-            .position(|t| t.is_punct(';'))
-            .map_or(toks.len(), |p| i + p);
-        let stmt = &toks[i..stmt_end];
-
-        // `let [mut] name = …InstanceId…` bindings join the tracked set.
-        if stmt.first().and_then(Tok::ident) == Some("let") {
-            let mut j = 1;
-            if stmt.get(j).and_then(Tok::ident) == Some("mut") {
-                j += 1;
-            }
-            if let Some(Tok::Ident(name, _)) = stmt.get(j) {
-                if stmt.iter().any(|t| flat_has(t, &["InstanceId"][..])) {
-                    tracked.push(name.clone());
-                }
-            }
-        }
-
-        for k in 0..stmt.len() {
-            match &stmt[k] {
-                // `id.index()` on a tracked generational id, including
-                // through transparent `.unwrap()`/`.expect(…)` hops.
-                Tok::Ident(w, line)
-                    if w == "index"
-                        && k > 0
-                        && stmt[k - 1].is_punct('.')
-                        && next_is_paren(stmt, k) =>
-                {
-                    let Some(dot) = genarena_receiver_dot(stmt, k - 1, tracked) else {
-                        continue;
-                    };
-                    push(
-                        out,
-                        PASS_GENARENA,
-                        file,
-                        func,
-                        *line,
-                        format!(
-                            "raw `.index()` read off a generational id `{}`; the generation is \
-                             stripped, so a stale id aliases whoever reused the slot — go \
-                             through the generation-checked `Arena::get(InstanceId)`",
-                            render_chain(&stmt[chain_start(stmt, dot)..dot]),
-                        ),
-                    );
-                }
-                // `…​.slots[i]` — raw slab-field indexing.
-                Tok::Ident(w, line)
-                    if w == "slots"
-                        && k > 0
-                        && stmt[k - 1].is_punct('.')
-                        && matches!(stmt.get(k + 1), Some(Tok::Group(Delim::Bracket, _, _))) =>
-                {
-                    push(
-                        out,
-                        PASS_GENARENA,
-                        file,
-                        func,
-                        *line,
-                        "raw `slots[…]` slab indexing outside the arena module bypasses the \
-                         generation check; use `Arena::get(InstanceId)`"
-                            .to_string(),
-                    );
-                }
-                _ => {}
-            }
-        }
-
-        for t in stmt {
-            if let Tok::Group(_, inner, _) = t {
-                scan_genarena(inner, tracked, file, func, out);
-            }
-        }
-        i = stmt_end.saturating_add(1);
-    }
-}
-
-/// Resolves the receiver of a `.index()` call back to a tracked
-/// generational id, stepping through transparent `.unwrap()`/`.expect(…)`
-/// hops — `instance.unwrap().index()` reads the same id as
-/// `instance.index()`. Returns the dot whose left side is the tracked
-/// chain, so the caller can render it.
-fn genarena_receiver_dot(stmt: &[Tok], mut dot: usize, tracked: &[String]) -> Option<usize> {
-    loop {
-        if receiver_is_tracked(stmt, dot, tracked) {
-            return Some(dot);
-        }
-        // `… . unwrap ( ) .` — step to the dot before the hop.
-        if dot >= 3
-            && matches!(stmt.get(dot - 1), Some(Tok::Group(Delim::Paren, _, _)))
-            && matches!(stmt[dot - 2].ident(), Some("unwrap" | "expect"))
-            && stmt[dot - 3].is_punct('.')
-        {
-            dot -= 3;
-            continue;
-        }
-        return None;
     }
 }

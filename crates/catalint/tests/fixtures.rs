@@ -1,13 +1,13 @@
 //! End-to-end checks against planted violations: the checker must catch a
 //! wall-clock read anywhere and a panic site inside a parse module, and the
-//! `catalint` binary must exit non-zero when findings exceed the baseline.
+//! `catalint` binary must exit non-zero on any finding.
 
 use std::process::Command;
 
 use catalint::config::Config;
 use catalint::passes::{
-    PASS_DETERMINISM, PASS_EVENTPROTO, PASS_GENARENA, PASS_HERMETIC, PASS_HOTPATH, PASS_HYGIENE,
-    PASS_PANIC, PASS_SEAMCOVER, PASS_SIMARITH, PASS_SPANFLOW,
+    PASS_DETERMINISM, PASS_EVENTPROTO, PASS_HERMETIC, PASS_HOTPATH, PASS_HYGIENE, PASS_PANIC,
+    PASS_SEAMCOVER, PASS_SPANFLOW,
 };
 use catalint::{analyze, SrcFile};
 
@@ -214,7 +214,7 @@ fn binary_exits_zero_on_clean_tree_and_nonzero_on_violation() {
     );
 
     // Plant a violation in a scratch copy of the workspace layout: a parse
-    // module with an unwrap, plus the real baseline.
+    // module with an unwrap.
     let scratch = std::env::temp_dir().join(format!("catalint-fixture-{}", std::process::id()));
     let parse_dir = scratch.join("crates/imagefmt/src");
     std::fs::create_dir_all(&parse_dir).expect("mkdir");
@@ -411,68 +411,22 @@ fn unreferenced_registry_entry_is_caught() {
 }
 
 #[test]
-fn unchecked_duration_arithmetic_is_caught_and_saturating_is_clean() {
-    let v = run(
-        "crates/core/src/scratch_acct.rs",
-        "pub fn restore_boot(spent: SimNanos, extra: SimNanos) -> SimNanos {\n    \
-         spent + extra\n}\n",
-    );
-    assert!(
-        v.iter().any(|v| v.pass == PASS_SIMARITH
-            && v.func == "restore_boot"
-            && v.what.contains("saturating_add")),
-        "expected an unchecked-add finding, got: {v:?}"
-    );
-
-    let v = run(
-        "crates/core/src/scratch_acct.rs",
-        "pub fn restore_boot(spent: SimNanos, extra: SimNanos) -> SimNanos {\n    \
-         spent.saturating_add(extra)\n}\n",
-    );
-    assert!(
-        v.iter().all(|v| v.pass != PASS_SIMARITH),
-        "the saturating form is the fix, got: {v:?}"
-    );
-}
-
-#[test]
-fn integer_arithmetic_off_the_duration_flow_is_clean() {
-    // Plain counters next to duration code must not be flagged: `.len()`
-    // of a Vec<SimNanos> field is a count, and u64 offsets stay u64.
-    let v = run(
-        "crates/platform/src/scratch_adm.rs",
-        r#"
-pub struct State {
-    completions: Vec<SimNanos>,
-}
-pub fn run_closed(state: &State, limit: usize) -> usize {
-    let in_flight = state.completions.len();
-    let waiting = in_flight - limit + 1;
-    waiting
-}
-"#,
-    );
-    assert!(
-        v.iter().all(|v| v.pass != PASS_SIMARITH),
-        "counter arithmetic is not duration arithmetic, got: {v:?}"
-    );
-}
-
-#[test]
 fn finding_order_is_deterministic_and_sorted() {
     // Satellite: the JSON consumers (CI artifacts, the schema gate) rely
     // on findings arriving sorted by (file, line, pass) regardless of
     // input order. Feed files in reverse order and mix passes per file.
+    // (`run_closed` is a sim root: each ambient read is both a determinism
+    // and a hermetic finding on one line; `restore_boot` is a hot root.)
     let files = [
         (
             "crates/platform/src/scratch_z.rs",
-            "pub fn run_closed(spent: SimNanos, extra: SimNanos) -> SimNanos {\n    \
-             let x = spent + extra;\n    let y = spent - extra;\n    x\n}\n",
+            "pub fn run_closed() {\n    \
+             let _t0 = std::time::Instant::now();\n    \
+             std::thread::sleep(std::time::Duration::from_millis(1));\n}\n",
         ),
         (
             "crates/core/src/scratch_a.rs",
-            "pub fn restore_boot(spent: SimNanos, extra: SimNanos) -> SimNanos {\n    \
-             spent * 2 + extra\n}\n",
+            "pub fn restore_boot(data: &[u8]) -> Vec<u8> {\n    data.to_vec()\n}\n",
         ),
     ];
     let mut reversed = files;
@@ -739,96 +693,5 @@ fn ghost_variant_is_caught() {
             && v.what.contains("Phantom")
             && v.what.contains("handler arm in no run loop")),
         "expected a handled-nowhere ghost finding, got: {v:?}"
-    );
-}
-
-#[test]
-fn raw_index_read_off_a_generational_id_is_caught() {
-    let v = run_files(&[
-        (EVENTS_PATH, EVENTS_OK),
-        (
-            "crates/platform/src/simulate/scratch_fleet.rs",
-            r#"
-pub fn complete(&mut self, instance: InstanceId) {
-    let slot = instance.index();
-    self.touch(slot);
-}
-"#,
-        ),
-    ]);
-    assert!(
-        v.iter().any(|v| v.pass == PASS_GENARENA
-            && v.func == "complete"
-            && v.what.contains(".index()")
-            && v.what.contains("instance")),
-        "expected a raw-index finding on the InstanceId param, got: {v:?}"
-    );
-}
-
-#[test]
-fn event_payload_binding_is_tracked_into_the_arm() {
-    // `instance` is declared `Option<InstanceId>` in the events file; a
-    // match arm binding it by field name holds a generational id even
-    // with no ascription in sight.
-    let v = run_files(&[
-        (EVENTS_PATH, EVENTS_OK),
-        (
-            "crates/platform/src/simulate/scratch_fleet.rs",
-            r#"
-pub fn drain(&mut self) {
-    match ev {
-        Event::Done { request, instance } => {
-            let raw = instance.unwrap().index();
-            self.touch(request, raw);
-        }
-    }
-}
-"#,
-        ),
-    ]);
-    assert!(
-        v.iter()
-            .any(|v| v.pass == PASS_GENARENA && v.func == "drain"),
-        "expected a raw-index finding on the bound payload field, got: {v:?}"
-    );
-}
-
-#[test]
-fn raw_slots_indexing_is_caught_and_arena_is_exempt() {
-    let body = r#"
-pub fn peek(&self) -> u64 {
-    let hot = self.arena.slots[3];
-    hot.request
-}
-"#;
-    let outside = run("crates/platform/src/simulate/scratch_fleet.rs", body);
-    assert!(
-        outside
-            .iter()
-            .any(|v| v.pass == PASS_GENARENA && v.what.contains("slots")),
-        "expected a raw-slots finding outside the arena, got: {outside:?}"
-    );
-    let inside = run("crates/platform/src/simulate/arena.rs", body);
-    assert!(
-        inside.iter().all(|v| v.pass != PASS_GENARENA),
-        "arena.rs owns the slab and indexes it freely, got: {inside:?}"
-    );
-}
-
-#[test]
-fn untracked_receiver_index_is_not_a_genarena_finding() {
-    // `.index()` on something that never flowed from an InstanceId is
-    // someone else's method; flagging it would make the pass unusable.
-    let v = run(
-        "crates/platform/src/simulate/scratch_fleet.rs",
-        r#"
-pub fn column(&self) -> usize {
-    self.header.index()
-}
-"#,
-    );
-    assert!(
-        v.iter().all(|v| v.pass != PASS_GENARENA),
-        "untracked receivers are out of scope, got: {v:?}"
     );
 }

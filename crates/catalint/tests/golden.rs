@@ -196,27 +196,6 @@ fn golden_spanflow_guard_leak() {
 }
 
 #[test]
-fn golden_simarith_interprocedural_chain() {
-    // The unchecked add sits in a helper; the finding lands there and
-    // carries the boot-root chain.
-    let got = render(&[(
-        "crates/core/src/scratch_acct.rs",
-        "pub fn restore_boot(spent: SimNanos, extra: SimNanos) -> SimNanos {\n    \
-         tally(spent, extra)\n}\n\
-         fn tally(spent: SimNanos, extra: SimNanos) -> SimNanos {\n    \
-         spent + extra\n}\n",
-    )]);
-    assert_eq!(
-        got,
-        [
-            "crates/core/src/scratch_acct.rs:5 [simarith] restore_boot → tally: unchecked `+` \
-          on a SimNanos/duration value on a boot-reachable path; use `saturating_add` (or \
-          the checked_* form)"
-        ]
-    );
-}
-
-#[test]
 fn golden_hermetic_chain() {
     // The wall clock read in the helper produces two findings at the same
     // site: the flat determinism one, and the hermetic one carrying the
@@ -288,26 +267,6 @@ fn golden_eventproto_tie_break_blind_spot() {
           tie-break blind spot: `Event::Done` field `instance` is bound by none of the \
           tie-break keys (class/key/subkey); two events differing only in `instance` \
           compare equal and pop in insertion order"
-        ]
-    );
-}
-
-#[test]
-fn golden_genarena_raw_index() {
-    let got = render(&[(
-        "crates/platform/src/simulate/scratch_fleet.rs",
-        "pub fn complete(&mut self, instance: InstanceId) {\n    \
-             let slot = instance.index();\n    \
-             self.touch(slot);\n\
-         }\n",
-    )]);
-    assert_eq!(
-        got,
-        [
-            "crates/platform/src/simulate/scratch_fleet.rs:2 [genarena] fn complete: \
-          raw `.index()` read off a generational id `instance`; the generation is \
-          stripped, so a stale id aliases whoever reused the slot — go through the \
-          generation-checked `Arena::get(InstanceId)`"
         ]
     );
 }

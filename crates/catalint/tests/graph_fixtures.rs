@@ -2,8 +2,6 @@
 //! shadowing, method-call resolution, cross-crate edges and their
 //! confidence grades, and chain reconstruction.
 
-use std::rc::Rc;
-
 use catalint::graph::{CallGraph, EdgeKind};
 use catalint::lexer::lex;
 use catalint::segment::segment;
@@ -18,8 +16,8 @@ fn parse(path: &str, src: &str) -> ParsedFile {
     }
 }
 
-fn build(files: &[(&str, &str)]) -> Vec<Rc<ParsedFile>> {
-    files.iter().map(|(p, s)| Rc::new(parse(p, s))).collect()
+fn build(files: &[(&str, &str)]) -> Vec<ParsedFile> {
+    files.iter().map(|(p, s)| parse(p, s)).collect()
 }
 
 /// Node index of the only function named `name` in `file`.

@@ -483,7 +483,10 @@ mod tests {
 
         assert!(warm_ctx.now() < cold_ctx.now());
         // Paper: restore ≈ zygote + ~30 ms.
-        let gap = (cold_ctx.now() - warm_ctx.now()).as_millis_f64();
+        let gap = cold_ctx
+            .now()
+            .saturating_sub(warm_ctx.now())
+            .as_millis_f64();
         assert!((15.0..45.0).contains(&gap), "cold-warm gap {gap} ms");
     }
 

@@ -32,7 +32,12 @@ impl Zygote {
     ) -> Result<Zygote, SandboxError> {
         let base = OciConfig::for_function("zygote-base", 1).to_json();
         OciConfig::parse(&base, clock, model)?;
-        clock.charge(model.host.process_spawn + model.host.gofer_spawn);
+        clock.charge(
+            model
+                .host
+                .process_spawn
+                .saturating_add(model.host.gofer_spawn),
+        );
         let mut kvm = KvmDevice::create(tweaks, clock, model);
         kvm.create_vcpu(clock, model);
         kvm.kvcalloc(clock, model);

@@ -602,7 +602,7 @@ mod tests {
         assert!(restored.vfs.iter_fds().all(|(_, d)| d.connected));
         assert!(fs.opens_served() > 0);
         assert!(
-            eager_clock.now() > lazy_clock.now() + SimNanos::from_micros(100),
+            eager_clock.now() > lazy_clock.now().saturating_add(SimNanos::from_micros(100)),
             "eager {} vs lazy {}",
             eager_clock.now(),
             lazy_clock.now()

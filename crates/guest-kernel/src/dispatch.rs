@@ -191,7 +191,7 @@ impl GuestKernel {
                 .shutdown(sock, clock, model)
                 .map(|()| SyscallRet::Unit),
             SyscallInvocation::Nanosleep { duration } => {
-                clock.charge(model.host.syscall_base + duration);
+                clock.charge(model.host.syscall_base.saturating_add(duration));
                 Ok(SyscallRet::Unit)
             }
             SyscallInvocation::Setsid { pid } => {
@@ -332,7 +332,7 @@ mod tests {
             &model,
         )
         .unwrap();
-        assert!(clock.now() >= before + SimNanos::from_millis(5));
+        assert!(clock.now() >= before.saturating_add(SimNanos::from_millis(5)));
         let sid = k
             .syscall(SyscallInvocation::Setsid { pid: 1 }, &clock, &model)
             .unwrap();

@@ -138,7 +138,7 @@ impl FsServer {
             clock.charge(model.io.gofer_rpc);
             return Err(KernelError::NoEntry { path: path.into() });
         }
-        clock.charge(model.io.gofer_rpc + model.io.open_file);
+        clock.charge(model.io.gofer_rpc.saturating_add(model.io.open_file));
         self.opens.fetch_add(1, Ordering::Relaxed);
         Ok(GoferFd {
             id: self.next_fd.fetch_add(1, Ordering::Relaxed),
@@ -167,7 +167,7 @@ impl FsServer {
         if !self.persistent.contains(path) {
             return Err(KernelError::ReadOnly { fd: -1 });
         }
-        clock.charge(model.io.gofer_rpc + model.io.open_file);
+        clock.charge(model.io.gofer_rpc.saturating_add(model.io.open_file));
         self.opens.fetch_add(1, Ordering::Relaxed);
         Ok(GoferFd {
             id: self.next_fd.fetch_add(1, Ordering::Relaxed),

@@ -131,7 +131,12 @@ impl SocketTable {
         clock: &SimClock,
         model: &CostModel,
     ) -> Result<(), KernelError> {
-        clock.charge(model.host.syscall_base + model.io.reconnect_socket);
+        clock.charge(
+            model
+                .host
+                .syscall_base
+                .saturating_add(model.io.reconnect_socket),
+        );
         let sock = self.get_mut(id)?;
         if sock.state != SockState::Created {
             return Err(KernelError::BadSocketState { sock: id });
@@ -221,7 +226,7 @@ impl SocketTable {
         clock: &SimClock,
         model: &CostModel,
     ) -> Result<(), KernelError> {
-        clock.charge(model.host.syscall_base + model.io.close_fd);
+        clock.charge(model.host.syscall_base.saturating_add(model.io.close_fd));
         let slot = self
             .socks
             .get_mut(id as usize)

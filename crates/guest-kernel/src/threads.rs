@@ -169,7 +169,10 @@ impl SentryThreads {
         debug_assert_eq!(m0.category, ThreadCategory::Scheduling);
         let merged: Vec<SentryThread> = self.live.drain(1..).collect();
         clock.charge(
-            (model.host.thread_ctx_save + model.host.thread_join)
+            model
+                .host
+                .thread_ctx_save
+                .saturating_add(model.host.thread_join)
                 .saturating_mul(merged.len() as u64),
         );
         self.saved = merged;
@@ -191,7 +194,10 @@ impl SentryThreads {
             });
         }
         clock.charge(
-            (model.host.thread_spawn + model.host.thread_ctx_restore)
+            model
+                .host
+                .thread_spawn
+                .saturating_add(model.host.thread_ctx_restore)
                 .saturating_mul(self.saved.len() as u64),
         );
         self.live.append(&mut self.saved);

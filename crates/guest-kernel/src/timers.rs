@@ -62,7 +62,7 @@ impl TimerTable {
                     if t.period.is_zero() {
                         *slot = None;
                     } else {
-                        t.deadline = now + t.period;
+                        t.deadline = now.saturating_add(t.period);
                     }
                 }
             }

@@ -349,7 +349,12 @@ impl Vfs {
                 clock.charge(model.memcpy(data.len() as u64));
             }
             Backend::Persistent(_) => {
-                clock.charge(model.io.gofer_rpc + model.memcpy(data.len() as u64));
+                clock.charge(
+                    model
+                        .io
+                        .gofer_rpc
+                        .saturating_add(model.memcpy(data.len() as u64)),
+                );
             }
             Backend::Gofer(_) => return Err(KernelError::ReadOnly { fd }),
         }
@@ -370,7 +375,7 @@ impl Vfs {
         clock: &SimClock,
         model: &CostModel,
     ) -> Result<i32, KernelError> {
-        clock.charge(model.host.syscall_base + model.io.dup_fast);
+        clock.charge(model.host.syscall_base.saturating_add(model.io.dup_fast));
         let desc = self.desc(fd)?.clone();
         self.alloc_fd(desc)
     }
@@ -386,7 +391,7 @@ impl Vfs {
         clock: &SimClock,
         model: &CostModel,
     ) -> Result<(), KernelError> {
-        clock.charge(model.host.syscall_base + model.io.close_fd);
+        clock.charge(model.host.syscall_base.saturating_add(model.io.close_fd));
         let slot = self
             .fds
             .get_mut(fd as usize)

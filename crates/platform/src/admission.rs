@@ -632,7 +632,7 @@ mod tests {
             assert_eq!(a.start, ms(i));
             assert_eq!(a.queued, SimNanos::ZERO);
             assert_eq!(a.deadline, None);
-            ctrl.complete("f", ms(i) + ms(100), HealthSignal::Healthy);
+            ctrl.complete("f", ms(i + 100), HealthSignal::Healthy);
         }
         assert_eq!(ctrl.log().len(), 10);
         assert_eq!(ctrl.breaker_opens(), 0);
@@ -775,7 +775,7 @@ mod tests {
         let mut ctrl = AdmissionController::new(AdmissionPolicy::standard(4, ms(50)));
         for i in 0..2u64 {
             ctrl.admit("f", ms(i)).unwrap();
-            ctrl.complete("f", ms(i) + ms(1), HealthSignal::Failed);
+            ctrl.complete("f", ms(i + 1), HealthSignal::Failed);
         }
         assert_eq!(ctrl.breaker_state("f"), Some(BreakerState::Open));
         match ctrl.admit("f", ms(5)) {

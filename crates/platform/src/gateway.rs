@@ -67,7 +67,7 @@ pub struct InvocationReport {
 impl InvocationReport {
     /// Total user-visible latency.
     pub fn total(self) -> SimNanos {
-        self.boot + self.exec
+        self.boot.saturating_add(self.exec)
     }
 
     /// Fig. 1's x-axis: execution latency as a fraction of overall latency.
@@ -102,7 +102,7 @@ pub struct Invocation {
 impl Invocation {
     /// End-to-end user-visible latency: queue wait + boot + execution.
     pub fn end_to_end(&self) -> SimNanos {
-        self.queued + self.report.total()
+        self.queued.saturating_add(self.report.total())
     }
 }
 
@@ -422,6 +422,16 @@ mod tests {
             gw.warm("ghost").unwrap_err(),
             PlatformError::UnknownFunction { .. }
         ));
+    }
+
+    #[test]
+    fn report_totals_saturate_at_the_boundary() {
+        let report = InvocationReport {
+            boot: SimNanos::MAX,
+            exec: SimNanos::from_nanos(1),
+        };
+        assert_eq!(report.total(), SimNanos::MAX);
+        assert!(report.execution_ratio() < 1e-9);
     }
 
     #[test]

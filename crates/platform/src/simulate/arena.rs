@@ -27,6 +27,31 @@ impl FnId {
 }
 
 /// Generational handle to one instance slot in an [`Arena`].
+///
+/// The slot index and generation are private to this module: outside it a
+/// handle can only be resolved through the arena, which checks the
+/// generation, so a stale handle misses instead of aliasing the slot's new
+/// tenant.
+///
+/// ```
+/// use platform::simulate::Arena;
+///
+/// let mut arena = Arena::new();
+/// let id = arena.insert("a");
+/// assert_eq!(arena.get(id), Some(&"a"));
+/// arena.remove(id);
+/// assert_eq!(arena.get(id), None);
+/// ```
+///
+/// Indexing a side table by the raw slot does not compile:
+///
+/// ```compile_fail,E0624
+/// use platform::simulate::Arena;
+///
+/// let mut arena = Arena::new();
+/// let id = arena.insert("a");
+/// let _ = id.index(); // private to `simulate::arena`
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InstanceId {
     index: u32,
@@ -34,14 +59,8 @@ pub struct InstanceId {
 }
 
 impl InstanceId {
-    /// Slot index (for dense side tables).
-    pub fn index(self) -> usize {
+    fn index(self) -> usize {
         self.index as usize
-    }
-
-    /// The slot generation this handle was minted against.
-    pub fn generation(self) -> u32 {
-        self.generation
     }
 
     /// A stable 64-bit key, used by the event queue's deterministic
@@ -222,7 +241,7 @@ mod tests {
         let b = arena.insert(2u32);
         // LIFO free list: b reuses a's slot, but under a new generation.
         assert_eq!(a.index(), b.index());
-        assert_ne!(a.generation(), b.generation());
+        assert_ne!(a.generation, b.generation);
         assert!(!arena.contains(a), "stale id must miss");
         assert_eq!(arena.get(b), Some(&2));
         assert_eq!(arena.remove(a), None, "double-free through stale id");

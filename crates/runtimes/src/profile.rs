@@ -254,7 +254,8 @@ impl AppProfile {
     /// Total application-initialization latency (runtime start + unit loads),
     /// excluding the real page faults and syscalls charged during init.
     pub fn app_init_estimate(&self) -> SimNanos {
-        self.runtime_start + self.unit_cost.saturating_mul(u64::from(self.load_units))
+        self.runtime_start
+            .saturating_add(self.unit_cost.saturating_mul(u64::from(self.load_units)))
     }
 
     /// The guest heap range this application initializes.

@@ -108,7 +108,7 @@ mod tests {
         OciConfig::parse(&OciConfig::for_function("f", 1).to_json(), &small, &model).unwrap();
         let big = SimClock::new();
         OciConfig::parse(&OciConfig::for_function("f", 64).to_json(), &big, &model).unwrap();
-        assert!(big.now() > small.now() + SimNanos::from_micros(100));
+        assert!(big.now() > small.now().saturating_add(SimNanos::from_micros(100)));
     }
 
     #[test]

@@ -221,7 +221,12 @@ mod tests {
         );
         // Paper: ~1.6 ms total over the boot's kvcalloc invocations.
         let total: SimNanos = (0..6)
-            .map(|i| model.kvm.kvcalloc_base + model.kvm.kvcalloc_growth.saturating_mul(i))
+            .map(|i| {
+                model
+                    .kvm
+                    .kvcalloc_base
+                    .saturating_add(model.kvm.kvcalloc_growth.saturating_mul(i))
+            })
             .sum();
         assert!((1.0..2.2).contains(&total.as_millis_f64()), "{total}");
     }

@@ -87,7 +87,7 @@ proptest! {
             let a = pml.set_memory_region(&clock, &model);
             let b = nopml.set_memory_region(&clock, &model);
             prop_assert!(a >= b);
-            let gap = a - b;
+            let gap = a.saturating_sub(b);
             if i > 0 {
                 prop_assert!(gap >= last_gap);
             }

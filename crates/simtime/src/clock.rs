@@ -85,7 +85,7 @@ impl SimClock {
             earlier <= now,
             "SimClock::since called with a future instant ({earlier} > {now})"
         );
-        now - earlier
+        now.saturating_sub(earlier)
     }
 
     /// Runs `f` and returns both its result and the virtual time it charged.
@@ -175,5 +175,7 @@ mod tests {
         let clock = SimClock::starting_at(SimNanos::MAX);
         clock.charge(SimNanos::from_nanos(1));
         assert_eq!(clock.now(), SimNanos::MAX);
+        assert_eq!(clock.since(SimNanos::MAX), SimNanos::ZERO);
+        assert_eq!(clock.since(SimNanos::ZERO), SimNanos::MAX);
     }
 }

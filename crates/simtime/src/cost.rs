@@ -350,19 +350,25 @@ impl CostModel {
 
     /// Storage cost helper: one sequential read of `bytes` (seek + transfer).
     pub fn disk_read(&self, bytes: u64) -> SimNanos {
-        self.mem.disk_seek
-            + SimNanos::from_nanos((bytes as f64 * self.mem.disk_read_per_byte_ns).round() as u64)
+        self.mem.disk_seek.saturating_add(SimNanos::from_nanos(
+            (bytes as f64 * self.mem.disk_read_per_byte_ns).round() as u64,
+        ))
     }
 
     /// `mmap` cost helper for a region of `bytes`.
     pub fn mmap_region(&self, bytes: u64) -> SimNanos {
         let mib = bytes.div_ceil(1 << 20);
-        self.mem.mmap_call + self.mem.mmap_per_mib.saturating_mul(mib)
+        self.mem
+            .mmap_call
+            .saturating_add(self.mem.mmap_per_mib.saturating_mul(mib))
     }
 
     /// Copy-on-write fault cost: trap handling plus copying one page.
     pub fn cow_fault(&self, page_size: u64) -> SimNanos {
-        self.mem.page_fault + self.kvm.ept_violation + self.memcpy(page_size)
+        self.mem
+            .page_fault
+            .saturating_add(self.kvm.ept_violation)
+            .saturating_add(self.memcpy(page_size))
     }
 }
 
@@ -411,10 +417,11 @@ mod tests {
         let uncompressed: u64 = 200 << 20;
         let pages = uncompressed / 4096;
         let compressed = (uncompressed as f64 * m.mem.assumed_image_compression) as u64;
-        let total = m.disk_read(compressed)
-            + m.decompress(uncompressed)
-            + m.memcpy(uncompressed)
-            + m.mem.page_fault.saturating_mul(pages);
+        let total = m
+            .disk_read(compressed)
+            .saturating_add(m.decompress(uncompressed))
+            .saturating_add(m.memcpy(uncompressed))
+            .saturating_add(m.mem.page_fault.saturating_mul(pages));
         let ms = total.as_millis_f64();
         assert!((230.0..290.0).contains(&ms), "got {ms} ms");
     }
@@ -424,7 +431,10 @@ mod tests {
         // Paper Fig. 2: "Recover Kernel" is 56.723 ms for 37 838 objects —
         // one-by-one decoding plus non-I/O state re-establishment.
         let m = CostModel::experimental_machine();
-        let per_obj = m.obj.decode_per_object + m.obj.recover_per_object_non_io;
+        let per_obj = m
+            .obj
+            .decode_per_object
+            .saturating_add(m.obj.recover_per_object_non_io);
         let ms = per_obj.saturating_mul(37_838).as_millis_f64();
         assert!((50.0..62.0).contains(&ms), "got {ms} ms");
     }

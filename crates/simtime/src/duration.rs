@@ -1,6 +1,6 @@
 use std::fmt;
 use std::iter::Sum;
-use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
+use std::ops::Div;
 
 use serde::{Deserialize, Serialize};
 
@@ -20,6 +20,50 @@ use serde::{Deserialize, Serialize};
 /// let parse = SimNanos::from_micros(1_369); // 1.369 ms, paper Fig. 2
 /// assert_eq!(parse.as_millis_f64(), 1.369);
 /// assert_eq!(format!("{parse}"), "1.369ms");
+/// ```
+///
+/// # Arithmetic
+///
+/// There is no `+`, `-`, `*` or `+=` on `SimNanos`: a latency sum that
+/// overflows must clamp, not panic in debug and wrap in release, so the only
+/// spellings are [`saturating_add`](SimNanos::saturating_add),
+/// [`saturating_sub`](SimNanos::saturating_sub),
+/// [`saturating_mul`](SimNanos::saturating_mul), [`scale`](SimNanos::scale),
+/// `/ u64` and `Sum`. This works:
+///
+/// ```
+/// use simtime::SimNanos;
+///
+/// let (a, b) = (SimNanos::from_micros(2), SimNanos::from_micros(3));
+/// assert_eq!(a.saturating_add(b), SimNanos::from_micros(5));
+/// assert_eq!(b.saturating_sub(a), SimNanos::from_micros(1));
+/// assert_eq!(a.saturating_mul(2), SimNanos::from_micros(4));
+/// ```
+///
+/// and each operator form is a type error:
+///
+/// ```compile_fail,E0369
+/// use simtime::SimNanos;
+/// let (a, b) = (SimNanos::from_micros(2), SimNanos::from_micros(3));
+/// let _ = a + b; // no `Add`
+/// ```
+///
+/// ```compile_fail,E0369
+/// use simtime::SimNanos;
+/// let (a, b) = (SimNanos::from_micros(2), SimNanos::from_micros(3));
+/// let _ = b - a; // no `Sub`
+/// ```
+///
+/// ```compile_fail,E0369
+/// use simtime::SimNanos;
+/// let a = SimNanos::from_micros(2);
+/// let _ = a * 2; // no `Mul<u64>`
+/// ```
+///
+/// ```compile_fail,E0368
+/// use simtime::SimNanos;
+/// let (mut a, b) = (SimNanos::from_micros(2), SimNanos::from_micros(3));
+/// a += b; // no `AddAssign`
 /// ```
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
@@ -144,44 +188,6 @@ impl SimNanos {
     }
 }
 
-impl Add for SimNanos {
-    type Output = SimNanos;
-    #[inline]
-    fn add(self, rhs: SimNanos) -> SimNanos {
-        SimNanos(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign for SimNanos {
-    #[inline]
-    fn add_assign(&mut self, rhs: SimNanos) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Sub for SimNanos {
-    type Output = SimNanos;
-    #[inline]
-    fn sub(self, rhs: SimNanos) -> SimNanos {
-        SimNanos(self.0 - rhs.0)
-    }
-}
-
-impl SubAssign for SimNanos {
-    #[inline]
-    fn sub_assign(&mut self, rhs: SimNanos) {
-        self.0 -= rhs.0;
-    }
-}
-
-impl Mul<u64> for SimNanos {
-    type Output = SimNanos;
-    #[inline]
-    fn mul(self, rhs: u64) -> SimNanos {
-        SimNanos(self.0 * rhs)
-    }
-}
-
 impl Div<u64> for SimNanos {
     type Output = SimNanos;
     #[inline]
@@ -247,15 +253,10 @@ mod tests {
     fn arithmetic() {
         let a = SimNanos::from_millis(2);
         let b = SimNanos::from_millis(3);
-        assert_eq!(a + b, SimNanos::from_millis(5));
-        assert_eq!(b - a, SimNanos::from_millis(1));
-        assert_eq!(a * 4, SimNanos::from_millis(8));
+        assert_eq!(a.saturating_add(b), SimNanos::from_millis(5));
+        assert_eq!(b.saturating_sub(a), SimNanos::from_millis(1));
+        assert_eq!(a.saturating_mul(4), SimNanos::from_millis(8));
         assert_eq!(b / 3, SimNanos::from_millis(1));
-        let mut c = a;
-        c += b;
-        assert_eq!(c, SimNanos::from_millis(5));
-        c -= a;
-        assert_eq!(c, b);
     }
 
     #[test]

@@ -85,7 +85,7 @@ impl LatencyHistogram {
         if sample > self.max {
             self.max = sample;
         }
-        self.sum += sample;
+        self.sum = self.sum.saturating_add(sample);
         self.count += 1;
     }
 
@@ -166,7 +166,7 @@ impl LatencyHistogram {
         if other.max > self.max {
             self.max = other.max;
         }
-        self.sum += other.sum;
+        self.sum = self.sum.saturating_add(other.sum);
         self.count += other.count;
     }
 
@@ -328,6 +328,19 @@ mod tests {
         assert_eq!(buckets[2], (SimNanos::from_secs(30), 1)); // overflow reports max
         assert_eq!(h.min(), Some(SimNanos::from_nanos(400)));
         assert_eq!(h.max(), Some(SimNanos::from_secs(30)));
+    }
+
+    #[test]
+    fn histogram_sum_saturates_at_the_boundary() {
+        let mut h = LatencyHistogram::new();
+        h.record(SimNanos::MAX);
+        h.record(SimNanos::MAX);
+        assert_eq!(h.sum, SimNanos::MAX);
+        assert_eq!(h.count(), 2);
+        let mut merged = h.clone();
+        merged.merge(&h);
+        assert_eq!(merged.sum, SimNanos::MAX);
+        assert_eq!(merged.count(), 4);
     }
 
     #[test]

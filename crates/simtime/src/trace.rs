@@ -62,7 +62,7 @@ impl Span {
 
     /// Total virtual time the span was open.
     pub fn duration(&self) -> SimNanos {
-        self.end - self.start
+        self.end.saturating_sub(self.start)
     }
 
     /// Sum of the direct children's durations.
@@ -72,7 +72,7 @@ impl Span {
 
     /// Time charged inside this span but outside any child span.
     pub fn self_time(&self) -> SimNanos {
-        self.duration() - self.children_total()
+        self.duration().saturating_sub(self.children_total())
     }
 
     /// First direct child with the given name.
@@ -301,6 +301,17 @@ mod tests {
         assert_eq!(mem.children[0].name, "map-base");
         assert_eq!(boot.node_count(), 4);
         boot.validate_nesting().unwrap();
+    }
+
+    #[test]
+    fn inverted_span_has_zero_duration() {
+        // `Span` is `Deserialize` with public fields, so an inverted
+        // interval can arrive from outside; it must read as empty, and
+        // `validate_nesting` is what names it.
+        let inverted = Span::leaf("bad", SimNanos::from_micros(9), SimNanos::from_micros(4));
+        assert_eq!(inverted.duration(), SimNanos::ZERO);
+        assert_eq!(inverted.self_time(), SimNanos::ZERO);
+        assert!(inverted.validate_nesting().is_err());
     }
 
     #[test]

@@ -41,7 +41,7 @@ fn main() -> Result<(), SuiteError> {
         let exec = outcome.program.invoke_handler(ctx.clock(), ctx.model())?;
         // The handler's real work: transform the image.
         img = op.apply(&img);
-        pipeline_total += ctx.now();
+        pipeline_total = pipeline_total.saturating_add(ctx.now());
         println!(
             "{:<14} {:>10} {:>12} {:>12} {:>7}x{}",
             op.label(),
@@ -66,7 +66,7 @@ fn main() -> Result<(), SuiteError> {
         let mut ctx = BootCtx::fresh(&model);
         let mut outcome = gvisor.boot(&op.profile(), &mut ctx)?;
         outcome.program.invoke_handler(ctx.clock(), ctx.model())?;
-        gv_total += ctx.now();
+        gv_total = gv_total.saturating_add(ctx.now());
     }
     println!(
         "same pipeline on gVisor: {} ({}x slower end to end)",

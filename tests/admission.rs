@@ -75,7 +75,7 @@ fn queued_requests_carry_the_admission_span() {
     assert!(second.queued > SimNanos::ZERO, "second request must queue");
     // It starts exactly when the first finishes.
     assert_eq!(
-        SimNanos::from_micros(100) + second.queued,
+        SimNanos::from_micros(100).saturating_add(second.queued),
         first.end_to_end()
     );
 
@@ -182,7 +182,7 @@ fn poison_trips_the_breaker_and_probes_close_it() {
         gw.admission().unwrap().breaker_state("C-hello"),
         Some(BreakerState::HalfOpen)
     );
-    gw.call(InvokeRequest::at("C-hello", until + ms(1)))
+    gw.call(InvokeRequest::at("C-hello", until.saturating_add(ms(1))))
         .unwrap();
     assert_eq!(
         gw.admission().unwrap().breaker_state("C-hello"),

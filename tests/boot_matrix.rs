@@ -21,7 +21,7 @@ fn boot_and_serve(engine: &mut dyn BootEngine, profile: &AppProfile) -> (SimNano
         "{}: handler touched nothing",
         outcome.system
     );
-    (boot, ctx.now() - boot)
+    (boot, ctx.now().saturating_sub(boot))
 }
 
 #[test]
@@ -151,7 +151,7 @@ fn warm_boot_follows_cold_boot_within_the_papers_gap() {
             cat.boot(BootMode::Warm, &profile, &mut ctx).unwrap();
             ctx.now()
         };
-        let gap = (cold - warm).as_millis_f64();
+        let gap = cold.saturating_sub(warm).as_millis_f64();
         // §6.2: "Catalyzer-restore usually needs extra 30ms over
         // Catalyzer-Zygote" — accept a 15–45 ms band.
         assert!(

@@ -1,13 +1,13 @@
 //! Tier-1 gate: the workspace carries zero lint debt.
 //!
 //! This is `cargo run -p catalint` wired into the ordinary test suite, so
-//! plain `cargo test` refuses new debt across all thirteen passes — from
-//! determinism and panic-safety through the v4 hermeticity certificate
-//! (clock-discipline taint, event-protocol conformance, generational-arena
-//! access) — even when nobody invokes the binary. There is no tolerated
-//! baseline: the gate is zero findings, full stop. A genuinely intended
-//! exception gets a `catalint: allow(<pass>)` comment at the site — visible
-//! in the diff it excuses — not a bucket in `catalint.toml`.
+//! plain `cargo test` refuses new debt across all eleven passes — from
+//! determinism and panic-safety through the hermeticity certificate
+//! (clock-discipline taint, event-protocol conformance) — even when nobody
+//! invokes the binary. There is no tolerated baseline, and no file format
+//! to write one in: the gate is zero findings, full stop. A genuinely
+//! intended exception gets a `catalint: allow(<pass>)` comment at the site
+//! — visible in the diff it excuses.
 
 #[test]
 fn workspace_carries_zero_lint_debt() {
@@ -29,10 +29,9 @@ fn workspace_carries_zero_lint_debt() {
 }
 
 /// The CLI's exit-code contract, which CI and scripts branch on: 0 for a
-/// clean scan, 1 when findings exceed the baseline, 2 for a usage or I/O
-/// error. Conflating 1 and 2 would let a typo'd flag read as "findings"
-/// (or worse, a missing root read as "clean"), so each code is pinned
-/// against the real binary.
+/// clean scan, 1 on any finding, 2 for a usage or I/O error. Conflating 1
+/// and 2 would let a typo'd flag read as "findings" (or worse, a missing
+/// root read as "clean"), so each code is pinned against the real binary.
 #[test]
 fn cli_exit_codes_are_split_by_cause() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -65,6 +64,21 @@ fn cli_exit_codes_are_split_by_cause() {
     .expect("write fixture");
     let (code, err) = run(&["--root", scratch.to_str().expect("utf-8 scratch")]);
     assert_eq!(code, Some(1), "findings must exit 1, stderr:\n{err}");
+
+    // 2, not 0: `catalint.toml` cannot tolerate that finding. An `[[allow]]`
+    // bucket naming it is a syntax error, so debt has nowhere to hide.
+    std::fs::write(
+        scratch.join("catalint.toml"),
+        "[[allow]]\npass = \"panic\"\nfile = \"crates/imagefmt/src/flat.rs\"\n\
+         function = \"parse\"\ncount = 1\n",
+    )
+    .expect("write catalint.toml");
+    let (code, err) = run(&["--root", scratch.to_str().expect("utf-8 scratch")]);
+    assert_eq!(code, Some(2), "[[allow]] must exit 2, stderr:\n{err}");
+    assert!(
+        err.contains("[[allow]]"),
+        "stderr must name the table:\n{err}"
+    );
     std::fs::remove_dir_all(&scratch).ok();
 
     // 2: usage error (unknown flag) and I/O error (unreadable root).
@@ -72,23 +86,4 @@ fn cli_exit_codes_are_split_by_cause() {
     assert_eq!(code, Some(2), "usage error must exit 2, stderr:\n{err}");
     let (code, err) = run(&["--root", "/nonexistent/catalint-gate-root"]);
     assert_eq!(code, Some(2), "I/O error must exit 2, stderr:\n{err}");
-}
-
-/// The baseline file must stay empty: an `[[allow]]` bucket that sneaks in
-/// would silently re-open the debt budget the zero-findings gate closed.
-#[test]
-fn baseline_file_has_no_allow_buckets() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(root.join("catalint.toml"))
-        .expect("catalint.toml exists at the workspace root");
-    let has_bucket = text
-        .lines()
-        .map(str::trim_start)
-        .filter(|l| !l.starts_with('#'))
-        .any(|l| l.contains("[[allow]]"));
-    assert!(
-        !has_bucket,
-        "catalint.toml grew an [[allow]] bucket — the workspace is kept at \
-         zero lint debt; fix the finding instead of baselining it"
-    );
 }

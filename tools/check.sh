@@ -2,8 +2,7 @@
 # One-shot local gate: everything CI runs, in the order it runs it.
 # Fails fast; run from anywhere inside the repo. Each step is timed and a
 # wall-clock summary table prints at the end — when the gate feels slow,
-# the table says which step to blame (catalint itself is benchmarked
-# separately by `cargo bench -p bench --bench analyzerbench`).
+# the table says which step to blame.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,12 +27,23 @@ step() {
 # third_party/* members are vendored verbatim and excluded: their test
 # targets are not held to this workspace's lint bar and must never be
 # edited to satisfy it.
+FIRST_PARTY=(--workspace
+  --exclude bytes --exclude criterion --exclude crossbeam
+  --exclude parking_lot --exclude proptest --exclude rand
+  --exclude serde --exclude serde_derive --exclude serde_json)
+
 clippy_workspace() {
-  cargo clippy --workspace --all-targets \
-    --exclude bytes --exclude criterion --exclude crossbeam \
-    --exclude parking_lot --exclude proptest --exclude rand \
-    --exclude serde --exclude serde_derive --exclude serde_json \
-    -- -D warnings
+  cargo clippy "${FIRST_PARTY[@]}" --all-targets -- -D warnings
+}
+
+# Every first-party crate's unit, integration and doc tests — not just the
+# root package's (a bare `cargo test` in a workspace with a root package
+# tests only that package). This is where the catalint fixtures, the
+# pinned event-engine fixtures, the imagefmt corruption proptests, the
+# faultsim suite, and the `compile_fail` doctests on `SimNanos` and
+# `InstanceId` run.
+test_workspace() {
+  cargo test -q "${FIRST_PARTY[@]}"
 }
 
 # Machine-readable output must stay both parseable and schema-stable:
@@ -46,89 +56,38 @@ catalint_emit() {
   cargo run -q -p catalint -- --emit schema | diff -u tools/catalint-schema.json -
 }
 
-# The fault-injection crate and its cross-layer integration suite: typed
-# surfacing, recovery ladder, zero-overhead-when-inactive, and replay
-# determinism (proptests included).
 # The wall-clock harness prints its table on stderr and the results JSON
 # on stdout; the gate only needs the table and the exit code.
 benchmark_smoke() {
   bash benchmark/run.sh --smoke >/dev/null
 }
 
-faultsim_suite() {
-  cargo test -q -p faultsim
-  cargo test -q --test faultsim
-}
-
 step "cargo fmt --check" cargo fmt --all --check
 step "cargo clippy (workspace, --all-targets, -D warnings)" clippy_workspace
 step "catalint (workspace invariants, zero-debt)" cargo run -q -p catalint
-step "catalint --jobs 4 (parallel scan, same verdict)" \
-  cargo run -q -p catalint -- --jobs 4
 step "catalint --emit json/sarif (valid) + schema fixture (up to date)" catalint_emit
 step "cargo build --release" cargo build --release
-step "cargo test" cargo test -q
-step "faultsim suite" faultsim_suite
+step "cargo test (every first-party crate)" test_workspace
 
-# Regenerates the observability export in-memory and verifies the checked-in
-# BENCH_pr2.json is valid (every Fig. 11 engine present, monotone span
-# nesting, non-empty histograms, phase attribution sums to the boot total)
-# and byte-identical — i.e. the tracing layer is still deterministic.
-step "bench export (BENCH_pr2.json valid + up to date)" \
-  cargo run -q -p bench --bin repro -- export --check BENCH_pr2.json
-
-# Same staleness gate for the fault sweep: regenerates the rate × policy
-# grid in-memory and verifies the checked-in BENCH_pr3.json is valid
-# (zero-rate and full-ladder rows at availability 1.0, the no-recovery
-# baseline losing requests, storm recovery visible in the p99) and
-# byte-identical — i.e. fault injection and recovery are deterministic.
-step "fault sweep (BENCH_pr3.json valid + up to date)" \
-  cargo run -q -p bench --bin repro -- faults --check BENCH_pr3.json
-
-# And for the overload sweep: regenerates the admission grid and the
-# baseline-vs-full storm comparison in-memory and verifies the checked-in
-# BENCH_pr4.json is valid (admission invisible at zero load, typed overload
-# sheds past saturation, a fault-free breaker changing nothing, zero
-# availability loss for admitted requests under the storm, the baseline's
-# goodput collapsing while the full policy bounds its p99) and
-# byte-identical — i.e. admission, breakers, and the repair loop are
-# deterministic. `repro all --check` runs all three gates in one shot.
-step "overload sweep (BENCH_pr4.json valid + up to date)" \
-  cargo run -q -p bench --bin repro -- overload --check BENCH_pr4.json
-
-# And for the fleet density grid: regenerates the open-loop event-engine
-# ladder (10k-function Zipf catalogue, flash-crowd bursts 10^3 → 10^6
-# concurrent instances) in-memory and verifies the checked-in
-# BENCH_pr7.json is valid (every rung reaching its burst density, the
-# ladder ascending, the top rung past 10^5 instances, reuse and expiry
-# exercised at every scale) and byte-identical — i.e. the event queue,
-# arenas, and calibration are deterministic.
-step "fleet density grid (BENCH_pr7.json valid + up to date)" \
-  cargo run -q -p bench --bin repro -- fleet --check BENCH_pr7.json
-
-# And for the cluster sweep: regenerates the nodes × placement-budget ×
-# routing-policy grid on the shared viral flash-crowd trace and verifies
-# the checked-in BENCH_pr8.json is valid (the single-node cluster digesting
-# byte-identically to the plain gateway, every multi-node remote-fork cell
-# holding availability 1.0 with zero cold boots while the local-cold
-# baseline cold-boots with a worse startup tail, the poisoned-transfer
-# storm degrading to cold instead of shedding while background repairs
-# run) and byte-identical — i.e. placement, routing, the remote-sfork rung,
-# and the transfer fault seam are deterministic.
-step "cluster sweep (BENCH_pr8.json valid + up to date)" \
-  cargo run -q -p bench --bin repro -- cluster --check BENCH_pr8.json
-
-# And for the chaos grid: regenerates the node-fault × cluster-size ×
-# failover-policy survivability sweep on the same viral flash-crowd shape
-# and verifies the checked-in BENCH_pr9.json is valid (full failover
-# holding availability ≥ (N−1)/N at a sub-millisecond startup p99 under
-# crash, gray, and partition; templates re-replicated after holder death;
-# hedges firing and winning around the gray transfer source; the
-# no-failover baseline failing typed at corpses and hanging waiters in
-# the storm) and byte-identical — i.e. node faults, health tracking,
-# failover, and hedged transfers are deterministic.
-step "chaos grid (BENCH_pr9.json valid + up to date)" \
-  cargo run -q -p bench --bin repro -- chaos --check BENCH_pr9.json
+# Regenerates every deterministic export in-memory and verifies each
+# checked-in BENCH file is valid and byte-identical — i.e. the layer it
+# covers is still deterministic and still meets its claims:
+#   pr2 observability export (every Fig. 11 engine, monotone span nesting,
+#       phase attribution summing to the boot total);
+#   pr3 fault sweep (zero-rate and full-ladder rows at availability 1.0,
+#       the no-recovery baseline losing requests);
+#   pr4 overload sweep (admission invisible at zero load, typed sheds past
+#       saturation, the full policy bounding p99 under the storm);
+#   pr7 fleet density grid (10^3 → 10^6 instances, every rung reaching its
+#       burst density: event queue, arenas, calibration);
+#   pr8 cluster sweep (single-node cluster ≡ plain gateway, remote fork at
+#       availability 1.0 with zero cold boots, poisoned transfers degrading
+#       to cold instead of shedding);
+#   pr9 chaos grid (full failover holding availability ≥ (N−1)/N at sub-ms
+#       startup p99 under crash/gray/partition; the baseline hanging
+#       waiters).
+step "BENCH exports (pr2/3/4/7/8/9 valid + byte-identical)" \
+  cargo run -q -p bench --bin repro -- all --check
 
 # The repo's wall-clock benchmark, in its 1/20-size single-repetition smoke
 # mode (~35 s cold, ~25 s warm): builds the standalone harness and runs all
