@@ -78,6 +78,12 @@ fn flat_format(c: &mut Criterion) {
     group.bench_function("write_5k_objects", |b| {
         b.iter(|| black_box(flat::write(&src, &SimClock::new(), &model)))
     });
+    // Heap-dominated, like a real func-image: 8 MiB of app pages behind
+    // 5k objects, so the writer's copies per image byte show up here.
+    let heavy = sample_source(5_000, 2_048);
+    group.bench_function("write_5k_objects_2048_pages", |b| {
+        b.iter(|| black_box(flat::write(&heavy, &SimClock::new(), &model)))
+    });
     group.bench_function("restore_metadata_5k_objects", |b| {
         // Stage 1 (map) + stage 2 (parallel relation-table fixup), real
         // crossbeam threads each iteration.
@@ -170,10 +176,20 @@ fn kernel_graph(c: &mut Criterion) {
 }
 
 fn crc(c: &mut Criterion) {
-    let data = vec![0x5Au8; 1 << 20];
+    // One heap page and Table 3's smallest I/O manifest beside the bulk
+    // case: the short inputs show per-call setup, the long one the loop.
+    // More iterations for the short ones so the timer does not dominate.
     let mut group = c.benchmark_group("crc32");
-    group.throughput(Throughput::Bytes(data.len() as u64));
-    group.bench_function("1MiB", |b| b.iter(|| black_box(imagefmt::crc32(&data))));
+    for (name, len, iters) in [
+        ("1MiB", 1 << 20, 10),
+        ("4KiB", PAGE_SIZE, 1_000),
+        ("370B", 370, 10_000),
+    ] {
+        let data = vec![0x5Au8; len];
+        group.sample_size(iters);
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_function(name, |b| b.iter(|| black_box(imagefmt::crc32(&data))));
+    }
     group.finish();
 }
 

@@ -6,7 +6,7 @@
 //! clock, never a boot's critical path — writes the flat image, and keeps
 //! the mapped image plus the shared Base-EPT for warm boots.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -75,29 +75,24 @@ impl FuncImageStore {
         profile: &AppProfile,
         model: &CostModel,
     ) -> Result<&mut StoredFunction, SandboxError> {
-        if !self.functions.contains_key(&profile.name) {
-            let fs = profile.build_fs_server();
-            let mut program =
-                WrappedProgram::start_with(profile, Arc::clone(&fs), &self.offline, model)?;
-            program.run_to_entry_point(&self.offline, model)?;
-            let src = program.checkpoint_source(&self.offline, model)?;
-            let bytes = flat::write(&src, &self.offline, model);
-            let image = MappedImage::new(format!("{}.func", profile.name), bytes);
-            let flat = FlatImage::parse(&image, &self.offline, model)?;
-            self.functions.insert(
-                profile.name.clone(),
-                StoredFunction {
-                    flat,
-                    fs,
-                    base: None,
-                    boots: 0,
-                },
-            );
-        }
-        Ok(self
-            .functions
-            .get_mut(&profile.name)
-            .expect("just inserted"))
+        let slot = match self.functions.entry(profile.name.clone()) {
+            Entry::Occupied(stored) => return Ok(stored.into_mut()),
+            Entry::Vacant(slot) => slot,
+        };
+        let fs = profile.build_fs_server();
+        let mut program =
+            WrappedProgram::start_with(profile, Arc::clone(&fs), &self.offline, model)?;
+        program.run_to_entry_point(&self.offline, model)?;
+        let src = program.checkpoint_source(&self.offline, model)?;
+        let bytes = flat::write(&src, &self.offline, model);
+        let image = MappedImage::new(format!("{}.func", profile.name), bytes);
+        let flat = FlatImage::parse(&image, &self.offline, model)?;
+        Ok(slot.insert(StoredFunction {
+            flat,
+            fs,
+            base: None,
+            boots: 0,
+        }))
     }
 
     /// Looks up a compiled function.

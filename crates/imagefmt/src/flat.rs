@@ -118,22 +118,24 @@ pub fn write(src: &CheckpointSource, clock: &SimClock, model: &CostModel) -> Byt
         classic::encode_conn(&mut manifest, conn);
     }
 
-    // --- application memory index + raw pages ---
-    let mut appmem_index = Vec::with_capacity(src.app_pages.len() * 16);
-    let mut appmem = Vec::with_capacity(src.app_pages.len() * PAGE_SIZE);
+    // --- application memory index ---
+    let mut appmem_index = Vec::with_capacity(src.app_pages.len() * 8);
     for page in &src.app_pages {
         assert_eq!(page.data.len(), PAGE_SIZE, "app pages must be page-sized");
         appmem_index.extend_from_slice(&page.vpn.to_le_bytes());
-        appmem.extend_from_slice(&page.data);
     }
 
-    // --- assemble, page-aligning the raw app pages ---
-    let mut body = vec![0u8; PAGE_SIZE]; // reserve the header page
-    let place = |body: &mut Vec<u8>, bytes: &[u8], align_page: bool| -> Section {
-        if align_page {
-            let pad = body.len().next_multiple_of(PAGE_SIZE) - body.len();
-            body.extend(std::iter::repeat_n(0, pad));
-        }
+    // --- assemble ---
+    // The heap is nearly all of the image: `body` is allocated once at the
+    // exact image size and each page is copied once, to its final offset.
+    // Only the (small) metadata sections pass through scratch Vecs.
+    let meta_len = index.len() + arena.len() + rel.len() + manifest.len() + appmem_index.len();
+    // Raw app pages start on a page boundary, after the header page.
+    let pages_at = (PAGE_SIZE + meta_len).next_multiple_of(PAGE_SIZE);
+    let pages_len = src.app_pages.len() * PAGE_SIZE;
+    let mut body = Vec::with_capacity(pages_at + pages_len);
+    body.resize(PAGE_SIZE, 0); // reserve the header page
+    let place = |body: &mut Vec<u8>, bytes: &[u8]| -> Section {
         let offset = w64(body.len());
         body.extend_from_slice(bytes);
         Section {
@@ -142,17 +144,27 @@ pub fn write(src: &CheckpointSource, clock: &SimClock, model: &CostModel) -> Byt
             crc: crc32(bytes),
         }
     };
+    // Fields are evaluated in source order, which is the on-disk order.
     let sections = Sections {
-        meta_index: place(&mut body, &index, false),
-        meta_arena: place(&mut body, &arena, false),
-        rel_table: place(&mut body, &rel, false),
-        io_manifest: place(&mut body, &manifest, false),
-        appmem_index: place(&mut body, &appmem_index, false),
-        appmem_pages: place(&mut body, &appmem, true),
+        meta_index: place(&mut body, &index),
+        meta_arena: place(&mut body, &arena),
+        rel_table: place(&mut body, &rel),
+        io_manifest: place(&mut body, &manifest),
+        appmem_index: place(&mut body, &appmem_index),
+        appmem_pages: {
+            body.resize(pages_at, 0);
+            for page in &src.app_pages {
+                body.extend_from_slice(&page.data);
+            }
+            // Whole pages from a page boundary: the image ends well-formed
+            // with no tail padding.
+            Section {
+                offset: w64(pages_at),
+                len: w64(pages_len),
+                crc: crc32(body.get(pages_at..).unwrap_or_default()),
+            }
+        },
     };
-    // Pad the tail to a whole page so the image itself is well-formed.
-    let pad = body.len().next_multiple_of(PAGE_SIZE) - body.len();
-    body.extend(std::iter::repeat_n(0, pad));
 
     // --- header page ---
     let mut header = Vec::with_capacity(PAGE_SIZE);

@@ -104,6 +104,13 @@ step "benchmark smoke (five workloads, pinned digests, failed 0)" benchmark_smok
 step "simbench smoke (closed-loop + fleet engine throughput)" \
   cargo bench -q -p bench --bench simbench
 
+# Same bar for the mechanism micro-benchmarks (lz / classic / flat / ept /
+# kernel / crc32): they are the per-layer view of the data paths the
+# wall-clock benchmark times end to end, and nothing else compiles them.
+# Under a second once built with the vendored criterion stand-in.
+step "mechanisms smoke (lz/classic/flat/ept/kernel/crc32 micro-benches)" \
+  cargo bench -q -p bench --bench mechanisms
+
 echo
 echo "All checks passed."
 echo
