@@ -85,8 +85,7 @@ fn flat_format(c: &mut Criterion) {
         b.iter(|| black_box(flat::write(&heavy, &SimClock::new(), &model)))
     });
     group.bench_function("restore_metadata_5k_objects", |b| {
-        // Stage 1 (map) + stage 2 (parallel relation-table fixup), real
-        // crossbeam threads each iteration.
+        // Stage 1 (map) + stage 2 (one pass over the relation table).
         b.iter(|| black_box(parsed.restore_metadata(&SimClock::new(), &model).unwrap()))
     });
     group.finish();

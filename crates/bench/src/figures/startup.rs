@@ -1,6 +1,6 @@
 //! Startup-latency experiments: Fig. 4, Fig. 6, Fig. 7, Fig. 11, Table 2.
 
-use catalyzer::{BootMode, Catalyzer, CatalyzerEngine};
+use catalyzer::{BootMode, Catalyzer};
 use runtimes::{AppProfile, RuntimeKind};
 use sandbox::{BootCtx, BootEngine, SandboxError};
 use simtime::{CostModel, SimNanos};
@@ -300,28 +300,4 @@ pub fn render_table2(t: &Table2) {
         ms(t.gvisor),
         ms(t.template)
     );
-}
-
-/// Convenience wrapper used by benches: one warm boot per language hello app
-/// (the paper's §6.2 zygote numbers).
-///
-/// # Errors
-///
-/// Engine errors.
-pub fn zygote_warm_boots(model: &CostModel) -> Result<Vec<(String, SimNanos)>, SandboxError> {
-    let apps = [
-        AppProfile::c_hello(),
-        AppProfile::java_hello(),
-        AppProfile::python_hello(),
-        AppProfile::ruby_hello(),
-        AppProfile::node_hello(),
-    ];
-    let mut out = Vec::new();
-    for app in apps {
-        let mut engine = CatalyzerEngine::standalone(BootMode::Warm);
-        let mut ctx = BootCtx::fresh(model);
-        engine.boot(&app, &mut ctx)?;
-        out.push((app.name, ctx.now()));
-    }
-    Ok(out)
 }

@@ -10,8 +10,9 @@
 //! cargo run -p bench --bin repro -- fig11
 //! ```
 //!
-//! Criterion benches (`benches/figures.rs`, `benches/mechanisms.rs`) measure
-//! the real wall-clock cost of the underlying mechanisms.
+//! The criterion bench `benches/mechanisms.rs` measures the real wall-clock
+//! cost of the underlying mechanisms; whole-engine wall-clock speed is the
+//! standalone `benchmark/` harness's job.
 
 #![forbid(unsafe_code)]
 

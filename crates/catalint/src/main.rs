@@ -495,7 +495,8 @@ fn explain(pass: &str) -> Option<&'static str> {
              reads a wall clock (`Instant::now`, `SystemTime::now`,\n\
              `.elapsed()`), ambient entropy (`thread_rng`, `from_entropy`,\n\
              `OsRng`), the environment (`env::var`), the OS scheduler\n\
-             (`thread::sleep`), or `std::process`. The one sanctioned\n\
+             (`thread::sleep`, `thread::spawn`/`scope`/`Builder` — std or\n\
+             crossbeam), or `std::process`. The one sanctioned\n\
              boundary is the `[[clock_seam]]` registry in catalint.toml —\n\
              empty today — where the future `ClockInner::Realtime` seam will\n\
              be declared, entry by reviewed entry. Findings carry their\n\

@@ -51,8 +51,8 @@
 //!
 //! - **hermetic** — taint analysis over the call graph: no nondeterminism
 //!   source (`Instant::now`, `SystemTime`, ambient RNG, `env::var`,
-//!   OS sleep, `std::process`, `.elapsed()`-style reads) may be reachable
-//!   from the simulation roots. The only allowed boundary is the
+//!   OS sleep, host threads, `std::process`, `.elapsed()`-style reads) may
+//!   be reachable from the simulation roots. The only allowed boundary is the
 //!   `[[clock_seam]]` registry in `catalint.toml` — empty today — so the
 //!   future `ClockInner::Realtime` seam flips entries on instead of
 //!   weakening the pass.
@@ -1671,8 +1671,8 @@ pub(crate) fn hermetic(cfg: &Config, graph: &CallGraph<'_>, out: &mut Vec<Violat
 }
 
 /// Collects nondeterminism sources in one body: wall clocks, ambient
-/// entropy, environment reads, OS sleeps, process spawns, and
-/// elapsed-time method reads.
+/// entropy, environment reads, OS sleeps, host threads, process spawns,
+/// and elapsed-time method reads.
 fn scan_hermetic(toks: &[Tok], out: &mut Vec<(u32, String)>) {
     for i in 0..toks.len() {
         if let Tok::Ident(w, line) = &toks[i] {
@@ -1686,6 +1686,16 @@ fn scan_hermetic(toks: &[Tok], out: &mut Vec<(u32, String)>) {
                     *line,
                     "OS `thread::sleep` on a sim-reachable path; charge simulated time".to_string(),
                 )),
+                "thread"
+                    if ["spawn", "scope", "Builder"]
+                        .iter()
+                        .any(|f| is_path_to(toks, i, f)) =>
+                {
+                    out.push((
+                        *line,
+                        "host thread (`thread::spawn`/`scope`/`Builder`) on a sim-reachable path; model the parallel schedule with `charge_parallel`".to_string(),
+                    ));
+                }
                 "sleep" if next_is_paren(toks, i) && !prev_blocks_bare_sleep(toks, i) => out.push((
                     *line,
                     "bare `sleep()` on a sim-reachable path; charge simulated time".to_string(),

@@ -484,7 +484,7 @@ fn finish() {
 }
 
 #[test]
-fn hermetic_flags_entropy_env_and_process_spawn() {
+fn hermetic_flags_entropy_env_process_spawn_and_host_threads() {
     let v = run(
         "crates/platform/src/scratch_gw.rs",
         r#"
@@ -492,6 +492,10 @@ pub fn run_fleet(&mut self) {
     let mut rng = thread_rng();
     let _home = std::env::var("HOME");
     let _out = std::process::Command::new("date").output();
+    let _ = crossbeam::thread::scope(|s| { s.spawn(|_| ()); });
+    std::thread::spawn(|| ());
+    let _ = std::thread::Builder::new();
+    self.pool.spawn(self.tracer.scope("not a thread path"));
 }
 "#,
     );
@@ -503,16 +507,20 @@ pub fn run_fleet(&mut self) {
             && hermetic.iter().any(|v| v.what.contains("std::process")),
         "expected entropy + env + process findings, got: {v:?}"
     );
+    let threads = hermetic.iter().filter(|v| v.what.contains("host thread"));
+    let lines: Vec<u32> = threads.map(|v| v.line).collect();
+    assert_eq!(lines, vec![6, 7, 8], "one per spawn site, got: {v:?}");
 }
 
 #[test]
 fn unreachable_wall_clock_is_not_a_hermetic_finding() {
     // No sim root reaches `offline_report`: the determinism pass still
     // flags the raw read, but the hermetic certificate is about the
-    // simulation's transitive closure only.
+    // simulation's transitive closure only (so tests keep their threads).
     let v = run(
         "crates/platform/src/scratch_gw.rs",
-        "pub fn offline_report() { let _t = std::time::Instant::now(); }\n",
+        "pub fn offline_report() { let _t = std::time::Instant::now(); \
+         std::thread::scope(|s| { s.spawn(|| ()); }); }\n",
     );
     assert!(
         v.iter().all(|v| v.pass != PASS_HERMETIC),

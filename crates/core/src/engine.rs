@@ -375,12 +375,6 @@ impl CatalyzerEngine {
     pub fn system(&self) -> Rc<RefCell<Catalyzer>> {
         Rc::clone(&self.inner)
     }
-
-    /// The boot mode the next [`BootEngine::boot`] call will use (equal to
-    /// the preferred mode unless [`BootEngine::degrade`] moved it).
-    pub fn active_mode(&self) -> BootMode {
-        self.current
-    }
 }
 
 impl fmt::Debug for CatalyzerEngine {

@@ -11,9 +11,9 @@
 //!   Metadata objects are stored **partially deserialized** — in their
 //!   in-memory shape with pointer fields zeroed to placeholders — together
 //!   with a **relation table** mapping pointer slots to target objects.
-//!   Restore is: map the arena (stage 1), then patch pointers in parallel
-//!   (stage 2); application memory pages are referenced lazily through the
-//!   overlay Base-EPT.
+//!   Restore is: map the arena (stage 1), then patch pointers — each patch
+//!   independent, charged as parallel workers (stage 2); application memory
+//!   pages are referenced lazily through the overlay Base-EPT.
 //!
 //! Both formats really serialize and really restore: the round-trip identity
 //! `restore(checkpoint(state)) == state` is enforced by unit and property

@@ -73,6 +73,55 @@ fn write_image(src: &CheckpointSource) -> Vec<u8> {
     flat::write(src, &SimClock::new(), &CostModel::experimental_machine()).to_vec()
 }
 
+/// Writes `n` objects with one pointer each (no connections; two pages whose
+/// index bytes directly follow the relation table and the 1-byte manifest),
+/// forges the relation table — grown by `grow` bytes, then edited — and
+/// re-seals its CRC, so only stage 2's own checks stand before `Ok`.
+fn read_forged_relations(
+    n: u64,
+    grow: u64,
+    edit: impl FnOnce(&mut [u8]),
+) -> Result<(), ImageError> {
+    let mut bytes = write_image(&CheckpointSource {
+        objects: (0..n)
+            .map(|i| ObjRecord::new(i + 1, ObjKind::ALL[0], 0, vec![(i + 1) % n + 1], vec![]))
+            .collect(),
+        app_pages: (0..2)
+            .map(|i| PagePayload {
+                vpn: 0x00FF_FFFF + i,
+                data: Bytes::from(vec![0u8; PAGE_SIZE]),
+            })
+            .collect(),
+        io_conns: vec![],
+    });
+    // Section-table entry 2: offset at 64, len at 72, crc at 80.
+    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let (start, len) = (u64_at(64) as usize, u64_at(72) + grow);
+    bytes[72..80].copy_from_slice(&len.to_le_bytes());
+    let rel = &mut bytes[start..start + len as usize];
+    edit(rel);
+    let crc = imagefmt::crc32(rel);
+    bytes[80..84].copy_from_slice(&crc.to_le_bytes());
+    full_read(Bytes::from(bytes))
+}
+
+/// Stage 2 rejects, and names, the offending entry: a trailing one for
+/// record 0xFFFF_FF00 of 2 (the table grown to swallow the manifest byte and
+/// 13 index bytes), a duplicate of the second entry, a swapped pair.
+#[test]
+fn forged_relation_entries_are_rejected_with_their_indices() {
+    let bad = |record| Err(ImageError::BadRelation { record, slot: 0 });
+    let dangling = read_forged_relations(2, 14, |_| {});
+    assert_eq!(dangling, bad(4_294_967_040));
+    let duplicate = read_forged_relations(3, 0, |rel| rel.copy_within(14..28, 28));
+    assert_eq!(duplicate, bad(1));
+    let swapped = read_forged_relations(3, 0, |rel| {
+        let (second, third) = rel[14..].split_at_mut(14);
+        second.swap_with_slice(third);
+    });
+    assert_eq!(swapped, bad(1));
+}
+
 proptest! {
     /// Cutting the image anywhere must never panic, and cutting into the
     /// header page must always be rejected.

@@ -32,7 +32,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
-use simtime::names;
 use simtime::SimNanos;
 
 use crate::PlatformError;
@@ -327,18 +326,6 @@ pub enum AdmitDecision {
         /// When the breaker's cooldown ends.
         until: SimNanos,
     },
-}
-
-impl AdmitDecision {
-    /// The metric counter this decision increments.
-    pub fn metric_key(&self) -> &'static str {
-        match self {
-            AdmitDecision::Admitted { .. } => names::ADMIT_COUNT,
-            AdmitDecision::ShedOverload { .. } => names::SHED_OVERLOAD,
-            AdmitDecision::ShedDeadline { .. } => names::SHED_DEADLINE,
-            AdmitDecision::ShedBreaker { .. } => names::SHED_BREAKER,
-        }
-    }
 }
 
 // The in-tree serde derive covers unit-variant enums only; data-carrying

@@ -73,6 +73,9 @@ const ROUTE_SHED: u64 = 4;
 /// partition) and failed typed — chaos runs only.
 const ROUTE_FAILED: u64 = 5;
 
+/// Background delay before a poisoned transfer fabric is repaired.
+const REPAIR_DELAY: SimNanos = SimNanos::from_millis(5);
+
 /// Builder for an open-loop cluster run: the catalogue, the cluster shape,
 /// and the per-node serving knobs.
 #[derive(Debug)]
@@ -87,8 +90,6 @@ pub struct ClusterSim {
     plan: Option<FaultPlan>,
     /// Retry backoff charged when a transfer absorbs a transient or stall.
     backoff: SimNanos,
-    /// Background delay before a poisoned transfer fabric is repaired.
-    repair_delay: SimNanos,
     /// Node-level fault schedule and failover policy, consulted only by
     /// [`ClusterSim::run_chaos`] — [`ClusterSim::run_cluster`] never reads
     /// it, so installing chaos cannot perturb the plain grid.
@@ -109,7 +110,6 @@ impl ClusterSim {
             node_capacity: 0,
             plan: None,
             backoff: SimNanos::from_micros(200),
-            repair_delay: SimNanos::from_millis(5),
             chaos: None,
         }
     }
@@ -144,13 +144,6 @@ impl ClusterSim {
     /// scale; boot-path faults are the single-node engines' concern.
     pub fn with_faults(mut self, plan: FaultPlan) -> ClusterSim {
         self.plan = Some(plan);
-        self
-    }
-
-    /// Sets the background repair delay after a poisoned transfer,
-    /// builder-style.
-    pub fn with_repair_delay(mut self, repair_delay: SimNanos) -> ClusterSim {
-        self.repair_delay = repair_delay;
         self
     }
 
@@ -743,7 +736,7 @@ impl ClusterSim {
                                         if !ns.repair_pending {
                                             ns.repair_pending = true;
                                             queue.schedule(
-                                                now.saturating_add(self.repair_delay),
+                                                now.saturating_add(REPAIR_DELAY),
                                                 Event::NodeRepair { node: node as u32 },
                                             );
                                         }
@@ -1023,7 +1016,7 @@ impl ClusterSim {
                             };
                             let Some(f) = fns.get(fi) else { continue };
                             let done = now
-                                .saturating_add(self.repair_delay)
+                                .saturating_add(REPAIR_DELAY)
                                 .saturating_add(stretch(f.transfer, c.slowdown(src, now)));
                             // Background repairs are not hedged and carry
                             // no waiters.

@@ -11,10 +11,11 @@ use crate::SimNanos;
 /// critical path. Clones share the same underlying counter, so a clock handle
 /// can be passed down through subsystems cheaply.
 ///
-/// `SimClock` is deliberately single-threaded (`!Send`): parallel stages (such
-/// as Catalyzer's stage-2 relation-table fixup) compute their per-worker cost
-/// off-clock and charge the *maximum* — the critical path — once, via
-/// [`SimClock::charge_parallel`].
+/// `SimClock` is deliberately single-threaded (`!Send`), and so is everything
+/// that charges it: a parallel stage (such as Catalyzer's stage-2
+/// relation-table fixup) does its work on the calling thread, tallies what
+/// each *modelled* worker would have paid, and charges the *maximum* — the
+/// critical path — once, via [`SimClock::charge_parallel`].
 ///
 /// # Example
 ///

@@ -98,13 +98,7 @@ step "BENCH exports (pr2/3/4/7/8/9 valid + byte-identical)" \
 # did not move. See benchmark/README.md for the full run and `compare`.
 step "benchmark smoke (five workloads, pinned digests, failed 0)" benchmark_smoke
 
-# Smoke-run the simulation-core throughput bench (closed-loop vs fleet
-# engine, simulated requests per wall-clock second): it must build and
-# complete, keeping the density grid's engine path benchable.
-step "simbench smoke (closed-loop + fleet engine throughput)" \
-  cargo bench -q -p bench --bench simbench
-
-# Same bar for the mechanism micro-benchmarks (lz / classic / flat / ept /
+# Smoke-run the mechanism micro-benchmarks (lz / classic / flat / ept /
 # kernel / crc32): they are the per-layer view of the data paths the
 # wall-clock benchmark times end to end, and nothing else compiles them.
 # Under a second once built with the vendored criterion stand-in.
