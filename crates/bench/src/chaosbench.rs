@@ -35,10 +35,9 @@
 //! exports.
 
 use crate::clusterbench::FlashCrowd;
-use crate::fleetbench::QuantRow;
 use faultsim::NodePlan;
 use platform::cluster::{ChaosOutcome, ChaosPolicy, ClusterConfig, ClusterSim, RoutingPolicy};
-use platform::simulate::TraceRequest;
+use platform::simulate::{Quantiles, TraceRequest};
 use platform::PlatformError;
 use runtimes::AppProfile;
 use serde::{Deserialize, Serialize};
@@ -176,11 +175,11 @@ pub struct ChaosCell {
     /// Virtual time of the last event.
     pub horizon: SimNanos,
     /// Startup distribution across every served request.
-    pub startup: QuantRow,
+    pub startup: Quantiles,
     /// End-to-end (startup + execution) distribution.
-    pub end_to_end: QuantRow,
+    pub end_to_end: Quantiles,
     /// Startup distribution of the remote-sfork rung alone.
-    pub remote_startup: QuantRow,
+    pub remote_startup: Quantiles,
     /// FNV-1a digest of every routing decision in order.
     pub route_hash: u64,
 }
@@ -305,9 +304,9 @@ fn cell_row(
         chaos_events: u64::try_from(outcome.chaos_log.len()).unwrap_or(u64::MAX),
         events: outcome.cluster.events,
         horizon: outcome.cluster.horizon,
-        startup: outcome.cluster.startup.into(),
-        end_to_end: outcome.cluster.end_to_end.into(),
-        remote_startup: outcome.cluster.remote_startup.into(),
+        startup: outcome.cluster.startup,
+        end_to_end: outcome.cluster.end_to_end,
+        remote_startup: outcome.cluster.remote_startup,
         route_hash: outcome.cluster.route_hash,
     }
 }

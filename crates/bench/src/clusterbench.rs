@@ -28,15 +28,13 @@
 use catalyzer::{BootMode, CatalyzerEngine};
 use faultsim::{FaultPlan, InjectionPoint, PointPlan};
 use platform::cluster::{ClusterConfig, ClusterOutcome, ClusterSim, RoutingPolicy, TransferCosts};
-use platform::simulate::TraceRequest;
+use platform::simulate::{Quantiles, TraceRequest};
 use platform::{Cluster, Gateway, Invocation, InvokeRequest, PlatformError};
 use runtimes::AppProfile;
 use serde::{Deserialize, Serialize};
 use simtime::{CostModel, SimNanos};
 use workloads::catalogue;
 use workloads::generator::{open_loop, Arrivals, Popularity, TraceSpec};
-
-use crate::fleetbench::QuantRow;
 
 /// Schema tag so downstream tooling can reject stale files.
 pub const SCHEMA: &str = "catalyzer-bench/pr8-v1";
@@ -135,13 +133,13 @@ pub struct ClusterCell {
     /// Per-node peak instance counts.
     pub per_node_peak: Vec<u64>,
     /// Startup distribution across every served request.
-    pub startup: QuantRow,
+    pub startup: Quantiles,
     /// End-to-end (startup + execution) distribution.
-    pub end_to_end: QuantRow,
+    pub end_to_end: Quantiles,
     /// Startup distribution of the remote-sfork rung alone.
-    pub remote_startup: QuantRow,
+    pub remote_startup: Quantiles,
     /// Startup distribution of the cold rung alone.
-    pub cold_startup: QuantRow,
+    pub cold_startup: Quantiles,
     /// FNV-1a digest of every routing decision in order.
     pub route_hash: u64,
 }
@@ -332,10 +330,10 @@ fn cell_row(
             .iter()
             .map(|&p| u64::try_from(p).unwrap_or(u64::MAX))
             .collect(),
-        startup: outcome.startup.into(),
-        end_to_end: outcome.end_to_end.into(),
-        remote_startup: outcome.remote_startup.into(),
-        cold_startup: outcome.cold_startup.into(),
+        startup: outcome.startup,
+        end_to_end: outcome.end_to_end,
+        remote_startup: outcome.remote_startup,
+        cold_startup: outcome.cold_startup,
         route_hash: outcome.route_hash,
     }
 }

@@ -138,7 +138,9 @@ pub fn render_fig15(series: &[ScaleSeries]) {
 /// # Errors
 ///
 /// Engine errors.
-pub fn tail_latency(model: &CostModel) -> Result<(TraceOutcome, TraceOutcome), SandboxError> {
+pub fn tail_latency(
+    model: &CostModel,
+) -> Result<(TraceOutcome, TraceOutcome), platform::PlatformError> {
     let functions = [
         AppProfile::c_hello(),
         AppProfile::c_nginx(),

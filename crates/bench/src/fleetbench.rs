@@ -67,40 +67,6 @@ pub const LADDER: [(&str, usize); 4] = [
     ("1e6", 1_000_000),
 ];
 
-/// Latency digest row (fixed-ladder quantiles; upper bounds except
-/// min/max/mean, which are exact).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct QuantRow {
-    /// Samples recorded.
-    pub count: u64,
-    /// Exact mean.
-    pub mean: SimNanos,
-    /// Exact minimum.
-    pub min: SimNanos,
-    /// Exact maximum.
-    pub max: SimNanos,
-    /// Median upper bound.
-    pub p50: SimNanos,
-    /// 90th-percentile upper bound.
-    pub p90: SimNanos,
-    /// 99th-percentile upper bound.
-    pub p99: SimNanos,
-}
-
-impl From<Quantiles> for QuantRow {
-    fn from(q: Quantiles) -> QuantRow {
-        QuantRow {
-            count: q.count,
-            mean: q.mean,
-            min: q.min,
-            max: q.max,
-            p50: q.p50,
-            p90: q.p90,
-            p99: q.p99,
-        }
-    }
-}
-
 /// One rung of the density ladder.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FleetCell {
@@ -133,9 +99,9 @@ pub struct FleetCell {
     /// Virtual time of the last event.
     pub horizon: SimNanos,
     /// Startup-latency distribution.
-    pub startup: QuantRow,
+    pub startup: Quantiles,
     /// End-to-end latency distribution.
-    pub end_to_end: QuantRow,
+    pub end_to_end: Quantiles,
 }
 
 /// The whole `BENCH_pr7.json` document.
@@ -179,8 +145,8 @@ fn cell_row(label: &str, burst: usize, requests: usize, outcome: &FleetOutcome) 
         peak_in_flight: u64::try_from(outcome.peak_in_flight).unwrap_or(u64::MAX),
         events: outcome.events,
         horizon: outcome.horizon,
-        startup: outcome.startup.into(),
-        end_to_end: outcome.end_to_end.into(),
+        startup: outcome.startup,
+        end_to_end: outcome.end_to_end,
     }
 }
 

@@ -10,9 +10,9 @@
 //! cargo run -p bench --bin repro -- fig11
 //! ```
 //!
-//! The criterion bench `benches/mechanisms.rs` measures the real wall-clock
-//! cost of the underlying mechanisms; whole-engine wall-clock speed is the
-//! standalone `benchmark/` harness's job.
+//! Everything here is virtual time. The real wall-clock cost of the
+//! mechanisms, per layer and end to end, is the standalone `benchmark/`
+//! harness's job.
 
 #![forbid(unsafe_code)]
 

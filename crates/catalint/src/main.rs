@@ -511,7 +511,9 @@ fn explain(pass: &str) -> Option<&'static str> {
              are only insertion-order-free if the declared tie-break covers\n\
              every payload field and every run loop handles every variant.\n\
              Three directions over platform/src/simulate/events.rs and the\n\
-             run loops: (a) every `Event` payload field must be bound by one\n\
+             two run loops (`run_fleet` and the cluster kernel `drive`; the\n\
+             closed loop is a fold over the trace and schedules nothing):\n\
+             (a) every `Event` payload field must be bound by one\n\
              of the tie-break key functions (class/key/subkey) — a field\n\
              hidden behind `..` everywhere means two distinct events compare\n\
              equal and pop in insertion order; (b) each run loop must match\n\

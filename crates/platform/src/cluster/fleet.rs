@@ -595,7 +595,7 @@ impl ClusterSim {
                                 now.saturating_add(cost).saturating_add(exec),
                                 Event::ExecComplete {
                                     request,
-                                    instance: Some($id),
+                                    instance: $id,
                                 },
                             );
                         }};
@@ -819,8 +819,7 @@ impl ClusterSim {
                     shed += 1;
                     mix_route(&mut route_hash, request, u64::MAX, ROUTE_SHED);
                 }
-                Event::ExecComplete { instance, .. } => {
-                    let Some(id) = instance else { continue };
+                Event::ExecComplete { instance: id, .. } => {
                     let Some(slot) = instances.get_mut(id) else {
                         continue;
                     };
@@ -894,7 +893,7 @@ impl ClusterSim {
                             now.saturating_add(boot).saturating_add(exec),
                             Event::ExecComplete {
                                 request,
-                                instance: Some(id),
+                                instance: id,
                             },
                         );
                     }

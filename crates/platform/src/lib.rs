@@ -24,13 +24,13 @@
 //!   concurrency limits, circuit breakers driven by the fault signals, and
 //!   self-healing capacity pools that repair poisoned prepared state off
 //!   the request path;
-//! - [`simulate`]: the discrete-event simulation core — one central event
-//!   queue and generational instance arenas behind the builder-style
-//!   [`Simulation`] API, with a full-fidelity closed-loop engine
-//!   ([`Simulation::run`], reporting a [`SimReport`]) and a calibrated
-//!   open-loop fleet engine ([`Simulation::run_fleet`]) that extends
-//!   Fig. 15's density axis to 10^5–10^6 concurrent instances — the
-//!   builder is the only way in;
+//! - [`simulate`]: the simulation core behind the builder-style
+//!   [`Simulation`] API — a full-fidelity closed loop
+//!   ([`Simulation::run`], one pass over the trace through real pools,
+//!   reporting a [`SimReport`]) and a calibrated open-loop fleet engine
+//!   ([`Simulation::run_fleet`], one central event queue and generational
+//!   instance arenas) that extends Fig. 15's density axis to 10^5–10^6
+//!   concurrent instances — the builder is the only way in;
 //! - [`cluster`]: the multi-node layer above all of it — per-node gateways
 //!   behind a placement/routing scheduler, a MITOSIS-style *remote sfork*
 //!   rung (cross-node template transfer, its own fault seam) between local

@@ -9,9 +9,13 @@
 use std::collections::VecDeque;
 
 use runtimes::AppProfile;
-use sandbox::{BootCtx, BootEngine, SandboxError};
+use sandbox::{BootCtx, BootEngine};
 use simtime::stats::{summarize, Summary};
-use simtime::{CostModel, SimNanos};
+use simtime::CostModel;
+
+use crate::error::TraceError;
+use crate::simulate::REUSE_HANDOFF;
+use crate::PlatformError;
 
 /// How the platform picks a boot path for each request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,15 +46,18 @@ pub struct TraceOutcome {
 ///
 /// # Errors
 ///
-/// Engine errors from boots.
+/// [`PlatformError::InvalidTrace`] when `functions` is empty or `requests`
+/// is zero (there is no distribution to report); engine errors from boots.
 pub fn simulate_trace<E: BootEngine>(
     engine: &mut E,
     functions: &[AppProfile],
     requests: usize,
     policy: BootPolicy,
     model: &CostModel,
-) -> Result<TraceOutcome, SandboxError> {
-    assert!(!functions.is_empty(), "need at least one function");
+) -> Result<TraceOutcome, PlatformError> {
+    if functions.is_empty() {
+        return Err(TraceError::Empty.into());
+    }
     // Idle warm instances, most-recently-used at the back.
     let mut cache: VecDeque<String> = VecDeque::new();
     let mut latencies = Vec::with_capacity(requests);
@@ -61,11 +68,11 @@ pub fn simulate_trace<E: BootEngine>(
         match policy {
             BootPolicy::WarmCache { capacity } => {
                 if let Some(pos) = cache.iter().position(|f| f == &profile.name) {
-                    // Hit: reuse the idle instance; startup is negligible.
+                    // Hit: reuse the idle instance; scheduler hand-off only.
                     cache.remove(pos);
                     cache.push_back(profile.name.clone());
                     hits += 1;
-                    latencies.push(SimNanos::from_micros(150));
+                    latencies.push(REUSE_HANDOFF);
                 } else {
                     let mut ctx = BootCtx::fresh(model);
                     engine.boot(profile, &mut ctx)?;
@@ -84,7 +91,7 @@ pub fn simulate_trace<E: BootEngine>(
         }
     }
     Ok(TraceOutcome {
-        startup: summarize(&latencies).expect("non-empty trace"),
+        startup: summarize(&latencies).ok_or(TraceError::Empty)?,
         hit_rate: hits as f64 / requests as f64,
     })
 }
@@ -94,6 +101,7 @@ mod tests {
     use super::*;
     use catalyzer::{BootMode, CatalyzerEngine};
     use sandbox::GvisorRestoreEngine;
+    use simtime::SimNanos;
 
     fn small_fleet() -> Vec<AppProfile> {
         vec![
@@ -161,5 +169,38 @@ mod tests {
         // Median is a hit, p99 is still a cold boot.
         assert!(outcome.startup.p50 < SimNanos::from_millis(1));
         assert!(outcome.startup.p99 > SimNanos::from_millis(50));
+    }
+
+    fn always_boot(
+        functions: &[AppProfile],
+        requests: usize,
+    ) -> Result<TraceOutcome, PlatformError> {
+        let model = CostModel::experimental_machine();
+        let mut fork = CatalyzerEngine::standalone(BootMode::Fork);
+        simulate_trace(
+            &mut fork,
+            functions,
+            requests,
+            BootPolicy::AlwaysBoot,
+            &model,
+        )
+    }
+
+    #[test]
+    fn empty_function_list_is_a_typed_error() {
+        let err = always_boot(&[], 8).unwrap_err();
+        assert!(
+            matches!(err, PlatformError::InvalidTrace(TraceError::Empty)),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn zero_requests_is_a_typed_error() {
+        let err = always_boot(&small_fleet(), 0).unwrap_err();
+        assert!(
+            matches!(err, PlatformError::InvalidTrace(TraceError::Empty)),
+            "{err:?}"
+        );
     }
 }

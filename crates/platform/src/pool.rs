@@ -216,24 +216,9 @@ impl<E: BootEngine> InstancePool<E> {
 
     /// Serves one request arriving at `now`: reuse an idle instance or boot
     /// a new one; run the handler; park the instance back in the pool.
-    /// Returns `(startup latency, execution latency, was_reuse)`.
-    ///
-    /// # Errors
-    ///
-    /// Engine or handler errors.
-    pub fn serve(
-        &mut self,
-        now: SimNanos,
-        model: &CostModel,
-    ) -> Result<(SimNanos, SimNanos, bool), PlatformError> {
-        let served = self.serve_inner(now, model, false)?;
-        Ok((served.startup, served.exec, served.reused))
-    }
-
-    /// [`InstancePool::serve`] on the *platform* timeline: the boot
-    /// context's clock starts at `now`, so fault windows
-    /// ([`FaultPlan::storm`](faultsim::FaultPlan::storm)) and span stamps
-    /// line up with arrivals. Returns the full [`PoolServe`], including the
+    /// The boot context's clock starts at `now` — the platform timeline —
+    /// so fault windows ([`FaultPlan::storm`](faultsim::FaultPlan::storm))
+    /// and span stamps line up with arrivals. The [`PoolServe`] carries the
     /// health signals ([`PoolServe::degraded`], [`PoolServe::poisoned`])
     /// that drive circuit breakers.
     ///
@@ -244,15 +229,6 @@ impl<E: BootEngine> InstancePool<E> {
         &mut self,
         now: SimNanos,
         model: &CostModel,
-    ) -> Result<PoolServe, PlatformError> {
-        self.serve_inner(now, model, true)
-    }
-
-    fn serve_inner(
-        &mut self,
-        now: SimNanos,
-        model: &CostModel,
-        platform_time: bool,
     ) -> Result<PoolServe, PlatformError> {
         self.reap(now);
         let (mut outcome, startup, reused, degraded, poisoned) = match self.idle.pop_front() {
@@ -271,11 +247,7 @@ impl<E: BootEngine> InstancePool<E> {
             None => {
                 self.stats.boots += 1;
                 self.metrics.inc(names::POOL_BOOT);
-                let mut ctx = if platform_time {
-                    BootCtx::new(&SimClock::starting_at(now), model)
-                } else {
-                    BootCtx::fresh(model)
-                };
+                let mut ctx = BootCtx::new(&SimClock::starting_at(now), model);
                 if let Some(injector) = &self.injector {
                     ctx = ctx.with_injector(Rc::clone(injector));
                 }
@@ -308,11 +280,7 @@ impl<E: BootEngine> InstancePool<E> {
                     self.metrics.inc(names::POOL_DEGRADED);
                     self.metrics.observe(names::POOL_RECOVERY, booted.recovery);
                 }
-                let startup = if platform_time {
-                    ctx.now().saturating_sub(now)
-                } else {
-                    ctx.now()
-                };
+                let startup = ctx.now().saturating_sub(now);
                 let degraded = booted.degraded();
                 (booted.outcome, startup, false, degraded, poisoned)
             }
@@ -455,18 +423,24 @@ mod tests {
             SimNanos::from_secs(10),
             4,
         );
-        let (s1, _, reused1) = pool.serve(SimNanos::ZERO, &model).unwrap();
-        assert!(!reused1);
-        assert!(s1 > SimNanos::from_millis(50), "first request cold boots");
+        let first = pool.serve_at(SimNanos::ZERO, &model).unwrap();
+        assert!(!first.reused);
+        assert!(
+            first.startup > SimNanos::from_millis(50),
+            "first request cold boots"
+        );
 
-        let (s2, _, reused2) = pool.serve(SimNanos::from_secs(1), &model).unwrap();
-        assert!(reused2, "warm instance must be reused");
-        assert!(s2 < SimNanos::from_millis(1));
+        let second = pool.serve_at(SimNanos::from_secs(1), &model).unwrap();
+        assert!(second.reused, "warm instance must be reused");
+        assert!(second.startup < SimNanos::from_millis(1));
 
         // Past the keep-alive window, the instance is gone: cold again.
-        let (s3, _, reused3) = pool.serve(SimNanos::from_secs(60), &model).unwrap();
-        assert!(!reused3);
-        assert!(s3 > SimNanos::from_millis(50));
+        let third = pool.serve_at(SimNanos::from_secs(60), &model).unwrap();
+        assert!(!third.reused);
+        assert_eq!(
+            third.startup, first.startup,
+            "where the clock starts must not change what a boot costs"
+        );
         assert_eq!(pool.stats().expirations, 1);
         assert_eq!(pool.stats().boots, 2);
         assert_eq!(pool.stats().reuses, 1);
@@ -482,11 +456,14 @@ mod tests {
             0, // nothing is ever parked: every request "misses"
         );
         for i in 0..10 {
-            let (startup, _, reused) = pool.serve(SimNanos::from_millis(i * 10), &model).unwrap();
-            assert!(!reused);
+            let served = pool
+                .serve_at(SimNanos::from_millis(i * 10), &model)
+                .unwrap();
+            assert!(!served.reused);
             assert!(
-                startup < SimNanos::from_millis(1),
-                "fork boot keeps even 100% miss rates sub-ms: {startup}"
+                served.startup < SimNanos::from_millis(1),
+                "fork boot keeps even 100% miss rates sub-ms: {}",
+                served.startup
             );
         }
         assert_eq!(pool.stats().boots, 10);
@@ -561,27 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_and_serve_at_agree_on_latency() {
-        let model = model();
-        let mut a = InstancePool::new(
-            CatalyzerEngine::standalone(BootMode::Fork),
-            AppProfile::c_hello(),
-            SimNanos::from_secs(10),
-            4,
-        );
-        let mut b = InstancePool::new(
-            CatalyzerEngine::standalone(BootMode::Fork),
-            AppProfile::c_hello(),
-            SimNanos::from_secs(10),
-            4,
-        );
-        let (s1, e1, _) = a.serve(SimNanos::from_millis(5), &model).unwrap();
-        let served = b.serve_at(SimNanos::from_millis(5), &model).unwrap();
-        assert_eq!(s1, served.startup, "offset clock must not change costs");
-        assert_eq!(e1, served.exec);
-    }
-
-    #[test]
     fn max_idle_caps_the_pool() {
         let model = model();
         let mut pool = InstancePool::new(
@@ -591,7 +547,7 @@ mod tests {
             2,
         );
         for i in 0..5 {
-            pool.serve(SimNanos::from_millis(i), &model).unwrap();
+            pool.serve_at(SimNanos::from_millis(i), &model).unwrap();
         }
         assert!(pool.idle_count() <= 2);
     }

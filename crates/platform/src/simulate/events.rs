@@ -1,6 +1,7 @@
-//! The central event queue of the discrete-event engine.
+//! The central event queue of the open-loop engines.
 //!
-//! One `BinaryHeap` keyed on [`SimNanos`] drives the whole simulation;
+//! One `BinaryHeap` keyed on [`SimNanos`] drives `run_fleet` and the
+//! cluster kernel (the closed loop schedules nothing and does not use it);
 //! every state change is an [`Event`] popped in deterministic order. The
 //! tie-break at equal timestamps is total and *insertion-order
 //! independent*: `(time, event class, payload key, payload subkey)` — the
@@ -36,9 +37,8 @@ pub enum Event {
     ExecComplete {
         /// Trace position of the completing request.
         request: u64,
-        /// The instance it ran on (`None` in the closed-loop engine, where
-        /// pools own their instances).
-        instance: Option<InstanceId>,
+        /// The instance it ran on.
+        instance: InstanceId,
     },
     /// An idle instance's keep-alive window lapsed. The generational id
     /// makes stale expiries (instance reused or reclaimed since) miss.
@@ -162,11 +162,10 @@ impl Event {
     /// completions of one request (which the engine never schedules, but
     /// the total order must not rely on that) would otherwise fall through
     /// to insertion order. Instance keys `(index << 32) | generation` are
-    /// injective over handles, so shifting them all by one keeps them
-    /// distinct from each other and from the `None` encoding of 0.
+    /// injective over handles.
     fn subkey(&self) -> u64 {
         match self {
-            Event::ExecComplete { instance, .. } => instance.map_or(0, |i| i.key().wrapping_add(1)),
+            Event::ExecComplete { instance, .. } => instance.key(),
             _ => 0,
         }
     }
@@ -259,10 +258,17 @@ impl EventQueue {
 
 #[cfg(test)]
 mod tests {
+    use super::super::arena::Arena;
     use super::*;
 
     fn nanos(n: u64) -> SimNanos {
         SimNanos::from_nanos(n)
+    }
+
+    /// Two live handles from one arena: distinct slots, distinct keys.
+    fn two_instances() -> [InstanceId; 2] {
+        let mut arena: Arena<()> = Arena::new();
+        [arena.insert(()), arena.insert(())]
     }
 
     #[test]
@@ -277,13 +283,14 @@ mod tests {
 
     #[test]
     fn completion_beats_arrival_at_the_same_instant() {
+        let [instance, _] = two_instances();
         let mut q = EventQueue::new();
         q.schedule(nanos(5), Event::Arrival { request: 7 });
         q.schedule(
             nanos(5),
             Event::ExecComplete {
                 request: 3,
-                instance: None,
+                instance,
             },
         );
         let (_, first) = q.pop().unwrap();
@@ -307,8 +314,7 @@ mod tests {
 
     #[test]
     fn transfer_lands_before_the_boot_that_forks_from_it() {
-        let mut arena: super::super::arena::Arena<()> = super::super::arena::Arena::new();
-        let instance = arena.insert(());
+        let [instance, _] = two_instances();
         let mut q = EventQueue::new();
         q.schedule(nanos(8), Event::BootComplete { instance });
         q.schedule(
@@ -325,13 +331,14 @@ mod tests {
 
     #[test]
     fn completions_land_before_a_crash_at_the_same_instant() {
+        let [instance, _] = two_instances();
         let mut q = EventQueue::new();
         q.schedule(nanos(6), Event::NodeCrash { node: 0 });
         q.schedule(
             nanos(6),
             Event::ExecComplete {
                 request: 1,
-                instance: None,
+                instance,
             },
         );
         let (_, first) = q.pop().unwrap();
@@ -395,41 +402,38 @@ mod tests {
 
     #[test]
     fn exec_complete_tie_break_binds_the_instance() {
-        // Two completions at one instant sharing a trace position but
-        // differing in `instance` must pop in a fixed order regardless of
-        // insertion order: the subkey (None < any instance) decides, not
-        // the sequence number.
-        let mut arena: super::super::arena::Arena<()> = super::super::arena::Arena::new();
-        let instance = arena.insert(());
-        let with_instance = Event::ExecComplete {
+        // Two completions of one request at one instant on different
+        // instances never compare equal: they pop in a fixed order
+        // regardless of insertion order — the subkey (the instance's key)
+        // decides, not the sequence number.
+        let [first, second] = two_instances();
+        assert!(first.key() < second.key());
+        let on = |instance| Event::ExecComplete {
             request: 5,
-            instance: Some(instance),
-        };
-        let without = Event::ExecComplete {
-            request: 5,
-            instance: None,
+            instance,
         };
         let mut forward = EventQueue::new();
-        forward.schedule(nanos(2), with_instance);
-        forward.schedule(nanos(2), without);
+        forward.schedule(nanos(2), on(second));
+        forward.schedule(nanos(2), on(first));
         let mut backward = EventQueue::new();
-        backward.schedule(nanos(2), without);
-        backward.schedule(nanos(2), with_instance);
+        backward.schedule(nanos(2), on(first));
+        backward.schedule(nanos(2), on(second));
         let a: Vec<_> = std::iter::from_fn(|| forward.pop()).collect();
         let b: Vec<_> = std::iter::from_fn(|| backward.pop()).collect();
         assert_eq!(a, b);
-        assert!(matches!(a[0].1, Event::ExecComplete { instance: None, .. }));
+        assert_eq!(a[0].1, on(first));
     }
 
     #[test]
     fn insertion_order_does_not_matter() {
+        let [instance, _] = two_instances();
         let events = [
             (nanos(10), Event::Arrival { request: 0 }),
             (
                 nanos(10),
                 Event::ExecComplete {
                     request: 9,
-                    instance: None,
+                    instance,
                 },
             ),
             (

@@ -39,7 +39,7 @@
 use faultsim::{FaultInjector, FaultKind, InjectionPoint};
 use runtimes::AppProfile;
 use sandbox::BootCtx;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use simtime::names;
 use simtime::{LatencyHistogram, MetricsRegistry, SimNanos};
 
@@ -51,7 +51,7 @@ use crate::PlatformError;
 
 /// Latency distribution digest from a fixed-ladder histogram: quantiles
 /// are conservative upper bounds with bounded, schema-stable error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Quantiles {
     /// Samples recorded.
     pub count: u64,
@@ -251,7 +251,7 @@ impl Simulation {
                             now.saturating_add(REUSE_HANDOFF).saturating_add(f.exec),
                             Event::ExecComplete {
                                 request,
-                                instance: Some(id),
+                                instance: id,
                             },
                         );
                         continue;
@@ -317,12 +317,11 @@ impl Simulation {
                         now.saturating_add(exec),
                         Event::ExecComplete {
                             request: inst.request,
-                            instance: Some(instance),
+                            instance,
                         },
                     );
                 }
-                Event::ExecComplete { instance, .. } => {
-                    let Some(id) = instance else { continue };
+                Event::ExecComplete { instance: id, .. } => {
                     let Some(inst) = instances.get_mut(id) else {
                         continue;
                     };

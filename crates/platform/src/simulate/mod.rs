@@ -1,29 +1,29 @@
-//! The fleet simulation core: one discrete-event engine behind one
-//! builder-style [`Simulation`] API.
+//! The simulation core behind one builder-style [`Simulation`] API.
 //!
-//! A central [`EventQueue`] (a `BinaryHeap` keyed on [`SimNanos`]) drives
-//! every run: request arrivals, boot completions, execution completions,
-//! keep-alive expiries, and self-healing pool ticks are all events popped
-//! in a deterministic, insertion-order-independent order. Instance and
-//! function state live in index-based arenas ([`Arena`], [`InstanceId`],
-//! [`FnId`]) instead of `Rc<RefCell<...>>` webs.
+//! Two ways to run a trace, at two fidelity levels:
 //!
-//! Two engines share the queue:
-//!
-//! - **Closed-loop** ([`Simulation::run`]): every request is served to
+//! - **Closed loop** ([`Simulation::run`]): every request is served to
 //!   completion through real [`InstancePool`]s, boot engines, fault
 //!   injection, resilience, and admission control — full fidelity, suited
-//!   to thousands of requests. Everything the run produced comes back in
-//!   one [`SimReport`].
+//!   to thousands of requests. A request's whole life is decided when it
+//!   arrives, so this is a single pass over the time-sorted trace, not an
+//!   event simulation: nothing is scheduled, and the only state between
+//!   arrivals is the finish times of the requests still in flight.
+//!   Everything the run produced comes back in one [`SimReport`].
 //! - **Open-loop fleet** ([`Simulation::run_fleet`]): per-function boot and
 //!   execution costs are calibrated once through the real engines, then
-//!   millions of requests flow through the event queue against arena-held
-//!   instances — the regime that extends Figure 15 from 10^3 to 10^5–10^6
-//!   concurrent instances.
+//!   millions of requests flow through a central [`EventQueue`] (a
+//!   `BinaryHeap` keyed on [`SimNanos`]) — arrivals, boot and execution
+//!   completions, keep-alive expiries and self-healing pool ticks popped
+//!   in a deterministic, insertion-order-independent order — against
+//!   instances held in index-based arenas ([`Arena`], [`InstanceId`],
+//!   [`FnId`]) instead of `Rc<RefCell<...>>` webs. This is the regime that
+//!   extends Figure 15 from 10^3 to 10^5–10^6 concurrent instances.
 //!
 //! The queue, the arenas, and the calibration memoiser are shared with the
 //! multi-node kernel in [`crate::cluster`], which adds the transfer, repair
-//! and node-fault event classes.
+//! and node-fault event classes. Those two — `run_fleet` and the cluster's
+//! `drive` — are the only event loops.
 //!
 //! Determinism is the contract: the same catalogue, knobs, and trace
 //! produce byte-identical outcomes, logs, and metrics.
@@ -55,6 +55,8 @@ pub mod events;
 pub mod fleet;
 
 use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -67,7 +69,8 @@ use simtime::stats::{summarize, Summary};
 use simtime::{CostModel, MetricsRegistry, SimNanos};
 
 use crate::admission::{
-    AdmissionController, AdmissionPolicy, AdmissionRecord, BreakerTransition, HealthSignal,
+    AdmissionController, AdmissionPolicy, AdmissionRecord, Admitted, BreakerTransition,
+    HealthSignal,
 };
 use crate::error::TraceError;
 use crate::pool::{InstancePool, PoolStats, RepairStats};
@@ -125,13 +128,13 @@ pub(crate) fn validate_trace(trace: &[TraceRequest], functions: usize) -> Result
 /// Boxed engine constructor: one factory serves heterogeneous fleets.
 type EngineFactory = Box<dyn FnMut(&AppProfile) -> Box<dyn BootEngine>>;
 
-/// Builder-style front door to the discrete-event simulation core.
+/// Builder-style front door to the simulation core.
 ///
 /// Composes the platform's policies as first-class knobs — fault plans,
 /// resilience ladders, admission control, keep-alive and prewarm — over a
 /// function catalogue, then runs a trace through either the full-fidelity
-/// closed-loop engine ([`Simulation::run`]) or the calibrated open-loop
-/// fleet engine ([`Simulation::run_fleet`]).
+/// closed loop ([`Simulation::run`]) or the calibrated open-loop fleet
+/// engine ([`Simulation::run_fleet`]).
 pub struct Simulation {
     catalogue: Vec<AppProfile>,
     engine: EngineFactory,
@@ -142,10 +145,6 @@ pub struct Simulation {
     plan: Option<FaultPlan>,
     policy: ResiliencePolicy,
     admission: Option<AdmissionPolicy>,
-    /// Boot clocks start at the arrival time (platform timeline) rather
-    /// than at zero per request; [`Simulation::with_request_local_clocks`]
-    /// clears it.
-    platform_time: bool,
 }
 
 impl fmt::Debug for Simulation {
@@ -157,7 +156,6 @@ impl fmt::Debug for Simulation {
             .field("min_ready", &self.min_ready)
             .field("faults", &self.plan.is_some())
             .field("admission", &self.admission.is_some())
-            .field("platform_time", &self.platform_time)
             .finish()
     }
 }
@@ -179,7 +177,6 @@ impl Simulation {
             plan: None,
             policy: ResiliencePolicy::full(),
             admission: None,
-            platform_time: true,
         }
     }
 
@@ -240,17 +237,8 @@ impl Simulation {
         self
     }
 
-    /// Starts each boot's clock at zero instead of at the arrival time, so
-    /// fault windows are request-local — the semantics the pinned
-    /// `tests/event_engine.rs` fixtures were captured under. New code
-    /// should prefer the default platform timeline.
-    pub fn with_request_local_clocks(mut self) -> Simulation {
-        self.platform_time = false;
-        self
-    }
-
-    /// Drives `trace` through the closed-loop discrete-event engine: every
-    /// request runs to completion through real pools and boot engines.
+    /// Drives `trace` through the closed loop: every request runs to
+    /// completion through real pools and boot engines, in trace order.
     ///
     /// # Errors
     ///
@@ -262,8 +250,11 @@ impl Simulation {
         self.run_closed(trace)
     }
 
-    /// The closed-loop engine: arrivals and completions flow through the
-    /// event queue; serving goes through full-fidelity [`InstancePool`]s.
+    /// The closed loop is a fold over the time-sorted trace, not an event
+    /// simulation: a request's whole life is decided the moment it
+    /// arrives (the pools own booting, expiry and repair), so the only
+    /// thing carried between arrivals is the finish times of requests
+    /// still in flight.
     fn run_closed(mut self, trace: &[TraceRequest]) -> Result<SimReport, PlatformError> {
         validate_trace(trace, self.catalogue.len())?;
         let injector = self
@@ -293,11 +284,6 @@ impl Simulation {
             .collect();
         let mut ctrl = self.admission.take().map(AdmissionController::new);
 
-        let mut queue = EventQueue::with_capacity(trace.len().saturating_mul(2));
-        for (i, req) in trace.iter().enumerate() {
-            queue.schedule(req.arrival, Event::Arrival { request: i as u64 });
-        }
-
         let mut admitted = 0u64;
         let mut completed = 0u64;
         let mut failed = 0u64;
@@ -306,136 +292,80 @@ impl Simulation {
         let mut shed_breaker = 0u64;
         let mut goodput = 0u64;
         let mut reuses = 0u64;
-        let mut in_flight = 0usize;
+        // Finish times of the requests in flight, earliest on top.
+        let mut in_flight: BinaryHeap<Reverse<SimNanos>> = BinaryHeap::new();
         let mut peak_in_flight = 0usize;
         let mut startups = Vec::with_capacity(trace.len());
         let mut e2es = Vec::with_capacity(trace.len());
 
-        while let Some((now, event)) = queue.pop() {
-            match event {
-                Event::ExecComplete { .. } => {
-                    in_flight = in_flight.saturating_sub(1);
-                }
-                // Cluster- and chaos-only classes: the closed-loop engine
-                // never schedules them.
-                Event::TransferComplete { .. }
-                | Event::NodeRepair { .. }
-                | Event::NodeCrash { .. }
-                | Event::PartitionHeal { .. }
-                | Event::HedgeFire { .. }
-                | Event::HeartbeatTick { .. } => {}
-                Event::Arrival { request } => {
-                    let Some(req) = trace.get(usize::try_from(request).unwrap_or(usize::MAX))
-                    else {
-                        continue;
-                    };
-                    let Some(pool) = pools.get_mut(req.function) else {
-                        continue;
-                    };
-                    match &mut ctrl {
-                        Some(ctrl) => {
-                            let name = self.catalogue[req.function].name.as_str();
-                            // The repair daemon wakes between arrivals:
-                            // anything poisoned earlier is rebuilt and
-                            // healed here, off the request path.
-                            pool.tick(now, &self.model)?;
-                            let slot = match ctrl.admit(name, now) {
-                                Ok(slot) => slot,
-                                Err(err) => {
-                                    // Every shed is typed; nothing is
-                                    // silently dropped.
-                                    match err {
-                                        PlatformError::Overload { .. } => shed_overload += 1,
-                                        PlatformError::DeadlineExceeded { .. } => {
-                                            shed_deadline += 1
-                                        }
-                                        PlatformError::CircuitOpen { .. } => shed_breaker += 1,
-                                        other => return Err(other),
-                                    }
-                                    continue;
-                                }
-                            };
-                            admitted += 1;
-                            match pool.serve_at(slot.start, &self.model) {
-                                Ok(served) => {
-                                    completed += 1;
-                                    if served.reused {
-                                        reuses += 1;
-                                    }
-                                    let finish = slot
-                                        .start
-                                        .saturating_add(served.startup)
-                                        .saturating_add(served.exec);
-                                    let signal = if served.poisoned {
-                                        HealthSignal::Poisoned
-                                    } else {
-                                        HealthSignal::Healthy
-                                    };
-                                    ctrl.complete(name, finish, signal);
-                                    startups.push(served.startup);
-                                    e2es.push(
-                                        slot.queued
-                                            .saturating_add(served.startup)
-                                            .saturating_add(served.exec),
-                                    );
-                                    if slot.deadline.is_none_or(|d| finish <= d) {
-                                        goodput += 1;
-                                    }
-                                    in_flight += 1;
-                                    peak_in_flight = peak_in_flight.max(in_flight);
-                                    queue.schedule(
-                                        finish,
-                                        Event::ExecComplete {
-                                            request,
-                                            instance: None,
-                                        },
-                                    );
-                                }
-                                Err(_) => {
-                                    // Availability loss: the admitted
-                                    // request died. The slot frees at its
-                                    // start time and the breaker hears
-                                    // about it.
-                                    failed += 1;
-                                    ctrl.complete(name, slot.start, HealthSignal::Failed);
-                                }
-                            }
-                        }
-                        None => {
-                            let (startup, exec, reused) = if self.platform_time {
-                                let served = pool.serve_at(now, &self.model)?;
-                                (served.startup, served.exec, served.reused)
-                            } else {
-                                pool.serve(now, &self.model)?
-                            };
-                            admitted += 1;
-                            completed += 1;
-                            goodput += 1;
-                            if reused {
-                                reuses += 1;
-                            }
-                            startups.push(startup);
-                            e2es.push(startup.saturating_add(exec));
-                            let finish = now.saturating_add(startup).saturating_add(exec);
-                            in_flight += 1;
-                            peak_in_flight = peak_in_flight.max(in_flight);
-                            queue.schedule(
-                                finish,
-                                Event::ExecComplete {
-                                    request,
-                                    instance: None,
-                                },
-                            );
-                        }
-                    }
-                }
-                // The closed-loop engine delegates booting, expiry, and
-                // repair scheduling to the pools themselves; these classes
-                // are driven by the open-loop fleet engine.
-                Event::BootComplete { .. }
-                | Event::KeepAliveExpiry { .. }
-                | Event::PoolTick { .. } => {}
+        for req in trace {
+            let now = req.arrival;
+            // A request finishing at `now` has left before the one arriving
+            // at `now` sees the world.
+            while in_flight.peek().is_some_and(|finish| finish.0 <= now) {
+                in_flight.pop();
             }
+            let name = self.catalogue[req.function].name.as_str();
+            let pool = &mut pools[req.function];
+            // The repair daemon wakes between arrivals: anything poisoned
+            // earlier is rebuilt and healed here, off the request path.
+            pool.tick(now, &self.model)?;
+            let slot = match &mut ctrl {
+                Some(ctrl) => match ctrl.admit(name, now) {
+                    Ok(slot) => slot,
+                    Err(err) => {
+                        // Every shed is typed; nothing is silently dropped.
+                        match err {
+                            PlatformError::Overload { .. } => shed_overload += 1,
+                            PlatformError::DeadlineExceeded { .. } => shed_deadline += 1,
+                            PlatformError::CircuitOpen { .. } => shed_breaker += 1,
+                            other => return Err(other),
+                        }
+                        continue;
+                    }
+                },
+                None => Admitted {
+                    start: now,
+                    queued: SimNanos::ZERO,
+                    deadline: None,
+                },
+            };
+            admitted += 1;
+            let served = match pool.serve_at(slot.start, &self.model) {
+                Ok(served) => served,
+                Err(err) => {
+                    // Availability loss: the admitted request died. The
+                    // slot frees at its start time and the breaker hears
+                    // about it. With nobody to hear, the run aborts.
+                    let Some(ctrl) = &mut ctrl else {
+                        return Err(err);
+                    };
+                    failed += 1;
+                    ctrl.complete(name, slot.start, HealthSignal::Failed);
+                    continue;
+                }
+            };
+            completed += 1;
+            if served.reused {
+                reuses += 1;
+            }
+            let busy = served.startup.saturating_add(served.exec);
+            let finish = slot.start.saturating_add(busy);
+            startups.push(served.startup);
+            e2es.push(slot.queued.saturating_add(busy));
+            if slot.deadline.is_none_or(|d| finish <= d) {
+                goodput += 1;
+            }
+            if let Some(ctrl) = &mut ctrl {
+                let signal = if served.poisoned {
+                    HealthSignal::Poisoned
+                } else {
+                    HealthSignal::Healthy
+                };
+                ctrl.complete(name, finish, signal);
+            }
+            in_flight.push(Reverse(finish));
+            peak_in_flight = peak_in_flight.max(in_flight.len());
         }
 
         let mut metrics = MetricsRegistry::new();
@@ -471,8 +401,9 @@ impl Simulation {
         };
         let faults = injector.map_or(0, |i| i.borrow().total_fired());
 
+        let requests = u64::try_from(trace.len()).unwrap_or(u64::MAX);
         Ok(SimReport {
-            requests: u64::try_from(trace.len()).unwrap_or(u64::MAX),
+            requests,
             admitted,
             completed,
             failed,
@@ -485,7 +416,7 @@ impl Simulation {
             end_to_end: summarize(&e2es),
             pools: pool_stats,
             peak_in_flight,
-            events: queue.scheduled(),
+            events: requests.saturating_add(completed),
             faults,
             degraded,
             breaker_opens,
@@ -527,10 +458,11 @@ pub struct SimReport {
     pub end_to_end: Option<Summary>,
     /// Aggregated pool statistics (summed over functions).
     pub pools: PoolStats,
-    /// Maximum requests concurrently in flight (arrival-to-completion),
-    /// measured by the event queue.
+    /// Maximum requests concurrently in flight (arrival-to-completion); a
+    /// request finishing at `t` is gone before one arriving at `t` counts.
     pub peak_in_flight: usize,
-    /// Events the queue processed, a proxy for simulation work.
+    /// Arrivals handled plus completions retired (`requests + completed`),
+    /// a proxy for simulation work.
     pub events: u64,
     /// Injected faults absorbed across the fleet.
     pub faults: u64,
@@ -676,6 +608,18 @@ mod tests {
         assert!((report.availability() - 1.0).abs() < 1e-12);
         assert!(report.repairs.repairs == 0, "nothing to repair");
         assert!(report.repairs.replenished >= 1, "floor kept warm");
+    }
+
+    #[test]
+    fn prewarm_without_admission_keeps_the_floor_warm() {
+        // One serve arm: the repair daemon ticks whether or not a
+        // controller is armed, so the floor `with_prewarm` promises holds.
+        let report = Simulation::new(vec![AppProfile::c_hello()])
+            .with_prewarm(1)
+            .run(&burst(4, SimNanos::from_millis(50)))
+            .unwrap();
+        assert!(report.repairs.replenished >= 1, "floor kept warm");
+        assert_eq!(report.reuses, 4, "every request finds a warm instance");
     }
 
     #[test]

@@ -16,19 +16,28 @@
 //!    functions; each test spells out the builder chain that function
 //!    was, and reads the same numbers off [`SimReport`](platform::SimReport)
 //!    (the legacy `peak_concurrency` was `peak_in_flight + 1`, the legacy
-//!    `reuse_rate` was `reuses / requests`).
+//!    `reuse_rate` was `reuses / requests`). The two no-admission
+//!    fixtures were captured with request-local boot clocks and hold
+//!    unchanged on the platform timeline: neither run has a time-windowed
+//!    fault plan (`FaultPlan::uniform` fires by draw order, not by `now`),
+//!    and a boot's startup is `ctx.now() - start`, so where the clock
+//!    starts shifts span stamps only.
+//! 4. **In-flight accounting** — the closed loop is a fold over the trace,
+//!    not an event simulation; its `peak_in_flight` and `events` are held
+//!    to a brute-force interval sweep over a replay on mirror pools.
 
 use catalyzer::{BootMode, CatalyzerEngine};
 use faultsim::FaultPlan;
+use platform::admission::AdmitDecision;
 use platform::simulate::arena::{Arena, FnId, InstanceId};
 use platform::simulate::events::{Event, EventQueue};
 use platform::simulate::TraceRequest;
-use platform::{AdmissionPolicy, ResiliencePolicy, Simulation};
+use platform::{AdmissionPolicy, InstancePool, ResiliencePolicy, SimReport, Simulation};
 use proptest::prelude::*;
 use runtimes::AppProfile;
 use sandbox::GvisorRestoreEngine;
-use simtime::stats::Summary;
-use simtime::SimNanos;
+use simtime::stats::{summarize, Summary};
+use simtime::{CostModel, SimNanos};
 
 fn fixture_functions() -> Vec<AppProfile> {
     vec![AppProfile::c_hello(), AppProfile::c_nginx()]
@@ -65,7 +74,6 @@ fn closed_loop_matches_the_pre_refactor_fixture() {
         .with_engine(|_| GvisorRestoreEngine::new())
         .with_keep_alive(SimNanos::from_secs(5))
         .with_max_idle(2)
-        .with_request_local_clocks()
         .run(&fixture_trace())
         .unwrap();
     assert_eq!(
@@ -113,7 +121,6 @@ fn faulted_closed_loop_matches_the_pre_refactor_fixture() {
         .with_max_idle(2)
         .with_faults(FaultPlan::uniform(0xF1D0, 0.2))
         .with_resilience(ResiliencePolicy::full())
-        .with_request_local_clocks()
         .run(&fixture_trace())
         .unwrap();
     assert_eq!(
@@ -262,6 +269,104 @@ fn admitted_hot_burst_matches_the_pre_refactor_fixture() {
     );
 }
 
+/// When each request of `trace` started service under `report` (`None` =
+/// shed): its arrival without admission, arrival plus the logged queue
+/// wait with it.
+fn service_starts(trace: &[TraceRequest], report: &SimReport) -> Vec<Option<SimNanos>> {
+    if report.admission_log.is_empty() {
+        return trace.iter().map(|r| Some(r.arrival)).collect();
+    }
+    report
+        .admission_log
+        .iter()
+        .map(|rec| match rec.decision {
+            AdmitDecision::Admitted { queued } => Some(rec.at.saturating_add(queued)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The oracle for the closed loop's in-flight accounting: replays the
+/// served requests on mirror pools (the `Simulation` defaults), checks the
+/// replay against the report's own latency summaries, and sweeps the
+/// `[arrival, finish)` intervals by brute force — half-open, so a request
+/// finishing at `t` is gone before one arriving at `t` is counted.
+fn brute_force_peak(trace: &[TraceRequest], report: &SimReport) -> usize {
+    let model = CostModel::experimental_machine();
+    let mut pools: Vec<_> = fixture_functions()
+        .into_iter()
+        .map(|profile| {
+            let engine = CatalyzerEngine::standalone(BootMode::Fork);
+            InstancePool::new(engine, profile, SimNanos::from_secs(5), 4)
+        })
+        .collect();
+    let mut intervals = Vec::new();
+    let (mut startups, mut e2es) = (Vec::new(), Vec::new());
+    for (req, start) in trace.iter().zip(service_starts(trace, report)) {
+        let Some(start) = start else { continue };
+        let served = pools[req.function].serve_at(start, &model).unwrap();
+        let finish = start
+            .saturating_add(served.startup)
+            .saturating_add(served.exec);
+        intervals.push((req.arrival, finish));
+        startups.push(served.startup);
+        e2es.push(finish.saturating_sub(req.arrival));
+    }
+    assert_eq!(report.startup, summarize(&startups));
+    assert_eq!(report.end_to_end, summarize(&e2es));
+    (0..intervals.len())
+        .map(|i| {
+            let now = intervals[i].0;
+            intervals[..=i].iter().filter(|(_, f)| *f > now).count()
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+#[test]
+fn arrival_at_a_finish_instant_does_not_overlap_it() {
+    let at = |arrivals: &[SimNanos]| -> Vec<TraceRequest> {
+        arrivals
+            .iter()
+            .map(|&arrival| TraceRequest {
+                arrival,
+                function: 0,
+            })
+            .collect()
+    };
+    let run = |trace: &[TraceRequest]| Simulation::new(fixture_functions()).run(trace).unwrap();
+    // Alone, the request occupies [0, finish).
+    let finish = run(&at(&[SimNanos::ZERO])).end_to_end.unwrap().max;
+    let touching = run(&at(&[SimNanos::ZERO, finish]));
+    assert_eq!(touching.peak_in_flight, 1, "completion settles first");
+    assert_eq!(touching.events, 4, "two arrivals + two completions");
+    let just_before = finish.saturating_sub(SimNanos::from_nanos(1));
+    let overlapping = run(&at(&[SimNanos::ZERO, just_before]));
+    assert_eq!(overlapping.peak_in_flight, 2);
+}
+
+#[test]
+fn unlimited_admission_and_no_admission_are_the_same_run() {
+    let trace = trace_from(&[0, 0, 90, 400, 0, 2_500, 10, 700, 0, 0, 6_000_000, 30]);
+    let plain = Simulation::new(fixture_functions()).run(&trace).unwrap();
+    let gated = Simulation::new(fixture_functions())
+        .with_admission(AdmissionPolicy::unlimited())
+        .run(&trace)
+        .unwrap();
+    assert_eq!(gated.shed(), 0);
+    assert_eq!(gated.admission_log.len(), trace.len());
+    let counts = |r: &SimReport| {
+        (
+            (r.requests, r.admitted, r.completed, r.failed),
+            (r.goodput, r.reuses, r.pools, r.peak_in_flight, r.events),
+            (r.faults, r.degraded, r.breaker_opens, r.repairs),
+        )
+    };
+    assert_eq!(counts(&plain), counts(&gated));
+    assert_eq!(plain.startup, gated.startup);
+    assert_eq!(plain.end_to_end, gated.end_to_end);
+}
+
 /// Local mirror of the queue's tie-break fingerprint, used only to drop
 /// exact duplicates (the one case where the sequence number decides).
 fn fingerprint(at: SimNanos, event: &Event) -> (u64, u8, u64) {
@@ -328,7 +433,7 @@ proptest! {
             .map(|&(t, class, key)| {
                 let slot = usize::try_from(key).unwrap_or(0);
                 let event = match class {
-                    0 => Event::ExecComplete { request: key, instance: None },
+                    0 => Event::ExecComplete { request: key, instance: ids[slot] },
                     1 => Event::KeepAliveExpiry { instance: ids[slot] },
                     2 => Event::BootComplete { instance: ids[slot] },
                     3 => Event::PoolTick { function: FnId::from_index(slot) },
@@ -402,13 +507,39 @@ proptest! {
         let run = || {
             Simulation::new(fixture_functions())
                 .with_faults(FaultPlan::uniform(seed, f64::from(rate_pct) / 100.0))
-                .with_request_local_clocks()
                 .run(&trace)
                 .unwrap()
         };
         let a = run();
         let b = run();
         prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    /// The fold's in-flight accounting against the brute-force sweep, on
+    /// traces dense in duplicate timestamps, ungated and under a policy
+    /// tight enough to queue and shed.
+    #[test]
+    fn closed_loop_in_flight_matches_the_interval_sweep(
+        steps in prop::collection::vec(0u32..5, 1..40),
+        limit in 0usize..4,
+    ) {
+        // One gap in five is zero; `limit == 0` is the ungated run.
+        let gaps: Vec<u32> = steps.iter().map(|s| s * 170).collect();
+        let trace = trace_from(&gaps);
+        let run = || {
+            let sim = Simulation::new(fixture_functions());
+            match limit {
+                0 => sim,
+                n => sim.with_admission(AdmissionPolicy::standard(n, SimNanos::from_millis(3))),
+            }
+            .run(&trace)
+            .unwrap()
+        };
+        let report = run();
+        prop_assert_eq!(report.peak_in_flight, brute_force_peak(&trace, &report));
+        prop_assert_eq!(report.events, report.requests + report.completed);
+        prop_assert_eq!(report.completed + report.shed(), report.requests);
+        prop_assert_eq!(format!("{report:?}"), format!("{:?}", run()));
     }
 
     /// Same trace, same knobs, same fault seed — byte-identical fleet

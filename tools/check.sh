@@ -28,7 +28,7 @@ step() {
 # targets are not held to this workspace's lint bar and must never be
 # edited to satisfy it.
 FIRST_PARTY=(--workspace
-  --exclude bytes --exclude criterion --exclude crossbeam
+  --exclude bytes --exclude crossbeam
   --exclude parking_lot --exclude proptest --exclude rand
   --exclude serde --exclude serde_derive --exclude serde_json)
 
@@ -97,13 +97,6 @@ step "BENCH exports (pr2/3/4/7/8/9 valid + byte-identical)" \
 # standing guard that `run_fleet` and `run_chaos` (event counts included)
 # did not move. See benchmark/README.md for the full run and `compare`.
 step "benchmark smoke (five workloads, pinned digests, failed 0)" benchmark_smoke
-
-# Smoke-run the mechanism micro-benchmarks (lz / classic / flat / ept /
-# kernel / crc32): they are the per-layer view of the data paths the
-# wall-clock benchmark times end to end, and nothing else compiles them.
-# Under a second once built with the vendored criterion stand-in.
-step "mechanisms smoke (lz/classic/flat/ept/kernel/crc32 micro-benches)" \
-  cargo bench -q -p bench --bench mechanisms
 
 echo
 echo "All checks passed."
