@@ -17,8 +17,9 @@ pub struct Config {
     /// Files that parse untrusted bytes (func-images, checkpoints). The
     /// panic-freedom pass applies only here.
     pub parse_files: Vec<String>,
-    /// Bare names of the functions that root the restore critical path.
-    /// Everything name-reachable from these is held to hot-path discipline.
+    /// Bare names of the functions that root the boot critical paths:
+    /// cold/warm restore and fork boot. Everything name-reachable from
+    /// these is held to hot-path discipline.
     pub hot_roots: Vec<String>,
     /// Bare names where hot-path traversal stops: work that is off the
     /// restore critical path even though the restore entry points call it
@@ -92,6 +93,11 @@ impl Config {
                 "attach_base".into(),
                 "load_page".into(),
                 "load_range".into(),
+                // Fork boot (paper §4): `sfork` duplicates page *tables*
+                // and kernel bookkeeping copy-on-write. A per-page or
+                // per-buffer copy under it undoes exactly that.
+                "sfork".into(),
+                "sfork_clone".into(),
             ],
             hot_stops: vec![
                 // One-time image preparation (checkpoint side). The paper
@@ -227,6 +233,24 @@ mod tests {
         assert!(c.is_non_library_path("crates/bench/src/bin/repro.rs"));
         assert!(c.is_non_library_path("examples/quickstart.rs"));
         assert!(!c.is_non_library_path("crates/core/src/restore.rs"));
+    }
+
+    #[test]
+    fn hot_roots_cover_every_boot_path() {
+        let c = Config::workspace_default();
+        // Cold/warm restore, demand paging, and fork boot.
+        for root in [
+            "restore_boot",
+            "build_base_layer",
+            "attach_base",
+            "load_page",
+            "sfork",
+            "sfork_clone",
+        ] {
+            assert!(c.hot_roots.iter().any(|r| r == root), "{root} not a root");
+        }
+        // One-time image compilation stays off the path.
+        assert_eq!(c.hot_stops, ["ensure_compiled"]);
     }
 
     #[test]

@@ -415,13 +415,15 @@ fn explain(pass: &str) -> Option<&'static str> {
              print the root → … → sink chain to follow.\n"
         }
         "hotpath" => {
-            "hotpath — no eager full-buffer copies on the restore path.\n\n\
+            "hotpath — no eager full-buffer copies on the boot paths.\n\n\
              Overlay memory (paper §3.1) exists so Base-EPT pages are shared,\n\
-             not copied; an eager `to_vec()`/`extend_from_slice` anywhere\n\
-             reachable from the restore roots quietly re-introduces the cost\n\
-             the design removes. Reachability is computed on the workspace\n\
-             call graph from the configured roots (restore_boot, load_page, …)\n\
-             and each finding carries its root → … → sink call chain.\n\n\
+             not copied, and sfork (§4) duplicates page tables, not pages; an\n\
+             eager `to_vec()`/`extend_from_slice` anywhere reachable from the\n\
+             boot roots quietly re-introduces the cost the design removes.\n\
+             Reachability is computed on the workspace call graph from the\n\
+             configured roots — cold/warm restore (restore_boot, load_page, …)\n\
+             and fork boot (sfork, sfork_clone) — and each finding carries its\n\
+             root → … → sink call chain.\n\n\
              Fix: slice shared buffers (`Bytes::slice`), share instead of\n\
              copy, or — if genuinely off the hot path — adjust the stop list\n\
              in catalint's config with a review.\n"

@@ -28,7 +28,9 @@ use simtime::{CostModel, SimClock, SimNanos};
 use crate::CatalyzerConfig;
 
 /// Pages covered by one last-level page table (the granularity at which
-/// `sfork` copies page-table structure).
+/// `sfork` copies page-table structure). `memsim`'s private layer is built
+/// of leaf tables of the same span, so the `copy-page-tables` charge counts
+/// the references `AddressSpace::sfork_clone` really takes.
 const PTE_TABLE_SPAN: u64 = 512;
 
 /// A template sandbox for one function.

@@ -13,14 +13,17 @@ use crate::PAGE_SIZE;
 ///   the underlying buffer, exactly like `mmap`-ing a file read-only).
 ///
 /// Frames are shared between address spaces through [`FrameRef`]
-/// (`Arc<Frame>`); the `Arc` strong count is the frame's *sharing degree*,
-/// which [`crate::accounting`] uses to compute PSS.
+/// (`Arc<Frame>`). The `Arc` strong count is *not* the sharing degree:
+/// `sfork` shares whole leaf tables, so one reference held by one table can
+/// stand for many spaces. [`crate::accounting`] counts sharers by frame
+/// identity across the group instead, and the address space decides
+/// writability from the table *and* the frame (see `AddressSpace::write`).
 #[derive(Debug, Clone)]
 pub struct Frame {
     data: FrameData,
 }
 
-/// Shared handle to a frame. `Arc::strong_count` = sharing degree.
+/// Shared handle to a frame.
 pub type FrameRef = Arc<Frame>;
 
 #[derive(Debug, Clone)]
@@ -46,10 +49,17 @@ impl Frame {
     /// Panics if `bytes.len() > PAGE_SIZE`.
     pub fn from_bytes(bytes: &[u8]) -> Frame {
         assert!(bytes.len() <= PAGE_SIZE, "frame contents exceed a page");
-        let mut buf = vec![0u8; PAGE_SIZE];
-        buf[..bytes.len()].copy_from_slice(bytes);
+        // A full page (every CoW copy) is one allocation and one pass;
+        // only a short one needs the zero padding underneath it.
+        let data: Box<[u8]> = if bytes.len() == PAGE_SIZE {
+            bytes.into()
+        } else {
+            let mut buf = vec![0u8; PAGE_SIZE];
+            buf[..bytes.len()].copy_from_slice(bytes);
+            buf.into_boxed_slice()
+        };
         Frame {
-            data: FrameData::Owned(buf.into_boxed_slice()),
+            data: FrameData::Owned(data),
         }
     }
 
@@ -80,8 +90,10 @@ impl Frame {
 
     /// Writes `src` at `offset` in place.
     ///
-    /// Callers must hold the only reference (checked by the address space via
-    /// `Arc::get_mut`); image-backed frames must be CoW-copied first.
+    /// Callers must hold the only reference — `&mut Frame` out of an
+    /// `Arc<Frame>` is `Arc::get_mut`, which the address space also requires
+    /// of the leaf table holding it; image-backed frames must be CoW-copied
+    /// first.
     ///
     /// # Panics
     ///

@@ -13,7 +13,10 @@
 //! - [`EptLayer`] / [`AddressSpace`]: the Private-over-Base overlay with
 //!   hardware-style merge-on-access, copy-on-write faults, demand zero-fill,
 //!   and `sfork`-style CoW duplication (including the paper's new CoW flag
-//!   for `MAP_SHARED` mappings).
+//!   for `MAP_SHARED` mappings). A layer is a two-level table whose
+//!   512-page leaf tables are themselves shared copy-on-write, so a fork
+//!   costs page *tables*, not pages — what the paper's sfork does and what
+//!   the cost model charges.
 //! - [`accounting`]: RSS/PSS computation across a set of sandboxes (paper
 //!   Fig. 14).
 //!

@@ -6,6 +6,7 @@ use serde::{Deserialize, Serialize};
 use simtime::{CostModel, SimClock};
 
 use crate::frame::frame_identity;
+use crate::layer::EptTable;
 use crate::{EptEntry, EptLayer, Frame, FrameRef, MemError, Perms, Vpn, VpnRange, PAGE_SIZE};
 
 /// How a mapping behaves across `sfork` (paper §4, Table 1 "Mem" row).
@@ -57,11 +58,18 @@ pub struct SpaceStats {
 /// [`AddressSpace::read`] / [`AddressSpace::write`] (which take faults and
 /// charge the clock exactly where real hardware would) and
 /// [`AddressSpace::sfork_clone`] (CoW duplication for sandbox fork).
+///
+/// The two layers are held the way they are owned. The Private-EPT belongs
+/// to this space alone, so it is a bare table reached through `&mut self`:
+/// an access to a resident private page takes no lock, clones no entry and
+/// allocates nothing. The Base-EPT is shared with every sandbox of the
+/// function and upgraded in place on first touch, so it stays behind
+/// [`EptLayer`]'s lock.
 #[derive(Debug)]
 pub struct AddressSpace {
     name: String,
     vmas: Vec<Vma>,
-    private: EptLayer,
+    private: EptTable,
     base: Option<Arc<EptLayer>>,
     /// Base pages whose merged hardware EPT entry this space has built.
     hw_merged: BTreeSet<Vpn>,
@@ -74,7 +82,7 @@ impl AddressSpace {
         AddressSpace {
             name: name.into(),
             vmas: Vec::new(),
-            private: EptLayer::new(),
+            private: EptTable::default(),
             base: None,
             hw_merged: BTreeSet::new(),
             stats: SpaceStats::default(),
@@ -189,7 +197,14 @@ impl AddressSpace {
             .ok_or(MemError::Unmapped { vpn: range.start })?;
         self.vmas.remove(idx);
         self.private.remove_range(range.start, range.end);
-        self.hw_merged.retain(|vpn| !range.contains(*vpn));
+        // By range, not `retain` over the whole set: a reused instance
+        // unmaps its request scratch on every invocation.
+        while let Some(&vpn) = self.hw_merged.range(range.start..).next() {
+            if vpn >= range.end {
+                break;
+            }
+            self.hw_merged.remove(&vpn);
+        }
         clock.charge(model.mem.munmap_call);
         Ok(())
     }
@@ -231,6 +246,11 @@ impl AddressSpace {
             });
         }
         self.find_vma(vpn).ok_or(MemError::Unmapped { vpn })?;
+        // Resident private page: read through the borrowed entry.
+        if let Some(EptEntry::Present { frame }) = self.private.get(vpn) {
+            buf.copy_from_slice(&frame.bytes()[offset..offset + buf.len()]);
+            return Ok(());
+        }
         let frame = self.resolve_for_read(vpn, clock, model)?;
         buf.copy_from_slice(&frame.bytes()[offset..offset + buf.len()]);
         Ok(())
@@ -261,32 +281,28 @@ impl AddressSpace {
             return Err(MemError::Protection { vpn });
         }
 
-        // Fast path: a private, unshared, writable frame.
-        if let Some(EptEntry::Present { frame }) = self.private.get(vpn) {
-            if !frame.is_image_backed() && Arc::strong_count(&frame) <= 2 {
-                // Counts: the layer's reference plus our local clone.
-                drop(frame);
-                if let Some(EptEntry::Present { frame }) = self.private.remove(vpn) {
-                    let mut owned = Arc::try_unwrap(frame).unwrap_or_else(|arc| (*arc).clone());
-                    owned.write_in_place(offset, src);
-                    self.private.insert(
-                        vpn,
-                        EptEntry::Present {
-                            frame: Arc::new(owned),
-                        },
-                    );
-                    return Ok(());
-                }
-                unreachable!("entry vanished between get and remove");
-            }
-            // Shared (post-sfork) or image-backed: fall through to CoW.
+        // In place: the page is resident and owned outright — its leaf table
+        // is not shared with an `sfork` relative, its frame is held by that
+        // leaf alone, and it is not an image page. A frame's own refcount
+        // cannot tell: after `sfork_clone` it is still 1, behind a leaf two
+        // spaces hold. `writable_frame` checks both.
+        if let Some(frame) = self.private.writable_frame(vpn) {
+            frame.write_in_place(offset, src);
+            return Ok(());
         }
 
-        let mut page = [0u8; PAGE_SIZE];
-        let had_source = self.fill_from_any_layer(vpn, &mut page, clock, model)?;
-        page[offset..offset + src.len()].copy_from_slice(src);
-        let frame: FrameRef = Arc::new(Frame::from_bytes(&page));
-        self.private.insert(vpn, EptEntry::Present { frame });
+        // Fault: build the private copy once from its source (or from
+        // zeroes where there is none), patch it, map it.
+        let source = self.copy_from_any_layer(vpn, clock, model)?;
+        let had_source = source.is_some();
+        let mut owned = source.unwrap_or_else(Frame::zeroed);
+        owned.write_in_place(offset, src);
+        self.private.insert(
+            vpn,
+            EptEntry::Present {
+                frame: Arc::new(owned),
+            },
+        );
         if had_source {
             self.stats.cow_faults += 1;
             self.stats.bytes_copied += PAGE_SIZE as u64;
@@ -322,48 +338,42 @@ impl AddressSpace {
         Ok(range.len())
     }
 
-    /// Resolves a frame for reading, materializing lazily and charging
-    /// faults where hardware would.
+    /// The read-fault path, for a page [`AddressSpace::read`] did not find
+    /// resident in the private layer: resolves its frame, materializing
+    /// lazily and charging faults where hardware would.
     fn resolve_for_read(
         &mut self,
         vpn: Vpn,
         clock: &SimClock,
         model: &CostModel,
     ) -> Result<FrameRef, MemError> {
-        match self.private.get(vpn) {
-            Some(EptEntry::Present { frame }) => return Ok(frame),
-            Some(EptEntry::LazyImage { image, page }) => {
-                let before = image.resident_pages();
-                let frame: FrameRef = Arc::new(image.load_page(page, clock, model)?);
-                if image.resident_pages() > before {
+        if let Some(EptEntry::LazyImage { image, page }) = self.private.get(vpn) {
+            let before = image.resident_pages();
+            let frame: FrameRef = Arc::new(image.load_page(*page, clock, model)?);
+            if image.resident_pages() > before {
+                self.stats.image_pages_loaded += 1;
+            }
+            clock.charge(model.mem.page_fault);
+            self.stats.minor_faults += 1;
+            self.private.insert(
+                vpn,
+                EptEntry::Present {
+                    frame: Arc::clone(&frame),
+                },
+            );
+            return Ok(frame);
+        }
+        if let Some(base) = &self.base {
+            let clock_before = clock.now();
+            if let Some(frame) = base.materialize(vpn, clock, model)? {
+                if clock.now() > clock_before {
                     self.stats.image_pages_loaded += 1;
                 }
-                clock.charge(model.mem.page_fault);
-                self.stats.minor_faults += 1;
-                self.private.insert(
-                    vpn,
-                    EptEntry::Present {
-                        frame: Arc::clone(&frame),
-                    },
-                );
-                return Ok(frame);
-            }
-            Some(EptEntry::LazyZero) | None => {}
-        }
-        if let Some(base) = self.base.clone() {
-            if base.get(vpn).is_some() {
-                let loaded_before = self.stats.image_pages_loaded;
-                let clock_before = clock.now();
-                if let Some(frame) = base.materialize(vpn, clock, model)? {
-                    if clock.now() > clock_before {
-                        self.stats.image_pages_loaded = loaded_before + 1;
-                    }
-                    if self.hw_merged.insert(vpn) {
-                        clock.charge(model.kvm.ept_violation);
-                        self.stats.ept_merges += 1;
-                    }
-                    return Ok(frame);
+                if self.hw_merged.insert(vpn) {
+                    clock.charge(model.kvm.ept_violation);
+                    self.stats.ept_merges += 1;
                 }
+                return Ok(frame);
             }
         }
         // Demand-zero: first touch of anonymous memory.
@@ -379,42 +389,35 @@ impl AddressSpace {
         Ok(frame)
     }
 
-    /// Copies the current contents of `vpn` (from private, base, or zero)
-    /// into `page`. Returns whether a non-zero source existed.
-    fn fill_from_any_layer(
+    /// An owned, writable copy of the current contents of `vpn` (from the
+    /// private layer, else the base) — the one copy a CoW fault makes. `None`
+    /// where there is nothing to copy: the page is demand-zero.
+    fn copy_from_any_layer(
         &mut self,
         vpn: Vpn,
-        page: &mut [u8; PAGE_SIZE],
         clock: &SimClock,
         model: &CostModel,
-    ) -> Result<bool, MemError> {
+    ) -> Result<Option<Frame>, MemError> {
         match self.private.get(vpn) {
-            Some(EptEntry::Present { frame }) => {
-                page.copy_from_slice(frame.bytes());
-                return Ok(true);
-            }
-            Some(EptEntry::LazyImage { image, page: idx }) => {
-                let frame = image.load_page(idx, clock, model)?;
-                page.copy_from_slice(frame.bytes());
-                return Ok(true);
+            Some(EptEntry::Present { frame }) => return Ok(Some(frame.cow_copy())),
+            Some(EptEntry::LazyImage { image, page }) => {
+                return Ok(Some(image.load_page(*page, clock, model)?.cow_copy()));
             }
             Some(EptEntry::LazyZero) | None => {}
         }
-        if let Some(base) = self.base.clone() {
-            if base.get(vpn).is_some() {
-                if let Some(frame) = base.materialize(vpn, clock, model)? {
-                    page.copy_from_slice(frame.bytes());
-                    self.hw_merged.insert(vpn);
-                    return Ok(true);
-                }
+        if let Some(base) = &self.base {
+            if let Some(frame) = base.materialize(vpn, clock, model)? {
+                self.hw_merged.insert(vpn);
+                return Ok(Some(frame.cow_copy()));
             }
         }
-        page.fill(0);
-        Ok(false)
+        Ok(None)
     }
 
-    /// Duplicates this space for `sfork`: private frames become shared CoW,
-    /// the Base-EPT is shared by reference, and fault counters reset.
+    /// Duplicates this space for `sfork`: the private layer's leaf tables
+    /// (and through them its frames) become shared CoW — one reference per
+    /// 512-page table, the unit `copy-page-tables` charges, no per-page
+    /// work — the Base-EPT is shared by reference, and fault counters reset.
     ///
     /// # Errors
     ///
@@ -430,7 +433,7 @@ impl AddressSpace {
         Ok(AddressSpace {
             name: child_name.into(),
             vmas: self.vmas.clone(),
-            private: self.private.clone_entries(),
+            private: self.private.clone(),
             base: self.base.clone(),
             hw_merged: self.hw_merged.clone(),
             stats: SpaceStats::default(),
@@ -731,6 +734,49 @@ mod tests {
     }
 
     #[test]
+    fn unmap_drops_only_its_own_merged_base_pages() {
+        let (clock, model) = setup();
+        let img = patterned_image(4);
+        let base = EptLayer::lazy_from_image(&img, 0, &clock, &model);
+        let mut s = AddressSpace::new("s");
+        let image_range = VpnRange::new(0, 4);
+        s.attach_base(base, image_range, "f", &clock, &model)
+            .unwrap();
+        s.touch_range(image_range, false, &clock, &model).unwrap();
+        let scratch = VpnRange::new(100, 104);
+        s.map_anonymous(scratch, Perms::RW, ShareMode::Private, "scratch")
+            .unwrap();
+        s.touch_range(scratch, true, &clock, &model).unwrap();
+        assert_eq!(s.rss_bytes(), 8 * PAGE_SIZE as u64);
+
+        s.unmap(scratch, &clock, &model).unwrap();
+        assert_eq!(
+            s.rss_bytes(),
+            4 * PAGE_SIZE as u64,
+            "merged base pages stay"
+        );
+        s.unmap(image_range, &clock, &model).unwrap();
+        assert_eq!(s.rss_bytes(), 0);
+    }
+
+    #[test]
+    fn unmap_of_a_sparse_huge_vma_costs_what_it_holds() {
+        // Stepping `for vpn in start..end` over 2^40 pages would never end.
+        let (clock, model) = setup();
+        let mut s = AddressSpace::new("s");
+        let huge = VpnRange::new(0, 1 << 40);
+        s.map_anonymous(huge, Perms::RW, ShareMode::Private, "sparse")
+            .unwrap();
+        for vpn in [0, 12_345, (1 << 40) - 1] {
+            s.write(vpn, 0, &[1], &clock, &model).unwrap();
+        }
+        assert_eq!(s.private_pages(), 3);
+        s.unmap(huge, &clock, &model).unwrap();
+        assert_eq!(s.private_pages(), 0);
+        assert!(s.vmas().is_empty());
+    }
+
+    #[test]
     fn protect_flips_permissions() {
         let (clock, model) = setup();
         let mut s = AddressSpace::new("s");
@@ -759,6 +805,107 @@ mod tests {
         assert_eq!(clock.now(), after_first, "in-place writes must be free");
         assert_eq!(s.stats().cow_faults, 0);
         assert_eq!(s.stats().minor_faults, 1);
+    }
+
+    /// `(identity, strong count)` of every resident frame, in vpn order.
+    fn frame_counts(space: &AddressSpace) -> Vec<(usize, usize)> {
+        let mut counts = Vec::new();
+        space.for_each_resident_frame(|id, frame| counts.push((id, Arc::strong_count(frame))));
+        counts
+    }
+
+    #[test]
+    fn sfork_clone_and_child_drop_cost_tables_not_pages() {
+        // SPECjbb's heap: 51,200 pages = 100 leaf tables.
+        const PAGES: u64 = 51_200;
+        let mut template = AddressSpace::new("tmpl");
+        template
+            .map_anonymous(
+                VpnRange::new(0, PAGES),
+                Perms::RW,
+                ShareMode::Private,
+                "heap",
+            )
+            .unwrap();
+        for vpn in 0..PAGES {
+            template.install_page(vpn, &[1]).unwrap();
+        }
+        let before = frame_counts(&template);
+        assert_eq!(before.len() as u64, PAGES);
+        assert!(before.iter().all(|(_, count)| *count == 1));
+
+        // The fork touched no frame's refcount: every one is still 1, though
+        // two spaces now map it — sharing lives in the 100 leaf `Arc`s.
+        let child = template.sfork_clone("child").unwrap();
+        assert_eq!(frame_counts(&template), before);
+        assert_eq!(frame_counts(&child), before);
+        assert_eq!(child.private.leaf_count() as u64, PAGES.div_ceil(512));
+        assert_eq!(child.private_pages(), PAGES);
+
+        // Nor does dropping a child that never wrote.
+        drop(child);
+        assert_eq!(frame_counts(&template), before);
+    }
+
+    #[test]
+    fn write_through_a_shared_leaf_is_cow_and_spares_the_parent() {
+        let (clock, model) = setup();
+        let mut parent = AddressSpace::new("tmpl");
+        parent
+            .map_anonymous(VpnRange::new(0, 8), Perms::RW, ShareMode::Private, "heap")
+            .unwrap();
+        parent.write(1, 0, b"JVM", &clock, &model).unwrap();
+        parent.write(2, 0, b"GC!", &clock, &model).unwrap();
+
+        // The child's frames have strong count 1 (only the shared leaf holds
+        // them); the write must fault all the same.
+        let mut child = parent.sfork_clone("child").unwrap();
+        let t0 = clock.now();
+        child.write(1, 0, b"XXX", &clock, &model).unwrap();
+        assert_eq!(child.stats().cow_faults, 1);
+        assert_eq!(child.stats().bytes_copied, PAGE_SIZE as u64);
+        assert_eq!(clock.since(t0), model.cow_fault(PAGE_SIZE as u64));
+        // Its neighbour in the (now copied) leaf is still shared with the
+        // parent: a second fault, not an in-place write.
+        child.write(2, 0, b"YYY", &clock, &model).unwrap();
+        assert_eq!(child.stats().cow_faults, 2);
+        // The child's own copies are now written in place, for free.
+        let t1 = clock.now();
+        child.write(1, 3, b"!", &clock, &model).unwrap();
+        assert_eq!(child.stats().cow_faults, 2);
+        assert_eq!(clock.now(), t1);
+
+        let mut buf = [0u8; 3];
+        parent.read(1, 0, &mut buf, &clock, &model).unwrap();
+        assert_eq!(&buf, b"JVM", "child write reached the template's frame");
+        parent.read(2, 0, &mut buf, &clock, &model).unwrap();
+        assert_eq!(&buf, b"GC!");
+    }
+
+    #[test]
+    fn template_writes_in_place_again_after_the_last_child_drops() {
+        let (clock, model) = setup();
+        let mut template = AddressSpace::new("tmpl");
+        template
+            .map_anonymous(VpnRange::new(0, 4), Perms::RW, ShareMode::Private, "heap")
+            .unwrap();
+        template.write(0, 0, &[1], &clock, &model).unwrap();
+        template.write(1, 0, &[1], &clock, &model).unwrap();
+
+        let a = template.sfork_clone("a").unwrap();
+        let b = template.sfork_clone("b").unwrap();
+        template.write(0, 0, &[2], &clock, &model).unwrap();
+        assert_eq!(template.stats().cow_faults, 1, "children alive: CoW");
+        drop(a);
+        template.write(1, 0, &[2], &clock, &model).unwrap();
+        assert_eq!(template.stats().cow_faults, 2, "one child still alive: CoW");
+        drop(b);
+
+        let t0 = clock.now();
+        template.write(0, 1, &[3], &clock, &model).unwrap();
+        template.write(1, 1, &[3], &clock, &model).unwrap();
+        assert_eq!(template.stats().cow_faults, 2, "sole owner: in place");
+        assert_eq!(clock.now(), t0);
     }
 
     #[test]

@@ -9,14 +9,17 @@
     clippy::cast_possible_truncation
 )]
 
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use memsim::{
-    accounting, AddressSpace, EptLayer, MappedImage, Perms, ShareMode, VpnRange, PAGE_SIZE,
+    accounting, AddressSpace, EptEntry, EptLayer, Frame, MappedImage, Perms, ShareMode, SpaceStats,
+    Vpn, VpnRange, PAGE_SIZE,
 };
 use proptest::prelude::*;
-use simtime::{CostModel, SimClock};
+use simtime::{CostModel, SimClock, SimNanos};
 
 fn setup() -> (SimClock, CostModel) {
     (SimClock::new(), CostModel::experimental_machine())
@@ -180,5 +183,436 @@ proptest! {
         // no page is ever charged twice.
         prop_assert!(loads <= img.resident_pages());
         prop_assert!(img.resident_pages() <= 8);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The two-level EPT table against a flat-map oracle
+// ---------------------------------------------------------------------------
+
+/// Page numbers that straddle leaf-table boundaries (512 pages each), sit
+/// far apart, and reach the top of the address range.
+const TABLE_VPNS: [Vpn; 18] = [
+    0,
+    1,
+    2,
+    510,
+    511,
+    512,
+    513,
+    1022,
+    1023,
+    1024,
+    1025,
+    1 << 40,
+    (1 << 40) + 1,
+    (1 << 40) + 511,
+    (1 << 40) + 512,
+    u64::MAX - 512,
+    u64::MAX - 1,
+    u64::MAX,
+];
+
+#[derive(Debug, Clone)]
+enum TableOp {
+    InsertPresent(Vpn),
+    InsertLazyZero(Vpn),
+    InsertLazyImage(Vpn, u64),
+    Remove(Vpn),
+    RemoveRange(Vpn, Vpn),
+    Materialize(Vpn),
+    CloneEntries,
+}
+
+/// A weighted pick of one operation (the vendored proptest has no
+/// `prop_oneof!`: draw raw numbers, decode here).
+fn table_op() -> impl Strategy<Value = TableOp> {
+    let vpn = 0..TABLE_VPNS.len();
+    (0u8..13, vpn.clone(), vpn, 0u64..4).prop_map(|(kind, a, b, page)| {
+        let (a, b) = (TABLE_VPNS[a], TABLE_VPNS[b]);
+        match kind {
+            0..=2 => TableOp::InsertPresent(a),
+            3 => TableOp::InsertLazyZero(a),
+            4 | 5 => TableOp::InsertLazyImage(a, page),
+            6 | 7 => TableOp::Remove(a),
+            8 | 9 => TableOp::RemoveRange(a, b),
+            10 | 11 => TableOp::Materialize(a),
+            _ => TableOp::CloneEntries,
+        }
+    })
+}
+
+/// Entries are handles: equal when they name the same frame / image page.
+fn same_entry(a: &EptEntry, b: &EptEntry) -> bool {
+    match (a, b) {
+        (EptEntry::Present { frame: x }, EptEntry::Present { frame: y }) => Arc::ptr_eq(x, y),
+        (EptEntry::LazyZero, EptEntry::LazyZero) => true,
+        (EptEntry::LazyImage { image: x, page: p }, EptEntry::LazyImage { image: y, page: q }) => {
+            Arc::ptr_eq(x, y) && p == q
+        }
+        _ => false,
+    }
+}
+
+/// The oracle: the flat ordered map the table replaced.
+type FlatMap = BTreeMap<Vpn, EptEntry>;
+
+fn assert_layer_matches(layer: &EptLayer, oracle: &FlatMap) -> Result<(), TestCaseError> {
+    prop_assert_eq!(layer.len(), oracle.len());
+    prop_assert_eq!(layer.is_empty(), oracle.is_empty());
+    let present = oracle.values().filter(|e| e.is_present()).count() as u64;
+    prop_assert_eq!(layer.present_pages(), present);
+
+    let mut walked: Vec<(Vpn, EptEntry)> = Vec::new();
+    layer.for_each(|vpn, entry| walked.push((vpn, entry.clone())));
+    prop_assert_eq!(walked.len(), oracle.len());
+    for ((vpn, entry), (want_vpn, want)) in walked.iter().zip(oracle) {
+        prop_assert_eq!(vpn, want_vpn, "for_each must visit in ascending vpn order");
+        prop_assert!(
+            same_entry(entry, want),
+            "for_each at {}: {:?} vs {:?}",
+            vpn,
+            entry,
+            want
+        );
+    }
+    for (vpn, want) in oracle {
+        let got = layer.get(*vpn);
+        prop_assert!(
+            got.as_ref().is_some_and(|got| same_entry(got, want)),
+            "get({}): {:?} vs {:?}",
+            vpn,
+            got,
+            want
+        );
+        // The neighbours of a mapped page are only mapped if the oracle says so.
+        for near in [vpn.wrapping_sub(1), vpn.wrapping_add(1), vpn ^ 512] {
+            prop_assert_eq!(layer.get(near).is_some(), oracle.contains_key(&near));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Any sequence of layer operations leaves the table — the original and
+    /// every `clone_entries` copy taken along the way — observably equal to
+    /// a plain `BTreeMap<Vpn, EptEntry>` that deep-copies on clone.
+    #[test]
+    fn ept_table_matches_a_flat_map(
+        ops in proptest::collection::vec((table_op(), 0usize..4), 1..80),
+    ) {
+        let (clock, model) = setup();
+        let image = image_with_pattern(4);
+        let mut layers: Vec<(EptLayer, FlatMap)> = vec![(EptLayer::new(), FlatMap::new())];
+
+        for (op, who) in ops {
+            let who = who % layers.len();
+            if matches!(op, TableOp::CloneEntries) {
+                if layers.len() < 4 {
+                    let copy = (layers[who].0.clone_entries(), layers[who].1.clone());
+                    layers.push(copy);
+                }
+            } else {
+                let (layer, oracle) = &mut layers[who];
+                match op {
+                    TableOp::InsertPresent(vpn) => {
+                        let entry = EptEntry::Present { frame: Arc::new(Frame::zeroed()) };
+                        layer.insert(vpn, entry.clone());
+                        oracle.insert(vpn, entry);
+                    }
+                    TableOp::InsertLazyZero(vpn) => {
+                        layer.insert(vpn, EptEntry::LazyZero);
+                        oracle.insert(vpn, EptEntry::LazyZero);
+                    }
+                    TableOp::InsertLazyImage(vpn, page) => {
+                        let entry = EptEntry::LazyImage { image: Arc::clone(&image), page };
+                        layer.insert(vpn, entry.clone());
+                        oracle.insert(vpn, entry);
+                    }
+                    TableOp::Remove(vpn) => {
+                        let (got, want) = (layer.remove(vpn), oracle.remove(&vpn));
+                        prop_assert_eq!(got.is_some(), want.is_some());
+                        if let (Some(got), Some(want)) = (got, want) {
+                            prop_assert!(same_entry(&got, &want));
+                        }
+                    }
+                    TableOp::RemoveRange(start, end) => {
+                        layer.remove_range(start, end);
+                        oracle.retain(|vpn, _| !(start..end).contains(vpn));
+                    }
+                    TableOp::Materialize(vpn) => {
+                        let got = layer.materialize(vpn, &clock, &model).unwrap();
+                        match oracle.get(&vpn).cloned() {
+                            Some(EptEntry::Present { frame }) => {
+                                prop_assert!(got.is_some_and(|got| Arc::ptr_eq(&got, &frame)));
+                            }
+                            Some(EptEntry::LazyImage { page, .. }) => {
+                                let frame = got.expect("a lazy image page materializes");
+                                prop_assert_eq!(frame.bytes()[0], page as u8 + 1);
+                                oracle.insert(vpn, EptEntry::Present { frame });
+                            }
+                            Some(EptEntry::LazyZero) | None => prop_assert!(got.is_none()),
+                        }
+                    }
+                    TableOp::CloneEntries => unreachable!("handled above"),
+                }
+            }
+            for (layer, oracle) in &layers {
+                assert_layer_matches(layer, oracle)?;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// An sfork family against an oracle that tracks sharing page by page
+// ---------------------------------------------------------------------------
+
+/// What the family oracle knows of one page: its bytes and which frame
+/// holds them. Frames are shared page by page — the sharing degree of a
+/// frame is the number of oracle spaces whose page names it, exactly what
+/// `Arc::strong_count` said before leaf tables were shared.
+#[derive(Debug, Clone)]
+struct OraclePage {
+    frame: u64,
+    bytes: Vec<u8>,
+}
+
+/// One space of the oracle: a deep copy of its parent, taken at fork.
+#[derive(Debug, Clone, Default)]
+struct OracleSpace {
+    pages: BTreeMap<Vpn, OraclePage>,
+    stats: SpaceStats,
+    clock: SimNanos,
+}
+
+#[derive(Debug, Default)]
+struct FamilyOracle {
+    next_frame: u64,
+    sharers: BTreeMap<u64, u64>,
+}
+
+impl FamilyOracle {
+    fn fresh_page(&mut self) -> OraclePage {
+        self.next_frame += 1;
+        self.sharers.insert(self.next_frame, 1);
+        OraclePage {
+            frame: self.next_frame,
+            bytes: vec![0u8; PAGE_SIZE],
+        }
+    }
+
+    fn release(&mut self, frame: u64) {
+        *self.sharers.get_mut(&frame).unwrap() -= 1;
+    }
+
+    fn minor_fault(space: &mut OracleSpace, model: &CostModel) {
+        space.stats.minor_faults += 1;
+        space.clock = space.clock.saturating_add(model.mem.page_fault);
+    }
+
+    fn read(&mut self, space: &mut OracleSpace, vpn: Vpn, model: &CostModel) -> Vec<u8> {
+        if let Entry::Vacant(slot) = space.pages.entry(vpn) {
+            slot.insert(self.fresh_page());
+            Self::minor_fault(space, model);
+        }
+        space.pages[&vpn].bytes.clone()
+    }
+
+    fn write(&mut self, space: &mut OracleSpace, vpn: Vpn, off: usize, val: u8, model: &CostModel) {
+        match space.pages.get(&vpn).map(|page| page.frame) {
+            None => {
+                space.pages.insert(vpn, self.fresh_page());
+                Self::minor_fault(space, model);
+            }
+            Some(frame) if self.sharers[&frame] > 1 => {
+                self.release(frame);
+                let mut copy = self.fresh_page();
+                copy.bytes.clone_from(&space.pages[&vpn].bytes);
+                space.pages.insert(vpn, copy);
+                space.stats.cow_faults += 1;
+                space.stats.bytes_copied += PAGE_SIZE as u64;
+                space.clock = space
+                    .clock
+                    .saturating_add(model.cow_fault(PAGE_SIZE as u64));
+            }
+            Some(_) => {} // sole owner: in place, free
+        }
+        space.pages.get_mut(&vpn).unwrap().bytes[off] = val;
+    }
+
+    fn fork(&mut self, parent: &OracleSpace) -> OracleSpace {
+        for page in parent.pages.values() {
+            *self.sharers.get_mut(&page.frame).unwrap() += 1;
+        }
+        OracleSpace {
+            pages: parent.pages.clone(),
+            ..OracleSpace::default()
+        }
+    }
+
+    fn drop_space(&mut self, space: OracleSpace) {
+        for page in space.pages.values() {
+            self.release(page.frame);
+        }
+    }
+}
+
+/// Pages around two leaf boundaries of a three-leaf heap.
+const FAMILY_VPNS: [Vpn; 10] = [0, 1, 510, 511, 512, 513, 1023, 1024, 1025, 1535];
+const FAMILY_HEAP: u64 = 1536;
+
+#[derive(Debug, Clone)]
+enum FamilyOp {
+    Read {
+        who: usize,
+        page: usize,
+    },
+    Write {
+        who: usize,
+        page: usize,
+        off: usize,
+        val: u8,
+    },
+    Fork {
+        who: usize,
+    },
+    Drop {
+        who: usize,
+    },
+}
+
+/// A weighted pick of one operation, decoded from raw draws.
+fn family_op() -> impl Strategy<Value = FamilyOp> {
+    (
+        0u8..12,
+        0usize..8,
+        0..FAMILY_VPNS.len(),
+        0usize..PAGE_SIZE,
+        any::<u8>(),
+    )
+        .prop_map(|(kind, who, page, off, val)| match kind {
+            0..=2 => FamilyOp::Read { who, page },
+            3..=8 => FamilyOp::Write {
+                who,
+                page,
+                off,
+                val,
+            },
+            9 | 10 => FamilyOp::Fork { who },
+            _ => FamilyOp::Drop { who },
+        })
+}
+
+struct Member {
+    space: AddressSpace,
+    clock: SimClock,
+    oracle: OracleSpace,
+}
+
+fn assert_member_matches(member: &Member) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        member.space.stats(),
+        member.oracle.stats,
+        "{}",
+        member.space.name()
+    );
+    prop_assert_eq!(
+        member.clock.now(),
+        member.oracle.clock,
+        "{}",
+        member.space.name()
+    );
+    prop_assert_eq!(
+        member.space.private_pages(),
+        member.oracle.pages.len() as u64
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A template, its children and their children, reading and writing in
+    /// any interleaving, with members dropped along the way: every space's
+    /// bytes, `SpaceStats` and clock agree with an oracle in which each fork
+    /// is a deep copy and sharing is counted per page. Sharing whole leaf
+    /// tables must be invisible.
+    #[test]
+    fn sfork_family_matches_a_per_page_oracle(
+        template_writes in proptest::collection::vec((0..FAMILY_VPNS.len(), any::<u8>()), 0..10),
+        ops in proptest::collection::vec(family_op(), 1..120),
+    ) {
+        let model = CostModel::experimental_machine();
+        let mut oracle = FamilyOracle::default();
+        let mut template = Member {
+            space: AddressSpace::new("template"),
+            clock: SimClock::new(),
+            oracle: OracleSpace::default(),
+        };
+        template.space
+            .map_anonymous(VpnRange::new(0, FAMILY_HEAP), Perms::RW, ShareMode::Private, "heap")
+            .unwrap();
+        for (page, val) in template_writes {
+            let vpn = FAMILY_VPNS[page];
+            template.space.write(vpn, 0, &[val], &template.clock, &model).unwrap();
+            oracle.write(&mut template.oracle, vpn, 0, val, &model);
+        }
+        // Member 0 is the template; it outlives everyone.
+        let mut family = vec![template];
+        let mut forks = 0;
+
+        for op in ops {
+            match op {
+                FamilyOp::Read { who, page } => {
+                    let who = who % family.len();
+                    let member = &mut family[who];
+                    let vpn = FAMILY_VPNS[page];
+                    let mut got = vec![0u8; PAGE_SIZE];
+                    member.space.read(vpn, 0, &mut got, &member.clock, &model).unwrap();
+                    prop_assert_eq!(got, oracle.read(&mut member.oracle, vpn, &model));
+                    assert_member_matches(member)?;
+                }
+                FamilyOp::Write { who, page, off, val } => {
+                    let who = who % family.len();
+                    let member = &mut family[who];
+                    let vpn = FAMILY_VPNS[page];
+                    member.space.write(vpn, off, &[val], &member.clock, &model).unwrap();
+                    oracle.write(&mut member.oracle, vpn, off, val, &model);
+                    assert_member_matches(member)?;
+                }
+                FamilyOp::Fork { who } => {
+                    if family.len() < 6 {
+                        forks += 1;
+                        let parent = &family[who % family.len()];
+                        let child = Member {
+                            space: parent.space.sfork_clone(format!("fork{forks}")).unwrap(),
+                            clock: SimClock::new(),
+                            oracle: oracle.fork(&parent.oracle),
+                        };
+                        assert_member_matches(&child)?;
+                        family.push(child);
+                    }
+                }
+                FamilyOp::Drop { who } => {
+                    if family.len() > 1 {
+                        let gone = family.remove(1 + who % (family.len() - 1));
+                        oracle.drop_space(gone.oracle);
+                    }
+                }
+            }
+        }
+
+        // Everyone left reads back exactly what the oracle holds.
+        for member in &mut family {
+            for vpn in FAMILY_VPNS {
+                let mut got = vec![0u8; PAGE_SIZE];
+                member.space.read(vpn, 0, &mut got, &member.clock, &model).unwrap();
+                prop_assert_eq!(got, oracle.read(&mut member.oracle, vpn, &model));
+            }
+            assert_member_matches(member)?;
+        }
     }
 }

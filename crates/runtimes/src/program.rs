@@ -66,6 +66,10 @@ pub struct WrappedProgram {
     phase: Phase,
     exec_base: Vpn,
     invocations: u64,
+    /// The latest invocation's request scratch, still mapped: it is
+    /// released when the next invocation starts, so a reused instance
+    /// holds one request's scratch, never the sum of all it has served.
+    scratch: Option<VpnRange>,
 }
 
 impl WrappedProgram {
@@ -103,6 +107,7 @@ impl WrappedProgram {
             phase: Phase::Created,
             exec_base: HEAP_BASE + profile.init_heap_pages + 0x1000,
             invocations: 0,
+            scratch: None,
         })
     }
 
@@ -121,6 +126,7 @@ impl WrappedProgram {
             space,
             phase: Phase::AtEntryPoint,
             invocations: 0,
+            scratch: None,
         }
     }
 
@@ -229,6 +235,12 @@ impl WrappedProgram {
                 detail: "invoke_handler before run_to_entry_point",
             });
         }
+        // Release the previous request's scratch. That munmap belongs after
+        // its response went out, on nobody's critical path, so it charges a
+        // scratch clock: this request's `exec_time` does not see it.
+        if let Some(previous) = self.scratch.take() {
+            self.space.unmap(previous, &SimClock::new(), model)?;
+        }
         let start = clock.now();
         let syscalls_before = self.kernel.stats().syscalls;
 
@@ -267,6 +279,7 @@ impl WrappedProgram {
         if self.profile.exec_alloc_pages > 0 {
             self.space
                 .map_anonymous(alloc, Perms::RW, ShareMode::Private, "req-scratch")?;
+            self.scratch = Some(alloc);
             self.space.touch_range(alloc, true, clock, model)?;
         }
 
@@ -458,6 +471,51 @@ mod tests {
         p.invoke_handler(&clock, &model).unwrap();
         p.invoke_handler(&clock, &model).unwrap();
         assert_eq!(p.invocations(), 2);
+    }
+
+    #[test]
+    fn reused_instance_holds_one_requests_scratch() {
+        let (clock, model) = setup();
+        let profile = AppProfile::java_specjbb();
+        assert!(profile.exec_alloc_pages > 0);
+        let mut p = WrappedProgram::start(&profile, &clock, &model).unwrap();
+        p.run_to_entry_point(&clock, &model).unwrap();
+
+        let first = p.invoke_handler(&clock, &model).unwrap();
+        let (vmas, pages) = (p.space.vmas().len(), p.space.private_pages());
+        for _ in 1..50 {
+            p.invoke_handler(&clock, &model).unwrap();
+        }
+        assert_eq!(p.invocations(), 50);
+        assert_eq!(p.space.vmas().len(), vmas, "one scratch VMA, not fifty");
+        assert!(
+            p.space.private_pages().abs_diff(pages) <= first.pages_written,
+            "resident pages grew from {pages} to {}",
+            p.space.private_pages()
+        );
+    }
+
+    #[test]
+    fn releasing_the_scratch_is_invisible_to_the_request() {
+        // On a program that was initialized here (nothing restored, so no
+        // first-touch CoW), every invocation does the same work — except
+        // that the first has no scratch to release and the later ones do.
+        // The reports must not be able to tell.
+        let (clock, model) = setup();
+        let mut p = WrappedProgram::start(&AppProfile::python_django(), &clock, &model).unwrap();
+        p.run_to_entry_point(&clock, &model).unwrap();
+        let without_release = p.invoke_handler(&clock, &model).unwrap();
+        let t0 = clock.now();
+        let with_release = p.invoke_handler(&clock, &model).unwrap();
+        assert_eq!(with_release, without_release);
+        assert_eq!(
+            clock.since(t0),
+            with_release.exec_time,
+            "the munmap charged the request's clock"
+        );
+        for _ in 2..20 {
+            assert_eq!(p.invoke_handler(&clock, &model).unwrap(), without_release);
+        }
     }
 
     #[test]
