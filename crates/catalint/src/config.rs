@@ -64,6 +64,11 @@ pub struct Config {
     /// Bare names of the open-loop run loops whose event matches the
     /// eventproto pass holds to full variant coverage.
     pub event_loops: Vec<String>,
+    /// Bare names of the functions *in the events file* through which an
+    /// event reaches a run loop without a `schedule` call: the queue's
+    /// `pop`, whose merge of the time-sorted trace is where every streamed
+    /// arrival is built. A variant constructed there is not a ghost.
+    pub event_merge_fns: Vec<String>,
 }
 
 impl Config {
@@ -168,6 +173,7 @@ impl Config {
             // (`run_closed`) is a fold over the trace: it schedules
             // nothing, so there is no event match to hold to coverage.
             event_loops: vec!["run_fleet".into(), "drive".into()],
+            event_merge_fns: vec!["pop".into()],
         }
     }
 
@@ -277,6 +283,7 @@ mod tests {
         assert_eq!(c.event_enum, "Event");
         assert_eq!(c.tiebreak_fns, ["class", "key", "subkey"]);
         assert_eq!(c.event_loops, ["run_fleet", "drive"]);
+        assert_eq!(c.event_merge_fns, ["pop"]);
         // Still a sim root (determinism/hermetic), no longer an event loop.
         assert!(c.sim_roots.iter().any(|r| r == "run_closed"));
     }

@@ -520,9 +520,11 @@ fn explain(pass: &str) -> Option<&'static str> {
              hidden behind `..` everywhere means two distinct events compare\n\
              equal and pop in insertion order; (b) each run loop must match\n\
              every variant by name (no `_` wildcard) and must not schedule a\n\
-             variant whose only arm is empty; (c) a variant never scheduled\n\
-             anywhere, or handled non-emptily nowhere, is dead protocol\n\
-             surface.\n\n\
+             variant whose only arm is empty; (c) a variant never constructed\n\
+             — neither at a `schedule(…)` site nor by the queue's own merge,\n\
+             `pop` in events.rs, which builds each streamed `Arrival` from\n\
+             the time-sorted trace instead of having it scheduled — or\n\
+             handled non-emptily nowhere, is dead protocol surface.\n\n\
              Fix: extend class()/key()/subkey() to bind the field, add the\n\
              missing handler arm (an explicit empty arm documents a\n\
              provably-inert class), or delete the dead variant.\n"

@@ -58,7 +58,8 @@
 //!   weakening the pass.
 //! - **eventproto** — DES event-protocol conformance: every `Event`
 //!   variant parsed from the enum has a handler arm in each run loop,
-//!   every scheduled variant lands in a non-empty arm, and the
+//!   every scheduled variant lands in a non-empty arm, every variant is
+//!   constructed somewhere (a schedule site or the queue's merge), and the
 //!   `(time, class, key, subkey)` tie-break binds every payload field so
 //!   insertion order can never leak into pop order.
 //!
@@ -1765,9 +1766,11 @@ struct EventVariant {
 /// an event constructed and then dropped in an empty arm is dead state
 /// transition the engine silently loses.
 ///
-/// (c) *Ghost variants*: every declared variant must be constructed at
-/// some schedule site and handled non-emptily in at least one loop;
-/// anything else is protocol surface that exists only on paper.
+/// (c) *Ghost variants*: every declared variant must be constructed —
+/// at some schedule site, or by the queue's own merge in the events file
+/// (the trace is the arrival source: its arrivals are built in `pop`, never
+/// scheduled) — and handled non-emptily in at least one loop; anything
+/// else is protocol surface that exists only on paper.
 pub(crate) fn eventproto(
     parsed: &[ParsedFile],
     cfg: &Config,
@@ -1820,15 +1823,23 @@ pub(crate) fn eventproto(
         }
     }
 
-    // Schedule sites across all library code (for the ghost check).
-    let mut scheduled_anywhere: BTreeSet<String> = BTreeSet::new();
+    // Construction sites (for the ghost check): schedule calls across all
+    // library code, plus the merge functions of the events file itself.
+    let mut constructed_anywhere: BTreeSet<String> = BTreeSet::new();
     for pf in parsed.iter() {
         if cfg.is_non_library_path(&pf.path) {
             continue;
         }
         for f in &pf.items.fns {
             collect_schedule_variants(&f.body, &cfg.event_enum, &mut |v, _| {
-                scheduled_anywhere.insert(v.to_string());
+                constructed_anywhere.insert(v.to_string());
+            });
+        }
+    }
+    for f in &events.items.fns {
+        if cfg.event_merge_fns.iter().any(|n| n == &f.name) {
+            collect_variant_mentions(&f.body, &cfg.event_enum, &mut |v, _| {
+                constructed_anywhere.insert(v.to_string());
             });
         }
     }
@@ -1925,7 +1936,7 @@ pub(crate) fn eventproto(
     // (c) Ghost variants — only meaningful once a real loop was seen.
     if saw_loop {
         for v in &variants {
-            if !scheduled_anywhere.contains(&v.name) {
+            if !constructed_anywhere.contains(&v.name) {
                 push(
                     out,
                     PASS_EVENTPROTO,
@@ -1933,9 +1944,11 @@ pub(crate) fn eventproto(
                     MODULE_SCOPE,
                     v.line,
                     format!(
-                        "`{}::{}` is never constructed at any schedule site; dead protocol \
-                         surface (delete it or wire it up)",
-                        cfg.event_enum, v.name
+                        "`{}::{}` is never constructed at any schedule site nor by the \
+                         queue's merge ({}); dead protocol surface (delete it or wire it up)",
+                        cfg.event_enum,
+                        v.name,
+                        cfg.event_merge_fns.join("/"),
                     ),
                 );
             }

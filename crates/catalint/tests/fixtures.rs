@@ -673,6 +673,59 @@ fn wildcard_arm_in_a_run_loop_is_caught() {
     );
 }
 
+/// The queue's merge: `pop` builds `Arrive` straight from the sorted
+/// trace, so no `schedule(…)` call anywhere constructs it.
+const MERGE: &str = r#"
+impl EventQueue {
+    pub fn pop(&mut self) -> Option<Event> {
+        let next = self.trace.get(self.cursor)?;
+        self.cursor += 1;
+        Some(Event::Arrive { request: next.request })
+    }
+}
+"#;
+
+/// `LOOP_OK` without its up-front `schedule(t0, Event::Arrive { .. })`.
+fn loop_without_preload() -> String {
+    LOOP_OK.replace(
+        "    self.queue.schedule(t0, Event::Arrive { request: 1 });\n",
+        "",
+    )
+}
+
+#[test]
+fn variant_built_by_the_queue_merge_is_not_a_ghost() {
+    let events = format!("{EVENTS_OK}{MERGE}");
+    let v = run_files(&[(EVENTS_PATH, &events), (LOOP_PATH, &loop_without_preload())]);
+    assert!(
+        v.iter().all(|v| v.pass != PASS_EVENTPROTO),
+        "the merge is `Arrive`'s construction site, got: {v:?}"
+    );
+}
+
+#[test]
+fn variant_neither_scheduled_nor_merged_is_a_ghost() {
+    let ghost = |v: &[catalint::Violation]| {
+        v.iter().any(|v| {
+            v.pass == PASS_EVENTPROTO
+                && v.file == EVENTS_PATH
+                && v.what.contains("Arrive")
+                && v.what.contains("never constructed")
+        })
+    };
+    let stripped = loop_without_preload();
+    let v = run_files(&[(EVENTS_PATH, EVENTS_OK), (LOOP_PATH, &stripped)]);
+    assert!(
+        ghost(&v),
+        "expected a never-constructed finding, got: {v:?}"
+    );
+    // A `pop` outside the events file is somebody else's function, not
+    // the queue's merge.
+    let elsewhere = format!("{stripped}{MERGE}");
+    let v = run_files(&[(EVENTS_PATH, EVENTS_OK), (LOOP_PATH, &elsewhere)]);
+    assert!(ghost(&v), "only the events file's merge counts, got: {v:?}");
+}
+
 #[test]
 fn ghost_variant_is_caught() {
     // Declare a variant nothing schedules or handles. The tie-break keys

@@ -184,7 +184,9 @@ pub struct ClusterOutcome {
     pub node_repairs: u64,
     /// Instances reclaimed by keep-alive expiry.
     pub expirations: u64,
-    /// Events the queue processed.
+    /// Events the queue processed: arrivals consumed (read off the trace,
+    /// never scheduled) plus events scheduled, failover re-arrivals
+    /// included.
     pub events: u64,
     /// Virtual time of the last event.
     pub horizon: SimNanos,
@@ -423,7 +425,7 @@ impl ClusterSim {
         chaos: Option<(NodePlan, ChaosPolicy)>,
     ) -> Result<ChaosOutcome, PlatformError> {
         self.config.ensure_valid()?;
-        validate_trace(trace, self.catalogue.len())?;
+        let mut queue = EventQueue::over(validate_trace(trace, self.catalogue.len())?);
         let fns = self.calibrate()?;
         let nodes = self.config.nodes;
         let width = fns.len();
@@ -461,10 +463,6 @@ impl ClusterSim {
         node_state.resize_with(nodes, NodeState::default);
 
         let mut instances: Arena<Slot> = Arena::with_capacity(trace.len().min(1 << 20));
-        let mut queue = EventQueue::with_capacity(trace.len().saturating_mul(2));
-        for (i, req) in trace.iter().enumerate() {
-            queue.schedule(req.arrival, Event::Arrival { request: i as u64 });
-        }
         // The fault schedule becomes event classes: crashes fire as
         // `NodeCrash`, partition heals as `PartitionHeal` (epoch = plan
         // order). Partition *starts* and gray windows need no events —

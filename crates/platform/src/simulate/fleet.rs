@@ -14,7 +14,9 @@
 //!    twice on an offline clock — the first boot pays template/zygote
 //!    construction, the second is the steady state — and run its handler
 //!    once. Three numbers per function: `first`, `boot`, `exec`.
-//! 2. **Flow** the trace through the event queue: arrivals pop in order;
+//! 2. **Flow** the trace through the event queue, which reads arrivals
+//!    straight off the validated trace and holds only what they set in
+//!    motion;
 //!    a warm instance (arena slot) is reused for the scheduler hand-off
 //!    cost or a cold boot is scheduled at the calibrated cost; boot and
 //!    execution completions, keep-alive expiries, and self-healing pool
@@ -111,7 +113,8 @@ pub struct FleetOutcome {
     pub peak_instances: usize,
     /// Most requests ever concurrently in flight.
     pub peak_in_flight: usize,
-    /// Events the queue processed.
+    /// Events the queue processed: arrivals consumed (the queue reads them
+    /// off the trace; they are never scheduled) plus events scheduled.
     pub events: u64,
     /// Virtual time of the last event — the simulated horizon.
     pub horizon: SimNanos,
@@ -168,7 +171,7 @@ impl Simulation {
     /// [`PlatformError::InvalidTrace`] for malformed traces; engine or
     /// handler errors surfaced during calibration.
     pub fn run_fleet(mut self, trace: &[TraceRequest]) -> Result<FleetOutcome, PlatformError> {
-        validate_trace(trace, self.catalogue.len())?;
+        let mut queue = EventQueue::over(validate_trace(trace, self.catalogue.len())?);
         let mut fns = self.calibrate()?;
         let mut injector = self.plan.take().map(FaultInjector::new);
         let cap = self.admission.as_ref().map(|p| {
@@ -180,10 +183,6 @@ impl Simulation {
         });
 
         let mut instances: Arena<Instance> = Arena::with_capacity(trace.len().min(1 << 20));
-        let mut queue = EventQueue::with_capacity(trace.len().saturating_mul(2));
-        for (i, req) in trace.iter().enumerate() {
-            queue.schedule(req.arrival, Event::Arrival { request: i as u64 });
-        }
         if self.min_ready > 0 {
             for (index, f) in fns.iter_mut().enumerate() {
                 f.tick_pending = true;

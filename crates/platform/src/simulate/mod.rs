@@ -12,10 +12,12 @@
 //!   Everything the run produced comes back in one [`SimReport`].
 //! - **Open-loop fleet** ([`Simulation::run_fleet`]): per-function boot and
 //!   execution costs are calibrated once through the real engines, then
-//!   millions of requests flow through a central [`EventQueue`] (a
-//!   `BinaryHeap` keyed on [`SimNanos`]) — arrivals, boot and execution
-//!   completions, keep-alive expiries and self-healing pool ticks popped
-//!   in a deterministic, insertion-order-independent order — against
+//!   millions of requests flow through a central [`EventQueue`] — a merge
+//!   of the time-sorted trace itself (the arrival source, never copied), a
+//!   FIFO run of keep-alive expiries and a `BinaryHeap` of the work in
+//!   flight — arrivals, boot and execution completions, keep-alive
+//!   expiries and self-healing pool ticks popped in a deterministic,
+//!   insertion-order-independent order — against
 //!   instances held in index-based arenas ([`Arena`], [`InstanceId`],
 //!   [`FnId`]) instead of `Rc<RefCell<...>>` webs. This is the regime that
 //!   extends Figure 15 from 10^3 to 10^5–10^6 concurrent instances.
@@ -53,6 +55,7 @@
 pub mod arena;
 pub mod events;
 pub mod fleet;
+mod trace;
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -72,7 +75,6 @@ use crate::admission::{
     AdmissionController, AdmissionPolicy, AdmissionRecord, Admitted, BreakerTransition,
     HealthSignal,
 };
-use crate::error::TraceError;
 use crate::pool::{InstancePool, PoolStats, RepairStats};
 use crate::resilience::ResiliencePolicy;
 use crate::PlatformError;
@@ -81,6 +83,7 @@ pub use arena::{Arena, FnId, InstanceId};
 pub use events::{Event, EventQueue};
 pub(crate) use fleet::calibrate_shapes;
 pub use fleet::{FleetOutcome, Quantiles};
+pub(crate) use trace::validate_trace;
 
 /// Scheduler hand-off charged when a request is served by reusing a warm
 /// instance instead of booting one. Both engines — the closed-loop pools
@@ -95,34 +98,6 @@ pub struct TraceRequest {
     pub arrival: SimNanos,
     /// Index into the function list.
     pub function: usize,
-}
-
-/// Checks the trace contract once, up front: time-sorted arrivals,
-/// in-range function indices, at least one request — typed errors, never
-/// panics.
-pub(crate) fn validate_trace(trace: &[TraceRequest], functions: usize) -> Result<(), TraceError> {
-    if trace.is_empty() {
-        return Err(TraceError::Empty);
-    }
-    let mut previous = SimNanos::ZERO;
-    for (at, req) in trace.iter().enumerate() {
-        if req.arrival < previous {
-            return Err(TraceError::Unsorted {
-                at,
-                arrival: req.arrival,
-                previous,
-            });
-        }
-        previous = req.arrival;
-        if req.function >= functions {
-            return Err(TraceError::UnknownFunction {
-                at,
-                function: req.function,
-                functions,
-            });
-        }
-    }
-    Ok(())
 }
 
 /// Boxed engine constructor: one factory serves heterogeneous fleets.
@@ -510,6 +485,7 @@ pub(crate) fn fraction(part: u64, whole: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::TraceError;
     use sandbox::GvisorRestoreEngine;
 
     fn functions() -> Vec<AppProfile> {

@@ -25,10 +25,20 @@
 //! 4. **In-flight accounting** — the closed loop is a fold over the trace,
 //!    not an event simulation; its `peak_in_flight` and `events` are held
 //!    to a brute-force interval sweep over a replay on mirror pools.
+//! 5. **Open-loop order at ties** — three `run_fleet` traces and one
+//!    `run_chaos` trace built so that arrivals land on the exact instant of
+//!    a completion, a keep-alive expiry, a same-instant burst and a node
+//!    crash. Each pins its whole serialized outcome (length + FNV-1a, as
+//!    `imagefmt/tests/golden.rs` pins images). The pins were produced by
+//!    running this very file against the parent of PR 19 (commit
+//!    `09ad0cb`), where both kernels still pushed the entire trace into
+//!    one heap before the first pop; the queue has merged the trace in
+//!    place since, and must keep reproducing them.
 
 use catalyzer::{BootMode, CatalyzerEngine};
-use faultsim::FaultPlan;
+use faultsim::{FaultPlan, NodePlan};
 use platform::admission::AdmitDecision;
+use platform::cluster::{ChaosPolicy, ClusterConfig, ClusterSim};
 use platform::simulate::arena::{Arena, FnId, InstanceId};
 use platform::simulate::events::{Event, EventQueue};
 use platform::simulate::TraceRequest;
@@ -365,6 +375,127 @@ fn unlimited_admission_and_no_admission_are_the_same_run() {
     assert_eq!(counts(&plain), counts(&gated));
     assert_eq!(plain.startup, gated.startup);
     assert_eq!(plain.end_to_end, gated.end_to_end);
+}
+
+/// Length and FNV-1a 64 of `outcome`'s serialized form: every exported
+/// field, metric rollup and chaos log included.
+fn pinned(outcome: &impl serde::Serialize) -> (usize, u64) {
+    let json = serde_json::to_string(outcome).unwrap();
+    let digest = json.bytes().fold(0xcbf2_9ce4_8422_2325, |h: u64, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    (json.len(), digest)
+}
+
+/// The open-loop fixtures' keep-alive: short, so expiries fall inside the
+/// traces.
+const OPEN_KEEP_ALIVE: SimNanos = SimNanos::from_millis(2);
+
+fn open_loop() -> Simulation {
+    Simulation::new(fixture_functions())
+        .with_keep_alive(OPEN_KEEP_ALIVE)
+        .with_max_idle(2)
+}
+
+/// `count` requests of function 0 at each of `instants`.
+fn bursts(instants: &[SimNanos], count: usize) -> Vec<TraceRequest> {
+    let burst = |&arrival| {
+        std::iter::repeat_n(
+            TraceRequest {
+                arrival,
+                function: 0,
+            },
+            count,
+        )
+    };
+    instants.iter().flat_map(burst).collect()
+}
+
+/// When a lone request at time zero completes: the last event of that run
+/// is its instance's keep-alive expiry, one window later.
+fn lone_completion() -> SimNanos {
+    let alone = open_loop()
+        .run_fleet(&bursts(&[SimNanos::ZERO], 1))
+        .unwrap();
+    assert_eq!(alone.events, 4, "arrival, boot, completion, expiry");
+    alone.horizon.saturating_sub(OPEN_KEEP_ALIVE)
+}
+
+#[test]
+fn arrival_at_a_completion_instant_reuses_the_freed_instance() {
+    let done = lone_completion();
+    let out = open_loop()
+        .run_fleet(&bursts(&[SimNanos::ZERO, done], 1))
+        .unwrap();
+    assert_eq!((out.cold_boots, out.reuses), (1, 1), "completion first");
+    assert_eq!(pinned(&out), (644, 8_171_625_161_516_185_930));
+}
+
+#[test]
+fn arrival_at_an_expiry_instant_finds_the_instance_gone() {
+    let expiry = lone_completion().saturating_add(OPEN_KEEP_ALIVE);
+    let out = open_loop()
+        .run_fleet(&bursts(&[SimNanos::ZERO, expiry], 1))
+        .unwrap();
+    assert_eq!((out.cold_boots, out.reuses), (2, 0), "expiry first");
+    assert_eq!(out.expirations, 2);
+    assert_eq!(pinned(&out), (647, 2_243_124_945_780_761_462));
+}
+
+#[test]
+fn same_instant_bursts_match_the_single_heap_fixture() {
+    // Bursts of six on one function at time zero (tying with the prewarm
+    // pool ticks), at the first completion, one nanosecond later, and at
+    // the first expiry — under a cap tight enough to shed and a fault plan
+    // that schedules repair ticks.
+    let done = lone_completion();
+    let instants = [
+        SimNanos::ZERO,
+        done,
+        done.saturating_add(SimNanos::from_nanos(1)),
+        done.saturating_add(OPEN_KEEP_ALIVE),
+    ];
+    let out = open_loop()
+        .with_prewarm(1)
+        .with_faults(FaultPlan::uniform(0xF1EE7, 0.3).with_poison_ratio(0.5))
+        .with_admission(AdmissionPolicy::standard(2, SimNanos::from_millis(1)))
+        .run_fleet(&bursts(&instants, 6))
+        .unwrap();
+    assert_eq!(out.completed + out.shed, out.requests);
+    assert!(out.shed > 0 && out.reuses > 0 && out.repairs > 0);
+    assert_eq!(pinned(&out), (670, 10_148_884_811_102_933_364));
+}
+
+#[test]
+fn crash_at_an_arrival_instant_matches_the_single_heap_fixture() {
+    // Three nodes, one template holder. A burst saturates the holder, the
+    // overflow rides one transfer, and the source crashes at 20 µs — the
+    // exact instant of five more arrivals, which must route against the
+    // post-crash world. The failed-over waiters re-arrive (scheduled by
+    // hand, so through the heap) one waiter timeout later, on the exact
+    // instant of five streamed arrivals.
+    let crash = SimNanos::from_micros(20);
+    let retry = crash.saturating_add(ChaosPolicy::full().transfer_timeout);
+    let mut trace: Vec<TraceRequest> = (0..120u64)
+        .map(|i| TraceRequest {
+            arrival: SimNanos::from_nanos(i),
+            function: 0,
+        })
+        .collect();
+    trace.extend(bursts(&[crash, retry], 5));
+    let out = ClusterSim::new(vec![AppProfile::c_hello()], ClusterConfig::new(3, 1))
+        .with_node_capacity(40)
+        .with_keep_alive(OPEN_KEEP_ALIVE)
+        .with_chaos(NodePlan::quiet(3).with_crash(0, crash), ChaosPolicy::full())
+        .run_chaos(&trace)
+        .unwrap();
+    assert_eq!(out.crashes, 1);
+    assert!(out.failovers > 1, "waiters re-arrive: {}", out.failovers);
+    assert_eq!(
+        out.cluster.completed + out.cluster.shed + out.failed,
+        out.cluster.requests
+    );
+    assert_eq!(pinned(&out), (1744, 9_995_583_643_144_920_121));
 }
 
 /// Local mirror of the queue's tie-break fingerprint, used only to drop

@@ -86,8 +86,13 @@ step "cargo test (every first-party crate)" test_workspace
 #   pr9 chaos grid (full failover holding availability ≥ (N−1)/N at sub-ms
 #       startup p99 under crash/gray/partition; the baseline hanging
 #       waiters).
+# A release build, one step after `cargo build --release` compiled its
+# dependencies: the six checks take about a minute this way and about
+# fifteen as a debug build. Debug assertions and overflow checks stay
+# covered by the `cargo test` step above, which runs every first-party
+# test in debug.
 step "BENCH exports (pr2/3/4/7/8/9 valid + byte-identical)" \
-  cargo run -q -p bench --bin repro -- all --check
+  cargo run -q --release -p bench --bin repro -- all --check
 
 # The repo's wall-clock benchmark, in its 1/20-size single-repetition smoke
 # mode (~35 s cold, ~25 s warm): builds the standalone harness and runs all
