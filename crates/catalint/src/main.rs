@@ -424,7 +424,7 @@ fn explain(pass: &str) -> Option<&'static str> {
              configured roots — cold/warm restore (restore_boot, load_page, …)\n\
              and fork boot (sfork, sfork_clone) — and each finding carries its\n\
              root → … → sink call chain.\n\n\
-             Fix: slice shared buffers (`Bytes::slice`), share instead of\n\
+             Fix: slice shared buffers (`SharedBytes::slice`), share instead of\n\
              copy, or — if genuinely off the hot path — adjust the stop list\n\
              in catalint's config with a review.\n"
         }

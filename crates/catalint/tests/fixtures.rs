@@ -163,6 +163,37 @@ fn ensure_compiled(data: &[u8]) -> Vec<u8> {
 }
 
 #[test]
+fn copy_into_the_first_party_buffer_on_the_restore_path_is_flagged() {
+    // `memsim::SharedBytes` has no constructor that copies, so a copy into
+    // it has to be spelled with a name the pass knows: the `to_vec()` in
+    // front of `From<Vec<u8>>`, or — should anyone add one — an associated
+    // `copy_from_slice`. Slicing the shared buffer is clean.
+    let v = run(
+        "crates/imagefmt/src/flat.rs",
+        r#"
+pub fn restore_metadata(arena: &SharedBytes) -> Vec<SharedBytes> {
+    vec![view(arena), via_vec(arena), via_ctor(arena)]
+}
+fn view(arena: &SharedBytes) -> SharedBytes {
+    arena.slice(8..16)
+}
+fn via_vec(arena: &SharedBytes) -> SharedBytes {
+    SharedBytes::from(arena[8..16].to_vec())
+}
+fn via_ctor(arena: &SharedBytes) -> SharedBytes {
+    SharedBytes::copy_from_slice(&arena[8..16])
+}
+"#,
+    );
+    let flagged: Vec<&str> = v
+        .iter()
+        .filter(|v| v.pass == PASS_HOTPATH)
+        .map(|v| v.func.as_str())
+        .collect();
+    assert_eq!(flagged, ["via_vec", "via_ctor"], "got: {v:?}");
+}
+
+#[test]
 fn box_dyn_error_in_public_library_fn_is_caught() {
     let v = run(
         "crates/platform/src/lib.rs",

@@ -484,6 +484,46 @@ mod tests {
         assert!((15.0..45.0).contains(&gap), "cold-warm gap {gap} ms");
     }
 
+    /// The read side of the copy budget is zero bytes, asserted (ROADMAP
+    /// 2(d)): after a cold boot and a read of every heap page, the whole
+    /// heap is resident as views of the mapped image — nothing was copied
+    /// out of it, and the restored kernel objects' payloads are views too.
+    #[test]
+    fn cold_restore_and_a_full_read_sweep_copy_nothing() {
+        let model = model();
+        let profile = AppProfile::python_hello();
+        let mut cat = Catalyzer::new();
+        let mut ctx = BootCtx::fresh(&model);
+        let mut boot = cat.boot(BootMode::Cold, &profile, &mut ctx).unwrap();
+        let space = &mut boot.program.space;
+        space
+            .touch_range(profile.heap_range(), false, ctx.clock(), &model)
+            .unwrap();
+        assert_eq!(space.stats().bytes_copied, 0);
+        assert_eq!(space.stats().cow_faults, 0);
+
+        let stored = cat.store().get(&profile.name).unwrap();
+        let image = stored.flat.image().raw_bytes().as_ptr_range();
+        let inside = |bytes: &[u8]| {
+            let bytes = bytes.as_ptr_range();
+            image.start <= bytes.start && bytes.end <= image.end
+        };
+        let mut resident = 0;
+        stored.base.as_ref().unwrap().for_each(|vpn, entry| {
+            if let memsim::EptEntry::Present { frame } = entry {
+                resident += 1;
+                assert!(frame.is_image_backed(), "page {vpn} was copied");
+                assert!(inside(frame.bytes()), "page {vpn} left the image");
+            }
+        });
+        assert_eq!(resident, stored.flat.app_page_count());
+        let records = stored
+            .flat
+            .restore_metadata(&simtime::SimClock::new(), &model)
+            .unwrap();
+        assert!(records.iter().all(|record| inside(&record.payload)));
+    }
+
     #[test]
     fn zygote_warm_boot_latencies_match_paper() {
         // Paper §6.2: warm (Zygote) boot ≈ C 5 / Java 14 / Python 9 /

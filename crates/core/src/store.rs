@@ -154,6 +154,31 @@ mod tests {
         );
     }
 
+    /// The write side of the copy budget (ROADMAP 2(d)). Everything a
+    /// compile leaves alive hangs off the `StoredFunction`, and the one
+    /// image-sized buffer there is the written image itself: exactly the
+    /// image's length, and what every page the store serves is a view of.
+    /// (That the writer's `Vec` becomes this buffer without a copy is
+    /// asserted hop by hop in `imagefmt` and `memsim`.)
+    #[test]
+    fn compile_leaves_one_image_buffer_and_serves_views_of_it() {
+        let model = CostModel::experimental_machine();
+        let mut store = FuncImageStore::new();
+        let stored = store
+            .ensure_compiled(&AppProfile::c_nginx(), &model)
+            .unwrap();
+        let image = stored.flat.image();
+        let raw = image.raw_bytes();
+        assert_eq!(raw.len() as u64, image.len());
+        assert!(raw.len() as u64 > stored.flat.app_page_count() * memsim::PAGE_SIZE as u64);
+        let clock = SimClock::new();
+        for page in 0..image.pages() {
+            let frame = image.load_page(page, &clock, &model).unwrap();
+            assert!(frame.is_image_backed(), "page {page} was copied");
+            assert!(raw.as_ptr_range().contains(&frame.bytes().as_ptr()));
+        }
+    }
+
     #[test]
     fn offline_compilation_includes_app_init() {
         let model = CostModel::experimental_machine();

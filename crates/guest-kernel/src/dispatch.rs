@@ -3,7 +3,7 @@
 //! (`template mode` denies the Denied class) and charged the Sentry's
 //! syscall-interposition cost.
 
-use bytes::Bytes;
+use memsim::SharedBytes;
 use simtime::{CostModel, SimClock, SimNanos};
 
 use crate::syscalls::SyscallName;
@@ -102,7 +102,7 @@ pub enum SyscallRet {
     /// A socket id.
     Sock(u64),
     /// Data read.
-    Data(Bytes),
+    Data(SharedBytes),
     /// Bytes written.
     Written(usize),
     /// A pid / tid / sid.

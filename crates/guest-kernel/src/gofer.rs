@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bytes::Bytes;
+use memsim::SharedBytes;
 use simtime::{CostModel, SimClock};
 
 use crate::KernelError;
@@ -35,7 +35,7 @@ pub struct GoferFd {
 /// grants).
 pub struct FsServer {
     function: String,
-    files: BTreeMap<String, Bytes>,
+    files: BTreeMap<String, SharedBytes>,
     persistent: HashSet<String>,
     next_fd: AtomicU64,
     opens: AtomicU64,
@@ -45,13 +45,13 @@ pub struct FsServer {
 #[derive(Debug, Default)]
 pub struct FsServerBuilder {
     function: String,
-    files: BTreeMap<String, Bytes>,
+    files: BTreeMap<String, SharedBytes>,
     persistent: HashSet<String>,
 }
 
 impl FsServerBuilder {
     /// Adds a rootfs file.
-    pub fn file(mut self, path: impl Into<String>, data: impl Into<Bytes>) -> Self {
+    pub fn file(mut self, path: impl Into<String>, data: impl Into<SharedBytes>) -> Self {
         self.files.insert(path.into(), data.into());
         self
     }
@@ -62,7 +62,7 @@ impl FsServerBuilder {
         for i in 0..count {
             let path = format!("{dir}/lib{i:04}.so");
             let fill = (i % 251) as u8;
-            self.files.insert(path, Bytes::from(vec![fill; size]));
+            self.files.insert(path, SharedBytes::from(vec![fill; size]));
         }
         self
     }
@@ -189,7 +189,7 @@ impl FsServer {
         len: usize,
         clock: &SimClock,
         model: &CostModel,
-    ) -> Result<Bytes, KernelError> {
+    ) -> Result<SharedBytes, KernelError> {
         let data = self
             .files
             .get(&fd.path)

@@ -1,8 +1,8 @@
 use std::fmt;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use imagefmt::IoConn;
+use memsim::SharedBytes;
 use simtime::{CostModel, SimClock};
 
 use crate::gofer::FsServer;
@@ -74,7 +74,7 @@ pub struct GuestKernel {
     /// Wait queues.
     pub waitqueues: Vec<WaitQueue>,
     /// Opaque runtime objects (language runtime internals etc.).
-    pub misc: Vec<Bytes>,
+    pub misc: Vec<SharedBytes>,
     template_mode: bool,
     stats: KernelStats,
 }

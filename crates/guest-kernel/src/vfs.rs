@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use bytes::Bytes;
+use memsim::SharedBytes;
 use simtime::{CostModel, SimClock};
 
 use crate::gofer::{FsServer, GoferFd};
@@ -73,11 +73,11 @@ pub struct MountInfo {
 #[derive(Debug)]
 pub struct Vfs {
     server: Arc<FsServer>,
-    /// Upper-layer contents are held as [`Bytes`]: copy-up shares the
+    /// Upper-layer contents are held as [`SharedBytes`]: copy-up shares the
     /// server's buffer, `sfork` clones are reference bumps, and reads
     /// return zero-copy slices. Writes (off the restore hot path) rebuild
     /// the buffer — classic copy-on-write.
-    upper: BTreeMap<String, Bytes>,
+    upper: BTreeMap<String, SharedBytes>,
     fds: Vec<Option<FileDesc>>,
     mounts: Vec<MountInfo>,
     /// Count of on-demand reconnections performed (Fig. 12 I/O accounting).
@@ -198,7 +198,7 @@ impl Vfs {
                 });
             }
             // Copy-up: adopt the lower contents into the overlay. The server
-            // hands back a `Bytes` view, so no bytes are duplicated until a
+            // hands back a `SharedBytes` view, so no bytes are duplicated until a
             // write actually lands.
             let gfd = self.server.open(path, clock, model)?;
             let len = usize::try_from(self.server.size_of(path).unwrap_or(0)).unwrap_or(usize::MAX);
@@ -236,7 +236,7 @@ impl Vfs {
         model: &CostModel,
     ) -> Result<i32, KernelError> {
         clock.charge(model.host.syscall_base);
-        self.upper.insert(path.to_string(), Bytes::new());
+        self.upper.insert(path.to_string(), SharedBytes::default());
         self.alloc_fd(FileDesc {
             path: path.into(),
             offset: 0,
@@ -288,7 +288,7 @@ impl Vfs {
         len: usize,
         clock: &SimClock,
         model: &CostModel,
-    ) -> Result<Bytes, KernelError> {
+    ) -> Result<SharedBytes, KernelError> {
         clock.charge(model.host.syscall_base);
         self.ensure_connected(fd, clock, model)?;
         let desc = self.desc(fd)?.clone();
@@ -336,16 +336,16 @@ impl Vfs {
         }
         match &desc.backend {
             Backend::Upper => {
-                // Copy-on-write: materialize a private buffer (cheap if this
-                // sandbox is the sole owner), mutate, and store the new view.
+                // Copy-on-write: materialize a private buffer, mutate, and
+                // store the new view.
                 let entry = self.upper.entry(desc.path.clone()).or_default();
-                let mut content = Vec::from(std::mem::take(entry));
+                let mut content = entry.to_vec();
                 let off = desc.offset as usize;
                 if content.len() < off + data.len() {
                     content.resize(off + data.len(), 0);
                 }
                 content[off..off + data.len()].copy_from_slice(data);
-                *entry = Bytes::from(content);
+                *entry = SharedBytes::from(content);
                 clock.charge(model.memcpy(data.len() as u64));
             }
             Backend::Persistent(_) => {

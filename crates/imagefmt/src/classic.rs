@@ -6,7 +6,9 @@
 //! exactly the costs the paper's §2.2 measures at 128.8 ms (memory) and
 //! 56.7 ms (kernel objects) for SPECjbb.
 
-use bytes::Bytes;
+use std::sync::Arc;
+
+use memsim::{Frame, SharedBytes};
 use simtime::{CostModel, SimClock};
 
 use crate::record::REF_PLACEHOLDER;
@@ -27,7 +29,7 @@ fn len64(n: usize) -> u64 {
 ///
 /// Charges per-object encode costs plus compression throughput; this runs
 /// off the startup critical path.
-pub fn write(src: &CheckpointSource, clock: &SimClock, model: &CostModel) -> Bytes {
+pub fn write(src: &CheckpointSource, clock: &SimClock, model: &CostModel) -> SharedBytes {
     let mut body = Vec::new();
 
     varint::put_u64(&mut body, len64(src.objects.len()));
@@ -61,7 +63,7 @@ pub fn write(src: &CheckpointSource, clock: &SimClock, model: &CostModel) -> Byt
     out.extend_from_slice(&len64(body.len()).to_le_bytes());
     out.extend_from_slice(&crc32(&packed).to_le_bytes());
     out.extend_from_slice(&packed);
-    Bytes::from(out)
+    SharedBytes::from(out)
 }
 
 /// Size counters from a classic read, for phase-attributed cost charging.
@@ -86,7 +88,7 @@ pub struct ClassicCounts {
 /// Any [`ImageError`] on truncation, bad magic/version, checksum mismatch,
 /// or malformed records.
 pub fn read(
-    image: &Bytes,
+    image: &SharedBytes,
     clock: &SimClock,
     model: &CostModel,
 ) -> Result<CheckpointSource, ImageError> {
@@ -103,7 +105,9 @@ pub fn read(
 /// # Errors
 ///
 /// Same as [`read`].
-pub fn read_uncharged(image: &Bytes) -> Result<(CheckpointSource, ClassicCounts), ImageError> {
+pub fn read_uncharged(
+    image: &SharedBytes,
+) -> Result<(CheckpointSource, ClassicCounts), ImageError> {
     if image.len() < 20 {
         return Err(ImageError::Truncated {
             what: "classic header",
@@ -129,7 +133,12 @@ pub fn read_uncharged(image: &Bytes) -> Result<(CheckpointSource, ClassicCounts)
         });
     }
 
-    let body = crate::lz::decompress(&packed)?;
+    // An incompressible body is one stored run: view it in place, inside the
+    // image. Anything else decodes into a buffer of its own.
+    let body = match crate::lz::stored_run(&packed)? {
+        Some(run) => packed.slice(run),
+        None => SharedBytes::from(crate::lz::decompress(&packed)?),
+    };
     if body.len() != body_len {
         return Err(ImageError::Truncated {
             what: "classic body",
@@ -165,13 +174,16 @@ pub fn read_uncharged(image: &Bytes) -> Result<(CheckpointSource, ClassicCounts)
     let mut app_pages = Vec::with_capacity(n_pages.min(body.len()));
     for _ in 0..n_pages {
         let vpn = varint::get_u64(&body, &mut pos)?;
-        // Zero-copy: each page payload is a view into the decompressed body
-        // (or, for stored streams, into the mapped image itself).
+        // Zero-copy: each page is a frame over a view into the decompressed
+        // body (or, for stored streams, into the image itself).
         let data = varint::get_bytes_view(&body, &mut pos)?;
         if data.len() != memsim::PAGE_SIZE {
             return Err(ImageError::Truncated { what: "app page" });
         }
-        app_pages.push(PagePayload { vpn, data });
+        app_pages.push(PagePayload {
+            vpn,
+            data: Arc::new(Frame::from_image_slice(data)),
+        });
     }
 
     let counts = ClassicCounts {
@@ -201,7 +213,7 @@ pub(crate) fn encode_record(out: &mut Vec<u8>, obj: &ObjRecord) {
     varint::put_bytes(out, &obj.payload);
 }
 
-pub(crate) fn decode_record(buf: &Bytes, pos: &mut usize) -> Result<ObjRecord, ImageError> {
+pub(crate) fn decode_record(buf: &SharedBytes, pos: &mut usize) -> Result<ObjRecord, ImageError> {
     let id = varint::get_u64(buf, pos)?;
     let code = u16::try_from(varint::get_u64(buf, pos)?).map_err(|_| ImageError::Malformed {
         what: "object kind code",
@@ -300,7 +312,7 @@ mod tests {
             app_pages: (0..4)
                 .map(|i| PagePayload {
                     vpn: 0x1000 + i,
-                    data: Bytes::from(vec![i as u8; memsim::PAGE_SIZE]),
+                    data: Arc::new(Frame::from_bytes(&[i as u8; memsim::PAGE_SIZE])),
                 })
                 .collect(),
             io_conns: vec![
@@ -343,7 +355,7 @@ mod tests {
         let mut image = write(&sample_source(), &clock, &model).to_vec();
         image[0] = b'X';
         assert_eq!(
-            read(&Bytes::from(image), &clock, &model).unwrap_err(),
+            read(&SharedBytes::from(image), &clock, &model).unwrap_err(),
             ImageError::BadMagic
         );
     }
@@ -354,7 +366,7 @@ mod tests {
         let mut image = write(&sample_source(), &clock, &model).to_vec();
         image[4] = 99;
         assert!(matches!(
-            read(&Bytes::from(image), &clock, &model).unwrap_err(),
+            read(&SharedBytes::from(image), &clock, &model).unwrap_err(),
             ImageError::BadVersion { found: 99 }
         ));
     }
@@ -366,7 +378,7 @@ mod tests {
         let mid = 20 + (image.len() - 20) / 2;
         image[mid] ^= 0xFF;
         assert!(matches!(
-            read(&Bytes::from(image), &clock, &model).unwrap_err(),
+            read(&SharedBytes::from(image), &clock, &model).unwrap_err(),
             ImageError::Checksum { .. }
         ));
     }
@@ -377,6 +389,37 @@ mod tests {
         let image = write(&sample_source(), &clock, &model);
         let cut = image.slice(0..10);
         assert!(read(&cut, &clock, &model).is_err());
+    }
+
+    #[test]
+    fn stored_body_is_viewed_in_place() {
+        // One high-entropy page: nothing to back-reference, so the body is a
+        // stored stream and the restored page is a view into the image.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let noise: Vec<u8> = (0..memsim::PAGE_SIZE)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect();
+        let src = CheckpointSource {
+            app_pages: vec![PagePayload {
+                vpn: 9,
+                data: Arc::new(Frame::from_bytes(&noise)),
+            }],
+            ..CheckpointSource::default()
+        };
+        let (clock, model) = setup();
+        let image = write(&src, &clock, &model);
+        let back = read(&image, &clock, &model).unwrap();
+        assert_eq!(back, src);
+        let page = back.app_pages[0].data.bytes();
+        assert!(
+            image.as_ptr_range().contains(&page.as_ptr()),
+            "a stored page must not be copied out of the image"
+        );
     }
 
     #[test]

@@ -42,25 +42,48 @@ const fn build_tables() -> [[u32; 256]; LANES] {
 /// written, once per cold restore), so the kernel is table-sliced; the
 /// byte-at-a-time loop only handles the < 16-byte tail.
 pub fn crc32(data: &[u8]) -> u32 {
-    let (blocks, tail) = data.as_chunks::<LANES>();
-    let mut crc = !0u32;
-    for block in blocks {
-        let mut lanes = *block;
-        for (lane, c) in lanes.iter_mut().zip(crc.to_le_bytes()) {
-            *lane ^= c;
+    let mut crc = Crc32::new();
+    crc.fold(data);
+    crc.finish()
+}
+
+/// A CRC-32 in progress, for a section whose bytes arrive in pieces: the
+/// func-image writer checksums each heap page as it places it, while the
+/// page is still in cache, instead of re-reading the finished section from
+/// memory. Folding the pieces of a buffer in order, split anywhere, gives
+/// [`crc32`] of the whole.
+pub(crate) struct Crc32(u32);
+
+impl Crc32 {
+    pub(crate) fn new() -> Crc32 {
+        Crc32(!0)
+    }
+
+    pub(crate) fn fold(&mut self, data: &[u8]) {
+        let (blocks, tail) = data.as_chunks::<LANES>();
+        let mut crc = self.0;
+        for block in blocks {
+            let mut lanes = *block;
+            for (lane, c) in lanes.iter_mut().zip(crc.to_le_bytes()) {
+                *lane ^= c;
+            }
+            // The first byte of the block is the one followed by the most
+            // zeros, hence the reversed table order.
+            crc = TABLES
+                .iter()
+                .rev()
+                .zip(lanes)
+                .fold(0, |acc, (table, b)| acc ^ table[usize::from(b)]);
         }
-        // The first byte of the block is the one followed by the most
-        // zeros, hence the reversed table order.
-        crc = TABLES
-            .iter()
-            .rev()
-            .zip(lanes)
-            .fold(0, |acc, (table, b)| acc ^ table[usize::from(b)]);
+        for &byte in tail {
+            crc = TABLES[0][usize::from(byte ^ crc.to_le_bytes()[0])] ^ (crc >> 8);
+        }
+        self.0 = crc;
     }
-    for &byte in tail {
-        crc = TABLES[0][usize::from(byte ^ crc.to_le_bytes()[0])] ^ (crc >> 8);
+
+    pub(crate) fn finish(self) -> u32 {
+        !self.0
     }
-    !crc
 }
 
 #[cfg(test)]
@@ -116,6 +139,33 @@ mod tests {
                 let window = &data[start..];
                 prop_assert_eq!(crc32(window), crc32_bitwise(window), "start {}", start);
             }
+        }
+
+        /// Any split of a buffer folds to the checksum of the whole: empty
+        /// pieces, pieces shorter than a lane block (so every block of the
+        /// whole is cut somewhere, and each piece ends in the byte-wise
+        /// tail), and long pieces that start mid-block.
+        #[test]
+        fn folding_any_split_equals_the_whole(
+            data in proptest::collection::vec(any::<u8>(), 0..=4096 + LANES),
+            cuts in proptest::collection::vec((any::<u16>(), 0u8..4), 0..24),
+        ) {
+            let mut crc = Crc32::new();
+            let mut rest = &data[..];
+            for (len, kind) in cuts {
+                let len = match kind {
+                    0 => 0,
+                    1 => usize::from(len) % LANES,
+                    _ => usize::from(len),
+                };
+                let (piece, after) = rest.split_at(len.min(rest.len()));
+                crc.fold(piece);
+                rest = after;
+            }
+            crc.fold(rest);
+            let folded = crc.finish();
+            prop_assert_eq!(folded, crc32(&data));
+            prop_assert_eq!(folded, crc32_bitwise(&data));
         }
     }
 }

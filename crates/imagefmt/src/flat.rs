@@ -27,10 +27,10 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
-use memsim::{EptEntry, EptLayer, MappedImage, Vpn, PAGE_SIZE, PAGE_SIZE_U64};
+use memsim::{EptEntry, EptLayer, MappedImage, SharedBytes, Vpn, PAGE_SIZE, PAGE_SIZE_U64};
 use simtime::{CostModel, SimClock};
 
+use crate::crc::Crc32;
 use crate::record::REF_PLACEHOLDER;
 use crate::varint::{read_u16_le, read_u32_le, read_u64_le};
 use crate::{classic, crc32, CheckpointSource, ImageError, IoConn, ObjKind, ObjRecord};
@@ -90,7 +90,7 @@ fn w16(n: usize) -> u16 {
 ///
 /// Charges per-object encode plus bulk copy costs — all off the startup
 /// critical path.
-pub fn write(src: &CheckpointSource, clock: &SimClock, model: &CostModel) -> Bytes {
+pub fn write(src: &CheckpointSource, clock: &SimClock, model: &CostModel) -> SharedBytes {
     // --- metadata arena + index + relation table ---
     let mut arena = Vec::new();
     let mut index = Vec::with_capacity(src.objects.len() * 8);
@@ -127,14 +127,15 @@ pub fn write(src: &CheckpointSource, clock: &SimClock, model: &CostModel) -> Byt
     // --- application memory index ---
     let mut appmem_index = Vec::with_capacity(src.app_pages.len() * 8);
     for page in &src.app_pages {
-        assert_eq!(page.data.len(), PAGE_SIZE, "app pages must be page-sized");
         appmem_index.extend_from_slice(&page.vpn.to_le_bytes());
     }
 
     // --- assemble ---
     // The heap is nearly all of the image: `body` is allocated once at the
-    // exact image size and each page is copied once, to its final offset.
-    // Only the (small) metadata sections pass through scratch Vecs.
+    // exact image size and each page is copied once, from the checkpointed
+    // sandbox's own frame to its final offset. `body` is then handed over as
+    // it stands: it is the buffer the image is mapped from. Only the (small)
+    // metadata sections pass through scratch Vecs.
     let meta_len = index.len() + arena.len() + rel.len() + manifest.len() + appmem_index.len();
     // Raw app pages start on a page boundary, after the header page.
     let pages_at = (PAGE_SIZE + meta_len).next_multiple_of(PAGE_SIZE);
@@ -159,15 +160,21 @@ pub fn write(src: &CheckpointSource, clock: &SimClock, model: &CostModel) -> Byt
         appmem_index: place(&mut body, &appmem_index),
         appmem_pages: {
             body.resize(pages_at, 0);
+            // Each page is checksummed as it lands, while it is in cache:
+            // the heap crosses the memory bus once, not once to be placed
+            // and once more to be read back.
+            let mut crc = Crc32::new();
             for page in &src.app_pages {
+                let at = body.len();
                 body.extend_from_slice(&page.data);
+                crc.fold(body.get(at..).unwrap_or_default());
             }
             // Whole pages from a page boundary: the image ends well-formed
             // with no tail padding.
             Section {
                 offset: w64(pages_at),
                 len: w64(pages_len),
-                crc: crc32(body.get(pages_at..).unwrap_or_default()),
+                crc: crc.finish(),
             }
         },
     };
@@ -195,7 +202,7 @@ pub fn write(src: &CheckpointSource, clock: &SimClock, model: &CostModel) -> Byt
             .saturating_mul(w64(src.objects.len())),
     );
     clock.charge(model.memcpy(w64(body.len())));
-    Bytes::from(body)
+    SharedBytes::from(body)
 }
 
 /// A parsed func-image handle: cheap header view over a [`MappedImage`].
@@ -300,7 +307,7 @@ impl FlatImage {
         name: &'static str,
         clock: &SimClock,
         model: &CostModel,
-    ) -> Result<Bytes, ImageError> {
+    ) -> Result<SharedBytes, ImageError> {
         let end64 = s
             .offset
             .checked_add(s.len)
@@ -520,9 +527,9 @@ impl FlatImage {
 }
 
 /// Parses one record out of the mapped metadata arena. The payload is a
-/// zero-copy [`Bytes`] view into the arena — stage 1 of separated state
+/// zero-copy [`SharedBytes`] view into the arena — stage 1 of separated state
 /// recovery maps object fields, it never duplicates them (§3.2).
-fn parse_arena_record(arena: &Bytes, off: usize) -> Result<ObjRecord, ImageError> {
+fn parse_arena_record(arena: &SharedBytes, off: usize) -> Result<ObjRecord, ImageError> {
     let mut pos = off;
     let id = read_u64_le(arena, &mut pos, "arena record")?;
     let code = read_u16_le(arena, &mut pos, "arena record")?;
@@ -577,6 +584,7 @@ fn parse_arena_record(arena: &Bytes, off: usize) -> Result<ObjRecord, ImageError
 mod tests {
     use super::*;
     use crate::PagePayload;
+    use memsim::Frame;
     use simtime::SimNanos;
 
     fn sample_source(n_objects: u64, n_pages: u64) -> CheckpointSource {
@@ -595,7 +603,7 @@ mod tests {
             app_pages: (0..n_pages)
                 .map(|i| PagePayload {
                     vpn: 0x4_0000 + i,
-                    data: Bytes::from(vec![(i % 255) as u8; PAGE_SIZE]),
+                    data: Arc::new(Frame::from_bytes(&[(i % 255) as u8; PAGE_SIZE])),
                 })
                 .collect(),
             io_conns: vec![
@@ -662,6 +670,43 @@ mod tests {
                 );
                 assert_eq!(objects, src.objects, "{n} objects on {workers} workers");
             }
+        }
+    }
+
+    /// The write side of the copy budget (ROADMAP 2(d)): the buffer the
+    /// writer returns is the one the image is mapped from and sliced out of.
+    #[test]
+    fn the_written_buffer_is_the_mapped_buffer() {
+        let (clock, model) = setup();
+        let written = write(&sample_source(40, 6), &clock, &model);
+        let at = written.as_ptr();
+        let image = MappedImage::new("func.img", written);
+        assert_eq!(image.raw_bytes().as_ptr(), at, "mapping copied the image");
+        let tail = image.raw_bytes().slice(PAGE_SIZE..);
+        assert_eq!(tail.as_ptr(), at.wrapping_add(PAGE_SIZE), "slicing copied");
+        let page = image.load_page(1, &clock, &model).unwrap();
+        assert_eq!(page.bytes().as_ptr(), at.wrapping_add(PAGE_SIZE));
+    }
+
+    /// The read side: stage 1 maps the arena, so every restored payload is a
+    /// view into the image's arena section.
+    #[test]
+    fn restored_payloads_point_into_the_arena_section() {
+        let (clock, model) = setup();
+        let img = make_image(&sample_source(300, 2));
+        let flat = FlatImage::parse(&img, &clock, &model).unwrap();
+        let arena = flat.sections.meta_arena;
+        let (start, end) = (arena.offset as usize, (arena.offset + arena.len) as usize);
+        let arena = img.raw_bytes()[start..end].as_ptr_range();
+        let objects = flat.restore_metadata(&clock, &model).unwrap();
+        assert!(objects.iter().any(|obj| !obj.payload.is_empty()));
+        for obj in objects {
+            let payload = obj.payload.as_ptr_range();
+            assert!(
+                arena.start <= payload.start && payload.end <= arena.end,
+                "payload of object {} was copied out of the arena",
+                obj.id
+            );
         }
     }
 
@@ -734,7 +779,7 @@ mod tests {
         let (clock, model) = setup();
         let mut bytes = write(&sample_source(3, 0), &clock, &model).to_vec();
         bytes[0] = b'Z';
-        let img = MappedImage::new("bad", Bytes::from(bytes));
+        let img = MappedImage::new("bad", SharedBytes::from(bytes));
         assert_eq!(
             FlatImage::parse(&img, &clock, &model).unwrap_err(),
             ImageError::BadMagic
@@ -748,7 +793,7 @@ mod tests {
         let mut bytes = write(&src, &clock, &model).to_vec();
         // Flip a byte beyond the header page (inside the metadata sections).
         bytes[PAGE_SIZE + 100] ^= 0xFF;
-        let img = MappedImage::new("corrupt", Bytes::from(bytes));
+        let img = MappedImage::new("corrupt", SharedBytes::from(bytes));
         let flat = FlatImage::parse(&img, &clock, &model).unwrap();
         assert!(matches!(
             flat.restore_metadata(&clock, &model).unwrap_err(),

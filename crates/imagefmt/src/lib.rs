@@ -62,7 +62,7 @@ pub mod lz;
 mod record;
 pub mod varint;
 
-pub use bytes::Bytes;
 pub use crc::crc32;
 pub use error::ImageError;
+pub use memsim::SharedBytes;
 pub use record::{CheckpointSource, IoConn, IoConnKind, ObjId, ObjKind, ObjRecord, PagePayload};

@@ -12,7 +12,7 @@
 //! - `0x00, len(varint), bytes...` — literal run
 //! - `0x01, dist(varint), len(varint)` — back-reference (`dist ≥ 1`)
 
-use bytes::Bytes;
+use std::ops::Range;
 
 use crate::varint;
 use crate::ImageError;
@@ -27,7 +27,7 @@ const MAX_MATCH: usize = 258;
 ///
 /// ```
 /// let data = b"abcabcabcabcabcabc".repeat(10);
-/// let packed = bytes::Bytes::from(imagefmt::lz::compress(&data));
+/// let packed = imagefmt::lz::compress(&data);
 /// assert!(packed.len() < data.len());
 /// assert_eq!(imagefmt::lz::decompress(&packed).unwrap(), data);
 /// ```
@@ -109,29 +109,24 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decompresses a stream produced by [`compress`].
+/// Decompresses a stream produced by [`compress`] into a fresh buffer.
 ///
-/// A stream that is one literal run spanning the whole input — what
-/// [`compress`] emits for incompressible data such as high-entropy memory
-/// pages — decodes as a zero-copy [`Bytes`] view of `input`. Only streams
-/// with back-references materialize an output buffer.
+/// The classic image reader, which owns its stream as a shared buffer, does
+/// not come here for a *stored* stream: it views that body in place.
 ///
 /// # Errors
 ///
 /// [`ImageError::Truncated`] or [`ImageError::BadVarint`] on malformed input,
 /// including back-references pointing before the start of the output.
-pub fn decompress(input: &Bytes) -> Result<Bytes, ImageError> {
-    if let Some(stored) = stored_run(input)? {
-        return Ok(stored);
-    }
+pub fn decompress(input: &[u8]) -> Result<Vec<u8>, ImageError> {
     let mut out = Vec::with_capacity(input.len() * 2);
     let mut pos = 0usize;
     while let Some(&tag) = input.get(pos) {
         pos += 1;
         match tag {
             0x00 => {
-                // Mixed streams must materialize — inherent to LZ decode,
-                // and the cost the classic format pays by design (§2.2).
+                // Materializing is inherent to LZ decode, and the cost the
+                // classic format pays by design (§2.2).
                 let lits = varint::get_bytes(input, &mut pos)?;
                 out.extend(lits.iter().copied());
             }
@@ -168,12 +163,15 @@ pub fn decompress(input: &Bytes) -> Result<Bytes, ImageError> {
             }
         }
     }
-    Ok(Bytes::from(out))
+    Ok(out)
 }
 
-/// Detects the stored-stream fast path: exactly one literal token covering
-/// the remainder of `input`. Returns the literal run as a zero-copy view.
-fn stored_run(input: &Bytes) -> Result<Option<Bytes>, ImageError> {
+/// Detects a *stored* stream: exactly one literal token covering the rest of
+/// `input` — what [`compress`] emits for incompressible data such as
+/// high-entropy memory pages. Returns where in `input` the literal run (the
+/// whole decompressed output) lies, so the owner of the buffer can slice it
+/// instead of decoding it.
+pub(crate) fn stored_run(input: &[u8]) -> Result<Option<Range<usize>>, ImageError> {
     if input.first() != Some(&0x00) {
         return Ok(None);
     }
@@ -181,7 +179,7 @@ fn stored_run(input: &Bytes) -> Result<Option<Bytes>, ImageError> {
     let len = usize::try_from(varint::get_u64(input, &mut pos)?)
         .map_err(|_| ImageError::Malformed { what: "lz run" })?;
     match pos.checked_add(len) {
-        Some(end) if end == input.len() => Ok(Some(input.slice(pos..end))),
+        Some(end) if end == input.len() => Ok(Some(pos..end)),
         _ => Ok(None),
     }
 }
@@ -190,14 +188,31 @@ fn stored_run(input: &Bytes) -> Result<Option<Bytes>, ImageError> {
 mod tests {
     use super::*;
 
-    fn dec(packed: &[u8]) -> Result<Bytes, ImageError> {
-        decompress(&Bytes::copy_from_slice(packed))
+    /// The seam the benchmark crate calls through: it holds its stream as a
+    /// vendored `bytes::Bytes`, which reaches `decompress` as a plain slice.
+    #[test]
+    fn decompress_takes_any_byte_slice() {
+        let data = b"abcabcabcabcabcabc".repeat(10);
+        let packed = bytes::Bytes::from(compress(&data));
+        assert_eq!(decompress(&packed).unwrap(), data);
+    }
+
+    #[test]
+    fn stored_run_locates_an_incompressible_body() {
+        // No three bytes repeat, so there is nothing to back-reference.
+        let data: Vec<u8> = (0u8..=255).collect();
+        let packed = compress(&data);
+        let run = stored_run(&packed).unwrap().expect("one literal run");
+        assert_eq!(&packed[run], &data[..]);
+        // A stream with a back-reference is not stored.
+        assert_eq!(stored_run(&compress(&[7u8; 4096])).unwrap(), None);
+        assert_eq!(stored_run(&[]).unwrap(), None);
     }
 
     #[test]
     fn empty_round_trip() {
         let packed = compress(&[]);
-        assert_eq!(dec(&packed).unwrap(), Vec::<u8>::new());
+        assert_eq!(decompress(&packed).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
@@ -207,7 +222,7 @@ mod tests {
             .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
             .collect();
         let packed = compress(&data);
-        assert_eq!(dec(&packed).unwrap(), data);
+        assert_eq!(decompress(&packed).unwrap(), data);
     }
 
     #[test]
@@ -219,7 +234,7 @@ mod tests {
             "packed {} bytes",
             packed.len()
         );
-        assert_eq!(dec(&packed).unwrap(), data);
+        assert_eq!(decompress(&packed).unwrap(), data);
     }
 
     #[test]
@@ -231,7 +246,7 @@ mod tests {
         }
         let packed = compress(&data);
         assert!(packed.len() < data.len());
-        assert_eq!(dec(&packed).unwrap(), data);
+        assert_eq!(decompress(&packed).unwrap(), data);
     }
 
     #[test]
@@ -239,12 +254,12 @@ mod tests {
         // "aaaa..." forces dist=1 overlapping copies.
         let data = vec![b'a'; 1000];
         let packed = compress(&data);
-        assert_eq!(dec(&packed).unwrap(), data);
+        assert_eq!(decompress(&packed).unwrap(), data);
     }
 
     #[test]
     fn corrupt_tag_rejected() {
-        assert!(dec(&[0xFF]).is_err());
+        assert!(decompress(&[0xFF]).is_err());
     }
 
     #[test]
@@ -252,13 +267,13 @@ mod tests {
         let mut stream = vec![0x01];
         varint::put_u64(&mut stream, 5); // dist 5 with empty output
         varint::put_u64(&mut stream, 4);
-        assert!(dec(&stream).is_err());
+        assert!(decompress(&stream).is_err());
     }
 
     #[test]
     fn truncated_literal_rejected() {
         let mut stream = vec![0x00];
         varint::put_u64(&mut stream, 10); // declares 10 literal bytes, has 0
-        assert!(dec(&stream).is_err());
+        assert!(decompress(&stream).is_err());
     }
 }

@@ -1,6 +1,6 @@
 use std::fmt;
 
-use bytes::Bytes;
+use memsim::{FrameRef, SharedBytes};
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a checkpointed guest-kernel object.
@@ -113,21 +113,22 @@ pub struct ObjRecord {
     pub flags: u32,
     /// Pointer fields: ids of referenced objects.
     pub refs: Vec<ObjId>,
-    /// Opaque serialized field data. Held as [`Bytes`] so a record parsed
-    /// out of a mapped func-image arena is a zero-copy view of the image —
-    /// the restore path never duplicates payload bytes (§3.2).
-    pub payload: Bytes,
+    /// Opaque serialized field data. Held as [`SharedBytes`] so a record
+    /// parsed out of a mapped func-image arena is a zero-copy view of the
+    /// image — the restore path never duplicates payload bytes (§3.2).
+    pub payload: SharedBytes,
 }
 
 impl ObjRecord {
-    /// Convenience constructor. Accepts anything convertible to [`Bytes`]
-    /// (`Vec<u8>`, `&[u8]`, or a `Bytes` view) for the payload.
+    /// Convenience constructor. The payload is anything that becomes a
+    /// [`SharedBytes`] without a copy: a `Vec<u8>` (its allocation is taken
+    /// over) or an existing view.
     pub fn new(
         id: ObjId,
         kind: ObjKind,
         flags: u32,
         refs: Vec<ObjId>,
-        payload: impl Into<Bytes>,
+        payload: impl Into<SharedBytes>,
     ) -> Self {
         ObjRecord {
             id,
@@ -202,8 +203,11 @@ impl IoConn {
 pub struct PagePayload {
     /// Guest virtual page number.
     pub vpn: memsim::Vpn,
-    /// Page contents (must be exactly [`memsim::PAGE_SIZE`] bytes).
-    pub data: Bytes,
+    /// Page contents: the frame itself, shared with whoever else holds it —
+    /// the checkpointed sandbox's page table, or the image a classic restore
+    /// decoded it from — never a copy. Dereferences to the page's
+    /// [`memsim::PAGE_SIZE`] bytes and compares by content.
+    pub data: FrameRef,
 }
 
 /// Everything a checkpoint captures: the guest-kernel object graph, the

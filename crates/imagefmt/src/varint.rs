@@ -3,6 +3,8 @@
 //! encoding) and checked fixed-width little-endian readers (used by the flat
 //! func-image format).
 
+use memsim::SharedBytes;
+
 use crate::ImageError;
 
 /// Appends `value` to `out` as a little-endian base-128 varint.
@@ -74,14 +76,14 @@ pub fn get_bytes<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8], ImageEr
     Ok(out)
 }
 
-/// Reads a length-prefixed byte run as a zero-copy [`Bytes`] view sharing
-/// `buf`'s backing allocation — the restore-path counterpart of
+/// Reads a length-prefixed byte run as a zero-copy [`SharedBytes`] view
+/// sharing `buf`'s backing allocation — the restore-path counterpart of
 /// [`get_bytes`] for callers that keep the bytes.
 ///
 /// # Errors
 ///
 /// Same as [`get_bytes`].
-pub fn get_bytes_view(buf: &bytes::Bytes, pos: &mut usize) -> Result<bytes::Bytes, ImageError> {
+pub fn get_bytes_view(buf: &SharedBytes, pos: &mut usize) -> Result<SharedBytes, ImageError> {
     let len = usize::try_from(get_u64(buf, pos)?).map_err(|_| ImageError::Malformed {
         what: "byte slice length",
     })?;

@@ -15,9 +15,10 @@
     clippy::cast_possible_truncation
 )]
 
-use bytes::Bytes;
+use std::sync::Arc;
+
 use imagefmt::{flat, CheckpointSource, ImageError, IoConn, ObjKind, ObjRecord, PagePayload};
-use memsim::{MappedImage, PAGE_SIZE};
+use memsim::{Frame, MappedImage, SharedBytes, PAGE_SIZE};
 use proptest::prelude::*;
 use simtime::{CostModel, SimClock};
 
@@ -46,7 +47,9 @@ fn arb_source() -> impl Strategy<Value = CheckpointSource> {
             app_pages: (0..n_pages)
                 .map(|i| PagePayload {
                     vpn: 0x1000 + i,
-                    data: Bytes::from(vec![u8::try_from(i % 251).unwrap_or(0); PAGE_SIZE]),
+                    data: Arc::new(Frame::from_bytes(
+                        &[u8::try_from(i % 251).unwrap_or(0); PAGE_SIZE],
+                    )),
                 })
                 .collect(),
             io_conns: conn_seed
@@ -57,7 +60,7 @@ fn arb_source() -> impl Strategy<Value = CheckpointSource> {
 }
 
 /// Runs the entire flat read path; the first error wins.
-fn full_read(image: Bytes) -> Result<(), ImageError> {
+fn full_read(image: SharedBytes) -> Result<(), ImageError> {
     let clock = SimClock::new();
     let model = CostModel::experimental_machine();
     let img = MappedImage::new("corrupt.img", image);
@@ -89,7 +92,7 @@ fn read_forged_relations(
         app_pages: (0..2)
             .map(|i| PagePayload {
                 vpn: 0x00FF_FFFF + i,
-                data: Bytes::from(vec![0u8; PAGE_SIZE]),
+                data: Arc::new(Frame::zeroed()),
             })
             .collect(),
         io_conns: vec![],
@@ -102,7 +105,7 @@ fn read_forged_relations(
     edit(rel);
     let crc = imagefmt::crc32(rel);
     bytes[80..84].copy_from_slice(&crc.to_le_bytes());
-    full_read(Bytes::from(bytes))
+    full_read(SharedBytes::from(bytes))
 }
 
 /// Stage 2 rejects, and names, the offending entry: a trailing one for
@@ -130,7 +133,7 @@ proptest! {
         let full = write_image(&src);
         let len = full.len() as u64;
         let cut = usize::try_from(cut_seed % len).unwrap_or(0);
-        let result = full_read(Bytes::from(full[..cut].to_vec()));
+        let result = full_read(SharedBytes::from(full[..cut].to_vec()));
         if cut < PAGE_SIZE {
             prop_assert!(result.is_err(), "truncated header accepted at cut {cut}");
         }
@@ -147,7 +150,7 @@ proptest! {
         let mut bytes = write_image(&src);
         let clock = SimClock::new();
         let model = CostModel::experimental_machine();
-        let img = MappedImage::new("probe.img", Bytes::from(bytes.clone()));
+        let img = MappedImage::new("probe.img", SharedBytes::from(bytes.clone()));
         let meta_len = flat::FlatImage::parse(&img, &clock, &model)
             .expect("pristine image parses")
             .metadata_bytes();
@@ -157,7 +160,7 @@ proptest! {
         let pos = PAGE_SIZE + usize::try_from(pos_seed % meta_len).unwrap_or(0);
         bytes[pos] ^= 1 << bit;
         prop_assert!(
-            full_read(Bytes::from(bytes)).is_err(),
+            full_read(SharedBytes::from(bytes)).is_err(),
             "flipped bit {bit} at {pos} went undetected"
         );
     }
@@ -175,7 +178,7 @@ proptest! {
         let at = 24 + section * 20; // header: magic(4) ver(4) counts(16), then 20 B/section
         bytes[at..at + 8].copy_from_slice(&bogus.to_le_bytes());
         prop_assert!(
-            full_read(Bytes::from(bytes)).is_err(),
+            full_read(SharedBytes::from(bytes)).is_err(),
             "section {section} offset past EOF accepted"
         );
     }
@@ -194,7 +197,7 @@ proptest! {
         let end = (at + 8).min(24 + section * 20 + 20);
         let le = garbage.to_le_bytes();
         bytes[at..end].copy_from_slice(&le[..end - at]);
-        let _ = full_read(Bytes::from(bytes));
+        let _ = full_read(SharedBytes::from(bytes));
     }
 
     /// Corrupting the header's object/page counts must never panic and must
@@ -209,7 +212,7 @@ proptest! {
         let changed = count != u64::try_from(src.objects.len()).unwrap_or(u64::MAX)
             || count != u64::try_from(src.app_pages.len()).unwrap_or(u64::MAX);
         prop_assume!(changed);
-        prop_assert!(full_read(Bytes::from(bytes)).is_err(), "forged count {count} accepted");
+        prop_assert!(full_read(SharedBytes::from(bytes)).is_err(), "forged count {count} accepted");
     }
 
     /// Complete byte soup — with or without a valid magic — never panics.
@@ -221,6 +224,6 @@ proptest! {
         if plant_magic && soup.len() >= 4 {
             soup[0..4].copy_from_slice(b"FUNC");
         }
-        let _ = full_read(Bytes::from(soup));
+        let _ = full_read(SharedBytes::from(soup));
     }
 }

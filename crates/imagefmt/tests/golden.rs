@@ -11,10 +11,11 @@
     clippy::cast_possible_truncation
 )]
 
-use bytes::Bytes;
+use std::sync::Arc;
+
 use imagefmt::varint::read_u64_le;
 use imagefmt::{flat, CheckpointSource, IoConn, ObjKind, ObjRecord, PagePayload};
-use memsim::{MappedImage, PAGE_SIZE};
+use memsim::{Frame, MappedImage, PAGE_SIZE};
 use simtime::{CostModel, SimClock};
 
 /// FNV-1a 64 — deliberately not `imagefmt::crc32`, so the pin does not
@@ -59,11 +60,11 @@ fn pages() -> Vec<PagePayload> {
         .into_iter()
         .map(|vpn| PagePayload {
             vpn,
-            data: Bytes::from(
-                (0..PAGE_SIZE)
+            data: Arc::new(Frame::from_bytes(
+                &(0..PAGE_SIZE)
                     .map(|i| ((i as u64 * 31 + vpn) % 251) as u8)
                     .collect::<Vec<_>>(),
-            ),
+            )),
         })
         .collect()
 }

@@ -9,9 +9,10 @@
     clippy::cast_possible_truncation
 )]
 
-use bytes::Bytes;
+use std::sync::Arc;
+
 use imagefmt::{classic, flat, CheckpointSource, IoConn, ObjKind, ObjRecord, PagePayload};
-use memsim::{MappedImage, PAGE_SIZE};
+use memsim::{Frame, MappedImage, SharedBytes, PAGE_SIZE};
 use proptest::prelude::*;
 use simtime::{CostModel, SimClock};
 
@@ -43,7 +44,7 @@ fn arb_source() -> impl Strategy<Value = CheckpointSource> {
                 .into_iter()
                 .map(|(vpn, fill)| PagePayload {
                     vpn,
-                    data: Bytes::from(vec![fill; PAGE_SIZE]),
+                    data: Arc::new(Frame::from_bytes(&[fill; PAGE_SIZE])),
                 })
                 .collect(),
             io_conns,
@@ -56,7 +57,7 @@ proptest! {
     /// The LZ codec round-trips arbitrary byte strings.
     #[test]
     fn lz_round_trip(data in proptest::collection::vec(any::<u8>(), 0..8192)) {
-        let packed = bytes::Bytes::from(imagefmt::lz::compress(&data));
+        let packed = imagefmt::lz::compress(&data);
         prop_assert_eq!(imagefmt::lz::decompress(&packed).unwrap(), data);
     }
 
@@ -64,7 +65,7 @@ proptest! {
     #[test]
     fn lz_compresses_repetition(byte in any::<u8>(), reps in 256usize..8192) {
         let data = vec![byte; reps];
-        let packed = bytes::Bytes::from(imagefmt::lz::compress(&data));
+        let packed = imagefmt::lz::compress(&data);
         prop_assert!(packed.len() < data.len() / 4, "{} -> {}", data.len(), packed.len());
         prop_assert_eq!(imagefmt::lz::decompress(&packed).unwrap(), data);
     }
@@ -131,7 +132,7 @@ proptest! {
         let mut bytes = image.to_vec();
         let pos = 20 + (pos_seed as usize % (bytes.len() - 20));
         bytes[pos] ^= xor;
-        prop_assert!(classic::read(&Bytes::from(bytes), &clock, &model).is_err());
+        prop_assert!(classic::read(&SharedBytes::from(bytes), &clock, &model).is_err());
     }
 
     /// Single-byte corruption in the flat metadata sections never restores
@@ -149,7 +150,7 @@ proptest! {
         let mut bytes = image.to_vec();
         let pos = PAGE_SIZE + (pos_seed as usize % meta_len);
         bytes[pos] ^= xor;
-        let mapped = MappedImage::new("c", Bytes::from(bytes));
+        let mapped = MappedImage::new("c", SharedBytes::from(bytes));
         match flat::FlatImage::parse(&mapped, &clock, &model) {
             Err(_) => {}
             Ok(img) => prop_assert!(img.restore_metadata(&clock, &model).is_err()),

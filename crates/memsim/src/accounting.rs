@@ -100,8 +100,7 @@ pub fn average(usages: &[MemoryUsage]) -> MemoryUsage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EptLayer, MappedImage, Perms, ShareMode, VpnRange};
-    use bytes::Bytes;
+    use crate::{EptLayer, MappedImage, Perms, ShareMode, SharedBytes, VpnRange};
     use simtime::{CostModel, SimClock};
     use std::sync::Arc;
 
@@ -125,7 +124,7 @@ mod tests {
     #[test]
     fn base_sharing_divides_pss() {
         let (clock, model) = setup();
-        let data = Bytes::from(vec![1u8; 8 * PAGE_SIZE]);
+        let data = SharedBytes::from(vec![1u8; 8 * PAGE_SIZE]);
         let img = MappedImage::new("f", data);
         let base = EptLayer::lazy_from_image(&img, 0, &clock, &model);
 

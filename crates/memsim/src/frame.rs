@@ -1,16 +1,17 @@
+use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
-use bytes::Bytes;
-
-use crate::PAGE_SIZE;
+use crate::{SharedBytes, PAGE_SIZE};
 
 /// One 4 KiB guest-physical page frame.
 ///
 /// A frame's contents come from one of two places:
 ///
 /// - **Anonymous** memory, owned by the frame (heap, stack, CoW copies); or
-/// - a zero-copy **image slice** of a mapped func-image (`Bytes` clones share
-///   the underlying buffer, exactly like `mmap`-ing a file read-only).
+/// - a zero-copy **image slice** of a mapped func-image ([`SharedBytes`]
+///   views share the underlying buffer, exactly like `mmap`-ing a file
+///   read-only).
 ///
 /// Frames are shared between address spaces through [`FrameRef`]
 /// (`Arc<Frame>`). The `Arc` strong count is *not* the sharing degree:
@@ -18,7 +19,12 @@ use crate::PAGE_SIZE;
 /// stand for many spaces. [`crate::accounting`] counts sharers by frame
 /// identity across the group instead, and the address space decides
 /// writability from the table *and* the frame (see `AddressSpace::write`).
-#[derive(Debug, Clone)]
+///
+/// A frame dereferences to its page of bytes and compares by content, so a
+/// [`FrameRef`] is also what a checkpoint carries for a page
+/// ([`crate::AddressSpace::snapshot_private_pages`]): the frame itself,
+/// shared, not a copy of it.
+#[derive(Clone)]
 pub struct Frame {
     data: FrameData,
 }
@@ -26,12 +32,12 @@ pub struct Frame {
 /// Shared handle to a frame.
 pub type FrameRef = Arc<Frame>;
 
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 enum FrameData {
     /// Owned, writable-in-place storage.
     Owned(Box<[u8]>),
     /// Zero-copy slice of an image file; always read-only (writes CoW first).
-    Image(Bytes),
+    Image(SharedBytes),
 }
 
 impl Frame {
@@ -68,7 +74,7 @@ impl Frame {
     /// # Panics
     ///
     /// Panics if the slice is not exactly [`PAGE_SIZE`] long.
-    pub fn from_image_slice(slice: Bytes) -> Frame {
+    pub fn from_image_slice(slice: SharedBytes) -> Frame {
         assert_eq!(slice.len(), PAGE_SIZE, "image frame must be page-sized");
         Frame {
             data: FrameData::Image(slice),
@@ -112,6 +118,33 @@ impl Frame {
     }
 }
 
+impl Deref for Frame {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        self.bytes()
+    }
+}
+
+/// By content: an image-backed page equals the anonymous page holding the
+/// same bytes (a restored heap equals the checkpointed one).
+impl PartialEq for Frame {
+    fn eq(&self, other: &Frame) -> bool {
+        self.bytes() == other.bytes()
+    }
+}
+
+impl Eq for Frame {}
+
+/// The kind only: a derived `Debug` would print 4,096 bytes per page.
+impl fmt::Debug for Frame {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self.data {
+            FrameData::Owned(_) => "Frame(owned)",
+            FrameData::Image(_) => "Frame(image)",
+        })
+    }
+}
+
 /// Hash-consable identity of a frame, for PSS accounting.
 pub(crate) fn frame_identity(frame: &FrameRef) -> usize {
     Arc::as_ptr(frame) as usize
@@ -147,7 +180,7 @@ mod tests {
     fn image_slice_round_trip() {
         let mut buf = vec![0u8; PAGE_SIZE];
         buf[0] = 0xAB;
-        let f = Frame::from_image_slice(Bytes::from(buf));
+        let f = Frame::from_image_slice(SharedBytes::from(buf));
         assert!(f.is_image_backed());
         assert_eq!(f.bytes()[0], 0xAB);
     }
@@ -155,7 +188,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "page-sized")]
     fn image_slice_must_be_page_sized() {
-        let _ = Frame::from_image_slice(Bytes::from_static(b"short"));
+        let _ = Frame::from_image_slice(SharedBytes::from(b"short".to_vec()));
+    }
+
+    #[test]
+    fn derefs_to_its_bytes_and_compares_by_content() {
+        let owned = Frame::from_bytes(&[7u8; PAGE_SIZE]);
+        let image = Frame::from_image_slice(SharedBytes::from(vec![7u8; PAGE_SIZE]));
+        assert_eq!(owned.len(), PAGE_SIZE);
+        assert!(image.iter().all(|&b| b == 7));
+        assert_eq!(owned, image, "same bytes, whatever backs them");
+        assert_ne!(owned, Frame::zeroed());
+        assert_eq!(format!("{owned:?} {image:?}"), "Frame(owned) Frame(image)");
     }
 
     #[test]
@@ -170,7 +214,7 @@ mod tests {
 
     #[test]
     fn cow_copy_of_image_frame_is_writable() {
-        let f = Frame::from_image_slice(Bytes::from(vec![7u8; PAGE_SIZE]));
+        let f = Frame::from_image_slice(SharedBytes::from(vec![7u8; PAGE_SIZE]));
         let mut c = f.cow_copy();
         c.write_in_place(10, &[9]);
         assert_eq!(c.bytes()[10], 9);
@@ -181,7 +225,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "image-backed")]
     fn write_to_image_frame_panics() {
-        let mut f = Frame::from_image_slice(Bytes::from(vec![0u8; PAGE_SIZE]));
+        let mut f = Frame::from_image_slice(SharedBytes::from(vec![0u8; PAGE_SIZE]));
         f.write_in_place(0, &[1]);
     }
 

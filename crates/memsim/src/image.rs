@@ -1,11 +1,10 @@
 use std::fmt;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use parking_lot::Mutex;
 use simtime::{CostModel, SimClock};
 
-use crate::{Frame, MemError, PAGE_SIZE, PAGE_SIZE_U64};
+use crate::{Frame, MemError, SharedBytes, PAGE_SIZE, PAGE_SIZE_U64};
 
 /// A page-aligned image file mapped into memory, with a shared page cache.
 ///
@@ -20,11 +19,10 @@ use crate::{Frame, MemError, PAGE_SIZE, PAGE_SIZE_U64};
 /// # Example
 ///
 /// ```
-/// use bytes::Bytes;
-/// use memsim::{MappedImage, PAGE_SIZE};
+/// use memsim::{MappedImage, SharedBytes, PAGE_SIZE};
 /// use simtime::{CostModel, SimClock};
 ///
-/// let image = MappedImage::new("func.img", Bytes::from(vec![7u8; PAGE_SIZE * 2]));
+/// let image = MappedImage::new("func.img", SharedBytes::from(vec![7u8; PAGE_SIZE * 2]));
 /// let model = CostModel::experimental_machine();
 /// let clock = SimClock::new();
 /// let frame = image.load_page(1, &clock, &model)?;
@@ -36,22 +34,49 @@ use crate::{Frame, MemError, PAGE_SIZE, PAGE_SIZE_U64};
 /// ```
 pub struct MappedImage {
     name: String,
-    bytes: Bytes,
+    bytes: SharedBytes,
     pages: u64,
-    resident: Mutex<Vec<bool>>,
+    resident: Mutex<Residency>,
+}
+
+/// The shared page cache's state: which pages are in, and how many — the
+/// count is kept beside the bitmap so that asking for it never walks it.
+struct Residency {
+    pages: Vec<bool>,
+    count: u64,
+}
+
+impl Residency {
+    /// Marks `pages[from..to]` (clamped to the image) resident and returns
+    /// how many of them were not yet.
+    fn load(&mut self, from: usize, to: usize) -> u64 {
+        let to = to.min(self.pages.len());
+        let mut loaded = 0u64;
+        for slot in self.pages.get_mut(from..to).unwrap_or_default() {
+            if !*slot {
+                *slot = true;
+                loaded += 1;
+            }
+        }
+        self.count += loaded;
+        loaded
+    }
 }
 
 impl MappedImage {
     /// Wraps `bytes` as a mapped image. The length is padded *logically* to a
     /// whole number of pages (a trailing partial page reads as zero-filled).
-    pub fn new(name: impl Into<String>, bytes: Bytes) -> Arc<MappedImage> {
+    pub fn new(name: impl Into<String>, bytes: SharedBytes) -> Arc<MappedImage> {
         let page_slots = bytes.len().div_ceil(PAGE_SIZE);
         let pages = u64::try_from(page_slots).unwrap_or(u64::MAX);
         Arc::new(MappedImage {
             name: name.into(),
             bytes,
             pages,
-            resident: Mutex::new(vec![false; page_slots]),
+            resident: Mutex::new(Residency {
+                pages: vec![false; page_slots],
+                count: 0,
+            }),
         })
     }
 
@@ -77,7 +102,7 @@ impl MappedImage {
 
     /// Number of pages currently resident in the shared page cache.
     pub fn resident_pages(&self) -> u64 {
-        u64::try_from(self.resident.lock().iter().filter(|&&r| r).count()).unwrap_or(u64::MAX)
+        self.resident.lock().count
     }
 
     /// Loads page `index`, charging a disk read on the first touch only.
@@ -110,17 +135,8 @@ impl MappedImage {
             // Fault-around: a miss reads a small cluster ahead, the way host
             // kernels do readahead under mmap. One seek covers the cluster.
             let mut resident = self.resident.lock();
-            if resident.get(index_us).is_some_and(|r| !*r) {
-                let cluster_end = index_us.saturating_add(8).min(resident.len());
-                let mut loaded = 0u64;
-                if let Some(cluster) = resident.get_mut(index_us..cluster_end) {
-                    for slot in cluster.iter_mut() {
-                        if !*slot {
-                            *slot = true;
-                            loaded += 1;
-                        }
-                    }
-                }
+            if resident.pages.get(index_us).is_some_and(|r| !*r) {
+                let loaded = resident.load(index_us, index_us.saturating_add(8));
                 drop(resident);
                 clock.charge(model.disk_read(loaded.saturating_mul(PAGE_SIZE_U64)));
             }
@@ -155,21 +171,9 @@ impl MappedImage {
                 pages: self.pages,
             });
         }
-        let mut resident = self.resident.lock();
         let first_us = usize::try_from(first).unwrap_or(usize::MAX);
-        let end_us = usize::try_from(end)
-            .unwrap_or(usize::MAX)
-            .min(resident.len());
-        let mut missing = 0u64;
-        if let Some(range) = resident.get_mut(first_us..end_us) {
-            for slot in range.iter_mut() {
-                if !*slot {
-                    *slot = true;
-                    missing += 1;
-                }
-            }
-        }
-        drop(resident);
+        let end_us = usize::try_from(end).unwrap_or(usize::MAX);
+        let missing = self.resident.lock().load(first_us, end_us);
         if missing > 0 {
             clock.charge(model.disk_read(missing.saturating_mul(PAGE_SIZE_U64)));
         }
@@ -180,21 +184,15 @@ impl MappedImage {
     /// (used by the *classic* restore path, which loads everything eagerly),
     /// charging one bulk disk read.
     pub fn prefetch_all(&self, clock: &SimClock, model: &CostModel) {
-        let mut resident = self.resident.lock();
-        let missing = u64::try_from(resident.iter().filter(|&&r| !r).count()).unwrap_or(u64::MAX);
-        if missing == 0 {
-            return;
+        let missing = self.resident.lock().load(0, usize::MAX);
+        if missing > 0 {
+            clock.charge(model.disk_read(missing.saturating_mul(PAGE_SIZE_U64)));
         }
-        for slot in resident.iter_mut() {
-            *slot = true;
-        }
-        drop(resident);
-        clock.charge(model.disk_read(missing.saturating_mul(PAGE_SIZE_U64)));
     }
 
     /// Raw access to the underlying buffer (used by the image format parser;
     /// does **not** touch the page cache or charge costs).
-    pub fn raw_bytes(&self) -> &Bytes {
+    pub fn raw_bytes(&self) -> &SharedBytes {
         &self.bytes
     }
 }
@@ -215,7 +213,7 @@ mod tests {
     use simtime::SimNanos;
 
     fn image_of(pages: usize, fill: u8) -> Arc<MappedImage> {
-        MappedImage::new("test.img", Bytes::from(vec![fill; pages * PAGE_SIZE]))
+        MappedImage::new("test.img", SharedBytes::from(vec![fill; pages * PAGE_SIZE]))
     }
 
     #[test]
@@ -254,7 +252,7 @@ mod tests {
 
     #[test]
     fn partial_trailing_page_zero_pads() {
-        let img = MappedImage::new("t", Bytes::from(vec![9u8; PAGE_SIZE + 10]));
+        let img = MappedImage::new("t", SharedBytes::from(vec![9u8; PAGE_SIZE + 10]));
         assert_eq!(img.pages(), 2);
         let model = CostModel::experimental_machine();
         let clock = SimClock::new();
@@ -302,7 +300,7 @@ mod tests {
 
     #[test]
     fn empty_image() {
-        let img = MappedImage::new("empty", Bytes::new());
+        let img = MappedImage::new("empty", SharedBytes::default());
         assert!(img.is_empty());
         assert_eq!(img.pages(), 0);
         assert!(img

@@ -349,7 +349,7 @@ impl fmt::Debug for EptLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
+    use crate::SharedBytes;
     use simtime::SimNanos;
 
     fn test_image(pages: usize) -> Arc<MappedImage> {
@@ -357,7 +357,7 @@ mod tests {
         for (i, chunk) in data.chunks_mut(PAGE_SIZE).enumerate() {
             chunk[0] = i as u8;
         }
-        MappedImage::new("img", Bytes::from(data))
+        MappedImage::new("img", SharedBytes::from(data))
     }
 
     #[test]
@@ -541,7 +541,7 @@ mod tests {
         drop(frame);
 
         // Image pages are never written in place.
-        let image = Frame::from_image_slice(Bytes::from(vec![0u8; PAGE_SIZE]));
+        let image = Frame::from_image_slice(SharedBytes::from(vec![0u8; PAGE_SIZE]));
         table.insert(
             4,
             EptEntry::Present {

@@ -5,6 +5,8 @@
 //! well-formed func-image. This crate reproduces that machinery on real data
 //! structures:
 //!
+//! - [`SharedBytes`]: the sliceable shared buffer an image is assembled in,
+//!   mapped from and served out of — one allocation, views all the way down.
 //! - [`Frame`]: one 4 KiB guest-physical page, either anonymous (owned bytes)
 //!   or a zero-copy slice of an image file.
 //! - [`MappedImage`]: a file-backed region with a shared page cache — the
@@ -57,6 +59,7 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod accounting;
+mod buf;
 mod error;
 mod frame;
 mod image;
@@ -64,6 +67,7 @@ mod layer;
 mod page;
 mod space;
 
+pub use buf::SharedBytes;
 pub use error::MemError;
 pub use frame::{Frame, FrameRef};
 pub use image::MappedImage;

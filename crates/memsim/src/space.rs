@@ -69,6 +69,8 @@ pub struct SpaceStats {
 pub struct AddressSpace {
     name: String,
     vmas: Vec<Vma>,
+    /// Holds resident pages only: every insert (`write`, `resolve_for_read`,
+    /// `install_page`) is a `Present` frame. Lazy entries live in the base.
     private: EptTable,
     base: Option<Arc<EptLayer>>,
     /// Base pages whose merged hardware EPT entry this space has built.
@@ -347,22 +349,10 @@ impl AddressSpace {
         clock: &SimClock,
         model: &CostModel,
     ) -> Result<FrameRef, MemError> {
-        if let Some(EptEntry::LazyImage { image, page }) = self.private.get(vpn) {
-            let before = image.resident_pages();
-            let frame: FrameRef = Arc::new(image.load_page(*page, clock, model)?);
-            if image.resident_pages() > before {
-                self.stats.image_pages_loaded += 1;
-            }
-            clock.charge(model.mem.page_fault);
-            self.stats.minor_faults += 1;
-            self.private.insert(
-                vpn,
-                EptEntry::Present {
-                    frame: Arc::clone(&frame),
-                },
-            );
-            return Ok(frame);
-        }
+        debug_assert!(
+            self.private.get(vpn).is_none(),
+            "private entry not resident"
+        );
         if let Some(base) = &self.base {
             let clock_before = clock.now();
             if let Some(frame) = base.materialize(vpn, clock, model)? {
@@ -398,13 +388,13 @@ impl AddressSpace {
         clock: &SimClock,
         model: &CostModel,
     ) -> Result<Option<Frame>, MemError> {
-        match self.private.get(vpn) {
-            Some(EptEntry::Present { frame }) => return Ok(Some(frame.cow_copy())),
-            Some(EptEntry::LazyImage { image, page }) => {
-                return Ok(Some(image.load_page(*page, clock, model)?.cow_copy()));
-            }
-            Some(EptEntry::LazyZero) | None => {}
+        if let Some(EptEntry::Present { frame }) = self.private.get(vpn) {
+            return Ok(Some(frame.cow_copy()));
         }
+        debug_assert!(
+            self.private.get(vpn).is_none(),
+            "private entry not resident"
+        );
         if let Some(base) = &self.base {
             if let Some(frame) = base.materialize(vpn, clock, model)? {
                 self.hw_merged.insert(vpn);
@@ -497,14 +487,20 @@ impl AddressSpace {
         Ok(())
     }
 
-    /// Snapshots every resident private page as `(vpn, contents)`, in vpn
-    /// order — the application-memory capture step of a checkpoint. Reads
-    /// nothing lazily and charges nothing (checkpointing is offline).
-    pub fn snapshot_private_pages(&self) -> Vec<(Vpn, bytes::Bytes)> {
-        let mut out = Vec::new();
+    /// Snapshots every resident private page as `(vpn, frame)`, in vpn
+    /// order — the application-memory capture step of a checkpoint. The
+    /// snapshot *shares* the resident frames, it does not copy them: a page
+    /// this space writes while the snapshot is alive takes the ordinary
+    /// copy-on-write fault (the snapshot holder is one more sharer of the
+    /// frame) and the snapshot keeps the bytes it captured. Reads nothing
+    /// lazily and charges nothing (checkpointing is offline).
+    pub fn snapshot_private_pages(&self) -> Vec<(Vpn, FrameRef)> {
+        let resident = usize::try_from(self.private_pages()).unwrap_or(0);
+        debug_assert_eq!(self.private.len(), resident, "private entry not resident");
+        let mut out = Vec::with_capacity(resident);
         self.private.for_each(|vpn, entry| {
             if let EptEntry::Present { frame } = entry {
-                out.push((vpn, bytes::Bytes::copy_from_slice(frame.bytes())));
+                out.push((vpn, Arc::clone(frame)));
             }
         });
         out
@@ -526,8 +522,7 @@ impl fmt::Display for AddressSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MappedImage;
-    use bytes::Bytes;
+    use crate::{MappedImage, SharedBytes};
     use simtime::SimNanos;
 
     fn setup() -> (SimClock, CostModel) {
@@ -539,7 +534,7 @@ mod tests {
         for (i, chunk) in data.chunks_mut(PAGE_SIZE).enumerate() {
             chunk.fill(i as u8 + 1);
         }
-        MappedImage::new("img", Bytes::from(data))
+        MappedImage::new("img", SharedBytes::from(data))
     }
 
     #[test]
@@ -906,6 +901,99 @@ mod tests {
         template.write(1, 1, &[3], &clock, &model).unwrap();
         assert_eq!(template.stats().cow_faults, 2, "sole owner: in place");
         assert_eq!(clock.now(), t0);
+    }
+
+    /// The resident private frame at `vpn`.
+    fn resident(space: &AddressSpace, vpn: Vpn) -> FrameRef {
+        match space.private.get(vpn) {
+            Some(EptEntry::Present { frame }) => Arc::clone(frame),
+            other => panic!("page {vpn} not resident: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn snapshot_shares_the_resident_frames_in_vpn_order() {
+        let (clock, model) = setup();
+        let mut s = AddressSpace::new("s");
+        s.map_anonymous(
+            VpnRange::new(0, 2048),
+            Perms::RW,
+            ShareMode::Private,
+            "heap",
+        )
+        .unwrap();
+        // Out of order, across leaf tables.
+        for vpn in [1500, 3, 512, 0, 511, 2047] {
+            s.write(vpn, 0, &[vpn as u8], &clock, &model).unwrap();
+        }
+        let t0 = clock.now();
+        let snapshot = s.snapshot_private_pages();
+        assert_eq!(clock.now(), t0, "a checkpoint is offline");
+        let vpns: Vec<Vpn> = snapshot.iter().map(|(vpn, _)| *vpn).collect();
+        assert_eq!(vpns, [0, 3, 511, 512, 1500, 2047]);
+        for (vpn, frame) in &snapshot {
+            assert!(
+                Arc::ptr_eq(frame, &resident(&s, *vpn)),
+                "page {vpn} was copied, not shared"
+            );
+            assert_eq!(frame[0], *vpn as u8);
+        }
+        assert_eq!(s.stats().bytes_copied, 0);
+    }
+
+    #[test]
+    fn write_under_a_live_snapshot_is_one_cow_and_spares_the_snapshot() {
+        let (clock, model) = setup();
+        let mut s = AddressSpace::new("s");
+        s.map_anonymous(VpnRange::new(0, 4), Perms::RW, ShareMode::Private, "heap")
+            .unwrap();
+        s.write(1, 0, b"JVM", &clock, &model).unwrap();
+        s.write(2, 0, b"GC!", &clock, &model).unwrap();
+        let before = s.stats();
+
+        let snapshot = s.snapshot_private_pages();
+        let t0 = clock.now();
+        s.write(1, 0, b"XXX", &clock, &model).unwrap();
+        // Exactly one fault: the snapshot is one more sharer of the frame.
+        assert_eq!(s.stats().cow_faults, before.cow_faults + 1);
+        assert_eq!(
+            s.stats().bytes_copied,
+            before.bytes_copied + PAGE_SIZE as u64
+        );
+        assert_eq!(s.stats().minor_faults, before.minor_faults);
+        assert_eq!(clock.since(t0), model.cow_fault(PAGE_SIZE as u64));
+        // The space sees its write; the snapshot keeps what it captured.
+        let mut buf = [0u8; 3];
+        s.read(1, 0, &mut buf, &clock, &model).unwrap();
+        assert_eq!(&buf, b"XXX");
+        assert_eq!(&snapshot[0].1[..3], b"JVM");
+        assert!(!Arc::ptr_eq(&snapshot[0].1, &resident(&s, 1)));
+        // The private copy is the space's own: written in place from now on.
+        let t1 = clock.now();
+        s.write(1, 3, b"!", &clock, &model).unwrap();
+        assert_eq!(s.stats().cow_faults, before.cow_faults + 1);
+        assert_eq!(clock.now(), t1);
+        // The page it did not write is still the shared frame.
+        assert!(Arc::ptr_eq(&snapshot[1].1, &resident(&s, 2)));
+        assert_eq!(&snapshot[1].1[..3], b"GC!");
+    }
+
+    #[test]
+    fn pages_are_written_in_place_again_once_the_snapshot_is_dropped() {
+        let (clock, model) = setup();
+        let mut s = AddressSpace::new("s");
+        s.map_anonymous(VpnRange::new(0, 4), Perms::RW, ShareMode::Private, "heap")
+            .unwrap();
+        s.write(1, 0, &[1], &clock, &model).unwrap();
+        let frame = Arc::as_ptr(&resident(&s, 1));
+        drop(s.snapshot_private_pages());
+
+        let (stats, t0) = (s.stats(), clock.now());
+        s.write(1, 0, &[2], &clock, &model).unwrap();
+        assert_eq!(s.stats(), stats, "sole holder again: no fault");
+        assert_eq!(clock.now(), t0);
+        assert_eq!(Arc::as_ptr(&resident(&s, 1)), frame, "same frame");
+        assert_eq!(resident(&s, 1)[0], 2);
     }
 
     #[test]

@@ -13,10 +13,9 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use memsim::{
-    accounting, AddressSpace, EptEntry, EptLayer, Frame, MappedImage, Perms, ShareMode, SpaceStats,
-    Vpn, VpnRange, PAGE_SIZE,
+    accounting, AddressSpace, EptEntry, EptLayer, Frame, FrameRef, MappedImage, Perms, ShareMode,
+    SharedBytes, SpaceStats, Vpn, VpnRange, PAGE_SIZE,
 };
 use proptest::prelude::*;
 use simtime::{CostModel, SimClock, SimNanos};
@@ -30,7 +29,7 @@ fn image_with_pattern(pages: u8) -> Arc<MappedImage> {
     for (i, chunk) in data.chunks_mut(PAGE_SIZE).enumerate() {
         chunk.fill((i as u8).wrapping_add(1));
     }
-    MappedImage::new("prop.img", Bytes::from(data))
+    MappedImage::new("prop.img", SharedBytes::from(data))
 }
 
 proptest! {
@@ -183,6 +182,61 @@ proptest! {
         // no page is ever charged twice.
         prop_assert!(loads <= img.resident_pages());
         prop_assert!(img.resident_pages() <= 8);
+    }
+}
+
+proptest! {
+    /// Every way a page enters the private layer — a write over the base
+    /// (cold or merged), a write or read of anonymous memory, a bulk
+    /// install, a fork — leaves it holding resident frames only: lazy image
+    /// entries stay in the Base-EPT. The fault paths and
+    /// `snapshot_private_pages` `debug_assert!` exactly that, so this run
+    /// would panic on a private lazy entry; what is visible from outside is
+    /// checked against a shadow.
+    #[test]
+    fn private_layer_holds_only_resident_pages(
+        ops in proptest::collection::vec((0u8..5, 0u64..16, any::<u8>()), 1..64),
+    ) {
+        let (clock, model) = setup();
+        let img = image_with_pattern(8);
+        let base = EptLayer::lazy_from_image(&img, 0, &clock, &model);
+        let mut space = AddressSpace::new("overlay");
+        space.attach_base(base, VpnRange::new(0, 8), "f", &clock, &model).unwrap();
+        space.map_anonymous(VpnRange::new(8, 16), Perms::RW, ShareMode::Private, "heap").unwrap();
+
+        // First byte of each page, and which pages the private layer holds.
+        let mut first: Vec<u8> = (1..=8).chain([0; 8]).collect();
+        let mut private = [false; 16];
+        for (kind, vpn, val) in ops {
+            let at = vpn as usize;
+            match kind {
+                0 | 1 => {
+                    space.write(vpn, 0, &[val], &clock, &model).unwrap();
+                    (first[at], private[at]) = (val, true);
+                }
+                2 => {
+                    let mut got = [0u8; 1];
+                    space.read(vpn, 0, &mut got, &clock, &model).unwrap();
+                    prop_assert_eq!(got[0], first[at]);
+                    // A base page is read through; an anonymous one zero-fills.
+                    private[at] |= vpn >= 8;
+                }
+                3 => {
+                    space.install_page(vpn, &[val]).unwrap();
+                    (first[at], private[at]) = (val, true);
+                }
+                _ => space = space.sfork_clone("child").unwrap(),
+            }
+            let held = private.iter().filter(|p| **p).count();
+            let snapshot = space.snapshot_private_pages();
+            prop_assert_eq!(snapshot.len(), held);
+            prop_assert_eq!(space.private_pages(), held as u64);
+            for (vpn, frame) in &snapshot {
+                prop_assert!(private[*vpn as usize]);
+                prop_assert!(!frame.is_image_backed(), "a private page is an owned copy");
+                prop_assert_eq!(frame[0], first[*vpn as usize]);
+            }
+        }
     }
 }
 
@@ -482,12 +536,19 @@ enum FamilyOp {
     Drop {
         who: usize,
     },
+    /// Checkpoint a member: the snapshot holds its frames until released.
+    Snapshot {
+        who: usize,
+    },
+    Release {
+        which: usize,
+    },
 }
 
 /// A weighted pick of one operation, decoded from raw draws.
 fn family_op() -> impl Strategy<Value = FamilyOp> {
     (
-        0u8..12,
+        0u8..15,
         0usize..8,
         0..FAMILY_VPNS.len(),
         0usize..PAGE_SIZE,
@@ -502,7 +563,9 @@ fn family_op() -> impl Strategy<Value = FamilyOp> {
                 val,
             },
             9 | 10 => FamilyOp::Fork { who },
-            _ => FamilyOp::Drop { who },
+            11 => FamilyOp::Drop { who },
+            12 | 13 => FamilyOp::Snapshot { who },
+            _ => FamilyOp::Release { which: who },
         })
 }
 
@@ -510,6 +573,23 @@ struct Member {
     space: AddressSpace,
     clock: SimClock,
     oracle: OracleSpace,
+}
+
+/// A live checkpoint snapshot and what it must keep reading: in the oracle a
+/// snapshot is a fork that never writes — one more sharer of every page it
+/// captured, for as long as it is held.
+struct Held {
+    pages: Vec<(Vpn, FrameRef)>,
+    oracle: OracleSpace,
+}
+
+fn assert_snapshot_intact(held: &Held) -> Result<(), TestCaseError> {
+    prop_assert_eq!(held.pages.len(), held.oracle.pages.len());
+    for ((vpn, frame), (want_vpn, want)) in held.pages.iter().zip(&held.oracle.pages) {
+        prop_assert_eq!(vpn, want_vpn, "snapshots ascend by vpn");
+        prop_assert_eq!(&frame[..], &want.bytes[..], "snapshot page {} changed", vpn);
+    }
+    Ok(())
 }
 
 fn assert_member_matches(member: &Member) -> Result<(), TestCaseError> {
@@ -539,7 +619,9 @@ proptest! {
     /// any interleaving, with members dropped along the way: every space's
     /// bytes, `SpaceStats` and clock agree with an oracle in which each fork
     /// is a deep copy and sharing is counted per page. Sharing whole leaf
-    /// tables must be invisible.
+    /// tables must be invisible, and a checkpoint snapshot — which shares
+    /// frames instead of copying them — is one more sharer per page while it
+    /// lives and never sees a later write.
     #[test]
     fn sfork_family_matches_a_per_page_oracle(
         template_writes in proptest::collection::vec((0..FAMILY_VPNS.len(), any::<u8>()), 0..10),
@@ -563,6 +645,7 @@ proptest! {
         // Member 0 is the template; it outlives everyone.
         let mut family = vec![template];
         let mut forks = 0;
+        let mut snapshots: Vec<Held> = Vec::new();
 
         for op in ops {
             match op {
@@ -602,7 +685,29 @@ proptest! {
                         oracle.drop_space(gone.oracle);
                     }
                 }
+                FamilyOp::Snapshot { who } => {
+                    if snapshots.len() < 3 {
+                        let member = &family[who % family.len()];
+                        let held = Held {
+                            pages: member.space.snapshot_private_pages(),
+                            oracle: oracle.fork(&member.oracle),
+                        };
+                        assert_snapshot_intact(&held)?;
+                        assert_member_matches(member)?;
+                        snapshots.push(held);
+                    }
+                }
+                FamilyOp::Release { which } => {
+                    if !snapshots.is_empty() {
+                        let held = snapshots.remove(which % snapshots.len());
+                        assert_snapshot_intact(&held)?;
+                        oracle.drop_space(held.oracle);
+                    }
+                }
             }
+        }
+        for held in &snapshots {
+            assert_snapshot_intact(held)?;
         }
 
         // Everyone left reads back exactly what the oracle holds.

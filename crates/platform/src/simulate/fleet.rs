@@ -38,6 +38,8 @@
 //! memory at any trace length); determinism is byte-exact: same catalogue,
 //! knobs, and trace — same [`FleetOutcome`], including the metric rollup.
 
+use std::cmp::Reverse;
+
 use faultsim::{FaultInjector, FaultKind, InjectionPoint};
 use runtimes::AppProfile;
 use sandbox::BootCtx;
@@ -498,24 +500,44 @@ impl Simulation {
 /// `workloads::catalogue::synthetic`) pays dozens of calibration boots
 /// instead of thousands. Both open-loop engines — the single-node fleet
 /// and the cluster kernel — memoise through here.
+///
+/// Shapes are booted **largest heap first** (the first function of a shape
+/// stands for it, as before; a calibration depends on nothing but its
+/// shape, so the order moves no cost). What the order does decide is the
+/// heap the host allocator hands the event loop. Every engine is dropped
+/// before the next is built, but each leaves small-object remnants (glibc
+/// keeps the last few freed chunks of every size class out of coalescing)
+/// that split the pages it freed. In catalogue order — which a seed
+/// shuffles — some hundred engines of mixed size split that space
+/// differently for every seed, and whether the queues' 8 MiB buffers then
+/// fitted under calibration's high-water mark or went on top of it was a
+/// per-seed coin: `fleet-open` read 145, 153 or 161 MiB peak RSS. By size,
+/// the big templates run first, on the least-split heap, the remnants
+/// left last are the smallest engines', and the freed space stays in
+/// fewer, larger runs (EXPERIMENTS.md, PR 20: 39 seeds in 40 at 145.6).
 pub(crate) fn calibrate_shapes<C: Copy>(
     catalogue: &[AppProfile],
     mut boot: impl FnMut(&AppProfile) -> Result<C, PlatformError>,
 ) -> Result<Vec<C>, PlatformError> {
     let mut shapes: Vec<(AppProfile, C)> = Vec::new();
-    catalogue
-        .iter()
-        .map(|profile| {
-            let mut key = profile.clone();
-            key.name = String::new();
-            if let Some((_, costs)) = shapes.iter().find(|(shape, _)| *shape == key) {
-                return Ok(*costs);
-            }
-            let costs = boot(profile)?;
-            shapes.push((key, costs));
-            Ok(costs)
-        })
-        .collect()
+    let mut memoised = |profile: &AppProfile| -> Result<C, PlatformError> {
+        let mut key = profile.clone();
+        key.name = String::new();
+        if let Some((_, costs)) = shapes.iter().find(|(shape, _)| *shape == key) {
+            return Ok(*costs);
+        }
+        let costs = boot(profile)?;
+        shapes.push((key, costs));
+        Ok(costs)
+    };
+    // A stable sort: within one heap size, first appearance still leads.
+    let mut largest_first: Vec<&AppProfile> = catalogue.iter().collect();
+    largest_first.sort_by_key(|profile| Reverse(profile.init_heap_pages));
+    for profile in largest_first {
+        memoised(profile)?;
+    }
+    // Every shape is known now: this pass only looks up.
+    catalogue.iter().map(memoised).collect()
 }
 
 #[cfg(test)]
@@ -702,5 +724,43 @@ mod tests {
             serde_json::to_string(&out).unwrap()
         };
         assert_eq!(once(), once(), "same inputs, byte-identical outcome");
+    }
+
+    #[test]
+    fn shapes_are_calibrated_once_each_largest_heap_first() {
+        let named = |mut profile: AppProfile, name: &str| {
+            profile.name = name.into();
+            profile
+        };
+        // Heap pages: c_hello < c_nginx < python_hello.
+        let catalogue = vec![
+            named(AppProfile::c_nginx(), "b0"),
+            named(AppProfile::c_hello(), "a0"),
+            named(AppProfile::python_hello(), "c0"),
+            named(AppProfile::c_hello(), "a1"),
+            named(AppProfile::c_nginx(), "b1"),
+        ];
+        let mut booted = Vec::new();
+        let costs = calibrate_shapes(&catalogue, |profile| {
+            booted.push(profile.name.clone());
+            Ok(profile.init_heap_pages)
+        })
+        .unwrap();
+        // One boot per shape, its first function standing for it.
+        assert_eq!(booted, ["c0", "b0", "a0"]);
+        // Costs come back in catalogue order whatever the boot order was.
+        let heaps: Vec<u64> = catalogue.iter().map(|p| p.init_heap_pages).collect();
+        assert_eq!(costs, heaps);
+
+        // An error stops the calibration and is the caller's.
+        let mut boots = 0;
+        let failed = calibrate_shapes(&catalogue, |_| {
+            boots += 1;
+            Err::<u64, _>(PlatformError::ClusterConfig {
+                detail: "boom".into(),
+            })
+        });
+        assert!(failed.is_err());
+        assert_eq!(boots, 1);
     }
 }

@@ -9,11 +9,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use faultsim::InjectionPoint;
 use guest_kernel::gofer::FsServer;
 use guest_kernel::GuestKernel;
 use imagefmt::classic;
+use memsim::SharedBytes;
 use memsim::{Perms, ShareMode};
 use runtimes::{AppProfile, WrappedProgram};
 use simtime::{CostModel, SimClock, SimNanos};
@@ -28,7 +28,7 @@ use crate::SandboxError;
 
 #[derive(Debug)]
 struct Prepared {
-    image: Bytes,
+    image: SharedBytes,
     fs: Arc<FsServer>,
 }
 

@@ -147,7 +147,7 @@ fn corrupted_func_image_never_boots() {
     let src = program.checkpoint_source(&offline, &model).unwrap();
     let mut bytes = flat::write(&src, &offline, &model).to_vec();
     bytes[4096 + 64] ^= 0x40; // inside the metadata sections
-    let mapped = MappedImage::new("corrupt", catalyzer_suite::imagefmt::Bytes::from(bytes));
+    let mapped = MappedImage::new("corrupt", catalyzer_suite::memsim::SharedBytes::from(bytes));
     match flat::FlatImage::parse(&mapped, &offline, &model) {
         Err(_) => {}
         Ok(parsed) => {

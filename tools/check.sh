@@ -103,6 +103,14 @@ step "BENCH exports (pr2/3/4/7/8/9 valid + byte-identical)" \
 # did not move. See benchmark/README.md for the full run and `compare`.
 step "benchmark smoke (five workloads, pinned digests, failed 0)" benchmark_smoke
 
+# The fence. Nothing under benchmark/ nor BENCHMARK.json may change in an
+# ordinary PR, and the smoke step above can change it behind one's back:
+# run.sh builds --offline but not --locked, so a dependency edge moved in
+# any crates/*/Cargo.toml silently rewrites benchmark/Cargo.lock. After
+# the build, so that rewrite is caught too.
+step "benchmark fence (benchmark/ and BENCHMARK.json untouched)" \
+  git diff --exit-code -- benchmark BENCHMARK.json
+
 echo
 echo "All checks passed."
 echo
