@@ -1,8 +1,8 @@
 //! Deterministic JSON export of the overload sweep (`repro overload`).
 //!
-//! `generate` drives the closed-loop [`platform::Simulation`] —
-//! admission-controlled, self-healing pools over the Catalyzer fork-boot
-//! ladder — through an
+//! [`AdmitBenchExport`]'s `generate` drives the closed-loop
+//! [`platform::Simulation`] — admission-controlled, self-healing pools over
+//! the Catalyzer fork-boot ladder — through an
 //! arrival-gap × concurrency-limit × breaker-policy grid (fault-free), plus
 //! one fault *storm* comparing the no-admission baseline against the full
 //! overload-protection posture on the identical trace and capacity. The
@@ -22,6 +22,7 @@
 //! byte-identical output — `tools/check.sh` validates `BENCH_pr4.json` the
 //! same way it gates `BENCH_pr2.json` and `BENCH_pr3.json`.
 
+use crate::Export;
 use catalyzer::{BootMode, CatalyzerEngine};
 use faultsim::{FaultPlan, InjectionPoint, PointPlan};
 use platform::simulate::TraceRequest;
@@ -29,9 +30,6 @@ use platform::{AdmissionPolicy, ResiliencePolicy, SimReport, Simulation};
 use runtimes::AppProfile;
 use serde::{Deserialize, Serialize};
 use simtime::{CostModel, SimNanos};
-
-/// Schema tag so downstream tooling can reject stale files.
-pub const SCHEMA: &str = "catalyzer-bench/pr4-v1";
 
 /// Seed the storm cell's [`FaultPlan`] is built from.
 pub const SEED: u64 = 0x00AD_C0DE;
@@ -188,7 +186,7 @@ pub struct StormCompare {
 /// The whole `BENCH_pr4.json` document.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AdmitBenchExport {
-    /// Format tag ([`SCHEMA`]).
+    /// Format tag ([`Export::SCHEMA`]).
     pub schema: String,
     /// Machine model the latencies were simulated on.
     pub machine: String,
@@ -364,47 +362,6 @@ fn storm_side(admission: AdmissionPolicy, model: &CostModel) -> StormSide {
     }
 }
 
-/// Runs the full sweep: [`GAPS`] × [`LIMITS`] × breaker-on/off plus the
-/// storm comparison.
-pub fn generate(model: &CostModel) -> AdmitBenchExport {
-    let mut cells = Vec::new();
-    for &gap in &GAPS {
-        for &limit in &LIMITS {
-            for admission in grid_policies(limit) {
-                cells.push(run_cell(gap, limit, admission, model));
-            }
-        }
-    }
-    let storm = StormCompare {
-        window_start: STORM_WINDOW.0,
-        window_end: STORM_WINDOW.1,
-        gap: STORM_GAP,
-        limit: u64::try_from(STORM_LIMIT).unwrap_or(u64::MAX),
-        retries: u64::from(STORM_RETRIES),
-        baseline: storm_side(AdmissionPolicy::queue_only(STORM_LIMIT, DEADLINE), model),
-        full: storm_side(AdmissionPolicy::standard(STORM_LIMIT, DEADLINE), model),
-    };
-    AdmitBenchExport {
-        schema: SCHEMA.to_string(),
-        machine: model.machine.label().to_string(),
-        function: AppProfile::c_hello().name,
-        seed: SEED,
-        requests_per_cell: u64::try_from(REQUESTS_PER_CELL).unwrap_or(u64::MAX),
-        deadline: DEADLINE,
-        gaps: GAPS.to_vec(),
-        limits: LIMITS
-            .iter()
-            .map(|&l| u64::try_from(l).unwrap_or(u64::MAX))
-            .collect(),
-        policies: grid_policies(2)
-            .iter()
-            .map(|p| p.label().to_string())
-            .collect(),
-        cells,
-        storm,
-    }
-}
-
 fn check_side(side: &StormSide, requests: u64) -> Result<(), String> {
     let tag = format!("storm {}", side.policy);
     if side.requests != requests {
@@ -432,137 +389,162 @@ fn check_side(side: &StormSide, requests: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates an export's internal consistency: schema tag, full grid
-/// coverage, count arithmetic, and the robustness claims the sweep exists
-/// to demonstrate — admission invisible at zero load, typed overload sheds
-/// past saturation, a fault-free breaker changing nothing, and under the
-/// storm: zero availability loss for admitted requests on both sides, the
-/// baseline's goodput collapsing under its unbounded queue, and the full
-/// policy holding a bounded p99 with at least the baseline's goodput while
-/// the breaker trips and the repair loop rebuilds poisoned state.
-///
-/// # Errors
-///
-/// A description of the first violated invariant.
-pub fn validate(export: &AdmitBenchExport) -> Result<(), String> {
-    if export.schema != SCHEMA {
-        return Err(format!(
-            "schema mismatch: {} (expected {SCHEMA})",
-            export.schema
-        ));
-    }
-    let grid = export.gaps.len() * export.limits.len() * export.policies.len();
-    if export.cells.len() != grid {
-        return Err(format!(
-            "grid incomplete: {} cells for {} gaps x {} limits x {} policies",
-            export.cells.len(),
-            export.gaps.len(),
-            export.limits.len(),
-            export.policies.len()
-        ));
-    }
-    let widest = export.gaps.iter().copied().max().unwrap_or(SimNanos::ZERO);
-    let mut any_overload_shed = false;
-    for cell in &export.cells {
-        let tag = format!(
-            "cell gap={} limit={} policy={}",
-            cell.gap, cell.limit, cell.policy
-        );
-        if !export.policies.contains(&cell.policy) {
-            return Err(format!("{tag}: unknown policy"));
-        }
-        if cell.requests == 0 {
-            return Err(format!("{tag}: empty cell"));
-        }
-        let shed = cell.shed_overload + cell.shed_deadline + cell.shed_breaker;
-        if cell.admitted + shed != cell.requests {
-            return Err(format!("{tag}: admitted + shed != requests"));
-        }
-        if cell.completed + cell.failed != cell.admitted {
-            return Err(format!("{tag}: completed + failed != admitted"));
-        }
-        // Fault-free: nothing fails, nothing trips, every admitted request
-        // is answered.
-        if cell.failed != 0 || cell.availability != 1.0 {
-            return Err(format!("{tag}: fault-free cell lost requests"));
-        }
-        if cell.breaker_opens != 0 || cell.shed_breaker != 0 {
-            return Err(format!("{tag}: breaker tripped without faults"));
-        }
-        // Zero load: admission must be invisible.
-        if cell.gap == widest && (shed != 0 || cell.goodput != cell.requests) {
-            return Err(format!("{tag}: admission visible at zero load"));
-        }
-        any_overload_shed |= cell.shed_overload > 0;
-    }
-    if !any_overload_shed {
-        return Err("grid: no cell ever saturated — the bounded queue went unexercised".into());
-    }
-    // A fault-free breaker changes nothing: the matching on/off cells agree.
-    for pair in export.cells.chunks(export.policies.len()) {
-        if let [off, on] = pair {
-            if (off.admitted, off.shed_overload, off.goodput, off.p99)
-                != (on.admitted, on.shed_overload, on.goodput, on.p99)
-            {
-                return Err(format!(
-                    "grid gap={} limit={}: fault-free breaker altered the outcome",
-                    off.gap, off.limit
-                ));
-            }
-        }
-    }
-
-    let storm = &export.storm;
-    check_side(&storm.baseline, storm.baseline.requests)?;
-    check_side(&storm.full, storm.full.requests)?;
-    if storm.baseline.requests != storm.full.requests {
-        return Err("storm: sides ran different traces".into());
-    }
-    let base = &storm.baseline;
-    let full = &storm.full;
-    if base.shed_overload + base.shed_deadline + base.shed_breaker != 0 {
-        return Err("storm baseline: an unbounded queue must never shed".into());
-    }
-    if base.breaker_opens != 0 || !base.transitions.is_empty() {
-        return Err("storm baseline: no breaker configured, yet it moved".into());
-    }
-    if base.goodput_rate >= 0.5 {
-        return Err(format!(
-            "storm baseline: goodput must collapse under the backlog (got {:.2})",
-            base.goodput_rate
-        ));
-    }
-    if full.shed_breaker == 0 || full.breaker_opens == 0 {
-        return Err("storm full: the breaker must trip and shed typed".into());
-    }
-    if full.repairs == 0 {
-        return Err("storm full: poisoned state must be repaired off the request path".into());
-    }
-    if full.p99 >= base.p99 {
-        return Err("storm full: admission must bound the p99 below the baseline".into());
-    }
-    if full.p99 > STORM_WINDOW.1 {
-        return Err(format!(
-            "storm full: p99 {} exceeds the storm window — the queue was not bounded",
-            full.p99
-        ));
-    }
-    if full.goodput < base.goodput {
-        return Err("storm full: shedding doomed requests must not cost goodput".into());
-    }
-    Ok(())
-}
-
-impl crate::Export for AdmitBenchExport {
+impl Export for AdmitBenchExport {
     const COMMAND: &'static str = "overload";
     const DEFAULT_PATH: &'static str = "BENCH_pr4.json";
+    const SCHEMA: &'static str = "catalyzer-bench/pr4-v1";
 
+    /// Runs the full sweep: [`GAPS`] × [`LIMITS`] × breaker-on/off plus the
+    /// storm comparison.
     fn generate(model: &CostModel) -> Result<Self, Box<dyn std::error::Error>> {
-        Ok(generate(model))
+        let mut cells = Vec::new();
+        for &gap in &GAPS {
+            for &limit in &LIMITS {
+                for admission in grid_policies(limit) {
+                    cells.push(run_cell(gap, limit, admission, model));
+                }
+            }
+        }
+        let storm = StormCompare {
+            window_start: STORM_WINDOW.0,
+            window_end: STORM_WINDOW.1,
+            gap: STORM_GAP,
+            limit: u64::try_from(STORM_LIMIT).unwrap_or(u64::MAX),
+            retries: u64::from(STORM_RETRIES),
+            baseline: storm_side(AdmissionPolicy::queue_only(STORM_LIMIT, DEADLINE), model),
+            full: storm_side(AdmissionPolicy::standard(STORM_LIMIT, DEADLINE), model),
+        };
+        Ok(Self {
+            schema: Self::SCHEMA.to_string(),
+            machine: model.machine.label().to_string(),
+            function: AppProfile::c_hello().name,
+            seed: SEED,
+            requests_per_cell: u64::try_from(REQUESTS_PER_CELL).unwrap_or(u64::MAX),
+            deadline: DEADLINE,
+            gaps: GAPS.to_vec(),
+            limits: LIMITS
+                .iter()
+                .map(|&l| u64::try_from(l).unwrap_or(u64::MAX))
+                .collect(),
+            policies: grid_policies(2)
+                .iter()
+                .map(|p| p.label().to_string())
+                .collect(),
+            cells,
+            storm,
+        })
     }
 
+    /// Validates an export's internal consistency: schema tag, full grid
+    /// coverage, count arithmetic, and the robustness claims the sweep exists
+    /// to demonstrate — admission invisible at zero load, typed overload sheds
+    /// past saturation, a fault-free breaker changing nothing, and under the
+    /// storm: zero availability loss for admitted requests on both sides, the
+    /// baseline's goodput collapsing under its unbounded queue, and the full
+    /// policy holding a bounded p99 with at least the baseline's goodput while
+    /// the breaker trips and the repair loop rebuilds poisoned state.
     fn validate(&self) -> Result<(), String> {
-        validate(self)
+        Self::check_schema(&self.schema)?;
+        let grid = self.gaps.len() * self.limits.len() * self.policies.len();
+        if self.cells.len() != grid {
+            return Err(format!(
+                "grid incomplete: {} cells for {} gaps x {} limits x {} policies",
+                self.cells.len(),
+                self.gaps.len(),
+                self.limits.len(),
+                self.policies.len()
+            ));
+        }
+        let widest = self.gaps.iter().copied().max().unwrap_or(SimNanos::ZERO);
+        let mut any_overload_shed = false;
+        for cell in &self.cells {
+            let tag = format!(
+                "cell gap={} limit={} policy={}",
+                cell.gap, cell.limit, cell.policy
+            );
+            if !self.policies.contains(&cell.policy) {
+                return Err(format!("{tag}: unknown policy"));
+            }
+            if cell.requests == 0 {
+                return Err(format!("{tag}: empty cell"));
+            }
+            let shed = cell.shed_overload + cell.shed_deadline + cell.shed_breaker;
+            if cell.admitted + shed != cell.requests {
+                return Err(format!("{tag}: admitted + shed != requests"));
+            }
+            if cell.completed + cell.failed != cell.admitted {
+                return Err(format!("{tag}: completed + failed != admitted"));
+            }
+            // Fault-free: nothing fails, nothing trips, every admitted request
+            // is answered.
+            if cell.failed != 0 || cell.availability != 1.0 {
+                return Err(format!("{tag}: fault-free cell lost requests"));
+            }
+            if cell.breaker_opens != 0 || cell.shed_breaker != 0 {
+                return Err(format!("{tag}: breaker tripped without faults"));
+            }
+            // Zero load: admission must be invisible.
+            if cell.gap == widest && (shed != 0 || cell.goodput != cell.requests) {
+                return Err(format!("{tag}: admission visible at zero load"));
+            }
+            any_overload_shed |= cell.shed_overload > 0;
+        }
+        if !any_overload_shed {
+            return Err("grid: no cell ever saturated — the bounded queue went unexercised".into());
+        }
+        // A fault-free breaker changes nothing: the matching on/off cells agree.
+        for pair in self.cells.chunks(self.policies.len()) {
+            if let [off, on] = pair {
+                if (off.admitted, off.shed_overload, off.goodput, off.p99)
+                    != (on.admitted, on.shed_overload, on.goodput, on.p99)
+                {
+                    return Err(format!(
+                        "grid gap={} limit={}: fault-free breaker altered the outcome",
+                        off.gap, off.limit
+                    ));
+                }
+            }
+        }
+
+        let storm = &self.storm;
+        check_side(&storm.baseline, storm.baseline.requests)?;
+        check_side(&storm.full, storm.full.requests)?;
+        if storm.baseline.requests != storm.full.requests {
+            return Err("storm: sides ran different traces".into());
+        }
+        let base = &storm.baseline;
+        let full = &storm.full;
+        if base.shed_overload + base.shed_deadline + base.shed_breaker != 0 {
+            return Err("storm baseline: an unbounded queue must never shed".into());
+        }
+        if base.breaker_opens != 0 || !base.transitions.is_empty() {
+            return Err("storm baseline: no breaker configured, yet it moved".into());
+        }
+        if base.goodput_rate >= 0.5 {
+            return Err(format!(
+                "storm baseline: goodput must collapse under the backlog (got {:.2})",
+                base.goodput_rate
+            ));
+        }
+        if full.shed_breaker == 0 || full.breaker_opens == 0 {
+            return Err("storm full: the breaker must trip and shed typed".into());
+        }
+        if full.repairs == 0 {
+            return Err("storm full: poisoned state must be repaired off the request path".into());
+        }
+        if full.p99 >= base.p99 {
+            return Err("storm full: admission must bound the p99 below the baseline".into());
+        }
+        if full.p99 > STORM_WINDOW.1 {
+            return Err(format!(
+                "storm full: p99 {} exceeds the storm window — the queue was not bounded",
+                full.p99
+            ));
+        }
+        if full.goodput < base.goodput {
+            return Err("storm full: shedding doomed requests must not cost goodput".into());
+        }
+        Ok(())
     }
 
     fn summary(&self) -> String {
@@ -575,46 +557,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn export_is_valid_and_deterministic() {
-        let model = CostModel::experimental_machine();
-        let a = generate(&model);
-        validate(&a).unwrap();
-        let b = generate(&model);
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap()
-        );
-    }
-
-    #[test]
-    fn export_roundtrips_through_json() {
-        let model = CostModel::experimental_machine();
-        let export = generate(&model);
-        let text = serde_json::to_string(&export).unwrap();
-        let back = serde_json::from_str::<AdmitBenchExport>(&text).unwrap();
-        validate(&back).unwrap();
-        assert_eq!(serde_json::to_string(&back).unwrap(), text);
-    }
-
-    #[test]
     fn validate_rejects_a_lost_admitted_request() {
         let model = CostModel::experimental_machine();
-        let mut export = generate(&model);
+        let mut export = AdmitBenchExport::generate(&model).unwrap();
         export.storm.full.completed -= 1;
         export.storm.full.failed += 1;
         export.storm.full.availability =
             f64::from(u32::try_from(export.storm.full.completed).unwrap_or(u32::MAX))
                 / f64::from(u32::try_from(export.storm.full.admitted).unwrap_or(u32::MAX));
-        let err = validate(&export).unwrap_err();
+        let err = export.validate().unwrap_err();
         assert!(err.contains("admitted requests lost"), "{err}");
     }
 
     #[test]
     fn validate_rejects_an_unbounded_full_p99() {
         let model = CostModel::experimental_machine();
-        let mut export = generate(&model);
+        let mut export = AdmitBenchExport::generate(&model).unwrap();
         export.storm.full.p99 = export.storm.baseline.p99;
-        let err = validate(&export).unwrap_err();
+        let err = export.validate().unwrap_err();
         assert!(err.contains("bound the p99"), "{err}");
     }
 }

@@ -5,12 +5,8 @@
 //! repro quick          # everything, with Fig. 15 capped at 100 instances
 //! repro fig11          # one experiment
 //! repro list           # available experiment ids
-//! repro export         # boot observability export -> BENCH_pr2.json
-//! repro faults         # fault-injection sweep -> BENCH_pr3.json
-//! repro overload       # admission/overload sweep -> BENCH_pr4.json
-//! repro fleet          # fleet density grid -> BENCH_pr7.json
-//! repro cluster        # cluster routing sweep -> BENCH_pr8.json
-//! repro chaos          # node-fault survivability grid -> BENCH_pr9.json
+//! repro csv fig11      # one experiment's rows as CSV, where it has them
+//! repro chaos          # one checked-in export (see `EXPORTS`) -> its file
 //! repro chaos --check  # any export: regenerate, validate, byte-compare
 //! repro all --check    # validate all six checked-in bench exports
 //! ```
@@ -20,6 +16,7 @@ use bench::chaosbench::ChaosBenchExport;
 use bench::clusterbench::ClusterBenchExport;
 use bench::export::BenchExport;
 use bench::faultbench::FaultBenchExport;
+use bench::figures::csv as out;
 use bench::figures::{
     ablation, endtoend, generality, hostopts, pipeline, platformsim, scale, startup,
 };
@@ -27,119 +24,195 @@ use bench::fleetbench::FleetBenchExport;
 use bench::Export;
 use simtime::CostModel;
 
-const EXPERIMENTS: &[&str] = &[
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig6",
-    "fig7",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13a",
-    "fig13b",
-    "fig13c",
-    "fig14",
-    "fig15",
-    "fig16a",
-    "fig16b",
-    "fig16c",
-    "fig16d",
-    "table1",
-    "table2",
-    "table3",
-    "tail",
-    "generality",
-    "sensitivity",
-    "platform",
-    "warm-breakdown",
-];
+type Failure = Box<dyn std::error::Error>;
 
-fn run(id: &str, fig15_max: u32) -> Result<(), Box<dyn std::error::Error>> {
-    let model = CostModel::experimental_machine();
-    match id {
-        "fig1" => {
-            let (gv, cat) = endtoend::fig01(&model)?;
-            endtoend::render_fig01(&gv, &cat);
-        }
-        "fig2" => {
-            let (boot, restore) = pipeline::fig02(&model)?;
-            pipeline::render_fig02(&boot, &restore);
-        }
-        "fig3" => pipeline::render_fig03(),
-        "fig4" => startup::render_fig04(&startup::fig04(&model)?),
-        "fig6" => startup::render_fig06(&startup::fig06(&model)?),
-        "fig7" => startup::render_fig07(&startup::fig07(&model)?),
-        "fig10" => pipeline::render_fig10(),
-        "fig11" => startup::render_fig11(&startup::fig11(&model)?),
-        "fig12" => ablation::render_fig12(&ablation::fig12(&model)?),
-        "fig13a" => endtoend::render_fig13(
-            "Figure 13a — DeathStar microservices end-to-end (ms)",
-            &endtoend::fig13a(&model)?,
-        ),
-        "fig13b" => endtoend::render_fig13(
-            "Figure 13b — Pillow image processing end-to-end (ms)",
-            &endtoend::fig13b(&model)?,
-        ),
-        "fig13c" => endtoend::render_fig13(
-            "Figure 13c — E-commerce functions end-to-end, server machine (ms)",
-            &endtoend::fig13c()?,
-        ),
-        "fig14" => scale::render_fig14(&scale::fig14(&model)?),
-        "fig15" => scale::render_fig15(&scale::fig15(fig15_max)?),
-        "fig16a" => hostopts::render_fig16a(&hostopts::fig16a(&model)?),
-        "fig16b" => hostopts::render_fig16b(&hostopts::fig16b(&model)),
-        "fig16c" => hostopts::render_fig16c(&hostopts::fig16c(&model)),
-        "fig16d" => hostopts::render_fig16d(&hostopts::fig16d(&model)),
-        "table1" => pipeline::render_table1(),
-        "table2" => startup::render_table2(&startup::table2(&model)?),
-        "table3" => ablation::render_table3(&ablation::table3(&model)?),
-        "tail" => {
-            let (cached, forked) = scale::tail_latency(&model)?;
-            scale::render_tail(&cached, &forked);
-        }
-        "generality" => generality::render_generality(&generality::generality(&model)?),
-        "platform" => {
-            let (pooled, forked) = platformsim::platform_sim(&model)?;
-            platformsim::render_platform_sim(&pooled, &forked);
-        }
-        "warm-breakdown" => {
-            platformsim::render_warm_breakdown(&platformsim::warm_breakdown(&model)?)
-        }
-        "sensitivity" => generality::render_sensitivity(&generality::sensitivity()?),
-        other => {
-            eprintln!("unknown experiment '{other}'; try: repro list");
-            std::process::exit(2);
-        }
-    }
+/// Prints one experiment the way the paper reports it. The `u32` is
+/// Fig. 15's instance ceiling, which only `fig15` reads.
+type Run = fn(&CostModel, u32) -> Result<(), Failure>;
+
+/// The same rows as CSV text, for `repro csv <id>`.
+type Csv = fn(&CostModel) -> Result<String, Failure>;
+
+/// Hands an experiment's rows to its printer, or passes its error on.
+fn show<T, E: Into<Failure>>(rows: Result<T, E>, render: impl FnOnce(&T)) -> Result<(), Failure> {
+    render(&rows.map_err(Into::into)?);
     Ok(())
 }
 
-fn csv(id: &str) -> Result<(), Box<dyn std::error::Error>> {
-    use bench::figures::csv as out;
-    let model = CostModel::experimental_machine();
-    let text = match id {
-        "fig6" => out::startup_rows(&startup::fig06(&model)?),
-        "fig11" => out::startup_rows(&startup::fig11(&model)?),
-        "fig12" => out::ablation_rows(&ablation::fig12(&model)?),
-        "fig13a" => out::e2e_rows(&endtoend::fig13a(&model)?),
-        "fig13b" => out::e2e_rows(&endtoend::fig13b(&model)?),
-        "fig13c" => out::e2e_rows(&endtoend::fig13c()?),
-        "fig14" => out::memory_rows(&scale::fig14(&model)?),
-        "fig15" => out::scale_series(&scale::fig15(1000)?),
-        "fig16b" => out::indexed_pair(
-            "invocation,baseline_ms,cached_ms",
-            &hostopts::fig16b(&model),
-        ),
-        "fig16c" => out::indexed_pair("ioctl,pml_ms,nopml_ms", &hostopts::fig16c(&model)),
-        "fig16d" => out::indexed_pair("call,dup_ms,lazy_dup_ms", &hostopts::fig16d(&model)),
-        other => {
-            eprintln!("no CSV export for '{other}'");
+/// Every experiment, in `repro all` order: its id, its CSV form where it
+/// has one, and its printer.
+const EXPERIMENTS: &[(&str, Option<Csv>, Run)] = &[
+    ("fig1", None, |m, _| {
+        show(endtoend::fig01(m), |(gv, cat)| {
+            endtoend::render_fig01(gv, cat)
+        })
+    }),
+    ("fig2", None, |m, _| {
+        show(pipeline::fig02(m), |(boot, restore)| {
+            pipeline::render_fig02(boot, restore)
+        })
+    }),
+    ("fig3", None, |_, _| {
+        pipeline::render_fig03();
+        Ok(())
+    }),
+    ("fig4", None, |m, _| {
+        show(startup::fig04(m), |r| startup::render_fig04(r))
+    }),
+    (
+        "fig6",
+        Some(|m| Ok(out::startup_rows(&startup::fig06(m)?))),
+        |m, _| show(startup::fig06(m), |r| startup::render_fig06(r)),
+    ),
+    ("fig7", None, |m, _| {
+        show(startup::fig07(m), startup::render_fig07)
+    }),
+    ("fig10", None, |_, _| {
+        pipeline::render_fig10();
+        Ok(())
+    }),
+    (
+        "fig11",
+        Some(|m| Ok(out::startup_rows(&startup::fig11(m)?))),
+        |m, _| show(startup::fig11(m), |r| startup::render_fig11(r)),
+    ),
+    (
+        "fig12",
+        Some(|m| Ok(out::ablation_rows(&ablation::fig12(m)?))),
+        |m, _| show(ablation::fig12(m), |r| ablation::render_fig12(r)),
+    ),
+    (
+        "fig13a",
+        Some(|m| Ok(out::e2e_rows(&endtoend::fig13a(m)?))),
+        |m, _| {
+            let title = "Figure 13a — DeathStar microservices end-to-end (ms)";
+            show(endtoend::fig13a(m), |r| endtoend::render_fig13(title, r))
+        },
+    ),
+    (
+        "fig13b",
+        Some(|m| Ok(out::e2e_rows(&endtoend::fig13b(m)?))),
+        |m, _| {
+            let title = "Figure 13b — Pillow image processing end-to-end (ms)";
+            show(endtoend::fig13b(m), |r| endtoend::render_fig13(title, r))
+        },
+    ),
+    (
+        "fig13c",
+        Some(|_| Ok(out::e2e_rows(&endtoend::fig13c()?))),
+        |_, _| {
+            let title = "Figure 13c — E-commerce functions end-to-end, server machine (ms)";
+            show(endtoend::fig13c(), |r| endtoend::render_fig13(title, r))
+        },
+    ),
+    (
+        "fig14",
+        Some(|m| Ok(out::memory_rows(&scale::fig14(m)?))),
+        |m, _| show(scale::fig14(m), |r| scale::render_fig14(r)),
+    ),
+    (
+        "fig15",
+        Some(|_| Ok(out::scale_series(&scale::fig15(1000)?))),
+        |_, max| show(scale::fig15(max), |r| scale::render_fig15(r)),
+    ),
+    ("fig16a", None, |m, _| {
+        show(hostopts::fig16a(m), |r| hostopts::render_fig16a(r))
+    }),
+    (
+        "fig16b",
+        Some(|m| {
+            let header = "invocation,baseline_ms,cached_ms";
+            Ok(out::indexed_pair(header, &hostopts::fig16b(m)))
+        }),
+        |m, _| {
+            hostopts::render_fig16b(&hostopts::fig16b(m));
+            Ok(())
+        },
+    ),
+    (
+        "fig16c",
+        Some(|m| {
+            Ok(out::indexed_pair(
+                "ioctl,pml_ms,nopml_ms",
+                &hostopts::fig16c(m),
+            ))
+        }),
+        |m, _| {
+            hostopts::render_fig16c(&hostopts::fig16c(m));
+            Ok(())
+        },
+    ),
+    (
+        "fig16d",
+        Some(|m| {
+            Ok(out::indexed_pair(
+                "call,dup_ms,lazy_dup_ms",
+                &hostopts::fig16d(m),
+            ))
+        }),
+        |m, _| {
+            hostopts::render_fig16d(&hostopts::fig16d(m));
+            Ok(())
+        },
+    ),
+    ("table1", None, |_, _| {
+        pipeline::render_table1();
+        Ok(())
+    }),
+    ("table2", None, |m, _| {
+        show(startup::table2(m), startup::render_table2)
+    }),
+    ("table3", None, |m, _| {
+        show(ablation::table3(m), |r| ablation::render_table3(r))
+    }),
+    ("tail", None, |m, _| {
+        show(scale::tail_latency(m), |(cached, forked)| {
+            scale::render_tail(cached, forked)
+        })
+    }),
+    ("generality", None, |m, _| {
+        show(generality::generality(m), |r| {
+            generality::render_generality(r)
+        })
+    }),
+    ("sensitivity", None, |_, _| {
+        show(generality::sensitivity(), |r| {
+            generality::render_sensitivity(r)
+        })
+    }),
+    ("platform", None, |m, _| {
+        show(platformsim::platform_sim(m), |(pooled, forked)| {
+            platformsim::render_platform_sim(pooled, forked)
+        })
+    }),
+    ("warm-breakdown", None, |m, _| {
+        show(platformsim::warm_breakdown(m), |r| {
+            platformsim::render_warm_breakdown(r)
+        })
+    }),
+];
+
+/// Prints experiment `id` at the paper's size, or exits 2 when there is
+/// none.
+fn run(id: &str) -> Result<(), Failure> {
+    match EXPERIMENTS.iter().find(|(name, ..)| *name == id) {
+        Some((_, _, run)) => run(&CostModel::experimental_machine(), 1000),
+        None => {
+            eprintln!("unknown experiment '{id}'; try: repro list");
             std::process::exit(2);
         }
-    };
-    print!("{text}");
+    }
+}
+
+/// Prints experiment `id` as CSV, or exits 2 when it has no such form.
+fn csv(id: &str) -> Result<(), Failure> {
+    match EXPERIMENTS.iter().find(|(name, ..)| *name == id) {
+        Some((_, Some(csv), _)) => print!("{}", csv(&CostModel::experimental_machine())?),
+        _ => {
+            eprintln!("no CSV export for '{id}'");
+            std::process::exit(2);
+        }
+    }
     Ok(())
 }
 
@@ -147,10 +220,7 @@ fn csv(id: &str) -> Result<(), Box<dyn std::error::Error>> {
 /// its canonical JSON to `path`, or — with `check` — verifies the file at
 /// `path` parses, validates, and is byte-identical to the fresh run (the
 /// determinism gate). `path` defaults to [`Export::DEFAULT_PATH`].
-fn export_or_check<E: Export>(
-    path: Option<&str>,
-    check: bool,
-) -> Result<(), Box<dyn std::error::Error>> {
+fn export_or_check<E: Export>(path: Option<&str>, check: bool) -> Result<(), Failure> {
     let path = path.unwrap_or(E::DEFAULT_PATH);
     let fresh = E::generate(&CostModel::experimental_machine())?;
     fresh.validate()?;
@@ -174,7 +244,7 @@ fn export_or_check<E: Export>(
 }
 
 /// One `repro <command> [--check] [path]` gate per checked-in export.
-type Gate = fn(Option<&str>, bool) -> Result<(), Box<dyn std::error::Error>>;
+type Gate = fn(Option<&str>, bool) -> Result<(), Failure>;
 
 /// The `repro` subcommand and gate of export `E`.
 const fn gate<E: Export>() -> (&'static str, Gate) {
@@ -194,18 +264,45 @@ const EXPORTS: [(&str, Gate); 6] = [
     gate::<ChaosBenchExport>(),
 ];
 
+/// What may follow a command: `--check` and one output path, in either
+/// order.
+///
+/// # Errors
+///
+/// Names the argument that is neither — an unknown `--flag` (a typo of
+/// `--check` must not become a file name) or a second path.
+fn parse_options(args: &[String]) -> Result<(bool, Option<&str>), String> {
+    let mut check = false;
+    let mut path = None;
+    for arg in args {
+        match arg.as_str() {
+            "--check" => check = true,
+            flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
+            extra if path.is_some() => return Err(format!("unexpected argument '{extra}'")),
+            first => path = Some(first),
+        }
+    }
+    Ok((check, path))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str).unwrap_or("all");
-    let check = args.iter().any(|a| a == "--check");
+    let (check, path) = match parse_options(args.get(1..).unwrap_or_default()) {
+        Ok(options) => options,
+        Err(problem) => {
+            eprintln!("{problem}\nusage: repro <command> [--check] [path]; try: repro list");
+            std::process::exit(2);
+        }
+    };
     let result = match command {
         "list" => {
-            for id in EXPERIMENTS {
+            for (id, ..) in EXPERIMENTS {
                 println!("{id}");
             }
             Ok(())
         }
-        "csv" => match args.get(1) {
+        "csv" => match path {
             Some(id) => csv(id),
             None => {
                 eprintln!("usage: repro csv <experiment>");
@@ -221,18 +318,48 @@ fn main() {
             let fig15_max = if command == "quick" { 100 } else { 1000 };
             println!("Catalyzer reproduction — regenerating every table and figure");
             println!("(virtual-time simulation; see DESIGN.md for the substitution rules)");
-            EXPERIMENTS.iter().try_for_each(|id| run(id, fig15_max))
+            EXPERIMENTS
+                .iter()
+                .try_for_each(|(_, _, run)| run(&CostModel::experimental_machine(), fig15_max))
         }
         id => match EXPORTS.iter().find(|(name, _)| *name == id) {
-            Some((_, gate)) => {
-                let path = args.iter().skip(1).find(|a| *a != "--check");
-                gate(path.map(String::as_str), check)
-            }
-            None => run(id, 1000),
+            Some((_, gate)) => gate(path, check),
+            None => run(id),
         },
     };
     if let Err(e) = result {
         eprintln!("repro failed: {e}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_options;
+
+    fn parse(args: &[&str]) -> Result<(bool, Option<String>), String> {
+        let args: Vec<String> = args.iter().map(ToString::to_string).collect();
+        parse_options(&args).map(|(check, path)| (check, path.map(str::to_string)))
+    }
+
+    #[test]
+    fn options_are_check_and_one_path_in_either_order() {
+        assert_eq!(parse(&[]), Ok((false, None)));
+        assert_eq!(parse(&["--check"]), Ok((true, None)));
+        assert_eq!(parse(&["out.json"]), Ok((false, Some("out.json".into()))));
+        assert_eq!(
+            parse(&["--check", "out.json"]),
+            Ok((true, Some("out.json".into())))
+        );
+        assert_eq!(
+            parse(&["out.json", "--check"]),
+            Ok((true, Some("out.json".into())))
+        );
+    }
+
+    #[test]
+    fn a_mistyped_flag_is_an_error_not_a_path() {
+        assert!(parse(&["--chekc"]).unwrap_err().contains("--chekc"));
+        assert!(parse(&["a.json", "b.json"]).unwrap_err().contains("b.json"));
     }
 }

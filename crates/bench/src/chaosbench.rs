@@ -1,10 +1,11 @@
 //! Deterministic JSON export of the chaos/survivability grid (`repro chaos`).
 //!
-//! `generate` drives the chaos-aware open-loop cluster engine
-//! ([`platform::cluster::ClusterSim::with_chaos`]) through a fault-class ×
-//! cluster-size × failover-policy grid on one shared flash-crowd trace —
-//! the pr8 shape (Zipf Poisson baseline plus a sub-boot-width viral burst)
-//! scaled to a 1 000-function catalogue. Every cell injects one node-level
+//! [`ChaosBenchExport`]'s `generate` drives the chaos-aware open-loop
+//! cluster engine ([`platform::cluster::ClusterSim::with_chaos`]) through a
+//! fault-class × cluster-size × failover-policy grid on one shared
+//! flash-crowd trace — the `flashcrowd` shape pr8 runs (Zipf Poisson
+//! baseline plus a sub-boot-width viral burst) scaled to a 1 000-function
+//! catalogue. Every cell injects one node-level
 //! fault from [`faultsim::NodePlan`] just before the burst:
 //!
 //! - **crash** — the viral function's first template holder dies, dropping
@@ -34,60 +35,33 @@
 //! `BENCH_pr9.json` the same way it gates the pr2–pr4, pr7, and pr8
 //! exports.
 
-use crate::clusterbench::FlashCrowd;
+use crate::flashcrowd::{self, FlashCrowd};
+use crate::Export;
 use faultsim::NodePlan;
-use platform::cluster::{ChaosOutcome, ChaosPolicy, ClusterConfig, ClusterSim, RoutingPolicy};
+use platform::cluster::{ChaosOutcome, ChaosPolicy, ClusterConfig, RoutingPolicy};
 use platform::simulate::{Quantiles, TraceRequest};
 use platform::PlatformError;
 use runtimes::AppProfile;
 use serde::{Deserialize, Serialize};
 use simtime::{CostModel, SimNanos};
 
-/// Schema tag so downstream tooling can reject stale files.
-pub const SCHEMA: &str = "catalyzer-bench/pr9-v1";
+/// The shared pr9 workload — the pr8 flash-crowd shape at this grid's
+/// scale.
+const CROWD: FlashCrowd = FlashCrowd {
+    seed: 0x0C10_0901,
+    functions: 1_000,
+    // ~2 s of baseline traffic.
+    tail: 4_000,
+    // Larger than both template holders' *combined* capacity, so the
+    // overflow must pick a rung (remote sfork, shed) under every policy,
+    // and a crash mid-burst always finds transfer wires in flight to
+    // orphan.
+    burst: 4_500,
+};
 
-/// Seed for the catalogue, the baseline trace, and the fault plans.
-pub const SEED: u64 = 0x0C10_0901;
-
-/// Functions in the shared catalogue (cycling the fourteen paper shapes).
-pub const FUNCTIONS: usize = 1_000;
-
-/// Zipf exponent of baseline function popularity.
-pub const ZIPF_EXPONENT: f64 = 1.0;
-
-/// Keep-alive every cell runs with.
-pub const KEEP_ALIVE: SimNanos = SimNanos::from_millis(200);
-
-/// Warm instances retained per (node, function).
-pub const MAX_IDLE: usize = 4;
-
-/// Concurrent-instance cap per node.
-pub const NODE_CAPACITY: usize = 2_000;
-
-/// Poisson baseline rate under the burst.
-pub const BASE_RATE_HZ: f64 = 2_000.0;
-
-/// Baseline requests around the burst (~2 s of traffic).
-pub const TAIL: usize = 4_000;
-
-/// Instant the viral burst lands.
-pub const BURST_AT: SimNanos = SimNanos::from_secs(1);
-
-/// Window the burst's arrivals spread over — shorter than one fork boot.
-pub const BURST_WIDTH: SimNanos = SimNanos::from_micros(500);
-
-/// Burst size: arrivals for the viral function — larger than both
-/// template holders' *combined* capacity, so the overflow must pick a
-/// rung (remote sfork, shed) under every policy, and a crash mid-burst
-/// always finds transfer wires in flight to orphan.
-pub const BURST: usize = 4_500;
-
-/// The function that goes viral (the Zipf head). With
-/// [`PLACEMENT_BUDGET`] = 2 its template holders are nodes 0 and 1 —
-/// every grid fault targets holder 0.
-pub const VIRAL_FUNCTION: usize = 0;
-
-/// Template replicas placed per function in every cell.
+/// Template replicas placed per function in every cell: the viral
+/// function's holders are nodes 0 and 1, and every grid fault targets
+/// holder 0.
 pub const PLACEMENT_BUDGET: usize = 2;
 
 /// The cluster-size axis of the grid.
@@ -187,7 +161,7 @@ pub struct ChaosCell {
 /// The whole `BENCH_pr9.json` document.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ChaosBenchExport {
-    /// Format tag ([`SCHEMA`]).
+    /// Format tag ([`Export::SCHEMA`]).
     pub schema: String,
     /// Machine model the latencies were simulated on.
     pub machine: String,
@@ -229,33 +203,18 @@ pub struct ChaosBenchExport {
     pub storm_none: ChaosCell,
 }
 
-/// The shared pr9 workload — the pr8 flash-crowd shape at this grid's
-/// constants: [`BURST`] arrivals for [`VIRAL_FUNCTION`] spread over
-/// [`BURST_WIDTH`] at [`BURST_AT`], on a [`FUNCTIONS`]-wide Zipf baseline.
-const CROWD: FlashCrowd = FlashCrowd {
-    functions: FUNCTIONS,
-    tail: TAIL,
-    base_rate_hz: BASE_RATE_HZ,
-    zipf_exponent: ZIPF_EXPONENT,
-    seed: SEED,
-    viral_function: VIRAL_FUNCTION,
-    burst: BURST,
-    burst_at: BURST_AT,
-    burst_width: BURST_WIDTH,
-};
-
 /// The grid's three fault classes, all aimed at the viral function's
 /// first template holder (node 0).
 fn grid_plans() -> Vec<(&'static str, NodePlan)> {
     vec![
-        ("crash", NodePlan::quiet(SEED).with_crash(0, FAULT_AT)),
+        ("crash", NodePlan::quiet(CROWD.seed).with_crash(0, FAULT_AT)),
         (
             "gray",
-            NodePlan::quiet(SEED).with_gray(0, FAULT_AT, GRAY_UNTIL, GRAY_SLOWDOWN),
+            NodePlan::quiet(CROWD.seed).with_gray(0, FAULT_AT, GRAY_UNTIL, GRAY_SLOWDOWN),
         ),
         (
             "partition",
-            NodePlan::quiet(SEED).with_partition([0], FAULT_AT, PARTITION_HEAL),
+            NodePlan::quiet(CROWD.seed).with_partition([0], FAULT_AT, PARTITION_HEAL),
         ),
     ]
 }
@@ -264,7 +223,7 @@ fn grid_plans() -> Vec<(&'static str, NodePlan)> {
 /// (hedges fire around its stretched wires), then crashes mid-burst
 /// (the pending wires abort).
 fn storm_plan() -> NodePlan {
-    NodePlan::quiet(SEED)
+    NodePlan::quiet(CROWD.seed)
         .with_gray(0, STORM_GRAY_AT, GRAY_UNTIL, GRAY_SLOWDOWN)
         .with_crash(0, STORM_CRASH_AT)
 }
@@ -322,67 +281,14 @@ fn run_cell(
 ) -> Result<ChaosCell, PlatformError> {
     let mut config = ClusterConfig::new(nodes, PLACEMENT_BUDGET);
     config.routing = RoutingPolicy::RemoteFork;
-    let outcome = ClusterSim::new(cat.to_vec(), config)
-        .with_model(model.clone())
-        .with_keep_alive(KEEP_ALIVE)
-        .with_max_idle(MAX_IDLE)
-        .with_node_capacity(NODE_CAPACITY)
+    let outcome = flashcrowd::cluster_sim(model, cat, config)
         .with_chaos(plan.clone(), policy)
         .run_chaos(trace)?;
     Ok(cell_row(fault, nodes, policy, trace.len(), &outcome))
 }
 
-/// Runs the fault × nodes × policy grid plus the two storm probes.
-///
-/// # Errors
-///
-/// Propagates [`PlatformError`] from the engine (none in practice: the
-/// generated traces and plans are valid by construction).
-pub fn generate(model: &CostModel) -> Result<ChaosBenchExport, PlatformError> {
-    let cat = CROWD.catalogue();
-    let trace = CROWD.trace();
-    let knobs = ChaosPolicy::full();
-
-    let mut cells = Vec::new();
-    for (fault, plan) in grid_plans() {
-        for nodes in NODE_AXIS {
-            for policy in [ChaosPolicy::full(), ChaosPolicy::none()] {
-                cells.push(run_cell(model, &cat, &trace, fault, nodes, &plan, policy)?);
-            }
-        }
-    }
-    let storm = storm_plan();
-    let storm_full = run_cell(model, &cat, &trace, "storm", 4, &storm, ChaosPolicy::full())?;
-    let storm_none = run_cell(model, &cat, &trace, "storm", 4, &storm, ChaosPolicy::none())?;
-
-    Ok(ChaosBenchExport {
-        schema: SCHEMA.to_string(),
-        machine: model.machine.label().to_string(),
-        seed: SEED,
-        functions: u64::try_from(FUNCTIONS).unwrap_or(u64::MAX),
-        zipf_exponent: ZIPF_EXPONENT,
-        keep_alive: KEEP_ALIVE,
-        node_capacity: u64::try_from(NODE_CAPACITY).unwrap_or(u64::MAX),
-        base_rate_hz: BASE_RATE_HZ,
-        burst: u64::try_from(BURST).unwrap_or(u64::MAX),
-        burst_width: BURST_WIDTH,
-        fault_at: FAULT_AT,
-        partition_heal: PARTITION_HEAL,
-        gray_slowdown: GRAY_SLOWDOWN,
-        heartbeat_interval: knobs.heartbeat_interval,
-        suspicion_threshold: knobs.suspicion_threshold,
-        hedge_delay: knobs.hedge_delay,
-        transfer_timeout: knobs.transfer_timeout,
-        cells,
-        storm_full,
-        storm_none,
-    })
-}
-
 fn check_conservation(tag: &str, cell: &ChaosCell) -> Result<(), String> {
-    if cell.requests == 0 {
-        return Err(format!("{tag}: empty cell"));
-    }
+    flashcrowd::check_availability(tag, cell.requests, cell.completed, cell.availability)?;
     if cell.completed + cell.shed + cell.failed != cell.requests {
         return Err(format!("{tag}: completed + shed + failed != requests"));
     }
@@ -394,10 +300,6 @@ fn check_conservation(tag: &str, cell: &ChaosCell) -> Result<(), String> {
     // from below.
     if cell.reuses + cell.local + cell.remote + cell.cold < cell.completed {
         return Err(format!("{tag}: rung counts do not cover completions"));
-    }
-    let availability = cell.completed as f64 / cell.requests as f64;
-    if (cell.availability - availability).abs() > 1e-9 {
-        return Err(format!("{tag}: availability != completed / requests"));
     }
     // Startup samples are recorded at dispatch; a request killed in flight
     // by a crash leaves a sample without completing, so the sample count
@@ -437,206 +339,232 @@ fn pick<'a>(
         })
 }
 
-/// Validates an export's internal consistency and the survivability gate
-/// the grid exists to demonstrate: under every fault class the
-/// full-failover policy holds availability ≥ (N−1)/N with a
-/// sub-millisecond startup p99, never routes at an unreachable node, and
-/// never strands a waiter; the no-failover baseline fails typed at
-/// corpses and islands, pays the gray node's stretched tail, and hangs
-/// orphaned transfer waiters in the storm.
-///
-/// # Errors
-///
-/// A description of the first violated invariant.
-pub fn validate(export: &ChaosBenchExport) -> Result<(), String> {
-    if export.schema != SCHEMA {
-        return Err(format!(
-            "schema mismatch: {} (expected {SCHEMA})",
-            export.schema
-        ));
-    }
-    let expected = 3 * NODE_AXIS.len() * 2;
-    if export.cells.len() != expected {
-        return Err(format!(
-            "grid incomplete: {} cells (expected {expected})",
-            export.cells.len()
-        ));
-    }
-
-    for cell in &export.cells {
-        let tag = format!("cell {}/{}n/{}", cell.fault, cell.nodes, cell.policy);
-        check_conservation(&tag, cell)?;
-        if cell.fault == "crash" && cell.crashes != 1 {
-            return Err(format!("{tag}: scheduled crash never fired"));
-        }
-        if cell.fault != "crash" && cell.crashes != 0 {
-            return Err(format!("{tag}: unscheduled crash fired"));
-        }
-        if cell.heartbeats == 0 {
-            return Err(format!("{tag}: the health tracker never ran"));
-        }
-    }
-
-    for &nodes in &NODE_AXIS {
-        let floor = (nodes as f64 - 1.0) / nodes as f64;
-        for fault in ["crash", "gray", "partition"] {
-            let full = pick(export, fault, nodes, ChaosPolicy::full())?;
-            let base = pick(export, fault, nodes, ChaosPolicy::none())?;
-            let tag = format!("{fault}/{nodes}n");
-
-            // The survivability gate: full failover rides out one sick
-            // node out of N at sub-millisecond startup.
-            if full.availability < floor {
-                return Err(format!(
-                    "{tag}: full-failover availability {:.4} under the ({}−1)/{} floor {floor:.4}",
-                    full.availability, nodes, nodes
-                ));
-            }
-            // Quantiles resolve to bucket upper bounds, so "sub-ms" means
-            // the 1 ms bucket: every sample at or under one millisecond.
-            if full.startup.p99 > SimNanos::from_millis(1) {
-                return Err(format!(
-                    "{tag}: full-failover startup p99 {:?} is not sub-millisecond",
-                    full.startup.p99
-                ));
-            }
-            if full.hung != 0 {
-                return Err(format!(
-                    "{tag}: full failover stranded {} waiters",
-                    full.hung
-                ));
-            }
-            if full.unreachable != 0 {
-                return Err(format!(
-                    "{tag}: health-aware routing sent {} requests at unreachable nodes",
-                    full.unreachable
-                ));
-            }
-
-            // The baseline must be measurably worse in the fault class's
-            // own signature way.
-            match fault {
-                "crash" | "partition" => {
-                    if base.unreachable == 0 {
-                        return Err(format!(
-                            "{tag}: the static-placement baseline never hit the dead node"
-                        ));
-                    }
-                    if base.availability >= full.availability {
-                        return Err(format!(
-                            "{tag}: baseline availability {:.4} not under full-failover's {:.4}",
-                            base.availability, full.availability
-                        ));
-                    }
-                }
-                _ => {
-                    // Gray: the node stays reachable, so the baseline keeps
-                    // routing into its stretched latencies — the tail, not
-                    // availability, is what suffers.
-                    if base.startup.p99 <= full.startup.p99 {
-                        return Err(format!(
-                            "{tag}: baseline startup p99 {:?} not over full-failover's {:?}",
-                            base.startup.p99, full.startup.p99
-                        ));
-                    }
-                    if full.suspected == 0 {
-                        return Err(format!(
-                            "{tag}: the slow-ack check never suspected the gray node"
-                        ));
-                    }
-                    // With a spare node, overflow transfers pick the
-                    // idle-looking gray holder as source — and the hedge
-                    // must beat its stretched wire.
-                    if nodes > PLACEMENT_BUDGET && (full.hedges == 0 || full.hedge_wins == 0) {
-                        return Err(format!(
-                            "{tag}: no hedge fired (or won) around the gray transfer source"
-                        ));
-                    }
-                }
-            }
-        }
-
-        // Crash: the dead holder's replicas are rebuilt — when a
-        // non-holder node exists to rebuild on. And with a spare node,
-        // every full-failover cell's overflow rides the remote rung.
-        if nodes > PLACEMENT_BUDGET {
-            let full = pick(export, "crash", nodes, ChaosPolicy::full())?;
-            if full.rereplications == 0 {
-                return Err(format!(
-                    "crash/{nodes}n: no template re-replication after the holder died"
-                ));
-            }
-            for fault in ["crash", "gray", "partition"] {
-                let full = pick(export, fault, nodes, ChaosPolicy::full())?;
-                if full.remote == 0 || full.transfers == 0 {
-                    return Err(format!(
-                        "{fault}/{nodes}n: full failover never used the remote-sfork rung"
-                    ));
-                }
-            }
-        }
-    }
-
-    // The storm: gray forces hedges, the crash aborts pending wires, and
-    // only the failover policy gets every waiter home.
-    for (tag, cell) in [
-        ("storm/full", &export.storm_full),
-        ("storm/none", &export.storm_none),
-    ] {
-        check_conservation(tag, cell)?;
-        if cell.crashes != 1 {
-            return Err(format!("{tag}: the storm crash never fired"));
-        }
-    }
-    let full = &export.storm_full;
-    if full.hedges == 0 || full.hedge_wins == 0 {
-        return Err("storm/full: hedged transfers never fired or never won".into());
-    }
-    if full.aborted_transfers == 0 || full.failovers == 0 {
-        return Err("storm/full: the crash aborted no wires or re-routed no waiters".into());
-    }
-    if full.hung != 0 {
-        return Err(format!("storm/full: {} waiters stranded", full.hung));
-    }
-    if full.availability < 0.75 {
-        return Err(format!(
-            "storm/full: availability {:.4} under the (4−1)/4 floor",
-            full.availability
-        ));
-    }
-    if full.rereplications == 0 {
-        return Err("storm/full: the dead holder's replicas were never rebuilt".into());
-    }
-    // Failover re-arrivals carry the 1 ms waiter timeout as queueing lag,
-    // so the storm tail sits one bucket over the grid's — but bounded.
-    if full.startup.p99 > SimNanos::from_millis(2) {
-        return Err(format!(
-            "storm/full: startup p99 {:?} over the 2 ms failover bound",
-            full.startup.p99
-        ));
-    }
-    if export.storm_none.hung == 0 {
-        return Err("storm/none: the baseline never hung a waiter — the storm missed".into());
-    }
-    if export.storm_none.availability >= full.availability {
-        return Err(format!(
-            "storm/none: baseline availability {:.4} not under full-failover's {:.4}",
-            export.storm_none.availability, full.availability
-        ));
-    }
-    Ok(())
-}
-
-impl crate::Export for ChaosBenchExport {
+impl Export for ChaosBenchExport {
     const COMMAND: &'static str = "chaos";
     const DEFAULT_PATH: &'static str = "BENCH_pr9.json";
+    const SCHEMA: &'static str = "catalyzer-bench/pr9-v1";
 
+    /// Runs the fault × nodes × policy grid plus the two storm probes.
     fn generate(model: &CostModel) -> Result<Self, Box<dyn std::error::Error>> {
-        Ok(generate(model)?)
+        let cat = CROWD.catalogue();
+        let trace = CROWD.trace();
+        let knobs = ChaosPolicy::full();
+
+        let mut cells = Vec::new();
+        for (fault, plan) in grid_plans() {
+            for nodes in NODE_AXIS {
+                for policy in [ChaosPolicy::full(), ChaosPolicy::none()] {
+                    cells.push(run_cell(model, &cat, &trace, fault, nodes, &plan, policy)?);
+                }
+            }
+        }
+        let storm = storm_plan();
+        let storm_full = run_cell(model, &cat, &trace, "storm", 4, &storm, ChaosPolicy::full())?;
+        let storm_none = run_cell(model, &cat, &trace, "storm", 4, &storm, ChaosPolicy::none())?;
+
+        Ok(Self {
+            schema: Self::SCHEMA.to_string(),
+            machine: model.machine.label().to_string(),
+            seed: CROWD.seed,
+            functions: u64::try_from(CROWD.functions).unwrap_or(u64::MAX),
+            zipf_exponent: flashcrowd::ZIPF_EXPONENT,
+            keep_alive: flashcrowd::KEEP_ALIVE,
+            node_capacity: u64::try_from(flashcrowd::NODE_CAPACITY).unwrap_or(u64::MAX),
+            base_rate_hz: flashcrowd::BASE_RATE_HZ,
+            burst: u64::try_from(CROWD.burst).unwrap_or(u64::MAX),
+            burst_width: flashcrowd::BURST_WIDTH,
+            fault_at: FAULT_AT,
+            partition_heal: PARTITION_HEAL,
+            gray_slowdown: GRAY_SLOWDOWN,
+            heartbeat_interval: knobs.heartbeat_interval,
+            suspicion_threshold: knobs.suspicion_threshold,
+            hedge_delay: knobs.hedge_delay,
+            transfer_timeout: knobs.transfer_timeout,
+            cells,
+            storm_full,
+            storm_none,
+        })
     }
 
+    /// Validates an export's internal consistency and the survivability gate
+    /// the grid exists to demonstrate: under every fault class the
+    /// full-failover policy holds availability ≥ (N−1)/N with a
+    /// sub-millisecond startup p99, never routes at an unreachable node, and
+    /// never strands a waiter; the no-failover baseline fails typed at
+    /// corpses and islands, pays the gray node's stretched tail, and hangs
+    /// orphaned transfer waiters in the storm.
     fn validate(&self) -> Result<(), String> {
-        validate(self)
+        Self::check_schema(&self.schema)?;
+        let expected = 3 * NODE_AXIS.len() * 2;
+        if self.cells.len() != expected {
+            return Err(format!(
+                "grid incomplete: {} cells (expected {expected})",
+                self.cells.len()
+            ));
+        }
+
+        for cell in &self.cells {
+            let tag = format!("cell {}/{}n/{}", cell.fault, cell.nodes, cell.policy);
+            check_conservation(&tag, cell)?;
+            if cell.fault == "crash" && cell.crashes != 1 {
+                return Err(format!("{tag}: scheduled crash never fired"));
+            }
+            if cell.fault != "crash" && cell.crashes != 0 {
+                return Err(format!("{tag}: unscheduled crash fired"));
+            }
+            if cell.heartbeats == 0 {
+                return Err(format!("{tag}: the health tracker never ran"));
+            }
+        }
+
+        for &nodes in &NODE_AXIS {
+            let floor = (nodes as f64 - 1.0) / nodes as f64;
+            for fault in ["crash", "gray", "partition"] {
+                let full = pick(self, fault, nodes, ChaosPolicy::full())?;
+                let base = pick(self, fault, nodes, ChaosPolicy::none())?;
+                let tag = format!("{fault}/{nodes}n");
+
+                // The survivability gate: full failover rides out one sick
+                // node out of N at sub-millisecond startup.
+                if full.availability < floor {
+                    return Err(format!(
+                        "{tag}: full-failover availability {:.4} under the ({}−1)/{} floor {floor:.4}",
+                        full.availability, nodes, nodes
+                    ));
+                }
+                // Quantiles resolve to bucket upper bounds, so "sub-ms" means
+                // the 1 ms bucket: every sample at or under one millisecond.
+                if full.startup.p99 > SimNanos::from_millis(1) {
+                    return Err(format!(
+                        "{tag}: full-failover startup p99 {:?} is not sub-millisecond",
+                        full.startup.p99
+                    ));
+                }
+                if full.hung != 0 {
+                    return Err(format!(
+                        "{tag}: full failover stranded {} waiters",
+                        full.hung
+                    ));
+                }
+                if full.unreachable != 0 {
+                    return Err(format!(
+                        "{tag}: health-aware routing sent {} requests at unreachable nodes",
+                        full.unreachable
+                    ));
+                }
+
+                // The baseline must be measurably worse in the fault class's
+                // own signature way.
+                match fault {
+                    "crash" | "partition" => {
+                        if base.unreachable == 0 {
+                            return Err(format!(
+                                "{tag}: the static-placement baseline never hit the dead node"
+                            ));
+                        }
+                        if base.availability >= full.availability {
+                            return Err(format!(
+                                "{tag}: baseline availability {:.4} not under full-failover's {:.4}",
+                                base.availability, full.availability
+                            ));
+                        }
+                    }
+                    _ => {
+                        // Gray: the node stays reachable, so the baseline keeps
+                        // routing into its stretched latencies — the tail, not
+                        // availability, is what suffers.
+                        if base.startup.p99 <= full.startup.p99 {
+                            return Err(format!(
+                                "{tag}: baseline startup p99 {:?} not over full-failover's {:?}",
+                                base.startup.p99, full.startup.p99
+                            ));
+                        }
+                        if full.suspected == 0 {
+                            return Err(format!(
+                                "{tag}: the slow-ack check never suspected the gray node"
+                            ));
+                        }
+                        // With a spare node, overflow transfers pick the
+                        // idle-looking gray holder as source — and the hedge
+                        // must beat its stretched wire.
+                        if nodes > PLACEMENT_BUDGET && (full.hedges == 0 || full.hedge_wins == 0) {
+                            return Err(format!(
+                                "{tag}: no hedge fired (or won) around the gray transfer source"
+                            ));
+                        }
+                    }
+                }
+            }
+
+            // Crash: the dead holder's replicas are rebuilt — when a
+            // non-holder node exists to rebuild on. And with a spare node,
+            // every full-failover cell's overflow rides the remote rung.
+            if nodes > PLACEMENT_BUDGET {
+                let full = pick(self, "crash", nodes, ChaosPolicy::full())?;
+                if full.rereplications == 0 {
+                    return Err(format!(
+                        "crash/{nodes}n: no template re-replication after the holder died"
+                    ));
+                }
+                for fault in ["crash", "gray", "partition"] {
+                    let full = pick(self, fault, nodes, ChaosPolicy::full())?;
+                    if full.remote == 0 || full.transfers == 0 {
+                        return Err(format!(
+                            "{fault}/{nodes}n: full failover never used the remote-sfork rung"
+                        ));
+                    }
+                }
+            }
+        }
+
+        // The storm: gray forces hedges, the crash aborts pending wires, and
+        // only the failover policy gets every waiter home.
+        for (tag, cell) in [
+            ("storm/full", &self.storm_full),
+            ("storm/none", &self.storm_none),
+        ] {
+            check_conservation(tag, cell)?;
+            if cell.crashes != 1 {
+                return Err(format!("{tag}: the storm crash never fired"));
+            }
+        }
+        let full = &self.storm_full;
+        if full.hedges == 0 || full.hedge_wins == 0 {
+            return Err("storm/full: hedged transfers never fired or never won".into());
+        }
+        if full.aborted_transfers == 0 || full.failovers == 0 {
+            return Err("storm/full: the crash aborted no wires or re-routed no waiters".into());
+        }
+        if full.hung != 0 {
+            return Err(format!("storm/full: {} waiters stranded", full.hung));
+        }
+        if full.availability < 0.75 {
+            return Err(format!(
+                "storm/full: availability {:.4} under the (4−1)/4 floor",
+                full.availability
+            ));
+        }
+        if full.rereplications == 0 {
+            return Err("storm/full: the dead holder's replicas were never rebuilt".into());
+        }
+        // Failover re-arrivals carry the 1 ms waiter timeout as queueing lag,
+        // so the storm tail sits one bucket over the grid's — but bounded.
+        if full.startup.p99 > SimNanos::from_millis(2) {
+            return Err(format!(
+                "storm/full: startup p99 {:?} over the 2 ms failover bound",
+                full.startup.p99
+            ));
+        }
+        if self.storm_none.hung == 0 {
+            return Err("storm/none: the baseline never hung a waiter — the storm missed".into());
+        }
+        if self.storm_none.availability >= full.availability {
+            return Err(format!(
+                "storm/none: baseline availability {:.4} not under full-failover's {:.4}",
+                self.storm_none.availability, full.availability
+            ));
+        }
+        Ok(())
     }
 
     fn summary(&self) -> String {
@@ -669,43 +597,5 @@ mod tests {
         );
         check_conservation("test", &a).unwrap();
         assert_eq!(a.crashes, 1);
-    }
-
-    #[test]
-    fn validate_rejects_schema_drift() {
-        let model = CostModel::experimental_machine();
-        let cat = vec![AppProfile::c_hello()];
-        let trace: Vec<TraceRequest> = (0..100u64)
-            .map(|i| TraceRequest {
-                arrival: SimNanos::from_micros(i * 20),
-                function: 0,
-            })
-            .collect();
-        let plan = NodePlan::quiet(7);
-        let cell = run_cell(&model, &cat, &trace, "crash", 2, &plan, ChaosPolicy::full()).unwrap();
-        let export = ChaosBenchExport {
-            schema: "catalyzer-bench/pr0-v0".to_string(),
-            machine: "test".to_string(),
-            seed: SEED,
-            functions: 1,
-            zipf_exponent: ZIPF_EXPONENT,
-            keep_alive: KEEP_ALIVE,
-            node_capacity: NODE_CAPACITY as u64,
-            base_rate_hz: BASE_RATE_HZ,
-            burst: BURST as u64,
-            burst_width: BURST_WIDTH,
-            fault_at: FAULT_AT,
-            partition_heal: PARTITION_HEAL,
-            gray_slowdown: GRAY_SLOWDOWN,
-            heartbeat_interval: SimNanos::ZERO,
-            suspicion_threshold: SimNanos::ZERO,
-            hedge_delay: SimNanos::ZERO,
-            transfer_timeout: SimNanos::ZERO,
-            cells: vec![cell.clone()],
-            storm_full: cell.clone(),
-            storm_none: cell,
-        };
-        let err = validate(&export).unwrap_err();
-        assert!(err.contains("schema mismatch"), "{err}");
     }
 }

@@ -1,15 +1,16 @@
 //! Deterministic JSON export of the cluster sweep (`repro cluster`).
 //!
-//! `generate` drives the open-loop cluster engine
+//! [`ClusterBenchExport`]'s `generate` drives the open-loop cluster engine
 //! ([`platform::cluster::ClusterSim`]) through a nodes × placement-budget ×
-//! routing-policy grid on one shared flash-crowd trace: a Poisson baseline
-//! with Zipf-skewed popularity over a 10 000-function catalogue, plus a
-//! viral burst — [`BURST`] arrivals for one function inside a window
-//! shorter than a single fork boot. The burst saturates the function's
-//! template holders, so overflow traffic must pick a rung: remote sfork
-//! from a holder ([`platform::cluster::RoutingPolicy::RemoteFork`]) or a
-//! registry pull and cold boot (the
-//! [`platform::cluster::RoutingPolicy::LocalCold`] baseline).
+//! routing-policy grid on one shared flash-crowd trace (the `flashcrowd`
+//! module's shape): a Poisson baseline with Zipf-skewed popularity over a
+//! 10 000-function catalogue, plus a viral burst of 3 000 arrivals for one
+//! function inside a window shorter than a single fork boot. The burst
+//! saturates the function's template holders, so overflow traffic must
+//! pick a rung: remote sfork from a holder
+//! ([`platform::cluster::RoutingPolicy::RemoteFork`]) or a registry pull
+//! and cold boot (the [`platform::cluster::RoutingPolicy::LocalCold`]
+//! baseline).
 //!
 //! The export also carries two non-grid probes the validator pins:
 //!
@@ -25,58 +26,26 @@
 //! byte-identical output — `tools/check.sh` validates `BENCH_pr8.json` the
 //! same way it gates the pr2–pr4 and pr7 exports.
 
+use crate::flashcrowd::{self, FlashCrowd};
+use crate::Export;
 use catalyzer::{BootMode, CatalyzerEngine};
 use faultsim::{FaultPlan, InjectionPoint, PointPlan};
-use platform::cluster::{ClusterConfig, ClusterOutcome, ClusterSim, RoutingPolicy, TransferCosts};
+use platform::cluster::{ClusterConfig, ClusterOutcome, RoutingPolicy, TransferCosts};
 use platform::simulate::{Quantiles, TraceRequest};
 use platform::{Cluster, Gateway, Invocation, InvokeRequest, PlatformError};
 use runtimes::AppProfile;
 use serde::{Deserialize, Serialize};
 use simtime::{CostModel, SimNanos};
-use workloads::catalogue;
-use workloads::generator::{open_loop, Arrivals, Popularity, TraceSpec};
 
-/// Schema tag so downstream tooling can reject stale files.
-pub const SCHEMA: &str = "catalyzer-bench/pr8-v1";
-
-/// Seed for the catalogue, the baseline trace, and the storm injector.
-pub const SEED: u64 = 0x0C10_0801;
-
-/// Functions in the shared catalogue.
-pub const FUNCTIONS: usize = 10_000;
-
-/// Zipf exponent of baseline function popularity.
-pub const ZIPF_EXPONENT: f64 = 1.0;
-
-/// Keep-alive every cell runs with — short enough that the warm set stays
-/// a small fraction of node capacity at the baseline rate.
-pub const KEEP_ALIVE: SimNanos = SimNanos::from_millis(200);
-
-/// Warm instances retained per (node, function).
-pub const MAX_IDLE: usize = 4;
-
-/// Concurrent-instance cap per node. One node cannot absorb the viral
-/// burst; two can — the capacity cliff the routing policies fight over.
-pub const NODE_CAPACITY: usize = 2_000;
-
-/// Poisson baseline rate under the burst (drives reuse and keep-alive).
-pub const BASE_RATE_HZ: f64 = 2_000.0;
-
-/// Baseline requests around the burst.
-pub const TAIL: usize = 6_000;
-
-/// Instant the viral burst lands.
-pub const BURST_AT: SimNanos = SimNanos::from_secs(1);
-
-/// Window the burst's arrivals spread over — shorter than one fork boot,
-/// so the whole burst is airborne before any of its boots complete.
-pub const BURST_WIDTH: SimNanos = SimNanos::from_micros(500);
-
-/// Burst size: arrivals for the viral function, 1.5× one node's capacity.
-pub const BURST: usize = 3_000;
-
-/// The function that goes viral (the Zipf head).
-pub const VIRAL_FUNCTION: usize = 0;
+/// The shared pr8 workload.
+const CROWD: FlashCrowd = FlashCrowd {
+    seed: 0x0C10_0801,
+    functions: 10_000,
+    tail: 6_000,
+    // 1.5× one node's capacity: one node cannot absorb the burst, two can —
+    // the capacity cliff the routing policies fight over.
+    burst: 3_000,
+};
 
 /// The node-count axis of the grid.
 pub const NODE_AXIS: [usize; 4] = [1, 2, 4, 8];
@@ -161,7 +130,7 @@ pub struct ParityProbe {
 /// The whole `BENCH_pr8.json` document.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ClusterBenchExport {
-    /// Format tag ([`SCHEMA`]).
+    /// Format tag ([`Export::SCHEMA`]).
     pub schema: String,
     /// Machine model the latencies were simulated on.
     pub machine: String,
@@ -204,98 +173,6 @@ fn fnv_bytes(hash: &mut u64, bytes: &[u8]) {
         *hash = (*hash ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3);
     }
 }
-
-/// A flash-crowd workload shape: a Zipf Poisson baseline over a catalogue
-/// cycling the fourteen paper profiles, plus one viral burst. The pr8 grid
-/// and the pr9 chaos grid run the same shape at different constants.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FlashCrowd {
-    /// Functions in the catalogue.
-    pub functions: usize,
-    /// Baseline requests around the burst.
-    pub tail: usize,
-    /// Poisson baseline rate.
-    pub base_rate_hz: f64,
-    /// Zipf exponent of baseline popularity.
-    pub zipf_exponent: f64,
-    /// Trace seed.
-    pub seed: u64,
-    /// The function that goes viral.
-    pub viral_function: usize,
-    /// Burst size.
-    pub burst: usize,
-    /// Instant the burst lands.
-    pub burst_at: SimNanos,
-    /// Window the burst's arrivals spread evenly over.
-    pub burst_width: SimNanos,
-}
-
-impl FlashCrowd {
-    /// The catalogue: every function gets its own name (its own placement,
-    /// routing, and warm set) — the base profile's, suffixed with the
-    /// index zero-padded to the catalogue size's width — while the
-    /// underlying cost shapes repeat, so the per-cell calibration pass
-    /// stays a fixed fourteen shapes instead of growing with the catalogue.
-    pub(crate) fn catalogue(&self) -> Vec<AppProfile> {
-        let bases = catalogue::fig1_functions();
-        let width = self.functions.to_string().len();
-        (0..self.functions)
-            .map(|i| {
-                let mut p = bases[i % bases.len()].clone();
-                p.name = format!("{}-{i:0width$}", p.name);
-                p
-            })
-            .collect()
-    }
-
-    /// The trace: the baseline with [`FlashCrowd::burst`] extra arrivals
-    /// for the viral function merged in, time-sorted.
-    pub(crate) fn trace(&self) -> Vec<TraceRequest> {
-        let spec = TraceSpec {
-            functions: self.functions,
-            count: self.tail,
-            arrivals: Arrivals::Poisson {
-                rate_hz: self.base_rate_hz,
-            },
-            popularity: Popularity::Zipf {
-                exponent: self.zipf_exponent,
-            },
-            seed: self.seed,
-        };
-        let mut trace: Vec<TraceRequest> = open_loop(&spec)
-            .into_iter()
-            .map(|r| TraceRequest {
-                arrival: r.arrival,
-                function: r.function,
-            })
-            .collect();
-        let step = self.burst_width.as_nanos().max(1) / self.burst as u64;
-        for i in 0..self.burst {
-            let offset = SimNanos::from_nanos(step.saturating_mul(i as u64));
-            trace.push(TraceRequest {
-                arrival: self.burst_at.saturating_add(offset),
-                function: self.viral_function,
-            });
-        }
-        trace.sort_by_key(|r| r.arrival);
-        trace
-    }
-}
-
-/// The shared pr8 workload: [`BURST`] arrivals for [`VIRAL_FUNCTION`]
-/// spread over [`BURST_WIDTH`] at [`BURST_AT`], on a [`FUNCTIONS`]-wide
-/// Zipf baseline.
-const CROWD: FlashCrowd = FlashCrowd {
-    functions: FUNCTIONS,
-    tail: TAIL,
-    base_rate_hz: BASE_RATE_HZ,
-    zipf_exponent: ZIPF_EXPONENT,
-    seed: SEED,
-    viral_function: VIRAL_FUNCTION,
-    burst: BURST,
-    burst_at: BURST_AT,
-    burst_width: BURST_WIDTH,
-};
 
 fn cell_row(
     nodes: usize,
@@ -349,11 +226,7 @@ fn run_cell(
 ) -> Result<ClusterCell, PlatformError> {
     let mut config = ClusterConfig::new(nodes, budget);
     config.routing = policy;
-    let mut sim = ClusterSim::new(cat.to_vec(), config)
-        .with_model(model.clone())
-        .with_keep_alive(KEEP_ALIVE)
-        .with_max_idle(MAX_IDLE)
-        .with_node_capacity(NODE_CAPACITY);
+    let mut sim = flashcrowd::cluster_sim(model, cat, config);
     if let Some(plan) = plan {
         sim = sim.with_faults(plan);
     }
@@ -433,7 +306,7 @@ fn parity_probe(model: &CostModel) -> Result<ParityProbe, PlatformError> {
 /// The storm injector: every transfer consult fires, always poison, so the
 /// fabric breaks on first use and background repairs must restore it.
 fn storm_plan() -> FaultPlan {
-    FaultPlan::zero(SEED)
+    FaultPlan::zero(CROWD.seed)
         .with_point(
             InjectionPoint::TemplateTransfer,
             PointPlan {
@@ -445,74 +318,13 @@ fn storm_plan() -> FaultPlan {
         .with_poison_ratio(1.0)
 }
 
-/// Runs the grid, the parity probe, and the storm.
-///
-/// # Errors
-///
-/// Propagates [`PlatformError`] from the engines (none in practice: the
-/// generated traces and configs are valid by construction).
-pub fn generate(model: &CostModel) -> Result<ClusterBenchExport, PlatformError> {
-    let cat = CROWD.catalogue();
-    let trace = CROWD.trace();
-    let costs = TransferCosts::rdma_defaults();
-
-    let mut cells = Vec::new();
-    for nodes in NODE_AXIS {
-        for budget in BUDGET_AXIS {
-            if budget > nodes {
-                continue;
-            }
-            for policy in [RoutingPolicy::RemoteFork, RoutingPolicy::LocalCold] {
-                cells.push(run_cell(model, &cat, &trace, nodes, budget, policy, None)?);
-            }
-        }
-    }
-    let storm = run_cell(
-        model,
-        &cat,
-        &trace,
-        4,
-        1,
-        RoutingPolicy::RemoteFork,
-        Some(storm_plan()),
-    )?;
-    let parity = parity_probe(model)?;
-
-    Ok(ClusterBenchExport {
-        schema: SCHEMA.to_string(),
-        machine: model.machine.label().to_string(),
-        seed: SEED,
-        functions: u64::try_from(FUNCTIONS).unwrap_or(u64::MAX),
-        zipf_exponent: ZIPF_EXPONENT,
-        keep_alive: KEEP_ALIVE,
-        max_idle: u64::try_from(MAX_IDLE).unwrap_or(u64::MAX),
-        node_capacity: u64::try_from(NODE_CAPACITY).unwrap_or(u64::MAX),
-        base_rate_hz: BASE_RATE_HZ,
-        burst: u64::try_from(BURST).unwrap_or(u64::MAX),
-        burst_width: BURST_WIDTH,
-        transfer_setup: costs.setup,
-        transfer_per_page: costs.per_page,
-        eager_fraction: costs.eager_fraction,
-        cold_pull: costs.cold_pull,
-        parity,
-        cells,
-        storm,
-    })
-}
-
 fn check_conservation(tag: &str, cell: &ClusterCell) -> Result<(), String> {
-    if cell.requests == 0 {
-        return Err(format!("{tag}: empty cell"));
-    }
+    flashcrowd::check_availability(tag, cell.requests, cell.completed, cell.availability)?;
     if cell.completed + cell.shed != cell.requests {
         return Err(format!("{tag}: completed + shed != requests"));
     }
     if cell.reuses + cell.local + cell.remote + cell.cold != cell.completed {
         return Err(format!("{tag}: rung counts do not sum to completions"));
-    }
-    let availability = cell.completed as f64 / cell.requests as f64;
-    if (cell.availability - availability).abs() > 1e-9 {
-        return Err(format!("{tag}: availability != completed / requests"));
     }
     if cell.startup.count != cell.completed || cell.end_to_end.count != cell.completed {
         return Err(format!("{tag}: latency samples != completions"));
@@ -527,136 +339,172 @@ fn check_conservation(tag: &str, cell: &ClusterCell) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates an export's internal consistency and the claims the sweep
-/// exists to demonstrate: the single-node cluster is byte-identical to the
-/// plain gateway; every zero-fault remote-fork cell with a second node
-/// holds availability 1.0 with zero cold boots while the local-cold
-/// baseline cold-boots (or sheds) on the same trace and pays a worse
-/// startup tail; and the storm absorbs transfer poison by degrading to
-/// cold — never by shedding — while background repairs run.
-///
-/// # Errors
-///
-/// A description of the first violated invariant.
-pub fn validate(export: &ClusterBenchExport) -> Result<(), String> {
-    if export.schema != SCHEMA {
-        return Err(format!(
-            "schema mismatch: {} (expected {SCHEMA})",
-            export.schema
-        ));
-    }
-    if !export.parity.matches || export.parity.gateway_digest != export.parity.cluster_digest {
-        return Err(format!(
-            "single-node cluster diverged from the plain gateway: {:#x} vs {:#x}",
-            export.parity.gateway_digest, export.parity.cluster_digest
-        ));
-    }
-
-    let expected: usize = NODE_AXIS
-        .iter()
-        .map(|&n| 2 * BUDGET_AXIS.iter().filter(|&&b| b <= n).count())
-        .sum();
-    if export.cells.len() != expected {
-        return Err(format!(
-            "grid incomplete: {} cells (expected {expected})",
-            export.cells.len()
-        ));
-    }
-
-    for cell in &export.cells {
-        let tag = format!(
-            "cell {}n/{}r/{}",
-            cell.nodes, cell.placement_budget, cell.policy
-        );
-        check_conservation(&tag, cell)?;
-        if cell.transfer_faults != 0 || cell.node_repairs != 0 {
-            return Err(format!("{tag}: faults fired without an injector"));
-        }
-    }
-
-    // The headline comparison, per multi-node shape: the full ladder holds
-    // availability 1.0 without a single cold boot; the baseline cold-boots
-    // or sheds, and its startup tail is strictly worse.
-    for &nodes in NODE_AXIS.iter().filter(|&&n| n > 1) {
-        let pick = |policy: RoutingPolicy| {
-            export.cells.iter().find(|c| {
-                c.nodes == nodes as u64 && c.placement_budget == 1 && c.policy == policy.label()
-            })
-        };
-        let forked = pick(RoutingPolicy::RemoteFork)
-            .ok_or_else(|| format!("missing remote-fork cell for {nodes} nodes"))?;
-        let baseline = pick(RoutingPolicy::LocalCold)
-            .ok_or_else(|| format!("missing local-cold cell for {nodes} nodes"))?;
-        if forked.shed != 0 || forked.availability < 1.0 {
-            return Err(format!(
-                "{nodes}-node remote-fork cell shed {} requests",
-                forked.shed
-            ));
-        }
-        if forked.cold != 0 {
-            return Err(format!("{nodes}-node remote-fork cell cold-booted"));
-        }
-        if forked.remote == 0 || forked.transfers == 0 {
-            return Err(format!(
-                "{nodes}-node remote-fork cell never remote-sforked"
-            ));
-        }
-        if baseline.cold == 0 && baseline.shed == 0 {
-            return Err(format!(
-                "{nodes}-node local-cold baseline neither cold-booted nor shed"
-            ));
-        }
-        if forked.startup.p99 >= baseline.startup.p99 {
-            return Err(format!(
-                "{nodes}-node remote-fork p99 {:?} not under the cold baseline's {:?}",
-                forked.startup.p99, baseline.startup.p99
-            ));
-        }
-        if baseline.cold > 0 && forked.remote_startup.p99 >= baseline.cold_startup.p99 {
-            return Err(format!(
-                "{nodes}-node remote-sfork rung p99 {:?} not under the cold rung's {:?}",
-                forked.remote_startup.p99, baseline.cold_startup.p99
-            ));
-        }
-    }
-
-    // A single node cannot absorb the burst: the capacity cliff the
-    // multi-node cells climb over.
-    if let Some(single) = export.cells.iter().find(|c| c.nodes == 1) {
-        if single.shed == 0 {
-            return Err("the single-node cell absorbed the burst — no cliff to demonstrate".into());
-        }
-    }
-
-    check_conservation("storm", &export.storm)?;
-    if export.storm.transfer_faults == 0 {
-        return Err("storm: the poisoned transfer fabric never faulted".into());
-    }
-    if export.storm.node_repairs == 0 {
-        return Err("storm: no background repairs ran".into());
-    }
-    if export.storm.cold == 0 {
-        return Err("storm: poisoned transfers must degrade to cold boots".into());
-    }
-    if export.storm.shed != 0 || export.storm.availability < 1.0 {
-        return Err(format!(
-            "storm: degradation must preserve availability (shed {})",
-            export.storm.shed
-        ));
-    }
-    Ok(())
-}
-
-impl crate::Export for ClusterBenchExport {
+impl Export for ClusterBenchExport {
     const COMMAND: &'static str = "cluster";
     const DEFAULT_PATH: &'static str = "BENCH_pr8.json";
+    const SCHEMA: &'static str = "catalyzer-bench/pr8-v1";
 
+    /// Runs the grid, the parity probe, and the storm.
     fn generate(model: &CostModel) -> Result<Self, Box<dyn std::error::Error>> {
-        Ok(generate(model)?)
+        let cat = CROWD.catalogue();
+        let trace = CROWD.trace();
+        let costs = TransferCosts::rdma_defaults();
+
+        let mut cells = Vec::new();
+        for nodes in NODE_AXIS {
+            for budget in BUDGET_AXIS {
+                if budget > nodes {
+                    continue;
+                }
+                for policy in [RoutingPolicy::RemoteFork, RoutingPolicy::LocalCold] {
+                    cells.push(run_cell(model, &cat, &trace, nodes, budget, policy, None)?);
+                }
+            }
+        }
+        let storm = run_cell(
+            model,
+            &cat,
+            &trace,
+            4,
+            1,
+            RoutingPolicy::RemoteFork,
+            Some(storm_plan()),
+        )?;
+        let parity = parity_probe(model)?;
+
+        Ok(Self {
+            schema: Self::SCHEMA.to_string(),
+            machine: model.machine.label().to_string(),
+            seed: CROWD.seed,
+            functions: u64::try_from(CROWD.functions).unwrap_or(u64::MAX),
+            zipf_exponent: flashcrowd::ZIPF_EXPONENT,
+            keep_alive: flashcrowd::KEEP_ALIVE,
+            max_idle: u64::try_from(flashcrowd::MAX_IDLE).unwrap_or(u64::MAX),
+            node_capacity: u64::try_from(flashcrowd::NODE_CAPACITY).unwrap_or(u64::MAX),
+            base_rate_hz: flashcrowd::BASE_RATE_HZ,
+            burst: u64::try_from(CROWD.burst).unwrap_or(u64::MAX),
+            burst_width: flashcrowd::BURST_WIDTH,
+            transfer_setup: costs.setup,
+            transfer_per_page: costs.per_page,
+            eager_fraction: costs.eager_fraction,
+            cold_pull: costs.cold_pull,
+            parity,
+            cells,
+            storm,
+        })
     }
 
+    /// Validates an export's internal consistency and the claims the sweep
+    /// exists to demonstrate: the single-node cluster is byte-identical to the
+    /// plain gateway; every zero-fault remote-fork cell with a second node
+    /// holds availability 1.0 with zero cold boots while the local-cold
+    /// baseline cold-boots (or sheds) on the same trace and pays a worse
+    /// startup tail; and the storm absorbs transfer poison by degrading to
+    /// cold — never by shedding — while background repairs run.
     fn validate(&self) -> Result<(), String> {
-        validate(self)
+        Self::check_schema(&self.schema)?;
+        if !self.parity.matches || self.parity.gateway_digest != self.parity.cluster_digest {
+            return Err(format!(
+                "single-node cluster diverged from the plain gateway: {:#x} vs {:#x}",
+                self.parity.gateway_digest, self.parity.cluster_digest
+            ));
+        }
+
+        let expected: usize = NODE_AXIS
+            .iter()
+            .map(|&n| 2 * BUDGET_AXIS.iter().filter(|&&b| b <= n).count())
+            .sum();
+        if self.cells.len() != expected {
+            return Err(format!(
+                "grid incomplete: {} cells (expected {expected})",
+                self.cells.len()
+            ));
+        }
+
+        for cell in &self.cells {
+            let tag = format!(
+                "cell {}n/{}r/{}",
+                cell.nodes, cell.placement_budget, cell.policy
+            );
+            check_conservation(&tag, cell)?;
+            if cell.transfer_faults != 0 || cell.node_repairs != 0 {
+                return Err(format!("{tag}: faults fired without an injector"));
+            }
+        }
+
+        // The headline comparison, per multi-node shape: the full ladder holds
+        // availability 1.0 without a single cold boot; the baseline cold-boots
+        // or sheds, and its startup tail is strictly worse.
+        for &nodes in NODE_AXIS.iter().filter(|&&n| n > 1) {
+            let pick = |policy: RoutingPolicy| {
+                self.cells.iter().find(|c| {
+                    c.nodes == nodes as u64 && c.placement_budget == 1 && c.policy == policy.label()
+                })
+            };
+            let forked = pick(RoutingPolicy::RemoteFork)
+                .ok_or_else(|| format!("missing remote-fork cell for {nodes} nodes"))?;
+            let baseline = pick(RoutingPolicy::LocalCold)
+                .ok_or_else(|| format!("missing local-cold cell for {nodes} nodes"))?;
+            if forked.shed != 0 || forked.availability < 1.0 {
+                return Err(format!(
+                    "{nodes}-node remote-fork cell shed {} requests",
+                    forked.shed
+                ));
+            }
+            if forked.cold != 0 {
+                return Err(format!("{nodes}-node remote-fork cell cold-booted"));
+            }
+            if forked.remote == 0 || forked.transfers == 0 {
+                return Err(format!(
+                    "{nodes}-node remote-fork cell never remote-sforked"
+                ));
+            }
+            if baseline.cold == 0 && baseline.shed == 0 {
+                return Err(format!(
+                    "{nodes}-node local-cold baseline neither cold-booted nor shed"
+                ));
+            }
+            if forked.startup.p99 >= baseline.startup.p99 {
+                return Err(format!(
+                    "{nodes}-node remote-fork p99 {:?} not under the cold baseline's {:?}",
+                    forked.startup.p99, baseline.startup.p99
+                ));
+            }
+            if baseline.cold > 0 && forked.remote_startup.p99 >= baseline.cold_startup.p99 {
+                return Err(format!(
+                    "{nodes}-node remote-sfork rung p99 {:?} not under the cold rung's {:?}",
+                    forked.remote_startup.p99, baseline.cold_startup.p99
+                ));
+            }
+        }
+
+        // A single node cannot absorb the burst: the capacity cliff the
+        // multi-node cells climb over.
+        if let Some(single) = self.cells.iter().find(|c| c.nodes == 1) {
+            if single.shed == 0 {
+                return Err(
+                    "the single-node cell absorbed the burst — no cliff to demonstrate".into(),
+                );
+            }
+        }
+
+        check_conservation("storm", &self.storm)?;
+        if self.storm.transfer_faults == 0 {
+            return Err("storm: the poisoned transfer fabric never faulted".into());
+        }
+        if self.storm.node_repairs == 0 {
+            return Err("storm: no background repairs ran".into());
+        }
+        if self.storm.cold == 0 {
+            return Err("storm: poisoned transfers must degrade to cold boots".into());
+        }
+        if self.storm.shed != 0 || self.storm.availability < 1.0 {
+            return Err(format!(
+                "storm: degradation must preserve availability (shed {})",
+                self.storm.shed
+            ));
+        }
+        Ok(())
     }
 
     fn summary(&self) -> String {
@@ -686,7 +534,7 @@ mod tests {
         let cat = vec![AppProfile::c_hello()];
         // 300 arrivals past the lone holder's capacity, all airborne before
         // any boot completes: the overflow has to take the remote rung.
-        let trace: Vec<TraceRequest> = (0..NODE_CAPACITY as u64 + 300)
+        let trace: Vec<TraceRequest> = (0..flashcrowd::NODE_CAPACITY as u64 + 300)
             .map(|i| TraceRequest {
                 arrival: SimNanos::from_nanos(i),
                 function: 0,
@@ -701,43 +549,5 @@ mod tests {
         );
         check_conservation("test", &a).unwrap();
         assert!(a.remote > 0, "{a:?}");
-    }
-
-    #[test]
-    fn validate_rejects_schema_drift() {
-        let model = CostModel::experimental_machine();
-        let parity = parity_probe(&model).unwrap();
-        let cell = {
-            let cat = vec![AppProfile::c_hello()];
-            let trace: Vec<TraceRequest> = (0..100u64)
-                .map(|i| TraceRequest {
-                    arrival: SimNanos::from_nanos(i),
-                    function: 0,
-                })
-                .collect();
-            run_cell(&model, &cat, &trace, 2, 1, RoutingPolicy::RemoteFork, None).unwrap()
-        };
-        let export = ClusterBenchExport {
-            schema: "catalyzer-bench/pr0-v0".to_string(),
-            machine: "test".to_string(),
-            seed: SEED,
-            functions: 1,
-            zipf_exponent: ZIPF_EXPONENT,
-            keep_alive: KEEP_ALIVE,
-            max_idle: MAX_IDLE as u64,
-            node_capacity: NODE_CAPACITY as u64,
-            base_rate_hz: BASE_RATE_HZ,
-            burst: BURST as u64,
-            burst_width: BURST_WIDTH,
-            transfer_setup: SimNanos::ZERO,
-            transfer_per_page: SimNanos::ZERO,
-            eager_fraction: 0.0,
-            cold_pull: SimNanos::ZERO,
-            parity,
-            cells: vec![cell.clone()],
-            storm: cell,
-        };
-        let err = validate(&export).unwrap_err();
-        assert!(err.contains("schema mismatch"), "{err}");
     }
 }

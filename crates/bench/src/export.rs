@@ -1,20 +1,18 @@
 //! Deterministic JSON export of the boot pipeline's observability data.
 //!
-//! `generate` boots every Fig. 11 engine repeatedly on a fixed profile set,
-//! collects each engine's boot-latency histogram plus one representative
-//! span tree, and `repro export` serializes the result to a stable
-//! string: the whole pipeline runs on virtual time, so two runs on the same machine
-//! model produce byte-identical output (`tests/figure_smoke.rs` and
+//! [`BenchExport`]'s `generate` boots every Fig. 11 engine repeatedly on a
+//! fixed profile set, collects each engine's boot-latency histogram plus one
+//! representative span tree, and `repro export` serializes the result to a
+//! stable string: the whole pipeline runs on virtual time, so two runs on the
+//! same machine model produce byte-identical output (`tests/figure_smoke.rs` and
 //! `tools/check.sh` rely on this to validate `BENCH_pr2.json`).
 
 use crate::figures::System;
+use crate::Export;
 use runtimes::AppProfile;
-use sandbox::{BootCtx, SandboxError};
+use sandbox::BootCtx;
 use serde::{Deserialize, Serialize};
 use simtime::{CostModel, LatencyHistogram, SimNanos, Span};
-
-/// Schema tag so downstream tooling can reject stale files.
-pub const SCHEMA: &str = "catalyzer-bench/pr2-v1";
 
 /// Boots per engine/profile pair — enough to fill every histogram bucket
 /// the deterministic latencies land in.
@@ -61,7 +59,7 @@ pub struct PhaseTotal {
 /// The whole `BENCH_pr2.json` document.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BenchExport {
-    /// Format tag ([`SCHEMA`]).
+    /// Format tag ([`Export::SCHEMA`]).
     pub schema: String,
     /// Machine model the latencies were simulated on.
     pub machine: String,
@@ -82,60 +80,6 @@ fn profile_set() -> Vec<AppProfile> {
     ]
 }
 
-/// Runs the full export: every Fig. 11 engine × the profile set ×
-/// [`BOOTS_PER_PROFILE`] boots.
-///
-/// # Errors
-///
-/// Engine errors.
-pub fn generate(model: &CostModel) -> Result<BenchExport, SandboxError> {
-    let profiles = profile_set();
-    let mut engines = Vec::new();
-    for system in &mut System::fig11_lineup() {
-        let engine = system.as_engine();
-        let mut histogram = LatencyHistogram::new();
-        let mut reference: Option<(String, Span)> = None;
-        for profile in &profiles {
-            for _ in 0..BOOTS_PER_PROFILE {
-                let mut ctx = BootCtx::fresh(model);
-                let outcome = engine.boot(profile, &mut ctx)?;
-                histogram.record(outcome.boot_latency);
-                if reference.is_none() {
-                    reference = Some((outcome.system.to_string(), outcome.trace));
-                }
-            }
-        }
-        let (system_name, trace) = reference.expect("profile set is non-empty");
-        let phases = trace
-            .to_breakdown()
-            .iter()
-            .map(|(phase, total)| PhaseTotal {
-                phase: phase.to_string(),
-                total,
-            })
-            .collect();
-        engines.push(EngineExport {
-            system: system_name,
-            boots: histogram.count(),
-            p50: histogram.p50().unwrap_or(SimNanos::ZERO),
-            p90: histogram.p90().unwrap_or(SimNanos::ZERO),
-            p99: histogram.p99().unwrap_or(SimNanos::ZERO),
-            min: histogram.min().unwrap_or(SimNanos::ZERO),
-            max: histogram.max().unwrap_or(SimNanos::ZERO),
-            phases,
-            self_time: trace.self_time(),
-            total: trace.duration(),
-            trace,
-        });
-    }
-    Ok(BenchExport {
-        schema: SCHEMA.to_string(),
-        machine: model.machine.label().to_string(),
-        profiles: profiles.into_iter().map(|p| p.name).collect(),
-        engines,
-    })
-}
-
 /// The Fig. 11 systems every export must cover.
 pub const REQUIRED_SYSTEMS: &[&str] = &[
     "HyperContainer",
@@ -148,67 +92,101 @@ pub const REQUIRED_SYSTEMS: &[&str] = &[
     "Catalyzer-sfork",
 ];
 
-/// Validates an export's internal consistency: schema tag, full engine
-/// coverage, monotone span nesting, non-empty histograms, and per-phase
-/// attribution summing exactly to the boot total.
-///
-/// # Errors
-///
-/// A description of the first violated invariant.
-pub fn validate(export: &BenchExport) -> Result<(), String> {
-    if export.schema != SCHEMA {
-        return Err(format!(
-            "schema mismatch: {} (expected {SCHEMA})",
-            export.schema
-        ));
-    }
-    for required in REQUIRED_SYSTEMS {
-        if !export.engines.iter().any(|e| e.system == *required) {
-            return Err(format!("engine missing from export: {required}"));
-        }
-    }
-    for engine in &export.engines {
-        let name = &engine.system;
-        if engine.boots == 0 {
-            return Err(format!("{name}: empty histogram"));
-        }
-        if engine.p50 > engine.p90 || engine.p90 > engine.p99 {
-            return Err(format!("{name}: non-monotone quantiles"));
-        }
-        if engine.min > engine.max {
-            return Err(format!("{name}: min > max"));
-        }
-        engine
-            .trace
-            .validate_nesting()
-            .map_err(|e| format!("{name}: {e}"))?;
-        if engine.trace.name != sandbox::SPAN_BOOT {
-            return Err(format!("{name}: root span is '{}'", engine.trace.name));
-        }
-        let phase_sum: SimNanos = engine.phases.iter().map(|p| p.total).sum();
-        if phase_sum.saturating_add(engine.self_time) != engine.total {
-            return Err(format!(
-                "{name}: phases {phase_sum} + self {} != total {}",
-                engine.self_time, engine.total
-            ));
-        }
-        if engine.total != engine.trace.duration() {
-            return Err(format!("{name}: total != trace duration"));
-        }
-    }
-    Ok(())
-}
-
-impl crate::Export for BenchExport {
+impl Export for BenchExport {
     const COMMAND: &'static str = "export";
     const DEFAULT_PATH: &'static str = "BENCH_pr2.json";
+    const SCHEMA: &'static str = "catalyzer-bench/pr2-v1";
 
+    /// Runs the full export: every Fig. 11 engine × the profile set ×
+    /// [`BOOTS_PER_PROFILE`] boots.
     fn generate(model: &CostModel) -> Result<Self, Box<dyn std::error::Error>> {
-        Ok(generate(model)?)
+        let profiles = profile_set();
+        let mut engines = Vec::new();
+        for system in &mut System::fig11_lineup() {
+            let engine = system.as_engine();
+            let mut histogram = LatencyHistogram::new();
+            let mut reference: Option<(String, Span)> = None;
+            for profile in &profiles {
+                for _ in 0..BOOTS_PER_PROFILE {
+                    let mut ctx = BootCtx::fresh(model);
+                    let outcome = engine.boot(profile, &mut ctx)?;
+                    histogram.record(outcome.boot_latency);
+                    if reference.is_none() {
+                        reference = Some((outcome.system.to_string(), outcome.trace));
+                    }
+                }
+            }
+            let (system_name, trace) = reference.expect("profile set is non-empty");
+            let phases = trace
+                .to_breakdown()
+                .iter()
+                .map(|(phase, total)| PhaseTotal {
+                    phase: phase.to_string(),
+                    total,
+                })
+                .collect();
+            engines.push(EngineExport {
+                system: system_name,
+                boots: histogram.count(),
+                p50: histogram.p50().unwrap_or(SimNanos::ZERO),
+                p90: histogram.p90().unwrap_or(SimNanos::ZERO),
+                p99: histogram.p99().unwrap_or(SimNanos::ZERO),
+                min: histogram.min().unwrap_or(SimNanos::ZERO),
+                max: histogram.max().unwrap_or(SimNanos::ZERO),
+                phases,
+                self_time: trace.self_time(),
+                total: trace.duration(),
+                trace,
+            });
+        }
+        Ok(Self {
+            schema: Self::SCHEMA.to_string(),
+            machine: model.machine.label().to_string(),
+            profiles: profiles.into_iter().map(|p| p.name).collect(),
+            engines,
+        })
     }
 
+    /// Validates an export's internal consistency: schema tag, full engine
+    /// coverage, monotone span nesting, non-empty histograms, and per-phase
+    /// attribution summing exactly to the boot total.
     fn validate(&self) -> Result<(), String> {
-        validate(self)
+        Self::check_schema(&self.schema)?;
+        for required in REQUIRED_SYSTEMS {
+            if !self.engines.iter().any(|e| e.system == *required) {
+                return Err(format!("engine missing from export: {required}"));
+            }
+        }
+        for engine in &self.engines {
+            let name = &engine.system;
+            if engine.boots == 0 {
+                return Err(format!("{name}: empty histogram"));
+            }
+            if engine.p50 > engine.p90 || engine.p90 > engine.p99 {
+                return Err(format!("{name}: non-monotone quantiles"));
+            }
+            if engine.min > engine.max {
+                return Err(format!("{name}: min > max"));
+            }
+            engine
+                .trace
+                .validate_nesting()
+                .map_err(|e| format!("{name}: {e}"))?;
+            if engine.trace.name != sandbox::SPAN_BOOT {
+                return Err(format!("{name}: root span is '{}'", engine.trace.name));
+            }
+            let phase_sum: SimNanos = engine.phases.iter().map(|p| p.total).sum();
+            if phase_sum.saturating_add(engine.self_time) != engine.total {
+                return Err(format!(
+                    "{name}: phases {phase_sum} + self {} != total {}",
+                    engine.self_time, engine.total
+                ));
+            }
+            if engine.total != engine.trace.duration() {
+                return Err(format!("{name}: total != trace duration"));
+            }
+        }
+        Ok(())
     }
 
     fn summary(&self) -> String {
@@ -221,33 +199,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn export_is_valid_and_deterministic() {
-        let model = CostModel::experimental_machine();
-        let a = generate(&model).unwrap();
-        validate(&a).unwrap();
-        let b = generate(&model).unwrap();
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap()
-        );
-    }
-
-    #[test]
-    fn export_roundtrips_through_json() {
-        let model = CostModel::experimental_machine();
-        let export = generate(&model).unwrap();
-        let text = serde_json::to_string(&export).unwrap();
-        let back = serde_json::from_str::<BenchExport>(&text).unwrap();
-        validate(&back).unwrap();
-        assert_eq!(serde_json::to_string(&back).unwrap(), text);
-    }
-
-    #[test]
     fn validate_rejects_missing_engine() {
         let model = CostModel::experimental_machine();
-        let mut export = generate(&model).unwrap();
+        let mut export = BenchExport::generate(&model).unwrap();
         export.engines.retain(|e| e.system != "Catalyzer-sfork");
-        let err = validate(&export).unwrap_err();
+        let err = export.validate().unwrap_err();
         assert!(err.contains("Catalyzer-sfork"), "{err}");
     }
 }

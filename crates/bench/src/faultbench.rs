@@ -1,7 +1,7 @@
 //! Deterministic JSON export of the fault-injection sweep (`repro faults`).
 //!
-//! `generate` drives a [`Gateway`] over the Catalyzer fork-boot ladder
-//! through a fault-rate × resilience-policy grid plus one fault *storm*
+//! [`FaultBenchExport`]'s `generate` drives a [`Gateway`] over the
+//! Catalyzer fork-boot ladder through a fault-rate × resilience-policy grid plus one fault *storm*
 //! (every consultation inside a virtual-time window faults), and records
 //! what each policy salvages: availability, degraded-success counts,
 //! latency quantiles, per-point fault counts, fallback distribution, and
@@ -10,6 +10,7 @@
 //! `tools/check.sh` relies on this to validate `BENCH_pr3.json` the same
 //! way it gates `BENCH_pr2.json`.
 
+use crate::Export;
 use catalyzer::{BootMode, CatalyzerEngine};
 use faultsim::{FaultPlan, InjectionPoint};
 use platform::{Gateway, InvokeRequest, ResiliencePolicy};
@@ -17,9 +18,6 @@ use runtimes::AppProfile;
 use serde::{Deserialize, Serialize};
 use simtime::names;
 use simtime::{CostModel, LatencyHistogram, SimNanos};
-
-/// Schema tag so downstream tooling can reject stale files.
-pub const SCHEMA: &str = "catalyzer-bench/pr3-v1";
 
 /// Seed every cell's [`FaultPlan`] is built from.
 pub const SEED: u64 = 0xFA17;
@@ -114,7 +112,7 @@ pub struct StormCell {
 /// The whole `BENCH_pr3.json` document.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FaultBenchExport {
-    /// Format tag ([`SCHEMA`]).
+    /// Format tag ([`Export::SCHEMA`]).
     pub schema: String,
     /// Machine model the latencies were simulated on.
     pub machine: String,
@@ -263,127 +261,111 @@ fn run_storm(model: &CostModel) -> StormCell {
     }
 }
 
-/// Runs the full sweep: [`RATES`] × the policy lineup plus the storm.
-pub fn generate(model: &CostModel) -> FaultBenchExport {
-    let policies = policy_lineup();
-    let mut cells = Vec::new();
-    for &rate in RATES {
-        for &policy in &policies {
-            cells.push(run_cell(rate, policy, model));
-        }
-    }
-    FaultBenchExport {
-        schema: SCHEMA.to_string(),
-        machine: model.machine.label().to_string(),
-        function: AppProfile::c_hello().name,
-        seed: SEED,
-        requests_per_cell: REQUESTS_PER_CELL,
-        rates: RATES.to_vec(),
-        policies: policies.iter().map(|p| p.label().to_string()).collect(),
-        cells,
-        storm: run_storm(model),
-    }
-}
-
-/// Validates an export's internal consistency: schema tag, full grid
-/// coverage, count arithmetic, and the resilience claims the sweep exists
-/// to demonstrate — zero-rate and retry+fallback rows keep availability at
-/// 1.0, the no-recovery baseline actually loses requests, and degraded
-/// successes pay a nonzero, accounted recovery latency.
-///
-/// # Errors
-///
-/// A description of the first violated invariant.
-pub fn validate(export: &FaultBenchExport) -> Result<(), String> {
-    if export.schema != SCHEMA {
-        return Err(format!(
-            "schema mismatch: {} (expected {SCHEMA})",
-            export.schema
-        ));
-    }
-    if export.cells.len() != export.rates.len() * export.policies.len() {
-        return Err(format!(
-            "grid incomplete: {} cells for {} rates x {} policies",
-            export.cells.len(),
-            export.rates.len(),
-            export.policies.len()
-        ));
-    }
-    for cell in &export.cells {
-        let tag = format!("cell rate={} policy={}", cell.rate, cell.policy);
-        if !export.policies.contains(&cell.policy) {
-            return Err(format!("{tag}: unknown policy"));
-        }
-        if cell.requests == 0 {
-            return Err(format!("{tag}: empty cell"));
-        }
-        if cell.ok + cell.failed != cell.requests {
-            return Err(format!("{tag}: ok + failed != requests"));
-        }
-        if cell.degraded > cell.ok {
-            return Err(format!("{tag}: more degraded than ok"));
-        }
-        let availability = cell.ok as f64 / cell.requests as f64;
-        if (cell.availability - availability).abs() > 1e-12 {
-            return Err(format!("{tag}: availability != ok/requests"));
-        }
-        let fired: u64 = cell.faults.iter().map(|p| p.fired).sum();
-        if cell.rate == 0.0 {
-            // A zero plan must be invisible: nothing fires, nothing degrades.
-            if cell.availability != 1.0 || cell.degraded != 0 || fired != 0 {
-                return Err(format!("{tag}: zero-rate cell saw faults"));
-            }
-        } else {
-            if fired == 0 {
-                return Err(format!("{tag}: nonzero rate never fired"));
-            }
-            match cell.policy.as_str() {
-                // The sweep's headline: the full ladder answers everything...
-                "retry+fallback" => {
-                    if cell.availability != 1.0 {
-                        return Err(format!("{tag}: ladder dropped requests"));
-                    }
-                    if cell.degraded == 0 {
-                        return Err(format!("{tag}: faults fired but nothing degraded"));
-                    }
-                    if cell.recovery_p99.is_zero() {
-                        return Err(format!("{tag}: degraded success with free recovery"));
-                    }
-                }
-                // ...while no recovery at all visibly loses requests.
-                "none" if cell.failed == 0 => {
-                    return Err(format!("{tag}: no-recovery baseline never failed"));
-                }
-                _ => {}
-            }
-        }
-    }
-    let storm = &export.storm;
-    if storm.ok + storm.failed != storm.requests {
-        return Err("storm: ok + failed != requests".to_string());
-    }
-    if storm.availability != 1.0 {
-        return Err("storm: recovery must ride out the storm window".to_string());
-    }
-    if storm.degraded != storm.requests {
-        return Err("storm: every request must hit the storm".to_string());
-    }
-    if storm.p99 <= storm.p99_quiet {
-        return Err("storm: recovery cost must show in the p99".to_string());
-    }
-    Ok(())
-}
-
-impl crate::Export for FaultBenchExport {
+impl Export for FaultBenchExport {
     const COMMAND: &'static str = "faults";
     const DEFAULT_PATH: &'static str = "BENCH_pr3.json";
+    const SCHEMA: &'static str = "catalyzer-bench/pr3-v1";
 
+    /// Runs the full sweep: [`RATES`] × the policy lineup plus the storm.
     fn generate(model: &CostModel) -> Result<Self, Box<dyn std::error::Error>> {
-        Ok(generate(model))
+        let policies = policy_lineup();
+        let mut cells = Vec::new();
+        for &rate in RATES {
+            for &policy in &policies {
+                cells.push(run_cell(rate, policy, model));
+            }
+        }
+        Ok(Self {
+            schema: Self::SCHEMA.to_string(),
+            machine: model.machine.label().to_string(),
+            function: AppProfile::c_hello().name,
+            seed: SEED,
+            requests_per_cell: REQUESTS_PER_CELL,
+            rates: RATES.to_vec(),
+            policies: policies.iter().map(|p| p.label().to_string()).collect(),
+            cells,
+            storm: run_storm(model),
+        })
     }
 
+    /// Validates an export's internal consistency: schema tag, full grid
+    /// coverage, count arithmetic, and the resilience claims the sweep exists
+    /// to demonstrate — zero-rate and retry+fallback rows keep availability at
+    /// 1.0, the no-recovery baseline actually loses requests, and degraded
+    /// successes pay a nonzero, accounted recovery latency.
     fn validate(&self) -> Result<(), String> {
-        validate(self)
+        Self::check_schema(&self.schema)?;
+        if self.cells.len() != self.rates.len() * self.policies.len() {
+            return Err(format!(
+                "grid incomplete: {} cells for {} rates x {} policies",
+                self.cells.len(),
+                self.rates.len(),
+                self.policies.len()
+            ));
+        }
+        for cell in &self.cells {
+            let tag = format!("cell rate={} policy={}", cell.rate, cell.policy);
+            if !self.policies.contains(&cell.policy) {
+                return Err(format!("{tag}: unknown policy"));
+            }
+            if cell.requests == 0 {
+                return Err(format!("{tag}: empty cell"));
+            }
+            if cell.ok + cell.failed != cell.requests {
+                return Err(format!("{tag}: ok + failed != requests"));
+            }
+            if cell.degraded > cell.ok {
+                return Err(format!("{tag}: more degraded than ok"));
+            }
+            let availability = cell.ok as f64 / cell.requests as f64;
+            if (cell.availability - availability).abs() > 1e-12 {
+                return Err(format!("{tag}: availability != ok/requests"));
+            }
+            let fired: u64 = cell.faults.iter().map(|p| p.fired).sum();
+            if cell.rate == 0.0 {
+                // A zero plan must be invisible: nothing fires, nothing degrades.
+                if cell.availability != 1.0 || cell.degraded != 0 || fired != 0 {
+                    return Err(format!("{tag}: zero-rate cell saw faults"));
+                }
+            } else {
+                if fired == 0 {
+                    return Err(format!("{tag}: nonzero rate never fired"));
+                }
+                match cell.policy.as_str() {
+                    // The sweep's headline: the full ladder answers everything...
+                    "retry+fallback" => {
+                        if cell.availability != 1.0 {
+                            return Err(format!("{tag}: ladder dropped requests"));
+                        }
+                        if cell.degraded == 0 {
+                            return Err(format!("{tag}: faults fired but nothing degraded"));
+                        }
+                        if cell.recovery_p99.is_zero() {
+                            return Err(format!("{tag}: degraded success with free recovery"));
+                        }
+                    }
+                    // ...while no recovery at all visibly loses requests.
+                    "none" if cell.failed == 0 => {
+                        return Err(format!("{tag}: no-recovery baseline never failed"));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let storm = &self.storm;
+        if storm.ok + storm.failed != storm.requests {
+            return Err("storm: ok + failed != requests".to_string());
+        }
+        if storm.availability != 1.0 {
+            return Err("storm: recovery must ride out the storm window".to_string());
+        }
+        if storm.degraded != storm.requests {
+            return Err("storm: every request must hit the storm".to_string());
+        }
+        if storm.p99 <= storm.p99_quiet {
+            return Err("storm: recovery cost must show in the p99".to_string());
+        }
+        Ok(())
     }
 
     fn summary(&self) -> String {
@@ -396,31 +378,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn export_is_valid_and_deterministic() {
-        let model = CostModel::experimental_machine();
-        let a = generate(&model);
-        validate(&a).unwrap();
-        let b = generate(&model);
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap()
-        );
-    }
-
-    #[test]
-    fn export_roundtrips_through_json() {
-        let model = CostModel::experimental_machine();
-        let export = generate(&model);
-        let text = serde_json::to_string(&export).unwrap();
-        let back = serde_json::from_str::<FaultBenchExport>(&text).unwrap();
-        validate(&back).unwrap();
-        assert_eq!(serde_json::to_string(&back).unwrap(), text);
-    }
-
-    #[test]
     fn validate_rejects_a_dropped_request_under_the_full_ladder() {
         let model = CostModel::experimental_machine();
-        let mut export = generate(&model);
+        let mut export = FaultBenchExport::generate(&model).unwrap();
         let cell = export
             .cells
             .iter_mut()
@@ -429,7 +389,7 @@ mod tests {
         cell.ok -= 1;
         cell.failed += 1;
         cell.availability = cell.ok as f64 / cell.requests as f64;
-        let err = validate(&export).unwrap_err();
+        let err = export.validate().unwrap_err();
         assert!(err.contains("ladder dropped"), "{err}");
     }
 }

@@ -1,6 +1,6 @@
 //! Deterministic JSON export of the fleet density grid (`repro fleet`).
 //!
-//! `generate` drives the open-loop event engine
+//! [`FleetBenchExport`]'s `generate` drives the open-loop event engine
 //! ([`platform::Simulation::run_fleet`]) through a density ladder that
 //! extends Figure 15 past its 1 000-instance ceiling: each cell fires a
 //! flash-crowd burst (all arrivals inside a window shorter than one cold
@@ -18,6 +18,7 @@
 //! `tools/check.sh` validates `BENCH_pr7.json` the same way it gates the
 //! pr2–pr4 exports.
 
+use crate::Export;
 use platform::simulate::fleet::{FleetOutcome, Quantiles};
 use platform::simulate::TraceRequest;
 use platform::{PlatformError, Simulation};
@@ -25,9 +26,6 @@ use serde::{Deserialize, Serialize};
 use simtime::{CostModel, SimNanos};
 use workloads::catalogue;
 use workloads::generator::{open_loop, Arrivals, Popularity, TraceSpec};
-
-/// Schema tag so downstream tooling can reject stale files.
-pub const SCHEMA: &str = "catalyzer-bench/pr7-v1";
 
 /// Seed for both the synthetic catalogue and the per-cell traces.
 pub const SEED: u64 = 0x0F1E_E701;
@@ -107,7 +105,7 @@ pub struct FleetCell {
 /// The whole `BENCH_pr7.json` document.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FleetBenchExport {
-    /// Format tag ([`SCHEMA`]).
+    /// Format tag ([`Export::SCHEMA`]).
     pub schema: String,
     /// Machine model the latencies were simulated on.
     pub machine: String,
@@ -177,114 +175,98 @@ fn cell_trace(burst: usize) -> Vec<TraceRequest> {
         .collect()
 }
 
-/// Runs the density ladder.
-///
-/// # Errors
-///
-/// Propagates [`PlatformError`] from the engine (none in practice: the
-/// generated traces are valid by construction).
-pub fn generate(model: &CostModel) -> Result<FleetBenchExport, PlatformError> {
-    let mut cells = Vec::new();
-    for (label, burst) in LADDER {
-        let trace = cell_trace(burst);
-        let outcome = Simulation::new(catalogue::synthetic(FUNCTIONS, SEED))
-            .with_model(model.clone())
-            .with_keep_alive(KEEP_ALIVE)
-            .with_max_idle(MAX_IDLE)
-            .run_fleet(&trace)?;
-        cells.push(cell_row(label, burst, trace.len(), &outcome));
-    }
-    Ok(FleetBenchExport {
-        schema: SCHEMA.to_string(),
-        machine: model.machine.label().to_string(),
-        seed: SEED,
-        functions: u64::try_from(FUNCTIONS).unwrap_or(u64::MAX),
-        zipf_exponent: ZIPF_EXPONENT,
-        keep_alive: KEEP_ALIVE,
-        max_idle: u64::try_from(MAX_IDLE).unwrap_or(u64::MAX),
-        base_rate_hz: BASE_RATE_HZ,
-        burst_width: BURST_WIDTH,
-        cells,
-    })
+/// Runs one rung: `burst` over the baseline, on a fresh fleet.
+fn run_cell(model: &CostModel, label: &str, burst: usize) -> Result<FleetCell, PlatformError> {
+    let trace = cell_trace(burst);
+    let outcome = Simulation::new(catalogue::synthetic(FUNCTIONS, SEED))
+        .with_model(model.clone())
+        .with_keep_alive(KEEP_ALIVE)
+        .with_max_idle(MAX_IDLE)
+        .run_fleet(&trace)?;
+    Ok(cell_row(label, burst, trace.len(), &outcome))
 }
 
-/// Validates an export's internal consistency: schema tag, the full
-/// ascending ladder, count arithmetic per cell, and the density claims the
-/// grid exists to demonstrate — every cell's peak reaches its burst size,
-/// density climbs monotonically, the top rung clears 10^5 concurrent
-/// instances, and warm reuse plus keep-alive expiry stay exercised at
-/// every scale.
-///
-/// # Errors
-///
-/// A description of the first violated invariant.
-pub fn validate(export: &FleetBenchExport) -> Result<(), String> {
-    if export.schema != SCHEMA {
-        return Err(format!(
-            "schema mismatch: {} (expected {SCHEMA})",
-            export.schema
-        ));
-    }
-    if export.cells.len() != LADDER.len() {
-        return Err(format!(
-            "ladder incomplete: {} cells (expected {})",
-            export.cells.len(),
-            LADDER.len()
-        ));
-    }
-    let mut prev_peak = 0u64;
-    for cell in &export.cells {
-        let tag = format!("cell {}", cell.label);
-        if cell.requests == 0 {
-            return Err(format!("{tag}: empty cell"));
-        }
-        if cell.completed + cell.shed != cell.requests {
-            return Err(format!("{tag}: completed + shed != requests"));
-        }
-        if cell.shed != 0 {
-            return Err(format!("{tag}: shed without an admission cap"));
-        }
-        if cell.cold_boots + cell.reuses != cell.completed {
-            return Err(format!("{tag}: cold_boots + reuses != completed"));
-        }
-        if cell.peak_instances < cell.burst {
-            return Err(format!(
-                "{tag}: peak {} never reached the {}-instance burst",
-                cell.peak_instances, cell.burst
-            ));
-        }
-        if cell.peak_instances <= prev_peak {
-            return Err(format!("{tag}: density ladder is not ascending"));
-        }
-        prev_peak = cell.peak_instances;
-        if cell.reuses == 0 || cell.expirations == 0 {
-            return Err(format!("{tag}: baseline reuse/expiry went unexercised"));
-        }
-        if cell.startup.count != cell.completed || cell.end_to_end.count != cell.completed {
-            return Err(format!("{tag}: latency samples != completions"));
-        }
-        if cell.end_to_end.max < cell.startup.max || cell.horizon < cell.end_to_end.max {
-            return Err(format!("{tag}: latency ordering violated"));
-        }
-    }
-    if prev_peak < 100_000 {
-        return Err(format!(
-            "top rung peaks at {prev_peak} instances — the grid never left Figure 15's regime"
-        ));
-    }
-    Ok(())
-}
-
-impl crate::Export for FleetBenchExport {
+impl Export for FleetBenchExport {
     const COMMAND: &'static str = "fleet";
     const DEFAULT_PATH: &'static str = "BENCH_pr7.json";
+    const SCHEMA: &'static str = "catalyzer-bench/pr7-v1";
 
+    /// Runs the density ladder.
     fn generate(model: &CostModel) -> Result<Self, Box<dyn std::error::Error>> {
-        Ok(generate(model)?)
+        let mut cells = Vec::new();
+        for (label, burst) in LADDER {
+            cells.push(run_cell(model, label, burst)?);
+        }
+        Ok(Self {
+            schema: Self::SCHEMA.to_string(),
+            machine: model.machine.label().to_string(),
+            seed: SEED,
+            functions: u64::try_from(FUNCTIONS).unwrap_or(u64::MAX),
+            zipf_exponent: ZIPF_EXPONENT,
+            keep_alive: KEEP_ALIVE,
+            max_idle: u64::try_from(MAX_IDLE).unwrap_or(u64::MAX),
+            base_rate_hz: BASE_RATE_HZ,
+            burst_width: BURST_WIDTH,
+            cells,
+        })
     }
 
+    /// Validates an export's internal consistency: schema tag, the full
+    /// ascending ladder, count arithmetic per cell, and the density claims the
+    /// grid exists to demonstrate — every cell's peak reaches its burst size,
+    /// density climbs monotonically, the top rung clears 10^5 concurrent
+    /// instances, and warm reuse plus keep-alive expiry stay exercised at
+    /// every scale.
     fn validate(&self) -> Result<(), String> {
-        validate(self)
+        Self::check_schema(&self.schema)?;
+        if self.cells.len() != LADDER.len() {
+            return Err(format!(
+                "ladder incomplete: {} cells (expected {})",
+                self.cells.len(),
+                LADDER.len()
+            ));
+        }
+        let mut prev_peak = 0u64;
+        for cell in &self.cells {
+            let tag = format!("cell {}", cell.label);
+            if cell.requests == 0 {
+                return Err(format!("{tag}: empty cell"));
+            }
+            if cell.completed + cell.shed != cell.requests {
+                return Err(format!("{tag}: completed + shed != requests"));
+            }
+            if cell.shed != 0 {
+                return Err(format!("{tag}: shed without an admission cap"));
+            }
+            if cell.cold_boots + cell.reuses != cell.completed {
+                return Err(format!("{tag}: cold_boots + reuses != completed"));
+            }
+            if cell.peak_instances < cell.burst {
+                return Err(format!(
+                    "{tag}: peak {} never reached the {}-instance burst",
+                    cell.peak_instances, cell.burst
+                ));
+            }
+            if cell.peak_instances <= prev_peak {
+                return Err(format!("{tag}: density ladder is not ascending"));
+            }
+            prev_peak = cell.peak_instances;
+            if cell.reuses == 0 || cell.expirations == 0 {
+                return Err(format!("{tag}: baseline reuse/expiry went unexercised"));
+            }
+            if cell.startup.count != cell.completed || cell.end_to_end.count != cell.completed {
+                return Err(format!("{tag}: latency samples != completions"));
+            }
+            if cell.end_to_end.max < cell.startup.max || cell.horizon < cell.end_to_end.max {
+                return Err(format!("{tag}: latency ordering violated"));
+            }
+        }
+        if prev_peak < 100_000 {
+            return Err(format!(
+                "top rung peaks at {prev_peak} instances — the grid never left Figure 15's regime"
+            ));
+        }
+        Ok(())
     }
 
     fn summary(&self) -> String {
@@ -297,24 +279,13 @@ impl crate::Export for FleetBenchExport {
 mod tests {
     use super::*;
 
-    /// A shrunk ladder exercising the same machinery (the full 10^6 rung
+    /// A shrunk rung exercising the same machinery (the full 10^6 rung
     /// belongs to `repro fleet`, not the unit suite).
-    fn small_cell(burst: usize) -> FleetCell {
-        let model = CostModel::experimental_machine();
-        let trace = cell_trace(burst);
-        let outcome = Simulation::new(catalogue::synthetic(FUNCTIONS, SEED))
-            .with_model(model)
-            .with_keep_alive(KEEP_ALIVE)
-            .with_max_idle(MAX_IDLE)
-            .run_fleet(&trace)
-            .unwrap();
-        cell_row("test", burst, trace.len(), &outcome)
-    }
-
     #[test]
     fn burst_density_is_reached_and_deterministic() {
-        let a = small_cell(2_000);
-        let b = small_cell(2_000);
+        let model = CostModel::experimental_machine();
+        let a = run_cell(&model, "test", 2_000).unwrap();
+        let b = run_cell(&model, "test", 2_000).unwrap();
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap()
@@ -322,47 +293,5 @@ mod tests {
         assert!(a.peak_instances >= 2_000, "peak {}", a.peak_instances);
         assert_eq!(a.completed + a.shed, a.requests);
         assert!(a.reuses > 0 && a.expirations > 0);
-    }
-
-    #[test]
-    fn validate_rejects_schema_drift_and_a_flat_ladder() {
-        let cell = small_cell(1_200);
-        let mut export = FleetBenchExport {
-            schema: SCHEMA.to_string(),
-            machine: "test".to_string(),
-            seed: SEED,
-            functions: u64::try_from(FUNCTIONS).unwrap_or(u64::MAX),
-            zipf_exponent: ZIPF_EXPONENT,
-            keep_alive: KEEP_ALIVE,
-            max_idle: u64::try_from(MAX_IDLE).unwrap_or(u64::MAX),
-            base_rate_hz: BASE_RATE_HZ,
-            burst_width: BURST_WIDTH,
-            cells: vec![cell.clone(), cell.clone(), cell.clone(), cell],
-        };
-        let err = validate(&export).unwrap_err();
-        assert!(err.contains("not ascending"), "{err}");
-        export.schema = "catalyzer-bench/pr0-v0".to_string();
-        let err = validate(&export).unwrap_err();
-        assert!(err.contains("schema mismatch"), "{err}");
-    }
-
-    #[test]
-    fn export_roundtrips_through_json() {
-        let cell = small_cell(1_500);
-        let export = FleetBenchExport {
-            schema: SCHEMA.to_string(),
-            machine: "test".to_string(),
-            seed: SEED,
-            functions: u64::try_from(FUNCTIONS).unwrap_or(u64::MAX),
-            zipf_exponent: ZIPF_EXPONENT,
-            keep_alive: KEEP_ALIVE,
-            max_idle: u64::try_from(MAX_IDLE).unwrap_or(u64::MAX),
-            base_rate_hz: BASE_RATE_HZ,
-            burst_width: BURST_WIDTH,
-            cells: vec![cell],
-        };
-        let text = serde_json::to_string(&export).unwrap();
-        let back = serde_json::from_str::<FleetBenchExport>(&text).unwrap();
-        assert_eq!(serde_json::to_string(&back).unwrap(), text);
     }
 }

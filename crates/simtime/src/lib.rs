@@ -18,7 +18,7 @@
 //! - [`trace`]: nested span trees stamped with virtual time, the structured
 //!   successor to flat breakdowns.
 //! - [`metrics`]: deterministic counters, gauges, and fixed-bucket latency
-//!   histograms for the platform layer.
+//!   histograms — the workspace's one histogram type.
 //! - [`stats`]: summary statistics and CDFs used by the figure regenerators.
 //!
 //! # Example

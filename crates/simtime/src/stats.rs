@@ -1,9 +1,9 @@
 //! Summary statistics and CDFs for figure regeneration.
 //!
 //! Figure 1 of the paper is a CDF of the execution/overall-latency ratio
-//! across 14 serverless functions; Figure 16d plots per-invocation latency
-//! series with heavy tails. This module provides the small, dependency-free
-//! statistics needed to print those series.
+//! across 14 serverless functions. This module provides the small,
+//! dependency-free statistics needed to print such series; bucketed
+//! histograms are [`crate::metrics::LatencyHistogram`]'s job.
 
 use crate::SimNanos;
 
@@ -131,93 +131,6 @@ impl Cdf {
     }
 }
 
-/// A log-scale latency histogram (power-of-two buckets from 1 µs), the shape
-/// used to summarize heavy-tailed host behaviour like Fig. 16d's `dup`
-/// latencies.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-}
-
-impl Histogram {
-    const BASE_NS: u64 = 1_000; // first bucket: ≤1 µs
-    const BUCKETS: usize = 32; // up to ~4 000 s
-
-    /// An empty histogram.
-    pub fn new() -> Histogram {
-        Histogram {
-            buckets: vec![0; Self::BUCKETS],
-            count: 0,
-        }
-    }
-
-    fn bucket_of(sample: SimNanos) -> usize {
-        let ns = sample.as_nanos().max(1);
-        let ratio = ns.div_ceil(Self::BASE_NS).max(1);
-        // Smallest power of two ≥ ratio names the bucket.
-        (ratio.next_power_of_two().trailing_zeros() as usize).min(Self::BUCKETS - 1)
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, sample: SimNanos) {
-        self.buckets[Self::bucket_of(sample)] += 1;
-        self.count += 1;
-    }
-
-    /// Total samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The inclusive upper bound of bucket `i`.
-    pub fn bucket_upper(i: usize) -> SimNanos {
-        SimNanos::from_nanos(Self::BASE_NS << i)
-    }
-
-    /// Iterates non-empty buckets as `(upper bound, count)`.
-    pub fn iter(&self) -> impl Iterator<Item = (SimNanos, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (Self::bucket_upper(i), c))
-    }
-
-    /// An upper bound on the quantile `q` (the bucket boundary at or above
-    /// it). Returns `None` when empty.
-    pub fn quantile_upper(&self, q: f64) -> Option<SimNanos> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Some(Self::bucket_upper(i));
-            }
-        }
-        Some(Self::bucket_upper(Self::BUCKETS - 1))
-    }
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
-impl FromIterator<SimNanos> for Histogram {
-    fn from_iter<I: IntoIterator<Item = SimNanos>>(iter: I) -> Histogram {
-        let mut h = Histogram::new();
-        for s in iter {
-            h.record(s);
-        }
-        h
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,40 +191,5 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn cdf_rejects_nan() {
         let _ = Cdf::from_samples([f64::NAN]);
-    }
-
-    #[test]
-    fn histogram_buckets_by_powers_of_two() {
-        let mut h = Histogram::new();
-        h.record(SimNanos::from_nanos(500)); // ≤1 µs bucket
-        h.record(SimNanos::from_micros(1)); // ≤1 µs bucket
-        h.record(SimNanos::from_micros(3)); // ≤4 µs bucket
-        h.record(SimNanos::from_millis(30)); // a high bucket
-        assert_eq!(h.count(), 4);
-        let buckets: Vec<(SimNanos, u64)> = h.iter().collect();
-        assert_eq!(buckets[0], (SimNanos::from_micros(1), 2));
-        assert_eq!(buckets[1], (SimNanos::from_micros(4), 1));
-        assert!(buckets[2].0 >= SimNanos::from_millis(30));
-    }
-
-    #[test]
-    fn histogram_quantiles_capture_the_tail() {
-        // 99 fast dups + 1 burst: p50 tiny, p100 ≥ burst.
-        let h: Histogram = (0..99)
-            .map(|_| SimNanos::from_micros(1))
-            .chain(std::iter::once(SimNanos::from_millis(28)))
-            .collect();
-        assert_eq!(h.quantile_upper(0.5), Some(SimNanos::from_micros(1)));
-        assert!(h.quantile_upper(1.0).unwrap() >= SimNanos::from_millis(28));
-        assert_eq!(Histogram::new().quantile_upper(0.5), None);
-    }
-
-    #[test]
-    fn histogram_never_drops_samples() {
-        let mut h = Histogram::new();
-        h.record(SimNanos::ZERO);
-        h.record(SimNanos::MAX);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.iter().map(|(_, c)| c).sum::<u64>(), 2);
     }
 }

@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# One-shot local gate: everything CI runs, in the order it runs it.
+# The gate, local and CI alike: .github/workflows/ci.yml runs this script as
+# its one gating step, so every step, its order and the vendored-crate
+# exclude list are written here only.
 # Fails fast; run from anywhere inside the repo. Each step is timed and a
 # wall-clock summary table prints at the end — when the gate feels slow,
 # the table says which step to blame.
