@@ -99,8 +99,14 @@ impl Config {
                 "load_page".into(),
                 "load_range".into(),
                 // Fork boot (paper §4): `sfork` duplicates page *tables*
-                // and kernel bookkeeping copy-on-write. A per-page or
-                // per-buffer copy under it undoes exactly that.
+                // and kernel bookkeeping copy-on-write. This pass sees a
+                // per-page or per-buffer copy under it only when it is
+                // spelled `to_vec`/`to_owned` or is a `.clone()` of a
+                // receiver named like a buffer; a whole-table clone
+                // (`self.dentries.clone()`) it does not see. What holds
+                // the kernel tables to sharing is that they are private
+                // `Arc` fields of `GuestKernel`/`Vfs`, and the unit test
+                // `sfork_clone_and_child_drop_cost_refcounts_not_objects`.
                 "sfork".into(),
                 "sfork_clone".into(),
             ],

@@ -67,10 +67,10 @@ impl GuestKernel {
         let session_ids: Vec<u64> = self.tasks.sessions().iter().map(|_| id()).collect();
         let ns_ids: Vec<u64> = self.tasks.namespaces().iter().map(|_| id()).collect();
         let mount_ids: Vec<u64> = self.vfs.mounts().iter().map(|_| id()).collect();
-        let dentry_ids: Vec<u64> = self.dentries.iter().map(|_| id()).collect();
+        let dentry_ids: Vec<u64> = self.dentries().iter().map(|_| id()).collect();
         let timer_ids: Vec<u64> = self.timers.iter().map(|_| id()).collect();
-        let wq_ids: Vec<u64> = self.waitqueues.iter().map(|_| id()).collect();
-        let misc_ids: Vec<u64> = self.misc.iter().map(|_| id()).collect();
+        let wq_ids: Vec<u64> = self.waitqueues().iter().map(|_| id()).collect();
+        let misc_ids: Vec<u64> = self.misc().iter().map(|_| id()).collect();
         let fds: Vec<(i32, crate::vfs::FileDesc)> =
             self.vfs.iter_fds().map(|(fd, d)| (fd, d.clone())).collect();
         let file_ids: Vec<u64> = fds.iter().map(|_| id()).collect();
@@ -80,7 +80,7 @@ impl GuestKernel {
             fdslot_by_fd.insert(*fd, *slot_id);
         }
         let sock_ids: HashMap<u64, u64> = self.net.iter().map(|s| (s.id, id())).collect();
-        let epoll_ids: Vec<u64> = self.epolls.iter().map(|_| id()).collect();
+        let epoll_ids: Vec<u64> = self.epolls().iter().map(|_| id()).collect();
 
         // --- tasks + threads ---
         for task in self.tasks.tasks() {
@@ -142,7 +142,7 @@ impl GuestKernel {
             out.push(ObjRecord::new(*m_id, ObjKind::Mount, 0, vec![], p));
         }
         // --- dentries ---
-        for (d, d_id) in self.dentries.iter().zip(&dentry_ids) {
+        for (d, d_id) in self.dentries().iter().zip(&dentry_ids) {
             let mut p = Vec::new();
             varint::put_bytes(&mut p, d.path.as_bytes());
             varint::put_u64(&mut p, d.inode);
@@ -165,7 +165,7 @@ impl GuestKernel {
             out.push(ObjRecord::new(*t_id, ObjKind::Timer, 0, refs, p));
         }
         // --- wait queues ---
-        for (wq, wq_id) in self.waitqueues.iter().zip(&wq_ids) {
+        for (wq, wq_id) in self.waitqueues().iter().zip(&wq_ids) {
             let mut p = Vec::new();
             varint::put_u64(&mut p, len_u64(wq.waiters.len()));
             for w in &wq.waiters {
@@ -179,7 +179,7 @@ impl GuestKernel {
             out.push(ObjRecord::new(*wq_id, ObjKind::WaitQueue, 0, refs, p));
         }
         // --- misc runtime objects ---
-        for (blob, m_id) in self.misc.iter().zip(&misc_ids) {
+        for (blob, m_id) in self.misc().iter().zip(&misc_ids) {
             out.push(ObjRecord::new(
                 *m_id,
                 ObjKind::Misc,
@@ -217,7 +217,7 @@ impl GuestKernel {
             out.push(ObjRecord::new(sock_id, ObjKind::Socket, 0, vec![], p));
         }
         // --- epolls ---
-        for (ep, e_id) in self.epolls.iter().zip(&epoll_ids) {
+        for (ep, e_id) in self.epolls().iter().zip(&epoll_ids) {
             let mut p = Vec::new();
             varint::put_u64(&mut p, len_u64(ep.watched.len()));
             let mut refs = Vec::new();
@@ -282,6 +282,10 @@ impl GuestKernel {
         let mut tasks_by_pid: HashMap<u32, Task> = HashMap::new();
         let mut task_order: Vec<u32> = Vec::new();
         let mut restored_fds: Vec<(String, bool, u64, bool)> = Vec::new();
+        // The four shared tables are filled here and installed once below:
+        // reaching one through the kernel is an `Arc::make_mut` a push.
+        let (mut dentries, mut waitqueues, mut misc, mut epolls) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
 
         let mut non_io_objects: u64 = 0;
         for rec in records {
@@ -363,7 +367,7 @@ impl GuestKernel {
                     )?;
                     let inode = varint::get_u64(p, &mut pos).map_err(imgerr)?;
                     let parent = varint::get_u64(p, &mut pos).map_err(imgerr)?;
-                    kernel.dentries.push(Dentry {
+                    dentries.push(Dentry {
                         path,
                         inode,
                         parent: if parent == 0 {
@@ -395,10 +399,10 @@ impl GuestKernel {
                             "wq waiter",
                         )?);
                     }
-                    kernel.waitqueues.push(WaitQueue { waiters });
+                    waitqueues.push(WaitQueue { waiters });
                 }
                 ObjKind::Misc => {
-                    kernel.misc.push(rec.payload.clone());
+                    misc.push(rec.payload.clone());
                 }
                 ObjKind::File => {
                     let path =
@@ -431,12 +435,16 @@ impl GuestKernel {
                             "epoll fd",
                         )?);
                     }
-                    kernel.epolls.push(EpollInstance { watched });
+                    epolls.push(EpollInstance { watched });
                 }
                 ObjKind::MemRegion => { /* memory is restored via the EPT */ }
             }
         }
 
+        *kernel.dentries_mut() = dentries;
+        *kernel.waitqueues_mut() = waitqueues;
+        *kernel.misc_mut() = misc;
+        *kernel.epolls_mut() = epolls;
         for pid in task_order {
             let task = tasks_by_pid
                 .remove(&pid)
@@ -552,8 +560,8 @@ mod tests {
         assert_eq!(restored.net.len(), k.net.len());
         assert_eq!(restored.vfs.open_fds(), k.vfs.open_fds());
         assert_eq!(restored.vfs.mounts(), k.vfs.mounts());
-        assert_eq!(restored.dentries, k.dentries);
-        assert_eq!(restored.misc, k.misc);
+        assert_eq!(restored.dentries(), k.dentries());
+        assert_eq!(restored.misc(), k.misc());
         // Re-checkpointing yields the identical record stream.
         assert_eq!(restored.checkpoint_objects(), records);
     }

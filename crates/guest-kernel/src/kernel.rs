@@ -67,14 +67,14 @@ pub struct GuestKernel {
     pub tasks: TaskTable,
     /// The sandbox process's own (Golang) threads.
     pub sentry_threads: SentryThreads,
-    /// Dentry cache.
-    pub dentries: Vec<Dentry>,
-    /// Epoll instances.
-    pub epolls: Vec<EpollInstance>,
-    /// Wait queues.
-    pub waitqueues: Vec<WaitQueue>,
-    /// Opaque runtime objects (language runtime internals etc.).
-    pub misc: Vec<SharedBytes>,
+    // The four object tables below are shared with every `sfork` relative
+    // until one of them writes: `sfork_clone` takes one reference per table
+    // and the `*_mut` entries are the only way to a `&mut`, each through
+    // `Arc::make_mut`. Private so that rule has one home.
+    dentries: Arc<Vec<Dentry>>,
+    epolls: Arc<Vec<EpollInstance>>,
+    waitqueues: Arc<Vec<WaitQueue>>,
+    misc: Arc<Vec<SharedBytes>>,
     template_mode: bool,
     stats: KernelStats,
 }
@@ -97,10 +97,10 @@ impl GuestKernel {
             timers: TimerTable::new(),
             tasks,
             sentry_threads: SentryThreads::standard(4, 1),
-            dentries: Vec::new(),
-            epolls: Vec::new(),
-            waitqueues: Vec::new(),
-            misc: Vec::new(),
+            dentries: Arc::default(),
+            epolls: Arc::default(),
+            waitqueues: Arc::default(),
+            misc: Arc::default(),
             template_mode: false,
             stats: KernelStats::default(),
         }
@@ -115,10 +115,10 @@ impl GuestKernel {
             timers: TimerTable::new(),
             tasks: TaskTable::empty(),
             sentry_threads: SentryThreads::standard(4, 1),
-            dentries: Vec::new(),
-            epolls: Vec::new(),
-            waitqueues: Vec::new(),
-            misc: Vec::new(),
+            dentries: Arc::default(),
+            epolls: Arc::default(),
+            waitqueues: Arc::default(),
+            misc: Arc::default(),
             template_mode: false,
             stats: KernelStats::default(),
         }
@@ -137,6 +137,44 @@ impl GuestKernel {
     /// Aggregate counters.
     pub fn stats(&self) -> KernelStats {
         self.stats
+    }
+
+    /// Dentry cache.
+    pub fn dentries(&self) -> &[Dentry] {
+        &self.dentries
+    }
+
+    /// Epoll instances.
+    pub fn epolls(&self) -> &[EpollInstance] {
+        &self.epolls
+    }
+
+    /// Wait queues.
+    pub fn waitqueues(&self) -> &[WaitQueue] {
+        &self.waitqueues
+    }
+
+    /// Opaque runtime objects (language runtime internals etc.).
+    pub fn misc(&self) -> &[SharedBytes] {
+        &self.misc
+    }
+
+    /// The dentry cache for writing; copies it first if an `sfork` relative
+    /// still shares it (as do the three entries below).
+    pub(crate) fn dentries_mut(&mut self) -> &mut Vec<Dentry> {
+        Arc::make_mut(&mut self.dentries)
+    }
+
+    pub(crate) fn epolls_mut(&mut self) -> &mut Vec<EpollInstance> {
+        Arc::make_mut(&mut self.epolls)
+    }
+
+    pub(crate) fn waitqueues_mut(&mut self) -> &mut Vec<WaitQueue> {
+        Arc::make_mut(&mut self.waitqueues)
+    }
+
+    pub(crate) fn misc_mut(&mut self) -> &mut Vec<SharedBytes> {
+        Arc::make_mut(&mut self.misc)
     }
 
     /// Policy gate: dispatchers call this before executing any syscall.
@@ -204,12 +242,16 @@ impl GuestKernel {
         conns
     }
 
-    /// Duplicates the whole guest kernel for `sfork` (paper §4): the VFS is
-    /// cloned through the stateless overlay rootFS (read-only gofer fds
-    /// inherited, writable grants re-granted), every other subsystem is
-    /// duplicated verbatim — PID/USER namespaces make the child observe
-    /// identical identities — and the Sentry thread set is carried over in
-    /// its merged state for the caller to expand.
+    /// Duplicates the whole guest kernel for `sfork` (paper §4), copy-on-
+    /// write like the memory under it: the VFS goes through the stateless
+    /// overlay rootFS (read-only gofer fds inherited, writable grants
+    /// re-granted, see [`Vfs::sfork_clone`]); the dentry, epoll, wait-queue
+    /// and runtime-object tables are *shared* — one reference each, copied
+    /// by whichever relative writes first, never by one that only reads;
+    /// the small task, timer and socket tables are table-copied —
+    /// PID/USER namespaces make the child observe identical identities —
+    /// and the Sentry thread set is carried over in its merged state for
+    /// the caller to expand.
     ///
     /// Charges per-object bookkeeping for the kernel-side duplication (the
     /// memory itself is duplicated CoW by the address-space layer).
@@ -229,10 +271,10 @@ impl GuestKernel {
             timers: self.timers.clone(),
             tasks: self.tasks.clone(),
             sentry_threads: self.sentry_threads.clone(),
-            dentries: self.dentries.clone(),
-            epolls: self.epolls.clone(),
-            waitqueues: self.waitqueues.clone(),
-            misc: self.misc.clone(),
+            dentries: Arc::clone(&self.dentries),
+            epolls: Arc::clone(&self.epolls),
+            waitqueues: Arc::clone(&self.waitqueues),
+            misc: Arc::clone(&self.misc),
             template_mode: false, // children serve requests
             stats: KernelStats::default(),
         }
@@ -252,9 +294,9 @@ impl GuestKernel {
                 });
             }
         }
-        for ep in &self.epolls {
+        for ep in self.epolls() {
             for fd in &ep.watched {
-                if self.vfs.iter_fds().all(|(i, _)| i != *fd) {
+                if !self.vfs.is_open(*fd) {
                     return Err(KernelError::CorruptGraph {
                         detail: format!("epoll watches dead fd {fd}"),
                     });
@@ -328,8 +370,8 @@ mod tests {
         k.net.socket(&clock, &model);
         k.timers
             .arm(simtime::SimNanos::from_secs(1), simtime::SimNanos::ZERO, 1);
-        k.epolls.push(EpollInstance { watched: vec![fd] });
-        k.misc.push(vec![1, 2, 3].into());
+        k.epolls_mut().push(EpollInstance { watched: vec![fd] });
+        k.misc_mut().push(vec![1, 2, 3].into());
         // fd contributes 2 (File + FdSlot); socket, timer, epoll, misc 1 each.
         assert_eq!(k.object_count(), before + 6);
         assert_eq!(k.io_object_count(), 2 + 1 + 1);
@@ -362,10 +404,115 @@ mod tests {
         );
     }
 
+    /// `memsim`'s `sfork_clone_and_child_drop_cost_tables_not_pages`, one
+    /// layer up: a fork, a request and a drop touch reference counts, never
+    /// the 36 k objects behind them.
+    #[test]
+    fn sfork_clone_and_child_drop_cost_refcounts_not_objects() {
+        use crate::{GraphSpec, SyscallInvocation, SyscallRet};
+
+        let clock = SimClock::new();
+        let model = CostModel::experimental_machine();
+        let fs = Arc::new(
+            FsServer::builder("f")
+                .synthetic_tree("/lib", 16, 64)
+                .file("/app/handler.bin", vec![7u8; 64])
+                .persistent("/var/log/function.log")
+                .build(),
+        );
+        let mut tmpl = GuestKernel::boot("tmpl", fs, &clock, &model);
+        GraphSpec::sized(37_838)
+            .populate(&mut tmpl, &clock, &model)
+            .unwrap();
+        let inherited: Vec<i32> = tmpl.vfs.iter_fds().map(|(fd, _)| fd).collect();
+        // Two more descriptors: an overlay file, so the upper map has an
+        // entry to share, and a persistent grant, which a child is granted
+        // anew instead of inheriting.
+        let scratch = tmpl.vfs.create("/tmp/scratch", &clock, &model).unwrap();
+        let log = tmpl
+            .vfs
+            .open("/var/log/function.log", true, &clock, &model)
+            .unwrap();
+        assert!(tmpl.object_count() > 36_000);
+
+        let table_counts = |k: &GuestKernel| {
+            [
+                Arc::strong_count(&k.dentries),
+                Arc::strong_count(&k.epolls),
+                Arc::strong_count(&k.waitqueues),
+                Arc::strong_count(&k.misc),
+            ]
+        };
+        let shares_tables = |a: &GuestKernel, b: &GuestKernel| {
+            Arc::ptr_eq(&a.dentries, &b.dentries)
+                && Arc::ptr_eq(&a.epolls, &b.epolls)
+                && Arc::ptr_eq(&a.waitqueues, &b.waitqueues)
+                && Arc::ptr_eq(&a.misc, &b.misc)
+        };
+        let before = (table_counts(&tmpl), tmpl.vfs.share_counts());
+        assert!(before.0.iter().chain(&before.1).all(|count| *count == 1));
+
+        // The fork: one reference per table and per inherited descriptor.
+        let mut child = tmpl.sfork_clone("child", &clock, &model);
+        assert!(shares_tables(&child, &tmpl));
+        assert_eq!(table_counts(&tmpl), [2; 4]);
+        let mut shared_fds = inherited.clone();
+        shared_fds.push(scratch);
+        assert_eq!(
+            child.vfs.shared_with(&tmpl.vfs),
+            (true, true, shared_fds.clone())
+        );
+        assert!(child.vfs.is_open(log), "re-granted, not dropped");
+
+        // One request, the way `WrappedProgram::invoke_handler` issues it,
+        // and a read through an inherited descriptor on top.
+        let call = |k: &mut GuestKernel, invocation| k.syscall(invocation, &clock, &model).unwrap();
+        for (path, writable) in [("/app/handler.bin", false), ("/var/log/function.log", true)] {
+            let SyscallRet::Fd(fd) = call(&mut child, SyscallInvocation::Openat { path, writable })
+            else {
+                panic!("openat returns an fd");
+            };
+            if writable {
+                let data = b"request served\n";
+                call(&mut child, SyscallInvocation::Write { fd, data });
+            } else {
+                call(&mut child, SyscallInvocation::Read { fd, len: 32 });
+            }
+            call(&mut child, SyscallInvocation::Close { fd });
+        }
+        let sock = child.net.iter().next().unwrap().id;
+        call(&mut child, SyscallInvocation::Sendmsg { sock, bytes: 256 });
+        let fd = inherited[0];
+        call(&mut child, SyscallInvocation::Read { fd, len: 8 });
+
+        // Every table is still the template's; the one slot read through
+        // is the child's own now, and the template's offset did not move.
+        assert!(shares_tables(&child, &tmpl));
+        shared_fds.retain(|shared| *shared != fd);
+        assert_eq!(
+            child.vfs.shared_with(&tmpl.vfs),
+            (true, true, shared_fds.clone())
+        );
+        assert_eq!(tmpl.vfs.iter_fds().next().unwrap().1.offset, 0);
+
+        // An overlay write copies the upper map and that slot, nothing else.
+        let data = b"child";
+        call(&mut child, SyscallInvocation::Write { fd: scratch, data });
+        assert!(shares_tables(&child, &tmpl));
+        shared_fds.retain(|shared| *shared != scratch);
+        assert_eq!(child.vfs.shared_with(&tmpl.vfs), (false, true, shared_fds));
+        assert_eq!(child.vfs.stat("/tmp/scratch").unwrap(), 5);
+        assert_eq!(tmpl.vfs.stat("/tmp/scratch").unwrap(), 0);
+
+        // Dropping the child gives every reference back.
+        drop(child);
+        assert_eq!((table_counts(&tmpl), tmpl.vfs.share_counts()), before);
+    }
+
     #[test]
     fn validate_catches_dead_epoll_target() {
         let (_, _, mut k) = setup();
-        k.epolls.push(EpollInstance { watched: vec![42] });
+        k.epolls_mut().push(EpollInstance { watched: vec![42] });
         assert!(matches!(
             k.validate().unwrap_err(),
             KernelError::CorruptGraph { .. }

@@ -79,8 +79,9 @@ impl GraphSpec {
                 kernel.tasks.spawn_thread(pid, clock, model)?;
             }
         }
+        let dentries = kernel.dentries_mut();
         for i in 0..self.dentries {
-            kernel.dentries.push(Dentry {
+            dentries.push(Dentry {
                 path: format!("/proc/cache/entry-{i}"),
                 inode: 0x1000 + u64::from(i),
                 parent: if i == 0 { None } else { Some(i - 1) },
@@ -118,6 +119,7 @@ impl GraphSpec {
             .iter()
             .flat_map(|t| t.threads.iter().map(|th| th.tid))
             .collect();
+        let waitqueues = kernel.waitqueues_mut();
         for i in 0..self.waitqueues {
             let waiters = tids
                 .iter()
@@ -125,19 +127,21 @@ impl GraphSpec {
                 .take(3)
                 .copied()
                 .collect();
-            kernel.waitqueues.push(WaitQueue { waiters });
+            waitqueues.push(WaitQueue { waiters });
         }
+        let epolls = kernel.epolls_mut();
         for _ in 0..self.epolls {
-            kernel.epolls.push(EpollInstance {
+            epolls.push(EpollInstance {
                 watched: opened.first().copied().into_iter().collect(),
             });
         }
+        let misc = kernel.misc_mut();
         for i in 0..self.misc_objects {
             let mut blob = vec![0u8; self.misc_payload as usize];
             for (j, b) in blob.iter_mut().enumerate() {
                 *b = (i as usize + j) as u8;
             }
-            kernel.misc.push(blob.into());
+            misc.push(blob.into());
         }
         Ok(())
     }

@@ -4,7 +4,8 @@
 //! Each sandbox sees two file-system layers:
 //!
 //! - an **upper**, in-memory, read-write overlay private to the sandbox
-//!   (cheaply CoW-cloned across `sfork`); over
+//!   (shared copy-on-write across `sfork`: the map is copied by the first
+//!   relative that writes an overlay file, file contents never); over
 //! - the **lower**, read-only rootfs owned by the per-function
 //!   [`FsServer`] (gofer), accessed through granted
 //!   read-only descriptors that remain valid across `sfork`.
@@ -70,16 +71,20 @@ pub struct MountInfo {
 }
 
 /// The per-sandbox VFS.
+///
+/// Everything an `sfork` child inherits sits behind an [`Arc`] and is
+/// copied by the first write to it, on either side: the upper map and the
+/// mount table as wholes, file descriptions one fd slot at a time.
 #[derive(Debug)]
 pub struct Vfs {
     server: Arc<FsServer>,
     /// Upper-layer contents are held as [`SharedBytes`]: copy-up shares the
-    /// server's buffer, `sfork` clones are reference bumps, and reads
-    /// return zero-copy slices. Writes (off the restore hot path) rebuild
-    /// the buffer — classic copy-on-write.
-    upper: BTreeMap<String, SharedBytes>,
-    fds: Vec<Option<FileDesc>>,
-    mounts: Vec<MountInfo>,
+    /// server's buffer, copying the map is a reference bump per file, and
+    /// reads return zero-copy slices. Writes (off the restore hot path)
+    /// rebuild the buffer — classic copy-on-write.
+    upper: Arc<BTreeMap<String, SharedBytes>>,
+    fds: Vec<Option<Arc<FileDesc>>>,
+    mounts: Arc<Vec<MountInfo>>,
     /// Count of on-demand reconnections performed (Fig. 12 I/O accounting).
     reconnects: u64,
 }
@@ -90,13 +95,13 @@ impl Vfs {
     pub fn new(server: Arc<FsServer>) -> Vfs {
         Vfs {
             server,
-            upper: BTreeMap::new(),
+            upper: Arc::default(),
             fds: Vec::new(),
-            mounts: vec![MountInfo {
+            mounts: Arc::new(vec![MountInfo {
                 source: "rootfs".into(),
                 target: "/".into(),
                 fs_type: "overlay".into(),
-            }],
+            }]),
             reconnects: 0,
         }
     }
@@ -114,13 +119,13 @@ impl Vfs {
     /// Replaces the whole mount table (restore path; no cost — the redo cost
     /// is accounted per-object by the restore engine).
     pub fn set_mounts(&mut self, mounts: Vec<MountInfo>) {
-        self.mounts = mounts;
+        self.mounts = Arc::new(mounts);
     }
 
     /// Adds a mount, charging the mount cost.
     pub fn mount(&mut self, info: MountInfo, clock: &SimClock, model: &CostModel) {
         clock.charge(model.host.mount_fs);
-        self.mounts.push(info);
+        Arc::make_mut(&mut self.mounts).push(info);
     }
 
     /// Number of open descriptors.
@@ -133,7 +138,13 @@ impl Vfs {
         self.reconnects
     }
 
+    /// True if `fd` names an open descriptor.
+    pub fn is_open(&self, fd: i32) -> bool {
+        self.desc(fd).is_ok()
+    }
+
     fn alloc_fd(&mut self, desc: FileDesc) -> Result<i32, KernelError> {
+        let desc = Arc::new(desc);
         if let Some(i) = self.fds.iter().position(Option::is_none) {
             self.fds[i] = Some(desc);
             return Ok(i as i32);
@@ -148,14 +159,17 @@ impl Vfs {
     fn desc(&self, fd: i32) -> Result<&FileDesc, KernelError> {
         self.fds
             .get(fd as usize)
-            .and_then(Option::as_ref)
+            .and_then(Option::as_deref)
             .ok_or(KernelError::BadFd { fd })
     }
 
+    /// The description for writing: copies it first if an `sfork` relative
+    /// still shares this slot.
     fn desc_mut(&mut self, fd: i32) -> Result<&mut FileDesc, KernelError> {
         self.fds
             .get_mut(fd as usize)
             .and_then(Option::as_mut)
+            .map(Arc::make_mut)
             .ok_or(KernelError::BadFd { fd })
     }
 
@@ -203,7 +217,7 @@ impl Vfs {
             let gfd = self.server.open(path, clock, model)?;
             let len = usize::try_from(self.server.size_of(path).unwrap_or(0)).unwrap_or(usize::MAX);
             let data = self.server.read(&gfd, 0, len, clock, model)?;
-            self.upper.insert(path.to_string(), data);
+            Arc::make_mut(&mut self.upper).insert(path.to_string(), data);
             return self.alloc_fd(FileDesc {
                 path: path.into(),
                 offset: 0,
@@ -236,7 +250,7 @@ impl Vfs {
         model: &CostModel,
     ) -> Result<i32, KernelError> {
         clock.charge(model.host.syscall_base);
-        self.upper.insert(path.to_string(), SharedBytes::default());
+        Arc::make_mut(&mut self.upper).insert(path.to_string(), SharedBytes::default());
         self.alloc_fd(FileDesc {
             path: path.into(),
             offset: 0,
@@ -259,7 +273,7 @@ impl Vfs {
         clock: &SimClock,
         model: &CostModel,
     ) -> Result<(), KernelError> {
-        let desc = self.desc(fd)?.clone();
+        let desc = self.desc(fd)?;
         if desc.connected {
             return Ok(());
         }
@@ -291,7 +305,7 @@ impl Vfs {
     ) -> Result<SharedBytes, KernelError> {
         clock.charge(model.host.syscall_base);
         self.ensure_connected(fd, clock, model)?;
-        let desc = self.desc(fd)?.clone();
+        let desc = self.desc(fd)?;
         let data = match &desc.backend {
             Backend::Upper => {
                 // `cloned()` bumps a refcount; `slice()` is a zero-copy view.
@@ -330,7 +344,7 @@ impl Vfs {
     ) -> Result<usize, KernelError> {
         clock.charge(model.host.syscall_base);
         self.ensure_connected(fd, clock, model)?;
-        let desc = self.desc(fd)?.clone();
+        let desc = self.desc(fd)?;
         if !desc.writable {
             return Err(KernelError::ReadOnly { fd });
         }
@@ -338,9 +352,9 @@ impl Vfs {
             Backend::Upper => {
                 // Copy-on-write: materialize a private buffer, mutate, and
                 // store the new view.
-                let entry = self.upper.entry(desc.path.clone()).or_default();
+                let (path, off) = (desc.path.clone(), desc.offset as usize);
+                let entry = Arc::make_mut(&mut self.upper).entry(path).or_default();
                 let mut content = entry.to_vec();
-                let off = desc.offset as usize;
                 if content.len() < off + data.len() {
                     content.resize(off + data.len(), 0);
                 }
@@ -416,28 +430,39 @@ impl Vfs {
             .ok_or_else(|| KernelError::NoEntry { path: path.into() })
     }
 
-    /// Clones this VFS for `sfork`: the overlay layer and fd table are
-    /// duplicated (CoW at page granularity in a real kernel; here the upper
-    /// map is cloned and a small per-entry cost is charged), and **read-only
-    /// gofer descriptors are inherited as-is** — they stay valid because the
-    /// server content is immutable. Persistent (writable) grants are re-
-    /// granted so the child's log handle is its own.
+    /// Clones this VFS for `sfork`, copy-on-write: the child takes one
+    /// reference to the overlay map and one to the mount table (a small
+    /// per-entry bookkeeping cost is charged; the map is copied by whichever
+    /// side writes an overlay file first) and one reference per open
+    /// descriptor — **read-only gofer descriptors are inherited as-is**,
+    /// they stay valid because the server content is immutable. Persistent
+    /// (writable) grants are re-granted, into a description of the child's
+    /// own, so its log handle is its own.
     pub fn sfork_clone(&self, clock: &SimClock, model: &CostModel) -> Vfs {
-        let mut fds = self.fds.clone();
-        for slot in fds.iter_mut().flatten() {
-            if let Backend::Persistent(_) = slot.backend {
-                if let Ok(grant) = self.server.grant_persistent(&slot.path, clock, model) {
-                    slot.backend = Backend::Persistent(grant);
+        let fds = self
+            .fds
+            .iter()
+            .map(|slot| {
+                let desc = slot.as_ref()?;
+                if let Backend::Persistent(_) = desc.backend {
+                    if let Ok(grant) = self.server.grant_persistent(&desc.path, clock, model) {
+                        return Some(Arc::new(FileDesc {
+                            path: desc.path.clone(),
+                            backend: Backend::Persistent(grant),
+                            ..**desc
+                        }));
+                    }
                 }
-            }
-        }
-        // Upper-layer clone: CoW bookkeeping only.
+                Some(Arc::clone(desc))
+            })
+            .collect();
+        // Upper layer: CoW bookkeeping only.
         clock.charge(simtime::SimNanos::from_nanos(120).saturating_mul(self.upper.len() as u64));
         Vfs {
             server: Arc::clone(&self.server),
-            upper: self.upper.clone(),
+            upper: Arc::clone(&self.upper),
             fds,
-            mounts: self.mounts.clone(),
+            mounts: Arc::clone(&self.mounts),
             reconnects: 0,
         }
     }
@@ -483,12 +508,42 @@ impl Vfs {
         self.fds
             .iter()
             .enumerate()
-            .filter_map(|(i, d)| d.as_ref().map(|d| (i as i32, d)))
+            .filter_map(|(i, d)| d.as_deref().map(|d| (i as i32, d)))
     }
 
     /// Paths currently materialized in the upper overlay layer.
     pub fn upper_paths(&self) -> impl Iterator<Item = &str> {
         self.upper.keys().map(String::as_str)
+    }
+}
+
+#[cfg(test)]
+impl Vfs {
+    /// Strong counts of what `sfork_clone` shares: the upper map, the mount
+    /// table, then each open slot.
+    pub(crate) fn share_counts(&self) -> Vec<usize> {
+        [
+            Arc::strong_count(&self.upper),
+            Arc::strong_count(&self.mounts),
+        ]
+        .into_iter()
+        .chain(self.fds.iter().flatten().map(Arc::strong_count))
+        .collect()
+    }
+
+    /// What `self` still shares with `other`: the upper map, the mount
+    /// table, and which descriptors.
+    pub(crate) fn shared_with(&self, other: &Vfs) -> (bool, bool, Vec<i32>) {
+        let fds = self
+            .iter_fds()
+            .filter(|(fd, desc)| other.desc(*fd).is_ok_and(|o| std::ptr::eq(*desc, o)))
+            .map(|(fd, _)| fd)
+            .collect();
+        (
+            Arc::ptr_eq(&self.upper, &other.upper),
+            Arc::ptr_eq(&self.mounts, &other.mounts),
+            fds,
+        )
     }
 }
 

@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use guest_kernel::gofer::FsServer;
 use guest_kernel::syscalls::{SyscallClass, SyscallName};
+use guest_kernel::vfs::Backend;
 use guest_kernel::{GraphSpec, GuestKernel};
 use proptest::prelude::*;
 use simtime::{CostModel, SimClock};
@@ -131,5 +132,295 @@ proptest! {
 
         prop_assert_eq!(parent.checkpoint_objects(), before, "child leaked into parent");
         prop_assert!(parent.vfs.stat("/tmp/child-only").is_err());
+    }
+}
+
+// --- an sfork family against a deep-copy oracle ---------------------------
+//
+// `sfork_clone` shares the kernel's object tables, the overlay map and every
+// file description with the child until one side writes. The oracle shares
+// nothing: each member is shadowed by a kernel rebuilt from checkpoint
+// records over an FS server of its own, and receives the same mutations.
+
+const LOG: &str = "/var/log/x.log";
+
+#[derive(Debug, Clone)]
+enum FamilyOp {
+    Fork,
+    Drop,
+    /// Opens a lower-layer file read-only, or the log for writing, and
+    /// leaves the descriptor open.
+    Open {
+        path: usize,
+        log: bool,
+    },
+    /// Closes the highest descriptor the sequence itself opened. (Highest,
+    /// because a restore renumbers descriptors densely; the template's own
+    /// stay, because its epolls watch them.)
+    CloseLast,
+    /// Moves an open descriptor's offset: a read, or a write to the log.
+    Use {
+        pick: usize,
+        len: usize,
+    },
+    /// Creates, writes and closes an overlay file.
+    OverlayWrite {
+        file: usize,
+        val: u8,
+    },
+    /// More dentries, wait queues, epolls and runtime objects.
+    Populate {
+        counts: [u32; 4],
+    },
+    ArmTimer {
+        ms: u64,
+    },
+    Connect {
+        port: u32,
+    },
+}
+
+/// A family member (modulo the family's size) and a weighted pick of one
+/// operation on it, decoded from raw draws.
+fn family_op() -> impl Strategy<Value = (usize, FamilyOp)> {
+    (0u8..20, 0usize..8, 0usize..24, any::<u8>(), 0u32..27).prop_map(
+        |(kind, who, n, val, counts)| {
+            let op = match kind {
+                0..=2 => FamilyOp::Fork,
+                3 | 4 => FamilyOp::Drop,
+                5..=7 => FamilyOp::Open {
+                    path: n,
+                    log: val % 4 == 0,
+                },
+                8 | 9 => FamilyOp::CloseLast,
+                10..=12 => FamilyOp::Use {
+                    pick: n,
+                    len: usize::from(val % 40),
+                },
+                13..=15 => FamilyOp::OverlayWrite { file: n % 3, val },
+                16 | 17 => FamilyOp::Populate {
+                    counts: [counts % 3, counts / 3 % 3, counts / 9, u32::from(val % 3)],
+                },
+                18 => FamilyOp::ArmTimer { ms: u64::from(val) },
+                _ => FamilyOp::Connect { port: counts },
+            };
+            (who, op)
+        },
+    )
+}
+
+fn overlay_path(file: usize) -> String {
+    format!("/tmp/ov-{file}")
+}
+
+/// Applies a mutating operation to one kernel — a member and its oracle
+/// both go through here.
+fn mutate(
+    kernel: &mut GuestKernel,
+    op: &FamilyOp,
+    template_fds: usize,
+    clock: &SimClock,
+    model: &CostModel,
+) {
+    match *op {
+        FamilyOp::Fork | FamilyOp::Drop => unreachable!("family-level operations"),
+        FamilyOp::Open { path, log } => {
+            let path = if log {
+                LOG.to_string()
+            } else {
+                format!("/lib/lib{:04}.so", path % 24)
+            };
+            kernel.vfs.open(&path, log, clock, model).unwrap();
+        }
+        FamilyOp::CloseLast => {
+            if kernel.vfs.open_fds() > template_fds {
+                let (last, _) = kernel.vfs.iter_fds().last().unwrap();
+                kernel.vfs.close(last, clock, model).unwrap();
+            }
+        }
+        FamilyOp::Use { pick, len } => {
+            let open = kernel.vfs.open_fds().max(1);
+            let picked = kernel.vfs.iter_fds().nth(pick % open);
+            if let Some((fd, writable)) = picked.map(|(fd, desc)| (fd, desc.writable)) {
+                if writable {
+                    kernel.vfs.write(fd, &vec![7; len], clock, model).unwrap();
+                } else {
+                    kernel.vfs.read(fd, len, clock, model).unwrap();
+                }
+            }
+        }
+        FamilyOp::OverlayWrite { file, val } => {
+            let fd = kernel
+                .vfs
+                .create(&overlay_path(file), clock, model)
+                .unwrap();
+            kernel
+                .vfs
+                .write(fd, &[val; 3][..1 + file], clock, model)
+                .unwrap();
+            kernel.vfs.close(fd, clock, model).unwrap();
+        }
+        FamilyOp::Populate { counts } => GraphSpec {
+            dentries: counts[0],
+            waitqueues: counts[1],
+            epolls: counts[2],
+            misc_objects: counts[3],
+            misc_payload: 8,
+            ..GraphSpec::default()
+        }
+        .populate(kernel, clock, model)
+        .unwrap(),
+        FamilyOp::ArmTimer { ms } => {
+            kernel.timers.arm(
+                simtime::SimNanos::from_millis(ms),
+                simtime::SimNanos::ZERO,
+                1,
+            );
+        }
+        FamilyOp::Connect { port } => {
+            let sock = kernel.net.socket(clock, model);
+            kernel
+                .net
+                .connect(sock, &format!("10.1.0.1:{port}"), clock, model)
+                .unwrap();
+        }
+    }
+}
+
+struct Member {
+    kernel: GuestKernel,
+    /// The deep copy: shares nothing with any other kernel.
+    oracle: GuestKernel,
+    /// Overlay contents, which the record stream does not carry.
+    overlay: std::collections::BTreeMap<String, Vec<u8>>,
+}
+
+/// `of`, rebuilt from its own checkpoint over a fresh FS server.
+fn deep_copy(of: &GuestKernel, clock: &SimClock, model: &CostModel) -> GuestKernel {
+    let records = of.checkpoint_objects();
+    let mut copy =
+        GuestKernel::restore_from_records("oracle", &records, test_fs(), false, clock, model)
+            .unwrap();
+    // A restore drops the `used` hint; an empty transfer sets it again.
+    for (fd, desc) in of.vfs.iter_fds().filter(|(_, desc)| desc.used) {
+        if desc.writable {
+            copy.vfs.write(fd, &[], clock, model).unwrap();
+        } else {
+            copy.vfs.read(fd, 0, clock, model).unwrap();
+        }
+    }
+    copy
+}
+
+fn assert_family_matches(family: &[Member]) -> Result<(), TestCaseError> {
+    for member in family {
+        let records = member.kernel.checkpoint_objects();
+        prop_assert_eq!(
+            &records,
+            &member.oracle.checkpoint_objects(),
+            "{} diverged from its deep copy",
+            member.kernel.name
+        );
+        prop_assert_eq!(member.kernel.object_count(), member.oracle.object_count());
+        prop_assert_eq!(member.kernel.object_count(), records.len() as u64);
+        prop_assert!(member.kernel.validate().is_ok());
+        prop_assert!(member
+            .kernel
+            .vfs
+            .upper_paths()
+            .eq(member.overlay.keys().map(String::as_str)));
+        for (path, content) in &member.overlay {
+            prop_assert_eq!(member.kernel.vfs.stat(path).unwrap(), content.len() as u64);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Template → children → grandchildren, mutated and dropped in any
+    /// order: every member stays equal to a deep copy that received the same
+    /// mutations (so a write shows in its own records and in nobody
+    /// else's), and a fork charges what it always charged.
+    #[test]
+    fn sfork_family_matches_a_deep_copy_oracle(
+        spec in arb_spec(),
+        ops in proptest::collection::vec(family_op(), 1..80),
+    ) {
+        let clock = SimClock::new();
+        let model = CostModel::experimental_machine();
+        let mut template = GuestKernel::boot("template", test_fs(), &clock, &model);
+        spec.populate(&mut template, &clock, &model).unwrap();
+        let template_fds = template.vfs.open_fds();
+        let oracle = deep_copy(&template, &clock, &model);
+        let mut family = vec![Member { kernel: template, oracle, overlay: Default::default() }];
+        assert_family_matches(&family)?;
+        let mut forks = 0;
+
+        for (who, op) in ops {
+            let who = who % family.len();
+            match op {
+                FamilyOp::Fork => {
+                    if family.len() < 6 {
+                        forks += 1;
+                        let parent = &family[who];
+                        let persistent = parent
+                            .kernel
+                            .vfs
+                            .iter_fds()
+                            .filter(|(_, desc)| matches!(desc.backend, Backend::Persistent(_)))
+                            .count() as u64;
+                        let charge = simtime::SimNanos::from_nanos(8)
+                            .saturating_mul(parent.kernel.object_count())
+                            .saturating_add(
+                                simtime::SimNanos::from_nanos(120)
+                                    .saturating_mul(parent.overlay.len() as u64),
+                            )
+                            .saturating_add(
+                                model.io.gofer_rpc
+                                    .saturating_add(model.io.open_file)
+                                    .saturating_mul(persistent),
+                            );
+                        let fork_clock = SimClock::new();
+                        let kernel =
+                            parent.kernel.sfork_clone(format!("fork{forks}"), &fork_clock, &model);
+                        prop_assert_eq!(fork_clock.now(), charge);
+                        let child = Member {
+                            kernel,
+                            oracle: deep_copy(&parent.kernel, &clock, &model),
+                            overlay: parent.overlay.clone(),
+                        };
+                        family.push(child);
+                    }
+                }
+                FamilyOp::Drop => {
+                    // Anyone may go, the template and a parent of live
+                    // children included.
+                    if family.len() > 1 {
+                        family.remove(who);
+                    }
+                }
+                ref mutation => {
+                    let member = &mut family[who];
+                    mutate(&mut member.kernel, mutation, template_fds, &clock, &model);
+                    mutate(&mut member.oracle, mutation, template_fds, &clock, &model);
+                    if let FamilyOp::OverlayWrite { file, val } = *mutation {
+                        member.overlay.insert(overlay_path(file), vec![val; 1 + file]);
+                    }
+                }
+            }
+            assert_family_matches(&family)?;
+        }
+
+        // Whoever is left reads back exactly its own overlay.
+        for member in &mut family {
+            for (path, content) in &member.overlay {
+                let fd = member.kernel.vfs.open(path, false, &clock, &model).unwrap();
+                let got = member.kernel.vfs.read(fd, 16, &clock, &model).unwrap();
+                prop_assert_eq!(&got[..], &content[..]);
+                member.kernel.vfs.close(fd, &clock, &model).unwrap();
+            }
+        }
     }
 }
