@@ -521,7 +521,7 @@ mod tests {
             .flat
             .restore_metadata(&simtime::SimClock::new(), &model)
             .unwrap();
-        assert!(records.iter().all(|record| inside(&record.payload)));
+        assert!(records.iter().all(|record| inside(record.payload())));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use imagefmt::varint;
-use imagefmt::{ImageError, ObjKind, ObjRecord};
+use imagefmt::{ImageError, ObjKind, ObjRecord, ObjView};
 use simtime::{CostModel, SimClock};
 
 use crate::gofer::FsServer;
@@ -232,7 +232,10 @@ impl GuestKernel {
         out
     }
 
-    /// Rebuilds a kernel from checkpoint records.
+    /// Rebuilds a kernel from checkpoint records: owned ones (`&Vec<ObjRecord>`,
+    /// what a classic image decodes to and [`Self::checkpoint_objects`]
+    /// returns) or the views a func-image restore maps
+    /// (`&imagefmt::flat::RestoredRecords`) — one body reads both.
     ///
     /// Charges [`simtime::ObjectCosts::recover_per_object_non_io`] for every
     /// non-I/O object (the paper's "Recover Kernel" redo work). With
@@ -244,9 +247,9 @@ impl GuestKernel {
     ///
     /// [`KernelError::CorruptGraph`] on malformed payloads or dangling
     /// references.
-    pub fn restore_from_records(
+    pub fn restore_from_records<'a>(
         name: impl Into<String>,
-        records: &[ObjRecord],
+        records: impl IntoIterator<Item = impl Into<ObjView<'a>>>,
         fs: Arc<FsServer>,
         eager_io: bool,
         clock: &SimClock,
@@ -289,7 +292,8 @@ impl GuestKernel {
 
         let mut non_io_objects: u64 = 0;
         for rec in records {
-            let p = &rec.payload;
+            let rec: ObjView<'a> = rec.into();
+            let p = rec.payload();
             let mut pos = 0usize;
             if !rec.kind.is_io_state() {
                 non_io_objects += 1;
@@ -402,7 +406,7 @@ impl GuestKernel {
                     waitqueues.push(WaitQueue { waiters });
                 }
                 ObjKind::Misc => {
-                    misc.push(rec.payload.clone());
+                    misc.push(rec.payload_shared());
                 }
                 ObjKind::File => {
                     let path =

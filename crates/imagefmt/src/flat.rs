@@ -8,9 +8,9 @@
 //!   zeroed to a placeholder;
 //! - a **relation table** mapping `(record, pointer slot) → target object`,
 //!   used by stage 2 of separated state recovery to re-establish pointers
-//!   (entries are strictly ordered, so each patch is independent — the
-//!   reader checks it — and the clock is charged the critical path of
-//!   `parallel_workers` workers);
+//!   (one entry per pointer slot, strictly ordered, so each patch is
+//!   independent — the reader checks it — and the clock is charged the
+//!   critical path of `parallel_workers` workers);
 //! - an **I/O manifest** of connections to re-establish (lazily, §3.3);
 //! - the **application memory pages**, page-aligned so the Base-EPT can
 //!   reference them lazily without any copy.
@@ -20,25 +20,41 @@
 //! patching. This is the mechanism behind the paper's 7× "kernel loading"
 //! reduction in Figure 12.
 //!
-//! Every pointer is really patched and totality really checked, on the
-//! calling thread; only the parallel *schedule* is modelled. Spawning and
-//! joining host threads per restore cost more than splitting a few thousand
-//! `u64` writes saved, across the paper's ten profiles.
+//! The host code does the same. [`FlatImage::restore_metadata`] returns a
+//! [`RestoredRecords`]: the mapped arena, one 32-byte slot per object (its
+//! scalar fields, where its payload lies, how many pointers it has) and one
+//! pointer table — three allocations whatever the object count, none per
+//! object. Stage 2 is a single in-order pass over the relation table, whose
+//! targets *are* that pointer table: the writer emits one entry per pointer
+//! slot, `(record, slot)` strictly increasing, so "the next entry is the slot
+//! that is due" is the whole check — order, duplicates, dangling entries and
+//! uncovered slots all fail it — and the arena's own slot bytes are never
+//! read. Objects are read through borrowed [`ObjView`]s.
+//!
+//! Every pointer is really taken from the table and totality really checked,
+//! on the calling thread; only the parallel *schedule* is modelled. Spawning
+//! and joining host threads per restore cost more than splitting a few
+//! thousand `u64` writes saved, across the paper's ten profiles.
 
+use std::fmt;
 use std::sync::Arc;
 
 use memsim::{EptEntry, EptLayer, MappedImage, SharedBytes, Vpn, PAGE_SIZE, PAGE_SIZE_U64};
 use simtime::{CostModel, SimClock};
 
 use crate::crc::Crc32;
-use crate::record::REF_PLACEHOLDER;
+use crate::record::{PayloadBuf, REF_PLACEHOLDER};
 use crate::varint::{read_u16_le, read_u32_le, read_u64_le};
-use crate::{classic, crc32, CheckpointSource, ImageError, IoConn, ObjKind, ObjRecord};
+use crate::{
+    classic, crc32, CheckpointSource, ImageError, IoConn, ObjId, ObjKind, ObjRecord, ObjView,
+};
 
 const MAGIC: &[u8; 4] = b"FUNC";
 const VERSION: u32 = 1;
 /// Fixed record header: id(8) kind(2) flags(4) nrefs(2) payload_len(4).
 const REC_HEADER: usize = 20;
+/// Relation-table entry: record(4) slot(2) target(8).
+const REL_ENTRY: usize = 14;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Section {
@@ -345,21 +361,23 @@ impl FlatImage {
     }
 
     /// **Separated state recovery** (§3.2): stage 1 maps the metadata arena
-    /// (no per-object decode); stage 2 re-establishes pointer relations from
-    /// the relation table in one pass, charging the critical path of
-    /// `model.parallel_workers` modelled workers over contiguous record
-    /// chunks.
+    /// — one fixed-size slot per object saying where its fields lie, no
+    /// per-object decode or allocation; stage 2 re-establishes pointer
+    /// relations in one pass over the relation table, which *becomes* the
+    /// pointer table, charging the critical path of `model.parallel_workers`
+    /// modelled workers over contiguous record chunks.
     ///
     /// # Errors
     ///
-    /// [`ImageError`] on corrupt sections, malformed records, relation
-    /// entries that are dangling, duplicated or out of order, or placeholders
-    /// left unpatched.
+    /// [`ImageError`] on corrupt sections, malformed records, or a relation
+    /// table that does not cover every pointer slot exactly once, in order:
+    /// [`ImageError::BadRelation`] names the first slot left uncovered, or the
+    /// entry before it that is dangling, duplicated or out of order.
     pub fn restore_metadata(
         &self,
         clock: &SimClock,
         model: &CostModel,
-    ) -> Result<Vec<ObjRecord>, ImageError> {
+    ) -> Result<RestoredRecords, ImageError> {
         // Stage 1: map.
         let index = self.section_bytes(self.sections.meta_index, "meta index", clock, model)?;
         let arena = self.section_bytes(self.sections.meta_arena, "meta arena", clock, model)?;
@@ -375,62 +393,65 @@ impl FlatImage {
             return Err(ImageError::Truncated { what: "meta index" });
         }
         // Bounded by the (already size-checked) index section itself.
-        let mut objects = Vec::with_capacity(n_objects);
-        for entry in index.chunks_exact(8) {
-            let mut p = 0usize;
-            let off = usize::try_from(read_u64_le(entry, &mut p, "meta index")?).map_err(|_| {
-                ImageError::Malformed {
+        let mut slots = Vec::with_capacity(n_objects);
+        for entry in index.as_chunks::<8>().0 {
+            let off =
+                usize::try_from(u64::from_le_bytes(*entry)).map_err(|_| ImageError::Malformed {
                     what: "meta index entry",
-                }
-            })?;
-            objects.push(parse_arena_record(&arena, off)?);
+                })?;
+            slots.push(parse_arena_record(&arena, off)?);
         }
 
-        // Stage 2: pointer re-establishment, in one pass. Entries must come
-        // in the writer's order — `(record, slot)` strictly increasing — so
-        // no two write one slot: any partition over workers yields these same
+        // Stage 2: pointer re-establishment, in one pass. The writer emits
+        // one entry per pointer slot, `(record, slot)` strictly increasing,
+        // so the entry that is due is known before it is read and the
+        // targets, in table order, are each record's pointers back to back.
+        // What the arena holds in a slot is never read, and no two entries
+        // write one slot: any partition over workers yields these same
         // records, and only that partition's schedule is modelled.
-        if rel.len() % 14 != 0 {
+        let (entries, stray) = rel.as_chunks::<REL_ENTRY>();
+        if !stray.is_empty() {
             return Err(ImageError::Truncated {
                 what: "relation table",
             });
         }
+        let mut entries = entries.iter().map(relation_entry);
+        // Bounded by the relation section itself.
+        let mut refs = Vec::with_capacity(entries.len());
+        for (i, rec) in slots.iter().enumerate() {
+            for due_slot in 0..rec.n_refs {
+                let due = (w64(i), due_slot);
+                match entries.next() {
+                    Some((record, slot, target)) if (u64::from(record), slot) == due => {
+                        refs.push(target);
+                    }
+                    // Behind the slot that is due: dangling, a duplicate, or
+                    // out of order.
+                    Some((record, slot, _)) if (u64::from(record), slot) < due => {
+                        return Err(ImageError::BadRelation { record, slot });
+                    }
+                    // Ahead of it, or the table has ended: nothing will
+                    // cover the due slot any more.
+                    _ => {
+                        return Err(ImageError::BadRelation {
+                            record: u32::try_from(i).unwrap_or(u32::MAX),
+                            slot: due_slot,
+                        });
+                    }
+                }
+            }
+        }
+        // Totality the other way round: no entry without a slot.
+        if let Some((record, slot, _)) = entries.next() {
+            return Err(ImageError::BadRelation { record, slot });
+        }
         let workers = model.parallel_workers.max(1);
-        let chunk_len = objects.len().div_ceil(workers).max(1);
-        let mut per_worker = vec![0u64; objects.len().div_ceil(chunk_len)];
-        let mut prev = None;
-        for entry in rel.chunks_exact(14) {
-            let mut p = 0usize;
-            let record = read_u32_le(entry, &mut p, "relation entry")?;
-            let slot = read_u16_le(entry, &mut p, "relation entry")?;
-            let target = read_u64_le(entry, &mut p, "relation entry")?;
-            let bad = || ImageError::BadRelation { record, slot };
-            if prev.is_some_and(|last| last >= (record, slot)) {
-                return Err(bad());
-            }
-            prev = Some((record, slot));
-            let rec = usize::try_from(record).map_err(|_| bad())?;
-            *objects
-                .get_mut(rec)
-                .and_then(|obj| obj.refs.get_mut(usize::from(slot)))
-                .ok_or_else(bad)? = target;
-            *per_worker.get_mut(rec / chunk_len).ok_or_else(bad)? += 1;
-        }
-        clock.charge_parallel(
-            per_worker
-                .into_iter()
-                .map(|n| model.obj.fixup_per_pointer.saturating_mul(n)),
-        );
-        // Totality: no placeholder may survive stage 2.
-        for (i, obj) in objects.iter().enumerate() {
-            if let Some(slot) = obj.refs.iter().position(|&r| r == REF_PLACEHOLDER) {
-                return Err(ImageError::BadRelation {
-                    record: u32::try_from(i).unwrap_or(u32::MAX),
-                    slot: u16::try_from(slot).unwrap_or(u16::MAX),
-                });
-            }
-        }
-        Ok(objects)
+        let chunk_len = slots.len().div_ceil(workers).max(1);
+        clock.charge_parallel(slots.chunks(chunk_len).map(|chunk| {
+            let patched = chunk.iter().map(|rec| u64::from(rec.n_refs)).sum();
+            model.obj.fixup_per_pointer.saturating_mul(patched)
+        }));
+        Ok(RestoredRecords { arena, slots, refs })
     }
 
     /// Reads the I/O manifest (cheap; the manifest is tiny — Table 3 shows
@@ -526,16 +547,29 @@ impl FlatImage {
     }
 }
 
-/// Parses one record out of the mapped metadata arena. The payload is a
-/// zero-copy [`SharedBytes`] view into the arena — stage 1 of separated state
-/// recovery maps object fields, it never duplicates them (§3.2).
-fn parse_arena_record(arena: &SharedBytes, off: usize) -> Result<ObjRecord, ImageError> {
+/// Where one object's fields lie: its scalar fields by value, its payload
+/// as a range of the arena, its pointers as a count — they are the next
+/// `n_refs` entries of the pointer table, records being laid down in order.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    id: ObjId,
+    flags: u32,
+    kind: ObjKind,
+    n_refs: u16,
+    payload: (usize, usize),
+}
+
+/// Reads one record header out of the mapped metadata arena and bounds the
+/// body behind it — stage 1 of separated state recovery maps object fields,
+/// it never duplicates them (§3.2). The pointer slots are stepped over, not
+/// read: stage 2 takes every pointer from the relation table.
+fn parse_arena_record(arena: &[u8], off: usize) -> Result<Slot, ImageError> {
     let mut pos = off;
     let id = read_u64_le(arena, &mut pos, "arena record")?;
     let code = read_u16_le(arena, &mut pos, "arena record")?;
     let kind = ObjKind::from_code(code).ok_or(ImageError::BadObjKind { code })?;
     let flags = read_u32_le(arena, &mut pos, "arena record")?;
-    let n_refs = usize::from(read_u16_le(arena, &mut pos, "arena record")?);
+    let n_refs = read_u16_le(arena, &mut pos, "arena record")?;
     let payload_len =
         usize::try_from(read_u32_le(arena, &mut pos, "arena record")?).map_err(|_| {
             ImageError::Malformed {
@@ -545,7 +579,7 @@ fn parse_arena_record(arena: &SharedBytes, off: usize) -> Result<ObjRecord, Imag
     debug_assert_eq!(pos, off + REC_HEADER);
     let refs_end = pos
         .checked_add(
-            n_refs
+            usize::from(n_refs)
                 .checked_mul(8)
                 .ok_or(ImageError::Malformed { what: "arena refs" })?,
         )
@@ -560,25 +594,115 @@ fn parse_arena_record(arena: &SharedBytes, off: usize) -> Result<ObjRecord, Imag
             what: "arena record body",
         });
     }
-    let refs = arena
-        .get(pos..refs_end)
-        .ok_or(ImageError::Truncated {
-            what: "arena record refs",
-        })?
-        .chunks_exact(8)
-        .map(|c| {
-            let mut p = 0usize;
-            read_u64_le(c, &mut p, "arena ref")
-        })
-        .collect::<Result<_, ImageError>>()?;
-    Ok(ObjRecord {
+    Ok(Slot {
         id,
-        kind,
         flags,
-        refs,
-        payload: arena.slice(refs_end..end),
+        kind,
+        n_refs,
+        payload: (refs_end, end),
     })
 }
+
+/// One relation-table entry: `(record, pointer slot, target object)`.
+fn relation_entry(entry: &[u8; REL_ENTRY]) -> (u32, u16, ObjId) {
+    let [r0, r1, r2, r3, s0, s1, target @ ..] = *entry;
+    (
+        u32::from_le_bytes([r0, r1, r2, r3]),
+        u16::from_le_bytes([s0, s1]),
+        ObjId::from_le_bytes(target),
+    )
+}
+
+/// The metadata objects of a restored func-image, as separated state
+/// recovery leaves them: the mapped arena (held once), one fixed-size slot
+/// per object, and one pointer table. Nothing here is per object on the
+/// heap; an object is read through a borrowed [`ObjView`], in checkpoint
+/// order, by iterating `&records`.
+pub struct RestoredRecords {
+    arena: SharedBytes,
+    slots: Vec<Slot>,
+    /// Every record's pointers, back to back in record order.
+    refs: Vec<ObjId>,
+}
+
+impl RestoredRecords {
+    /// Number of objects.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// True for an image without metadata objects.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// The objects, in checkpoint order.
+    pub fn iter(&self) -> Views<'_> {
+        Views {
+            arena: PayloadBuf::from(&self.arena),
+            slots: self.slots.iter(),
+            refs: &self.refs,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a RestoredRecords {
+    type Item = ObjView<'a>;
+    type IntoIter = Views<'a>;
+    fn into_iter(self) -> Views<'a> {
+        self.iter()
+    }
+}
+
+/// Equal to the records a writer was given when every view equals its
+/// record, field by field and in order.
+impl PartialEq<Vec<ObjRecord>> for RestoredRecords {
+    fn eq(&self, records: &Vec<ObjRecord>) -> bool {
+        self.len() == records.len() && self.iter().zip(records).all(|(view, rec)| view == *rec)
+    }
+}
+
+impl fmt::Debug for RestoredRecords {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self).finish()
+    }
+}
+
+/// Iterator over the objects of a [`RestoredRecords`].
+#[derive(Debug, Clone)]
+pub struct Views<'a> {
+    arena: PayloadBuf<'a>,
+    slots: std::slice::Iter<'a, Slot>,
+    /// The pointers of the objects still to come.
+    refs: &'a [ObjId],
+}
+
+impl<'a> Iterator for Views<'a> {
+    type Item = ObjView<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<ObjView<'a>> {
+        let slot = self.slots.next()?;
+        // Stage 2 pushed exactly `n_refs` pointers per slot and stage 1
+        // bounded every payload, so neither lookup can miss.
+        let (refs, rest) = self.refs.split_at_checked(usize::from(slot.n_refs))?;
+        self.refs = rest;
+        ObjView::new(
+            slot.id,
+            slot.kind,
+            slot.flags,
+            refs,
+            self.arena,
+            slot.payload,
+        )
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.slots.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Views<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -699,14 +823,105 @@ mod tests {
         let (start, end) = (arena.offset as usize, (arena.offset + arena.len) as usize);
         let arena = img.raw_bytes()[start..end].as_ptr_range();
         let objects = flat.restore_metadata(&clock, &model).unwrap();
-        assert!(objects.iter().any(|obj| !obj.payload.is_empty()));
-        for obj in objects {
-            let payload = obj.payload.as_ptr_range();
+        assert!(objects.iter().any(|obj| !obj.payload().is_empty()));
+        for obj in &objects {
+            for payload in [obj.payload(), &obj.payload_shared()] {
+                let payload = payload.as_ptr_range();
+                assert!(
+                    arena.start <= payload.start && payload.end <= arena.end,
+                    "payload of object {} was copied out of the arena",
+                    obj.id
+                );
+            }
+        }
+    }
+
+    /// Stage 2 fills one pointer table: every view's `refs` is the slice of
+    /// it that follows the previous view's, not a vector of the object's own.
+    #[test]
+    fn restored_refs_live_in_one_table() {
+        let (clock, model) = setup();
+        let src = sample_source(300, 0);
+        let flat = FlatImage::parse(&make_image(&src), &clock, &model).unwrap();
+        let objects = flat.restore_metadata(&clock, &model).unwrap();
+        assert_eq!(objects.refs.len() as u64, src.pointer_count());
+        assert_eq!(std::mem::size_of::<Slot>(), 32);
+        let mut next = objects.refs.as_ptr();
+        for obj in &objects {
+            assert_eq!(obj.refs.as_ptr(), next, "object {} owns its refs", obj.id);
+            next = obj.refs.as_ptr_range().end;
+        }
+        assert_eq!(next, objects.refs.as_ptr_range().end);
+    }
+
+    /// No verdict is remembered: every call re-reads and re-checks every
+    /// section it uses, so a second restore of an untouched image succeeds on
+    /// its own checks and pays the checksum passes again.
+    #[test]
+    fn every_restore_verifies_every_section_again() {
+        let (_, model) = setup();
+        let src = sample_source(400, 3);
+        let flat = FlatImage::parse(&make_image(&src), &SimClock::new(), &model).unwrap();
+        let metadata = [
+            flat.sections.meta_index,
+            flat.sections.meta_arena,
+            flat.sections.rel_table,
+        ];
+        let checksum_passes: SimNanos = metadata.iter().map(|s| model.memcpy(s.len)).sum();
+        for round in 0..2 {
+            let clock = SimClock::new();
+            assert_eq!(flat.restore_metadata(&clock, &model).unwrap(), src.objects);
             assert!(
-                arena.start <= payload.start && payload.end <= arena.end,
-                "payload of object {} was copied out of the arena",
-                obj.id
+                clock.now() >= checksum_passes,
+                "round {round}: {}",
+                clock.now()
             );
+            assert_eq!(flat.read_io_manifest(&clock, &model).unwrap(), src.io_conns);
+            assert_eq!(flat.app_mem_index(&clock, &model).unwrap().len(), 3);
+        }
+    }
+
+    /// The other half: a section that is wrong is wrong every time it is
+    /// read, for each of the three readers.
+    #[test]
+    fn a_corrupted_image_fails_the_first_restore_and_every_repeat() {
+        let (clock, model) = setup();
+        let pristine = write(&sample_source(50, 2), &clock, &model);
+        let sections = FlatImage::parse(&MappedImage::new("p", pristine.clone()), &clock, &model)
+            .unwrap()
+            .sections;
+        let corrupt = |section: Section| {
+            let mut bytes = pristine.to_vec();
+            bytes[(section.offset + section.len / 2) as usize] ^= 0x10;
+            let image = MappedImage::new("corrupt", SharedBytes::from(bytes));
+            FlatImage::parse(&image, &clock, &model).unwrap()
+        };
+        let (arena, manifest, index) = (
+            corrupt(sections.meta_arena),
+            corrupt(sections.io_manifest),
+            corrupt(sections.appmem_index),
+        );
+        for _ in 0..3 {
+            assert_eq!(
+                arena.restore_metadata(&clock, &model).unwrap_err(),
+                ImageError::Checksum {
+                    section: "meta arena"
+                }
+            );
+            assert_eq!(
+                manifest.read_io_manifest(&clock, &model).unwrap_err(),
+                ImageError::Checksum {
+                    section: "io manifest"
+                }
+            );
+            assert_eq!(
+                index.app_mem_index(&clock, &model).unwrap_err(),
+                ImageError::Checksum {
+                    section: "appmem index"
+                }
+            );
+            // The sections a reader does not use are not its business.
+            assert!(manifest.restore_metadata(&clock, &model).is_ok());
         }
     }
 

@@ -11,9 +11,12 @@
 //!   Metadata objects are stored **partially deserialized** — in their
 //!   in-memory shape with pointer fields zeroed to placeholders — together
 //!   with a **relation table** mapping pointer slots to target objects.
-//!   Restore is: map the arena (stage 1), then patch pointers — each patch
-//!   independent, charged as parallel workers (stage 2); application memory
-//!   pages are referenced lazily through the overlay Base-EPT.
+//!   Restore is: map the arena (stage 1: a fixed-size slot per object, no
+//!   object of its own on the heap), then re-establish pointers in one pass
+//!   over the relation table — each patch independent, charged as parallel
+//!   workers (stage 2); objects are then read through borrowed
+//!   [`ObjView`]s, and application memory pages are referenced lazily through
+//!   the overlay Base-EPT.
 //!
 //! Both formats really serialize and really restore: the round-trip identity
 //! `restore(checkpoint(state)) == state` is enforced by unit and property
@@ -38,6 +41,9 @@
 //! let parsed = flat::FlatImage::parse(&memsim::MappedImage::new("f", image), &clock, &model)?;
 //! let objects = parsed.restore_metadata(&clock, &model)?;
 //! assert_eq!(objects, src.objects);
+//! // What came back owns no object: each is read in place, through a view.
+//! let init = objects.iter().next().expect("the task");
+//! assert_eq!((init.kind, init.refs, init.payload()), (ObjKind::Task, &[2][..], &b"init"[..]));
 //! # Ok::<(), imagefmt::ImageError>(())
 //! ```
 
@@ -65,4 +71,6 @@ pub mod varint;
 pub use crc::crc32;
 pub use error::ImageError;
 pub use memsim::SharedBytes;
-pub use record::{CheckpointSource, IoConn, IoConnKind, ObjId, ObjKind, ObjRecord, PagePayload};
+pub use record::{
+    CheckpointSource, IoConn, IoConnKind, ObjId, ObjKind, ObjRecord, ObjView, PagePayload,
+};

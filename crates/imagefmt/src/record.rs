@@ -145,6 +145,115 @@ impl ObjRecord {
     }
 }
 
+/// One checkpointed object, borrowed from whoever holds it: an owned
+/// [`ObjRecord`], or the arena and pointer table a func-image restore mapped
+/// ([`crate::flat::RestoredRecords`]). This is what a restore *reads*; it
+/// owns nothing, so handing one out allocates nothing.
+#[derive(Clone, Copy)]
+pub struct ObjView<'a> {
+    /// Unique object id within the checkpoint.
+    pub id: ObjId,
+    /// Object kind.
+    pub kind: ObjKind,
+    /// Kind-specific flags.
+    pub flags: u32,
+    /// Pointer fields: ids of referenced objects.
+    pub refs: &'a [ObjId],
+    /// `payload` is `buf[at..][..payload.len()]`.
+    payload: &'a [u8],
+    buf: &'a SharedBytes,
+    at: usize,
+}
+
+/// A buffer payloads are viewed out of, dereferenced once for all of them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PayloadBuf<'a> {
+    buf: &'a SharedBytes,
+    bytes: &'a [u8],
+}
+
+impl<'a> From<&'a SharedBytes> for PayloadBuf<'a> {
+    fn from(buf: &'a SharedBytes) -> PayloadBuf<'a> {
+        PayloadBuf { buf, bytes: buf }
+    }
+}
+
+// `#[inline]` throughout: the loop that reads views
+// (`GuestKernel::restore_from_records`) is generic over where they come
+// from, so it is compiled in its caller's crate, where these would otherwise
+// be calls into this one — four an object, 1.6× the whole kernel build.
+impl<'a> ObjView<'a> {
+    /// A view whose payload is `arena[start..end]`; `None` if that is not a
+    /// range of `arena`.
+    #[inline]
+    pub(crate) fn new(
+        id: ObjId,
+        kind: ObjKind,
+        flags: u32,
+        refs: &'a [ObjId],
+        arena: PayloadBuf<'a>,
+        (start, end): (usize, usize),
+    ) -> Option<ObjView<'a>> {
+        Some(ObjView {
+            id,
+            kind,
+            flags,
+            refs,
+            payload: arena.bytes.get(start..end)?,
+            buf: arena.buf,
+            at: start,
+        })
+    }
+
+    /// Opaque serialized field data, in place.
+    #[inline]
+    pub fn payload(&self) -> &'a [u8] {
+        self.payload
+    }
+
+    /// The payload as a view a restored kernel can keep: it shares the
+    /// buffer (one reference count), it does not copy out of it.
+    #[inline]
+    pub fn payload_shared(&self) -> SharedBytes {
+        self.buf.slice(self.at..self.at + self.payload.len())
+    }
+}
+
+impl<'a> From<&'a ObjRecord> for ObjView<'a> {
+    #[inline]
+    fn from(rec: &'a ObjRecord) -> ObjView<'a> {
+        ObjView {
+            id: rec.id,
+            kind: rec.kind,
+            flags: rec.flags,
+            refs: &rec.refs,
+            payload: &rec.payload,
+            buf: &rec.payload,
+            at: 0,
+        }
+    }
+}
+
+impl PartialEq<ObjRecord> for ObjView<'_> {
+    fn eq(&self, rec: &ObjRecord) -> bool {
+        (self.id, self.kind, self.flags) == (rec.id, rec.kind, rec.flags)
+            && self.refs == rec.refs.as_slice()
+            && *self.payload() == *rec.payload
+    }
+}
+
+impl fmt::Debug for ObjView<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ObjView")
+            .field("id", &self.id)
+            .field("kind", &self.kind)
+            .field("flags", &self.flags)
+            .field("refs", &self.refs)
+            .field("payload", &self.payload())
+            .finish()
+    }
+}
+
 /// Kind of a checkpointed I/O connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum IoConnKind {

@@ -97,15 +97,31 @@ fn read_forged_relations(
             .collect(),
         io_conns: vec![],
     });
-    // Section-table entry 2: offset at 64, len at 72, crc at 80.
-    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-    let (start, len) = (u64_at(64) as usize, u64_at(72) + grow);
-    bytes[72..80].copy_from_slice(&len.to_le_bytes());
-    let rel = &mut bytes[start..start + len as usize];
-    edit(rel);
-    let crc = imagefmt::crc32(rel);
-    bytes[80..84].copy_from_slice(&crc.to_le_bytes());
+    let (start, len) = section(&bytes, REL_TABLE);
+    let len = len + grow as usize;
+    edit(&mut bytes[start..start + len]);
+    reseal(&mut bytes, REL_TABLE, len);
     full_read(SharedBytes::from(bytes))
+}
+
+/// Header offsets of two section-table entries (20 bytes each from 24:
+/// offset, len, crc).
+const META_ARENA: usize = 44;
+const REL_TABLE: usize = 64;
+
+/// `(offset, len)` of the section whose table entry is at `entry`.
+fn section(bytes: &[u8], entry: usize) -> (usize, usize) {
+    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    (u64_at(entry) as usize, u64_at(entry + 8) as usize)
+}
+
+/// Declares that section `len` bytes long and gives it the CRC its bytes
+/// now have, so a forgery gets past the checksum.
+fn reseal(bytes: &mut [u8], entry: usize, len: usize) {
+    let (start, _) = section(bytes, entry);
+    bytes[entry + 8..entry + 16].copy_from_slice(&(len as u64).to_le_bytes());
+    let crc = imagefmt::crc32(&bytes[start..start + len]);
+    bytes[entry + 16..entry + 20].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Stage 2 rejects, and names, the offending entry: a trailing one for
@@ -123,6 +139,35 @@ fn forged_relation_entries_are_rejected_with_their_indices() {
         second.swap_with_slice(third);
     });
     assert_eq!(swapped, bad(1));
+}
+
+/// A pointer the relation table does not cover is not a pointer: the arena
+/// slot of record 1 is forged to a live object id, its relation entry is
+/// dropped (the table closed up and shortened by one entry), and both
+/// sections are re-sealed. The slot no longer *looks* unpatched, so only
+/// "every slot is covered by exactly one entry" stands before `Ok`.
+#[test]
+fn forged_unpatched_slot_is_rejected() {
+    let mut bytes = write_image(&CheckpointSource {
+        objects: (0..3)
+            .map(|i| ObjRecord::new(i + 1, ObjKind::ALL[0], 0, vec![(i + 1) % 3 + 1], vec![]))
+            .collect(),
+        app_pages: vec![],
+        io_conns: vec![],
+    });
+    // Arena records are header(20) + one 8-byte slot, no payload.
+    let (arena, arena_len) = section(&bytes, META_ARENA);
+    let slot = arena + 28 + 20;
+    assert_eq!(bytes[slot..slot + 8], [0xFF; 8], "record 1's placeholder");
+    bytes[slot..slot + 8].copy_from_slice(&1u64.to_le_bytes());
+    reseal(&mut bytes, META_ARENA, arena_len);
+    let (rel, rel_len) = section(&bytes, REL_TABLE);
+    bytes.copy_within(rel + 28..rel + 42, rel + 14);
+    reseal(&mut bytes, REL_TABLE, rel_len - 14);
+    assert_eq!(
+        full_read(SharedBytes::from(bytes)),
+        Err(ImageError::BadRelation { record: 1, slot: 0 })
+    );
 }
 
 proptest! {
