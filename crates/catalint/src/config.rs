@@ -2,8 +2,7 @@
 //!
 //! The *policy* — which files are parse modules, which functions root the
 //! restore hot path — lives here, in code, because changing policy should
-//! look like a code change and go through review. The one thing
-//! `catalint.toml` contributes is the `[[clock_seam]]` registry.
+//! look like a code change and go through review. There is no config file.
 
 /// Which files each pass applies to, and where the restore path starts.
 #[derive(Debug, Clone)]
@@ -11,11 +10,10 @@ pub struct Config {
     /// Path prefixes excluded from scanning entirely (vendored stand-ins,
     /// build output).
     pub scan_exempt: Vec<String>,
-    /// Path prefixes exempt from the determinism pass. `simtime` is the
-    /// one place allowed to define time; everyone else must consume it.
-    pub determinism_exempt: Vec<String>,
-    /// Files that parse untrusted bytes (func-images, checkpoints). The
-    /// panic-freedom pass applies only here.
+    /// Files that parse untrusted bytes (func-images, checkpoints): the
+    /// roots of the panic-freedom pass. Each also denies clippy's
+    /// panic-source lints in its own inner attribute — keep the two lists
+    /// the same.
     pub parse_files: Vec<String>,
     /// Bare names of the functions that root the boot critical paths:
     /// cold/warm restore and fork boot. Everything name-reachable from
@@ -30,29 +28,17 @@ pub struct Config {
     /// grammar it polices).
     pub namereg_exempt: Vec<String>,
     /// Bare names of the engine boot entry points. Everything reachable
-    /// from these is the seam-coverage (`seamcover`) scope, and part of
-    /// the hermeticity (`hermetic`) scope.
+    /// from these is the seam-coverage (`seamcover`) scope.
     pub seam_roots: Vec<String>,
-    /// Additional roots for the hermetic pass: the platform-facing
-    /// invocation paths where simulations are driven.
-    pub sim_roots: Vec<String>,
     /// The seam registry: each `InjectionPoint` variant mapped to the
     /// bare names of the operations it guards in `core`/`sandbox`. A
     /// boot-path function calling one of these operations must consult
     /// `ctx.fault(<point>)` first.
     pub seam_ops: Vec<(String, Vec<String>)>,
-    /// Path prefixes exempt from the spanflow guard scan: `simtime`
-    /// implements the tracer whose raw begin/end the pass polices.
-    pub spanflow_exempt: Vec<String>,
-    /// The span/metric name registry file. The spanflow pass checks that
-    /// every public entry in it is emitted somewhere in the workspace
-    /// (namereg checks the other direction: every literal is registered).
+    /// The span/metric name registry file. The namereg pass checks that
+    /// every public entry in it is emitted somewhere in the workspace, as
+    /// well as the other direction (every literal is registered).
     pub registry_file: String,
-    /// Bare names of the sanctioned nondeterminism boundary: functions the
-    /// hermetic pass does not traverse *into* or scan. Policy keeps this
-    /// empty; entries come from the `[[clock_seam]]` registry in
-    /// `catalint.toml`, so the dual-clock PR flips them on in review.
-    pub clock_seam: Vec<String>,
     /// The DES event-protocol file: where the `Event` enum and its
     /// tie-break key functions live.
     pub events_file: String,
@@ -76,7 +62,6 @@ impl Config {
     pub fn workspace_default() -> Config {
         Config {
             scan_exempt: vec!["third_party/".into(), "target/".into()],
-            determinism_exempt: vec!["crates/simtime/".into()],
             parse_files: vec![
                 "crates/imagefmt/src/flat.rs".into(),
                 "crates/imagefmt/src/classic.rs".into(),
@@ -129,22 +114,6 @@ impl Config {
                 "fork_boot".into(),
                 "boot_function".into(),
             ],
-            sim_roots: vec![
-                // Simulations are driven from the gateway/pool invocation
-                // paths and the resilience ladder, on top of the seam roots
-                // above.
-                "call".into(),
-                "run_closed".into(),
-                "run_fleet".into(),
-                // The cluster layer: the two entry points of the one
-                // open-loop cluster kernel (`drive`: routing, transfers,
-                // node faults, failover, hedging) and the closed-loop
-                // scheduler's routing decision.
-                "run_cluster".into(),
-                "run_chaos".into(),
-                "route".into(),
-                "resilient_boot".into(),
-            ],
             seam_ops: vec![
                 // Paper §3: each restore mechanism sits behind its fault
                 // seam. The operation names are the `core`/`sandbox`
@@ -165,12 +134,7 @@ impl Config {
                 // transfer (platform::cluster) behind its own seam.
                 ("TemplateTransfer".into(), vec!["transfer_template".into()]),
             ],
-            spanflow_exempt: vec!["crates/simtime/".into()],
             registry_file: "crates/simtime/src/names.rs".into(),
-            // Empty on purpose: the workspace is fully hermetic today.
-            // The dual-clock PR registers its `Realtime` boundary in
-            // catalint.toml's `[[clock_seam]]` tables, not here.
-            clock_seam: vec![],
             events_file: "crates/platform/src/simulate/events.rs".into(),
             event_enum: "Event".into(),
             tiebreak_fns: vec!["class".into(), "key".into(), "subkey".into()],
@@ -186,11 +150,6 @@ impl Config {
     /// True when the path is excluded from all scanning.
     pub fn is_scan_exempt(&self, path: &str) -> bool {
         self.scan_exempt.iter().any(|p| path.starts_with(p))
-    }
-
-    /// True when the path is exempt from the determinism pass.
-    pub fn is_determinism_exempt(&self, path: &str) -> bool {
-        self.determinism_exempt.iter().any(|p| path.starts_with(p))
     }
 
     /// True when the path is one of the configured parse modules.
@@ -209,11 +168,6 @@ impl Config {
             .iter()
             .find(|(_, ops)| ops.iter().any(|o| o == op))
             .map(|(point, _)| point.as_str())
-    }
-
-    /// True when the path is exempt from the spanflow guard scan.
-    pub fn is_spanflow_exempt(&self, path: &str) -> bool {
-        self.spanflow_exempt.iter().any(|p| path.starts_with(p))
     }
 
     /// True for test, bench, example, and binary targets — code that never
@@ -237,7 +191,6 @@ mod tests {
         let c = Config::workspace_default();
         assert!(c.is_scan_exempt("third_party/rand/src/lib.rs"));
         assert!(!c.is_scan_exempt("crates/imagefmt/src/flat.rs"));
-        assert!(c.is_determinism_exempt("crates/simtime/src/clock.rs"));
         assert!(c.is_parse_file("crates/imagefmt/src/flat.rs"));
         assert!(!c.is_parse_file("crates/imagefmt/src/lib.rs"));
         assert!(c.is_non_library_path("crates/imagefmt/tests/properties.rs"));
@@ -276,21 +229,15 @@ mod tests {
             Some("TemplateTransfer")
         );
         assert_eq!(c.seam_point_for("unrelated_op"), None);
-        assert!(c.is_spanflow_exempt("crates/simtime/src/trace.rs"));
     }
 
     #[test]
-    fn hermeticity_policy() {
+    fn event_protocol_policy() {
         let c = Config::workspace_default();
-        // The clock seam ships empty: full hermeticity is certified until
-        // the dual-clock PR registers its boundary in catalint.toml.
-        assert!(c.clock_seam.is_empty());
         assert_eq!(c.events_file, "crates/platform/src/simulate/events.rs");
         assert_eq!(c.event_enum, "Event");
         assert_eq!(c.tiebreak_fns, ["class", "key", "subkey"]);
         assert_eq!(c.event_loops, ["run_fleet", "drive"]);
         assert_eq!(c.event_merge_fns, ["pop"]);
-        // Still a sim root (determinism/hermetic), no longer an event loop.
-        assert!(c.sim_roots.iter().any(|r| r == "run_closed"));
     }
 }

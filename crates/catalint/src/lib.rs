@@ -1,53 +1,51 @@
 //! catalint — the workspace invariant checker.
 //!
-//! The Catalyzer reproduction rests on properties that rustc cannot
-//! enforce and that regress silently under ordinary refactoring:
+//! The Catalyzer reproduction rests on properties that regress silently
+//! under ordinary refactoring. Each has exactly one enforcer (DESIGN.md
+//! §12 has the table), and catalint is the enforcer only where neither the
+//! compiler nor a standard clippy lint can be:
 //!
-//! 1. **Determinism.** Every latency figure is simulated (`simtime`);
-//!    one `Instant::now()` or ambient RNG makes runs non-reproducible.
-//! 2. **Panic-free parsing.** Func-images and checkpoints are untrusted
-//!    input to the restore path; parsers must return `ImageError`-style
-//!    results, never panic — including through the helpers they call.
-//! 3. **Hot-path copy discipline.** Overlay memory (paper §3.1) exists so
+//! 1. **Panic-free parsing, through helpers.** Func-images and checkpoints
+//!    are untrusted input to the restore path. Each parse module denies
+//!    clippy's panic-source lints for what it spells itself; the `panic`
+//!    pass follows precise call edges out of those modules to a helper
+//!    that can panic.
+//! 2. **Hot-path copy discipline.** Overlay memory (paper §3.1) exists so
 //!    Base-EPT pages are *shared*; an eager full-buffer copy anywhere
 //!    reachable from a restore root quietly re-introduces the cost the
-//!    design removes.
-//! 4. **Borrow discipline.** A `RefCell` guard held across `?` (or a
+//!    design removes (`hotpath`).
+//! 3. **Borrow discipline.** A `RefCell` guard held across `?` (or a
 //!    re-entrant `borrow_mut` through a call chain) turns an error return
-//!    into a runtime borrow panic.
+//!    into a runtime borrow panic (`borrowcell`).
 //!
-//! Plus three conventions: metric/span name literals come from the
-//! `simtime::names` registry (`namereg`), results never depend on
+//! Plus three conventions: the `simtime::names` registry is closed in both
+//! directions — every metric/span name literal comes from it and every
+//! entry in it is emitted (`namereg`) — results never depend on
 //! `HashMap`/`HashSet` iteration order (`hashorder`), and public library
 //! functions return crate error types, not `Box<dyn Error>` (`hygiene`).
 //!
-//! Plus two dataflow-backed contracts (PR 6): every `InjectionPoint`
-//! fault seam is consulted on the boot paths (`seamcover`), and span
-//! guards and the name registry balance (`spanflow`).
+//! Plus two protocol contracts: every `InjectionPoint` fault seam is
+//! consulted on the boot paths (`seamcover`, dataflow-backed), and the DES
+//! event protocol is conformant — handler coverage, schedule discipline, a
+//! total tie-break (`eventproto`).
 //!
-//! Plus the hermeticity certificate (PR 10): no nondeterminism source is
-//! reachable from the sim roots outside the `[[clock_seam]]` registry
-//! (`hermetic`), and the DES event protocol is conformant — handler
-//! coverage, schedule discipline, a total tie-break (`eventproto`).
-//!
-//! What a type can forbid is not a pass: overflow-safe `SimNanos`
-//! arithmetic and generation-checked arena access are enforced by the
-//! compiler (`simtime::SimNanos` has no `+`/`-`/`*`;
-//! `InstanceId::index()` is private), each pinned by a `compile_fail`
-//! doctest on the type.
+//! What a type or a standard lint can forbid is not a pass. The compiler
+//! enforces overflow-safe `SimNanos` arithmetic (no `+`/`-`/`*`),
+//! generation-checked arena access (`InstanceId::index()` is private) and
+//! closure-scoped spans (`sandbox::BootCtx` hands out no tracer), each
+//! pinned by a `compile_fail` doctest on the type. clippy enforces the ban
+//! on wall clocks, the environment, host threads and child processes
+//! (`crates/clippy.toml`, type-resolved, every first-party target).
 //!
 //! The checker lexes the workspace (no rustc, no dependencies), segments
 //! it into functions, builds an approximate call graph plus fault-seam
-//! consultation summaries, and runs eleven passes; the interprocedural
-//! ones (`panic`, `hotpath`, `borrowcell`, `seamcover`, `hermetic`) attach
-//! the root → sink call chain to each finding. There is no debt file: the
-//! workspace carries zero findings, and any finding fails the build
-//! (`catalint.toml` holds only the `[[clock_seam]]` registry). Run it as
-//! `cargo run -p catalint` (`--emit json` for machine-readable output,
-//! `--explain <pass>` for rationale); it also runs inside the tier-1 test
-//! suite.
+//! consultation summaries, and runs eight passes; the interprocedural
+//! ones (`panic`, `hotpath`, `borrowcell`, `seamcover`) attach the
+//! root → sink call chain to each finding. There is no debt file and no
+//! config file: the workspace carries zero findings, and any finding fails
+//! the build. Run it as `cargo run -p catalint` (`--explain <pass>` for
+//! rationale); it also runs inside the tier-1 test suite.
 
-pub mod baseline;
 pub mod config;
 pub mod dataflow;
 pub mod graph;
@@ -60,7 +58,6 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use baseline::parse_document;
 use config::Config;
 use lexer::{lex, Allow};
 use segment::{segment, FileItems};
@@ -115,7 +112,7 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Checker errors (I/O and `catalint.toml` syntax).
+/// Checker errors.
 #[derive(Debug)]
 pub enum CatalintError {
     /// Reading a file or directory failed.
@@ -125,15 +122,12 @@ pub enum CatalintError {
         /// The underlying error.
         err: std::io::Error,
     },
-    /// `catalint.toml` did not parse.
-    Baseline(String),
 }
 
 impl fmt::Display for CatalintError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CatalintError::Io { path, err } => write!(f, "{}: {err}", path.display()),
-            CatalintError::Baseline(msg) => write!(f, "catalint.toml: {msg}"),
         }
     }
 }
@@ -151,7 +145,7 @@ pub struct ParsedFile {
     pub allows: Vec<Allow>,
 }
 
-/// Runs all eleven passes over the given files and returns findings
+/// Runs all eight passes over the given files and returns findings
 /// sorted by `(file, line, pass)`, with `catalint: allow(...)`
 /// suppressions already applied.
 pub fn analyze(files: &[SrcFile], cfg: &Config) -> Vec<Violation> {
@@ -175,16 +169,13 @@ pub fn analyze(files: &[SrcFile], cfg: &Config) -> Vec<Violation> {
     let sums = dataflow::Summaries::compute(&graph);
 
     let mut out = Vec::new();
-    passes::determinism(&parsed, cfg, &mut out);
-    passes::panic_freedom(&parsed, cfg, &graph, &mut out);
+    passes::panic_freedom(cfg, &graph, &mut out);
     passes::hygiene(&parsed, cfg, &mut out);
     passes::hotpath(cfg, &graph, &mut out);
     passes::borrowcell(cfg, &graph, &mut out);
     passes::namereg(&parsed, cfg, &mut out);
     passes::hashorder(&parsed, cfg, &mut out);
     passes::seamcover(&parsed, cfg, &graph, &sums, &mut out);
-    passes::spanflow(&parsed, cfg, &mut out);
-    passes::hermetic(cfg, &graph, &mut out);
     passes::eventproto(&parsed, cfg, &graph, &mut out);
 
     let allows: HashMap<&str, &[Allow]> = parsed
@@ -215,24 +206,11 @@ pub struct CheckOutcome {
     pub files_scanned: usize,
 }
 
-/// Collects and analyzes the workspace rooted at `root`. `catalint.toml`
-/// is read *before* analysis: its `[[clock_seam]]` registry feeds the
-/// `hermetic` pass's traversal boundary, so a seam declared there is
-/// honoured in the same run that reads it.
+/// Collects and analyzes the workspace rooted at `root`.
 pub fn check_workspace(root: &Path) -> Result<CheckOutcome, CatalintError> {
     let files = collect_workspace(root)?;
-    let mut cfg = Config::workspace_default();
-    let toml_path = root.join("catalint.toml");
-    if toml_path.exists() {
-        let text = fs::read_to_string(&toml_path).map_err(|err| CatalintError::Io {
-            path: toml_path,
-            err,
-        })?;
-        cfg.clock_seam
-            .extend(parse_document(&text).map_err(CatalintError::Baseline)?);
-    }
     Ok(CheckOutcome {
-        violations: analyze(&files, &cfg),
+        violations: analyze(&files, &Config::workspace_default()),
         files_scanned: files.len(),
     })
 }
@@ -286,13 +264,11 @@ fn walk_dir(root: &Path, dir: &Path, out: &mut Vec<SrcFile>) -> Result<(), Catal
 }
 
 /// Walks upward from `start` to the workspace root (the directory holding
-/// `catalint.toml`, or failing that `Cargo.toml` plus a `crates/` dir).
+/// `Cargo.toml` plus a `crates/` dir).
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     let mut cur = Some(start);
     while let Some(dir) = cur {
-        if dir.join("catalint.toml").is_file()
-            || (dir.join("Cargo.toml").is_file() && dir.join("crates").is_dir())
-        {
+        if dir.join("Cargo.toml").is_file() && dir.join("crates").is_dir() {
             return Some(dir.to_path_buf());
         }
         cur = dir.parent();

@@ -1,21 +1,20 @@
-//! The eleven invariant passes.
+//! The eight invariant passes.
 //!
 //! Each pass is a pattern scan over token trees (see [`crate::lexer`]);
 //! the interprocedural ones additionally consult the approximate call
-//! graph (see [`crate::graph`]). None of them type-check. They are tuned
+//! graph (see [`crate::graph`]). None of them type-check, so a pass exists
+//! only for an invariant that neither rustc nor a standard clippy lint can
+//! express (DESIGN.md §12 lists which tool enforces what). They are tuned
 //! so that false positives stay rare enough to fix on the spot — the
 //! workspace carries zero findings and there is no debt file to park one
 //! in — while regressions on the invariants the paper's numbers depend on
 //! fail loudly:
 //!
-//! - **determinism** — simulated time and seeded randomness only. A stray
-//!   `Instant::now()` silently turns reproducible latency figures into
-//!   noise.
-//! - **panic** — image parsing must return [`imagefmt::ImageError`]-style
-//!   errors, never panic: a func-image is untrusted input to the restore
-//!   path. Interprocedural: a checked parse function calling a panicking
-//!   helper *outside* the hand-listed parse files is flagged with the full
-//!   call chain.
+//! - **panic** — a parse-module function must not reach a panicking helper
+//!   *outside* the hand-listed parse files: a func-image is untrusted input
+//!   to the restore path. Findings carry the full call chain. (Panic
+//!   sources spelled *inside* a parse module are clippy's: each module
+//!   denies `unwrap_used`, `indexing_slicing`, `as_conversions`, … itself.)
 //! - **hotpath** — functions graph-reachable from the restore roots must
 //!   not eagerly copy full buffers; overlay memory exists precisely so
 //!   that Base-EPT pages are shared, not copied. Findings carry their
@@ -23,50 +22,28 @@
 //! - **borrowcell** — a `RefCell::borrow_mut()` guard held across `?` or
 //!   across a call that can re-enter a cell is one refactor away from a
 //!   runtime double-borrow panic.
-//! - **namereg** — metric/span name literals must come from the
-//!   `simtime::names` registry so emitters and bench validators cannot
-//!   drift apart.
+//! - **namereg** — the `simtime::names` registry is closed in both
+//!   directions: every metric/span name literal in library code comes from
+//!   it, and every public entry in it is emitted somewhere, so emitters and
+//!   bench validators cannot drift apart.
 //! - **hashorder** — iterating a `HashMap`/`HashSet` leaks hash order into
 //!   whatever consumes the loop; exported output must use ordered
 //!   collections or sort first.
 //! - **hygiene** — public library functions return crate error types, not
 //!   `Box<dyn Error>`, so callers can match on failure modes.
-//!
-//! The contract passes (PR 6) add a def-use dataflow layer (see
-//! [`crate::dataflow`]) on top of the graph:
-//!
 //! - **seamcover** — every `InjectionPoint` variant must be consulted via
 //!   `ctx.fault(...)` somewhere reachable from the engine boot roots, and
 //!   every boot-path function performing a seam-class operation (per the
-//!   seam registry in [`Config`]) must consult its point first. A boot
+//!   seam registry in [`Config`]) must consult its point first (a def-use
+//!   dataflow layer, [`crate::dataflow`], on top of the graph). A boot
 //!   path that skips a seam silently deflates the availability numbers
 //!   faultsim exists to produce.
-//! - **spanflow** — raw `tracer begin()` guards must not leak across
-//!   `?`/`return` before a matching `end()`, and the `simtime::names`
-//!   registry must balance in both directions (namereg checks literals →
-//!   registry; spanflow checks registry → emission sites).
-//!
-//! The hermeticity-certification passes (PR 10) close the loop on the
-//! determinism contract ahead of the (parked) dual-clock refactor:
-//!
-//! - **hermetic** — taint analysis over the call graph: no nondeterminism
-//!   source (`Instant::now`, `SystemTime`, ambient RNG, `env::var`,
-//!   OS sleep, host threads, `std::process`, `.elapsed()`-style reads) may
-//!   be reachable from the simulation roots. The only allowed boundary is the
-//!   `[[clock_seam]]` registry in `catalint.toml` — empty today — so the
-//!   future `ClockInner::Realtime` seam flips entries on instead of
-//!   weakening the pass.
 //! - **eventproto** — DES event-protocol conformance: every `Event`
 //!   variant parsed from the enum has a handler arm in each run loop,
 //!   every scheduled variant lands in a non-empty arm, every variant is
 //!   constructed somewhere (a schedule site or the queue's merge), and the
 //!   `(time, class, key, subkey)` tie-break binds every payload field so
 //!   insertion order can never leak into pop order.
-//!
-//! Two invariants need no pass because the compiler enforces them:
-//! `SimNanos` has no `+`/`-`/`*` operators (only `saturating_*`), and
-//! `InstanceId::index()` is private to the arena module. Their
-//! `compile_fail` doctests live on those types.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -77,15 +54,13 @@ use crate::lexer::{Delim, Tok};
 use crate::segment::is_keyword;
 use crate::{ParsedFile, Violation};
 
-/// Pass name: simulated-time / seeded-randomness discipline.
-pub const PASS_DETERMINISM: &str = "determinism";
-/// Pass name: panic-freedom in (and reachable from) image-parsing modules.
+/// Pass name: no panicking helper reachable from an image-parsing module.
 pub const PASS_PANIC: &str = "panic";
 /// Pass name: no eager copies on the restore hot path.
 pub const PASS_HOTPATH: &str = "hotpath";
 /// Pass name: `RefCell` guard discipline.
 pub const PASS_BORROWCELL: &str = "borrowcell";
-/// Pass name: metric/span names come from the `simtime::names` registry.
+/// Pass name: the `simtime::names` registry is closed in both directions.
 pub const PASS_NAMEREG: &str = "namereg";
 /// Pass name: no hash-order leaks into consumed iteration.
 pub const PASS_HASHORDER: &str = "hashorder";
@@ -94,18 +69,12 @@ pub const PASS_HYGIENE: &str = "hygiene";
 /// Pass name: fault-seam exhaustiveness (every `InjectionPoint` variant
 /// consulted; every boot-path seam operation behind its consult).
 pub const PASS_SEAMCOVER: &str = "seamcover";
-/// Pass name: span-guard leak discipline and registry balance.
-pub const PASS_SPANFLOW: &str = "spanflow";
-/// Pass name: no nondeterminism source reachable from the sim roots
-/// outside the declared clock seam.
-pub const PASS_HERMETIC: &str = "hermetic";
 /// Pass name: DES event-protocol conformance (handler coverage, schedule
 /// discipline, total tie-break).
 pub const PASS_EVENTPROTO: &str = "eventproto";
 
 /// All pass names, in reporting order.
-pub const ALL_PASSES: [&str; 11] = [
-    PASS_DETERMINISM,
+pub const ALL_PASSES: [&str; 8] = [
     PASS_PANIC,
     PASS_HOTPATH,
     PASS_BORROWCELL,
@@ -113,49 +82,8 @@ pub const ALL_PASSES: [&str; 11] = [
     PASS_HASHORDER,
     PASS_HYGIENE,
     PASS_SEAMCOVER,
-    PASS_SPANFLOW,
-    PASS_HERMETIC,
     PASS_EVENTPROTO,
 ];
-
-/// Severity of a pass's findings, for machine-readable output. `error`
-/// passes guard properties whose violation breaks the paper's claims or
-/// panics at runtime; `warning` passes guard conventions. Both gate.
-pub fn severity(pass: &str) -> &'static str {
-    match pass {
-        PASS_DETERMINISM | PASS_PANIC | PASS_HOTPATH | PASS_BORROWCELL | PASS_SEAMCOVER
-        | PASS_HERMETIC | PASS_EVENTPROTO => "error",
-        _ => "warning",
-    }
-}
-
-/// One-line description of each pass, for `--emit json` and
-/// the SARIF rule metadata. Kept to a single sentence; `--explain` has
-/// the long form.
-pub fn describe(pass: &str) -> &'static str {
-    match pass {
-        PASS_DETERMINISM => {
-            "Simulated time and seeded randomness only; no ambient clocks or entropy."
-        }
-        PASS_PANIC => "Image parsing returns typed errors; no panic reachable from parse modules.",
-        PASS_HOTPATH => "No eager full-buffer copies reachable from the restore roots.",
-        PASS_BORROWCELL => {
-            "RefCell borrow guards stay short-lived; no cross-`?` or re-entrant holds."
-        }
-        PASS_NAMEREG => "Metric/span name literals come from the simtime::names registry.",
-        PASS_HASHORDER => "No HashMap/HashSet iteration order leaks into consumed output.",
-        PASS_HYGIENE => "Public library functions return crate error types, not Box<dyn Error>.",
-        PASS_SEAMCOVER => "Every fault-injection seam is consulted on the boot paths.",
-        PASS_SPANFLOW => "Span guards close on every path; the name registry balances both ways.",
-        PASS_HERMETIC => {
-            "No nondeterminism source reachable from the sim roots outside the clock seam."
-        }
-        PASS_EVENTPROTO => {
-            "DES event protocol: handler coverage, schedule discipline, total tie-break."
-        }
-        _ => "",
-    }
-}
 
 /// Function name used for findings in top-level (non-fn) tokens.
 pub const MODULE_SCOPE: &str = "<module>";
@@ -182,117 +110,18 @@ fn next_is_paren(toks: &[Tok], i: usize) -> bool {
     matches!(toks.get(i + 1), Some(Tok::Group(Delim::Paren, _, _)))
 }
 
-fn is_path_to(toks: &[Tok], i: usize, target: &str) -> bool {
-    toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-        && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-        && matches!(toks.get(i + 3), Some(Tok::Ident(w, _)) if w == target)
-}
-
-// ---------------------------------------------------------------------------
-// determinism
-// ---------------------------------------------------------------------------
-
-/// Flags ambient time and entropy sources outside `simtime`.
-pub(crate) fn determinism(parsed: &[ParsedFile], cfg: &Config, out: &mut Vec<Violation>) {
-    for pf in parsed {
-        if cfg.is_determinism_exempt(&pf.path) {
-            continue;
-        }
-        for f in &pf.items.fns {
-            scan_det(&f.body, &pf.path, &f.name, out);
-        }
-        scan_det(&pf.items.loose, &pf.path, MODULE_SCOPE, out);
-    }
-}
-
-fn scan_det(toks: &[Tok], file: &str, func: &str, out: &mut Vec<Violation>) {
-    for i in 0..toks.len() {
-        if let Tok::Ident(w, line) = &toks[i] {
-            match w.as_str() {
-                "SystemTime" | "Instant" if is_path_to(toks, i, "now") => push(
-                    out,
-                    PASS_DETERMINISM,
-                    file,
-                    func,
-                    *line,
-                    format!("wall-clock `{w}::now()`; use simtime::SimClock"),
-                ),
-                "thread" if is_path_to(toks, i, "sleep") => push(
-                    out,
-                    PASS_DETERMINISM,
-                    file,
-                    func,
-                    *line,
-                    "real `thread::sleep`; charge simulated time instead".to_string(),
-                ),
-                "sleep" if next_is_paren(toks, i) && !prev_blocks_bare_sleep(toks, i) => push(
-                    out,
-                    PASS_DETERMINISM,
-                    file,
-                    func,
-                    *line,
-                    "bare `sleep()` call; charge simulated time instead".to_string(),
-                ),
-                "thread_rng" | "from_entropy" | "OsRng" | "getrandom" => push(
-                    out,
-                    PASS_DETERMINISM,
-                    file,
-                    func,
-                    *line,
-                    format!("ambient entropy `{w}`; seed an StdRng explicitly"),
-                ),
-                _ => {}
-            }
-        }
-        if let Tok::Group(_, inner, _) = &toks[i] {
-            scan_det(inner, file, func, out);
-        }
-    }
-}
-
-/// `.sleep(…)` method calls, `fn sleep(…)` definitions, and the tail of a
-/// `thread::sleep` path (already reported) are not bare sleeps.
-fn prev_blocks_bare_sleep(toks: &[Tok], i: usize) -> bool {
-    if i == 0 {
-        return false;
-    }
-    match &toks[i - 1] {
-        Tok::Punct('.', _) | Tok::Punct(':', _) => true,
-        Tok::Ident(w, _) => w == "fn",
-        _ => false,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // panic
 // ---------------------------------------------------------------------------
-
-/// Flags panic sources in the configured parse modules, plus — via the
-/// call graph — parse functions whose precise call chains reach a
-/// hard-panicking helper outside the parse set.
-pub(crate) fn panic_freedom(
-    parsed: &[ParsedFile],
-    cfg: &Config,
-    graph: &CallGraph<'_>,
-    out: &mut Vec<Violation>,
-) {
-    for pf in parsed {
-        if !cfg.is_parse_file(&pf.path) {
-            continue;
-        }
-        for f in &pf.items.fns {
-            scan_panic(&f.body, &pf.path, &f.name, out);
-        }
-        scan_panic(&pf.items.loose, &pf.path, MODULE_SCOPE, out);
-    }
-    panic_interprocedural(cfg, graph, out);
-}
 
 /// Maximum chain length followed from a parse function. Beyond this the
 /// chain is too indirect to act on and too fuzzy to trust.
 const PANIC_CHAIN_DEPTH: usize = 5;
 
-fn panic_interprocedural(cfg: &Config, graph: &CallGraph<'_>, out: &mut Vec<Violation>) {
+/// Flags parse-module functions whose precise call chains reach a
+/// hard-panicking helper outside the parse set. What a parse module spells
+/// itself (`unwrap`, indexing, `as`) is denied by clippy in that module.
+pub(crate) fn panic_freedom(cfg: &Config, graph: &CallGraph<'_>, out: &mut Vec<Violation>) {
     // Hard-panic sites (unwrap/expect/panic!/…) per node. Lossy casts and
     // indexing are *not* propagated interprocedurally: they are style
     // requirements for parse modules themselves, and following them across
@@ -395,117 +224,6 @@ fn scan_hard_panics(toks: &[Tok], out: &mut Vec<(u32, String)>) {
             scan_hard_panics(inner, out);
         }
     }
-}
-
-fn numeric_type(s: &str) -> bool {
-    matches!(
-        s,
-        "u8" | "u16"
-            | "u32"
-            | "u64"
-            | "u128"
-            | "usize"
-            | "i8"
-            | "i16"
-            | "i32"
-            | "i64"
-            | "i128"
-            | "isize"
-            | "f32"
-            | "f64"
-    )
-}
-
-fn scan_panic(toks: &[Tok], file: &str, func: &str, out: &mut Vec<Violation>) {
-    let mut i = 0usize;
-    while i < toks.len() {
-        match &toks[i] {
-            // `use foo::bar as baz;` inside a body is not a cast.
-            Tok::Ident(w, _) if w == "use" => {
-                while i < toks.len() && !matches!(&toks[i], Tok::Punct(';', _)) {
-                    i += 1;
-                }
-            }
-            Tok::Ident(w, line)
-                if (w == "unwrap" || w == "expect")
-                    && i > 0
-                    && toks[i - 1].is_punct('.')
-                    && next_is_paren(toks, i) =>
-            {
-                push(
-                    out,
-                    PASS_PANIC,
-                    file,
-                    func,
-                    *line,
-                    format!(".{w}() in an image-parsing module"),
-                );
-            }
-            Tok::Ident(w, line)
-                if matches!(
-                    w.as_str(),
-                    "panic" | "unreachable" | "todo" | "unimplemented"
-                ) && toks.get(i + 1).is_some_and(|t| t.is_punct('!')) =>
-            {
-                push(
-                    out,
-                    PASS_PANIC,
-                    file,
-                    func,
-                    *line,
-                    format!("{w}! in an image-parsing module"),
-                );
-            }
-            Tok::Ident(w, line)
-                if w == "as"
-                    && matches!(toks.get(i + 1), Some(Tok::Ident(t, _)) if numeric_type(t)) =>
-            {
-                let ty = toks[i + 1].ident().unwrap_or("?");
-                push(
-                    out,
-                    PASS_PANIC,
-                    file,
-                    func,
-                    *line,
-                    format!("unchecked `as {ty}` cast; use try_into/From"),
-                );
-            }
-            Tok::Group(Delim::Bracket, inner, line)
-                if prev_is_indexable(toks, i) && !is_full_range(inner) =>
-            {
-                push(
-                    out,
-                    PASS_PANIC,
-                    file,
-                    func,
-                    *line,
-                    "unchecked slice/array indexing; use get()/split-based parsing".to_string(),
-                );
-            }
-            _ => {}
-        }
-        if let Some(Tok::Group(_, inner, _)) = toks.get(i) {
-            scan_panic(inner, file, func, out);
-        }
-        i += 1;
-    }
-}
-
-fn prev_is_indexable(toks: &[Tok], i: usize) -> bool {
-    if i == 0 {
-        return false;
-    }
-    match &toks[i - 1] {
-        Tok::Ident(w, _) => !is_keyword(w),
-        Tok::Group(Delim::Paren | Delim::Bracket, _, _) => true,
-        Tok::Punct('?', _) => true,
-        _ => false,
-    }
-}
-
-/// `[..]` — a full-range slice, which cannot panic.
-fn is_full_range(inner: &[Tok]) -> bool {
-    matches!(inner, [Tok::Punct('.', _), Tok::Punct('.', _)])
 }
 
 // ---------------------------------------------------------------------------
@@ -1009,7 +727,9 @@ pub const NAME_PREFIXES: [&str; 25] = [
     "transfer:",
 ];
 
-/// Flags registry-grammar string literals outside `simtime::names`.
+/// Keeps the name registry closed in both directions: flags
+/// registry-grammar string literals outside `simtime::names`, and registry
+/// entries nothing outside it references.
 pub(crate) fn namereg(parsed: &[ParsedFile], cfg: &Config, out: &mut Vec<Violation>) {
     for pf in parsed {
         if cfg.is_non_library_path(&pf.path) || cfg.is_namereg_exempt(&pf.path) {
@@ -1020,6 +740,7 @@ pub(crate) fn namereg(parsed: &[ParsedFile], cfg: &Config, out: &mut Vec<Violati
         }
         scan_names(&pf.items.loose, &pf.path, MODULE_SCOPE, out);
     }
+    registry_balance(parsed, cfg, out);
 }
 
 fn scan_names(toks: &[Tok], file: &str, func: &str, out: &mut Vec<Violation>) {
@@ -1046,6 +767,82 @@ fn scan_names(toks: &[Tok], file: &str, func: &str, out: &mut Vec<Violation>) {
                 }
             }
             Tok::Group(_, inner, _) => scan_names(inner, file, func, out),
+            _ => {}
+        }
+    }
+}
+
+/// Every public const and fn in the registry file must be referenced
+/// somewhere outside it. `use` re-exports are dropped during
+/// segmentation, so a re-export alone does not count as an emission.
+fn registry_balance(parsed: &[ParsedFile], cfg: &Config, out: &mut Vec<Violation>) {
+    let Some(reg) = parsed.iter().find(|p| p.path == cfg.registry_file) else {
+        return;
+    };
+    let mut declared: Vec<(String, u32)> = Vec::new();
+    collect_pub_consts(&reg.items.loose, &mut declared);
+    for f in &reg.items.fns {
+        if f.is_pub {
+            declared.push((f.name.clone(), f.line));
+        }
+    }
+
+    let mut used: BTreeSet<&str> = BTreeSet::new();
+    for pf in parsed.iter() {
+        if pf.path == cfg.registry_file {
+            continue;
+        }
+        collect_used_idents(&pf.items.loose, &mut used);
+        for f in &pf.items.fns {
+            collect_used_idents(&f.sig, &mut used);
+            collect_used_idents(&f.body, &mut used);
+        }
+    }
+
+    for (name, line) in &declared {
+        if !used.contains(name.as_str()) {
+            push(
+                out,
+                PASS_NAMEREG,
+                &cfg.registry_file,
+                MODULE_SCOPE,
+                *line,
+                format!(
+                    "registry entry `{name}` has no emission site outside the registry; every \
+                     `simtime::names` entry must be emitted somewhere (or retired)"
+                ),
+            );
+        }
+    }
+}
+
+/// `pub const NAME` / `pub(crate) const NAME` declarations.
+fn collect_pub_consts(toks: &[Tok], out: &mut Vec<(String, u32)>) {
+    for i in 0..toks.len() {
+        if toks[i].ident() == Some("const") {
+            let vis = i >= 1 && toks[i - 1].ident() == Some("pub")
+                || i >= 2
+                    && matches!(toks.get(i - 1), Some(Tok::Group(Delim::Paren, _, _)))
+                    && toks[i - 2].ident() == Some("pub");
+            if vis {
+                if let Some(Tok::Ident(name, line)) = toks.get(i + 1) {
+                    out.push((name.clone(), *line));
+                }
+            }
+        }
+        if let Tok::Group(_, inner, _) = &toks[i] {
+            collect_pub_consts(inner, out);
+        }
+    }
+}
+
+fn collect_used_idents<'a>(toks: &'a [Tok], out: &mut BTreeSet<&'a str>) {
+    for t in toks {
+        match t {
+            Tok::Ident(w, _) => {
+                out.insert(w.as_str());
+            }
+            Tok::Group(_, inner, _) => collect_used_idents(inner, out),
             _ => {}
         }
     }
@@ -1419,320 +1216,6 @@ fn collect_injection_variants(toks: &[Tok], file: &str, out: &mut Vec<(String, S
         }
         if let Tok::Group(_, inner, _) = &toks[i] {
             collect_injection_variants(inner, file, out);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// spanflow
-// ---------------------------------------------------------------------------
-
-/// Span-guard leak discipline plus registry balance.
-///
-/// A raw `tracer_mut().begin(…)` opens a span that only `end()` closes;
-/// a `?` or `return` before any `end()` leaks the open span into the
-/// caller's trace (the closure-scoped `ctx.span(…)` API cannot leak and
-/// is never flagged). Events are compared in flattened source order — an
-/// `end()` in an early-return arm counts for the hazards after it, which
-/// trades path-sensitivity for zero false positives on the match-heavy
-/// gateway/pool code.
-///
-/// Registry balance: namereg checks that emitted literals are registered;
-/// this direction checks that every public `simtime::names` entry is
-/// emitted (or referenced) somewhere outside the registry file.
-pub(crate) fn spanflow(parsed: &[ParsedFile], cfg: &Config, out: &mut Vec<Violation>) {
-    for pf in parsed.iter() {
-        if cfg.is_non_library_path(&pf.path) || cfg.is_spanflow_exempt(&pf.path) {
-            continue;
-        }
-        for f in &pf.items.fns {
-            scan_span_guards(&f.body, &pf.path, &f.name, out);
-        }
-    }
-    registry_balance(parsed, cfg, out);
-}
-
-enum SpanEvent {
-    End,
-    Hazard(&'static str, u32),
-}
-
-fn scan_span_guards(toks: &[Tok], file: &str, func: &str, out: &mut Vec<Violation>) {
-    for i in 0..toks.len() {
-        if let Tok::Ident(w, line) = &toks[i] {
-            if w == "begin"
-                && i > 0
-                && toks[i - 1].is_punct('.')
-                && next_is_paren(toks, i)
-                && tracer_receiver(toks, i - 1)
-            {
-                let mut events: Vec<SpanEvent> = Vec::new();
-                flatten_span_events(&toks[i + 2..], &mut events);
-                // Only the first event matters: an `End` first means the
-                // guard closes before any hazard; a `Hazard` first is the
-                // leak.
-                if let Some(SpanEvent::Hazard(kind, hline)) = events.first() {
-                    push(
-                        out,
-                        PASS_SPANFLOW,
-                        file,
-                        func,
-                        *hline,
-                        format!(
-                            "span guard opened by raw `tracer begin` on line {line} \
-                             leaks across {kind} before any `end()`; close the span on \
-                             every path or use the closure-scoped `ctx.span(..)`"
-                        ),
-                    );
-                }
-            }
-        }
-        if let Tok::Group(_, inner, _) = &toks[i] {
-            scan_span_guards(inner, file, func, out);
-        }
-    }
-}
-
-/// Depth-first, source-order flattening of span events after a `begin`.
-fn flatten_span_events(toks: &[Tok], out: &mut Vec<SpanEvent>) {
-    for i in 0..toks.len() {
-        match &toks[i] {
-            Tok::Ident(w, line) => {
-                if w == "end"
-                    && i > 0
-                    && toks[i - 1].is_punct('.')
-                    && next_is_paren(toks, i)
-                    && tracer_receiver(toks, i - 1)
-                {
-                    out.push(SpanEvent::End);
-                } else if w == "return" {
-                    out.push(SpanEvent::Hazard("`return`", *line));
-                }
-            }
-            Tok::Punct('?', line) => out.push(SpanEvent::Hazard("`?`", *line)),
-            Tok::Group(_, inner, _) => flatten_span_events(inner, out),
-            _ => {}
-        }
-    }
-}
-
-/// The receiver chain before `dot` runs through a `tracer`/`tracer_mut`
-/// access (`ctx.tracer_mut().begin`, `self.tracer.end`).
-fn tracer_receiver(toks: &[Tok], dot: usize) -> bool {
-    let mut j = dot;
-    while j > 0 {
-        j -= 1;
-        match &toks[j] {
-            Tok::Ident(w, _) => {
-                if w == "tracer" || w == "tracer_mut" {
-                    return true;
-                }
-                if is_keyword(w) && w != "self" {
-                    return false;
-                }
-            }
-            Tok::Punct('.', _) => {}
-            Tok::Group(Delim::Paren, _, _) => {}
-            _ => return false,
-        }
-    }
-    false
-}
-
-/// Every public const and fn in the registry file must be referenced
-/// somewhere outside it. `use` re-exports are dropped during
-/// segmentation, so a re-export alone does not count as an emission.
-fn registry_balance(parsed: &[ParsedFile], cfg: &Config, out: &mut Vec<Violation>) {
-    let Some(reg) = parsed.iter().find(|p| p.path == cfg.registry_file) else {
-        return;
-    };
-    let mut declared: Vec<(String, u32)> = Vec::new();
-    collect_pub_consts(&reg.items.loose, &mut declared);
-    for f in &reg.items.fns {
-        if f.is_pub {
-            declared.push((f.name.clone(), f.line));
-        }
-    }
-
-    let mut used: BTreeSet<&str> = BTreeSet::new();
-    for pf in parsed.iter() {
-        if pf.path == cfg.registry_file {
-            continue;
-        }
-        collect_used_idents(&pf.items.loose, &mut used);
-        for f in &pf.items.fns {
-            collect_used_idents(&f.sig, &mut used);
-            collect_used_idents(&f.body, &mut used);
-        }
-    }
-
-    for (name, line) in &declared {
-        if !used.contains(name.as_str()) {
-            push(
-                out,
-                PASS_SPANFLOW,
-                &cfg.registry_file,
-                MODULE_SCOPE,
-                *line,
-                format!(
-                    "registry entry `{name}` has no emission site outside the registry; every \
-                     `simtime::names` entry must be emitted somewhere (or retired)"
-                ),
-            );
-        }
-    }
-}
-
-/// `pub const NAME` / `pub(crate) const NAME` declarations.
-fn collect_pub_consts(toks: &[Tok], out: &mut Vec<(String, u32)>) {
-    for i in 0..toks.len() {
-        if toks[i].ident() == Some("const") {
-            let vis = i >= 1 && toks[i - 1].ident() == Some("pub")
-                || i >= 2
-                    && matches!(toks.get(i - 1), Some(Tok::Group(Delim::Paren, _, _)))
-                    && toks[i - 2].ident() == Some("pub");
-            if vis {
-                if let Some(Tok::Ident(name, line)) = toks.get(i + 1) {
-                    out.push((name.clone(), *line));
-                }
-            }
-        }
-        if let Tok::Group(_, inner, _) = &toks[i] {
-            collect_pub_consts(inner, out);
-        }
-    }
-}
-
-fn collect_used_idents<'a>(toks: &'a [Tok], out: &mut BTreeSet<&'a str>) {
-    for t in toks {
-        match t {
-            Tok::Ident(w, _) => {
-                out.insert(w.as_str());
-            }
-            Tok::Group(_, inner, _) => collect_used_idents(inner, out),
-            _ => {}
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// hermetic
-// ---------------------------------------------------------------------------
-
-/// Nondeterminism-source taint from the simulation roots.
-///
-/// The determinism pass flags ambient time/entropy *everywhere*; this pass
-/// proves the stronger property the (parked) dual-clock refactor
-/// needs: nothing *reachable from the simulation and boot roots* reads a
-/// wall clock, ambient entropy, the environment, the OS scheduler, or a
-/// child process. Reachability follows both edge kinds (missing a source
-/// is worse than over-reporting) and stops only at the `[[clock_seam]]`
-/// registry in `catalint.toml` — the sanctioned boundary behind which the
-/// future `ClockInner::Realtime` arm will live. The registry is empty
-/// today, so the pass certifies full hermeticity; the dual-clock PR flips
-/// entries on instead of weakening the analysis. Findings carry their
-/// root → sink call chain.
-pub(crate) fn hermetic(cfg: &Config, graph: &CallGraph<'_>, out: &mut Vec<Violation>) {
-    let roots: Vec<usize> = cfg
-        .sim_roots
-        .iter()
-        .chain(cfg.seam_roots.iter())
-        .flat_map(|n| graph.by_name(n))
-        .collect();
-    let reach = graph.reach(&roots, |site, _| {
-        !cfg.clock_seam.iter().any(|s| s == &site.bare)
-    });
-    for ix in 0..graph.nodes.len() {
-        if !reach.seen[ix] {
-            continue;
-        }
-        let node = &graph.nodes[ix];
-        // A seam function reached as a root (by name collision) is still
-        // sanctioned: the registry names the boundary itself.
-        if cfg.clock_seam.iter().any(|s| s == &node.name) {
-            continue;
-        }
-        let mut sites: Vec<(u32, String)> = Vec::new();
-        scan_hermetic(&graph.items[ix].body, &mut sites);
-        if sites.is_empty() {
-            continue;
-        }
-        let chain = graph.chain(&reach, ix);
-        for (line, what) in sites {
-            out.push(Violation {
-                pass: PASS_HERMETIC,
-                file: node.file.clone(),
-                func: node.name.clone(),
-                line,
-                what,
-                chain: chain.clone(),
-            });
-        }
-    }
-}
-
-/// Collects nondeterminism sources in one body: wall clocks, ambient
-/// entropy, environment reads, OS sleeps, host threads, process spawns,
-/// and elapsed-time method reads.
-fn scan_hermetic(toks: &[Tok], out: &mut Vec<(u32, String)>) {
-    for i in 0..toks.len() {
-        if let Tok::Ident(w, line) = &toks[i] {
-            let method = i > 0 && toks[i - 1].is_punct('.') && next_is_paren(toks, i);
-            match w.as_str() {
-                "SystemTime" | "Instant" if is_path_to(toks, i, "now") => out.push((
-                    *line,
-                    format!("wall-clock `{w}::now()` on a sim-reachable path; read the virtual clock (or register the function under [[clock_seam]])"),
-                )),
-                "thread" if is_path_to(toks, i, "sleep") => out.push((
-                    *line,
-                    "OS `thread::sleep` on a sim-reachable path; charge simulated time".to_string(),
-                )),
-                "thread"
-                    if ["spawn", "scope", "Builder"]
-                        .iter()
-                        .any(|f| is_path_to(toks, i, f)) =>
-                {
-                    out.push((
-                        *line,
-                        "host thread (`thread::spawn`/`scope`/`Builder`) on a sim-reachable path; model the parallel schedule with `charge_parallel`".to_string(),
-                    ));
-                }
-                "sleep" if next_is_paren(toks, i) && !prev_blocks_bare_sleep(toks, i) => out.push((
-                    *line,
-                    "bare `sleep()` on a sim-reachable path; charge simulated time".to_string(),
-                )),
-                "thread_rng" | "from_entropy" | "OsRng" | "getrandom" => out.push((
-                    *line,
-                    format!("ambient entropy `{w}` on a sim-reachable path; seed an StdRng explicitly"),
-                )),
-                "env"
-                    if is_path_to(toks, i, "var")
-                        || is_path_to(toks, i, "var_os")
-                        || is_path_to(toks, i, "vars") =>
-                {
-                    out.push((
-                        *line,
-                        "environment read (`env::var`-family) on a sim-reachable path; results must not depend on ambient configuration".to_string(),
-                    ));
-                }
-                "process"
-                    if toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-                        && toks.get(i + 2).is_some_and(|t| t.is_punct(':')) =>
-                {
-                    out.push((
-                        *line,
-                        "`std::process` use on a sim-reachable path; child processes are outside the simulation".to_string(),
-                    ));
-                }
-                "elapsed" | "duration_since" if method => out.push((
-                    *line,
-                    format!("ambient `.{w}()` read on a sim-reachable path; durations come from the virtual clock"),
-                )),
-                _ => {}
-            }
-        }
-        if let Tok::Group(_, inner, _) = &toks[i] {
-            scan_hermetic(inner, out);
         }
     }
 }

@@ -1,13 +1,11 @@
-//! End-to-end checks against planted violations: the checker must catch a
-//! wall-clock read anywhere and a panic site inside a parse module, and the
-//! `catalint` binary must exit non-zero on any finding.
+//! End-to-end checks against planted violations, one fixture (or a few)
+//! per pass, and the `catalint` binary must exit non-zero on any finding.
 
 use std::process::Command;
 
 use catalint::config::Config;
 use catalint::passes::{
-    PASS_DETERMINISM, PASS_EVENTPROTO, PASS_HERMETIC, PASS_HOTPATH, PASS_HYGIENE, PASS_PANIC,
-    PASS_SEAMCOVER, PASS_SPANFLOW,
+    PASS_EVENTPROTO, PASS_HOTPATH, PASS_HYGIENE, PASS_NAMEREG, PASS_PANIC, PASS_SEAMCOVER,
 };
 use catalint::{analyze, SrcFile};
 
@@ -16,10 +14,6 @@ fn run(path: &str, content: &str) -> Vec<catalint::Violation> {
 }
 
 fn run_files(files: &[(&str, &str)]) -> Vec<catalint::Violation> {
-    run_files_cfg(files, &Config::workspace_default())
-}
-
-fn run_files_cfg(files: &[(&str, &str)], cfg: &Config) -> Vec<catalint::Violation> {
     let files: Vec<SrcFile> = files
         .iter()
         .map(|(p, c)| SrcFile {
@@ -27,75 +21,62 @@ fn run_files_cfg(files: &[(&str, &str)], cfg: &Config) -> Vec<catalint::Violatio
             content: (*c).into(),
         })
         .collect();
-    analyze(&files, cfg)
+    analyze(&files, &Config::workspace_default())
 }
 
 #[test]
-fn planted_systemtime_now_is_caught() {
-    let v = run(
-        "crates/core/src/restore.rs",
-        r#"
-pub fn boot_stamp() -> std::time::SystemTime {
-    std::time::SystemTime::now()
-}
-"#,
-    );
+fn panicking_helper_reached_from_a_parse_module_is_caught() {
+    // The parse module spells no panic source itself (that half is
+    // clippy's, denied inside the module); the helper it calls does.
+    let v = run_files(&[
+        (
+            "crates/imagefmt/src/flat.rs",
+            "pub fn parse_header(buf: &[u8]) -> u32 {\n    header_len(buf)\n}\n",
+        ),
+        (
+            "crates/imagefmt/src/util.rs",
+            "pub fn header_len(buf: &[u8]) -> u32 {\n    \
+             u32::from_le_bytes(buf.get(..4).unwrap().try_into().unwrap())\n}\n",
+        ),
+    ]);
     assert!(
-        v.iter()
-            .any(|v| v.pass == PASS_DETERMINISM && v.func == "boot_stamp"),
-        "expected a determinism finding, got: {v:?}"
+        v.iter().any(|v| v.pass == PASS_PANIC
+            && v.func == "parse_header"
+            && v.chain == ["parse_header", "header_len"]),
+        "expected a panic finding with the call chain, got: {v:?}"
     );
 }
 
+/// The parse-module list has two readers: this checker (roots of the
+/// `panic` pass) and the modules themselves (clippy's panic-source lints,
+/// as an inner attribute). A module added to one must be added to the other.
 #[test]
-fn planted_instant_and_sleep_are_caught() {
-    let v = run(
-        "crates/sandbox/src/lib.rs",
-        r#"
-fn wait_for_boot() {
-    let t0 = std::time::Instant::now();
-    std::thread::sleep(std::time::Duration::from_millis(1));
-    let _ = t0;
-}
-"#,
-    );
-    assert_eq!(
-        v.iter().filter(|v| v.pass == PASS_DETERMINISM).count(),
-        2,
-        "expected Instant::now and thread::sleep findings, got: {v:?}"
-    );
-}
-
-#[test]
-fn simtime_may_define_time() {
-    let v = run(
-        "crates/simtime/src/clock.rs",
-        "pub fn real_now() -> std::time::Instant { std::time::Instant::now() }",
-    );
-    assert!(
-        v.iter().all(|v| v.pass != PASS_DETERMINISM),
-        "simtime is exempt from the determinism pass, got: {v:?}"
-    );
-}
-
-#[test]
-fn planted_unwrap_in_parse_module_is_caught() {
-    let v = run(
-        "crates/imagefmt/src/flat.rs",
-        r#"
-pub fn parse_header(buf: &[u8]) -> u32 {
-    u32::from_le_bytes(buf[0..4].try_into().unwrap())
-}
-"#,
-    );
-    // Both the slice indexing and the unwrap must be flagged.
-    assert!(
-        v.iter()
-            .filter(|v| v.pass == PASS_PANIC && v.func == "parse_header")
-            .count()
-            >= 2,
-        "expected indexing + unwrap findings, got: {v:?}"
-    );
+fn every_parse_module_denies_clippys_panic_lints() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("workspace root");
+    for file in &Config::workspace_default().parse_files {
+        let src = std::fs::read_to_string(root.join(file)).expect("parse module exists");
+        let head = src.split("\nuse ").next().unwrap_or_default();
+        let lints = [
+            "unwrap_used",
+            "expect_used",
+            "panic",
+            "unreachable",
+            "todo",
+            "unimplemented",
+            "as_conversions",
+            "indexing_slicing",
+        ];
+        assert!(
+            head.contains("not(test)")
+                && lints
+                    .iter()
+                    .all(|lint| head.contains(&format!("clippy::{lint}"))),
+            "{file} must deny clippy's eight panic-source lints outside tests"
+        );
+    }
 }
 
 #[test]
@@ -107,19 +88,6 @@ fn unwrap_outside_parse_modules_is_not_a_panic_finding() {
     assert!(
         v.iter().all(|v| v.pass != PASS_PANIC),
         "panic pass is scoped to parse modules, got: {v:?}"
-    );
-}
-
-#[test]
-fn lossy_cast_in_parse_module_is_caught() {
-    let v = run(
-        "crates/imagefmt/src/record.rs",
-        "pub fn narrow(x: u64) -> u16 { x as u16 }",
-    );
-    assert!(
-        v.iter()
-            .any(|v| v.pass == PASS_PANIC && v.what.contains("cast")),
-        "expected a lossy-cast finding, got: {v:?}"
     );
 }
 
@@ -209,17 +177,15 @@ fn box_dyn_error_in_public_library_fn_is_caught() {
 #[test]
 fn allow_comment_suppresses_a_finding() {
     let v = run(
-        "crates/core/src/restore.rs",
+        "crates/platform/src/lib.rs",
         r#"
-pub fn boot_stamp() -> std::time::SystemTime {
-    // catalint: allow(determinism)
-    std::time::SystemTime::now()
-}
+// catalint: allow(hygiene)
+pub fn start() -> Result<(), Box<dyn std::error::Error>> { Ok(()) }
 "#,
     );
     assert!(
-        v.iter().all(|v| v.pass != PASS_DETERMINISM),
-        "allow(determinism) on the line above must suppress, got: {v:?}"
+        v.iter().all(|v| v.pass != PASS_HYGIENE),
+        "allow(hygiene) on the line above must suppress, got: {v:?}"
     );
 }
 
@@ -233,6 +199,10 @@ fn binary_exits_zero_on_clean_tree_and_nonzero_on_violation() {
         .to_path_buf();
     let bin = env!("CARGO_BIN_EXE_catalint");
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the fixture drives the real binary; nothing simulated runs here"
+    )]
     let clean = Command::new(bin)
         .args(["--root", root.to_str().expect("utf-8 root")])
         .output()
@@ -244,26 +214,29 @@ fn binary_exits_zero_on_clean_tree_and_nonzero_on_violation() {
         String::from_utf8_lossy(&clean.stderr)
     );
 
-    // Plant a violation in a scratch copy of the workspace layout: a parse
-    // module with an unwrap.
+    // Plant a violation in a scratch copy of the workspace layout: a
+    // public library function with an erased error type.
     let scratch = std::env::temp_dir().join(format!("catalint-fixture-{}", std::process::id()));
-    let parse_dir = scratch.join("crates/imagefmt/src");
-    std::fs::create_dir_all(&parse_dir).expect("mkdir");
+    let lib_dir = scratch.join("crates/platform/src");
+    std::fs::create_dir_all(&lib_dir).expect("mkdir");
     std::fs::write(scratch.join("Cargo.toml"), "[workspace]\n").expect("write");
-    std::fs::create_dir_all(scratch.join("crates")).expect("mkdir");
     std::fs::write(
-        parse_dir.join("flat.rs"),
-        "pub fn parse(b: &[u8]) -> u8 { *b.first().unwrap() }\n",
+        lib_dir.join("lib.rs"),
+        "pub fn start() -> Result<(), Box<dyn std::error::Error>> { Ok(()) }\n",
     )
     .expect("write fixture");
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the fixture drives the real binary; nothing simulated runs here"
+    )]
     let dirty = Command::new(bin)
         .args(["--root", scratch.to_str().expect("utf-8 scratch")])
         .output()
         .expect("run catalint");
     assert!(
         !dirty.status.success(),
-        "catalint must fail on a planted unwrap in a parse module:\n{}{}",
+        "catalint must fail on a planted `Box<dyn Error>` return:\n{}{}",
         String::from_utf8_lossy(&dirty.stdout),
         String::from_utf8_lossy(&dirty.stderr)
     );
@@ -272,7 +245,7 @@ fn binary_exits_zero_on_clean_tree_and_nonzero_on_violation() {
 }
 
 // ---------------------------------------------------------------------------
-// PR 6: the dataflow contract passes
+// The fault-seam contract and the name registry's other direction
 // ---------------------------------------------------------------------------
 
 /// A gVisor-style engine body with every seam consulted. The seamcover
@@ -377,46 +350,6 @@ fn unconsulted_enum_variant_is_caught() {
 }
 
 #[test]
-fn span_guard_leak_across_try_is_caught() {
-    let v = run(
-        "crates/platform/src/scratch_gw.rs",
-        r#"
-pub fn measure(&mut self) -> Result<(), PlatformError> {
-    let h = self.tracer_mut().begin("queue-wait");
-    self.step()?;
-    self.tracer_mut().end(h);
-    Ok(())
-}
-"#,
-    );
-    assert!(
-        v.iter()
-            .any(|v| v.pass == PASS_SPANFLOW && v.func == "measure" && v.line == 4),
-        "expected a span-leak finding at the `?`, got: {v:?}"
-    );
-}
-
-#[test]
-fn balanced_span_guard_is_clean() {
-    let v = run(
-        "crates/platform/src/scratch_gw.rs",
-        r#"
-pub fn measure(&mut self) -> Result<(), PlatformError> {
-    let h = self.tracer_mut().begin("queue-wait");
-    let step = self.step();
-    self.tracer_mut().end(h);
-    step?;
-    Ok(())
-}
-"#,
-    );
-    assert!(
-        v.iter().all(|v| v.pass != PASS_SPANFLOW),
-        "the span closes before the `?`, got: {v:?}"
-    );
-}
-
-#[test]
 fn unreferenced_registry_entry_is_caught() {
     let v = run_files(&[
         (
@@ -430,7 +363,7 @@ fn unreferenced_registry_entry_is_caught() {
         ),
     ]);
     assert!(
-        v.iter().any(|v| v.pass == PASS_SPANFLOW
+        v.iter().any(|v| v.pass == PASS_NAMEREG
             && v.file == "crates/simtime/src/names.rs"
             && v.what.contains("GHOST_METRIC")),
         "expected an unreferenced-registry finding, got: {v:?}"
@@ -443,17 +376,15 @@ fn unreferenced_registry_entry_is_caught() {
 
 #[test]
 fn finding_order_is_deterministic_and_sorted() {
-    // Satellite: the JSON consumers (CI artifacts, the schema gate) rely
-    // on findings arriving sorted by (file, line, pass) regardless of
-    // input order. Feed files in reverse order and mix passes per file.
-    // (`run_closed` is a sim root: each ambient read is both a determinism
-    // and a hermetic finding on one line; `restore_boot` is a hot root.)
+    // Findings arrive sorted by (file, line, pass) regardless of input
+    // order. Feed files in reverse order and mix passes per file
+    // (`restore_boot` is a hot root).
     let files = [
         (
             "crates/platform/src/scratch_z.rs",
-            "pub fn run_closed() {\n    \
-             let _t0 = std::time::Instant::now();\n    \
-             std::thread::sleep(std::time::Duration::from_millis(1));\n}\n",
+            "pub fn restore_boot(m: &mut M, d: &[u8]) -> Result<Vec<u8>, Box<dyn Error>> {\n    \
+             m.inc(\"pool.reuse\");\n    \
+             Ok(d.to_vec())\n}\n",
         ),
         (
             "crates/core/src/scratch_a.rs",
@@ -476,124 +407,14 @@ fn finding_order_is_deterministic_and_sorted() {
         "findings must be sorted by (file, line, pass)"
     );
     assert!(
-        keys.len() >= 3,
+        keys.len() >= 4,
         "fixture must produce findings in both files, got: {a:?}"
     );
 }
 
 // ---------------------------------------------------------------------------
-// PR 10: the hermeticity certificate passes
+// The DES event protocol
 // ---------------------------------------------------------------------------
-
-#[test]
-fn hermetic_taint_reaches_through_helpers_with_chain() {
-    // The wall-clock read sits two hops below a sim root; the hermetic
-    // pass must follow the call graph there and carry the chain.
-    let v = run(
-        "crates/platform/src/scratch_gw.rs",
-        r#"
-pub fn call(&mut self) {
-    stage();
-}
-fn stage() {
-    finish();
-}
-fn finish() {
-    let _t0 = std::time::Instant::now();
-}
-"#,
-    );
-    let hit = v
-        .iter()
-        .find(|v| v.pass == PASS_HERMETIC && v.func == "finish")
-        .unwrap_or_else(|| panic!("expected a hermetic finding in `finish`, got: {v:?}"));
-    assert_eq!(
-        hit.chain,
-        vec!["call", "stage", "finish"],
-        "the finding must carry the root-to-sink chain"
-    );
-}
-
-#[test]
-fn hermetic_flags_entropy_env_process_spawn_and_host_threads() {
-    let v = run(
-        "crates/platform/src/scratch_gw.rs",
-        r#"
-pub fn run_fleet(&mut self) {
-    let mut rng = thread_rng();
-    let _home = std::env::var("HOME");
-    let _out = std::process::Command::new("date").output();
-    let _ = crossbeam::thread::scope(|s| { s.spawn(|_| ()); });
-    std::thread::spawn(|| ());
-    let _ = std::thread::Builder::new();
-    self.pool.spawn(self.tracer.scope("not a thread path"));
-}
-"#,
-    );
-    let hermetic: Vec<&catalint::Violation> =
-        v.iter().filter(|v| v.pass == PASS_HERMETIC).collect();
-    assert!(
-        hermetic.iter().any(|v| v.what.contains("thread_rng"))
-            && hermetic.iter().any(|v| v.what.contains("env::var"))
-            && hermetic.iter().any(|v| v.what.contains("std::process")),
-        "expected entropy + env + process findings, got: {v:?}"
-    );
-    let threads = hermetic.iter().filter(|v| v.what.contains("host thread"));
-    let lines: Vec<u32> = threads.map(|v| v.line).collect();
-    assert_eq!(lines, vec![6, 7, 8], "one per spawn site, got: {v:?}");
-}
-
-#[test]
-fn unreachable_wall_clock_is_not_a_hermetic_finding() {
-    // No sim root reaches `offline_report`: the determinism pass still
-    // flags the raw read, but the hermetic certificate is about the
-    // simulation's transitive closure only (so tests keep their threads).
-    let v = run(
-        "crates/platform/src/scratch_gw.rs",
-        "pub fn offline_report() { let _t = std::time::Instant::now(); \
-         std::thread::scope(|s| { s.spawn(|| ()); }); }\n",
-    );
-    assert!(
-        v.iter().all(|v| v.pass != PASS_HERMETIC),
-        "hermetic is scoped to sim-reachable code, got: {v:?}"
-    );
-    assert!(
-        v.iter().any(|v| v.pass == PASS_DETERMINISM),
-        "the raw read itself is still a determinism finding, got: {v:?}"
-    );
-}
-
-#[test]
-fn clock_seam_registration_stops_the_taint() {
-    // The dual-clock boundary: a function registered under [[clock_seam]]
-    // may read the wall clock, and the taint does not cross into it.
-    let files = [(
-        "crates/platform/src/scratch_gw.rs",
-        r#"
-pub fn call(&mut self) {
-    let _t = realtime_now();
-}
-fn realtime_now() -> std::time::Instant {
-    std::time::Instant::now()
-}
-"#,
-    )];
-    let unsealed = run_files(&files);
-    assert!(
-        unsealed
-            .iter()
-            .any(|v| v.pass == PASS_HERMETIC && v.func == "realtime_now"),
-        "without the registry entry the read is a finding, got: {unsealed:?}"
-    );
-
-    let mut cfg = Config::workspace_default();
-    cfg.clock_seam.push("realtime_now".into());
-    let sealed = run_files_cfg(&files, &cfg);
-    assert!(
-        sealed.iter().all(|v| v.pass != PASS_HERMETIC),
-        "a registered clock seam is a sanctioned boundary, got: {sealed:?}"
-    );
-}
 
 /// A minimal conforming events file + run loop: two variants, every
 /// payload field bound by a tie-break key, both variants scheduled and

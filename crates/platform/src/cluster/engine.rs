@@ -308,9 +308,7 @@ mod tests {
         e.reset_path();
         let profile = AppProfile::c_hello();
         let mut ctx = BootCtx::fresh(&model);
-        ctx.tracer_mut().begin("test");
-        let outcome = e.boot(&profile, &mut ctx).unwrap();
-        let trace = ctx.tracer_mut().end();
+        let (outcome, trace) = ctx.span_out("test", |ctx| e.boot(&profile, ctx).unwrap());
         assert!(outcome.boot_latency > SimNanos::ZERO);
         assert!(
             trace

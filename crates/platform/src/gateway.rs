@@ -283,46 +283,38 @@ impl<E: BootEngine> Gateway<E> {
         if let Some(injector) = &self.injector {
             ctx = ctx.with_injector(Rc::clone(injector));
         }
-        ctx.tracer_mut().begin(names::invoke_span(function));
-        if req.arrival.is_some() && self.admission.is_some() {
-            // Always present on admitted requests (zero when unqueued), so
-            // the span shape is stable: [admission, boot, exec].
-            ctx.charge_span(SPAN_ADMISSION, queued);
-        }
-
-        let booted = resilient_boot(
-            &mut self.engine,
-            &profile,
-            &self.policy,
-            &mut ctx,
-            &mut self.metrics,
-        );
-        let mut booted = match booted {
-            Ok(booted) => booted,
-            Err(e) => {
-                self.metrics.inc(names::INVOKE_ERRORS);
-                ctx.tracer_mut().end();
-                if req.arrival.is_some() {
-                    self.finish_admitted(function, ctx.now(), HealthSignal::Failed);
-                }
-                return Err(e.into());
+        // The closure-scoped root: a `?` inside it leaves the closure, not
+        // the span, so every early return below finds the trace closed.
+        let admitted = req.arrival.is_some() && self.admission.is_some();
+        let (served, trace) = ctx.span_out(names::invoke_span(function), |ctx| {
+            if admitted {
+                // Always present on admitted requests (zero when unqueued),
+                // so the span shape is stable: [admission, boot, exec].
+                ctx.charge_span(SPAN_ADMISSION, queued);
             }
-        };
-        let (exec_result, exec_span) = ctx.span_out(SPAN_EXEC, |ctx| {
-            booted
-                .outcome
-                .program
-                .invoke_handler(ctx.clock(), ctx.model())
+            let mut booted = resilient_boot(
+                &mut self.engine,
+                &profile,
+                &self.policy,
+                ctx,
+                &mut self.metrics,
+            )?;
+            let (exec, exec_span) = ctx.span_out(SPAN_EXEC, |ctx| {
+                booted
+                    .outcome
+                    .program
+                    .invoke_handler(ctx.clock(), ctx.model())
+            });
+            Ok::<_, PlatformError>((booted, exec?, exec_span))
         });
-        let trace = ctx.tracer_mut().end();
-        let exec = match exec_result {
-            Ok(report) => report,
+        let (booted, exec, exec_span) = match served {
+            Ok(served) => served,
             Err(e) => {
                 self.metrics.inc(names::INVOKE_ERRORS);
                 if req.arrival.is_some() {
                     self.finish_admitted(function, ctx.now(), HealthSignal::Failed);
                 }
-                return Err(e.into());
+                return Err(e);
             }
         };
 

@@ -351,55 +351,47 @@ impl<E: BootEngine> InstancePool<E> {
         // platform-time fault window against the daemon's clock would be
         // meaningless.
         let mut ctx = BootCtx::new(&self.repair_clock, model);
-        ctx.tracer_mut().begin(SPAN_REPAIR);
-        if needs_repair {
-            let spent = match self.engine.repair(&self.profile, model) {
-                Ok(spent) => spent,
-                Err(err) => {
-                    self.metrics.inc(names::POOL_REPAIR_FAILED);
-                    ctx.tracer_mut().end();
-                    return Err(err.into());
+        let (done, span) = ctx.span_out(SPAN_REPAIR, |ctx| {
+            if needs_repair {
+                let spent = self.engine.repair(&self.profile, model)?;
+                ctx.charge_span("rebuild", spent);
+                if let Some(injector) = &self.injector {
+                    let mut injector = injector.borrow_mut();
+                    for &point in &self.pending_repair {
+                        injector.heal(point);
+                    }
                 }
-            };
-            ctx.charge_span("rebuild", spent);
-            if let Some(injector) = &self.injector {
-                let mut injector = injector.borrow_mut();
-                for &point in &self.pending_repair {
-                    injector.heal(point);
-                }
+                self.pending_repair.clear();
+                self.repair_stats.repairs += 1;
+                self.repair_stats.repair_time = self.repair_stats.repair_time.saturating_add(spent);
+                self.metrics.inc(names::POOL_REPAIR_COUNT);
+                self.metrics.observe(names::POOL_REPAIR_TIME, spent);
+                self.health_points = self.health_points.max(75);
             }
-            self.pending_repair.clear();
-            self.repair_stats.repairs += 1;
-            self.repair_stats.repair_time = self.repair_stats.repair_time.saturating_add(spent);
-            self.metrics.inc(names::POOL_REPAIR_COUNT);
-            self.metrics.observe(names::POOL_REPAIR_TIME, spent);
-            self.health_points = self.health_points.max(75);
-        }
-        while self.idle.len() < self.min_ready.min(self.max_idle) {
-            let booted = match resilient_boot(
-                &mut self.engine,
-                &self.profile,
-                &self.policy,
-                &mut ctx,
-                &mut self.metrics,
-            ) {
-                Ok(booted) => booted,
-                Err(err) => {
-                    self.metrics.inc(names::POOL_REPAIR_FAILED);
-                    ctx.tracer_mut().end();
-                    return Err(err.into());
-                }
-            };
-            self.idle.push_back(IdleInstance {
-                outcome: booted.outcome,
-                idle_since: now,
-            });
-            self.repair_stats.replenished += 1;
-            self.metrics.inc(names::POOL_REPAIR_REPLENISH);
+            while self.idle.len() < self.min_ready.min(self.max_idle) {
+                let booted = resilient_boot(
+                    &mut self.engine,
+                    &self.profile,
+                    &self.policy,
+                    ctx,
+                    &mut self.metrics,
+                )?;
+                self.idle.push_back(IdleInstance {
+                    outcome: booted.outcome,
+                    idle_since: now,
+                });
+                self.repair_stats.replenished += 1;
+                self.metrics.inc(names::POOL_REPAIR_REPLENISH);
+            }
+            Ok::<(), PlatformError>(())
+        });
+        if let Err(err) = done {
+            self.metrics.inc(names::POOL_REPAIR_FAILED);
+            return Err(err);
         }
         self.metrics
             .set_gauge(names::POOL_IDLE, self.idle.len() as i64);
-        self.repair_trace.push(ctx.tracer_mut().end());
+        self.repair_trace.push(span);
         Ok(())
     }
 }

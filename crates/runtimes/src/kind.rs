@@ -38,17 +38,6 @@ impl RuntimeKind {
         }
     }
 
-    /// What the runtime calls its loadable unit ("class", "module", ...).
-    pub fn unit_name(self) -> &'static str {
-        match self {
-            RuntimeKind::C => "shared object",
-            RuntimeKind::Java => "class",
-            RuntimeKind::Python => "module",
-            RuntimeKind::Ruby => "gem",
-            RuntimeKind::Node => "package",
-        }
-    }
-
     /// True for runtimes that need a VM/interpreter before any app code runs
     /// (the paper: "high-level languages usually need to initialize a
     /// language runtime (e.g., JVM) before loading application codes").
@@ -68,9 +57,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn labels_and_units() {
+    fn labels_and_vm_need() {
         assert_eq!(RuntimeKind::Java.label(), "Java");
-        assert_eq!(RuntimeKind::Java.unit_name(), "class");
         assert_eq!(RuntimeKind::Node.to_string(), "Node.js");
         assert!(RuntimeKind::Python.needs_vm());
         assert!(!RuntimeKind::C.needs_vm());

@@ -52,6 +52,33 @@ pub enum IsolationLevel {
 /// });
 /// assert_eq!(clock.now(), ctx.now());
 /// ```
+///
+/// Spans open and close only through the closure-scoped methods, so none
+/// can stay open across a `?`. A caller that needs the finished tree takes
+/// it from [`BootCtx::span_out`]:
+///
+/// ```
+/// use sandbox::BootCtx;
+/// use simtime::{CostModel, SimNanos};
+///
+/// let mut ctx = BootCtx::fresh(&CostModel::experimental_machine());
+/// let (out, span) = ctx.span_out("invoke:f", |ctx| {
+///     ctx.charge_span("boot", SimNanos::from_micros(3));
+///     Err::<(), &str>("early return")
+/// });
+/// assert!(out.is_err());
+/// assert_eq!(span.duration(), SimNanos::from_micros(3));
+/// ```
+///
+/// and there is no raw begin/end handle to hold instead:
+///
+/// ```compile_fail,E0599
+/// use sandbox::BootCtx;
+/// use simtime::CostModel;
+///
+/// let mut ctx = BootCtx::fresh(&CostModel::experimental_machine());
+/// ctx.tracer_mut().begin("invoke:f"); // the tracer is private to `BootCtx`
+/// ```
 #[derive(Debug)]
 pub struct BootCtx {
     clock: SimClock,
@@ -162,11 +189,6 @@ impl BootCtx {
                 Err(SandboxError::Fault(fault))
             }
         }
-    }
-
-    /// The tracer, for callers that need raw begin/end control.
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.tracer
     }
 
     /// Completed top-level spans recorded so far.

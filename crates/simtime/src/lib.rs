@@ -14,9 +14,8 @@
 //! - [`SimClock`]: an accumulating virtual clock that boot engines charge.
 //! - [`CostModel`]: every machine-level unit cost, with presets calibrated
 //!   against the numbers printed in the paper (see `DESIGN.md` §6).
-//! - [`PhaseRecorder`]: named-phase breakdowns matching the paper's Figure 2.
-//! - [`trace`]: nested span trees stamped with virtual time, the structured
-//!   successor to flat breakdowns.
+//! - [`trace`]: nested span trees stamped with virtual time; a span's direct
+//!   children flatten to a [`Breakdown`], the paper's Figure 2 pipelines.
 //! - [`metrics`]: deterministic counters, gauges, and fixed-bucket latency
 //!   histograms — the workspace's one histogram type.
 //! - [`stats`]: summary statistics and CDFs used by the figure regenerators.
@@ -24,15 +23,15 @@
 //! # Example
 //!
 //! ```
-//! use simtime::{CostModel, PhaseRecorder, SimClock, SimNanos};
+//! use simtime::{CostModel, SimClock, SimNanos, Tracer};
 //!
 //! let model = CostModel::experimental_machine();
 //! let clock = SimClock::new();
-//! let mut phases = PhaseRecorder::new(&clock);
+//! let mut tracer = Tracer::new(&clock);
 //!
-//! phases.phase("parse-config", |clk| {
-//!     clk.charge(model.host.config_parse_base);
-//! });
+//! tracer.begin("boot");
+//! tracer.charge_span("parse-config", model.host.config_parse_base);
+//! let phases = tracer.end().to_breakdown();
 //!
 //! assert_eq!(clock.now(), model.host.config_parse_base);
 //! assert!(phases.total() > SimNanos::ZERO);
@@ -57,5 +56,5 @@ pub use clock::SimClock;
 pub use cost::{CostModel, HostCosts, IoCosts, KvmCosts, MachineKind, MemCosts, ObjectCosts};
 pub use duration::SimNanos;
 pub use metrics::{LatencyHistogram, MetricsRegistry};
-pub use phase::{Breakdown, PhaseRecorder};
+pub use phase::Breakdown;
 pub use trace::{Span, Tracer};

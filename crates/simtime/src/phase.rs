@@ -2,7 +2,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{SimClock, SimNanos};
+use crate::SimNanos;
 
 /// A named-phase latency breakdown, like the pipelines in the paper's
 /// Figure 2 ("Parse Configuration → Boot Sandbox process → ... → Execute
@@ -66,11 +66,6 @@ impl Breakdown {
             .map(|(_, c)| *c)
             .sum()
     }
-
-    /// Merges another breakdown's phases onto the end of this one.
-    pub fn extend_from(&mut self, other: &Breakdown) {
-        self.phases.extend(other.phases.iter().cloned());
-    }
 }
 
 impl fmt::Display for Breakdown {
@@ -88,97 +83,21 @@ impl fmt::Display for Breakdown {
     }
 }
 
-/// Records named phases against a [`SimClock`].
-///
-/// # Example
-///
-/// ```
-/// use simtime::{PhaseRecorder, SimClock, SimNanos};
-///
-/// let clock = SimClock::new();
-/// let mut rec = PhaseRecorder::new(&clock);
-/// rec.phase("recover-kernel", |clk| clk.charge(SimNanos::from_millis(8)));
-/// rec.phase("reconnect-io", |clk| clk.charge(SimNanos::from_millis(2)));
-/// let breakdown = rec.finish();
-/// assert_eq!(breakdown.total(), SimNanos::from_millis(10));
-/// assert_eq!(breakdown.total_for("reconnect-io"), SimNanos::from_millis(2));
-/// ```
-#[derive(Debug)]
-pub struct PhaseRecorder {
-    clock: SimClock,
-    breakdown: Breakdown,
-}
-
-impl PhaseRecorder {
-    /// Creates a recorder charging the given clock.
-    pub fn new(clock: &SimClock) -> Self {
-        PhaseRecorder {
-            clock: clock.clone(),
-            breakdown: Breakdown::new(),
-        }
-    }
-
-    /// Runs `f`, recording everything it charges to the clock as one phase.
-    pub fn phase<T>(&mut self, name: impl Into<String>, f: impl FnOnce(&SimClock) -> T) -> T {
-        let start = self.clock.now();
-        let out = f(&self.clock);
-        let cost = self.clock.since(start);
-        self.breakdown.push(name, cost);
-        out
-    }
-
-    /// Records a phase with an already-known cost, charging the clock.
-    pub fn charge_phase(&mut self, name: impl Into<String>, cost: SimNanos) {
-        self.clock.charge(cost);
-        self.breakdown.push(name, cost);
-    }
-
-    /// Total across recorded phases so far.
-    pub fn total(&self) -> SimNanos {
-        self.breakdown.total()
-    }
-
-    /// The clock being charged.
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
-    }
-
-    /// Consumes the recorder, returning the breakdown.
-    pub fn finish(self) -> Breakdown {
-        self.breakdown
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn phases_record_in_order() {
-        let clock = SimClock::new();
-        let mut rec = PhaseRecorder::new(&clock);
-        rec.charge_phase("a", SimNanos::from_micros(1));
-        rec.charge_phase("b", SimNanos::from_micros(2));
-        rec.charge_phase("a", SimNanos::from_micros(3));
-        let b = rec.finish();
+        let mut b = Breakdown::new();
+        b.push("a", SimNanos::from_micros(1));
+        b.push("b", SimNanos::from_micros(2));
+        b.push("a", SimNanos::from_micros(3));
         let names: Vec<&str> = b.iter().map(|(n, _)| n).collect();
         assert_eq!(names, ["a", "b", "a"]);
         assert_eq!(b.total_for("a"), SimNanos::from_micros(4));
         assert_eq!(b.total(), SimNanos::from_micros(6));
         assert_eq!(b.len(), 3);
-    }
-
-    #[test]
-    fn phase_measures_closure_charges() {
-        let clock = SimClock::new();
-        let mut rec = PhaseRecorder::new(&clock);
-        let out = rec.phase("work", |clk| {
-            clk.charge(SimNanos::from_millis(7));
-            "done"
-        });
-        assert_eq!(out, "done");
-        assert_eq!(rec.total(), SimNanos::from_millis(7));
-        assert_eq!(clock.now(), SimNanos::from_millis(7));
     }
 
     #[test]
@@ -202,16 +121,5 @@ mod tests {
         assert!(text.contains("parse 1.369ms"), "{text}");
         assert!(text.contains("total"), "{text}");
         assert_eq!(Breakdown::new().to_string(), "(empty breakdown)");
-    }
-
-    #[test]
-    fn extend_from_concatenates() {
-        let mut a = Breakdown::new();
-        a.push("x", SimNanos::from_nanos(1));
-        let mut b = Breakdown::new();
-        b.push("y", SimNanos::from_nanos(2));
-        a.extend_from(&b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.total(), SimNanos::from_nanos(3));
     }
 }

@@ -1,12 +1,11 @@
 //! Deterministic span tracing on the virtual timeline.
 //!
 //! A [`Tracer`] records a *nested* tree of named spans, each stamped with
-//! the [`SimClock`] readings at which it opened and closed. Where the flat
-//! [`PhaseRecorder`](crate::PhaseRecorder) can only express Fig. 2-style
-//! pipelines, the span tree captures the paper's real structure: the
-//! restore pipeline (§3) nests separated-state recovery, overlay-memory
-//! mapping, and on-demand I/O reconnection *inside* one boot, and each of
-//! those nests its own steps.
+//! the [`SimClock`] readings at which it opened and closed. Where a flat
+//! [`Breakdown`] can only express Fig. 2-style pipelines, the span tree
+//! captures the paper's real structure: the restore pipeline (§3) nests
+//! separated-state recovery, overlay-memory mapping, and on-demand I/O
+//! reconnection *inside* one boot, and each of those nests its own steps.
 //!
 //! Everything here is virtual time — spans never touch the wall clock, so
 //! two runs with identical inputs serialize to byte-identical trees (the
@@ -66,7 +65,7 @@ impl Span {
     }
 
     /// Sum of the direct children's durations.
-    pub fn children_total(&self) -> SimNanos {
+    fn children_total(&self) -> SimNanos {
         self.children.iter().map(Span::duration).sum()
     }
 

@@ -112,7 +112,7 @@ fn span_trees_are_byte_identical_across_runs() {
 }
 
 /// The fleet simulation owns all of its state: no globals, no wall clock,
-/// no ambient entropy — that is what the catalint hermeticity certificate
+/// no ambient entropy — that is what the ban list in `crates/clippy.toml`
 /// pins statically. This is the dynamic counterpart: the same chaos run
 /// executed on several OS threads, spawned in different orders across
 /// rounds, must serialize to byte-identical `ChaosOutcome` JSON. Any
