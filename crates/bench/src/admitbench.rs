@@ -226,7 +226,7 @@ fn grid_policies(limit: usize) -> [AdmissionPolicy; 2] {
     let full = AdmissionPolicy::standard(limit, DEADLINE);
     [
         AdmissionPolicy {
-            breaker: None,
+            breaker: false,
             ..full
         },
         full,

@@ -38,6 +38,9 @@
 use crate::flashcrowd::{self, FlashCrowd};
 use crate::Export;
 use faultsim::NodePlan;
+use platform::cluster::chaos::{
+    HEARTBEAT_INTERVAL, HEDGE_DELAY, SUSPICION_THRESHOLD, TRANSFER_TIMEOUT,
+};
 use platform::cluster::{ChaosOutcome, ChaosPolicy, ClusterConfig, RoutingPolicy};
 use platform::simulate::{Quantiles, TraceRequest};
 use platform::PlatformError;
@@ -348,7 +351,6 @@ impl Export for ChaosBenchExport {
     fn generate(model: &CostModel) -> Result<Self, Box<dyn std::error::Error>> {
         let cat = CROWD.catalogue();
         let trace = CROWD.trace();
-        let knobs = ChaosPolicy::full();
 
         let mut cells = Vec::new();
         for (fault, plan) in grid_plans() {
@@ -376,10 +378,10 @@ impl Export for ChaosBenchExport {
             fault_at: FAULT_AT,
             partition_heal: PARTITION_HEAL,
             gray_slowdown: GRAY_SLOWDOWN,
-            heartbeat_interval: knobs.heartbeat_interval,
-            suspicion_threshold: knobs.suspicion_threshold,
-            hedge_delay: knobs.hedge_delay,
-            transfer_timeout: knobs.transfer_timeout,
+            heartbeat_interval: HEARTBEAT_INTERVAL,
+            suspicion_threshold: SUSPICION_THRESHOLD,
+            hedge_delay: HEDGE_DELAY,
+            transfer_timeout: TRANSFER_TIMEOUT,
             cells,
             storm_full,
             storm_none,

@@ -30,7 +30,10 @@ use crate::flashcrowd::{self, FlashCrowd};
 use crate::Export;
 use catalyzer::{BootMode, CatalyzerEngine};
 use faultsim::{FaultPlan, InjectionPoint, PointPlan};
-use platform::cluster::{ClusterConfig, ClusterOutcome, RoutingPolicy, TransferCosts};
+use platform::cluster::{
+    ClusterConfig, ClusterOutcome, RoutingPolicy, COLD_PULL, EAGER_FRACTION, TRANSFER_PER_PAGE,
+    TRANSFER_SETUP,
+};
 use platform::simulate::{Quantiles, TraceRequest};
 use platform::{Cluster, Gateway, Invocation, InvokeRequest, PlatformError};
 use runtimes::AppProfile;
@@ -348,7 +351,6 @@ impl Export for ClusterBenchExport {
     fn generate(model: &CostModel) -> Result<Self, Box<dyn std::error::Error>> {
         let cat = CROWD.catalogue();
         let trace = CROWD.trace();
-        let costs = TransferCosts::rdma_defaults();
 
         let mut cells = Vec::new();
         for nodes in NODE_AXIS {
@@ -384,10 +386,10 @@ impl Export for ClusterBenchExport {
             base_rate_hz: flashcrowd::BASE_RATE_HZ,
             burst: u64::try_from(CROWD.burst).unwrap_or(u64::MAX),
             burst_width: flashcrowd::BURST_WIDTH,
-            transfer_setup: costs.setup,
-            transfer_per_page: costs.per_page,
-            eager_fraction: costs.eager_fraction,
-            cold_pull: costs.cold_pull,
+            transfer_setup: TRANSFER_SETUP,
+            transfer_per_page: TRANSFER_PER_PAGE,
+            eager_fraction: EAGER_FRACTION,
+            cold_pull: COLD_PULL,
             parity,
             cells,
             storm,

@@ -7,7 +7,7 @@
 //! same machine model produce byte-identical output (`tests/figure_smoke.rs` and
 //! `tools/check.sh` rely on this to validate `BENCH_pr2.json`).
 
-use crate::figures::System;
+use crate::figures::fig11_lineup;
 use crate::Export;
 use runtimes::AppProfile;
 use sandbox::BootCtx;
@@ -102,8 +102,7 @@ impl Export for BenchExport {
     fn generate(model: &CostModel) -> Result<Self, Box<dyn std::error::Error>> {
         let profiles = profile_set();
         let mut engines = Vec::new();
-        for system in &mut System::fig11_lineup() {
-            let engine = system.as_engine();
+        for mut engine in fig11_lineup() {
             let mut histogram = LatencyHistogram::new();
             let mut reference: Option<(String, Span)> = None;
             for profile in &profiles {

@@ -104,7 +104,7 @@ pub struct Table3Row {
     /// Metadata-object bytes.
     pub metadata: u64,
     /// I/O cache bytes.
-    pub io_cache: u64,
+    pub io_cache_bytes: u64,
 }
 
 /// Table 3: metadata and I/O-cache sizes for the five real applications.
@@ -124,11 +124,11 @@ pub fn table3(model: &CostModel) -> Result<Vec<Table3Row>, SandboxError> {
     let mut rows = Vec::new();
     for app in &apps {
         system.prewarm_image(app, model)?;
-        let (metadata, io_cache) = system.warm_memory_costs(&app.name, model)?;
+        let (metadata, io_cache_bytes) = system.warm_memory_costs(&app.name, model)?;
         rows.push(Table3Row {
             app: app.name.clone(),
             metadata,
-            io_cache,
+            io_cache_bytes,
         });
     }
     Ok(rows)
@@ -148,7 +148,7 @@ pub fn render_table3(rows: &[Table3Row]) {
             "{:<18} {:>12.1}KB {:>11}B",
             r.app,
             r.metadata as f64 / 1024.0,
-            r.io_cache
+            r.io_cache_bytes
         );
     }
 }

@@ -17,55 +17,20 @@ use simtime::{CostModel, SimNanos};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// The systems compared in Fig. 11 (and reused by several experiments).
-pub enum System {
-    /// HyperContainer baseline.
-    Hyper(sandbox::HyperContainerEngine),
-    /// FireCracker baseline.
-    Firecracker(sandbox::FirecrackerEngine),
-    /// gVisor baseline.
-    Gvisor(sandbox::GvisorEngine),
-    /// Docker baseline.
-    Docker(sandbox::DockerEngine),
-    /// gVisor-restore strawman.
-    GvisorRestore(sandbox::GvisorRestoreEngine),
-    /// A Catalyzer boot mode.
-    Catalyzer(CatalyzerEngine),
-}
-
-impl System {
-    /// The full Fig. 11 lineup, sharing one Catalyzer instance across its
-    /// three modes (as one deployment would).
-    pub fn fig11_lineup() -> Vec<System> {
-        let shared = Rc::new(RefCell::new(Catalyzer::new()));
-        vec![
-            System::Hyper(sandbox::HyperContainerEngine::new()),
-            System::Firecracker(sandbox::FirecrackerEngine::new()),
-            System::Gvisor(sandbox::GvisorEngine::new()),
-            System::Docker(sandbox::DockerEngine::new()),
-            System::GvisorRestore(sandbox::GvisorRestoreEngine::new()),
-            System::Catalyzer(CatalyzerEngine::new(Rc::clone(&shared), BootMode::Cold)),
-            System::Catalyzer(CatalyzerEngine::new(Rc::clone(&shared), BootMode::Warm)),
-            System::Catalyzer(CatalyzerEngine::new(shared, BootMode::Fork)),
-        ]
-    }
-
-    /// Engine name.
-    pub fn name(&mut self) -> &'static str {
-        self.as_engine().name()
-    }
-
-    /// View as the common trait object.
-    pub fn as_engine(&mut self) -> &mut dyn BootEngine {
-        match self {
-            System::Hyper(e) => e,
-            System::Firecracker(e) => e,
-            System::Gvisor(e) => e,
-            System::Docker(e) => e,
-            System::GvisorRestore(e) => e,
-            System::Catalyzer(e) => e,
-        }
-    }
+/// The Fig. 11 lineup (reused by several experiments), sharing one
+/// Catalyzer instance across its three modes (as one deployment would).
+pub fn fig11_lineup() -> Vec<Box<dyn BootEngine>> {
+    let shared = Rc::new(RefCell::new(Catalyzer::new()));
+    vec![
+        Box::new(sandbox::HyperContainerEngine::new()),
+        Box::new(sandbox::FirecrackerEngine::new()),
+        Box::new(sandbox::GvisorEngine::new()),
+        Box::new(sandbox::DockerEngine::new()),
+        Box::new(sandbox::GvisorRestoreEngine::new()),
+        Box::new(CatalyzerEngine::new(Rc::clone(&shared), BootMode::Cold)),
+        Box::new(CatalyzerEngine::new(Rc::clone(&shared), BootMode::Warm)),
+        Box::new(CatalyzerEngine::new(shared, BootMode::Fork)),
+    ]
 }
 
 /// Boots once and returns `(startup latency, outcome)`.

@@ -5,7 +5,7 @@ use runtimes::{AppProfile, RuntimeKind};
 use sandbox::{BootCtx, BootEngine, SandboxError};
 use simtime::{CostModel, SimNanos};
 
-use super::{boot_once, rule, System};
+use super::{boot_once, fig11_lineup, rule};
 use crate::ms;
 
 /// One Fig. 4 bar: the sandbox-vs-application split of startup latency.
@@ -195,16 +195,15 @@ pub fn render_fig07(rows: &[(&'static str, SimNanos); 3]) {
 /// Engine errors.
 pub fn fig11(model: &CostModel) -> Result<Vec<StartupRow>, SandboxError> {
     let apps = AppProfile::catalogue();
-    let mut systems = System::fig11_lineup();
     let mut rows = Vec::new();
-    for system in &mut systems {
-        let name = system.name();
+    for mut engine in fig11_lineup() {
+        let name = engine.name();
         for app in &apps {
             // The paper skips Ruby on FireCracker (unsupported kernel).
             if name == "FireCracker" && app.runtime == RuntimeKind::Ruby {
                 continue;
             }
-            let (startup, outcome) = boot_once(system.as_engine(), app, model)?;
+            let (startup, outcome) = boot_once(engine.as_mut(), app, model)?;
             rows.push(StartupRow {
                 system: outcome.system,
                 app: app.name.clone(),

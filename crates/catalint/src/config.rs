@@ -140,7 +140,7 @@ impl Config {
             tiebreak_fns: vec!["class".into(), "key".into(), "subkey".into()],
             // The single-node fleet and the cluster kernel behind both
             // `run_cluster` and `run_chaos`. The closed loop
-            // (`run_closed`) is a fold over the trace: it schedules
+            // (`Simulation::run`) is a fold over the trace: it schedules
             // nothing, so there is no event match to hold to coverage.
             event_loops: vec!["run_fleet".into(), "drive".into()],
             event_merge_fns: vec!["pop".into()],

@@ -4,20 +4,17 @@ use sandbox::host::HostTweaks;
 ///
 /// The full configuration is the shipped system; the partial constructors
 /// reproduce the Fig. 12 ablation ladder (each step adds one technique over
-/// the gVisor-restore baseline).
+/// the gVisor-restore baseline, which is `sandbox::GvisorRestoreEngine`).
+/// Overlay memory (§3.1) is not a toggle: every step maps the func-image
+/// into a shared Base-EPT.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CatalyzerConfig {
-    /// Overlay memory (§3.1): mmap the func-image into a shared Base-EPT
-    /// instead of eagerly loading every page.
-    pub overlay_memory: bool,
     /// Separated state recovery (§3.2): map partially-deserialized metadata
     /// and re-establish pointers in parallel, instead of one-by-one decode.
     pub separated_state: bool,
-    /// On-demand I/O reconnection (§3.3): defer connections to first use.
+    /// On-demand I/O reconnection (§3.3): defer connections to first use,
+    /// with the I/O cache eagerly replaying the deterministic prefix.
     pub lazy_io: bool,
-    /// The I/O cache (§3.3): eagerly replay the deterministic prefix of
-    /// connections on warm boots. Only meaningful with `lazy_io`.
-    pub io_cache: bool,
     /// Virtualization sandbox Zygotes (§3.4) for warm boot.
     pub zygotes: bool,
     /// Re-randomize the address-space layout on `sfork` (§6.8).
@@ -30,10 +27,8 @@ impl CatalyzerConfig {
     /// The full system as shipped.
     pub fn full() -> CatalyzerConfig {
         CatalyzerConfig {
-            overlay_memory: true,
             separated_state: true,
             lazy_io: true,
-            io_cache: true,
             zygotes: true,
             aslr_rerandomize: false,
             tweaks: HostTweaks::catalyzer(),
@@ -43,10 +38,8 @@ impl CatalyzerConfig {
     /// Fig. 12 step 1: only overlay memory over the gVisor-restore baseline.
     pub fn overlay_only() -> CatalyzerConfig {
         CatalyzerConfig {
-            overlay_memory: true,
             separated_state: false,
             lazy_io: false,
-            io_cache: false,
             zygotes: false,
             aslr_rerandomize: false,
             tweaks: HostTweaks::baseline(),
@@ -65,7 +58,6 @@ impl CatalyzerConfig {
     pub fn overlay_separated_lazy() -> CatalyzerConfig {
         CatalyzerConfig {
             lazy_io: true,
-            io_cache: true,
             ..CatalyzerConfig::overlay_and_separated()
         }
     }
@@ -90,21 +82,14 @@ mod tests {
             CatalyzerConfig::full(),
         ];
         let on = |c: &CatalyzerConfig| {
-            [
-                c.overlay_memory,
-                c.separated_state,
-                c.lazy_io,
-                c.io_cache,
-                c.zygotes,
-            ]
-            .iter()
-            .filter(|&&b| b)
-            .count()
+            [c.separated_state, c.lazy_io, c.zygotes]
+                .iter()
+                .filter(|&&b| b)
+                .count()
         };
         for pair in steps.windows(2) {
             assert!(on(&pair[0]) < on(&pair[1]));
         }
-        assert!(steps[0].overlay_memory);
         assert!(!steps[0].separated_state);
     }
 

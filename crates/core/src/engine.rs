@@ -243,12 +243,12 @@ impl Catalyzer {
                 detail: format!("func-image for '{function}' not compiled"),
             })?;
         let manifest = stored.flat.read_io_manifest(&SimClock::new(), model)?;
-        let io_cache: u64 = manifest
+        let cache_bytes: u64 = manifest
             .iter()
             .filter(|c| c.used_immediately)
             .map(|c| c.wire_size() as u64)
             .sum();
-        Ok((stored.flat.metadata_bytes(), io_cache))
+        Ok((stored.flat.metadata_bytes(), cache_bytes))
     }
 
     /// Total offline virtual time spent (image compilation + zygote refills;

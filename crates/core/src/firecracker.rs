@@ -164,7 +164,6 @@ impl BootEngine for FirecrackerSnapshotEngine {
                 })
             })?;
 
-            stored.boots += 1;
             Ok(WrappedProgram::from_restored(profile, kernel, space))
         })
     }

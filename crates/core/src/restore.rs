@@ -12,9 +12,11 @@
 //! 4. I/O connections recover **on demand**, with the I/O cache eagerly
 //!    replaying only the deterministic prefix.
 //!
-//! Each technique can be disabled via [`CatalyzerConfig`], in which case the
-//! engine falls back to the corresponding gVisor-restore behaviour — that is
-//! exactly the Fig. 12 ablation ladder.
+//! Separated state recovery, on-demand I/O and Zygotes can each be disabled
+//! via [`CatalyzerConfig`], in which case the engine falls back to the
+//! corresponding gVisor-restore behaviour — that is exactly the Fig. 12
+//! ablation ladder. Overlay memory is always on: the ladder's baseline is
+//! `sandbox::GvisorRestoreEngine` itself.
 //!
 //! Every step runs under a [`sandbox::BootCtx`] span, so the emitted trace
 //! carries the Fig. 8 sub-phases (`restore:kernel` → `separated-state` /
@@ -28,7 +30,7 @@ use std::sync::Arc;
 use faultsim::InjectionPoint;
 use guest_kernel::GuestKernel;
 use imagefmt::IoConnKind;
-use memsim::{AddressSpace, Perms, ShareMode};
+use memsim::AddressSpace;
 use runtimes::{AppProfile, WrappedProgram};
 use sandbox::{
     traced_boot, BootCtx, BootOutcome, GvisorEngine, SandboxError, PHASE_RESTORE_IO,
@@ -122,61 +124,29 @@ pub(crate) fn restore_boot(
 
         // --- 3. application memory ---------------------------------------
         ctx.fault(InjectionPoint::ImageMmap)?;
-        if config.overlay_memory {
-            ctx.span(PHASE_RESTORE_MEMORY, |ctx| {
-                let (base, step) = match &stored.base {
-                    Some(base) => (Arc::clone(base), "share-mapping"), // warm
-                    None => {
-                        // map-file (first cold boot builds the Base-EPT)
-                        let base = ctx.span(names::PHASE_MAP_FILE_BUILD_BASE, |ctx| {
-                            stored.flat.build_base_layer(ctx.clock(), ctx.model())
-                        })?;
-                        stored.base = Some(Arc::clone(&base));
-                        (base, "map-file")
-                    }
-                };
-                ctx.span(step, |ctx| {
-                    space.attach_base(
-                        base,
-                        profile.heap_range(),
-                        "func-image",
-                        ctx.clock(),
-                        ctx.model(),
-                    )
-                })?;
-                Ok::<_, SandboxError>(())
+        ctx.span(PHASE_RESTORE_MEMORY, |ctx| {
+            let (base, step) = match &stored.base {
+                Some(base) => (Arc::clone(base), "share-mapping"), // warm
+                None => {
+                    // map-file (first cold boot builds the Base-EPT)
+                    let base = ctx.span(names::PHASE_MAP_FILE_BUILD_BASE, |ctx| {
+                        stored.flat.build_base_layer(ctx.clock(), ctx.model())
+                    })?;
+                    stored.base = Some(Arc::clone(&base));
+                    (base, "map-file")
+                }
+            };
+            ctx.span(step, |ctx| {
+                space.attach_base(
+                    base,
+                    profile.heap_range(),
+                    "func-image",
+                    ctx.clock(),
+                    ctx.model(),
+                )
             })?;
-        } else {
-            // Ablation: eager loading of every page, gVisor-restore style.
-            ctx.span(PHASE_RESTORE_MEMORY, |ctx| {
-                let index = ctx.span("page-index", |ctx| {
-                    stored.flat.app_mem_index(ctx.clock(), ctx.model())
-                })?;
-                let image = Arc::clone(stored.flat.image());
-                let app_bytes = index.len() as u64 * memsim::PAGE_SIZE as u64;
-                ctx.charge_span("decompress", ctx.model().decompress(app_bytes)); // classic images are compressed
-                ctx.span("install-pages", |ctx| {
-                    ctx.charge(ctx.model().memcpy(app_bytes));
-                    ctx.charge(
-                        ctx.model()
-                            .mem
-                            .page_fault
-                            .saturating_mul(index.len() as u64),
-                    );
-                    space.map_anonymous(
-                        profile.heap_range(),
-                        Perms::RW,
-                        ShareMode::Private,
-                        "app-heap",
-                    )?;
-                    for (vpn, page) in index {
-                        let frame = image.load_page(page, ctx.clock(), ctx.model())?;
-                        space.install_page(vpn, frame.bytes())?;
-                    }
-                    Ok::<_, SandboxError>(())
-                })
-            })?;
-        }
+            Ok::<_, SandboxError>(())
+        })?;
 
         // --- 4. I/O reconnection -----------------------------------------
         ctx.fault(InjectionPoint::IoReconnect)?;
@@ -185,42 +155,38 @@ pub(crate) fn restore_boot(
             .read_io_manifest(&SimClock::new(), ctx.model())?;
         ctx.span(PHASE_RESTORE_IO, |ctx| {
             if config.lazy_io {
-                if config.io_cache {
-                    // Replay only the deterministic prefix (the cache hits);
-                    // everything else reconnects on first use. The gofer
-                    // batches the hinted re-opens into one RPC burst, so the
-                    // critical path pays the per-entry replay constant, not a
-                    // full open() round trip each — the real reconnection
-                    // work still happens (scratch clock), only its latency is
-                    // overlapped.
-                    ctx.span("io-cache-replay", |ctx| {
-                        let scratch = SimClock::new();
-                        let fds: Vec<i32> = kernel.vfs.iter_fds().map(|(fd, _)| fd).collect();
-                        let files: Vec<&imagefmt::IoConn> = manifest
-                            .iter()
-                            .filter(|c| c.kind == IoConnKind::File)
-                            .collect();
-                        for (fd, conn) in fds.iter().zip(&files) {
-                            if conn.used_immediately {
-                                ctx.charge(ctx.model().io.io_cache_replay);
-                                kernel.vfs.ensure_connected(*fd, &scratch, ctx.model())?;
-                            }
+                // Replay only the deterministic prefix (the I/O cache hits);
+                // everything else reconnects on first use. The gofer batches
+                // the hinted re-opens into one RPC burst, so the critical
+                // path pays the per-entry replay constant, not a full open()
+                // round trip each — the real reconnection work still happens
+                // (scratch clock), only its latency is overlapped.
+                ctx.span("io-cache-replay", |ctx| {
+                    let scratch = SimClock::new();
+                    let fds: Vec<i32> = kernel.vfs.iter_fds().map(|(fd, _)| fd).collect();
+                    let files: Vec<&imagefmt::IoConn> = manifest
+                        .iter()
+                        .filter(|c| c.kind == IoConnKind::File)
+                        .collect();
+                    for (fd, conn) in fds.iter().zip(&files) {
+                        if conn.used_immediately {
+                            ctx.charge(ctx.model().io.io_cache_replay);
+                            kernel.vfs.ensure_connected(*fd, &scratch, ctx.model())?;
                         }
-                        let socks: Vec<(u64, bool)> = kernel
-                            .net
-                            .iter()
-                            .map(|s| (s.id, s.state == guest_kernel::net::SockState::Listening))
-                            .collect();
-                        for (id, listening) in socks {
-                            if listening {
-                                ctx.charge(ctx.model().io.io_cache_replay);
-                                kernel.net.ensure_connected(id, &scratch, ctx.model())?;
-                            }
+                    }
+                    let socks: Vec<(u64, bool)> = kernel
+                        .net
+                        .iter()
+                        .map(|s| (s.id, s.state == guest_kernel::net::SockState::Listening))
+                        .collect();
+                    for (id, listening) in socks {
+                        if listening {
+                            ctx.charge(ctx.model().io.io_cache_replay);
+                            kernel.net.ensure_connected(id, &scratch, ctx.model())?;
                         }
-                        Ok::<_, SandboxError>(())
-                    })?;
-                }
-                // Pure lazy (no cache): nothing on the critical path.
+                    }
+                    Ok::<_, SandboxError>(())
+                })?;
             } else {
                 // Ablation: eager reconnection of everything.
                 ctx.span("reconnect-fds", |ctx| {
@@ -241,7 +207,6 @@ pub(crate) fn restore_boot(
             Ok::<_, SandboxError>(())
         })?;
 
-        stored.boots += 1;
         Ok(WrappedProgram::from_restored(profile, kernel, space))
     })
 }

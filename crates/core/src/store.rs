@@ -25,8 +25,6 @@ pub struct StoredFunction {
     pub fs: Arc<FsServer>,
     /// The shared Base-EPT, built by the first cold boot (§3.1).
     pub base: Option<Arc<EptLayer>>,
-    /// How many instances have booted from this image.
-    pub boots: u64,
 }
 
 impl fmt::Debug for StoredFunction {
@@ -35,7 +33,6 @@ impl fmt::Debug for StoredFunction {
             .field("objects", &self.flat.object_count())
             .field("pages", &self.flat.app_page_count())
             .field("base_built", &self.base.is_some())
-            .field("boots", &self.boots)
             .finish()
     }
 }
@@ -91,7 +88,6 @@ impl FuncImageStore {
             flat,
             fs,
             base: None,
-            boots: 0,
         }))
     }
 

@@ -41,38 +41,18 @@ pub const SPAN_ADMISSION: &str = "admission";
 /// Span name for background capacity-repair passes.
 pub const SPAN_REPAIR: &str = "repair";
 
-/// Circuit-breaker tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BreakerPolicy {
-    /// Consecutive failure signals that trip Closed → Open.
-    pub failure_threshold: u32,
-    /// How long the breaker fast-fails before admitting a probe.
-    pub cooldown: SimNanos,
-    /// Probe successes required to close a half-open breaker.
-    pub half_open_probes: u32,
-    /// Count a poisoned-state recovery (a degraded success that marked
-    /// prepared state suspect) as a failure signal. Poison persists until
-    /// repaired, so probing it with more traffic only burns retry budget.
-    pub trip_on_poison: bool,
-}
-
-impl BreakerPolicy {
-    /// The default production posture: trip after 2 consecutive failures or
-    /// poisons, cool down 20 virtual ms, close after 2 clean probes.
-    pub fn standard() -> BreakerPolicy {
-        BreakerPolicy {
-            failure_threshold: 2,
-            cooldown: SimNanos::from_millis(20),
-            half_open_probes: 2,
-            trip_on_poison: true,
-        }
-    }
-}
+/// Consecutive failure signals that trip a breaker Closed → Open.
+const BREAKER_FAILURE_THRESHOLD: u32 = 2;
+/// How long an open breaker fast-fails before admitting a probe.
+const BREAKER_COOLDOWN: SimNanos = SimNanos::from_millis(20);
+/// Probe successes required to close a half-open breaker.
+const BREAKER_HALF_OPEN_PROBES: u32 = 2;
 
 /// The breaker's position in its state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BreakerState {
     /// Healthy: requests flow.
+    #[default]
     Closed,
     /// Tripped: requests fast-fail until the cooldown elapses.
     Open,
@@ -121,14 +101,17 @@ pub enum HealthSignal {
     Failed,
 }
 
-/// A per-function circuit breaker (Closed → Open → HalfOpen).
+/// A per-function circuit breaker (Closed → Open → HalfOpen): it trips
+/// after 2 consecutive failures or poisons, cools down 20 virtual ms, and
+/// closes after 2 clean probes. A poisoned-state recovery counts as a
+/// failure: poison persists until repaired, so probing it with more traffic
+/// only burns retry budget.
 ///
 /// Purely virtual-time and purely deterministic: its entire history is the
 /// fold of `(admit, on_outcome)` calls, recorded in
 /// [`CircuitBreaker::transitions`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CircuitBreaker {
-    policy: BreakerPolicy,
     state: BreakerState,
     consecutive_failures: u32,
     opened_at: SimNanos,
@@ -137,18 +120,6 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    /// A closed breaker under `policy`.
-    pub fn new(policy: BreakerPolicy) -> CircuitBreaker {
-        CircuitBreaker {
-            policy,
-            state: BreakerState::Closed,
-            consecutive_failures: 0,
-            opened_at: SimNanos::ZERO,
-            probe_successes: 0,
-            transitions: Vec::new(),
-        }
-    }
-
     /// Current state.
     pub fn state(&self) -> BreakerState {
         self.state
@@ -176,7 +147,7 @@ impl CircuitBreaker {
         match self.state {
             BreakerState::Closed | BreakerState::HalfOpen => Ok(()),
             BreakerState::Open => {
-                let until = self.opened_at.saturating_add(self.policy.cooldown);
+                let until = self.opened_at.saturating_add(BREAKER_COOLDOWN);
                 if now >= until {
                     self.probe_successes = 0;
                     self.transition(now, BreakerState::HalfOpen);
@@ -190,15 +161,11 @@ impl CircuitBreaker {
 
     /// Feeds one completed request's health signal back at `now`.
     pub fn on_outcome(&mut self, now: SimNanos, signal: HealthSignal) {
-        let failure = match signal {
-            HealthSignal::Failed => true,
-            HealthSignal::Poisoned => self.policy.trip_on_poison,
-            HealthSignal::Healthy => false,
-        };
+        let failure = signal != HealthSignal::Healthy;
         match (self.state, failure) {
             (BreakerState::Closed, true) => {
                 self.consecutive_failures += 1;
-                if self.consecutive_failures >= self.policy.failure_threshold {
+                if self.consecutive_failures >= BREAKER_FAILURE_THRESHOLD {
                     self.opened_at = now;
                     self.transition(now, BreakerState::Open);
                 }
@@ -209,12 +176,12 @@ impl CircuitBreaker {
             (BreakerState::HalfOpen, true) => {
                 // The probe failed: back to Open for a fresh cooldown.
                 self.opened_at = now;
-                self.consecutive_failures = self.policy.failure_threshold;
+                self.consecutive_failures = BREAKER_FAILURE_THRESHOLD;
                 self.transition(now, BreakerState::Open);
             }
             (BreakerState::HalfOpen, false) => {
                 self.probe_successes += 1;
-                if self.probe_successes >= self.policy.half_open_probes {
+                if self.probe_successes >= BREAKER_HALF_OPEN_PROBES {
                     self.consecutive_failures = 0;
                     self.transition(now, BreakerState::Closed);
                 }
@@ -242,8 +209,8 @@ pub struct AdmissionPolicy {
     /// still stamped (goodput is still measured against it) but never
     /// enforced — the classic no-admission baseline.
     pub shed_expired: bool,
-    /// Per-function circuit breaking; `None` disables it.
-    pub breaker: Option<BreakerPolicy>,
+    /// Per-function circuit breaking ([`CircuitBreaker`]).
+    pub breaker: bool,
 }
 
 impl AdmissionPolicy {
@@ -255,7 +222,7 @@ impl AdmissionPolicy {
             max_queue: usize::MAX,
             deadline: SimNanos::ZERO,
             shed_expired: false,
-            breaker: None,
+            breaker: false,
         }
     }
 
@@ -269,26 +236,26 @@ impl AdmissionPolicy {
             max_queue: usize::MAX,
             deadline,
             shed_expired: false,
-            breaker: None,
+            breaker: false,
         }
     }
 
     /// The full overload-protection posture: `limit` concurrent requests, a
-    /// bounded queue (2× the limit), deadline-aware shedding, and the
-    /// standard circuit breaker.
+    /// bounded queue (2× the limit, saturating), deadline-aware shedding,
+    /// and the circuit breaker.
     pub fn standard(limit: usize, deadline: SimNanos) -> AdmissionPolicy {
         AdmissionPolicy {
             max_in_flight: limit,
-            max_queue: limit.max(1) * 2,
+            max_queue: limit.max(1).saturating_mul(2),
             deadline,
             shed_expired: true,
-            breaker: Some(BreakerPolicy::standard()),
+            breaker: true,
         }
     }
 
     /// Stable label for bench exports.
     pub fn label(&self) -> &'static str {
-        match (self.shed_expired, self.breaker.is_some()) {
+        match (self.shed_expired, self.breaker) {
             (false, false) => {
                 if self.max_in_flight == 0 {
                     "unlimited"
@@ -501,7 +468,7 @@ impl AdmissionController {
             .entry(function.to_owned())
             .or_insert_with(|| FunctionState {
                 completions: Vec::new(),
-                breaker: breaker.map(CircuitBreaker::new),
+                breaker: breaker.then(CircuitBreaker::default),
             })
     }
 
@@ -700,7 +667,7 @@ mod tests {
 
     #[test]
     fn breaker_trips_cools_probes_and_closes() {
-        let mut breaker = CircuitBreaker::new(BreakerPolicy::standard());
+        let mut breaker = CircuitBreaker::default();
         assert_eq!(breaker.state(), BreakerState::Closed);
         breaker.admit(ms(0)).unwrap();
         breaker.on_outcome(ms(1), HealthSignal::Failed);
@@ -743,7 +710,7 @@ mod tests {
 
     #[test]
     fn healthy_traffic_resets_the_failure_streak() {
-        let mut breaker = CircuitBreaker::new(BreakerPolicy::standard());
+        let mut breaker = CircuitBreaker::default();
         for i in 0..20u64 {
             breaker.admit(ms(i)).unwrap();
             let signal = if i % 2 == 0 {
@@ -801,7 +768,7 @@ mod tests {
         assert_eq!(AdmissionPolicy::queue_only(4, ms(1)).label(), "baseline");
         assert_eq!(AdmissionPolicy::standard(4, ms(1)).label(), "full");
         let deadline_only = AdmissionPolicy {
-            breaker: None,
+            breaker: false,
             ..AdmissionPolicy::standard(4, ms(1))
         };
         assert_eq!(deadline_only.label(), "deadline");

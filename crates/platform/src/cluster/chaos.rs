@@ -21,7 +21,7 @@
 //!   append-only history; same plan, same policy, same consultation order
 //!   — byte-identical log. The chaos tests pin exactly that.
 //!
-//! [`ChaosPolicy`] is the failover knob set: [`ChaosPolicy::full`] routes
+//! [`ChaosPolicy`] is the failover switch: [`ChaosPolicy::full`] routes
 //! around unhealthy nodes, re-replicates templates after a holder dies,
 //! hedges slow transfers, and times out waiters orphaned by a source
 //! crash; [`ChaosPolicy::none`] is the survivability baseline that keeps
@@ -89,40 +89,34 @@ pub struct ChaosRecord {
     pub kind: ChaosEvent,
 }
 
-/// The failover policy knobs — what the scheduler *does* about node
-/// faults. Both fidelity levels implement the same policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+/// Virtual-time spacing of heartbeat rounds.
+pub const HEARTBEAT_INTERVAL: SimNanos = SimNanos::from_millis(10);
+/// A healthy node's heartbeat ack latency (gray nodes stretch it).
+const BASE_ACK: SimNanos = SimNanos::from_micros(200);
+/// Ack latency above which a node is suspected fail-slow.
+pub const SUSPICION_THRESHOLD: SimNanos = SimNanos::from_millis(1);
+/// How long a transfer waiter waits after its source crashes before the
+/// timeout re-routes it (the typed alternative to hanging).
+pub const TRANSFER_TIMEOUT: SimNanos = SimNanos::from_millis(1);
+/// Hedge delay: a second transfer fires from another holder when the
+/// primary has not landed after this long.
+pub const HEDGE_DELAY: SimNanos = SimNanos::from_micros(300);
+
+/// The failover switch — what the scheduler *does* about node faults. Both
+/// fidelity levels implement the same policy; its timings are the
+/// constants above.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ChaosPolicy {
-    /// Virtual-time spacing of heartbeat rounds.
-    pub heartbeat_interval: SimNanos,
-    /// A healthy node's heartbeat ack latency (gray nodes stretch it).
-    pub base_ack: SimNanos,
-    /// Ack latency above which a node is suspected fail-slow.
-    pub suspicion_threshold: SimNanos,
-    /// How long a transfer waiter waits after its source crashes before
-    /// the timeout re-routes it (the typed alternative to hanging).
-    pub transfer_timeout: SimNanos,
-    /// Hedge delay: a second transfer fires from another holder when the
-    /// primary has not landed after this long.
-    pub hedge_delay: SimNanos,
-    /// Master switch: health-aware routing, re-replication, hedging, and
-    /// waiter timeouts. Off = the static-placement baseline.
+    /// Health-aware routing, re-replication, hedging, and waiter timeouts.
+    /// Off = the static-placement baseline.
     pub failover: bool,
 }
 
 impl ChaosPolicy {
-    /// The full survival policy: 10 ms heartbeats with a 200 µs healthy
-    /// ack and a 1 ms suspicion threshold, 1 ms waiter timeout, 300 µs
-    /// hedge delay.
+    /// The full survival policy: health-aware routing, re-replication,
+    /// hedging and waiter timeouts.
     pub fn full() -> ChaosPolicy {
-        ChaosPolicy {
-            heartbeat_interval: SimNanos::from_millis(10),
-            base_ack: SimNanos::from_micros(200),
-            suspicion_threshold: SimNanos::from_millis(1),
-            transfer_timeout: SimNanos::from_millis(1),
-            hedge_delay: SimNanos::from_micros(300),
-            failover: true,
-        }
+        ChaosPolicy { failover: true }
     }
 
     /// The no-failover baseline: heartbeats still tick (the belief log is
@@ -130,10 +124,7 @@ impl ChaosPolicy {
     /// hedging, no waiter timeouts. This is the policy the survivability
     /// grid shows shedding and hanging.
     pub fn none() -> ChaosPolicy {
-        ChaosPolicy {
-            failover: false,
-            ..ChaosPolicy::full()
-        }
+        ChaosPolicy { failover: false }
     }
 
     /// Stable label for bench exports.
@@ -211,7 +202,7 @@ impl ChaosState {
             partitions,
             cursor: 0,
             pending_heals: Vec::new(),
-            next_tick: policy.heartbeat_interval,
+            next_tick: HEARTBEAT_INTERVAL,
             health: vec![NodeHealth::Up; nodes],
             heartbeats: 0,
             log: Vec::new(),
@@ -311,11 +302,11 @@ impl ChaosState {
             } else {
                 let stretch = self.slowdown(node, now);
                 let ack = if stretch > 1.0 {
-                    self.policy.base_ack.scale(stretch)
+                    BASE_ACK.scale(stretch)
                 } else {
-                    self.policy.base_ack
+                    BASE_ACK
                 };
-                if ack > self.policy.suspicion_threshold {
+                if ack > SUSPICION_THRESHOLD {
                     NodeHealth::Suspect
                 } else {
                     NodeHealth::Up
@@ -430,7 +421,7 @@ impl ChaosState {
                 self.heal(epoch, at);
             } else {
                 let at = self.next_tick;
-                self.next_tick = at.saturating_add(self.policy.heartbeat_interval);
+                self.next_tick = at.saturating_add(HEARTBEAT_INTERVAL);
                 self.heartbeat(at);
             }
         }

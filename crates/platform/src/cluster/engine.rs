@@ -30,7 +30,7 @@ use sandbox::{BootCtx, BootEngine, BootOutcome, IsolationLevel, SandboxError};
 use simtime::names;
 use simtime::{CostModel, SimClock, SimNanos};
 
-use super::TransferCosts;
+use super::{transfer_time, COLD_PULL};
 
 /// The scheduler's per-request routing decision, as the node's engine sees
 /// it: which rungs of the ladder are reachable from this node right now.
@@ -99,12 +99,8 @@ enum Rung {
 ///
 /// None today; the `Result` keeps the seam-op signature uniform with the
 /// other guarded boot operations.
-pub fn transfer_template(
-    profile: &AppProfile,
-    costs: &TransferCosts,
-    ctx: &mut BootCtx,
-) -> Result<(), SandboxError> {
-    ctx.charge_span(names::SPAN_TRANSFER, costs.transfer_time(profile));
+pub fn transfer_template(profile: &AppProfile, ctx: &mut BootCtx) -> Result<(), SandboxError> {
+    ctx.charge_span(names::SPAN_TRANSFER, transfer_time(profile));
     Ok(())
 }
 
@@ -119,7 +115,6 @@ pub struct ClusterEngine {
     warm: CatalyzerEngine,
     /// Cold-boot view of the same system.
     cold: CatalyzerEngine,
-    costs: TransferCosts,
     route: RouteCell,
     rung: Rung,
 }
@@ -127,13 +122,12 @@ pub struct ClusterEngine {
 impl ClusterEngine {
     /// An engine over its own node-local [`Catalyzer`], reading routing
     /// decisions from `route`.
-    pub fn new(costs: TransferCosts, route: RouteCell) -> ClusterEngine {
+    pub fn new(route: RouteCell) -> ClusterEngine {
         let system = Rc::new(std::cell::RefCell::new(Catalyzer::new()));
         ClusterEngine {
             fork: CatalyzerEngine::new(Rc::clone(&system), BootMode::Fork),
             warm: CatalyzerEngine::new(Rc::clone(&system), BootMode::Warm),
             cold: CatalyzerEngine::new(system, BootMode::Cold),
-            costs,
             route,
             rung: Rung::LocalFork,
         }
@@ -186,7 +180,7 @@ impl BootEngine for ClusterEngine {
             Rung::LocalFork => self.fork.boot(profile, ctx),
             Rung::RemoteFork => {
                 ctx.fault(InjectionPoint::TemplateTransfer)?;
-                transfer_template(profile, &self.costs, ctx)?;
+                transfer_template(profile, ctx)?;
                 self.fork.boot(profile, ctx)
             }
             Rung::Warm => self.warm.boot(profile, ctx),
@@ -194,7 +188,7 @@ impl BootEngine for ClusterEngine {
                 if !self.route.get().local_template {
                     // The image never reached this node: pull it from the
                     // registry before the full cold boot.
-                    ctx.charge_span(names::SPAN_COLD_PULL, self.costs.cold_pull);
+                    ctx.charge_span(names::SPAN_COLD_PULL, COLD_PULL);
                 }
                 self.cold.boot(profile, ctx)
             }
@@ -264,7 +258,7 @@ mod tests {
 
     fn engine(route: RouteDecision) -> ClusterEngine {
         let cell: RouteCell = Rc::new(Cell::new(route));
-        ClusterEngine::new(TransferCosts::rdma_defaults(), cell)
+        ClusterEngine::new(cell)
     }
 
     #[test]

@@ -52,8 +52,11 @@ use serde::Serialize;
 use simtime::names;
 use simtime::{CostModel, LatencyHistogram, MetricsRegistry, SimNanos};
 
-use super::chaos::{ChaosEvent, ChaosPolicy, ChaosRecord, ChaosState, NodeHealth};
-use super::{ClusterConfig, RoutingPolicy};
+use super::chaos::{
+    ChaosEvent, ChaosPolicy, ChaosRecord, ChaosState, NodeHealth, HEARTBEAT_INTERVAL, HEDGE_DELAY,
+    TRANSFER_TIMEOUT,
+};
+use super::{transfer_time, ClusterConfig, RoutingPolicy, COLD_PULL};
 use crate::resilience::{resilient_boot, ResiliencePolicy};
 use crate::simulate::{
     calibrate_shapes, fraction, validate_trace, Arena, Event, EventQueue, FnId, InstanceId,
@@ -76,6 +79,9 @@ const ROUTE_FAILED: u64 = 5;
 /// Background delay before a poisoned transfer fabric is repaired.
 const REPAIR_DELAY: SimNanos = SimNanos::from_millis(5);
 
+/// Retry backoff charged when a transfer absorbs a transient or stall.
+const TRANSFER_BACKOFF: SimNanos = SimNanos::from_micros(200);
+
 /// Builder for an open-loop cluster run: the catalogue, the cluster shape,
 /// and the per-node serving knobs.
 #[derive(Debug)]
@@ -88,8 +94,6 @@ pub struct ClusterSim {
     /// Per-node concurrent-instance cap; `0` means unbounded.
     node_capacity: usize,
     plan: Option<FaultPlan>,
-    /// Retry backoff charged when a transfer absorbs a transient or stall.
-    backoff: SimNanos,
     /// Node-level fault schedule and failover policy, consulted only by
     /// [`ClusterSim::run_chaos`] — [`ClusterSim::run_cluster`] never reads
     /// it, so installing chaos cannot perturb the plain grid.
@@ -109,7 +113,6 @@ impl ClusterSim {
             max_idle: 4,
             node_capacity: 0,
             plan: None,
-            backoff: SimNanos::from_micros(200),
             chaos: None,
         }
     }
@@ -442,9 +445,7 @@ impl ClusterSim {
         // Health-aware routing, re-replication, hedging and waiter
         // timeouts; off both for the no-failover baseline and for a run
         // with no chaos layer, where static placement is simply true.
-        let policy = chaos.as_ref().map(|c| *c.policy());
-        let failover = policy.is_some_and(|p| p.failover);
-        let hedge_delay = policy.filter(|p| p.failover).map(|p| p.hedge_delay);
+        let failover = chaos.as_ref().is_some_and(|c| c.policy().failover);
 
         // Placement: the same round-robin spread as the closed-loop
         // scheduler — holders are provisioned (template built offline).
@@ -478,11 +479,8 @@ impl ClusterSim {
                 let epoch = u32::try_from(epoch).unwrap_or(u32::MAX);
                 queue.schedule(until, Event::PartitionHeal { epoch });
             }
-            if c.policy().heartbeat_interval <= hb_end {
-                queue.schedule(
-                    c.policy().heartbeat_interval,
-                    Event::HeartbeatTick { round: 0 },
-                );
+            if HEARTBEAT_INTERVAL <= hb_end {
+                queue.schedule(HEARTBEAT_INTERVAL, Event::HeartbeatTick { round: 0 });
             }
         }
 
@@ -744,7 +742,7 @@ impl ClusterSim {
                                         // retry goes through.
                                         wire = wire
                                             .saturating_add(fault.delay)
-                                            .saturating_add(self.backoff);
+                                            .saturating_add(TRANSFER_BACKOFF);
                                     }
                                 }
                                 if poisoned.is_none() {
@@ -767,9 +765,9 @@ impl ClusterSim {
                                             gen,
                                         },
                                     );
-                                    if let Some(delay) = hedge_delay {
+                                    if failover {
                                         queue.schedule(
-                                            now.saturating_add(delay),
+                                            now.saturating_add(HEDGE_DELAY),
                                             Event::HedgeFire {
                                                 node: node as u32,
                                                 function: fnid,
@@ -804,7 +802,7 @@ impl ClusterSim {
                         let s = &mut state[nf(node)];
                         let mut cost = detect.saturating_add(stretch(f.cold_boot, slow[node]));
                         if !s.pulled {
-                            cost = cost.saturating_add(self.config.costs.cold_pull);
+                            cost = cost.saturating_add(COLD_PULL);
                             s.pulled = true;
                         }
                         cold_hist.record(lag.saturating_add(cost));
@@ -970,7 +968,7 @@ impl ClusterSim {
                                         }
                                         failovers += 1;
                                         queue.schedule(
-                                            now.saturating_add(c.policy().transfer_timeout),
+                                            now.saturating_add(TRANSFER_TIMEOUT),
                                             Event::Arrival { request },
                                         );
                                     }
@@ -1105,7 +1103,7 @@ impl ClusterSim {
                 Event::HeartbeatTick { round } => {
                     let Some(c) = &mut chaos else { continue };
                     c.heartbeat(now);
-                    let next = now.saturating_add(c.policy().heartbeat_interval);
+                    let next = now.saturating_add(HEARTBEAT_INTERVAL);
                     if next <= hb_end {
                         queue.schedule(
                             next,
@@ -1255,7 +1253,7 @@ impl ClusterSim {
             .map(|(profile, (boot, exec, cold_boot))| ClusterFn {
                 boot,
                 exec,
-                transfer: self.config.costs.transfer_time(profile),
+                transfer: transfer_time(profile),
                 cold_boot,
             })
             .collect())
@@ -1264,7 +1262,6 @@ impl ClusterSim {
 
 #[cfg(test)]
 mod tests {
-    use super::super::TransferCosts;
     use super::*;
 
     fn burst(n: u64, function: usize) -> Vec<TraceRequest> {
@@ -1541,7 +1538,6 @@ mod tests {
                     nodes: 4,
                     placement_budget: 2,
                     routing: RoutingPolicy::RemoteFork,
-                    costs: TransferCosts::rdma_defaults(),
                 },
             )
             .with_node_capacity(64)

@@ -9,8 +9,8 @@
 //!
 //! - [`Node`]: one machine — its own [`Gateway`], pools, breakers, and a
 //!   node-local Catalyzer system behind a [`ClusterEngine`];
-//! - [`TransferCosts`]: the per-node cost model separating local fork,
-//!   RDMA template transfer, and cold image pull;
+//! - [`transfer_time`] and [`COLD_PULL`]: the per-node costs separating
+//!   local fork, RDMA template transfer, and cold image pull;
 //! - [`Cluster`]: the scheduler above the gateways — template *placement*
 //!   (which `k` of `N` nodes hold each function's template, the
 //!   provisioned-concurrency knob) and locality-aware *routing* (prefer a
@@ -50,45 +50,27 @@ pub use chaos::{ChaosEvent, ChaosPolicy, ChaosRecord, ChaosState, NodeHealth};
 pub use engine::{transfer_template, ClusterEngine, RouteCell, RouteDecision};
 pub use fleet::{ChaosOutcome, ClusterOutcome, ClusterSim};
 
-/// The per-node cost model separating the three ways a function's state can
-/// reach a node: it is already there (local fork — free), it is RDMA-read
-/// from a holder (remote sfork — [`TransferCosts::transfer_time`]), or the
-/// cold image is pulled from the registry ([`TransferCosts::cold_pull`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct TransferCosts {
-    /// RDMA connection setup and control-plane handshake per transfer.
-    pub setup: SimNanos,
-    /// One-sided RDMA read cost per eagerly-shipped template page.
-    pub per_page: SimNanos,
-    /// Fraction of the template's init heap shipped eagerly; the rest
-    /// faults in on demand, off the boot critical path (MITOSIS's lazy
-    /// page fetch).
-    pub eager_fraction: f64,
-    /// Registry image pull paid by a cold boot on a node that never held
-    /// the template.
-    pub cold_pull: SimNanos,
-}
+// A function's state reaches a node in one of three ways: it is already
+// there (local fork — free), it is RDMA-read from a holder (remote sfork —
+// `transfer_time`), or the cold image is pulled from the registry
+// (`COLD_PULL`). The costs model a commodity RDMA fabric.
 
-impl TransferCosts {
-    /// Defaults modeled on a commodity RDMA fabric: ~30 µs setup, ~250 ns
-    /// per 4 KiB page one-sided read, 5% of the init heap shipped eagerly,
-    /// and a 20 ms registry pull for the cold path.
-    pub fn rdma_defaults() -> TransferCosts {
-        TransferCosts {
-            setup: SimNanos::from_micros(30),
-            per_page: SimNanos::from_nanos(250),
-            eager_fraction: 0.05,
-            cold_pull: SimNanos::from_millis(20),
-        }
-    }
+/// RDMA connection setup and control-plane handshake per transfer.
+pub const TRANSFER_SETUP: SimNanos = SimNanos::from_micros(30);
+/// One-sided RDMA read cost per eagerly-shipped 4 KiB template page.
+pub const TRANSFER_PER_PAGE: SimNanos = SimNanos::from_nanos(250);
+/// Fraction of the template's init heap shipped eagerly; the rest faults in
+/// on demand, off the boot critical path (MITOSIS's lazy page fetch).
+pub const EAGER_FRACTION: f64 = 0.05;
+/// Registry image pull paid by a cold boot on a node that never held the
+/// template.
+pub const COLD_PULL: SimNanos = SimNanos::from_millis(20);
 
-    /// Virtual time a remote sfork spends on the wire before it can fork:
-    /// setup plus the eager slice of `profile`'s init heap.
-    pub fn transfer_time(&self, profile: &AppProfile) -> SimNanos {
-        let eager_pages = (profile.init_heap_pages as f64 * self.eager_fraction).ceil() as u64;
-        self.setup
-            .saturating_add(self.per_page.saturating_mul(eager_pages))
-    }
+/// Virtual time a remote sfork spends on the wire before it can fork:
+/// setup plus the eager slice of `profile`'s init heap.
+pub fn transfer_time(profile: &AppProfile) -> SimNanos {
+    let eager_pages = (profile.init_heap_pages as f64 * EAGER_FRACTION).ceil() as u64;
+    TRANSFER_SETUP.saturating_add(TRANSFER_PER_PAGE.saturating_mul(eager_pages))
 }
 
 /// What a node without a local template does when the template-local nodes
@@ -112,9 +94,8 @@ impl RoutingPolicy {
     }
 }
 
-/// Cluster shape: node count, placement budget, routing policy, and the
-/// transfer cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+/// Cluster shape: node count, placement budget, and routing policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ClusterConfig {
     /// Nodes in the cluster.
     pub nodes: usize,
@@ -124,19 +105,16 @@ pub struct ClusterConfig {
     pub placement_budget: usize,
     /// What overflow traffic does off the template-local nodes.
     pub routing: RoutingPolicy,
-    /// The per-node cost model.
-    pub costs: TransferCosts,
 }
 
 impl ClusterConfig {
     /// A config with `nodes` nodes and `placement_budget` replicas per
-    /// function, remote-fork routing, and RDMA-default costs.
+    /// function, and remote-fork routing.
     pub fn new(nodes: usize, placement_budget: usize) -> ClusterConfig {
         ClusterConfig {
             nodes,
             placement_budget,
             routing: RoutingPolicy::RemoteFork,
-            costs: TransferCosts::rdma_defaults(),
         }
     }
 
@@ -224,7 +202,7 @@ impl Cluster {
         let nodes = (0..config.nodes)
             .map(|_| {
                 let route: RouteCell = Rc::new(Cell::new(RouteDecision::default()));
-                let engine = ClusterEngine::new(config.costs, Rc::clone(&route));
+                let engine = ClusterEngine::new(Rc::clone(&route));
                 Node {
                     gateway: Gateway::new(engine, model.clone()),
                     route,

@@ -72,11 +72,11 @@ pub mod scaling;
 pub mod simulate;
 
 pub use admission::{
-    AdmissionController, AdmissionPolicy, BreakerPolicy, BreakerState, CircuitBreaker, HealthSignal,
+    AdmissionController, AdmissionPolicy, BreakerState, CircuitBreaker, HealthSignal,
 };
 pub use cluster::{
     Cluster, ClusterConfig, ClusterEngine, ClusterOutcome, ClusterSim, RouteDecision, RouteRecord,
-    RoutingPolicy, TransferCosts,
+    RoutingPolicy,
 };
 pub use error::{PlatformError, TraceError};
 pub use gateway::{Gateway, Invocation, InvocationReport, InvokeRequest};

@@ -29,7 +29,6 @@ use faultsim::{FaultInjector, FaultKind, InjectionPoint};
 use runtimes::AppProfile;
 use sandbox::{BootCtx, BootEngine, BootOutcome, SandboxError};
 use simtime::names;
-use simtime::trace::Span;
 use simtime::{CostModel, MetricsRegistry, SimClock, SimNanos};
 
 use crate::admission::SPAN_REPAIR;
@@ -106,10 +105,6 @@ pub struct InstancePool<E: BootEngine> {
     repair_stats: RepairStats,
     /// The repair daemon's own offline timeline.
     repair_clock: SimClock,
-    /// Span tree per repair pass.
-    repair_trace: Vec<Span>,
-    /// Integer health score, 0–100 (deterministic: no float drift).
-    health_points: u32,
 }
 
 impl<E: BootEngine> InstancePool<E> {
@@ -129,8 +124,6 @@ impl<E: BootEngine> InstancePool<E> {
             pending_repair: BTreeSet::new(),
             repair_stats: RepairStats::default(),
             repair_clock: SimClock::new(),
-            repair_trace: Vec::new(),
-            health_points: 100,
         }
     }
 
@@ -183,22 +176,9 @@ impl<E: BootEngine> InstancePool<E> {
         self.repair_stats
     }
 
-    /// Span tree of every repair pass, in order, on the repair daemon's
-    /// offline timeline.
-    pub fn repair_trace(&self) -> &[Span] {
-        &self.repair_trace
-    }
-
     /// Injection points currently owed a background repair.
     pub fn pending_repairs(&self) -> usize {
         self.pending_repair.len()
-    }
-
-    /// Deterministic health score in `[0, 1]`: clean serves recover it,
-    /// degraded serves dent it, poisons crater it until the repair loop
-    /// runs.
-    pub fn health(&self) -> f64 {
-        f64::from(self.health_points) / 100.0
     }
 
     /// Expires idle instances older than the keep-alive window at `now`.
@@ -289,11 +269,6 @@ impl<E: BootEngine> InstancePool<E> {
         let ctx = BootCtx::fresh(model);
         outcome.program.invoke_handler(ctx.clock(), ctx.model())?;
         let exec = ctx.now();
-        if degraded {
-            self.health_points = self.health_points.saturating_sub(25);
-        } else if !poisoned {
-            self.health_points = (self.health_points + 10).min(100);
-        }
         if self.idle.len() < self.max_idle {
             self.idle.push_back(IdleInstance {
                 outcome,
@@ -315,7 +290,6 @@ impl<E: BootEngine> InstancePool<E> {
         if self.pending_repair.insert(point) {
             self.metrics.inc(names::POOL_POISONED);
         }
-        self.health_points = self.health_points.saturating_sub(50);
     }
 
     /// One pass of the background repair/replenish loop, run on the
@@ -351,7 +325,7 @@ impl<E: BootEngine> InstancePool<E> {
         // platform-time fault window against the daemon's clock would be
         // meaningless.
         let mut ctx = BootCtx::new(&self.repair_clock, model);
-        let (done, span) = ctx.span_out(SPAN_REPAIR, |ctx| {
+        let done = ctx.span(SPAN_REPAIR, |ctx| {
             if needs_repair {
                 let spent = self.engine.repair(&self.profile, model)?;
                 ctx.charge_span("rebuild", spent);
@@ -366,7 +340,6 @@ impl<E: BootEngine> InstancePool<E> {
                 self.repair_stats.repair_time = self.repair_stats.repair_time.saturating_add(spent);
                 self.metrics.inc(names::POOL_REPAIR_COUNT);
                 self.metrics.observe(names::POOL_REPAIR_TIME, spent);
-                self.health_points = self.health_points.max(75);
             }
             while self.idle.len() < self.min_ready.min(self.max_idle) {
                 let booted = resilient_boot(
@@ -391,7 +364,6 @@ impl<E: BootEngine> InstancePool<E> {
         }
         self.metrics
             .set_gauge(names::POOL_IDLE, self.idle.len() as i64);
-        self.repair_trace.push(span);
         Ok(())
     }
 }
@@ -500,7 +472,6 @@ mod tests {
             served.startup
         );
         assert_eq!(pool.pending_repairs(), 1);
-        assert!(pool.health() < 1.0);
         assert!(injector.borrow().is_poisoned(InjectionPoint::SforkMerge));
 
         // Background pass: evict quarantined capacity, rebuild, heal,
@@ -514,8 +485,6 @@ mod tests {
         assert_eq!(stats.replenished, 2);
         assert!(stats.repair_time > SimNanos::ZERO, "rebuild paid offline");
         assert_eq!(pool.idle_count(), 2);
-        assert_eq!(pool.repair_trace().len(), 1);
-        assert_eq!(pool.repair_trace()[0].name, "repair");
         assert_eq!(pool.metrics().counter("pool.repair.count"), 1);
         assert_eq!(pool.metrics().counter("pool.repair.replenish"), 2);
 

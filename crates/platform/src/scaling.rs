@@ -11,8 +11,7 @@
 use runtimes::AppProfile;
 use sandbox::{BootCtx, BootEngine, SandboxError};
 use simtime::jitter::Jitter;
-use simtime::names;
-use simtime::{CostModel, MachineKind, MetricsRegistry, SimNanos};
+use simtime::{CostModel, MachineKind, SimNanos};
 
 /// One measured point of Fig. 15.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,24 +57,6 @@ pub fn sweep<E: BootEngine>(
     model: &CostModel,
     seed: u64,
 ) -> Result<Vec<ScalePoint>, SandboxError> {
-    let mut metrics = MetricsRegistry::new();
-    sweep_with_metrics(engine, profile, points, model, seed, &mut metrics)
-}
-
-/// [`sweep`], also accumulating `scaling.*` counters and the
-/// `scaling.startup` histogram into `metrics`.
-///
-/// # Errors
-///
-/// Engine errors from any boot.
-pub fn sweep_with_metrics<E: BootEngine>(
-    engine: &mut E,
-    profile: &AppProfile,
-    points: &[u32],
-    model: &CostModel,
-    seed: u64,
-    metrics: &mut MetricsRegistry,
-) -> Result<Vec<ScalePoint>, SandboxError> {
     let mut jitter = Jitter::seeded(seed);
     let mut out = Vec::with_capacity(points.len());
     let mut running: Vec<sandbox::BootOutcome> = Vec::new();
@@ -85,7 +66,6 @@ pub fn sweep_with_metrics<E: BootEngine>(
         while (running.len() as u32) < n {
             let mut scrap = BootCtx::fresh(model);
             running.push(engine.boot(profile, &mut scrap)?);
-            metrics.inc(names::SCALING_BACKGROUND_BOOTS);
         }
         // Measure one boot under contention.
         let mut ctx = BootCtx::fresh(model);
@@ -93,9 +73,6 @@ pub fn sweep_with_metrics<E: BootEngine>(
         drop(outcome); // the measured instance exits after serving
         let factor = contention_factor(n, model, &mut jitter);
         let startup = ctx.now().scale(factor);
-        metrics.inc(names::SCALING_MEASURED_BOOTS);
-        metrics.observe(names::SCALING_STARTUP, startup);
-        metrics.set_gauge(names::SCALING_RUNNING, n as i64);
         out.push(ScalePoint {
             running: n,
             startup,

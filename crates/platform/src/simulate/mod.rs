@@ -215,22 +215,19 @@ impl Simulation {
     /// Drives `trace` through the closed loop: every request runs to
     /// completion through real pools and boot engines, in trace order.
     ///
+    /// The closed loop is a fold over the time-sorted trace, not an event
+    /// simulation: a request's whole life is decided the moment it
+    /// arrives (the pools own booting, expiry and repair), so the only
+    /// thing carried between arrivals is the finish times of requests
+    /// still in flight.
+    ///
     /// # Errors
     ///
     /// [`PlatformError::InvalidTrace`] for malformed traces (this entry
     /// point never panics on bad input); engine or handler errors. With
     /// admission armed, a failed *admitted* request is counted as
     /// availability loss instead of aborting the run.
-    pub fn run(self, trace: &[TraceRequest]) -> Result<SimReport, PlatformError> {
-        self.run_closed(trace)
-    }
-
-    /// The closed loop is a fold over the time-sorted trace, not an event
-    /// simulation: a request's whole life is decided the moment it
-    /// arrives (the pools own booting, expiry and repair), so the only
-    /// thing carried between arrivals is the finish times of requests
-    /// still in flight.
-    fn run_closed(mut self, trace: &[TraceRequest]) -> Result<SimReport, PlatformError> {
+    pub fn run(mut self, trace: &[TraceRequest]) -> Result<SimReport, PlatformError> {
         validate_trace(trace, self.catalogue.len())?;
         let injector = self
             .plan

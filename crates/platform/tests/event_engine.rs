@@ -38,6 +38,7 @@
 use catalyzer::{BootMode, CatalyzerEngine};
 use faultsim::{FaultPlan, NodePlan};
 use platform::admission::AdmitDecision;
+use platform::cluster::chaos::TRANSFER_TIMEOUT;
 use platform::cluster::{ChaosPolicy, ClusterConfig, ClusterSim};
 use platform::simulate::arena::{Arena, FnId, InstanceId};
 use platform::simulate::events::{Event, EventQueue};
@@ -475,7 +476,7 @@ fn crash_at_an_arrival_instant_matches_the_single_heap_fixture() {
     // hand, so through the heap) one waiter timeout later, on the exact
     // instant of five streamed arrivals.
     let crash = SimNanos::from_micros(20);
-    let retry = crash.saturating_add(ChaosPolicy::full().transfer_timeout);
+    let retry = crash.saturating_add(TRANSFER_TIMEOUT);
     let mut trace: Vec<TraceRequest> = (0..120u64)
         .map(|i| TraceRequest {
             arrival: SimNanos::from_nanos(i),

@@ -11,19 +11,12 @@ use crate::SandboxError;
 
 /// The Docker baseline engine.
 #[derive(Debug, Default)]
-pub struct DockerEngine {
-    boots: u64,
-}
+pub struct DockerEngine;
 
 impl DockerEngine {
     /// Creates the engine.
     pub fn new() -> DockerEngine {
-        DockerEngine::default()
-    }
-
-    /// Boots performed.
-    pub fn boots(&self) -> u64 {
-        self.boots
+        DockerEngine
     }
 }
 
@@ -41,7 +34,6 @@ impl BootEngine for DockerEngine {
         profile: &AppProfile,
         ctx: &mut BootCtx,
     ) -> Result<BootOutcome, SandboxError> {
-        self.boots += 1;
         traced_boot(self.name(), ctx, |ctx| {
             let json = OciConfig::for_function(&profile.name, profile.config_kib).to_json();
             ctx.span(names::PHASE_SANDBOX_PARSE_CONFIG, |ctx| {
@@ -99,7 +91,6 @@ mod tests {
         assert!(total > 100.0, "total {total} ms");
         let sandbox = boot.sandbox_time().as_millis_f64();
         assert!(sandbox > 80.0, "sandbox {sandbox} ms");
-        assert_eq!(engine.boots(), 1);
         assert!(boot.program.at_entry_point());
     }
 

@@ -11,29 +11,14 @@ use crate::config::OciConfig;
 use crate::host::HostTweaks;
 use crate::SandboxError;
 
-/// The FireCracker baseline engine.
-#[derive(Debug)]
-pub struct FirecrackerEngine {
-    tweaks: HostTweaks,
-}
+/// The FireCracker baseline engine, on the paper's baseline host tweaks.
+#[derive(Debug, Default)]
+pub struct FirecrackerEngine;
 
 impl FirecrackerEngine {
-    /// Creates the engine with the paper's baseline host tweaks.
+    /// Creates the engine.
     pub fn new() -> FirecrackerEngine {
-        FirecrackerEngine {
-            tweaks: HostTweaks::baseline(),
-        }
-    }
-
-    /// Overrides host tweaks (e.g. re-enable PML for the Fig. 16c ablation).
-    pub fn with_tweaks(tweaks: HostTweaks) -> FirecrackerEngine {
-        FirecrackerEngine { tweaks }
-    }
-}
-
-impl Default for FirecrackerEngine {
-    fn default() -> Self {
-        FirecrackerEngine::new()
+        FirecrackerEngine
     }
 }
 
@@ -51,7 +36,6 @@ impl BootEngine for FirecrackerEngine {
         profile: &AppProfile,
         ctx: &mut BootCtx,
     ) -> Result<BootOutcome, SandboxError> {
-        let tweaks = self.tweaks;
         traced_boot(self.name(), ctx, |ctx| {
             let json = OciConfig::for_function(&profile.name, profile.config_kib).to_json();
             let config = ctx.span(names::PHASE_SANDBOX_PARSE_CONFIG, |ctx| {
@@ -61,7 +45,13 @@ impl BootEngine for FirecrackerEngine {
                 ctx.charge(ctx.model().host.process_spawn)
             });
             ctx.span(names::PHASE_SANDBOX_KVM_SETUP, |ctx| {
-                virtualization_setup(tweaks, config.vcpus, 4, ctx.clock(), ctx.model())
+                virtualization_setup(
+                    HostTweaks::baseline(),
+                    config.vcpus,
+                    4,
+                    ctx.clock(),
+                    ctx.model(),
+                )
             });
             ctx.span(names::PHASE_SANDBOX_GUEST_LINUX_BOOT, |ctx| {
                 ctx.charge(ctx.model().kvm.guest_linux_boot);
@@ -99,19 +89,5 @@ mod tests {
                 .as_millis_f64()
                 > 90.0
         );
-    }
-
-    #[test]
-    fn pml_tweak_changes_kvm_setup_cost() {
-        let model = CostModel::experimental_machine();
-        let profile = AppProfile::c_hello();
-
-        let mut base = BootCtx::fresh(&model);
-        FirecrackerEngine::new().boot(&profile, &mut base).unwrap();
-        let mut pml = BootCtx::fresh(&model);
-        FirecrackerEngine::with_tweaks(HostTweaks::upstream())
-            .boot(&profile, &mut pml)
-            .unwrap();
-        assert!(pml.now() > base.now(), "PML must add region-setup latency");
     }
 }

@@ -12,23 +12,14 @@ use crate::config::OciConfig;
 use crate::host::HostTweaks;
 use crate::SandboxError;
 
-/// The gVisor baseline engine.
-#[derive(Debug)]
-pub struct GvisorEngine {
-    tweaks: HostTweaks,
-}
+/// The gVisor baseline engine, on the paper's baseline host tweaks.
+#[derive(Debug, Default)]
+pub struct GvisorEngine;
 
 impl GvisorEngine {
-    /// Creates the engine with the paper's baseline host tweaks.
+    /// Creates the engine.
     pub fn new() -> GvisorEngine {
-        GvisorEngine {
-            tweaks: HostTweaks::baseline(),
-        }
-    }
-
-    /// Overrides host tweaks.
-    pub fn with_tweaks(tweaks: HostTweaks) -> GvisorEngine {
-        GvisorEngine { tweaks }
+        GvisorEngine
     }
 
     /// The shared sandbox-preparation pipeline (also used by the restore
@@ -75,12 +66,6 @@ impl GvisorEngine {
     }
 }
 
-impl Default for GvisorEngine {
-    fn default() -> Self {
-        GvisorEngine::new()
-    }
-}
-
 impl BootEngine for GvisorEngine {
     fn name(&self) -> &'static str {
         "gVisor"
@@ -95,9 +80,8 @@ impl BootEngine for GvisorEngine {
         profile: &AppProfile,
         ctx: &mut BootCtx,
     ) -> Result<BootOutcome, SandboxError> {
-        let tweaks = self.tweaks;
         traced_boot(self.name(), ctx, |ctx| {
-            let mut program = Self::prepare_sandbox(tweaks, profile, true, ctx)?;
+            let mut program = Self::prepare_sandbox(HostTweaks::baseline(), profile, true, ctx)?;
             ctx.span(PHASE_APP, |ctx| {
                 program.run_to_entry_point(ctx.clock(), ctx.model())
             })?;

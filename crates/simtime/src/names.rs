@@ -218,18 +218,6 @@ pub const SPAN_TRANSFER: &str = "transfer:template";
 pub const SPAN_COLD_PULL: &str = "transfer:cold-pull";
 
 // ---------------------------------------------------------------------------
-// Autoscaling sweep (platform::scaling).
-
-/// Counter: background (off-path) boots issued by the scaler.
-pub const SCALING_BACKGROUND_BOOTS: &str = "scaling.background-boots";
-/// Counter: boots whose latency the scaler measured.
-pub const SCALING_MEASURED_BOOTS: &str = "scaling.measured-boots";
-/// Histogram: startup latency observed by the scaling sweep.
-pub const SCALING_STARTUP: &str = "scaling.startup";
-/// Gauge: instances currently running, as seen by the scaler.
-pub const SCALING_RUNNING: &str = "scaling.running";
-
-// ---------------------------------------------------------------------------
 // Span and phase labels of the boot pipeline (sandbox::boot re-exports
 // these so engine code keeps its historical import path).
 

@@ -14,10 +14,17 @@
 //! 4. **Same seed, same history** — identical plans and arrival traces
 //!    replay byte-identical admission logs, breaker transitions, and span
 //!    trees.
+//! 5. **Hostile limits are inputs, not panics** — any concurrency limit, up
+//!    to `usize::MAX`, builds a policy whose requests are admitted or shed
+//!    typed, by the controller and by the open-loop fleet alike.
 
 use catalyzer_suite::faultsim::{FaultPlan, InjectionPoint, PointPlan};
 use catalyzer_suite::platform::admission::SPAN_ADMISSION;
-use catalyzer_suite::platform::{AdmissionPolicy, BreakerState, PlatformError, ResiliencePolicy};
+use catalyzer_suite::platform::simulate::TraceRequest;
+use catalyzer_suite::platform::{
+    AdmissionController, AdmissionPolicy, BreakerState, HealthSignal, PlatformError,
+    ResiliencePolicy, Simulation,
+};
 use catalyzer_suite::prelude::*;
 
 fn model() -> CostModel {
@@ -255,4 +262,59 @@ fn same_seed_replays_identical_admission_and_span_history() {
         storm_history(0x5EED),
         "same seed must replay byte-identical admit/shed/breaker history"
     );
+}
+
+#[test]
+fn hostile_limits_shed_typed_or_conserve_and_never_panic() {
+    let limits = [0, 1, usize::MAX / 2 + 1, usize::MAX];
+    // A same-instant burst: with a limit of 1 it overflows the bounded
+    // queue; with the huge limits everything is admitted.
+    let trace: Vec<TraceRequest> = (0..12u64)
+        .map(|i| TraceRequest {
+            arrival: SimNanos::from_nanos(i),
+            function: 0,
+        })
+        .collect();
+    for limit in limits {
+        for breaker in [false, true] {
+            let policy = AdmissionPolicy {
+                breaker,
+                ..AdmissionPolicy::standard(limit, ms(5))
+            };
+            let mut ctrl = AdmissionController::new(policy);
+            for req in &trace {
+                match ctrl.admit("f", req.arrival) {
+                    // Every admitted request fails and holds its slot for
+                    // 100 ms, so the breaker (when on) trips and the queue
+                    // (when bounded) fills.
+                    Ok(slot) => ctrl.complete(
+                        "f",
+                        slot.start.saturating_add(ms(100)),
+                        HealthSignal::Failed,
+                    ),
+                    Err(
+                        PlatformError::Overload { .. }
+                        | PlatformError::DeadlineExceeded { .. }
+                        | PlatformError::CircuitOpen { .. },
+                    ) => {}
+                    Err(other) => panic!("limit {limit}: untyped shed {other:?}"),
+                }
+            }
+            assert_eq!(
+                ctrl.log().len(),
+                trace.len(),
+                "limit {limit}: every arrival logged"
+            );
+
+            let out = Simulation::new(vec![AppProfile::c_hello()])
+                .with_admission(policy)
+                .run_fleet(&trace)
+                .unwrap();
+            assert_eq!(
+                out.completed + out.shed,
+                out.requests,
+                "limit {limit}, breaker {breaker}: {out:?}"
+            );
+        }
+    }
 }
