@@ -38,8 +38,9 @@ use imagefmt::{ImageError, ObjKind, ObjRecord, ObjView};
 use simtime::{CostModel, SimClock};
 
 use crate::gofer::FsServer;
-use crate::kernel::{Dentry, EpollInstance, GuestKernel, WaitQueue};
+use crate::kernel::{DentryRow, GuestKernel};
 use crate::net::SockState;
+use crate::table::{Lists, Table};
 use crate::tasks::{GuestThread, NamespaceInfo, Session, Task};
 use crate::KernelError;
 
@@ -54,6 +55,14 @@ fn len_u64(n: usize) -> u64 {
 /// sign-extending into a huge u64.
 fn fd_u64(fd: i32) -> u64 {
     u64::try_from(fd).unwrap_or(0)
+}
+
+/// A string field of an untrusted payload, checked in place. This is the
+/// one check: what a restore keeps is this `&str` or its range.
+fn utf8<'b>(bytes: &'b [u8], what: &str) -> Result<&'b str, KernelError> {
+    std::str::from_utf8(bytes).map_err(|_| KernelError::CorruptGraph {
+        detail: format!("{what} not utf-8"),
+    })
 }
 
 impl GuestKernel {
@@ -83,10 +92,10 @@ impl GuestKernel {
         let session_ids: Vec<u64> = self.tasks.sessions().iter().map(|_| id()).collect();
         let ns_ids: Vec<u64> = self.tasks.namespaces().iter().map(|_| id()).collect();
         let mount_ids: Vec<u64> = self.vfs.mounts().iter().map(|_| id()).collect();
-        let dentry_ids: Vec<u64> = self.dentries().iter().map(|_| id()).collect();
+        let dentry_ids: Vec<u64> = (0..self.dentries().len()).map(|_| id()).collect();
         let timer_ids: Vec<u64> = self.timers.iter().map(|_| id()).collect();
-        let wq_ids: Vec<u64> = self.waitqueues().iter().map(|_| id()).collect();
-        let misc_ids: Vec<u64> = self.misc().iter().map(|_| id()).collect();
+        let wq_ids: Vec<u64> = (0..self.waitqueues().len()).map(|_| id()).collect();
+        let misc_ids: Vec<u64> = (0..self.misc().len()).map(|_| id()).collect();
         let fds: Vec<(i32, crate::vfs::FileDesc)> =
             self.vfs.iter_fds().map(|(fd, d)| (fd, d.clone())).collect();
         let file_ids: Vec<u64> = fds.iter().map(|_| id()).collect();
@@ -96,7 +105,7 @@ impl GuestKernel {
             fdslot_by_fd.insert(*fd, *slot_id);
         }
         let sock_ids: HashMap<u64, u64> = self.net.iter().map(|s| (s.id, id())).collect();
-        let epoll_ids: Vec<u64> = self.epolls().iter().map(|_| id()).collect();
+        let epoll_ids: Vec<u64> = (0..self.epolls().len()).map(|_| id()).collect();
 
         // --- tasks + threads ---
         for task in self.tasks.tasks() {
@@ -158,13 +167,13 @@ impl GuestKernel {
             out.push(ObjRecord::new(*m_id, ObjKind::Mount, 0, vec![], p));
         }
         // --- dentries ---
-        for (d, d_id) in self.dentries().iter().zip(&dentry_ids) {
+        for (d, d_id) in self.dentries().zip(&dentry_ids) {
             let mut p = Vec::new();
-            varint::put_bytes(&mut p, d.path.as_bytes());
-            varint::put_u64(&mut p, d.inode);
-            varint::put_u64(&mut p, d.parent.map(|x| u64::from(x) + 1).unwrap_or(0));
+            varint::put_bytes(&mut p, d.path().as_bytes());
+            varint::put_u64(&mut p, d.inode());
+            varint::put_u64(&mut p, d.parent().map(|x| u64::from(x) + 1).unwrap_or(0));
             let refs = d
-                .parent
+                .parent()
                 .and_then(|i| usize::try_from(i).ok())
                 .and_then(|i| dentry_ids.get(i).copied())
                 .into_iter()
@@ -181,28 +190,21 @@ impl GuestKernel {
             out.push(ObjRecord::new(*t_id, ObjKind::Timer, 0, refs, p));
         }
         // --- wait queues ---
-        for (wq, wq_id) in self.waitqueues().iter().zip(&wq_ids) {
+        for (waiters, wq_id) in self.waitqueues().zip(&wq_ids) {
             let mut p = Vec::new();
-            varint::put_u64(&mut p, len_u64(wq.waiters.len()));
-            for w in &wq.waiters {
+            varint::put_u64(&mut p, len_u64(waiters.len()));
+            for w in waiters {
                 varint::put_u64(&mut p, u64::from(*w));
             }
-            let refs = wq
-                .waiters
+            let refs = waiters
                 .iter()
                 .filter_map(|w| thread_ids.get(w).copied())
                 .collect();
             out.push(ObjRecord::new(*wq_id, ObjKind::WaitQueue, 0, refs, p));
         }
         // --- misc runtime objects ---
-        for (blob, m_id) in self.misc().iter().zip(&misc_ids) {
-            out.push(ObjRecord::new(
-                *m_id,
-                ObjKind::Misc,
-                0,
-                vec![],
-                blob.clone(),
-            ));
+        for (blob, m_id) in self.misc_shared().zip(&misc_ids) {
+            out.push(ObjRecord::new(*m_id, ObjKind::Misc, 0, vec![], blob));
         }
         // --- files + fd slots (I/O state) ---
         for (((fd, desc), f_id), s_id) in fds.iter().zip(&file_ids).zip(&fdslot_ids) {
@@ -233,11 +235,11 @@ impl GuestKernel {
             out.push(ObjRecord::new(sock_id, ObjKind::Socket, 0, vec![], p));
         }
         // --- epolls ---
-        for (ep, e_id) in self.epolls().iter().zip(&epoll_ids) {
+        for (watched, e_id) in self.epolls().zip(&epoll_ids) {
             let mut p = Vec::new();
-            varint::put_u64(&mut p, len_u64(ep.watched.len()));
+            varint::put_u64(&mut p, len_u64(watched.len()));
             let mut refs = Vec::new();
-            for fd in &ep.watched {
+            for fd in watched {
                 varint::put_u64(&mut p, fd_u64(*fd));
                 if let Some(slot) = fdslot_by_fd.get(fd) {
                     refs.push(*slot);
@@ -251,7 +253,11 @@ impl GuestKernel {
     /// Rebuilds a kernel from checkpoint records: owned ones (`&Vec<ObjRecord>`,
     /// what a classic image decodes to and [`Self::checkpoint_objects`]
     /// returns) or the views a func-image restore maps
-    /// (`&imagefmt::flat::RestoredRecords`) — one body reads both.
+    /// (`&imagefmt::flat::RestoredRecords`) — one body reads both. The views
+    /// of a func-image all name its one arena, and the restored kernel's
+    /// dentry and runtime-object tables keep ranges of it: the kernel holds
+    /// the arena, not a copy per object. Owned records' bytes are copied
+    /// into the tables' own buffers.
     ///
     /// Charges [`simtime::ObjectCosts::recover_per_object_non_io`] for every
     /// non-I/O object (the paper's "Recover Kernel" redo work). With
@@ -286,25 +292,23 @@ impl GuestKernel {
         let i32_of = |v: u64, what: &str| {
             i32::try_from(v).map_err(|_| bad(format!("{what} {v} out of i32 range")))
         };
-        // Validates in place; the single unavoidable copy builds the owned
-        // String, with no intermediate Vec.
-        let str_of = |b: &[u8], what: &str| {
-            std::str::from_utf8(b)
-                .map(str::to_string)
-                .map_err(|_| bad(format!("{what} not utf-8")))
-        };
-
         let mut kernel = GuestKernel::empty_shell(name, fs);
         // The root mount is re-created by Vfs::new; drop it so the restored
         // mount table matches the checkpoint exactly.
         let mut restored_mounts = Vec::new();
         let mut tasks_by_pid: HashMap<u32, Task> = HashMap::new();
         let mut task_order: Vec<u32> = Vec::new();
-        let mut restored_fds: Vec<(String, bool, u64, bool)> = Vec::new();
         // The four shared tables are filled here and installed once below:
-        // reaching one through the kernel is an `Arc::make_mut` a push.
-        let (mut dentries, mut waitqueues, mut misc, mut epolls) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        // reaching one through the kernel is an `Arc::make_mut` a push. The
+        // dentry and runtime-object tables keep ranges of the records'
+        // buffer — for a func-image, the mapped arena itself — so neither
+        // allocates nor counts a reference per object.
+        let (mut dentries, mut waitqueues, mut misc, mut epolls) = (
+            Table::default(),
+            Lists::default(),
+            Table::default(),
+            Lists::default(),
+        );
 
         let mut non_io_objects: u64 = 0;
         for rec in records {
@@ -319,14 +323,13 @@ impl GuestKernel {
                     let pid = u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "task pid")?;
                     let ppid = u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "task ppid")?;
                     let sid = u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "task sid")?;
-                    let name =
-                        str_of(varint::get_bytes(p, &mut pos).map_err(imgerr)?, "task name")?;
+                    let name = utf8(varint::get_bytes(p, &mut pos).map_err(imgerr)?, "task name")?;
                     tasks_by_pid.insert(
                         pid,
                         Task {
                             pid,
                             ppid,
-                            name,
+                            name: name.into(),
                             threads: Vec::new(),
                             sid,
                         },
@@ -363,16 +366,18 @@ impl GuestKernel {
                         .install_restored_session(Session { sid, leader });
                 }
                 ObjKind::Namespace => {
-                    let kind = str_of(varint::get_bytes(p, &mut pos).map_err(imgerr)?, "ns kind")?;
+                    let kind = utf8(varint::get_bytes(p, &mut pos).map_err(imgerr)?, "ns kind")?;
                     let init_id =
                         u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "ns init id")?;
-                    kernel
-                        .tasks
-                        .install_restored_namespace(NamespaceInfo { kind, init_id });
+                    kernel.tasks.install_restored_namespace(NamespaceInfo {
+                        kind: kind.into(),
+                        init_id,
+                    });
                 }
                 ObjKind::Mount => {
                     let read = |pos: &mut usize| -> Result<String, KernelError> {
-                        str_of(varint::get_bytes(p, pos).map_err(imgerr)?, "mount field")
+                        let field = varint::get_bytes(p, pos).map_err(imgerr)?;
+                        utf8(field, "mount field").map(str::to_string)
                     };
                     restored_mounts.push(crate::vfs::MountInfo {
                         source: read(&mut pos)?,
@@ -381,13 +386,19 @@ impl GuestKernel {
                     });
                 }
                 ObjKind::Dentry => {
-                    let path = str_of(
-                        varint::get_bytes(p, &mut pos).map_err(imgerr)?,
-                        "dentry path",
-                    )?;
+                    let path = varint::get_bytes(p, &mut pos).map_err(imgerr)?;
+                    // Only the check is needed here, and ASCII (every path a
+                    // runtime leaves) is a word-at-a-time test.
+                    if !path.is_ascii() {
+                        utf8(path, "dentry path")?;
+                    }
+                    // The path ends at `pos` in the payload: keep where it
+                    // lies in the records' buffer, not the bytes.
+                    let (buf, at) = rec.payload_source();
+                    let path = dentries.place(buf, at + (pos - path.len()), path.len());
                     let inode = varint::get_u64(p, &mut pos).map_err(imgerr)?;
                     let parent = varint::get_u64(p, &mut pos).map_err(imgerr)?;
-                    dentries.push(Dentry {
+                    dentries.push(DentryRow {
                         path,
                         inode,
                         parent: if parent == 0 {
@@ -410,31 +421,31 @@ impl GuestKernel {
                 }
                 ObjKind::WaitQueue => {
                     let n = usize_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "wq count")?;
-                    // Capacity is clamped: a corrupt count fails at the first
-                    // missing varint instead of reserving gigabytes.
-                    let mut waiters = Vec::with_capacity(n.min(1024));
-                    for _ in 0..n {
-                        waiters.push(u32_of(
-                            varint::get_u64(p, &mut pos).map_err(imgerr)?,
-                            "wq waiter",
-                        )?);
-                    }
-                    waitqueues.push(WaitQueue { waiters });
+                    // Nothing is reserved from `n`: a corrupt count fails at
+                    // the first missing varint.
+                    waitqueues.try_push((0..n).map(|_| {
+                        u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "wq waiter")
+                    }))?;
                 }
                 ObjKind::Misc => {
-                    misc.push(rec.payload_shared());
+                    let (buf, at) = rec.payload_source();
+                    let span = misc.place(buf, at, p.len());
+                    misc.push(span);
                 }
                 ObjKind::File => {
-                    let path =
-                        str_of(varint::get_bytes(p, &mut pos).map_err(imgerr)?, "file path")?;
+                    let path = utf8(varint::get_bytes(p, &mut pos).map_err(imgerr)?, "file path")?;
                     let offset = varint::get_u64(p, &mut pos).map_err(imgerr)?;
                     let writable = rec.flags & 1 != 0;
-                    let used = rec.flags & 2 != 0;
-                    restored_fds.push((path, writable, offset, used));
+                    // Installed as read: records keep checkpoint order, so the
+                    // descriptors are numbered densely in that order.
+                    kernel
+                        .vfs
+                        .install_restored_fd(path, writable, offset)
+                        .map_err(|e| bad(format!("fd install: {e}")))?;
                 }
                 ObjKind::FdSlot => { /* slot numbering is restored via order */ }
                 ObjKind::Socket => {
-                    let addr = str_of(
+                    let addr = utf8(
                         varint::get_bytes(p, &mut pos).map_err(imgerr)?,
                         "socket addr",
                     )?;
@@ -444,18 +455,13 @@ impl GuestKernel {
                         2 => SockState::Connected,
                         other => return Err(bad(format!("socket state {other}"))),
                     };
-                    kernel.net.install_restored(&addr, state);
+                    kernel.net.install_restored(addr, state);
                 }
                 ObjKind::Epoll => {
                     let n = usize_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "epoll count")?;
-                    let mut watched = Vec::with_capacity(n.min(1024));
-                    for _ in 0..n {
-                        watched.push(i32_of(
-                            varint::get_u64(p, &mut pos).map_err(imgerr)?,
-                            "epoll fd",
-                        )?);
-                    }
-                    epolls.push(EpollInstance { watched });
+                    epolls.try_push((0..n).map(|_| {
+                        i32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "epoll fd")
+                    }))?;
                 }
                 ObjKind::MemRegion => { /* memory is restored via the EPT */ }
             }
@@ -473,12 +479,6 @@ impl GuestKernel {
         }
         if !restored_mounts.is_empty() {
             kernel.vfs.set_mounts(restored_mounts);
-        }
-        for (path, writable, offset, _used) in &restored_fds {
-            kernel
-                .vfs
-                .install_restored_fd(path, *writable, *offset)
-                .map_err(|e| bad(format!("fd install: {e}")))?;
         }
 
         // Non-I/O system state re-establishment on the critical path.
@@ -508,6 +508,22 @@ impl GuestKernel {
         }
         Ok(kernel)
     }
+}
+
+/// `records` written into a func-image — sealed, every section checksummed —
+/// and mapped back the way a cold boot maps them.
+#[cfg(test)]
+pub(crate) fn sealed_func_image(records: Vec<ObjRecord>) -> imagefmt::flat::RestoredRecords {
+    use imagefmt::{flat, CheckpointSource};
+    let (clock, model) = (SimClock::new(), CostModel::experimental_machine());
+    let source = CheckpointSource {
+        objects: records,
+        ..CheckpointSource::default()
+    };
+    let image = memsim::MappedImage::new("func.img", flat::write(&source, &clock, &model));
+    flat::FlatImage::parse(&image, &clock, &model)
+        .and_then(|parsed| parsed.restore_metadata(&clock, &model))
+        .unwrap()
 }
 
 #[cfg(test)]
@@ -580,8 +596,8 @@ mod tests {
         assert_eq!(restored.net.len(), k.net.len());
         assert_eq!(restored.vfs.open_fds(), k.vfs.open_fds());
         assert_eq!(restored.vfs.mounts(), k.vfs.mounts());
-        assert_eq!(restored.dentries(), k.dentries());
-        assert_eq!(restored.misc(), k.misc());
+        assert!(restored.dentries().eq(k.dentries()));
+        assert!(restored.misc().eq(k.misc()));
         // Re-checkpointing yields the identical record stream.
         assert_eq!(restored.checkpoint_objects(), records);
     }
@@ -656,6 +672,52 @@ mod tests {
             GuestKernel::restore_from_records("x", &records, test_fs(), false, &clock, &model),
             Err(KernelError::CorruptGraph { .. })
         ));
+    }
+
+    /// Every string a restore keeps is checked once, and a forged one is a
+    /// typed error on both restore paths — a func-image sealed over it and
+    /// owned records — never a kernel and never a panic.
+    #[test]
+    fn non_utf8_strings_are_corrupt_graphs() {
+        let (clock, model, k) = build_kernel();
+        let records = k.checkpoint_objects();
+        // (kind, varints before the string field, what the error names)
+        let fields = [
+            (ObjKind::Task, 3, "task name"),
+            (ObjKind::Namespace, 0, "ns kind"),
+            (ObjKind::Mount, 0, "mount field"),
+            (ObjKind::Dentry, 0, "dentry path"),
+            (ObjKind::File, 0, "file path"),
+            (ObjKind::Socket, 0, "socket addr"),
+        ];
+        for (kind, skip, what) in fields {
+            let mut forged = records.clone();
+            let rec = forged.iter_mut().find(|r| r.kind == kind).unwrap();
+            let p = &rec.payload[..];
+            let mut pos = 0;
+            for _ in 0..skip {
+                varint::get_u64(p, &mut pos).unwrap();
+            }
+            let mut payload = p[..pos].to_vec();
+            let mut field = varint::get_bytes(p, &mut pos).unwrap().to_vec();
+            field.push(0xFF); // never valid in UTF-8
+            varint::put_bytes(&mut payload, &field);
+            payload.extend_from_slice(&p[pos..]);
+            rec.payload = payload.into();
+
+            let sealed = sealed_func_image(forged.clone());
+            for restored in [
+                GuestKernel::restore_from_records("x", &sealed, test_fs(), false, &clock, &model),
+                GuestKernel::restore_from_records("x", &forged, test_fs(), false, &clock, &model),
+            ] {
+                match restored {
+                    Err(KernelError::CorruptGraph { detail }) => {
+                        assert_eq!(detail, format!("{what} not utf-8"));
+                    }
+                    other => panic!("{kind:?}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

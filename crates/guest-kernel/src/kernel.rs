@@ -8,35 +8,46 @@ use simtime::{CostModel, SimClock};
 use crate::gofer::FsServer;
 use crate::net::{SockState, SocketTable};
 use crate::syscalls::{SyscallClass, SyscallName};
+use crate::table::{Lists, Span, Table};
 use crate::tasks::TaskTable;
 use crate::threads::SentryThreads;
 use crate::timers::TimerTable;
 use crate::vfs::Vfs;
 use crate::KernelError;
 
-/// A directory-cache entry (dentry), part of the checkpointed graph.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Dentry {
+/// A directory-cache entry (dentry), part of the checkpointed graph, as the
+/// kernel's table hands it out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Dentry<'a> {
+    path: &'a str,
+    inode: u64,
+    parent: Option<u32>,
+}
+
+impl<'a> Dentry<'a> {
     /// Cached path.
-    pub path: String,
+    pub fn path(&self) -> &'a str {
+        self.path
+    }
+
     /// Inode number.
-    pub inode: u64,
+    pub fn inode(&self) -> u64 {
+        self.inode
+    }
+
     /// Parent dentry index, if any.
-    pub parent: Option<u32>,
+    pub fn parent(&self) -> Option<u32> {
+        self.parent
+    }
 }
 
-/// An epoll instance watching guest descriptors (I/O state).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EpollInstance {
-    /// Watched guest fds.
-    pub watched: Vec<i32>,
-}
-
-/// A wait queue with blocked guest threads (non-I/O state).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WaitQueue {
-    /// Blocked thread ids.
-    pub waiters: Vec<u32>,
+/// A dentry-table row: the path is a range of the table's buffer (the
+/// image's arena, for a restored kernel), checked to be UTF-8 when written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct DentryRow {
+    pub(crate) path: Span,
+    pub(crate) inode: u64,
+    pub(crate) parent: Option<u32>,
 }
 
 /// Aggregate counters for a kernel instance.
@@ -70,11 +81,16 @@ pub struct GuestKernel {
     // The four object tables below are shared with every `sfork` relative
     // until one of them writes: `sfork_clone` takes one reference per table
     // and the `*_mut` entries are the only way to a `&mut`, each through
-    // `Arc::make_mut`. Private so that rule has one home.
-    dentries: Arc<Vec<Dentry>>,
-    epolls: Arc<Vec<EpollInstance>>,
-    waitqueues: Arc<Vec<WaitQueue>>,
-    misc: Arc<Vec<SharedBytes>>,
+    // `Arc::make_mut`. Private so that rule has one home. Each is plain data
+    // (`crate::table`): rows, and byte ranges of one buffer.
+    /// The dentry cache.
+    dentries: Arc<Table<DentryRow>>,
+    /// The guest fds each epoll instance watches (I/O state).
+    epolls: Arc<Lists<i32>>,
+    /// The thread ids blocked on each wait queue.
+    waitqueues: Arc<Lists<u32>>,
+    /// Opaque runtime objects: each row is its bytes.
+    misc: Arc<Table<Span>>,
     template_mode: bool,
     stats: KernelStats,
 }
@@ -140,40 +156,56 @@ impl GuestKernel {
     }
 
     /// Dentry cache.
-    pub fn dentries(&self) -> &[Dentry] {
-        &self.dentries
+    pub fn dentries(&self) -> impl ExactSizeIterator<Item = Dentry<'_>> {
+        let table = &*self.dentries;
+        table.rows().iter().map(move |row| Dentry {
+            // UTF-8 was checked when the row was written; reading it back
+            // checks again only because the crate forbids `unsafe`.
+            path: std::str::from_utf8(table.bytes(row.path)).unwrap_or_default(),
+            inode: row.inode,
+            parent: row.parent,
+        })
     }
 
-    /// Epoll instances.
-    pub fn epolls(&self) -> &[EpollInstance] {
-        &self.epolls
+    /// Epoll instances: the guest fds each one watches.
+    pub fn epolls(&self) -> impl ExactSizeIterator<Item = &[i32]> {
+        self.epolls.iter()
     }
 
-    /// Wait queues.
-    pub fn waitqueues(&self) -> &[WaitQueue] {
-        &self.waitqueues
+    /// Wait queues: the thread ids blocked on each.
+    pub fn waitqueues(&self) -> impl ExactSizeIterator<Item = &[u32]> {
+        self.waitqueues.iter()
     }
 
     /// Opaque runtime objects (language runtime internals etc.).
-    pub fn misc(&self) -> &[SharedBytes] {
-        &self.misc
+    pub fn misc(&self) -> impl ExactSizeIterator<Item = &[u8]> {
+        let table = &*self.misc;
+        table.rows().iter().map(move |span| table.bytes(*span))
     }
 
-    /// The dentry cache for writing; copies it first if an `sfork` relative
-    /// still shares it (as do the three entries below).
-    pub(crate) fn dentries_mut(&mut self) -> &mut Vec<Dentry> {
+    /// The runtime objects as views of the table's buffer, for a checkpoint:
+    /// a reference count each, no copy.
+    pub(crate) fn misc_shared(&self) -> impl Iterator<Item = SharedBytes> + '_ {
+        let table = &*self.misc;
+        table.rows().iter().map(move |span| table.shared(*span))
+    }
+
+    /// The dentry cache for writing; copies its rows first if an `sfork`
+    /// relative still shares it, as do the three entries below. (Its bytes
+    /// stay shared until an append copies them.)
+    pub(crate) fn dentries_mut(&mut self) -> &mut Table<DentryRow> {
         Arc::make_mut(&mut self.dentries)
     }
 
-    pub(crate) fn epolls_mut(&mut self) -> &mut Vec<EpollInstance> {
+    pub(crate) fn epolls_mut(&mut self) -> &mut Lists<i32> {
         Arc::make_mut(&mut self.epolls)
     }
 
-    pub(crate) fn waitqueues_mut(&mut self) -> &mut Vec<WaitQueue> {
+    pub(crate) fn waitqueues_mut(&mut self) -> &mut Lists<u32> {
         Arc::make_mut(&mut self.waitqueues)
     }
 
-    pub(crate) fn misc_mut(&mut self) -> &mut Vec<SharedBytes> {
+    pub(crate) fn misc_mut(&mut self) -> &mut Table<Span> {
         Arc::make_mut(&mut self.misc)
     }
 
@@ -294,8 +326,8 @@ impl GuestKernel {
                 });
             }
         }
-        for ep in self.epolls() {
-            for fd in &ep.watched {
+        for watched in self.epolls() {
+            for fd in watched {
                 if !self.vfs.is_open(*fd) {
                     return Err(KernelError::CorruptGraph {
                         detail: format!("epoll watches dead fd {fd}"),
@@ -370,8 +402,8 @@ mod tests {
         k.net.socket(&clock, &model);
         k.timers
             .arm(simtime::SimNanos::from_secs(1), simtime::SimNanos::ZERO, 1);
-        k.epolls_mut().push(EpollInstance { watched: vec![fd] });
-        k.misc_mut().push(vec![1, 2, 3].into());
+        k.epolls_mut().push([fd]);
+        k.misc_mut().push_bytes(&[1, 2, 3]);
         // fd contributes 2 (File + FdSlot); socket, timer, epoll, misc 1 each.
         assert_eq!(k.object_count(), before + 6);
         assert_eq!(k.io_object_count(), 2 + 1 + 1);
@@ -402,6 +434,27 @@ mod tests {
             k.io_manifest()[2].used_immediately,
             "listeners are needed immediately"
         );
+    }
+
+    /// Strong counts of the four shared tables: dentries, epolls, wait
+    /// queues, runtime objects.
+    fn table_counts(k: &GuestKernel) -> [usize; 4] {
+        [
+            Arc::strong_count(&k.dentries),
+            Arc::strong_count(&k.epolls),
+            Arc::strong_count(&k.waitqueues),
+            Arc::strong_count(&k.misc),
+        ]
+    }
+
+    /// Which of the four tables `a` and `b` share, in [`table_counts`] order.
+    fn shared_tables(a: &GuestKernel, b: &GuestKernel) -> [bool; 4] {
+        [
+            Arc::ptr_eq(&a.dentries, &b.dentries),
+            Arc::ptr_eq(&a.epolls, &b.epolls),
+            Arc::ptr_eq(&a.waitqueues, &b.waitqueues),
+            Arc::ptr_eq(&a.misc, &b.misc),
+        ]
     }
 
     /// `memsim`'s `sfork_clone_and_child_drop_cost_tables_not_pages`, one
@@ -435,20 +488,7 @@ mod tests {
             .unwrap();
         assert!(tmpl.object_count() > 36_000);
 
-        let table_counts = |k: &GuestKernel| {
-            [
-                Arc::strong_count(&k.dentries),
-                Arc::strong_count(&k.epolls),
-                Arc::strong_count(&k.waitqueues),
-                Arc::strong_count(&k.misc),
-            ]
-        };
-        let shares_tables = |a: &GuestKernel, b: &GuestKernel| {
-            Arc::ptr_eq(&a.dentries, &b.dentries)
-                && Arc::ptr_eq(&a.epolls, &b.epolls)
-                && Arc::ptr_eq(&a.waitqueues, &b.waitqueues)
-                && Arc::ptr_eq(&a.misc, &b.misc)
-        };
+        let shares_tables = |a: &GuestKernel, b: &GuestKernel| shared_tables(a, b) == [true; 4];
         let before = (table_counts(&tmpl), tmpl.vfs.share_counts());
         assert!(before.0.iter().chain(&before.1).all(|count| *count == 1));
 
@@ -509,10 +549,74 @@ mod tests {
         assert_eq!((table_counts(&tmpl), tmpl.vfs.share_counts()), before);
     }
 
+    /// The same rule over a template restored from a func-image, whose
+    /// tables are ranges of the image's arena: a child's first write through
+    /// a `*_mut` entry copies that one table and leaves the template's rows
+    /// where they were, and both re-checkpoint to what the records say.
+    #[test]
+    fn a_restored_template_borrows_its_image_until_a_child_writes() {
+        use crate::checkpoint::sealed_func_image;
+        use crate::GraphSpec;
+
+        let clock = SimClock::new();
+        let model = CostModel::experimental_machine();
+        let fs = Arc::new(
+            FsServer::builder("f")
+                .synthetic_tree("/lib", 16, 64)
+                .build(),
+        );
+        let mut source = GuestKernel::boot("source", Arc::clone(&fs), &clock, &model);
+        GraphSpec::sized(5_000)
+            .populate(&mut source, &clock, &model)
+            .unwrap();
+        let records = source.checkpoint_objects();
+        let image = sealed_func_image(records.clone());
+        let arena = image.iter().next().unwrap().payload_source().0;
+        let arena = arena.as_ptr_range();
+        let tmpl =
+            GuestKernel::restore_from_records("tmpl", &image, fs, false, &clock, &model).unwrap();
+        drop(image); // the kernel holds the arena on its own
+        let in_arena = |k: &GuestKernel| {
+            let paths = k.dentries().map(|d| d.path().as_bytes());
+            k.misc().chain(paths).all(|bytes| {
+                let bytes = bytes.as_ptr_range();
+                arena.start <= bytes.start && bytes.end <= arena.end
+            })
+        };
+        assert!(in_arena(&tmpl));
+        assert_eq!(table_counts(&tmpl), [1; 4]);
+
+        let mut child = tmpl.sfork_clone("child", &clock, &model);
+        assert_eq!(table_counts(&tmpl), [2; 4]);
+        child.misc_mut().push_bytes(b"written by the child");
+        assert_eq!(shared_tables(&child, &tmpl), [true, true, true, false]);
+        assert_eq!(table_counts(&tmpl), [2, 2, 2, 1]);
+        assert!(in_arena(&tmpl));
+        assert!(child.dentries().all(|d| {
+            let path = d.path().as_bytes().as_ptr_range();
+            arena.start <= path.start && path.end <= arena.end
+        }));
+
+        // A deep copy given the same write is the oracle for the child; the
+        // template still reads back its records.
+        let mut oracle = GuestKernel::restore_from_records(
+            "oracle",
+            &records,
+            Arc::clone(child.vfs.server()),
+            false,
+            &clock,
+            &model,
+        )
+        .unwrap();
+        oracle.misc_mut().push_bytes(b"written by the child");
+        assert_eq!(tmpl.checkpoint_objects(), records);
+        assert_eq!(child.checkpoint_objects(), oracle.checkpoint_objects());
+    }
+
     #[test]
     fn validate_catches_dead_epoll_target() {
         let (_, _, mut k) = setup();
-        k.epolls_mut().push(EpollInstance { watched: vec![42] });
+        k.epolls_mut().push([42]);
         assert!(matches!(
             k.validate().unwrap_err(),
             KernelError::CorruptGraph { .. }

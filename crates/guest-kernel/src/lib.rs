@@ -50,6 +50,7 @@ mod kernel;
 pub mod net;
 pub mod synth;
 pub mod syscalls;
+mod table;
 pub mod tasks;
 pub mod threads;
 pub mod timers;

@@ -7,9 +7,11 @@
 //! a *valid* kernel: everything it creates can be checkpointed, restored,
 //! validated, and exercised.
 
+use std::fmt::Write;
+
 use simtime::{CostModel, SimClock, SimNanos};
 
-use crate::kernel::{Dentry, EpollInstance, GuestKernel, WaitQueue};
+use crate::kernel::{DentryRow, GuestKernel};
 use crate::KernelError;
 
 /// How much state to synthesize into a kernel. Counts are *additional* to
@@ -80,9 +82,13 @@ impl GraphSpec {
             }
         }
         let dentries = kernel.dentries_mut();
+        let mut path = String::new();
         for i in 0..self.dentries {
-            dentries.push(Dentry {
-                path: format!("/proc/cache/entry-{i}"),
+            path.clear();
+            let _ = write!(path, "/proc/cache/entry-{i}");
+            let span = dentries.append(path.as_bytes());
+            dentries.push(DentryRow {
+                path: span,
                 inode: 0x1000 + u64::from(i),
                 parent: if i == 0 { None } else { Some(i - 1) },
             });
@@ -121,27 +127,19 @@ impl GraphSpec {
             .collect();
         let waitqueues = kernel.waitqueues_mut();
         for i in 0..self.waitqueues {
-            let waiters = tids
-                .iter()
-                .skip(i as usize % tids.len().max(1))
-                .take(3)
-                .copied()
-                .collect();
-            waitqueues.push(WaitQueue { waiters });
+            let waiters = tids.iter().skip(i as usize % tids.len().max(1)).take(3);
+            waitqueues.push(waiters.copied());
         }
         let epolls = kernel.epolls_mut();
         for _ in 0..self.epolls {
-            epolls.push(EpollInstance {
-                watched: opened.first().copied().into_iter().collect(),
-            });
+            epolls.push(opened.first().copied());
         }
         let misc = kernel.misc_mut();
+        let mut blob = Vec::with_capacity(self.misc_payload as usize);
         for i in 0..self.misc_objects {
-            let mut blob = vec![0u8; self.misc_payload as usize];
-            for (j, b) in blob.iter_mut().enumerate() {
-                *b = (i as usize + j) as u8;
-            }
-            misc.push(blob.into());
+            blob.clear();
+            blob.extend((0..self.misc_payload as usize).map(|j| (i as usize + j) as u8));
+            misc.push_bytes(&blob);
         }
         Ok(())
     }

@@ -84,6 +84,10 @@ pub struct Vfs {
     /// rebuild the buffer — classic copy-on-write.
     upper: Arc<BTreeMap<String, SharedBytes>>,
     fds: Vec<Option<Arc<FileDesc>>>,
+    /// Empty slots in `fds`. An open reuses the lowest one; while there is
+    /// none it appends without a scan, so a restore installing hundreds of
+    /// descriptors is linear, not quadratic.
+    holes: usize,
     mounts: Arc<Vec<MountInfo>>,
     /// Count of on-demand reconnections performed (Fig. 12 I/O accounting).
     reconnects: u64,
@@ -97,6 +101,7 @@ impl Vfs {
             server,
             upper: Arc::default(),
             fds: Vec::new(),
+            holes: 0,
             mounts: Arc::new(vec![MountInfo {
                 source: "rootfs".into(),
                 target: "/".into(),
@@ -130,7 +135,7 @@ impl Vfs {
 
     /// Number of open descriptors.
     pub fn open_fds(&self) -> usize {
-        self.fds.iter().flatten().count()
+        self.fds.len() - self.holes
     }
 
     /// On-demand reconnections performed since boot/restore.
@@ -145,9 +150,12 @@ impl Vfs {
 
     fn alloc_fd(&mut self, desc: FileDesc) -> Result<i32, KernelError> {
         let desc = Arc::new(desc);
-        if let Some(i) = self.fds.iter().position(Option::is_none) {
-            self.fds[i] = Some(desc);
-            return Ok(i as i32);
+        if self.holes > 0 {
+            if let Some(i) = self.fds.iter().position(Option::is_none) {
+                self.fds[i] = Some(desc);
+                self.holes -= 1;
+                return Ok(i as i32);
+            }
         }
         if self.fds.len() >= MAX_FDS {
             return Err(KernelError::ResourceExhausted { what: "guest fds" });
@@ -413,6 +421,7 @@ impl Vfs {
         if slot.take().is_none() {
             return Err(KernelError::BadFd { fd });
         }
+        self.holes += 1;
         Ok(())
     }
 
@@ -462,6 +471,7 @@ impl Vfs {
             server: Arc::clone(&self.server),
             upper: Arc::clone(&self.upper),
             fds,
+            holes: self.holes,
             mounts: Arc::clone(&self.mounts),
             reconnects: 0,
         }
@@ -480,18 +490,18 @@ impl Vfs {
         writable: bool,
         offset: u64,
     ) -> Result<i32, KernelError> {
+        // A placeholder until `ensure_connected` re-grants `path`: it names
+        // no grant (id 0) and no path of its own, so the path is the one
+        // string a restored descriptor owns.
+        let placeholder = GoferFd {
+            id: 0,
+            path: String::new(),
+            writable,
+        };
         let backend = if writable {
-            Backend::Persistent(GoferFd {
-                id: 0,
-                path: path.into(),
-                writable: true,
-            })
+            Backend::Persistent(placeholder)
         } else {
-            Backend::Gofer(GoferFd {
-                id: 0,
-                path: path.into(),
-                writable: false,
-            })
+            Backend::Gofer(placeholder)
         };
         self.alloc_fd(FileDesc {
             path: path.into(),

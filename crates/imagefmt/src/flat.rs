@@ -841,7 +841,8 @@ mod tests {
         let objects = flat.restore_metadata(&clock, &model).unwrap();
         assert!(objects.iter().any(|obj| !obj.payload().is_empty()));
         for obj in &objects {
-            for payload in [obj.payload(), &obj.payload_shared()] {
+            let (buf, at) = obj.payload_source();
+            for payload in [obj.payload(), &buf[at..at + obj.payload().len()]] {
                 let payload = payload.as_ptr_range();
                 assert!(
                     arena.start <= payload.start && payload.end <= arena.end,

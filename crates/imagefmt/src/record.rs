@@ -227,11 +227,13 @@ impl<'a> ObjView<'a> {
         self.payload
     }
 
-    /// The payload as a view a restored kernel can keep: it shares the
-    /// buffer (one reference count), it does not copy out of it.
+    /// Where the payload lies: the buffer it is viewed out of and the offset
+    /// it starts at there (`payload()` is `buf[at..][..payload().len()]`).
+    /// Every view of a [`crate::flat::RestoredRecords`] names the one arena,
+    /// so a restored kernel keeps one handle on it and plain ranges.
     #[inline]
-    pub fn payload_shared(&self) -> SharedBytes {
-        self.buf.slice(self.at..self.at + self.payload.len())
+    pub fn payload_source(&self) -> (&'a SharedBytes, usize) {
+        (self.buf, self.at)
     }
 }
 

@@ -68,12 +68,13 @@ fn views_mismatch(restored: &flat::RestoredRecords, records: &[ObjRecord]) -> Op
         .zip(records)
         .enumerate()
         .find_map(|(i, (view, rec))| {
+            let (buf, at) = view.payload_source();
             let same = view.id == rec.id
                 && view.kind == rec.kind
                 && view.flags == rec.flags
                 && view.refs == rec.refs
                 && view.payload() == &rec.payload[..]
-                && view.payload_shared() == rec.payload
+                && buf.get(at..at + rec.payload.len()) == Some(&rec.payload[..])
                 && view == *rec;
             (!same).then(|| format!("object {i}: {view:?} is not {rec:?}"))
         })

@@ -3,19 +3,26 @@ use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
-/// A cheaply cloneable, immutable view of a shared byte buffer.
+/// A cheaply cloneable view of a shared byte buffer; the bytes a view shows
+/// never change under it.
 ///
 /// This is the carrier of the overlay-memory premise (paper §3.1: a
 /// func-image is *mapped, never copied*). `From<Vec<u8>>` takes the vector's
 /// allocation over as it is, so the buffer `imagefmt::flat::write` assembles
 /// is the buffer [`crate::MappedImage`] maps; clones and [`SharedBytes::slice`]
-/// are views of that one allocation, so every image-backed [`crate::Frame`],
-/// metadata section and object payload of a restored sandbox points into it.
+/// are views of that one allocation, so every image-backed [`crate::Frame`]
+/// and metadata section of a restored sandbox points into it. A restored
+/// guest kernel's tables go one step further: each holds a single handle on
+/// the metadata arena and keeps plain ranges of it, not a view per object
+/// ([`SharedBytes::same_view`] is how a table tells its own buffer).
 ///
 /// There is deliberately no constructor that copies — no `From<&[u8]>`, no
-/// `copy_from_slice`. A caller that wants a copy writes
-/// `SharedBytes::from(slice.to_vec())`, and that `to_vec()` is what
-/// catalint's `hotpath` pass flags anywhere reachable from a boot root.
+/// `copy_from_slice`. The one copy the type makes is [`SharedBytes::append`]'s
+/// copy-on-write: a view whose buffer another handle also holds is copied
+/// into a buffer of its own before bytes are added to it, and only then. A
+/// caller that wants a copy otherwise writes `SharedBytes::from(slice.to_vec())`,
+/// and that `to_vec()` is what catalint's `hotpath` pass flags anywhere
+/// reachable from a boot root.
 #[derive(Clone, Default)]
 pub struct SharedBytes {
     data: Arc<Vec<u8>>,
@@ -49,6 +56,40 @@ impl SharedBytes {
             start: self.start + begin,
             end: self.start + end,
         }
+    }
+
+    /// True when `other` is this very view — the same allocation and the
+    /// same range — so an offset into one is an offset into the other.
+    /// Compares three words; never reads a byte.
+    pub fn same_view(&self, other: &SharedBytes) -> bool {
+        Arc::ptr_eq(&self.data, &other.data) && (self.start, self.end) == (other.start, other.end)
+    }
+
+    /// Adds `bytes` at the end of this view and returns the offset, within
+    /// the view, they start at.
+    ///
+    /// Written in place when no other handle shares the buffer (which then
+    /// grows the way a `Vec` does); otherwise the view is first copied into
+    /// a buffer of its own — copy-on-write, so no other holder ever sees a
+    /// byte change.
+    pub fn append(&mut self, bytes: &[u8]) -> usize {
+        // Both copies below are writes: a func-image restore keeps ranges of
+        // the arena it maps and a fork shares whole tables, so neither path
+        // appends (the guest kernel's `table::Table::place`).
+        let at = self.len();
+        if Arc::get_mut(&mut self.data).is_none() {
+            let mut own = Vec::with_capacity(at + bytes.len());
+            // catalint: allow(hotpath) — the copy-on-write copy, on a write only.
+            own.extend_from_slice(self);
+            *self = SharedBytes::from(own);
+        }
+        if let Some(data) = Arc::get_mut(&mut self.data) {
+            data.truncate(self.end);
+            // catalint: allow(hotpath) — the appended bytes themselves.
+            data.extend_from_slice(bytes);
+            self.end = data.len();
+        }
+        at
     }
 }
 
@@ -157,6 +198,36 @@ mod tests {
     fn reversed_slice_panics() {
         #[allow(clippy::reversed_empty_ranges)]
         let _ = SharedBytes::from(vec![0u8; 16]).slice(9..3);
+    }
+
+    #[test]
+    fn same_view_is_identity_not_content() {
+        let b = SharedBytes::from(b"abcabc".to_vec());
+        assert!(b.same_view(&b.clone()));
+        assert!(b.slice(1..4).same_view(&b.slice(1..4)));
+        assert!(
+            !b.slice(0..3).same_view(&b.slice(3..6)),
+            "equal bytes, other range"
+        );
+        assert!(!b.same_view(&SharedBytes::from(b"abcabc".to_vec())));
+    }
+
+    #[test]
+    fn append_writes_in_place_only_behind_a_sole_handle() {
+        // Sole handle on a view that does not reach the buffer's end: the
+        // tail no one can see is overwritten in place.
+        let mut own = SharedBytes::from(b"xxabcyy".to_vec()).slice(2..5);
+        let base = own.as_ptr();
+        assert_eq!(own.append(b"de"), 3);
+        assert_eq!(&own[..], b"abcde");
+        assert_eq!(own.as_ptr(), base, "written in place");
+
+        // Shared: the other holder keeps its bytes, the writer gets a copy.
+        let mut mine = SharedBytes::from(b"abc".to_vec());
+        let theirs = mine.clone();
+        assert_eq!(mine.append(b"d"), 3);
+        assert_eq!((&mine[..], &theirs[..]), (&b"abcd"[..], &b"abc"[..]));
+        assert_ne!(mine.as_ptr(), theirs.as_ptr());
     }
 
     #[test]
