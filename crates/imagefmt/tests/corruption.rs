@@ -170,6 +170,70 @@ fn forged_unpatched_slot_is_rejected() {
     );
 }
 
+/// Flips one bit `at(len)` bytes into the metadata arena of an image whose
+/// arena (87,017 B) is far longer than the checksum's sparse threshold (a
+/// page), and reads the image back. `metadata_bit_flips_always_error`'s
+/// images stay under it. On the sparse loop a word is cleared into the words
+/// 145, 183, 211 and 300 after it, and the last 300 words and the tail go
+/// through the table loop: one flip at each of those places.
+fn flip_in_long_arena(at: impl FnOnce(usize) -> usize) -> Result<(), ImageError> {
+    let mut bytes = write_image(&CheckpointSource {
+        objects: (0..401u64)
+            .map(|i| ObjRecord::new(i + 1, ObjKind::ALL[0], 0, vec![], vec![i as u8; 197]))
+            .collect(),
+        app_pages: vec![],
+        io_conns: vec![],
+    });
+    let (start, len) = section(&bytes, META_ARENA);
+    assert!(len > 8 * 2 * 300 && len % 8 != 0, "arena of {len} B");
+    bytes[start + at(len)] ^= 0x08;
+    full_read(SharedBytes::from(bytes))
+}
+
+fn arena_checksum() -> Result<(), ImageError> {
+    Err(ImageError::Checksum {
+        section: "meta arena",
+    })
+}
+
+#[test]
+fn long_arena_flip_in_the_first_word() {
+    assert_eq!(flip_in_long_arena(|_| 0), arena_checksum());
+}
+
+#[test]
+fn long_arena_flip_145_words_in() {
+    assert_eq!(flip_in_long_arena(|_| 8 * 145 + 7), arena_checksum());
+}
+
+#[test]
+fn long_arena_flip_183_words_in() {
+    assert_eq!(flip_in_long_arena(|_| 8 * 183), arena_checksum());
+}
+
+#[test]
+fn long_arena_flip_211_words_in() {
+    assert_eq!(flip_in_long_arena(|_| 8 * 211 + 3), arena_checksum());
+}
+
+#[test]
+fn long_arena_flip_300_words_in() {
+    assert_eq!(flip_in_long_arena(|_| 8 * 300), arena_checksum());
+}
+
+#[test]
+fn long_arena_flip_in_the_first_residue_word() {
+    assert_eq!(
+        flip_in_long_arena(|len| 8 * (len / 8 - 300)),
+        arena_checksum()
+    );
+}
+
+#[test]
+fn long_arena_flip_in_the_last_byte() {
+    assert_eq!(flip_in_long_arena(|len| len - 1), arena_checksum());
+}
+
 proptest! {
     /// Cutting the image anywhere must never panic, and cutting into the
     /// header page must always be rejected.

@@ -1,29 +1,45 @@
-//! Stage probe: where a Catalyzer restore spends its *host* time.
+//! Stage probe: where a Catalyzer func-image spends its *host* time, written
+//! and restored.
 //!
-//! For each of the ten catalogue profiles, `ROUNDS` times over: a CRC-32
-//! over the metadata sections' span of the image (`crc3`, an approximation
-//! of the checksum `restore_metadata` pays), `restore_metadata` (`meta`,
-//! checksum included), `GuestKernel::restore_from_records` (`kernel`),
-//! dropping the records and then the kernel, and a whole cold and warm
-//! `Catalyzer::boot` with the drop of the cold boot's outcome. Prints the
-//! median of each stage in ms, per profile and summed over the ten.
+//! For each of the ten catalogue profiles, `ROUNDS` times over, in two
+//! tables:
+//!
+//! - **write**: the program's initialisation to its entry point (`init`),
+//!   `checkpoint_source` (`source`), `flat::write` (`write`, checksums
+//!   included), and a CRC-32 over the bytes the write checksums — the five
+//!   metadata sections and the heap pages, one piece each (`wcrc`, the
+//!   write's checksum alone);
+//! - **restore**: a CRC-32 over the metadata sections' span of the image
+//!   (`crc3`, an approximation of the checksum `restore_metadata` pays),
+//!   `restore_metadata` (`meta`, checksum included),
+//!   `GuestKernel::restore_from_records` (`kernel`), dropping the records
+//!   and then the kernel, and a whole cold and warm `Catalyzer::boot` with
+//!   the drop of the cold boot's outcome.
+//!
+//! Prints the median of each stage in ms, per profile and summed over the
+//! ten.
 //!
 //! ```text
 //! cargo run --release --example restore_stages [ROUNDS]
 //! ```
 //!
 //! The virtual clock is not read: every number here is wall time on the
-//! machine that runs it, which is what the `restore-boot` benchmark
-//! measures end to end. Compare two trees by running each one's build of
-//! this probe in alternation; a guest's fast and slow phases last minutes.
+//! machine that runs it, which is what the `image-build` and `restore-boot`
+//! benchmarks measure end to end. Compare two trees by running each one's
+//! build of this probe in alternation; a guest's fast and slow phases last
+//! minutes.
 
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
+use catalyzer_suite::guest_kernel::GuestKernel;
+use catalyzer_suite::imagefmt::{self, flat};
+use catalyzer_suite::memsim::{MappedImage, PAGE_SIZE};
 use catalyzer_suite::prelude::*;
-use catalyzer_suite::{guest_kernel::GuestKernel, imagefmt};
 
-const STAGES: [&str; 8] = [
+const WRITE_STAGES: [&str; 4] = ["init", "source", "write", "wcrc"];
+const RESTORE_STAGES: [&str; 8] = [
     "crc3", "meta", "kernel", "droprec", "dropker", "cold", "warm", "dropboot",
 ];
 
@@ -36,39 +52,113 @@ fn median(samples: &mut [f64]) -> f64 {
     samples.get(samples.len() / 2).copied().unwrap_or(0.0)
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let rounds: usize = std::env::args()
-        .nth(1)
-        .and_then(|arg| arg.parse().ok())
-        .unwrap_or(20);
-    let model = CostModel::experimental_machine();
-    let profiles = AppProfile::catalogue();
-    let mut system = Catalyzer::new();
-    for profile in &profiles {
-        system.warm_for(BootMode::Warm, profile, &model)?;
+/// One table: a header, a row of stage medians per profile, their sums.
+struct Table {
+    sums: Vec<f64>,
+}
+
+impl Table {
+    fn new(title: &str, stages: &[&str]) -> Table {
+        print!("{title:<16} {:>7}", "objs");
+        for stage in stages {
+            print!(" {stage:>8}");
+        }
+        println!();
+        Table {
+            sums: vec![0.0; stages.len()],
+        }
     }
 
-    print!("{:<16} {:>7}", "profile", "objs");
-    for stage in STAGES {
-        print!(" {stage:>8}");
+    fn row(&mut self, profile: &str, objects: u64, samples: &mut [Vec<f64>]) {
+        print!("{profile:<16} {objects:>7}");
+        for (sum, stage) in self.sums.iter_mut().zip(samples) {
+            let m = median(stage);
+            *sum += m;
+            print!(" {m:>8.3}");
+        }
+        println!();
     }
-    println!();
-    let mut sums = [0.0f64; STAGES.len()];
-    for profile in &profiles {
-        let mut samples: [Vec<f64>; STAGES.len()] = Default::default();
+
+    fn finish(self) {
+        print!("{:<16} {:>7}", "SUM (ms)", "");
+        for sum in self.sums {
+            print!(" {sum:>8.3}");
+        }
+        println!();
+    }
+}
+
+/// `ensure_compiled`'s steps, one at a time, then the checksum alone over
+/// what `flat::write` checksummed.
+fn write_side(
+    profiles: &[AppProfile],
+    rounds: usize,
+    model: &CostModel,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let mut table = Table::new("write", &WRITE_STAGES);
+    for profile in profiles {
+        let fs = profile.build_fs_server();
+        let mut samples: [Vec<f64>; WRITE_STAGES.len()] = Default::default();
+        let mut objects = 0;
+        for _ in 0..rounds {
+            let clock = SimClock::new();
+            let t = Instant::now();
+            let mut program = WrappedProgram::start_with(profile, Arc::clone(&fs), &clock, model)?;
+            program.run_to_entry_point(&clock, model)?;
+            samples[0].push(ms(t));
+            let t = Instant::now();
+            let source = program.checkpoint_source(&clock, model)?;
+            samples[1].push(ms(t));
+            let t = Instant::now();
+            let bytes = flat::write(&source, &clock, model);
+            samples[2].push(ms(t));
+
+            let image = MappedImage::new(profile.name.clone(), bytes);
+            let parsed = flat::FlatImage::parse(&image, &clock, model)?;
+            objects = parsed.object_count();
+            // The five metadata sections lie back to back after the header
+            // page; the heap pages end the image.
+            let pages = parsed.app_page_count();
+            let meta = parsed.metadata_bytes() + parsed.io_manifest_bytes() + 8 * pages;
+            let raw = image.raw_bytes();
+            let heap_at = raw.len() - usize::try_from(pages)? * PAGE_SIZE;
+            let meta = raw.get(PAGE_SIZE..PAGE_SIZE + usize::try_from(meta)?);
+            let t = Instant::now();
+            black_box(imagefmt::crc32(meta.unwrap_or_default()));
+            black_box(imagefmt::crc32(raw.get(heap_at..).unwrap_or_default()));
+            samples[3].push(ms(t));
+        }
+        table.row(&profile.name, objects, &mut samples);
+    }
+    table.finish();
+    Ok(())
+}
+
+fn restore_side(
+    profiles: &[AppProfile],
+    rounds: usize,
+    model: &CostModel,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let mut system = Catalyzer::new();
+    for profile in profiles {
+        system.warm_for(BootMode::Warm, profile, model)?;
+    }
+    let mut table = Table::new("restore", &RESTORE_STAGES);
+    for profile in profiles {
+        let mut samples: [Vec<f64>; RESTORE_STAGES.len()] = Default::default();
         let mut objects = 0;
         for _ in 0..rounds {
             let stored = system.store().get(&profile.name).expect("warmed above");
             objects = stored.flat.object_count();
             let raw = stored.flat.image().raw_bytes();
             let meta_len = usize::try_from(stored.flat.metadata_bytes()).unwrap_or(0);
-            let meta_span = raw.get(4096..4096 + meta_len).unwrap_or_default();
+            let meta_span = raw.get(PAGE_SIZE..PAGE_SIZE + meta_len).unwrap_or_default();
 
             let t = Instant::now();
-            std::hint::black_box(imagefmt::crc32(meta_span));
+            black_box(imagefmt::crc32(meta_span));
             samples[0].push(ms(t));
             let t = Instant::now();
-            let records = stored.flat.restore_metadata(&SimClock::new(), &model)?;
+            let records = stored.flat.restore_metadata(&SimClock::new(), model)?;
             samples[1].push(ms(t));
             let t = Instant::now();
             let kernel = GuestKernel::restore_from_records(
@@ -77,7 +167,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 Arc::clone(&stored.fs),
                 false,
                 &SimClock::new(),
-                &model,
+                model,
             )?;
             samples[2].push(ms(t));
             let t = Instant::now();
@@ -88,7 +178,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             samples[4].push(ms(t));
 
             for (mode, stage) in [(BootMode::Cold, 5), (BootMode::Warm, 6)] {
-                let mut ctx = BootCtx::fresh(&model);
+                let mut ctx = BootCtx::fresh(model);
                 let t = Instant::now();
                 let boot = system.boot(mode, profile, &mut ctx)?;
                 samples[stage].push(ms(t));
@@ -99,18 +189,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 }
             }
         }
-        print!("{:<16} {objects:>7}", profile.name);
-        for (sum, stage) in sums.iter_mut().zip(&mut samples) {
-            let m = median(stage);
-            *sum += m;
-            print!(" {m:>8.3}");
-        }
-        println!();
+        table.row(&profile.name, objects, &mut samples);
     }
-    print!("{:<16} {:>7}", "SUM (ms)", "");
-    for sum in sums {
-        print!(" {sum:>8.3}");
-    }
-    println!();
+    table.finish();
     Ok(())
+}
+
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let rounds: usize = std::env::args()
+        .nth(1)
+        .and_then(|arg| arg.parse().ok())
+        .unwrap_or(20);
+    let model = CostModel::experimental_machine();
+    let profiles = AppProfile::catalogue();
+    // The write side first, so no restore-side image is resident while a
+    // large profile's heap is in memory twice (frames and image).
+    write_side(&profiles, rounds, &model)?;
+    println!();
+    restore_side(&profiles, rounds, &model)
 }

@@ -6,7 +6,7 @@
 //! object. This binary installs a counting global allocator over
 //! [`System`] and holds `GuestKernel::restore_from_records` plus the
 //! kernel's drop to that shape across the catalogue's smallest and largest
-//! object graphs.
+//! object graphs, and the checksum over the image's sections to none at all.
 //!
 //! The counter is thread-local, so tests running in parallel on other
 //! threads never add to a count being taken.
@@ -16,7 +16,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use catalyzer_suite::guest_kernel::GuestKernel;
-use catalyzer_suite::imagefmt::{flat, CheckpointSource};
+use catalyzer_suite::imagefmt::{self, flat, CheckpointSource};
 use catalyzer_suite::memsim::MappedImage;
 use catalyzer_suite::prelude::*;
 
@@ -139,4 +139,14 @@ fn a_restore_allocates_per_table_and_owned_string_not_per_object() {
         per_object < 0.05,
         "{per_object:.4} allocations per added object ({small} → {large})"
     );
+}
+
+/// The checksum every restore pays over its metadata sections keeps its
+/// working window on the stack: none over a large profile's arena size.
+#[test]
+fn the_checksum_allocates_nothing() {
+    let arena: Vec<u8> = (0..2_300_000u32).map(|i| (i % 251) as u8).collect();
+    let mut crc = 0;
+    assert_eq!(allocations_in(|| crc = imagefmt::crc32(&arena)), 0);
+    assert_ne!(crc, 0);
 }

@@ -103,6 +103,13 @@ step "cargo test (every first-party crate)" test_workspace
 step "BENCH exports (pr2/3/4/7/8/9 valid + byte-identical)" \
   cargo run -q --release -p bench --bin repro -- all --check
 
+# The stage probe (examples/restore_stages.rs), one round: each of the ten
+# profiles' func-images written and restored stage by stage, printing host
+# wall time per stage. Its numbers are not gated; it fails on any error, so
+# the probe a perf PR is judged by still runs (~2 s).
+step "stage probe (write + restore, one round)" \
+  cargo run -q --release --example restore_stages 1
+
 # The repo's wall-clock benchmark, in its 1/20-size single-repetition smoke
 # mode (~35 s cold, ~25 s warm): builds the standalone harness and runs all
 # five workloads once. Timings are not gated here; what is gated is
