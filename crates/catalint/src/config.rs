@@ -1,10 +1,12 @@
 //! Checker configuration.
 //!
 //! The *policy* — which files are parse modules, which functions root the
-//! restore hot path — lives here, in code, because changing policy should
-//! look like a code change and go through review. There is no config file.
+//! boot paths, which operation each fault seam guards — lives here, in code,
+//! because changing policy should look like a code change and go through
+//! review. There is no config file and no way to excuse a finding at its
+//! site: a finding is fixed in code, or this policy changes.
 
-/// Which files each pass applies to, and where the restore path starts.
+/// Which files each pass applies to, and where the boot paths start.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Path prefixes excluded from scanning entirely (vendored stand-ins,
@@ -15,14 +17,10 @@ pub struct Config {
     /// panic-source lints in its own inner attribute — keep the two lists
     /// the same.
     pub parse_files: Vec<String>,
-    /// Bare names of the functions that root the boot critical paths:
-    /// cold/warm restore and fork boot. Everything name-reachable from
-    /// these is held to hot-path discipline.
-    pub hot_roots: Vec<String>,
-    /// Bare names where hot-path traversal stops: work that is off the
-    /// restore critical path even though the restore entry points call it
-    /// (one-time image compilation).
-    pub hot_stops: Vec<String>,
+    /// Bare names where the seamcover traversal from [`Config::seam_roots`]
+    /// stops: work a boot entry point calls that is off the boot path
+    /// (one-time image compilation), so its calls need no fault seam.
+    pub boot_stops: Vec<String>,
     /// Path prefixes exempt from the namereg pass: the registry itself
     /// (where the names are defined) and the checker (which defines the
     /// grammar it polices).
@@ -71,34 +69,9 @@ impl Config {
                 "crates/memsim/src/image.rs".into(),
                 "crates/guest-kernel/src/checkpoint.rs".into(),
             ],
-            hot_roots: vec![
-                // Catalyzer restore (paper §3: separated state recovery,
-                // overlay memory, on-demand I/O).
-                "restore_boot".into(),
-                "restore_metadata".into(),
-                "build_base_layer".into(),
-                "app_mem_index".into(),
-                "read_io_manifest".into(),
-                // Overlay-memory demand paging.
-                "attach_base".into(),
-                "load_page".into(),
-                "load_range".into(),
-                // Fork boot (paper §4): `sfork` duplicates page *tables*
-                // and kernel bookkeeping copy-on-write. This pass sees a
-                // per-page or per-buffer copy under it only when it is
-                // spelled `to_vec`/`to_owned` or is a `.clone()` of a
-                // receiver named like a buffer; a whole-table clone
-                // (`self.dentries.clone()`) it does not see. What holds
-                // the kernel tables to sharing is that they are private
-                // `Arc` fields of `GuestKernel`/`Vfs`, and the unit test
-                // `sfork_clone_and_child_drop_cost_refcounts_not_objects`.
-                "sfork".into(),
-                "sfork_clone".into(),
-            ],
-            hot_stops: vec![
-                // One-time image preparation (checkpoint side). The paper
-                // measures restore with images already built; the builders
-                // may buffer and copy freely.
+            boot_stops: vec![
+                // One-time image preparation (checkpoint side): the paper
+                // measures restore with images already built.
                 "ensure_compiled".into(),
             ],
             namereg_exempt: vec![
@@ -201,21 +174,22 @@ mod tests {
     }
 
     #[test]
-    fn hot_roots_cover_every_boot_path() {
+    fn seam_roots_cover_every_boot_path() {
         let c = Config::workspace_default();
-        // Cold/warm restore, demand paging, and fork boot.
-        for root in [
-            "restore_boot",
-            "build_base_layer",
-            "attach_base",
-            "load_page",
-            "sfork",
-            "sfork_clone",
-        ] {
-            assert!(c.hot_roots.iter().any(|r| r == root), "{root} not a root");
-        }
+        // Every engine's boot, cold/warm restore, fork boot and the
+        // language template's function boot.
+        assert_eq!(
+            c.seam_roots,
+            [
+                "boot",
+                "restore_boot",
+                "sfork",
+                "fork_boot",
+                "boot_function"
+            ]
+        );
         // One-time image compilation stays off the path.
-        assert_eq!(c.hot_stops, ["ensure_compiled"]);
+        assert_eq!(c.boot_stops, ["ensure_compiled"]);
     }
 
     #[test]

@@ -120,8 +120,7 @@ mod tests {
     use crate::segment::{segment, FnItem};
 
     fn parse_fn(src: &str) -> FnItem {
-        let lexed = lex(src);
-        segment(&lexed.toks).fns.into_iter().next().unwrap()
+        segment(&lex(src)).fns.into_iter().next().unwrap()
     }
 
     #[test]

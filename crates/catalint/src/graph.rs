@@ -6,10 +6,11 @@
 //! its own confidence: every edge is [`EdgeKind::Precise`] (resolved via a
 //! type or module qualifier, a `self` method, or a same-file/same-crate
 //! bare name) or [`EdgeKind::Fuzzy`] (matched by bare name across crates).
-//! Passes choose how much fuzz they tolerate: hot-path reachability follows
-//! both kinds (missing an eager copy is worse than over-reporting), while
-//! interprocedural panic propagation follows only precise edges (a fuzzy
-//! panic edge would flag every parser that calls any `get` anywhere).
+//! Passes choose how much fuzz they tolerate: seam-coverage reachability
+//! follows both kinds (a boot path reached through a fuzzy edge still owes
+//! its fault seams), while interprocedural panic propagation follows only
+//! precise edges (a fuzzy panic edge would flag every parser that calls any
+//! `get` anywhere).
 //!
 //! Node order is deterministic: files arrive sorted by path (see
 //! [`crate::collect_workspace`]) and functions are pushed in source order,
@@ -95,8 +96,8 @@ pub const STOP_EDGES: [&str; 29] = [
     "min",
     // `write` collides across the workspace: `AddressSpace::write` (restore
     // side, page-granular by design) vs. the checkpoint serializers
-    // (`flat::write`, `classic::write`), which buffer freely off the hot
-    // path. A name-based graph cannot split them, so the fuzzy edge is
+    // (`flat::write`, `classic::write`), which run off the boot path. A
+    // name-based graph cannot split them, so the fuzzy edge is
     // dropped; same-file and qualified `write` calls still resolve.
     "write",
 ];

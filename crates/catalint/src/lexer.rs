@@ -4,8 +4,7 @@
 //! expressible as patterns over identifiers, punctuation, and bracket
 //! groups, so the lexer only needs to get four things exactly right:
 //!
-//! 1. comments (line, nested block) never produce tokens, but are scanned
-//!    for `catalint: allow(<pass>)` suppression directives;
+//! 1. comments (line, nested block) never produce tokens;
 //! 2. string/char literals are opaque — `"foo.unwrap()"` is data, not code;
 //! 3. raw strings (`r#"…"#`) honour their hash-delimited terminator, so a
 //!    JSON fixture full of quotes and braces cannot desynchronise the lexer;
@@ -70,32 +69,13 @@ impl Tok {
     }
 }
 
-/// A `catalint: allow(<pass>)` directive found in a comment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Allow {
-    /// Line the comment starts on; suppresses findings on this line and the next.
-    pub line: u32,
-    /// Pass name inside the parentheses.
-    pub pass: String,
-}
-
-/// Lexer output: the token tree plus any suppression directives.
-#[derive(Debug)]
-pub struct Lexed {
-    /// Top-level tokens of the file.
-    pub toks: Vec<Tok>,
-    /// Suppression directives, in source order.
-    pub allows: Vec<Allow>,
-}
-
-/// Lexes one source file. Never fails: unbalanced delimiters are closed at
-/// end of input (best effort — the passes degrade to fewer findings, never
-/// to a panic).
-pub fn lex(src: &str) -> Lexed {
+/// Lexes one source file into its top-level tokens. Never fails:
+/// unbalanced delimiters are closed at end of input (best effort — the
+/// passes degrade to fewer findings, never to a panic).
+pub fn lex(src: &str) -> Vec<Tok> {
     let b: Vec<char> = src.chars().collect();
     let mut i = 0usize;
     let mut line = 1u32;
-    let mut allows: Vec<Allow> = Vec::new();
     let mut stack: Vec<(Delim, u32, Vec<Tok>)> = Vec::new();
     let mut cur: Vec<Tok> = Vec::new();
 
@@ -108,15 +88,11 @@ pub fn lex(src: &str) -> Lexed {
             }
             _ if c.is_whitespace() => i += 1,
             '/' if b.get(i + 1) == Some(&'/') => {
-                let start = i;
                 while i < b.len() && b[i] != '\n' {
                     i += 1;
                 }
-                scan_allow_directives(&b[start..i], line, &mut allows);
             }
             '/' if b.get(i + 1) == Some(&'*') => {
-                let start = i;
-                let start_line = line;
                 let mut depth = 1u32;
                 i += 2;
                 while i < b.len() && depth > 0 {
@@ -133,7 +109,6 @@ pub fn lex(src: &str) -> Lexed {
                         i += 1;
                     }
                 }
-                scan_allow_directives(&b[start..i.min(b.len())], start_line, &mut allows);
             }
             '"' => {
                 let l = line;
@@ -260,7 +235,7 @@ pub fn lex(src: &str) -> Lexed {
         cur.push(Tok::Group(d, inner, l));
     }
 
-    Lexed { toks: cur, allows }
+    cur
 }
 
 /// Extracts string content between `start` (just past the opening quote)
@@ -314,24 +289,6 @@ fn skip_raw_string(b: &[char], mut i: usize, hashes: usize, line: &mut u32) -> u
     i
 }
 
-/// Finds `catalint: allow(<pass>)` directives inside one comment.
-fn scan_allow_directives(comment: &[char], line: u32, out: &mut Vec<Allow>) {
-    let text: String = comment.iter().collect();
-    let mut rest = text.as_str();
-    while let Some(pos) = rest.find("catalint:") {
-        let after = rest[pos + "catalint:".len()..].trim_start();
-        if let Some(args) = after.strip_prefix("allow(") {
-            if let Some(end) = args.find(')') {
-                let pass = args[..end].trim().to_string();
-                if !pass.is_empty() {
-                    out.push(Allow { line, pass });
-                }
-            }
-        }
-        rest = &rest[pos + "catalint:".len()..];
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::{lex, Delim, Tok};
@@ -351,8 +308,8 @@ mod tests {
     #[test]
     fn groups_nest() {
         let l = lex("fn f(a: u8) { g([1, 2]); }");
-        assert_eq!(l.toks.len(), 4); // fn, f, (..), {..}
-        match &l.toks[3] {
+        assert_eq!(l.len(), 4); // fn, f, (..), {..}
+        match &l[3] {
             Tok::Group(Delim::Brace, inner, _) => {
                 assert!(matches!(inner[1], Tok::Group(Delim::Paren, _, _)));
             }
@@ -363,21 +320,21 @@ mod tests {
     #[test]
     fn strings_and_comments_are_opaque() {
         let l = lex("let x = \"a.unwrap() {\"; // unwrap() here too\n/* and } here */ y");
-        let ids = idents(&l.toks);
+        let ids = idents(&l);
         assert_eq!(ids, vec!["let", "x", "y"]);
     }
 
     #[test]
     fn raw_strings_with_quotes_and_braces() {
         let l = lex(r##"let j = r#"{"k": "v}}"}"#; done"##);
-        let ids = idents(&l.toks);
+        let ids = idents(&l);
         assert_eq!(ids, vec!["let", "j", "done"]);
     }
 
     #[test]
     fn lifetimes_vs_char_literals() {
         let l = lex("fn f<'a>(x: &'a u8) { let c = 'a'; let n = '\\n'; }");
-        let ids = idents(&l.toks);
+        let ids = idents(&l);
         assert!(!ids.contains(&"a".to_string()) || ids.iter().filter(|s| *s == "a").count() == 0);
         assert!(ids.contains(&"c".to_string()));
     }
@@ -385,28 +342,19 @@ mod tests {
     #[test]
     fn nested_block_comments() {
         let l = lex("a /* x /* y */ z */ b");
-        assert_eq!(idents(&l.toks), vec!["a", "b"]);
+        assert_eq!(idents(&l), vec!["a", "b"]);
     }
 
     #[test]
     fn line_numbers_advance() {
         let l = lex("a\nb\n\nc");
-        let lines: Vec<u32> = l.toks.iter().map(Tok::line).collect();
+        let lines: Vec<u32> = l.iter().map(Tok::line).collect();
         assert_eq!(lines, vec![1, 2, 4]);
-    }
-
-    #[test]
-    fn allow_directives_are_collected() {
-        let l = lex("x // catalint: allow(hotpath)\ny /* catalint: allow(panic) */");
-        assert_eq!(l.allows.len(), 2);
-        assert_eq!(l.allows[0].pass, "hotpath");
-        assert_eq!(l.allows[0].line, 1);
-        assert_eq!(l.allows[1].pass, "panic");
     }
 
     #[test]
     fn unbalanced_input_still_lexes() {
         let l = lex("fn f( { [ x");
-        assert!(!idents(&l.toks).is_empty());
+        assert!(!idents(&l).is_empty());
     }
 }

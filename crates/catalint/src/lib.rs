@@ -3,18 +3,14 @@
 //! The Catalyzer reproduction rests on properties that regress silently
 //! under ordinary refactoring. Each has exactly one enforcer (DESIGN.md
 //! §12 has the table), and catalint is the enforcer only where neither the
-//! compiler nor a standard clippy lint can be:
+//! compiler, a standard clippy lint nor a counted test can be:
 //!
 //! 1. **Panic-free parsing, through helpers.** Func-images and checkpoints
 //!    are untrusted input to the restore path. Each parse module denies
 //!    clippy's panic-source lints for what it spells itself; the `panic`
 //!    pass follows precise call edges out of those modules to a helper
 //!    that can panic.
-//! 2. **Hot-path copy discipline.** Overlay memory (paper §3.1) exists so
-//!    Base-EPT pages are *shared*; an eager full-buffer copy anywhere
-//!    reachable from a restore root quietly re-introduces the cost the
-//!    design removes (`hotpath`).
-//! 3. **Borrow discipline.** A `RefCell` guard held across `?` (or a
+//! 2. **Borrow discipline.** A `RefCell` guard held across `?` (or a
 //!    re-entrant `borrow_mut` through a call chain) turns an error return
 //!    into a runtime borrow panic (`borrowcell`).
 //!
@@ -29,21 +25,23 @@
 //! event protocol is conformant — handler coverage, schedule discipline, a
 //! total tie-break (`eventproto`).
 //!
-//! What a type or a standard lint can forbid is not a pass. The compiler
-//! enforces overflow-safe `SimNanos` arithmetic (no `+`/`-`/`*`),
+//! What a type, a standard lint or a count can enforce is not a pass. The
+//! compiler enforces overflow-safe `SimNanos` arithmetic (no `+`/`-`/`*`),
 //! generation-checked arena access (`InstanceId::index()` is private) and
 //! closure-scoped spans (`sandbox::BootCtx` hands out no tracer), each
 //! pinned by a `compile_fail` doctest on the type. clippy enforces the ban
 //! on wall clocks, the environment, host threads and child processes
-//! (`crates/clippy.toml`, type-resolved, every first-party target).
+//! (`crates/clippy.toml`, type-resolved, every first-party target). The
+//! root test `tests/alloc_budget.rs` holds every boot path to allocations
+//! per table, not per object or page.
 //!
 //! The checker lexes the workspace (no rustc, no dependencies), segments
 //! it into functions, builds an approximate call graph plus fault-seam
-//! consultation summaries, and runs eight passes; the interprocedural
-//! ones (`panic`, `hotpath`, `borrowcell`, `seamcover`) attach the
-//! root → sink call chain to each finding. There is no debt file and no
-//! config file: the workspace carries zero findings, and any finding fails
-//! the build. Run it as `cargo run -p catalint` (`--explain <pass>` for
+//! consultation summaries, and runs seven passes; the interprocedural
+//! ones (`panic`, `borrowcell`, `seamcover`) attach the root → sink call
+//! chain to each finding. There is no debt file, no config file and no
+//! site suppression: the workspace carries zero findings, and any finding
+//! fails the build. Run it as `cargo run -p catalint` (`--explain <pass>` for
 //! rationale); it also runs inside the tier-1 test suite.
 
 pub mod config;
@@ -53,13 +51,12 @@ pub mod lexer;
 pub mod passes;
 pub mod segment;
 
-use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use config::Config;
-use lexer::{lex, Allow};
+use lexer::lex;
 use segment::{segment, FileItems};
 
 /// One source file presented to the checker. Paths are workspace-relative
@@ -141,24 +138,17 @@ pub struct ParsedFile {
     pub path: String,
     /// Function items and loose tokens.
     pub items: FileItems,
-    /// Suppression directives found in comments.
-    pub allows: Vec<Allow>,
 }
 
-/// Runs all eight passes over the given files and returns findings
-/// sorted by `(file, line, pass)`, with `catalint: allow(...)`
-/// suppressions already applied.
+/// Runs all seven passes over the given files and returns findings
+/// sorted by `(file, line, pass)`.
 pub fn analyze(files: &[SrcFile], cfg: &Config) -> Vec<Violation> {
     let parsed: Vec<ParsedFile> = files
         .iter()
         .filter(|f| !cfg.is_scan_exempt(&f.path))
-        .map(|f| {
-            let lexed = lex(&f.content);
-            ParsedFile {
-                path: f.path.clone(),
-                items: segment(&lexed.toks),
-                allows: lexed.allows,
-            }
+        .map(|f| ParsedFile {
+            path: f.path.clone(),
+            items: segment(&lex(&f.content)),
         })
         .collect();
 
@@ -171,30 +161,13 @@ pub fn analyze(files: &[SrcFile], cfg: &Config) -> Vec<Violation> {
     let mut out = Vec::new();
     passes::panic_freedom(cfg, &graph, &mut out);
     passes::hygiene(&parsed, cfg, &mut out);
-    passes::hotpath(cfg, &graph, &mut out);
     passes::borrowcell(cfg, &graph, &mut out);
     passes::namereg(&parsed, cfg, &mut out);
     passes::hashorder(&parsed, cfg, &mut out);
     passes::seamcover(&parsed, cfg, &graph, &sums, &mut out);
     passes::eventproto(&parsed, cfg, &graph, &mut out);
-
-    let allows: HashMap<&str, &[Allow]> = parsed
-        .iter()
-        .map(|p| (p.path.as_str(), p.allows.as_slice()))
-        .collect();
-    out.retain(|v| !is_suppressed(v, &allows));
     out.sort_by(|a, b| (a.file.as_str(), a.line, a.pass).cmp(&(b.file.as_str(), b.line, b.pass)));
     out
-}
-
-/// A finding is suppressed by `catalint: allow(<pass>)` (or `allow(all)`)
-/// in a comment on the same line or the line above.
-fn is_suppressed(v: &Violation, allows: &HashMap<&str, &[Allow]>) -> bool {
-    allows.get(v.file.as_str()).is_some_and(|list| {
-        list.iter().any(|a| {
-            (a.pass == v.pass || a.pass == "all") && (a.line == v.line || a.line + 1 == v.line)
-        })
-    })
 }
 
 /// Full check result for a workspace on disk.

@@ -18,11 +18,12 @@ const USAGE: &str = "usage: catalint [--root DIR] [--explain PASS]
 
 Checks the workspace against the invariants that neither rustc nor a
 standard clippy lint can express: no panicking helper reachable from image
-parsing, restore hot-path copy discipline, RefCell guard discipline, a
-metric-name registry closed in both directions, hash-order hygiene, error
-hygiene, fault-seam coverage and DES event-protocol conformance. Every
-finding fails the check; there is no config file. (Wall clocks, env reads,
-host threads and child processes are banned by clippy: crates/clippy.toml.)
+parsing, RefCell guard discipline, a metric-name registry closed in both
+directions, hash-order hygiene, error hygiene, fault-seam coverage and DES
+event-protocol conformance. Every finding fails the check; there is no
+config file. (Wall clocks, env reads, host threads and child processes are
+banned by clippy: crates/clippy.toml. Copies on a boot path are counted by
+tests/alloc_budget.rs.)
 
   --root DIR          workspace root (default: walk up from the cwd)
   --explain PASS      print what a pass checks, why, and how to fix findings
@@ -144,8 +145,8 @@ fn run(args: Args) -> Result<ExitCode, CatalintError> {
         eprintln!("    {v}");
     }
     eprintln!(
-        "catalint: FAIL — {} finding(s). Fix them, or if genuinely intended, suppress at \
-         the site with a justified `catalint: allow(<pass>)` comment (see DESIGN.md §12).",
+        "catalint: FAIL — {} finding(s). Fix the code; if the policy itself is wrong, change \
+         crates/catalint/src/config.rs with a review (see DESIGN.md §12).",
         outcome.violations.len()
     );
     Ok(code)
@@ -168,20 +169,6 @@ fn explain(pass: &str) -> Option<&'static str> {
              set is flagged with the full call chain.\n\n\
              Fix: make the helper return a typed error (`try_into`, `get()`,\n\
              `ok_or`); findings print the root → … → sink chain to follow.\n"
-        }
-        "hotpath" => {
-            "hotpath — no eager full-buffer copies on the boot paths.\n\n\
-             Overlay memory (paper §3.1) exists so Base-EPT pages are shared,\n\
-             not copied, and sfork (§4) duplicates page tables, not pages; an\n\
-             eager `to_vec()`/`extend_from_slice` anywhere reachable from the\n\
-             boot roots quietly re-introduces the cost the design removes.\n\
-             Reachability is computed on the workspace call graph from the\n\
-             configured roots — cold/warm restore (restore_boot, load_page, …)\n\
-             and fork boot (sfork, sfork_clone) — and each finding carries its\n\
-             root → … → sink call chain.\n\n\
-             Fix: slice shared buffers (`SharedBytes::slice`), share instead of\n\
-             copy, or — if genuinely off the hot path — adjust the stop list\n\
-             in catalint's config with a review.\n"
         }
         "borrowcell" => {
             "borrowcell — RefCell borrow guards must stay short-lived.\n\n\

@@ -1,13 +1,13 @@
-//! The eight invariant passes.
+//! The seven invariant passes.
 //!
 //! Each pass is a pattern scan over token trees (see [`crate::lexer`]);
 //! the interprocedural ones additionally consult the approximate call
 //! graph (see [`crate::graph`]). None of them type-check, so a pass exists
-//! only for an invariant that neither rustc nor a standard clippy lint can
-//! express (DESIGN.md §12 lists which tool enforces what). They are tuned
-//! so that false positives stay rare enough to fix on the spot — the
-//! workspace carries zero findings and there is no debt file to park one
-//! in — while regressions on the invariants the paper's numbers depend on
+//! only for an invariant that neither rustc, a standard clippy lint nor a
+//! counted test can express (DESIGN.md §12 lists which tool enforces what).
+//! They are tuned so that false positives stay rare enough to fix on the
+//! spot — the workspace carries zero findings and there is no way to park
+//! one — while regressions on the invariants the paper's numbers depend on
 //! fail loudly:
 //!
 //! - **panic** — a parse-module function must not reach a panicking helper
@@ -15,10 +15,6 @@
 //!   to the restore path. Findings carry the full call chain. (Panic
 //!   sources spelled *inside* a parse module are clippy's: each module
 //!   denies `unwrap_used`, `indexing_slicing`, `as_conversions`, … itself.)
-//! - **hotpath** — functions graph-reachable from the restore roots must
-//!   not eagerly copy full buffers; overlay memory exists precisely so
-//!   that Base-EPT pages are shared, not copied. Findings carry their
-//!   root→sink call chain.
 //! - **borrowcell** — a `RefCell::borrow_mut()` guard held across `?` or
 //!   across a call that can re-enter a cell is one refactor away from a
 //!   runtime double-borrow panic.
@@ -56,8 +52,6 @@ use crate::{ParsedFile, Violation};
 
 /// Pass name: no panicking helper reachable from an image-parsing module.
 pub const PASS_PANIC: &str = "panic";
-/// Pass name: no eager copies on the restore hot path.
-pub const PASS_HOTPATH: &str = "hotpath";
 /// Pass name: `RefCell` guard discipline.
 pub const PASS_BORROWCELL: &str = "borrowcell";
 /// Pass name: the `simtime::names` registry is closed in both directions.
@@ -74,9 +68,8 @@ pub const PASS_SEAMCOVER: &str = "seamcover";
 pub const PASS_EVENTPROTO: &str = "eventproto";
 
 /// All pass names, in reporting order.
-pub const ALL_PASSES: [&str; 8] = [
+pub const ALL_PASSES: [&str; 7] = [
     PASS_PANIC,
-    PASS_HOTPATH,
     PASS_BORROWCELL,
     PASS_NAMEREG,
     PASS_HASHORDER,
@@ -270,98 +263,6 @@ fn dyn_error_scan(toks: &[Tok], has_dyn: &mut bool, has_error: &mut bool) {
             Tok::Ident(w, _) if w.contains("Error") => *has_error = true,
             Tok::Group(_, inner, _) => dyn_error_scan(inner, has_dyn, has_error),
             _ => {}
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// hotpath
-// ---------------------------------------------------------------------------
-
-/// Flags eager full-buffer copies in functions graph-reachable from the
-/// configured restore roots. Every finding carries its root→sink chain.
-pub(crate) fn hotpath(cfg: &Config, graph: &CallGraph<'_>, out: &mut Vec<Violation>) {
-    let mut roots: Vec<usize> = Vec::new();
-    for name in &cfg.hot_roots {
-        roots.extend(graph.by_name(name));
-    }
-    // Missing a copy on the restore path is worse than over-reporting, so
-    // reachability follows fuzzy edges too; the stop list in graph.rs
-    // already prunes the meaningless ones.
-    let reach = graph.reach(&roots, |site, _| {
-        !cfg.hot_stops.iter().any(|s| s == &site.bare)
-    });
-    for ix in 0..graph.nodes.len() {
-        if !reach.seen[ix] {
-            continue;
-        }
-        let chain = graph.chain(&reach, ix);
-        let node = &graph.nodes[ix];
-        let mut found = Vec::new();
-        scan_copies(&graph.items[ix].body, &node.file, &node.name, &mut found);
-        for mut v in found {
-            v.chain.clone_from(&chain);
-            out.push(v);
-        }
-    }
-}
-
-/// Receiver names treated as page/payload buffers for the `.clone()` check.
-const BUFFER_RECEIVERS: [&str; 2] = ["data", "page_data"];
-
-fn scan_copies(toks: &[Tok], file: &str, func: &str, out: &mut Vec<Violation>) {
-    for i in 0..toks.len() {
-        if let Tok::Ident(w, line) = &toks[i] {
-            let method = i > 0 && toks[i - 1].is_punct('.') && next_is_paren(toks, i);
-            let associated = i >= 2
-                && toks[i - 1].is_punct(':')
-                && toks[i - 2].is_punct(':')
-                && next_is_paren(toks, i);
-            match w.as_str() {
-                "to_vec" | "to_owned" if method => push(
-                    out,
-                    PASS_HOTPATH,
-                    file,
-                    func,
-                    *line,
-                    format!("eager `{w}()` buffer copy on the restore path; slice/share instead"),
-                ),
-                "extend_from_slice" if method => push(
-                    out,
-                    PASS_HOTPATH,
-                    file,
-                    func,
-                    *line,
-                    "`extend_from_slice` bulk append on the restore path".to_string(),
-                ),
-                "copy_from_slice" if associated => push(
-                    out,
-                    PASS_HOTPATH,
-                    file,
-                    func,
-                    *line,
-                    "allocating `copy_from_slice` constructor on the restore path".to_string(),
-                ),
-                "clone"
-                    if method
-                        && i >= 2
-                        && matches!(&toks[i - 2], Tok::Ident(r, _)
-                            if BUFFER_RECEIVERS.contains(&r.as_str())) =>
-                {
-                    push(
-                        out,
-                        PASS_HOTPATH,
-                        file,
-                        func,
-                        *line,
-                        "clone of a page/payload buffer on the restore path".to_string(),
-                    )
-                }
-                _ => {}
-            }
-        }
-        if let Tok::Group(_, inner, _) = &toks[i] {
-            scan_copies(inner, file, func, out);
         }
     }
 }
@@ -1114,7 +1015,7 @@ pub(crate) fn seamcover(
         .flat_map(|n| graph.by_name(n))
         .collect();
     let reach = graph.reach(&roots, |site, _| {
-        !cfg.hot_stops.iter().any(|s| s == &site.bare)
+        !cfg.boot_stops.iter().any(|s| s == &site.bare)
     });
 
     // (a) Every declared variant is consulted on some boot path.

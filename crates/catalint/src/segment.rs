@@ -271,7 +271,7 @@ mod tests {
     #[test]
     fn finds_fns_and_visibility() {
         let src = "pub fn a() {} fn b() {} pub(crate) fn c() {} pub async fn d() {}";
-        let items = segment(&lex(src).toks);
+        let items = segment(&lex(src));
         let names: Vec<(&str, bool)> = items
             .fns
             .iter()
@@ -286,7 +286,7 @@ mod tests {
     #[test]
     fn qualifies_impl_methods() {
         let src = "impl Foo { fn m(&self) {} } impl Bar for Baz { fn n(&self) {} }";
-        let items = segment(&lex(src).toks);
+        let items = segment(&lex(src));
         assert_eq!(items.fns[0].qualified.as_deref(), Some("Foo::m"));
         assert_eq!(items.fns[1].qualified.as_deref(), Some("Baz::n"));
     }
@@ -294,7 +294,7 @@ mod tests {
     #[test]
     fn skips_cfg_test_modules() {
         let src = "fn real() {} #[cfg(test)] mod tests { fn fake() { x.unwrap(); } }";
-        let items = segment(&lex(src).toks);
+        let items = segment(&lex(src));
         let names: Vec<&str> = items.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["real"]);
     }
@@ -302,14 +302,14 @@ mod tests {
     #[test]
     fn cfg_not_test_is_kept() {
         let src = "#[cfg(not(test))] fn kept() {}";
-        let items = segment(&lex(src).toks);
+        let items = segment(&lex(src));
         assert_eq!(items.fns.len(), 1);
     }
 
     #[test]
     fn use_and_macro_rules_are_dropped() {
         let src = "use std::time::Instant; macro_rules! m { () => { Instant::now() } } fn f() {}";
-        let items = segment(&lex(src).toks);
+        let items = segment(&lex(src));
         assert_eq!(items.fns.len(), 1);
         assert!(items.loose.is_empty());
     }
@@ -317,7 +317,7 @@ mod tests {
     #[test]
     fn nested_mod_fns_are_found() {
         let src = "mod inner { pub fn deep() {} }";
-        let items = segment(&lex(src).toks);
+        let items = segment(&lex(src));
         assert_eq!(items.fns[0].name, "deep");
         assert!(items.fns[0].is_pub);
     }
@@ -325,14 +325,14 @@ mod tests {
     #[test]
     fn loose_tokens_capture_consts() {
         let src = "const X: u32 = 5; fn f() {}";
-        let items = segment(&lex(src).toks);
+        let items = segment(&lex(src));
         assert!(items.loose.iter().any(|t| t.ident() == Some("X")));
     }
 
     #[test]
     fn where_clause_does_not_confuse_impl_type() {
         let src = "impl<T> Foo<T> where T: Clone { fn m() {} }";
-        let items = segment(&lex(src).toks);
+        let items = segment(&lex(src));
         assert_eq!(items.fns[0].qualified.as_deref(), Some("Foo::m"));
     }
 }

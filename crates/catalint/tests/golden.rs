@@ -46,51 +46,6 @@ fn golden_panic_interprocedural_chain() {
 }
 
 #[test]
-fn golden_hotpath_chain() {
-    // The copy sits two hops below the configured restore root; the
-    // finding is attributed to the sink but carries the full chain.
-    let got = render(&[(
-        "crates/core/src/restore.rs",
-        "pub fn restore_boot(src: &[u8]) -> Vec<u8> {\n    \
-             stage(src)\n\
-         }\n\
-         fn stage(src: &[u8]) -> Vec<u8> {\n    \
-             src.to_vec()\n\
-         }\n",
-    )]);
-    assert_eq!(
-        got,
-        [
-            "crates/core/src/restore.rs:5 [hotpath] restore_boot → stage: \
-          eager `to_vec()` buffer copy on the restore path; slice/share instead"
-        ]
-    );
-}
-
-#[test]
-fn golden_hotpath_fork_boot_chain() {
-    // Fork boot is held to the same discipline as restore: a per-page
-    // eager copy under `sfork_clone` is what page-table-granular sfork
-    // exists to avoid, and it fires with its root→sink chain.
-    let got = render(&[(
-        "crates/memsim/src/space.rs",
-        "pub fn sfork_clone(pages: &[Vec<u8>]) -> Vec<Vec<u8>> {\n    \
-             pages.iter().map(|p| copy_page(p)).collect()\n\
-         }\n\
-         fn copy_page(page: &[u8]) -> Vec<u8> {\n    \
-             page.to_vec()\n\
-         }\n",
-    )]);
-    assert_eq!(
-        got,
-        [
-            "crates/memsim/src/space.rs:5 [hotpath] sfork_clone → copy_page: \
-          eager `to_vec()` buffer copy on the restore path; slice/share instead"
-        ]
-    );
-}
-
-#[test]
 fn golden_borrowcell() {
     let got = render(&[(
         "crates/platform/src/celluse.rs",

@@ -8,11 +8,9 @@ use catalint::segment::segment;
 use catalint::ParsedFile;
 
 fn parse(path: &str, src: &str) -> ParsedFile {
-    let lexed = lex(src);
     ParsedFile {
         path: path.into(),
-        items: segment(&lexed.toks),
-        allows: lexed.allows,
+        items: segment(&lex(src)),
     }
 }
 

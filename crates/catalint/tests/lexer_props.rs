@@ -20,9 +20,8 @@ fn lines_in_order(toks: &[Tok], out: &mut Vec<u32>) {
 }
 
 fn assert_monotone(src: &str) {
-    let lexed = lex(src);
     let mut lines = Vec::new();
-    lines_in_order(&lexed.toks, &mut lines);
+    lines_in_order(&lex(src), &mut lines);
     for w in lines.windows(2) {
         assert!(
             w[0] <= w[1],
@@ -101,10 +100,9 @@ proptest! {
 #[test]
 fn double_quote_char_literal_does_not_desync() {
     let src = "fn f(c: char) -> bool {\n    match c {\n        '\"' => true,\n        _ => false,\n    }\n}\nfn g() {}\n";
-    let lexed = lex(src);
     // `fn g` sits on line 7; if the `'"'` opened a string the second fn
     // would be swallowed or mis-lined.
-    let idents: Vec<(String, u32)> = flatten_idents(&lexed.toks);
+    let idents: Vec<(String, u32)> = flatten_idents(&lex(src));
     assert!(
         idents.iter().any(|(w, l)| w == "g" && *l == 7),
         "fn g not found at line 7: {idents:?}"

@@ -20,9 +20,9 @@ use std::sync::Arc;
 /// `copy_from_slice`. The one copy the type makes is [`SharedBytes::append`]'s
 /// copy-on-write: a view whose buffer another handle also holds is copied
 /// into a buffer of its own before bytes are added to it, and only then. A
-/// caller that wants a copy otherwise writes `SharedBytes::from(slice.to_vec())`,
-/// and that `to_vec()` is what catalint's `hotpath` pass flags anywhere
-/// reachable from a boot root.
+/// caller that wants a copy otherwise writes `SharedBytes::from(slice.to_vec())`;
+/// on a boot path, that copy fails the allocation budgets in
+/// `tests/alloc_budget.rs`, which count bytes per object and page.
 #[derive(Clone, Default)]
 pub struct SharedBytes {
     data: Arc<Vec<u8>>,
@@ -79,13 +79,11 @@ impl SharedBytes {
         let at = self.len();
         if Arc::get_mut(&mut self.data).is_none() {
             let mut own = Vec::with_capacity(at + bytes.len());
-            // catalint: allow(hotpath) — the copy-on-write copy, on a write only.
             own.extend_from_slice(self);
             *self = SharedBytes::from(own);
         }
         if let Some(data) = Arc::get_mut(&mut self.data) {
             data.truncate(self.end);
-            // catalint: allow(hotpath) — the appended bytes themselves.
             data.extend_from_slice(bytes);
             self.end = data.len();
         }

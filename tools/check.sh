@@ -110,6 +110,15 @@ step "BENCH exports (pr2/3/4/7/8/9 valid + byte-identical)" \
 step "stage probe (write + restore, one round)" \
   cargo run -q --release --example restore_stages 1
 
+# The allocation budgets (tests/alloc_budget.rs) again, with their output:
+# one line per budget — allocation calls and bytes on a small and a large
+# workload, and the growth per added object, page or event — so every
+# check log carries the per-operation counts next to the stage times. The
+# debug `cargo test` step above already gates them; this run is for the
+# record (under a second once its release build exists).
+step "allocation budgets (calls and bytes per operation)" \
+  cargo test -q --release --test alloc_budget -- --nocapture
+
 # The repo's wall-clock benchmark, in its 1/20-size single-repetition smoke
 # mode (~35 s cold, ~25 s warm): builds the standalone harness and runs all
 # five workloads once. Timings are not gated here; what is gated is
