@@ -200,9 +200,7 @@ fn run_cell(rate: f64, policy: ResiliencePolicy, model: &CostModel) -> FaultCell
         .iter()
         .map(|point| PointCount {
             point: point.label().to_string(),
-            fired: gateway
-                .injector()
-                .map_or(0, |i| i.borrow().fired_at(*point)),
+            fired: gateway.injector().map_or(0, |i| i.fired_at(*point)),
         })
         .collect();
     let fallbacks = ["warm", "cold"]

@@ -175,8 +175,10 @@ fn explain(pass: &str) -> Option<&'static str> {
              A `borrow_mut()` guard held across `?` keeps the cell locked on\n\
              early return; held across a call that can reach another\n\
              `borrow_mut()` it is one refactor away from a runtime\n\
-             double-borrow panic (the Rc<RefCell<FaultInjector>> threading\n\
-             through engine/gateway/pool/resilience/boot is the live hazard).\n\n\
+             double-borrow panic. One shared cell is left in library code:\n\
+             the Rc<RefCell<Catalyzer>> behind CatalyzerEngine::new, which\n\
+             the fenced benchmark constructs; the fault injector is lent\n\
+             through BootCtx and no longer shared.\n\n\
              Fix: end the borrow before `?` (bind the result, drop the guard),\n\
              or move the logic into a method on the cell's owner so the borrow\n\
              spans a single statement.\n"

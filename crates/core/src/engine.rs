@@ -370,11 +370,6 @@ impl CatalyzerEngine {
     pub fn standalone(mode: BootMode) -> CatalyzerEngine {
         CatalyzerEngine::new(Rc::new(RefCell::new(Catalyzer::new())), mode)
     }
-
-    /// The shared system.
-    pub fn system(&self) -> Rc<RefCell<Catalyzer>> {
-        Rc::clone(&self.inner)
-    }
 }
 
 impl fmt::Debug for CatalyzerEngine {

@@ -1,4 +1,4 @@
-//! The stateful fault consultant carried by a `BootCtx`.
+//! The stateful fault consultant its owner lends to a `BootCtx`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -113,7 +113,8 @@ impl FaultInjector {
         }
 
         let pp = self.plan.point(point);
-        if pp.rate <= 0.0 || !self.plan.active_at(now) {
+        // A NaN rate (only a struct literal can carry one) never fires.
+        if pp.rate.is_nan() || pp.rate <= 0.0 || !self.plan.active_at(now) {
             return None;
         }
         if !self.rng.gen_bool(pp.rate.clamp(0.0, 1.0)) {
@@ -325,5 +326,36 @@ mod tests {
             assert!(inj.check(InjectionPoint::ArenaMap, late).is_some());
         }
         assert_eq!(inj.check(InjectionPoint::ArenaMap, late), None);
+    }
+
+    #[test]
+    fn nan_rates_never_fire_and_draw_nothing() {
+        let literal = PointPlan {
+            rate: f64::NAN,
+            stall_ratio: 0.5,
+            max_burst: 2,
+        };
+        let every_point = |pp: PointPlan| {
+            InjectionPoint::ALL
+                .iter()
+                .fold(FaultPlan::zero(1), |plan, &p| plan.with_point(p, pp))
+        };
+        let plans = [
+            FaultPlan::uniform(1, f64::NAN),
+            every_point(PointPlan::at_rate(f64::NAN)),
+            every_point(literal),
+        ];
+        assert!(plans[0].is_zero() && plans[1].is_zero());
+        for plan in plans {
+            let mut inj = FaultInjector::new(plan);
+            for point in InjectionPoint::ALL {
+                assert_eq!(inj.check(point, SimNanos::ZERO), None, "{point}");
+            }
+            assert_eq!(
+                inj.rng.clone().gen::<u64>(),
+                StdRng::seed_from_u64(1).gen::<u64>(),
+                "a NaN rate drew from the RNG"
+            );
+        }
     }
 }

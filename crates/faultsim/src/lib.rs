@@ -13,14 +13,15 @@
 //! - [`InjectionPoint`]: the seven named places in the boot pipeline where a
 //!   fault can fire (image mmap, stage-1 arena map, stage-2 relink, I/O
 //!   reconnect, zygote specialization, sfork thread merge);
-//! - [`FaultPlan`]: a seeded, [`SimNanos`]-windowed schedule — per-point
-//!   firing rates, burst lengths, and detection latencies — reusing the
-//!   workspace's `Jitter`/`StdRng` determinism discipline: the same plan
-//!   consulted in the same order always yields the same fault sequence;
-//! - [`FaultInjector`]: the stateful consultant a `BootCtx` carries.
-//!   Engines call `check` at each injection point; `Some(InjectedFault)`
-//!   means the operation fails *now*, after charging the fault's detection
-//!   latency;
+//! - [`FaultPlan`]: a seeded, [`SimNanos`](simtime::SimNanos)-windowed
+//!   schedule — per-point firing rates, burst lengths, and detection
+//!   latencies — reusing the workspace's `Jitter`/`StdRng` determinism
+//!   discipline: the same plan consulted in the same order always yields
+//!   the same fault sequence;
+//! - [`FaultInjector`]: the stateful consultant a `BootCtx` borrows from
+//!   its owner. Engines call `check` at each injection point;
+//!   `Some(InjectedFault)` means the operation fails *now*, after charging
+//!   the fault's detection latency;
 //! - [`NodePlan`]: the layer above the seams — whole-machine faults
 //!   (crash, partition, gray/fail-slow) as a sorted, replayable schedule
 //!   the cluster engines consume in virtual-time order.

@@ -9,7 +9,7 @@ use crate::point::InjectionPoint;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PointPlan {
     /// Probability that a consultation at this point fires a fault, in
-    /// `[0, 1]`.
+    /// `[0, 1]`; NaN never fires.
     pub rate: f64,
     /// Fraction of fired faults that are stalls (timeout-detected) rather
     /// than fast error returns, in `[0, 1]`.
@@ -27,10 +27,11 @@ impl PointPlan {
         max_burst: 1,
     };
 
-    /// A point firing at `rate` with the default burst/stall mix.
+    /// A point firing at `rate` (clamped to `[0, 1]`; NaN is 0) with the
+    /// default burst/stall mix.
     pub fn at_rate(rate: f64) -> PointPlan {
         PointPlan {
-            rate: rate.clamp(0.0, 1.0),
+            rate: if rate > 0.0 { rate.min(1.0) } else { 0.0 },
             stall_ratio: 0.25,
             max_burst: 2,
         }

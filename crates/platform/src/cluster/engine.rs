@@ -1,8 +1,8 @@
 //! The per-node boot engine behind a cluster node's gateway: the single-node
 //! sfork ladder extended with a *remote sfork* rung.
 //!
-//! A [`ClusterEngine`] wraps one node's shared [`Catalyzer`] system and
-//! serves the four-rung ladder the cluster scheduler routes over:
+//! A [`ClusterEngine`] owns one node's [`Catalyzer`] system and serves the
+//! four-rung ladder the cluster scheduler routes over:
 //!
 //! 1. **local sfork** — the node holds the function's template; fork from it
 //!    (byte-identical to the plain `Gateway<CatalyzerEngine>` path);
@@ -14,16 +14,16 @@
 //! 4. **cold** — full boot; a node that never held the template also pays
 //!    the cold image pull ([`names::SPAN_COLD_PULL`]).
 //!
-//! The scheduler communicates its routing decision through a shared
-//! [`RouteCell`]: [`BootEngine::reset_path`] reads the cell and starts the
-//! ladder at the decided rung, so `resilient_boot`'s reset-retry-degrade
-//! loop needs no cluster-specific changes — "remote" is just another rung
-//! label in `fallback.<rung>`.
+//! Every rung boots the one system in a [`BootMode`]: local and remote
+//! sfork in `Fork`, then `Warm`, then `Cold` — preparing the mode's state
+//! first ([`Catalyzer::warm_for`]), then booting ([`Catalyzer::boot`]).
+//!
+//! The scheduler sets the node's [`RouteDecision`] on its engine before each
+//! call; [`BootEngine::reset_path`] starts the ladder at the decided rung,
+//! so `resilient_boot`'s reset-retry-degrade loop needs no cluster-specific
+//! changes — "remote" is just another rung label in `fallback.<rung>`.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
-use catalyzer::{BootMode, Catalyzer, CatalyzerEngine};
+use catalyzer::{BootMode, Catalyzer};
 use faultsim::InjectionPoint;
 use runtimes::AppProfile;
 use sandbox::{BootCtx, BootEngine, BootOutcome, IsolationLevel, SandboxError};
@@ -75,13 +75,10 @@ impl Default for RouteDecision {
     }
 }
 
-/// Shared cell the cluster scheduler writes before each call and the node's
-/// [`ClusterEngine`] reads at [`BootEngine::reset_path`] time.
-pub type RouteCell = Rc<Cell<RouteDecision>>;
-
 /// One rung of the cluster boot ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum Rung {
+    #[default]
     LocalFork,
     RemoteFork,
     Warm,
@@ -104,40 +101,22 @@ pub fn transfer_template(profile: &AppProfile, ctx: &mut BootCtx) -> Result<(), 
     Ok(())
 }
 
-/// A cluster node's [`BootEngine`]: the shared-node [`Catalyzer`] behind the
+/// A cluster node's [`BootEngine`]: the node's own [`Catalyzer`] behind the
 /// four-rung local-sfork → remote-sfork → warm → cold ladder, steered by the
-/// scheduler's [`RouteCell`]. See the module docs.
+/// scheduler's [`RouteDecision`]. See the module docs.
+///
+/// The default engine owns a fresh node-local system and is routed
+/// template-local until the scheduler decides otherwise.
+#[derive(Default)]
 pub struct ClusterEngine {
-    /// Fork-mode view of the node's Catalyzer (rungs 1 and 2 fork; a remote
-    /// sfork is a transfer followed by exactly this fork).
-    fork: CatalyzerEngine,
-    /// Warm-restore view of the same system.
-    warm: CatalyzerEngine,
-    /// Cold-boot view of the same system.
-    cold: CatalyzerEngine,
-    route: RouteCell,
+    system: Catalyzer,
+    /// The scheduler's decision for the request being served, set by
+    /// `Cluster::call_node` before the call.
+    pub(crate) route: RouteDecision,
     rung: Rung,
 }
 
 impl ClusterEngine {
-    /// An engine over its own node-local [`Catalyzer`], reading routing
-    /// decisions from `route`.
-    pub fn new(route: RouteCell) -> ClusterEngine {
-        let system = Rc::new(std::cell::RefCell::new(Catalyzer::new()));
-        ClusterEngine {
-            fork: CatalyzerEngine::new(Rc::clone(&system), BootMode::Fork),
-            warm: CatalyzerEngine::new(Rc::clone(&system), BootMode::Warm),
-            cold: CatalyzerEngine::new(system, BootMode::Cold),
-            route,
-            rung: Rung::LocalFork,
-        }
-    }
-
-    /// The routing cell this engine reads.
-    pub fn route(&self) -> RouteCell {
-        Rc::clone(&self.route)
-    }
-
     /// The rung the next boot will use, as a stable label.
     pub fn active_rung(&self) -> &'static str {
         match self.rung {
@@ -153,14 +132,14 @@ impl std::fmt::Debug for ClusterEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterEngine")
             .field("rung", &self.active_rung())
-            .field("route", &self.route.get())
+            .field("route", &self.route)
             .finish()
     }
 }
 
 impl BootEngine for ClusterEngine {
     fn name(&self) -> &'static str {
-        self.fork.name()
+        BootMode::Fork.label()
     }
 
     fn isolation(&self) -> IsolationLevel {
@@ -168,7 +147,7 @@ impl BootEngine for ClusterEngine {
     }
 
     fn warm(&mut self, profile: &AppProfile, model: &CostModel) -> Result<(), SandboxError> {
-        self.fork.warm(profile, model)
+        self.system.warm_for(BootMode::Fork, profile, model)
     }
 
     fn boot(
@@ -176,28 +155,30 @@ impl BootEngine for ClusterEngine {
         profile: &AppProfile,
         ctx: &mut BootCtx,
     ) -> Result<BootOutcome, SandboxError> {
-        match self.rung {
-            Rung::LocalFork => self.fork.boot(profile, ctx),
+        let mode = match self.rung {
+            Rung::LocalFork => BootMode::Fork,
             Rung::RemoteFork => {
                 ctx.fault(InjectionPoint::TemplateTransfer)?;
                 transfer_template(profile, ctx)?;
-                self.fork.boot(profile, ctx)
+                BootMode::Fork
             }
-            Rung::Warm => self.warm.boot(profile, ctx),
+            Rung::Warm => BootMode::Warm,
             Rung::Cold => {
-                if !self.route.get().local_template {
+                if !self.route.local_template {
                     // The image never reached this node: pull it from the
                     // registry before the full cold boot.
                     ctx.charge_span(names::SPAN_COLD_PULL, COLD_PULL);
                 }
-                self.cold.boot(profile, ctx)
+                BootMode::Cold
             }
-        }
+        };
+        self.system.warm_for(mode, profile, ctx.model())?;
+        self.system.boot(mode, profile, ctx)
     }
 
     fn degrade(&mut self) -> Option<&'static str> {
         let next = match self.rung {
-            Rung::LocalFork if self.route.get().remote_available => Rung::RemoteFork,
+            Rung::LocalFork if self.route.remote_available => Rung::RemoteFork,
             Rung::LocalFork | Rung::RemoteFork => Rung::Warm,
             Rung::Warm => Rung::Cold,
             Rung::Cold => return None,
@@ -211,10 +192,9 @@ impl BootEngine for ClusterEngine {
     }
 
     fn reset_path(&mut self) {
-        let route = self.route.get();
-        self.rung = if route.local_template {
+        self.rung = if self.route.local_template {
             Rung::LocalFork
-        } else if route.remote_available {
+        } else if self.route.remote_available {
             Rung::RemoteFork
         } else {
             // No template reachable anywhere: the only honest start is the
@@ -236,11 +216,11 @@ impl BootEngine for ClusterEngine {
         if point == InjectionPoint::TemplateTransfer {
             return Ok(());
         }
-        self.fork.quarantine(profile, point, clock, model)
+        self.system.quarantine(profile, point, clock, model)
     }
 
     fn mark_suspect(&mut self, profile: &AppProfile, point: InjectionPoint) {
-        self.fork.mark_suspect(profile, point);
+        self.system.mark_suspect(profile, point);
     }
 
     fn repair(
@@ -248,7 +228,8 @@ impl BootEngine for ClusterEngine {
         profile: &AppProfile,
         model: &CostModel,
     ) -> Result<SimNanos, SandboxError> {
-        self.fork.repair(profile, model)
+        let _ = profile;
+        self.system.repair_suspect(model)
     }
 }
 
@@ -257,8 +238,10 @@ mod tests {
     use super::*;
 
     fn engine(route: RouteDecision) -> ClusterEngine {
-        let cell: RouteCell = Rc::new(Cell::new(route));
-        ClusterEngine::new(cell)
+        ClusterEngine {
+            route,
+            ..ClusterEngine::default()
+        }
     }
 
     #[test]

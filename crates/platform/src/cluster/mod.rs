@@ -16,7 +16,7 @@
 //!   provisioned-concurrency knob) and locality-aware *routing* (prefer a
 //!   template-local node; on overload or an open breaker, re-route to a
 //!   remote node that remote-sforks from a holder instead of cold-booting);
-//! - [`ClusterSim`](fleet::ClusterSim): the open-loop, fleet-scale variant
+//! - [`ClusterSim`]: the open-loop, fleet-scale variant
 //!   plugged into the discrete-event engine — transfers and node repairs
 //!   are event classes, so 10k-function Zipf flash crowds can sweep
 //!   nodes × placement budget × routing policy.
@@ -31,9 +31,7 @@ pub mod chaos;
 pub mod engine;
 pub mod fleet;
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use faultsim::{FaultPlan, NodePlan};
 use runtimes::AppProfile;
@@ -47,7 +45,7 @@ use crate::resilience::ResiliencePolicy;
 use crate::PlatformError;
 
 pub use chaos::{ChaosEvent, ChaosPolicy, ChaosRecord, ChaosState, NodeHealth};
-pub use engine::{transfer_template, ClusterEngine, RouteCell, RouteDecision};
+pub use engine::{transfer_template, ClusterEngine, RouteDecision};
 pub use fleet::{ChaosOutcome, ClusterOutcome, ClusterSim};
 
 // A function's state reaches a node in one of three ways: it is already
@@ -134,12 +132,11 @@ impl ClusterConfig {
 }
 
 /// One machine of the cluster: its own gateway (pools, breakers, metrics)
-/// over a node-local Catalyzer system, plus the routing cell the scheduler
-/// steers it through.
+/// over an engine that owns the node-local Catalyzer system and the
+/// scheduler's current route.
 #[derive(Debug)]
 pub struct Node {
     gateway: Gateway<ClusterEngine>,
-    route: RouteCell,
 }
 
 impl Node {
@@ -170,7 +167,7 @@ pub struct RouteRecord {
 
 /// The closed-loop cluster: a scheduler over per-node gateways doing
 /// template placement and locality-aware routing. See the module docs; use
-/// [`ClusterSim`](fleet::ClusterSim) for open-loop fleet scale.
+/// [`ClusterSim`] for open-loop fleet scale.
 #[derive(Debug)]
 pub struct Cluster {
     config: ClusterConfig,
@@ -200,13 +197,8 @@ impl Cluster {
     pub fn new(config: ClusterConfig, model: &CostModel) -> Result<Cluster, PlatformError> {
         config.ensure_valid()?;
         let nodes = (0..config.nodes)
-            .map(|_| {
-                let route: RouteCell = Rc::new(Cell::new(RouteDecision::default()));
-                let engine = ClusterEngine::new(Rc::clone(&route));
-                Node {
-                    gateway: Gateway::new(engine, model.clone()),
-                    route,
-                }
+            .map(|_| Node {
+                gateway: Gateway::new(ClusterEngine::default(), model.clone()),
             })
             .collect();
         Ok(Cluster {
@@ -223,28 +215,27 @@ impl Cluster {
     }
 
     /// Sets every node's recovery policy, builder-style.
-    pub fn with_policy(mut self, policy: ResiliencePolicy) -> Cluster {
-        self.nodes = self
-            .nodes
-            .into_iter()
-            .map(|node| Node {
-                gateway: node.gateway.with_policy(policy),
-                route: node.route,
-            })
-            .collect();
-        self
+    pub fn with_policy(self, policy: ResiliencePolicy) -> Cluster {
+        self.map_gateways(|gateway| gateway.with_policy(policy))
     }
 
     /// Arms every node with an independent, identically-seeded fault
     /// injector for `plan`, builder-style — node `i` consults its own
     /// injector, so one node's faults never perturb another's sequence.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Cluster {
+    pub fn with_faults(self, plan: FaultPlan) -> Cluster {
+        self.map_gateways(|gateway| gateway.with_faults(plan.clone()))
+    }
+
+    /// Rebuilds every node's gateway through `f`, builder-style.
+    fn map_gateways(
+        mut self,
+        f: impl Fn(Gateway<ClusterEngine>) -> Gateway<ClusterEngine>,
+    ) -> Cluster {
         self.nodes = self
             .nodes
             .into_iter()
             .map(|node| Node {
-                gateway: node.gateway.with_faults(plan.clone()),
-                route: node.route,
+                gateway: f(node.gateway),
             })
             .collect();
         self
@@ -270,16 +261,8 @@ impl Cluster {
     }
 
     /// Arms every node's admission control with `policy`, builder-style.
-    pub fn with_admission(mut self, policy: AdmissionPolicy) -> Cluster {
-        self.nodes = self
-            .nodes
-            .into_iter()
-            .map(|node| Node {
-                gateway: node.gateway.with_admission(policy),
-                route: node.route,
-            })
-            .collect();
-        self
+    pub fn with_admission(self, policy: AdmissionPolicy) -> Cluster {
+        self.map_gateways(|gateway| gateway.with_admission(policy))
     }
 
     /// Deploys `profile` on every node and places its template on
@@ -595,7 +578,7 @@ impl Cluster {
             .ok_or_else(|| PlatformError::ClusterConfig {
                 detail: format!("routed to nonexistent node {index}"),
             })?;
-        node.route.set(decision);
+        node.gateway.engine_mut().route = decision;
         node.gateway.call(InvokeRequest { function, arrival })
     }
 

@@ -9,10 +9,8 @@
 //! (`fault.<point>`, `invoke.retries`, `invoke.degraded`, the
 //! `invoke.recovery` histogram) and in the request's span tree.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::rc::Rc;
 
 use faultsim::{FaultInjector, FaultPlan};
 use runtimes::ExecReport;
@@ -115,7 +113,7 @@ pub struct Gateway<E: BootEngine> {
     invocations: u64,
     metrics: MetricsRegistry,
     policy: ResiliencePolicy,
-    injector: Option<Rc<RefCell<FaultInjector>>>,
+    injector: Option<FaultInjector>,
     admission: Option<AdmissionController>,
     /// Breaker transitions per function already turned into metrics.
     breaker_seen: BTreeMap<String, usize>,
@@ -144,11 +142,11 @@ impl<E: BootEngine> Gateway<E> {
         self
     }
 
-    /// Arms deterministic fault injection with `plan`, builder-style. Every
-    /// boot from then on consults the same seeded injector, so the whole
-    /// request history is a pure function of `(trace, plan)`.
+    /// Arms deterministic fault injection with `plan`, builder-style. The
+    /// gateway owns the seeded injector and lends it to every boot, so the
+    /// whole request history is a pure function of `(trace, plan)`.
     pub fn with_faults(mut self, plan: FaultPlan) -> Gateway<E> {
-        self.injector = Some(Rc::new(RefCell::new(FaultInjector::new(plan))));
+        self.injector = Some(FaultInjector::new(plan));
         self
     }
 
@@ -176,8 +174,13 @@ impl<E: BootEngine> Gateway<E> {
 
     /// The armed fault injector, if any — its log is the ground truth for
     /// determinism checks.
-    pub fn injector(&self) -> Option<&Rc<RefCell<FaultInjector>>> {
+    pub fn injector(&self) -> Option<&FaultInjector> {
         self.injector.as_ref()
+    }
+
+    /// The engine, for the cluster scheduler to set a node's route.
+    pub(crate) fn engine_mut(&mut self) -> &mut E {
+        &mut self.engine
     }
 
     /// Deploys a function.
@@ -280,8 +283,8 @@ impl<E: BootEngine> Gateway<E> {
             Some(arrival) => BootCtx::new(&SimClock::starting_at(arrival), &self.model),
             None => BootCtx::fresh(&self.model),
         };
-        if let Some(injector) = &self.injector {
-            ctx = ctx.with_injector(Rc::clone(injector));
+        if let Some(injector) = &mut self.injector {
+            ctx = ctx.with_injector(injector);
         }
         // The closure-scoped root: a `?` inside it leaves the closure, not
         // the span, so every early return below finds the trace closed.
@@ -307,12 +310,14 @@ impl<E: BootEngine> Gateway<E> {
             });
             Ok::<_, PlatformError>((booted, exec?, exec_span))
         });
+        // `ctx` holds the gateway's injector on loan; the loan ends here.
+        let finish = ctx.now();
         let (booted, exec, exec_span) = match served {
             Ok(served) => served,
             Err(e) => {
                 self.metrics.inc(names::INVOKE_ERRORS);
                 if req.arrival.is_some() {
-                    self.finish_admitted(function, ctx.now(), HealthSignal::Failed);
+                    self.finish_admitted(function, finish, HealthSignal::Failed);
                 }
                 return Err(e);
             }
@@ -351,7 +356,7 @@ impl<E: BootEngine> Gateway<E> {
             } else {
                 HealthSignal::Healthy
             };
-            self.finish_admitted(function, ctx.now(), signal);
+            self.finish_admitted(function, finish, signal);
         }
         Ok(Invocation {
             report,

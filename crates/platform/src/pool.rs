@@ -13,17 +13,15 @@
 //! a background repair loop ([`InstancePool::tick`], driven on the platform
 //! clock between requests) evicts the quarantined idle capacity, rebuilds
 //! the engine's suspect prepared state on its own offline clock, heals the
-//! injector, and replenishes the pool back to its ready floor — so the
-//! rebuild cost never lands on a request's latency.
+//! fault injector lent to it, and replenishes the pool back to its ready
+//! floor — so the rebuild cost never lands on a request's latency.
 //!
 //! In a multi-node deployment every [`cluster`](crate::cluster) node runs
 //! its own pools behind its own gateway: pool capacity is strictly
 //! node-local, and the cluster scheduler routes *around* a saturated
 //! node's pools (remote sfork) rather than growing them.
 
-use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
-use std::rc::Rc;
 
 use faultsim::{FaultInjector, FaultKind, InjectionPoint};
 use runtimes::AppProfile;
@@ -97,7 +95,6 @@ pub struct InstancePool<E: BootEngine> {
     stats: PoolStats,
     metrics: MetricsRegistry,
     policy: ResiliencePolicy,
-    injector: Option<Rc<RefCell<FaultInjector>>>,
     /// Ready floor the repair loop replenishes to (0 = no replenishment).
     min_ready: usize,
     /// Injection points owed a background repair + injector heal.
@@ -119,7 +116,6 @@ impl<E: BootEngine> InstancePool<E> {
             stats: PoolStats::default(),
             metrics: MetricsRegistry::new(),
             policy: ResiliencePolicy::full(),
-            injector: None,
             min_ready: 0,
             pending_repair: BTreeSet::new(),
             repair_stats: RepairStats::default(),
@@ -142,14 +138,6 @@ impl<E: BootEngine> InstancePool<E> {
         self.policy.quarantine = true;
         self.policy.defer_quarantine = true;
         self.min_ready = min_ready;
-        self
-    }
-
-    /// Attaches a (possibly shared) fault injector, builder-style: scale-up
-    /// boots then consult its schedule. Sharing one injector across a
-    /// fleet's pools keeps the whole simulation one seeded sequence.
-    pub fn with_injector(mut self, injector: Rc<RefCell<FaultInjector>>) -> Self {
-        self.injector = Some(injector);
         self
     }
 
@@ -200,7 +188,9 @@ impl<E: BootEngine> InstancePool<E> {
     /// so fault windows ([`FaultPlan::storm`](faultsim::FaultPlan::storm))
     /// and span stamps line up with arrivals. The [`PoolServe`] carries the
     /// health signals ([`PoolServe::degraded`], [`PoolServe::poisoned`])
-    /// that drive circuit breakers.
+    /// that drive circuit breakers. A pool owns no fault injector, so these
+    /// boots are uninjected; [`Simulation::run`](crate::Simulation::run)
+    /// lends its run's injector call by call.
     ///
     /// # Errors
     ///
@@ -210,80 +200,7 @@ impl<E: BootEngine> InstancePool<E> {
         now: SimNanos,
         model: &CostModel,
     ) -> Result<PoolServe, PlatformError> {
-        self.reap(now);
-        let (mut outcome, startup, reused, degraded, poisoned) = match self.idle.pop_front() {
-            Some(instance) => {
-                self.stats.reuses += 1;
-                self.metrics.inc(names::POOL_REUSE);
-                // Reuse: scheduler hand-off only.
-                (
-                    instance.outcome,
-                    crate::simulate::REUSE_HANDOFF,
-                    true,
-                    false,
-                    false,
-                )
-            }
-            None => {
-                self.stats.boots += 1;
-                self.metrics.inc(names::POOL_BOOT);
-                let mut ctx = BootCtx::new(&SimClock::starting_at(now), model);
-                if let Some(injector) = &self.injector {
-                    ctx = ctx.with_injector(Rc::clone(injector));
-                }
-                let booted = match resilient_boot(
-                    &mut self.engine,
-                    &self.profile,
-                    &self.policy,
-                    &mut ctx,
-                    &mut self.metrics,
-                ) {
-                    Ok(booted) => booted,
-                    Err(err) => {
-                        // A deferred poison on a failed boot still owes the
-                        // repair loop a rebuild and an injector heal.
-                        if self.policy.defer_quarantine {
-                            if let SandboxError::Fault(fault) = &err {
-                                if fault.kind == FaultKind::Poison {
-                                    self.note_poison(fault.point);
-                                }
-                            }
-                        }
-                        return Err(err.into());
-                    }
-                };
-                let poisoned = !booted.poisoned.is_empty();
-                for &point in &booted.poisoned {
-                    self.note_poison(point);
-                }
-                if booted.degraded() {
-                    self.metrics.inc(names::POOL_DEGRADED);
-                    self.metrics.observe(names::POOL_RECOVERY, booted.recovery);
-                }
-                let startup = ctx.now().saturating_sub(now);
-                let degraded = booted.degraded();
-                (booted.outcome, startup, false, degraded, poisoned)
-            }
-        };
-        self.metrics.observe(names::POOL_STARTUP, startup);
-        let ctx = BootCtx::fresh(model);
-        outcome.program.invoke_handler(ctx.clock(), ctx.model())?;
-        let exec = ctx.now();
-        if self.idle.len() < self.max_idle {
-            self.idle.push_back(IdleInstance {
-                outcome,
-                idle_since: now.saturating_add(startup).saturating_add(exec),
-            });
-            self.metrics
-                .set_gauge(names::POOL_IDLE, self.idle.len() as i64);
-        }
-        Ok(PoolServe {
-            startup,
-            exec,
-            reused,
-            degraded,
-            poisoned,
-        })
+        self.lend(None).serve_at(now, model)
     }
 
     fn note_poison(&mut self, point: InjectionPoint) {
@@ -300,23 +217,130 @@ impl<E: BootEngine> InstancePool<E> {
     /// When poisons are pending: evicts every quarantined idle instance
     /// (they were specialized from suspect prepared state), rebuilds the
     /// engine's suspect templates/zygotes ([`BootEngine::repair`]), and
-    /// heals the injector so the poison stops firing. Then replenishes the
-    /// pool back to its `min_ready` floor.
+    /// heals the poisoned points in the injector the closed loop lent the
+    /// call, if any. Then replenishes the pool back to its `min_ready` floor.
     ///
     /// # Errors
     ///
     /// Engine errors from the rebuild or replenishment boots.
     pub fn tick(&mut self, now: SimNanos, model: &CostModel) -> Result<(), PlatformError> {
-        self.reap(now);
-        let needs_repair = !self.pending_repair.is_empty();
-        if needs_repair {
-            let evicted = u64::try_from(self.idle.len()).unwrap_or(u64::MAX);
-            self.idle.clear();
-            self.metrics.set_gauge(names::POOL_IDLE, 0);
-            self.repair_stats.evicted += evicted;
-            self.metrics.add(names::POOL_REPAIR_EVICTED, evicted);
+        self.lend(None).tick(now, model)
+    }
+
+    /// Lends `injector` to the pool for one call — how the closed loop,
+    /// which owns one injector per run, serves and ticks its pools.
+    pub(crate) fn lend<'a>(&'a mut self, injector: Option<&'a mut FaultInjector>) -> Lent<'a, E> {
+        Lent {
+            pool: self,
+            injector,
         }
-        if !needs_repair && self.idle.len() >= self.min_ready {
+    }
+}
+
+/// An [`InstancePool`] with a fault injector on loan: scale-up boots
+/// consult it and the repair pass heals it.
+pub(crate) struct Lent<'a, E: BootEngine> {
+    pool: &'a mut InstancePool<E>,
+    injector: Option<&'a mut FaultInjector>,
+}
+
+impl<E: BootEngine> Lent<'_, E> {
+    /// [`InstancePool::serve_at`] under the lent injector.
+    pub(crate) fn serve_at(
+        self,
+        now: SimNanos,
+        model: &CostModel,
+    ) -> Result<PoolServe, PlatformError> {
+        let Lent { pool, injector } = self;
+        pool.reap(now);
+        let (mut outcome, startup, reused, degraded, poisoned) = match pool.idle.pop_front() {
+            Some(instance) => {
+                pool.stats.reuses += 1;
+                pool.metrics.inc(names::POOL_REUSE);
+                // Reuse: scheduler hand-off only.
+                (
+                    instance.outcome,
+                    crate::simulate::REUSE_HANDOFF,
+                    true,
+                    false,
+                    false,
+                )
+            }
+            None => {
+                pool.stats.boots += 1;
+                pool.metrics.inc(names::POOL_BOOT);
+                let mut ctx = BootCtx::new(&SimClock::starting_at(now), model);
+                if let Some(injector) = injector {
+                    ctx = ctx.with_injector(injector);
+                }
+                let booted = match resilient_boot(
+                    &mut pool.engine,
+                    &pool.profile,
+                    &pool.policy,
+                    &mut ctx,
+                    &mut pool.metrics,
+                ) {
+                    Ok(booted) => booted,
+                    Err(err) => {
+                        // A deferred poison on a failed boot still owes the
+                        // repair loop a rebuild and an injector heal.
+                        if pool.policy.defer_quarantine {
+                            if let SandboxError::Fault(fault) = &err {
+                                if fault.kind == FaultKind::Poison {
+                                    pool.note_poison(fault.point);
+                                }
+                            }
+                        }
+                        return Err(err.into());
+                    }
+                };
+                let poisoned = !booted.poisoned.is_empty();
+                for &point in &booted.poisoned {
+                    pool.note_poison(point);
+                }
+                if booted.degraded() {
+                    pool.metrics.inc(names::POOL_DEGRADED);
+                    pool.metrics.observe(names::POOL_RECOVERY, booted.recovery);
+                }
+                let startup = ctx.now().saturating_sub(now);
+                let degraded = booted.degraded();
+                (booted.outcome, startup, false, degraded, poisoned)
+            }
+        };
+        pool.metrics.observe(names::POOL_STARTUP, startup);
+        let ctx = BootCtx::fresh(model);
+        outcome.program.invoke_handler(ctx.clock(), ctx.model())?;
+        let exec = ctx.now();
+        if pool.idle.len() < pool.max_idle {
+            pool.idle.push_back(IdleInstance {
+                outcome,
+                idle_since: now.saturating_add(startup).saturating_add(exec),
+            });
+            pool.metrics
+                .set_gauge(names::POOL_IDLE, pool.idle.len() as i64);
+        }
+        Ok(PoolServe {
+            startup,
+            exec,
+            reused,
+            degraded,
+            poisoned,
+        })
+    }
+
+    /// [`InstancePool::tick`] under the lent injector.
+    pub(crate) fn tick(self, now: SimNanos, model: &CostModel) -> Result<(), PlatformError> {
+        let Lent { pool, injector } = self;
+        pool.reap(now);
+        let needs_repair = !pool.pending_repair.is_empty();
+        if needs_repair {
+            let evicted = u64::try_from(pool.idle.len()).unwrap_or(u64::MAX);
+            pool.idle.clear();
+            pool.metrics.set_gauge(names::POOL_IDLE, 0);
+            pool.repair_stats.evicted += evicted;
+            pool.metrics.add(names::POOL_REPAIR_EVICTED, evicted);
+        }
+        if !needs_repair && pool.idle.len() >= pool.min_ready {
             return Ok(());
         }
 
@@ -324,46 +348,45 @@ impl<E: BootEngine> InstancePool<E> {
         // off the request path, on its own offline timeline — consulting a
         // platform-time fault window against the daemon's clock would be
         // meaningless.
-        let mut ctx = BootCtx::new(&self.repair_clock, model);
+        let mut ctx = BootCtx::new(&pool.repair_clock, model);
         let done = ctx.span(SPAN_REPAIR, |ctx| {
             if needs_repair {
-                let spent = self.engine.repair(&self.profile, model)?;
+                let spent = pool.engine.repair(&pool.profile, model)?;
                 ctx.charge_span("rebuild", spent);
-                if let Some(injector) = &self.injector {
-                    let mut injector = injector.borrow_mut();
-                    for &point in &self.pending_repair {
+                if let Some(injector) = injector {
+                    for &point in &pool.pending_repair {
                         injector.heal(point);
                     }
                 }
-                self.pending_repair.clear();
-                self.repair_stats.repairs += 1;
-                self.repair_stats.repair_time = self.repair_stats.repair_time.saturating_add(spent);
-                self.metrics.inc(names::POOL_REPAIR_COUNT);
-                self.metrics.observe(names::POOL_REPAIR_TIME, spent);
+                pool.pending_repair.clear();
+                pool.repair_stats.repairs += 1;
+                pool.repair_stats.repair_time = pool.repair_stats.repair_time.saturating_add(spent);
+                pool.metrics.inc(names::POOL_REPAIR_COUNT);
+                pool.metrics.observe(names::POOL_REPAIR_TIME, spent);
             }
-            while self.idle.len() < self.min_ready.min(self.max_idle) {
+            while pool.idle.len() < pool.min_ready.min(pool.max_idle) {
                 let booted = resilient_boot(
-                    &mut self.engine,
-                    &self.profile,
-                    &self.policy,
+                    &mut pool.engine,
+                    &pool.profile,
+                    &pool.policy,
                     ctx,
-                    &mut self.metrics,
+                    &mut pool.metrics,
                 )?;
-                self.idle.push_back(IdleInstance {
+                pool.idle.push_back(IdleInstance {
                     outcome: booted.outcome,
                     idle_since: now,
                 });
-                self.repair_stats.replenished += 1;
-                self.metrics.inc(names::POOL_REPAIR_REPLENISH);
+                pool.repair_stats.replenished += 1;
+                pool.metrics.inc(names::POOL_REPAIR_REPLENISH);
             }
             Ok::<(), PlatformError>(())
         });
         if let Err(err) = done {
-            self.metrics.inc(names::POOL_REPAIR_FAILED);
+            pool.metrics.inc(names::POOL_REPAIR_FAILED);
             return Err(err);
         }
-        self.metrics
-            .set_gauge(names::POOL_IDLE, self.idle.len() as i64);
+        pool.metrics
+            .set_gauge(names::POOL_IDLE, pool.idle.len() as i64);
         Ok(())
     }
 }
@@ -451,18 +474,20 @@ mod tests {
                 },
             )
             .with_window(SimNanos::ZERO, SimNanos::from_millis(1));
-        let injector = Rc::new(RefCell::new(FaultInjector::new(plan)));
+        let mut injector = FaultInjector::new(plan);
         let mut pool = InstancePool::new(
             CatalyzerEngine::standalone(BootMode::Fork),
             AppProfile::c_hello(),
             SimNanos::from_secs(10),
             4,
         )
-        .with_self_healing(2)
-        .with_injector(Rc::clone(&injector));
+        .with_self_healing(2);
 
         // Request path: the poison is only *marked* — no rebuild charged.
-        let served = pool.serve_at(SimNanos::ZERO, &model).unwrap();
+        let served = pool
+            .lend(Some(&mut injector))
+            .serve_at(SimNanos::ZERO, &model)
+            .unwrap();
         assert!(served.poisoned, "poison absorbed and reported");
         assert!(served.degraded);
         assert!(!served.reused);
@@ -472,13 +497,15 @@ mod tests {
             served.startup
         );
         assert_eq!(pool.pending_repairs(), 1);
-        assert!(injector.borrow().is_poisoned(InjectionPoint::SforkMerge));
+        assert!(injector.is_poisoned(InjectionPoint::SforkMerge));
 
         // Background pass: evict quarantined capacity, rebuild, heal,
         // replenish to the ready floor.
-        pool.tick(SimNanos::from_millis(10), &model).unwrap();
+        pool.lend(Some(&mut injector))
+            .tick(SimNanos::from_millis(10), &model)
+            .unwrap();
         assert_eq!(pool.pending_repairs(), 0);
-        assert!(!injector.borrow().is_poisoned(InjectionPoint::SforkMerge));
+        assert!(!injector.is_poisoned(InjectionPoint::SforkMerge));
         let stats = pool.repair_stats();
         assert_eq!(stats.repairs, 1);
         assert_eq!(stats.evicted, 1, "the parked suspect instance");

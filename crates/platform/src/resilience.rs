@@ -216,9 +216,7 @@ pub fn resilient_boot<E: BootEngine>(
                     ctx.span("quarantine", |ctx| {
                         engine.quarantine(profile, fault.point, ctx.clock(), ctx.model())
                     })?;
-                    if let Some(injector) = ctx.injector() {
-                        injector.borrow_mut().heal(fault.point);
-                    }
+                    ctx.heal(fault.point);
                     quarantines += 1;
                     metrics.inc(names::QUARANTINE_COUNT);
                 }
@@ -255,21 +253,19 @@ mod tests {
     use catalyzer::{BootMode, CatalyzerEngine};
     use faultsim::{FaultInjector, FaultPlan, InjectionPoint, PointPlan};
     use simtime::CostModel;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     fn boot_with(
         plan: FaultPlan,
         policy: ResiliencePolicy,
     ) -> (
         Result<ResilientBoot, SandboxError>,
-        Rc<RefCell<FaultInjector>>,
+        FaultInjector,
         MetricsRegistry,
     ) {
         let model = CostModel::experimental_machine();
         let mut engine = CatalyzerEngine::standalone(BootMode::Fork);
-        let injector = Rc::new(RefCell::new(FaultInjector::new(plan)));
-        let mut ctx = BootCtx::fresh(&model).with_injector(Rc::clone(&injector));
+        let mut injector = FaultInjector::new(plan);
+        let mut ctx = BootCtx::fresh(&model).with_injector(&mut injector);
         let mut metrics = MetricsRegistry::new();
         let profile = runtimes::AppProfile::c_hello();
         let result = resilient_boot(&mut engine, &profile, &policy, &mut ctx, &mut metrics);
@@ -282,7 +278,7 @@ mod tests {
         let boot = result.unwrap();
         assert!(!boot.degraded());
         assert_eq!(boot.recovery, SimNanos::ZERO);
-        assert_eq!(injector.borrow().total_fired(), 0);
+        assert_eq!(injector.total_fired(), 0);
         assert!(metrics.is_empty());
     }
 
@@ -338,7 +334,7 @@ mod tests {
         let boot = result.unwrap();
         assert!(boot.quarantines >= 1);
         assert_eq!(metrics.counter("quarantine.count"), boot.quarantines);
-        assert!(!injector.borrow().is_poisoned(InjectionPoint::SforkMerge));
+        assert!(!injector.is_poisoned(InjectionPoint::SforkMerge));
         assert!(boot.recovery > SimNanos::ZERO, "rebuild is on the clock");
     }
 
@@ -355,7 +351,7 @@ mod tests {
         // Retries alone cannot clear a poison...
         let (result, injector, _) = boot_with(plan.clone(), ResiliencePolicy::retry_only());
         assert!(matches!(result.unwrap_err(), SandboxError::Fault(_)));
-        assert!(injector.borrow().is_poisoned(InjectionPoint::SforkMerge));
+        assert!(injector.is_poisoned(InjectionPoint::SforkMerge));
         // ...but the full ladder still saves the request via fallback.
         let (result, _, _) = boot_with(plan, ResiliencePolicy::full());
         assert!(result.unwrap().degraded());
@@ -380,7 +376,7 @@ mod tests {
         assert_eq!(boot.quarantines, 0, "no inline rebuild");
         assert_eq!(boot.poisoned, vec![InjectionPoint::SforkMerge]);
         assert!(
-            injector.borrow().is_poisoned(InjectionPoint::SforkMerge),
+            injector.is_poisoned(InjectionPoint::SforkMerge),
             "the heal is the repair loop's job, not ours"
         );
         assert!(metrics.counter("quarantine.deferred") >= 1);

@@ -4,7 +4,8 @@
 //!
 //! - **Closed loop** ([`Simulation::run`]): every request is served to
 //!   completion through real [`InstancePool`]s, boot engines, fault
-//!   injection, resilience, and admission control — full fidelity, suited
+//!   injection (one injector, owned by the run and lent to each pool
+//!   call), resilience, and admission control — full fidelity, suited
 //!   to thousands of requests. A request's whole life is decided when it
 //!   arrives, so this is a single pass over the time-sorted trace, not an
 //!   event simulation: nothing is scheduled, and the only state between
@@ -57,11 +58,9 @@ pub mod events;
 pub mod fleet;
 mod trace;
 
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::rc::Rc;
 
 use catalyzer::{BootMode, CatalyzerEngine};
 use faultsim::{FaultInjector, FaultPlan};
@@ -191,9 +190,9 @@ impl Simulation {
         self
     }
 
-    /// Arms deterministic fault injection: all functions share one seeded
-    /// injector built from `plan`, so the whole run is a pure function of
-    /// `(catalogue, knobs, trace)`.
+    /// Arms deterministic fault injection: the run owns one seeded injector
+    /// built from `plan` and lends it to each function's pool in turn, so
+    /// the whole run is a pure function of `(catalogue, knobs, trace)`.
     pub fn with_faults(mut self, plan: FaultPlan) -> Simulation {
         self.plan = Some(plan);
         self
@@ -229,10 +228,7 @@ impl Simulation {
     /// availability loss instead of aborting the run.
     pub fn run(mut self, trace: &[TraceRequest]) -> Result<SimReport, PlatformError> {
         validate_trace(trace, self.catalogue.len())?;
-        let injector = self
-            .plan
-            .take()
-            .map(|p| Rc::new(RefCell::new(FaultInjector::new(p))));
+        let mut injector = self.plan.take().map(FaultInjector::new);
         let self_healing = self.admission.is_some() || self.min_ready > 0;
         let mut pools: Vec<InstancePool<Box<dyn BootEngine>>> = self
             .catalogue
@@ -247,9 +243,6 @@ impl Simulation {
                 .with_policy(self.policy);
                 if self_healing {
                     pool = pool.with_self_healing(self.min_ready);
-                }
-                if let Some(injector) = &injector {
-                    pool = pool.with_injector(Rc::clone(injector));
                 }
                 pool
             })
@@ -281,7 +274,7 @@ impl Simulation {
             let pool = &mut pools[req.function];
             // The repair daemon wakes between arrivals: anything poisoned
             // earlier is rebuilt and healed here, off the request path.
-            pool.tick(now, &self.model)?;
+            pool.lend(injector.as_mut()).tick(now, &self.model)?;
             let slot = match &mut ctrl {
                 Some(ctrl) => match ctrl.admit(name, now) {
                     Ok(slot) => slot,
@@ -303,7 +296,10 @@ impl Simulation {
                 },
             };
             admitted += 1;
-            let served = match pool.serve_at(slot.start, &self.model) {
+            let served = match pool
+                .lend(injector.as_mut())
+                .serve_at(slot.start, &self.model)
+            {
                 Ok(served) => served,
                 Err(err) => {
                     // Availability loss: the admitted request died. The
@@ -371,7 +367,7 @@ impl Simulation {
             }
             None => (Vec::new(), Vec::new(), 0),
         };
-        let faults = injector.map_or(0, |i| i.borrow().total_fired());
+        let faults = injector.map_or(0, |i| i.total_fired());
 
         let requests = u64::try_from(trace.len()).unwrap_or(u64::MAX);
         Ok(SimReport {

@@ -1,8 +1,5 @@
 //! The common boot-engine interface and phase conventions.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use faultsim::{FaultInjector, InjectionPoint};
 use runtimes::{AppProfile, WrappedProgram};
 use simtime::trace::{Span, Tracer};
@@ -36,7 +33,9 @@ pub enum IsolationLevel {
 ///
 /// A `BootCtx` owns clone *handles*: the clock shares its timeline with the
 /// caller's clock, so charges made through the context are visible outside
-/// it, and the tracer stamps spans from that same timeline.
+/// it, and the tracer stamps spans from that same timeline. A fault
+/// injector, when one is attached, is only borrowed: its owner lends it for
+/// the life of the context and has it back, history intact, afterwards.
 ///
 /// # Example
 ///
@@ -80,16 +79,16 @@ pub enum IsolationLevel {
 /// ctx.tracer_mut().begin("invoke:f"); // the tracer is private to `BootCtx`
 /// ```
 #[derive(Debug)]
-pub struct BootCtx {
+pub struct BootCtx<'a> {
     clock: SimClock,
     model: CostModel,
     tracer: Tracer,
-    injector: Option<Rc<RefCell<FaultInjector>>>,
+    injector: Option<&'a mut FaultInjector>,
 }
 
-impl BootCtx {
+impl<'a> BootCtx<'a> {
     /// Creates a context charging `clock` under `model`.
-    pub fn new(clock: &SimClock, model: &CostModel) -> BootCtx {
+    pub fn new(clock: &SimClock, model: &CostModel) -> BootCtx<'a> {
         BootCtx {
             clock: clock.clone(),
             model: model.clone(),
@@ -100,7 +99,7 @@ impl BootCtx {
 
     /// Creates a context with its own clock at time zero — the common case
     /// for one-shot boots where only the outcome matters.
-    pub fn fresh(model: &CostModel) -> BootCtx {
+    pub fn fresh(model: &CostModel) -> BootCtx<'a> {
         BootCtx::new(&SimClock::new(), model)
     }
 
@@ -150,17 +149,22 @@ impl BootCtx {
         self.tracer.charge_span(name, cost);
     }
 
-    /// Attaches a fault injector, builder-style. Engines consult it through
-    /// [`BootCtx::fault`] at the named injection points; without one, every
-    /// consultation is free and the context behaves exactly as before.
-    pub fn with_injector(mut self, injector: Rc<RefCell<FaultInjector>>) -> BootCtx {
+    /// Borrows `injector` for the life of the context, builder-style.
+    /// Engines consult it through [`BootCtx::fault`] at the named injection
+    /// points; without one, every consultation is free and the context
+    /// behaves exactly as before. The caller keeps ownership, so its fault
+    /// history survives the context — early returns included.
+    pub fn with_injector(mut self, injector: &'a mut FaultInjector) -> BootCtx<'a> {
         self.injector = Some(injector);
         self
     }
 
-    /// The attached fault injector, if any.
-    pub fn injector(&self) -> Option<&Rc<RefCell<FaultInjector>>> {
-        self.injector.as_ref()
+    /// Heals `point` in the borrowed injector, if any, once a quarantine
+    /// has rebuilt the state its poison corrupted.
+    pub fn heal(&mut self, point: InjectionPoint) {
+        if let Some(injector) = self.injector.as_deref_mut() {
+            injector.heal(point);
+        }
     }
 
     /// Consults the fault schedule at `point` immediately before the real
@@ -178,11 +182,10 @@ impl BootCtx {
     ///
     /// [`SandboxError::Fault`] when the schedule fires at this consultation.
     pub fn fault(&mut self, point: InjectionPoint) -> Result<(), SandboxError> {
-        let Some(injector) = &self.injector else {
+        let Some(injector) = self.injector.as_deref_mut() else {
             return Ok(());
         };
-        let fired = injector.borrow_mut().check(point, self.clock.now());
-        match fired {
+        match injector.check(point, self.clock.now()) {
             None => Ok(()),
             Some(fault) => {
                 self.charge_span(simtime::names::fault_span(&point.to_string()), fault.delay);

@@ -4,7 +4,8 @@
 //!
 //! 1. **Single-node transparency** — a one-node cluster is the plain
 //!    `Gateway<CatalyzerEngine>` with a scheduler in front: same span
-//!    trees, same latency split, same gateway metrics, byte for byte.
+//!    trees, same latency split, same gateway metrics, byte for byte —
+//!    under injected faults too, with the same fault log.
 //! 2. **Same seed, same history** — identical configurations replay
 //!    byte-identical routing histories, metrics, and (open-loop) route
 //!    hashes and fault counters, whatever the shape, policy, or plan.
@@ -43,40 +44,72 @@ fn parity_functions() -> Vec<&'static str> {
 
 #[test]
 fn single_node_cluster_is_byte_identical_to_the_plain_gateway() {
-    let functions = parity_functions();
+    // Two inputs: fault-free, and a seeded plan firing at every
+    // boot-pipeline point (half the prepared-state faults poison), so
+    // requests retry, quarantine and fall down the fork → warm → cold
+    // ladder.
+    for plan in [None, Some(FaultPlan::uniform(5, 0.35))] {
+        let functions = parity_functions();
+        let outcome = |result: Result<Invocation, PlatformError>| {
+            result
+                .map(|inv| (inv.trace, inv.report, inv.queued))
+                .map_err(|err| err.to_string())
+        };
 
-    let mut gateway = Gateway::new(CatalyzerEngine::standalone(BootMode::Fork), model());
-    gateway.register(AppProfile::c_hello());
-    gateway.register(AppProfile::c_nginx());
-    gateway.warm("C-hello").unwrap();
-    let mut plain = Vec::new();
-    for function in &functions {
-        let invocation = gateway.call(InvokeRequest::new(function)).unwrap();
-        plain.push((invocation.trace, invocation.report, invocation.queued));
+        let mut gateway = Gateway::new(CatalyzerEngine::standalone(BootMode::Fork), model());
+        if let Some(plan) = &plan {
+            gateway = gateway.with_faults(plan.clone());
+        }
+        gateway.register(AppProfile::c_hello());
+        gateway.register(AppProfile::c_nginx());
+        gateway.warm("C-hello").unwrap();
+        let mut plain = Vec::new();
+        for function in &functions {
+            plain.push(outcome(gateway.call(InvokeRequest::new(function))));
+        }
+
+        let mut cluster = Cluster::new(ClusterConfig::new(1, 1), &model()).unwrap();
+        if let Some(plan) = &plan {
+            cluster = cluster.with_faults(plan.clone());
+        }
+        cluster.register(AppProfile::c_hello());
+        cluster.register(AppProfile::c_nginx());
+        cluster.warm("C-hello").unwrap();
+        let mut clustered = Vec::new();
+        for function in &functions {
+            let result = cluster.call(function, None).map(|(node, invocation)| {
+                assert_eq!(node, 0, "a single-node cluster has one place to route");
+                invocation
+            });
+            clustered.push(outcome(result));
+        }
+
+        // Span trees carry every charge on the boot path; the reports carry
+        // the latency split. Identical trees and metrics mean the cluster
+        // layer added nothing — not a span, not a nanosecond, not a counter.
+        assert_eq!(plain, clustered);
+        let node = cluster.nodes()[0].gateway();
+        assert_eq!(
+            gateway.metrics(),
+            node.metrics(),
+            "node-0 gateway metrics must match the plain gateway's"
+        );
+        assert_eq!(
+            gateway.injector().map(|i| i.log()),
+            node.injector().map(|i| i.log()),
+            "node 0 must consult its injector exactly as the plain gateway does"
+        );
+        assert_eq!(cluster.metrics().counter("cluster.remote"), 0);
+        assert_eq!(cluster.metrics().counter("cluster.cold"), 0);
+        if plan.is_some() {
+            // The faulted input pins the degraded ladder and quarantine,
+            // not just the happy path.
+            let metrics = gateway.metrics();
+            for counter in ["fallback.warm", "fallback.cold", "quarantine.count"] {
+                assert!(metrics.counter(counter) > 0, "{counter} never moved");
+            }
+        }
     }
-
-    let mut cluster = Cluster::new(ClusterConfig::new(1, 1), &model()).unwrap();
-    cluster.register(AppProfile::c_hello());
-    cluster.register(AppProfile::c_nginx());
-    cluster.warm("C-hello").unwrap();
-    let mut clustered = Vec::new();
-    for function in &functions {
-        let (node, invocation) = cluster.call(function, None).unwrap();
-        assert_eq!(node, 0, "a single-node cluster has one place to route");
-        clustered.push((invocation.trace, invocation.report, invocation.queued));
-    }
-
-    // Span trees carry every charge on the boot path; the reports carry
-    // the latency split. Identical trees and metrics mean the cluster
-    // layer added nothing — not a span, not a nanosecond, not a counter.
-    assert_eq!(plain, clustered);
-    assert_eq!(
-        gateway.metrics(),
-        cluster.nodes()[0].gateway().metrics(),
-        "node-0 gateway metrics must match the plain gateway's"
-    );
-    assert_eq!(cluster.metrics().counter("cluster.remote"), 0);
-    assert_eq!(cluster.metrics().counter("cluster.cold"), 0);
 }
 
 /// One closed-loop run, serialized: the routing history plus the scheduler

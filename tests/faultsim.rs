@@ -11,9 +11,6 @@
 //! 3. **Same seed, same history** — identical plans replay byte-identical
 //!    fault logs, reports, and span trees.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use catalyzer_suite::faultsim::{FaultInjector, FaultPlan, InjectionPoint, PointPlan};
 use catalyzer_suite::platform::{PlatformError, ResiliencePolicy};
 use catalyzer_suite::prelude::*;
@@ -24,8 +21,8 @@ fn model() -> CostModel {
     CostModel::experimental_machine()
 }
 
-fn zero_injector() -> Rc<RefCell<FaultInjector>> {
-    Rc::new(RefCell::new(FaultInjector::new(FaultPlan::zero(9))))
+fn zero_injector() -> FaultInjector {
+    FaultInjector::new(FaultPlan::zero(9))
 }
 
 /// Boots the same engine type twice — bare, and carrying a zero-rate
@@ -37,7 +34,8 @@ fn assert_zero_plan_invisible<E: BootEngine>(mut bare: E, mut armed: E) {
     let mut ctx = BootCtx::fresh(&model);
     let baseline = bare.boot(&profile, &mut ctx).unwrap();
 
-    let mut ctx = BootCtx::fresh(&model).with_injector(zero_injector());
+    let mut injector = zero_injector();
+    let mut ctx = BootCtx::fresh(&model).with_injector(&mut injector);
     let carried = armed.boot(&profile, &mut ctx).unwrap();
 
     assert_eq!(
@@ -106,11 +104,11 @@ proptest! {
         let plan = drawn_plan(seed, mask, rate_pct, poison_pct);
         let mut gateway = faulted_gateway(plan, ResiliencePolicy::full());
         for _ in 0..requests {
-            let fired_before = gateway.injector().unwrap().borrow().total_fired();
+            let fired_before = gateway.injector().unwrap().total_fired();
             let degraded_before = gateway.metrics().counter("invoke.degraded");
             match gateway.call(InvokeRequest::new("C-hello")) {
                 Ok(invocation) => {
-                    let fired = gateway.injector().unwrap().borrow().total_fired() - fired_before;
+                    let fired = gateway.injector().unwrap().total_fired() - fired_before;
                     let degraded = gateway.metrics().counter("invoke.degraded") - degraded_before;
                     prop_assert_eq!(
                         degraded,
@@ -155,7 +153,7 @@ proptest! {
                 }
             }
             let log = serde_json::to_string(
-                &gateway.injector().unwrap().borrow().log().to_vec()
+                &gateway.injector().unwrap().log().to_vec()
             ).unwrap();
             (history, log)
         };

@@ -78,6 +78,16 @@ step "catalint (workspace invariants, zero-debt)" cargo run -q -p catalint
 step "cargo build --release" cargo build --release
 step "cargo test (every first-party crate)" test_workspace
 
+# Rustdoc over every first-party crate, warnings denied: an intra-doc link
+# to an item that was renamed or deleted, a private item linked from public
+# docs, or a redundant explicit link target fails here instead of rotting
+# silently in the rendered docs (rustdoc only warns, and nothing else runs
+# it).
+docs_workspace() {
+  RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps "${FIRST_PARTY[@]}"
+}
+step "cargo doc (every first-party crate, -D warnings)" docs_workspace
+
 # Regenerates every deterministic export in-memory and verifies each
 # checked-in BENCH file is valid and byte-identical — i.e. the layer it
 # covers is still deterministic and still meets its claims:
