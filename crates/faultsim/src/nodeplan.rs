@@ -136,6 +136,10 @@ impl NodePlan {
 
     /// Adds a gray (fail-slow) window on `node` from `at` until `until`
     /// with latency multiplier `slowdown`, builder-style.
+    ///
+    /// The multiplier saturates: `+∞` is `f64::MAX`, the slowest node there
+    /// is, never a healthy one. NaN and values at or below 1 are 1.0 — a
+    /// node is never faster for being gray.
     pub fn with_gray(
         mut self,
         node: u32,
@@ -149,10 +153,10 @@ impl NodePlan {
             node,
             island: Vec::new(),
             until: until.max(at),
-            slowdown: if slowdown.is_finite() {
-                slowdown.max(1.0)
-            } else {
+            slowdown: if slowdown.is_nan() {
                 1.0
+            } else {
+                slowdown.clamp(1.0, f64::MAX)
             },
         });
         self
@@ -280,6 +284,22 @@ mod tests {
         for event in plan.events() {
             assert_eq!(event.until, event.at, "degenerate windows clamp to empty");
             assert_eq!(event.slowdown, 1.0);
+        }
+    }
+
+    #[test]
+    fn an_infinite_slowdown_saturates_and_nan_or_at_most_one_is_healthy() {
+        let slowdown = |s: f64| {
+            NodePlan::quiet(1)
+                .with_gray(0, SimNanos::ZERO, SimNanos::from_millis(1), s)
+                .events()[0]
+                .slowdown
+        };
+        assert_eq!(slowdown(f64::INFINITY), f64::MAX);
+        assert_eq!(slowdown(f64::MAX), f64::MAX);
+        assert_eq!(slowdown(200.0), 200.0);
+        for healthy in [f64::NAN, f64::NEG_INFINITY, -3.0, -0.0, 0.0, 0.5, 1.0] {
+            assert_eq!(slowdown(healthy), 1.0, "{healthy}");
         }
     }
 }

@@ -22,9 +22,7 @@
     )
 )]
 
-use std::sync::Arc;
-
-use memsim::{Frame, SharedBytes};
+use memsim::{FrameRef, SharedBytes};
 use simtime::{CostModel, SimClock};
 
 use crate::record::REF_PLACEHOLDER;
@@ -198,7 +196,7 @@ pub fn read_uncharged(
         }
         app_pages.push(PagePayload {
             vpn,
-            data: Arc::new(Frame::from_image_slice(data)),
+            data: FrameRef::from_image_slice(data),
         });
     }
 
@@ -328,7 +326,7 @@ mod tests {
             app_pages: (0..4)
                 .map(|i| PagePayload {
                     vpn: 0x1000 + i,
-                    data: Arc::new(Frame::from_bytes(&[i as u8; memsim::PAGE_SIZE])),
+                    data: FrameRef::from_bytes(&[i as u8; memsim::PAGE_SIZE]),
                 })
                 .collect(),
             io_conns: vec![
@@ -423,7 +421,7 @@ mod tests {
         let src = CheckpointSource {
             app_pages: vec![PagePayload {
                 vpn: 9,
-                data: Arc::new(Frame::from_bytes(&noise)),
+                data: FrameRef::from_bytes(&noise),
             }],
             ..CheckpointSource::default()
         };

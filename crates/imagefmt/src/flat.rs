@@ -731,7 +731,7 @@ impl ExactSizeIterator for Views<'_> {}
 mod tests {
     use super::*;
     use crate::PagePayload;
-    use memsim::Frame;
+    use memsim::FrameRef;
     use simtime::SimNanos;
 
     fn sample_source(n_objects: u64, n_pages: u64) -> CheckpointSource {
@@ -750,7 +750,7 @@ mod tests {
             app_pages: (0..n_pages)
                 .map(|i| PagePayload {
                     vpn: 0x4_0000 + i,
-                    data: Arc::new(Frame::from_bytes(&[(i % 255) as u8; PAGE_SIZE])),
+                    data: FrameRef::from_bytes(&[(i % 255) as u8; PAGE_SIZE]),
                 })
                 .collect(),
             io_conns: vec![

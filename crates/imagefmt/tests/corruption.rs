@@ -15,10 +15,8 @@
     clippy::cast_possible_truncation
 )]
 
-use std::sync::Arc;
-
 use imagefmt::{flat, CheckpointSource, ImageError, IoConn, ObjKind, ObjRecord, PagePayload};
-use memsim::{Frame, MappedImage, SharedBytes, PAGE_SIZE};
+use memsim::{FrameRef, MappedImage, SharedBytes, PAGE_SIZE};
 use proptest::prelude::*;
 use simtime::{CostModel, SimClock};
 
@@ -47,9 +45,7 @@ fn arb_source() -> impl Strategy<Value = CheckpointSource> {
             app_pages: (0..n_pages)
                 .map(|i| PagePayload {
                     vpn: 0x1000 + i,
-                    data: Arc::new(Frame::from_bytes(
-                        &[u8::try_from(i % 251).unwrap_or(0); PAGE_SIZE],
-                    )),
+                    data: FrameRef::from_bytes(&[u8::try_from(i % 251).unwrap_or(0); PAGE_SIZE]),
                 })
                 .collect(),
             io_conns: conn_seed
@@ -92,7 +88,7 @@ fn read_forged_relations(
         app_pages: (0..2)
             .map(|i| PagePayload {
                 vpn: 0x00FF_FFFF + i,
-                data: Arc::new(Frame::zeroed()),
+                data: FrameRef::zeroed(),
             })
             .collect(),
         io_conns: vec![],

@@ -9,10 +9,8 @@
     clippy::cast_possible_truncation
 )]
 
-use std::sync::Arc;
-
 use imagefmt::{classic, flat, CheckpointSource, IoConn, ObjKind, ObjRecord, PagePayload};
-use memsim::{Frame, MappedImage, SharedBytes, PAGE_SIZE};
+use memsim::{FrameRef, MappedImage, SharedBytes, PAGE_SIZE};
 use proptest::prelude::*;
 use simtime::{CostModel, SimClock};
 
@@ -44,7 +42,7 @@ fn arb_source() -> impl Strategy<Value = CheckpointSource> {
                 .into_iter()
                 .map(|(vpn, fill)| PagePayload {
                     vpn,
-                    data: Arc::new(Frame::from_bytes(&[fill; PAGE_SIZE])),
+                    data: FrameRef::from_bytes(&[fill; PAGE_SIZE]),
                 })
                 .collect(),
             io_conns,

@@ -10,7 +10,7 @@ use std::sync::Arc;
 /// func-image is *mapped, never copied*). `From<Vec<u8>>` takes the vector's
 /// allocation over as it is, so the buffer `imagefmt::flat::write` assembles
 /// is the buffer [`crate::MappedImage`] maps; clones and [`SharedBytes::slice`]
-/// are views of that one allocation, so every image-backed [`crate::Frame`]
+/// are views of that one allocation, so every image-backed [`crate::FrameRef`]
 /// and metadata section of a restored sandbox points into it. A restored
 /// guest kernel's tables go one step further: each holds a single handle on
 /// the metadata arena and keeps plain ranges of it, not a view per object
@@ -63,6 +63,11 @@ impl SharedBytes {
     /// Compares three words; never reads a byte.
     pub fn same_view(&self, other: &SharedBytes) -> bool {
         Arc::ptr_eq(&self.data, &other.data) && (self.start, self.end) == (other.start, other.end)
+    }
+
+    /// The buffer this view shows part of, and where in it the view starts.
+    pub(crate) fn into_parts(self) -> (Arc<Vec<u8>>, usize) {
+        (self.data, self.start)
     }
 
     /// Adds `bytes` at the end of this view and returns the offset, within

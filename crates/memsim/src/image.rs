@@ -20,7 +20,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use simtime::{CostModel, SimClock};
 
-use crate::{Frame, MemError, SharedBytes, PAGE_SIZE, PAGE_SIZE_U64};
+use crate::{FrameRef, MemError, SharedBytes, PAGE_SIZE, PAGE_SIZE_U64};
 
 /// A page-aligned image file mapped into memory, with a shared page cache.
 ///
@@ -123,8 +123,9 @@ impl MappedImage {
 
     /// Loads page `index`, charging a disk read on the first touch only.
     ///
-    /// Returns a zero-copy [`Frame`] over the image buffer (or an owned
-    /// zero-padded frame for a trailing partial page).
+    /// Returns a zero-copy [`FrameRef`] over the image buffer (or an owned
+    /// zero-padded frame for a trailing partial page). A full page allocates
+    /// nothing: the frame is a view, one reference on the image buffer.
     ///
     /// # Errors
     ///
@@ -134,7 +135,7 @@ impl MappedImage {
         index: u64,
         clock: &SimClock,
         model: &CostModel,
-    ) -> Result<Frame, MemError> {
+    ) -> Result<FrameRef, MemError> {
         if index >= self.pages {
             return Err(MemError::ImageBounds {
                 page: index,
@@ -157,13 +158,10 @@ impl MappedImage {
                 clock.charge(model.disk_read(loaded.saturating_mul(PAGE_SIZE_U64)));
             }
         }
-        let start = index_us.saturating_mul(PAGE_SIZE);
-        let end = start.saturating_add(PAGE_SIZE).min(self.bytes.len());
-        if end.saturating_sub(start) == PAGE_SIZE {
-            Ok(Frame::from_image_slice(self.bytes.slice(start..end)))
-        } else {
-            Ok(Frame::from_bytes(self.bytes.get(start..end).unwrap_or(&[])))
-        }
+        Ok(FrameRef::image_page(
+            &self.bytes,
+            index_us.saturating_mul(PAGE_SIZE),
+        ))
     }
 
     /// Sequentially loads pages `[first, first + count)` with readahead

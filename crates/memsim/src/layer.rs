@@ -5,7 +5,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 use simtime::{CostModel, SimClock};
 
-use crate::{Frame, FrameRef, MappedImage, MemError, Vpn, PAGE_SIZE};
+use crate::{FrameRef, MappedImage, MemError, Vpn, PAGE_SIZE};
 
 /// One slot of an EPT layer.
 #[derive(Debug, Clone)]
@@ -45,6 +45,9 @@ fn split(vpn: Vpn) -> (u64, usize) {
 
 /// One last-level table: 512 slots plus the counts of what they hold, so a
 /// table's totals never need a walk.
+///
+/// A frame leaves a table through [`release`], so the page blocks a dropped
+/// or emptied leaf held last go to the thread's spares (`FrameRef::release`).
 #[derive(Clone)]
 struct Leaf {
     slots: [Option<EptEntry>; LEAF_SPAN],
@@ -76,6 +79,37 @@ impl Leaf {
             self.present += u64::from(new.is_present());
         }
         old
+    }
+}
+
+impl Drop for Leaf {
+    fn drop(&mut self) {
+        if self.present == 0 {
+            return;
+        }
+        // Every frame's count is read before any is let go of: the reads do
+        // not wait for each other, so their cache misses overlap, where each
+        // lock-prefixed decrement would wait for the one before it. A forked
+        // child's copied leaf holds 512 frames, most shared with its
+        // template, each count in a block of its own.
+        let mut last = [false; LEAF_SPAN];
+        for (slot, last) in self.slots.iter().zip(&mut last) {
+            if let Some(EptEntry::Present { frame }) = slot {
+                *last = frame.is_sole_handle();
+            }
+        }
+        for (slot, last) in self.slots.iter_mut().zip(last) {
+            if last {
+                release(slot.take());
+            }
+        }
+    }
+}
+
+/// Lets go of an entry a table no longer holds.
+fn release(entry: Option<EptEntry>) {
+    if let Some(EptEntry::Present { frame }) = entry {
+        frame.release();
     }
 }
 
@@ -111,7 +145,7 @@ impl EptTable {
             .leaves
             .entry(key)
             .or_insert_with(|| Arc::new(Leaf::empty()));
-        Arc::make_mut(leaf).replace(slot, Some(entry));
+        release(Arc::make_mut(leaf).replace(slot, Some(entry)));
     }
 
     /// Removes the entry for `vpn`, returning it if there was one.
@@ -147,7 +181,7 @@ impl EptTable {
             } else if doomed > 0 {
                 let leaf = Arc::make_mut(leaf);
                 for slot in lo..hi {
-                    leaf.replace(slot, None);
+                    release(leaf.replace(slot, None));
                 }
             }
         }
@@ -189,13 +223,11 @@ impl EptTable {
     /// image page. Anything else — a missing or lazy entry, a leaf still
     /// shared with an `sfork` relative, a frame another leaf or a reader
     /// holds — is `None`, and the write must take the copy-on-write arm.
-    pub(crate) fn writable_frame(&mut self, vpn: Vpn) -> Option<&mut Frame> {
+    pub(crate) fn writable_frame(&mut self, vpn: Vpn) -> Option<&mut [u8; PAGE_SIZE]> {
         let (key, slot) = split(vpn);
         let leaf = Arc::get_mut(self.leaves.get_mut(&key)?)?;
         match &mut leaf.slots[slot] {
-            Some(EptEntry::Present { frame }) => {
-                Arc::get_mut(frame).filter(|frame| !frame.is_image_backed())
-            }
+            Some(EptEntry::Present { frame }) => frame.get_mut(),
             _ => None,
         }
     }
@@ -292,11 +324,11 @@ impl EptLayer {
         match self.get(vpn) {
             Some(EptEntry::Present { frame }) => Ok(Some(frame)),
             Some(EptEntry::LazyImage { image, page }) => {
-                let frame: FrameRef = Arc::new(image.load_page(page, clock, model)?);
+                let frame = image.load_page(page, clock, model)?;
                 self.insert(
                     vpn,
                     EptEntry::Present {
-                        frame: Arc::clone(&frame),
+                        frame: frame.clone(),
                     },
                 );
                 Ok(Some(frame))
@@ -361,6 +393,13 @@ mod tests {
     }
 
     #[test]
+    fn a_frame_handle_is_two_words_and_a_slot_three() {
+        let word = std::mem::size_of::<usize>();
+        assert_eq!(std::mem::size_of::<FrameRef>(), 2 * word);
+        assert_eq!(std::mem::size_of::<Option<EptEntry>>(), 3 * word);
+    }
+
+    #[test]
     fn lazy_from_image_creates_all_entries() {
         let img = test_image(3);
         let clock = SimClock::new();
@@ -390,7 +429,10 @@ mod tests {
         let warm = SimClock::new();
         let f2 = base.materialize(1, &warm, &model).unwrap().unwrap();
         assert_eq!(warm.now(), SimNanos::ZERO);
-        assert!(Arc::ptr_eq(&f1, &f2), "shared base page must be one frame");
+        assert!(
+            FrameRef::ptr_eq(&f1, &f2),
+            "shared base page must be one frame"
+        );
     }
 
     #[test]
@@ -410,7 +452,7 @@ mod tests {
 
     fn present(frame: &FrameRef) -> EptEntry {
         EptEntry::Present {
-            frame: Arc::clone(frame),
+            frame: frame.clone(),
         }
     }
 
@@ -424,29 +466,29 @@ mod tests {
     #[test]
     fn clone_entries_shares_frames() {
         let layer = EptLayer::new();
-        let frame: FrameRef = Arc::new(Frame::from_bytes(b"x"));
+        let frame = FrameRef::from_bytes(b"x");
         layer.insert(1, present(&frame));
         let cloned = layer.clone_entries();
         // Both sides map the very same frame...
-        assert!(Arc::ptr_eq(&frame_at(&layer, 1), &frame));
-        assert!(Arc::ptr_eq(&frame_at(&cloned, 1), &frame));
+        assert!(FrameRef::ptr_eq(&frame_at(&layer, 1), &frame));
+        assert!(FrameRef::ptr_eq(&frame_at(&cloned, 1), &frame));
 
         // ...and a write on either side stays on that side.
-        let other: FrameRef = Arc::new(Frame::from_bytes(b"y"));
+        let other = FrameRef::from_bytes(b"y");
         cloned.insert(1, present(&other));
         cloned.insert(2, EptEntry::LazyZero);
-        assert!(Arc::ptr_eq(&frame_at(&layer, 1), &frame));
-        assert!(Arc::ptr_eq(&frame_at(&cloned, 1), &other));
+        assert!(FrameRef::ptr_eq(&frame_at(&layer, 1), &frame));
+        assert!(FrameRef::ptr_eq(&frame_at(&cloned, 1), &other));
         assert!(layer.get(2).is_none());
         layer.remove(1);
-        assert!(Arc::ptr_eq(&frame_at(&cloned, 1), &other));
+        assert!(FrameRef::ptr_eq(&frame_at(&cloned, 1), &other));
         assert_eq!((layer.len(), cloned.len()), (0, 2));
     }
 
     #[test]
     fn counts_follow_every_kind_of_replacement() {
         let layer = EptLayer::new();
-        let frame: FrameRef = Arc::new(Frame::zeroed());
+        let frame = FrameRef::zeroed();
         layer.insert(7, EptEntry::LazyZero);
         assert_eq!((layer.len(), layer.present_pages()), (1, 0));
         layer.insert(7, present(&frame)); // lazy → present
@@ -519,7 +561,7 @@ mod tests {
         table.insert(
             1,
             EptEntry::Present {
-                frame: Arc::new(Frame::zeroed()),
+                frame: FrameRef::zeroed(),
             },
         );
         table.insert(2, EptEntry::LazyZero);
@@ -541,13 +583,8 @@ mod tests {
         drop(frame);
 
         // Image pages are never written in place.
-        let image = Frame::from_image_slice(SharedBytes::from(vec![0u8; PAGE_SIZE]));
-        table.insert(
-            4,
-            EptEntry::Present {
-                frame: Arc::new(image),
-            },
-        );
+        let image = FrameRef::from_image_slice(SharedBytes::from(vec![0u8; PAGE_SIZE]));
+        table.insert(4, EptEntry::Present { frame: image });
         assert!(table.writable_frame(4).is_none());
     }
 }

@@ -7,8 +7,11 @@
 //!
 //! - [`SharedBytes`]: the sliceable shared buffer an image is assembled in,
 //!   mapped from and served out of — one allocation, views all the way down.
-//! - [`Frame`]: one 4 KiB guest-physical page, either anonymous (owned bytes)
-//!   or a zero-copy slice of an image file.
+//! - [`FrameRef`]: a shared handle to one 4 KiB guest-physical page. An
+//!   anonymous page (heap, stack, CoW copy) is one reference-counted block
+//!   holding its counts and its bytes together, so a read follows one pointer
+//!   and a fault makes one allocation; an image page is a zero-copy view of
+//!   the mapped func-image, never a page of its own.
 //! - [`MappedImage`]: a file-backed region with a shared page cache — the
 //!   first touch of a page anywhere charges a disk read; later touches are
 //!   free, exactly like the host page cache under `mmap`.
@@ -69,7 +72,7 @@ mod space;
 
 pub use buf::SharedBytes;
 pub use error::MemError;
-pub use frame::{Frame, FrameRef};
+pub use frame::FrameRef;
 pub use image::MappedImage;
 pub use layer::{EptEntry, EptLayer};
 pub use page::{pages_for_bytes, Perms, Vpn, VpnRange, PAGE_SIZE, PAGE_SIZE_U64};

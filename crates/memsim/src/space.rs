@@ -5,9 +5,8 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 use simtime::{CostModel, SimClock};
 
-use crate::frame::frame_identity;
 use crate::layer::EptTable;
-use crate::{EptEntry, EptLayer, Frame, FrameRef, MemError, Perms, Vpn, VpnRange, PAGE_SIZE};
+use crate::{EptEntry, EptLayer, FrameRef, MemError, Perms, Vpn, VpnRange, PAGE_SIZE};
 
 /// How a mapping behaves across `sfork` (paper §4, Table 1 "Mem" row).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -288,8 +287,8 @@ impl AddressSpace {
         // leaf alone, and it is not an image page. A frame's own refcount
         // cannot tell: after `sfork_clone` it is still 1, behind a leaf two
         // spaces hold. `writable_frame` checks both.
-        if let Some(frame) = self.private.writable_frame(vpn) {
-            frame.write_in_place(offset, src);
+        if let Some(page) = self.private.writable_frame(vpn) {
+            page[offset..offset + src.len()].copy_from_slice(src);
             return Ok(());
         }
 
@@ -297,14 +296,9 @@ impl AddressSpace {
         // zeroes where there is none), patch it, map it.
         let source = self.copy_from_any_layer(vpn, clock, model)?;
         let had_source = source.is_some();
-        let mut owned = source.unwrap_or_else(Frame::zeroed);
+        let mut owned = source.unwrap_or_else(FrameRef::zeroed);
         owned.write_in_place(offset, src);
-        self.private.insert(
-            vpn,
-            EptEntry::Present {
-                frame: Arc::new(owned),
-            },
-        );
+        self.private.insert(vpn, EptEntry::Present { frame: owned });
         if had_source {
             self.stats.cow_faults += 1;
             self.stats.bytes_copied += PAGE_SIZE as u64;
@@ -367,11 +361,11 @@ impl AddressSpace {
             }
         }
         // Demand-zero: first touch of anonymous memory.
-        let frame: FrameRef = Arc::new(Frame::zeroed());
+        let frame = FrameRef::zeroed();
         self.private.insert(
             vpn,
             EptEntry::Present {
-                frame: Arc::clone(&frame),
+                frame: frame.clone(),
             },
         );
         clock.charge(model.mem.page_fault);
@@ -387,7 +381,7 @@ impl AddressSpace {
         vpn: Vpn,
         clock: &SimClock,
         model: &CostModel,
-    ) -> Result<Option<Frame>, MemError> {
+    ) -> Result<Option<FrameRef>, MemError> {
         if let Some(EptEntry::Present { frame }) = self.private.get(vpn) {
             return Ok(Some(frame.cow_copy()));
         }
@@ -451,13 +445,13 @@ impl AddressSpace {
     pub(crate) fn for_each_resident_frame(&self, mut f: impl FnMut(usize, &FrameRef)) {
         self.private.for_each(|_, entry| {
             if let EptEntry::Present { frame } = entry {
-                f(frame_identity(frame), frame);
+                f(frame.identity(), frame);
             }
         });
         if let Some(base) = &self.base {
             for vpn in &self.hw_merged {
                 if let Some(EptEntry::Present { frame }) = base.get(*vpn) {
-                    f(frame_identity(&frame), &frame);
+                    f(frame.identity(), &frame);
                 }
             }
         }
@@ -481,7 +475,7 @@ impl AddressSpace {
         self.private.insert(
             vpn,
             EptEntry::Present {
-                frame: Arc::new(Frame::from_bytes(data)),
+                frame: FrameRef::from_bytes(data),
             },
         );
         Ok(())
@@ -500,7 +494,7 @@ impl AddressSpace {
         let mut out = Vec::with_capacity(resident);
         self.private.for_each(|vpn, entry| {
             if let EptEntry::Present { frame } = entry {
-                out.push((vpn, Arc::clone(frame)));
+                out.push((vpn, frame.clone()));
             }
         });
         out
@@ -805,7 +799,7 @@ mod tests {
     /// `(identity, strong count)` of every resident frame, in vpn order.
     fn frame_counts(space: &AddressSpace) -> Vec<(usize, usize)> {
         let mut counts = Vec::new();
-        space.for_each_resident_frame(|id, frame| counts.push((id, Arc::strong_count(frame))));
+        space.for_each_resident_frame(|id, frame| counts.push((id, frame.handles())));
         counts
     }
 
@@ -906,7 +900,7 @@ mod tests {
     /// The resident private frame at `vpn`.
     fn resident(space: &AddressSpace, vpn: Vpn) -> FrameRef {
         match space.private.get(vpn) {
-            Some(EptEntry::Present { frame }) => Arc::clone(frame),
+            Some(EptEntry::Present { frame }) => frame.clone(),
             other => panic!("page {vpn} not resident: {other:?}"),
         }
     }
@@ -933,7 +927,7 @@ mod tests {
         assert_eq!(vpns, [0, 3, 511, 512, 1500, 2047]);
         for (vpn, frame) in &snapshot {
             assert!(
-                Arc::ptr_eq(frame, &resident(&s, *vpn)),
+                FrameRef::ptr_eq(frame, &resident(&s, *vpn)),
                 "page {vpn} was copied, not shared"
             );
             assert_eq!(frame[0], *vpn as u8);
@@ -967,14 +961,14 @@ mod tests {
         s.read(1, 0, &mut buf, &clock, &model).unwrap();
         assert_eq!(&buf, b"XXX");
         assert_eq!(&snapshot[0].1[..3], b"JVM");
-        assert!(!Arc::ptr_eq(&snapshot[0].1, &resident(&s, 1)));
+        assert!(!FrameRef::ptr_eq(&snapshot[0].1, &resident(&s, 1)));
         // The private copy is the space's own: written in place from now on.
         let t1 = clock.now();
         s.write(1, 3, b"!", &clock, &model).unwrap();
         assert_eq!(s.stats().cow_faults, before.cow_faults + 1);
         assert_eq!(clock.now(), t1);
         // The page it did not write is still the shared frame.
-        assert!(Arc::ptr_eq(&snapshot[1].1, &resident(&s, 2)));
+        assert!(FrameRef::ptr_eq(&snapshot[1].1, &resident(&s, 2)));
         assert_eq!(&snapshot[1].1[..3], b"GC!");
     }
 
@@ -985,15 +979,79 @@ mod tests {
         s.map_anonymous(VpnRange::new(0, 4), Perms::RW, ShareMode::Private, "heap")
             .unwrap();
         s.write(1, 0, &[1], &clock, &model).unwrap();
-        let frame = Arc::as_ptr(&resident(&s, 1));
+        let frame = resident(&s, 1).identity();
         drop(s.snapshot_private_pages());
 
         let (stats, t0) = (s.stats(), clock.now());
         s.write(1, 0, &[2], &clock, &model).unwrap();
         assert_eq!(s.stats(), stats, "sole holder again: no fault");
         assert_eq!(clock.now(), t0);
-        assert_eq!(Arc::as_ptr(&resident(&s, 1)), frame, "same frame");
+        assert_eq!(resident(&s, 1).identity(), frame, "same frame");
         assert_eq!(resident(&s, 1)[0], 2);
+    }
+
+    #[test]
+    fn a_page_freed_by_one_space_never_shows_its_bytes_to_the_next() {
+        crate::frame::clear_spares();
+        let (clock, model) = setup();
+        let range = VpnRange::new(0, 64);
+        let mut first = AddressSpace::new("first");
+        first
+            .map_anonymous(range, Perms::RW, ShareMode::Private, "heap")
+            .unwrap();
+        for vpn in range.iter() {
+            first
+                .write(vpn, 0, &[0x5E; PAGE_SIZE], &clock, &model)
+                .unwrap();
+        }
+        let freed: BTreeSet<usize> = range
+            .iter()
+            .map(|vpn| resident(&first, vpn).identity())
+            .collect();
+        drop(first);
+
+        // Demand-zero reads, a short write and a CoW copy of an image page:
+        // each fault may take a block the first space freed, and each shows
+        // only what its own page holds.
+        let mut next = AddressSpace::new("next");
+        next.attach_base(
+            EptLayer::lazy_from_image(&patterned_image(1), 100, &clock, &model),
+            VpnRange::new(100, 101),
+            "f",
+            &clock,
+            &model,
+        )
+        .unwrap();
+        next.map_anonymous(range, Perms::RW, ShareMode::Private, "heap")
+            .unwrap();
+        let mut page = vec![0u8; PAGE_SIZE];
+        let mut reused = 0;
+        for vpn in range.iter() {
+            if vpn % 2 == 0 {
+                next.read(vpn, 0, &mut page, &clock, &model).unwrap();
+                assert!(page.iter().all(|&b| b == 0), "page {vpn} kept old bytes");
+            } else {
+                next.write(vpn, 1, b"new", &clock, &model).unwrap();
+                next.read(vpn, 0, &mut page, &clock, &model).unwrap();
+                assert_eq!(&page[..4], b"\0new");
+                assert!(
+                    page[4..].iter().all(|&b| b == 0),
+                    "page {vpn} kept old bytes"
+                );
+            }
+            reused += usize::from(freed.contains(&resident(&next, vpn).identity()));
+        }
+        next.write(100, 0, b"!", &clock, &model).unwrap();
+        next.read(100, 0, &mut page, &clock, &model).unwrap();
+        assert_eq!(page[0], b'!');
+        assert!(
+            page[1..].iter().all(|&b| b == 1),
+            "the CoW copy is the image page"
+        );
+        assert!(
+            reused > 0,
+            "no freed block was reused: the test shows nothing"
+        );
     }
 
     #[test]

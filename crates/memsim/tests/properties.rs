@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use memsim::{
-    accounting, AddressSpace, EptEntry, EptLayer, Frame, FrameRef, MappedImage, Perms, ShareMode,
+    accounting, AddressSpace, EptEntry, EptLayer, FrameRef, MappedImage, Perms, ShareMode,
     SharedBytes, SpaceStats, Vpn, VpnRange, PAGE_SIZE,
 };
 use proptest::prelude::*;
@@ -299,7 +299,7 @@ fn table_op() -> impl Strategy<Value = TableOp> {
 /// Entries are handles: equal when they name the same frame / image page.
 fn same_entry(a: &EptEntry, b: &EptEntry) -> bool {
     match (a, b) {
-        (EptEntry::Present { frame: x }, EptEntry::Present { frame: y }) => Arc::ptr_eq(x, y),
+        (EptEntry::Present { frame: x }, EptEntry::Present { frame: y }) => FrameRef::ptr_eq(x, y),
         (EptEntry::LazyZero, EptEntry::LazyZero) => true,
         (EptEntry::LazyImage { image: x, page: p }, EptEntry::LazyImage { image: y, page: q }) => {
             Arc::ptr_eq(x, y) && p == q
@@ -372,7 +372,7 @@ proptest! {
                 let (layer, oracle) = &mut layers[who];
                 match op {
                     TableOp::InsertPresent(vpn) => {
-                        let entry = EptEntry::Present { frame: Arc::new(Frame::zeroed()) };
+                        let entry = EptEntry::Present { frame: FrameRef::zeroed() };
                         layer.insert(vpn, entry.clone());
                         oracle.insert(vpn, entry);
                     }
@@ -400,7 +400,7 @@ proptest! {
                         let got = layer.materialize(vpn, &clock, &model).unwrap();
                         match oracle.get(&vpn).cloned() {
                             Some(EptEntry::Present { frame }) => {
-                                prop_assert!(got.is_some_and(|got| Arc::ptr_eq(&got, &frame)));
+                                prop_assert!(got.is_some_and(|got| FrameRef::ptr_eq(&got, &frame)));
                             }
                             Some(EptEntry::LazyImage { page, .. }) => {
                                 let frame = got.expect("a lazy image page materializes");

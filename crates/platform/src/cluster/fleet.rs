@@ -1461,6 +1461,24 @@ mod tests {
     }
 
     #[test]
+    fn an_infinitely_slow_node_is_the_slowest_node_not_a_healthy_one() {
+        let run = |slowdown: f64| {
+            let plan =
+                NodePlan::quiet(2).with_gray(0, SimNanos::ZERO, SimNanos::from_secs(1), slowdown);
+            format!("{:?}", chaos_cell(4, 2, plan, ChaosPolicy::full(), 350))
+        };
+        let infinite = run(f64::INFINITY);
+        assert_eq!(infinite, run(f64::MAX));
+        assert_ne!(
+            infinite,
+            format!(
+                "{:?}",
+                chaos_cell(4, 2, NodePlan::quiet(2), ChaosPolicy::full(), 350)
+            )
+        );
+    }
+
+    #[test]
     fn source_crash_reroutes_waiters_or_hangs_them() {
         // A flash crowd starts a transfer sourced from node 0, which then
         // crashes mid-wire (the wire is ~30 µs of RDMA setup; the crash

@@ -35,7 +35,9 @@ pub enum Arrivals {
     },
     /// A Poisson baseline at `rate_hz` punctuated by periodic bursts:
     /// every `every`, `size` extra requests land spread uniformly over
-    /// `width` — the flash-crowd shape that drives peak density.
+    /// `width` — the flash-crowd shape that drives peak density. A `size`
+    /// of 0 is the baseline alone, and the bursts end at the last period a
+    /// `u64` of nanoseconds can name.
     Bursty {
         /// Baseline arrival rate, requests per second.
         rate_hz: f64,
@@ -105,17 +107,21 @@ pub fn open_loop(spec: &TraceSpec) -> Vec<Request> {
             assert!(rate_hz > 0.0, "rate must be positive");
             assert!(!every.is_zero(), "burst period must be positive");
             let mut now_ns = 0.0f64;
-            let mut next_burst = every.as_nanos();
+            // `None` once no burst is left: each one adds requests, so the
+            // loop below ends with `count` or with the bursts.
+            let mut next_burst = (size > 0).then_some(every.as_nanos());
             while arrivals.len() < spec.count {
                 let u: f64 = rng.gen_range(f64::EPSILON..1.0);
                 now_ns += -u.ln() / rate_hz * 1e9;
-                while next_burst as f64 <= now_ns && arrivals.len() < spec.count {
+                while let Some(burst) =
+                    next_burst.filter(|&at| at as f64 <= now_ns && arrivals.len() < spec.count)
+                {
                     for _ in 0..size.min(spec.count - arrivals.len()) {
                         let jitter: f64 = rng.gen_range(0.0..1.0);
                         let offset = (jitter * width.as_nanos() as f64) as u64;
-                        arrivals.push(next_burst.saturating_add(offset));
+                        arrivals.push(burst.saturating_add(offset));
                     }
-                    next_burst = next_burst.saturating_add(every.as_nanos());
+                    next_burst = burst.checked_add(every.as_nanos());
                 }
                 if arrivals.len() < spec.count {
                     arrivals.push(now_ns as u64);
@@ -202,6 +208,27 @@ pub fn trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_bursty_trace_ends_without_bursts_and_past_the_last_nameable_one() {
+        // One baseline gap is ~10^21 ns, past `u64::MAX`: with `size` 0 the
+        // burst loop used to step its period forever once it saturated.
+        let spec = |size| TraceSpec {
+            functions: 1,
+            count: 2,
+            arrivals: Arrivals::Bursty {
+                rate_hz: 1e-12,
+                every: SimNanos::from_secs(1),
+                size,
+                width: SimNanos::ZERO,
+            },
+            popularity: Popularity::Uniform,
+            seed: 5,
+        };
+        for size in [0, 1, 3] {
+            assert_eq!(open_loop(&spec(size)).len(), 2, "size {size}");
+        }
+    }
 
     #[test]
     fn deterministic_and_sorted() {

@@ -15,6 +15,11 @@
 //!   `GuestKernel::restore_from_records` (`kernel`), dropping the records
 //!   and then the kernel, and a whole cold and warm `Catalyzer::boot` with
 //!   the drop of the cold boot's outcome.
+//! - **fork**: `Template::fork_boot` from the profile's template (`fork`),
+//!   the child's first `invoke_handler` (`first`: its copy-on-write and
+//!   demand-zero faults), a second one (`again`: the page walk of a reused
+//!   instance, which faults only its request scratch), and dropping the
+//!   outcome (`drop`).
 //!
 //! Prints the median of each stage in ms, per profile and summed over the
 //! ten.
@@ -24,8 +29,8 @@
 //! ```
 //!
 //! The virtual clock is not read: every number here is wall time on the
-//! machine that runs it, which is what the `image-build` and `restore-boot`
-//! benchmarks measure end to end. Compare two trees by running each one's
+//! machine that runs it, which is what the `image-build`, `restore-boot` and
+//! `sfork-closed` benchmarks measure end to end. Compare two trees by running each one's
 //! build of this probe in alternation; a guest's fast and slow phases last
 //! minutes.
 
@@ -42,6 +47,7 @@ const WRITE_STAGES: [&str; 4] = ["init", "source", "write", "wcrc"];
 const RESTORE_STAGES: [&str; 8] = [
     "crc3", "meta", "kernel", "droprec", "dropker", "cold", "warm", "dropboot",
 ];
+const FORK_STAGES: [&str; 4] = ["fork", "first", "again", "drop"];
 
 fn ms(since: Instant) -> f64 {
     since.elapsed().as_secs_f64() * 1e3
@@ -195,6 +201,39 @@ fn restore_side(
     Ok(())
 }
 
+/// A fork from each profile's template, its first and second request, and
+/// its drop. One template at a time, so only one large heap is resident.
+fn fork_side(
+    profiles: &[AppProfile],
+    rounds: usize,
+    model: &CostModel,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let config = CatalyzerConfig::full();
+    let mut table = Table::new("fork", &FORK_STAGES);
+    for profile in profiles {
+        let mut template = Template::generate(profile, model)?;
+        let objects = template.program_mut().kernel.object_count();
+        let mut samples: [Vec<f64>; FORK_STAGES.len()] = Default::default();
+        for _ in 0..rounds {
+            let mut ctx = BootCtx::fresh(model);
+            let t = Instant::now();
+            let mut outcome = template.fork_boot(&config, &mut ctx)?;
+            samples[0].push(ms(t));
+            for stage in [1, 2] {
+                let t = Instant::now();
+                black_box(outcome.program.invoke_handler(&SimClock::new(), model)?);
+                samples[stage].push(ms(t));
+            }
+            let t = Instant::now();
+            drop(outcome);
+            samples[3].push(ms(t));
+        }
+        table.row(&profile.name, objects, &mut samples);
+    }
+    table.finish();
+    Ok(())
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rounds: usize = std::env::args()
         .nth(1)
@@ -206,5 +245,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // large profile's heap is in memory twice (frames and image).
     write_side(&profiles, rounds, &model)?;
     println!();
-    restore_side(&profiles, rounds, &model)
+    restore_side(&profiles, rounds, &model)?;
+    println!();
+    fork_side(&profiles, rounds, &model)
 }

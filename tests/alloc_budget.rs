@@ -25,6 +25,13 @@
 //!   `build_base_layer` and `app_mem_index` on the first cold boot,
 //!   `attach_base`, `read_io_manifest`) beyond its restore, per table, I/O
 //!   connection and page-table entry; dropping the outcome allocates nothing;
+//! - **faults**: a forked child's first `invoke_handler` and a reused
+//!   instance's next one allocate at most one block per copy-on-write or
+//!   demand-zero fault — a guest page is its counts and its bytes in one
+//!   allocation — and a reused one faults only its request scratch;
+//! - **Base-EPT reads**: a read through an attached space materializes an
+//!   image page as a view of the mapped image, a few bytes of bookkeeping,
+//!   never a page of its own;
 //! - **page loads**: `MappedImage::load_page` and `load_range` over every
 //!   page of an image allocate nothing;
 //! - **image write**: `flat::write` allocates per section, not per object;
@@ -48,7 +55,7 @@ use std::sync::Arc;
 use catalyzer_suite::guest_kernel::gofer::FsServer;
 use catalyzer_suite::guest_kernel::GuestKernel;
 use catalyzer_suite::imagefmt::{self, flat, CheckpointSource};
-use catalyzer_suite::memsim::MappedImage;
+use catalyzer_suite::memsim::{AddressSpace, MappedImage};
 use catalyzer_suite::platform::{Simulation, TraceRequest};
 use catalyzer_suite::prelude::*;
 
@@ -382,6 +389,103 @@ fn cold_and_warm_boots_allocate_around_their_restore_per_table_not_per_object() 
         );
         assert!(bytes < 256.0, "{budget}: {bytes:.1} bytes per added page");
     }
+}
+
+/// A copy-on-write or demand-zero fault makes one guest page, and a page is
+/// one block: its reference counts and its 4,096 bytes together (a box and a
+/// separate reference-counted handle made it two). A fault may also find a
+/// block its thread kept from a freed page, and allocate nothing. A reused
+/// instance's invocation reads its heap in place and faults only its
+/// request scratch, so it allocates for no more than those pages. The leaf
+/// tables a child's first writes copy (one per 512 pages) and the
+/// invocation's I/O are the rest.
+#[test]
+fn a_fault_allocates_at_most_one_block_and_a_reuse_faults_only_its_scratch() {
+    const STEPS: [&str; 2] = [
+        "forked child's first invocation",
+        "reused instance's invocation",
+    ];
+    let [small, large] = profiles().map(|profile| {
+        let model = CostModel::experimental_machine();
+        let mut template = Template::generate(&profile, &model).unwrap();
+        let mut ctx = BootCtx::fresh(&model);
+        let mut outcome = template
+            .fork_boot(&CatalyzerConfig::full(), &mut ctx)
+            .unwrap();
+        let program = &mut outcome.program;
+        let clock = SimClock::new();
+        [0, 1].map(|_| {
+            let before = program.space.stats();
+            let invoke = allocs_in(|| {
+                program.invoke_handler(&clock, &model).unwrap();
+            });
+            let after = program.space.stats();
+            let faults =
+                after.cow_faults + after.minor_faults - before.cow_faults - before.minor_faults;
+            (faults, invoke)
+        })
+    });
+    for (i, step) in STEPS.iter().enumerate() {
+        let ((small_faults, s), (large_faults, l)) = (small[i], large[i]);
+        let calls = per_added(s.calls, l.calls, large_faults - small_faults);
+        report(
+            step,
+            s,
+            l,
+            &format!("{calls:.4} calls per added fault ({small_faults} -> {large_faults} faults)"),
+        );
+        assert!(
+            calls <= 1.05,
+            "{step}: {calls:.4} allocations per added fault: a page is more than one block"
+        );
+    }
+    assert!(
+        large[1].0 < large[0].0 / 4,
+        "a reused instance faulted {} pages, its first invocation {}",
+        large[1].0,
+        large[0].0
+    );
+}
+
+/// A read through a space attached to a restored Base-EPT materializes each
+/// image page once, as a view of the mapped image: the table entry turns
+/// `Present` in place and the space notes the page merged. A page copied
+/// or boxed would cost 4 KiB.
+#[test]
+fn reading_a_restored_base_ept_allocates_no_page() {
+    let [small, large] = profiles().map(|profile| {
+        let model = CostModel::experimental_machine();
+        let mut system = Catalyzer::new();
+        system.prewarm_image(&profile, &model).unwrap();
+        let stored = system.store().get(&profile.name).unwrap();
+        let clock = SimClock::new();
+        let base = stored.flat.build_base_layer(&clock, &model).unwrap();
+        let heap = profile.heap_range();
+        assert_eq!(heap.len(), stored.flat.app_page_count());
+        let mut space = AddressSpace::new("reader");
+        space
+            .attach_base(base, heap, "func-image", &clock, &model)
+            .unwrap();
+        let mut word = [0u8; 8];
+        let reads = allocs_in(|| {
+            for vpn in heap.iter() {
+                space.read(vpn, 0, &mut word, &clock, &model).unwrap();
+            }
+        });
+        assert_eq!(space.stats().ept_merges, heap.len());
+        (heap.len(), reads)
+    });
+    let bytes = per_added(small.1.bytes, large.1.bytes, large.0 - small.0);
+    report(
+        "reads through an attached Base-EPT, every page",
+        small.1,
+        large.1,
+        &format!("{bytes:.1} B per added page"),
+    );
+    assert!(
+        bytes <= 64.0,
+        "{bytes:.1} bytes per added page: a materialized image page is more than a view"
+    );
 }
 
 /// Overlay memory maps a func-image, it does not read it: a loaded page is a

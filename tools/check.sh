@@ -117,7 +117,7 @@ step "BENCH exports (pr2/3/4/7/8/9 valid + byte-identical)" \
 # profiles' func-images written and restored stage by stage, printing host
 # wall time per stage. Its numbers are not gated; it fails on any error, so
 # the probe a perf PR is judged by still runs (~2 s).
-step "stage probe (write + restore, one round)" \
+step "stage probe (write + restore + fork, one round)" \
   cargo run -q --release --example restore_stages 1
 
 # The allocation budgets (tests/alloc_budget.rs) again, with their output:
