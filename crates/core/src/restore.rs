@@ -3,7 +3,8 @@
 //! The operational flow follows Fig. 8-c:
 //!
 //! 1. a Zygote is specialized with the function's config and rootfs
-//!    (warm boot; cold boot builds the sandbox from scratch);
+//!    (warm boot; cold boot builds the sandbox from scratch, its shell
+//!    mounting the function's stored FS server);
 //! 2. guest-kernel metadata is recovered by **separated state recovery**
 //!    (stage-1 map + stage-2 parallel pointer re-establishment);
 //! 3. application memory is attached through **overlay memory**: cold boot
@@ -57,12 +58,22 @@ pub(crate) fn restore_boot(
 
     traced_boot(mode.label(), ctx, |ctx| {
         // --- 1. sandbox acquisition -------------------------------------
+        // Every sandbox of a function serves the function's one rootfs: the
+        // shell a cold boot (or a warm boot without Zygotes) builds mounts
+        // the stored FS server, and the restored kernel is built over it.
+        let fs = Arc::clone(&store.get(&profile.name).expect("compiled above").fs);
         let mut space = match mode {
             BootMode::Cold => {
                 // Cold boot builds the full sandbox (including importing the
                 // function binaries) — this is the ~30 ms the paper reports
                 // cold boot pays over warm boot (§6.2).
-                let shell = GvisorEngine::prepare_sandbox(config.tweaks, profile, true, ctx)?;
+                let shell = GvisorEngine::prepare_sandbox(
+                    config.tweaks,
+                    profile,
+                    Arc::clone(&fs),
+                    true,
+                    ctx,
+                )?;
                 shell.space
             }
             BootMode::Warm if config.zygotes => {
@@ -76,14 +87,19 @@ pub(crate) fn restore_boot(
             BootMode::Warm => {
                 // Zygotes disabled: warm boot still shares memory, but pays
                 // full sandbox construction.
-                let shell = GvisorEngine::prepare_sandbox(config.tweaks, profile, false, ctx)?;
+                let shell = GvisorEngine::prepare_sandbox(
+                    config.tweaks,
+                    profile,
+                    Arc::clone(&fs),
+                    false,
+                    ctx,
+                )?;
                 shell.space
             }
             BootMode::Fork => unreachable!("fork boot handled by sfork"),
         };
 
         let stored = store.get_mut(&profile.name).expect("compiled above");
-        let fs = Arc::clone(&stored.fs);
 
         // --- 2. guest-kernel metadata ------------------------------------
         ctx.fault(InjectionPoint::ArenaMap)?;
@@ -115,7 +131,7 @@ pub(crate) fn restore_boot(
             GuestKernel::restore_from_records(
                 profile.name.clone(),
                 &records,
-                Arc::clone(&fs),
+                fs,
                 false,
                 ctx.clock(),
                 ctx.model(),
@@ -164,11 +180,8 @@ pub(crate) fn restore_boot(
                 ctx.span("io-cache-replay", |ctx| {
                     let scratch = SimClock::new();
                     let fds: Vec<i32> = kernel.vfs.iter_fds().map(|(fd, _)| fd).collect();
-                    let files: Vec<&imagefmt::IoConn> = manifest
-                        .iter()
-                        .filter(|c| c.kind == IoConnKind::File)
-                        .collect();
-                    for (fd, conn) in fds.iter().zip(&files) {
+                    let files = manifest.iter().filter(|c| c.kind == IoConnKind::File);
+                    for (fd, conn) in fds.iter().zip(files) {
                         if conn.used_immediately {
                             ctx.charge(ctx.model().io.io_cache_replay);
                             kernel.vfs.ensure_connected(*fd, &scratch, ctx.model())?;

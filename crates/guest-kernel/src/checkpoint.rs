@@ -40,7 +40,7 @@ use simtime::{CostModel, SimClock};
 use crate::gofer::FsServer;
 use crate::kernel::{DentryRow, GuestKernel};
 use crate::net::SockState;
-use crate::table::{Lists, Table};
+use crate::table::{Blobs, Lists, Table, Text};
 use crate::tasks::{GuestThread, NamespaceInfo, Session, Task};
 use crate::KernelError;
 
@@ -57,12 +57,45 @@ fn fd_u64(fd: i32) -> u64 {
     u64::try_from(fd).unwrap_or(0)
 }
 
-/// A string field of an untrusted payload, checked in place. This is the
-/// one check: what a restore keeps is this `&str` or its range.
-fn utf8<'b>(bytes: &'b [u8], what: &str) -> Result<&'b str, KernelError> {
-    std::str::from_utf8(bytes).map_err(|_| KernelError::CorruptGraph {
+/// A malformed field of an untrusted payload.
+fn payload_err(e: ImageError) -> KernelError {
+    KernelError::CorruptGraph {
+        detail: format!("payload: {e}"),
+    }
+}
+
+/// A string field of an untrusted payload, checked in place — ASCII, which
+/// every path and label a runtime leaves is, a word at a time. This is the
+/// one check: what a restore keeps is the field's range. `#[inline]`, like
+/// everything the restore loop calls per object: the loop is generic, so it
+/// is compiled in its caller's crate.
+#[inline]
+fn check_utf8(bytes: &[u8], what: &str) -> Result<(), KernelError> {
+    if bytes.is_ascii() || std::str::from_utf8(bytes).is_ok() {
+        return Ok(());
+    }
+    Err(not_utf8(what))
+}
+
+#[cold]
+fn not_utf8(what: &str) -> KernelError {
+    KernelError::CorruptGraph {
         detail: format!("{what} not utf-8"),
-    })
+    }
+}
+
+/// The length-prefixed string field at `*pos` of `rec`'s payload, checked
+/// and kept where it lies: a span of the buffer the record is viewed out of
+/// (for a func-image, the mapped arena), not a copy.
+fn text_field(rec: &ObjView<'_>, pos: &mut usize, what: &str) -> Result<Text, KernelError> {
+    let field = varint::get_bytes(rec.payload(), pos).map_err(payload_err)?;
+    check_utf8(field, what)?;
+    let (buf, at) = rec.payload_source();
+    Ok(Text::span(
+        buf,
+        at.saturating_add(*pos - field.len()),
+        field.len(),
+    ))
 }
 
 impl GuestKernel {
@@ -118,7 +151,7 @@ impl GuestKernel {
             varint::put_u64(&mut payload, u64::from(task.pid));
             varint::put_u64(&mut payload, u64::from(task.ppid));
             varint::put_u64(&mut payload, u64::from(task.sid));
-            varint::put_bytes(&mut payload, task.name.as_bytes());
+            varint::put_bytes(&mut payload, task.name().as_bytes());
             let refs = task
                 .threads
                 .iter()
@@ -154,16 +187,16 @@ impl GuestKernel {
         // --- namespaces ---
         for (ns, ns_id) in self.tasks.namespaces().iter().zip(&ns_ids) {
             let mut p = Vec::new();
-            varint::put_bytes(&mut p, ns.kind.as_bytes());
+            varint::put_bytes(&mut p, ns.kind().as_bytes());
             varint::put_u64(&mut p, u64::from(ns.init_id));
             out.push(ObjRecord::new(*ns_id, ObjKind::Namespace, 0, vec![], p));
         }
         // --- mounts ---
         for (m, m_id) in self.vfs.mounts().iter().zip(&mount_ids) {
             let mut p = Vec::new();
-            varint::put_bytes(&mut p, m.source.as_bytes());
-            varint::put_bytes(&mut p, m.target.as_bytes());
-            varint::put_bytes(&mut p, m.fs_type.as_bytes());
+            varint::put_bytes(&mut p, m.source().as_bytes());
+            varint::put_bytes(&mut p, m.target().as_bytes());
+            varint::put_bytes(&mut p, m.fs_type().as_bytes());
             out.push(ObjRecord::new(*m_id, ObjKind::Mount, 0, vec![], p));
         }
         // --- dentries ---
@@ -209,7 +242,7 @@ impl GuestKernel {
         // --- files + fd slots (I/O state) ---
         for (((fd, desc), f_id), s_id) in fds.iter().zip(&file_ids).zip(&fdslot_ids) {
             let mut p = Vec::new();
-            varint::put_bytes(&mut p, desc.path.as_bytes());
+            varint::put_bytes(&mut p, desc.path().as_bytes());
             varint::put_u64(&mut p, desc.offset);
             let flags = u32::from(desc.writable) | (u32::from(desc.used) << 1);
             out.push(ObjRecord::new(*f_id, ObjKind::File, flags, vec![], p));
@@ -223,7 +256,7 @@ impl GuestKernel {
                 continue;
             };
             let mut p = Vec::new();
-            varint::put_bytes(&mut p, sock.addr.as_bytes());
+            varint::put_bytes(&mut p, sock.addr().as_bytes());
             varint::put_u64(
                 &mut p,
                 match sock.state {
@@ -278,9 +311,7 @@ impl GuestKernel {
         model: &CostModel,
     ) -> Result<GuestKernel, KernelError> {
         let bad = |detail: String| KernelError::CorruptGraph { detail };
-        let imgerr = |e: ImageError| KernelError::CorruptGraph {
-            detail: format!("payload: {e}"),
-        };
+        let imgerr = payload_err;
         // Typed narrowing for untrusted payload fields: out-of-range values
         // are corrupt input, not a reason to panic.
         let u32_of = |v: u64, what: &str| {
@@ -306,7 +337,7 @@ impl GuestKernel {
         let (mut dentries, mut waitqueues, mut misc, mut epolls) = (
             Table::default(),
             Lists::default(),
-            Table::default(),
+            Blobs::default(),
             Lists::default(),
         );
 
@@ -323,13 +354,13 @@ impl GuestKernel {
                     let pid = u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "task pid")?;
                     let ppid = u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "task ppid")?;
                     let sid = u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "task sid")?;
-                    let name = utf8(varint::get_bytes(p, &mut pos).map_err(imgerr)?, "task name")?;
+                    let name = text_field(&rec, &mut pos, "task name")?;
                     tasks_by_pid.insert(
                         pid,
                         Task {
                             pid,
                             ppid,
-                            name: name.into(),
+                            name,
                             threads: Vec::new(),
                             sid,
                         },
@@ -366,32 +397,24 @@ impl GuestKernel {
                         .install_restored_session(Session { sid, leader });
                 }
                 ObjKind::Namespace => {
-                    let kind = utf8(varint::get_bytes(p, &mut pos).map_err(imgerr)?, "ns kind")?;
+                    let kind = text_field(&rec, &mut pos, "ns kind")?;
                     let init_id =
                         u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "ns init id")?;
-                    kernel.tasks.install_restored_namespace(NamespaceInfo {
-                        kind: kind.into(),
-                        init_id,
-                    });
+                    kernel
+                        .tasks
+                        .install_restored_namespace(NamespaceInfo { kind, init_id });
                 }
                 ObjKind::Mount => {
-                    let read = |pos: &mut usize| -> Result<String, KernelError> {
-                        let field = varint::get_bytes(p, pos).map_err(imgerr)?;
-                        utf8(field, "mount field").map(str::to_string)
-                    };
+                    let mut read = || text_field(&rec, &mut pos, "mount field");
                     restored_mounts.push(crate::vfs::MountInfo {
-                        source: read(&mut pos)?,
-                        target: read(&mut pos)?,
-                        fs_type: read(&mut pos)?,
+                        source: read()?,
+                        target: read()?,
+                        fs_type: read()?,
                     });
                 }
                 ObjKind::Dentry => {
                     let path = varint::get_bytes(p, &mut pos).map_err(imgerr)?;
-                    // Only the check is needed here, and ASCII (every path a
-                    // runtime leaves) is a word-at-a-time test.
-                    if !path.is_ascii() {
-                        utf8(path, "dentry path")?;
-                    }
+                    check_utf8(path, "dentry path")?;
                     // The path ends at `pos` in the payload: keep where it
                     // lies in the records' buffer, not the bytes.
                     let (buf, at) = rec.payload_source();
@@ -427,13 +450,9 @@ impl GuestKernel {
                         u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "wq waiter")
                     }))?;
                 }
-                ObjKind::Misc => {
-                    let (buf, at) = rec.payload_source();
-                    let span = misc.place(buf, at, p.len());
-                    misc.push(span);
-                }
+                ObjKind::Misc => misc.push_record(&rec),
                 ObjKind::File => {
-                    let path = utf8(varint::get_bytes(p, &mut pos).map_err(imgerr)?, "file path")?;
+                    let path = text_field(&rec, &mut pos, "file path")?;
                     let offset = varint::get_u64(p, &mut pos).map_err(imgerr)?;
                     let writable = rec.flags & 1 != 0;
                     // Installed as read: records keep checkpoint order, so the
@@ -445,10 +464,7 @@ impl GuestKernel {
                 }
                 ObjKind::FdSlot => { /* slot numbering is restored via order */ }
                 ObjKind::Socket => {
-                    let addr = utf8(
-                        varint::get_bytes(p, &mut pos).map_err(imgerr)?,
-                        "socket addr",
-                    )?;
+                    let addr = text_field(&rec, &mut pos, "socket addr")?;
                     let state = match varint::get_u64(p, &mut pos).map_err(imgerr)? {
                         0 => SockState::Created,
                         1 => SockState::Listening,
@@ -469,7 +485,7 @@ impl GuestKernel {
 
         *kernel.dentries_mut() = dentries;
         *kernel.waitqueues_mut() = waitqueues;
-        *kernel.misc_mut() = misc;
+        *kernel.blobs_mut() = misc;
         *kernel.epolls_mut() = epolls;
         for pid in task_order {
             let task = tasks_by_pid
@@ -718,6 +734,79 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A mount field, descriptor path or socket address whose length runs
+    /// past its payload — and, its record moved last, past the whole arena —
+    /// is a typed error from the walk over a sealed func-image and from owned
+    /// records alike: never a short kernel, a panic, or a view of bytes that
+    /// are not the field's.
+    #[test]
+    fn text_fields_running_past_the_arena_are_corrupt_graphs() {
+        let (clock, model, k) = build_kernel();
+        let records = k.checkpoint_objects();
+        for kind in [ObjKind::Mount, ObjKind::File, ObjKind::Socket] {
+            let mut forged = records.clone();
+            let at = forged.iter().position(|r| r.kind == kind).unwrap();
+            let mut rec = forged.remove(at);
+            let mut payload = Vec::new();
+            varint::put_u64(&mut payload, 1 << 20);
+            payload.extend_from_slice(b"/short");
+            rec.payload = payload.into();
+            forged.push(rec);
+
+            let sealed = sealed_func_image(forged.clone());
+            let (arena, start) = sealed.iter().last().unwrap().payload_source();
+            assert!(start + (1 << 20) > arena.len(), "{kind:?} within the arena");
+            for restored in [
+                GuestKernel::restore_from_records("x", &sealed, test_fs(), false, &clock, &model),
+                GuestKernel::restore_from_records("x", &forged, test_fs(), false, &clock, &model),
+            ] {
+                match restored {
+                    Err(KernelError::CorruptGraph { detail }) => {
+                        assert!(detail.starts_with("payload: "), "{kind:?}: {detail}");
+                    }
+                    other => panic!("{kind:?}: {other:?}"),
+                }
+            }
+        }
+    }
+
+    /// The strings a restored kernel keeps are views of the arena it was
+    /// restored from, not copies.
+    #[test]
+    fn restored_strings_are_spans_of_the_arena() {
+        let (clock, model, k) = build_kernel();
+        let sealed = sealed_func_image(k.checkpoint_objects());
+        let arena = sealed.iter().next().unwrap().payload_source().0;
+        let arena = arena.as_ptr_range();
+        let restored =
+            GuestKernel::restore_from_records("r", &sealed, test_fs(), false, &clock, &model)
+                .unwrap();
+        let t = &restored.tasks;
+        let strings = (t.tasks().iter().map(|task| task.name()))
+            .chain(t.namespaces().iter().map(|ns| ns.kind()))
+            .chain(
+                restored
+                    .vfs
+                    .mounts()
+                    .iter()
+                    .flat_map(|m| [m.source(), m.target(), m.fs_type()]),
+            )
+            .chain(restored.vfs.iter_fds().map(|(_, desc)| desc.path()))
+            .chain(restored.net.iter().map(|sock| sock.addr()))
+            .filter(|s| !s.is_empty());
+        let mut seen = 0;
+        for s in strings {
+            let s = s.as_bytes().as_ptr_range();
+            assert!(
+                arena.start <= s.start && s.end <= arena.end,
+                "a copied string"
+            );
+            seen += 1;
+        }
+        assert!(seen > 15, "{seen} strings");
+        assert_eq!(restored.checkpoint_objects(), k.checkpoint_objects());
     }
 
     #[test]

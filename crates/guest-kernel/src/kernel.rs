@@ -8,7 +8,7 @@ use simtime::{CostModel, SimClock};
 use crate::gofer::FsServer;
 use crate::net::{SockState, SocketTable};
 use crate::syscalls::{SyscallClass, SyscallName};
-use crate::table::{Lists, Span, Table};
+use crate::table::{Blobs, Lists, Span, Table};
 use crate::tasks::TaskTable;
 use crate::threads::SentryThreads;
 use crate::timers::TimerTable;
@@ -90,7 +90,7 @@ pub struct GuestKernel {
     /// The thread ids blocked on each wait queue.
     waitqueues: Arc<Lists<u32>>,
     /// Opaque runtime objects: each row is its bytes.
-    misc: Arc<Table<Span>>,
+    misc: Arc<Blobs>,
     template_mode: bool,
     stats: KernelStats,
 }
@@ -179,15 +179,18 @@ impl GuestKernel {
 
     /// Opaque runtime objects (language runtime internals etc.).
     pub fn misc(&self) -> impl ExactSizeIterator<Item = &[u8]> {
-        let table = &*self.misc;
-        table.rows().iter().map(move |span| table.bytes(*span))
+        let (bytes, spans) = self.misc.spans();
+        spans.map(move |(start, end)| bytes.get(start..end).unwrap_or_default())
     }
 
     /// The runtime objects as views of the table's buffer, for a checkpoint:
     /// a reference count each, no copy.
     pub(crate) fn misc_shared(&self) -> impl Iterator<Item = SharedBytes> + '_ {
-        let table = &*self.misc;
-        table.rows().iter().map(move |span| table.shared(*span))
+        let (bytes, spans) = self.misc.spans();
+        spans.map(move |(start, end)| match bytes.get(start..end) {
+            Some(_) => bytes.slice(start..end),
+            None => SharedBytes::default(),
+        })
     }
 
     /// The dentry cache for writing; copies its rows first if an `sfork`
@@ -206,6 +209,11 @@ impl GuestKernel {
     }
 
     pub(crate) fn misc_mut(&mut self) -> &mut Table<Span> {
+        Arc::make_mut(&mut self.misc).rows_mut()
+    }
+
+    /// The runtime-object table itself, for a restore to install.
+    pub(crate) fn blobs_mut(&mut self) -> &mut Blobs {
         Arc::make_mut(&mut self.misc)
     }
 
@@ -256,7 +264,7 @@ impl GuestKernel {
         for (_, desc) in self.vfs.iter_fds() {
             conns.push(IoConn {
                 kind: imagefmt::IoConnKind::File,
-                target: desc.path.clone(),
+                target: desc.path().to_string(),
                 used_immediately: desc.used,
                 writable: desc.writable,
             });
@@ -264,7 +272,7 @@ impl GuestKernel {
         for sock in self.net.iter() {
             conns.push(IoConn {
                 kind: imagefmt::IoConnKind::Socket,
-                target: sock.addr.clone(),
+                target: sock.addr().to_string(),
                 // Listeners must be ready the moment the handler runs;
                 // outbound client connections reconnect lazily (§3.3).
                 used_immediately: sock.state == SockState::Listening,
@@ -584,6 +592,7 @@ mod tests {
             })
         };
         assert!(in_arena(&tmpl));
+        assert!(tmpl.misc.is_run(), "the runtime objects are their records");
         assert_eq!(table_counts(&tmpl), [1; 4]);
 
         let mut child = tmpl.sfork_clone("child", &clock, &model);
@@ -591,6 +600,7 @@ mod tests {
         child.misc_mut().push_bytes(b"written by the child");
         assert_eq!(shared_tables(&child, &tmpl), [true, true, true, false]);
         assert_eq!(table_counts(&tmpl), [2, 2, 2, 1]);
+        assert!(tmpl.misc.is_run() && !child.misc.is_run());
         assert!(in_arena(&tmpl));
         assert!(child.dentries().all(|d| {
             let path = d.path().as_bytes().as_ptr_range();
@@ -608,9 +618,44 @@ mod tests {
             &model,
         )
         .unwrap();
+        assert!(!oracle.misc.is_run(), "owned records lie in no image");
         oracle.misc_mut().push_bytes(b"written by the child");
         assert_eq!(tmpl.checkpoint_objects(), records);
         assert_eq!(child.checkpoint_objects(), oracle.checkpoint_objects());
+    }
+
+    /// Runtime objects that do not lie back to back in the image — one
+    /// moved to the front — are rows from the first one out of place, and
+    /// read back in record order all the same.
+    #[test]
+    fn a_broken_run_of_runtime_objects_becomes_rows() {
+        use crate::checkpoint::sealed_func_image;
+
+        let (clock, model, mut k) = setup();
+        for i in 0..5u8 {
+            k.misc_mut().push_bytes(&[i; 3]);
+        }
+        let mut records = k.checkpoint_objects();
+        let first = records
+            .iter()
+            .position(|r| r.kind == imagefmt::ObjKind::Misc)
+            .unwrap();
+        let moved = records.remove(first);
+        records.insert(0, moved);
+        let image = sealed_func_image(records.clone());
+        let restored = GuestKernel::restore_from_records(
+            "r",
+            &image,
+            Arc::clone(k.vfs.server()),
+            false,
+            &clock,
+            &model,
+        )
+        .unwrap();
+        assert!(!restored.misc.is_run());
+        let want = [[0u8; 3], [1; 3], [2; 3], [3; 3], [4; 3]];
+        assert!(restored.misc().eq(want.iter().map(|row| &row[..])));
+        assert_eq!(restored.checkpoint_objects().len(), records.len());
     }
 
     #[test]

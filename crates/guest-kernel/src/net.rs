@@ -6,6 +6,7 @@
 
 use simtime::{CostModel, SimClock};
 
+use crate::table::Text;
 use crate::KernelError;
 
 /// Socket lifecycle state.
@@ -25,11 +26,18 @@ pub struct Socket {
     /// Socket id within the table.
     pub id: u64,
     /// Bound / peer address.
-    pub addr: String,
+    pub(crate) addr: Text,
     /// Lifecycle state.
     pub state: SockState,
     /// False right after restore until reconnected.
     pub connected_to_host: bool,
+}
+
+impl Socket {
+    /// Bound / peer address.
+    pub fn addr(&self) -> &str {
+        self.addr.as_str()
+    }
 }
 
 /// The guest socket table.
@@ -72,7 +80,7 @@ impl SocketTable {
         clock.charge(model.host.syscall_base);
         self.push(Socket {
             id: 0,
-            addr: String::new(),
+            addr: Text::default(),
             state: SockState::Created,
             connected_to_host: true,
         })
@@ -114,7 +122,7 @@ impl SocketTable {
         if sock.state != SockState::Created {
             return Err(KernelError::BadSocketState { sock: id });
         }
-        sock.addr = addr.into();
+        sock.addr = Text::from(addr);
         sock.state = SockState::Listening;
         Ok(())
     }
@@ -141,7 +149,7 @@ impl SocketTable {
         if sock.state != SockState::Created {
             return Err(KernelError::BadSocketState { sock: id });
         }
-        sock.addr = addr.into();
+        sock.addr = Text::from(addr);
         sock.state = SockState::Connected;
         Ok(())
     }
@@ -166,7 +174,7 @@ impl SocketTable {
         }
         Ok(self.push(Socket {
             id: 0,
-            addr: peer.into(),
+            addr: Text::from(peer),
             state: SockState::Connected,
             connected_to_host: true,
         }))
@@ -238,10 +246,10 @@ impl SocketTable {
     }
 
     /// Installs a restored socket in the disconnected state.
-    pub fn install_restored(&mut self, addr: &str, state: SockState) -> u64 {
+    pub(crate) fn install_restored(&mut self, addr: Text, state: SockState) -> u64 {
         self.push(Socket {
             id: 0,
-            addr: addr.into(),
+            addr,
             state,
             connected_to_host: false,
         })
@@ -293,7 +301,7 @@ mod tests {
     #[test]
     fn restored_socket_reconnects_on_first_send() {
         let (clock, model, mut t) = setup();
-        let s = t.install_restored("cache:6379", SockState::Connected);
+        let s = t.install_restored(Text::from("cache:6379"), SockState::Connected);
         assert!(!t.get(s).unwrap().connected_to_host);
         t.send(s, 64, &clock, &model).unwrap();
         assert!(t.get(s).unwrap().connected_to_host);

@@ -7,8 +7,11 @@
 //! variable-length lists back to back in one `Vec`. Building either is a
 //! `Vec` and at most one reference count, dropping it is one free, and
 //! cloning it — what the first write behind an `sfork` relative does —
-//! copies rows, never bytes.
+//! copies rows, never bytes. The few strings other objects keep are
+//! [`Text`]s: views of the same arena, one each.
 
+use imagefmt::flat::{Payloads, RecordRun};
+use imagefmt::ObjView;
 use memsim::SharedBytes;
 
 /// A byte range of a [`Table`]'s buffer.
@@ -24,6 +27,67 @@ impl Span {
             start,
             end: start.saturating_add(len),
         }
+    }
+}
+
+/// A string a kernel object keeps: the task name, namespace kind, mount
+/// fields, descriptor path and socket address. A restored one is a span of
+/// the buffer its record is viewed out of — for a func-image, the mapped
+/// arena — held as a view: one reference count, no copy, no allocation, and
+/// no shared buffer that a later write would have to copy first (these
+/// tables grow after a restore: every request opens descriptors). One made
+/// at run time owns its bytes. Either way the bytes were checked to be UTF-8
+/// when it was made.
+#[derive(Clone)]
+pub(crate) enum Text {
+    /// A range of a restored record's buffer.
+    Span(SharedBytes),
+    /// Bytes of its own.
+    Own(Box<str>),
+}
+
+impl Text {
+    /// The `len` bytes at `at` of `buf`, in place (empty if they are not a
+    /// range of it). The caller has checked they are UTF-8.
+    pub(crate) fn span(buf: &SharedBytes, at: usize, len: usize) -> Text {
+        let end = at.saturating_add(len);
+        match buf.get(at..end) {
+            Some(_) => Text::Span(buf.slice(at..end)),
+            None => Text::default(),
+        }
+    }
+
+    pub(crate) fn as_str(&self) -> &str {
+        match self {
+            Text::Span(bytes) => std::str::from_utf8(bytes).unwrap_or_default(),
+            Text::Own(text) => text,
+        }
+    }
+}
+
+impl Default for Text {
+    fn default() -> Text {
+        Text::Own(Box::default())
+    }
+}
+
+impl From<&str> for Text {
+    fn from(text: &str) -> Text {
+        Text::Own(text.into())
+    }
+}
+
+impl PartialEq for Text {
+    fn eq(&self, other: &Text) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Text {}
+
+impl std::fmt::Debug for Text {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_str().fmt(f)
     }
 }
 
@@ -61,15 +125,6 @@ impl<R> Table<R> {
         self.bytes.get(span.start..span.end).unwrap_or_default()
     }
 
-    /// The bytes `span` covers as a view of this table's buffer: one
-    /// reference count, no copy.
-    pub(crate) fn shared(&self, span: Span) -> SharedBytes {
-        match self.bytes.get(span.start..span.end) {
-            Some(_) => self.bytes.slice(span.start..span.end),
-            None => SharedBytes::default(),
-        }
-    }
-
     /// Where the `len` bytes at `at` of `buf` lie in this table. In place
     /// when `buf` is the table's buffer, and a table without bytes yet takes
     /// `buf` as its buffer (one reference count) — so every object of a
@@ -100,6 +155,96 @@ impl Table<Span> {
         self.rows.push(span);
     }
 }
+
+/// A table whose rows are nothing but their bytes — the runtime objects.
+/// A kernel restored from a func-image, whose runtime objects lie there
+/// back to back, keeps that run of records and reads each row in place:
+/// no row per object. Anything else, and the first write, makes rows.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Blobs {
+    rows: Table<Span>,
+    /// The records every row is, while there is no row of `rows`.
+    run: Option<RecordRun>,
+}
+
+impl Blobs {
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len() + self.run.as_ref().map_or(0, RecordRun::len)
+    }
+
+    /// Adds `rec`'s payload as the next row: in place when `rec` is the
+    /// record right after the run this table is, or starts one.
+    #[inline]
+    pub(crate) fn push_record(&mut self, rec: &ObjView<'_>) {
+        if let Some(run) = &mut self.run {
+            if run.extend(rec) {
+                return;
+            }
+        } else if self.rows.len() == 0 {
+            self.run = rec.run();
+            if self.run.is_some() {
+                return;
+            }
+        }
+        let rows = self.rows_mut();
+        let (buf, at) = rec.payload_source();
+        let span = rows.place(buf, at, rec.payload().len());
+        rows.push(span);
+    }
+
+    /// The rows for writing; a run becomes rows of its arena first.
+    pub(crate) fn rows_mut(&mut self) -> &mut Table<Span> {
+        if let Some(run) = self.run.take() {
+            for (start, end) in run.payloads() {
+                let span = self
+                    .rows
+                    .place(run.arena(), start, end.saturating_sub(start));
+                self.rows.push(span);
+            }
+        }
+        &mut self.rows
+    }
+
+    /// True while the table is a run of records, with no row of its own.
+    #[cfg(test)]
+    pub(crate) fn is_run(&self) -> bool {
+        self.run.is_some()
+    }
+
+    /// The buffer every row is a range of, and the ranges in row order.
+    pub(crate) fn spans(&self) -> (&SharedBytes, BlobSpans<'_>) {
+        match &self.run {
+            Some(run) => (run.arena(), BlobSpans::Run(run.payloads())),
+            None => (&self.rows.bytes, BlobSpans::Rows(self.rows.rows.iter())),
+        }
+    }
+}
+
+/// The row ranges of a [`Blobs`] table, as `(start, end)` of its buffer.
+pub(crate) enum BlobSpans<'a> {
+    Rows(std::slice::Iter<'a, Span>),
+    Run(Payloads<'a>),
+}
+
+impl Iterator for BlobSpans<'_> {
+    type Item = (usize, usize);
+
+    fn next(&mut self) -> Option<(usize, usize)> {
+        match self {
+            BlobSpans::Rows(rows) => rows.next().map(|span| (span.start, span.end)),
+            BlobSpans::Run(run) => run.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            BlobSpans::Rows(rows) => rows.size_hint(),
+            BlobSpans::Run(run) => run.size_hint(),
+        }
+    }
+}
+
+impl ExactSizeIterator for BlobSpans<'_> {}
 
 /// Variable-length lists of `Copy` values, back to back: list `i` is
 /// `values[ends[i - 1]..ends[i]]`.
@@ -184,7 +329,6 @@ mod tests {
         assert_eq!(table.bytes(span), b"gamma");
         assert_eq!(table.bytes(table.rows()[1]), b"beta");
         assert_eq!(&arena[..], b"..alpha..beta..");
-        assert_eq!(&table.shared(span)[..], b"gamma");
     }
 
     #[test]

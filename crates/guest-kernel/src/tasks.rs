@@ -6,6 +6,7 @@
 
 use simtime::{CostModel, SimClock};
 
+use crate::table::Text;
 use crate::KernelError;
 
 /// A guest thread context.
@@ -27,11 +28,18 @@ pub struct Task {
     /// Parent pid (0 for the init task).
     pub ppid: u32,
     /// Command name.
-    pub name: String,
+    pub(crate) name: Text,
     /// Threads belonging to the task.
     pub threads: Vec<GuestThread>,
     /// Session id.
     pub sid: u32,
+}
+
+impl Task {
+    /// Command name.
+    pub fn name(&self) -> &str {
+        self.name.as_str()
+    }
 }
 
 /// A session / process-group record.
@@ -47,9 +55,16 @@ pub struct Session {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NamespaceInfo {
     /// Namespace kind label ("pid", "user", "net", ...).
-    pub kind: String,
+    pub(crate) kind: Text,
     /// Root identity mapped inside the namespace (pid 1 / uid 0).
     pub init_id: u32,
+}
+
+impl NamespaceInfo {
+    /// Namespace kind label ("pid", "user", "net", ...).
+    pub fn kind(&self) -> &str {
+        self.kind.as_str()
+    }
 }
 
 /// The guest task table.
@@ -222,7 +237,7 @@ impl TaskTable {
     }
 
     /// Installs a restored task verbatim.
-    pub fn install_restored_task(&mut self, task: Task) {
+    pub(crate) fn install_restored_task(&mut self, task: Task) {
         self.next_pid = self.next_pid.max(task.pid + 1);
         self.next_tid = self
             .next_tid
@@ -231,12 +246,12 @@ impl TaskTable {
     }
 
     /// Installs a restored session verbatim.
-    pub fn install_restored_session(&mut self, session: Session) {
+    pub(crate) fn install_restored_session(&mut self, session: Session) {
         self.sessions.push(session);
     }
 
     /// Installs a restored namespace verbatim.
-    pub fn install_restored_namespace(&mut self, ns: NamespaceInfo) {
+    pub(crate) fn install_restored_namespace(&mut self, ns: NamespaceInfo) {
         self.namespaces.push(ns);
     }
 }

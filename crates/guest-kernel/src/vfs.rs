@@ -25,6 +25,7 @@ use memsim::SharedBytes;
 use simtime::{CostModel, SimClock};
 
 use crate::gofer::{FsServer, GoferFd};
+use crate::table::Text;
 use crate::KernelError;
 
 /// Maximum guest descriptors per sandbox.
@@ -45,7 +46,7 @@ pub enum Backend {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileDesc {
     /// Path within the sandbox rootfs.
-    pub path: String,
+    pub(crate) path: Text,
     /// Current file offset.
     pub offset: u64,
     /// Whether writes are allowed.
@@ -59,15 +60,56 @@ pub struct FileDesc {
     pub used: bool,
 }
 
+impl FileDesc {
+    /// Path within the sandbox rootfs.
+    pub fn path(&self) -> &str {
+        self.path.as_str()
+    }
+}
+
 /// A mount-table entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MountInfo {
+    pub(crate) source: Text,
+    pub(crate) target: Text,
+    pub(crate) fs_type: Text,
+}
+
+impl MountInfo {
+    /// A mount of `source` at `target`, of type `fs_type`.
+    pub fn new(source: &str, target: &str, fs_type: &str) -> MountInfo {
+        MountInfo {
+            source: source.into(),
+            target: target.into(),
+            fs_type: fs_type.into(),
+        }
+    }
+
     /// Device / source label.
-    pub source: String,
+    pub fn source(&self) -> &str {
+        self.source.as_str()
+    }
+
     /// Mount point.
-    pub target: String,
+    pub fn target(&self) -> &str {
+        self.target.as_str()
+    }
+
     /// Filesystem type label.
-    pub fs_type: String,
+    pub fn fs_type(&self) -> &str {
+        self.fs_type.as_str()
+    }
+}
+
+/// One fd slot's description.
+#[derive(Debug, Clone)]
+enum Slot {
+    /// The description at this index of [`Vfs::restored`], read in place
+    /// until a write copies it out into a slot of its own.
+    Restored(usize),
+    /// A description of this sandbox's, shared with its `sfork` relatives
+    /// until either side writes it.
+    Own(Arc<FileDesc>),
 }
 
 /// The per-sandbox VFS.
@@ -83,7 +125,10 @@ pub struct Vfs {
     /// reads return zero-copy slices. Writes (off the restore hot path)
     /// rebuild the buffer — classic copy-on-write.
     upper: Arc<BTreeMap<String, SharedBytes>>,
-    fds: Vec<Option<Arc<FileDesc>>>,
+    fds: Vec<Option<Slot>>,
+    /// The descriptions a restore installed, in one table: a restore adds a
+    /// row per descriptor, not an allocation, and a fork shares the table.
+    restored: Arc<Vec<FileDesc>>,
     /// Empty slots in `fds`. An open reuses the lowest one; while there is
     /// none it appends without a scan, so a restore installing hundreds of
     /// descriptors is linear, not quadratic.
@@ -101,12 +146,9 @@ impl Vfs {
             server,
             upper: Arc::default(),
             fds: Vec::new(),
+            restored: Arc::default(),
             holes: 0,
-            mounts: Arc::new(vec![MountInfo {
-                source: "rootfs".into(),
-                target: "/".into(),
-                fs_type: "overlay".into(),
-            }]),
+            mounts: Arc::new(vec![MountInfo::new("rootfs", "/", "overlay")]),
             reconnects: 0,
         }
     }
@@ -123,7 +165,7 @@ impl Vfs {
 
     /// Replaces the whole mount table (restore path; no cost — the redo cost
     /// is accounted per-object by the restore engine).
-    pub fn set_mounts(&mut self, mounts: Vec<MountInfo>) {
+    pub(crate) fn set_mounts(&mut self, mounts: Vec<MountInfo>) {
         self.mounts = Arc::new(mounts);
     }
 
@@ -149,10 +191,13 @@ impl Vfs {
     }
 
     fn alloc_fd(&mut self, desc: FileDesc) -> Result<i32, KernelError> {
-        let desc = Arc::new(desc);
+        self.alloc_slot(Slot::Own(Arc::new(desc)))
+    }
+
+    fn alloc_slot(&mut self, slot: Slot) -> Result<i32, KernelError> {
         if self.holes > 0 {
             if let Some(i) = self.fds.iter().position(Option::is_none) {
-                self.fds[i] = Some(desc);
+                self.fds[i] = Some(slot);
                 self.holes -= 1;
                 return Ok(i as i32);
             }
@@ -160,25 +205,43 @@ impl Vfs {
         if self.fds.len() >= MAX_FDS {
             return Err(KernelError::ResourceExhausted { what: "guest fds" });
         }
-        self.fds.push(Some(desc));
+        self.fds.push(Some(slot));
         Ok((self.fds.len() - 1) as i32)
+    }
+
+    /// The description `slot` holds.
+    fn resolve<'a>(&'a self, slot: &'a Slot) -> Option<&'a FileDesc> {
+        match slot {
+            Slot::Restored(row) => self.restored.get(*row),
+            Slot::Own(desc) => Some(desc),
+        }
     }
 
     fn desc(&self, fd: i32) -> Result<&FileDesc, KernelError> {
         self.fds
             .get(fd as usize)
-            .and_then(Option::as_deref)
+            .and_then(Option::as_ref)
+            .and_then(|slot| self.resolve(slot))
             .ok_or(KernelError::BadFd { fd })
     }
 
-    /// The description for writing: copies it first if an `sfork` relative
-    /// still shares this slot.
+    /// The description for writing: copies it first out of the restored
+    /// table, or if an `sfork` relative still shares this slot.
     fn desc_mut(&mut self, fd: i32) -> Result<&mut FileDesc, KernelError> {
-        self.fds
+        let bad = || KernelError::BadFd { fd };
+        let slot = self
+            .fds
             .get_mut(fd as usize)
             .and_then(Option::as_mut)
-            .map(Arc::make_mut)
-            .ok_or(KernelError::BadFd { fd })
+            .ok_or_else(bad)?;
+        if let Slot::Restored(row) = *slot {
+            let desc = self.restored.get(row).ok_or_else(bad)?;
+            *slot = Slot::Own(Arc::new(desc.clone()));
+        }
+        match slot {
+            Slot::Own(desc) => Ok(Arc::make_mut(desc)),
+            Slot::Restored(_) => Err(bad()),
+        }
     }
 
     /// Opens `path`. Read-only opens resolve upper-then-lower; writable opens
@@ -287,9 +350,9 @@ impl Vfs {
         }
         let backend = match desc.backend {
             Backend::Upper => Backend::Upper,
-            Backend::Gofer(_) => Backend::Gofer(self.server.open(&desc.path, clock, model)?),
+            Backend::Gofer(_) => Backend::Gofer(self.server.open(desc.path(), clock, model)?),
             Backend::Persistent(_) => {
-                Backend::Persistent(self.server.grant_persistent(&desc.path, clock, model)?)
+                Backend::Persistent(self.server.grant_persistent(desc.path(), clock, model)?)
             }
         };
         let slot = self.desc_mut(fd)?;
@@ -318,7 +381,7 @@ impl Vfs {
             Backend::Upper => {
                 // `cloned()` bumps a refcount; `slice()` is a zero-copy view.
                 // Only the simulated guest→user copy is charged.
-                let content = self.upper.get(&desc.path).cloned().unwrap_or_default();
+                let content = self.upper.get(desc.path()).cloned().unwrap_or_default();
                 let start = usize::try_from(desc.offset)
                     .unwrap_or(usize::MAX)
                     .min(content.len());
@@ -360,7 +423,7 @@ impl Vfs {
             Backend::Upper => {
                 // Copy-on-write: materialize a private buffer, mutate, and
                 // store the new view.
-                let (path, off) = (desc.path.clone(), desc.offset as usize);
+                let (path, off) = (desc.path().to_string(), desc.offset as usize);
                 let entry = Arc::make_mut(&mut self.upper).entry(path).or_default();
                 let mut content = entry.to_vec();
                 if content.len() < off + data.len() {
@@ -452,17 +515,18 @@ impl Vfs {
             .fds
             .iter()
             .map(|slot| {
-                let desc = slot.as_ref()?;
+                let slot = slot.as_ref()?;
+                let desc = self.resolve(slot)?;
                 if let Backend::Persistent(_) = desc.backend {
-                    if let Ok(grant) = self.server.grant_persistent(&desc.path, clock, model) {
-                        return Some(Arc::new(FileDesc {
+                    if let Ok(grant) = self.server.grant_persistent(desc.path(), clock, model) {
+                        return Some(Slot::Own(Arc::new(FileDesc {
                             path: desc.path.clone(),
                             backend: Backend::Persistent(grant),
-                            ..**desc
-                        }));
+                            ..*desc
+                        })));
                     }
                 }
-                Some(Arc::clone(desc))
+                Some(slot.clone())
             })
             .collect();
         // Upper layer: CoW bookkeeping only.
@@ -471,6 +535,7 @@ impl Vfs {
             server: Arc::clone(&self.server),
             upper: Arc::clone(&self.upper),
             fds,
+            restored: Arc::clone(&self.restored),
             holes: self.holes,
             mounts: Arc::clone(&self.mounts),
             reconnects: 0,
@@ -479,20 +544,20 @@ impl Vfs {
 
     /// Installs a descriptor restored from a checkpoint, in the disconnected
     /// state (reconnection happens eagerly, lazily, or via the I/O cache
-    /// depending on the restore engine).
+    /// depending on the restore engine), as a row of the restored table.
     ///
     /// # Errors
     ///
     /// [`KernelError::ResourceExhausted`].
-    pub fn install_restored_fd(
+    pub(crate) fn install_restored_fd(
         &mut self,
-        path: &str,
+        path: Text,
         writable: bool,
         offset: u64,
     ) -> Result<i32, KernelError> {
         // A placeholder until `ensure_connected` re-grants `path`: it names
-        // no grant (id 0) and no path of its own, so the path is the one
-        // string a restored descriptor owns.
+        // no grant (id 0) and no path of its own, so a restored descriptor
+        // allocates nothing — its path is a view of the record's bytes.
         let placeholder = GoferFd {
             id: 0,
             path: String::new(),
@@ -503,22 +568,27 @@ impl Vfs {
         } else {
             Backend::Gofer(placeholder)
         };
-        self.alloc_fd(FileDesc {
-            path: path.into(),
+        if self.open_fds() >= MAX_FDS {
+            return Err(KernelError::ResourceExhausted { what: "guest fds" });
+        }
+        let row = self.restored.len();
+        Arc::make_mut(&mut self.restored).push(FileDesc {
+            path,
             offset,
             writable,
             backend,
             connected: false,
             used: false,
-        })
+        });
+        self.alloc_slot(Slot::Restored(row))
     }
 
     /// Iterates over open descriptors as `(fd, desc)`.
     pub fn iter_fds(&self) -> impl Iterator<Item = (i32, &FileDesc)> {
-        self.fds
-            .iter()
-            .enumerate()
-            .filter_map(|(i, d)| d.as_deref().map(|d| (i as i32, d)))
+        self.fds.iter().enumerate().filter_map(|(i, slot)| {
+            let desc = self.resolve(slot.as_ref()?)?;
+            Some((i as i32, desc))
+        })
     }
 
     /// Paths currently materialized in the upper overlay layer.
@@ -530,14 +600,18 @@ impl Vfs {
 #[cfg(test)]
 impl Vfs {
     /// Strong counts of what `sfork_clone` shares: the upper map, the mount
-    /// table, then each open slot.
+    /// table, the restored descriptions, then each open slot of its own.
     pub(crate) fn share_counts(&self) -> Vec<usize> {
         [
             Arc::strong_count(&self.upper),
             Arc::strong_count(&self.mounts),
+            Arc::strong_count(&self.restored),
         ]
         .into_iter()
-        .chain(self.fds.iter().flatten().map(Arc::strong_count))
+        .chain(self.fds.iter().flatten().filter_map(|slot| match slot {
+            Slot::Own(desc) => Some(Arc::strong_count(desc)),
+            Slot::Restored(_) => None,
+        }))
         .collect()
     }
 
@@ -666,7 +740,7 @@ mod tests {
     fn restored_fd_reconnects_on_first_use() {
         let (clock, model, mut vfs) = setup();
         let fd = vfs
-            .install_restored_fd("/app/config.json", false, 0)
+            .install_restored_fd(Text::from("/app/config.json"), false, 0)
             .unwrap();
         assert_eq!(vfs.reconnects(), 0);
         let before = vfs.server().opens_served();
@@ -677,6 +751,28 @@ mod tests {
         // Second read: no further reconnection.
         vfs.read(fd, 0, &clock, &model).unwrap();
         assert_eq!(vfs.reconnects(), 1);
+    }
+
+    /// Restored descriptions are rows of one table that a fork shares whole;
+    /// the first write through a slot copies that one row out, on whichever
+    /// side writes, and the other side still reads the row.
+    #[test]
+    fn restored_descriptors_are_shared_rows_until_written() {
+        let (clock, model, mut vfs) = setup();
+        let fds: Vec<i32> = ["/app/config.json", "/lib/base.so"]
+            .into_iter()
+            .map(|path| vfs.install_restored_fd(Text::from(path), false, 0).unwrap())
+            .collect();
+        let mut child = vfs.sfork_clone(&clock, &model);
+        assert_eq!(vfs.share_counts(), [2, 2, 2]);
+        assert_eq!(child.shared_with(&vfs), (true, true, fds.clone()));
+
+        assert_eq!(&child.read(fds[1], 4, &clock, &model).unwrap()[..], &[1; 4]);
+        assert_eq!(child.shared_with(&vfs), (true, true, vec![fds[0]]));
+        assert_eq!(child.share_counts(), [2, 2, 2, 1]);
+        let (_, parent_desc) = vfs.iter_fds().nth(1).unwrap();
+        assert_eq!((parent_desc.offset, parent_desc.connected), (0, false));
+        assert_eq!(parent_desc.path(), "/lib/base.so");
     }
 
     #[test]
@@ -715,15 +811,7 @@ mod tests {
     fn mounts_register() {
         let (clock, model, mut vfs) = setup();
         assert_eq!(vfs.mounts().len(), 1);
-        vfs.mount(
-            MountInfo {
-                source: "proc".into(),
-                target: "/proc".into(),
-                fs_type: "procfs".into(),
-            },
-            &clock,
-            &model,
-        );
+        vfs.mount(MountInfo::new("proc", "/proc", "procfs"), &clock, &model);
         assert_eq!(vfs.mounts().len(), 2);
     }
 }

@@ -27,8 +27,8 @@ use simtime::{CostModel, SimClock};
 
 use crate::record::REF_PLACEHOLDER;
 use crate::{
-    crc32, varint, CheckpointSource, ImageError, IoConn, IoConnKind, ObjKind, ObjRecord,
-    PagePayload,
+    crc32, varint, CheckpointSource, ImageError, IoConn, IoConnKind, IoConnView, ObjKind,
+    ObjRecord, PagePayload,
 };
 
 const MAGIC: &[u8; 4] = b"CLIM";
@@ -178,7 +178,7 @@ pub fn read_uncharged(
         })?;
     let mut io_conns = Vec::with_capacity(n_conns.min(body.len()));
     for _ in 0..n_conns {
-        io_conns.push(decode_conn(&body, &mut pos)?);
+        io_conns.push(IoConn::from(decode_conn(&body, &mut pos)?));
     }
 
     let n_pages =
@@ -273,7 +273,11 @@ pub(crate) fn encode_conn(out: &mut Vec<u8>, conn: &IoConn) {
     varint::put_bytes(out, conn.target.as_bytes());
 }
 
-pub(crate) fn decode_conn(buf: &[u8], pos: &mut usize) -> Result<IoConn, ImageError> {
+/// The connection at `*pos` of `buf`, read in place.
+pub(crate) fn decode_conn<'a>(
+    buf: &'a [u8],
+    pos: &mut usize,
+) -> Result<IoConnView<'a>, ImageError> {
     let get_byte = |pos: &mut usize| -> Result<u8, ImageError> {
         let b = *buf
             .get(*pos)
@@ -292,12 +296,11 @@ pub(crate) fn decode_conn(buf: &[u8], pos: &mut usize) -> Result<IoConn, ImageEr
     };
     let used_immediately = get_byte(pos)? != 0;
     let writable = get_byte(pos)? != 0;
-    let target = std::str::from_utf8(varint::get_bytes(buf, pos)?)
-        .map(str::to_string)
-        .map_err(|_| ImageError::Truncated {
+    let target =
+        std::str::from_utf8(varint::get_bytes(buf, pos)?).map_err(|_| ImageError::Truncated {
             what: "io conn target",
         })?;
-    Ok(IoConn {
+    Ok(IoConnView {
         kind,
         target,
         used_immediately,

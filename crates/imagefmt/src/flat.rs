@@ -20,16 +20,19 @@
 //! patching. This is the mechanism behind the paper's 7× "kernel loading"
 //! reduction in Figure 12.
 //!
-//! The host code does the same. [`FlatImage::restore_metadata`] returns a
-//! [`RestoredRecords`]: the mapped arena, one 32-byte slot per object (its
-//! scalar fields, where its payload lies, how many pointers it has) and one
-//! pointer table — three allocations whatever the object count, none per
-//! object. Stage 2 is a single in-order pass over the relation table, whose
-//! targets *are* that pointer table: the writer emits one entry per pointer
-//! slot, `(record, slot)` strictly increasing, so "the next entry is the slot
-//! that is due" is the whole check — order, duplicates, dangling entries and
-//! uncovered slots all fail it — and the arena's own slot bytes are never
-//! read. Objects are read through borrowed [`ObjView`]s.
+//! The host code does the same, in one pass. [`FlatImage::restore_metadata`]
+//! checksums the three metadata sections, then walks the records once: each
+//! index entry must be where the previous record ended (the records tile the
+//! arena), each header must bound its body inside it, and the relation table
+//! must cover every pointer slot exactly once, in order — the writer emits
+//! one entry per slot, `(record, slot)` strictly increasing, so "the next
+//! entry is the slot that is due" is the whole check, and order, duplicates,
+//! dangling entries and uncovered slots all fail it. Nothing is stored: what
+//! comes back, a [`RestoredRecords`], is the three sections themselves, a
+//! view the check has validated, and a reader walks them once more through
+//! borrowed [`ObjView`]s — a record's pointers are its run of relation
+//! entries, read in place; the arena's own slot bytes are never read. Three
+//! reference counts whatever the object count; no allocation.
 //!
 //! Every pointer is really taken from the table and totality really checked,
 //! on the calling thread; only the parallel *schedule* is modelled. Spawning
@@ -59,18 +62,17 @@ use memsim::{EptEntry, EptLayer, MappedImage, SharedBytes, Vpn, PAGE_SIZE, PAGE_
 use simtime::{CostModel, SimClock};
 
 use crate::crc::Crc32;
-use crate::record::{PayloadBuf, REF_PLACEHOLDER};
+use crate::record::{relation_entry, PayloadBuf, REF_PLACEHOLDER, REL_ENTRY};
 use crate::varint::{read_u16_le, read_u32_le, read_u64_le};
 use crate::{
-    classic, crc32, CheckpointSource, ImageError, IoConn, ObjId, ObjKind, ObjRecord, ObjView,
+    classic, crc32, CheckpointSource, ImageError, IoConn, IoConnView, ObjId, ObjKind, ObjRecord,
+    ObjView,
 };
 
 const MAGIC: &[u8; 4] = b"FUNC";
 const VERSION: u32 = 1;
 /// Fixed record header: id(8) kind(2) flags(4) nrefs(2) payload_len(4).
 const REC_HEADER: usize = 20;
-/// Relation-table entry: record(4) slot(2) target(8).
-const REL_ENTRY: usize = 14;
 /// Heap pages the writer places between two checksum folds: 256 KiB, still
 /// in L2 when the fold reads them back. A fold's last 2,400 B take the
 /// checksum's table loop whatever its length, a cost a batch pays once and a
@@ -383,17 +385,19 @@ impl FlatImage {
         Ok(bytes)
     }
 
-    /// **Separated state recovery** (§3.2): stage 1 maps the metadata arena
-    /// — one fixed-size slot per object saying where its fields lie, no
-    /// per-object decode or allocation; stage 2 re-establishes pointer
-    /// relations in one pass over the relation table, which *becomes* the
-    /// pointer table, charging the critical path of `model.parallel_workers`
-    /// modelled workers over contiguous record chunks.
+    /// **Separated state recovery** (§3.2): stage 1 maps the metadata
+    /// sections — a checksum pass each, no per-object decode, copy or
+    /// allocation; stage 2 re-establishes pointer relations from the
+    /// relation table, charging the critical path of `model.parallel_workers`
+    /// modelled workers over contiguous record chunks. Both are one pass over
+    /// the records that checks every header and every relation entry and
+    /// keeps nothing but the sections: the result is a validated view.
     ///
     /// # Errors
     ///
-    /// [`ImageError`] on corrupt sections, malformed records, or a relation
-    /// table that does not cover every pointer slot exactly once, in order:
+    /// [`ImageError`] on corrupt sections, malformed records, index entries
+    /// that do not lead from one record to the next, or a relation table that
+    /// does not cover every pointer slot exactly once, in order:
     /// [`ImageError::BadRelation`] names the first slot left uncovered, or the
     /// entry before it that is dangling, duplicated or out of order.
     pub fn restore_metadata(
@@ -415,39 +419,40 @@ impl FlatImage {
         if index.len() != want {
             return Err(ImageError::Truncated { what: "meta index" });
         }
-        // Bounded by the (already size-checked) index section itself.
-        let mut slots = Vec::with_capacity(n_objects);
-        for entry in index.as_chunks::<8>().0 {
-            let off =
-                usize::try_from(u64::from_le_bytes(*entry)).map_err(|_| ImageError::Malformed {
-                    what: "meta index entry",
-                })?;
-            slots.push(parse_arena_record(&arena, off)?);
-        }
-
-        // Stage 2: pointer re-establishment, in one pass. The writer emits
-        // one entry per pointer slot, `(record, slot)` strictly increasing,
-        // so the entry that is due is known before it is read and the
-        // targets, in table order, are each record's pointers back to back.
-        // What the arena holds in a slot is never read, and no two entries
-        // write one slot: any partition over workers yields these same
-        // records, and only that partition's schedule is modelled.
         let (entries, stray) = rel.as_chunks::<REL_ENTRY>();
         if !stray.is_empty() {
             return Err(ImageError::Truncated {
                 what: "relation table",
             });
         }
+
+        // The check of stage 1 and stage 2's pointer re-establishment, in one
+        // pass. The writer lays records down back to back and emits one
+        // relation entry per pointer slot, `(record, slot)` strictly
+        // increasing, so both where the next record starts and the entry
+        // that is due are known before either is read; a record's pointers
+        // are then its run of entries, which a view reads in place. What the
+        // arena holds in a slot is never read, and no two entries write one
+        // slot: any partition over workers yields these same records, and
+        // only that partition's schedule is modelled — the slowest chunk's
+        // pointer count, tallied as the pass goes.
+        let chunk_len = n_objects.div_ceil(model.parallel_workers.max(1)).max(1);
+        let (mut chunk_left, mut patched, mut slowest) = (chunk_len, 0u64, 0u64);
         let mut entries = entries.iter().map(relation_entry);
-        // Bounded by the relation section itself.
-        let mut refs = Vec::with_capacity(entries.len());
-        for (i, rec) in slots.iter().enumerate() {
+        let mut at = 0usize;
+        for (i, entry) in index.as_chunks::<8>().0.iter().enumerate() {
+            if index_offset(entry) != Some(at) {
+                return Err(ImageError::Malformed {
+                    what: "meta index entry",
+                });
+            }
+            let Some(rec) = header_at(&arena, at) else {
+                return Err(record_error(&arena, at));
+            };
             for due_slot in 0..rec.n_refs {
                 let due = (w64(i), due_slot);
                 match entries.next() {
-                    Some((record, slot, target)) if (u64::from(record), slot) == due => {
-                        refs.push(target);
-                    }
+                    Some((record, slot, _)) if (u64::from(record), slot) == due => {}
                     // Behind the slot that is due: dangling, a duplicate, or
                     // out of order.
                     Some((record, slot, _)) if (u64::from(record), slot) < due => {
@@ -463,22 +468,35 @@ impl FlatImage {
                     }
                 }
             }
+            at = rec.payload.1;
+            patched += u64::from(rec.n_refs);
+            chunk_left -= 1;
+            if chunk_left == 0 {
+                (chunk_left, slowest, patched) = (chunk_len, slowest.max(patched), 0);
+            }
+        }
+        if at != arena.len() {
+            return Err(ImageError::Malformed {
+                what: "meta arena past its last record",
+            });
         }
         // Totality the other way round: no entry without a slot.
         if let Some((record, slot, _)) = entries.next() {
             return Err(ImageError::BadRelation { record, slot });
         }
-        let workers = model.parallel_workers.max(1);
-        let chunk_len = slots.len().div_ceil(workers).max(1);
-        clock.charge_parallel(slots.chunks(chunk_len).map(|chunk| {
-            let patched = chunk.iter().map(|rec| u64::from(rec.n_refs)).sum();
-            model.obj.fixup_per_pointer.saturating_mul(patched)
-        }));
-        Ok(RestoredRecords { arena, slots, refs })
+        clock.charge_parallel([model
+            .obj
+            .fixup_per_pointer
+            .saturating_mul(slowest.max(patched))]);
+        Ok(RestoredRecords { index, arena, rel })
     }
 
     /// Reads the I/O manifest (cheap; the manifest is tiny — Table 3 shows
-    /// 370 B–2.4 KB of cached connections).
+    /// 370 B–2.4 KB of cached connections): the checksum, then one pass
+    /// that checks every connection and keeps nothing. What comes back is a
+    /// validated view of the section, like [`FlatImage::restore_metadata`]'s
+    /// records: a boot reads each connection's hints in place and never
+    /// copies a target.
     ///
     /// # Errors
     ///
@@ -487,22 +505,19 @@ impl FlatImage {
         &self,
         clock: &SimClock,
         model: &CostModel,
-    ) -> Result<Vec<IoConn>, ImageError> {
+    ) -> Result<IoManifest, ImageError> {
         let bytes = self.section_bytes(self.sections.io_manifest, "io manifest", clock, model)?;
         let mut pos = 0usize;
-        let n = usize::try_from(crate::varint::get_u64(&bytes, &mut pos)?).map_err(|_| {
+        let len = usize::try_from(crate::varint::get_u64(&bytes, &mut pos)?).map_err(|_| {
             ImageError::Malformed {
                 what: "io manifest count",
             }
         })?;
-        // Every connection takes at least one byte, so a count larger than
-        // the section is already known-bad; the cap keeps a forged count
-        // from pre-allocating unbounded memory.
-        let mut conns = Vec::with_capacity(n.min(bytes.len()));
-        for _ in 0..n {
-            conns.push(classic::decode_conn(&bytes, &mut pos)?);
+        let first = pos;
+        for _ in 0..len {
+            classic::decode_conn(&bytes, &mut pos)?;
         }
-        Ok(conns)
+        Ok(IoManifest { bytes, first, len })
     }
 
     /// Reads the `(vpn → image page)` application-memory index.
@@ -570,11 +585,11 @@ impl FlatImage {
     }
 }
 
-/// Where one object's fields lie: its scalar fields by value, its payload
-/// as a range of the arena, its pointers as a count — they are the next
-/// `n_refs` entries of the pointer table, records being laid down in order.
+/// One record's header, read where it lies: its scalar fields, its pointer
+/// count — the record's run of relation entries is that long — and where
+/// its payload lies in the arena, which is where the record ends.
 #[derive(Debug, Clone, Copy)]
-struct Slot {
+struct Header {
     id: ObjId,
     flags: u32,
     kind: ObjKind,
@@ -582,89 +597,92 @@ struct Slot {
     payload: (usize, usize),
 }
 
-/// Reads one record header out of the mapped metadata arena and bounds the
-/// body behind it — stage 1 of separated state recovery maps object fields,
-/// it never duplicates them (§3.2). The pointer slots are stepped over, not
-/// read: stage 2 takes every pointer from the relation table.
-fn parse_arena_record(arena: &[u8], off: usize) -> Result<Slot, ImageError> {
-    let mut pos = off;
-    let id = read_u64_le(arena, &mut pos, "arena record")?;
-    let code = read_u16_le(arena, &mut pos, "arena record")?;
-    let kind = ObjKind::from_code(code).ok_or(ImageError::BadObjKind { code })?;
-    let flags = read_u32_le(arena, &mut pos, "arena record")?;
-    let n_refs = read_u16_le(arena, &mut pos, "arena record")?;
-    let payload_len =
-        usize::try_from(read_u32_le(arena, &mut pos, "arena record")?).map_err(|_| {
-            ImageError::Malformed {
-                what: "arena payload length",
-            }
-        })?;
-    debug_assert_eq!(pos, off + REC_HEADER);
-    let refs_end = pos
-        .checked_add(
-            usize::from(n_refs)
-                .checked_mul(8)
-                .ok_or(ImageError::Malformed { what: "arena refs" })?,
-        )
-        .ok_or(ImageError::Malformed { what: "arena refs" })?;
-    let end = refs_end
-        .checked_add(payload_len)
-        .ok_or(ImageError::Malformed {
-            what: "arena payload length",
-        })?;
-    if end > arena.len() {
-        return Err(ImageError::Truncated {
-            what: "arena record body",
-        });
-    }
-    Ok(Slot {
-        id,
-        flags,
+/// The arena offset a meta-index entry holds (`None` past `usize`).
+#[inline]
+fn index_offset(entry: &[u8; 8]) -> Option<usize> {
+    usize::try_from(u64::from_le_bytes(*entry)).ok()
+}
+
+/// Reads the record header at `at` of the mapped metadata arena and bounds
+/// the body behind it — separated state recovery maps object fields, it
+/// never duplicates them (§3.2). The pointer slots are stepped over, not
+/// read: every pointer comes from the relation table. `None` when there is
+/// no well-formed record there; [`record_error`] says why. Both passes over
+/// the records read headers through this one function, and the second is
+/// compiled into the guest kernel's build loop, so it is a handful of loads
+/// and compares with nothing to call.
+#[inline]
+fn header_at(arena: &[u8], at: usize) -> Option<Header> {
+    let (head, _) = arena.get(at..)?.split_first_chunk::<REC_HEADER>()?;
+    let [i0, i1, i2, i3, i4, i5, i6, i7, k0, k1, f0, f1, f2, f3, n0, n1, l0, l1, l2, l3] = *head;
+    let kind = ObjKind::from_code(u16::from_le_bytes([k0, k1]))?;
+    let n_refs = u16::from_le_bytes([n0, n1]);
+    // At most 65,535 slots of 8 bytes: no overflow before the add.
+    let refs_end = at.checked_add(REC_HEADER + usize::from(n_refs) * 8)?;
+    let payload_len = usize::try_from(u32::from_le_bytes([l0, l1, l2, l3])).ok()?;
+    let end = refs_end.checked_add(payload_len)?;
+    (end <= arena.len()).then_some(Header {
+        id: ObjId::from_le_bytes([i0, i1, i2, i3, i4, i5, i6, i7]),
+        flags: u32::from_le_bytes([f0, f1, f2, f3]),
         kind,
         n_refs,
         payload: (refs_end, end),
     })
 }
 
-/// One relation-table entry: `(record, pointer slot, target object)`.
-fn relation_entry(entry: &[u8; REL_ENTRY]) -> (u32, u16, ObjId) {
-    let [r0, r1, r2, r3, s0, s1, target @ ..] = *entry;
-    (
-        u32::from_le_bytes([r0, r1, r2, r3]),
-        u16::from_le_bytes([s0, s1]),
-        ObjId::from_le_bytes(target),
-    )
+/// Why [`header_at`] found no record at `at`: the header read field by
+/// field, each failure typed.
+#[cold]
+fn record_error(arena: &[u8], at: usize) -> ImageError {
+    let mut pos = at;
+    let mut read_header = || -> Result<(), ImageError> {
+        read_u64_le(arena, &mut pos, "arena record")?;
+        let code = read_u16_le(arena, &mut pos, "arena record")?;
+        ObjKind::from_code(code).ok_or(ImageError::BadObjKind { code })?;
+        read_u32_le(arena, &mut pos, "arena record")?;
+        read_u16_le(arena, &mut pos, "arena record")?;
+        read_u32_le(arena, &mut pos, "arena record")?;
+        Ok(())
+    };
+    match read_header() {
+        Err(e) => e,
+        Ok(()) => ImageError::Truncated {
+            what: "arena record body",
+        },
+    }
 }
 
 /// The metadata objects of a restored func-image, as separated state
-/// recovery leaves them: the mapped arena (held once), one fixed-size slot
-/// per object, and one pointer table. Nothing here is per object on the
-/// heap; an object is read through a borrowed [`ObjView`], in checkpoint
-/// order, by iterating `&records`.
+/// recovery leaves them: the mapped index, arena and relation table, held
+/// once each, that [`FlatImage::restore_metadata`] checked record by record.
+/// Nothing here is per object; an object is read through a borrowed
+/// [`ObjView`], in checkpoint order, by iterating `&records` — one walk down
+/// the three sections side by side.
 pub struct RestoredRecords {
+    index: SharedBytes,
     arena: SharedBytes,
-    slots: Vec<Slot>,
-    /// Every record's pointers, back to back in record order.
-    refs: Vec<ObjId>,
+    rel: SharedBytes,
 }
 
 impl RestoredRecords {
     /// Number of objects.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.index.len() / 8
     }
 
     /// True for an image without metadata objects.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.index.is_empty()
     }
 
     /// The objects, in checkpoint order.
     pub fn iter(&self) -> Views<'_> {
         Views {
             arena: PayloadBuf::from(&self.arena),
-            slots: self.slots.iter(),
-            refs: &self.refs,
+            index_section: &self.index,
+            index: self.index.as_chunks::<8>().0.iter(),
+            number: 0,
+            relations: self.rel.as_chunks::<REL_ENTRY>().0,
         }
     }
 }
@@ -691,13 +709,191 @@ impl fmt::Debug for RestoredRecords {
     }
 }
 
+/// Records of a restored func-image that lie one after another, held as
+/// the index section, the arena and a range of record numbers: two
+/// reference counts however many records there are. A table whose rows are
+/// these records' payloads — the guest kernel's runtime objects — keeps the
+/// run instead of a row each and reads every row in place.
+#[derive(Debug, Clone)]
+pub struct RecordRun {
+    index: SharedBytes,
+    arena: SharedBytes,
+    first: usize,
+    len: usize,
+}
+
+impl RecordRun {
+    pub(crate) fn new(index: &SharedBytes, arena: &SharedBytes, first: usize) -> RecordRun {
+        RecordRun {
+            index: index.clone(),
+            arena: arena.clone(),
+            first,
+            len: 1,
+        }
+    }
+
+    /// Grows the run by `rec` when `rec` is the record right after it, of
+    /// the same image; returns false, the run unchanged, otherwise.
+    #[inline]
+    pub fn extend(&mut self, rec: &ObjView<'_>) -> bool {
+        match rec.record {
+            Some((index, number))
+                if number == self.first + self.len && index.same_view(&self.index) =>
+            {
+                self.len += 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True for a run without records.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The buffer the records' payloads lie in.
+    pub fn arena(&self) -> &SharedBytes {
+        &self.arena
+    }
+
+    /// Where each record's payload lies in [`RecordRun::arena`], in record
+    /// order, as `(start, end)`.
+    pub fn payloads(&self) -> Payloads<'_> {
+        let entries = self
+            .first
+            .checked_mul(8)
+            .zip(
+                self.first
+                    .checked_add(self.len)
+                    .and_then(|n| n.checked_mul(8)),
+            )
+            .and_then(|(start, end)| self.index.get(start..end))
+            .unwrap_or_default();
+        Payloads {
+            arena: &self.arena,
+            index: entries.as_chunks::<8>().0.iter(),
+        }
+    }
+}
+
+/// Iterator over the payload ranges of a [`RecordRun`].
+#[derive(Debug, Clone)]
+pub struct Payloads<'a> {
+    arena: &'a [u8],
+    index: std::slice::Iter<'a, [u8; 8]>,
+}
+
+impl Iterator for Payloads<'_> {
+    type Item = (usize, usize);
+
+    fn next(&mut self) -> Option<(usize, usize)> {
+        // A run is made of records `restore_metadata` checked.
+        let rec = header_at(self.arena, index_offset(self.index.next()?)?)?;
+        Some(rec.payload)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.index.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Payloads<'_> {}
+
+/// The I/O manifest of a func-image, as [`FlatImage::read_io_manifest`]
+/// leaves it: the mapped section, checked connection by connection. Nothing
+/// here is per connection; iterate `&manifest` for borrowed
+/// [`IoConnView`]s, in checkpoint order.
+pub struct IoManifest {
+    bytes: SharedBytes,
+    /// Where the first connection starts, after the count.
+    first: usize,
+    len: usize,
+}
+
+impl IoManifest {
+    /// Number of connections.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True for a manifest without connections.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The connections, in checkpoint order.
+    pub fn iter(&self) -> Conns<'_> {
+        Conns {
+            bytes: &self.bytes,
+            pos: self.first,
+            left: self.len,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a IoManifest {
+    type Item = IoConnView<'a>;
+    type IntoIter = Conns<'a>;
+    fn into_iter(self) -> Conns<'a> {
+        self.iter()
+    }
+}
+
+/// Equal to the connections a writer was given when every view equals its
+/// connection, in order.
+impl PartialEq<Vec<IoConn>> for IoManifest {
+    fn eq(&self, conns: &Vec<IoConn>) -> bool {
+        self.len() == conns.len() && self.iter().zip(conns).all(|(view, conn)| view == *conn)
+    }
+}
+
+impl fmt::Debug for IoManifest {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self).finish()
+    }
+}
+
+/// Iterator over the connections of an [`IoManifest`].
+#[derive(Debug, Clone)]
+pub struct Conns<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    left: usize,
+}
+
+impl<'a> Iterator for Conns<'a> {
+    type Item = IoConnView<'a>;
+
+    fn next(&mut self) -> Option<IoConnView<'a>> {
+        self.left = self.left.checked_sub(1)?;
+        // `read_io_manifest` decoded every connection once already.
+        classic::decode_conn(self.bytes, &mut self.pos).ok()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Conns<'_> {}
+
 /// Iterator over the objects of a [`RestoredRecords`].
 #[derive(Debug, Clone)]
 pub struct Views<'a> {
     arena: PayloadBuf<'a>,
-    slots: std::slice::Iter<'a, Slot>,
-    /// The pointers of the objects still to come.
-    refs: &'a [ObjId],
+    index_section: &'a SharedBytes,
+    /// The index entries of the records still to come.
+    index: std::slice::Iter<'a, [u8; 8]>,
+    /// The number of the next record.
+    number: usize,
+    /// The relation entries of the records still to come.
+    relations: &'a [[u8; REL_ENTRY]],
 }
 
 impl<'a> Iterator for Views<'a> {
@@ -705,23 +901,25 @@ impl<'a> Iterator for Views<'a> {
 
     #[inline]
     fn next(&mut self) -> Option<ObjView<'a>> {
-        let slot = self.slots.next()?;
-        // Stage 2 pushed exactly `n_refs` pointers per slot and stage 1
-        // bounded every payload, so neither lookup can miss.
-        let (refs, rest) = self.refs.split_at_checked(usize::from(slot.n_refs))?;
-        self.refs = rest;
-        ObjView::new(
-            slot.id,
-            slot.kind,
-            slot.flags,
-            refs,
+        // `restore_metadata` checked that every index entry leads to a
+        // record that bounds its body, and that the relation table covers
+        // their slots in order, so none of these lookups can miss.
+        let rec = header_at(self.arena.bytes(), index_offset(self.index.next()?)?)?;
+        let (relations, rest) = self.relations.split_at_checked(usize::from(rec.n_refs))?;
+        self.relations = rest;
+        let number = self.number;
+        self.number += 1;
+        ObjView::restored(
+            (rec.id, rec.kind, rec.flags),
+            relations,
             self.arena,
-            slot.payload,
+            rec.payload,
+            (self.index_section, number),
         )
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.slots.size_hint()
+        self.index.size_hint()
     }
 }
 
@@ -860,22 +1058,33 @@ mod tests {
         }
     }
 
-    /// Stage 2 fills one pointer table: every view's `refs` is the slice of
-    /// it that follows the previous view's, not a vector of the object's own.
+    /// Nothing is copied or kept per object: the records are the index, the
+    /// arena and the relation section of the mapped image, three views of its
+    /// buffer, and
+    /// every view's pointers are read out of the relation section.
     #[test]
-    fn restored_refs_live_in_one_table() {
+    fn restored_records_are_three_views_of_the_image() {
         let (clock, model) = setup();
         let src = sample_source(300, 0);
-        let flat = FlatImage::parse(&make_image(&src), &clock, &model).unwrap();
+        let img = make_image(&src);
+        let flat = FlatImage::parse(&img, &clock, &model).unwrap();
         let objects = flat.restore_metadata(&clock, &model).unwrap();
-        assert_eq!(objects.refs.len() as u64, src.pointer_count());
-        assert_eq!(std::mem::size_of::<Slot>(), 32);
-        let mut next = objects.refs.as_ptr();
-        for obj in &objects {
-            assert_eq!(obj.refs.as_ptr(), next, "object {} owns its refs", obj.id);
-            next = obj.refs.as_ptr_range().end;
+        let image = img.raw_bytes().as_ptr_range();
+        for (view, section) in [
+            (&objects.index, flat.sections.meta_index),
+            (&objects.arena, flat.sections.meta_arena),
+            (&objects.rel, flat.sections.rel_table),
+        ] {
+            assert_eq!(view.len() as u64, section.len);
+            assert_eq!(
+                view.as_ptr(),
+                image.start.wrapping_add(section.offset as usize)
+            );
         }
-        assert_eq!(next, objects.refs.as_ptr_range().end);
+        assert_eq!(objects.len(), src.objects.len());
+        let refs: usize = objects.iter().map(|obj| obj.refs().len()).sum();
+        assert_eq!(refs as u64, src.pointer_count());
+        assert_eq!(objects, src.objects);
     }
 
     /// No verdict is remembered: every call re-reads and re-checks every

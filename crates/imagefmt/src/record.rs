@@ -17,6 +17,8 @@
 use std::fmt;
 
 use memsim::{FrameRef, SharedBytes};
+
+use crate::flat::RecordRun;
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a checkpointed guest-kernel object.
@@ -103,12 +105,14 @@ impl ObjKind {
     }
 
     /// Decodes a wire code.
+    #[inline]
     pub fn from_code(code: u16) -> Option<ObjKind> {
         ObjKind::ALL.get(usize::from(code)).copied()
     }
 
     /// True if this object represents I/O system state, whose recovery
     /// Catalyzer defers off the critical path (§3.3).
+    #[inline]
     pub fn is_io_state(self) -> bool {
         matches!(
             self,
@@ -162,7 +166,7 @@ impl ObjRecord {
 }
 
 /// One checkpointed object, borrowed from whoever holds it: an owned
-/// [`ObjRecord`], or the arena and pointer table a func-image restore mapped
+/// [`ObjRecord`], or the arena and relation table a func-image restore mapped
 /// ([`crate::flat::RestoredRecords`]). This is what a restore *reads*; it
 /// owns nothing, so handing one out allocates nothing.
 #[derive(Clone, Copy)]
@@ -173,13 +177,82 @@ pub struct ObjView<'a> {
     pub kind: ObjKind,
     /// Kind-specific flags.
     pub flags: u32,
-    /// Pointer fields: ids of referenced objects.
-    pub refs: &'a [ObjId],
+    refs: RefSlots<'a>,
     /// `payload` is `buf[at..][..payload.len()]`.
     payload: &'a [u8],
     buf: &'a SharedBytes,
     at: usize,
+    /// For a record of a restored func-image: the index section it was
+    /// read through, and its number there.
+    pub(crate) record: Option<(&'a SharedBytes, usize)>,
 }
+
+/// Relation-table entry: record(4) slot(2) target(8).
+pub(crate) const REL_ENTRY: usize = 14;
+
+/// One relation-table entry: `(record, pointer slot, target object)`.
+#[inline]
+pub(crate) fn relation_entry(entry: &[u8; REL_ENTRY]) -> (u32, u16, ObjId) {
+    let [r0, r1, r2, r3, s0, s1, target @ ..] = *entry;
+    (
+        u32::from_le_bytes([r0, r1, r2, r3]),
+        u16::from_le_bytes([s0, s1]),
+        ObjId::from_le_bytes(target),
+    )
+}
+
+/// Where a view's pointers are read from.
+#[derive(Debug, Clone, Copy)]
+enum RefSlots<'a> {
+    /// An owned record's own ids.
+    Ids(&'a [ObjId]),
+    /// The run of relation-table entries that covers a restored record's
+    /// slots, in slot order, read in place.
+    Relations(&'a [[u8; REL_ENTRY]]),
+}
+
+/// The pointer fields of one [`ObjView`] — ids of referenced objects, in
+/// slot order. A restored func-image's views read them straight out of the
+/// relation table, so no pointer is copied anywhere on the way.
+#[derive(Clone)]
+pub struct Refs<'a>(RefSlots<'a>);
+
+impl fmt::Debug for Refs<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.clone()).finish()
+    }
+}
+
+impl Iterator for Refs<'_> {
+    type Item = ObjId;
+
+    #[inline]
+    fn next(&mut self) -> Option<ObjId> {
+        match &mut self.0 {
+            RefSlots::Ids(ids) => {
+                let (first, rest) = ids.split_first()?;
+                *ids = rest;
+                Some(*first)
+            }
+            RefSlots::Relations(entries) => {
+                let (first, rest) = entries.split_first()?;
+                *entries = rest;
+                Some(relation_entry(first).2)
+            }
+        }
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = match self.0 {
+            RefSlots::Ids(ids) => ids.len(),
+            RefSlots::Relations(entries) => entries.len(),
+        };
+        (len, Some(len))
+    }
+}
+
+impl ExactSizeIterator for Refs<'_> {}
 
 /// A buffer payloads are viewed out of, dereferenced once for all of them.
 #[derive(Debug, Clone, Copy)]
@@ -194,31 +267,54 @@ impl<'a> From<&'a SharedBytes> for PayloadBuf<'a> {
     }
 }
 
+impl<'a> PayloadBuf<'a> {
+    /// The buffer's bytes.
+    #[inline]
+    pub(crate) fn bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+}
+
 // `#[inline]` throughout: the loop that reads views
 // (`GuestKernel::restore_from_records`) is generic over where they come
 // from, so it is compiled in its caller's crate, where these would otherwise
 // be calls into this one — four an object, 1.6× the whole kernel build.
 impl<'a> ObjView<'a> {
-    /// A view whose payload is `arena[start..end]`; `None` if that is not a
-    /// range of `arena`.
+    /// A restored record's view: its pointers are `relations`, and its
+    /// payload is `arena[start..end]`; `None` if that is not a range of
+    /// `arena`.
     #[inline]
-    pub(crate) fn new(
-        id: ObjId,
-        kind: ObjKind,
-        flags: u32,
-        refs: &'a [ObjId],
+    pub(crate) fn restored(
+        (id, kind, flags): (ObjId, ObjKind, u32),
+        relations: &'a [[u8; REL_ENTRY]],
         arena: PayloadBuf<'a>,
         (start, end): (usize, usize),
+        record: (&'a SharedBytes, usize),
     ) -> Option<ObjView<'a>> {
         Some(ObjView {
             id,
             kind,
             flags,
-            refs,
+            refs: RefSlots::Relations(relations),
             payload: arena.bytes.get(start..end)?,
             buf: arena.buf,
             at: start,
+            record: Some(record),
         })
+    }
+
+    /// This record as a run of one, which [`RecordRun::extend`] grows by
+    /// the records that follow it; `None` for an owned record, which lies in
+    /// no image.
+    pub fn run(&self) -> Option<RecordRun> {
+        let (index, number) = self.record?;
+        Some(RecordRun::new(index, self.buf, number))
+    }
+
+    /// Pointer fields: ids of referenced objects, in slot order.
+    #[inline]
+    pub fn refs(&self) -> Refs<'a> {
+        Refs(self.refs)
     }
 
     /// Opaque serialized field data, in place.
@@ -244,10 +340,11 @@ impl<'a> From<&'a ObjRecord> for ObjView<'a> {
             id: rec.id,
             kind: rec.kind,
             flags: rec.flags,
-            refs: &rec.refs,
+            refs: RefSlots::Ids(&rec.refs),
             payload: &rec.payload,
             buf: &rec.payload,
             at: 0,
+            record: None,
         }
     }
 }
@@ -255,7 +352,7 @@ impl<'a> From<&'a ObjRecord> for ObjView<'a> {
 impl PartialEq<ObjRecord> for ObjView<'_> {
     fn eq(&self, rec: &ObjRecord) -> bool {
         (self.id, self.kind, self.flags) == (rec.id, rec.kind, rec.flags)
-            && self.refs == rec.refs.as_slice()
+            && self.refs().eq(rec.refs.iter().copied())
             && *self.payload() == *rec.payload
     }
 }
@@ -266,7 +363,7 @@ impl fmt::Debug for ObjView<'_> {
             .field("id", &self.id)
             .field("kind", &self.kind)
             .field("flags", &self.flags)
-            .field("refs", &self.refs)
+            .field("refs", &self.refs())
             .field("payload", &self.payload())
             .finish()
     }
@@ -321,7 +418,59 @@ impl IoConn {
     /// Approximate serialized size (Table 3's "I/O Cache" column counts the
     /// cached subset of these).
     pub fn wire_size(&self) -> usize {
+        IoConnView::from(self).wire_size()
+    }
+}
+
+/// One I/O connection, borrowed from whoever holds it: an owned [`IoConn`],
+/// or the manifest section a func-image restore mapped
+/// ([`crate::flat::IoManifest`]), read in place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IoConnView<'a> {
+    /// File or socket.
+    pub kind: IoConnKind,
+    /// Path (files) or address (sockets).
+    pub target: &'a str,
+    /// Whether the function deterministically uses this connection right
+    /// after boot.
+    pub used_immediately: bool,
+    /// Whether the connection needs write access.
+    pub writable: bool,
+}
+
+impl IoConnView<'_> {
+    /// Approximate serialized size (Table 3's "I/O Cache" column counts the
+    /// cached subset of these).
+    pub fn wire_size(&self) -> usize {
         1 + 1 + 1 + 2 + self.target.len()
+    }
+}
+
+impl<'a> From<&'a IoConn> for IoConnView<'a> {
+    fn from(conn: &'a IoConn) -> IoConnView<'a> {
+        IoConnView {
+            kind: conn.kind,
+            target: &conn.target,
+            used_immediately: conn.used_immediately,
+            writable: conn.writable,
+        }
+    }
+}
+
+impl From<IoConnView<'_>> for IoConn {
+    fn from(view: IoConnView<'_>) -> IoConn {
+        IoConn {
+            kind: view.kind,
+            target: view.target.to_string(),
+            used_immediately: view.used_immediately,
+            writable: view.writable,
+        }
+    }
+}
+
+impl PartialEq<IoConn> for IoConnView<'_> {
+    fn eq(&self, conn: &IoConn) -> bool {
+        *self == IoConnView::from(conn)
     }
 }
 

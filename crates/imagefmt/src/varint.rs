@@ -44,6 +44,10 @@ pub fn put_u64(out: &mut Vec<u8>, mut value: u64) {
 ///
 /// [`ImageError::Truncated`] if the buffer ends mid-varint, or
 /// [`ImageError::BadVarint`] if the encoding exceeds 10 bytes (u64 overflow).
+// `#[inline]`, as is `get_bytes`: `GuestKernel::restore_from_records` reads
+// every payload field through these, and it is generic, so it is compiled
+// in its caller's crate, where they would otherwise be calls into this one.
+#[inline]
 pub fn get_u64(buf: &[u8], pos: &mut usize) -> Result<u64, ImageError> {
     let mut value: u64 = 0;
     let mut shift = 0u32;
@@ -78,6 +82,7 @@ pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
 ///
 /// [`ImageError::Truncated`] if fewer bytes remain than the prefix declares,
 /// or [`ImageError::Malformed`] if the declared length cannot be addressed.
+#[inline]
 pub fn get_bytes<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8], ImageError> {
     let len = usize::try_from(get_u64(buf, pos)?).map_err(|_| ImageError::Malformed {
         what: "byte slice length",

@@ -100,8 +100,9 @@ fn read_forged_relations(
     full_read(SharedBytes::from(bytes))
 }
 
-/// Header offsets of two section-table entries (20 bytes each from 24:
+/// Header offsets of three section-table entries (20 bytes each from 24:
 /// offset, len, crc).
+const META_INDEX: usize = 24;
 const META_ARENA: usize = 44;
 const REL_TABLE: usize = 64;
 
@@ -135,6 +136,88 @@ fn forged_relation_entries_are_rejected_with_their_indices() {
         second.swap_with_slice(third);
     });
     assert_eq!(swapped, bad(1));
+}
+
+/// An entry for a record after the last one is dangling, and named: the
+/// table of two records grown by one entry `(2, 0) → 1` (over the manifest
+/// byte and 13 index bytes, which the restore never reaches).
+#[test]
+fn a_relation_entry_past_the_last_record_is_rejected() {
+    let forged = read_forged_relations(2, 14, |rel| {
+        rel[28..32].copy_from_slice(&2u32.to_le_bytes());
+        rel[32..34].copy_from_slice(&0u16.to_le_bytes());
+        rel[34..42].copy_from_slice(&1u64.to_le_bytes());
+    });
+    assert_eq!(forged, Err(ImageError::BadRelation { record: 2, slot: 0 }));
+}
+
+/// Three records of one pointer and 16 payload bytes each (44 B in the
+/// arena), sealed; `edit` forges the arena and the index, and both sections
+/// are re-sealed, so only the one pass over the records stands before `Ok`.
+fn read_forged_records(edit: impl FnOnce(&mut [u8], &mut [u8])) -> Result<(), ImageError> {
+    let mut bytes = write_image(&CheckpointSource {
+        objects: (0..3)
+            .map(|i| ObjRecord::new(i + 1, ObjKind::Misc, 0, vec![(i + 1) % 3 + 1], vec![7; 16]))
+            .collect(),
+        app_pages: vec![],
+        io_conns: vec![],
+    });
+    let (arena, arena_len) = section(&bytes, META_ARENA);
+    let (index, index_len) = section(&bytes, META_INDEX);
+    assert_eq!((arena_len, index_len), (3 * 44, 3 * 8));
+    let (front, back) = bytes.split_at_mut(arena);
+    edit(&mut back[..arena_len], &mut front[index..index + index_len]);
+    reseal(&mut bytes, META_ARENA, arena_len);
+    reseal(&mut bytes, META_INDEX, index_len);
+    full_read(SharedBytes::from(bytes))
+}
+
+/// The last record claims a second pointer slot (its payload 8 B shorter,
+/// so it still ends where the arena does): the relation table has ended
+/// before that slot, which is named.
+#[test]
+fn a_record_whose_pointers_run_past_the_relation_table_is_rejected() {
+    let forged = read_forged_records(|arena, _| {
+        let last = 2 * 44;
+        arena[last + 14..last + 16].copy_from_slice(&2u16.to_le_bytes());
+        arena[last + 16..last + 20].copy_from_slice(&8u32.to_le_bytes());
+    });
+    assert_eq!(forged, Err(ImageError::BadRelation { record: 2, slot: 1 }));
+}
+
+/// An index entry must be where the record before it ended: one pointing
+/// into the middle of a record, at what is only payload bytes there, is
+/// rejected before anything is read at it.
+#[test]
+fn an_index_entry_into_the_middle_of_a_record_is_rejected() {
+    let forged = read_forged_records(|_, index| {
+        index[8..16].copy_from_slice(&(44u64 + 28).to_le_bytes());
+    });
+    assert_eq!(
+        forged,
+        Err(ImageError::Malformed {
+            what: "meta index entry"
+        })
+    );
+}
+
+/// Bytes after the last record are not a record: the arena grown by the
+/// index's first byte is rejected rather than ignored.
+#[test]
+fn an_arena_longer_than_its_records_is_rejected() {
+    let mut bytes = write_image(&CheckpointSource {
+        objects: vec![ObjRecord::new(1, ObjKind::Misc, 0, vec![], vec![7; 16])],
+        app_pages: vec![],
+        io_conns: vec![],
+    });
+    let (_, arena_len) = section(&bytes, META_ARENA);
+    reseal(&mut bytes, META_ARENA, arena_len + 1);
+    assert_eq!(
+        full_read(SharedBytes::from(bytes)),
+        Err(ImageError::Malformed {
+            what: "meta arena past its last record"
+        })
+    );
 }
 
 /// A pointer the relation table does not cover is not a pointer: the arena

@@ -70,7 +70,7 @@ fn views_mismatch(restored: &flat::RestoredRecords, records: &[ObjRecord]) -> Op
             let same = view.id == rec.id
                 && view.kind == rec.kind
                 && view.flags == rec.flags
-                && view.refs == rec.refs
+                && view.refs().eq(rec.refs.iter().copied())
                 && view.payload() == &rec.payload[..]
                 && buf.get(at..at + rec.payload.len()) == Some(&rec.payload[..])
                 && view == *rec;

@@ -388,8 +388,9 @@ impl Simulation {
                             injector.heal(InjectionPoint::SforkMerge);
                         }
                     }
-                    // Replenish the warm floor off the request path.
-                    while f.idle_live < self.min_ready {
+                    // Replenish the warm floor off the request path, capped
+                    // by the idle cap as the closed loop's pools cap it.
+                    while f.idle_live < self.min_ready.min(self.max_idle) {
                         prewarm_boots += 1;
                         let id = instances.insert(Instance {
                             function,
@@ -707,6 +708,26 @@ mod tests {
             "floor serves warm: {}",
             out.reuse_rate
         );
+    }
+
+    /// A floor past the idle cap (4 by default) is the cap, as in the closed
+    /// loop: it boots what a floor of 4 boots instead of booting without end.
+    #[test]
+    fn fleet_prewarm_floor_is_capped_by_max_idle() {
+        let trace = steady_trace(3, SimNanos::from_millis(1));
+        let run = |floor| {
+            Simulation::new(functions())
+                .with_prewarm(floor)
+                .run_fleet(&trace)
+                .unwrap()
+        };
+        let (past, at_cap) = (run(1 << 20), run(4));
+        assert_eq!(past.prewarm_boots, at_cap.prewarm_boots);
+        assert_eq!(past.completed, 3);
+        assert!(Simulation::new(functions())
+            .with_prewarm(1 << 20)
+            .run(&trace)
+            .is_ok());
     }
 
     #[test]

@@ -185,6 +185,8 @@ impl Simulation {
 
     /// Keeps at least `min_ready` instances warm per function: pools turn
     /// self-healing and the background repair loop replenishes the floor.
+    /// The floor never exceeds [`Simulation::with_max_idle`]'s cap, in either
+    /// loop: a larger `min_ready` keeps `max_idle` instances warm.
     pub fn with_prewarm(mut self, min_ready: usize) -> Simulation {
         self.min_ready = min_ready;
         self

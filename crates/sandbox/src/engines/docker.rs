@@ -56,11 +56,7 @@ impl BootEngine for DockerEngine {
             })?;
             ctx.span(names::PHASE_SANDBOX_ROOTFS_MOUNTS, |ctx| {
                 program.kernel.vfs.mount(
-                    guest_kernel::vfs::MountInfo {
-                        source: "proc".into(),
-                        target: "/proc".into(),
-                        fs_type: "proc".into(),
-                    },
+                    guest_kernel::vfs::MountInfo::new("proc", "/proc", "proc"),
                     ctx.clock(),
                     ctx.model(),
                 );

@@ -2,6 +2,9 @@
 //! system. The boot pipeline and its phase latencies reproduce Figure 2's
 //! upper ("Boot") path.
 
+use std::sync::Arc;
+
+use guest_kernel::gofer::FsServer;
 use runtimes::{AppProfile, WrappedProgram};
 use simtime::names;
 
@@ -26,11 +29,15 @@ impl GvisorEngine {
     /// engines — gVisor-restore here, and Catalyzer's cold boot in the
     /// `catalyzer` crate — which replace application init with restore
     /// phases). Returns the program parked *before* application
-    /// initialization; pass `load_task_image = false` on restore paths,
-    /// which never load the wrapped program from the rootfs.
+    /// initialization, its kernel serving `fs`: the function's one rootfs,
+    /// which a restore path already holds and a boot from scratch builds
+    /// (every sandbox of a function mounts the same FS server). Pass
+    /// `load_task_image = false` on restore paths, which never load the
+    /// wrapped program from the rootfs.
     pub fn prepare_sandbox(
         tweaks: HostTweaks,
         profile: &AppProfile,
+        fs: Arc<FsServer>,
         load_task_image: bool,
         ctx: &mut BootCtx,
     ) -> Result<WrappedProgram, SandboxError> {
@@ -44,15 +51,11 @@ impl GvisorEngine {
         });
         let mut program = ctx.span(names::PHASE_SANDBOX_INIT_KERNEL_PLATFORM, |ctx| {
             virtualization_setup(tweaks, config.vcpus, 3, ctx.clock(), ctx.model());
-            WrappedProgram::start(profile, ctx.clock(), ctx.model())
+            WrappedProgram::start_with(profile, fs, ctx.clock(), ctx.model())
         })?;
         ctx.span(names::PHASE_SANDBOX_MOUNT_ROOTFS, |ctx| {
             program.kernel.vfs.mount(
-                guest_kernel::vfs::MountInfo {
-                    source: "proc".into(),
-                    target: "/proc".into(),
-                    fs_type: "procfs".into(),
-                },
+                guest_kernel::vfs::MountInfo::new("proc", "/proc", "procfs"),
                 ctx.clock(),
                 ctx.model(),
             );
@@ -81,7 +84,9 @@ impl BootEngine for GvisorEngine {
         ctx: &mut BootCtx,
     ) -> Result<BootOutcome, SandboxError> {
         traced_boot(self.name(), ctx, |ctx| {
-            let mut program = Self::prepare_sandbox(HostTweaks::baseline(), profile, true, ctx)?;
+            let fs = profile.build_fs_server();
+            let mut program =
+                Self::prepare_sandbox(HostTweaks::baseline(), profile, fs, true, ctx)?;
             ctx.span(PHASE_APP, |ctx| {
                 program.run_to_entry_point(ctx.clock(), ctx.model())
             })?;

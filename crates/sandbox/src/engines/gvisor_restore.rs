@@ -99,7 +99,13 @@ impl BootEngine for GvisorRestoreEngine {
         traced_boot(self.name(), ctx, |ctx| {
             // Sandbox preparation (Fig. 2's restore path re-uses the boot
             // pipeline minus the task-image load).
-            let shell = GvisorEngine::prepare_sandbox(HostTweaks::baseline(), profile, false, ctx)?;
+            let shell = GvisorEngine::prepare_sandbox(
+                HostTweaks::baseline(),
+                profile,
+                Arc::clone(&fs),
+                false,
+                ctx,
+            )?;
             let mut space = shell.space;
 
             // Read the checkpoint: the C/R machinery's fixed cost plus the

@@ -11,10 +11,15 @@
 //!   write's checksum alone);
 //! - **restore**: a CRC-32 over the metadata sections' span of the image
 //!   (`crc3`, an approximation of the checksum `restore_metadata` pays),
-//!   `restore_metadata` (`meta`, checksum included),
-//!   `GuestKernel::restore_from_records` (`kernel`), dropping the records
-//!   and then the kernel, and a whole cold and warm `Catalyzer::boot` with
-//!   the drop of the cold boot's outcome.
+//!   `restore_metadata` (`meta`: the checksums, then one pass that checks
+//!   every record header and relation entry and keeps nothing),
+//!   `GuestKernel::restore_from_records` (`kernel`: one walk down the
+//!   checked arena and relation table, reading each header again in place,
+//!   that builds the kernel), dropping the records and then the kernel,
+//!   `GvisorEngine::prepare_sandbox` and the drop of what it returns, as a
+//!   cold boot calls it (`shell`: the sandbox shell over the function's
+//!   stored FS server), and a whole cold and warm `Catalyzer::boot` with the
+//!   drop of the cold boot's outcome.
 //! - **fork**: `Template::fork_boot` from the profile's template (`fork`),
 //!   the child's first `invoke_handler` (`first`: its copy-on-write and
 //!   demand-zero faults), a second one (`again`: the page walk of a reused
@@ -44,8 +49,8 @@ use catalyzer_suite::memsim::{MappedImage, PAGE_SIZE};
 use catalyzer_suite::prelude::*;
 
 const WRITE_STAGES: [&str; 4] = ["init", "source", "write", "wcrc"];
-const RESTORE_STAGES: [&str; 8] = [
-    "crc3", "meta", "kernel", "droprec", "dropker", "cold", "warm", "dropboot",
+const RESTORE_STAGES: [&str; 9] = [
+    "crc3", "meta", "kernel", "droprec", "dropker", "shell", "cold", "warm", "dropboot",
 ];
 const FORK_STAGES: [&str; 4] = ["fork", "first", "again", "drop"];
 
@@ -183,7 +188,16 @@ fn restore_side(
             drop(kernel);
             samples[4].push(ms(t));
 
-            for (mode, stage) in [(BootMode::Cold, 5), (BootMode::Warm, 6)] {
+            let tweaks = system.config().tweaks;
+            let fs = Arc::clone(&stored.fs);
+            let mut ctx = BootCtx::fresh(model);
+            let t = Instant::now();
+            drop(black_box(GvisorEngine::prepare_sandbox(
+                tweaks, profile, fs, true, &mut ctx,
+            )?));
+            samples[5].push(ms(t));
+
+            for (mode, stage) in [(BootMode::Cold, 6), (BootMode::Warm, 7)] {
                 let mut ctx = BootCtx::fresh(model);
                 let t = Instant::now();
                 let boot = system.boot(mode, profile, &mut ctx)?;
@@ -191,7 +205,7 @@ fn restore_side(
                 let t = Instant::now();
                 drop(boot);
                 if mode == BootMode::Cold {
-                    samples[7].push(ms(t));
+                    samples[8].push(ms(t));
                 }
             }
         }

@@ -13,9 +13,10 @@
 //! event the large workload adds — never a count pinned to today's value:
 //!
 //! - **restore**: `FlatImage::restore_metadata` and
-//!   `GuestKernel::restore_from_records` with the kernel's drop, per table and
-//!   owned string, not per object; stage 1 allocates less than the sections
-//!   it maps, so it holds one slot per object and never a copy of the arena;
+//!   `GuestKernel::restore_from_records` with the kernel's drop, per table,
+//!   not per object or string — a restored string is a view of the arena,
+//!   and a restored descriptor a row of one table; stage 1 allocates less
+//!   than the sections it maps, so it never holds a copy of the arena;
 //! - **kernel clone**: `GuestKernel::sfork_clone` with the child's drop, a
 //!   reference per shared table and a copy of the small ones;
 //! - **fork boot**: `Template::fork_boot` (`sfork`, the address space's
@@ -24,7 +25,9 @@
 //! - **cold and warm boot**: `Catalyzer::boot` (`restore_boot`,
 //!   `build_base_layer` and `app_mem_index` on the first cold boot,
 //!   `attach_base`, `read_io_manifest`) beyond its restore, per table, I/O
-//!   connection and page-table entry; dropping the outcome allocates nothing;
+//!   connection and page-table entry; a cold boot's sandbox shell mounts the
+//!   function's stored FS server instead of building a rootfs; dropping the
+//!   outcome allocates nothing;
 //! - **faults**: a forked child's first `invoke_handler` and a reused
 //!   instance's next one allocate at most one block per copy-on-write or
 //!   demand-zero fault — a guest page is its counts and its bytes in one
@@ -232,11 +235,12 @@ fn restore(image: &flat::FlatImage, fs: &Arc<FsServer>, name: &str) -> [Allocs; 
     [stage1, stage2]
 }
 
-/// A restore's allocations grow with the tables it fills and the strings it
-/// must own (task names, mounts, descriptor paths, socket addresses: a few
-/// percent of a graph), not with the runtime objects and dentries that are
-/// most of it, which stay ranges of the mapped arena. Stage 1 holds a slot
-/// per object and a pointer table: fewer bytes than the sections it maps.
+/// A restore's allocations grow with the tables it fills (a `Vec` doubling
+/// now and then), not with its objects: runtime objects and dentries stay
+/// ranges of the mapped arena, task names, namespace kinds, mount fields,
+/// descriptor paths and socket addresses are views of it, and the restored
+/// descriptors are rows of one table. Stage 1 keeps nothing but the
+/// sections: fewer bytes than it maps.
 #[test]
 fn a_restore_allocates_per_table_and_owned_string_not_per_object() {
     let [small, large] = profiles().map(|profile| {
@@ -258,7 +262,7 @@ fn a_restore_allocates_per_table_and_owned_string_not_per_object() {
         &format!("{calls:.4} calls per added object"),
     );
     assert!(
-        calls < 0.05,
+        calls < 0.005,
         "{calls:.4} allocations per added object ({} -> {})",
         small.3.calls,
         large.3.calls
@@ -345,13 +349,18 @@ fn a_fork_boot_adds_a_reference_per_page_table_to_its_kernel_clone() {
 /// table, I/O connection and page-table entry: the sandbox, the Base-EPT a
 /// first cold boot builds from the app-memory index, the attach, the I/O
 /// manifest and the replay of its hinted connections. A page read or copied
-/// would cost 4 KiB a page. Dropping the booted outcome allocates nothing.
+/// would cost 4 KiB a page; the Base-EPT costs an entry a page, and a boot
+/// that reuses it next to nothing — a sandbox shell that built its own
+/// rootfs, as large as the function's, would cost tens of bytes a page.
+/// Every boot's kernel serves the function's one stored FS server. Dropping
+/// the booted outcome allocates nothing.
 #[test]
 fn cold_and_warm_boots_allocate_around_their_restore_per_table_not_per_object() {
-    const BOOTS: [&str; 3] = [
-        "Catalyzer-restore boot building the Base-EPT",
-        "Catalyzer-restore boot",
-        "Catalyzer-Zygote boot",
+    // Each boot, and the bytes per added page it may allocate.
+    const BOOTS: [(&str, f64); 3] = [
+        ("Catalyzer-restore boot building the Base-EPT", 256.0),
+        ("Catalyzer-restore boot", 8.0),
+        ("Catalyzer-Zygote boot", 256.0),
     ];
     let [small, large] = profiles().map(|profile| {
         let model = CostModel::experimental_machine();
@@ -360,11 +369,17 @@ fn cold_and_warm_boots_allocate_around_their_restore_per_table_not_per_object() 
         let stored = system.store().get(&profile.name).unwrap();
         let (objects, pages) = (stored.flat.object_count(), stored.flat.app_page_count());
         let [stage1, stage2] = restore(&stored.flat, &stored.fs, &profile.name);
+        let fs = Arc::clone(&stored.fs);
         let mut boot = |mode| {
             let mut ctx = BootCtx::fresh(&model);
             let mut outcome = None;
             let booted =
                 allocs_in(|| outcome = Some(system.boot(mode, &profile, &mut ctx).unwrap()));
+            let kernel = &outcome.as_ref().unwrap().program.kernel;
+            assert!(
+                Arc::ptr_eq(kernel.vfs.server(), &fs),
+                "{mode:?}: another rootfs"
+            );
             assert_eq!(allocs_in(|| drop(outcome)), Allocs::default());
             booted - stage1 - stage2
         };
@@ -373,7 +388,7 @@ fn cold_and_warm_boots_allocate_around_their_restore_per_table_not_per_object() 
         boot(BootMode::Warm);
         (objects, pages, [first, cold, boot(BootMode::Warm)])
     });
-    for (i, budget) in BOOTS.iter().enumerate() {
+    for (i, (budget, max_bytes)) in BOOTS.into_iter().enumerate() {
         let (s, l) = (small.2[i], large.2[i]);
         let calls = per_added(s.calls, l.calls, large.0 - small.0);
         let bytes = per_added(s.bytes, l.bytes, large.1 - small.1);
@@ -387,7 +402,10 @@ fn cold_and_warm_boots_allocate_around_their_restore_per_table_not_per_object() 
             calls < 0.05,
             "{budget}: {calls:.4} allocations per added object"
         );
-        assert!(bytes < 256.0, "{budget}: {bytes:.1} bytes per added page");
+        assert!(
+            bytes < max_bytes,
+            "{budget}: {bytes:.1} bytes per added page"
+        );
     }
 }
 
