@@ -1,12 +1,11 @@
 //! Checker configuration.
 //!
-//! The *policy* — which files are parse modules, which functions root the
-//! boot paths, which operation each fault seam guards — lives here, in code,
-//! because changing policy should look like a code change and go through
-//! review. There is no config file and no way to excuse a finding at its
+//! The *policy* — which files are parse modules, where the name registry
+//! and the DES event protocol live — is here, in code, because changing
+//! policy should look like a code change and go through review. There is no config file and no way to excuse a finding at its
 //! site: a finding is fixed in code, or this policy changes.
 
-/// Which files each pass applies to, and where the boot paths start.
+/// Which files each pass applies to.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Path prefixes excluded from scanning entirely (vendored stand-ins,
@@ -17,22 +16,10 @@ pub struct Config {
     /// panic-source lints in its own inner attribute — keep the two lists
     /// the same.
     pub parse_files: Vec<String>,
-    /// Bare names where the seamcover traversal from [`Config::seam_roots`]
-    /// stops: work a boot entry point calls that is off the boot path
-    /// (one-time image compilation), so its calls need no fault seam.
-    pub boot_stops: Vec<String>,
     /// Path prefixes exempt from the namereg pass: the registry itself
     /// (where the names are defined) and the checker (which defines the
     /// grammar it polices).
     pub namereg_exempt: Vec<String>,
-    /// Bare names of the engine boot entry points. Everything reachable
-    /// from these is the seam-coverage (`seamcover`) scope.
-    pub seam_roots: Vec<String>,
-    /// The seam registry: each `InjectionPoint` variant mapped to the
-    /// bare names of the operations it guards in `core`/`sandbox`. A
-    /// boot-path function calling one of these operations must consult
-    /// `ctx.fault(<point>)` first.
-    pub seam_ops: Vec<(String, Vec<String>)>,
     /// The span/metric name registry file. The namereg pass checks that
     /// every public entry in it is emitted somewhere in the workspace, as
     /// well as the other direction (every literal is registered).
@@ -69,43 +56,9 @@ impl Config {
                 "crates/memsim/src/image.rs".into(),
                 "crates/guest-kernel/src/checkpoint.rs".into(),
             ],
-            boot_stops: vec![
-                // One-time image preparation (checkpoint side): the paper
-                // measures restore with images already built.
-                "ensure_compiled".into(),
-            ],
             namereg_exempt: vec![
                 "crates/simtime/src/names.rs".into(),
                 "crates/catalint/".into(),
-            ],
-            seam_roots: vec![
-                // Every `BootEngine::boot` implementation plus the
-                // Catalyzer-specific entry points that bypass the trait.
-                "boot".into(),
-                "restore_boot".into(),
-                "sfork".into(),
-                "fork_boot".into(),
-                "boot_function".into(),
-            ],
-            seam_ops: vec![
-                // Paper §3: each restore mechanism sits behind its fault
-                // seam. The operation names are the `core`/`sandbox`
-                // functions that *perform* the seam's work.
-                (
-                    "ImageMmap".into(),
-                    vec!["build_base_layer".into(), "attach_base".into()],
-                ),
-                ("ArenaMap".into(), vec!["restore_metadata".into()]),
-                ("Relink".into(), vec!["restore_from_records".into()]),
-                (
-                    "IoReconnect".into(),
-                    vec!["read_io_manifest".into(), "ensure_connected".into()],
-                ),
-                ("ZygoteSpecialize".into(), vec!["specialize".into()]),
-                ("SforkMerge".into(), vec!["expand".into()]),
-                // The cluster's remote-sfork rung: the cross-node template
-                // transfer (platform::cluster) behind its own seam.
-                ("TemplateTransfer".into(), vec!["transfer_template".into()]),
             ],
             registry_file: "crates/simtime/src/names.rs".into(),
             events_file: "crates/platform/src/simulate/events.rs".into(),
@@ -133,14 +86,6 @@ impl Config {
     /// True when the path is exempt from the namereg pass.
     pub fn is_namereg_exempt(&self, path: &str) -> bool {
         self.namereg_exempt.iter().any(|p| path.starts_with(p))
-    }
-
-    /// The `InjectionPoint` variant guarding `op`, per the seam registry.
-    pub fn seam_point_for(&self, op: &str) -> Option<&str> {
-        self.seam_ops
-            .iter()
-            .find(|(_, ops)| ops.iter().any(|o| o == op))
-            .map(|(point, _)| point.as_str())
     }
 
     /// True for test, bench, example, and binary targets — code that never
@@ -171,38 +116,6 @@ mod tests {
         assert!(c.is_non_library_path("crates/bench/src/bin/repro.rs"));
         assert!(c.is_non_library_path("examples/quickstart.rs"));
         assert!(!c.is_non_library_path("crates/core/src/restore.rs"));
-    }
-
-    #[test]
-    fn seam_roots_cover_every_boot_path() {
-        let c = Config::workspace_default();
-        // Every engine's boot, cold/warm restore, fork boot and the
-        // language template's function boot.
-        assert_eq!(
-            c.seam_roots,
-            [
-                "boot",
-                "restore_boot",
-                "sfork",
-                "fork_boot",
-                "boot_function"
-            ]
-        );
-        // One-time image compilation stays off the path.
-        assert_eq!(c.boot_stops, ["ensure_compiled"]);
-    }
-
-    #[test]
-    fn seam_registry_lookup() {
-        let c = Config::workspace_default();
-        assert_eq!(c.seam_point_for("restore_metadata"), Some("ArenaMap"));
-        assert_eq!(c.seam_point_for("ensure_connected"), Some("IoReconnect"));
-        assert_eq!(c.seam_point_for("specialize"), Some("ZygoteSpecialize"));
-        assert_eq!(
-            c.seam_point_for("transfer_template"),
-            Some("TemplateTransfer")
-        );
-        assert_eq!(c.seam_point_for("unrelated_op"), None);
     }
 
     #[test]

@@ -1,38 +1,23 @@
 //! An approximate, workspace-wide call graph.
 //!
 //! Nodes are every function in library code; edges are call sites resolved
-//! by name with the strongest qualifier available. The graph does not
-//! type-check — it trades soundness for zero dependencies — but it grades
-//! its own confidence: every edge is [`EdgeKind::Precise`] (resolved via a
-//! type or module qualifier, a `self` method, or a same-file/same-crate
-//! bare name) or [`EdgeKind::Fuzzy`] (matched by bare name across crates).
-//! Passes choose how much fuzz they tolerate: seam-coverage reachability
-//! follows both kinds (a boot path reached through a fuzzy edge still owes
-//! its fault seams), while interprocedural panic propagation follows only
-//! precise edges (a fuzzy panic edge would flag every parser that calls any
-//! `get` anywhere).
+//! by name with the strongest qualifier available: a type or module
+//! qualifier, a `self` method inside an `impl` block, or a bare name defined
+//! in the same file or crate. The graph does not type-check — it trades
+//! soundness for zero dependencies — so a call it cannot resolve that way
+//! (a method on an unknown receiver, a bare call across crates) gets no
+//! edge at all.
 //!
 //! Node order is deterministic: files arrive sorted by path (see
 //! [`crate::collect_workspace`]) and functions are pushed in source order,
 //! so node indices — and therefore finding order and call chains — are
 //! stable across runs.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use crate::lexer::{Delim, Tok};
 use crate::segment::{is_keyword, FnItem};
 use crate::ParsedFile;
-
-/// Confidence grade of a call edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EdgeKind {
-    /// Resolved through a qualifier: `Type::f`, `module::f`, `self.f()` in
-    /// an `impl` block, or a bare name defined in the same file or crate.
-    Precise,
-    /// Matched by bare name across the workspace (method calls on unknown
-    /// receivers, cross-crate bare calls).
-    Fuzzy,
-}
 
 /// One function definition.
 #[derive(Debug)]
@@ -59,48 +44,8 @@ pub struct CallSite {
     /// Source line of the callee identifier.
     pub line: u32,
     /// Resolved target nodes, in ascending node order.
-    pub targets: Vec<(usize, EdgeKind)>,
+    pub targets: Vec<usize>,
 }
-
-/// Method/function names too generic to follow as fuzzy (bare-name) edges:
-/// following `.get(…)` to every `get` in the workspace would make
-/// "reachable" mean "everything". Qualifier-resolved calls are unaffected.
-pub const STOP_EDGES: [&str; 29] = [
-    "new",
-    "default",
-    "clone",
-    "from",
-    "into",
-    "len",
-    "is_empty",
-    "get",
-    "push",
-    "insert",
-    "remove",
-    "contains",
-    "iter",
-    "next",
-    "collect",
-    "map",
-    "filter",
-    "fmt",
-    "eq",
-    "ne",
-    "cmp",
-    "hash",
-    "drop",
-    "deref",
-    "to_string",
-    "as_ref",
-    "as_mut",
-    "min",
-    // `write` collides across the workspace: `AddressSpace::write` (restore
-    // side, page-granular by design) vs. the checkpoint serializers
-    // (`flat::write`, `classic::write`), which run off the boot path. A
-    // name-based graph cannot split them, so the fuzzy edge is
-    // dropped; same-file and qualified `write` calls still resolve.
-    "write",
-];
 
 /// The call graph over one parsed workspace.
 pub struct CallGraph<'a> {
@@ -110,14 +55,6 @@ pub struct CallGraph<'a> {
     pub items: Vec<&'a FnItem>,
     /// Call sites per node, in source order.
     pub calls: Vec<Vec<CallSite>>,
-}
-
-/// BFS result: which nodes are reachable, and through whom.
-pub struct Reach {
-    /// `seen[ix]` — node `ix` is reachable from some root.
-    pub seen: Vec<bool>,
-    /// `parent[ix]` — the node the BFS reached `ix` from (`None` for roots).
-    pub parent: Vec<Option<usize>>,
 }
 
 impl<'a> CallGraph<'a> {
@@ -185,47 +122,6 @@ impl<'a> CallGraph<'a> {
             .map(|(ix, _)| ix)
             .collect()
     }
-
-    /// BFS from `roots` over edges admitted by `follow(site, kind)`.
-    pub fn reach(
-        &self,
-        roots: &[usize],
-        mut follow: impl FnMut(&CallSite, EdgeKind) -> bool,
-    ) -> Reach {
-        let mut seen = vec![false; self.nodes.len()];
-        let mut parent: Vec<Option<usize>> = vec![None; self.nodes.len()];
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        for &r in roots {
-            if !seen[r] {
-                seen[r] = true;
-                queue.push_back(r);
-            }
-        }
-        while let Some(ix) = queue.pop_front() {
-            for site in &self.calls[ix] {
-                for &(t, kind) in &site.targets {
-                    if !seen[t] && follow(site, kind) {
-                        seen[t] = true;
-                        parent[t] = Some(ix);
-                        queue.push_back(t);
-                    }
-                }
-            }
-        }
-        Reach { seen, parent }
-    }
-
-    /// The root→`ix` chain of bare function names for a BFS result.
-    pub fn chain(&self, reach: &Reach, ix: usize) -> Vec<String> {
-        let mut rev = vec![self.nodes[ix].name.clone()];
-        let mut cur = ix;
-        while let Some(p) = reach.parent[cur] {
-            rev.push(self.nodes[p].name.clone());
-            cur = p;
-        }
-        rev.reverse();
-        rev
-    }
 }
 
 struct Indexes<'b> {
@@ -283,13 +179,7 @@ fn collect_calls(toks: &[Tok], caller: usize, ixes: &Indexes<'_>, out: &mut Vec<
 }
 
 /// Resolves the call at `toks[i]` (an identifier followed by parens).
-fn resolve(
-    toks: &[Tok],
-    i: usize,
-    name: &str,
-    caller: usize,
-    ixes: &Indexes<'_>,
-) -> Vec<(usize, EdgeKind)> {
+fn resolve(toks: &[Tok], i: usize, name: &str, caller: usize, ixes: &Indexes<'_>) -> Vec<usize> {
     let caller_node = &ixes.nodes[caller];
 
     // `Qual::name(…)` — a path call.
@@ -307,7 +197,7 @@ fn resolve(
             if q.chars().next().is_some_and(char::is_uppercase) {
                 // `Type::name` — exact impl-block match anywhere.
                 let key = format!("{q}::{name}");
-                return precise(ixes.by_qual.get(key.as_str()));
+                return qualified(ixes.by_qual.get(key.as_str()));
             }
             // `module::name` — functions with that bare name in files whose
             // stem is the module. Same-crate definitions win.
@@ -319,44 +209,35 @@ fn resolve(
                 .copied()
                 .filter(|&t| ixes.nodes[t].module == q)
                 .collect();
-            if !cands.is_empty() {
-                let same_crate: Vec<usize> = cands
-                    .iter()
-                    .copied()
-                    .filter(|&t| ixes.nodes[t].krate == caller_node.krate)
-                    .collect();
-                let pick = if same_crate.is_empty() {
-                    cands
-                } else {
-                    same_crate
-                };
-                return pick.into_iter().map(|t| (t, EdgeKind::Precise)).collect();
-            }
-            // An unknown path (`std::mem::take`): no edge.
-            return Vec::new();
+            let same_crate: Vec<usize> = cands
+                .iter()
+                .copied()
+                .filter(|&t| ixes.nodes[t].krate == caller_node.krate)
+                .collect();
+            // An unknown path (`std::mem::take`) leaves both empty: no edge.
+            return if same_crate.is_empty() {
+                cands
+            } else {
+                same_crate
+            };
         }
         return Vec::new();
     }
 
-    // `recv.name(…)` — a method call.
-    let is_method = i >= 1 && toks[i - 1].is_punct('.');
-    if is_method {
-        // `self.name(…)` inside `impl Type` resolves to `Type::name`.
+    // `recv.name(…)` — a method call. Only `self.name(…)` inside `impl
+    // Type` resolves (to `Type::name`); an unknown receiver has no edge.
+    if i >= 1 && toks[i - 1].is_punct('.') {
         if matches!(toks.get(i.wrapping_sub(2)), Some(Tok::Ident(r, _)) if r == "self") {
             if let Some(qual) = &caller_node.qualified {
                 let ty = qual.split("::").next().unwrap_or("");
                 let key = format!("{ty}::{name}");
-                let hit = precise(ixes.by_qual.get(key.as_str()));
-                if !hit.is_empty() {
-                    return hit;
-                }
+                return qualified(ixes.by_qual.get(key.as_str()));
             }
         }
-        // Unknown receiver: fuzzy bare-name match, unless too generic.
-        return fuzzy_bare(name, ixes);
+        return Vec::new();
     }
 
-    // Bare `name(…)`: same file, then same crate, then fuzzy workspace.
+    // Bare `name(…)`: same file, then same crate; across crates, no edge.
     let cands = ixes.by_bare.get(name).map_or(&[][..], Vec::as_slice);
     let same_file: Vec<usize> = cands
         .iter()
@@ -364,43 +245,15 @@ fn resolve(
         .filter(|&t| ixes.nodes[t].file == caller_node.file)
         .collect();
     if !same_file.is_empty() {
-        return same_file
-            .into_iter()
-            .map(|t| (t, EdgeKind::Precise))
-            .collect();
+        return same_file;
     }
-    if STOP_EDGES.contains(&name) {
-        return Vec::new();
-    }
-    let same_crate: Vec<usize> = cands
+    cands
         .iter()
         .copied()
         .filter(|&t| ixes.nodes[t].krate == caller_node.krate)
-        .collect();
-    if !same_crate.is_empty() {
-        return same_crate
-            .into_iter()
-            .map(|t| (t, EdgeKind::Precise))
-            .collect();
-    }
-    cands.iter().map(|&t| (t, EdgeKind::Fuzzy)).collect()
-}
-
-fn precise(hit: Option<&Vec<usize>>) -> Vec<(usize, EdgeKind)> {
-    hit.into_iter()
-        .flatten()
-        .map(|&t| (t, EdgeKind::Precise))
         .collect()
 }
 
-fn fuzzy_bare(name: &str, ixes: &Indexes<'_>) -> Vec<(usize, EdgeKind)> {
-    if STOP_EDGES.contains(&name) {
-        return Vec::new();
-    }
-    ixes.by_bare
-        .get(name)
-        .into_iter()
-        .flatten()
-        .map(|&t| (t, EdgeKind::Fuzzy))
-        .collect()
+fn qualified(hit: Option<&Vec<usize>>) -> Vec<usize> {
+    hit.cloned().unwrap_or_default()
 }

@@ -3,13 +3,13 @@
 //! The Catalyzer reproduction rests on properties that regress silently
 //! under ordinary refactoring. Each has exactly one enforcer (DESIGN.md
 //! §12 has the table), and catalint is the enforcer only where neither the
-//! compiler, a standard clippy lint nor a counted test can be:
+//! compiler, a standard clippy lint nor a test can be:
 //!
 //! 1. **Panic-free parsing, through helpers.** Func-images and checkpoints
 //!    are untrusted input to the restore path. Each parse module denies
 //!    clippy's panic-source lints for what it spells itself; the `panic`
-//!    pass follows precise call edges out of those modules to a helper
-//!    that can panic.
+//!    pass follows call edges out of those modules to a helper that can
+//!    panic.
 //! 2. **Borrow discipline.** A `RefCell` guard held across `?` (or a
 //!    re-entrant `borrow_mut` through a call chain) turns an error return
 //!    into a runtime borrow panic (`borrowcell`).
@@ -20,12 +20,10 @@
 //! `HashMap`/`HashSet` iteration order (`hashorder`), and public library
 //! functions return crate error types, not `Box<dyn Error>` (`hygiene`).
 //!
-//! Plus two protocol contracts: every `InjectionPoint` fault seam is
-//! consulted on the boot paths (`seamcover`, dataflow-backed), and the DES
-//! event protocol is conformant — handler coverage, schedule discipline, a
-//! total tie-break (`eventproto`).
+//! Plus one protocol contract: the DES event protocol is conformant —
+//! handler coverage, schedule discipline, a total tie-break (`eventproto`).
 //!
-//! What a type, a standard lint or a count can enforce is not a pass. The
+//! What a type, a standard lint or a test can enforce is not a pass. The
 //! compiler enforces overflow-safe `SimNanos` arithmetic (no `+`/`-`/`*`),
 //! generation-checked arena access (`InstanceId::index()` is private) and
 //! closure-scoped spans (`sandbox::BootCtx` hands out no tracer), each
@@ -33,19 +31,19 @@
 //! on wall clocks, the environment, host threads and child processes
 //! (`crates/clippy.toml`, type-resolved, every first-party target). The
 //! root test `tests/alloc_budget.rs` holds every boot path to allocations
-//! per table, not per object or page.
+//! per table, not per object or page, and `tests/seam_matrix.rs` boots
+//! every engine with each fault seam armed in turn, so a boot path that
+//! stops consulting a seam fails a cell there.
 //!
 //! The checker lexes the workspace (no rustc, no dependencies), segments
-//! it into functions, builds an approximate call graph plus fault-seam
-//! consultation summaries, and runs seven passes; the interprocedural
-//! ones (`panic`, `borrowcell`, `seamcover`) attach the root → sink call
-//! chain to each finding. There is no debt file, no config file and no
-//! site suppression: the workspace carries zero findings, and any finding
-//! fails the build. Run it as `cargo run -p catalint` (`--explain <pass>` for
+//! it into functions, builds an approximate call graph, and runs six
+//! passes; the `panic` pass attaches the root → sink call chain to each
+//! finding. There is no debt file, no config file and no site
+//! suppression: the workspace carries zero findings, and any finding fails
+//! the build. Run it as `cargo run -p catalint` (`--explain <pass>` for
 //! rationale); it also runs inside the tier-1 test suite.
 
 pub mod config;
-pub mod dataflow;
 pub mod graph;
 pub mod lexer;
 pub mod passes;
@@ -140,7 +138,7 @@ pub struct ParsedFile {
     pub items: FileItems,
 }
 
-/// Runs all seven passes over the given files and returns findings
+/// Runs all six passes over the given files and returns findings
 /// sorted by `(file, line, pass)`.
 pub fn analyze(files: &[SrcFile], cfg: &Config) -> Vec<Violation> {
     let parsed: Vec<ParsedFile> = files
@@ -155,8 +153,6 @@ pub fn analyze(files: &[SrcFile], cfg: &Config) -> Vec<Violation> {
     // One call graph over library code, shared by the interprocedural
     // passes. Tests, benches, and binaries never join the graph.
     let graph = graph::CallGraph::build(&parsed, |p| cfg.is_non_library_path(p));
-    // Fault-seam consultation summaries for seamcover.
-    let sums = dataflow::Summaries::compute(&graph);
 
     let mut out = Vec::new();
     passes::panic_freedom(cfg, &graph, &mut out);
@@ -164,7 +160,6 @@ pub fn analyze(files: &[SrcFile], cfg: &Config) -> Vec<Violation> {
     passes::borrowcell(cfg, &graph, &mut out);
     passes::namereg(&parsed, cfg, &mut out);
     passes::hashorder(&parsed, cfg, &mut out);
-    passes::seamcover(&parsed, cfg, &graph, &sums, &mut out);
     passes::eventproto(&parsed, cfg, &graph, &mut out);
     out.sort_by(|a, b| (a.file.as_str(), a.line, a.pass).cmp(&(b.file.as_str(), b.line, b.pass)));
     out

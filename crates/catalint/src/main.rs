@@ -19,11 +19,11 @@ const USAGE: &str = "usage: catalint [--root DIR] [--explain PASS]
 Checks the workspace against the invariants that neither rustc nor a
 standard clippy lint can express: no panicking helper reachable from image
 parsing, RefCell guard discipline, a metric-name registry closed in both
-directions, hash-order hygiene, error hygiene, fault-seam coverage and DES
-event-protocol conformance. Every finding fails the check; there is no
-config file. (Wall clocks, env reads, host threads and child processes are
-banned by clippy: crates/clippy.toml. Copies on a boot path are counted by
-tests/alloc_budget.rs.)
+directions, hash-order hygiene, error hygiene and DES event-protocol
+conformance. Every finding fails the check; there is no config file.
+(Wall clocks, env reads, host threads and child processes are banned by
+clippy: crates/clippy.toml. Copies on a boot path are counted by
+tests/alloc_budget.rs; fault seams are observed by tests/seam_matrix.rs.)
 
   --root DIR          workspace root (default: walk up from the cwd)
   --explain PASS      print what a pass checks, why, and how to fix findings
@@ -204,25 +204,6 @@ fn explain(pass: &str) -> Option<&'static str> {
              collections are fine.\n\n\
              Fix: use BTreeMap/BTreeSet for iterated collections, or sort\n\
              before the order escapes.\n"
-        }
-        "seamcover" => {
-            "seamcover — every fault seam is consulted on the boot paths.\n\n\
-             faultsim's InjectionPoint enum names the seams where the boot\n\
-             pipeline can be made to fail (ImageMmap, ArenaMap, Relink,\n\
-             IoReconnect, ZygoteSpecialize, SforkMerge). The resilience\n\
-             ladder, the breaker, and the fault-injection tests only cover\n\
-             what the engines actually consult: a seam-class operation that\n\
-             skips its `ctx.fault(...)` call is invisible to all of them.\n\
-             Two directions, both dataflow-backed: (a) every InjectionPoint\n\
-             variant must be consulted somewhere reachable from the boot\n\
-             roots (directly or through precise callees); (b) every\n\
-             boot-path function that performs a registered seam operation\n\
-             (see seam_ops in catalint's config) must consult that seam\n\
-             before the operation.\n\n\
-             Fix: add `ctx.fault(InjectionPoint::<Point>)?;` before the\n\
-             operation, as the gVisor engines do; or if the operation is\n\
-             genuinely off the boot path, adjust the seam registry with a\n\
-             review.\n"
         }
         "eventproto" => {
             "eventproto — DES event-protocol conformance.\n\n\

@@ -1,4 +1,4 @@
-//! The seven invariant passes.
+//! The six invariant passes.
 //!
 //! Each pass is a pattern scan over token trees (see [`crate::lexer`]);
 //! the interprocedural ones additionally consult the approximate call
@@ -27,13 +27,6 @@
 //!   collections or sort first.
 //! - **hygiene** — public library functions return crate error types, not
 //!   `Box<dyn Error>`, so callers can match on failure modes.
-//! - **seamcover** — every `InjectionPoint` variant must be consulted via
-//!   `ctx.fault(...)` somewhere reachable from the engine boot roots, and
-//!   every boot-path function performing a seam-class operation (per the
-//!   seam registry in [`Config`]) must consult its point first (a def-use
-//!   dataflow layer, [`crate::dataflow`], on top of the graph). A boot
-//!   path that skips a seam silently deflates the availability numbers
-//!   faultsim exists to produce.
 //! - **eventproto** — DES event-protocol conformance: every `Event`
 //!   variant parsed from the enum has a handler arm in each run loop,
 //!   every scheduled variant lands in a non-empty arm, every variant is
@@ -44,8 +37,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::config::Config;
-use crate::dataflow::{self, Summaries};
-use crate::graph::{CallGraph, EdgeKind};
+use crate::graph::CallGraph;
 use crate::lexer::{Delim, Tok};
 use crate::segment::is_keyword;
 use crate::{ParsedFile, Violation};
@@ -60,21 +52,17 @@ pub const PASS_NAMEREG: &str = "namereg";
 pub const PASS_HASHORDER: &str = "hashorder";
 /// Pass name: public API error hygiene.
 pub const PASS_HYGIENE: &str = "hygiene";
-/// Pass name: fault-seam exhaustiveness (every `InjectionPoint` variant
-/// consulted; every boot-path seam operation behind its consult).
-pub const PASS_SEAMCOVER: &str = "seamcover";
 /// Pass name: DES event-protocol conformance (handler coverage, schedule
 /// discipline, total tie-break).
 pub const PASS_EVENTPROTO: &str = "eventproto";
 
 /// All pass names, in reporting order.
-pub const ALL_PASSES: [&str; 7] = [
+pub const ALL_PASSES: [&str; 6] = [
     PASS_PANIC,
     PASS_BORROWCELL,
     PASS_NAMEREG,
     PASS_HASHORDER,
     PASS_HYGIENE,
-    PASS_SEAMCOVER,
     PASS_EVENTPROTO,
 ];
 
@@ -108,10 +96,10 @@ fn next_is_paren(toks: &[Tok], i: usize) -> bool {
 // ---------------------------------------------------------------------------
 
 /// Maximum chain length followed from a parse function. Beyond this the
-/// chain is too indirect to act on and too fuzzy to trust.
+/// chain is too indirect to act on.
 const PANIC_CHAIN_DEPTH: usize = 5;
 
-/// Flags parse-module functions whose precise call chains reach a
+/// Flags parse-module functions whose call chains reach a
 /// hard-panicking helper outside the parse set. What a parse module spells
 /// itself (`unwrap`, indexing, `as`) is denied by clippy in that module.
 pub(crate) fn panic_freedom(cfg: &Config, graph: &CallGraph<'_>, out: &mut Vec<Violation>) {
@@ -133,8 +121,6 @@ pub(crate) fn panic_freedom(cfg: &Config, graph: &CallGraph<'_>, out: &mut Vec<V
         if !cfg.is_parse_file(&graph.nodes[root].file) {
             continue;
         }
-        // Depth-capped BFS over precise edges only: a fuzzy panic edge
-        // would tie every parser to every `get` in the workspace.
         let mut parent: Vec<Option<(usize, u32)>> = vec![None; graph.nodes.len()];
         let mut depth = vec![0usize; graph.nodes.len()];
         let mut seen = vec![false; graph.nodes.len()];
@@ -146,8 +132,8 @@ pub(crate) fn panic_freedom(cfg: &Config, graph: &CallGraph<'_>, out: &mut Vec<V
                 continue;
             }
             for site in &graph.calls[ix] {
-                for &(t, kind) in &site.targets {
-                    if kind != EdgeKind::Precise || seen[t] {
+                for &t in &site.targets {
+                    if seen[t] {
                         continue;
                     }
                     seen[t] = true;
@@ -272,16 +258,16 @@ fn dyn_error_scan(toks: &[Tok], has_dyn: &mut bool, has_error: &mut bool) {
 // ---------------------------------------------------------------------------
 
 /// Flags `RefCell` borrow guards held too long: across a `?` (early return
-/// with the cell still locked) or across a call that can — via precise
-/// edges — reach another `borrow_mut()` (a latent double-borrow panic).
+/// with the cell still locked) or across a call that can reach another
+/// `borrow_mut()` (a latent double-borrow panic).
 pub(crate) fn borrowcell(_cfg: &Config, graph: &CallGraph<'_>, out: &mut Vec<Violation>) {
-    // Which nodes can reach a `.borrow_mut()` through precise edges.
+    // Which nodes can reach a `.borrow_mut()` through call edges.
     let mut reaches_borrow: Vec<bool> = graph
         .items
         .iter()
         .map(|f| body_has_borrow_mut(&f.body))
         .collect();
-    // Fixpoint propagation backwards over precise edges. The graph is
+    // Fixpoint propagation backwards over call edges. The graph is
     // small; the loop terminates once no new node flips.
     loop {
         let mut changed = false;
@@ -289,11 +275,9 @@ pub(crate) fn borrowcell(_cfg: &Config, graph: &CallGraph<'_>, out: &mut Vec<Vio
             if reaches_borrow[ix] {
                 continue;
             }
-            let hit = graph.calls[ix].iter().any(|site| {
-                site.targets
-                    .iter()
-                    .any(|&(t, k)| k == EdgeKind::Precise && reaches_borrow[t])
-            });
+            let hit = graph.calls[ix]
+                .iter()
+                .any(|site| site.targets.iter().any(|&t| reaches_borrow[t]));
             if hit {
                 reaches_borrow[ix] = true;
                 changed = true;
@@ -547,15 +531,11 @@ fn check_live_range(
                 }
             }
             Tok::Ident(w, line) if !is_keyword(w) && next_is_paren(toks, i) => {
-                // A call that can re-enter a RefCell. Only precise edges:
-                // a fuzzy match would tie every method name to every cell.
+                // A call that can re-enter a RefCell.
                 let reenters = graph.calls[node_ix].iter().any(|site| {
                     site.line == *line
                         && site.bare == *w
-                        && site
-                            .targets
-                            .iter()
-                            .any(|&(t, k)| k == EdgeKind::Precise && reaches_borrow[t])
+                        && site.targets.iter().any(|&t| reaches_borrow[t])
                 });
                 if reenters {
                     push(
@@ -973,152 +953,6 @@ fn self_field_tracked(stmt: &[Tok], from: usize, tracked: &[String]) -> bool {
         return false;
     }
     matches!(stmt.get(i + 2), Some(Tok::Ident(f, _)) if tracked.iter().any(|t| t == f))
-}
-
-// ---------------------------------------------------------------------------
-// seamcover
-// ---------------------------------------------------------------------------
-
-/// Fault-seam exhaustiveness, in two directions.
-///
-/// (a) *Variant coverage*: the `InjectionPoint` enum is discovered by
-/// parsing its declaration (so new variants are policed without touching
-/// the checker), and every variant must be consulted via
-/// `ctx.fault(InjectionPoint::V)` in some function reachable from the
-/// boot roots.
-///
-/// (b) *Operation coverage*: a boot-reachable function whose signature
-/// carries a `BootCtx` and which calls a seam-class operation (per the
-/// seam registry) must consult that operation's point first — directly at
-/// an earlier line, or through an earlier call whose precise callee's
-/// summary consults it. Functions without a `BootCtx` in their signature
-/// (guest-kernel internals doing on-demand work, cost estimators) are out
-/// of scope: they *cannot* consult a seam and are reached behind one.
-pub(crate) fn seamcover(
-    parsed: &[ParsedFile],
-    cfg: &Config,
-    graph: &CallGraph<'_>,
-    sums: &Summaries,
-    out: &mut Vec<Violation>,
-) {
-    let mut variants: Vec<(String, String, u32)> = Vec::new();
-    for pf in parsed.iter() {
-        if cfg.is_non_library_path(&pf.path) {
-            continue;
-        }
-        collect_injection_variants(&pf.items.loose, &pf.path, &mut variants);
-    }
-
-    let roots: Vec<usize> = cfg
-        .seam_roots
-        .iter()
-        .flat_map(|n| graph.by_name(n))
-        .collect();
-    let reach = graph.reach(&roots, |site, _| {
-        !cfg.boot_stops.iter().any(|s| s == &site.bare)
-    });
-
-    // (a) Every declared variant is consulted on some boot path.
-    let mut consulted: BTreeSet<&str> = BTreeSet::new();
-    for ix in 0..graph.nodes.len() {
-        if reach.seen[ix] {
-            for v in &sums.direct_consults[ix] {
-                consulted.insert(v);
-            }
-        }
-    }
-    for (file, variant, line) in &variants {
-        if !consulted.contains(variant.as_str()) {
-            push(
-                out,
-                PASS_SEAMCOVER,
-                file,
-                MODULE_SCOPE,
-                *line,
-                format!(
-                    "fault seam `InjectionPoint::{variant}` is never consulted: no function \
-                     reachable from the boot roots calls `ctx.fault(InjectionPoint::{variant})`"
-                ),
-            );
-        }
-    }
-
-    // (b) Every boot-path seam operation sits behind its consult.
-    for ix in 0..graph.nodes.len() {
-        if !reach.seen[ix] {
-            continue;
-        }
-        let item = graph.items[ix];
-        if !item.sig.iter().any(|t| dataflow::mentions(t, "BootCtx")) {
-            continue;
-        }
-        let node = &graph.nodes[ix];
-        let direct = dataflow::consult_sites(&item.body);
-        for site in &graph.calls[ix] {
-            let Some(point) = cfg.seam_point_for(&site.bare) else {
-                continue;
-            };
-            // The operation's own (wrapper) definition is not a use site.
-            if node.name == site.bare {
-                continue;
-            }
-            let consulted_here = direct.iter().any(|(v, l)| v == point && *l <= site.line);
-            let consulted_via_helper = graph.calls[ix].iter().any(|s| {
-                s.line <= site.line
-                    && s.targets.iter().any(|&(t, kind)| {
-                        kind == EdgeKind::Precise && sums.consults[t].contains(point)
-                    })
-            });
-            if !(consulted_here || consulted_via_helper) {
-                out.push(Violation {
-                    pass: PASS_SEAMCOVER,
-                    file: node.file.clone(),
-                    func: node.name.clone(),
-                    line: site.line,
-                    what: format!(
-                        "seam operation `{}` runs without consulting \
-                         `ctx.fault(InjectionPoint::{point})` first; every boot-path `{}` \
-                         must sit behind its fault seam",
-                        site.bare, site.bare
-                    ),
-                    chain: graph.chain(&reach, ix),
-                });
-            }
-        }
-    }
-}
-
-/// Parses `enum InjectionPoint { … }` declarations, collecting each
-/// variant's name and line. Attributes and payload groups are skipped;
-/// doc comments never produce tokens.
-fn collect_injection_variants(toks: &[Tok], file: &str, out: &mut Vec<(String, String, u32)>) {
-    for i in 0..toks.len() {
-        if toks[i].ident() == Some("enum")
-            && matches!(toks.get(i + 1), Some(Tok::Ident(w, _)) if w == "InjectionPoint")
-        {
-            if let Some(Tok::Group(Delim::Brace, inner, _)) = toks
-                .iter()
-                .skip(i + 2)
-                .find(|t| matches!(t, Tok::Group(Delim::Brace, _, _)))
-            {
-                let mut expect = true;
-                for t in inner {
-                    match t {
-                        Tok::Punct(',', _) => expect = true,
-                        Tok::Punct('#', _) | Tok::Group(..) => {}
-                        Tok::Ident(w, line) if expect => {
-                            out.push((file.to_string(), w.clone(), *line));
-                            expect = false;
-                        }
-                        _ => expect = false,
-                    }
-                }
-            }
-        }
-        if let Tok::Group(_, inner, _) = &toks[i] {
-            collect_injection_variants(inner, file, out);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@
 use std::process::Command;
 
 use catalint::config::Config;
-use catalint::passes::{PASS_EVENTPROTO, PASS_HYGIENE, PASS_NAMEREG, PASS_PANIC, PASS_SEAMCOVER};
+use catalint::passes::{PASS_EVENTPROTO, PASS_HYGIENE, PASS_NAMEREG, PASS_PANIC};
 use catalint::{analyze, SrcFile};
 
 fn run(path: &str, content: &str) -> Vec<catalint::Violation> {
@@ -158,109 +158,8 @@ fn binary_exits_zero_on_clean_tree_and_nonzero_on_violation() {
 }
 
 // ---------------------------------------------------------------------------
-// The fault-seam contract and the name registry's other direction
+// The name registry's other direction, and finding order
 // ---------------------------------------------------------------------------
-
-/// A gVisor-style engine body with every seam consulted. The seamcover
-/// acceptance test edits this: deleting one `ctx.fault(...)` line must
-/// produce a finding at the now-unguarded operation.
-const GUARDED_ENGINE: &str = r#"
-pub fn boot(profile: &AppProfile, ctx: &mut BootCtx) -> Result<(), SandboxError> {
-    ctx.fault(InjectionPoint::ArenaMap)?;
-    let records = store.restore_metadata(ctx.clock(), ctx.model())?;
-    ctx.fault(InjectionPoint::ImageMmap)?;
-    let base = store.build_base_layer(ctx.clock(), ctx.model())?;
-    Ok(())
-}
-"#;
-
-#[test]
-fn guarded_engine_is_clean() {
-    let v = run("crates/core/src/scratch_engine.rs", GUARDED_ENGINE);
-    assert!(
-        v.iter().all(|v| v.pass != PASS_SEAMCOVER),
-        "every seam op sits behind its consult, got: {v:?}"
-    );
-}
-
-#[test]
-fn deleting_a_fault_consult_is_caught() {
-    // Exactly GUARDED_ENGINE minus the ArenaMap consult: the
-    // restore_metadata call is now unguarded and must be flagged.
-    let stripped: String = GUARDED_ENGINE
-        .lines()
-        .filter(|l| !l.contains("InjectionPoint::ArenaMap"))
-        .collect::<Vec<_>>()
-        .join("\n");
-    let v = run("crates/core/src/scratch_engine.rs", &stripped);
-    assert!(
-        v.iter().any(|v| v.pass == PASS_SEAMCOVER
-            && v.func == "boot"
-            && v.what.contains("restore_metadata")
-            && v.what.contains("InjectionPoint::ArenaMap")),
-        "deleting a ctx.fault(...) must produce a seamcover finding, got: {v:?}"
-    );
-    // The still-guarded build_base_layer stays clean.
-    assert!(
-        v.iter()
-            .all(|v| v.pass != PASS_SEAMCOVER || !v.what.contains("build_base_layer")),
-        "the ImageMmap consult still guards build_base_layer, got: {v:?}"
-    );
-}
-
-#[test]
-fn consult_through_a_precise_helper_counts() {
-    // The consult may live in a same-file helper called before the
-    // operation — the fixpoint summary carries it to the caller.
-    let v = run(
-        "crates/core/src/scratch_engine.rs",
-        r#"
-fn arm_seams(ctx: &mut BootCtx) -> Result<(), SandboxError> {
-    ctx.fault(InjectionPoint::ArenaMap)?;
-    Ok(())
-}
-pub fn boot(profile: &AppProfile, ctx: &mut BootCtx) -> Result<(), SandboxError> {
-    arm_seams(ctx)?;
-    let records = store.restore_metadata(ctx.clock(), ctx.model())?;
-    Ok(())
-}
-"#,
-    );
-    assert!(
-        v.iter().all(|v| v.pass != PASS_SEAMCOVER),
-        "a precise callee's consult covers the caller, got: {v:?}"
-    );
-}
-
-#[test]
-fn unconsulted_enum_variant_is_caught() {
-    // Variant coverage: the enum declaration is parsed from source, and a
-    // variant no boot-reachable function consults is flagged at its line.
-    let v = run_files(&[
-        (
-            "crates/faultsim/src/point.rs",
-            "pub enum InjectionPoint {\n    ArenaMap,\n    GhostSeam,\n}\n",
-        ),
-        (
-            "crates/core/src/scratch_engine.rs",
-            "pub fn boot(ctx: &mut BootCtx) -> Result<(), E> {\n    \
-             ctx.fault(InjectionPoint::ArenaMap)?;\n    Ok(())\n}\n",
-        ),
-    ]);
-    assert!(
-        v.iter().any(|v| v.pass == PASS_SEAMCOVER
-            && v.file == "crates/faultsim/src/point.rs"
-            && v.line == 3
-            && v.what.contains("GhostSeam")),
-        "expected a variant-coverage finding for GhostSeam, got: {v:?}"
-    );
-    assert!(
-        v.iter().all(|v| !v
-            .what
-            .contains("`InjectionPoint::ArenaMap` is never consulted")),
-        "the consulted variant is covered, got: {v:?}"
-    );
-}
 
 #[test]
 fn unreferenced_registry_entry_is_caught() {
@@ -291,8 +190,8 @@ fn unreferenced_registry_entry_is_caught() {
 fn finding_order_is_deterministic_and_sorted() {
     // Findings arrive sorted by (file, line, pass) regardless of input
     // order. Feed files in reverse order and mix three passes, one of them
-    // interprocedural: `boot` is a seam root, and the unguarded operation
-    // sits one call below it, in `stage`.
+    // interprocedural: `parse_header` sits in a parse module, and the
+    // panicking helper it calls sits one call below it, in another file.
     let files = [
         (
             "crates/platform/src/scratch_z.rs",
@@ -300,11 +199,14 @@ fn finding_order_is_deterministic_and_sorted() {
              m.inc(\"pool.reuse\");\n    Ok(())\n}\n",
         ),
         (
-            "crates/core/src/scratch_a.rs",
-            "pub fn boot(ctx: &mut BootCtx) -> Result<(), Box<dyn Error>> {\n    \
-             stage(ctx)\n}\n\
-             fn stage(ctx: &mut BootCtx) -> Result<(), E> {\n    \
-             store.restore_metadata(ctx.clock(), ctx.model())\n}\n",
+            "crates/imagefmt/src/util.rs",
+            "fn header_len(buf: &[u8]) -> u32 {\n    \
+             buf.first().copied().unwrap().into()\n}\n",
+        ),
+        (
+            "crates/imagefmt/src/flat.rs",
+            "pub fn parse_header(buf: &[u8]) -> Result<u32, Box<dyn Error>> {\n    \
+             Ok(header_len(buf))\n}\n",
         ),
     ];
     let mut reversed = files;
@@ -319,8 +221,8 @@ fn finding_order_is_deterministic_and_sorted() {
     assert_eq!(
         keys,
         [
-            ("crates/core/src/scratch_a.rs", 1, PASS_HYGIENE),
-            ("crates/core/src/scratch_a.rs", 5, PASS_SEAMCOVER),
+            ("crates/imagefmt/src/flat.rs", 1, PASS_HYGIENE),
+            ("crates/imagefmt/src/flat.rs", 2, PASS_PANIC),
             ("crates/platform/src/scratch_z.rs", 1, PASS_HYGIENE),
             ("crates/platform/src/scratch_z.rs", 2, PASS_NAMEREG),
         ],
@@ -328,7 +230,7 @@ fn finding_order_is_deterministic_and_sorted() {
     );
     assert!(
         a[1].to_string()
-            .starts_with("crates/core/src/scratch_a.rs:5 [seamcover] boot → stage: "),
+            .starts_with("crates/imagefmt/src/flat.rs:2 [panic] parse_header → header_len: "),
         "the interprocedural finding renders its chain, got: {}",
         a[1]
     );

@@ -112,23 +112,6 @@ fn golden_hygiene() {
 }
 
 #[test]
-fn golden_seamcover_unguarded_operation() {
-    let got = render(&[(
-        "crates/core/src/scratch_engine.rs",
-        "pub fn boot(profile: &AppProfile, ctx: &mut BootCtx) -> Result<(), SandboxError> {\n    \
-         let records = store.restore_metadata(ctx.clock(), ctx.model())?;\n    Ok(())\n}\n",
-    )]);
-    assert_eq!(
-        got,
-        [
-            "crates/core/src/scratch_engine.rs:2 [seamcover] fn boot: seam operation \
-          `restore_metadata` runs without consulting `ctx.fault(InjectionPoint::ArenaMap)` \
-          first; every boot-path `restore_metadata` must sit behind its fault seam"
-        ]
-    );
-}
-
-#[test]
 fn golden_eventproto_tie_break_blind_spot() {
     let got = render(&[
         (

@@ -91,6 +91,12 @@ pub struct ChaosRecord {
 
 /// Virtual-time spacing of heartbeat rounds.
 pub const HEARTBEAT_INTERVAL: SimNanos = SimNanos::from_millis(10);
+/// The most heartbeat rounds one open-loop chaos run ticks: the rounds run
+/// every [`HEARTBEAT_INTERVAL`] up to the last arrival, so a trace ending
+/// later than this many intervals out is rejected before calibration.
+/// 2^20 rounds is ≈ 2.9 h of virtual time; the longest in-tree chaos trace
+/// ends near 60 s.
+pub const MAX_HEARTBEAT_ROUNDS: u64 = 1 << 20;
 /// A healthy node's heartbeat ack latency (gray nodes stretch it).
 const BASE_ACK: SimNanos = SimNanos::from_micros(200);
 /// Ack latency above which a node is suspected fail-slow.

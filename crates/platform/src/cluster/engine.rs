@@ -89,8 +89,8 @@ enum Rung {
 /// forking: the RDMA setup handshake plus the one-sided reads of the
 /// eagerly-shipped slice of the template's state. The caller must consult
 /// [`InjectionPoint::TemplateTransfer`] first — the transfer is a fault
-/// seam, and `catalint`'s seamcover pass enforces the consult-before-op
-/// ordering.
+/// seam, and the workspace's seam-matrix test fails the remote rung if the
+/// transfer runs before its consult.
 ///
 /// # Errors
 ///

@@ -54,7 +54,7 @@ use simtime::{CostModel, LatencyHistogram, MetricsRegistry, SimNanos};
 
 use super::chaos::{
     ChaosEvent, ChaosPolicy, ChaosRecord, ChaosState, NodeHealth, HEARTBEAT_INTERVAL, HEDGE_DELAY,
-    TRANSFER_TIMEOUT,
+    MAX_HEARTBEAT_ROUNDS, TRANSFER_TIMEOUT,
 };
 use super::{transfer_time, ClusterConfig, RoutingPolicy, COLD_PULL};
 use crate::resilience::{resilient_boot, ResiliencePolicy};
@@ -62,7 +62,7 @@ use crate::simulate::{
     calibrate_shapes, fraction, validate_trace, Arena, Event, EventQueue, FnId, InstanceId,
     Quantiles, TraceRequest, REUSE_HANDOFF,
 };
-use crate::PlatformError;
+use crate::{PlatformError, TraceError};
 
 use catalyzer::{BootMode, CatalyzerEngine};
 
@@ -408,7 +408,9 @@ impl ClusterSim {
     ///
     /// [`PlatformError::ClusterConfig`] for a zero node count, zero
     /// placement budget, or a plan touching a node the cluster lacks;
-    /// [`PlatformError::InvalidTrace`]; calibration errors.
+    /// [`PlatformError::InvalidTrace`], including [`TraceError::Horizon`]
+    /// when the last arrival is more than [`MAX_HEARTBEAT_ROUNDS`]
+    /// heartbeat intervals out; calibration errors.
     pub fn run_chaos(mut self, trace: &[TraceRequest]) -> Result<ChaosOutcome, PlatformError> {
         let chaos = self
             .chaos
@@ -429,6 +431,17 @@ impl ClusterSim {
     ) -> Result<ChaosOutcome, PlatformError> {
         self.config.ensure_valid()?;
         let mut queue = EventQueue::over(validate_trace(trace, self.catalogue.len())?);
+        // The heartbeat chain ticks up to the last arrival: bound its
+        // rounds before any calibration work.
+        let hb_end = trace.last().map_or(SimNanos::ZERO, |r| r.arrival);
+        let limit = HEARTBEAT_INTERVAL.saturating_mul(MAX_HEARTBEAT_ROUNDS);
+        if chaos.is_some() && hb_end > limit {
+            return Err(TraceError::Horizon {
+                last: hb_end,
+                limit,
+            }
+            .into());
+        }
         let fns = self.calibrate()?;
         let nodes = self.config.nodes;
         let width = fns.len();
@@ -468,7 +481,6 @@ impl ClusterSim {
         // `NodeCrash`, partition heals as `PartitionHeal` (epoch = plan
         // order). Partition *starts* and gray windows need no events —
         // reachability and slowdown are pure functions of the plan.
-        let hb_end = trace.last().map_or(SimNanos::ZERO, |r| r.arrival);
         if let Some(c) = &chaos {
             for event in c.plan().events() {
                 if event.fault == NodeFault::Crash {
@@ -1565,5 +1577,47 @@ mod tests {
             serde_json::to_string(&out).unwrap()
         };
         assert_eq!(once(), once(), "same inputs, byte-identical outcome");
+    }
+
+    #[test]
+    fn a_chaos_trace_past_the_heartbeat_horizon_is_rejected_before_it_runs() {
+        // Uncapped, the heartbeat chain ticks every interval up to the last
+        // arrival: ≈ 1.8·10¹² rounds for a request at the end of virtual
+        // time, and at `SimNanos::MAX` the next tick saturates onto itself.
+        let trace = |last: SimNanos| -> Vec<TraceRequest> {
+            [SimNanos::ZERO, last, last]
+                .into_iter()
+                .map(|arrival| TraceRequest {
+                    arrival,
+                    function: 0,
+                })
+                .collect()
+        };
+        let sim = || ClusterSim::new(vec![AppProfile::c_hello()], ClusterConfig::new(2, 1));
+        let chaos = |last: SimNanos, policy: ChaosPolicy| {
+            sim()
+                .with_chaos(NodePlan::quiet(5), policy)
+                .run_chaos(&trace(last))
+        };
+        let limit = HEARTBEAT_INTERVAL.saturating_mul(MAX_HEARTBEAT_ROUNDS);
+        for last in [SimNanos::MAX, limit.saturating_add(SimNanos::from_nanos(1))] {
+            for policy in [ChaosPolicy::full(), ChaosPolicy::none()] {
+                assert_eq!(
+                    chaos(last, policy).unwrap_err(),
+                    PlatformError::InvalidTrace(TraceError::Horizon { last, limit })
+                );
+            }
+        }
+        // Without a chaos layer there is no heartbeat chain to bound.
+        let plain = sim().run_cluster(&trace(SimNanos::MAX)).unwrap();
+        assert_eq!(plain.completed, 3);
+        // At the horizon itself every round still ticks, and the run
+        // conserves its requests.
+        let out = chaos(limit, ChaosPolicy::full()).unwrap();
+        assert_eq!(out.heartbeats, MAX_HEARTBEAT_ROUNDS);
+        assert_eq!(
+            out.cluster.completed + out.cluster.shed + out.failed,
+            out.cluster.requests
+        );
     }
 }

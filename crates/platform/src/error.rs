@@ -94,6 +94,17 @@ pub enum TraceError {
         /// The predecessor's (later) arrival time.
         previous: SimNanos,
     },
+    /// The last arrival lies past the chaos layer's heartbeat horizon:
+    /// more than [`MAX_HEARTBEAT_ROUNDS`] rounds of [`HEARTBEAT_INTERVAL`].
+    ///
+    /// [`MAX_HEARTBEAT_ROUNDS`]: crate::cluster::chaos::MAX_HEARTBEAT_ROUNDS
+    /// [`HEARTBEAT_INTERVAL`]: crate::cluster::chaos::HEARTBEAT_INTERVAL
+    Horizon {
+        /// The last arrival.
+        last: SimNanos,
+        /// The latest last arrival a chaos run accepts.
+        limit: SimNanos,
+    },
 }
 
 impl fmt::Display for TraceError {
@@ -115,6 +126,10 @@ impl fmt::Display for TraceError {
             } => write!(
                 f,
                 "request {at} arrives at {arrival}, before its predecessor at {previous} — trace must be time-sorted"
+            ),
+            TraceError::Horizon { last, limit } => write!(
+                f,
+                "the last request arrives at {last}, past the chaos heartbeat horizon at {limit}"
             ),
         }
     }

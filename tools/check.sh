@@ -129,6 +129,14 @@ step "stage probe (write + restore + fork, one round)" \
 step "allocation budgets (calls and bytes per operation)" \
   cargo test -q --release --test alloc_budget -- --nocapture
 
+# The seam matrix (tests/seam_matrix.rs) again, with its output: one line
+# per boot path naming the fault seams it owns, each observed by booting
+# the path with that seam armed alone. The debug `cargo test` step above
+# already gates it; this run puts the ownership table in every check log
+# (well under a second in release).
+step "seam matrix (which boot path owns which fault seam)" \
+  cargo test -q --release --test seam_matrix -- --nocapture
+
 # The repo's wall-clock benchmark, in its 1/20-size single-repetition smoke
 # mode (~35 s cold, ~25 s warm): builds the standalone harness and runs all
 # five workloads once. Timings are not gated here; what is gated is
