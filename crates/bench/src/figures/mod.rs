@@ -14,13 +14,16 @@ use catalyzer::{BootMode, Catalyzer, CatalyzerEngine};
 use runtimes::AppProfile;
 use sandbox::{BootCtx, BootEngine, BootOutcome, SandboxError};
 use simtime::{CostModel, SimNanos};
-use std::cell::RefCell;
 use std::rc::Rc;
 
 /// The Fig. 11 lineup (reused by several experiments), sharing one
 /// Catalyzer instance across its three modes (as one deployment would).
+#[expect(
+    clippy::disallowed_types,
+    reason = "`CatalyzerEngine::new` takes the shared cell its three modes borrow in turn"
+)]
 pub fn fig11_lineup() -> Vec<Box<dyn BootEngine>> {
-    let shared = Rc::new(RefCell::new(Catalyzer::new()));
+    let shared = Rc::new(std::cell::RefCell::new(Catalyzer::new()));
     vec![
         Box::new(sandbox::HyperContainerEngine::new()),
         Box::new(sandbox::FirecrackerEngine::new()),

@@ -1,9 +1,10 @@
 //! Checker configuration.
 //!
 //! The *policy* — which files are parse modules, where the name registry
-//! and the DES event protocol live — is here, in code, because changing
-//! policy should look like a code change and go through review. There is no config file and no way to excuse a finding at its
-//! site: a finding is fixed in code, or this policy changes.
+//! lives — is here, in code, because changing policy should look like a
+//! code change and go through review. There is no config file and no way
+//! to excuse a finding at its site: a finding is fixed in code, or this
+//! policy changes.
 
 /// Which files each pass applies to.
 #[derive(Debug, Clone)]
@@ -24,22 +25,6 @@ pub struct Config {
     /// every public entry in it is emitted somewhere in the workspace, as
     /// well as the other direction (every literal is registered).
     pub registry_file: String,
-    /// The DES event-protocol file: where the `Event` enum and its
-    /// tie-break key functions live.
-    pub events_file: String,
-    /// Name of the DES event enum.
-    pub event_enum: String,
-    /// The tie-break key functions on the event enum. Together they must
-    /// bind every payload field, or insertion order leaks into pop order.
-    pub tiebreak_fns: Vec<String>,
-    /// Bare names of the open-loop run loops whose event matches the
-    /// eventproto pass holds to full variant coverage.
-    pub event_loops: Vec<String>,
-    /// Bare names of the functions *in the events file* through which an
-    /// event reaches a run loop without a `schedule` call: the queue's
-    /// `pop`, whose merge of the time-sorted trace is where every streamed
-    /// arrival is built. A variant constructed there is not a ghost.
-    pub event_merge_fns: Vec<String>,
 }
 
 impl Config {
@@ -61,15 +46,6 @@ impl Config {
                 "crates/catalint/".into(),
             ],
             registry_file: "crates/simtime/src/names.rs".into(),
-            events_file: "crates/platform/src/simulate/events.rs".into(),
-            event_enum: "Event".into(),
-            tiebreak_fns: vec!["class".into(), "key".into(), "subkey".into()],
-            // The single-node fleet and the cluster kernel behind both
-            // `run_cluster` and `run_chaos`. The closed loop
-            // (`Simulation::run`) is a fold over the trace: it schedules
-            // nothing, so there is no event match to hold to coverage.
-            event_loops: vec!["run_fleet".into(), "drive".into()],
-            event_merge_fns: vec!["pop".into()],
         }
     }
 
@@ -116,15 +92,5 @@ mod tests {
         assert!(c.is_non_library_path("crates/bench/src/bin/repro.rs"));
         assert!(c.is_non_library_path("examples/quickstart.rs"));
         assert!(!c.is_non_library_path("crates/core/src/restore.rs"));
-    }
-
-    #[test]
-    fn event_protocol_policy() {
-        let c = Config::workspace_default();
-        assert_eq!(c.events_file, "crates/platform/src/simulate/events.rs");
-        assert_eq!(c.event_enum, "Event");
-        assert_eq!(c.tiebreak_fns, ["class", "key", "subkey"]);
-        assert_eq!(c.event_loops, ["run_fleet", "drive"]);
-        assert_eq!(c.event_merge_fns, ["pop"]);
     }
 }

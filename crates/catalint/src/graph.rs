@@ -112,16 +112,6 @@ impl<'a> CallGraph<'a> {
             calls,
         }
     }
-
-    /// Node indices whose bare name is `name`.
-    pub fn by_name(&self, name: &str) -> Vec<usize> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.name == name)
-            .map(|(ix, _)| ix)
-            .collect()
-    }
 }
 
 struct Indexes<'b> {

@@ -5,14 +5,10 @@
 //! §12 has the table), and catalint is the enforcer only where neither the
 //! compiler, a standard clippy lint nor a test can be:
 //!
-//! 1. **Panic-free parsing, through helpers.** Func-images and checkpoints
-//!    are untrusted input to the restore path. Each parse module denies
-//!    clippy's panic-source lints for what it spells itself; the `panic`
-//!    pass follows call edges out of those modules to a helper that can
-//!    panic.
-//! 2. **Borrow discipline.** A `RefCell` guard held across `?` (or a
-//!    re-entrant `borrow_mut` through a call chain) turns an error return
-//!    into a runtime borrow panic (`borrowcell`).
+//! **Panic-free parsing, through helpers.** Func-images and checkpoints
+//! are untrusted input to the restore path. Each parse module denies
+//! clippy's panic-source lints for what it spells itself; the `panic` pass
+//! follows call edges out of those modules to a helper that can panic.
 //!
 //! Plus three conventions: the `simtime::names` registry is closed in both
 //! directions — every metric/span name literal comes from it and every
@@ -20,23 +16,25 @@
 //! `HashMap`/`HashSet` iteration order (`hashorder`), and public library
 //! functions return crate error types, not `Box<dyn Error>` (`hygiene`).
 //!
-//! Plus one protocol contract: the DES event protocol is conformant —
-//! handler coverage, schedule discipline, a total tie-break (`eventproto`).
-//!
 //! What a type, a standard lint or a test can enforce is not a pass. The
 //! compiler enforces overflow-safe `SimNanos` arithmetic (no `+`/`-`/`*`),
 //! generation-checked arena access (`InstanceId::index()` is private) and
 //! closure-scoped spans (`sandbox::BootCtx` hands out no tracer), each
-//! pinned by a `compile_fail` doctest on the type. clippy enforces the ban
-//! on wall clocks, the environment, host threads and child processes
+//! pinned by a `compile_fail` doctest on the type, and it makes every
+//! open-loop kernel name each DES event variant (no `_` arm in `run_fleet`
+//! or `drive`, under `clippy::wildcard_enum_match_arm`). clippy enforces
+//! the ban on wall clocks, the environment, host threads and child
+//! processes, and on `RefCell` outside three sites that `#[expect]` it
 //! (`crates/clippy.toml`, type-resolved, every first-party target). The
 //! root test `tests/alloc_budget.rs` holds every boot path to allocations
 //! per table, not per object or page, and `tests/seam_matrix.rs` boots
 //! every engine with each fault seam armed in turn, so a boot path that
-//! stops consulting a seam fails a cell there.
+//! stops consulting a seam fails a cell there. The DES queue's tie-break is
+//! total because a test in `platform::simulate::events` ranks every event
+//! against each twin that differs from it in one payload field.
 //!
 //! The checker lexes the workspace (no rustc, no dependencies), segments
-//! it into functions, builds an approximate call graph, and runs six
+//! it into functions, builds an approximate call graph, and runs four
 //! passes; the `panic` pass attaches the root → sink call chain to each
 //! finding. There is no debt file, no config file and no site
 //! suppression: the workspace carries zero findings, and any finding fails
@@ -138,7 +136,7 @@ pub struct ParsedFile {
     pub items: FileItems,
 }
 
-/// Runs all six passes over the given files and returns findings
+/// Runs all four passes over the given files and returns findings
 /// sorted by `(file, line, pass)`.
 pub fn analyze(files: &[SrcFile], cfg: &Config) -> Vec<Violation> {
     let parsed: Vec<ParsedFile> = files
@@ -150,17 +148,15 @@ pub fn analyze(files: &[SrcFile], cfg: &Config) -> Vec<Violation> {
         })
         .collect();
 
-    // One call graph over library code, shared by the interprocedural
-    // passes. Tests, benches, and binaries never join the graph.
+    // One call graph over library code, for the interprocedural `panic`
+    // pass. Tests, benches, and binaries never join the graph.
     let graph = graph::CallGraph::build(&parsed, |p| cfg.is_non_library_path(p));
 
     let mut out = Vec::new();
     passes::panic_freedom(cfg, &graph, &mut out);
     passes::hygiene(&parsed, cfg, &mut out);
-    passes::borrowcell(cfg, &graph, &mut out);
     passes::namereg(&parsed, cfg, &mut out);
     passes::hashorder(&parsed, cfg, &mut out);
-    passes::eventproto(&parsed, cfg, &graph, &mut out);
     out.sort_by(|a, b| (a.file.as_str(), a.line, a.pass).cmp(&(b.file.as_str(), b.line, b.pass)));
     out
 }

@@ -18,12 +18,13 @@ const USAGE: &str = "usage: catalint [--root DIR] [--explain PASS]
 
 Checks the workspace against the invariants that neither rustc nor a
 standard clippy lint can express: no panicking helper reachable from image
-parsing, RefCell guard discipline, a metric-name registry closed in both
-directions, hash-order hygiene, error hygiene and DES event-protocol
-conformance. Every finding fails the check; there is no config file.
-(Wall clocks, env reads, host threads and child processes are banned by
-clippy: crates/clippy.toml. Copies on a boot path are counted by
-tests/alloc_budget.rs; fault seams are observed by tests/seam_matrix.rs.)
+parsing, a metric-name registry closed in both directions, hash-order
+hygiene and error hygiene. Every finding fails the check; there is no
+config file. (Wall clocks, env reads, host threads, child processes and
+RefCell are banned by clippy: crates/clippy.toml. Copies on a boot path
+are counted by tests/alloc_budget.rs; fault seams are observed by
+tests/seam_matrix.rs; the DES tie-break is held total by a twin test in
+platform's simulate/events.rs.)
 
   --root DIR          workspace root (default: walk up from the cwd)
   --explain PASS      print what a pass checks, why, and how to fix findings
@@ -170,19 +171,6 @@ fn explain(pass: &str) -> Option<&'static str> {
              Fix: make the helper return a typed error (`try_into`, `get()`,\n\
              `ok_or`); findings print the root → … → sink chain to follow.\n"
         }
-        "borrowcell" => {
-            "borrowcell — RefCell borrow guards must stay short-lived.\n\n\
-             A `borrow_mut()` guard held across `?` keeps the cell locked on\n\
-             early return; held across a call that can reach another\n\
-             `borrow_mut()` it is one refactor away from a runtime\n\
-             double-borrow panic. One shared cell is left in library code:\n\
-             the Rc<RefCell<Catalyzer>> behind CatalyzerEngine::new, which\n\
-             the fenced benchmark constructs; the fault injector is lent\n\
-             through BootCtx and no longer shared.\n\n\
-             Fix: end the borrow before `?` (bind the result, drop the guard),\n\
-             or move the logic into a method on the cell's owner so the borrow\n\
-             spans a single statement.\n"
-        }
         "namereg" => {
             "namereg — the simtime::names registry is closed in both directions.\n\n\
              Bench validators match emitter names byte-for-byte; a typo in a\n\
@@ -204,28 +192,6 @@ fn explain(pass: &str) -> Option<&'static str> {
              collections are fine.\n\n\
              Fix: use BTreeMap/BTreeSet for iterated collections, or sort\n\
              before the order escapes.\n"
-        }
-        "eventproto" => {
-            "eventproto — DES event-protocol conformance.\n\n\
-             The event queue pops by (time, class, key, subkey, seq); results\n\
-             are only insertion-order-free if the declared tie-break covers\n\
-             every payload field and every run loop handles every variant.\n\
-             Three directions over platform/src/simulate/events.rs and the\n\
-             two run loops (`run_fleet` and the cluster kernel `drive`; the\n\
-             closed loop is a fold over the trace and schedules nothing):\n\
-             (a) every `Event` payload field must be bound by one\n\
-             of the tie-break key functions (class/key/subkey) — a field\n\
-             hidden behind `..` everywhere means two distinct events compare\n\
-             equal and pop in insertion order; (b) each run loop must match\n\
-             every variant by name (no `_` wildcard) and must not schedule a\n\
-             variant whose only arm is empty; (c) a variant never constructed\n\
-             — neither at a `schedule(…)` site nor by the queue's own merge,\n\
-             `pop` in events.rs, which builds each streamed `Arrival` from\n\
-             the time-sorted trace instead of having it scheduled — or\n\
-             handled non-emptily nowhere, is dead protocol surface.\n\n\
-             Fix: extend class()/key()/subkey() to bind the field, add the\n\
-             missing handler arm (an explicit empty arm documents a\n\
-             provably-inert class), or delete the dead variant.\n"
         }
         "hygiene" => {
             "hygiene — public library functions return crate error types.\n\n\

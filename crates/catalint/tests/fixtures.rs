@@ -4,7 +4,7 @@
 use std::process::Command;
 
 use catalint::config::Config;
-use catalint::passes::{PASS_EVENTPROTO, PASS_HYGIENE, PASS_NAMEREG, PASS_PANIC};
+use catalint::passes::{PASS_HYGIENE, PASS_NAMEREG, PASS_PANIC};
 use catalint::{analyze, SrcFile};
 
 fn run(path: &str, content: &str) -> Vec<catalint::Violation> {
@@ -233,202 +233,5 @@ fn finding_order_is_deterministic_and_sorted() {
             .starts_with("crates/imagefmt/src/flat.rs:2 [panic] parse_header → header_len: "),
         "the interprocedural finding renders its chain, got: {}",
         a[1]
-    );
-}
-
-// ---------------------------------------------------------------------------
-// The DES event protocol
-// ---------------------------------------------------------------------------
-
-/// A minimal conforming events file + run loop: two variants, every
-/// payload field bound by a tie-break key, both variants scheduled and
-/// handled non-emptily. The eventproto tests below each break exactly one
-/// clause of this contract.
-const EVENTS_OK: &str = r#"
-pub enum Event {
-    Arrive { request: u64 },
-    Done { request: u64, instance: Option<InstanceId> },
-}
-impl Event {
-    fn class(&self) -> u8 {
-        match self {
-            Event::Arrive { .. } => 0,
-            Event::Done { .. } => 1,
-        }
-    }
-    fn key(&self) -> u64 {
-        match self {
-            Event::Arrive { request } => *request,
-            Event::Done { request, .. } => *request,
-        }
-    }
-    fn subkey(&self) -> u64 {
-        match self {
-            Event::Done { instance, .. } => instance.map_or(0, |i| i.key()),
-            Event::Arrive { .. } => 0,
-        }
-    }
-}
-"#;
-
-const LOOP_OK: &str = r#"
-pub fn run_fleet(&mut self) {
-    self.queue.schedule(t0, Event::Arrive { request: 1 });
-    match ev {
-        Event::Arrive { request } => {
-            self.queue.schedule(t1, Event::Done { request, instance: None });
-        }
-        Event::Done { request, instance } => {
-            self.finish(request, instance);
-        }
-    }
-}
-"#;
-
-const EVENTS_PATH: &str = "crates/platform/src/simulate/events.rs";
-const LOOP_PATH: &str = "crates/platform/src/simulate/scratch_loop.rs";
-
-#[test]
-fn conforming_event_protocol_is_clean() {
-    let v = run_files(&[(EVENTS_PATH, EVENTS_OK), (LOOP_PATH, LOOP_OK)]);
-    assert!(
-        v.iter().all(|v| v.pass != PASS_EVENTPROTO),
-        "the conforming fixture must be clean, got: {v:?}"
-    );
-}
-
-#[test]
-fn tie_break_blind_spot_is_caught() {
-    // Drop the `instance` binding from subkey: two `Done` events differing
-    // only in `instance` now compare equal, and insertion order leaks.
-    let blinded = EVENTS_OK.replace(
-        "Event::Done { instance, .. } => instance.map_or(0, |i| i.key()),",
-        "Event::Done { .. } => 0,",
-    );
-    let v = run_files(&[(EVENTS_PATH, &blinded), (LOOP_PATH, LOOP_OK)]);
-    assert!(
-        v.iter().any(|v| v.pass == PASS_EVENTPROTO
-            && v.file == EVENTS_PATH
-            && v.what.contains("tie-break blind spot")
-            && v.what.contains("`instance`")),
-        "expected a blind-spot finding for `instance`, got: {v:?}"
-    );
-}
-
-#[test]
-fn scheduled_but_unhandled_variant_is_caught() {
-    // Delete the `Done` arm: the loop still schedules the variant but can
-    // never consume it.
-    let broken: String = LOOP_OK
-        .lines()
-        .filter(|l| !l.contains("Event::Done { request, instance } =>"))
-        .filter(|l| !l.contains("self.finish"))
-        .collect::<Vec<_>>()
-        .join("\n")
-        // Drop the now-orphaned closing brace of the deleted arm.
-        .replacen("        }\n    }\n}", "    }\n}", 1);
-    let v = run_files(&[(EVENTS_PATH, EVENTS_OK), (LOOP_PATH, &broken)]);
-    assert!(
-        v.iter().any(|v| v.pass == PASS_EVENTPROTO
-            && v.func == "run_fleet"
-            && v.what.contains("no handler arm")
-            && v.what.contains("Done")),
-        "expected a schedules-but-never-handles finding, got: {v:?}"
-    );
-}
-
-#[test]
-fn wildcard_arm_in_a_run_loop_is_caught() {
-    let lazy = LOOP_OK.replace("Event::Done { request, instance } =>", "_ =>");
-    let v = run_files(&[(EVENTS_PATH, EVENTS_OK), (LOOP_PATH, &lazy)]);
-    assert!(
-        v.iter().any(|v| v.pass == PASS_EVENTPROTO
-            && v.func == "run_fleet"
-            && v.what.contains("wildcard")),
-        "expected a wildcard-arm finding, got: {v:?}"
-    );
-}
-
-/// The queue's merge: `pop` builds `Arrive` straight from the sorted
-/// trace, so no `schedule(…)` call anywhere constructs it.
-const MERGE: &str = r#"
-impl EventQueue {
-    pub fn pop(&mut self) -> Option<Event> {
-        let next = self.trace.get(self.cursor)?;
-        self.cursor += 1;
-        Some(Event::Arrive { request: next.request })
-    }
-}
-"#;
-
-/// `LOOP_OK` without its up-front `schedule(t0, Event::Arrive { .. })`.
-fn loop_without_preload() -> String {
-    LOOP_OK.replace(
-        "    self.queue.schedule(t0, Event::Arrive { request: 1 });\n",
-        "",
-    )
-}
-
-#[test]
-fn variant_built_by_the_queue_merge_is_not_a_ghost() {
-    let events = format!("{EVENTS_OK}{MERGE}");
-    let v = run_files(&[(EVENTS_PATH, &events), (LOOP_PATH, &loop_without_preload())]);
-    assert!(
-        v.iter().all(|v| v.pass != PASS_EVENTPROTO),
-        "the merge is `Arrive`'s construction site, got: {v:?}"
-    );
-}
-
-#[test]
-fn variant_neither_scheduled_nor_merged_is_a_ghost() {
-    let ghost = |v: &[catalint::Violation]| {
-        v.iter().any(|v| {
-            v.pass == PASS_EVENTPROTO
-                && v.file == EVENTS_PATH
-                && v.what.contains("Arrive")
-                && v.what.contains("never constructed")
-        })
-    };
-    let stripped = loop_without_preload();
-    let v = run_files(&[(EVENTS_PATH, EVENTS_OK), (LOOP_PATH, &stripped)]);
-    assert!(
-        ghost(&v),
-        "expected a never-constructed finding, got: {v:?}"
-    );
-    // A `pop` outside the events file is somebody else's function, not
-    // the queue's merge.
-    let elsewhere = format!("{stripped}{MERGE}");
-    let v = run_files(&[(EVENTS_PATH, EVENTS_OK), (LOOP_PATH, &elsewhere)]);
-    assert!(ghost(&v), "only the events file's merge counts, got: {v:?}");
-}
-
-#[test]
-fn ghost_variant_is_caught() {
-    // Declare a variant nothing schedules or handles. The tie-break keys
-    // cover it so the only findings are the ghost ones (plus the loop's
-    // missing-arm conformance finding).
-    let ghosted = EVENTS_OK
-        .replace(
-            "    Done { request: u64, instance: Option<InstanceId> },",
-            "    Done { request: u64, instance: Option<InstanceId> },\n    Phantom { request: u64 },",
-        )
-        .replace(
-            "            Event::Arrive { request } => *request,",
-            "            Event::Arrive { request } | Event::Phantom { request } => *request,",
-        );
-    let v = run_files(&[(EVENTS_PATH, &ghosted), (LOOP_PATH, LOOP_OK)]);
-    assert!(
-        v.iter().any(|v| v.pass == PASS_EVENTPROTO
-            && v.file == EVENTS_PATH
-            && v.what.contains("Phantom")
-            && v.what.contains("never constructed")),
-        "expected a never-scheduled ghost finding, got: {v:?}"
-    );
-    assert!(
-        v.iter().any(|v| v.pass == PASS_EVENTPROTO
-            && v.file == EVENTS_PATH
-            && v.what.contains("Phantom")
-            && v.what.contains("handler arm in no run loop")),
-        "expected a handled-nowhere ghost finding, got: {v:?}"
     );
 }

@@ -46,25 +46,6 @@ fn golden_panic_interprocedural_chain() {
 }
 
 #[test]
-fn golden_borrowcell() {
-    let got = render(&[(
-        "crates/platform/src/celluse.rs",
-        "pub fn warm(cell: &RefCell<u32>) -> Result<u32, PlatformError> {\n    \
-             let mut guard = cell.borrow_mut();\n    \
-             let v = fetch()?;\n    \
-             *guard += v;\n    \
-             Ok(*guard)\n\
-         }\n",
-    )]);
-    assert_eq!(
-        got,
-        ["crates/platform/src/celluse.rs:3 [borrowcell] fn warm: \
-          guard `guard` from `cell.borrow_mut()` (line 2) held across `?`; \
-          end the borrow before propagating errors"]
-    );
-}
-
-#[test]
 fn golden_namereg() {
     let got = render(&[(
         "crates/platform/src/emit.rs",
@@ -108,55 +89,5 @@ fn golden_hygiene() {
         got,
         ["crates/alpha/src/lib.rs:1 [hygiene] fn load: \
           public fn returns `Box<dyn Error>`; return the crate error type"]
-    );
-}
-
-#[test]
-fn golden_eventproto_tie_break_blind_spot() {
-    let got = render(&[
-        (
-            "crates/platform/src/simulate/events.rs",
-            "pub enum Event {\n    \
-                 Arrive { request: u64 },\n    \
-                 Done { request: u64, instance: u64 },\n\
-             }\n\
-             impl Event {\n    \
-                 fn class(&self) -> u8 {\n        \
-                     match self {\n            \
-                         Event::Arrive { .. } => 0,\n            \
-                         Event::Done { .. } => 1,\n        \
-                     }\n    \
-                 }\n    \
-                 fn key(&self) -> u64 {\n        \
-                     match self {\n            \
-                         Event::Arrive { request } => *request,\n            \
-                         Event::Done { request, .. } => *request,\n        \
-                     }\n    \
-                 }\n\
-             }\n",
-        ),
-        (
-            "crates/platform/src/simulate/scratch_loop.rs",
-            "pub fn run_fleet(&mut self) {\n    \
-                 self.queue.schedule(t0, Event::Arrive { request: 1 });\n    \
-                 match ev {\n        \
-                     Event::Arrive { request } => {\n            \
-                         self.queue.schedule(t1, Event::Done { request, instance: 0 });\n        \
-                     }\n        \
-                     Event::Done { request, instance } => {\n            \
-                         self.finish(request, instance);\n        \
-                     }\n    \
-                 }\n\
-             }\n",
-        ),
-    ]);
-    assert_eq!(
-        got,
-        [
-            "crates/platform/src/simulate/events.rs:3 [eventproto] fn <module>: \
-          tie-break blind spot: `Event::Done` field `instance` is bound by none of the \
-          tie-break keys (class/key/subkey); two events differing only in `instance` \
-          compare equal and pop in insertion order"
-        ]
     );
 }

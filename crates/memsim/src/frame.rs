@@ -1,4 +1,3 @@
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -35,7 +34,12 @@ type Spare = Reverse<(usize, Arc<Block>)>;
 
 thread_local! {
     /// Kept blocks, lowest address on top.
-    static SPARE: RefCell<BinaryHeap<Spare>> = const { RefCell::new(BinaryHeap::new()) };
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a per-thread free list has no owner to lend it; its borrows in `block_from` and `release` reach nothing that borrows it again"
+    )]
+    static SPARE: std::cell::RefCell<BinaryHeap<Spare>> =
+        const { std::cell::RefCell::new(BinaryHeap::new()) };
 }
 
 /// Lets go of the blocks this thread keeps, so a test starts from none.

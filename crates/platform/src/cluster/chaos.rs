@@ -31,7 +31,7 @@ use faultsim::{NodeFault, NodeFaultEvent, NodePlan};
 use serde::Serialize;
 use simtime::SimNanos;
 
-use crate::PlatformError;
+use crate::{PlatformError, TraceError};
 
 /// The scheduler's belief about one node, refreshed each heartbeat round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -97,6 +97,19 @@ pub const HEARTBEAT_INTERVAL: SimNanos = SimNanos::from_millis(10);
 /// 2^20 rounds is ≈ 2.9 h of virtual time; the longest in-tree chaos trace
 /// ends near 60 s.
 pub const MAX_HEARTBEAT_ROUNDS: u64 = 1 << 20;
+
+/// Rejects an arrival past the heartbeat horizon, before the chain ticks
+/// toward it: [`MAX_HEARTBEAT_ROUNDS`] rounds of [`HEARTBEAT_INTERVAL`],
+/// the bound of an open-loop run's last arrival and of a closed-loop
+/// call's.
+pub(crate) fn within_heartbeat_horizon(last: SimNanos) -> Result<(), TraceError> {
+    let limit = HEARTBEAT_INTERVAL.saturating_mul(MAX_HEARTBEAT_ROUNDS);
+    if last > limit {
+        return Err(TraceError::Horizon { last, limit });
+    }
+    Ok(())
+}
+
 /// A healthy node's heartbeat ack latency (gray nodes stretch it).
 const BASE_ACK: SimNanos = SimNanos::from_micros(200);
 /// Ack latency above which a node is suspected fail-slow.

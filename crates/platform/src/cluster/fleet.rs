@@ -53,8 +53,8 @@ use simtime::names;
 use simtime::{CostModel, LatencyHistogram, MetricsRegistry, SimNanos};
 
 use super::chaos::{
-    ChaosEvent, ChaosPolicy, ChaosRecord, ChaosState, NodeHealth, HEARTBEAT_INTERVAL, HEDGE_DELAY,
-    MAX_HEARTBEAT_ROUNDS, TRANSFER_TIMEOUT,
+    within_heartbeat_horizon, ChaosEvent, ChaosPolicy, ChaosRecord, ChaosState, NodeHealth,
+    HEARTBEAT_INTERVAL, HEDGE_DELAY, TRANSFER_TIMEOUT,
 };
 use super::{transfer_time, ClusterConfig, RoutingPolicy, COLD_PULL};
 use crate::resilience::{resilient_boot, ResiliencePolicy};
@@ -62,7 +62,7 @@ use crate::simulate::{
     calibrate_shapes, fraction, validate_trace, Arena, Event, EventQueue, FnId, InstanceId,
     Quantiles, TraceRequest, REUSE_HANDOFF,
 };
-use crate::{PlatformError, TraceError};
+use crate::PlatformError;
 
 use catalyzer::{BootMode, CatalyzerEngine};
 
@@ -408,8 +408,10 @@ impl ClusterSim {
     ///
     /// [`PlatformError::ClusterConfig`] for a zero node count, zero
     /// placement budget, or a plan touching a node the cluster lacks;
-    /// [`PlatformError::InvalidTrace`], including [`TraceError::Horizon`]
-    /// when the last arrival is more than [`MAX_HEARTBEAT_ROUNDS`]
+    /// [`PlatformError::InvalidTrace`], including
+    /// [`TraceError::Horizon`](crate::TraceError::Horizon) when the last
+    /// arrival is more than
+    /// [`MAX_HEARTBEAT_ROUNDS`](super::chaos::MAX_HEARTBEAT_ROUNDS)
     /// heartbeat intervals out; calibration errors.
     pub fn run_chaos(mut self, trace: &[TraceRequest]) -> Result<ChaosOutcome, PlatformError> {
         let chaos = self
@@ -424,6 +426,10 @@ impl ClusterSim {
     /// [`ChaosState`], every node stays reachable, believed `Up` and at
     /// slowdown 1.0, and the crash/heal/heartbeat/hedge classes are never
     /// scheduled.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        reason = "every `Event` variant is matched by name, so a new one does not compile until this loop handles it"
+    )]
     fn drive(
         mut self,
         trace: &[TraceRequest],
@@ -434,13 +440,8 @@ impl ClusterSim {
         // The heartbeat chain ticks up to the last arrival: bound its
         // rounds before any calibration work.
         let hb_end = trace.last().map_or(SimNanos::ZERO, |r| r.arrival);
-        let limit = HEARTBEAT_INTERVAL.saturating_mul(MAX_HEARTBEAT_ROUNDS);
-        if chaos.is_some() && hb_end > limit {
-            return Err(TraceError::Horizon {
-                last: hb_end,
-                limit,
-            }
-            .into());
+        if chaos.is_some() {
+            within_heartbeat_horizon(hb_end)?;
         }
         let fns = self.calibrate()?;
         let nodes = self.config.nodes;
@@ -1274,7 +1275,10 @@ impl ClusterSim {
 
 #[cfg(test)]
 mod tests {
+    use super::super::chaos::MAX_HEARTBEAT_ROUNDS;
+    use super::super::Cluster;
     use super::*;
+    use crate::TraceError;
 
     fn burst(n: u64, function: usize) -> Vec<TraceRequest> {
         (0..n)
@@ -1619,5 +1623,40 @@ mod tests {
             out.cluster.completed + out.cluster.shed + out.failed,
             out.cluster.requests
         );
+    }
+
+    #[test]
+    fn a_closed_loop_chaos_call_past_the_heartbeat_horizon_is_rejected_before_it_advances() {
+        // `Cluster::call` advances the chaos schedule to its arrival, one
+        // heartbeat round per interval; at `SimNanos::MAX` the next tick
+        // saturated onto itself and the call never returned. The closed
+        // loop takes the open loop's bound.
+        let model = CostModel::experimental_machine();
+        let cluster = |policy: Option<ChaosPolicy>| {
+            let mut cluster = Cluster::new(ClusterConfig::new(2, 1), &model).unwrap();
+            if let Some(policy) = policy {
+                cluster = cluster.with_chaos(NodePlan::quiet(5), policy).unwrap();
+            }
+            cluster.register(AppProfile::c_hello());
+            cluster
+        };
+        let limit = HEARTBEAT_INTERVAL.saturating_mul(MAX_HEARTBEAT_ROUNDS);
+        for last in [SimNanos::MAX, limit.saturating_add(SimNanos::from_nanos(1))] {
+            for policy in [ChaosPolicy::full(), ChaosPolicy::none()] {
+                let mut cluster = cluster(Some(policy));
+                assert_eq!(
+                    cluster.call("C-hello", Some(last)).unwrap_err(),
+                    PlatformError::InvalidTrace(TraceError::Horizon { last, limit })
+                );
+                assert!(cluster.history().is_empty(), "rejected, not routed");
+            }
+        }
+        // Without a chaos layer there is no heartbeat chain to bound.
+        let mut plain = cluster(None);
+        plain.call("C-hello", Some(SimNanos::MAX)).unwrap();
+        // At the horizon itself every round ticks and the call is served.
+        let mut at_limit = cluster(Some(ChaosPolicy::full()));
+        at_limit.call("C-hello", Some(limit)).unwrap();
+        assert_eq!(at_limit.history().len(), 1);
     }
 }

@@ -435,13 +435,18 @@ impl Cluster {
     /// # Errors
     ///
     /// [`PlatformError::UnknownFunction`]; typed sheds when the re-route
-    /// also fails; engine and handler errors.
+    /// also fails; engine and handler errors. Under chaos, an arrival past
+    /// the heartbeat horizon is [`TraceError::Horizon`](crate::TraceError),
+    /// before the schedule advances.
     pub fn call(
         &mut self,
         function: &str,
         arrival: Option<SimNanos>,
     ) -> Result<(usize, Invocation), PlatformError> {
         if let Some(now) = arrival {
+            if self.chaos.is_some() {
+                chaos::within_heartbeat_horizon(now)?;
+            }
             self.advance_chaos(now);
         }
         let request = self.requests;

@@ -68,6 +68,13 @@ impl InstanceId {
     pub fn key(self) -> u64 {
         (u64::from(self.index) << 32) | u64::from(self.generation)
     }
+
+    /// The handle to slot `index` at `generation`, for tests that need
+    /// handles no arena of test size reaches.
+    #[cfg(test)]
+    pub(crate) fn from_parts(index: u32, generation: u32) -> InstanceId {
+        InstanceId { index, generation }
+    }
 }
 
 #[derive(Debug)]

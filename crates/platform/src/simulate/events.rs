@@ -23,12 +23,13 @@
 //! The tie-break at equal timestamps is total and *insertion-order
 //! independent*: `(time, event class, payload key, payload subkey)` — the
 //! sequence number is consulted only for exact duplicates, which the
-//! engine never schedules. Together the key and subkey bind every payload
-//! field (catalint's `eventproto` pass checks this mechanically), so two
-//! distinct events can never compare equal. Class order encodes the
-//! platform's causality at an instant: completions free capacity,
-//! expiries reclaim it, background work runs, and only then does a new
-//! arrival see the world.
+//! engine never schedules. Together the class, key and subkey are
+//! injective over events, so two distinct events never compare equal: the
+//! twin test below ranks every event against each event that differs from
+//! it in one payload field, at the edges of every field's range. Class
+//! order encodes the platform's causality at an instant: completions free
+//! capacity, expiries reclaim it, background work runs, and only then does
+//! a new arrival see the world.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
@@ -151,7 +152,8 @@ impl Event {
 
     /// Payload key making the tie-break total across distinct events of
     /// one class (trace order for arrivals/completions, slot identity for
-    /// instance events, `(node, function)` for cluster events).
+    /// instance events, `(gen, node)` for transfer events, whose function
+    /// is the subkey).
     fn key(&self) -> u64 {
         match self {
             Event::Arrival { request } | Event::ExecComplete { request, .. } => *request,
@@ -159,16 +161,9 @@ impl Event {
                 instance.key()
             }
             Event::PoolTick { function } => function.index() as u64,
-            Event::TransferComplete {
-                node,
-                function,
-                gen,
+            Event::TransferComplete { node, gen, .. } | Event::HedgeFire { node, gen, .. } => {
+                (u64::from(*gen) << 32) | u64::from(*node)
             }
-            | Event::HedgeFire {
-                node,
-                function,
-                gen,
-            } => (u64::from(*gen) << 48) ^ (((*node as u64) << 32) | function.index() as u64),
             Event::NodeRepair { node } | Event::NodeCrash { node } => *node as u64,
             Event::PartitionHeal { epoch } => u64::from(*epoch),
             Event::HeartbeatTick { round } => u64::from(*round),
@@ -176,15 +171,22 @@ impl Event {
     }
 
     /// Secondary payload key, covering the fields `key` leaves free so the
-    /// tie-break binds the *whole* payload. Today that is only
-    /// `ExecComplete`'s instance: its `key` is the trace position, so two
-    /// completions of one request (which the engine never schedules, but
-    /// the total order must not rely on that) would otherwise fall through
-    /// to insertion order. Instance keys `(index << 32) | generation` are
-    /// injective over handles.
+    /// tie-break binds the *whole* payload:
+    /// - `ExecComplete`'s instance. Its `key` is the trace position, so two
+    ///   completions of one request (which the engine never schedules, but
+    ///   the total order must not rely on that) would otherwise fall
+    ///   through to insertion order. Instance keys `(index << 32) |
+    ///   generation` are injective over handles.
+    /// - A transfer's or hedge's function, so the two keys order transfers
+    ///   by `(gen, node, function)`. Three `u32`s do not pack into one
+    ///   `u64` key: a packing drops bits, and events that differ only in
+    ///   those bits tie.
     fn subkey(&self) -> u64 {
         match self {
             Event::ExecComplete { instance, .. } => instance.key(),
+            Event::TransferComplete { function, .. } | Event::HedgeFire { function, .. } => {
+                function.index() as u64
+            }
             _ => 0,
         }
     }
@@ -645,28 +647,167 @@ mod tests {
         assert!(matches!(first, Event::NodeRepair { node: 2 }));
     }
 
+    /// Edge values for a payload field: both ends of `u32`, 2^16 (where a
+    /// `u32` packed into a key's top 16 bits starts losing bits), and, for
+    /// the `u64` fields, past `u32`. `FnId` saturates at `u32::MAX`, so its
+    /// indices past it are the same id.
+    const EDGES: [u64; 6] = [0, 1, 1 << 16, (1 << 32) - 1, 1 << 32, u64::MAX];
+
+    fn u32s() -> impl Iterator<Item = u32> {
+        EDGES.into_iter().filter_map(|v| u32::try_from(v).ok())
+    }
+
+    fn functions() -> impl Iterator<Item = FnId> {
+        EDGES
+            .into_iter()
+            .map(|v| FnId::from_index(usize::try_from(v).unwrap_or(usize::MAX)))
+    }
+
+    fn instances() -> impl Iterator<Item = InstanceId> {
+        u32s().flat_map(|index| u32s().map(move |gen| InstanceId::from_parts(index, gen)))
+    }
+
+    /// Every event that differs from `event` in exactly one payload field,
+    /// that field drawn from the edge values. The match has no `_` arm and
+    /// no `..`: a new variant or field does not compile until it is here.
+    fn twins(event: Event) -> Vec<Event> {
+        let mut out: Vec<Event> = Vec::new();
+        match event {
+            Event::Arrival { request: _ } => {
+                out.extend(EDGES.map(|request| Event::Arrival { request }));
+            }
+            Event::BootComplete { instance: _ } => {
+                out.extend(instances().map(|instance| Event::BootComplete { instance }));
+            }
+            Event::ExecComplete { request, instance } => {
+                out.extend(EDGES.map(|request| Event::ExecComplete { request, instance }));
+                out.extend(instances().map(|instance| Event::ExecComplete { request, instance }));
+            }
+            Event::KeepAliveExpiry { instance: _ } => {
+                out.extend(instances().map(|instance| Event::KeepAliveExpiry { instance }));
+            }
+            Event::PoolTick { function: _ } => {
+                out.extend(functions().map(|function| Event::PoolTick { function }));
+            }
+            Event::TransferComplete {
+                node,
+                function,
+                gen,
+            } => {
+                let transfer = |node, function, gen| Event::TransferComplete {
+                    node,
+                    function,
+                    gen,
+                };
+                out.extend(u32s().map(|node| transfer(node, function, gen)));
+                out.extend(functions().map(|function| transfer(node, function, gen)));
+                out.extend(u32s().map(|gen| transfer(node, function, gen)));
+            }
+            Event::NodeRepair { node: _ } => {
+                out.extend(u32s().map(|node| Event::NodeRepair { node }));
+            }
+            Event::NodeCrash { node: _ } => {
+                out.extend(u32s().map(|node| Event::NodeCrash { node }));
+            }
+            Event::PartitionHeal { epoch: _ } => {
+                out.extend(u32s().map(|epoch| Event::PartitionHeal { epoch }));
+            }
+            Event::HedgeFire {
+                node,
+                function,
+                gen,
+            } => {
+                let hedge = |node, function, gen| Event::HedgeFire {
+                    node,
+                    function,
+                    gen,
+                };
+                out.extend(u32s().map(|node| hedge(node, function, gen)));
+                out.extend(functions().map(|function| hedge(node, function, gen)));
+                out.extend(u32s().map(|gen| hedge(node, function, gen)));
+            }
+            Event::HeartbeatTick { round: _ } => {
+                out.extend(u32s().map(|round| Event::HeartbeatTick { round }));
+            }
+        }
+        out.retain(|twin| *twin != event);
+        out
+    }
+
     #[test]
-    fn exec_complete_tie_break_binds_the_instance() {
-        // Two completions of one request at one instant on different
-        // instances never compare equal: they pop in a fixed order
-        // regardless of insertion order — the subkey (the instance's key)
-        // decides, not the sequence number.
-        let [first, second] = two_instances();
-        assert!(first.key() < second.key());
-        let on = |instance| Event::ExecComplete {
-            request: 5,
-            instance,
-        };
-        let mut forward = EventQueue::new();
-        forward.schedule(nanos(2), on(second));
-        forward.schedule(nanos(2), on(first));
-        let mut backward = EventQueue::new();
-        backward.schedule(nanos(2), on(first));
-        backward.schedule(nanos(2), on(second));
-        let a: Vec<_> = std::iter::from_fn(|| forward.pop()).collect();
-        let b: Vec<_> = std::iter::from_fn(|| backward.pop()).collect();
-        assert_eq!(a, b);
-        assert_eq!(a[0].1, on(first));
+    fn an_event_and_each_one_field_twin_rank_apart_and_pop_in_one_order() {
+        let zero = InstanceId::from_parts(0, 0);
+        let f0 = FnId::from_index(0);
+        let seeds = [
+            Event::Arrival { request: 0 },
+            Event::BootComplete { instance: zero },
+            Event::ExecComplete {
+                request: 0,
+                instance: zero,
+            },
+            Event::KeepAliveExpiry { instance: zero },
+            Event::PoolTick { function: f0 },
+            Event::TransferComplete {
+                node: 0,
+                function: f0,
+                gen: 0,
+            },
+            Event::NodeRepair { node: 0 },
+            Event::NodeCrash { node: 0 },
+            Event::PartitionHeal { epoch: 0 },
+            Event::HedgeFire {
+                node: 0,
+                function: f0,
+                gen: 0,
+            },
+            Event::HeartbeatTick { round: 0 },
+        ];
+        // One seed per class, and arrivals are the last class: a variant
+        // missing here leaves a class unseen.
+        let mut classes: Vec<u8> = seeds.iter().map(Event::class).collect();
+        classes.sort_unstable();
+        let last = Event::Arrival { request: 0 }.class();
+        assert_eq!(classes, (0..=last).collect::<Vec<u8>>());
+
+        // Every combination of edge values, per variant: the closure of the
+        // seeds under one-field edits.
+        let mut events: Vec<Event> = seeds.to_vec();
+        let mut next = 0;
+        while let Some(&event) = events.get(next) {
+            for twin in twins(event) {
+                if !events.contains(&twin) {
+                    events.push(twin);
+                }
+            }
+            next += 1;
+        }
+
+        let at = nanos(7);
+        let mut pairs = 0;
+        for &event in &events {
+            for twin in twins(event) {
+                assert_ne!(
+                    event.rank(at),
+                    twin.rank(at),
+                    "{event:?} and {twin:?} tie: they would pop in insertion order"
+                );
+                let drained = |first: Event, second: Event| {
+                    let mut q = EventQueue::new();
+                    q.schedule(at, first);
+                    q.schedule(at, second);
+                    std::iter::from_fn(|| q.pop()).collect::<Vec<_>>()
+                };
+                assert_eq!(
+                    drained(event, twin),
+                    drained(twin, event),
+                    "{event:?} and {twin:?} pop in insertion order"
+                );
+                pairs += 1;
+            }
+        }
+        // Every combination, per variant: 6 `u64`, 4 `u32`, 4 distinct
+        // `FnId` and 16 `InstanceId` edge values.
+        assert_eq!((events.len(), pairs), (282, 3_840));
     }
 
     #[test]

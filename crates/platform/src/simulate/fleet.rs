@@ -172,6 +172,10 @@ impl Simulation {
     ///
     /// [`PlatformError::InvalidTrace`] for malformed traces; engine or
     /// handler errors surfaced during calibration.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        reason = "every `Event` variant is matched by name, so a new one does not compile until this loop handles it"
+    )]
     pub fn run_fleet(mut self, trace: &[TraceRequest]) -> Result<FleetOutcome, PlatformError> {
         let mut queue = EventQueue::over(validate_trace(trace, self.catalogue.len())?);
         let mut fns = self.calibrate()?;

@@ -1,16 +1,17 @@
 //! Tier-1 gate: the workspace carries zero lint debt.
 //!
 //! This is `cargo run -p catalint` wired into the ordinary test suite, so
-//! plain `cargo test` refuses new debt across all six passes — from
-//! panic-reachability through event-protocol conformance — even when
-//! nobody invokes the binary. There is no tolerated
+//! plain `cargo test` refuses new debt across all four passes — from
+//! panic-reachability through error hygiene — even when nobody invokes the
+//! binary. There is no tolerated
 //! baseline, no file format to write one in and no way to excuse a finding
 //! at its site: the gate is zero findings, full stop. A finding is fixed in
 //! code, or the policy in `crates/catalint/src/config.rs` changes under
-//! review. (The wall-clock/env/thread/process ban is clippy's, in
-//! `crates/clippy.toml`, and gates in `tools/check.sh`; copies on a boot path
-//! are counted by `tests/alloc_budget.rs`, and fault seams are observed by
-//! `tests/seam_matrix.rs`.)
+//! review. (The wall-clock/env/thread/process and `RefCell` bans are
+//! clippy's, in `crates/clippy.toml`, and gate in `tools/check.sh`; copies on
+//! a boot path are counted by `tests/alloc_budget.rs`, fault seams are
+//! observed by `tests/seam_matrix.rs`, and the DES tie-break is held total
+//! by a twin test in `platform`'s `simulate/events.rs`.)
 
 #[test]
 fn workspace_carries_zero_lint_debt() {

@@ -29,28 +29,31 @@ step() {
 # third_party/* members are vendored verbatim and excluded: their test
 # targets are not held to this workspace's lint bar and must never be
 # edited to satisfy it.
-# Two invariants are enforced here and nowhere else. The ban on wall
+# Four invariants are enforced here and nowhere else. The ban on wall
 # clocks, env reads, host threads and child processes is the
-# `disallowed-methods` list in crates/clippy.toml (found from each crates/*
-# manifest dir; third_party/, the root package and benchmark/ do not see
-# it). The syntactic panic sources in the modules that parse untrusted
-# bytes are denied by an inner attribute at the top of each such module.
+# `disallowed-methods` list in crates/clippy.toml, and the ban on
+# `RefCell` (three sites `#[expect]` it) is its `disallowed-types` list
+# (found from each crates/* manifest dir; third_party/, the root package
+# and benchmark/ do not see it). The syntactic panic sources in the
+# modules that parse untrusted bytes are denied by an inner attribute at
+# the top of each such module. And `run_fleet` and `drive` deny
+# `clippy::wildcard_enum_match_arm`, so each names every DES event variant.
 FIRST_PARTY=(--workspace
   --exclude bytes --exclude crossbeam
   --exclude parking_lot --exclude proptest --exclude rand
   --exclude serde --exclude serde_derive --exclude serde_json)
 
-# A ban-list path that does not resolve (a typo, a renamed item) is only a
-# plain warning from clippy's config loader, which -D warnings does not
-# promote (measured, clippy 0.1.95): fail on it here, or the entry would
-# silently ban nothing. Entries for crates that not every member depends on
-# carry `allow-invalid` and print no such warning.
+# A ban-list path that does not resolve (a typo, a renamed item), in
+# either list, is only a plain warning from clippy's config loader, which
+# -D warnings does not promote (measured, clippy 0.1.95): fail on it here,
+# or the entry would silently ban nothing. Entries for crates that not
+# every member depends on carry `allow-invalid` and print no such warning.
 clippy_workspace() {
   local log
   log="$(mktemp)"
   cargo clippy "${FIRST_PARTY[@]}" --all-targets -- -D warnings 2>&1 | tee "${log}"
   if grep -q 'does not refer to' "${log}"; then
-    echo "crates/clippy.toml: a disallowed-methods path does not resolve (warning above)" >&2
+    echo "crates/clippy.toml: a disallowed-methods or disallowed-types path does not resolve (warning above)" >&2
     return 1
   fi
   rm -f "${log}"
