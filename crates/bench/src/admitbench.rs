@@ -22,7 +22,7 @@
 //! byte-identical output — `tools/check.sh` validates `BENCH_pr4.json` the
 //! same way it gates `BENCH_pr2.json` and `BENCH_pr3.json`.
 
-use crate::Export;
+use crate::{BenchError, Export};
 use catalyzer::{BootMode, CatalyzerEngine};
 use faultsim::{FaultPlan, InjectionPoint, PointPlan};
 use platform::simulate::TraceRequest;
@@ -396,7 +396,7 @@ impl Export for AdmitBenchExport {
 
     /// Runs the full sweep: [`GAPS`] × [`LIMITS`] × breaker-on/off plus the
     /// storm comparison.
-    fn generate(model: &CostModel) -> Result<Self, Box<dyn std::error::Error>> {
+    fn generate(model: &CostModel) -> Result<Self, BenchError> {
         let mut cells = Vec::new();
         for &gap in &GAPS {
             for &limit in &LIMITS {

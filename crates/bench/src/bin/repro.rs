@@ -21,20 +21,21 @@ use bench::figures::{
     ablation, endtoend, generality, hostopts, pipeline, platformsim, scale, startup,
 };
 use bench::fleetbench::FleetBenchExport;
-use bench::Export;
+use bench::{BenchError, Export};
 use simtime::CostModel;
-
-type Failure = Box<dyn std::error::Error>;
 
 /// Prints one experiment the way the paper reports it. The `u32` is
 /// Fig. 15's instance ceiling, which only `fig15` reads.
-type Run = fn(&CostModel, u32) -> Result<(), Failure>;
+type Run = fn(&CostModel, u32) -> Result<(), BenchError>;
 
 /// The same rows as CSV text, for `repro csv <id>`.
-type Csv = fn(&CostModel) -> Result<String, Failure>;
+type Csv = fn(&CostModel) -> Result<String, BenchError>;
 
 /// Hands an experiment's rows to its printer, or passes its error on.
-fn show<T, E: Into<Failure>>(rows: Result<T, E>, render: impl FnOnce(&T)) -> Result<(), Failure> {
+fn show<T, E: Into<BenchError>>(
+    rows: Result<T, E>,
+    render: impl FnOnce(&T),
+) -> Result<(), BenchError> {
     render(&rows.map_err(Into::into)?);
     Ok(())
 }
@@ -194,7 +195,7 @@ const EXPERIMENTS: &[(&str, Option<Csv>, Run)] = &[
 
 /// Prints experiment `id` at the paper's size, or exits 2 when there is
 /// none.
-fn run(id: &str) -> Result<(), Failure> {
+fn run(id: &str) -> Result<(), BenchError> {
     match EXPERIMENTS.iter().find(|(name, ..)| *name == id) {
         Some((_, _, run)) => run(&CostModel::experimental_machine(), 1000),
         None => {
@@ -205,7 +206,7 @@ fn run(id: &str) -> Result<(), Failure> {
 }
 
 /// Prints experiment `id` as CSV, or exits 2 when it has no such form.
-fn csv(id: &str) -> Result<(), Failure> {
+fn csv(id: &str) -> Result<(), BenchError> {
     match EXPERIMENTS.iter().find(|(name, ..)| *name == id) {
         Some((_, Some(csv), _)) => print!("{}", csv(&CostModel::experimental_machine())?),
         _ => {
@@ -220,7 +221,7 @@ fn csv(id: &str) -> Result<(), Failure> {
 /// its canonical JSON to `path`, or — with `check` — verifies the file at
 /// `path` parses, validates, and is byte-identical to the fresh run (the
 /// determinism gate). `path` defaults to [`Export::DEFAULT_PATH`].
-fn export_or_check<E: Export>(path: Option<&str>, check: bool) -> Result<(), Failure> {
+fn export_or_check<E: Export>(path: Option<&str>, check: bool) -> Result<(), BenchError> {
     let path = path.unwrap_or(E::DEFAULT_PATH);
     let fresh = E::generate(&CostModel::experimental_machine())?;
     fresh.validate()?;
@@ -244,7 +245,7 @@ fn export_or_check<E: Export>(path: Option<&str>, check: bool) -> Result<(), Fai
 }
 
 /// One `repro <command> [--check] [path]` gate per checked-in export.
-type Gate = fn(Option<&str>, bool) -> Result<(), Failure>;
+type Gate = fn(Option<&str>, bool) -> Result<(), BenchError>;
 
 /// The `repro` subcommand and gate of export `E`.
 const fn gate<E: Export>() -> (&'static str, Gate) {

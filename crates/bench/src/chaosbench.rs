@@ -36,7 +36,7 @@
 //! exports.
 
 use crate::flashcrowd::{self, FlashCrowd};
-use crate::Export;
+use crate::{BenchError, Export};
 use faultsim::NodePlan;
 use platform::cluster::chaos::{
     HEARTBEAT_INTERVAL, HEDGE_DELAY, SUSPICION_THRESHOLD, TRANSFER_TIMEOUT,
@@ -348,7 +348,7 @@ impl Export for ChaosBenchExport {
     const SCHEMA: &'static str = "catalyzer-bench/pr9-v1";
 
     /// Runs the fault × nodes × policy grid plus the two storm probes.
-    fn generate(model: &CostModel) -> Result<Self, Box<dyn std::error::Error>> {
+    fn generate(model: &CostModel) -> Result<Self, BenchError> {
         let cat = CROWD.catalogue();
         let trace = CROWD.trace();
 

@@ -27,7 +27,7 @@
 //! same way it gates the pr2–pr4 and pr7 exports.
 
 use crate::flashcrowd::{self, FlashCrowd};
-use crate::Export;
+use crate::{BenchError, Export};
 use catalyzer::{BootMode, CatalyzerEngine};
 use faultsim::{FaultPlan, InjectionPoint, PointPlan};
 use platform::cluster::{
@@ -348,7 +348,7 @@ impl Export for ClusterBenchExport {
     const SCHEMA: &'static str = "catalyzer-bench/pr8-v1";
 
     /// Runs the grid, the parity probe, and the storm.
-    fn generate(model: &CostModel) -> Result<Self, Box<dyn std::error::Error>> {
+    fn generate(model: &CostModel) -> Result<Self, BenchError> {
         let cat = CROWD.catalogue();
         let trace = CROWD.trace();
 

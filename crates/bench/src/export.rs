@@ -8,7 +8,7 @@
 //! `tools/check.sh` rely on this to validate `BENCH_pr2.json`).
 
 use crate::figures::fig11_lineup;
-use crate::Export;
+use crate::{BenchError, Export};
 use runtimes::AppProfile;
 use sandbox::BootCtx;
 use serde::{Deserialize, Serialize};
@@ -99,7 +99,7 @@ impl Export for BenchExport {
 
     /// Runs the full export: every Fig. 11 engine × the profile set ×
     /// [`BOOTS_PER_PROFILE`] boots.
-    fn generate(model: &CostModel) -> Result<Self, Box<dyn std::error::Error>> {
+    fn generate(model: &CostModel) -> Result<Self, BenchError> {
         let profiles = profile_set();
         let mut engines = Vec::new();
         for mut engine in fig11_lineup() {

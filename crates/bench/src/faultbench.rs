@@ -10,7 +10,7 @@
 //! `tools/check.sh` relies on this to validate `BENCH_pr3.json` the same
 //! way it gates `BENCH_pr2.json`.
 
-use crate::Export;
+use crate::{BenchError, Export};
 use catalyzer::{BootMode, CatalyzerEngine};
 use faultsim::{FaultPlan, InjectionPoint};
 use platform::{Gateway, InvokeRequest, ResiliencePolicy};
@@ -265,7 +265,7 @@ impl Export for FaultBenchExport {
     const SCHEMA: &'static str = "catalyzer-bench/pr3-v1";
 
     /// Runs the full sweep: [`RATES`] × the policy lineup plus the storm.
-    fn generate(model: &CostModel) -> Result<Self, Box<dyn std::error::Error>> {
+    fn generate(model: &CostModel) -> Result<Self, BenchError> {
         let policies = policy_lineup();
         let mut cells = Vec::new();
         for &rate in RATES {

@@ -18,7 +18,7 @@
 //! `tools/check.sh` validates `BENCH_pr7.json` the same way it gates the
 //! pr2–pr4 exports.
 
-use crate::Export;
+use crate::{BenchError, Export};
 use platform::simulate::fleet::{FleetOutcome, Quantiles};
 use platform::simulate::TraceRequest;
 use platform::{PlatformError, Simulation};
@@ -192,7 +192,7 @@ impl Export for FleetBenchExport {
     const SCHEMA: &'static str = "catalyzer-bench/pr7-v1";
 
     /// Runs the density ladder.
-    fn generate(model: &CostModel) -> Result<Self, Box<dyn std::error::Error>> {
+    fn generate(model: &CostModel) -> Result<Self, BenchError> {
         let mut cells = Vec::new();
         for (label, burst) in LADDER {
             cells.push(run_cell(model, label, burst)?);

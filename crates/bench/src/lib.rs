@@ -16,6 +16,8 @@
 
 #![forbid(unsafe_code)]
 
+use std::fmt;
+
 pub mod admitbench;
 pub mod chaosbench;
 pub mod clusterbench;
@@ -44,7 +46,7 @@ pub trait Export: serde::Serialize + serde::Deserialize + Sized {
     /// # Errors
     ///
     /// Engine errors (none in practice: inputs are valid by construction).
-    fn generate(model: &simtime::CostModel) -> Result<Self, Box<dyn std::error::Error>>;
+    fn generate(model: &simtime::CostModel) -> Result<Self, BenchError>;
 
     /// Checks internal consistency and the claims the sweep demonstrates.
     ///
@@ -72,6 +74,66 @@ pub trait Export: serde::Serialize + serde::Deserialize + Sized {
                 Self::SCHEMA
             ))
         }
+    }
+}
+
+/// Why a `repro` run failed: an engine error from a sweep or figure, a
+/// claim a document does not meet, or reading and writing its file.
+#[derive(Debug)]
+pub enum BenchError {
+    /// A boot engine failed.
+    Sandbox(sandbox::SandboxError),
+    /// A platform run (gateway, fleet, cluster) failed.
+    Platform(platform::PlatformError),
+    /// A validator rejected a document, or a checked-in file is stale.
+    Check(String),
+    /// Reading or writing a `BENCH_*.json` file.
+    Io(std::io::Error),
+    /// A `BENCH_*.json` file that does not parse.
+    Json(serde_json::Error),
+}
+
+impl fmt::Display for BenchError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BenchError::Sandbox(e) => e.fmt(f),
+            BenchError::Platform(e) => e.fmt(f),
+            BenchError::Check(msg) => f.write_str(msg),
+            BenchError::Io(e) => e.fmt(f),
+            BenchError::Json(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for BenchError {}
+
+impl From<sandbox::SandboxError> for BenchError {
+    fn from(e: sandbox::SandboxError) -> Self {
+        BenchError::Sandbox(e)
+    }
+}
+
+impl From<platform::PlatformError> for BenchError {
+    fn from(e: platform::PlatformError) -> Self {
+        BenchError::Platform(e)
+    }
+}
+
+impl From<String> for BenchError {
+    fn from(msg: String) -> Self {
+        BenchError::Check(msg)
+    }
+}
+
+impl From<std::io::Error> for BenchError {
+    fn from(e: std::io::Error) -> Self {
+        BenchError::Io(e)
+    }
+}
+
+impl From<serde_json::Error> for BenchError {
+    fn from(e: serde_json::Error) -> Self {
+        BenchError::Json(e)
     }
 }
 

@@ -2,7 +2,7 @@
 //! pool, and the template sandboxes, dispatching the three boot kinds of
 //! Fig. 7.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
 
@@ -45,8 +45,8 @@ pub struct Catalyzer {
     config: CatalyzerConfig,
     store: FuncImageStore,
     zygotes: ZygotePool,
-    templates: HashMap<String, Template>,
-    lang_templates: HashMap<RuntimeKind, LanguageTemplate>,
+    templates: BTreeMap<String, Template>,
+    lang_templates: BTreeMap<RuntimeKind, LanguageTemplate>,
     suspect_templates: BTreeSet<String>,
 }
 
@@ -62,8 +62,8 @@ impl Catalyzer {
             config,
             store: FuncImageStore::new(),
             zygotes: ZygotePool::new(config.tweaks),
-            templates: HashMap::new(),
-            lang_templates: HashMap::new(),
+            templates: BTreeMap::new(),
+            lang_templates: BTreeMap::new(),
             suspect_templates: BTreeSet::new(),
         }
     }
@@ -119,7 +119,7 @@ impl Catalyzer {
         runtime: RuntimeKind,
         model: &CostModel,
     ) -> Result<(), SandboxError> {
-        if let std::collections::hash_map::Entry::Vacant(e) = self.lang_templates.entry(runtime) {
+        if let std::collections::btree_map::Entry::Vacant(e) = self.lang_templates.entry(runtime) {
             e.insert(LanguageTemplate::generate(runtime, model)?);
         }
         Ok(())

@@ -6,7 +6,7 @@
 //! clock, never a boot's critical path — writes the flat image, and keeps
 //! the mapped image plus the shared Base-EPT for warm boots.
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 use std::sync::Arc;
 
@@ -40,7 +40,7 @@ impl fmt::Debug for StoredFunction {
 /// Compiles and caches func-images (one per function).
 #[derive(Debug, Default)]
 pub struct FuncImageStore {
-    functions: HashMap<String, StoredFunction>,
+    functions: BTreeMap<String, StoredFunction>,
     offline: SimClock,
 }
 

@@ -141,6 +141,7 @@ impl GuestKernel {
     /// # Errors
     ///
     /// [`KernelError::DeniedSyscall`] under template mode for denied calls;
+    /// [`KernelError::Unsupported`] for a `ptrace` the policy lets through;
     /// otherwise whatever the subsystem returns.
     pub fn syscall(
         &mut self,
@@ -198,12 +199,11 @@ impl GuestKernel {
                 clock.charge(model.host.syscall_base);
                 self.tasks.setsid(pid).map(SyscallRet::Id)
             }
-            SyscallInvocation::Ptrace => {
-                unreachable!(
-                    "denied syscalls never pass the policy gate in template mode; \
-                              outside template mode ptrace is unimplemented"
-                )
-            }
+            // Template mode denies it at the gate above; outside it the
+            // policy allows ptrace, which this kernel does not implement.
+            SyscallInvocation::Ptrace => Err(KernelError::Unsupported {
+                name: SyscallName::Ptrace.as_str(),
+            }),
         }
     }
 }
@@ -227,6 +227,21 @@ mod tests {
             model.clone(),
             GuestKernel::boot("d", fs, &clock, &model),
         )
+    }
+
+    #[test]
+    fn ptrace_outside_template_mode_is_a_typed_error() {
+        let (clock, model, mut k) = kernel();
+        assert!(!k.is_template());
+        assert_eq!(
+            k.syscall(SyscallInvocation::Ptrace, &clock, &model),
+            Err(KernelError::Unsupported { name: "ptrace" })
+        );
+        k.set_template_mode(true);
+        assert_eq!(
+            k.syscall(SyscallInvocation::Ptrace, &clock, &model),
+            Err(KernelError::DeniedSyscall { name: "ptrace" })
+        );
     }
 
     #[test]

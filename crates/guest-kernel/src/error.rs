@@ -1,4 +1,3 @@
-use std::error::Error;
 use std::fmt;
 
 /// Guest-kernel errors (the moral equivalent of errno values).
@@ -45,6 +44,12 @@ pub enum KernelError {
         /// What ran out.
         what: &'static str,
     },
+    /// The policy allows the syscall but this kernel does not implement it
+    /// (`ENOSYS`).
+    Unsupported {
+        /// Name of the unimplemented syscall.
+        name: &'static str,
+    },
 }
 
 impl fmt::Display for KernelError {
@@ -64,11 +69,14 @@ impl fmt::Display for KernelError {
             }
             KernelError::ThreadMode { detail } => write!(f, "thread-set mode error: {detail}"),
             KernelError::ResourceExhausted { what } => write!(f, "resource exhausted: {what}"),
+            KernelError::Unsupported { name } => {
+                write!(f, "syscall '{name}' is not implemented by the guest kernel")
+            }
         }
     }
 }
 
-impl Error for KernelError {}
+impl std::error::Error for KernelError {}
 
 #[cfg(test)]
 mod tests {

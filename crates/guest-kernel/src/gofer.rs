@@ -7,7 +7,7 @@
 //! be granted a small number of writable descriptors for persistent files
 //! (e.g. logs).
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -36,7 +36,7 @@ pub struct GoferFd {
 pub struct FsServer {
     function: String,
     files: BTreeMap<String, SharedBytes>,
-    persistent: HashSet<String>,
+    persistent: BTreeSet<String>,
     next_fd: AtomicU64,
     opens: AtomicU64,
 }
@@ -46,7 +46,7 @@ pub struct FsServer {
 pub struct FsServerBuilder {
     function: String,
     files: BTreeMap<String, SharedBytes>,
-    persistent: HashSet<String>,
+    persistent: BTreeSet<String>,
 }
 
 impl FsServerBuilder {

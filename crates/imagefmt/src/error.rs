@@ -1,4 +1,3 @@
-use std::error::Error;
 use std::fmt;
 
 /// Errors raised while writing or parsing checkpoint images.
@@ -76,7 +75,7 @@ impl fmt::Display for ImageError {
     }
 }
 
-impl Error for ImageError {}
+impl std::error::Error for ImageError {}
 
 #[cfg(test)]
 mod tests {

@@ -6,7 +6,7 @@
 //! of concurrent sandboxes for one function grows. Catalyzer's overlay memory
 //! keeps most pages in the shared Base-EPT, so its PSS stays nearly flat.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::{AddressSpace, PAGE_SIZE};
 
@@ -57,7 +57,7 @@ impl MemoryUsage {
 /// ```
 pub fn usage(spaces: &[&AddressSpace]) -> Vec<MemoryUsage> {
     // Pass 1: sharing degree of every frame across the group.
-    let mut degree: HashMap<usize, u64> = HashMap::new();
+    let mut degree: BTreeMap<usize, u64> = BTreeMap::new();
     for space in spaces {
         space.for_each_resident_frame(|id, _| {
             *degree.entry(id).or_insert(0) += 1;

@@ -1,4 +1,3 @@
-use std::error::Error;
 use std::fmt;
 
 use crate::Vpn;
@@ -72,7 +71,7 @@ impl fmt::Display for MemError {
     }
 }
 
-impl Error for MemError {}
+impl std::error::Error for MemError {}
 
 #[cfg(test)]
 mod tests {

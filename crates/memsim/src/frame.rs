@@ -204,6 +204,10 @@ impl FrameRef {
     ///
     /// Panics if another handle holds the block, the frame is image-backed,
     /// or the write crosses the page end.
+    #[expect(
+        clippy::panic,
+        reason = "a write through a shared handle is an address-space bug, documented under # Panics"
+    )]
     pub(crate) fn write_in_place(&mut self, offset: usize, src: &[u8]) {
         let Some(page) = self.get_mut() else {
             panic!("write_in_place on a shared or image-backed frame");

@@ -48,16 +48,10 @@
 //! # Ok::<(), memsim::MemError>(())
 //! ```
 
-// Tests may unwrap freely; the lint ban is about library code that
-// handles untrusted images.
-#![cfg_attr(
-    test,
-    allow(
-        clippy::unwrap_used,
-        clippy::expect_used,
-        clippy::cast_possible_truncation
-    )
-)]
+// Tests may narrow freely (they unwrap under `crates/clippy.toml`'s
+// `allow-*-in-tests`); the lint ban is about library code that handles
+// untrusted images.
+#![cfg_attr(test, allow(clippy::cast_possible_truncation))]
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 

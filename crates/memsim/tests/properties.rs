@@ -6,6 +6,7 @@
 #![allow(
     clippy::unwrap_used,
     clippy::expect_used,
+    clippy::unreachable,
     clippy::cast_possible_truncation
 )]
 

@@ -1,4 +1,3 @@
-use std::error::Error;
 use std::fmt;
 
 use simtime::SimNanos;
@@ -195,8 +194,12 @@ impl fmt::Display for PlatformError {
     }
 }
 
-impl Error for PlatformError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
+impl std::error::Error for PlatformError {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the standard error-chain signature; every cause it returns is a typed crate error"
+    )]
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             PlatformError::Sandbox(e) => Some(e),
             PlatformError::Runtime(e) => Some(e),
@@ -228,9 +231,9 @@ mod tests {
     fn display_and_sources() {
         let e = PlatformError::UnknownFunction { name: "f".into() };
         assert!(e.to_string().contains("'f'"));
-        assert!(Error::source(&e).is_none());
+        assert!(std::error::Error::source(&e).is_none());
         let e: PlatformError = sandbox::SandboxError::Config { detail: "x".into() }.into();
-        assert!(Error::source(&e).is_some());
+        assert!(std::error::Error::source(&e).is_some());
     }
 
     #[test]
@@ -267,7 +270,7 @@ mod tests {
             until: SimNanos::MAX,
         };
         assert!(!crashed.is_shed(), "capacity existed; the fabric failed");
-        assert!(Error::source(&crashed).is_none());
+        assert!(std::error::Error::source(&crashed).is_none());
         assert!(crashed.to_string().contains("node 3 crashed"));
         let partitioned = PlatformError::Unreachable {
             node: 1,

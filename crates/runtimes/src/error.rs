@@ -1,4 +1,3 @@
-use std::error::Error;
 use std::fmt;
 
 /// Errors from wrapped-program initialization or execution.
@@ -26,8 +25,12 @@ impl fmt::Display for RuntimeError {
     }
 }
 
-impl Error for RuntimeError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
+impl std::error::Error for RuntimeError {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the standard error-chain signature; every cause it returns is a typed crate error"
+    )]
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RuntimeError::Kernel(e) => Some(e),
             RuntimeError::Mem(e) => Some(e),
@@ -61,6 +64,6 @@ mod tests {
         assert!(RuntimeError::Phase { detail: "x" }
             .to_string()
             .contains("phase"));
-        assert!(Error::source(&k).is_some());
+        assert!(std::error::Error::source(&k).is_some());
     }
 }

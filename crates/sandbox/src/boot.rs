@@ -45,7 +45,7 @@ pub enum IsolationLevel {
 ///
 /// let clock = SimClock::new();
 /// let mut ctx = BootCtx::new(&clock, &CostModel::experimental_machine());
-/// ctx.span("sandbox:spawn", |ctx| {
+/// ctx.span("sandbox:vmm-process", |ctx| {
 ///     let cost = ctx.model().host.process_spawn;
 ///     ctx.charge(cost);
 /// });

@@ -6,7 +6,7 @@
 //! recovery on the critical path: full decompression, one-by-one object
 //! deserialization, eager memory loading, and eager I/O reconnection.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use faultsim::InjectionPoint;
@@ -35,7 +35,7 @@ struct Prepared {
 /// The gVisor-restore engine.
 #[derive(Debug, Default)]
 pub struct GvisorRestoreEngine {
-    prepared: HashMap<String, Prepared>,
+    prepared: BTreeMap<String, Prepared>,
     /// Virtual time spent in offline image compilation (not on any boot's
     /// critical path).
     offline: SimClock,

@@ -1,4 +1,3 @@
-use std::error::Error;
 use std::fmt;
 
 /// Errors surfaced by sandbox boot engines.
@@ -51,8 +50,12 @@ impl fmt::Display for SandboxError {
     }
 }
 
-impl Error for SandboxError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
+impl std::error::Error for SandboxError {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the standard error-chain signature; every cause it returns is a typed crate error"
+    )]
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SandboxError::Kernel(e) => Some(e),
             SandboxError::Runtime(e) => Some(e),
@@ -103,6 +106,6 @@ mod tests {
             detail: "bad json".into(),
         };
         assert!(e.to_string().contains("bad json"));
-        assert!(Error::source(&e).is_none());
+        assert!(std::error::Error::source(&e).is_none());
     }
 }

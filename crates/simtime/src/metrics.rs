@@ -15,6 +15,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
+use crate::names::debug_assert_registered;
 use crate::SimNanos;
 
 /// Inclusive upper bounds (ns) of the fixed histogram buckets: a 1-2-5
@@ -230,6 +231,7 @@ impl MetricsRegistry {
 
     /// Adds `by` to the counter `name`.
     pub fn add(&mut self, name: &str, by: u64) {
+        debug_assert_registered(name);
         let c = self.counters.entry(name.to_owned()).or_insert(0);
         *c = c.saturating_add(by);
     }
@@ -241,6 +243,7 @@ impl MetricsRegistry {
 
     /// Sets the gauge `name` to `value`.
     pub fn set_gauge(&mut self, name: &str, value: i64) {
+        debug_assert_registered(name);
         self.gauges.insert(name.to_owned(), value);
     }
 
@@ -252,6 +255,7 @@ impl MetricsRegistry {
     /// Records `sample` into the histogram `name`, creating it on first
     /// observation.
     pub fn observe(&mut self, name: &str, sample: SimNanos) {
+        debug_assert_registered(name);
         self.histograms
             .entry(name.to_owned())
             .or_default()
@@ -375,13 +379,13 @@ mod tests {
     fn registry_counters_gauges_histograms() {
         let mut m = MetricsRegistry::new();
         assert!(m.is_empty());
-        m.inc("pool.hits");
-        m.add("pool.hits", 2);
-        m.set_gauge("pool.size", 4);
+        m.inc("pool.reuse");
+        m.add("pool.reuse", 2);
+        m.set_gauge("pool.idle", 4);
         m.observe("boot", SimNanos::from_millis(1));
-        assert_eq!(m.counter("pool.hits"), 3);
+        assert_eq!(m.counter("pool.reuse"), 3);
         assert_eq!(m.counter("never"), 0);
-        assert_eq!(m.gauge("pool.size"), Some(4));
+        assert_eq!(m.gauge("pool.idle"), Some(4));
         assert_eq!(m.gauge("never"), None);
         assert_eq!(m.histogram("boot").unwrap().count(), 1);
         assert!(m.histogram("never").is_none());
@@ -445,7 +449,7 @@ mod tests {
     fn registry_serialization_round_trips() {
         let mut m = MetricsRegistry::new();
         m.inc("invocations");
-        m.set_gauge("pool.size", -1);
+        m.set_gauge("pool.idle", -1);
         m.observe("boot", SimNanos::from_micros(700));
         let text = serde_json::to_string(&m).unwrap();
         let back: MetricsRegistry = serde_json::from_str(&text).unwrap();

@@ -81,7 +81,7 @@ impl Cdf {
     pub fn from_samples(samples: impl IntoIterator<Item = f64>) -> Self {
         let mut sorted: Vec<f64> = samples.into_iter().collect();
         assert!(sorted.iter().all(|x| !x.is_nan()), "CDF sample was NaN");
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN"));
+        sorted.sort_by(f64::total_cmp);
         Cdf { sorted }
     }
 

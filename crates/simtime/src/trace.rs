@@ -203,11 +203,14 @@ impl Tracer {
         &self.clock
     }
 
-    /// Opens a span at the current virtual time.
+    /// Opens a span at the current virtual time. Debug builds check `name`
+    /// against the registry ([`names::is_registered`](crate::names::is_registered)).
     pub fn begin(&mut self, name: impl Into<String>) {
+        let name = name.into();
+        crate::names::debug_assert_registered(&name);
         let now = self.clock.now();
         self.stack.push(Span {
-            name: name.into(),
+            name,
             start: now,
             end: now,
             children: Vec::new(),
@@ -221,6 +224,10 @@ impl Tracer {
     ///
     /// Panics when no span is open — a begin/end imbalance is a bookkeeping
     /// bug in the caller.
+    #[expect(
+        clippy::expect_used,
+        reason = "an unbalanced end is a caller bug, documented under # Panics"
+    )]
     pub fn end(&mut self) -> Span {
         let mut span = self
             .stack
@@ -284,7 +291,7 @@ mod tests {
         let clock = SimClock::new();
         let mut t = Tracer::new(&clock);
         t.begin("boot");
-        t.charge_span("sandbox:spawn", SimNanos::from_micros(300));
+        t.charge_span("sandbox:vmm-process", SimNanos::from_micros(300));
         t.begin("restore:memory");
         t.charge_span("map-base", SimNanos::from_micros(40));
         clock.charge(SimNanos::from_micros(10));
@@ -408,9 +415,9 @@ mod tests {
         let clock = SimClock::new();
         let mut t = Tracer::new(&clock);
         t.begin("boot");
-        t.charge_span("sandbox:spawn", SimNanos::from_micros(1));
+        t.charge_span("sandbox:vmm-process", SimNanos::from_micros(1));
         let text = t.end().to_string();
         assert!(text.contains("boot"), "{text}");
-        assert!(text.contains("  sandbox:spawn"), "{text}");
+        assert!(text.contains("  sandbox:vmm-process"), "{text}");
     }
 }

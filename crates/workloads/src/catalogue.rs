@@ -52,13 +52,13 @@ pub fn synthetic(count: usize, seed: u64) -> Vec<AppProfile> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn fourteen_distinct_functions() {
         let fns = fig1_functions();
         assert_eq!(fns.len(), 14);
-        let names: HashSet<&str> = fns.iter().map(|p| p.name.as_str()).collect();
+        let names: BTreeSet<&str> = fns.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names.len(), 14, "names must be unique");
     }
 
@@ -68,14 +68,14 @@ mod tests {
         let b = synthetic(10_000, 7);
         assert_eq!(a.len(), 10_000);
         assert_eq!(a, b);
-        let names: HashSet<&str> = a.iter().map(|p| p.name.as_str()).collect();
+        let names: BTreeSet<&str> = a.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names.len(), 10_000, "names must be unique");
         // Variation spreads costs across many distinct shapes, but the
         // quantized scale keeps the shape count bounded (14 bases x 9
         // levels) so fleet calibration stays cheap.
         let base = fig1_functions();
         assert!(a[0].name.starts_with(&base[0].name));
-        let execs: HashSet<simtime::SimNanos> = a.iter().map(|p| p.exec_time).collect();
+        let execs: BTreeSet<simtime::SimNanos> = a.iter().map(|p| p.exec_time).collect();
         assert!(execs.len() > 50, "only {} exec shapes", execs.len());
         assert!(execs.len() <= 14 * 9, "{} exec shapes", execs.len());
         assert!(a.iter().all(|p| p.load_units >= 1));

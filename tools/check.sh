@@ -29,14 +29,16 @@ step() {
 # third_party/* members are vendored verbatim and excluded: their test
 # targets are not held to this workspace's lint bar and must never be
 # edited to satisfy it.
-# Four invariants are enforced here and nowhere else. The ban on wall
+# Five invariants are enforced here and nowhere else. The ban on wall
 # clocks, env reads, host threads and child processes is the
-# `disallowed-methods` list in crates/clippy.toml, and the ban on
-# `RefCell` (three sites `#[expect]` it) is its `disallowed-types` list
+# `disallowed-methods` list in crates/clippy.toml; its `disallowed-types`
+# list bans `RefCell` (three sites `#[expect]` it), `std::error::Error`
+# (three `fn source` overrides `#[expect]` it) and `HashMap`/`HashSet`
 # (found from each crates/* manifest dir; third_party/, the root package
-# and benchmark/ do not see it). The syntactic panic sources in the
-# modules that parse untrusted bytes are denied by an inner attribute at
-# the top of each such module. And `run_fleet` and `drive` deny
+# and benchmark/ do not see it). Every panic source is denied crate-wide
+# in imagefmt, memsim, guest-kernel and simtime (their Cargo.toml), and
+# `as` casts and indexing in each module that parses untrusted bytes (an
+# inner attribute at its top). And `run_fleet` and `drive` deny
 # `clippy::wildcard_enum_match_arm`, so each names every DES event variant.
 FIRST_PARTY=(--workspace
   --exclude bytes --exclude crossbeam
@@ -61,10 +63,11 @@ clippy_workspace() {
 
 # Every first-party crate's unit, integration and doc tests — not just the
 # root package's (a bare `cargo test` in a workspace with a root package
-# tests only that package). This is where the catalint fixtures, the
-# pinned event-engine fixtures, the imagefmt corruption proptests, the
-# faultsim suite, and the `compile_fail` doctests on `SimNanos`,
-# `InstanceId` and `BootCtx` run.
+# tests only that package). This is where the pinned event-engine
+# fixtures, the imagefmt corruption proptests, the faultsim suite, the
+# DES twin test, and the `compile_fail` doctests on `SimNanos`,
+# `InstanceId` and `BootCtx` run. It runs in debug, so every metric and
+# span name an exercised path emits is checked against `simtime::names`.
 test_workspace() {
   cargo test -q "${FIRST_PARTY[@]}"
 }
@@ -77,7 +80,6 @@ benchmark_smoke() {
 
 step "cargo fmt --check" cargo fmt --all --check
 step "cargo clippy (workspace, --all-targets, -D warnings)" clippy_workspace
-step "catalint (workspace invariants, zero-debt)" cargo run -q -p catalint
 step "cargo build --release" cargo build --release
 step "cargo test (every first-party crate)" test_workspace
 
