@@ -494,7 +494,8 @@ mod tests {
     /// The read side of the copy budget is zero bytes, asserted (ROADMAP
     /// 2(d)): after a cold boot and a read of every heap page, the whole
     /// heap is resident as views of the mapped image — nothing was copied
-    /// out of it, and the restored kernel objects' payloads are views too.
+    /// out of it or into the private layer, and the restored kernel
+    /// objects' payloads are views too.
     #[test]
     fn cold_restore_and_a_full_read_sweep_copy_nothing() {
         let model = model();
@@ -503,27 +504,39 @@ mod tests {
         let mut ctx = BootCtx::fresh(&model);
         let mut boot = cat.boot(BootMode::Cold, &profile, &mut ctx).unwrap();
         let space = &mut boot.program.space;
-        space
-            .touch_range(profile.heap_range(), false, ctx.clock(), &model)
-            .unwrap();
-        assert_eq!(space.stats().bytes_copied, 0);
-        assert_eq!(space.stats().cow_faults, 0);
+        let heap = profile.heap_range();
+        space.touch_range(heap, false, ctx.clock(), &model).unwrap();
+        let stats = space.stats();
+        assert_eq!((stats.bytes_copied, stats.cow_faults), (0, 0));
+        assert_eq!(space.private_pages(), 0, "a heap page was copied in");
+        assert_eq!(
+            stats.ept_merges,
+            heap.len(),
+            "every heap page is a base page"
+        );
 
         let stored = cat.store().get(&profile.name).unwrap();
-        let image = stored.flat.image().raw_bytes().as_ptr_range();
-        let inside = |bytes: &[u8]| {
-            let bytes = bytes.as_ptr_range();
-            image.start <= bytes.start && bytes.end <= image.end
+        let image = stored.flat.image();
+        let bytes = image.raw_bytes().as_ptr_range();
+        let inside = |page: &[u8]| {
+            let page = page.as_ptr_range();
+            bytes.start <= page.start && page.end <= bytes.end
         };
-        let mut resident = 0;
-        stored.base.as_ref().unwrap().for_each(|vpn, entry| {
-            if let memsim::EptEntry::Present { frame } = entry {
-                resident += 1;
-                assert!(frame.is_image_backed(), "page {vpn} was copied");
-                assert!(inside(frame.bytes()), "page {vpn} left the image");
-            }
-        });
-        assert_eq!(resident, stored.flat.app_page_count());
+        assert!(image.resident_pages() >= stored.flat.app_page_count());
+        // Every heap page is served as a view of the mapped image, and from
+        // the page cache: touching it again charges nothing.
+        let probe = simtime::SimClock::new();
+        let base = stored.base.as_ref().unwrap();
+        for vpn in heap.iter() {
+            let frame = base.load(vpn, &probe, &model).unwrap().unwrap();
+            assert!(frame.is_image_backed(), "page {vpn} was copied");
+            assert!(inside(frame.bytes()), "page {vpn} left the image");
+        }
+        assert_eq!(
+            probe.now(),
+            simtime::SimNanos::ZERO,
+            "a heap page is not resident"
+        );
         let records = stored
             .flat
             .restore_metadata(&simtime::SimClock::new(), &model)

@@ -23,7 +23,9 @@ pub struct StoredFunction {
     pub flat: FlatImage,
     /// The per-function FS server (shared by every instance).
     pub fs: Arc<FsServer>,
-    /// The shared Base-EPT, built by the first cold boot (§3.1).
+    /// The shared, read-only Base-EPT, built by the first cold boot (§3.1)
+    /// and never written after: a page's first touch is recorded in
+    /// `flat`'s image page cache.
     pub base: Option<Arc<EptLayer>>,
 }
 

@@ -47,7 +47,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use memsim::{EptEntry, EptLayer, MappedImage, SharedBytes, Vpn, PAGE_SIZE, PAGE_SIZE_U64};
+use memsim::{EptLayer, MappedImage, SharedBytes, Vpn, PAGE_SIZE, PAGE_SIZE_U64};
 use simtime::{CostModel, SimClock};
 
 use crate::crc::Crc32;
@@ -546,9 +546,10 @@ impl FlatImage {
         Ok(out)
     }
 
-    /// Builds the shared **Base-EPT** over this image's application memory:
-    /// every checkpointed page becomes a lazy, demand-loaded entry (the
-    /// *map-file* operation of overlay memory, §3.1). No page is read.
+    /// Builds the shared, read-only **Base-EPT** over this image's
+    /// application memory: every checkpointed page becomes an entry served
+    /// through the image's page cache on touch (the *map-file* operation of
+    /// overlay memory, §3.1). No page is read.
     ///
     /// # Errors
     ///
@@ -560,17 +561,7 @@ impl FlatImage {
     ) -> Result<Arc<EptLayer>, ImageError> {
         let index = self.app_mem_index(clock, model)?;
         clock.charge(model.mmap_region(self.n_pages.saturating_mul(PAGE_SIZE_U64)));
-        let layer = EptLayer::new();
-        for (vpn, page) in index {
-            layer.insert(
-                vpn,
-                EptEntry::LazyImage {
-                    image: Arc::clone(&self.image),
-                    page,
-                },
-            );
-        }
-        Ok(Arc::new(layer))
+        Ok(EptLayer::map_image(&self.image, index))
     }
 }
 
@@ -1160,12 +1151,19 @@ mod tests {
         let (clock, model) = setup();
         let src = sample_source(5, 4);
         let flat = FlatImage::parse(&make_image(&src), &clock, &model).unwrap();
+        let image = flat.image();
+        let resident = image.resident_pages();
         let base = flat.build_base_layer(&clock, &model).unwrap();
         assert_eq!(base.len(), 4);
-        assert_eq!(base.present_pages(), 0, "map-file must not populate");
+        assert_eq!(
+            image.resident_pages(),
+            resident,
+            "map-file must not populate"
+        );
         // Demand-load one page and compare contents.
-        let frame = base.materialize(0x4_0002, &clock, &model).unwrap().unwrap();
+        let frame = base.load(0x4_0002, &clock, &model).unwrap().unwrap();
         assert_eq!(frame.bytes(), &src.app_pages[2].data[..]);
+        assert!(frame.is_image_backed(), "a view of the image, not a copy");
     }
 
     #[test]

@@ -126,7 +126,7 @@ mod tests {
         let (clock, model) = setup();
         let data = SharedBytes::from(vec![1u8; 8 * PAGE_SIZE]);
         let img = MappedImage::new("f", data);
-        let base = EptLayer::lazy_from_image(&img, 0, &clock, &model);
+        let base = EptLayer::map_image(&img, (0..8).map(|page| (page, page)));
 
         let mut spaces = Vec::new();
         for i in 0..4 {

@@ -75,7 +75,7 @@ fn block_from(src: &Block) -> Arc<Block> {
 ///   when the thread keeps a spare block, and freeing it is one free.
 /// - A zero-copy **image** page of a mapped func-image: one reference on the
 ///   image buffer and the page's offset in it, exactly like `mmap`-ing a
-///   file read-only. It never grows into a page of its own: materializing a
+///   file read-only. It never grows into a page of its own: serving a
 ///   Base-EPT page allocates nothing.
 ///
 /// Either way the handle is two words, so an EPT slot holding one stays
@@ -190,7 +190,7 @@ impl FrameRef {
 
     /// The page's bytes to write in place, if this handle may: it is the
     /// only one on an owned block. The address space also requires the leaf
-    /// table holding it to be unshared (`EptTable::writable_frame`).
+    /// table holding it to be unshared (`EptLayer::writable_frame`).
     pub(crate) fn get_mut(&mut self) -> Option<&mut Block> {
         match &mut self.0 {
             Page::Owned(block) => Arc::get_mut(block),

@@ -4,9 +4,9 @@
 #![cfg_attr(not(test), deny(clippy::as_conversions, clippy::indexing_slicing))]
 
 use std::fmt;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use simtime::{CostModel, SimClock};
 
 use crate::{FrameRef, MemError, SharedBytes, PAGE_SIZE, PAGE_SIZE_U64};
@@ -19,7 +19,9 @@ use crate::{FrameRef, MemError, SharedBytes, PAGE_SIZE, PAGE_SIZE_U64};
 /// later touch — by the same sandbox or any other sharing the Base-EPT — hits
 /// the cache for free. `MappedImage` reproduces exactly that: the first
 /// [`MappedImage::load_page`] for a page index charges a disk read to the
-/// calling clock, later calls charge nothing.
+/// calling clock, later calls charge nothing. The cache is the one record of
+/// first touch: a flag per page that is set once and never cleared, so it is
+/// a monotone atomic record, not a lock.
 ///
 /// # Example
 ///
@@ -41,31 +43,13 @@ pub struct MappedImage {
     name: String,
     bytes: SharedBytes,
     pages: u64,
-    resident: Mutex<Residency>,
-}
-
-/// The shared page cache's state: which pages are in, and how many — the
-/// count is kept beside the bitmap so that asking for it never walks it.
-struct Residency {
-    pages: Vec<bool>,
-    count: u64,
-}
-
-impl Residency {
-    /// Marks `pages[from..to]` (clamped to the image) resident and returns
-    /// how many of them were not yet.
-    fn load(&mut self, from: usize, to: usize) -> u64 {
-        let to = to.min(self.pages.len());
-        let mut loaded = 0u64;
-        for slot in self.pages.get_mut(from..to).unwrap_or_default() {
-            if !*slot {
-                *slot = true;
-                loaded += 1;
-            }
-        }
-        self.count += loaded;
-        loaded
-    }
+    /// The zero-padded frame of a trailing partial page, built once so that
+    /// every touch of that page is one frame (one identity for PSS).
+    tail: Option<FrameRef>,
+    /// The page cache: which pages are in.
+    resident: Vec<AtomicBool>,
+    /// How many flags of `resident` are set, so asking never walks them.
+    resident_count: AtomicU64,
 }
 
 impl MappedImage {
@@ -74,14 +58,15 @@ impl MappedImage {
     pub fn new(name: impl Into<String>, bytes: SharedBytes) -> Arc<MappedImage> {
         let page_slots = bytes.len().div_ceil(PAGE_SIZE);
         let pages = u64::try_from(page_slots).unwrap_or(u64::MAX);
+        let whole = bytes.len() / PAGE_SIZE * PAGE_SIZE;
+        let tail = (whole < bytes.len()).then(|| FrameRef::image_page(&bytes, whole));
         Arc::new(MappedImage {
             name: name.into(),
             bytes,
             pages,
-            resident: Mutex::new(Residency {
-                pages: vec![false; page_slots],
-                count: 0,
-            }),
+            tail,
+            resident: (0..page_slots).map(|_| AtomicBool::new(false)).collect(),
+            resident_count: AtomicU64::new(0),
         })
     }
 
@@ -107,14 +92,41 @@ impl MappedImage {
 
     /// Number of pages currently resident in the shared page cache.
     pub fn resident_pages(&self) -> u64 {
-        self.resident.lock().count
+        self.resident_count.load(Ordering::Relaxed)
+    }
+
+    /// Marks `resident[from..to]` (clamped to the image) resident and
+    /// returns how many of them were not yet. `Relaxed` suffices: a flag
+    /// publishes no data (the image bytes never change), and the swap makes
+    /// exactly one caller the one that loaded each page.
+    fn fault_in(&self, from: usize, to: usize) -> u64 {
+        let to = to.min(self.resident.len());
+        let slots = self.resident.get(from..to).unwrap_or_default();
+        let loaded = slots
+            .iter()
+            .filter(|page| !page.swap(true, Ordering::Relaxed))
+            .count();
+        let loaded = u64::try_from(loaded).unwrap_or(u64::MAX);
+        self.resident_count.fetch_add(loaded, Ordering::Relaxed);
+        loaded
+    }
+
+    /// Page `index` as [`MappedImage::load_page`] returns it, without
+    /// touching the page cache; `None` past the end.
+    pub(crate) fn page_view(&self, index: u64) -> Option<FrameRef> {
+        let slot = usize::try_from(index).ok().filter(|_| index < self.pages)?;
+        Some(match &self.tail {
+            Some(tail) if slot.saturating_add(1) == self.resident.len() => tail.clone(),
+            _ => FrameRef::image_page(&self.bytes, slot.saturating_mul(PAGE_SIZE)),
+        })
     }
 
     /// Loads page `index`, charging a disk read on the first touch only.
     ///
-    /// Returns a zero-copy [`FrameRef`] over the image buffer (or an owned
-    /// zero-padded frame for a trailing partial page). A full page allocates
-    /// nothing: the frame is a view, one reference on the image buffer.
+    /// Returns a zero-copy [`FrameRef`] over the image buffer (or the one
+    /// owned zero-padded frame of a trailing partial page). A full page
+    /// allocates nothing: the frame is a view, one reference on the image
+    /// buffer.
     ///
     /// # Errors
     ///
@@ -125,32 +137,25 @@ impl MappedImage {
         clock: &SimClock,
         model: &CostModel,
     ) -> Result<FrameRef, MemError> {
-        if index >= self.pages {
-            return Err(MemError::ImageBounds {
-                page: index,
-                pages: self.pages,
-            });
-        }
-        // `index < self.pages`, and the resident table was sized in usize,
-        // so this conversion cannot lose range on any supported target.
-        let index_us = usize::try_from(index).map_err(|_| MemError::ImageBounds {
+        let frame = self.page_view(index).ok_or(MemError::ImageBounds {
             page: index,
             pages: self.pages,
         })?;
+        // In bounds, so the index fits a `usize`. Fault-around: a miss reads
+        // a small cluster ahead, the way host kernels do readahead under
+        // mmap. One seek covers the cluster.
+        let slot = usize::try_from(index).unwrap_or(usize::MAX);
+        if self
+            .resident
+            .get(slot)
+            .is_some_and(|page| !page.load(Ordering::Relaxed))
         {
-            // Fault-around: a miss reads a small cluster ahead, the way host
-            // kernels do readahead under mmap. One seek covers the cluster.
-            let mut resident = self.resident.lock();
-            if resident.pages.get(index_us).is_some_and(|r| !*r) {
-                let loaded = resident.load(index_us, index_us.saturating_add(8));
-                drop(resident);
+            let loaded = self.fault_in(slot, slot.saturating_add(8));
+            if loaded > 0 {
                 clock.charge(model.disk_read(loaded.saturating_mul(PAGE_SIZE_U64)));
             }
         }
-        Ok(FrameRef::image_page(
-            &self.bytes,
-            index_us.saturating_mul(PAGE_SIZE),
-        ))
+        Ok(frame)
     }
 
     /// Sequentially loads pages `[first, first + count)` with readahead
@@ -176,21 +181,11 @@ impl MappedImage {
         }
         let first_us = usize::try_from(first).unwrap_or(usize::MAX);
         let end_us = usize::try_from(end).unwrap_or(usize::MAX);
-        let missing = self.resident.lock().load(first_us, end_us);
+        let missing = self.fault_in(first_us, end_us);
         if missing > 0 {
             clock.charge(model.disk_read(missing.saturating_mul(PAGE_SIZE_U64)));
         }
         Ok(())
-    }
-
-    /// Marks every page resident, as if the file were read sequentially
-    /// (used by the *classic* restore path, which loads everything eagerly),
-    /// charging one bulk disk read.
-    pub fn prefetch_all(&self, clock: &SimClock, model: &CostModel) {
-        let missing = self.resident.lock().load(0, usize::MAX);
-        if missing > 0 {
-            clock.charge(model.disk_read(missing.saturating_mul(PAGE_SIZE_U64)));
-        }
     }
 
     /// Raw access to the underlying buffer (used by the image format parser;
@@ -263,6 +258,12 @@ mod tests {
         assert_eq!(f.bytes()[9], 9);
         assert_eq!(f.bytes()[10], 0);
         assert!(!f.is_image_backed()); // padded copy, not zero-copy
+
+        // Built once: every touch of the page is the same frame, so PSS
+        // counts it once however many spaces map it.
+        let again = img.load_page(1, &clock, &model).unwrap();
+        assert!(FrameRef::ptr_eq(&f, &again));
+        assert!(FrameRef::ptr_eq(&f, &img.page_view(1).unwrap()));
     }
 
     #[test]
@@ -275,30 +276,19 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_all_charges_once() {
-        let img = image_of(8, 0);
-        let model = CostModel::experimental_machine();
-        let clock = SimClock::new();
-        img.prefetch_all(&clock, &model);
-        let cost = clock.now();
-        assert!(cost > SimNanos::ZERO);
-        assert_eq!(img.resident_pages(), 8);
-        img.prefetch_all(&clock, &model);
-        assert_eq!(clock.now(), cost);
-    }
-
-    #[test]
-    fn prefetch_after_partial_touch_charges_remainder() {
+    fn load_range_after_a_partial_touch_charges_the_remainder() {
         let img = image_of(12, 0);
         let model = CostModel::experimental_machine();
         // Fault-around loads the 8-page cluster at 0.
         img.load_page(0, &SimClock::new(), &model).unwrap();
         assert_eq!(img.resident_pages(), 8);
         let clock = SimClock::new();
-        img.prefetch_all(&clock, &model);
+        img.load_range(0, 12, &clock, &model).unwrap();
         // 4 pages remained: 1 seek + 4 pages of transfer.
-        let expected = model.disk_read(4 * PAGE_SIZE as u64);
-        assert_eq!(clock.now(), expected);
+        assert_eq!(clock.now(), model.disk_read(4 * PAGE_SIZE as u64));
+        assert_eq!(img.resident_pages(), 12);
+        img.load_range(0, 12, &clock, &model).unwrap();
+        assert_eq!(clock.now(), model.disk_read(4 * PAGE_SIZE as u64));
     }
 
     #[test]

@@ -14,14 +14,19 @@
 //!   the mapped func-image, never a page of its own.
 //! - [`MappedImage`]: a file-backed region with a shared page cache — the
 //!   first touch of a page anywhere charges a disk read; later touches are
-//!   free, exactly like the host page cache under `mmap`.
+//!   free, exactly like the host page cache under `mmap`. The cache is the
+//!   one record of first touch: a monotone atomic flag per page.
 //! - [`EptLayer`] / [`AddressSpace`]: the Private-over-Base overlay with
 //!   hardware-style merge-on-access, copy-on-write faults, demand zero-fill,
 //!   and `sfork`-style CoW duplication (including the paper's new CoW flag
 //!   for `MAP_SHARED` mappings). A layer is a two-level table whose
 //!   512-page leaf tables are themselves shared copy-on-write, so a fork
 //!   costs page *tables*, not pages — what the paper's sfork does and what
-//!   the cost model charges.
+//!   the cost model charges. The Base-EPT is such a table built once
+//!   ([`EptLayer::map_image`]) and never written again.
+//!
+//! Shared state here is immutable once built, or a monotone atomic record;
+//! no type in this crate takes a lock.
 //! - [`accounting`]: RSS/PSS computation across a set of sandboxes (paper
 //!   Fig. 14).
 //!
@@ -68,6 +73,6 @@ pub use buf::SharedBytes;
 pub use error::MemError;
 pub use frame::FrameRef;
 pub use image::MappedImage;
-pub use layer::{EptEntry, EptLayer};
+pub use layer::EptLayer;
 pub use page::{pages_for_bytes, Perms, Vpn, VpnRange, PAGE_SIZE, PAGE_SIZE_U64};
 pub use space::{AddressSpace, ShareMode, SpaceStats, Vma};

@@ -67,22 +67,24 @@ impl VpnRange {
         }
     }
 
-    /// Range covering `count` pages from `start`.
+    /// Range covering `count` pages from `start`, clipped at the top of the
+    /// page-number space.
     pub fn with_len(start: Vpn, count: u64) -> Self {
         VpnRange {
             start,
-            end: start + count,
+            end: start.saturating_add(count),
         }
     }
 
-    /// Number of pages in the range.
+    /// Number of pages in the range (0 for an inverted one, which the
+    /// public fields or a deserialized value can still spell).
     pub fn len(&self) -> u64 {
-        self.end - self.start
+        self.end.saturating_sub(self.start)
     }
 
-    /// True if the range is empty.
+    /// True if the range holds no page.
     pub fn is_empty(&self) -> bool {
-        self.start == self.end
+        self.start >= self.end
     }
 
     /// True if `vpn` falls inside the range.
@@ -128,6 +130,12 @@ mod tests {
         assert!(r.is_empty());
         assert_eq!(r.len(), 0);
         assert!(!r.contains(9));
+        // Spelled through the public fields, it is empty all the same.
+        let spelled = VpnRange { start: 9, end: 3 };
+        assert!(spelled.is_empty());
+        assert_eq!(spelled.len(), 0);
+        assert_eq!(spelled.iter().count(), 0);
+        assert!(!spelled.overlaps(&VpnRange::new(0, 10)));
     }
 
     #[test]
@@ -135,6 +143,15 @@ mod tests {
         let r = VpnRange::with_len(100, 5);
         assert_eq!(r.start, 100);
         assert_eq!(r.end, 105);
+    }
+
+    #[test]
+    fn with_len_saturates_at_the_top_of_the_space() {
+        let r = VpnRange::with_len(u64::MAX - 1, 5);
+        assert_eq!((r.start, r.end), (u64::MAX - 1, u64::MAX));
+        assert_eq!(r.len(), 1);
+        assert!(r.contains(u64::MAX - 1));
+        assert_eq!(VpnRange::with_len(u64::MAX, u64::MAX).len(), 0);
     }
 
     #[test]

@@ -5,8 +5,8 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 use simtime::{CostModel, SimClock};
 
-use crate::layer::EptTable;
-use crate::{EptEntry, EptLayer, FrameRef, MemError, Perms, Vpn, VpnRange, PAGE_SIZE};
+use crate::layer::EptEntry;
+use crate::{EptLayer, FrameRef, MemError, Perms, Vpn, VpnRange, PAGE_SIZE};
 
 /// How a mapping behaves across `sfork` (paper §4, Table 1 "Mem" row).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -59,18 +59,19 @@ pub struct SpaceStats {
 /// [`AddressSpace::sfork_clone`] (CoW duplication for sandbox fork).
 ///
 /// The two layers are held the way they are owned. The Private-EPT belongs
-/// to this space alone, so it is a bare table reached through `&mut self`:
-/// an access to a resident private page takes no lock, clones no entry and
-/// allocates nothing. The Base-EPT is shared with every sandbox of the
-/// function and upgraded in place on first touch, so it stays behind
-/// [`EptLayer`]'s lock.
+/// to this space alone and is written through `&mut self`: an access to a
+/// resident private page clones no entry and allocates nothing. The
+/// Base-EPT is shared with every sandbox of the function as an
+/// `Arc<EptLayer>` and never written: a base page's first touch is recorded
+/// in the image's page cache, and this space notes which base pages it has
+/// merged into its hardware EPT.
 #[derive(Debug)]
 pub struct AddressSpace {
     name: String,
     vmas: Vec<Vma>,
     /// Holds resident pages only: every insert (`write`, `resolve_for_read`,
-    /// `install_page`) is a `Present` frame. Lazy entries live in the base.
-    private: EptTable,
+    /// `install_page`) is a `Present` frame. Image entries live in the base.
+    private: EptLayer,
     base: Option<Arc<EptLayer>>,
     /// Base pages whose merged hardware EPT entry this space has built.
     hw_merged: BTreeSet<Vpn>,
@@ -83,7 +84,7 @@ impl AddressSpace {
         AddressSpace {
             name: name.into(),
             vmas: Vec::new(),
-            private: EptTable::default(),
+            private: EptLayer::default(),
             base: None,
             hw_merged: BTreeSet::new(),
             stats: SpaceStats::default(),
@@ -240,7 +241,7 @@ impl AddressSpace {
         clock: &SimClock,
         model: &CostModel,
     ) -> Result<(), MemError> {
-        if offset + buf.len() > PAGE_SIZE {
+        if offset > PAGE_SIZE || buf.len() > PAGE_SIZE - offset {
             return Err(MemError::PageCross {
                 offset,
                 len: buf.len(),
@@ -271,7 +272,7 @@ impl AddressSpace {
         clock: &SimClock,
         model: &CostModel,
     ) -> Result<(), MemError> {
-        if offset + src.len() > PAGE_SIZE {
+        if offset > PAGE_SIZE || src.len() > PAGE_SIZE - offset {
             return Err(MemError::PageCross {
                 offset,
                 len: src.len(),
@@ -335,21 +336,17 @@ impl AddressSpace {
     }
 
     /// The read-fault path, for a page [`AddressSpace::read`] did not find
-    /// resident in the private layer: resolves its frame, materializing
-    /// lazily and charging faults where hardware would.
+    /// resident in the private layer: resolves its frame from the base, or
+    /// zero-fills it, charging faults where hardware would.
     fn resolve_for_read(
         &mut self,
         vpn: Vpn,
         clock: &SimClock,
         model: &CostModel,
     ) -> Result<FrameRef, MemError> {
-        debug_assert!(
-            self.private.get(vpn).is_none(),
-            "private entry not resident"
-        );
         if let Some(base) = &self.base {
             let clock_before = clock.now();
-            if let Some(frame) = base.materialize(vpn, clock, model)? {
+            if let Some(frame) = base.load(vpn, clock, model)? {
                 if clock.now() > clock_before {
                     self.stats.image_pages_loaded += 1;
                 }
@@ -385,12 +382,8 @@ impl AddressSpace {
         if let Some(EptEntry::Present { frame }) = self.private.get(vpn) {
             return Ok(Some(frame.cow_copy()));
         }
-        debug_assert!(
-            self.private.get(vpn).is_none(),
-            "private entry not resident"
-        );
         if let Some(base) = &self.base {
-            if let Some(frame) = base.materialize(vpn, clock, model)? {
+            if let Some(frame) = base.load(vpn, clock, model)? {
                 self.hw_merged.insert(vpn);
                 return Ok(Some(frame.cow_copy()));
             }
@@ -425,19 +418,10 @@ impl AddressSpace {
     }
 
     /// Resident set size in bytes: private resident pages plus base pages
-    /// this space has merged into its hardware EPT.
+    /// this space has merged into its hardware EPT (a page is merged only
+    /// once the base has served it a frame).
     pub fn rss_bytes(&self) -> u64 {
-        let base_touched = self
-            .base
-            .as_ref()
-            .map(|base| {
-                self.hw_merged
-                    .iter()
-                    .filter(|vpn| matches!(base.get(**vpn), Some(e) if e.is_present()))
-                    .count() as u64
-            })
-            .unwrap_or(0);
-        (self.private.present_pages() + base_touched) * PAGE_SIZE as u64
+        (self.private_pages() + self.hw_merged.len() as u64) * PAGE_SIZE as u64
     }
 
     /// Visits every resident frame (private and merged-base) with its
@@ -450,16 +434,17 @@ impl AddressSpace {
         });
         if let Some(base) = &self.base {
             for vpn in &self.hw_merged {
-                if let Some(EptEntry::Present { frame }) = base.get(*vpn) {
+                if let Some(frame) = base.view(*vpn) {
                     f(frame.identity(), &frame);
                 }
             }
         }
     }
 
-    /// Number of pages resident in the private layer only.
+    /// Number of pages resident in the private layer only (it holds
+    /// nothing else).
     pub fn private_pages(&self) -> u64 {
-        self.private.present_pages()
+        self.private.len() as u64
     }
 
     /// Bulk-installs a page into the private layer (classic-restore load
@@ -489,9 +474,7 @@ impl AddressSpace {
     /// frame) and the snapshot keeps the bytes it captured. Reads nothing
     /// lazily and charges nothing (checkpointing is offline).
     pub fn snapshot_private_pages(&self) -> Vec<(Vpn, FrameRef)> {
-        let resident = usize::try_from(self.private_pages()).unwrap_or(0);
-        debug_assert_eq!(self.private.len(), resident, "private entry not resident");
-        let mut out = Vec::with_capacity(resident);
+        let mut out = Vec::with_capacity(self.private.len());
         self.private.for_each(|vpn, entry| {
             if let EptEntry::Present { frame } = entry {
                 out.push((vpn, frame.clone()));
@@ -529,6 +512,11 @@ mod tests {
             chunk.fill(i as u8 + 1);
         }
         MappedImage::new("img", SharedBytes::from(data))
+    }
+
+    /// A Base-EPT mapping every page of `img` from guest page `at` on.
+    fn base_over(img: &Arc<MappedImage>, at: Vpn) -> Arc<EptLayer> {
+        EptLayer::map_image(img, (0..img.pages()).map(|page| (at + page, page)))
     }
 
     #[test]
@@ -584,6 +572,32 @@ mod tests {
     }
 
     #[test]
+    fn hostile_offsets_are_page_crosses_not_overflows() {
+        let (clock, model) = setup();
+        let mut s = AddressSpace::new("s");
+        s.map_anonymous(VpnRange::new(0, 1), Perms::RW, ShareMode::Private, "m")
+            .unwrap();
+        s.write(0, 0, b"resident", &clock, &model).unwrap();
+        let mut buf = [0u8; 8];
+        assert_eq!(
+            s.read(0, usize::MAX, &mut buf, &clock, &model),
+            Err(MemError::PageCross {
+                offset: usize::MAX,
+                len: 8
+            })
+        );
+        assert_eq!(
+            s.write(0, usize::MAX - 2, b"abcd", &clock, &model),
+            Err(MemError::PageCross {
+                offset: usize::MAX - 2,
+                len: 4
+            })
+        );
+        s.read(0, 0, &mut buf, &clock, &model).unwrap();
+        assert_eq!(&buf, b"resident", "a rejected write wrote nothing");
+    }
+
+    #[test]
     fn overlap_rejected() {
         let mut s = AddressSpace::new("s");
         s.map_anonymous(VpnRange::new(0, 4), Perms::RW, ShareMode::Private, "a")
@@ -598,7 +612,7 @@ mod tests {
     fn base_read_through_then_cow_isolates() {
         let (clock, model) = setup();
         let img = patterned_image(2);
-        let base = EptLayer::lazy_from_image(&img, 0, &clock, &model);
+        let base = base_over(&img, 0);
 
         let mut a = AddressSpace::new("a");
         let mut b = AddressSpace::new("b");
@@ -631,7 +645,7 @@ mod tests {
     fn warm_boot_shares_demand_loaded_pages() {
         let (clock, model) = setup();
         let img = patterned_image(1);
-        let base = EptLayer::lazy_from_image(&img, 0, &clock, &model);
+        let base = base_over(&img, 0);
         let mut a = AddressSpace::new("a");
         a.attach_base(Arc::clone(&base), VpnRange::new(0, 1), "f", &clock, &model)
             .unwrap();
@@ -726,7 +740,7 @@ mod tests {
     fn unmap_drops_only_its_own_merged_base_pages() {
         let (clock, model) = setup();
         let img = patterned_image(4);
-        let base = EptLayer::lazy_from_image(&img, 0, &clock, &model);
+        let base = base_over(&img, 0);
         let mut s = AddressSpace::new("s");
         let image_range = VpnRange::new(0, 4);
         s.attach_base(base, image_range, "f", &clock, &model)
@@ -1015,7 +1029,7 @@ mod tests {
         // only what its own page holds.
         let mut next = AddressSpace::new("next");
         next.attach_base(
-            EptLayer::lazy_from_image(&patterned_image(1), 100, &clock, &model),
+            base_over(&patterned_image(1), 100),
             VpnRange::new(100, 101),
             "f",
             &clock,
@@ -1060,7 +1074,7 @@ mod tests {
         let img = patterned_image(64);
 
         let cold = SimClock::new();
-        let base = EptLayer::lazy_from_image(&img, 0, &cold, &model);
+        let base = base_over(&img, 0);
         let mut a = AddressSpace::new("cold");
         a.attach_base(Arc::clone(&base), VpnRange::new(0, 64), "f", &cold, &model)
             .unwrap();

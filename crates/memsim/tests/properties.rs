@@ -15,8 +15,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use memsim::{
-    accounting, AddressSpace, EptEntry, EptLayer, FrameRef, MappedImage, Perms, ShareMode,
-    SharedBytes, SpaceStats, Vpn, VpnRange, PAGE_SIZE,
+    accounting, AddressSpace, EptLayer, FrameRef, MappedImage, Perms, ShareMode, SharedBytes,
+    SpaceStats, Vpn, VpnRange, PAGE_SIZE,
 };
 use proptest::prelude::*;
 use simtime::{CostModel, SimClock, SimNanos};
@@ -33,6 +33,11 @@ fn image_with_pattern(pages: u8) -> Arc<MappedImage> {
     MappedImage::new("prop.img", SharedBytes::from(data))
 }
 
+/// A Base-EPT mapping every page of `img` at the same guest page number.
+fn base_over(img: &Arc<MappedImage>) -> Arc<EptLayer> {
+    EptLayer::map_image(img, (0..img.pages()).map(|page| (page, page)))
+}
+
 proptest! {
     /// Writes through one sandbox are never visible through another sharing
     /// the same Base-EPT (CoW isolation).
@@ -43,7 +48,7 @@ proptest! {
     ) {
         let (clock, model) = setup();
         let img = image_with_pattern(pages);
-        let base = EptLayer::lazy_from_image(&img, 0, &clock, &model);
+        let base = base_over(&img);
         let range = VpnRange::new(0, pages as u64);
 
         let mut writer = AddressSpace::new("writer");
@@ -122,7 +127,7 @@ proptest! {
     fn pss_conservation(n_spaces in 1usize..6, pages in 1u8..12) {
         let (clock, model) = setup();
         let img = image_with_pattern(pages);
-        let base = EptLayer::lazy_from_image(&img, 0, &clock, &model);
+        let base = base_over(&img);
         let range = VpnRange::new(0, pages as u64);
 
         let mut spaces = Vec::new();
@@ -159,9 +164,8 @@ proptest! {
         accesses in proptest::collection::vec((0usize..3, 0u64..8), 1..64),
     ) {
         let model = CostModel::experimental_machine();
-        let build_clock = SimClock::new();
         let img = image_with_pattern(8);
-        let base = EptLayer::lazy_from_image(&img, 0, &build_clock, &model);
+        let base = base_over(&img);
         let range = VpnRange::new(0, 8);
 
         let clock = SimClock::new();
@@ -189,18 +193,18 @@ proptest! {
 proptest! {
     /// Every way a page enters the private layer — a write over the base
     /// (cold or merged), a write or read of anonymous memory, a bulk
-    /// install, a fork — leaves it holding resident frames only: lazy image
-    /// entries stay in the Base-EPT. The fault paths and
-    /// `snapshot_private_pages` `debug_assert!` exactly that, so this run
-    /// would panic on a private lazy entry; what is visible from outside is
-    /// checked against a shadow.
+    /// install, a fork — leaves it holding resident frames only: image
+    /// entries stay in the Base-EPT. `private_pages()` counts every private
+    /// entry and the snapshot only the resident ones, so a private image
+    /// entry would part them; what is visible from outside is checked
+    /// against a shadow.
     #[test]
     fn private_layer_holds_only_resident_pages(
         ops in proptest::collection::vec((0u8..5, 0u64..16, any::<u8>()), 1..64),
     ) {
         let (clock, model) = setup();
         let img = image_with_pattern(8);
-        let base = EptLayer::lazy_from_image(&img, 0, &clock, &model);
+        let base = base_over(&img);
         let mut space = AddressSpace::new("overlay");
         space.attach_base(base, VpnRange::new(0, 8), "f", &clock, &model).unwrap();
         space.map_anonymous(VpnRange::new(8, 16), Perms::RW, ShareMode::Private, "heap").unwrap();
@@ -236,186 +240,6 @@ proptest! {
                 prop_assert!(private[*vpn as usize]);
                 prop_assert!(!frame.is_image_backed(), "a private page is an owned copy");
                 prop_assert_eq!(frame[0], first[*vpn as usize]);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The two-level EPT table against a flat-map oracle
-// ---------------------------------------------------------------------------
-
-/// Page numbers that straddle leaf-table boundaries (512 pages each), sit
-/// far apart, and reach the top of the address range.
-const TABLE_VPNS: [Vpn; 18] = [
-    0,
-    1,
-    2,
-    510,
-    511,
-    512,
-    513,
-    1022,
-    1023,
-    1024,
-    1025,
-    1 << 40,
-    (1 << 40) + 1,
-    (1 << 40) + 511,
-    (1 << 40) + 512,
-    u64::MAX - 512,
-    u64::MAX - 1,
-    u64::MAX,
-];
-
-#[derive(Debug, Clone)]
-enum TableOp {
-    InsertPresent(Vpn),
-    InsertLazyZero(Vpn),
-    InsertLazyImage(Vpn, u64),
-    Remove(Vpn),
-    RemoveRange(Vpn, Vpn),
-    Materialize(Vpn),
-    CloneEntries,
-}
-
-/// A weighted pick of one operation (the vendored proptest has no
-/// `prop_oneof!`: draw raw numbers, decode here).
-fn table_op() -> impl Strategy<Value = TableOp> {
-    let vpn = 0..TABLE_VPNS.len();
-    (0u8..13, vpn.clone(), vpn, 0u64..4).prop_map(|(kind, a, b, page)| {
-        let (a, b) = (TABLE_VPNS[a], TABLE_VPNS[b]);
-        match kind {
-            0..=2 => TableOp::InsertPresent(a),
-            3 => TableOp::InsertLazyZero(a),
-            4 | 5 => TableOp::InsertLazyImage(a, page),
-            6 | 7 => TableOp::Remove(a),
-            8 | 9 => TableOp::RemoveRange(a, b),
-            10 | 11 => TableOp::Materialize(a),
-            _ => TableOp::CloneEntries,
-        }
-    })
-}
-
-/// Entries are handles: equal when they name the same frame / image page.
-fn same_entry(a: &EptEntry, b: &EptEntry) -> bool {
-    match (a, b) {
-        (EptEntry::Present { frame: x }, EptEntry::Present { frame: y }) => FrameRef::ptr_eq(x, y),
-        (EptEntry::LazyZero, EptEntry::LazyZero) => true,
-        (EptEntry::LazyImage { image: x, page: p }, EptEntry::LazyImage { image: y, page: q }) => {
-            Arc::ptr_eq(x, y) && p == q
-        }
-        _ => false,
-    }
-}
-
-/// The oracle: the flat ordered map the table replaced.
-type FlatMap = BTreeMap<Vpn, EptEntry>;
-
-fn assert_layer_matches(layer: &EptLayer, oracle: &FlatMap) -> Result<(), TestCaseError> {
-    prop_assert_eq!(layer.len(), oracle.len());
-    prop_assert_eq!(layer.is_empty(), oracle.is_empty());
-    let present = oracle.values().filter(|e| e.is_present()).count() as u64;
-    prop_assert_eq!(layer.present_pages(), present);
-
-    let mut walked: Vec<(Vpn, EptEntry)> = Vec::new();
-    layer.for_each(|vpn, entry| walked.push((vpn, entry.clone())));
-    prop_assert_eq!(walked.len(), oracle.len());
-    for ((vpn, entry), (want_vpn, want)) in walked.iter().zip(oracle) {
-        prop_assert_eq!(vpn, want_vpn, "for_each must visit in ascending vpn order");
-        prop_assert!(
-            same_entry(entry, want),
-            "for_each at {}: {:?} vs {:?}",
-            vpn,
-            entry,
-            want
-        );
-    }
-    for (vpn, want) in oracle {
-        let got = layer.get(*vpn);
-        prop_assert!(
-            got.as_ref().is_some_and(|got| same_entry(got, want)),
-            "get({}): {:?} vs {:?}",
-            vpn,
-            got,
-            want
-        );
-        // The neighbours of a mapped page are only mapped if the oracle says so.
-        for near in [vpn.wrapping_sub(1), vpn.wrapping_add(1), vpn ^ 512] {
-            prop_assert_eq!(layer.get(near).is_some(), oracle.contains_key(&near));
-        }
-    }
-    Ok(())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Any sequence of layer operations leaves the table — the original and
-    /// every `clone_entries` copy taken along the way — observably equal to
-    /// a plain `BTreeMap<Vpn, EptEntry>` that deep-copies on clone.
-    #[test]
-    fn ept_table_matches_a_flat_map(
-        ops in proptest::collection::vec((table_op(), 0usize..4), 1..80),
-    ) {
-        let (clock, model) = setup();
-        let image = image_with_pattern(4);
-        let mut layers: Vec<(EptLayer, FlatMap)> = vec![(EptLayer::new(), FlatMap::new())];
-
-        for (op, who) in ops {
-            let who = who % layers.len();
-            if matches!(op, TableOp::CloneEntries) {
-                if layers.len() < 4 {
-                    let copy = (layers[who].0.clone_entries(), layers[who].1.clone());
-                    layers.push(copy);
-                }
-            } else {
-                let (layer, oracle) = &mut layers[who];
-                match op {
-                    TableOp::InsertPresent(vpn) => {
-                        let entry = EptEntry::Present { frame: FrameRef::zeroed() };
-                        layer.insert(vpn, entry.clone());
-                        oracle.insert(vpn, entry);
-                    }
-                    TableOp::InsertLazyZero(vpn) => {
-                        layer.insert(vpn, EptEntry::LazyZero);
-                        oracle.insert(vpn, EptEntry::LazyZero);
-                    }
-                    TableOp::InsertLazyImage(vpn, page) => {
-                        let entry = EptEntry::LazyImage { image: Arc::clone(&image), page };
-                        layer.insert(vpn, entry.clone());
-                        oracle.insert(vpn, entry);
-                    }
-                    TableOp::Remove(vpn) => {
-                        let (got, want) = (layer.remove(vpn), oracle.remove(&vpn));
-                        prop_assert_eq!(got.is_some(), want.is_some());
-                        if let (Some(got), Some(want)) = (got, want) {
-                            prop_assert!(same_entry(&got, &want));
-                        }
-                    }
-                    TableOp::RemoveRange(start, end) => {
-                        layer.remove_range(start, end);
-                        oracle.retain(|vpn, _| !(start..end).contains(vpn));
-                    }
-                    TableOp::Materialize(vpn) => {
-                        let got = layer.materialize(vpn, &clock, &model).unwrap();
-                        match oracle.get(&vpn).cloned() {
-                            Some(EptEntry::Present { frame }) => {
-                                prop_assert!(got.is_some_and(|got| FrameRef::ptr_eq(&got, &frame)));
-                            }
-                            Some(EptEntry::LazyImage { page, .. }) => {
-                                let frame = got.expect("a lazy image page materializes");
-                                prop_assert_eq!(frame.bytes()[0], page as u8 + 1);
-                                oracle.insert(vpn, EptEntry::Present { frame });
-                            }
-                            Some(EptEntry::LazyZero) | None => prop_assert!(got.is_none()),
-                        }
-                    }
-                    TableOp::CloneEntries => unreachable!("handled above"),
-                }
-            }
-            for (layer, oracle) in &layers {
-                assert_layer_matches(layer, oracle)?;
             }
         }
     }

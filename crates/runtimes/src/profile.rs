@@ -388,5 +388,13 @@ mod tests {
         let p = AppProfile::c_nginx();
         assert_eq!(p.heap_range().len(), 512);
         assert_eq!(p.heap_range().start, HEAP_BASE);
+        // A hostile page count is clipped at the top of the page-number
+        // space, never wrapped below its start.
+        let hostile = AppProfile {
+            init_heap_pages: u64::MAX,
+            ..p
+        };
+        assert_eq!(hostile.heap_range().end, u64::MAX);
+        assert_eq!(hostile.heap_range().len(), u64::MAX - HEAP_BASE);
     }
 }

@@ -32,7 +32,7 @@
 //!   instance's next one allocate at most one block per copy-on-write or
 //!   demand-zero fault — a guest page is its counts and its bytes in one
 //!   allocation — and a reused one faults only its request scratch;
-//! - **Base-EPT reads**: a read through an attached space materializes an
+//! - **Base-EPT reads**: a read through an attached space is served an
 //!   image page as a view of the mapped image, a few bytes of bookkeeping,
 //!   never a page of its own;
 //! - **page loads**: `MappedImage::load_page` and `load_range` over every
@@ -465,10 +465,10 @@ fn a_fault_allocates_at_most_one_block_and_a_reuse_faults_only_its_scratch() {
     );
 }
 
-/// A read through a space attached to a restored Base-EPT materializes each
-/// image page once, as a view of the mapped image: the table entry turns
-/// `Present` in place and the space notes the page merged. A page copied
-/// or boxed would cost 4 KiB.
+/// A read through a space attached to a restored Base-EPT is served each
+/// image page as a view of the mapped image: the image's page cache records
+/// the first touch, the read-only table is not written, and the space notes
+/// the page merged. A page copied or boxed would cost 4 KiB.
 #[test]
 fn reading_a_restored_base_ept_allocates_no_page() {
     let [small, large] = profiles().map(|profile| {
@@ -502,7 +502,7 @@ fn reading_a_restored_base_ept_allocates_no_page() {
     );
     assert!(
         bytes <= 64.0,
-        "{bytes:.1} bytes per added page: a materialized image page is more than a view"
+        "{bytes:.1} bytes per added page: a served image page is more than a view"
     );
 }
 

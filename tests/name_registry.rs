@@ -6,14 +6,14 @@
 //!   registry prefix that is neither a constant nor a helper's shape.
 //! - **Every registered name is emitted.** [`every_registered_name_is_emitted`]
 //!   unions the counter, gauge, histogram and span names of a fixed set of
-//!   runs and requires the union to cover `names::ALL`, apart from
-//!   [`NOT_EMITTED`]. A constant whose only emitter is deleted fails here.
+//!   runs and requires the union to cover `names::ALL`, with no exception.
+//!   A constant whose only emitter is deleted fails here.
 //!
 //! The runs: every boot path the seam matrix has a row for, a gateway under
-//! a fault storm, an admission storm, a chaos cluster under a node-fault
-//! storm, one remote-sfork call, and an open-loop fleet. The trade: a
-//! registered name that only some other run emits must be added to a run
-//! here or listed in [`NOT_EMITTED`] with its reason.
+//! a fault storm, an admission storm, a self-healing pool whose engine
+//! cannot boot, a chaos cluster under a node-fault storm, one remote-sfork
+//! call, and an open-loop fleet. The trade: a registered name that only
+//! some other run emits must be added to a run here.
 
 use std::collections::BTreeSet;
 
@@ -23,16 +23,10 @@ use catalyzer_suite::platform::cluster::{
     ChaosPolicy, Cluster, ClusterConfig, ClusterEngine, ClusterSim,
 };
 use catalyzer_suite::platform::simulate::TraceRequest;
-use catalyzer_suite::platform::{AdmissionPolicy, ResiliencePolicy, Simulation};
+use catalyzer_suite::platform::{AdmissionPolicy, InstancePool, ResiliencePolicy, Simulation};
 use catalyzer_suite::prelude::*;
+use catalyzer_suite::sandbox::{IsolationLevel, SandboxError};
 use catalyzer_suite::simtime::names;
-
-/// Registered names no run below emits, each with why.
-const NOT_EMITTED: &[(&str, &str)] = &[(
-    "pool.repair.failed",
-    "the repair daemon boots without the fault injector, so only a broken \
-     engine fails a repair; no run here has one",
-)];
 
 fn model() -> CostModel {
     CostModel::experimental_machine()
@@ -186,6 +180,47 @@ fn admission_storm(out: &mut BTreeSet<String>) {
     metric_names(gateway.metrics(), out);
 }
 
+/// A boot engine on a host that cannot boot anything: every boot fails with
+/// a plain error, which no retry or fallback rung recovers.
+struct BrokenEngine;
+
+impl BootEngine for BrokenEngine {
+    fn name(&self) -> &'static str {
+        "broken"
+    }
+
+    fn isolation(&self) -> IsolationLevel {
+        IsolationLevel::High
+    }
+
+    fn boot(
+        &mut self,
+        _profile: &AppProfile,
+        _ctx: &mut BootCtx,
+    ) -> Result<BootOutcome, SandboxError> {
+        Err(SandboxError::Config {
+            detail: "this host boots nothing".to_string(),
+        })
+    }
+}
+
+/// A self-healing pool with a warm floor of one and a broken engine: its
+/// first repair pass's replenish boot fails inside the pool's own repair
+/// path, which the fault injector never reaches (the daemon boots
+/// uninjected).
+fn failing_repair(out: &mut BTreeSet<String>) {
+    let mut pool = InstancePool::new(
+        BrokenEngine,
+        AppProfile::c_hello(),
+        SimNanos::from_millis(1),
+        1,
+    )
+    .with_self_healing(1);
+    assert!(pool.tick(SimNanos::ZERO, &model()).is_err());
+    assert_eq!(pool.idle_count(), 0);
+    metric_names(pool.metrics(), out);
+}
+
 /// A four-node chaos cluster under a seeded crash/partition/gray storm,
 /// with the full failover policy (hedges, re-replication, heartbeats).
 fn chaos_cluster(out: &mut BTreeSet<String>) {
@@ -249,28 +284,18 @@ fn every_registered_name_is_emitted() {
     boot_paths(&mut emitted);
     gateway_fault_storm(&mut emitted);
     admission_storm(&mut emitted);
+    failing_repair(&mut emitted);
     chaos_cluster(&mut emitted);
     remote_sfork(&mut emitted);
     open_loop_fleet(&mut emitted);
 
-    let excused: Vec<&str> = NOT_EMITTED.iter().map(|(name, _)| *name).collect();
     let missing: Vec<&str> = names::ALL
         .iter()
         .copied()
-        .filter(|name| !emitted.contains(*name) && !excused.contains(name))
+        .filter(|name| !emitted.contains(*name))
         .collect();
     assert!(
         missing.is_empty(),
         "registered in simtime::names but emitted by no run here: {missing:?}"
     );
-    for name in excused {
-        assert!(
-            names::ALL.contains(&name),
-            "`{name}` is excused but not registered"
-        );
-        assert!(
-            !emitted.contains(name),
-            "`{name}` is excused but a run emits it: drop it from NOT_EMITTED"
-        );
-    }
 }

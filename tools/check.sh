@@ -33,9 +33,11 @@ step() {
 # clocks, env reads, host threads and child processes is the
 # `disallowed-methods` list in crates/clippy.toml; its `disallowed-types`
 # list bans `RefCell` (three sites `#[expect]` it), `std::error::Error`
-# (three `fn source` overrides `#[expect]` it) and `HashMap`/`HashSet`
-# (found from each crates/* manifest dir; third_party/, the root package
-# and benchmark/ do not see it). Every panic source is denied crate-wide
+# (three `fn source` overrides `#[expect]` it), `HashMap`/`HashSet`, and
+# every lock — `std::sync::{Mutex, RwLock}` and `parking_lot::{Mutex,
+# RwLock}` — since shared state is built once or an atomic record (found
+# from each crates/* manifest dir; third_party/, the root package and
+# benchmark/ do not see it). Every panic source is denied crate-wide
 # in imagefmt, memsim, guest-kernel and simtime (their Cargo.toml), and
 # `as` casts and indexing in each module that parses untrusted bytes (an
 # inner attribute at its top). And `run_fleet` and `drive` deny
