@@ -13,7 +13,7 @@ use simtime::{CostModel, SimClock, SimNanos};
 
 use crate::restore::restore_boot;
 use crate::sfork::{LanguageTemplate, Template};
-use crate::store::FuncImageStore;
+use crate::store::{init_to_entry_point, FuncImageStore};
 use crate::zygote::ZygotePool;
 use crate::CatalyzerConfig;
 
@@ -106,6 +106,39 @@ impl Catalyzer {
             self.templates
                 .insert(profile.name.clone(), Template::generate(profile, model)?);
         }
+        Ok(())
+    }
+
+    /// Prepares `profile` for both cold and fork boot from one
+    /// initialisation (§2.2: a function is initialised once, at its
+    /// func-entry point): the program is run to its entry point once,
+    /// captured there as the func-image (checkpoint, `flat::write`,
+    /// parse), and then becomes the template sandbox (template mode, the
+    /// thread merge). The image, the template and both offline clocks
+    /// equal what [`FuncImageStore::ensure_compiled`] and
+    /// [`Catalyzer::ensure_template`] make with an initialisation each.
+    ///
+    /// # Errors
+    ///
+    /// [`SandboxError::Config`] when `profile` already has a func-image or
+    /// a template here; substrate errors from the initialisation, the
+    /// capture or the merge.
+    pub fn prepare_image_and_template(
+        &mut self,
+        profile: &AppProfile,
+        model: &CostModel,
+    ) -> Result<(), SandboxError> {
+        if self.store.contains(&profile.name) || self.templates.contains_key(&profile.name) {
+            return Err(SandboxError::Config {
+                detail: format!("{} is already prepared", profile.name),
+            });
+        }
+        let init = SimClock::new();
+        let program = init_to_entry_point(profile, profile.build_fs_server(), &init, model)?;
+        self.store
+            .compile_from(profile, &program, init.now(), model)?;
+        let template = Template::from_entry_point(profile, program, init, model)?;
+        self.templates.insert(profile.name.clone(), template);
         Ok(())
     }
 
@@ -469,6 +502,40 @@ mod tests {
 
     fn model() -> CostModel {
         CostModel::experimental_machine()
+    }
+
+    #[test]
+    fn one_initialisation_makes_the_template_generate_makes() {
+        let model = model();
+        for profile in AppProfile::catalogue()
+            .iter()
+            .filter(|p| p.init_heap_pages <= 2_048)
+        {
+            let mut cat = Catalyzer::new();
+            cat.prepare_image_and_template(profile, &model).unwrap();
+            assert_eq!(
+                cat.templates[&profile.name].offline_time(),
+                Template::generate(profile, &model).unwrap().offline_time(),
+                "{}: template offline time",
+                profile.name
+            );
+        }
+    }
+
+    #[test]
+    fn preparing_a_partly_prepared_function_is_a_typed_error() {
+        let model = model();
+        let profile = AppProfile::c_hello();
+        let mut imaged = Catalyzer::new();
+        imaged.prewarm_image(&profile, &model).unwrap();
+        let mut templated = Catalyzer::new();
+        templated.ensure_template(&profile, &model).unwrap();
+        for cat in [&mut imaged, &mut templated] {
+            assert!(matches!(
+                cat.prepare_image_and_template(&profile, &model),
+                Err(SandboxError::Config { .. })
+            ));
+        }
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //! by sforking and then loading the function's own classes (Table 2).
 
 use std::fmt;
-use std::sync::Arc;
 
 use faultsim::InjectionPoint;
 use runtimes::{heap_page_byte, AppProfile, RuntimeKind, WrappedProgram};
@@ -25,6 +24,7 @@ use sandbox::{traced_boot, BootCtx, BootOutcome, SandboxError};
 use simtime::names;
 use simtime::{CostModel, SimClock, SimNanos};
 
+use crate::store::init_to_entry_point;
 use crate::CatalyzerConfig;
 
 /// Pages covered by one last-level page table (the granularity at which
@@ -52,9 +52,24 @@ impl Template {
     /// Substrate errors from initialization or the thread merge.
     pub fn generate(profile: &AppProfile, model: &CostModel) -> Result<Template, SandboxError> {
         let offline = SimClock::new();
-        let fs = profile.build_fs_server();
-        let mut program = WrappedProgram::start_with(profile, Arc::clone(&fs), &offline, model)?;
-        program.run_to_entry_point(&offline, model)?;
+        let program = init_to_entry_point(profile, profile.build_fs_server(), &offline, model)?;
+        Template::from_entry_point(profile, program, offline, model)
+    }
+
+    /// Makes the template of `program`, already run to its func-entry point
+    /// on `offline`: template mode, then the Sentry thread merge, charged to
+    /// the same clock — so the template's offline time reads init + merge,
+    /// as [`Template::generate`]'s does.
+    ///
+    /// # Errors
+    ///
+    /// Substrate errors from the thread merge.
+    pub(crate) fn from_entry_point(
+        profile: &AppProfile,
+        mut program: WrappedProgram,
+        offline: SimClock,
+        model: &CostModel,
+    ) -> Result<Template, SandboxError> {
         program.kernel.set_template_mode(true);
         program
             .kernel

@@ -17,6 +17,34 @@ use runtimes::{AppProfile, WrappedProgram};
 use sandbox::SandboxError;
 use simtime::{CostModel, SimClock, SimNanos};
 
+/// Starts `profile`'s wrapped program over `fs` and runs it to its
+/// func-entry point on `clock`: the one initialisation a func-image and a
+/// template sandbox are both taken from.
+pub(crate) fn init_to_entry_point(
+    profile: &AppProfile,
+    fs: Arc<FsServer>,
+    clock: &SimClock,
+    model: &CostModel,
+) -> Result<WrappedProgram, SandboxError> {
+    let mut program = WrappedProgram::start_with(profile, fs, clock, model)?;
+    program.run_to_entry_point(clock, model)?;
+    Ok(program)
+}
+
+/// Captures `program` at its entry point as a func-image, on `clock`:
+/// checkpoint, `flat::write`, parse. The checkpoint's page references drop
+/// here, so the program's pages are unshared again when this returns.
+fn capture(
+    program: &WrappedProgram,
+    clock: &SimClock,
+    model: &CostModel,
+) -> Result<FlatImage, SandboxError> {
+    let src = program.checkpoint_source(clock, model)?;
+    let bytes = flat::write(&src, clock, model);
+    let image = MappedImage::new(format!("{}.func", program.profile().name), bytes);
+    Ok(FlatImage::parse(&image, clock, model)?)
+}
+
 /// Everything the store keeps per function.
 pub struct StoredFunction {
     /// Parsed handle over the mapped func-image.
@@ -79,18 +107,43 @@ impl FuncImageStore {
             Entry::Vacant(slot) => slot,
         };
         let fs = profile.build_fs_server();
-        let mut program =
-            WrappedProgram::start_with(profile, Arc::clone(&fs), &self.offline, model)?;
-        program.run_to_entry_point(&self.offline, model)?;
-        let src = program.checkpoint_source(&self.offline, model)?;
-        let bytes = flat::write(&src, &self.offline, model);
-        let image = MappedImage::new(format!("{}.func", profile.name), bytes);
-        let flat = FlatImage::parse(&image, &self.offline, model)?;
+        let program = init_to_entry_point(profile, Arc::clone(&fs), &self.offline, model)?;
+        let flat = capture(&program, &self.offline, model)?;
         Ok(slot.insert(StoredFunction {
             flat,
             fs,
             base: None,
         }))
+    }
+
+    /// Compiles `profile`'s func-image from `program`, already run to its
+    /// entry point on another clock in `init` of virtual time; the caller
+    /// has checked that `profile` is not compiled yet. The init is charged
+    /// here first, so the image and the offline time equal what
+    /// [`FuncImageStore::ensure_compiled`] makes; the stored function gets
+    /// its own FS server, as a compile does.
+    ///
+    /// # Errors
+    ///
+    /// Substrate errors from the capture.
+    pub(crate) fn compile_from(
+        &mut self,
+        profile: &AppProfile,
+        program: &WrappedProgram,
+        init: SimNanos,
+        model: &CostModel,
+    ) -> Result<(), SandboxError> {
+        self.offline.charge(init);
+        let flat = capture(program, &self.offline, model)?;
+        self.functions.insert(
+            profile.name.clone(),
+            StoredFunction {
+                flat,
+                fs: profile.build_fs_server(),
+                base: None,
+            },
+        );
+        Ok(())
     }
 
     /// Looks up a compiled function.

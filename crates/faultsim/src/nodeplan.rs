@@ -76,6 +76,47 @@ pub struct NodeFaultEvent {
     pub slowdown: f64,
 }
 
+impl NodeFaultEvent {
+    fn crash(node: u32, at: SimNanos) -> NodeFaultEvent {
+        NodeFaultEvent {
+            at,
+            fault: NodeFault::Crash,
+            node,
+            island: Vec::new(),
+            until: at,
+            slowdown: 1.0,
+        }
+    }
+
+    fn partition(mut island: Vec<u32>, at: SimNanos, heal_at: SimNanos) -> NodeFaultEvent {
+        island.sort_unstable();
+        island.dedup();
+        NodeFaultEvent {
+            at,
+            fault: NodeFault::Partition,
+            node: island.first().copied().unwrap_or(0),
+            island,
+            until: heal_at.max(at),
+            slowdown: 1.0,
+        }
+    }
+
+    fn gray(node: u32, at: SimNanos, until: SimNanos, slowdown: f64) -> NodeFaultEvent {
+        NodeFaultEvent {
+            at,
+            fault: NodeFault::Gray,
+            node,
+            island: Vec::new(),
+            until: until.max(at),
+            slowdown: if slowdown.is_nan() {
+                1.0
+            } else {
+                slowdown.clamp(1.0, f64::MAX)
+            },
+        }
+    }
+}
+
 /// A seeded, replayable node-level fault schedule.
 ///
 /// Pure data: two engines consuming the same plan over the same trace
@@ -101,14 +142,7 @@ impl NodePlan {
 
     /// Adds a fail-stop crash of `node` at `at`, builder-style.
     pub fn with_crash(mut self, node: u32, at: SimNanos) -> NodePlan {
-        self.push(NodeFaultEvent {
-            at,
-            fault: NodeFault::Crash,
-            node,
-            island: Vec::new(),
-            until: at,
-            slowdown: 1.0,
-        });
+        self.push(NodeFaultEvent::crash(node, at));
         self
     }
 
@@ -120,17 +154,7 @@ impl NodePlan {
         at: SimNanos,
         heal_at: SimNanos,
     ) -> NodePlan {
-        let mut island = island.into();
-        island.sort_unstable();
-        island.dedup();
-        self.push(NodeFaultEvent {
-            at,
-            fault: NodeFault::Partition,
-            node: island.first().copied().unwrap_or(0),
-            island,
-            until: heal_at.max(at),
-            slowdown: 1.0,
-        });
+        self.push(NodeFaultEvent::partition(island.into(), at, heal_at));
         self
     }
 
@@ -147,49 +171,46 @@ impl NodePlan {
         until: SimNanos,
         slowdown: f64,
     ) -> NodePlan {
-        self.push(NodeFaultEvent {
-            at,
-            fault: NodeFault::Gray,
-            node,
-            island: Vec::new(),
-            until: until.max(at),
-            slowdown: if slowdown.is_nan() {
-                1.0
-            } else {
-                slowdown.clamp(1.0, f64::MAX)
-            },
-        });
+        self.push(NodeFaultEvent::gray(node, at, until, slowdown));
         self
     }
 
     /// A seeded storm: `count` faults drawn uniformly across the three
     /// classes and `nodes` nodes, scheduled inside `[start, end)`. The
     /// schedule is drawn once here; consuming it involves no RNG.
+    ///
+    /// The events are drawn first and stable-sorted once: the same
+    /// schedule the builders would make pushing them one at a time, at
+    /// O(n log n) instead of a sort per push.
     pub fn storm(seed: u64, nodes: u32, count: usize, start: SimNanos, end: SimNanos) -> NodePlan {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut plan = NodePlan::quiet(seed);
         let span = end.saturating_sub(start).as_nanos().max(1);
-        for _ in 0..count {
-            let at = start.saturating_add(SimNanos::from_nanos(rng.gen_range(0..span)));
-            let node = rng.gen_range(0..nodes.max(1));
-            plan = match rng.gen_range(0..3u8) {
-                0 => plan.with_crash(node, at),
-                1 => {
-                    let heal = at.saturating_add(SimNanos::from_nanos(rng.gen_range(0..span)));
-                    plan.with_partition(vec![node], at, heal)
+        let mut events: Vec<NodeFaultEvent> = (0..count)
+            .map(|_| {
+                let at = start.saturating_add(SimNanos::from_nanos(rng.gen_range(0..span)));
+                let node = rng.gen_range(0..nodes.max(1));
+                match rng.gen_range(0..3u8) {
+                    0 => NodeFaultEvent::crash(node, at),
+                    1 => {
+                        let heal = at.saturating_add(SimNanos::from_nanos(rng.gen_range(0..span)));
+                        NodeFaultEvent::partition(vec![node], at, heal)
+                    }
+                    _ => {
+                        let until = at.saturating_add(SimNanos::from_nanos(rng.gen_range(0..span)));
+                        NodeFaultEvent::gray(node, at, until, rng.gen_range(2.0..50.0))
+                    }
                 }
-                _ => {
-                    let until = at.saturating_add(SimNanos::from_nanos(rng.gen_range(0..span)));
-                    plan.with_gray(node, at, until, rng.gen_range(2.0..50.0))
-                }
-            };
-        }
-        plan
+            })
+            .collect();
+        events.sort_by_key(|e| e.at);
+        NodePlan { seed, events }
     }
 
+    /// Inserts `event` after every scheduled event firing at or before
+    /// it, so equal-`at` events keep insertion order.
     fn push(&mut self, event: NodeFaultEvent) {
-        self.events.push(event);
-        self.events.sort_by_key(|e| e.at);
+        let at = self.events.partition_point(|e| e.at <= event.at);
+        self.events.insert(at, event);
     }
 
     /// The schedule, sorted by fire time.
@@ -274,6 +295,80 @@ mod tests {
             assert!(event.until >= event.at);
         }
         assert!(a.max_node().unwrap() < 4);
+    }
+
+    /// The storm as it was drawn before the one-sort build: every event
+    /// pushed through its builder as it is drawn.
+    fn storm_by_builders(
+        seed: u64,
+        nodes: u32,
+        count: usize,
+        start: SimNanos,
+        end: SimNanos,
+    ) -> NodePlan {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut plan = NodePlan::quiet(seed);
+        let span = end.saturating_sub(start).as_nanos().max(1);
+        for _ in 0..count {
+            let at = start.saturating_add(SimNanos::from_nanos(rng.gen_range(0..span)));
+            let node = rng.gen_range(0..nodes.max(1));
+            plan = match rng.gen_range(0..3u8) {
+                0 => plan.with_crash(node, at),
+                1 => {
+                    let heal = at.saturating_add(SimNanos::from_nanos(rng.gen_range(0..span)));
+                    plan.with_partition(vec![node], at, heal)
+                }
+                _ => {
+                    let until = at.saturating_add(SimNanos::from_nanos(rng.gen_range(0..span)));
+                    plan.with_gray(node, at, until, rng.gen_range(2.0..50.0))
+                }
+            };
+        }
+        plan
+    }
+
+    #[test]
+    fn a_storm_equals_its_events_pushed_one_at_a_time() {
+        let start = SimNanos::from_millis(900);
+        // Wide windows tie rarely; a 1–7 ns window forces most events onto
+        // a handful of instants, where insertion order must survive.
+        let windows = [
+            SimNanos::from_secs(60),
+            SimNanos::from_nanos(7),
+            SimNanos::from_nanos(1),
+            SimNanos::ZERO,
+        ];
+        for seed in [0, 11, 83, 97, 0xBAD] {
+            for count in [0, 1, 2, 12, 300, 2_000] {
+                for width in windows {
+                    let end = start.saturating_add(width);
+                    let storm = NodePlan::storm(seed, 8, count, start, end);
+                    assert_eq!(
+                        storm,
+                        storm_by_builders(seed, 8, count, start, end),
+                        "seed {seed}, {count} events, window {width:?}"
+                    );
+                    assert_eq!(storm.events().len(), count);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equal_instants_keep_insertion_order() {
+        let at = SimNanos::from_millis(5);
+        let plan = NodePlan::quiet(0)
+            .with_gray(3, at, SimNanos::from_millis(9), 4.0)
+            .with_crash(1, SimNanos::from_millis(7))
+            .with_crash(2, at)
+            .with_crash(0, SimNanos::from_millis(1))
+            .with_partition(vec![4], at, SimNanos::from_millis(6));
+        let order: Vec<(u64, u32)> = plan
+            .events()
+            .iter()
+            .map(|e| (e.at.as_millis_f64() as u64, e.node))
+            .collect();
+        assert_eq!(order, vec![(1, 0), (5, 3), (5, 2), (5, 4), (7, 1)]);
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //! - **Physical state is a pure function of the plan.** Whether a node is
 //!   crashed, islanded, or gray at virtual time `t` is computed by
 //!   scanning the (small, sorted) plan — no mutable flags, no way for the
-//!   two fidelity levels to drift. Crash *side effects* (dropping
-//!   in-flight work, re-replication) are the engines' job, driven by
-//!   `NodeCrash` events (open loop) or [`ChaosState::advance`] (closed
-//!   loop).
+//!   two fidelity levels to drift. It changes only at the plan's
+//!   `at`/`until` instants, so the open loop re-reads it only when virtual
+//!   time passes one (`ChaosState::passed_an_instant`). Crash *side
+//!   effects* (dropping in-flight work, re-replication) are the engines'
+//!   job, driven by `NodeCrash` events (open loop) or
+//!   [`ChaosState::advance`] (closed loop).
 //! - **Belief is stateful and lags.** The scheduler learns health from
 //!   virtual-time heartbeats: a node whose (gray-stretched) ack exceeds
 //!   the suspicion threshold goes [`NodeHealth::Suspect`] — the slow-ack
@@ -172,6 +174,11 @@ pub struct ChaosState {
     nodes: usize,
     plan: NodePlan,
     partitions: Vec<Partition>,
+    /// Every plan `at` and `until`, sorted and deduplicated: the only
+    /// instants at which a node's physical state can change.
+    instants: Vec<SimNanos>,
+    /// Open-loop read cursor over `instants`.
+    passed: usize,
     /// Closed-loop consumption cursor over `plan.events()`.
     cursor: usize,
     /// Closed-loop pending partition heals: `(heal time, epoch)`.
@@ -214,11 +221,17 @@ impl ChaosState {
                 island: e.island.clone(),
             })
             .collect();
+        let mut instants: Vec<SimNanos> =
+            plan.events().iter().flat_map(|e| [e.at, e.until]).collect();
+        instants.sort_unstable();
+        instants.dedup();
         Ok(ChaosState {
             policy,
             nodes,
             plan,
             partitions,
+            instants,
+            passed: 0,
             cursor: 0,
             pending_heals: Vec::new(),
             next_tick: HEARTBEAT_INTERVAL,
@@ -243,6 +256,18 @@ impl ChaosState {
         self.partitions
             .iter()
             .map(|p| (p.at, p.until, p.island.as_slice()))
+    }
+
+    /// True when virtual time has reached a plan instant since the last
+    /// call: every physical query is constant between instants, so the
+    /// open loop re-reads node state only then. `now` must not go
+    /// backwards between calls.
+    pub(crate) fn passed_an_instant(&mut self, now: SimNanos) -> bool {
+        let before = self.passed;
+        while self.instants.get(self.passed).is_some_and(|&t| t <= now) {
+            self.passed += 1;
+        }
+        self.passed > before
     }
 
     /// True when `node` has crashed by `now`. Pure over the plan.
@@ -486,6 +511,99 @@ mod tests {
         assert_eq!(chaos.slowdown(2, SimNanos::from_millis(4)), 1.0);
         assert_eq!(chaos.slowdown(2, SimNanos::from_millis(5)), 8.0);
         assert_eq!(chaos.slowdown(2, SimNanos::from_millis(25)), 1.0);
+    }
+
+    /// The open loop's view — `reach`/`slow` re-read only when
+    /// [`ChaosState::passed_an_instant`] says so — equals the queries at
+    /// every probe: each plan instant, 1 ns either side of it, zero and
+    /// `SimNanos::MAX`, probed one by one and again skipping most probes,
+    /// so one arrival can pass several instants.
+    fn assert_the_cached_view_matches_the_queries(plan: &NodePlan, nodes: usize) {
+        let mut probes = vec![SimNanos::ZERO, SimNanos::MAX];
+        for e in plan.events() {
+            for t in [e.at, e.until] {
+                probes.extend([
+                    t.saturating_sub(SimNanos::from_nanos(1)),
+                    t,
+                    t.saturating_add(SimNanos::from_nanos(1)),
+                ]);
+            }
+        }
+        probes.sort_unstable();
+        probes.dedup();
+        for stride in [1, 5] {
+            let mut chaos = ChaosState::new(plan.clone(), policy(), nodes).unwrap();
+            let mut reach = vec![true; nodes];
+            let mut slow = vec![1.0f64; nodes];
+            for &now in probes.iter().step_by(stride) {
+                if chaos.passed_an_instant(now) {
+                    for node in 0..nodes {
+                        reach[node] = chaos.reachable(node, now);
+                        slow[node] = chaos.slowdown(node, now);
+                    }
+                }
+                for node in 0..nodes {
+                    let at = format!("node {node} at {now:?}, stride {stride}, of {plan:?}");
+                    assert_eq!(reach[node], chaos.reachable(node, now), "reach: {at}");
+                    assert_eq!(
+                        slow[node].to_bits(),
+                        chaos.slowdown(node, now).to_bits(),
+                        "slow: {at}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_cached_view_changes_only_at_plan_instants() {
+        let ms = SimNanos::from_millis;
+        let crafted = [
+            // Overlapping gray windows on one node: the worst stretch wins.
+            NodePlan::quiet(1)
+                .with_gray(0, ms(10), ms(50), 4.0)
+                .with_gray(0, ms(20), ms(30), 9.0)
+                .with_gray(0, ms(20), ms(40), 9.0)
+                .with_gray(0, ms(25), ms(60), 2.0)
+                .with_gray(1, ms(30), ms(35), 3.0),
+            // Nested and duplicated partitions, one heal inside another.
+            NodePlan::quiet(2)
+                .with_partition(vec![1, 2], ms(10), ms(100))
+                .with_partition(vec![1], ms(20), ms(50))
+                .with_partition(vec![2, 3], ms(30), ms(200))
+                .with_partition(vec![1, 2], ms(10), ms(100)),
+            // A crash inside a partition: the heal does not revive it.
+            NodePlan::quiet(3)
+                .with_partition(vec![1], ms(10), ms(50))
+                .with_crash(1, ms(20))
+                .with_gray(1, ms(15), ms(60), 5.0),
+            // Empty and inverted windows never show.
+            NodePlan::quiet(4)
+                .with_partition(vec![2], ms(40), ms(40))
+                .with_gray(3, ms(40), ms(40), 5.0)
+                .with_partition(vec![2], ms(40), ms(10)),
+            // `+∞` and NaN stretches.
+            NodePlan::quiet(5)
+                .with_gray(3, ms(5), ms(70), f64::INFINITY)
+                .with_gray(3, ms(6), ms(80), f64::NAN),
+            // Events at the end of time.
+            NodePlan::quiet(6)
+                .with_crash(0, SimNanos::MAX)
+                .with_gray(1, ms(1), SimNanos::MAX, 3.0)
+                .with_partition(vec![2], ms(60), SimNanos::MAX)
+                .with_partition(vec![3], SimNanos::MAX, SimNanos::MAX),
+        ];
+        for plan in &crafted {
+            assert_the_cached_view_matches_the_queries(plan, 4);
+        }
+        for seed in [11, 83, 97] {
+            // A wide window, and a 5 ns one that stacks events onto shared
+            // instants.
+            for end in [SimNanos::from_secs(60), SimNanos::from_nanos(5)] {
+                let plan = NodePlan::storm(seed, 8, 40, SimNanos::ZERO, end);
+                assert_the_cached_view_matches_the_queries(&plan, 8);
+            }
+        }
     }
 
     #[test]

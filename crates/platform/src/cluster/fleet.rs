@@ -57,14 +57,13 @@ use super::chaos::{
     HEARTBEAT_INTERVAL, HEDGE_DELAY, TRANSFER_TIMEOUT,
 };
 use super::{transfer_time, ClusterConfig, RoutingPolicy, COLD_PULL};
-use crate::resilience::{resilient_boot, ResiliencePolicy};
 use crate::simulate::{
     calibrate_shapes, fraction, validate_trace, Arena, Event, EventQueue, FnId, InstanceId,
     Quantiles, TraceRequest, REUSE_HANDOFF,
 };
 use crate::PlatformError;
 
-use catalyzer::{BootMode, CatalyzerEngine};
+use catalyzer::{BootMode, Catalyzer};
 
 /// How one request was served — the alphabet of the routing history hash.
 const ROUTE_REUSE: u64 = 0;
@@ -524,8 +523,10 @@ impl ClusterSim {
         let mut route_hash = 0xcbf2_9ce4_8422_2325u64;
         // What the scheduler sees of each node at the current arrival:
         // physically reachable, gray stretch, and eligible for new work.
-        // Refreshed per arrival from the chaos layer; without one they
-        // keep these inert values for the whole run.
+        // `reach`/`slow` are re-read from the chaos layer when an arrival
+        // passes a plan instant and `elig` is re-derived per arrival;
+        // without a chaos layer they keep these inert values for the whole
+        // run.
         let mut reach = vec![true; nodes];
         let mut slow = vec![1.0f64; nodes];
         let mut elig = vec![true; nodes];
@@ -546,10 +547,12 @@ impl ClusterSim {
                     // A failover re-arrival is served later than the trace
                     // arrival; its latency honestly includes the wait.
                     let lag = now.saturating_sub(req.arrival);
-                    if let Some(c) = &chaos {
-                        for (n, (r, s)) in reach.iter_mut().zip(&mut slow).enumerate() {
-                            *r = c.reachable(n, now);
-                            *s = c.slowdown(n, now);
+                    if let Some(c) = &mut chaos {
+                        if c.passed_an_instant(now) {
+                            for (n, (r, s)) in reach.iter_mut().zip(&mut slow).enumerate() {
+                                *r = c.reachable(n, now);
+                                *s = c.slowdown(n, now);
+                            }
                         }
                         // Full policy routes only at reachable nodes
                         // believed `Up`, falling back to any reachable node
@@ -1232,31 +1235,29 @@ impl ClusterSim {
         })
     }
 
-    /// Boots each distinct cost shape's real engines on an offline clock:
-    /// steady local sfork and handler execution (Fork mode, template built
-    /// first), plus the full cold restore (Cold mode) for the rung the
-    /// remote fork is competing against. Functions differing only in name
-    /// share one calibration.
+    /// Boots each distinct cost shape on one real [`Catalyzer`], initialised
+    /// once: [`Catalyzer::prepare_image_and_template`] runs the profile to its
+    /// entry point a single time and derives both the func-image and the
+    /// template sandbox from that program, on offline clocks (holders are
+    /// provisioned, so only boots are on-path). From it: the steady local
+    /// sfork and the child's handler execution, plus the full cold restore
+    /// for the rung the remote fork is competing against. Functions
+    /// differing only in name share one calibration.
     fn calibrate(&self) -> Result<Vec<ClusterFn>, PlatformError> {
-        let calibration = ResiliencePolicy::none();
-        let mut scratch = MetricsRegistry::new();
-        let mut boot = |engine: &mut CatalyzerEngine, profile: &AppProfile| {
-            let mut ctx = BootCtx::fresh(&self.model);
-            let booted = resilient_boot(engine, profile, &calibration, &mut ctx, &mut scratch)?;
-            Ok::<_, PlatformError>((ctx.now(), booted.outcome))
-        };
         let costs = calibrate_shapes(&self.catalogue, |profile| {
-            let mut fork = CatalyzerEngine::standalone(BootMode::Fork);
-            // Pay template construction offline — holders are
-            // provisioned, so only the steady boot is on-path.
-            boot(&mut fork, profile)?;
-            let (steady, mut outcome) = boot(&mut fork, profile)?;
+            let mut system = Catalyzer::new();
+            system.prepare_image_and_template(profile, &self.model)?;
+            let mut boot = |mode: BootMode| {
+                let mut ctx = BootCtx::fresh(&self.model);
+                let outcome = system.boot(mode, profile, &mut ctx)?;
+                Ok::<_, PlatformError>((ctx.now(), outcome))
+            };
+            let (steady, mut outcome) = boot(BootMode::Fork)?;
             let exec_ctx = BootCtx::fresh(&self.model);
             outcome
                 .program
                 .invoke_handler(exec_ctx.clock(), exec_ctx.model())?;
-            let mut cold_engine = CatalyzerEngine::standalone(BootMode::Cold);
-            let (cold_boot, _) = boot(&mut cold_engine, profile)?;
+            let (cold_boot, _) = boot(BootMode::Cold)?;
             Ok((steady, exec_ctx.now(), cold_boot))
         })?;
         Ok(self

@@ -192,3 +192,75 @@ fn sfork_children_share_fs_server_but_not_writes() {
         "overlay leaked across sfork"
     );
 }
+
+/// `Catalyzer::prepare_image_and_template` initialises `profile` once and
+/// takes both artefacts from that program; everything observable of them
+/// equals what `ensure_compiled` + `Template::generate` make with an
+/// initialisation each: the image's bytes, objects and pages, the store's
+/// offline clock, and the virtual latency of a fork boot, its child's first
+/// invoke, and a cold boot (the template's own clock is compared in
+/// `catalyzer`'s engine tests). Preparing it again is a typed error.
+fn assert_one_initialisation_yields_both_artefacts(profile: &AppProfile) {
+    let model = model();
+    let mut one = Catalyzer::new();
+    one.prepare_image_and_template(profile, &model).unwrap();
+    let mut two = Catalyzer::new();
+    two.prewarm_image(profile, &model).unwrap();
+    two.ensure_template(profile, &model).unwrap();
+
+    let name = profile.name.as_str();
+    let (a, b) = (
+        one.store().get(name).unwrap(),
+        two.store().get(name).unwrap(),
+    );
+    assert!(
+        a.flat.image().raw_bytes() == b.flat.image().raw_bytes(),
+        "{name}: image bytes"
+    );
+    assert_eq!(a.flat.object_count(), b.flat.object_count(), "{name}");
+    assert_eq!(a.flat.app_page_count(), b.flat.app_page_count(), "{name}");
+    assert_eq!(
+        one.store().offline_time(),
+        two.store().offline_time(),
+        "{name}: store offline time"
+    );
+
+    let latencies = |system: &mut Catalyzer| {
+        let mut fork = BootCtx::fresh(&model);
+        let mut child = system.boot(BootMode::Fork, profile, &mut fork).unwrap();
+        let invoke = SimClock::new();
+        child.program.invoke_handler(&invoke, &model).unwrap();
+        let mut cold = BootCtx::fresh(&model);
+        system.boot(BootMode::Cold, profile, &mut cold).unwrap();
+        (fork.now(), invoke.now(), cold.now())
+    };
+    assert_eq!(
+        latencies(&mut one),
+        latencies(&mut two),
+        "{name}: fork, invoke, cold"
+    );
+    assert!(matches!(
+        one.prepare_image_and_template(profile, &model),
+        Err(catalyzer_suite::sandbox::SandboxError::Config { .. })
+    ));
+}
+
+#[test]
+fn one_initialisation_yields_the_image_and_the_template() {
+    let light: Vec<AppProfile> = AppProfile::catalogue()
+        .into_iter()
+        .filter(|p| p.init_heap_pages <= 2_048)
+        .collect();
+    assert!(light.len() >= 3, "{} light profiles", light.len());
+    for profile in &light {
+        assert_one_initialisation_yields_both_artefacts(profile);
+    }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "a 64 MiB heap: run with --release")]
+fn one_initialisation_of_an_ecommerce_profile_yields_both_artefacts() {
+    let profile = catalyzer_suite::workloads::ecommerce::EcommerceOp::ALL[0].profile();
+    assert!(profile.name.starts_with("ecommerce-"), "{}", profile.name);
+    assert_one_initialisation_yields_both_artefacts(&profile);
+}

@@ -127,6 +127,22 @@ step "BENCH exports (pr2/3/4/7/8/9 valid + byte-identical)" \
 step "stage probe (write + restore + fork, one round)" \
   cargo run -q --release --example restore_stages 1
 
+# The calibration probe (examples/calibration_stages.rs), one round: the
+# fleet kernel's and the cluster kernel's Catalyzer calls made shape by
+# shape, printing host seconds per stage (prepare with its heap fill split
+# out, boots, exec, drops) beside a one-request run_fleet / run_cluster.
+# Ungated numbers; fails on any error (~3 s).
+step "calibration probe (fleet + cluster kernels, one round)" \
+  cargo run -q --release --example calibration_stages 1
+
+# One initialisation per prepared function, at full size: the
+# release-only case of tests/restore_fidelity.rs (an ecommerce profile's
+# 64 MiB heap), whose image, store clock and boot latencies must equal
+# those of a compile and a template generation made separately. The debug
+# `cargo test` step runs the light profiles and skips this one (~3 s).
+step "one-init artefacts (ecommerce profile, release)" \
+  cargo test -q --release --test restore_fidelity -- one_initialisation
+
 # The allocation budgets (tests/alloc_budget.rs) again, with their output:
 # one line per budget — allocation calls and bytes on a small and a large
 # workload, and the growth per added object, page or event — so every
