@@ -248,7 +248,7 @@ fn cell_row(
         shed: outcome.cluster.shed,
         failed: outcome.failed,
         hung: outcome.hung,
-        availability: outcome.availability,
+        availability: outcome.cluster.goodput,
         reuses: outcome.cluster.reuses,
         local: outcome.cluster.local,
         remote: outcome.cluster.remote,

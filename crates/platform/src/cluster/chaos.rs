@@ -10,10 +10,13 @@
 //!   scanning the (small, sorted) plan — no mutable flags, no way for the
 //!   two fidelity levels to drift. It changes only at the plan's
 //!   `at`/`until` instants, so the open loop re-reads it only when virtual
-//!   time passes one (`ChaosState::passed_an_instant`). Crash *side
-//!   effects* (dropping in-flight work, re-replication) are the engines'
-//!   job, driven by `NodeCrash` events (open loop) or
-//!   [`ChaosState::advance`] (closed loop).
+//!   time passes one (`ChaosState::passed_an_instant`).
+//! - **The schedule is one set of events.** `ChaosState::schedule` seeds
+//!   crashes, heals and heartbeats into an [`EventQueue`]: the open loop
+//!   pops them among its other events, the closed-loop
+//!   [`Cluster`](super::Cluster) up to each arrival, so their same-instant
+//!   order is [`Event`]'s rank in both. Crash *side effects* (dropping
+//!   in-flight work, re-replication) are each loop's own.
 //! - **Belief is stateful and lags.** The scheduler learns health from
 //!   virtual-time heartbeats: a node whose (gray-stretched) ack exceeds
 //!   the suspicion threshold goes [`NodeHealth::Suspect`] — the slow-ack
@@ -33,6 +36,7 @@ use faultsim::{NodeFault, NodeFaultEvent, NodePlan};
 use serde::Serialize;
 use simtime::SimNanos;
 
+use crate::simulate::{Event, EventQueue};
 use crate::{PlatformError, TraceError};
 
 /// The scheduler's belief about one node, refreshed each heartbeat round.
@@ -100,12 +104,17 @@ pub const HEARTBEAT_INTERVAL: SimNanos = SimNanos::from_millis(10);
 /// ends near 60 s.
 pub const MAX_HEARTBEAT_ROUNDS: u64 = 1 << 20;
 
-/// Rejects an arrival past the heartbeat horizon, before the chain ticks
-/// toward it: [`MAX_HEARTBEAT_ROUNDS`] rounds of [`HEARTBEAT_INTERVAL`],
-/// the bound of an open-loop run's last arrival and of a closed-loop
-/// call's.
+/// The heartbeat horizon: [`MAX_HEARTBEAT_ROUNDS`] rounds of
+/// [`HEARTBEAT_INTERVAL`], the bound of an open-loop run's last arrival and
+/// of a closed-loop call's.
+pub(crate) fn heartbeat_horizon() -> SimNanos {
+    HEARTBEAT_INTERVAL.saturating_mul(MAX_HEARTBEAT_ROUNDS)
+}
+
+/// Rejects an arrival past the [`heartbeat_horizon`], before the chain
+/// ticks toward it.
 pub(crate) fn within_heartbeat_horizon(last: SimNanos) -> Result<(), TraceError> {
-    let limit = HEARTBEAT_INTERVAL.saturating_mul(MAX_HEARTBEAT_ROUNDS);
+    let limit = heartbeat_horizon();
     if last > limit {
         return Err(TraceError::Horizon { last, limit });
     }
@@ -158,14 +167,6 @@ impl ChaosPolicy {
     }
 }
 
-/// One extracted partition window (plan index = heal epoch).
-#[derive(Debug, Clone)]
-struct Partition {
-    at: SimNanos,
-    until: SimNanos,
-    island: Vec<u32>,
-}
-
 /// The shared chaos state machine: pure physical queries over the plan,
 /// stateful health beliefs, and the append-only observation log.
 #[derive(Debug)]
@@ -173,18 +174,14 @@ pub struct ChaosState {
     policy: ChaosPolicy,
     nodes: usize,
     plan: NodePlan,
-    partitions: Vec<Partition>,
     /// Every plan `at` and `until`, sorted and deduplicated: the only
     /// instants at which a node's physical state can change.
     instants: Vec<SimNanos>,
     /// Open-loop read cursor over `instants`.
     passed: usize,
-    /// Closed-loop consumption cursor over `plan.events()`.
-    cursor: usize,
-    /// Closed-loop pending partition heals: `(heal time, epoch)`.
-    pending_heals: Vec<(SimNanos, u32)>,
-    /// Next closed-loop heartbeat round.
-    next_tick: SimNanos,
+    /// The last instant the heartbeat chain may tick at, set by
+    /// [`ChaosState::schedule`].
+    last_tick: SimNanos,
     health: Vec<NodeHealth>,
     heartbeats: u64,
     log: Vec<ChaosRecord>,
@@ -211,16 +208,6 @@ impl ChaosState {
                 });
             }
         }
-        let partitions = plan
-            .events()
-            .iter()
-            .filter(|e| e.fault == NodeFault::Partition)
-            .map(|e| Partition {
-                at: e.at,
-                until: e.until,
-                island: e.island.clone(),
-            })
-            .collect();
         let mut instants: Vec<SimNanos> =
             plan.events().iter().flat_map(|e| [e.at, e.until]).collect();
         instants.sort_unstable();
@@ -229,12 +216,9 @@ impl ChaosState {
             policy,
             nodes,
             plan,
-            partitions,
             instants,
             passed: 0,
-            cursor: 0,
-            pending_heals: Vec::new(),
-            next_tick: HEARTBEAT_INTERVAL,
+            last_tick: SimNanos::ZERO,
             health: vec![NodeHealth::Up; nodes],
             heartbeats: 0,
             log: Vec::new(),
@@ -246,16 +230,42 @@ impl ChaosState {
         &self.policy
     }
 
-    /// The installed plan.
-    pub fn plan(&self) -> &NodePlan {
-        &self.plan
+    /// Seeds the node-fault schedule into `queue`, the one copy both
+    /// fidelity levels pop: a [`Event::NodeCrash`] for each crash in plan
+    /// order, a [`Event::PartitionHeal`] for each partition (epoch = plan
+    /// order), and the first [`Event::HeartbeatTick`] if it falls at or
+    /// before `end`, where the chain stops. Partition starts and gray
+    /// windows need no events: the physical queries are pure over the plan.
+    pub(crate) fn schedule(&mut self, queue: &mut EventQueue<'_>, end: SimNanos) {
+        self.last_tick = end;
+        for event in self.plan.events() {
+            if event.fault == NodeFault::Crash {
+                queue.schedule(event.at, Event::NodeCrash { node: event.node });
+            }
+        }
+        for (epoch, partition) in self.cuts().enumerate() {
+            let epoch = u32::try_from(epoch).unwrap_or(u32::MAX);
+            queue.schedule(partition.until, Event::PartitionHeal { epoch });
+        }
+        if HEARTBEAT_INTERVAL <= end {
+            queue.schedule(HEARTBEAT_INTERVAL, Event::HeartbeatTick { round: 0 });
+        }
     }
 
-    /// The partition windows, in plan order — the heal-event epochs.
-    pub(crate) fn partitions(&self) -> impl Iterator<Item = (SimNanos, SimNanos, &[u32])> {
-        self.partitions
-            .iter()
-            .map(|p| (p.at, p.until, p.island.as_slice()))
+    /// Applies a popped [`Event::HeartbeatTick`] `round` at `now`: one
+    /// [`ChaosState::heartbeat`], then the next tick unless it would fall
+    /// after the chain's end.
+    pub(crate) fn tick(&mut self, round: u32, now: SimNanos, queue: &mut EventQueue<'_>) {
+        self.heartbeat(now);
+        let next = now.saturating_add(HEARTBEAT_INTERVAL);
+        if next <= self.last_tick {
+            queue.schedule(
+                next,
+                Event::HeartbeatTick {
+                    round: round.wrapping_add(1),
+                },
+            );
+        }
     }
 
     /// True when virtual time has reached a plan instant since the last
@@ -279,13 +289,24 @@ impl ChaosState {
             .any(|e| e.fault == NodeFault::Crash && e.node == node && e.at <= now)
     }
 
+    /// The plan's partitions, in plan order: a partition's position is its
+    /// heal epoch.
+    fn cuts(&self) -> impl Iterator<Item = &NodeFaultEvent> {
+        let events = self.plan.events().iter();
+        events.filter(|e| e.fault == NodeFault::Partition)
+    }
+
+    /// The partitions active at `now` with `node` on an island side.
+    fn cuts_off(&self, node: usize, now: SimNanos) -> impl Iterator<Item = &NodeFaultEvent> {
+        let node = u32::try_from(node).unwrap_or(u32::MAX);
+        self.cuts()
+            .filter(move |p| p.at <= now && now < p.until && p.island.contains(&node))
+    }
+
     /// True when `node` sits on an island side of an active partition at
     /// `now`. Pure over the plan.
     pub fn islanded(&self, node: usize, now: SimNanos) -> bool {
-        let node = u32::try_from(node).unwrap_or(u32::MAX);
-        self.partitions
-            .iter()
-            .any(|p| p.at <= now && now < p.until && p.island.contains(&node))
+        self.cuts_off(node, now).next().is_some()
     }
 
     /// True when the scheduler's side of the network can reach `node`.
@@ -312,10 +333,7 @@ impl ChaosState {
         if self.crashed(node, now) {
             return SimNanos::MAX;
         }
-        let id = u32::try_from(node).unwrap_or(u32::MAX);
-        self.partitions
-            .iter()
-            .filter(|p| p.at <= now && now < p.until && p.island.contains(&id))
+        self.cuts_off(node, now)
             .map(|p| p.until)
             .fold(now, SimNanos::max)
     }
@@ -380,8 +398,8 @@ impl ChaosState {
     /// the health machine.
     pub fn heal(&mut self, epoch: u32, now: SimNanos) {
         let island: Vec<u32> = self
-            .partitions
-            .get(usize::try_from(epoch).unwrap_or(usize::MAX))
+            .cuts()
+            .nth(usize::try_from(epoch).unwrap_or(usize::MAX))
             .map(|p| p.island.clone())
             .unwrap_or_default();
         for node in island {
@@ -413,68 +431,13 @@ impl ChaosState {
     pub fn count(&self, kind: ChaosEvent) -> u64 {
         self.log.iter().filter(|r| r.kind == kind).count() as u64
     }
-
-    /// Closed-loop drive: processes everything due by `now` — plan
-    /// events, partition heals, heartbeat rounds — in chronological
-    /// order, and returns the crashes that fired (the caller applies
-    /// their placement side effects). The open loop schedules these as
-    /// event classes instead; both consume the identical schedule.
-    pub fn advance(&mut self, now: SimNanos) -> Vec<NodeFaultEvent> {
-        let mut crashes = Vec::new();
-        loop {
-            let event_at = self.plan.events().get(self.cursor).map(|e| e.at);
-            let heal_at = self.pending_heals.first().map(|&(at, _)| at);
-            let tick_at = Some(self.next_tick);
-            let next = [event_at, heal_at, tick_at]
-                .into_iter()
-                .flatten()
-                .min()
-                .unwrap_or(SimNanos::MAX);
-            if next > now {
-                break;
-            }
-            // Ties settle faults first, heals second, heartbeats last —
-            // the same intra-instant order the open loop's event classes
-            // encode.
-            if event_at == Some(next) {
-                let event = self.plan.events()[self.cursor].clone();
-                self.cursor += 1;
-                match event.fault {
-                    NodeFault::Crash => {
-                        self.record(
-                            event.at,
-                            usize::try_from(event.node).unwrap_or(usize::MAX),
-                            ChaosEvent::Crash,
-                        );
-                        crashes.push(event);
-                    }
-                    NodeFault::Partition => {
-                        let epoch = self
-                            .partitions
-                            .iter()
-                            .position(|p| p.at == event.at && p.island == event.island)
-                            .unwrap_or(0);
-                        self.pending_heals
-                            .push((event.until, u32::try_from(epoch).unwrap_or(u32::MAX)));
-                        self.pending_heals.sort_by_key(|&(at, _)| at);
-                    }
-                    NodeFault::Gray => {}
-                }
-            } else if heal_at == Some(next) {
-                let (at, epoch) = self.pending_heals.remove(0);
-                self.heal(epoch, at);
-            } else {
-                let at = self.next_tick;
-                self.next_tick = at.saturating_add(HEARTBEAT_INTERVAL);
-                self.heartbeat(at);
-            }
-        }
-        crashes
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use simtime::{names, CostModel};
+
+    use super::super::{Cluster, ClusterConfig};
     use super::*;
 
     fn policy() -> ChaosPolicy {
@@ -667,21 +630,30 @@ mod tests {
                 SimNanos::from_millis(34),
             )
             .with_crash(0, SimNanos::from_millis(20));
+        // The closed loop's path: the schedule seeded by `with_chaos`, popped
+        // up to each arrival by `Cluster::advance_chaos`.
         let run = || {
-            let mut chaos = ChaosState::new(plan.clone(), policy(), 3).unwrap();
-            let mut crashes = Vec::new();
+            let model = CostModel::experimental_machine();
+            let mut cluster = Cluster::new(ClusterConfig::new(3, 1), &model)
+                .unwrap()
+                .with_chaos(plan.clone(), policy())
+                .unwrap();
             for ms in [5u64, 15, 22, 40, 60] {
-                crashes.extend(chaos.advance(SimNanos::from_millis(ms)));
+                cluster.advance_chaos(SimNanos::from_millis(ms));
             }
+            let crashes = cluster.metrics().counter(names::CHAOS_CRASHES);
+            let chaos = cluster.chaos.as_ref().unwrap();
             (crashes, chaos.log().to_vec(), chaos.heartbeats())
         };
         let (crashes, log, beats) = run();
-        assert_eq!(run(), (crashes.clone(), log.clone(), beats));
-        assert_eq!(crashes.len(), 1);
-        assert_eq!(crashes[0].node, 0);
-        assert!(log
+        assert_eq!(run(), (crashes, log.clone(), beats));
+        assert_eq!(crashes, 1);
+        let crashed: Vec<u32> = log
             .iter()
-            .any(|r| r.kind == ChaosEvent::Crash && r.node == 0));
+            .filter(|r| r.kind == ChaosEvent::Crash)
+            .map(|r| r.node)
+            .collect();
+        assert_eq!(crashed, [0]);
         assert!(log
             .iter()
             .any(|r| r.kind == ChaosEvent::Heal && r.node == 1));

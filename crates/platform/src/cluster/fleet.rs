@@ -40,21 +40,20 @@
 //! `Up`, at slowdown 1.0, and no crash, heal, heartbeat or hedge event is
 //! ever scheduled. `tests/cluster.rs` proves the layer inert: a quiet plan
 //! under either policy and no plan at all agree on every outcome field but
-//! the event count and the metric rollup.
+//! the event count.
 //!
 //! Determinism is byte-exact: same catalogue, config, knobs, and trace —
 //! same [`ClusterOutcome`], including the routing-decision hash.
 
-use faultsim::{FaultInjector, FaultKind, FaultPlan, InjectionPoint, NodeFault, NodePlan};
+use faultsim::{FaultInjector, FaultKind, FaultPlan, InjectionPoint, NodePlan};
 use runtimes::AppProfile;
 use sandbox::BootCtx;
 use serde::Serialize;
-use simtime::names;
-use simtime::{CostModel, LatencyHistogram, MetricsRegistry, SimNanos};
+use simtime::{CostModel, LatencyHistogram, SimNanos};
 
 use super::chaos::{
     within_heartbeat_horizon, ChaosEvent, ChaosPolicy, ChaosRecord, ChaosState, NodeHealth,
-    HEARTBEAT_INTERVAL, HEDGE_DELAY, TRANSFER_TIMEOUT,
+    HEDGE_DELAY, TRANSFER_TIMEOUT,
 };
 use super::{transfer_time, ClusterConfig, RoutingPolicy, COLD_PULL};
 use crate::simulate::{
@@ -197,7 +196,8 @@ pub struct ClusterOutcome {
     pub per_node_peak: Vec<usize>,
     /// `max(per_node_peak)`.
     pub peak_node_instances: usize,
-    /// `completed / requests`.
+    /// `completed / requests` — under chaos, the survivability gate's
+    /// headline availability.
     pub goodput: f64,
     /// `cold / requests` — what the remote rung is suppressing.
     pub cold_rate: f64,
@@ -212,8 +212,6 @@ pub struct ClusterOutcome {
     /// FNV-1a digest of every routing decision `(request, node, kind)` in
     /// order — two same-seed runs must agree byte-for-byte.
     pub route_hash: u64,
-    /// Cluster counter rollup (`cluster.*`).
-    pub metrics: MetricsRegistry,
 }
 
 /// What one chaos run produced: the plain cluster outcome plus the
@@ -251,8 +249,6 @@ pub struct ChaosOutcome {
     pub aborted_transfers: u64,
     /// Requests that failed typed at an unreachable node.
     pub unreachable: u64,
-    /// `completed / requests` — the survivability gate's headline number.
-    pub availability: f64,
     /// The chaos observation history, in order — byte-identical across
     /// same-seed runs.
     pub chaos_log: Vec<ChaosRecord>,
@@ -477,23 +473,10 @@ impl ClusterSim {
         node_state.resize_with(nodes, NodeState::default);
 
         let mut instances: Arena<Slot> = Arena::with_capacity(trace.len().min(1 << 20));
-        // The fault schedule becomes event classes: crashes fire as
-        // `NodeCrash`, partition heals as `PartitionHeal` (epoch = plan
-        // order). Partition *starts* and gray windows need no events —
-        // reachability and slowdown are pure functions of the plan.
-        if let Some(c) = &chaos {
-            for event in c.plan().events() {
-                if event.fault == NodeFault::Crash {
-                    queue.schedule(event.at, Event::NodeCrash { node: event.node });
-                }
-            }
-            for (epoch, (_, until, _)) in c.partitions().enumerate() {
-                let epoch = u32::try_from(epoch).unwrap_or(u32::MAX);
-                queue.schedule(until, Event::PartitionHeal { epoch });
-            }
-            if HEARTBEAT_INTERVAL <= hb_end {
-                queue.schedule(HEARTBEAT_INTERVAL, Event::HeartbeatTick { round: 0 });
-            }
+        // The node-fault schedule: crashes, partition heals and the
+        // heartbeat chain, which ticks up to the last arrival.
+        if let Some(c) = &mut chaos {
+            c.schedule(&mut queue, hb_end);
         }
 
         let mut completed = 0u64;
@@ -1117,16 +1100,8 @@ impl ClusterSim {
                     }
                 }
                 Event::HeartbeatTick { round } => {
-                    let Some(c) = &mut chaos else { continue };
-                    c.heartbeat(now);
-                    let next = now.saturating_add(HEARTBEAT_INTERVAL);
-                    if next <= hb_end {
-                        queue.schedule(
-                            next,
-                            Event::HeartbeatTick {
-                                round: round.wrapping_add(1),
-                            },
-                        );
+                    if let Some(c) = &mut chaos {
+                        c.tick(round, now, &mut queue);
                     }
                 }
                 // Never scheduled by the cluster kernel: boots collapse
@@ -1162,36 +1137,7 @@ impl ClusterSim {
         let peak_node_instances = per_node_peak.iter().copied().max().unwrap_or(0);
         let heartbeats = chaos.as_ref().map_or(0, ChaosState::heartbeats);
         let suspected = chaos.as_ref().map_or(0, |c| c.count(ChaosEvent::Suspect));
-        let mut metrics = MetricsRegistry::new();
-        metrics.add(names::CLUSTER_LOCAL, local);
-        metrics.add(names::CLUSTER_REMOTE, remote);
-        metrics.add(names::CLUSTER_COLD, cold);
-        metrics.add(names::CLUSTER_REUSE, reuses);
-        metrics.add(names::CLUSTER_SHED, shed);
-        metrics.add(names::CLUSTER_REROUTES, reroutes);
-        metrics.add(names::CLUSTER_TRANSFERS, transfers);
-        metrics.add(names::CLUSTER_TRANSFER_FAULTS, transfer_faults);
-        metrics.add(names::CLUSTER_NODE_REPAIRS, node_repairs);
-        if chaos.is_some() {
-            metrics.add(names::CHAOS_CRASHES, crashes);
-            metrics.add(names::CHAOS_FAILED, failed);
-            metrics.add(names::CHAOS_HUNG, hung);
-            metrics.add(names::CHAOS_FAILOVERS, failovers);
-            metrics.add(names::CHAOS_REREPLICATIONS, rereplications);
-            metrics.add(names::CHAOS_HEDGES, hedges);
-            metrics.add(names::CHAOS_HEDGE_WINS, hedge_wins);
-            metrics.add(names::CHAOS_ABORTED_TRANSFERS, aborted_transfers);
-            metrics.add(names::CHAOS_UNREACHABLE, unreachable);
-            metrics.add(names::CHAOS_HEARTBEATS, heartbeats);
-            metrics.add(names::CHAOS_SUSPECTED, suspected);
-        }
-        metrics.set_gauge(
-            names::CLUSTER_PEAK_NODE_INSTANCES,
-            i64::try_from(peak_node_instances).unwrap_or(i64::MAX),
-        );
-
         let requests = u64::try_from(trace.len()).unwrap_or(u64::MAX);
-        let availability = fraction(completed, requests);
         Ok(ChaosOutcome {
             cluster: ClusterOutcome {
                 requests,
@@ -1210,14 +1156,13 @@ impl ClusterSim {
                 horizon,
                 per_node_peak,
                 peak_node_instances,
-                goodput: availability,
+                goodput: fraction(completed, requests),
                 cold_rate: fraction(cold, requests),
                 startup: Quantiles::from_histogram(&startup_hist),
                 end_to_end: Quantiles::from_histogram(&e2e_hist),
                 remote_startup: Quantiles::from_histogram(&remote_hist),
                 cold_startup: Quantiles::from_histogram(&cold_hist),
                 route_hash,
-                metrics,
             },
             failed,
             hung,
@@ -1230,7 +1175,6 @@ impl ClusterSim {
             hedge_wins,
             aborted_transfers,
             unreachable,
-            availability,
             chaos_log: chaos.map_or_else(Vec::new, |c| c.log().to_vec()),
         })
     }
@@ -1276,7 +1220,7 @@ impl ClusterSim {
 
 #[cfg(test)]
 mod tests {
-    use super::super::chaos::MAX_HEARTBEAT_ROUNDS;
+    use super::super::chaos::{heartbeat_horizon, MAX_HEARTBEAT_ROUNDS};
     use super::super::Cluster;
     use super::*;
     use crate::TraceError;
@@ -1356,10 +1300,6 @@ mod tests {
         assert!(out.transfer_faults > 0, "{out:?}");
         assert!(out.cold > 0, "poisoned transfers fall to the cold rung");
         assert!(out.node_repairs > 0, "repairs run in the background");
-        assert_eq!(
-            out.metrics.counter(names::CLUSTER_TRANSFER_FAULTS),
-            out.transfer_faults
-        );
     }
 
     #[test]
@@ -1410,7 +1350,7 @@ mod tests {
             out.cluster.completed + out.cluster.shed + out.failed,
             out.cluster.requests
         );
-        assert!((out.availability - 1.0).abs() < f64::EPSILON, "{out:?}");
+        assert!((out.cluster.goodput - 1.0).abs() < f64::EPSILON, "{out:?}");
     }
 
     #[test]
@@ -1442,15 +1382,15 @@ mod tests {
             "full policy never routes at the corpse"
         );
         assert!(
-            full.availability >= 3.0 / 4.0,
+            full.cluster.goodput >= 3.0 / 4.0,
             "single crash must hold the (N-1)/N floor: {full:?}"
         );
         assert!(none.unreachable > 0, "{none:?}");
         assert!(
-            none.availability < full.availability,
+            none.cluster.goodput < full.cluster.goodput,
             "baseline {:.3} vs full {:.3}",
-            none.availability,
-            full.availability
+            none.cluster.goodput,
+            full.cluster.goodput
         );
         for out in [&full, &none] {
             assert_eq!(
@@ -1550,7 +1490,7 @@ mod tests {
             out.chaos_log
         );
         assert_eq!(out.failed, 0, "{out:?}");
-        assert!((out.availability - 1.0).abs() < f64::EPSILON);
+        assert!((out.cluster.goodput - 1.0).abs() < f64::EPSILON);
     }
 
     #[test]
@@ -1604,7 +1544,7 @@ mod tests {
                 .with_chaos(NodePlan::quiet(5), policy)
                 .run_chaos(&trace(last))
         };
-        let limit = HEARTBEAT_INTERVAL.saturating_mul(MAX_HEARTBEAT_ROUNDS);
+        let limit = heartbeat_horizon();
         for last in [SimNanos::MAX, limit.saturating_add(SimNanos::from_nanos(1))] {
             for policy in [ChaosPolicy::full(), ChaosPolicy::none()] {
                 assert_eq!(
@@ -1641,7 +1581,7 @@ mod tests {
             cluster.register(AppProfile::c_hello());
             cluster
         };
-        let limit = HEARTBEAT_INTERVAL.saturating_mul(MAX_HEARTBEAT_ROUNDS);
+        let limit = heartbeat_horizon();
         for last in [SimNanos::MAX, limit.saturating_add(SimNanos::from_nanos(1))] {
             for policy in [ChaosPolicy::full(), ChaosPolicy::none()] {
                 let mut cluster = cluster(Some(policy));

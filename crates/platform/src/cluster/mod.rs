@@ -42,6 +42,7 @@ use simtime::{CostModel, MetricsRegistry, SimNanos};
 use crate::admission::AdmissionPolicy;
 use crate::gateway::{Gateway, Invocation, InvokeRequest};
 use crate::resilience::ResiliencePolicy;
+use crate::simulate::{Event, EventQueue};
 use crate::PlatformError;
 
 pub use chaos::{ChaosEvent, ChaosPolicy, ChaosRecord, ChaosState, NodeHealth};
@@ -181,6 +182,10 @@ pub struct Cluster {
     history: Vec<RouteRecord>,
     /// Node-level chaos, when installed via [`Cluster::with_chaos`].
     chaos: Option<ChaosState>,
+    /// The chaos layer's node-fault schedule, seeded by
+    /// [`ChaosState::schedule`] and popped up to each arrival; empty
+    /// without chaos.
+    fault_schedule: EventQueue<'static>,
     /// High-water mark of arrival times seen — the closed loop's virtual
     /// clock, driving the chaos schedule and health beliefs.
     virtual_now: SimNanos,
@@ -210,6 +215,7 @@ impl Cluster {
             metrics: MetricsRegistry::new(),
             history: Vec::new(),
             chaos: None,
+            fault_schedule: EventQueue::new(),
             virtual_now: SimNanos::ZERO,
         })
     }
@@ -245,7 +251,8 @@ impl Cluster {
     /// builder-style — the closed-loop twin of
     /// [`ClusterSim::with_chaos`](fleet::ClusterSim::with_chaos). The
     /// schedule advances on the virtual arrival clock: each [`Cluster::call`]
-    /// with an arrival time fires every fault due by then.
+    /// with an arrival time fires every fault due by then, in the order the
+    /// open loop fires them.
     ///
     /// # Errors
     ///
@@ -256,7 +263,10 @@ impl Cluster {
         plan: NodePlan,
         policy: ChaosPolicy,
     ) -> Result<Cluster, PlatformError> {
-        self.chaos = Some(ChaosState::new(plan, policy, self.config.nodes)?);
+        let mut chaos = ChaosState::new(plan, policy, self.config.nodes)?;
+        self.fault_schedule = EventQueue::new();
+        chaos.schedule(&mut self.fault_schedule, chaos::heartbeat_horizon());
+        self.chaos = Some(chaos);
         Ok(self)
     }
 
@@ -357,25 +367,46 @@ impl Cluster {
         self.chaos.as_ref().is_some_and(|c| c.policy().failover)
     }
 
-    /// Advances the chaos schedule to the arrival clock, applying crash
-    /// side effects: under failover, a dead holder is dropped from every
+    /// Advances the chaos schedule to the arrival clock: pops every
+    /// crash, heal and heartbeat due by then, and applies crash side
+    /// effects. Under failover, a dead holder is dropped from every
     /// placement it was in and each lost replica is rebuilt (and warmed)
     /// on the lowest reachable non-holder — the closed-loop twin of the
     /// open loop's re-replication sweep. The baseline leaves placement
     /// static and keeps routing at the corpse.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        reason = "every `Event` variant is matched by name, so a new chaos class does not compile until the closed loop handles it"
+    )]
     fn advance_chaos(&mut self, now: SimNanos) {
         self.virtual_now = self.virtual_now.max(now);
-        let crashes = match self.chaos.as_mut() {
-            Some(chaos) => chaos.advance(self.virtual_now),
-            None => return,
-        };
-        if crashes.is_empty() {
+        let Some(chaos) = self.chaos.as_mut() else {
             return;
+        };
+        let mut crashes = Vec::new();
+        while let Some((at, event)) = self.fault_schedule.pop_due(self.virtual_now) {
+            match event {
+                Event::NodeCrash { node } => {
+                    let node = usize::try_from(node).unwrap_or(usize::MAX);
+                    chaos.record(at, node, ChaosEvent::Crash);
+                    crashes.push(node);
+                }
+                Event::PartitionHeal { epoch } => chaos.heal(epoch, at),
+                Event::HeartbeatTick { round } => chaos.tick(round, at, &mut self.fault_schedule),
+                // The schedule holds node-fault classes only.
+                Event::Arrival { .. }
+                | Event::BootComplete { .. }
+                | Event::ExecComplete { .. }
+                | Event::KeepAliveExpiry { .. }
+                | Event::PoolTick { .. }
+                | Event::TransferComplete { .. }
+                | Event::NodeRepair { .. }
+                | Event::HedgeFire { .. } => {}
+            }
         }
         let failover = self.failover_on();
         let budget = self.config.placement_budget.min(self.config.nodes);
-        for event in crashes {
-            let dead = usize::try_from(event.node).unwrap_or(usize::MAX);
+        for dead in crashes {
             self.metrics.inc(names::CHAOS_CRASHES);
             if !failover {
                 continue;

@@ -1,9 +1,12 @@
 //! The central event queue of the open-loop engines.
 //!
 //! `run_fleet` and the cluster kernel pop every state change from here as
-//! an [`Event`], in one deterministic order (the closed loop schedules
-//! nothing and does not use it). The queue is a merge of three sources,
-//! each already sorted under that order:
+//! an [`Event`], in one deterministic order. The closed-loop
+//! [`Cluster`](crate::cluster::Cluster) pops only its node-fault schedule
+//! from one ([`EventQueue::pop_due`]), so both cluster fidelity levels order
+//! same-instant crashes, heals and heartbeats by the one [`Event`] rank;
+//! the closed-loop `Simulation::run` is a fold and schedules nothing. The
+//! queue is a merge of three sources, each already sorted under that order:
 //!
 //! 1. **the trace** — validated, hence time-sorted, and read in place
 //!    through a cursor. Arrivals are the last class at an instant and their
@@ -318,6 +321,17 @@ impl<'t> EventQueue<'t> {
         entry.map(Scheduled::fire)
     }
 
+    /// Pops the earliest event if it fires at or before `now`.
+    pub fn pop_due(&mut self, now: SimNanos) -> Option<(SimNanos, Event)> {
+        let arrival = self.trace.get(self.cursor).map(|req| req.arrival);
+        let run = self.expiries.front().map(|entry| entry.rank.0);
+        let heap = self.heap.peek().map(|Reverse(entry)| entry.rank.0);
+        if [arrival, run, heap].into_iter().flatten().min()? > now {
+            return None;
+        }
+        self.pop()
+    }
+
     /// Pending events, arrivals yet to come included.
     pub fn len(&self) -> usize {
         self.trace.len() - self.cursor + self.expiries.len() + self.heap.len()
@@ -516,6 +530,34 @@ mod tests {
                 (nanos(1_000_000), Event::NodeCrash { node: 0 }),
             ]
         );
+    }
+
+    #[test]
+    fn pop_due_pops_what_pop_would_up_to_now_from_every_source() {
+        let [a, _] = two_instances();
+        let trace = trace_at([10, 30]);
+        let mut q = merging(&trace);
+        q.schedule(nanos(20), Event::KeepAliveExpiry { instance: a });
+        q.schedule(nanos(30), Event::NodeCrash { node: 1 });
+        q.schedule(nanos(40), Event::HeartbeatTick { round: 0 });
+        assert_eq!(q.pop_due(nanos(9)), None);
+        let due: Vec<_> = std::iter::from_fn(|| q.pop_due(nanos(30))).collect();
+        assert_eq!(
+            due,
+            vec![
+                (nanos(10), Event::Arrival { request: 0 }),
+                (nanos(20), Event::KeepAliveExpiry { instance: a }),
+                (nanos(30), Event::NodeCrash { node: 1 }),
+                (nanos(30), Event::Arrival { request: 1 }),
+            ]
+        );
+        assert_eq!(q.pop_due(nanos(39)), None);
+        assert_eq!(q.len(), 1, "nothing past `now` was taken");
+        assert_eq!(
+            q.pop_due(SimNanos::MAX),
+            Some((nanos(40), Event::HeartbeatTick { round: 0 }))
+        );
+        assert_eq!(q.pop_due(SimNanos::MAX), None);
     }
 
     #[test]

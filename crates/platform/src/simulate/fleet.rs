@@ -36,7 +36,7 @@
 //!
 //! Latency distributions use fixed-ladder [`LatencyHistogram`]s (O(1)
 //! memory at any trace length); determinism is byte-exact: same catalogue,
-//! knobs, and trace — same [`FleetOutcome`], including the metric rollup.
+//! knobs, and trace — same [`FleetOutcome`], every typed count included.
 
 use std::cmp::Reverse;
 
@@ -44,7 +44,6 @@ use faultsim::{FaultInjector, FaultKind, InjectionPoint};
 use runtimes::AppProfile;
 use sandbox::BootCtx;
 use serde::{Deserialize, Serialize};
-use simtime::names;
 use simtime::{LatencyHistogram, MetricsRegistry, SimNanos};
 
 use super::arena::{Arena, FnId, InstanceId};
@@ -126,8 +125,6 @@ pub struct FleetOutcome {
     pub end_to_end: Quantiles,
     /// `reuses / completed` — the warm-serve fraction.
     pub reuse_rate: f64,
-    /// Fleet counter rollup (`fleet.*`).
-    pub metrics: MetricsRegistry,
 }
 
 /// Calibrated per-function state: three costs plus the warm set.
@@ -414,18 +411,6 @@ impl Simulation {
         }
 
         let faults = injector.map_or(0, |i| i.total_fired());
-        let mut metrics = MetricsRegistry::new();
-        metrics.add(names::FLEET_EVENTS, queue.scheduled());
-        metrics.add(names::FLEET_COLD_BOOTS, cold_boots);
-        metrics.add(names::FLEET_REUSES, reuses);
-        metrics.add(names::FLEET_EXPIRATIONS, expirations);
-        metrics.add(names::FLEET_PREWARM, prewarm_boots);
-        metrics.add(names::FLEET_SHED, shed);
-        metrics.add(names::FLEET_REPAIRS, repairs);
-        metrics.set_gauge(
-            names::FLEET_PEAK_INSTANCES,
-            i64::try_from(instances.peak_live()).unwrap_or(i64::MAX),
-        );
 
         Ok(FleetOutcome {
             requests: u64::try_from(trace.len()).unwrap_or(u64::MAX),
@@ -445,7 +430,6 @@ impl Simulation {
             startup: Quantiles::from_histogram(&startup_hist),
             end_to_end: Quantiles::from_histogram(&e2e_hist),
             reuse_rate: super::fraction(reuses, completed),
-            metrics,
         })
     }
 
@@ -659,7 +643,7 @@ mod tests {
             .unwrap();
         assert_eq!(out.completed, 5_000);
         assert!(out.peak_instances >= 4_000, "{}", out.peak_instances);
-        assert_eq!(out.metrics.counter(names::FLEET_COLD_BOOTS), 5_000);
+        assert_eq!(out.cold_boots, 5_000);
     }
 
     #[test]
@@ -676,7 +660,6 @@ mod tests {
             .unwrap();
         assert!(out.shed > 0);
         assert_eq!(out.completed + out.shed, out.requests);
-        assert_eq!(out.metrics.counter(names::FLEET_SHED), out.shed);
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //! The queue, the arenas, and the calibration memoiser are shared with the
 //! multi-node kernel in [`crate::cluster`], which adds the transfer, repair
 //! and node-fault event classes. Those two — `run_fleet` and the cluster's
-//! `drive` — are the only event loops.
+//! `drive` — are the only full event loops; the closed-loop
+//! [`Cluster`](crate::cluster::Cluster) pops just its node-fault schedule
+//! from a queue of its own, up to each arrival.
 //!
 //! Determinism is the contract: the same catalogue, knobs, and trace
 //! produce byte-identical outcomes, logs, and metrics.

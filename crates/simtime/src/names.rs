@@ -17,7 +17,7 @@
 //!   name its paths emit; release builds compile the check out.
 //! - **Every registered name is emitted.** The root test
 //!   `tests/name_registry.rs` unions the names a fixed set of runs emits and
-//!   requires the union to cover [`ALL`], apart from a named exception list.
+//!   requires the union to cover [`ALL`], with no exception.
 //!
 //! Both lists below come from one table each (the `registry!` and
 //! `helpers!` macros), so [`ALL`] and the helpers' shapes cannot drift from
@@ -189,27 +189,9 @@ registry! {
     QUARANTINE_DEFERRED = "quarantine.deferred";
 
     // ---------------------------------------------------------------------------
-    // Open-loop fleet engine (platform::simulate::fleet).
-
-    /// Counter: events the fleet's discrete-event queue processed.
-    FLEET_EVENTS = "fleet.events";
-    /// Counter: cold boots across the fleet.
-    FLEET_COLD_BOOTS = "fleet.boots";
-    /// Counter: requests served by reusing a warm instance.
-    FLEET_REUSES = "fleet.reuses";
-    /// Counter: instances reclaimed by keep-alive expiry.
-    FLEET_EXPIRATIONS = "fleet.expirations";
-    /// Counter: instances booted in the background to hold the warm floor.
-    FLEET_PREWARM = "fleet.prewarm";
-    /// Counter: requests shed by the per-function concurrency cap.
-    FLEET_SHED = "fleet.shed";
-    /// Counter: background repair sweeps (heal + replenish) the fleet ran.
-    FLEET_REPAIRS = "fleet.repairs";
-    /// Gauge: peak instances concurrently live across the fleet.
-    FLEET_PEAK_INSTANCES = "fleet.peak-instances";
-
-    // ---------------------------------------------------------------------------
-    // Cluster scheduler and remote sfork (platform::cluster).
+    // The closed-loop cluster scheduler and remote sfork
+    // (platform::cluster::Cluster). The open-loop kernels report typed
+    // outcome fields, not metrics.
 
     /// Counter: requests routed to a template-local node (local sfork boot).
     CLUSTER_LOCAL = "cluster.local";
@@ -217,50 +199,28 @@ registry! {
     CLUSTER_REMOTE = "cluster.remote";
     /// Counter: requests that fell all the way to a cold image pull.
     CLUSTER_COLD = "cluster.cold";
-    /// Counter: requests served by reusing a node-local warm instance.
-    CLUSTER_REUSE = "cluster.reuse";
     /// Counter: requests shed because every routable node was saturated.
     CLUSTER_SHED = "cluster.shed";
     /// Counter: requests re-routed off an overloaded or breaker-open node.
     CLUSTER_REROUTES = "cluster.reroutes";
     /// Counter: cross-node template transfers started.
     CLUSTER_TRANSFERS = "cluster.transfers";
-    /// Counter: faults injected at the template-transfer seam.
-    CLUSTER_TRANSFER_FAULTS = "cluster.transfer-faults";
-    /// Counter: background node repairs that healed poisoned replicas.
-    CLUSTER_NODE_REPAIRS = "cluster.node-repairs";
-    /// Gauge: peak instances concurrently live on the busiest node.
-    CLUSTER_PEAK_NODE_INSTANCES = "cluster.peak-node-instances";
 
     // ---------------------------------------------------------------------------
-    // Node-level chaos and failover (platform::cluster::chaos).
+    // Node-level chaos and failover in the closed-loop cluster.
 
     /// Counter: scheduled node crashes that fired.
     CHAOS_CRASHES = "chaos.crashes";
-    /// Counter: requests that failed outright — killed by a crash, routed at an
-    /// unreachable node, or hung on an orphaned transfer. Not sheds.
+    /// Counter: requests that failed outright at an unreachable node, with no
+    /// failover left to take them elsewhere. Not sheds.
     CHAOS_FAILED = "chaos.failed";
-    /// Counter: transfer waiters left with no completion path at run end (the
-    /// no-failover baseline's signature pathology).
-    CHAOS_HUNG = "chaos.hung";
     /// Counter: requests re-routed off a failed node by the failover policy.
     CHAOS_FAILOVERS = "chaos.failovers";
     /// Counter: template replicas rebuilt on new holders after a crash.
     CHAOS_REREPLICATIONS = "chaos.rereplications";
-    /// Counter: hedged (second-source) transfers fired after the hedge delay.
-    CHAOS_HEDGES = "chaos.hedges";
-    /// Counter: hedged transfers that beat their primary.
-    CHAOS_HEDGE_WINS = "chaos.hedge-wins";
-    /// Counter: in-flight transfers aborted by a source-node crash.
-    CHAOS_ABORTED_TRANSFERS = "chaos.aborted-transfers";
     /// Counter: requests that failed typed (`Unreachable`) at a crashed or
     /// partitioned node.
     CHAOS_UNREACHABLE = "chaos.unreachable";
-    /// Counter: virtual-time heartbeat rounds the health tracker ran.
-    CHAOS_HEARTBEATS = "chaos.heartbeats";
-    /// Counter: heartbeat rounds that marked a node `Suspect` (slow-ack — the
-    /// gray-node catch a liveness bit would miss).
-    CHAOS_SUSPECTED = "chaos.suspected";
 
     /// Span label for the cross-node transfer of a template (the RDMA read a
     /// remote sfork performs before forking from the received replica).

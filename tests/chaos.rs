@@ -15,9 +15,14 @@
 //! 5. **Fault plans compose with chaos** — the template-transfer fault
 //!    seam is consulted under `run_chaos` exactly as under `run_cluster`;
 //!    a fault plan installed next to a node plan is never dropped.
+//! 6. **Both fidelity levels replay one schedule** — the closed-loop
+//!    `Cluster` and the open-loop `run_chaos` log the same crashes, heals
+//!    and heartbeat beliefs, in the same order, up to the last arrival.
 
 use catalyzer_suite::faultsim::{FaultPlan, InjectionPoint, NodePlan, PointPlan};
-use catalyzer_suite::platform::cluster::{ChaosPolicy, ClusterConfig, ClusterSim};
+use catalyzer_suite::platform::cluster::{
+    ChaosEvent, ChaosPolicy, ChaosRecord, Cluster, ClusterConfig, ClusterSim,
+};
 use catalyzer_suite::platform::simulate::TraceRequest;
 use catalyzer_suite::prelude::*;
 use proptest::prelude::*;
@@ -76,9 +81,9 @@ fn single_crash_holds_the_availability_floor() {
         .unwrap();
         let floor = (nodes as f64 - 1.0) / nodes as f64;
         assert!(
-            outcome.availability >= floor,
+            outcome.cluster.goodput >= floor,
             "{nodes} nodes: availability {} under {floor}",
-            outcome.availability
+            outcome.cluster.goodput
         );
         assert_eq!(outcome.crashes, 1);
         assert_eq!(outcome.hung, 0, "full failover must not strand waiters");
@@ -185,6 +190,126 @@ fn transfer_fault_plans_are_consulted_under_chaos() {
     }
 }
 
+/// The node-fault records of `log` (crashes, heals, heartbeat beliefs) up
+/// to `last`, after checking that the whole log is in time order.
+fn schedule_records(log: &[ChaosRecord], last: SimNanos) -> Vec<(SimNanos, u32, ChaosEvent)> {
+    assert!(
+        log.windows(2).all(|pair| pair[0].at <= pair[1].at),
+        "the log goes back in time: {log:?}"
+    );
+    log.iter()
+        .filter(|r| r.at <= last)
+        .filter(|r| {
+            matches!(
+                r.kind,
+                ChaosEvent::Crash
+                    | ChaosEvent::Heal
+                    | ChaosEvent::Down
+                    | ChaosEvent::Up
+                    | ChaosEvent::Suspect
+            )
+        })
+        .map(|r| (r.at, r.node, r.kind))
+        .collect()
+}
+
+#[test]
+fn both_loops_replay_one_node_fault_schedule() {
+    let ms = SimNanos::from_millis;
+    let crafted = [
+        // Two crashes at one instant, pushed in descending node order.
+        (
+            4,
+            NodePlan::quiet(1)
+                .with_crash(2, ms(10))
+                .with_crash(1, ms(10)),
+        ),
+        // Nested and duplicated partitions, one heal inside another.
+        (
+            4,
+            NodePlan::quiet(2)
+                .with_partition(vec![1, 2], ms(10), ms(100))
+                .with_partition(vec![1], ms(20), ms(50))
+                .with_partition(vec![2, 3], ms(30), ms(200))
+                .with_partition(vec![1, 2], ms(10), ms(100)),
+        ),
+        // A crash inside a partition.
+        (
+            4,
+            NodePlan::quiet(3)
+                .with_partition(vec![1], ms(10), ms(50))
+                .with_crash(1, ms(20)),
+        ),
+        // Overlapping gray windows on one node, and one on another.
+        (
+            4,
+            NodePlan::quiet(4)
+                .with_gray(0, ms(10), ms(50), 4.0)
+                .with_gray(0, ms(20), ms(30), 9.0)
+                .with_gray(0, ms(25), ms(60), 2.0)
+                .with_gray(1, ms(30), ms(35), 8.0),
+        ),
+        // A storm compressed into 5 ns: its events share instants.
+        (
+            8,
+            NodePlan::storm(11, 8, 12, SimNanos::ZERO, SimNanos::from_nanos(5)),
+        ),
+        (
+            8,
+            NodePlan::storm(11, 8, 12, SimNanos::ZERO, SimNanos::from_secs(60)),
+        ),
+    ];
+    for (nodes, plan) in crafted {
+        // One arrival at every plan instant and 1 ns either side of it.
+        let mut arrivals: Vec<SimNanos> = plan
+            .events()
+            .iter()
+            .flat_map(|e| [e.at, e.until])
+            .flat_map(|t| {
+                [
+                    t.saturating_sub(SimNanos::from_nanos(1)),
+                    t,
+                    t.saturating_add(SimNanos::from_nanos(1)),
+                ]
+            })
+            .collect();
+        arrivals.sort_unstable();
+        arrivals.dedup();
+        let last = *arrivals.last().unwrap();
+        let trace: Vec<TraceRequest> = arrivals
+            .iter()
+            .map(|&arrival| TraceRequest {
+                arrival,
+                function: 0,
+            })
+            .collect();
+        for policy in [ChaosPolicy::full(), ChaosPolicy::none()] {
+            let mut closed = Cluster::new(ClusterConfig::new(nodes, 2), &model())
+                .unwrap()
+                .with_chaos(plan.clone(), policy)
+                .unwrap();
+            closed.register(AppProfile::c_hello());
+            for &arrival in &arrivals {
+                // Typed failures (an unreachable node) are part of the run.
+                let _ = closed.call("C-hello", Some(arrival));
+            }
+            let open = ClusterSim::new(vec![AppProfile::c_hello()], ClusterConfig::new(nodes, 2))
+                .with_model(model())
+                .with_chaos(plan.clone(), policy)
+                .run_chaos(&trace)
+                .unwrap();
+            let records = schedule_records(&open.chaos_log, last);
+            assert!(!records.is_empty(), "nothing to compare under {plan:?}");
+            assert_eq!(
+                schedule_records(closed.chaos_log(), last),
+                records,
+                "{}: closed loop vs open loop under {plan:?}",
+                policy.label()
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -222,7 +347,7 @@ proptest! {
         );
         prop_assert!(outcome.hung <= outcome.failed);
         let availability = outcome.cluster.completed as f64 / outcome.cluster.requests as f64;
-        prop_assert!((outcome.availability - availability).abs() < 1e-9);
+        prop_assert!((outcome.cluster.goodput - availability).abs() < 1e-9);
     }
 
     /// Same plan, same policy → byte-identical outcome, chaos log and

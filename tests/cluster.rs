@@ -16,7 +16,7 @@
 //! 4. **The chaos layer is inert when quiet** — `run_cluster` (the kernel
 //!    with no chaos layer) and `run_chaos` under a quiet `NodePlan` (the
 //!    same kernel with the layer installed, either policy) agree on every
-//!    outcome field except the event count and the metric rollup.
+//!    outcome field except the event count.
 
 use catalyzer_suite::faultsim::{FaultPlan, InjectionPoint, NodePlan, PointPlan};
 use catalyzer_suite::platform::cluster::{
@@ -182,12 +182,10 @@ fn transfer_plan(seed: u64, rate_pct: u32, poison_pct: u32) -> FaultPlan {
         .with_poison_ratio(f64::from(poison_pct) / 100.0)
 }
 
-/// A cluster outcome, serialized with its two layer-dependent fields
-/// blanked: the event count (a chaos layer schedules heartbeats) and the
-/// metric rollup (it adds the `chaos.*` counters).
+/// A cluster outcome, serialized with its one layer-dependent field
+/// blanked: the event count (a chaos layer schedules heartbeats).
 fn layer_independent(mut outcome: ClusterOutcome) -> String {
     outcome.events = 0;
-    outcome.metrics = MetricsRegistry::new();
     serde_json::to_string(&outcome).unwrap()
 }
 
@@ -197,7 +195,7 @@ proptest! {
     /// Cross-path agreement: the cluster kernel without a chaos layer and
     /// the same kernel under a quiet node plan — full failover or none —
     /// route, serve, and time every request identically. Only the event
-    /// count (heartbeats, hedge timers) and the `chaos.*` metrics differ.
+    /// count (heartbeats, hedge timers) differs.
     #[test]
     fn quiet_chaos_agrees_with_the_plain_cluster_run(
         seed in any::<u64>(),

@@ -11,16 +11,17 @@
 //!
 //! The runs: every boot path the seam matrix has a row for, a gateway under
 //! a fault storm, an admission storm, a self-healing pool whose engine
-//! cannot boot, a chaos cluster under a node-fault storm, one remote-sfork
-//! call, and an open-loop fleet. The trade: a registered name that only
-//! some other run emits must be added to a run here.
+//! cannot boot, closed-loop chaos clusters, and one remote-sfork call. The
+//! open-loop kernels (`run_fleet`, `run_cluster`, `run_chaos`) emit no
+//! metrics: their counts are typed outcome fields. The trade: a registered
+//! name that only some other run emits must be added to a run here.
 
 use std::collections::BTreeSet;
 
 use catalyzer_suite::catalyzer::FirecrackerSnapshotEngine;
 use catalyzer_suite::faultsim::{FaultPlan, InjectionPoint, NodePlan, PointPlan};
 use catalyzer_suite::platform::cluster::{
-    ChaosPolicy, Cluster, ClusterConfig, ClusterEngine, ClusterSim,
+    ChaosPolicy, Cluster, ClusterConfig, ClusterEngine, RoutingPolicy,
 };
 use catalyzer_suite::platform::simulate::TraceRequest;
 use catalyzer_suite::platform::{AdmissionPolicy, InstancePool, ResiliencePolicy, Simulation};
@@ -221,17 +222,49 @@ fn failing_repair(out: &mut BTreeSet<String>) {
     metric_names(pool.metrics(), out);
 }
 
-/// A four-node chaos cluster under a seeded crash/partition/gray storm,
-/// with the full failover policy (hedges, re-replication, heartbeats).
+/// Closed-loop clusters through each outcome the scheduler counts: a
+/// three-node cluster whose only holder crashes, under full failover (the
+/// template is re-replicated and served locally) and under the baseline
+/// (the call is routed at the corpse and fails); a local-cold cluster whose
+/// only holder is partitioned away (the re-route pulls the cold image); and
+/// one node under an admission limit that a same-instant burst overruns.
 fn chaos_cluster(out: &mut BTreeSet<String>) {
-    let storm = NodePlan::storm(9, 4, 6, SimNanos::from_millis(2), SimNanos::from_millis(40));
-    let outcome = ClusterSim::new(vec![AppProfile::c_hello()], ClusterConfig::new(4, 2))
-        .with_model(model())
-        .with_node_capacity(64)
-        .with_chaos(storm, ChaosPolicy::full())
-        .run_chaos(&paced(600, SimNanos::from_micros(80)))
+    let crash = NodePlan::quiet(1).with_crash(0, SimNanos::from_millis(5));
+    for policy in [ChaosPolicy::full(), ChaosPolicy::none()] {
+        let mut cluster = Cluster::new(ClusterConfig::new(3, 1), &model())
+            .unwrap()
+            .with_chaos(crash.clone(), policy)
+            .unwrap();
+        cluster.register(AppProfile::c_hello());
+        for ms in [1, 10] {
+            let _ = cluster.call("C-hello", Some(SimNanos::from_millis(ms)));
+        }
+        metric_names(cluster.metrics(), out);
+    }
+
+    let mut config = ClusterConfig::new(2, 1);
+    config.routing = RoutingPolicy::LocalCold;
+    let mut cluster = Cluster::new(config, &model())
+        .unwrap()
+        .with_chaos(
+            NodePlan::quiet(1).with_partition([0], SimNanos::ZERO, SimNanos::from_secs(10)),
+            ChaosPolicy::full(),
+        )
         .unwrap();
-    metric_names(&outcome.cluster.metrics, out);
+    cluster.register(AppProfile::c_hello());
+    cluster
+        .call("C-hello", Some(SimNanos::from_millis(1)))
+        .unwrap();
+    metric_names(cluster.metrics(), out);
+
+    let mut cluster = Cluster::new(ClusterConfig::new(1, 1), &model())
+        .unwrap()
+        .with_admission(AdmissionPolicy::standard(1, SimNanos::from_secs(5)));
+    cluster.register(AppProfile::c_hello());
+    for i in 0..8 {
+        let _ = cluster.call("C-hello", Some(SimNanos::from_nanos(i)));
+    }
+    metric_names(cluster.metrics(), out);
 }
 
 /// Calls from the node without the template: the only holder is
@@ -267,17 +300,6 @@ fn remote_sfork(out: &mut BTreeSet<String>) {
     }
 }
 
-/// An open-loop fleet with a warm floor and keep-alive expiry.
-fn open_loop_fleet(out: &mut BTreeSet<String>) {
-    let outcome = Simulation::new(vec![AppProfile::c_hello()])
-        .with_model(model())
-        .with_keep_alive(SimNanos::from_millis(1))
-        .with_prewarm(1)
-        .run_fleet(&paced(200, SimNanos::from_micros(300)))
-        .unwrap();
-    metric_names(&outcome.metrics, out);
-}
-
 #[test]
 fn every_registered_name_is_emitted() {
     let mut emitted = BTreeSet::new();
@@ -287,7 +309,6 @@ fn every_registered_name_is_emitted() {
     failing_repair(&mut emitted);
     chaos_cluster(&mut emitted);
     remote_sfork(&mut emitted);
-    open_loop_fleet(&mut emitted);
 
     let missing: Vec<&str> = names::ALL
         .iter()
