@@ -1,8 +1,7 @@
 //! `repro` — regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro all            # everything (Fig. 15 at the paper's 1000 instances)
-//! repro quick          # everything, with Fig. 15 capped at 100 instances
+//! repro all            # every table and figure, at the paper's sizes
 //! repro fig11          # one experiment
 //! repro list           # available experiment ids
 //! repro csv fig11      # one experiment's rows as CSV, where it has them
@@ -24,9 +23,8 @@ use bench::fleetbench::FleetBenchExport;
 use bench::{BenchError, Export};
 use simtime::CostModel;
 
-/// Prints one experiment the way the paper reports it. The `u32` is
-/// Fig. 15's instance ceiling, which only `fig15` reads.
-type Run = fn(&CostModel, u32) -> Result<(), BenchError>;
+/// Prints one experiment the way the paper reports it.
+type Run = fn(&CostModel) -> Result<(), BenchError>;
 
 /// The same rows as CSV text, for `repro csv <id>`.
 type Csv = fn(&CostModel) -> Result<String, BenchError>;
@@ -43,49 +41,49 @@ fn show<T, E: Into<BenchError>>(
 /// Every experiment, in `repro all` order: its id, its CSV form where it
 /// has one, and its printer.
 const EXPERIMENTS: &[(&str, Option<Csv>, Run)] = &[
-    ("fig1", None, |m, _| {
+    ("fig1", None, |m| {
         show(endtoend::fig01(m), |(gv, cat)| {
             endtoend::render_fig01(gv, cat)
         })
     }),
-    ("fig2", None, |m, _| {
+    ("fig2", None, |m| {
         show(pipeline::fig02(m), |(boot, restore)| {
             pipeline::render_fig02(boot, restore)
         })
     }),
-    ("fig3", None, |_, _| {
+    ("fig3", None, |_| {
         pipeline::render_fig03();
         Ok(())
     }),
-    ("fig4", None, |m, _| {
+    ("fig4", None, |m| {
         show(startup::fig04(m), |r| startup::render_fig04(r))
     }),
     (
         "fig6",
         Some(|m| Ok(out::startup_rows(&startup::fig06(m)?))),
-        |m, _| show(startup::fig06(m), |r| startup::render_fig06(r)),
+        |m| show(startup::fig06(m), |r| startup::render_fig06(r)),
     ),
-    ("fig7", None, |m, _| {
+    ("fig7", None, |m| {
         show(startup::fig07(m), startup::render_fig07)
     }),
-    ("fig10", None, |_, _| {
+    ("fig10", None, |_| {
         pipeline::render_fig10();
         Ok(())
     }),
     (
         "fig11",
         Some(|m| Ok(out::startup_rows(&startup::fig11(m)?))),
-        |m, _| show(startup::fig11(m), |r| startup::render_fig11(r)),
+        |m| show(startup::fig11(m), |r| startup::render_fig11(r)),
     ),
     (
         "fig12",
         Some(|m| Ok(out::ablation_rows(&ablation::fig12(m)?))),
-        |m, _| show(ablation::fig12(m), |r| ablation::render_fig12(r)),
+        |m| show(ablation::fig12(m), |r| ablation::render_fig12(r)),
     ),
     (
         "fig13a",
         Some(|m| Ok(out::e2e_rows(&endtoend::fig13a(m)?))),
-        |m, _| {
+        |m| {
             let title = "Figure 13a — DeathStar microservices end-to-end (ms)";
             show(endtoend::fig13a(m), |r| endtoend::render_fig13(title, r))
         },
@@ -93,7 +91,7 @@ const EXPERIMENTS: &[(&str, Option<Csv>, Run)] = &[
     (
         "fig13b",
         Some(|m| Ok(out::e2e_rows(&endtoend::fig13b(m)?))),
-        |m, _| {
+        |m| {
             let title = "Figure 13b — Pillow image processing end-to-end (ms)";
             show(endtoend::fig13b(m), |r| endtoend::render_fig13(title, r))
         },
@@ -101,7 +99,7 @@ const EXPERIMENTS: &[(&str, Option<Csv>, Run)] = &[
     (
         "fig13c",
         Some(|_| Ok(out::e2e_rows(&endtoend::fig13c()?))),
-        |_, _| {
+        |_| {
             let title = "Figure 13c — E-commerce functions end-to-end, server machine (ms)";
             show(endtoend::fig13c(), |r| endtoend::render_fig13(title, r))
         },
@@ -109,14 +107,14 @@ const EXPERIMENTS: &[(&str, Option<Csv>, Run)] = &[
     (
         "fig14",
         Some(|m| Ok(out::memory_rows(&scale::fig14(m)?))),
-        |m, _| show(scale::fig14(m), |r| scale::render_fig14(r)),
+        |m| show(scale::fig14(m), |r| scale::render_fig14(r)),
     ),
     (
         "fig15",
-        Some(|_| Ok(out::scale_series(&scale::fig15(1000)?))),
-        |_, max| show(scale::fig15(max), |r| scale::render_fig15(r)),
+        Some(|_| Ok(out::scale_series(&scale::fig15()?))),
+        |_| show(scale::fig15(), |r| scale::render_fig15(r)),
     ),
-    ("fig16a", None, |m, _| {
+    ("fig16a", None, |m| {
         show(hostopts::fig16a(m), |r| hostopts::render_fig16a(r))
     }),
     (
@@ -125,7 +123,7 @@ const EXPERIMENTS: &[(&str, Option<Csv>, Run)] = &[
             let header = "invocation,baseline_ms,cached_ms";
             Ok(out::indexed_pair(header, &hostopts::fig16b(m)))
         }),
-        |m, _| {
+        |m| {
             hostopts::render_fig16b(&hostopts::fig16b(m));
             Ok(())
         },
@@ -138,7 +136,7 @@ const EXPERIMENTS: &[(&str, Option<Csv>, Run)] = &[
                 &hostopts::fig16c(m),
             ))
         }),
-        |m, _| {
+        |m| {
             hostopts::render_fig16c(&hostopts::fig16c(m));
             Ok(())
         },
@@ -151,53 +149,52 @@ const EXPERIMENTS: &[(&str, Option<Csv>, Run)] = &[
                 &hostopts::fig16d(m),
             ))
         }),
-        |m, _| {
+        |m| {
             hostopts::render_fig16d(&hostopts::fig16d(m));
             Ok(())
         },
     ),
-    ("table1", None, |_, _| {
+    ("table1", None, |_| {
         pipeline::render_table1();
         Ok(())
     }),
-    ("table2", None, |m, _| {
+    ("table2", None, |m| {
         show(startup::table2(m), startup::render_table2)
     }),
-    ("table3", None, |m, _| {
+    ("table3", None, |m| {
         show(ablation::table3(m), |r| ablation::render_table3(r))
     }),
-    ("tail", None, |m, _| {
+    ("tail", None, |m| {
         show(scale::tail_latency(m), |(cached, forked)| {
             scale::render_tail(cached, forked)
         })
     }),
-    ("generality", None, |m, _| {
+    ("generality", None, |m| {
         show(generality::generality(m), |r| {
             generality::render_generality(r)
         })
     }),
-    ("sensitivity", None, |_, _| {
+    ("sensitivity", None, |_| {
         show(generality::sensitivity(), |r| {
             generality::render_sensitivity(r)
         })
     }),
-    ("platform", None, |m, _| {
+    ("platform", None, |m| {
         show(platformsim::platform_sim(m), |(pooled, forked)| {
             platformsim::render_platform_sim(pooled, forked)
         })
     }),
-    ("warm-breakdown", None, |m, _| {
+    ("warm-breakdown", None, |m| {
         show(platformsim::warm_breakdown(m), |r| {
             platformsim::render_warm_breakdown(r)
         })
     }),
 ];
 
-/// Prints experiment `id` at the paper's size, or exits 2 when there is
-/// none.
+/// Prints experiment `id`, or exits 2 when there is none.
 fn run(id: &str) -> Result<(), BenchError> {
     match EXPERIMENTS.iter().find(|(name, ..)| *name == id) {
-        Some((_, _, run)) => run(&CostModel::experimental_machine(), 1000),
+        Some((_, _, run)) => run(&CostModel::experimental_machine()),
         None => {
             eprintln!("unknown experiment '{id}'; try: repro list");
             std::process::exit(2);
@@ -310,18 +307,17 @@ fn main() {
                 std::process::exit(2);
             }
         },
-        "all" | "quick" if check => {
+        "all" if check => {
             // The one-stop determinism gate: every checked-in bench export
             // regenerated in-memory and verified byte-identical.
             EXPORTS.iter().try_for_each(|(_, gate)| gate(None, true))
         }
-        "all" | "quick" => {
-            let fig15_max = if command == "quick" { 100 } else { 1000 };
+        "all" => {
             println!("Catalyzer reproduction — regenerating every table and figure");
             println!("(virtual-time simulation; see DESIGN.md for the substitution rules)");
             EXPERIMENTS
                 .iter()
-                .try_for_each(|(_, _, run)| run(&CostModel::experimental_machine(), fig15_max))
+                .try_for_each(|(_, _, run)| run(&CostModel::experimental_machine()))
         }
         id => match EXPORTS.iter().find(|(name, _)| *name == id) {
             Some((_, gate)) => gate(path, check),

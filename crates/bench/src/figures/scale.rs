@@ -76,20 +76,16 @@ pub struct ScaleSeries {
 }
 
 /// Fig. 15: startup latency with 0–1000 running instances of the DeathStar
-/// text function: gVisor-restore vs Catalyzer (experimental machine) vs
-/// Catalyzer on the server machine ("Catalyzer-Indus").
-///
-/// `max_running` lets callers shrink the sweep (benches use 100; the repro
-/// binary uses 1000 like the paper).
+/// text function, in steps of 100: gVisor-restore vs Catalyzer
+/// (experimental machine) vs Catalyzer on the server machine
+/// ("Catalyzer-Indus").
 ///
 /// # Errors
 ///
 /// Engine errors.
-pub fn fig15(max_running: u32) -> Result<Vec<ScaleSeries>, SandboxError> {
+pub fn fig15() -> Result<Vec<ScaleSeries>, SandboxError> {
     let profile = Service::Text.profile();
-    let steps: Vec<u32> = (0..=max_running)
-        .step_by((max_running / 10).max(1) as usize)
-        .collect();
+    let steps: Vec<u32> = (0..=1000).step_by(100).collect();
     let exp = CostModel::experimental_machine();
     let srv = CostModel::server_machine();
 

@@ -339,11 +339,6 @@ impl Catalyzer {
         }
     }
 
-    /// True when any prepared state is awaiting repair.
-    pub fn has_suspect_state(&self) -> bool {
-        self.zygotes.is_suspect() || !self.suspect_templates.is_empty()
-    }
-
     /// Rebuilds every suspect template and the zygote pool (when suspect)
     /// offline, returning the total virtual repair time. The asynchronous
     /// half of deferred quarantine: a background daemon pays this, not the
@@ -693,11 +688,9 @@ mod tests {
 
         cat.mark_suspect(&profile, InjectionPoint::SforkMerge);
         cat.mark_suspect(&profile, InjectionPoint::ZygoteSpecialize);
-        assert!(cat.has_suspect_state());
 
         let spent = cat.repair_suspect(&model).unwrap();
         assert!(spent > SimNanos::from_millis(1), "repair did real work");
-        assert!(!cat.has_suspect_state());
         // Repaired state still boots.
         cat.boot(BootMode::Fork, &profile, &mut BootCtx::fresh(&model))
             .unwrap();

@@ -218,12 +218,6 @@ impl NodePlan {
         &self.events
     }
 
-    /// True when the plan schedules nothing — the engines must then be
-    /// byte-identical to running without a plan at all.
-    pub fn is_quiet(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// The highest node index the plan touches, if any — validation
     /// against the cluster shape.
     pub fn max_node(&self) -> Option<u32> {
@@ -259,7 +253,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(times, sorted);
         assert_eq!(plan.max_node(), Some(2));
-        assert!(!plan.is_quiet());
         let partition = &plan.events()[1];
         assert_eq!(partition.fault, NodeFault::Partition);
         assert_eq!(partition.island, vec![0, 2], "island sorted and deduped");
@@ -271,7 +264,7 @@ mod tests {
     #[test]
     fn quiet_plan_is_quiet() {
         let plan = NodePlan::quiet(0);
-        assert!(plan.is_quiet());
+        assert!(plan.events().is_empty());
         assert_eq!(plan.max_node(), None);
     }
 

@@ -102,11 +102,6 @@ impl FsServer {
         &self.function
     }
 
-    /// Number of rootfs files.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
-    }
-
     /// Total `open` RPCs served (drives Fig. 12's I/O bar).
     pub fn opens_served(&self) -> u64 {
         self.opens.load(Ordering::Relaxed)
@@ -282,7 +277,7 @@ mod tests {
         assert!(s.exists("/lib/lib0000.so"));
         assert!(s.exists("/lib/lib0002.so"));
         assert_eq!(s.size_of("/lib/lib0001.so"), Some(128));
-        assert_eq!(s.file_count(), 5);
+        assert_eq!(s.paths().count(), 5);
     }
 
     #[test]

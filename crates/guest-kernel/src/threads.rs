@@ -101,16 +101,6 @@ impl SentryThreads {
         self.mode
     }
 
-    /// Live thread count.
-    pub fn live_count(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Saved (merged-away) thread count.
-    pub fn saved_count(&self) -> usize {
-        self.saved.len()
-    }
-
     /// Live threads.
     pub fn live(&self) -> &[SentryThread] {
         &self.live
@@ -218,7 +208,7 @@ mod tests {
     fn standard_set_shape() {
         let t = SentryThreads::standard(4, 2);
         assert_eq!(t.mode(), ThreadMode::Multi);
-        assert_eq!(t.live_count(), 4 + 3 + 2);
+        assert_eq!(t.live().len(), 4 + 3 + 2);
         assert_eq!(
             t.live()
                 .iter()
@@ -235,12 +225,9 @@ mod tests {
         let before = t.clone();
         t.merge_to_single(&clock, &model).unwrap();
         assert_eq!(t.mode(), ThreadMode::TransientSingle);
-        assert_eq!(t.live_count(), 1);
-        assert_eq!(t.saved_count(), 8);
+        assert_eq!(t.live().len(), 1);
         t.expand(&clock, &model).unwrap();
         assert_eq!(t.mode(), ThreadMode::Multi);
-        assert_eq!(t.live_count(), 9);
-        assert_eq!(t.saved_count(), 0);
         // All contexts survive (order: m0 then the merged tail).
         assert_eq!(t.live(), before.live());
     }

@@ -42,14 +42,6 @@ impl TimerTable {
         id
     }
 
-    /// Cancels a timer; returns whether it was armed.
-    pub fn cancel(&mut self, id: u64) -> bool {
-        self.timers
-            .get_mut(id as usize)
-            .map(|slot| slot.take().is_some())
-            .unwrap_or(false)
-    }
-
     /// Fires every timer due at or before `now`; periodic timers re-arm.
     /// Returns the ids fired.
     pub fn fire_due(&mut self, now: SimNanos) -> Vec<u64> {
@@ -123,16 +115,6 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert_eq!(t.fire_due(SimNanos::from_millis(20)), vec![id]);
         assert_eq!(t.fired(), 2);
-    }
-
-    #[test]
-    fn cancel_works_once() {
-        let mut t = TimerTable::new();
-        let id = t.arm(SimNanos::from_secs(1), SimNanos::ZERO, 7);
-        assert!(t.cancel(id));
-        assert!(!t.cancel(id));
-        assert!(!t.cancel(99));
-        assert!(t.fire_due(SimNanos::from_secs(2)).is_empty());
     }
 
     #[test]

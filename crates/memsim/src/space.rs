@@ -211,21 +211,6 @@ impl AddressSpace {
         Ok(())
     }
 
-    /// Changes the permissions of the VMA covering exactly `range`.
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::Unmapped`] if no VMA matches `range` exactly.
-    pub fn protect(&mut self, range: VpnRange, perms: Perms) -> Result<(), MemError> {
-        let vma = self
-            .vmas
-            .iter_mut()
-            .find(|v| v.range == range)
-            .ok_or(MemError::Unmapped { vpn: range.start })?;
-        vma.perms = perms;
-        Ok(())
-    }
-
     /// Reads `buf.len()` bytes from page `vpn` at `offset`, taking demand
     /// faults as needed.
     ///
@@ -777,21 +762,6 @@ mod tests {
         s.unmap(huge, &clock, &model).unwrap();
         assert_eq!(s.private_pages(), 0);
         assert!(s.vmas().is_empty());
-    }
-
-    #[test]
-    fn protect_flips_permissions() {
-        let (clock, model) = setup();
-        let mut s = AddressSpace::new("s");
-        let range = VpnRange::new(0, 1);
-        s.map_anonymous(range, Perms::RW, ShareMode::Private, "m")
-            .unwrap();
-        s.write(0, 0, &[1], &clock, &model).unwrap();
-        s.protect(range, Perms::RO).unwrap();
-        assert!(matches!(
-            s.write(0, 0, &[2], &clock, &model),
-            Err(MemError::Protection { .. })
-        ));
     }
 
     #[test]

@@ -427,6 +427,11 @@ impl ChaosState {
         &self.log
     }
 
+    /// The observation history, moved out of a finished run.
+    pub fn into_log(self) -> Vec<ChaosRecord> {
+        self.log
+    }
+
     /// Observations of `kind` so far.
     pub fn count(&self, kind: ChaosEvent) -> u64 {
         self.log.iter().filter(|r| r.kind == kind).count() as u64

@@ -1175,7 +1175,7 @@ impl ClusterSim {
             hedge_wins,
             aborted_transfers,
             unreachable,
-            chaos_log: chaos.map_or_else(Vec::new, |c| c.log().to_vec()),
+            chaos_log: chaos.map_or_else(Vec::new, ChaosState::into_log),
         })
     }
 

@@ -12,9 +12,9 @@
 //! ladder are only *marked* on the request path (deferred quarantine), and
 //! a background repair loop ([`InstancePool::tick`], driven on the platform
 //! clock between requests) evicts the quarantined idle capacity, rebuilds
-//! the engine's suspect prepared state on its own offline clock, heals the
-//! fault injector lent to it, and replenishes the pool back to its ready
-//! floor — so the rebuild cost never lands on a request's latency.
+//! the engine's suspect prepared state on its own offline clock, and heals
+//! the fault injector lent to it — so the rebuild cost never lands on a
+//! request's latency.
 //!
 //! In a multi-node deployment every [`cluster`](crate::cluster) node runs
 //! its own pools behind its own gateway: pool capacity is strictly
@@ -58,8 +58,6 @@ pub struct RepairStats {
     pub repairs: u64,
     /// Quarantined idle instances evicted by repair passes.
     pub evicted: u64,
-    /// Instances booted by background replenishment.
-    pub replenished: u64,
     /// Virtual time spent rebuilding, all off the request path.
     pub repair_time: SimNanos,
 }
@@ -95,8 +93,6 @@ pub struct InstancePool<E: BootEngine> {
     stats: PoolStats,
     metrics: MetricsRegistry,
     policy: ResiliencePolicy,
-    /// Ready floor the repair loop replenishes to (0 = no replenishment).
-    min_ready: usize,
     /// Injection points owed a background repair + injector heal.
     pending_repair: BTreeSet<InjectionPoint>,
     repair_stats: RepairStats,
@@ -116,7 +112,6 @@ impl<E: BootEngine> InstancePool<E> {
             stats: PoolStats::default(),
             metrics: MetricsRegistry::new(),
             policy: ResiliencePolicy::full(),
-            min_ready: 0,
             pending_repair: BTreeSet::new(),
             repair_stats: RepairStats::default(),
             repair_clock: SimClock::new(),
@@ -132,12 +127,10 @@ impl<E: BootEngine> InstancePool<E> {
     /// Makes the pool self-healing, builder-style: quarantine rebuilds are
     /// *deferred* off the request path (a poison only marks state suspect
     /// and falls back one rung), and [`InstancePool::tick`] repairs the
-    /// capacity in the background, keeping at least `min_ready` instances
-    /// warm.
-    pub fn with_self_healing(mut self, min_ready: usize) -> Self {
+    /// capacity in the background.
+    pub fn with_self_healing(mut self) -> Self {
         self.policy.quarantine = true;
         self.policy.defer_quarantine = true;
-        self.min_ready = min_ready;
         self
     }
 
@@ -154,19 +147,9 @@ impl<E: BootEngine> InstancePool<E> {
         &self.metrics
     }
 
-    /// Idle instances currently held.
-    pub fn idle_count(&self) -> usize {
-        self.idle.len()
-    }
-
     /// Background repair-loop statistics.
     pub fn repair_stats(&self) -> RepairStats {
         self.repair_stats
-    }
-
-    /// Injection points currently owed a background repair.
-    pub fn pending_repairs(&self) -> usize {
-        self.pending_repair.len()
     }
 
     /// Expires idle instances older than the keep-alive window at `now`.
@@ -209,7 +192,7 @@ impl<E: BootEngine> InstancePool<E> {
         }
     }
 
-    /// One pass of the background repair/replenish loop, run on the
+    /// One pass of the background repair loop, run on the
     /// platform clock between requests (`now` is only used to reap
     /// keep-alive expiry; all rebuild work is charged to the daemon's own
     /// offline clock and traced under a `repair` span).
@@ -218,11 +201,11 @@ impl<E: BootEngine> InstancePool<E> {
     /// (they were specialized from suspect prepared state), rebuilds the
     /// engine's suspect templates/zygotes ([`BootEngine::repair`]), and
     /// heals the poisoned points in the injector the closed loop lent the
-    /// call, if any. Then replenishes the pool back to its `min_ready` floor.
+    /// call, if any.
     ///
     /// # Errors
     ///
-    /// Engine errors from the rebuild or replenishment boots.
+    /// Engine errors from the rebuild.
     pub fn tick(&mut self, now: SimNanos, model: &CostModel) -> Result<(), PlatformError> {
         self.lend(None).tick(now, model)
     }
@@ -332,62 +315,35 @@ impl<E: BootEngine> Lent<'_, E> {
     pub(crate) fn tick(self, now: SimNanos, model: &CostModel) -> Result<(), PlatformError> {
         let Lent { pool, injector } = self;
         pool.reap(now);
-        let needs_repair = !pool.pending_repair.is_empty();
-        if needs_repair {
-            let evicted = u64::try_from(pool.idle.len()).unwrap_or(u64::MAX);
-            pool.idle.clear();
-            pool.metrics.set_gauge(names::POOL_IDLE, 0);
-            pool.repair_stats.evicted += evicted;
-            pool.metrics.add(names::POOL_REPAIR_EVICTED, evicted);
-        }
-        if !needs_repair && pool.idle.len() >= pool.min_ready {
+        if pool.pending_repair.is_empty() {
             return Ok(());
         }
+        let evicted = u64::try_from(pool.idle.len()).unwrap_or(u64::MAX);
+        pool.idle.clear();
+        pool.metrics.set_gauge(names::POOL_IDLE, 0);
+        pool.repair_stats.evicted += evicted;
+        pool.metrics.add(names::POOL_REPAIR_EVICTED, evicted);
 
-        // The daemon's boots are not injected: it runs *after* the heal,
-        // off the request path, on its own offline timeline — consulting a
-        // platform-time fault window against the daemon's clock would be
-        // meaningless.
         let mut ctx = BootCtx::new(&pool.repair_clock, model);
         let done = ctx.span(SPAN_REPAIR, |ctx| {
-            if needs_repair {
-                let spent = pool.engine.repair(&pool.profile, model)?;
-                ctx.charge_span("rebuild", spent);
-                if let Some(injector) = injector {
-                    for &point in &pool.pending_repair {
-                        injector.heal(point);
-                    }
+            let spent = pool.engine.repair(&pool.profile, model)?;
+            ctx.charge_span("rebuild", spent);
+            if let Some(injector) = injector {
+                for &point in &pool.pending_repair {
+                    injector.heal(point);
                 }
-                pool.pending_repair.clear();
-                pool.repair_stats.repairs += 1;
-                pool.repair_stats.repair_time = pool.repair_stats.repair_time.saturating_add(spent);
-                pool.metrics.inc(names::POOL_REPAIR_COUNT);
-                pool.metrics.observe(names::POOL_REPAIR_TIME, spent);
             }
-            while pool.idle.len() < pool.min_ready.min(pool.max_idle) {
-                let booted = resilient_boot(
-                    &mut pool.engine,
-                    &pool.profile,
-                    &pool.policy,
-                    ctx,
-                    &mut pool.metrics,
-                )?;
-                pool.idle.push_back(IdleInstance {
-                    outcome: booted.outcome,
-                    idle_since: now,
-                });
-                pool.repair_stats.replenished += 1;
-                pool.metrics.inc(names::POOL_REPAIR_REPLENISH);
-            }
+            pool.pending_repair.clear();
+            pool.repair_stats.repairs += 1;
+            pool.repair_stats.repair_time = pool.repair_stats.repair_time.saturating_add(spent);
+            pool.metrics.inc(names::POOL_REPAIR_COUNT);
+            pool.metrics.observe(names::POOL_REPAIR_TIME, spent);
             Ok::<(), PlatformError>(())
         });
-        if let Err(err) = done {
+        if done.is_err() {
             pool.metrics.inc(names::POOL_REPAIR_FAILED);
-            return Err(err);
         }
-        pool.metrics
-            .set_gauge(names::POOL_IDLE, pool.idle.len() as i64);
-        Ok(())
+        done
     }
 }
 
@@ -481,7 +437,7 @@ mod tests {
             SimNanos::from_secs(10),
             4,
         )
-        .with_self_healing(2);
+        .with_self_healing();
 
         // Request path: the poison is only *marked* — no rebuild charged.
         let served = pool
@@ -496,28 +452,26 @@ mod tests {
             "no inline template rebuild on the request: {}",
             served.startup
         );
-        assert_eq!(pool.pending_repairs(), 1);
         assert!(injector.is_poisoned(InjectionPoint::SforkMerge));
 
-        // Background pass: evict quarantined capacity, rebuild, heal,
-        // replenish to the ready floor.
+        // Background pass: evict quarantined capacity, rebuild, heal.
         pool.lend(Some(&mut injector))
             .tick(SimNanos::from_millis(10), &model)
             .unwrap();
-        assert_eq!(pool.pending_repairs(), 0);
         assert!(!injector.is_poisoned(InjectionPoint::SforkMerge));
         let stats = pool.repair_stats();
         assert_eq!(stats.repairs, 1);
         assert_eq!(stats.evicted, 1, "the parked suspect instance");
-        assert_eq!(stats.replenished, 2);
         assert!(stats.repair_time > SimNanos::ZERO, "rebuild paid offline");
-        assert_eq!(pool.idle_count(), 2);
         assert_eq!(pool.metrics().counter("pool.repair.count"), 1);
-        assert_eq!(pool.metrics().counter("pool.repair.replenish"), 2);
 
-        // The next request reuses replenished capacity, clean and warm.
-        let served = pool.serve_at(SimNanos::from_millis(20), &model).unwrap();
-        assert!(served.reused);
+        // The next request boots from the rebuilt template, clean: a poison
+        // left unhealed would fire again outside the fault window.
+        let served = pool
+            .lend(Some(&mut injector))
+            .serve_at(SimNanos::from_millis(20), &model)
+            .unwrap();
+        assert!(!served.reused, "the suspect instance was evicted");
         assert!(!served.poisoned);
         assert!(!served.degraded);
         // A quiet follow-up tick is a no-op.
@@ -527,16 +481,28 @@ mod tests {
 
     #[test]
     fn max_idle_caps_the_pool() {
+        // Five arrivals 1 µs apart, each before the last one finishes. A
+        // serve pops an idle instance before it parks one, so a cap of 1 or
+        // more holds the one instance each serve frees; a cap of 0 parks
+        // none, and every arrival boots.
         let model = model();
-        let mut pool = InstancePool::new(
-            CatalyzerEngine::standalone(BootMode::Fork),
-            AppProfile::c_hello(),
-            SimNanos::from_secs(100),
-            2,
-        );
-        for i in 0..5 {
-            pool.serve_at(SimNanos::from_millis(i), &model).unwrap();
+        for (cap, boots, reuses, idle) in [(0, 5, 0, 0), (1, 1, 4, 1), (2, 1, 4, 1)] {
+            let mut pool = InstancePool::new(
+                CatalyzerEngine::standalone(BootMode::Fork),
+                AppProfile::c_hello(),
+                SimNanos::from_secs(100),
+                cap,
+            );
+            for i in 0..5 {
+                pool.serve_at(SimNanos::from_micros(i), &model).unwrap();
+            }
+            assert_eq!(pool.stats().boots, boots, "cap {cap}");
+            assert_eq!(pool.stats().reuses, reuses, "cap {cap}");
+            assert!(
+                pool.metrics().gauges().eq([(names::POOL_IDLE, idle)]),
+                "cap {cap}: {:?}",
+                pool.metrics().gauges().collect::<Vec<_>>()
+            );
         }
-        assert!(pool.idle_count() <= 2);
     }
 }

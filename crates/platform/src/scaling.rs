@@ -6,7 +6,8 @@
 //! contention factor that grows logarithmically in oversubscription
 //! (instances per core) plus bounded noise — calibrated so Catalyzer stays
 //! under 10 ms at 1000 instances while gVisor-restore sits an order of
-//! magnitude higher, as in the figure.
+//! magnitude higher, as in the figure. A point is one real boot times that
+//! factor: the running instances themselves are never booted.
 
 use runtimes::AppProfile;
 use sandbox::{BootCtx, BootEngine, SandboxError};
@@ -38,14 +39,13 @@ pub fn contention_factor(running: u32, model: &CostModel, jitter: &mut Jitter) -
 }
 
 /// Runs the Fig. 15 sweep: for each `n` in `points`, boots one instance of
-/// `profile` with `n` instances already running and records its latency.
+/// `profile` and scales its latency by [`contention_factor`] at `n`.
 ///
 /// The engine keeps its caches (images, zygotes, templates) across the
-/// sweep, exactly like a long-lived daemon. The `n` background instances are
-/// booted on scrap clocks (they are *already running* when the measurement
-/// starts); their existence affects the measured boot only through
-/// contention and the shared page cache — which is the phenomenon the figure
-/// shows.
+/// sweep, exactly like a long-lived daemon. The `n` instances already
+/// running are not booted: they reach the measured boot only through the
+/// contention factor, a function of `n` and the machine's cores, so one
+/// boot per point gives the figure.
 ///
 /// # Errors
 ///
@@ -58,27 +58,19 @@ pub fn sweep<E: BootEngine>(
     seed: u64,
 ) -> Result<Vec<ScalePoint>, SandboxError> {
     let mut jitter = Jitter::seeded(seed);
-    let mut out = Vec::with_capacity(points.len());
-    let mut running: Vec<sandbox::BootOutcome> = Vec::new();
-
-    for &n in points {
-        // Top up the background population to n running instances.
-        while (running.len() as u32) < n {
-            let mut scrap = BootCtx::fresh(model);
-            running.push(engine.boot(profile, &mut scrap)?);
-        }
-        // Measure one boot under contention.
-        let mut ctx = BootCtx::fresh(model);
-        let outcome = engine.boot(profile, &mut ctx)?;
-        drop(outcome); // the measured instance exits after serving
-        let factor = contention_factor(n, model, &mut jitter);
-        let startup = ctx.now().scale(factor);
-        out.push(ScalePoint {
-            running: n,
-            startup,
-        });
-    }
-    Ok(out)
+    points
+        .iter()
+        .map(|&n| {
+            // The measured instance exits after serving.
+            let mut ctx = BootCtx::fresh(model);
+            engine.boot(profile, &mut ctx)?;
+            let factor = contention_factor(n, model, &mut jitter);
+            Ok(ScalePoint {
+                running: n,
+                startup: ctx.now().scale(factor),
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -70,7 +70,7 @@ pub enum Event {
         instance: InstanceId,
     },
     /// A self-healing sweep is due for `function`: repair suspect prepared
-    /// state and replenish the warm floor, off the request path.
+    /// state, off the request path.
     PoolTick {
         /// The function owed the sweep.
         function: FnId,

@@ -101,13 +101,14 @@ pub struct FleetOutcome {
     pub reuses: u64,
     /// Instances reclaimed by keep-alive expiry.
     pub expirations: u64,
-    /// Instances booted in the background to hold the warm floor.
+    /// Instances booted in the background. Always 0: the open loop keeps
+    /// no warm floor. Kept because `benchmark/`'s `fleet-open` reads it.
     pub prewarm_boots: u64,
     /// Injected faults absorbed across the fleet.
     pub faults: u64,
     /// Cold boots that recovered from a transient/stall on the way.
     pub degraded: u64,
-    /// Background repair sweeps (heal + replenish) the fleet ran.
+    /// Background repair sweeps (heals) the fleet ran.
     pub repairs: u64,
     /// Most instances (busy + warm) ever live at once — the density axis
     /// of the Figure 15 extension.
@@ -137,7 +138,8 @@ struct FleetFn {
     exec: SimNanos,
     /// Set once the construction cost has been paid.
     booted_once: bool,
-    /// Prepared state is suspect: boots pay `first` until a repair tick.
+    /// Prepared state is suspect: boots pay `first` until the repair tick,
+    /// which is queued exactly while this is set.
     poisoned: bool,
     /// LIFO stack of warm instances (lazily pruned: expired entries miss
     /// the arena's generation check and are skipped on pop).
@@ -146,8 +148,6 @@ struct FleetFn {
     idle_live: usize,
     /// Requests currently in flight against this function.
     in_flight: usize,
-    /// A repair tick is already queued.
-    tick_pending: bool,
 }
 
 /// One live instance slot.
@@ -186,24 +186,12 @@ impl Simulation {
         });
 
         let mut instances: Arena<Instance> = Arena::with_capacity(trace.len().min(1 << 20));
-        if self.min_ready > 0 {
-            for (index, f) in fns.iter_mut().enumerate() {
-                f.tick_pending = true;
-                queue.schedule(
-                    SimNanos::ZERO,
-                    Event::PoolTick {
-                        function: FnId::from_index(index),
-                    },
-                );
-            }
-        }
 
         let mut completed = 0u64;
         let mut shed = 0u64;
         let mut cold_boots = 0u64;
         let mut reuses = 0u64;
         let mut expirations = 0u64;
-        let mut prewarm_boots = 0u64;
         let mut degraded = 0u64;
         let mut repairs = 0u64;
         let mut in_flight = 0usize;
@@ -274,10 +262,7 @@ impl Simulation {
                                 // Deferred quarantine at fleet scale: this
                                 // boot pays the rebuild, later ones stay
                                 // degraded until the repair tick heals.
-                                f.poisoned = true;
-                                cost = f.first.saturating_add(fault.delay);
-                                if !f.tick_pending {
-                                    f.tick_pending = true;
+                                if !f.poisoned {
                                     queue.schedule(
                                         now.saturating_add(f.first),
                                         Event::PoolTick {
@@ -285,6 +270,8 @@ impl Simulation {
                                         },
                                     );
                                 }
+                                f.poisoned = true;
+                                cost = f.first.saturating_add(fault.delay);
                             } else {
                                 // Transient/stall: detection delay plus one
                                 // retry backoff, then the retry succeeds.
@@ -381,30 +368,10 @@ impl Simulation {
                     let Some(f) = fns.get_mut(function.index()) else {
                         continue;
                     };
-                    f.tick_pending = false;
                     repairs += 1;
-                    if f.poisoned {
-                        f.poisoned = false;
-                        if let Some(injector) = &mut injector {
-                            injector.heal(InjectionPoint::SforkMerge);
-                        }
-                    }
-                    // Replenish the warm floor off the request path, capped
-                    // by the idle cap as the closed loop's pools cap it.
-                    while f.idle_live < self.min_ready.min(self.max_idle) {
-                        prewarm_boots += 1;
-                        let id = instances.insert(Instance {
-                            function,
-                            request: 0,
-                            busy: false,
-                            idle_since: now,
-                        });
-                        f.idle.push(id);
-                        f.idle_live += 1;
-                        queue.schedule(
-                            now.saturating_add(self.keep_alive),
-                            Event::KeepAliveExpiry { instance: id },
-                        );
+                    f.poisoned = false;
+                    if let Some(injector) = &mut injector {
+                        injector.heal(InjectionPoint::SforkMerge);
                     }
                 }
             }
@@ -419,7 +386,7 @@ impl Simulation {
             cold_boots,
             reuses,
             expirations,
-            prewarm_boots,
+            prewarm_boots: 0,
             faults,
             degraded,
             repairs,
@@ -475,7 +442,6 @@ impl Simulation {
                 idle: Vec::new(),
                 idle_live: 0,
                 in_flight: 0,
-                tick_pending: false,
             })
             .collect())
     }
@@ -681,40 +647,6 @@ mod tests {
         assert!(out.faults >= 1);
         assert!(out.repairs >= 1, "poison schedules a repair tick");
         assert_eq!(out.completed, 30, "poison never loses requests");
-    }
-
-    #[test]
-    fn fleet_prewarm_floor_replenishes() {
-        let out = Simulation::new(functions())
-            .with_prewarm(2)
-            .run_fleet(&steady_trace(10, SimNanos::from_millis(1)))
-            .unwrap();
-        assert!(out.prewarm_boots >= 4, "{}", out.prewarm_boots);
-        assert!(
-            out.reuse_rate > 0.9,
-            "floor serves warm: {}",
-            out.reuse_rate
-        );
-    }
-
-    /// A floor past the idle cap (4 by default) is the cap, as in the closed
-    /// loop: it boots what a floor of 4 boots instead of booting without end.
-    #[test]
-    fn fleet_prewarm_floor_is_capped_by_max_idle() {
-        let trace = steady_trace(3, SimNanos::from_millis(1));
-        let run = |floor| {
-            Simulation::new(functions())
-                .with_prewarm(floor)
-                .run_fleet(&trace)
-                .unwrap()
-        };
-        let (past, at_cap) = (run(1 << 20), run(4));
-        assert_eq!(past.prewarm_boots, at_cap.prewarm_boots);
-        assert_eq!(past.completed, 3);
-        assert!(Simulation::new(functions())
-            .with_prewarm(1 << 20)
-            .run(&trace)
-            .is_ok());
     }
 
     #[test]

@@ -107,7 +107,7 @@ type EngineFactory = Box<dyn FnMut(&AppProfile) -> Box<dyn BootEngine>>;
 /// Builder-style front door to the simulation core.
 ///
 /// Composes the platform's policies as first-class knobs — fault plans,
-/// resilience ladders, admission control, keep-alive and prewarm — over a
+/// resilience ladders, admission control and keep-alive — over a
 /// function catalogue, then runs a trace through either the full-fidelity
 /// closed loop ([`Simulation::run`]) or the calibrated open-loop fleet
 /// engine ([`Simulation::run_fleet`]).
@@ -117,7 +117,6 @@ pub struct Simulation {
     model: CostModel,
     keep_alive: SimNanos,
     max_idle: usize,
-    min_ready: usize,
     plan: Option<FaultPlan>,
     policy: ResiliencePolicy,
     admission: Option<AdmissionPolicy>,
@@ -129,7 +128,6 @@ impl fmt::Debug for Simulation {
             .field("functions", &self.catalogue.len())
             .field("keep_alive", &self.keep_alive)
             .field("max_idle", &self.max_idle)
-            .field("min_ready", &self.min_ready)
             .field("faults", &self.plan.is_some())
             .field("admission", &self.admission.is_some())
             .finish()
@@ -149,7 +147,6 @@ impl Simulation {
             model: CostModel::experimental_machine(),
             keep_alive: SimNanos::from_secs(5),
             max_idle: 4,
-            min_ready: 0,
             plan: None,
             policy: ResiliencePolicy::full(),
             admission: None,
@@ -182,15 +179,6 @@ impl Simulation {
     /// Caps idle instances parked per function.
     pub fn with_max_idle(mut self, max_idle: usize) -> Simulation {
         self.max_idle = max_idle;
-        self
-    }
-
-    /// Keeps at least `min_ready` instances warm per function: pools turn
-    /// self-healing and the background repair loop replenishes the floor.
-    /// The floor never exceeds [`Simulation::with_max_idle`]'s cap, in either
-    /// loop: a larger `min_ready` keeps `max_idle` instances warm.
-    pub fn with_prewarm(mut self, min_ready: usize) -> Simulation {
-        self.min_ready = min_ready;
         self
     }
 
@@ -233,7 +221,7 @@ impl Simulation {
     pub fn run(mut self, trace: &[TraceRequest]) -> Result<SimReport, PlatformError> {
         validate_trace(trace, self.catalogue.len())?;
         let mut injector = self.plan.take().map(FaultInjector::new);
-        let self_healing = self.admission.is_some() || self.min_ready > 0;
+        let self_healing = self.admission.is_some();
         let mut pools: Vec<InstancePool<Box<dyn BootEngine>>> = self
             .catalogue
             .iter()
@@ -246,7 +234,7 @@ impl Simulation {
                 )
                 .with_policy(self.policy);
                 if self_healing {
-                    pool = pool.with_self_healing(self.min_ready);
+                    pool = pool.with_self_healing();
                 }
                 pool
             })
@@ -350,7 +338,6 @@ impl Simulation {
             let r = pool.repair_stats();
             repairs.repairs += r.repairs;
             repairs.evicted += r.evicted;
-            repairs.replenished += r.replenished;
             repairs.repair_time = repairs.repair_time.saturating_add(r.repair_time);
             let s = pool.stats();
             pool_stats.reuses += s.reuses;
@@ -567,7 +554,6 @@ mod tests {
     fn admitted_zero_load_sheds_nothing() {
         // Sparse arrivals, generous limit: admission must be invisible.
         let report = Simulation::new(vec![AppProfile::c_hello()])
-            .with_prewarm(1)
             .with_admission(AdmissionPolicy::standard(4, SimNanos::from_millis(100)))
             .run(&burst(12, SimNanos::from_millis(50)))
             .unwrap();
@@ -580,19 +566,6 @@ mod tests {
         assert_eq!(report.goodput, 12);
         assert!((report.availability() - 1.0).abs() < 1e-12);
         assert!(report.repairs.repairs == 0, "nothing to repair");
-        assert!(report.repairs.replenished >= 1, "floor kept warm");
-    }
-
-    #[test]
-    fn prewarm_without_admission_keeps_the_floor_warm() {
-        // One serve arm: the repair daemon ticks whether or not a
-        // controller is armed, so the floor `with_prewarm` promises holds.
-        let report = Simulation::new(vec![AppProfile::c_hello()])
-            .with_prewarm(1)
-            .run(&burst(4, SimNanos::from_millis(50)))
-            .unwrap();
-        assert!(report.repairs.replenished >= 1, "floor kept warm");
-        assert_eq!(report.reuses, 4, "every request finds a warm instance");
     }
 
     #[test]
@@ -620,7 +593,6 @@ mod tests {
         let trace = steady_trace(16, SimNanos::from_millis(2));
         let run_once = || {
             let report = Simulation::new(functions())
-                .with_prewarm(1)
                 .with_faults(FaultPlan::storm(
                     11,
                     0.8,

@@ -37,6 +37,11 @@
 //!    their metric rollups (and `ChaosOutcome` its `availability`, a copy
 //!    of `cluster.goodput`), the pins were re-derived from the previous
 //!    commit's serialization with exactly those members cut out.
+//!
+//! When the warm-floor knob (`with_prewarm`) was deleted, the three
+//! fixtures that set it — the two admitted closed-loop runs and the
+//! same-instant bursts — were re-derived by running them against the
+//! previous commit with only that builder call removed.
 
 use catalyzer::{BootMode, CatalyzerEngine};
 use faultsim::{FaultPlan, NodePlan};
@@ -180,7 +185,6 @@ fn admitted_closed_loop_matches_the_pre_refactor_fixture() {
         .with_engine(|_| CatalyzerEngine::standalone(BootMode::Fork))
         .with_keep_alive(SimNanos::from_secs(5))
         .with_max_idle(2)
-        .with_prewarm(1)
         .with_faults(FaultPlan::storm(
             11,
             0.8,
@@ -204,26 +208,22 @@ fn admitted_closed_loop_matches_the_pre_refactor_fixture() {
         ),
         (0, 0, 0, 12)
     );
-    assert_eq!((out.faults, out.degraded, out.breaker_opens), (0, 0, 0));
-    assert_eq!(
-        (
-            out.repairs.repairs,
-            out.repairs.evicted,
-            out.repairs.replenished
-        ),
-        (0, 0, 2)
-    );
-    assert_eq!(out.repairs.repair_time, SimNanos::ZERO);
+    assert_eq!((out.faults, out.degraded, out.breaker_opens), (4, 1, 0));
+    assert_eq!((out.repairs.repairs, out.repairs.evicted), (1, 1));
+    assert_eq!(out.repairs.repair_time, SimNanos::from_nanos(174_812_568));
     assert_eq!(
         out.end_to_end,
         summary(
             12,
-            [1_184_465, 665_850, 1_721_350, 686_730, 1_721_350, 1_721_350]
+            [4_437_662, 665_850, 39_779_578, 1_159_922, 39_779_578, 39_779_578]
         )
     );
     assert_eq!(
         out.startup,
-        summary(12, [150_000, 150_000, 150_000, 150_000, 150_000, 150_000])
+        summary(
+            12,
+            [3_056_325, 150_000, 34_071_868, 150_000, 34_071_868, 34_071_868]
+        )
     );
     // The full decision log, down to the byte.
     assert_eq!(
@@ -244,13 +244,12 @@ fn admitted_hot_burst_matches_the_pre_refactor_fixture() {
         .with_engine(|_| CatalyzerEngine::standalone(BootMode::Fork))
         .with_keep_alive(SimNanos::from_secs(5))
         .with_max_idle(2)
-        .with_prewarm(1)
         .with_faults(FaultPlan::uniform(0xBEEF, 0.3))
         .with_resilience(ResiliencePolicy::full())
         .with_admission(AdmissionPolicy::standard(1, SimNanos::from_millis(2)))
         .run(&burst)
         .unwrap();
-    assert_eq!((out.admitted, out.completed, out.failed), (6, 6, 0));
+    assert_eq!((out.admitted, out.completed, out.failed), (2, 2, 0));
     assert_eq!(
         (
             out.shed_overload,
@@ -258,28 +257,21 @@ fn admitted_hot_burst_matches_the_pre_refactor_fixture() {
             out.shed_breaker,
             out.goodput
         ),
-        (6, 8, 0, 5)
+        (0, 18, 0, 0)
     );
     assert_eq!(out.breaker_opens, 0);
-    assert_eq!(
-        (
-            out.repairs.repairs,
-            out.repairs.evicted,
-            out.repairs.replenished
-        ),
-        (0, 0, 2)
-    );
+    assert_eq!((out.repairs.repairs, out.repairs.evicted), (2, 2));
     assert_eq!(
         out.end_to_end.as_ref().map(|s| s.p99),
-        Some(SimNanos::from_nanos(3_336_600))
+        Some(SimNanos::from_nanos(90_340_420))
     );
     assert_eq!(
         out.startup.as_ref().map(|s| s.p99),
-        Some(SimNanos::from_micros(150))
+        Some(SimNanos::from_nanos(88_824_818))
     );
     assert_eq!(
         serde_json::to_string(&out.admission_log).unwrap(),
-        r#"[{"at":0,"function":"C-hello","decision":{"kind":"admitted","queued":0}},{"at":40000,"function":"C-Nginx","decision":{"kind":"admitted","queued":0}},{"at":80000,"function":"C-hello","decision":{"kind":"admitted","queued":606730}},{"at":120000,"function":"C-Nginx","decision":{"kind":"admitted","queued":1641350}},{"at":160000,"function":"C-hello","decision":{"kind":"admitted","queued":1192580}},{"at":200000,"function":"C-Nginx","decision":{"kind":"shed-deadline","would_start":3456600}},{"at":240000,"function":"C-hello","decision":{"kind":"shed-overload","in_flight":3}},{"at":280000,"function":"C-Nginx","decision":{"kind":"shed-deadline","would_start":3456600}},{"at":320000,"function":"C-hello","decision":{"kind":"shed-overload","in_flight":3}},{"at":360000,"function":"C-Nginx","decision":{"kind":"shed-deadline","would_start":3456600}},{"at":400000,"function":"C-hello","decision":{"kind":"shed-overload","in_flight":3}},{"at":440000,"function":"C-Nginx","decision":{"kind":"shed-deadline","would_start":3456600}},{"at":480000,"function":"C-hello","decision":{"kind":"shed-overload","in_flight":3}},{"at":520000,"function":"C-Nginx","decision":{"kind":"shed-deadline","would_start":3456600}},{"at":560000,"function":"C-hello","decision":{"kind":"shed-overload","in_flight":3}},{"at":600000,"function":"C-Nginx","decision":{"kind":"shed-deadline","would_start":3456600}},{"at":640000,"function":"C-hello","decision":{"kind":"shed-overload","in_flight":3}},{"at":680000,"function":"C-Nginx","decision":{"kind":"shed-deadline","would_start":3456600}},{"at":720000,"function":"C-hello","decision":{"kind":"admitted","queued":1298430}},{"at":760000,"function":"C-Nginx","decision":{"kind":"shed-deadline","would_start":3456600}}]"#
+        r#"[{"at":0,"function":"C-hello","decision":{"kind":"admitted","queued":0}},{"at":40000,"function":"C-Nginx","decision":{"kind":"admitted","queued":0}},{"at":80000,"function":"C-hello","decision":{"kind":"shed-deadline","would_start":90340420}},{"at":120000,"function":"C-Nginx","decision":{"kind":"shed-deadline","would_start":61650640}},{"at":160000,"function":"C-hello","decision":{"kind":"shed-deadline","would_start":90340420}},{"at":200000,"function":"C-Nginx","decision":{"kind":"shed-deadline","would_start":61650640}},{"at":240000,"function":"C-hello","decision":{"kind":"shed-deadline","would_start":90340420}},{"at":280000,"function":"C-Nginx","decision":{"kind":"shed-deadline","would_start":61650640}},{"at":320000,"function":"C-hello","decision":{"kind":"shed-deadline","would_start":90340420}},{"at":360000,"function":"C-Nginx","decision":{"kind":"shed-deadline","would_start":61650640}},{"at":400000,"function":"C-hello","decision":{"kind":"shed-deadline","would_start":90340420}},{"at":440000,"function":"C-Nginx","decision":{"kind":"shed-deadline","would_start":61650640}},{"at":480000,"function":"C-hello","decision":{"kind":"shed-deadline","would_start":90340420}},{"at":520000,"function":"C-Nginx","decision":{"kind":"shed-deadline","would_start":61650640}},{"at":560000,"function":"C-hello","decision":{"kind":"shed-deadline","would_start":90340420}},{"at":600000,"function":"C-Nginx","decision":{"kind":"shed-deadline","would_start":61650640}},{"at":640000,"function":"C-hello","decision":{"kind":"shed-deadline","would_start":90340420}},{"at":680000,"function":"C-Nginx","decision":{"kind":"shed-deadline","would_start":61650640}},{"at":720000,"function":"C-hello","decision":{"kind":"shed-deadline","would_start":90340420}},{"at":760000,"function":"C-Nginx","decision":{"kind":"shed-deadline","would_start":61650640}}]"#
     );
 }
 
@@ -448,9 +440,8 @@ fn arrival_at_an_expiry_instant_finds_the_instance_gone() {
 
 #[test]
 fn same_instant_bursts_match_the_single_heap_fixture() {
-    // Bursts of six on one function at time zero (tying with the prewarm
-    // pool ticks), at the first completion, one nanosecond later, and at
-    // the first expiry — under a cap tight enough to shed and a fault plan
+    // Bursts of six on one function at time zero, at the first completion,
+    // one nanosecond later, and at the first expiry — under a cap tight enough to shed and a fault plan
     // that schedules repair ticks.
     let done = lone_completion();
     let instants = [
@@ -460,14 +451,13 @@ fn same_instant_bursts_match_the_single_heap_fixture() {
         done.saturating_add(OPEN_KEEP_ALIVE),
     ];
     let out = open_loop()
-        .with_prewarm(1)
         .with_faults(FaultPlan::uniform(0xF1EE7, 0.3).with_poison_ratio(0.5))
         .with_admission(AdmissionPolicy::standard(2, SimNanos::from_millis(1)))
         .run_fleet(&bursts(&instants, 6))
         .unwrap();
     assert_eq!(out.completed + out.shed, out.requests);
     assert!(out.shed > 0 && out.reuses > 0 && out.repairs > 0);
-    assert_eq!(pinned(&out), (452, 16_717_024_957_732_194_195));
+    assert_eq!(pinned(&out), (453, 7_799_537_315_842_783_156));
 }
 
 #[test]
@@ -688,7 +678,6 @@ proptest! {
         let run = || {
             Simulation::new(fixture_functions())
                 .with_faults(FaultPlan::uniform(seed, 0.2).with_poison_ratio(0.5))
-                .with_prewarm(1)
                 .run_fleet(&trace)
                 .unwrap()
         };

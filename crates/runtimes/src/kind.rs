@@ -37,13 +37,6 @@ impl RuntimeKind {
             RuntimeKind::Node => "Node.js",
         }
     }
-
-    /// True for runtimes that need a VM/interpreter before any app code runs
-    /// (the paper: "high-level languages usually need to initialize a
-    /// language runtime (e.g., JVM) before loading application codes").
-    pub fn needs_vm(self) -> bool {
-        !matches!(self, RuntimeKind::C)
-    }
 }
 
 impl fmt::Display for RuntimeKind {
@@ -60,8 +53,6 @@ mod tests {
     fn labels_and_vm_need() {
         assert_eq!(RuntimeKind::Java.label(), "Java");
         assert_eq!(RuntimeKind::Node.to_string(), "Node.js");
-        assert!(RuntimeKind::Python.needs_vm());
-        assert!(!RuntimeKind::C.needs_vm());
         assert_eq!(RuntimeKind::ALL.len(), 5);
     }
 }

@@ -361,7 +361,6 @@ mod tests {
             AppProfile::node_hello(),
         ] {
             assert!(p.runtime_start > c, "{} VM start not slower than C", p.name);
-            assert!(p.runtime.needs_vm());
         }
     }
 
@@ -372,7 +371,7 @@ mod tests {
         assert!(fs.exists("/app/handler.bin"));
         assert!(fs.exists("/lib/lib0000.so"));
         assert!(fs.exists("/var/log/function.log"));
-        assert_eq!(fs.file_count(), 24 + 3);
+        assert_eq!(fs.paths().count(), 24 + 3);
     }
 
     #[test]

@@ -135,11 +135,6 @@ impl WrappedProgram {
         &self.profile
     }
 
-    /// True if initialization has completed.
-    pub fn at_entry_point(&self) -> bool {
-        self.phase == Phase::AtEntryPoint
-    }
-
     /// Handler invocations served.
     pub fn invocations(&self) -> u64 {
         self.invocations
@@ -406,7 +401,6 @@ mod tests {
         let profile = AppProfile::c_hello();
         let mut p = WrappedProgram::start(&profile, &clock, &model).unwrap();
         let report = p.run_to_entry_point(&clock, &model).unwrap();
-        assert!(p.at_entry_point());
         // C-hello app init ≈ 120 ms (gVisor total 142 ms minus ~22 ms sandbox).
         let ms = report.init_time.as_millis_f64();
         assert!((100.0..140.0).contains(&ms), "init {ms} ms");

@@ -72,13 +72,13 @@ impl BootEngine for DockerEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simtime::CostModel;
+    use simtime::{CostModel, SimClock};
 
     #[test]
     fn docker_boot_shape() {
         let model = CostModel::experimental_machine();
         let mut engine = DockerEngine::new();
-        let boot = engine
+        let mut boot = engine
             .boot(&AppProfile::python_hello(), &mut BootCtx::fresh(&model))
             .unwrap();
         assert_eq!(boot.system, "Docker");
@@ -87,7 +87,10 @@ mod tests {
         assert!(total > 100.0, "total {total} ms");
         let sandbox = boot.sandbox_time().as_millis_f64();
         assert!(sandbox > 80.0, "sandbox {sandbox} ms");
-        assert!(boot.program.at_entry_point());
+        // Docker ran the app to its entry point: the handler is callable.
+        boot.program
+            .invoke_handler(&SimClock::new(), &model)
+            .unwrap();
     }
 
     #[test]

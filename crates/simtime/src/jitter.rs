@@ -45,33 +45,12 @@ impl Jitter {
         base.scale(factor)
     }
 
-    /// Returns a heavy-tailed sample: `base` most of the time, but with
-    /// probability `tail_prob` returns `tail` jittered ±20 %.
-    ///
-    /// This is the shape behind Figure 16d's `dup` latency: ~1 µs fast path
-    /// with rare ~30 ms fdtable-expansion bursts.
-    pub fn heavy_tail(&mut self, base: SimNanos, tail: SimNanos, tail_prob: f64) -> SimNanos {
-        if self.rng.gen_bool(tail_prob.clamp(0.0, 1.0)) {
-            self.uniform(tail, 0.2)
-        } else {
-            self.uniform(base, 0.15)
-        }
-    }
-
     /// Returns a multiplicative log-normal-ish factor ≥ ~0.5 with median 1.0,
     /// computed as `exp(sigma * z)` for a cheap normal approximation of `z`
     /// (sum of 4 uniforms). Used for per-instance scheduling noise.
     pub fn lognormal_factor(&mut self, sigma: f64) -> f64 {
         let z: f64 = (0..4).map(|_| self.rng.gen_range(-1.0..1.0)).sum::<f64>() * 0.5;
         (sigma * z).exp()
-    }
-
-    /// Draws a uniform integer in `[lo, hi]`.
-    pub fn int_in(&mut self, lo: u64, hi: u64) -> u64 {
-        if lo >= hi {
-            return lo;
-        }
-        self.rng.gen_range(lo..=hi)
     }
 }
 
@@ -85,8 +64,8 @@ mod tests {
         let mut b = Jitter::seeded(42);
         for _ in 0..64 {
             assert_eq!(
-                a.heavy_tail(SimNanos::from_micros(1), SimNanos::from_millis(30), 0.03),
-                b.heavy_tail(SimNanos::from_micros(1), SimNanos::from_millis(30), 0.03),
+                a.uniform(SimNanos::from_micros(100), 0.5),
+                b.uniform(SimNanos::from_micros(100), 0.5),
             );
         }
     }
@@ -102,33 +81,9 @@ mod tests {
     }
 
     #[test]
-    fn heavy_tail_produces_bursts() {
-        let mut j = Jitter::seeded(9);
-        let base = SimNanos::from_micros(1);
-        let tail = SimNanos::from_millis(30);
-        let mut bursts = 0;
-        for _ in 0..1_000 {
-            if j.heavy_tail(base, tail, 0.05) > SimNanos::from_millis(1) {
-                bursts += 1;
-            }
-        }
-        // ~5 % of 1 000 = ~50 bursts; allow a generous deterministic band.
-        assert!((20..120).contains(&bursts), "bursts = {bursts}");
-    }
-
-    #[test]
     fn lognormal_factor_centers_near_one() {
         let mut j = Jitter::seeded(3);
         let mean: f64 = (0..2_000).map(|_| j.lognormal_factor(0.1)).sum::<f64>() / 2_000.0;
         assert!((0.9..1.1).contains(&mean), "mean = {mean}");
-    }
-
-    #[test]
-    fn int_in_handles_degenerate_range() {
-        let mut j = Jitter::seeded(5);
-        assert_eq!(j.int_in(7, 7), 7);
-        assert_eq!(j.int_in(9, 3), 9);
-        let v = j.int_in(1, 4);
-        assert!((1..=4).contains(&v));
     }
 }

@@ -170,22 +170,6 @@ impl LatencyHistogram {
         self.sum = self.sum.saturating_add(other.sum);
         self.count += other.count;
     }
-
-    /// Iterates the non-empty buckets as `(inclusive upper bound, count)`;
-    /// the overflow bucket reports the recorded maximum as its bound.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (SimNanos, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let bound = match BUCKET_BOUNDS_NS.get(i) {
-                    Some(&b) => SimNanos::from_nanos(b),
-                    None => self.max,
-                };
-                (bound, c)
-            })
-    }
 }
 
 impl Default for LatencyHistogram {
@@ -245,11 +229,6 @@ impl MetricsRegistry {
     pub fn set_gauge(&mut self, name: &str, value: i64) {
         debug_assert_registered(name);
         self.gauges.insert(name.to_owned(), value);
-    }
-
-    /// Reads the gauge `name`.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.get(name).copied()
     }
 
     /// Records `sample` into the histogram `name`, creating it on first
@@ -326,10 +305,11 @@ mod tests {
         h.record(SimNanos::from_micros(3)); // ≤5 µs
         h.record(SimNanos::from_secs(30)); // overflow
         assert_eq!(h.count(), 4);
-        let buckets: Vec<(SimNanos, u64)> = h.nonzero_buckets().collect();
-        assert_eq!(buckets[0], (SimNanos::from_micros(1), 2));
-        assert_eq!(buckets[1], (SimNanos::from_micros(5), 1));
-        assert_eq!(buckets[2], (SimNanos::from_secs(30), 1)); // overflow reports max
+        // Each quantile is the bound of the bucket its nearest-rank sample
+        // landed in.
+        assert_eq!(h.quantile(0.5), Some(SimNanos::from_micros(1)));
+        assert_eq!(h.quantile(0.75), Some(SimNanos::from_micros(5)));
+        assert_eq!(h.quantile(1.0), Some(SimNanos::from_secs(30))); // overflow reports max
         assert_eq!(h.min(), Some(SimNanos::from_nanos(400)));
         assert_eq!(h.max(), Some(SimNanos::from_secs(30)));
     }
@@ -385,8 +365,7 @@ mod tests {
         m.observe("boot", SimNanos::from_millis(1));
         assert_eq!(m.counter("pool.reuse"), 3);
         assert_eq!(m.counter("never"), 0);
-        assert_eq!(m.gauge("pool.idle"), Some(4));
-        assert_eq!(m.gauge("never"), None);
+        assert!(m.gauges().eq([("pool.idle", 4)]));
         assert_eq!(m.histogram("boot").unwrap().count(), 1);
         assert!(m.histogram("never").is_none());
         assert!(!m.is_empty());
@@ -441,7 +420,7 @@ mod tests {
         pool.observe("startup", SimNanos::from_micros(5));
         fleet.merge_from(&pool);
         assert_eq!(fleet.counter("pool.boot"), 3);
-        assert_eq!(fleet.gauge("pool.idle"), Some(3));
+        assert!(fleet.gauges().eq([("pool.idle", 3)]));
         assert_eq!(fleet.histogram("startup").unwrap().count(), 2);
     }
 

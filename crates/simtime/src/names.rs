@@ -175,10 +175,8 @@ registry! {
     POOL_REPAIR_TIME = "pool.repair.time";
     /// Counter: poisoned sandboxes evicted by a repair sweep.
     POOL_REPAIR_EVICTED = "pool.repair.evicted";
-    /// Counter: repair sweeps that failed to replace a sandbox.
+    /// Counter: repair sweeps whose rebuild failed.
     POOL_REPAIR_FAILED = "pool.repair.failed";
-    /// Counter: sandboxes replenished by a repair sweep.
-    POOL_REPAIR_REPLENISH = "pool.repair.replenish";
 
     // ---------------------------------------------------------------------------
     // Fault injection and graceful degradation (platform::resilience).

@@ -6,7 +6,8 @@
 //! their boot contributes 34–88 % of end-to-end latency; under Catalyzer it
 //! drops below 5 %.
 //!
-//! The business logic runs for real against an in-memory [`Store`].
+//! Purchase, Report and Discount run for real against an in-memory
+//! [`Store`]; Advertisement is a calibrated profile only.
 
 use std::collections::BTreeMap;
 
@@ -18,7 +19,8 @@ use simtime::SimNanos;
 pub enum EcommerceOp {
     /// Place an order (inventory + payment + ledger).
     Purchase,
-    /// Pick advertisements for a user.
+    /// Pick advertisements for a user (calibrated profile only: no
+    /// [`Store`] logic).
     Advertisement,
     /// Generate a sales report.
     Report,
@@ -76,7 +78,7 @@ pub struct Product {
     pub price_cents: u64,
     /// Units in stock.
     pub stock: u32,
-    /// Category tag (drives advertising).
+    /// Category tag (groups the sales report and discounts).
     pub category: &'static str,
 }
 
@@ -109,7 +111,7 @@ pub enum StoreError {
     },
 }
 
-/// The in-memory product/order store backing the four functions.
+/// The in-memory product/order store backing Purchase, Report and Discount.
 #[derive(Debug, Default)]
 pub struct Store {
     products: BTreeMap<u32, Product>,
@@ -185,31 +187,6 @@ impl Store {
         Ok(order)
     }
 
-    /// **Advertisement**: products from the buyer's favourite category that
-    /// they have not bought yet, cheapest first.
-    pub fn advertisements(&self, user: u32, limit: usize) -> Vec<u32> {
-        let mut counts: BTreeMap<&str, u32> = BTreeMap::new();
-        let mut owned = Vec::new();
-        for o in self.orders.iter().filter(|o| o.user == user) {
-            if let Some(p) = self.products.get(&o.product) {
-                *counts.entry(p.category).or_insert(0) += 1;
-                owned.push(p.id);
-            }
-        }
-        let favourite = counts
-            .into_iter()
-            .max_by_key(|(_, c)| *c)
-            .map(|(cat, _)| cat)
-            .unwrap_or("books");
-        let mut candidates: Vec<&Product> = self
-            .products
-            .values()
-            .filter(|p| p.category == favourite && !owned.contains(&p.id) && p.stock > 0)
-            .collect();
-        candidates.sort_by_key(|p| p.price_cents);
-        candidates.into_iter().take(limit).map(|p| p.id).collect()
-    }
-
     /// **Report**: revenue and units per category.
     pub fn sales_report(&self) -> BTreeMap<&'static str, (u64, u64)> {
         let mut report: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
@@ -280,26 +257,6 @@ mod tests {
             StoreError::OutOfStock { .. }
         ));
         assert!(s.orders().is_empty());
-    }
-
-    #[test]
-    fn ads_follow_purchase_history() {
-        let mut s = Store::with_catalogue(40);
-        // User 7 buys games (ids ≡ 1 mod 4).
-        s.purchase(7, 1, 1).unwrap();
-        s.purchase(7, 5, 1).unwrap();
-        let ads = s.advertisements(7, 5);
-        assert!(!ads.is_empty());
-        for id in &ads {
-            assert_eq!(s.product(*id).unwrap().category, "games");
-            assert!(![1, 5].contains(id), "already owned");
-        }
-        // Cheapest first.
-        let prices: Vec<u64> = ads
-            .iter()
-            .map(|id| s.product(*id).unwrap().price_cents)
-            .collect();
-        assert!(prices.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

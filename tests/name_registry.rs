@@ -10,8 +10,8 @@
 //!   A constant whose only emitter is deleted fails here.
 //!
 //! The runs: every boot path the seam matrix has a row for, a gateway under
-//! a fault storm, an admission storm, a self-healing pool whose engine
-//! cannot boot, closed-loop chaos clusters, and one remote-sfork call. The
+//! a fault storm, an admission storm, a self-healing pool whose engine's
+//! rebuild fails, closed-loop chaos clusters, and one remote-sfork call. The
 //! open-loop kernels (`run_fleet`, `run_cluster`, `run_chaos`) emit no
 //! metrics: their counts are typed outcome fields. The trade: a registered
 //! name that only some other run emits must be added to a run here.
@@ -19,7 +19,9 @@
 use std::collections::BTreeSet;
 
 use catalyzer_suite::catalyzer::FirecrackerSnapshotEngine;
-use catalyzer_suite::faultsim::{FaultPlan, InjectionPoint, NodePlan, PointPlan};
+use catalyzer_suite::faultsim::{
+    FaultKind, FaultPlan, InjectedFault, InjectionPoint, NodePlan, PointPlan,
+};
 use catalyzer_suite::platform::cluster::{
     ChaosPolicy, Cluster, ClusterConfig, ClusterEngine, RoutingPolicy,
 };
@@ -160,12 +162,11 @@ fn admission_storm(out: &mut BTreeSet<String>) {
         .unwrap();
     metric_names(&report.metrics, out);
 
-    // The calm side: a warm floor the repair loop replenishes, and reuse.
+    // The calm side: reuse.
     let report = Simulation::new(vec![AppProfile::c_hello()])
         .with_model(model())
         .with_keep_alive(SimNanos::from_millis(1))
         .with_max_idle(1)
-        .with_prewarm(1)
         .run(&paced(50, SimNanos::from_micros(300)))
         .unwrap();
     metric_names(&report.metrics, out);
@@ -181,13 +182,13 @@ fn admission_storm(out: &mut BTreeSet<String>) {
     metric_names(gateway.metrics(), out);
 }
 
-/// A boot engine on a host that cannot boot anything: every boot fails with
-/// a plain error, which no retry or fallback rung recovers.
-struct BrokenEngine;
+/// A boot engine whose prepared state stays poisoned: every boot fails with
+/// an injected poison, and so does the rebuild that would clear it.
+struct PoisonedEngine;
 
-impl BootEngine for BrokenEngine {
+impl BootEngine for PoisonedEngine {
     fn name(&self) -> &'static str {
-        "broken"
+        "poisoned"
     }
 
     fn isolation(&self) -> IsolationLevel {
@@ -199,26 +200,38 @@ impl BootEngine for BrokenEngine {
         _profile: &AppProfile,
         _ctx: &mut BootCtx,
     ) -> Result<BootOutcome, SandboxError> {
+        Err(SandboxError::Fault(InjectedFault {
+            seq: 0,
+            point: InjectionPoint::SforkMerge,
+            kind: FaultKind::Poison,
+            delay: SimNanos::ZERO,
+        }))
+    }
+
+    fn repair(
+        &mut self,
+        _profile: &AppProfile,
+        _model: &CostModel,
+    ) -> Result<SimNanos, SandboxError> {
         Err(SandboxError::Config {
-            detail: "this host boots nothing".to_string(),
+            detail: "the rebuild fails too".to_string(),
         })
     }
 }
 
-/// A self-healing pool with a warm floor of one and a broken engine: its
-/// first repair pass's replenish boot fails inside the pool's own repair
-/// path, which the fault injector never reaches (the daemon boots
-/// uninjected).
+/// A self-healing pool over a poisoned engine: the failed request leaves a
+/// repair pending, and the pool's first repair pass fails in the engine's
+/// rebuild.
 fn failing_repair(out: &mut BTreeSet<String>) {
     let mut pool = InstancePool::new(
-        BrokenEngine,
+        PoisonedEngine,
         AppProfile::c_hello(),
         SimNanos::from_millis(1),
         1,
     )
-    .with_self_healing(1);
+    .with_self_healing();
+    assert!(pool.serve_at(SimNanos::ZERO, &model()).is_err());
     assert!(pool.tick(SimNanos::ZERO, &model()).is_err());
-    assert_eq!(pool.idle_count(), 0);
     metric_names(pool.metrics(), out);
 }
 

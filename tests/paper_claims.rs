@@ -172,13 +172,14 @@ fn zygote_warm_boot_anchors() {
     }
 }
 
-/// Fig. 15: with hundreds of running instances, Catalyzer still boots in
-/// <10 ms while gVisor-restore sits an order of magnitude above.
+/// Fig. 15: with up to 1000 running instances, the paper's axis, Catalyzer
+/// still boots in <10 ms while gVisor-restore sits an order of magnitude
+/// above.
 #[test]
 fn scalability_under_concurrency() {
     let model = model();
     let profile = Service::Text.profile();
-    let points = [0u32, 60, 120];
+    let points = [0u32, 500, 1000];
 
     let mut cat = CatalyzerEngine::standalone(BootMode::Fork);
     let cat_pts =

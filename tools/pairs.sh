@@ -12,9 +12,11 @@
 # (N defaults to 11, S is BENCHMARK.json's `run_seconds`), alternating which
 # side runs first. Each run's last stdout line is its result. For every
 # end-to-end metric BENCHMARK.json names, the script prints each side's
-# median and interquartile range, how many pairs HEAD won, and the ratio of
-# the medians (HEAD / base). It refuses a verdict, and exits 1, when the two
-# sides of any pair disagree on `correct` or `failed`.
+# median and interquartile range, how many pairs HEAD won, the ratio of the
+# medians (HEAD / base), and a noise verdict: "within spread" when
+# |ratio - 1| is below the larger of the two sides' IQR / median, "moved"
+# otherwise. It refuses a verdict, and exits 1, when the two sides of any
+# pair disagree on `correct` or `failed`.
 #
 # Needs git, cargo and python3. Not a gate: tools/check.sh does not run it.
 # An export and its build are kept for the next call on the same commit;
@@ -108,7 +110,8 @@ def quantile(values, q):
 
 print(f"{workload}, seed {seed}, {len(runs)} pairs: base {base_rev} vs HEAD")
 print(f"{'metric':<14} {'base median':>14} {'base IQR':>12} "
-      f"{'HEAD median':>14} {'HEAD IQR':>12} {'HEAD wins':>10} {'ratio':>8}")
+      f"{'HEAD median':>14} {'HEAD IQR':>12} {'HEAD wins':>10} {'ratio':>8} "
+      f"{'verdict':>14}")
 for metric in metrics:
     name, higher = metric["name"], metric["better"] == "higher"
     base = [runs[p]["base"]["metrics"][name]["value"] for p in sorted(runs)]
@@ -118,8 +121,12 @@ for metric in metrics:
     b_iqr = quantile(base, 0.75) - quantile(base, 0.25)
     h_iqr = quantile(head, 0.75) - quantile(head, 0.25)
     ratio = h_med / b_med if b_med else float("nan")
+    spread = max(b_iqr / b_med if b_med else float("inf"),
+                 h_iqr / h_med if h_med else float("inf"))
+    verdict = "within spread" if abs(ratio - 1) < spread else "moved"
     print(f"{name:<14} {b_med:>14.3f} {b_iqr:>12.3f} {h_med:>14.3f} "
-          f"{h_iqr:>12.3f} {wins:>7}/{len(runs):<2} {ratio:>8.3f}")
+          f"{h_iqr:>12.3f} {wins:>7}/{len(runs):<2} {ratio:>8.3f} "
+          f"{verdict:>14}")
 
 disagree = [
     (p, key, r["base"][key], r["head"][key])
