@@ -22,14 +22,15 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use imagefmt::flat::RecordRun;
 use imagefmt::varint;
-use imagefmt::{ImageError, ObjKind, ObjRecord, ObjView};
+use imagefmt::{ImageError, ObjKind, ObjRecord, ObjView, Records};
 use simtime::{CostModel, SimClock};
 
 use crate::gofer::FsServer;
 use crate::kernel::{DentryRow, GuestKernel};
 use crate::net::SockState;
-use crate::table::{Blobs, Lists, Table, Text};
+use crate::table::{Lists, RunRow, RunTable, Span, Text};
 use crate::tasks::{GuestThread, NamespaceInfo, Session, Task};
 use crate::KernelError;
 
@@ -56,8 +57,7 @@ fn payload_err(e: ImageError) -> KernelError {
 /// A string field of an untrusted payload, checked in place — ASCII, which
 /// every path and label a runtime leaves is, a word at a time. This is the
 /// one check: what a restore keeps is the field's range. `#[inline]`, like
-/// everything the restore loop calls per object: the loop is generic, so it
-/// is compiled in its caller's crate.
+/// everything the restore loop calls per object.
 #[inline]
 fn check_utf8(bytes: &[u8], what: &str) -> Result<(), KernelError> {
     if bytes.is_ascii() || std::str::from_utf8(bytes).is_ok() {
@@ -85,6 +85,75 @@ fn text_field(rec: &ObjView<'_>, pos: &mut usize, what: &str) -> Result<Text, Ke
         at.saturating_add(*pos - field.len()),
         field.len(),
     ))
+}
+
+/// A dentry record's payload: the path — checked to be UTF-8, kept as its
+/// range of the payload — then the inode and the parent's index plus one (0
+/// for none). A restore reads a func-image's dentries through this once, as
+/// one tight pass, and the table reads each again when it is read.
+impl RunRow for DentryRow {
+    #[inline]
+    fn read(p: &[u8]) -> Result<DentryRow, KernelError> {
+        let mut pos = 0usize;
+        let path = varint::get_bytes(p, &mut pos).map_err(payload_err)?;
+        check_utf8(path, "dentry path")?;
+        let path = Span::at(pos - path.len(), path.len());
+        let inode = varint::get_u64(p, &mut pos).map_err(payload_err)?;
+        let parent = match varint::get_u64(p, &mut pos).map_err(payload_err)? {
+            0 => None,
+            plus_one => {
+                Some(
+                    u32::try_from(plus_one - 1).map_err(|_| KernelError::CorruptGraph {
+                        detail: format!("dentry parent {} out of u32 range", plus_one - 1),
+                    })?,
+                )
+            }
+        };
+        Ok(DentryRow {
+            path,
+            inode,
+            parent,
+        })
+    }
+
+    fn placed(self, place: impl FnOnce(Span) -> Span) -> DentryRow {
+        DentryRow {
+            path: place(self.path),
+            ..self
+        }
+    }
+}
+
+/// Every check a dentry row is read with, record by record, in record order:
+/// the one pass a restore makes over the dentries it keeps whole. A
+/// payload of the shape [`plain_dentry`] recognises passes them all; any
+/// other is read the long way, which says what is wrong with it, if
+/// anything.
+fn check_dentries(run: &RecordRun) -> Result<(), KernelError> {
+    let arena = run.arena();
+    for (start, end) in run.payloads() {
+        let p = arena.get(start..end).unwrap_or_default();
+        if plain_dentry(p).is_none() {
+            DentryRow::read(p)?;
+        }
+    }
+    Ok(())
+}
+
+/// `Some` for a dentry payload that [`DentryRow::read`] accepts, found in a
+/// few compares: a one-byte path length, an ASCII path, then an inode varint
+/// of at most nine bytes (no `u64` overflow) and a parent varint of at most
+/// four (below 2²⁸, so in `u32` range). Every dentry a checkpoint writes for
+/// a path under 128 bytes and a table under 2²⁸ rows has this shape; the
+/// general reader's three varint loops and `Result`s cost nearly twice as
+/// much.
+#[inline]
+fn plain_dentry(p: &[u8]) -> Option<()> {
+    let (&len, rest) = p.split_first()?;
+    let (path, rest) = rest.split_at_checked(usize::from(len))?;
+    let inode = rest.iter().position(|b| *b < 0x80)?;
+    let parent = rest.get(inode + 1..)?.iter().position(|b| *b < 0x80)?;
+    (len < 0x80 && inode < 9 && parent < 4 && path.is_ascii()).then_some(())
 }
 
 impl GuestKernel {
@@ -275,11 +344,17 @@ impl GuestKernel {
     /// Rebuilds a kernel from checkpoint records: owned ones (`&Vec<ObjRecord>`,
     /// what a classic image decodes to and [`Self::checkpoint_objects`]
     /// returns) or the views a func-image restore maps
-    /// (`&imagefmt::flat::RestoredRecords`) — one body reads both. The views
-    /// of a func-image all name its one arena, and the restored kernel's
-    /// dentry and runtime-object tables keep ranges of it: the kernel holds
-    /// the arena, not a copy per object. Owned records' bytes are copied
-    /// into the tables' own buffers.
+    /// (`&imagefmt::flat::RestoredRecords`) — one body reads both, a run of
+    /// same-kind records at a time ([`Records::runs`]). The views of a
+    /// func-image all name its one arena, and the restored kernel holds the
+    /// arena, not a copy per object: a run of its runtime objects *is* the
+    /// runtime-object table, taken in O(1) without visiting a record, and a
+    /// run of its dentries is the dentry table after one tight pass that
+    /// makes every check the rows are read with. Rows of either are read in
+    /// place and made only on the first write. The other records — tasks,
+    /// threads, timers, wait queues, files, sockets, epolls: one in ten — are
+    /// read one by one, strings kept as ranges of the arena. Owned records'
+    /// bytes are copied into the tables' own buffers.
     ///
     /// Charges [`simtime::ObjectCosts::recover_per_object_non_io`] for every
     /// non-I/O object (the paper's "Recover Kernel" redo work). With
@@ -293,7 +368,20 @@ impl GuestKernel {
     /// references.
     pub fn restore_from_records<'a>(
         name: impl Into<String>,
-        records: impl IntoIterator<Item = impl Into<ObjView<'a>>>,
+        records: impl Into<Records<'a>>,
+        fs: Arc<FsServer>,
+        eager_io: bool,
+        clock: &SimClock,
+        model: &CostModel,
+    ) -> Result<GuestKernel, KernelError> {
+        Self::restore_runs(name.into(), records.into(), fs, eager_io, clock, model)
+    }
+
+    /// The body of [`Self::restore_from_records`], compiled once in this
+    /// crate rather than once per caller.
+    fn restore_runs(
+        name: String,
+        records: Records<'_>,
         fs: Arc<FsServer>,
         eager_io: bool,
         clock: &SimClock,
@@ -320,162 +408,165 @@ impl GuestKernel {
         let mut task_order: Vec<u32> = Vec::new();
         // The four shared tables are filled here and installed once below:
         // reaching one through the kernel is an `Arc::make_mut` a push. The
-        // dentry and runtime-object tables keep ranges of the records'
-        // buffer — for a func-image, the mapped arena itself — so neither
-        // allocates nor counts a reference per object.
+        // dentry and runtime-object tables keep the records' buffer — for a
+        // func-image, the mapped arena itself — so neither allocates nor
+        // counts a reference per object.
         let (mut dentries, mut waitqueues, mut misc, mut epolls) = (
-            Table::default(),
+            RunTable::default(),
             Lists::default(),
-            Blobs::default(),
+            RunTable::default(),
             Lists::default(),
         );
 
         let mut non_io_objects: u64 = 0;
-        for rec in records {
-            let rec: ObjView<'a> = rec.into();
-            let p = rec.payload();
-            let mut pos = 0usize;
-            if !rec.kind.is_io_state() {
-                non_io_objects += 1;
+        for run in records.runs() {
+            if !run.kind().is_io_state() {
+                non_io_objects += len_u64(run.len());
             }
-            match rec.kind {
-                ObjKind::Task => {
-                    let pid = u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "task pid")?;
-                    let ppid = u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "task ppid")?;
-                    let sid = u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "task sid")?;
-                    let name = text_field(&rec, &mut pos, "task name")?;
-                    tasks_by_pid.insert(
-                        pid,
-                        Task {
+            let whole = match run.kind() {
+                ObjKind::Dentry | ObjKind::Misc => run.record_run(),
+                _ => None,
+            };
+            match (run.kind(), whole) {
+                (ObjKind::Misc, Some(whole)) => {
+                    misc.push_run(whole);
+                    continue;
+                }
+                (ObjKind::Dentry, Some(whole)) => {
+                    check_dentries(&whole)?;
+                    dentries.push_run(whole);
+                    continue;
+                }
+                _ => {}
+            }
+            for rec in run.views() {
+                let p = rec.payload();
+                let mut pos = 0usize;
+                match rec.kind {
+                    ObjKind::Task => {
+                        let pid =
+                            u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "task pid")?;
+                        let ppid =
+                            u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "task ppid")?;
+                        let sid =
+                            u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "task sid")?;
+                        let name = text_field(&rec, &mut pos, "task name")?;
+                        tasks_by_pid.insert(
                             pid,
-                            ppid,
-                            name,
-                            threads: Vec::new(),
-                            sid,
-                        },
-                    );
-                    task_order.push(pid);
+                            Task {
+                                pid,
+                                ppid,
+                                name,
+                                threads: Vec::new(),
+                                sid,
+                            },
+                        );
+                        task_order.push(pid);
+                    }
+                    ObjKind::Thread => {
+                        let tid =
+                            u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "thread tid")?;
+                        let context = varint::get_u64(p, &mut pos).map_err(imgerr)?;
+                        let blocked = varint::get_u64(p, &mut pos).map_err(imgerr)?;
+                        let task_pid =
+                            u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "thread task")?;
+                        let task = tasks_by_pid.get_mut(&task_pid).ok_or_else(|| {
+                            bad(format!("thread {tid} references missing task {task_pid}"))
+                        })?;
+                        task.threads.push(GuestThread {
+                            tid,
+                            context,
+                            blocked_on: if blocked == 0 {
+                                None
+                            } else {
+                                Some(blocked - 1)
+                            },
+                        });
+                    }
+                    ObjKind::Session => {
+                        let sid =
+                            u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "session sid")?;
+                        let leader = u32_of(
+                            varint::get_u64(p, &mut pos).map_err(imgerr)?,
+                            "session leader",
+                        )?;
+                        kernel
+                            .tasks
+                            .install_restored_session(Session { sid, leader });
+                    }
+                    ObjKind::Namespace => {
+                        let kind = text_field(&rec, &mut pos, "ns kind")?;
+                        let init_id =
+                            u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "ns init id")?;
+                        kernel
+                            .tasks
+                            .install_restored_namespace(NamespaceInfo { kind, init_id });
+                    }
+                    ObjKind::Mount => {
+                        let mut read = || text_field(&rec, &mut pos, "mount field");
+                        restored_mounts.push(crate::vfs::MountInfo {
+                            source: read()?,
+                            target: read()?,
+                            fs_type: read()?,
+                        });
+                    }
+                    ObjKind::Dentry => dentries.push_record(&rec)?,
+                    ObjKind::Timer => {
+                        let deadline = varint::get_u64(p, &mut pos).map_err(imgerr)?;
+                        let period = varint::get_u64(p, &mut pos).map_err(imgerr)?;
+                        let owner =
+                            u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "timer owner")?;
+                        kernel.timers.install_restored(
+                            simtime::SimNanos::from_nanos(deadline),
+                            simtime::SimNanos::from_nanos(period),
+                            owner,
+                        );
+                    }
+                    ObjKind::WaitQueue => {
+                        let n =
+                            usize_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "wq count")?;
+                        // Nothing is reserved from `n`: a corrupt count fails at
+                        // the first missing varint.
+                        waitqueues.try_push((0..n).map(|_| {
+                            u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "wq waiter")
+                        }))?;
+                    }
+                    ObjKind::Misc => misc.push_record(&rec)?,
+                    ObjKind::File => {
+                        let path = text_field(&rec, &mut pos, "file path")?;
+                        let offset = varint::get_u64(p, &mut pos).map_err(imgerr)?;
+                        let writable = rec.flags & 1 != 0;
+                        // Installed as read: records keep checkpoint order, so the
+                        // descriptors are numbered densely in that order.
+                        kernel
+                            .vfs
+                            .install_restored_fd(path, writable, offset)
+                            .map_err(|e| bad(format!("fd install: {e}")))?;
+                    }
+                    ObjKind::FdSlot => { /* slot numbering is restored via order */ }
+                    ObjKind::Socket => {
+                        let addr = text_field(&rec, &mut pos, "socket addr")?;
+                        let state = match varint::get_u64(p, &mut pos).map_err(imgerr)? {
+                            0 => SockState::Created,
+                            1 => SockState::Listening,
+                            2 => SockState::Connected,
+                            other => return Err(bad(format!("socket state {other}"))),
+                        };
+                        kernel.net.install_restored(addr, state);
+                    }
+                    ObjKind::Epoll => {
+                        let n =
+                            usize_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "epoll count")?;
+                        epolls.try_push((0..n).map(|_| {
+                            i32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "epoll fd")
+                        }))?;
+                    }
+                    ObjKind::MemRegion => { /* memory is restored via the EPT */ }
                 }
-                ObjKind::Thread => {
-                    let tid = u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "thread tid")?;
-                    let context = varint::get_u64(p, &mut pos).map_err(imgerr)?;
-                    let blocked = varint::get_u64(p, &mut pos).map_err(imgerr)?;
-                    let task_pid =
-                        u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "thread task")?;
-                    let task = tasks_by_pid.get_mut(&task_pid).ok_or_else(|| {
-                        bad(format!("thread {tid} references missing task {task_pid}"))
-                    })?;
-                    task.threads.push(GuestThread {
-                        tid,
-                        context,
-                        blocked_on: if blocked == 0 {
-                            None
-                        } else {
-                            Some(blocked - 1)
-                        },
-                    });
-                }
-                ObjKind::Session => {
-                    let sid = u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "session sid")?;
-                    let leader = u32_of(
-                        varint::get_u64(p, &mut pos).map_err(imgerr)?,
-                        "session leader",
-                    )?;
-                    kernel
-                        .tasks
-                        .install_restored_session(Session { sid, leader });
-                }
-                ObjKind::Namespace => {
-                    let kind = text_field(&rec, &mut pos, "ns kind")?;
-                    let init_id =
-                        u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "ns init id")?;
-                    kernel
-                        .tasks
-                        .install_restored_namespace(NamespaceInfo { kind, init_id });
-                }
-                ObjKind::Mount => {
-                    let mut read = || text_field(&rec, &mut pos, "mount field");
-                    restored_mounts.push(crate::vfs::MountInfo {
-                        source: read()?,
-                        target: read()?,
-                        fs_type: read()?,
-                    });
-                }
-                ObjKind::Dentry => {
-                    let path = varint::get_bytes(p, &mut pos).map_err(imgerr)?;
-                    check_utf8(path, "dentry path")?;
-                    // The path ends at `pos` in the payload: keep where it
-                    // lies in the records' buffer, not the bytes.
-                    let (buf, at) = rec.payload_source();
-                    let path = dentries.place(buf, at + (pos - path.len()), path.len());
-                    let inode = varint::get_u64(p, &mut pos).map_err(imgerr)?;
-                    let parent = varint::get_u64(p, &mut pos).map_err(imgerr)?;
-                    dentries.push(DentryRow {
-                        path,
-                        inode,
-                        parent: if parent == 0 {
-                            None
-                        } else {
-                            Some(u32_of(parent - 1, "dentry parent")?)
-                        },
-                    });
-                }
-                ObjKind::Timer => {
-                    let deadline = varint::get_u64(p, &mut pos).map_err(imgerr)?;
-                    let period = varint::get_u64(p, &mut pos).map_err(imgerr)?;
-                    let owner =
-                        u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "timer owner")?;
-                    kernel.timers.install_restored(
-                        simtime::SimNanos::from_nanos(deadline),
-                        simtime::SimNanos::from_nanos(period),
-                        owner,
-                    );
-                }
-                ObjKind::WaitQueue => {
-                    let n = usize_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "wq count")?;
-                    // Nothing is reserved from `n`: a corrupt count fails at
-                    // the first missing varint.
-                    waitqueues.try_push((0..n).map(|_| {
-                        u32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "wq waiter")
-                    }))?;
-                }
-                ObjKind::Misc => misc.push_record(&rec),
-                ObjKind::File => {
-                    let path = text_field(&rec, &mut pos, "file path")?;
-                    let offset = varint::get_u64(p, &mut pos).map_err(imgerr)?;
-                    let writable = rec.flags & 1 != 0;
-                    // Installed as read: records keep checkpoint order, so the
-                    // descriptors are numbered densely in that order.
-                    kernel
-                        .vfs
-                        .install_restored_fd(path, writable, offset)
-                        .map_err(|e| bad(format!("fd install: {e}")))?;
-                }
-                ObjKind::FdSlot => { /* slot numbering is restored via order */ }
-                ObjKind::Socket => {
-                    let addr = text_field(&rec, &mut pos, "socket addr")?;
-                    let state = match varint::get_u64(p, &mut pos).map_err(imgerr)? {
-                        0 => SockState::Created,
-                        1 => SockState::Listening,
-                        2 => SockState::Connected,
-                        other => return Err(bad(format!("socket state {other}"))),
-                    };
-                    kernel.net.install_restored(addr, state);
-                }
-                ObjKind::Epoll => {
-                    let n = usize_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "epoll count")?;
-                    epolls.try_push((0..n).map(|_| {
-                        i32_of(varint::get_u64(p, &mut pos).map_err(imgerr)?, "epoll fd")
-                    }))?;
-                }
-                ObjKind::MemRegion => { /* memory is restored via the EPT */ }
             }
         }
 
-        *kernel.dentries_mut() = dentries;
-        *kernel.waitqueues_mut() = waitqueues;
-        *kernel.blobs_mut() = misc;
-        *kernel.epolls_mut() = epolls;
+        kernel.install_tables(dentries, waitqueues, misc, epolls);
         for pid in task_order {
             let task = tasks_by_pid
                 .remove(&pid)
@@ -796,6 +887,205 @@ mod tests {
         }
         assert!(seen > 15, "{seen} strings");
         assert_eq!(restored.checkpoint_objects(), k.checkpoint_objects());
+    }
+
+    /// Record orders a restore must read alike from a sealed func-image and
+    /// from owned records: the runtime objects and dentries as they are
+    /// written, split into several runs among the other kinds, alternating
+    /// in runs of one, ahead of every other kind, or missing. Each order
+    /// keeps every kind's own order (a dentry's parent is an index into the
+    /// dentries, a descriptor's number its place among the files) and so
+    /// every thread after its task.
+    fn odd_layouts(records: &[ObjRecord]) -> Vec<(&'static str, Vec<ObjRecord>)> {
+        let of = |kind| -> Vec<ObjRecord> {
+            records.iter().filter(|r| r.kind == kind).cloned().collect()
+        };
+        let (dentries, misc) = (of(ObjKind::Dentry), of(ObjKind::Misc));
+        let rest: Vec<ObjRecord> = records
+            .iter()
+            .filter(|r| !matches!(r.kind, ObjKind::Dentry | ObjKind::Misc))
+            .cloned()
+            .collect();
+        let (third, half) = (rest.len() / 3, dentries.len() / 2);
+        let split = [
+            &rest[..third],
+            &dentries[..half],
+            &misc[..misc.len() / 2],
+            &rest[third..2 * third],
+            &dentries[half..],
+            &rest[2 * third..],
+            &misc[misc.len() / 2..],
+        ]
+        .concat();
+        let mut alternating = rest[..third].to_vec();
+        for i in 0..dentries.len().max(misc.len()) {
+            alternating.extend(dentries.get(i).cloned());
+            alternating.extend(misc.get(i).cloned());
+        }
+        alternating.extend_from_slice(&rest[third..]);
+        vec![
+            ("as written", records.to_vec()),
+            ("split", split),
+            ("alternating", alternating),
+            ("ahead", [&dentries[..], &misc, &rest].concat()),
+            ("missing", rest),
+        ]
+    }
+
+    /// Both paths through the one restore body give the same kernel and the
+    /// same charge, to the nanosecond, whatever runs the records form.
+    #[test]
+    fn odd_run_layouts_restore_alike_on_both_paths() {
+        let (_, model, k) = build_kernel();
+        for (layout, records) in odd_layouts(&k.checkpoint_objects()) {
+            let sealed = sealed_func_image(records.clone());
+            let restore = |records: Records<'_>| {
+                let clock = SimClock::new();
+                let kernel = GuestKernel::restore_from_records(
+                    "x",
+                    records,
+                    test_fs(),
+                    false,
+                    &clock,
+                    &model,
+                )
+                .unwrap();
+                (kernel.checkpoint_objects(), clock.now())
+            };
+            let (from_image, charged) = restore(Records::from(&sealed));
+            assert_eq!((&from_image, charged), {
+                let (owned, charged) = restore(Records::from(&records));
+                (&owned.clone(), charged)
+            });
+            let non_io = records.iter().filter(|r| !r.kind.is_io_state()).count() as u64;
+            let floor = model.obj.recover_per_object_non_io.saturating_mul(non_io);
+            assert_eq!(charged, floor, "{layout}");
+            if layout != "missing" {
+                assert_eq!(from_image, k.checkpoint_objects(), "{layout}");
+            }
+        }
+    }
+
+    /// A dentry forged in the middle of its run fails with the text the
+    /// record-by-record walk gives, on both paths — and, a record of another
+    /// kind forged before it, with that record's text: errors come in record
+    /// order.
+    #[test]
+    fn a_forged_dentry_mid_run_fails_alike_on_both_paths() {
+        let (clock, model, k) = build_kernel();
+        let (_, records) = odd_layouts(&k.checkpoint_objects()).swap_remove(1);
+        let dentry = |records: &[ObjRecord]| {
+            let at: Vec<usize> = (0..records.len())
+                .filter(|i| records[*i].kind == ObjKind::Dentry)
+                .collect();
+            at[at.len() / 4]
+        };
+        let payload = |path: &[u8], inode: &[u8], parent: &[u8]| {
+            let mut p = Vec::new();
+            varint::put_bytes(&mut p, path);
+            p.extend_from_slice(inode);
+            p.extend_from_slice(parent);
+            p
+        };
+        let mut parent = Vec::new();
+        varint::put_u64(&mut parent, (1 << 32) + 1);
+        let forgeries = [
+            (
+                payload(b"/proc/\xFF", &[7], &[0]),
+                "dentry path not utf-8".to_string(),
+            ),
+            (
+                payload(b"/proc/cache", &[7], &[0x80]),
+                format!("payload: {}", ImageError::Truncated { what: "varint" }),
+            ),
+            (
+                payload(b"/proc/cache", &[7], &parent),
+                "dentry parent 4294967296 out of u32 range".to_string(),
+            ),
+        ];
+        for (forged_payload, want) in forgeries {
+            let mut forged = records.clone();
+            let at = dentry(&forged);
+            forged[at].payload = forged_payload.clone().into();
+            // A runtime object after it is forged too; it is never reached.
+            let last = forged
+                .iter()
+                .rposition(|r| r.kind == ObjKind::Socket)
+                .unwrap();
+            assert!(last > at);
+            forged[last].payload = vec![0x80].into();
+            let sealed = sealed_func_image(forged.clone());
+            for restored in [
+                GuestKernel::restore_from_records("x", &sealed, test_fs(), false, &clock, &model),
+                GuestKernel::restore_from_records("x", &forged, test_fs(), false, &clock, &model),
+            ] {
+                match restored {
+                    Err(KernelError::CorruptGraph { detail }) => assert_eq!(detail, want),
+                    other => panic!("{want}: {other:?}"),
+                }
+            }
+        }
+
+        // A task forged ahead of the dentries is the error instead.
+        let mut forged = records.clone();
+        let at = dentry(&forged);
+        forged[at].payload = payload(b"\xFF", &[7], &[0]).into();
+        let task = forged.iter().position(|r| r.kind == ObjKind::Task).unwrap();
+        assert!(task < at);
+        let mut p = Vec::new();
+        for v in [1, 0, 1] {
+            varint::put_u64(&mut p, v);
+        }
+        varint::put_bytes(&mut p, b"\xFF");
+        forged[task].payload = p.into();
+        let sealed = sealed_func_image(forged.clone());
+        for restored in [
+            GuestKernel::restore_from_records("x", &sealed, test_fs(), false, &clock, &model),
+            GuestKernel::restore_from_records("x", &forged, test_fs(), false, &clock, &model),
+        ] {
+            match restored {
+                Err(KernelError::CorruptGraph { detail }) => {
+                    assert_eq!(detail, "task name not utf-8");
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+    }
+
+    /// The dentry fast path never passes a payload the general reader
+    /// rejects, and passes every plain one a checkpoint writes.
+    #[test]
+    fn the_plain_dentry_shape_implies_a_readable_dentry() {
+        let varints = [0, 1, 127, 128, 0x1000, 1 << 28, (1 << 32) + 1, u64::MAX];
+        let mut tried = 0;
+        for path in [
+            &b""[..],
+            b"/proc/cache/entry-7",
+            b"/\xC3\xA9",
+            b"/\xFF",
+            &[b'a'; 130],
+        ] {
+            for inode in varints {
+                for parent in varints {
+                    let mut p = Vec::new();
+                    varint::put_bytes(&mut p, path);
+                    varint::put_u64(&mut p, inode);
+                    varint::put_u64(&mut p, parent);
+                    for cut in 0..=p.len() {
+                        let p = &p[..cut];
+                        let read = DentryRow::read(p);
+                        if plain_dentry(p).is_some() {
+                            assert!(read.is_ok(), "{p:?}: {read:?}");
+                        }
+                        tried += 1;
+                    }
+                    let plain =
+                        path.len() < 128 && path.is_ascii() && inode < 1 << 63 && parent < 1 << 28;
+                    assert_eq!(plain_dentry(&p).is_some(), plain, "{p:?}");
+                }
+            }
+        }
+        assert!(tried > 5_000);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use simtime::{CostModel, SimClock};
 use crate::gofer::FsServer;
 use crate::net::{SockState, SocketTable};
 use crate::syscalls::{SyscallClass, SyscallName};
-use crate::table::{Blobs, Lists, Span, Table};
+use crate::table::{Lists, RunTable, Span, Table};
 use crate::tasks::TaskTable;
 use crate::threads::SentryThreads;
 use crate::timers::TimerTable;
@@ -43,7 +43,7 @@ impl<'a> Dentry<'a> {
 
 /// A dentry-table row: the path is a range of the table's buffer (the
 /// image's arena, for a restored kernel), checked to be UTF-8 when written.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct DentryRow {
     pub(crate) path: Span,
     pub(crate) inode: u64,
@@ -82,15 +82,16 @@ pub struct GuestKernel {
     // until one of them writes: `sfork_clone` takes one reference per table
     // and the `*_mut` entries are the only way to a `&mut`, each through
     // `Arc::make_mut`. Private so that rule has one home. Each is plain data
-    // (`crate::table`): rows, and byte ranges of one buffer.
+    // (`crate::table`): rows, and byte ranges of one buffer — or, restored
+    // from a func-image, the run of records the rows are.
     /// The dentry cache.
-    dentries: Arc<Table<DentryRow>>,
+    dentries: Arc<RunTable<DentryRow>>,
     /// The guest fds each epoll instance watches (I/O state).
     epolls: Arc<Lists<i32>>,
     /// The thread ids blocked on each wait queue.
     waitqueues: Arc<Lists<u32>>,
     /// Opaque runtime objects: each row is its bytes.
-    misc: Arc<Blobs>,
+    misc: Arc<RunTable<Span>>,
     template_mode: bool,
     stats: KernelStats,
 }
@@ -157,11 +158,11 @@ impl GuestKernel {
 
     /// Dentry cache.
     pub fn dentries(&self) -> impl ExactSizeIterator<Item = Dentry<'_>> {
-        let table = &*self.dentries;
-        table.rows().iter().map(move |row| Dentry {
+        let (bytes, rows) = self.dentries.rows();
+        rows.map(move |row: DentryRow| Dentry {
             // UTF-8 was checked when the row was written; reading it back
             // checks again only because the crate forbids `unsafe`.
-            path: std::str::from_utf8(table.bytes(row.path)).unwrap_or_default(),
+            path: std::str::from_utf8(row.path.of(bytes)).unwrap_or_default(),
             inode: row.inode,
             parent: row.parent,
         })
@@ -179,25 +180,22 @@ impl GuestKernel {
 
     /// Opaque runtime objects (language runtime internals etc.).
     pub fn misc(&self) -> impl ExactSizeIterator<Item = &[u8]> {
-        let (bytes, spans) = self.misc.spans();
-        spans.map(move |(start, end)| bytes.get(start..end).unwrap_or_default())
+        let (bytes, spans) = self.misc.rows();
+        spans.map(move |span: Span| span.of(bytes))
     }
 
     /// The runtime objects as views of the table's buffer, for a checkpoint:
     /// a reference count each, no copy.
     pub(crate) fn misc_shared(&self) -> impl Iterator<Item = SharedBytes> + '_ {
-        let (bytes, spans) = self.misc.spans();
-        spans.map(move |(start, end)| match bytes.get(start..end) {
-            Some(_) => bytes.slice(start..end),
-            None => SharedBytes::default(),
-        })
+        let (bytes, spans) = self.misc.rows();
+        spans.map(move |span: Span| span.view(bytes))
     }
 
     /// The dentry cache for writing; copies its rows first if an `sfork`
     /// relative still shares it, as do the three entries below. (Its bytes
     /// stay shared until an append copies them.)
     pub(crate) fn dentries_mut(&mut self) -> &mut Table<DentryRow> {
-        Arc::make_mut(&mut self.dentries)
+        Arc::make_mut(&mut self.dentries).rows_mut()
     }
 
     pub(crate) fn epolls_mut(&mut self) -> &mut Lists<i32> {
@@ -212,9 +210,18 @@ impl GuestKernel {
         Arc::make_mut(&mut self.misc).rows_mut()
     }
 
-    /// The runtime-object table itself, for a restore to install.
-    pub(crate) fn blobs_mut(&mut self) -> &mut Blobs {
-        Arc::make_mut(&mut self.misc)
+    /// Installs the four shared tables a restore built.
+    pub(crate) fn install_tables(
+        &mut self,
+        dentries: RunTable<DentryRow>,
+        waitqueues: Lists<u32>,
+        misc: RunTable<Span>,
+        epolls: Lists<i32>,
+    ) {
+        *Arc::make_mut(&mut self.dentries) = dentries;
+        *Arc::make_mut(&mut self.waitqueues) = waitqueues;
+        *Arc::make_mut(&mut self.misc) = misc;
+        *Arc::make_mut(&mut self.epolls) = epolls;
     }
 
     /// Policy gate: dispatchers call this before executing any syscall.
@@ -593,6 +600,7 @@ mod tests {
         };
         assert!(in_arena(&tmpl));
         assert!(tmpl.misc.is_run(), "the runtime objects are their records");
+        assert!(tmpl.dentries.is_run(), "the dentries are their records");
         assert_eq!(table_counts(&tmpl), [1; 4]);
 
         let mut child = tmpl.sfork_clone("child", &clock, &model);
@@ -607,6 +615,25 @@ mod tests {
             arena.start <= path.start && path.end <= arena.end
         }));
 
+        // The child's first dentry write copies that table alone: the
+        // template keeps its run and still reads every row in the arena.
+        let child_dentry = |k: &mut GuestKernel| {
+            let table = k.dentries_mut();
+            let path = table.append(b"/proc/child");
+            table.push(DentryRow {
+                path,
+                inode: 7,
+                parent: Some(0),
+            });
+        };
+        child_dentry(&mut child);
+        assert_eq!(shared_tables(&child, &tmpl), [false, true, true, false]);
+        assert_eq!(table_counts(&tmpl), [1, 2, 2, 1]);
+        assert!(tmpl.dentries.is_run() && !child.dentries.is_run());
+        assert!(in_arena(&tmpl));
+        assert_eq!(child.dentries().len(), tmpl.dentries().len() + 1);
+        assert!(child.dentries().zip(tmpl.dentries()).all(|(c, t)| c == t));
+
         // A deep copy given the same write is the oracle for the child; the
         // template still reads back its records.
         let mut oracle = GuestKernel::restore_from_records(
@@ -619,7 +646,9 @@ mod tests {
         )
         .unwrap();
         assert!(!oracle.misc.is_run(), "owned records lie in no image");
+        assert!(!oracle.dentries.is_run());
         oracle.misc_mut().push_bytes(b"written by the child");
+        child_dentry(&mut oracle);
         assert_eq!(tmpl.checkpoint_objects(), records);
         assert_eq!(child.checkpoint_objects(), oracle.checkpoint_objects());
     }

@@ -14,18 +14,43 @@ use imagefmt::flat::{Payloads, RecordRun};
 use imagefmt::ObjView;
 use memsim::SharedBytes;
 
+use crate::KernelError;
+
 /// A byte range of a [`Table`]'s buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Span {
     start: usize,
     end: usize,
 }
 
 impl Span {
-    fn at(start: usize, len: usize) -> Span {
+    pub(crate) fn at(start: usize, len: usize) -> Span {
         Span {
             start,
             end: start.saturating_add(len),
+        }
+    }
+
+    fn len(self) -> usize {
+        self.end.saturating_sub(self.start)
+    }
+
+    /// The same range, `by` bytes further on.
+    fn shifted(self, by: usize) -> Span {
+        Span::at(self.start.saturating_add(by), self.len())
+    }
+
+    /// The bytes of `buf` this covers (empty if they are not a range of it).
+    pub(crate) fn of(self, buf: &[u8]) -> &[u8] {
+        buf.get(self.start..self.end).unwrap_or_default()
+    }
+
+    /// The bytes of `buf` this covers, as a view of it (empty if they are
+    /// not a range of it).
+    pub(crate) fn view(self, buf: &SharedBytes) -> SharedBytes {
+        match buf.get(self.start..self.end) {
+            Some(_) => buf.slice(self.start..self.end),
+            None => SharedBytes::default(),
         }
     }
 }
@@ -112,17 +137,8 @@ impl<R> Table<R> {
         self.rows.len()
     }
 
-    pub(crate) fn rows(&self) -> &[R] {
-        &self.rows
-    }
-
     pub(crate) fn push(&mut self, row: R) {
         self.rows.push(row);
-    }
-
-    /// The bytes `span` covers (empty for a span of another table).
-    pub(crate) fn bytes(&self, span: Span) -> &[u8] {
-        self.bytes.get(span.start..span.end).unwrap_or_default()
     }
 
     /// Where the `len` bytes at `at` of `buf` lie in this table. In place
@@ -156,51 +172,74 @@ impl Table<Span> {
     }
 }
 
-/// A table whose rows are nothing but their bytes — the runtime objects.
-/// A kernel restored from a func-image, whose runtime objects lie there
-/// back to back, keeps that run of records and reads each row in place:
-/// no row per object. Anything else, and the first write, makes rows.
+/// A row a [`RunTable`] can read out of a record's payload: `Copy` data
+/// with one byte field, a [`Span`].
+pub(crate) trait RunRow: Copy + Default {
+    /// The row a record's payload `p` holds, its byte field a span of `p`.
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError::CorruptGraph`] naming the first malformed field.
+    fn read(p: &[u8]) -> Result<Self, KernelError>;
+
+    /// This row with its byte field moved by `place`.
+    fn placed(self, place: impl FnOnce(Span) -> Span) -> Self;
+}
+
+/// A runtime object's row is its bytes.
+impl RunRow for Span {
+    #[inline]
+    fn read(p: &[u8]) -> Result<Span, KernelError> {
+        Ok(Span::at(0, p.len()))
+    }
+
+    fn placed(self, place: impl FnOnce(Span) -> Span) -> Span {
+        place(self)
+    }
+}
+
+/// A [`Table`] that a kernel restored from a func-image keeps as the run of
+/// records its rows are — runtime objects or dentries, which lie there back
+/// to back — and reads row by row in place: no row per object until the
+/// first write, which makes rows of the run. Anything else is rows.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Blobs {
-    rows: Table<Span>,
+pub(crate) struct RunTable<R> {
+    rows: Table<R>,
     /// The records every row is, while there is no row of `rows`.
     run: Option<RecordRun>,
 }
 
-impl Blobs {
+impl<R: RunRow> RunTable<R> {
     pub(crate) fn len(&self) -> usize {
         self.rows.len() + self.run.as_ref().map_or(0, RecordRun::len)
     }
 
-    /// Adds `rec`'s payload as the next row: in place when `rec` is the
-    /// record right after the run this table is, or starts one.
-    #[inline]
-    pub(crate) fn push_record(&mut self, rec: &ObjView<'_>) {
-        if let Some(run) = &mut self.run {
-            if run.extend(rec) {
-                return;
-            }
-        } else if self.rows.len() == 0 {
-            self.run = rec.run();
-            if self.run.is_some() {
-                return;
-            }
+    /// Adds `run`'s records as the next rows: the run itself when the table
+    /// is empty, an O(1) step. The caller has checked every record `read`s.
+    pub(crate) fn push_run(&mut self, run: RecordRun) {
+        if self.run.is_none() && self.rows.len() == 0 {
+            self.run = Some(run);
+        } else {
+            self.rows_mut().extend_run(&run);
         }
-        let rows = self.rows_mut();
+    }
+
+    /// Adds the row `rec`'s payload holds, its bytes placed as
+    /// [`Table::place`] does.
+    #[inline]
+    pub(crate) fn push_record(&mut self, rec: &ObjView<'_>) -> Result<(), KernelError> {
+        let row = R::read(rec.payload())?;
         let (buf, at) = rec.payload_source();
-        let span = rows.place(buf, at, rec.payload().len());
-        rows.push(span);
+        let rows = self.rows_mut();
+        let row = row.placed(|span| rows.place(buf, at.saturating_add(span.start), span.len()));
+        rows.push(row);
+        Ok(())
     }
 
     /// The rows for writing; a run becomes rows of its arena first.
-    pub(crate) fn rows_mut(&mut self) -> &mut Table<Span> {
+    pub(crate) fn rows_mut(&mut self) -> &mut Table<R> {
         if let Some(run) = self.run.take() {
-            for (start, end) in run.payloads() {
-                let span = self
-                    .rows
-                    .place(run.arena(), start, end.saturating_sub(start));
-                self.rows.push(span);
-            }
+            self.rows.extend_run(&run);
         }
         &mut self.rows
     }
@@ -211,40 +250,69 @@ impl Blobs {
         self.run.is_some()
     }
 
-    /// The buffer every row is a range of, and the ranges in row order.
-    pub(crate) fn spans(&self) -> (&SharedBytes, BlobSpans<'_>) {
+    /// The buffer every row's span is a range of, and the rows in order.
+    pub(crate) fn rows(&self) -> (&SharedBytes, RunRows<'_, R>) {
         match &self.run {
-            Some(run) => (run.arena(), BlobSpans::Run(run.payloads())),
-            None => (&self.rows.bytes, BlobSpans::Rows(self.rows.rows.iter())),
+            Some(run) => (run.arena(), RunRows::Run(run.arena(), run.payloads())),
+            None => (&self.rows.bytes, RunRows::Rows(self.rows.rows.iter())),
         }
     }
 }
 
-/// The row ranges of a [`Blobs`] table, as `(start, end)` of its buffer.
-pub(crate) enum BlobSpans<'a> {
-    Rows(std::slice::Iter<'a, Span>),
-    Run(Payloads<'a>),
+impl<R: RunRow> Table<R> {
+    /// Appends a row per record of `run`, read out of its arena.
+    fn extend_run(&mut self, run: &RecordRun) {
+        let arena = run.arena();
+        for (start, end) in run.payloads() {
+            let row = read_at::<R>(arena, start, end)
+                .placed(|span| self.place(arena, start.saturating_add(span.start), span.len()));
+            self.rows.push(row);
+        }
+    }
 }
 
-impl Iterator for BlobSpans<'_> {
-    type Item = (usize, usize);
+/// The row the payload at `start..end` of `arena` holds, its span a range
+/// of `arena`; a default row if it does not read (a run's records were
+/// checked when it was taken).
+#[inline]
+fn read_at<R: RunRow>(arena: &[u8], start: usize, end: usize) -> R {
+    arena
+        .get(start..end)
+        .and_then(|p| R::read(p).ok())
+        .unwrap_or_default()
+}
 
-    fn next(&mut self) -> Option<(usize, usize)> {
+/// The rows of a [`RunTable`], each read out of its record if the table is
+/// a run.
+pub(crate) enum RunRows<'a, R> {
+    Rows(std::slice::Iter<'a, R>),
+    Run(&'a [u8], Payloads<'a>),
+}
+
+impl<R: RunRow> Iterator for RunRows<'_, R> {
+    type Item = R;
+
+    #[inline]
+    fn next(&mut self) -> Option<R> {
         match self {
-            BlobSpans::Rows(rows) => rows.next().map(|span| (span.start, span.end)),
-            BlobSpans::Run(run) => run.next(),
+            RunRows::Rows(rows) => rows.next().copied(),
+            RunRows::Run(arena, payloads) => {
+                let (start, end) = payloads.next()?;
+                let row: R = read_at(arena, start, end);
+                Some(row.placed(|span| span.shifted(start)))
+            }
         }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         match self {
-            BlobSpans::Rows(rows) => rows.size_hint(),
-            BlobSpans::Run(run) => run.size_hint(),
+            RunRows::Rows(rows) => rows.size_hint(),
+            RunRows::Run(_, payloads) => payloads.size_hint(),
         }
     }
 }
 
-impl ExactSizeIterator for BlobSpans<'_> {}
+impl<R: RunRow> ExactSizeIterator for RunRows<'_, R> {}
 
 /// Variable-length lists of `Copy` values, back to back: list `i` is
 /// `values[ends[i - 1]..ends[i]]`.
@@ -317,17 +385,17 @@ mod tests {
             let span = table.place(&arena, at, len);
             table.push(span);
         }
-        let rows: Vec<&[u8]> = table.rows().iter().map(|s| table.bytes(*s)).collect();
+        let rows: Vec<&[u8]> = table.rows.iter().map(|s| s.of(&table.bytes)).collect();
         assert_eq!(rows, [&b"alpha"[..], b"beta"]);
-        assert_eq!(table.bytes(table.rows()[0]).as_ptr(), arena[2..].as_ptr());
+        assert_eq!(table.rows[0].of(&table.bytes).as_ptr(), arena[2..].as_ptr());
 
         // A foreign buffer is appended, copy-on-write: the arena keeps its
         // bytes and the earlier rows still read theirs.
         let other = SharedBytes::from(b"gamma".to_vec());
         let span = table.place(&other, 0, 5);
         table.push(span);
-        assert_eq!(table.bytes(span), b"gamma");
-        assert_eq!(table.bytes(table.rows()[1]), b"beta");
+        assert_eq!(span.of(&table.bytes), b"gamma");
+        assert_eq!(table.rows[1].of(&table.bytes), b"beta");
         assert_eq!(&arena[..], b"..alpha..beta..");
     }
 

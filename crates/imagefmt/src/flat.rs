@@ -425,59 +425,85 @@ impl FlatImage {
         // slot: any partition over workers yields these same records, and
         // only that partition's schedule is modelled — the slowest chunk's
         // pointer count, tallied as the pass goes.
+        //
+        // The pass also notes where each run of same-kind records starts —
+        // one compare a record — so a reader can take a run whole.
         let chunk_len = n_objects.div_ceil(model.parallel_workers.max(1)).max(1);
-        let (mut chunk_left, mut patched, mut slowest) = (chunk_len, 0u64, 0u64);
+        let mut slowest = 0u64;
+        let n_entries = entries.len();
         let mut entries = entries.iter().map(relation_entry);
-        let mut at = 0usize;
-        for (i, entry) in index.as_chunks::<8>().0.iter().enumerate() {
-            if index_offset(entry) != Some(at) {
-                return Err(ImageError::Malformed {
-                    what: "meta index entry",
-                });
-            }
-            let Some(rec) = header_at(&arena, at) else {
-                return Err(record_error(&arena, at));
-            };
-            for due_slot in 0..rec.n_refs {
-                let due = (w64(i), due_slot);
-                match entries.next() {
-                    Some((record, slot, _)) if (u64::from(record), slot) == due => {}
-                    // Behind the slot that is due: dangling, a duplicate, or
-                    // out of order.
-                    Some((record, slot, _)) if (u64::from(record), slot) < due => {
-                        return Err(ImageError::BadRelation { record, slot });
-                    }
-                    // Ahead of it, or the table has ended: nothing will
-                    // cover the due slot any more.
-                    _ => {
-                        return Err(ImageError::BadRelation {
-                            record: u32::try_from(i).unwrap_or(u32::MAX),
-                            slot: due_slot,
-                        });
+        let (mut at, mut i) = (0usize, 0usize);
+        // The arena's bytes are read out of its handle once: the run list's
+        // growth is a call the loop would otherwise have to reload them after.
+        let arena_bytes: &[u8] = &arena;
+        let (mut runs, mut kind) = (Vec::new(), None);
+        for chunk in index.as_chunks::<8>().0.chunks(chunk_len) {
+            let mut patched = 0u64;
+            for entry in chunk {
+                if index_offset(entry) != Some(at) {
+                    return Err(ImageError::Malformed {
+                        what: "meta index entry",
+                    });
+                }
+                let Some(rec) = header_at(arena_bytes, at) else {
+                    return Err(record_error(arena_bytes, at));
+                };
+                if kind != Some(rec.kind) {
+                    kind = Some(rec.kind);
+                    runs.push(KindRun {
+                        kind: rec.kind,
+                        first: i,
+                        len: 0,
+                        relations: n_entries - entries.len(),
+                    });
+                }
+                for due_slot in 0..rec.n_refs {
+                    let due = (w64(i), due_slot);
+                    match entries.next() {
+                        Some((record, slot, _)) if (u64::from(record), slot) == due => {}
+                        // Behind the slot that is due: dangling, a duplicate,
+                        // or out of order.
+                        Some((record, slot, _)) if (u64::from(record), slot) < due => {
+                            return Err(ImageError::BadRelation { record, slot });
+                        }
+                        // Ahead of it, or the table has ended: nothing will
+                        // cover the due slot any more.
+                        _ => {
+                            return Err(ImageError::BadRelation {
+                                record: u32::try_from(i).unwrap_or(u32::MAX),
+                                slot: due_slot,
+                            });
+                        }
                     }
                 }
+                at = rec.payload.1;
+                patched += u64::from(rec.n_refs);
+                i += 1;
             }
-            at = rec.payload.1;
-            patched += u64::from(rec.n_refs);
-            chunk_left -= 1;
-            if chunk_left == 0 {
-                (chunk_left, slowest, patched) = (chunk_len, slowest.max(patched), 0);
-            }
+            slowest = slowest.max(patched);
         }
         if at != arena.len() {
             return Err(ImageError::Malformed {
                 what: "meta arena past its last record",
             });
         }
+        // Each run ends where the next one starts.
+        let mut end = n_objects;
+        for run in runs.iter_mut().rev() {
+            run.len = end - run.first;
+            end = run.first;
+        }
         // Totality the other way round: no entry without a slot.
         if let Some((record, slot, _)) = entries.next() {
             return Err(ImageError::BadRelation { record, slot });
         }
-        clock.charge_parallel([model
-            .obj
-            .fixup_per_pointer
-            .saturating_mul(slowest.max(patched))]);
-        Ok(RestoredRecords { index, arena, rel })
+        clock.charge_parallel([model.obj.fixup_per_pointer.saturating_mul(slowest)]);
+        Ok(RestoredRecords {
+            index,
+            arena,
+            rel,
+            runs,
+        })
     }
 
     /// Reads the I/O manifest (cheap; the manifest is tiny — Table 3 shows
@@ -634,14 +660,29 @@ fn record_error(arena: &[u8], at: usize) -> ImageError {
 
 /// The metadata objects of a restored func-image, as separated state
 /// recovery leaves them: the mapped index, arena and relation table, held
-/// once each, that [`FlatImage::restore_metadata`] checked record by record.
-/// Nothing here is per object; an object is read through a borrowed
-/// [`ObjView`], in checkpoint order, by iterating `&records` — one walk down
-/// the three sections side by side.
+/// once each, that [`FlatImage::restore_metadata`] checked record by record,
+/// and where each run of same-kind records starts. Nothing here is per
+/// object; an object is read through a borrowed [`ObjView`], in checkpoint
+/// order, by iterating `&records` — one walk down the three sections side by
+/// side — and a run of them is taken whole through [`crate::Records`].
 pub struct RestoredRecords {
     index: SharedBytes,
     arena: SharedBytes,
     rel: SharedBytes,
+    /// The runs of same-kind records, in record order: each record is in
+    /// exactly one, so there are at most as many as records.
+    runs: Vec<KindRun>,
+}
+
+/// Records of one kind that lie one after another: the `len` records from
+/// number `first`, whose pointers are the relation entries from number
+/// `relations` on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct KindRun {
+    pub(crate) kind: ObjKind,
+    first: usize,
+    pub(crate) len: usize,
+    relations: usize,
 }
 
 impl RestoredRecords {
@@ -657,14 +698,56 @@ impl RestoredRecords {
 
     /// The objects, in checkpoint order.
     pub fn iter(&self) -> Views<'_> {
-        Views {
-            arena: PayloadBuf::from(&self.arena),
-            index_section: &self.index,
-            index: self.index.as_chunks::<8>().0.iter(),
-            number: 0,
-            relations: self.rel.as_chunks::<REL_ENTRY>().0,
+        self.views(0, self.len(), 0)
+    }
+
+    /// The runs of same-kind records, in record order.
+    pub(crate) fn runs(&self) -> &[KindRun] {
+        &self.runs
+    }
+
+    /// The objects of `run`, in checkpoint order.
+    #[inline]
+    pub(crate) fn run_views(&self, run: &KindRun) -> Views<'_> {
+        self.views(run.first, run.len, run.relations)
+    }
+
+    /// `run` as a [`RecordRun`]: two reference counts.
+    pub(crate) fn record_run(&self, run: &KindRun) -> RecordRun {
+        let first = index_entries(&self.index, run.first, 1).first();
+        RecordRun {
+            arena: self.arena.clone(),
+            at: first.and_then(index_offset).unwrap_or(0),
+            len: run.len,
         }
     }
+
+    /// The `len` objects from number `first`, whose pointers are the
+    /// relation entries from number `relations` on.
+    #[inline]
+    fn views(&self, first: usize, len: usize, relations: usize) -> Views<'_> {
+        Views {
+            arena: PayloadBuf::from(&self.arena),
+            index: index_entries(&self.index, first, len).iter(),
+            relations: self
+                .rel
+                .as_chunks::<REL_ENTRY>()
+                .0
+                .get(relations..)
+                .unwrap_or_default(),
+        }
+    }
+}
+
+/// The entries of the `len` records from number `first` of a meta index
+/// (none if they are not all there).
+#[inline]
+fn index_entries(index: &[u8], first: usize, len: usize) -> &[[u8; 8]] {
+    let entries = index.as_chunks::<8>().0;
+    first
+        .checked_add(len)
+        .and_then(|end| entries.get(first..end))
+        .unwrap_or_default()
 }
 
 impl<'a> IntoIterator for &'a RestoredRecords {
@@ -690,43 +773,20 @@ impl fmt::Debug for RestoredRecords {
 }
 
 /// Records of a restored func-image that lie one after another, held as
-/// the index section, the arena and a range of record numbers: two
-/// reference counts however many records there are. A table whose rows are
-/// these records' payloads — the guest kernel's runtime objects — keeps the
-/// run instead of a row each and reads every row in place.
+/// the arena, where the first of them starts and how many there are: one
+/// reference count however many records there are. A table whose rows are
+/// these records' payloads — the guest kernel's runtime objects and
+/// dentries — keeps the run instead of a row each and reads every row in
+/// place.
 #[derive(Debug, Clone)]
 pub struct RecordRun {
-    index: SharedBytes,
     arena: SharedBytes,
-    first: usize,
+    /// Where the first record starts in the arena.
+    at: usize,
     len: usize,
 }
 
 impl RecordRun {
-    pub(crate) fn new(index: &SharedBytes, arena: &SharedBytes, first: usize) -> RecordRun {
-        RecordRun {
-            index: index.clone(),
-            arena: arena.clone(),
-            first,
-            len: 1,
-        }
-    }
-
-    /// Grows the run by `rec` when `rec` is the record right after it, of
-    /// the same image; returns false, the run unchanged, otherwise.
-    #[inline]
-    pub fn extend(&mut self, rec: &ObjView<'_>) -> bool {
-        match rec.record {
-            Some((index, number))
-                if number == self.first + self.len && index.same_view(&self.index) =>
-            {
-                self.len += 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// Number of records.
     pub fn len(&self) -> usize {
         self.len
@@ -745,41 +805,40 @@ impl RecordRun {
     /// Where each record's payload lies in [`RecordRun::arena`], in record
     /// order, as `(start, end)`.
     pub fn payloads(&self) -> Payloads<'_> {
-        let entries = self
-            .first
-            .checked_mul(8)
-            .zip(
-                self.first
-                    .checked_add(self.len)
-                    .and_then(|n| n.checked_mul(8)),
-            )
-            .and_then(|(start, end)| self.index.get(start..end))
-            .unwrap_or_default();
         Payloads {
             arena: &self.arena,
-            index: entries.as_chunks::<8>().0.iter(),
+            at: self.at,
+            left: self.len,
         }
     }
 }
 
-/// Iterator over the payload ranges of a [`RecordRun`].
+/// Iterator over the payload ranges of a [`RecordRun`]: a walk down the
+/// arena from the run's first record, each record ending where the next
+/// begins.
 #[derive(Debug, Clone)]
 pub struct Payloads<'a> {
     arena: &'a [u8],
-    index: std::slice::Iter<'a, [u8; 8]>,
+    /// Where the next record starts.
+    at: usize,
+    left: usize,
 }
 
 impl Iterator for Payloads<'_> {
     type Item = (usize, usize);
 
+    #[inline]
     fn next(&mut self) -> Option<(usize, usize)> {
-        // A run is made of records `restore_metadata` checked.
-        let rec = header_at(self.arena, index_offset(self.index.next()?)?)?;
+        self.left = self.left.checked_sub(1)?;
+        // A run is made of records `restore_metadata` checked, and they
+        // tile the arena.
+        let rec = header_at(self.arena, self.at)?;
+        self.at = rec.payload.1;
         Some(rec.payload)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.index.size_hint()
+        (self.left, Some(self.left))
     }
 }
 
@@ -863,15 +922,13 @@ impl<'a> Iterator for Conns<'a> {
 
 impl ExactSizeIterator for Conns<'_> {}
 
-/// Iterator over the objects of a [`RestoredRecords`].
+/// Iterator over the objects of a [`RestoredRecords`], or of one run of
+/// them.
 #[derive(Debug, Clone)]
 pub struct Views<'a> {
     arena: PayloadBuf<'a>,
-    index_section: &'a SharedBytes,
     /// The index entries of the records still to come.
     index: std::slice::Iter<'a, [u8; 8]>,
-    /// The number of the next record.
-    number: usize,
     /// The relation entries of the records still to come.
     relations: &'a [[u8; REL_ENTRY]],
 }
@@ -887,14 +944,11 @@ impl<'a> Iterator for Views<'a> {
         let rec = header_at(self.arena.bytes(), index_offset(self.index.next()?)?)?;
         let (relations, rest) = self.relations.split_at_checked(usize::from(rec.n_refs))?;
         self.relations = rest;
-        let number = self.number;
-        self.number += 1;
         ObjView::restored(
             (rec.id, rec.kind, rec.flags),
             relations,
             self.arena,
             rec.payload,
-            (self.index_section, number),
         )
     }
 
@@ -994,6 +1048,52 @@ mod tests {
                     "{n} objects on {workers} workers"
                 );
                 assert_eq!(objects, src.objects, "{n} objects on {workers} workers");
+            }
+        }
+    }
+
+    /// The runs `restore_metadata` notes are the runs of same-kind records
+    /// that comparing neighbours finds, each read back record for record —
+    /// pointers included — whether every record is a run of its own or the
+    /// kinds come in blocks.
+    #[test]
+    fn restored_runs_are_the_runs_of_same_kind_records() {
+        let (clock, model) = setup();
+        let mut blocks = sample_source(600, 0);
+        blocks.objects.sort_by_key(|o| (o.kind.code() % 5, o.id));
+        for src in [sample_source(300, 0), blocks] {
+            let flat = FlatImage::parse(&make_image(&src), &clock, &model).unwrap();
+            let restored = flat.restore_metadata(&clock, &model).unwrap();
+            let runs = |records: crate::Records<'_>| -> Vec<(ObjKind, usize, Vec<ObjRecord>)> {
+                records
+                    .runs()
+                    .map(|run| {
+                        let views = run.views().map(|v| {
+                            ObjRecord::new(
+                                v.id,
+                                v.kind,
+                                v.flags,
+                                v.refs().collect(),
+                                v.payload().to_vec(),
+                            )
+                        });
+                        (run.kind(), run.len(), views.collect())
+                    })
+                    .collect()
+            };
+            let (from_image, owned) = (runs((&restored).into()), runs((&src.objects).into()));
+            assert!(from_image.len() > 10);
+            assert_eq!(from_image, owned);
+            for run in crate::Records::from(&restored).runs() {
+                let whole = run.record_run().unwrap();
+                let payloads: Vec<&[u8]> = whole
+                    .payloads()
+                    .map(|(start, end)| &whole.arena()[start..end])
+                    .collect();
+                assert!(payloads
+                    .iter()
+                    .copied()
+                    .eq(run.views().map(|v| v.payload())));
             }
         }
     }

@@ -68,5 +68,5 @@ pub use error::ImageError;
 pub use memsim::SharedBytes;
 pub use record::{
     CheckpointSource, IoConn, IoConnKind, IoConnView, ObjId, ObjKind, ObjRecord, ObjView,
-    PagePayload, Refs,
+    PagePayload, Records, Refs, Run,
 };

@@ -7,7 +7,7 @@ use std::fmt;
 
 use memsim::{FrameRef, SharedBytes};
 
-use crate::flat::RecordRun;
+use crate::flat::{KindRun, RecordRun, RestoredRecords, Views};
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a checkpointed guest-kernel object.
@@ -171,9 +171,6 @@ pub struct ObjView<'a> {
     payload: &'a [u8],
     buf: &'a SharedBytes,
     at: usize,
-    /// For a record of a restored func-image: the index section it was
-    /// read through, and its number there.
-    pub(crate) record: Option<(&'a SharedBytes, usize)>,
 }
 
 /// Relation-table entry: record(4) slot(2) target(8).
@@ -265,9 +262,9 @@ impl<'a> PayloadBuf<'a> {
 }
 
 // `#[inline]` throughout: the loop that reads views
-// (`GuestKernel::restore_from_records`) is generic over where they come
-// from, so it is compiled in its caller's crate, where these would otherwise
-// be calls into this one — four an object, 1.6× the whole kernel build.
+// (`GuestKernel::restore_from_records`) is compiled in the guest kernel's
+// crate, where these would otherwise be calls into this one — four an
+// object, 1.6× the whole kernel build.
 impl<'a> ObjView<'a> {
     /// A restored record's view: its pointers are `relations`, and its
     /// payload is `arena[start..end]`; `None` if that is not a range of
@@ -278,7 +275,6 @@ impl<'a> ObjView<'a> {
         relations: &'a [[u8; REL_ENTRY]],
         arena: PayloadBuf<'a>,
         (start, end): (usize, usize),
-        record: (&'a SharedBytes, usize),
     ) -> Option<ObjView<'a>> {
         Some(ObjView {
             id,
@@ -288,16 +284,7 @@ impl<'a> ObjView<'a> {
             payload: arena.bytes.get(start..end)?,
             buf: arena.buf,
             at: start,
-            record: Some(record),
         })
-    }
-
-    /// This record as a run of one, which [`RecordRun::extend`] grows by
-    /// the records that follow it; `None` for an owned record, which lies in
-    /// no image.
-    pub fn run(&self) -> Option<RecordRun> {
-        let (index, number) = self.record?;
-        Some(RecordRun::new(index, self.buf, number))
     }
 
     /// Pointer fields: ids of referenced objects, in slot order.
@@ -333,7 +320,6 @@ impl<'a> From<&'a ObjRecord> for ObjView<'a> {
             payload: &rec.payload,
             buf: &rec.payload,
             at: 0,
-            record: None,
         }
     }
 }
@@ -355,6 +341,129 @@ impl fmt::Debug for ObjView<'_> {
             .field("refs", &self.refs())
             .field("payload", &self.payload())
             .finish()
+    }
+}
+
+/// Checkpoint records as a restore reads them: owned ones (what a classic
+/// image decodes to) or a restored func-image's. Either way they come as
+/// runs of one kind, in checkpoint order ([`Records::runs`]), and a run of a
+/// func-image can be kept whole ([`Run::record_run`]).
+#[derive(Debug, Clone, Copy)]
+pub enum Records<'a> {
+    /// Owned records.
+    Owned(&'a [ObjRecord]),
+    /// The records of a restored func-image.
+    Restored(&'a RestoredRecords),
+}
+
+impl<'a> From<&'a Vec<ObjRecord>> for Records<'a> {
+    fn from(records: &'a Vec<ObjRecord>) -> Records<'a> {
+        Records::Owned(records)
+    }
+}
+
+impl<'a> From<&'a [ObjRecord]> for Records<'a> {
+    fn from(records: &'a [ObjRecord]) -> Records<'a> {
+        Records::Owned(records)
+    }
+}
+
+impl<'a> From<&'a RestoredRecords> for Records<'a> {
+    fn from(records: &'a RestoredRecords) -> Records<'a> {
+        Records::Restored(records)
+    }
+}
+
+impl<'a> Records<'a> {
+    /// The records as runs of one kind, in checkpoint order: a func-image's
+    /// as [`crate::flat::FlatImage::restore_metadata`] found them while it
+    /// checked them, owned ones by comparing neighbours' kinds.
+    pub fn runs(self) -> impl Iterator<Item = Run<'a>> {
+        let (owned, restored) = match self {
+            Records::Owned(records) => (records, None),
+            Records::Restored(image) => (&[][..], Some(image)),
+        };
+        let owned = owned.chunk_by(|a, b| a.kind == b.kind).map(|run| Run {
+            kind: run.first().map_or(ObjKind::Misc, |rec| rec.kind),
+            of: RunOf::Owned(run),
+        });
+        let restored = restored.into_iter().flat_map(|image| {
+            image.runs().iter().map(move |run| Run {
+                kind: run.kind,
+                of: RunOf::Restored(image, *run),
+            })
+        });
+        owned.chain(restored)
+    }
+}
+
+/// Records of one kind that lie one after another in a checkpoint.
+#[derive(Debug, Clone, Copy)]
+pub struct Run<'a> {
+    kind: ObjKind,
+    of: RunOf<'a>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum RunOf<'a> {
+    Owned(&'a [ObjRecord]),
+    Restored(&'a RestoredRecords, KindRun),
+}
+
+impl<'a> Run<'a> {
+    /// The kind of every record of the run.
+    pub fn kind(&self) -> ObjKind {
+        self.kind
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        match self.of {
+            RunOf::Owned(records) => records.len(),
+            RunOf::Restored(_, run) => run.len,
+        }
+    }
+
+    /// True for a run without records.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The records, in checkpoint order.
+    #[inline]
+    pub fn views(&self) -> impl Iterator<Item = ObjView<'a>> {
+        match self.of {
+            RunOf::Owned(records) => RunViews::Owned(records.iter()),
+            RunOf::Restored(image, run) => RunViews::Restored(image.run_views(&run)),
+        }
+    }
+
+    /// The run held whole — two reference counts on the image, however
+    /// long it is — for a func-image's records; `None` for owned ones, which
+    /// lie in no image.
+    pub fn record_run(&self) -> Option<RecordRun> {
+        match self.of {
+            RunOf::Owned(_) => None,
+            RunOf::Restored(image, run) => Some(image.record_run(&run)),
+        }
+    }
+}
+
+/// The views of a [`Run`].
+enum RunViews<'a> {
+    Owned(std::slice::Iter<'a, ObjRecord>),
+    Restored(Views<'a>),
+}
+
+impl<'a> Iterator for RunViews<'a> {
+    type Item = ObjView<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<ObjView<'a>> {
+        match self {
+            RunViews::Owned(records) => records.next().map(ObjView::from),
+            RunViews::Restored(views) => views.next(),
+        }
     }
 }
 

@@ -34,8 +34,8 @@ pub fn put_u64(out: &mut Vec<u8>, mut value: u64) {
 /// [`ImageError::Truncated`] if the buffer ends mid-varint, or
 /// [`ImageError::BadVarint`] if the encoding exceeds 10 bytes (u64 overflow).
 // `#[inline]`, as is `get_bytes`: `GuestKernel::restore_from_records` reads
-// every payload field through these, and it is generic, so it is compiled
-// in its caller's crate, where they would otherwise be calls into this one.
+// every payload field through these, in another crate, where they would
+// otherwise be calls into this one.
 #[inline]
 pub fn get_u64(buf: &[u8], pos: &mut usize) -> Result<u64, ImageError> {
     let mut value: u64 = 0;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Same-host before/after pairs of one benchmark workload.
 #
-#   tools/pairs.sh <base-rev> <workload> [--seed N] [--pairs K]
+#   tools/pairs.sh <base-rev> <workload> [--seed N] [--pairs K] [--record]
 #
 # Exports <base-rev> and HEAD with `git archive` under $TMPDIR/pairs/<sha>
 # (never inside benchmark/), builds each export's unedited benchmark/ into
@@ -18,13 +18,19 @@
 # otherwise. It refuses a verdict, and exits 1, when the two sides of any
 # pair disagree on `correct` or `failed`.
 #
+# With --record, a verdict also appends one JSON line to docs/ledger.jsonl:
+# the host (`uname -m`, CPU model, vCPUs), both commits, the workload, seed
+# and K, and per metric the two medians and IQRs, HEAD's wins, the ratio and
+# the verdict. Only pairs from one session and one host compare; a row says
+# which host it is from.
+#
 # Needs git, cargo and python3. Not a gate: tools/check.sh does not run it.
 # An export and its build are kept for the next call on the same commit;
 # `rm -rf "$TMPDIR/pairs"` reclaims the space.
 set -euo pipefail
 
 usage() {
-  echo "usage: tools/pairs.sh <base-rev> <workload> [--seed N] [--pairs K]" >&2
+  echo "usage: tools/pairs.sh <base-rev> <workload> [--seed N] [--pairs K] [--record]" >&2
   exit 2
 }
 
@@ -34,10 +40,12 @@ workload="$2"
 shift 2
 seed=11
 pairs=10
+record=""
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --seed) [[ $# -ge 2 ]] || usage; seed="$2"; shift 2 ;;
     --pairs) [[ $# -ge 2 ]] || usage; pairs="$2"; shift 2 ;;
+    --record) record=1; shift ;;
     *) usage ;;
   esac
 done
@@ -83,12 +91,21 @@ for ((pair = 1; pair <= pairs; pair++)); do
   echo "    pair $pair/$pairs done (${order[0]} first)" >&2
 done
 
+ledger=""
+if [[ -n "$record" ]]; then
+  ledger="$repo/docs/ledger.jsonl"
+fi
+cpu="$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -n 1)"
+
 python3 - "$runs" "${dir[head]}/src/BENCHMARK.json" \
-  "$base_rev" "$workload" "$seed" <<'PY'
+  "$base_rev" "$workload" "$seed" "$base_sha" "$head_sha" "$ledger" \
+  "$(uname -m)" "$cpu" "$(nproc)" <<'PY'
+import datetime
 import json
 import sys
 
-runs_path, spec_path, base_rev, workload, seed = sys.argv[1:]
+(runs_path, spec_path, base_rev, workload, seed, base_sha, head_sha, ledger,
+ arch, cpu, vcpus) = sys.argv[1:]
 metrics = json.load(open(spec_path))["end_to_end"]
 runs = {}
 for row in open(runs_path):
@@ -109,6 +126,7 @@ def quantile(values, q):
 
 
 print(f"{workload}, seed {seed}, {len(runs)} pairs: base {base_rev} vs HEAD")
+row = {}
 print(f"{'metric':<14} {'base median':>14} {'base IQR':>12} "
       f"{'HEAD median':>14} {'HEAD IQR':>12} {'HEAD wins':>10} {'ratio':>8} "
       f"{'verdict':>14}")
@@ -124,6 +142,9 @@ for metric in metrics:
     spread = max(b_iqr / b_med if b_med else float("inf"),
                  h_iqr / h_med if h_med else float("inf"))
     verdict = "within spread" if abs(ratio - 1) < spread else "moved"
+    row[name] = {"base_median": b_med, "base_iqr": b_iqr,
+                 "head_median": h_med, "head_iqr": h_iqr,
+                 "head_wins": wins, "ratio": ratio, "verdict": verdict}
     print(f"{name:<14} {b_med:>14.3f} {b_iqr:>12.3f} {h_med:>14.3f} "
           f"{h_iqr:>12.3f} {wins:>7}/{len(runs):<2} {ratio:>8.3f} "
           f"{verdict:>14}")
@@ -141,4 +162,19 @@ if disagree:
     sys.exit(1)
 sides = [(r["base"]["correct"], r["base"]["failed"]) for r in runs.values()]
 print(f"both sides agree on correct/failed in every pair: {sorted(set(sides))}")
+if ledger:
+    line = {
+        "kind": "pairs",
+        "date": datetime.date.today().isoformat(),
+        "host": {"arch": arch, "cpu": cpu, "vcpus": int(vcpus)},
+        "base": base_sha,
+        "head": head_sha,
+        "workload": workload,
+        "seed": int(seed),
+        "pairs": len(runs),
+        "metrics": row,
+    }
+    with open(ledger, "a") as out:
+        out.write(json.dumps(line, sort_keys=True) + "\n")
+    print(f"recorded in {ledger}")
 PY
