@@ -263,23 +263,11 @@ impl<R: RunRow> Table<R> {
     /// Appends a row per record of `run`, read out of its arena.
     fn extend_run(&mut self, run: &RecordRun) {
         let arena = run.arena();
-        for (start, end) in run.payloads() {
-            let row = read_at::<R>(arena, start, end)
-                .placed(|span| self.place(arena, start.saturating_add(span.start), span.len()));
+        for row in RunRows::<R>::Run(arena, run.payloads()) {
+            let row = row.placed(|span| self.place(arena, span.start, span.len()));
             self.rows.push(row);
         }
     }
-}
-
-/// The row the payload at `start..end` of `arena` holds, its span a range
-/// of `arena`; a default row if it does not read (a run's records were
-/// checked when it was taken).
-#[inline]
-fn read_at<R: RunRow>(arena: &[u8], start: usize, end: usize) -> R {
-    arena
-        .get(start..end)
-        .and_then(|p| R::read(p).ok())
-        .unwrap_or_default()
 }
 
 /// The rows of a [`RunTable`], each read out of its record if the table is
@@ -297,9 +285,11 @@ impl<R: RunRow> Iterator for RunRows<'_, R> {
         match self {
             RunRows::Rows(rows) => rows.next().copied(),
             RunRows::Run(arena, payloads) => {
+                // A run's records were checked when it was taken: a default
+                // row stands in for one that does not read.
                 let (start, end) = payloads.next()?;
-                let row: R = read_at(arena, start, end);
-                Some(row.placed(|span| span.shifted(start)))
+                let row = arena.get(start..end).and_then(|p| R::read(p).ok());
+                Some(row.unwrap_or_default().placed(|span| span.shifted(start)))
             }
         }
     }

@@ -27,12 +27,17 @@
 //! must cover every pointer slot exactly once, in order — the writer emits
 //! one entry per slot, `(record, slot)` strictly increasing, so "the next
 //! entry is the slot that is due" is the whole check, and order, duplicates,
-//! dangling entries and uncovered slots all fail it. Nothing is stored: what
-//! comes back, a [`RestoredRecords`], is the three sections themselves, a
-//! view the check has validated, and a reader walks them once more through
-//! borrowed [`ObjView`]s — a record's pointers are its run of relation
-//! entries, read in place; the arena's own slot bytes are never read. Three
-//! reference counts whatever the object count; no allocation.
+//! dangling entries and uncovered slots all fail it. Nothing per object is
+//! stored: what comes back, a [`RestoredRecords`], is the three sections
+//! themselves, a view the check has validated, plus where each run of
+//! same-kind records starts — one compare a record as the pass goes, one
+//! entry a run. A reader takes those runs ([`crate::Records::runs`]): a run
+//! it keeps whole is a [`RecordRun`] — one reference count on the arena,
+//! however long — that it reads in place when it reads it at all, and any
+//! other run it walks through borrowed [`ObjView`]s, a record's pointers
+//! being its run of relation entries, read in place; the arena's own slot
+//! bytes are never read. Three reference counts and the run list, whatever
+//! the object count.
 //!
 //! Every pointer is really taken from the table and totality really checked,
 //! on the calling thread; only the parallel *schedule* is modelled. Spawning

@@ -362,12 +362,6 @@ impl<'a> From<&'a Vec<ObjRecord>> for Records<'a> {
     }
 }
 
-impl<'a> From<&'a [ObjRecord]> for Records<'a> {
-    fn from(records: &'a [ObjRecord]) -> Records<'a> {
-        Records::Owned(records)
-    }
-}
-
 impl<'a> From<&'a RestoredRecords> for Records<'a> {
     fn from(records: &'a RestoredRecords) -> Records<'a> {
         Records::Restored(records)
@@ -438,9 +432,9 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// The run held whole — two reference counts on the image, however
-    /// long it is — for a func-image's records; `None` for owned ones, which
-    /// lie in no image.
+    /// The run held whole — one reference count on the image's arena,
+    /// however long it is — for a func-image's records; `None` for owned
+    /// ones, which lie in no image.
     pub fn record_run(&self) -> Option<RecordRun> {
         match self.of {
             RunOf::Owned(_) => None,

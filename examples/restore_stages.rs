@@ -13,9 +13,11 @@
 //!   (`crc3`, an approximation of the checksum `restore_metadata` pays),
 //!   `restore_metadata` (`meta`: the checksums, then one pass that checks
 //!   every record header and relation entry and keeps nothing),
-//!   `GuestKernel::restore_from_records` (`kernel`: one walk down the
-//!   checked arena and relation table, reading each header again in place,
-//!   that builds the kernel), dropping the records and then the kernel,
+//!   `GuestKernel::restore_from_records` (`kernel`: the kernel built from
+//!   the runs of same-kind records `restore_metadata` noted — the runtime
+//!   objects' run taken whole, the dentries' after one checking pass, and
+//!   the other one record in ten read one by one), dropping the records and
+//!   then the kernel,
 //!   `GvisorEngine::prepare_sandbox` and the drop of what it returns, as a
 //!   cold boot calls it (`shell`: the sandbox shell over the function's
 //!   stored FS server), and a whole cold and warm `Catalyzer::boot` with the
