@@ -15,21 +15,33 @@
 //! 2. **the expiry run** — keep-alive expiries, which both kernels schedule
 //!    a constant window ahead of a monotone clock, append to a FIFO
 //!    whenever they sort after its tail;
-//! 3. **the heap** — a `BinaryHeap` for everything else, which is only the
-//!    work in flight (plus the few expiries that did not sort after the
-//!    run's tail).
+//! 3. **the in-flight heap** — everything else, which is only the work in
+//!    flight (plus the few expiries that did not sort after the run's
+//!    tail), in a monotone radix heap keyed on fire time. Sixty-four
+//!    buckets of 32-byte entries: bucket `i` holds the entries whose fire
+//!    time first differs from the last *refill instant* at bit `i`. Beside
+//!    them a small `BinaryHeap`, the *instant heap*, holds every entry due
+//!    at or before that instant, in full rank order. When the instant heap
+//!    runs empty, the lowest non-empty bucket is spread out around its
+//!    least fire time, which becomes the refill instant, and its entries
+//!    at that time move into the instant heap. An entry scheduled at or
+//!    before the refill instant (a hand-built schedule, the past) goes
+//!    straight into the instant heap. Only the events of one instant are
+//!    ever ranked against each other, and a bucketed entry moves at most
+//!    64 times, each time to a lower bucket.
 //!
 //! `pop` takes the least of the three heads, so the pop sequence is the
-//! one a single heap holding every event would produce — a property test
-//! below holds the merge to exactly that reference.
+//! one a single heap holding every event would produce — two property
+//! tests below hold the merge to exactly that reference, one of them with
+//! fire times spread over all 64 bucket levels.
 //!
 //! The tie-break at equal timestamps is total and *insertion-order
-//! independent*: `(time, event class, payload key, payload subkey)` — the
-//! sequence number is consulted only for exact duplicates, which the
-//! engine never schedules. Together the class, key and subkey are
-//! injective over events, so two distinct events never compare equal: the
-//! twin test below ranks every event against each event that differs from
-//! it in one payload field, at the edges of every field's range. Class
+//! independent*: `(time, event class, payload key, payload subkey)`.
+//! Together the class, key and subkey are injective over events, so two
+//! distinct events never compare equal, and two entries that do are the
+//! same event, whose order nothing can observe. The twin test below ranks
+//! every event against each event that differs from it in one payload
+//! field, at the edges of every field's range. Class
 //! order encodes the platform's causality at an instant: completions free
 //! capacity, expiries reclaim it, background work runs, and only then does
 //! a new arrival see the world.
@@ -195,8 +207,7 @@ impl Event {
     }
 }
 
-/// Where an event falls in the total order, the sequence number aside:
-/// `(time, class, key, subkey)`.
+/// Where an event falls in the total order: `(time, class, key, subkey)`.
 type Rank = (SimNanos, u8, u64, u64);
 
 impl Event {
@@ -205,28 +216,107 @@ impl Event {
     }
 }
 
+/// One pending event and its fire time, ordered by rank. Equal ranks mean
+/// one event (the rank is injective), so the order is total without a
+/// sequence number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Scheduled {
-    rank: Rank,
-    seq: u64,
+    at: SimNanos,
     event: Event,
 }
 
 impl Scheduled {
     fn fire(self) -> (SimNanos, Event) {
-        (self.rank.0, self.event)
+        (self.at, self.event)
+    }
+
+    fn rank(&self) -> Rank {
+        self.event.rank(self.at)
     }
 }
 
 impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> Ordering {
-        (self.rank, self.seq).cmp(&(other.rank, other.seq))
+        self.rank().cmp(&other.rank())
     }
 }
 
 impl PartialOrd for Scheduled {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+/// The in-flight source: a monotone radix heap on fire time in front of an
+/// instant heap ranked in full (see the module docs).
+#[derive(Debug)]
+struct RadixHeap {
+    /// The refill instant: every entry in `instant` fires at or before it,
+    /// every bucketed entry after it.
+    last: SimNanos,
+    /// The entries due by `last`, least rank on top.
+    instant: BinaryHeap<Reverse<Scheduled>>,
+    /// Bucket `i`: the entries whose fire time first differs from `last` at
+    /// bit `i`, unordered.
+    buckets: [Vec<Scheduled>; 64],
+    /// Bit `i` set: bucket `i` is not empty.
+    occupied: u64,
+    len: usize,
+}
+
+impl Default for RadixHeap {
+    fn default() -> RadixHeap {
+        RadixHeap {
+            last: SimNanos::ZERO,
+            instant: BinaryHeap::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+            len: 0,
+        }
+    }
+}
+
+impl RadixHeap {
+    fn push(&mut self, entry: Scheduled) {
+        self.len += 1;
+        self.file(entry);
+    }
+
+    /// Puts `entry` where it belongs relative to the refill instant.
+    fn file(&mut self, entry: Scheduled) {
+        if entry.at <= self.last {
+            self.instant.push(Reverse(entry));
+        } else {
+            let bit = (entry.at.as_nanos() ^ self.last.as_nanos()).ilog2();
+            self.buckets[bit as usize].push(entry);
+            self.occupied |= 1 << bit;
+        }
+    }
+
+    /// The least entry, refilling the instant heap first if it ran empty.
+    fn peek(&mut self) -> Option<&Scheduled> {
+        if self.instant.is_empty() && self.occupied != 0 {
+            // The lowest bucket holds the least times; spread it out
+            // around its least, which every entry left is after. Its
+            // entries all file lower than it, so it stays empty.
+            let lowest = self.occupied.trailing_zeros() as usize;
+            self.occupied &= !(1 << lowest);
+            let mut bucket = std::mem::take(&mut self.buckets[lowest]);
+            self.last = bucket.iter().map(|entry| entry.at).min()?;
+            for entry in bucket.drain(..) {
+                self.file(entry);
+            }
+            // Hand the emptied buffer back: a drain at steady depth
+            // allocates nothing.
+            self.buckets[lowest] = bucket;
+        }
+        self.instant.peek().map(|Reverse(entry)| entry)
+    }
+
+    fn pop(&mut self) -> Option<Scheduled> {
+        self.peek()?;
+        self.len -= 1;
+        self.instant.pop().map(|Reverse(entry)| entry)
     }
 }
 
@@ -240,9 +330,10 @@ pub struct EventQueue<'t> {
     /// Keep-alive expiries in scheduling order, each sorting after the one
     /// before it.
     expiries: VecDeque<Scheduled>,
-    /// Everything else, earliest on top.
-    heap: BinaryHeap<Reverse<Scheduled>>,
-    seq: u64,
+    /// Everything else.
+    in_flight: RadixHeap,
+    /// [`EventQueue::schedule`] calls so far.
+    scheduled: u64,
 }
 
 impl<'t> EventQueue<'t> {
@@ -251,12 +342,13 @@ impl<'t> EventQueue<'t> {
         EventQueue::default()
     }
 
-    /// An empty queue with room for `capacity` pending events.
+    /// An empty queue whose instant heap has room for `capacity` events
+    /// due at one instant. The radix buckets grow on demand and keep what
+    /// they grew to.
     pub fn with_capacity(capacity: usize) -> EventQueue<'t> {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
-            ..EventQueue::default()
-        }
+        let mut queue = EventQueue::default();
+        queue.in_flight.instant.reserve(capacity);
+        queue
     }
 
     /// A queue whose arrivals are `trace`: request `i` pops as
@@ -273,50 +365,49 @@ impl<'t> EventQueue<'t> {
 
     /// Schedules `event` to fire at `at`.
     pub fn schedule(&mut self, at: SimNanos, event: Event) {
-        let entry = Scheduled {
-            rank: event.rank(at),
-            seq: self.seq,
-            event,
-        };
-        self.seq += 1;
+        let entry = Scheduled { at, event };
+        self.scheduled += 1;
         // The run stays sorted whatever is scheduled: an expiry that does
         // not sort after its tail (a same-instant key inversion, a
-        // hand-built schedule) takes the heap like any other event. Only
-        // expiries may extend it, so a far-future crash or heal can never
-        // become a tail nothing sorts after.
+        // hand-built schedule) takes the in-flight heap like any other
+        // event. Only expiries may extend it, so a far-future crash or heal
+        // can never become a tail nothing sorts after.
         let extends_run = matches!(event, Event::KeepAliveExpiry { .. })
             && self.expiries.back().is_none_or(|tail| *tail < entry);
         if extends_run {
             self.expiries.push_back(entry);
         } else {
-            self.heap.push(Reverse(entry));
+            self.in_flight.push(entry);
         }
     }
 
     /// Pops the earliest event, with its fire time.
     pub fn pop(&mut self) -> Option<(SimNanos, Event)> {
         let run = self.expiries.front();
-        let heap = self.heap.peek().map(|Reverse(entry)| entry);
+        let heap = self.in_flight.peek();
         let from_run = match (run, heap) {
             (Some(run), Some(heap)) => run < heap,
             (run, _) => run.is_some(),
         };
         let scheduled = if from_run { run } else { heap };
         if let Some(req) = self.trace.get(self.cursor) {
-            let arrival = Event::Arrival {
-                request: self.cursor as u64,
+            let arrival = Scheduled {
+                at: req.arrival,
+                event: Event::Arrival {
+                    request: self.cursor as u64,
+                },
             };
             // An exact tie goes to the trace, which a single heap would
             // have been handed first.
-            if scheduled.is_none_or(|s| arrival.rank(req.arrival) <= s.rank) {
+            if scheduled.is_none_or(|s| arrival <= *s) {
                 self.cursor += 1;
-                return Some((req.arrival, arrival));
+                return Some(arrival.fire());
             }
         }
         let entry = if from_run {
             self.expiries.pop_front()
         } else {
-            self.heap.pop().map(|Reverse(entry)| entry)
+            self.in_flight.pop()
         };
         entry.map(Scheduled::fire)
     }
@@ -324,8 +415,8 @@ impl<'t> EventQueue<'t> {
     /// Pops the earliest event if it fires at or before `now`.
     pub fn pop_due(&mut self, now: SimNanos) -> Option<(SimNanos, Event)> {
         let arrival = self.trace.get(self.cursor).map(|req| req.arrival);
-        let run = self.expiries.front().map(|entry| entry.rank.0);
-        let heap = self.heap.peek().map(|Reverse(entry)| entry.rank.0);
+        let run = self.expiries.front().map(|entry| entry.at);
+        let heap = self.in_flight.peek().map(|entry| entry.at);
         if [arrival, run, heap].into_iter().flatten().min()? > now {
             return None;
         }
@@ -334,7 +425,7 @@ impl<'t> EventQueue<'t> {
 
     /// Pending events, arrivals yet to come included.
     pub fn len(&self) -> usize {
-        self.trace.len() - self.cursor + self.expiries.len() + self.heap.len()
+        self.trace.len() - self.cursor + self.expiries.len() + self.in_flight.len
     }
 
     /// True when nothing is pending.
@@ -346,7 +437,7 @@ impl<'t> EventQueue<'t> {
     /// arrival of the trace plus every [`EventQueue::schedule`] call — on a
     /// drained queue, arrivals consumed plus events scheduled.
     pub fn scheduled(&self) -> u64 {
-        self.trace.len() as u64 + self.seq
+        self.trace.len() as u64 + self.scheduled
     }
 }
 
@@ -390,14 +481,14 @@ mod tests {
     /// heap, every arrival of the trace pushed up front.
     struct ReferenceQueue {
         heap: BinaryHeap<Reverse<Scheduled>>,
-        seq: u64,
+        scheduled: u64,
     }
 
     impl ReferenceQueue {
         fn over(trace: &[TraceRequest]) -> ReferenceQueue {
             let mut queue = ReferenceQueue {
                 heap: BinaryHeap::new(),
-                seq: 0,
+                scheduled: 0,
             };
             for (i, req) in trace.iter().enumerate() {
                 queue.schedule(req.arrival, Event::Arrival { request: i as u64 });
@@ -406,30 +497,40 @@ mod tests {
         }
 
         fn schedule(&mut self, at: SimNanos, event: Event) {
-            let (rank, seq) = (event.rank(at), self.seq);
-            self.heap.push(Reverse(Scheduled { rank, seq, event }));
-            self.seq += 1;
+            self.heap.push(Reverse(Scheduled { at, event }));
+            self.scheduled += 1;
         }
 
         fn pop(&mut self) -> Option<(SimNanos, Event)> {
             self.heap.pop().map(|Reverse(entry)| entry.fire())
         }
+
+        fn pop_due(&mut self, now: SimNanos) -> Option<(SimNanos, Event)> {
+            let Reverse(head) = self.heap.peek()?;
+            if head.at > now {
+                return None;
+            }
+            self.pop()
+        }
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Random programs of interleaved `schedule`/`pop` over a random
-        /// sorted trace: the merge and the single heap agree on every pop
-        /// and every count, at every step. Times live in a few dozen
-        /// nanoseconds and keys in `0..6`, so ties at one instant across
-        /// all eleven classes, expiries scheduled out of order, and
-        /// hand-scheduled arrivals landing exactly on streamed ones are
-        /// the common case, not the rare one.
+        /// Random programs of interleaved `schedule`/`pop`/`pop_due` over a
+        /// random sorted trace: the merge and the single heap agree on every
+        /// pop and every count, at every step. Most times live within a few
+        /// dozen nanoseconds and keys in `0..6`, so ties at one instant
+        /// across all eleven classes, expiries scheduled out of order, and
+        /// hand-scheduled arrivals landing exactly on streamed ones are the
+        /// common case, not the rare one. The rest reach every level of the
+        /// radix heap: `2^level` (plus up to 5 ns) ahead of the last popped
+        /// instant for every level in `0..64`, saturating at
+        /// `SimNanos::MAX`, at that instant, and `2^level` before it.
         #[test]
         fn merge_matches_the_single_heap(
             gaps in prop::collection::vec(0u64..4, 0..40),
-            ops in prop::collection::vec((0u8..4, 0u64..6, 0u8..11, 0u64..6), 0..120),
+            ops in prop::collection::vec((0u8..8, 0u32..64, 0u64..6, 0u8..11, 0u64..6), 0..160),
         ) {
             let mut arena: Arena<()> = Arena::new();
             let ids: Vec<InstanceId> = (0..6).map(|_| arena.insert(())).collect();
@@ -443,46 +544,62 @@ mod tests {
             let mut now = SimNanos::ZERO;
             // Every op, then a full drain (`len() + 1` pops: the last one
             // sees both sides empty).
-            let drain = (0..=trace.len() + ops.len()).map(|_| (0, 0, 0, 0));
-            for (op, dt, class, key) in ops.iter().copied().chain(drain) {
-                if op == 0 {
-                    let popped = merged.pop();
-                    prop_assert_eq!(popped, reference.pop());
-                    now = popped.map_or(now, |(at, _)| at);
-                } else {
-                    let slot = key as usize;
-                    let function = FnId::from_index(slot);
-                    let (node, gen) = ((key % 4) as u32, (key % 3) as u32);
-                    let event = match class {
-                        0 => Event::ExecComplete { request: key, instance: ids[slot] },
-                        1 => Event::KeepAliveExpiry { instance: ids[slot] },
-                        2 => Event::TransferComplete { node, function, gen },
-                        3 => Event::BootComplete { instance: ids[slot] },
-                        4 => Event::PoolTick { function },
-                        5 => Event::NodeRepair { node },
-                        6 => Event::NodeCrash { node },
-                        7 => Event::PartitionHeal { epoch: gen },
-                        8 => Event::HedgeFire { node, function, gen },
-                        9 => Event::HeartbeatTick { round: gen },
-                        _ => Event::Arrival { request: key },
-                    };
-                    let at = match (op, trace.get(slot)) {
-                        // A hand-scheduled twin of a streamed arrival.
-                        (1, Some(req)) if class == 10 => req.arrival,
-                        // Anywhere, the past included.
-                        (2, _) => nanos(dt * 20),
-                        // The engines' way: ahead of a monotone clock.
-                        _ => now.saturating_add(nanos(dt)),
-                    };
-                    merged.schedule(at, event);
-                    reference.schedule(at, event);
-                }
+            let drain = (0..=trace.len() + ops.len()).map(|_| (0, 0, 0, 0, 0));
+            for (op, level, dt, class, key) in ops.iter().copied().chain(drain) {
+                let far = nanos(1 << level).saturating_add(nanos(dt));
+                let (popped, expected) = match op {
+                    0 => (merged.pop(), reference.pop()),
+                    // Due at the last popped instant, or `far` past it.
+                    1 => {
+                        let due = if dt == 0 { now } else { now.saturating_add(far) };
+                        (merged.pop_due(due), reference.pop_due(due))
+                    }
+                    _ => {
+                        let slot = key as usize;
+                        let function = FnId::from_index(slot);
+                        let (node, gen) = ((key % 4) as u32, (key % 3) as u32);
+                        let event = match class {
+                            0 => Event::ExecComplete { request: key, instance: ids[slot] },
+                            1 => Event::KeepAliveExpiry { instance: ids[slot] },
+                            2 => Event::TransferComplete { node, function, gen },
+                            3 => Event::BootComplete { instance: ids[slot] },
+                            4 => Event::PoolTick { function },
+                            5 => Event::NodeRepair { node },
+                            6 => Event::NodeCrash { node },
+                            7 => Event::PartitionHeal { epoch: gen },
+                            8 => Event::HedgeFire { node, function, gen },
+                            9 => Event::HeartbeatTick { round: gen },
+                            _ => Event::Arrival { request: key },
+                        };
+                        let at = match (op, trace.get(slot)) {
+                            // A hand-scheduled twin of a streamed arrival.
+                            (2, Some(req)) if class == 10 => req.arrival,
+                            // Anywhere, the past included.
+                            (3, _) => nanos(dt * 20),
+                            (4, _) => now.saturating_add(far),
+                            (5, _) => now,
+                            (6, _) => now.saturating_sub(far),
+                            // The engines' way: ahead of a monotone clock.
+                            _ => now.saturating_add(nanos(dt)),
+                        };
+                        merged.schedule(at, event);
+                        reference.schedule(at, event);
+                        (None, None)
+                    }
+                };
+                prop_assert_eq!(popped, expected);
+                now = popped.map_or(now, |(at, _)| at);
                 prop_assert_eq!(merged.len(), reference.heap.len());
                 prop_assert_eq!(merged.is_empty(), reference.heap.is_empty());
-                prop_assert_eq!(merged.scheduled(), reference.seq);
+                prop_assert_eq!(merged.scheduled(), reference.scheduled);
             }
             prop_assert!(merged.is_empty());
         }
+    }
+
+    #[test]
+    fn an_entry_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Scheduled>(), 32);
     }
 
     #[test]
@@ -499,7 +616,7 @@ mod tests {
                 let done = now.saturating_add(nanos(1_000));
                 q.schedule(done, Event::ExecComplete { request, instance });
             }
-            deepest = deepest.max(q.heap.len());
+            deepest = deepest.max(q.in_flight.len);
         }
         assert_eq!(deepest, 2);
         assert_eq!(q.scheduled(), 200_000);
@@ -514,11 +631,11 @@ mod tests {
         q.schedule(nanos(1_000_000), Event::NodeCrash { node: 0 });
         q.schedule(nanos(50), expiry(b));
         // Same instant, lower key; then an earlier instant: both sort
-        // before the tail and take the heap.
+        // before the tail and take the in-flight heap.
         q.schedule(nanos(50), expiry(a));
         q.schedule(nanos(40), expiry(a));
         q.schedule(nanos(60), expiry(a));
-        assert_eq!((q.expiries.len(), q.heap.len()), (2, 3));
+        assert_eq!((q.expiries.len(), q.in_flight.len), (2, 3));
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(
             order,

@@ -15,10 +15,10 @@
 //!   execution costs are calibrated once through the real engines, then
 //!   millions of requests flow through a central [`EventQueue`] — a merge
 //!   of the time-sorted trace itself (the arrival source, never copied), a
-//!   FIFO run of keep-alive expiries and a `BinaryHeap` of the work in
-//!   flight — arrivals, boot and execution completions, keep-alive
-//!   expiries and self-healing pool ticks popped in a deterministic,
-//!   insertion-order-independent order — against
+//!   FIFO run of keep-alive expiries and a radix heap of the work in
+//!   flight, keyed on fire time — arrivals, boot and execution
+//!   completions, keep-alive expiries and self-healing pool ticks popped
+//!   in a deterministic, insertion-order-independent order — against
 //!   instances held in index-based arenas ([`Arena`], [`InstanceId`],
 //!   [`FnId`]) instead of `Rc<RefCell<...>>` webs. This is the regime that
 //!   extends Figure 15 from 10^3 to 10^5–10^6 concurrent instances.

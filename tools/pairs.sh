@@ -1,27 +1,31 @@
 #!/usr/bin/env bash
 # Same-host before/after pairs of one benchmark workload.
 #
-#   tools/pairs.sh <base-rev> <workload> [--seed N] [--pairs K] [--record]
+#   tools/pairs.sh <base-rev> <workload> [--seed N] [--pairs K] [--trace 0|1]
+#                  [--record]
 #
 # Exports <base-rev> and HEAD with `git archive` under $TMPDIR/pairs/<sha>
 # (never inside benchmark/), builds each export's unedited benchmark/ into
 # its own target directory there, then runs K pairs (default 10) of
 #
-#   catalyzer-benchmark --workload <workload> --seed N --seconds S --trace 0
+#   catalyzer-benchmark --workload <workload> --seed N --seconds S --trace T
 #
-# (N defaults to 11, S is BENCHMARK.json's `run_seconds`), alternating which
-# side runs first. Each run's last stdout line is its result. For every
-# end-to-end metric BENCHMARK.json names, the script prints each side's
-# median and interquartile range, how many pairs HEAD won, the ratio of the
-# medians (HEAD / base), and a noise verdict: "within spread" when
+# (N defaults to 11, S is BENCHMARK.json's `run_seconds`, T defaults to 0),
+# alternating which side runs first. Each run's last stdout line is its
+# result. For every end-to-end metric BENCHMARK.json names — with --trace 1,
+# every per-layer metric instead that either side reports as non-zero, since
+# a traced run reports those and no end-to-end metric — the script prints
+# each side's median and interquartile range, how many pairs HEAD won, the
+# ratio of the medians (HEAD / base), and a noise verdict: "within spread" when
 # |ratio - 1| is below the larger of the two sides' IQR / median, "moved"
 # otherwise. It refuses a verdict, and exits 1, when the two sides of any
-# pair disagree on `correct` or `failed`.
+# pair disagree on `correct` or `failed`. A traced run writes its span file
+# into its own export's benchmark/out, not into this checkout.
 #
 # With --record, a verdict also appends one JSON line to docs/ledger.jsonl:
-# the host (`uname -m`, CPU model, vCPUs), both commits, the workload, seed
-# and K, and per metric the two medians and IQRs, HEAD's wins, the ratio and
-# the verdict. Only pairs from one session and one host compare; a row says
+# the host (`uname -m`, CPU model, vCPUs), both commits, the workload, seed,
+# K and the trace flag, and per metric the two medians and IQRs, HEAD's wins,
+# the ratio and the verdict. Only pairs from one session and one host compare; a row says
 # which host it is from.
 #
 # Needs git, cargo and python3. Not a gate: tools/check.sh does not run it.
@@ -30,7 +34,7 @@
 set -euo pipefail
 
 usage() {
-  echo "usage: tools/pairs.sh <base-rev> <workload> [--seed N] [--pairs K] [--record]" >&2
+  echo "usage: tools/pairs.sh <base-rev> <workload> [--seed N] [--pairs K] [--trace 0|1] [--record]" >&2
   exit 2
 }
 
@@ -40,16 +44,18 @@ workload="$2"
 shift 2
 seed=11
 pairs=10
+trace=0
 record=""
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --seed) [[ $# -ge 2 ]] || usage; seed="$2"; shift 2 ;;
     --pairs) [[ $# -ge 2 ]] || usage; pairs="$2"; shift 2 ;;
+    --trace) [[ $# -ge 2 ]] || usage; trace="$2"; shift 2 ;;
     --record) record=1; shift ;;
     *) usage ;;
   esac
 done
-[[ "$seed" =~ ^[0-9]+$ && "$pairs" =~ ^[1-9][0-9]*$ ]] || usage
+[[ "$seed" =~ ^[0-9]+$ && "$pairs" =~ ^[1-9][0-9]*$ && "$trace" =~ ^[01]$ ]] || usage
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 base_sha="$(git -C "$repo" rev-parse --verify "${base_rev}^{commit}")"
@@ -79,7 +85,7 @@ seconds="$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run
 run() {
   local side="$1" pair="$2" line
   line="$("${dir[$side]}/target/release/catalyzer-benchmark" --workload "$workload" \
-    --seed "$seed" --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1)" || true
+    --seed "$seed" --seconds "$seconds" --trace "$trace" 2>/dev/null | tail -n 1)" || true
   printf '%s\t%s\t%s\n' "$side" "$pair" "$line" >> "$runs"
 }
 
@@ -98,15 +104,16 @@ fi
 cpu="$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -n 1)"
 
 python3 - "$runs" "${dir[head]}/src/BENCHMARK.json" \
-  "$base_rev" "$workload" "$seed" "$base_sha" "$head_sha" "$ledger" \
+  "$base_rev" "$workload" "$seed" "$trace" "$base_sha" "$head_sha" "$ledger" \
   "$(uname -m)" "$cpu" "$(nproc)" <<'PY'
 import datetime
 import json
 import sys
 
-(runs_path, spec_path, base_rev, workload, seed, base_sha, head_sha, ledger,
- arch, cpu, vcpus) = sys.argv[1:]
-metrics = json.load(open(spec_path))["end_to_end"]
+(runs_path, spec_path, base_rev, workload, seed, trace, base_sha, head_sha,
+ ledger, arch, cpu, vcpus) = sys.argv[1:]
+# A traced run reports the per-layer metrics only.
+metrics = json.load(open(spec_path))["per_layer" if trace == "1" else "end_to_end"]
 runs = {}
 for row in open(runs_path):
     side, pair, line = row.rstrip("\n").split("\t", 2)
@@ -125,15 +132,19 @@ def quantile(values, q):
     return values[lo] + (values[hi] - values[lo]) * (pos - lo)
 
 
-print(f"{workload}, seed {seed}, {len(runs)} pairs: base {base_rev} vs HEAD")
+print(f"{workload}, seed {seed}, trace {trace}, {len(runs)} pairs: "
+      f"base {base_rev} vs HEAD")
+width = 40 if trace == "1" else 14
 row = {}
-print(f"{'metric':<14} {'base median':>14} {'base IQR':>12} "
+print(f"{'metric':<{width}} {'base median':>14} {'base IQR':>12} "
       f"{'HEAD median':>14} {'HEAD IQR':>12} {'HEAD wins':>10} {'ratio':>8} "
       f"{'verdict':>14}")
 for metric in metrics:
     name, higher = metric["name"], metric["better"] == "higher"
     base = [runs[p]["base"]["metrics"][name]["value"] for p in sorted(runs)]
     head = [runs[p]["head"]["metrics"][name]["value"] for p in sorted(runs)]
+    if not any(base + head):
+        continue
     wins = sum((h > b) if higher else (h < b) for b, h in zip(base, head))
     b_med, h_med = quantile(base, 0.5), quantile(head, 0.5)
     b_iqr = quantile(base, 0.75) - quantile(base, 0.25)
@@ -145,7 +156,7 @@ for metric in metrics:
     row[name] = {"base_median": b_med, "base_iqr": b_iqr,
                  "head_median": h_med, "head_iqr": h_iqr,
                  "head_wins": wins, "ratio": ratio, "verdict": verdict}
-    print(f"{name:<14} {b_med:>14.3f} {b_iqr:>12.3f} {h_med:>14.3f} "
+    print(f"{name:<{width}} {b_med:>14.3f} {b_iqr:>12.3f} {h_med:>14.3f} "
           f"{h_iqr:>12.3f} {wins:>7}/{len(runs):<2} {ratio:>8.3f} "
           f"{verdict:>14}")
 
@@ -171,6 +182,7 @@ if ledger:
         "head": head_sha,
         "workload": workload,
         "seed": int(seed),
+        "trace": int(trace),
         "pairs": len(runs),
         "metrics": row,
     }
