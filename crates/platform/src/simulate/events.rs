@@ -31,9 +31,9 @@
 //!    64 times, each time to a lower bucket.
 //!
 //! `pop` takes the least of the three heads, so the pop sequence is the
-//! one a single heap holding every event would produce — two property
-//! tests below hold the merge to exactly that reference, one of them with
-//! fire times spread over all 64 bucket levels.
+//! one a single heap holding every event would produce — a property test
+//! below holds the merge to exactly that reference, with fire times
+//! reaching all 64 bucket levels.
 //!
 //! The tie-break at equal timestamps is total and *insertion-order
 //! independent*: `(time, event class, payload key, payload subkey)`.

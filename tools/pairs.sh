@@ -16,11 +16,13 @@
 # every per-layer metric instead that either side reports as non-zero, since
 # a traced run reports those and no end-to-end metric — the script prints
 # each side's median and interquartile range, how many pairs HEAD won, the
-# ratio of the medians (HEAD / base), and a noise verdict: "within spread" when
-# |ratio - 1| is below the larger of the two sides' IQR / median, "moved"
-# otherwise. It refuses a verdict, and exits 1, when the two sides of any
-# pair disagree on `correct` or `failed`. A traced run writes its span file
-# into its own export's benchmark/out, not into this checkout.
+# ratio of the medians (HEAD / base), and a noise verdict: "equal" when every
+# run of both sides reads the same value (a traced run's counts and `sim_*`
+# rows), "within spread" when |ratio - 1| is below the larger of the two
+# sides' IQR / |median|, "moved" otherwise. It refuses a verdict, and exits
+# 1, when the two sides of any pair disagree on `correct` or `failed`. A
+# traced run writes its span file into its own export's benchmark/out, not
+# into this checkout.
 #
 # With --record, a verdict also appends one JSON line to docs/ledger.jsonl:
 # the host (`uname -m`, CPU model, vCPUs), both commits, the workload, seed,
@@ -150,9 +152,14 @@ for metric in metrics:
     b_iqr = quantile(base, 0.75) - quantile(base, 0.25)
     h_iqr = quantile(head, 0.75) - quantile(head, 0.25)
     ratio = h_med / b_med if b_med else float("nan")
-    spread = max(b_iqr / b_med if b_med else float("inf"),
-                 h_iqr / h_med if h_med else float("inf"))
-    verdict = "within spread" if abs(ratio - 1) < spread else "moved"
+    spread = max(b_iqr / abs(b_med) if b_med else float("inf"),
+                 h_iqr / abs(h_med) if h_med else float("inf"))
+    if len(set(base + head)) == 1:
+        verdict = "equal"
+    elif abs(ratio - 1) < spread:
+        verdict = "within spread"
+    else:
+        verdict = "moved"
     row[name] = {"base_median": b_med, "base_iqr": b_iqr,
                  "head_median": h_med, "head_iqr": h_iqr,
                  "head_wins": wins, "ratio": ratio, "verdict": verdict}
