@@ -58,7 +58,7 @@ use super::chaos::{
 use super::{transfer_time, ClusterConfig, RoutingPolicy, COLD_PULL};
 use crate::simulate::{
     calibrate_shapes, fraction, validate_trace, Arena, Event, EventQueue, FnId, InstanceId,
-    Quantiles, TraceRequest, REUSE_HANDOFF,
+    Quantiles, ShapeCost, TraceRequest, REUSE_HANDOFF,
 };
 use crate::PlatformError;
 
@@ -256,10 +256,8 @@ pub struct ChaosOutcome {
 
 /// Calibrated per-function costs.
 struct ClusterFn {
-    /// Steady-state local sfork on a provisioned holder.
-    boot: SimNanos,
-    /// Handler execution.
-    exec: SimNanos,
+    /// Local sfork on a provisioned holder, and the child's handler run.
+    fork: ShapeCost,
     /// Template transfer to a non-holder (from the cost model).
     transfer: SimNanos,
     /// Full cold boot (restore path), excluding the registry pull.
@@ -583,7 +581,7 @@ impl ClusterSim {
                         ($id:expr, $node:expr, $cost:expr) => {{
                             let cost = $cost;
                             let startup = lag.saturating_add(cost);
-                            let exec = stretch(f.exec, slow[$node]);
+                            let exec = stretch(f.fork.exec, slow[$node]);
                             startup_hist.record(startup);
                             e2e_hist.record(startup.saturating_add(exec));
                             queue.schedule(
@@ -648,7 +646,7 @@ impl ClusterSim {
                         }
                         local += 1;
                         let id = place!(node, ROUTE_LOCAL);
-                        serve!(id, node, stretch(f.boot, slow[node]));
+                        serve!(id, node, stretch(f.fork.boot, slow[node]));
                         continue;
                     }
 
@@ -871,8 +869,8 @@ impl ClusterSim {
                         continue;
                     };
                     let slowdown = chaos.as_ref().map_or(1.0, |c| c.slowdown(node, now));
-                    let boot = stretch(f.boot, slowdown);
-                    let exec = stretch(f.exec, slowdown);
+                    let boot = stretch(f.fork.boot, slowdown);
+                    let exec = stretch(f.fork.exec, slowdown);
                     for (request, id) in t.waiters {
                         if !instances.contains(id) {
                             continue;
@@ -1183,39 +1181,37 @@ impl ClusterSim {
     /// once: [`Catalyzer::prepare_image_and_template`] runs the profile to its
     /// entry point a single time and derives both the func-image and the
     /// template sandbox from that program, on offline clocks (holders are
-    /// provisioned, so only boots are on-path). From it: the steady local
-    /// sfork and the child's handler execution, plus the full cold restore
-    /// for the rung the remote fork is competing against. Functions
-    /// differing only in name share one calibration.
+    /// provisioned, so only boots are on-path). From it: the local sfork
+    /// and the child's handler execution, plus the full cold restore for
+    /// the rung the remote fork is competing against. Functions differing
+    /// only in name share one calibration.
     fn calibrate(&self) -> Result<Vec<ClusterFn>, PlatformError> {
-        let costs = calibrate_shapes(&self.catalogue, |profile| {
-            let mut system = Catalyzer::new();
-            system.prepare_image_and_template(profile, &self.model)?;
-            let mut boot = |mode: BootMode| {
-                let mut ctx = BootCtx::fresh(&self.model);
-                let outcome = system.boot(mode, profile, &mut ctx)?;
-                Ok::<_, PlatformError>((ctx.now(), outcome))
-            };
-            let (steady, mut outcome) = boot(BootMode::Fork)?;
-            let exec_ctx = BootCtx::fresh(&self.model);
-            outcome
-                .program
-                .invoke_handler(exec_ctx.clock(), exec_ctx.model())?;
-            let (cold_boot, _) = boot(BootMode::Cold)?;
-            Ok((steady, exec_ctx.now(), cold_boot))
-        })?;
+        let costs = calibrate_shapes(&self.catalogue, |profile| shape_costs(profile, &self.model))?;
         Ok(self
             .catalogue
             .iter()
             .zip(costs)
-            .map(|(profile, (boot, exec, cold_boot))| ClusterFn {
-                boot,
-                exec,
+            .map(|(profile, (fork, cold_boot))| ClusterFn {
+                fork,
                 transfer: transfer_time(profile),
                 cold_boot,
             })
             .collect())
     }
+}
+
+/// One shape's cluster calibration: its fork [`ShapeCost`] and its cold
+/// boot, both from one [`Catalyzer`] initialised once.
+fn shape_costs(
+    profile: &AppProfile,
+    model: &CostModel,
+) -> Result<(ShapeCost, SimNanos), PlatformError> {
+    let mut system = Catalyzer::new();
+    system.prepare_image_and_template(profile, model)?;
+    let fork = ShapeCost::measure(model, |ctx| system.boot(BootMode::Fork, profile, ctx))?;
+    let mut ctx = BootCtx::fresh(model);
+    system.boot(BootMode::Cold, profile, &mut ctx)?;
+    Ok((fork, ctx.now()))
 }
 
 #[cfg(test)]
@@ -1599,5 +1595,26 @@ mod tests {
         let mut at_limit = cluster(Some(ChaosPolicy::full()));
         at_limit.call("C-hello", Some(limit)).unwrap();
         assert_eq!(at_limit.history().len(), 1);
+    }
+
+    #[test]
+    fn the_fleet_and_cluster_recipes_agree_on_a_fork() {
+        // The fleet boots a fork-mode engine whose first boot builds the
+        // template; the cluster initialises once for image and template.
+        // Where the two overlap, the fork boot and its handler run agree.
+        let model = CostModel::experimental_machine();
+        for profile in [
+            AppProfile::c_hello(),
+            AppProfile::c_nginx(),
+            AppProfile::python_hello(),
+        ] {
+            let mut engine = catalyzer::CatalyzerEngine::standalone(BootMode::Fork);
+            let fleet = ShapeCost::measure(&model, |ctx| {
+                sandbox::BootEngine::boot(&mut engine, &profile, ctx)
+            })
+            .unwrap();
+            let (cluster, _) = shape_costs(&profile, &model).unwrap();
+            assert_eq!(fleet, cluster, "{}", profile.name);
+        }
     }
 }

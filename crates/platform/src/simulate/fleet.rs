@@ -11,9 +11,10 @@
 //!
 //! 1. **Calibrate** (once per distinct cost shape — functions differing
 //!    only in name share a calibration): boot the function's real engine
-//!    twice on an offline clock — the first boot pays template/zygote
-//!    construction, the second is the steady state — and run its handler
-//!    once. Three numbers per function: `first`, `boot`, `exec`.
+//!    once on an offline clock and run the booted child's handler once.
+//!    Two numbers per function, a `ShapeCost`: `boot` and `exec`. The
+//!    paper initialises a function once and prepares it offline, so a
+//!    first boot costs what every later boot costs.
 //! 2. **Flow** the trace through the event queue, which reads arrivals
 //!    straight off the validated trace and holds only what they set in
 //!    motion;
@@ -25,10 +26,13 @@
 //!
 //! Faults ([`Simulation::with_faults`]) consult the same deterministic
 //! [`FaultInjector`] schedule at each cold boot: transients and stalls
-//! charge their detection delay plus one retry backoff; a poison marks the
-//! function's prepared state suspect (subsequent boots pay the full
-//! template rebuild) and schedules a repair tick that heals it off the
-//! request path, mirroring the closed-loop pool's deferred quarantine.
+//! charge their detection delay plus one retry backoff; a poison charges
+//! its detection delay on top of the boot and schedules a repair tick one
+//! boot later that heals the injector, mirroring the closed-loop pool's
+//! deferred quarantine. No boot pays a template rebuild: the closed loop
+//! under [`ResiliencePolicy::full`](crate::ResiliencePolicy::full) charges
+//! the rebuild on the request path, the fleet does not.
+//!
 //! Admission ([`Simulation::with_admission`]) degrades to its per-function
 //! concurrency cap — at open-loop scale the queue is the event queue
 //! itself, so `max_in_flight + max_queue` arrivals may be in flight before
@@ -38,18 +42,15 @@
 //! memory at any trace length); determinism is byte-exact: same catalogue,
 //! knobs, and trace — same [`FleetOutcome`], every typed count included.
 
-use std::cmp::Reverse;
-
 use faultsim::{FaultInjector, FaultKind, InjectionPoint};
 use runtimes::AppProfile;
-use sandbox::BootCtx;
+use sandbox::{BootCtx, BootOutcome, SandboxError};
 use serde::{Deserialize, Serialize};
-use simtime::{LatencyHistogram, MetricsRegistry, SimNanos};
+use simtime::{CostModel, LatencyHistogram, SimNanos};
 
 use super::arena::{Arena, FnId, InstanceId};
 use super::events::{Event, EventQueue};
 use super::{validate_trace, Simulation, TraceRequest, REUSE_HANDOFF};
-use crate::resilience::{resilient_boot, ResiliencePolicy};
 use crate::PlatformError;
 
 /// Latency distribution digest from a fixed-ladder histogram: quantiles
@@ -128,18 +129,40 @@ pub struct FleetOutcome {
     pub reuse_rate: f64,
 }
 
-/// Calibrated per-function state: three costs plus the warm set.
+/// What one cost shape costs, measured once on real engines and read by
+/// both open-loop kernels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ShapeCost {
+    /// A boot against prepared state.
+    pub(crate) boot: SimNanos,
+    /// The booted child's handler execution.
+    pub(crate) exec: SimNanos,
+}
+
+impl ShapeCost {
+    /// Runs `boot` on a fresh offline [`BootCtx`], then the booted child's
+    /// handler on another; the two clocks are the two costs.
+    pub(crate) fn measure(
+        model: &CostModel,
+        boot: impl FnOnce(&mut BootCtx) -> Result<BootOutcome, SandboxError>,
+    ) -> Result<ShapeCost, PlatformError> {
+        let mut boot_ctx = BootCtx::fresh(model);
+        let mut outcome = boot(&mut boot_ctx)?;
+        let exec_ctx = BootCtx::fresh(model);
+        outcome
+            .program
+            .invoke_handler(exec_ctx.clock(), exec_ctx.model())?;
+        Ok(ShapeCost {
+            boot: boot_ctx.now(),
+            exec: exec_ctx.now(),
+        })
+    }
+}
+
+/// Calibrated per-function state: its cost plus the warm set.
 struct FleetFn {
-    /// First-ever cold boot: pays template/zygote construction.
-    first: SimNanos,
-    /// Steady-state cold boot against prepared state.
-    boot: SimNanos,
-    /// Handler execution.
-    exec: SimNanos,
-    /// Set once the construction cost has been paid.
-    booted_once: bool,
-    /// Prepared state is suspect: boots pay `first` until the repair tick,
-    /// which is queued exactly while this is set.
+    cost: ShapeCost,
+    /// A poison's repair tick is queued: set until the tick heals it.
     poisoned: bool,
     /// LIFO stack of warm instances (lazily pruned: expired entries miss
     /// the arena's generation check and are skipped on pop).
@@ -164,6 +187,12 @@ impl Simulation {
     /// docs for the calibration/flow split. Use this for density-grid
     /// scale (10^5+ concurrent instances); use [`Simulation::run`] when
     /// per-request fidelity matters more than scale.
+    ///
+    /// Each shape is booted once, so every cold boot costs what the first
+    /// boot cost. An engine whose first boot does more than its later ones
+    /// (Catalyzer's cold boot builds the Base-EPT the next ones attach) is
+    /// charged that first boot every time, as the cluster kernel's cold
+    /// rung already is.
     ///
     /// # Errors
     ///
@@ -236,9 +265,10 @@ impl Simulation {
                         }
                         reuses += 1;
                         startup_hist.record(REUSE_HANDOFF);
-                        e2e_hist.record(REUSE_HANDOFF.saturating_add(f.exec));
+                        e2e_hist.record(REUSE_HANDOFF.saturating_add(f.cost.exec));
                         queue.schedule(
-                            now.saturating_add(REUSE_HANDOFF).saturating_add(f.exec),
+                            now.saturating_add(REUSE_HANDOFF)
+                                .saturating_add(f.cost.exec),
                             Event::ExecComplete {
                                 request,
                                 instance: id,
@@ -247,31 +277,26 @@ impl Simulation {
                         continue;
                     }
 
-                    // Cold path: the first boot ever (and every boot against
-                    // poisoned prepared state) pays template construction.
+                    // Cold path: one calibrated boot.
                     cold_boots += 1;
-                    let mut cost = if f.poisoned || !f.booted_once {
-                        f.first
-                    } else {
-                        f.boot
-                    };
-                    f.booted_once = true;
+                    let mut cost = f.cost.boot;
                     if let Some(injector) = &mut injector {
                         if let Some(fault) = injector.check(InjectionPoint::SforkMerge, now) {
                             if fault.kind == FaultKind::Poison {
                                 // Deferred quarantine at fleet scale: this
-                                // boot pays the rebuild, later ones stay
-                                // degraded until the repair tick heals.
+                                // boot pays its detection delay, and one
+                                // repair tick per poisoning heals the
+                                // injector a boot later.
                                 if !f.poisoned {
                                     queue.schedule(
-                                        now.saturating_add(f.first),
+                                        now.saturating_add(f.cost.boot),
                                         Event::PoolTick {
                                             function: FnId::from_index(req.function),
                                         },
                                     );
                                 }
                                 f.poisoned = true;
-                                cost = f.first.saturating_add(fault.delay);
+                                cost = cost.saturating_add(fault.delay);
                             } else {
                                 // Transient/stall: detection delay plus one
                                 // retry backoff, then the retry succeeds.
@@ -289,7 +314,7 @@ impl Simulation {
                         idle_since: SimNanos::ZERO,
                     });
                     startup_hist.record(cost);
-                    e2e_hist.record(cost.saturating_add(f.exec));
+                    e2e_hist.record(cost.saturating_add(f.cost.exec));
                     queue.schedule(
                         now.saturating_add(cost),
                         Event::BootComplete { instance: id },
@@ -301,7 +326,7 @@ impl Simulation {
                     };
                     let exec = fns
                         .get(inst.function.index())
-                        .map_or(SimNanos::ZERO, |f| f.exec);
+                        .map_or(SimNanos::ZERO, |f| f.cost.exec);
                     queue.schedule(
                         now.saturating_add(exec),
                         Event::ExecComplete {
@@ -400,44 +425,17 @@ impl Simulation {
         })
     }
 
-    /// Boots each distinct cost shape's real engine on an offline clock to
-    /// extract its three calibrated costs; the engines are dropped
-    /// afterwards.
+    /// Boots each distinct cost shape's real engine once on an offline
+    /// clock for its [`ShapeCost`]; the engines are dropped afterwards.
     fn calibrate(&mut self) -> Result<Vec<FleetFn>, PlatformError> {
-        let calibration = ResiliencePolicy::none();
-        let mut scratch = MetricsRegistry::new();
         let costs = calibrate_shapes(&self.catalogue, |profile| {
             let mut engine = (self.engine)(profile);
-            let mut first_ctx = BootCtx::fresh(&self.model);
-            let booted = resilient_boot(
-                &mut engine,
-                profile,
-                &calibration,
-                &mut first_ctx,
-                &mut scratch,
-            )?;
-            let mut outcome = booted.outcome;
-            let exec_ctx = BootCtx::fresh(&self.model);
-            outcome
-                .program
-                .invoke_handler(exec_ctx.clock(), exec_ctx.model())?;
-            let mut steady_ctx = BootCtx::fresh(&self.model);
-            resilient_boot(
-                &mut engine,
-                profile,
-                &calibration,
-                &mut steady_ctx,
-                &mut scratch,
-            )?;
-            Ok((first_ctx.now(), steady_ctx.now(), exec_ctx.now()))
+            ShapeCost::measure(&self.model, |ctx| engine.boot(profile, ctx))
         })?;
         Ok(costs
             .into_iter()
-            .map(|(first, boot, exec)| FleetFn {
-                first,
-                boot,
-                exec,
-                booted_once: false,
+            .map(|cost| FleetFn {
+                cost,
                 poisoned: false,
                 idle: Vec::new(),
                 idle_live: 0,
@@ -447,57 +445,33 @@ impl Simulation {
     }
 }
 
-/// Runs `boot` once per distinct cost shape in `catalogue` and returns the
-/// calibrated costs per function, in catalogue order. Functions that differ
-/// only in name share one calibration: engines derive their behaviour from
-/// the profile's cost fields, never its name, so a synthetic fleet
+/// Runs `boot` once per distinct cost shape in `catalogue`, in catalogue
+/// order, and returns the calibrated costs per function, in catalogue
+/// order. Functions that differ only in name share one calibration, the
+/// first of them standing for the shape: engines derive their behaviour
+/// from the profile's cost fields, never its name, so a synthetic fleet
 /// catalogue with a bounded set of distinct cost shapes (e.g.
 /// `workloads::catalogue::synthetic`) pays dozens of calibration boots
 /// instead of thousands. Both open-loop engines — the single-node fleet
 /// and the cluster kernel — memoise through here.
-///
-/// Shapes are booted **largest heap first** (the first function of a shape
-/// stands for it, as before; a calibration depends on nothing but its
-/// shape, so the order moves no cost). What the order does decide is the
-/// heap the host allocator hands the event loop. Every engine is dropped
-/// before the next is built, but each leaves small-object remnants (glibc
-/// keeps the last few freed chunks of every size class out of coalescing)
-/// that split the pages it freed. In catalogue order — which a seed
-/// shuffles — some hundred engines of mixed size split that space
-/// differently for every seed, and whether the queues' 8 MiB buffers then
-/// fitted under calibration's high-water mark or went on top of it was a
-/// per-seed coin: `fleet-open` read 145, 153 or 161 MiB peak RSS. By size,
-/// the big templates run first, on the least-split heap, the remnants
-/// left last are the smallest engines', and the freed space stays in
-/// fewer, larger runs (EXPERIMENTS.md, PR 20: 39 seeds in 40 at 145.6).
-/// The coin now has less to land: the queue's work in flight sits in 64
-/// radix buckets of 32-byte entries, each its own small buffer, beside
-/// the expiry run's one ≈ 4 MiB buffer. Over `fleet-open` seeds 1–12 on a
-/// 2-vCPU x86-64 guest every seed read 142.0–142.3 MiB peak RSS, where a
-/// binary heap of 64-byte entries read 149.5–149.9 on 3 of the 12.
 pub(crate) fn calibrate_shapes<C: Copy>(
     catalogue: &[AppProfile],
     mut boot: impl FnMut(&AppProfile) -> Result<C, PlatformError>,
 ) -> Result<Vec<C>, PlatformError> {
     let mut shapes: Vec<(AppProfile, C)> = Vec::new();
-    let mut memoised = |profile: &AppProfile| -> Result<C, PlatformError> {
-        let mut key = profile.clone();
-        key.name = String::new();
-        if let Some((_, costs)) = shapes.iter().find(|(shape, _)| *shape == key) {
-            return Ok(*costs);
-        }
-        let costs = boot(profile)?;
-        shapes.push((key, costs));
-        Ok(costs)
-    };
-    // A stable sort: within one heap size, first appearance still leads.
-    let mut largest_first: Vec<&AppProfile> = catalogue.iter().collect();
-    largest_first.sort_by_key(|profile| Reverse(profile.init_heap_pages));
-    for profile in largest_first {
-        memoised(profile)?;
-    }
-    // Every shape is known now: this pass only looks up.
-    catalogue.iter().map(memoised).collect()
+    catalogue
+        .iter()
+        .map(|profile| {
+            let mut key = profile.clone();
+            key.name = String::new();
+            if let Some((_, costs)) = shapes.iter().find(|(shape, _)| *shape == key) {
+                return Ok(*costs);
+            }
+            let costs = boot(profile)?;
+            shapes.push((key, costs));
+            Ok(costs)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -672,12 +646,11 @@ mod tests {
     }
 
     #[test]
-    fn shapes_are_calibrated_once_each_largest_heap_first() {
+    fn shapes_are_calibrated_once_each_in_catalogue_order() {
         let named = |mut profile: AppProfile, name: &str| {
             profile.name = name.into();
             profile
         };
-        // Heap pages: c_hello < c_nginx < python_hello.
         let catalogue = vec![
             named(AppProfile::c_nginx(), "b0"),
             named(AppProfile::c_hello(), "a0"),
@@ -692,8 +665,7 @@ mod tests {
         })
         .unwrap();
         // One boot per shape, its first function standing for it.
-        assert_eq!(booted, ["c0", "b0", "a0"]);
-        // Costs come back in catalogue order whatever the boot order was.
+        assert_eq!(booted, ["b0", "a0", "c0"]);
         let heaps: Vec<u64> = catalogue.iter().map(|p| p.init_heap_pages).collect();
         assert_eq!(costs, heaps);
 

@@ -82,7 +82,7 @@ use crate::PlatformError;
 
 pub use arena::{Arena, FnId, InstanceId};
 pub use events::{Event, EventQueue};
-pub(crate) use fleet::calibrate_shapes;
+pub(crate) use fleet::{calibrate_shapes, ShapeCost};
 pub use fleet::{FleetOutcome, Quantiles};
 pub(crate) use trace::validate_trace;
 

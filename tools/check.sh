@@ -5,8 +5,22 @@
 # Fails fast; run from anywhere inside the repo. Each step is timed and a
 # wall-clock summary table prints at the end — when the gate feels slow,
 # the table says which step to blame.
+#
+#   tools/check.sh [--record]
+#
+# With --record, a passing run also appends one JSON line to
+# docs/ledger.jsonl: "kind": "check", the host as tools/pairs.sh writes it
+# (`uname -m`, CPU model, vCPUs), the commit (and whether the tree had
+# uncommitted changes) and each step's seconds. Needs python3.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+record=""
+case "${1-}" in
+  "") ;;
+  --record) record=1 ;;
+  *) echo "usage: tools/check.sh [--record]" >&2; exit 2 ;;
+esac
 
 STEP_NAMES=()
 STEP_SECS=()
@@ -185,3 +199,31 @@ echo "  -------  ----"
 for i in "${!STEP_NAMES[@]}"; do
   echo "  ${STEP_SECS[$i]}  ${STEP_NAMES[$i]}"
 done
+
+if [[ -n "${record}" ]]; then
+  dirty=0
+  git diff --quiet HEAD -- || dirty=1
+  for i in "${!STEP_NAMES[@]}"; do
+    printf '%s\t%s\n' "${STEP_SECS[$i]}" "${STEP_NAMES[$i]}"
+  done | python3 -c '
+import datetime, json, sys
+arch, cpu, vcpus, commit, dirty = sys.argv[1:]
+steps = {}
+for row in sys.stdin:
+    secs, name = row.rstrip("\n").split("\t", 1)
+    steps[name] = float(secs)
+line = {
+    "kind": "check",
+    "date": datetime.date.today().isoformat(),
+    "host": {"arch": arch, "cpu": cpu, "vcpus": int(vcpus)},
+    "commit": commit,
+    "dirty": dirty == "1",
+    "steps": steps,
+}
+with open("docs/ledger.jsonl", "a") as out:
+    out.write(json.dumps(line, sort_keys=True) + "\n")
+' "$(uname -m)" "$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -n 1)" \
+    "$(nproc)" "$(git rev-parse HEAD)" "${dirty}"
+  echo
+  echo "recorded in docs/ledger.jsonl"
+fi
