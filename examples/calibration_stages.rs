@@ -3,13 +3,12 @@
 //!
 //! `run_fleet` and `run_cluster` both calibrate every distinct cost shape of
 //! their catalogue on real engines (`calibrate_shapes`: functions differing
-//! only in name share one calibration, largest heap first). This probe
+//! only in name share one calibration, in catalogue order). This probe
 //! makes each kernel's `Catalyzer` calls shape by shape and times them:
 //!
 //! - **fleet** (`Simulation::run_fleet` over `synthetic(10_000, 11)`): per
 //!   shape, `Catalyzer::ensure_template` (what a fork-mode engine's first
-//!   boot prepares), a fork boot, the handler run on that child, and a
-//!   second fork boot;
+//!   boot prepares), a fork boot, and the handler run on that child;
 //! - **cluster** (`ClusterSim::run_cluster` over `fig1_functions()`): per
 //!   shape, `Catalyzer::prepare_image_and_template` (one initialisation,
 //!   the func-image captured at the entry point, the same program made the
@@ -20,9 +19,10 @@
 //! preparation: start + run to the entry point, and for the cluster the
 //! capture — checkpoint, `flat::write`, parse — and the thread merge),
 //! `fill` (the heap fill inside `prepare`, replayed alone on a fresh
-//! address space: map the heap, write every page), `boots` (the two
-//! boots), `exec` (the child's first handler run), `drops` (dropping both
-//! booted instances and the `Catalyzer` with its image and template).
+//! address space: map the heap, write every page), `boots` (the fleet's
+//! fork boot; the cluster's fork and cold boots), `exec` (the child's
+//! first handler run), `drops` (dropping the booted instances and the
+//! `Catalyzer` with its image and template).
 //! `sum` adds the stages but `fill` (it is inside `prepare`); `run` is a
 //! one-request `run_fleet` / `run_cluster`, which is calibration plus one
 //! event.
@@ -36,7 +36,6 @@
 //! which is what the `fleet-open` and `cluster-storm` benchmarks measure as
 //! `platform.fleet_calibrate_s` and `platform.cluster_calibrate_s`.
 
-use std::cmp::Reverse;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -60,8 +59,8 @@ fn median(samples: &mut [f64]) -> f64 {
     samples.get(samples.len() / 2).copied().unwrap_or(0.0)
 }
 
-/// The first function of each distinct cost shape, largest heap first — the
-/// order and the representatives `calibrate_shapes` boots.
+/// The first function of each distinct cost shape, in order of first
+/// appearance — the order and the representatives `calibrate_shapes` boots.
 fn shapes(catalogue: &[AppProfile]) -> Vec<AppProfile> {
     let mut keys: Vec<AppProfile> = Vec::new();
     let mut firsts: Vec<AppProfile> = Vec::new();
@@ -73,7 +72,6 @@ fn shapes(catalogue: &[AppProfile]) -> Vec<AppProfile> {
             firsts.push(profile.clone());
         }
     }
-    firsts.sort_by_key(|profile| Reverse(profile.init_heap_pages));
     firsts
 }
 
@@ -96,8 +94,8 @@ fn fill(profile: &AppProfile, model: &CostModel) -> Result<f64, Box<dyn std::err
 
 /// One calibration of `profile`, stage by stage, added into `stages`.
 /// `cold` selects the cluster kernel's calls: prepare the image and the
-/// template from one initialisation, fork once, and cold-boot; otherwise
-/// the fleet's: generate the template, fork, run, fork again.
+/// template from one initialisation, fork once, run, and cold-boot;
+/// otherwise the fleet's: generate the template, fork once, run.
 fn calibrate(profile: &AppProfile, cold: bool, model: &CostModel, stages: &mut [f64]) -> Probe {
     stages[1] += fill(profile, model)?;
     let mut system = Catalyzer::new();
@@ -115,9 +113,12 @@ fn calibrate(profile: &AppProfile, cold: bool, model: &CostModel, stages: &mut [
     let t = Instant::now();
     black_box(child.program.invoke_handler(&SimClock::new(), model)?);
     stages[3] += secs(t);
-    let second = if cold { BootMode::Cold } else { BootMode::Fork };
     let t = Instant::now();
-    let second = system.boot(second, profile, &mut BootCtx::fresh(model))?;
+    let second = if cold {
+        Some(system.boot(BootMode::Cold, profile, &mut BootCtx::fresh(model))?)
+    } else {
+        None
+    };
     stages[2] += secs(t);
 
     let t = Instant::now();

@@ -143,8 +143,10 @@ step "stage probe (write + restore + fork, one round)" \
 
 # The calibration probe (examples/calibration_stages.rs), one round: the
 # fleet kernel's and the cluster kernel's Catalyzer calls made shape by
-# shape, printing host seconds per stage (prepare with its heap fill split
-# out, boots, exec, drops) beside a one-request run_fleet / run_cluster.
+# shape in catalogue order (the fleet one fork boot and its handler run,
+# the cluster a fork, its handler run and a cold boot), printing host
+# seconds per stage (prepare with its heap fill split out, boots, exec,
+# drops) beside a one-request run_fleet / run_cluster.
 # Ungated numbers; fails on any error (~3 s).
 step "calibration probe (fleet + cluster kernels, one round)" \
   cargo run -q --release --example calibration_stages 1
