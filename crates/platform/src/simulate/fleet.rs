@@ -445,15 +445,14 @@ impl Simulation {
     }
 }
 
-/// Runs `boot` once per distinct cost shape in `catalogue`, in catalogue
-/// order, and returns the calibrated costs per function, in catalogue
-/// order. Functions that differ only in name share one calibration, the
-/// first of them standing for the shape: engines derive their behaviour
-/// from the profile's cost fields, never its name, so a synthetic fleet
-/// catalogue with a bounded set of distinct cost shapes (e.g.
-/// `workloads::catalogue::synthetic`) pays dozens of calibration boots
-/// instead of thousands. Both open-loop engines — the single-node fleet
-/// and the cluster kernel — memoise through here.
+/// Runs `boot` on the first function of each distinct cost shape in
+/// `catalogue`, in catalogue order, and returns the calibrated costs per
+/// function. Functions that differ only in name share one calibration:
+/// engines derive their behaviour from the profile's cost fields, never
+/// its name, so a synthetic fleet catalogue with a bounded set of distinct
+/// cost shapes (e.g. `workloads::catalogue::synthetic`) pays dozens of
+/// calibration boots instead of thousands. Both open-loop engines — the
+/// single-node fleet and the cluster kernel — memoise through here.
 pub(crate) fn calibrate_shapes<C: Copy>(
     catalogue: &[AppProfile],
     mut boot: impl FnMut(&AppProfile) -> Result<C, PlatformError>,
