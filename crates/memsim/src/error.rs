@@ -43,6 +43,9 @@ pub enum MemError {
         /// Name of the offending VMA.
         vma: String,
     },
+    /// A page walk asked to step zero pages at a time: it would revisit its
+    /// first page forever.
+    ZeroStride,
 }
 
 impl fmt::Display for MemError {
@@ -67,6 +70,7 @@ impl fmt::Display for MemError {
             MemError::SharedMappingRequiresCow { vma } => {
                 write!(f, "sfork: shared mapping '{vma}' lacks the CoW flag")
             }
+            MemError::ZeroStride => write!(f, "page walk with a stride of zero pages"),
         }
     }
 }
@@ -97,5 +101,6 @@ mod tests {
         assert!(MemError::ImageBounds { page: 9, pages: 4 }
             .to_string()
             .contains("bounds"));
+        assert!(MemError::ZeroStride.to_string().contains("zero"));
     }
 }

@@ -34,13 +34,18 @@ fn split(vpn: Vpn) -> (u64, usize) {
     (vpn / LEAF_SPAN_U64, (vpn % LEAF_SPAN_U64) as usize)
 }
 
+/// True if `a` and `b` are mapped by one leaf table.
+pub(crate) fn same_leaf(a: Vpn, b: Vpn) -> bool {
+    a / LEAF_SPAN_U64 == b / LEAF_SPAN_U64
+}
+
 /// One last-level table: 512 slots plus the count of those in use, so a
 /// table's length never needs a walk.
 ///
 /// A frame leaves a table through [`release`], so the page blocks a dropped
 /// or emptied leaf held last go to the thread's spares (`FrameRef::release`).
 #[derive(Clone)]
-struct Leaf {
+pub(crate) struct Leaf {
     slots: [Option<EptEntry>; LEAF_SPAN],
     /// Slots that are `Some`.
     entries: usize,
@@ -61,6 +66,25 @@ impl Leaf {
         let old = std::mem::replace(&mut self.slots[slot], new);
         self.entries -= usize::from(old.is_some());
         old
+    }
+
+    /// The resident frame this leaf maps at `vpn`, borrowed.
+    pub(crate) fn frame(&self, vpn: Vpn) -> Option<&FrameRef> {
+        match &self.slots[split(vpn).1] {
+            Some(EptEntry::Present { frame }) => Some(frame),
+            _ => None,
+        }
+    }
+
+    /// The frame at `vpn` if it may be written in place: `leaf` is held by
+    /// its table alone, the frame by `leaf` alone, and it is not an image
+    /// page. The one statement of the rule; see
+    /// [`EptLayer::writable_frame`].
+    pub(crate) fn writable_frame(leaf: &mut Arc<Leaf>, vpn: Vpn) -> Option<&mut [u8; PAGE_SIZE]> {
+        match &mut Arc::get_mut(leaf)?.slots[split(vpn).1] {
+            Some(EptEntry::Present { frame }) => frame.get_mut(),
+            _ => None,
+        }
     }
 }
 
@@ -247,12 +271,13 @@ impl EptLayer {
     /// shared with an `sfork` relative, a frame another leaf or a reader
     /// holds — is `None`, and the write must take the copy-on-write arm.
     pub(crate) fn writable_frame(&mut self, vpn: Vpn) -> Option<&mut [u8; PAGE_SIZE]> {
-        let (key, slot) = split(vpn);
-        let leaf = Arc::get_mut(self.leaves.get_mut(&key)?)?;
-        match &mut leaf.slots[slot] {
-            Some(EptEntry::Present { frame }) => frame.get_mut(),
-            _ => None,
-        }
+        Leaf::writable_frame(self.leaf_mut(vpn)?, vpn)
+    }
+
+    /// The leaf table that maps `vpn`, if there is one — what a sweep holds
+    /// across the pages of one leaf instead of searching the map per page.
+    pub(crate) fn leaf_mut(&mut self, vpn: Vpn) -> Option<&mut Arc<Leaf>> {
+        self.leaves.get_mut(&split(vpn).0)
     }
 
     /// Leaf tables held (shared or not).

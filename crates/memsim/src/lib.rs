@@ -75,4 +75,4 @@ pub use frame::FrameRef;
 pub use image::MappedImage;
 pub use layer::EptLayer;
 pub use page::{pages_for_bytes, Perms, Vpn, VpnRange, PAGE_SIZE, PAGE_SIZE_U64};
-pub use space::{AddressSpace, ShareMode, SpaceStats, Vma};
+pub use space::{AddressSpace, ShareMode, SpaceStats, Swept, Touch, Vma, Walk};

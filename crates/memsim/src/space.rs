@@ -5,8 +5,11 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 use simtime::{CostModel, SimClock};
 
-use crate::layer::EptEntry;
+use crate::layer::{same_leaf, EptEntry, Leaf};
 use crate::{EptLayer, FrameRef, MemError, Perms, Vpn, VpnRange, PAGE_SIZE};
+
+/// Bytes an [`AddressSpace::sweep`] reads from the start of each page.
+const HEAD: usize = 4;
 
 /// How a mapping behaves across `sfork` (paper §4, Table 1 "Mem" row).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -48,6 +51,44 @@ pub struct SpaceStats {
     pub image_pages_loaded: u64,
     /// Bytes physically copied by CoW.
     pub bytes_copied: u64,
+}
+
+/// The pages an [`AddressSpace::sweep`] visits, in ascending order: `start`,
+/// `start + stride`, … — at most `count` of them, each below `bound`. A
+/// step past the top of the page-number space ends the walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Walk {
+    /// The first page visited.
+    pub start: Vpn,
+    /// Pages from one visit to the next; zero is [`MemError::ZeroStride`].
+    pub stride: u64,
+    /// The most pages visited.
+    pub count: u64,
+    /// The first page number the walk may not visit.
+    pub bound: Vpn,
+}
+
+/// What an [`AddressSpace::sweep`] does at each page it visits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Touch {
+    /// Read the page's first four bytes and hand them to the visitor; where
+    /// it answers `true`, write the same four bytes back at `write_at`.
+    Read {
+        /// In-page offset of the write-back.
+        write_at: usize,
+    },
+    /// Write this byte at offset 0, reading nothing; the visitor is not
+    /// asked.
+    Write(u8),
+}
+
+/// Pages an [`AddressSpace::sweep`] has visited and written.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Swept {
+    /// Pages visited.
+    pub touched: u64,
+    /// Pages written.
+    pub written: u64,
 }
 
 /// A sandbox's guest-physical address space: a Private-EPT layered over an
@@ -309,15 +350,114 @@ impl AddressSpace {
         clock: &SimClock,
         model: &CostModel,
     ) -> Result<u64, MemError> {
-        let mut scratch = [0u8; 8];
-        for vpn in range.iter() {
-            if write {
-                self.write(vpn, 0, &[0xA5], clock, model)?;
-            } else {
-                self.read(vpn, 0, &mut scratch, clock, model)?;
+        let walk = Walk {
+            start: range.start,
+            stride: 1,
+            count: range.len(),
+            bound: range.end,
+        };
+        let touch = if write {
+            Touch::Write(0xA5)
+        } else {
+            Touch::Read { write_at: 0 }
+        };
+        Ok(self
+            .sweep(walk, touch, clock, model, |_, _, _| false)?
+            .touched)
+    }
+
+    /// Visits the pages of `walk` in order, doing `touch` at each. In
+    /// [`Touch::Read`] mode, `visit(vpn, head, done)` gets each page's first
+    /// four bytes and the pages visited and written before it, and answers
+    /// whether to write them back. Returns what was visited and written.
+    ///
+    /// Every access has exactly the effect of [`AddressSpace::read`] /
+    /// [`AddressSpace::write`] on that page, in the same order. The
+    /// difference is the cost to the host: the VMA and the 512-page leaf
+    /// table are found once per run of pages that share them, and a
+    /// resident page is read — and, where [`EptLayer`]'s leaf-and-frame
+    /// rule allows, written — through the borrowed leaf. Every other page
+    /// goes through `read` / `write` themselves, so they stay the only code
+    /// that takes a fault, charges the clock or returns an error.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::ZeroStride`] for a stride of 0; otherwise the first error
+    /// of [`AddressSpace::read`] / [`AddressSpace::write`], after the pages
+    /// before it were done.
+    pub fn sweep(
+        &mut self,
+        walk: Walk,
+        touch: Touch,
+        clock: &SimClock,
+        model: &CostModel,
+        mut visit: impl FnMut(Vpn, &[u8; HEAD], Swept) -> bool,
+    ) -> Result<Swept, MemError> {
+        if walk.stride == 0 {
+            return Err(MemError::ZeroStride);
+        }
+        let mut done = Swept::default();
+        let mut next = Some(walk.start);
+        while let Some(first) = next.filter(|&vpn| vpn < walk.bound && done.touched < walk.count) {
+            // One run: the pages from `first` on that share its VMA and its
+            // leaf. Outside any VMA the run is that page alone, and `read` /
+            // `write` report it.
+            let (writable, end, mut leaf) = match self.find_vma(first) {
+                Some(vma) => (
+                    vma.perms.writable(),
+                    vma.range.end.min(walk.bound),
+                    self.private.leaf_mut(first),
+                ),
+                None => (false, first, None),
+            };
+            let mut vpn = first;
+            loop {
+                let mut head = [0u8; HEAD];
+                let patch = match touch {
+                    Touch::Read { write_at } => {
+                        match leaf.as_deref().and_then(|leaf| leaf.frame(vpn)) {
+                            Some(frame) => head.copy_from_slice(&frame.bytes()[..HEAD]),
+                            None => {
+                                self.read(vpn, 0, &mut head, clock, model)?;
+                                leaf = self.private.leaf_mut(vpn);
+                            }
+                        }
+                        visit(vpn, &head, done).then_some((write_at, HEAD))
+                    }
+                    Touch::Write(byte) => {
+                        head[0] = byte;
+                        Some((0, 1))
+                    }
+                };
+                if let Some((at, len)) = patch {
+                    let src = &head[..len];
+                    let in_place = leaf
+                        .as_mut()
+                        .filter(|_| writable)
+                        .and_then(|leaf| Leaf::writable_frame(leaf, vpn))
+                        .and_then(|page| page.get_mut(at..)?.get_mut(..len));
+                    match in_place {
+                        Some(dst) => dst.copy_from_slice(src),
+                        None => {
+                            self.write(vpn, at, src, clock, model)?;
+                            leaf = self.private.leaf_mut(vpn);
+                        }
+                    }
+                    done.written += 1;
+                }
+                done.touched += 1;
+                next = vpn.checked_add(walk.stride);
+                match next {
+                    Some(step)
+                        if step < end && same_leaf(step, first) && done.touched < walk.count =>
+                    {
+                        vpn = step;
+                    }
+                    _ => break,
+                }
             }
         }
-        Ok(range.len())
+        Ok(done)
     }
 
     /// The read-fault path, for a page [`AddressSpace::read`] did not find
@@ -580,6 +720,73 @@ mod tests {
         );
         s.read(0, 0, &mut buf, &clock, &model).unwrap();
         assert_eq!(&buf, b"resident", "a rejected write wrote nothing");
+    }
+
+    #[test]
+    fn hostile_walks_stop_or_fail_typed() {
+        let (clock, model) = setup();
+        let mut s = AddressSpace::new("s");
+        s.map_anonymous(VpnRange::new(0, 8), Perms::RW, ShareMode::Private, "low")
+            .unwrap();
+        let top = VpnRange::new(u64::MAX - 512, u64::MAX);
+        s.map_anonymous(top, Perms::RW, ShareMode::Private, "top")
+            .unwrap();
+        let mut sweep = |start, stride, count, bound, touch| {
+            let walk = Walk {
+                start,
+                stride,
+                count,
+                bound,
+            };
+            s.sweep(walk, touch, &clock, &model, |_, _, _| true)
+        };
+        let read = Touch::Read { write_at: 8 };
+        let (max, none) = (u64::MAX, Swept::default());
+        let swept = |touched| {
+            Ok(Swept {
+                touched,
+                written: touched,
+            })
+        };
+
+        // A zero stride would revisit its page forever, however few it asks for.
+        assert_eq!(sweep(0, 0, 5, 8, read), Err(MemError::ZeroStride));
+        assert_eq!(sweep(0, 0, 0, 8, read), Err(MemError::ZeroStride));
+        // Nothing to visit: no count, or a start at or past the bound.
+        assert_eq!(sweep(0, 1, 0, 8, read), Ok(none));
+        assert_eq!(sweep(8, 1, 5, 8, read), Ok(none));
+        assert_eq!(sweep(max, 1, max, max, read), Ok(none));
+        assert_eq!(sweep(max - 1, 1, max, 3, Touch::Write(1)), Ok(none));
+        // A step past the top of the page-number space ends the walk.
+        assert_eq!(sweep(max - 2, 1, max, max, read), swept(2));
+        assert_eq!(sweep(3, max, max, max, read), swept(1));
+        assert_eq!(sweep(max - 1, max - 1, 2, max, Touch::Write(1)), swept(1));
+        // A step that lands outside every mapping is the read's typed error,
+        // and so is a huge count once the mapping ends.
+        assert_eq!(
+            sweep(0, max - 600, 3, max, read),
+            Err(MemError::Unmapped { vpn: max - 600 })
+        );
+        assert_eq!(
+            sweep(0, 1, max, max, read),
+            Err(MemError::Unmapped { vpn: 8 })
+        );
+        // A write-back past the page end is the write's typed error.
+        assert_eq!(
+            sweep(
+                0,
+                1,
+                1,
+                8,
+                Touch::Read {
+                    write_at: usize::MAX
+                }
+            ),
+            Err(MemError::PageCross {
+                offset: usize::MAX,
+                len: 4
+            })
+        );
     }
 
     #[test]

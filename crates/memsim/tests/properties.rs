@@ -15,8 +15,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use memsim::{
-    accounting, AddressSpace, EptLayer, FrameRef, MappedImage, Perms, ShareMode, SharedBytes,
-    SpaceStats, Vpn, VpnRange, PAGE_SIZE,
+    accounting, AddressSpace, EptLayer, FrameRef, MappedImage, MemError, Perms, ShareMode,
+    SharedBytes, SpaceStats, Swept, Touch, Vpn, VpnRange, Walk, PAGE_SIZE,
 };
 use proptest::prelude::*;
 use simtime::{CostModel, SimClock, SimNanos};
@@ -543,6 +543,286 @@ proptest! {
                 prop_assert_eq!(got, oracle.read(&mut member.oracle, vpn, &model));
             }
             assert_member_matches(member)?;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// A sweep against the per-page read/write loop it replaces
+// ---------------------------------------------------------------------------
+
+/// The walk cases' guest layout: three leaves of anonymous heap; then,
+/// inside one leaf, more anonymous memory, a read-only mapping, the
+/// Base-EPT and an unmapped gap; then anonymous memory to the end.
+const WALK_HEAP: VpnRange = VpnRange {
+    start: 0,
+    end: 1536,
+};
+const WALK_MID: VpnRange = VpnRange {
+    start: 1536,
+    end: 1600,
+};
+const WALK_RO: VpnRange = VpnRange {
+    start: 1600,
+    end: 1640,
+};
+const WALK_IMAGE: VpnRange = VpnRange {
+    start: 1640,
+    end: 1704,
+};
+const WALK_TAIL: VpnRange = VpnRange {
+    start: 1712,
+    end: 2600,
+};
+
+/// One step of a case's set-up, on the template (`who` even) or its child.
+#[derive(Debug, Clone)]
+enum SetupOp {
+    Write {
+        vpn: Vpn,
+        off: usize,
+        val: u8,
+    },
+    Read {
+        vpn: Vpn,
+    },
+    Install {
+        vpn: Vpn,
+        val: u8,
+    },
+    /// A sandbox outside the family reads a base page: in the page cache,
+    /// not merged into the family's EPT.
+    Warm {
+        vpn: Vpn,
+    },
+    /// Checkpoint: the snapshot holds its frames through the walk.
+    Snapshot,
+}
+
+fn setup_op() -> impl Strategy<Value = (SetupOp, u8)> {
+    (
+        0u8..12,
+        0u64..2600,
+        0usize..PAGE_SIZE,
+        any::<u8>(),
+        any::<u8>(),
+    )
+        .prop_map(|(kind, vpn, off, val, who)| {
+            let op = match kind {
+                0..=4 => SetupOp::Write { vpn, off, val },
+                5 | 6 => SetupOp::Read { vpn },
+                7 | 8 => SetupOp::Install { vpn, val },
+                9 | 10 => SetupOp::Warm {
+                    vpn: WALK_IMAGE.start + vpn % WALK_IMAGE.len(),
+                },
+                _ => SetupOp::Snapshot,
+            };
+            (op, who)
+        })
+}
+
+/// A template, its child and what the set-up left alive, built afresh — its
+/// own image and page cache included — for each side of a comparison.
+struct WalkWorld {
+    family: [AddressSpace; 2],
+    snapshots: Vec<Vec<(Vpn, FrameRef)>>,
+    outsider: AddressSpace,
+}
+
+impl WalkWorld {
+    fn build(
+        filled: u64,
+        before_fork: &[(SetupOp, u8)],
+        after_fork: &[(SetupOp, u8)],
+    ) -> WalkWorld {
+        let (clock, model) = setup();
+        let img = image_with_pattern(WALK_IMAGE.len() as u8);
+        let base = EptLayer::map_image(&img, (0..img.pages()).map(|p| (WALK_IMAGE.start + p, p)));
+        let mut outsider = AddressSpace::new("outsider");
+        outsider
+            .attach_base(Arc::clone(&base), WALK_IMAGE, "f", &clock, &model)
+            .unwrap();
+        let mut template = AddressSpace::new("template");
+        template
+            .attach_base(base, WALK_IMAGE, "f", &clock, &model)
+            .unwrap();
+        for (range, perms) in [
+            (WALK_HEAP, Perms::RW),
+            (WALK_MID, Perms::RW),
+            (WALK_RO, Perms::RO),
+            (WALK_TAIL, Perms::RW),
+        ] {
+            template
+                .map_anonymous(range, perms, ShareMode::Private, "anon")
+                .unwrap();
+        }
+        // A template's initialised heap: its first `filled` pages resident.
+        for vpn in 0..filled {
+            template
+                .write(vpn, 0, &[vpn as u8], &clock, &model)
+                .unwrap();
+        }
+        let mut world = WalkWorld {
+            family: [AddressSpace::new("unborn"), template],
+            snapshots: Vec::new(),
+            outsider: outsider,
+        };
+        world.apply(before_fork, true);
+        world.family[0] = world.family[1].sfork_clone("child").unwrap();
+        world.apply(after_fork, false);
+        world
+    }
+
+    /// Set-up errors (a write to the read-only mapping, a page in the gap)
+    /// are part of the case: both sides take them alike.
+    fn apply(&mut self, ops: &[(SetupOp, u8)], template_only: bool) {
+        let (clock, model) = setup();
+        for (op, who) in ops {
+            let space = &mut self.family[usize::from(template_only || who % 2 == 1)];
+            match *op {
+                SetupOp::Write { vpn, off, val } => {
+                    let _ = space.write(vpn, off, &[val], &clock, &model);
+                }
+                SetupOp::Read { vpn } => {
+                    let _ = space.read(vpn, 0, &mut [0u8; 4], &clock, &model);
+                }
+                SetupOp::Install { vpn, val } => {
+                    let _ = space.install_page(vpn, &[val]);
+                }
+                SetupOp::Warm { vpn } => {
+                    let _ = self.outsider.read(vpn, 0, &mut [0u8; 1], &clock, &model);
+                }
+                SetupOp::Snapshot => {
+                    if self.snapshots.len() < 2 {
+                        self.snapshots.push(space.snapshot_private_pages());
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// What a sweep hands its visitor: the page, its head, the counts before it.
+type Visits = Vec<(Vpn, [u8; 4], Swept)>;
+
+/// The walk as `invoke_handler` and `touch_range` spelled it before
+/// [`AddressSpace::sweep`]: one `read` and at most one `write` per page.
+fn per_page_walk(
+    space: &mut AddressSpace,
+    walk: Walk,
+    touch: Touch,
+    clock: &SimClock,
+    model: &CostModel,
+    mut visit: impl FnMut(Vpn, &[u8; 4], Swept) -> bool,
+) -> Result<Swept, MemError> {
+    let mut done = Swept::default();
+    let mut vpn = walk.start;
+    while vpn < walk.bound && done.touched < walk.count {
+        match touch {
+            Touch::Read { write_at } => {
+                let mut head = [0u8; 4];
+                space.read(vpn, 0, &mut head, clock, model)?;
+                if visit(vpn, &head, done) {
+                    space.write(vpn, write_at, &head, clock, model)?;
+                    done.written += 1;
+                }
+            }
+            Touch::Write(byte) => {
+                space.write(vpn, 0, &[byte], clock, model)?;
+                done.written += 1;
+            }
+        }
+        done.touched += 1;
+        match vpn.checked_add(walk.stride) {
+            Some(step) => vpn = step,
+            None => break,
+        }
+    }
+    Ok(done)
+}
+
+/// Everything observable of a space without touching it: counters, sizes
+/// and the bytes of every private page.
+fn observe(space: &AddressSpace) -> (SpaceStats, u64, u64, Vec<(Vpn, Vec<u8>)>) {
+    let pages = space
+        .snapshot_private_pages()
+        .into_iter()
+        .map(|(vpn, frame)| (vpn, frame.to_vec()))
+        .collect();
+    (
+        space.stats(),
+        space.rss_bytes(),
+        space.private_pages(),
+        pages,
+    )
+}
+
+fn touch_strategy() -> impl Strategy<Value = Touch> {
+    const WRITE_AT: [usize; 6] = [0, 8, 100, PAGE_SIZE - 4, PAGE_SIZE - 3, usize::MAX];
+    (0u8..4, 0..WRITE_AT.len(), any::<u8>()).prop_map(|(kind, at, byte)| match kind {
+        0 => Touch::Write(byte),
+        _ => Touch::Read {
+            write_at: WRITE_AT[at],
+        },
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// `AddressSpace::sweep` is the per-page loop it replaces, observably:
+    /// over resident pages, leaves shared by `sfork_clone` that parent and
+    /// child have both written, frames a snapshot holds, Base-EPT pages cold
+    /// and already cached, demand-zero holes, an unmapped gap and a
+    /// read-only mapping, at strides that cross leaf and VMA edges, both
+    /// run on a fresh copy of one world hand the visitor the same bytes and
+    /// leave the same clock, counters, sizes, page bytes and result — the
+    /// same typed error at the same page included.
+    #[test]
+    fn a_sweep_is_the_per_page_loop_it_replaces(
+        before_fork in proptest::collection::vec(setup_op(), 0..40),
+        after_fork in proptest::collection::vec(setup_op(), 0..40),
+        filled in 0..=WALK_HEAP.end,
+        child in any::<bool>(),
+        start in 0u64..2600,
+        (short, stride) in (any::<bool>(), 1u64..1100),
+        count in 0u64..400,
+        span in 0u64..2700,
+        touch in touch_strategy(),
+        pattern in any::<u64>(),
+    ) {
+        let model = CostModel::experimental_machine();
+        let stride = if short { stride % 8 + 1 } else { stride };
+        let walk = Walk { start, stride, count, bound: start + span };
+        // A pure function of the pages visited and written so far.
+        let decide = |done: Swept| pattern.rotate_right((done.touched + 3 * done.written) as u32) & 1 == 1;
+        let who = usize::from(!child);
+
+        let mut swept_world = WalkWorld::build(filled, &before_fork, &after_fork);
+        let (swept_clock, mut swept_visits) = (SimClock::new(), Visits::new());
+        let swept = swept_world.family[who].sweep(walk, touch, &swept_clock, &model, |vpn, head, done| {
+            swept_visits.push((vpn, *head, done));
+            decide(done)
+        });
+
+        let mut looped_world = WalkWorld::build(filled, &before_fork, &after_fork);
+        let (looped_clock, mut looped_visits) = (SimClock::new(), Visits::new());
+        let looped = per_page_walk(&mut looped_world.family[who], walk, touch, &looped_clock, &model, |vpn, head, done| {
+            looped_visits.push((vpn, *head, done));
+            decide(done)
+        });
+
+        prop_assert_eq!(swept, looped);
+        prop_assert_eq!(swept_visits, looped_visits);
+        prop_assert_eq!(swept_clock.now(), looped_clock.now());
+        for (a, b) in swept_world.family.iter().zip(&looped_world.family) {
+            prop_assert_eq!(observe(a), observe(b), "{}", a.name());
+        }
+        for (a, b) in swept_world.snapshots.iter().zip(&looped_world.snapshots) {
+            let bytes = |held: &Vec<(Vpn, FrameRef)>| -> Vec<Vec<u8>> {
+                held.iter().map(|(_, frame)| frame.to_vec()).collect()
+            };
+            prop_assert_eq!(bytes(a), bytes(b), "a snapshot changed");
         }
     }
 }

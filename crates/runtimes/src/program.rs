@@ -3,7 +3,7 @@ use std::sync::Arc;
 
 use guest_kernel::gofer::FsServer;
 use guest_kernel::GuestKernel;
-use memsim::{AddressSpace, Perms, ShareMode, Vpn, VpnRange, PAGE_SIZE};
+use memsim::{AddressSpace, Perms, ShareMode, Swept, Touch, Vpn, VpnRange, Walk, PAGE_SIZE};
 use simtime::{CostModel, SimClock, SimNanos};
 
 use crate::{AppProfile, RuntimeError};
@@ -239,32 +239,7 @@ impl WrappedProgram {
         let start = clock.now();
         let syscalls_before = self.kernel.stats().syscalls;
 
-        // Touch a deterministic, strided subset of the initialized heap.
-        let heap = self.profile.heap_range();
-        let touch = ((heap.len() as f64 * self.profile.exec_touch_fraction) as u64).min(heap.len());
-        let stride = if touch == 0 {
-            1
-        } else {
-            (heap.len() / touch.max(1)).max(1)
-        };
-        let mut touched = 0u64;
-        let mut written = 0u64;
-        let mut buf = [0u8; 4];
-        let mut vpn = heap.start;
-        while vpn < heap.end && touched < touch {
-            self.space.read(vpn, 0, &mut buf, clock, model)?;
-            debug_assert_eq!(
-                buf[0],
-                heap_page_byte(vpn),
-                "restored heap corrupt at {vpn:#x}"
-            );
-            touched += 1;
-            if (written as f64) < touched as f64 * self.profile.exec_write_fraction {
-                self.space.write(vpn, 8, &buf, clock, model)?;
-                written += 1;
-            }
-            vpn += stride;
-        }
+        let heap = self.walk_heap(clock, model)?;
 
         // Allocate request-scoped pages.
         let alloc = VpnRange::with_len(
@@ -340,11 +315,52 @@ impl WrappedProgram {
         self.invocations += 1;
         Ok(ExecReport {
             exec_time: clock.since(start),
-            pages_touched: touched,
-            pages_written: written,
+            pages_touched: heap.touched,
+            pages_written: heap.written,
             pages_allocated: self.profile.exec_alloc_pages,
             syscalls: self.kernel.stats().syscalls - syscalls_before,
         })
+    }
+
+    /// The heap walk of [`WrappedProgram::invoke_handler`], alone: reads a
+    /// deterministic, strided subset of the initialized heap (the profile's
+    /// `exec_touch_fraction` of it) and writes back to its
+    /// `exec_write_fraction` of the pages read, in one
+    /// [`AddressSpace::sweep`].
+    ///
+    /// # Errors
+    ///
+    /// Substrate errors; a heap that is not mapped yet is
+    /// [`memsim::MemError::Unmapped`].
+    pub fn walk_heap(
+        &mut self,
+        clock: &SimClock,
+        model: &CostModel,
+    ) -> Result<Swept, RuntimeError> {
+        let heap = self.profile.heap_range();
+        let count = ((heap.len() as f64 * self.profile.exec_touch_fraction) as u64).min(heap.len());
+        let walk = Walk {
+            start: heap.start,
+            stride: heap.len().checked_div(count).unwrap_or(1).max(1),
+            count,
+            bound: heap.end,
+        };
+        let write_fraction = self.profile.exec_write_fraction;
+        let swept = self.space.sweep(
+            walk,
+            Touch::Read { write_at: 8 },
+            clock,
+            model,
+            |vpn, head, done| {
+                debug_assert_eq!(
+                    head[0],
+                    heap_page_byte(vpn),
+                    "restored heap corrupt at {vpn:#x}"
+                );
+                (done.written as f64) < (done.touched + 1) as f64 * write_fraction
+            },
+        )?;
+        Ok(swept)
     }
 
     /// Captures the full checkpoint source at the func-entry point: kernel

@@ -25,7 +25,9 @@
 //! - **fork**: `Template::fork_boot` from the profile's template (`fork`),
 //!   the child's first `invoke_handler` (`first`: its copy-on-write and
 //!   demand-zero faults), a second one (`again`: the page walk of a reused
-//!   instance, which faults only its request scratch), and dropping the
+//!   instance, which faults only its request scratch), that heap walk alone
+//!   on the reused child (`walk`: `WrappedProgram::walk_heap`, the
+//!   `AddressSpace::sweep` call `invoke_handler` makes), and dropping the
 //!   outcome (`drop`).
 //!
 //! Prints the median of each stage in ms, per profile and summed over the
@@ -54,7 +56,7 @@ const WRITE_STAGES: [&str; 4] = ["init", "source", "write", "wcrc"];
 const RESTORE_STAGES: [&str; 9] = [
     "crc3", "meta", "kernel", "droprec", "dropker", "shell", "cold", "warm", "dropboot",
 ];
-const FORK_STAGES: [&str; 4] = ["fork", "first", "again", "drop"];
+const FORK_STAGES: [&str; 5] = ["fork", "first", "again", "walk", "drop"];
 
 fn ms(since: Instant) -> f64 {
     since.elapsed().as_secs_f64() * 1e3
@@ -217,8 +219,9 @@ fn restore_side(
     Ok(())
 }
 
-/// A fork from each profile's template, its first and second request, and
-/// its drop. One template at a time, so only one large heap is resident.
+/// A fork from each profile's template, its first and second request, the
+/// second one's heap walk alone, and its drop. One template at a time, so
+/// only one large heap is resident.
 fn fork_side(
     profiles: &[AppProfile],
     rounds: usize,
@@ -241,8 +244,11 @@ fn fork_side(
                 samples[stage].push(ms(t));
             }
             let t = Instant::now();
-            drop(outcome);
+            black_box(outcome.program.walk_heap(&SimClock::new(), model)?);
             samples[3].push(ms(t));
+            let t = Instant::now();
+            drop(outcome);
+            samples[4].push(ms(t));
         }
         table.row(&profile.name, objects, &mut samples);
     }

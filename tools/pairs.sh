@@ -20,9 +20,10 @@
 # run of both sides reads the same value (a traced run's counts and `sim_*`
 # rows), "within spread" when |ratio - 1| is below the larger of the two
 # sides' IQR / |median|, "moved" otherwise. It refuses a verdict, and exits
-# 1, when the two sides of any pair disagree on `correct` or `failed`. A
-# traced run writes its span file into its own export's benchmark/out, not
-# into this checkout.
+# 1, when the two sides of any pair compute different things: they disagree
+# on `correct` or `failed`, or on any `harness.sim_*` row or `memsim.*_per_op`
+# count a run reports (a traced run reports them). A traced run writes its
+# span file into its own export's benchmark/out, not into this checkout.
 #
 # With --record, a verdict also appends one JSON line to docs/ledger.jsonl:
 # the host (`uname -m`, CPU model, vCPUs), both commits, the workload, seed,
@@ -167,12 +168,23 @@ for metric in metrics:
           f"{h_iqr:>12.3f} {wins:>7}/{len(runs):<2} {ratio:>8.3f} "
           f"{verdict:>14}")
 
-disagree = [
-    (p, key, r["base"][key], r["head"][key])
-    for p, r in sorted(runs.items())
-    for key in ("correct", "failed")
-    if r["base"][key] != r["head"][key]
-]
+def computed(result):
+    """What a run computed rather than how fast: its outcome counts, every
+    simulated `harness.sim_*` row and memsim's per-operation counts."""
+    values = {key: result[key] for key in ("correct", "failed")}
+    for name, metric in result.get("metrics", {}).items():
+        if name.startswith("harness.sim_") or (
+                name.startswith("memsim.") and name.endswith("_per_op")):
+            values[name] = metric["value"]
+    return values
+
+
+disagree = []
+for p, r in sorted(runs.items()):
+    base, head = computed(r["base"]), computed(r["head"])
+    for key in sorted(set(base) | set(head)):
+        if base.get(key) != head.get(key):
+            disagree.append((p, key, base.get(key), head.get(key)))
 for pair, key, b, h in disagree:
     print(f"pair {pair}: `{key}` differs: base {b}, HEAD {h}")
 if disagree:
@@ -180,6 +192,9 @@ if disagree:
     sys.exit(1)
 sides = [(r["base"]["correct"], r["base"]["failed"]) for r in runs.values()]
 print(f"both sides agree on correct/failed in every pair: {sorted(set(sides))}")
+checked = sorted(set(computed(runs[min(runs)]["base"])) - {"correct", "failed"})
+if checked:
+    print(f"and on {len(checked)} simulated rows: {', '.join(checked)}")
 if ledger:
     line = {
         "kind": "pairs",
