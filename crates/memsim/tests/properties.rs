@@ -665,7 +665,7 @@ impl WalkWorld {
         let mut world = WalkWorld {
             family: [AddressSpace::new("unborn"), template],
             snapshots: Vec::new(),
-            outsider: outsider,
+            outsider,
         };
         world.apply(before_fork, true);
         world.family[0] = world.family[1].sfork_clone("child").unwrap();

@@ -239,7 +239,7 @@ impl WrappedProgram {
         let start = clock.now();
         let syscalls_before = self.kernel.stats().syscalls;
 
-        let heap = self.walk_heap(clock, model)?;
+        let walked = self.walk_heap(clock, model)?;
 
         // Allocate request-scoped pages.
         let alloc = VpnRange::with_len(
@@ -315,8 +315,8 @@ impl WrappedProgram {
         self.invocations += 1;
         Ok(ExecReport {
             exec_time: clock.since(start),
-            pages_touched: heap.touched,
-            pages_written: heap.written,
+            pages_touched: walked.touched,
+            pages_written: walked.written,
             pages_allocated: self.profile.exec_alloc_pages,
             syscalls: self.kernel.stats().syscalls - syscalls_before,
         })
@@ -346,7 +346,7 @@ impl WrappedProgram {
             bound: heap.end,
         };
         let write_fraction = self.profile.exec_write_fraction;
-        let swept = self.space.sweep(
+        Ok(self.space.sweep(
             walk,
             Touch::Read { write_at: 8 },
             clock,
@@ -359,8 +359,7 @@ impl WrappedProgram {
                 );
                 (done.written as f64) < (done.touched + 1) as f64 * write_fraction
             },
-        )?;
-        Ok(swept)
+        )?)
     }
 
     /// Captures the full checkpoint source at the func-entry point: kernel
