@@ -42,6 +42,13 @@
 //! under either policy and no plan at all agree on every outcome field but
 //! the event count.
 //!
+//! **One kernel state.** The loop's state is a private `Kernel`: its one
+//! `match` calls one method per event class, its counters are the fields
+//! of the [`ChaosOutcome`] it returns, and keep-alive is the fleet's own
+//! warm set, one per node and function. Debug builds check after every
+//! pop that virtual time never runs back and that the nodes' instance
+//! counts sum to the arena's.
+//!
 //! Determinism is byte-exact: same catalogue, config, knobs, and trace —
 //! same [`ClusterOutcome`], including the routing-decision hash.
 
@@ -57,8 +64,8 @@ use super::chaos::{
 };
 use super::{transfer_time, ClusterConfig, RoutingPolicy, COLD_PULL};
 use crate::simulate::{
-    calibrate_shapes, fraction, validate_trace, Arena, Event, EventQueue, FnId, InstanceId,
-    Quantiles, ShapeCost, TraceRequest, REUSE_HANDOFF,
+    calibrate_shapes, fraction, validate_trace, Arena, Event, EventQueue, FnId, Instance,
+    InstanceId, Quantiles, ShapeCost, TraceRequest, WarmSet, REUSE_HANDOFF,
 };
 use crate::PlatformError;
 
@@ -159,7 +166,7 @@ impl ClusterSim {
 
 /// What one open-loop cluster run produced: the nodes × placement-budget ×
 /// routing-policy grid cell.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct ClusterOutcome {
     /// Requests in the trace.
     pub requests: u64,
@@ -218,7 +225,7 @@ pub struct ClusterOutcome {
 /// fault/repair ledger. A separate struct — not new [`ClusterOutcome`]
 /// fields — so the chaos layer cannot move a byte of the plain grid's
 /// serialized output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct ChaosOutcome {
     /// The underlying cluster outcome. Conservation under chaos is
     /// `cluster.completed + cluster.shed + failed == cluster.requests`.
@@ -255,6 +262,7 @@ pub struct ChaosOutcome {
 }
 
 /// Calibrated per-function costs.
+#[derive(Clone, Copy)]
 struct ClusterFn {
     /// Local sfork on a provisioned holder, and the child's handler run.
     fork: ShapeCost,
@@ -264,13 +272,8 @@ struct ClusterFn {
     cold_boot: SimNanos,
 }
 
-/// Index of `(node, function)` in the flat per-node function-state table.
-fn slot_index(node: usize, width: usize, function: usize) -> usize {
-    node * width + function
-}
-
 /// Per-node aggregates.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct NodeState {
     /// Instances (busy + warm) live on the node.
     live: usize,
@@ -278,15 +281,6 @@ struct NodeState {
     peak: usize,
     /// A repair event is already queued for this node.
     repair_pending: bool,
-}
-
-/// One live instance slot.
-struct Slot {
-    node: usize,
-    function: FnId,
-    request: u64,
-    busy: bool,
-    idle_since: SimNanos,
 }
 
 /// One in-flight template transfer — a first-class object: it knows its
@@ -321,32 +315,14 @@ struct Replica {
     gen_counter: u32,
     /// The cold image has been pulled to this node already.
     pulled: bool,
-    /// LIFO warm stack (lazily pruned against the arena generation).
-    idle: Vec<InstanceId>,
-    /// Warm instances actually live.
-    idle_live: usize,
+    warm: WarmSet,
 }
 
 impl Replica {
-    /// Registers a new in-flight transfer under the slot's next generation
-    /// and returns that generation for the events that will carry it.
-    fn begin_transfer(
-        &mut self,
-        source: usize,
-        done: SimNanos,
-        hedged: bool,
-        waiters: Vec<(u64, InstanceId)>,
-    ) -> u32 {
-        let gen = self.gen_counter;
+    /// Takes the slot's next generation.
+    fn next_gen(&mut self) -> u32 {
         self.gen_counter += 1;
-        self.transfer = Some(Transfer {
-            gen,
-            source,
-            done,
-            hedged,
-            waiters,
-        });
-        gen
+        self.gen_counter - 1
     }
 }
 
@@ -357,16 +333,6 @@ fn stretch(t: SimNanos, slowdown: f64) -> SimNanos {
         t.scale(slowdown)
     } else {
         t
-    }
-}
-
-/// Folds one routing decision `(request, node, kind)` into the FNV-1a
-/// routing-history hash.
-fn mix_route(hash: &mut u64, request: u64, node: u64, kind: u64) {
-    for value in [request, node, kind] {
-        for byte in value.to_le_bytes() {
-            *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
-        }
     }
 }
 
@@ -414,22 +380,22 @@ impl ClusterSim {
         self.drive(trace, Some(chaos))
     }
 
-    /// The cluster kernel: the one event loop behind both entry points.
-    /// `chaos` is the optional node-fault layer; with `None` there is no
-    /// [`ChaosState`], every node stays reachable, believed `Up` and at
-    /// slowdown 1.0, and the crash/heal/heartbeat/hedge classes are never
-    /// scheduled.
+    /// The cluster kernel: the one event loop behind both entry points,
+    /// one [`Kernel`] method per event class. `chaos` is the optional
+    /// node-fault layer; with `None` there is no [`ChaosState`], every node
+    /// stays reachable, believed `Up` and at slowdown 1.0, and the
+    /// crash/heal/heartbeat/hedge classes are never scheduled.
     #[deny(
         clippy::wildcard_enum_match_arm,
         reason = "every `Event` variant is matched by name, so a new one does not compile until this loop handles it"
     )]
     fn drive(
-        mut self,
+        self,
         trace: &[TraceRequest],
         chaos: Option<(NodePlan, ChaosPolicy)>,
     ) -> Result<ChaosOutcome, PlatformError> {
         self.config.ensure_valid()?;
-        let mut queue = EventQueue::over(validate_trace(trace, self.catalogue.len())?);
+        let queue = EventQueue::over(validate_trace(trace, self.catalogue.len())?);
         // The heartbeat chain ticks up to the last arrival: bound its
         // rounds before any calibration work.
         let hb_end = trace.last().map_or(SimNanos::ZERO, |r| r.arrival);
@@ -437,602 +403,32 @@ impl ClusterSim {
             within_heartbeat_horizon(hb_end)?;
         }
         let fns = self.calibrate()?;
-        let nodes = self.config.nodes;
-        let width = fns.len();
-        let cap = if self.node_capacity == 0 {
-            usize::MAX
-        } else {
-            self.node_capacity
-        };
-        let remote_fork = self.config.routing == RoutingPolicy::RemoteFork;
-        let mut injector = self.plan.take().map(FaultInjector::new);
-        let mut chaos = chaos
-            .map(|(plan, policy)| ChaosState::new(plan, policy, nodes))
+        let chaos = chaos
+            .map(|(plan, policy)| ChaosState::new(plan, policy, self.config.nodes))
             .transpose()?;
-        // Health-aware routing, re-replication, hedging and waiter
-        // timeouts; off both for the no-failover baseline and for a run
-        // with no chaos layer, where static placement is simply true.
-        let failover = chaos.as_ref().is_some_and(|c| c.policy().failover);
-
-        // Placement: the same round-robin spread as the closed-loop
-        // scheduler — holders are provisioned (template built offline).
-        let replicas = self.config.placement_budget.min(nodes);
-        let original_holder = |node: usize, function: usize| -> bool {
-            (0..replicas).any(|r| (function + r) % nodes == node)
-        };
-        let mut state: Vec<Replica> = Vec::new();
-        state.resize_with(nodes.saturating_mul(width), Replica::default);
-        for f in 0..width {
-            for r in 0..replicas {
-                state[slot_index((f + r) % nodes, width, f)].has_template = true;
-            }
-        }
-        let mut node_state: Vec<NodeState> = Vec::new();
-        node_state.resize_with(nodes, NodeState::default);
-
-        let mut instances: Arena<Slot> = Arena::with_capacity(trace.len().min(1 << 20));
+        let mut k = Kernel::new(self, trace, queue, fns, chaos);
         // The node-fault schedule: crashes, partition heals and the
         // heartbeat chain, which ticks up to the last arrival.
-        if let Some(c) = &mut chaos {
-            c.schedule(&mut queue, hb_end);
+        if let Some(c) = &mut k.chaos {
+            c.schedule(&mut k.queue, hb_end);
         }
 
-        let mut completed = 0u64;
-        let mut shed = 0u64;
-        let mut failed = 0u64;
-        let mut reuses = 0u64;
-        let mut local = 0u64;
-        let mut remote = 0u64;
-        let mut cold = 0u64;
-        let mut reroutes = 0u64;
-        let mut transfers = 0u64;
-        let mut transfer_faults = 0u64;
-        let mut node_repairs = 0u64;
-        let mut expirations = 0u64;
-        let mut crashes = 0u64;
-        let mut failovers = 0u64;
-        let mut rereplications = 0u64;
-        let mut hedges = 0u64;
-        let mut hedge_wins = 0u64;
-        let mut aborted_transfers = 0u64;
-        let mut unreachable = 0u64;
-        let mut horizon = SimNanos::ZERO;
-        let mut startup_hist = LatencyHistogram::new();
-        let mut e2e_hist = LatencyHistogram::new();
-        let mut remote_hist = LatencyHistogram::new();
-        let mut cold_hist = LatencyHistogram::new();
-        let mut route_hash = 0xcbf2_9ce4_8422_2325u64;
-        // What the scheduler sees of each node at the current arrival:
-        // physically reachable, gray stretch, and eligible for new work.
-        // `reach`/`slow` are re-read from the chaos layer when an arrival
-        // passes a plan instant and `elig` is re-derived per arrival;
-        // without a chaos layer they keep these inert values for the whole
-        // run.
-        let mut reach = vec![true; nodes];
-        let mut slow = vec![1.0f64; nodes];
-        let mut elig = vec![true; nodes];
-
-        while let Some((now, event)) = queue.pop() {
-            horizon = now;
+        while let Some((now, event)) = k.queue.pop() {
+            k.check_invariants(now);
+            k.out.cluster.horizon = now;
             match event {
-                Event::Arrival { request } => {
-                    let Some(req) = trace.get(usize::try_from(request).unwrap_or(usize::MAX))
-                    else {
-                        continue;
-                    };
-                    let Some(f) = fns.get(req.function) else {
-                        continue;
-                    };
-                    let fnid = FnId::from_index(req.function);
-                    let nf = |node: usize| slot_index(node, width, req.function);
-                    // A failover re-arrival is served later than the trace
-                    // arrival; its latency honestly includes the wait.
-                    let lag = now.saturating_sub(req.arrival);
-                    if let Some(c) = &mut chaos {
-                        if c.passed_an_instant(now) {
-                            for (n, (r, s)) in reach.iter_mut().zip(&mut slow).enumerate() {
-                                *r = c.reachable(n, now);
-                                *s = c.slowdown(n, now);
-                            }
-                        }
-                        // Full policy routes only at reachable nodes
-                        // believed `Up`, falling back to any reachable node
-                        // when the belief map offers none. The baseline
-                        // believes static placement and routes anywhere —
-                        // and pays for it.
-                        let any_up = (0..nodes).any(|n| reach[n] && c.health(n) == NodeHealth::Up);
-                        for (n, e) in elig.iter_mut().enumerate() {
-                            *e = !failover
-                                || (reach[n] && (!any_up || c.health(n) == NodeHealth::Up));
-                        }
-                    }
-                    macro_rules! fail_unreachable {
-                        ($node:expr) => {{
-                            let node = $node;
-                            failed += 1;
-                            unreachable += 1;
-                            if let Some(c) = &mut chaos {
-                                c.record(now, node, ChaosEvent::Unreachable);
-                            }
-                            mix_route(&mut route_hash, request, node as u64, ROUTE_FAILED);
-                            continue;
-                        }};
-                    }
-                    // Commits the routing decision: hash it and reserve a
-                    // busy instance on the node.
-                    macro_rules! place {
-                        ($node:expr, $kind:expr) => {{
-                            let node = $node;
-                            mix_route(&mut route_hash, request, node as u64, $kind);
-                            let ns = &mut node_state[node];
-                            ns.live += 1;
-                            ns.peak = ns.peak.max(ns.live);
-                            instances.insert(Slot {
-                                node,
-                                function: fnid,
-                                request,
-                                busy: true,
-                                idle_since: SimNanos::ZERO,
-                            })
-                        }};
-                    }
-                    // Starts serving on `$node` after `$cost` of startup.
-                    macro_rules! serve {
-                        ($id:expr, $node:expr, $cost:expr) => {{
-                            let cost = $cost;
-                            let startup = lag.saturating_add(cost);
-                            let exec = stretch(f.fork.exec, slow[$node]);
-                            startup_hist.record(startup);
-                            e2e_hist.record(startup.saturating_add(exec));
-                            queue.schedule(
-                                now.saturating_add(cost).saturating_add(exec),
-                                Event::ExecComplete {
-                                    request,
-                                    instance: $id,
-                                },
-                            );
-                        }};
-                    }
-
-                    // Rung 0 — reuse: the lowest-indexed routable node with
-                    // a live warm instance serves at the hand-off cost.
-                    let mut warm = None;
-                    for node in 0..nodes {
-                        if !elig[node] {
-                            continue;
-                        }
-                        let s = &mut state[nf(node)];
-                        while let Some(id) = s.idle.pop() {
-                            if instances.contains(id) {
-                                s.idle_live = s.idle_live.saturating_sub(1);
-                                warm = Some((node, id));
-                                break;
-                            }
-                        }
-                        if warm.is_some() {
-                            break;
-                        }
-                    }
-                    if let Some((node, id)) = warm {
-                        if !reach[node] {
-                            // Baseline only: the believed-warm node is on
-                            // an island — the request fails typed.
-                            fail_unreachable!(node);
-                        }
-                        if let Some(slot) = instances.get_mut(id) {
-                            slot.busy = true;
-                            slot.request = request;
-                        }
-                        reuses += 1;
-                        mix_route(&mut route_hash, request, node as u64, ROUTE_REUSE);
-                        serve!(id, node, REUSE_HANDOFF);
-                        continue;
-                    }
-
-                    // Rung 1 — local sfork on the least-loaded believed
-                    // template holder under capacity. Full policy believes
-                    // physical placement (crashes clear it, re-replication
-                    // restores it); otherwise the scheduler believes the
-                    // original round-robin spread.
-                    let believed = |state: &[Replica], n: usize| {
-                        state[nf(n)].has_template || (!failover && original_holder(n, req.function))
-                    };
-                    let holder = (0..nodes)
-                        .filter(|&n| elig[n] && believed(&state, n) && node_state[n].live < cap)
-                        .min_by_key(|&n| (node_state[n].live, n));
-                    if let Some(node) = holder {
-                        if !reach[node] {
-                            fail_unreachable!(node);
-                        }
-                        local += 1;
-                        let id = place!(node, ROUTE_LOCAL);
-                        serve!(id, node, stretch(f.fork.boot, slow[node]));
-                        continue;
-                    }
-
-                    // Template-local nodes saturated (or nonexistent): the
-                    // scheduler pushes the request off-holder. A re-route
-                    // is only counted when some other node actually serves
-                    // it — with nowhere to go, the request sheds and only
-                    // the shed bucket moves.
-                    //
-                    // Rung 2a — join the in-flight transfer: the joiner
-                    // becomes a waiter with the same fate as the initiator
-                    // (fork when the template lands; timeout and re-route
-                    // on abort under the full policy; a hang under the
-                    // baseline).
-                    let joinable = (0..nodes)
-                        .filter(|&n| {
-                            remote_fork
-                                && elig[n]
-                                && state[nf(n)].transfer.is_some()
-                                && node_state[n].live < cap
-                        })
-                        .min_by_key(|&n| (node_state[n].live, n));
-                    if let Some(node) = joinable {
-                        if !reach[node] {
-                            fail_unreachable!(node);
-                        }
-                        reroutes += 1;
-                        remote += 1;
-                        let id = place!(node, ROUTE_REMOTE);
-                        if let Some(t) = state[nf(node)].transfer.as_mut() {
-                            t.waiters.push((request, id));
-                        }
-                        continue;
-                    }
-
-                    // Rung 2b — start a transfer from a holder the policy
-                    // believes in. A gray source stretches the wire time —
-                    // exactly what the hedge exists to beat.
-                    let transferable = (0..nodes)
-                        .filter(|&n| {
-                            remote_fork
-                                && elig[n]
-                                && !state[nf(n)].has_template
-                                && state[nf(n)].transfer.is_none()
-                                && node_state[n].live < cap
-                        })
-                        .min_by_key(|&n| (node_state[n].live, n));
-                    // A poisoned transfer pins its cold fallback to the
-                    // node it was headed for: `(node, detection delay)`.
-                    let mut poisoned = None;
-                    if let Some(node) = transferable {
-                        if !reach[node] {
-                            fail_unreachable!(node);
-                        }
-                        let source = (0..nodes)
-                            .filter(|&n| {
-                                n != node && believed(&state, n) && (!failover || reach[n])
-                            })
-                            .min_by_key(|&n| (node_state[n].live, n));
-                        match source {
-                            Some(src) if !reach[src] => {
-                                // Baseline only: the believed holder is
-                                // gone — the transfer dies at setup.
-                                fail_unreachable!(src);
-                            }
-                            Some(src) => {
-                                let mut wire = stretch(f.transfer, slow[src]);
-                                let fault = injector
-                                    .as_mut()
-                                    .and_then(|i| i.check(InjectionPoint::TemplateTransfer, now));
-                                if let Some(fault) = fault {
-                                    transfer_faults += 1;
-                                    if fault.kind == FaultKind::Poison {
-                                        // The in-flight replica is corrupt:
-                                        // degrade this request down the
-                                        // ladder and repair the fabric in
-                                        // the background.
-                                        poisoned = Some((node, fault.delay));
-                                        let ns = &mut node_state[node];
-                                        if !ns.repair_pending {
-                                            ns.repair_pending = true;
-                                            queue.schedule(
-                                                now.saturating_add(REPAIR_DELAY),
-                                                Event::NodeRepair { node: node as u32 },
-                                            );
-                                        }
-                                    } else {
-                                        // Transient/stall: detection delay
-                                        // plus one retry backoff, then the
-                                        // retry goes through.
-                                        wire = wire
-                                            .saturating_add(fault.delay)
-                                            .saturating_add(TRANSFER_BACKOFF);
-                                    }
-                                }
-                                if poisoned.is_none() {
-                                    reroutes += 1;
-                                    remote += 1;
-                                    transfers += 1;
-                                    let id = place!(node, ROUTE_REMOTE);
-                                    let done = now.saturating_add(wire);
-                                    let gen = state[nf(node)].begin_transfer(
-                                        src,
-                                        done,
-                                        !failover,
-                                        vec![(request, id)],
-                                    );
-                                    queue.schedule(
-                                        done,
-                                        Event::TransferComplete {
-                                            node: node as u32,
-                                            function: fnid,
-                                            gen,
-                                        },
-                                    );
-                                    if failover {
-                                        queue.schedule(
-                                            now.saturating_add(HEDGE_DELAY),
-                                            Event::HedgeFire {
-                                                node: node as u32,
-                                                function: fnid,
-                                                gen,
-                                            },
-                                        );
-                                    }
-                                    continue;
-                                }
-                            }
-                            // No holder left anywhere: fall to cold.
-                            None => {}
-                        }
-                    }
-
-                    // Rung 3 — cold: registry pull (once per node) plus the
-                    // full cold boot, on the poisoned transfer's node or
-                    // the least-loaded routable one. The LocalCold baseline
-                    // always lands here.
-                    let coldable = poisoned.or_else(|| {
-                        (0..nodes)
-                            .filter(|&n| elig[n] && node_state[n].live < cap)
-                            .min_by_key(|&n| (node_state[n].live, n))
-                            .map(|n| (n, SimNanos::ZERO))
-                    });
-                    if let Some((node, detect)) = coldable {
-                        if !reach[node] {
-                            fail_unreachable!(node);
-                        }
-                        reroutes += 1;
-                        cold += 1;
-                        let s = &mut state[nf(node)];
-                        let mut cost = detect.saturating_add(stretch(f.cold_boot, slow[node]));
-                        if !s.pulled {
-                            cost = cost.saturating_add(COLD_PULL);
-                            s.pulled = true;
-                        }
-                        cold_hist.record(lag.saturating_add(cost));
-                        let id = place!(node, ROUTE_COLD);
-                        serve!(id, node, cost);
-                        continue;
-                    }
-
-                    // Every routable node at capacity: shed.
-                    shed += 1;
-                    mix_route(&mut route_hash, request, u64::MAX, ROUTE_SHED);
-                }
-                Event::ExecComplete { instance: id, .. } => {
-                    let Some(slot) = instances.get_mut(id) else {
-                        continue;
-                    };
-                    completed += 1;
-                    let node = slot.node;
-                    let function = slot.function;
-                    let s = &mut state[slot_index(node, width, function.index())];
-                    if s.idle_live < self.max_idle {
-                        slot.busy = false;
-                        slot.idle_since = now;
-                        s.idle.push(id);
-                        s.idle_live += 1;
-                        queue.schedule(
-                            now.saturating_add(self.keep_alive),
-                            Event::KeepAliveExpiry { instance: id },
-                        );
-                    } else {
-                        instances.remove(id);
-                        node_state[node].live = node_state[node].live.saturating_sub(1);
-                    }
-                }
-                Event::KeepAliveExpiry { instance } => {
-                    let due = match instances.get(instance) {
-                        Some(slot) if slot.busy => false,
-                        Some(slot) => now.saturating_sub(slot.idle_since) >= self.keep_alive,
-                        None => false,
-                    };
-                    if due {
-                        if let Some(slot) = instances.remove(instance) {
-                            expirations += 1;
-                            let s = &mut state[slot_index(slot.node, width, slot.function.index())];
-                            s.idle_live = s.idle_live.saturating_sub(1);
-                            node_state[slot.node].live =
-                                node_state[slot.node].live.saturating_sub(1);
-                        }
-                    }
-                }
+                Event::Arrival { request } => k.arrival(now, request),
+                Event::ExecComplete { instance, .. } => k.exec_complete(now, instance),
+                Event::KeepAliveExpiry { instance } => k.expiry(now, instance),
                 Event::TransferComplete {
                     node,
                     function,
                     gen,
-                } => {
-                    let node = usize::try_from(node).unwrap_or(usize::MAX);
-                    let Some(s) = state.get_mut(slot_index(node, width, function.index())) else {
-                        continue;
-                    };
-                    // Stale generation: aborted, orphaned, hedged out, or
-                    // the destination crashed — lazy miss.
-                    let Some(t) = s.transfer.take_if(|t| t.gen == gen) else {
-                        continue;
-                    };
-                    s.has_template = true;
-                    let Some(f) = fns.get(function.index()) else {
-                        continue;
-                    };
-                    let slowdown = chaos.as_ref().map_or(1.0, |c| c.slowdown(node, now));
-                    let boot = stretch(f.fork.boot, slowdown);
-                    let exec = stretch(f.fork.exec, slowdown);
-                    for (request, id) in t.waiters {
-                        if !instances.contains(id) {
-                            continue;
-                        }
-                        let arrival = trace
-                            .get(usize::try_from(request).unwrap_or(usize::MAX))
-                            .map_or(now, |r| r.arrival);
-                        let startup = now.saturating_sub(arrival).saturating_add(boot);
-                        startup_hist.record(startup);
-                        remote_hist.record(startup);
-                        e2e_hist.record(startup.saturating_add(exec));
-                        queue.schedule(
-                            now.saturating_add(boot).saturating_add(exec),
-                            Event::ExecComplete {
-                                request,
-                                instance: id,
-                            },
-                        );
-                    }
-                }
-                Event::NodeRepair { node } => {
-                    let node = usize::try_from(node).unwrap_or(usize::MAX);
-                    if let Some(ns) = node_state.get_mut(node) {
-                        ns.repair_pending = false;
-                        node_repairs += 1;
-                        if let Some(injector) = &mut injector {
-                            injector.heal(InjectionPoint::TemplateTransfer);
-                        }
-                    }
-                }
-                Event::NodeCrash { node } => {
-                    let Some(c) = &mut chaos else { continue };
-                    let node = usize::try_from(node).unwrap_or(usize::MAX);
-                    crashes += 1;
-                    c.record(now, node, ChaosEvent::Crash);
-                    // 1. Kill sweep: every instance on the node dies; busy
-                    // ones take their requests with them. Their pending
-                    // events lazy-miss on the bumped arena generation.
-                    let victims: Vec<InstanceId> = instances
-                        .iter()
-                        .filter(|(_, slot)| slot.node == node)
-                        .map(|(id, _)| id)
-                        .collect();
-                    for id in victims {
-                        if let Some(slot) = instances.remove(id) {
-                            if slot.busy {
-                                failed += 1;
-                            }
-                        }
-                    }
-                    if let Some(ns) = node_state.get_mut(node) {
-                        ns.live = 0;
-                    }
-                    // 2. Clear the node's per-function state, remembering
-                    // which templates it held for re-replication. A
-                    // transfer *into* the dead node dies with it — its
-                    // waiters were just killed above.
-                    let mut held: Vec<usize> = Vec::new();
-                    for fi in 0..width {
-                        let s = &mut state[slot_index(node, width, fi)];
-                        if s.has_template {
-                            held.push(fi);
-                        }
-                        s.has_template = false;
-                        s.pulled = false;
-                        s.idle.clear();
-                        s.idle_live = 0;
-                        s.transfer = None;
-                    }
-                    // 3. Abort sweep: transfers *sourced* from the dead
-                    // node lose their template mid-wire. The full policy
-                    // times the waiters out onto a fresh route; the
-                    // baseline orphans them — `done = MAX`, generation
-                    // bumped so the pending completion lazy-misses, and
-                    // the waiters hang.
-                    for (n, ns) in node_state.iter_mut().enumerate() {
-                        if n == node {
-                            continue;
-                        }
-                        for fi in 0..width {
-                            let s = &mut state[slot_index(n, width, fi)];
-                            if s.transfer.as_ref().is_none_or(|t| t.source != node) {
-                                continue;
-                            }
-                            aborted_transfers += 1;
-                            c.record(now, n, ChaosEvent::TransferAbort);
-                            if failover {
-                                if let Some(t) = s.transfer.take() {
-                                    for (request, id) in t.waiters {
-                                        if instances.remove(id).is_some() {
-                                            ns.live = ns.live.saturating_sub(1);
-                                        }
-                                        failovers += 1;
-                                        queue.schedule(
-                                            now.saturating_add(TRANSFER_TIMEOUT),
-                                            Event::Arrival { request },
-                                        );
-                                    }
-                                }
-                                c.record(now, n, ChaosEvent::Failover);
-                            } else {
-                                if let Some(t) = s.transfer.as_mut() {
-                                    t.done = SimNanos::MAX;
-                                    t.gen = s.gen_counter;
-                                }
-                                s.gen_counter += 1;
-                            }
-                        }
-                    }
-                    // 4. Re-replication: the full policy rebuilds each
-                    // lost template back up to the placement budget, from
-                    // the least-loaded surviving holder onto the lowest
-                    // reachable non-holder.
-                    if failover {
-                        for fi in held {
-                            let holders: Vec<usize> = (0..nodes)
-                                .filter(|&n| {
-                                    state[slot_index(n, width, fi)].has_template
-                                        && c.reachable(n, now)
-                                })
-                                .collect();
-                            if holders.len() >= replicas {
-                                continue;
-                            }
-                            let dest = (0..nodes).find(|&n| {
-                                let s = &state[slot_index(n, width, fi)];
-                                c.reachable(n, now) && !s.has_template && s.transfer.is_none()
-                            });
-                            let source = holders
-                                .iter()
-                                .copied()
-                                .min_by_key(|&n| (node_state[n].live, n));
-                            let (Some(dest), Some(src)) = (dest, source) else {
-                                continue;
-                            };
-                            let Some(f) = fns.get(fi) else { continue };
-                            let done = now
-                                .saturating_add(REPAIR_DELAY)
-                                .saturating_add(stretch(f.transfer, c.slowdown(src, now)));
-                            // Background repairs are not hedged and carry
-                            // no waiters.
-                            let gen = state[slot_index(dest, width, fi)].begin_transfer(
-                                src,
-                                done,
-                                true,
-                                Vec::new(),
-                            );
-                            queue.schedule(
-                                done,
-                                Event::TransferComplete {
-                                    node: dest as u32,
-                                    function: FnId::from_index(fi),
-                                    gen,
-                                },
-                            );
-                            rereplications += 1;
-                            c.record(now, dest, ChaosEvent::Rereplicate);
-                        }
-                    }
-                }
+                } => k.transfer_complete(now, node, function, gen),
+                Event::NodeRepair { node } => k.node_repair(node),
+                Event::NodeCrash { node } => k.node_crash(now, node),
                 Event::PartitionHeal { epoch } => {
-                    if let Some(c) = &mut chaos {
+                    if let Some(c) = &mut k.chaos {
                         c.heal(epoch, now);
                     }
                 }
@@ -1040,66 +436,10 @@ impl ClusterSim {
                     node,
                     function,
                     gen,
-                } => {
-                    let Some(c) = &mut chaos else { continue };
-                    let node = usize::try_from(node).unwrap_or(usize::MAX);
-                    let idx = slot_index(node, width, function.index());
-                    let Some(t) = state.get(idx).and_then(|s| s.transfer.as_ref()) else {
-                        continue;
-                    };
-                    if t.gen != gen || t.hedged {
-                        continue;
-                    }
-                    let primary_src = t.source;
-                    // A second source, distinct from the primary: the
-                    // least-loaded other reachable holder.
-                    let alt = (0..nodes)
-                        .filter(|&n| {
-                            n != node
-                                && n != primary_src
-                                && state[slot_index(n, width, function.index())].has_template
-                                && c.reachable(n, now)
-                        })
-                        .min_by_key(|&n| (node_state[n].live, n));
-                    let Some(s) = state.get_mut(idx) else {
-                        continue;
-                    };
-                    let Some(t) = s.transfer.as_mut() else {
-                        continue;
-                    };
-                    t.hedged = true;
-                    let Some(alt) = alt else { continue };
-                    let Some(f) = fns.get(function.index()) else {
-                        continue;
-                    };
-                    hedges += 1;
-                    c.record(now, node, ChaosEvent::HedgeFired);
-                    let alt_done = now.saturating_add(stretch(f.transfer, c.slowdown(alt, now)));
-                    if alt_done < t.done {
-                        // The hedge wins: re-point the transfer at the new
-                        // source under a fresh generation. The primary's
-                        // completion event now lazy-misses — cancellation
-                        // by generation, no un-scheduling needed.
-                        hedge_wins += 1;
-                        c.record(now, node, ChaosEvent::HedgeWon);
-                        t.gen = s.gen_counter;
-                        s.gen_counter += 1;
-                        t.source = alt;
-                        t.done = alt_done;
-                        transfers += 1;
-                        queue.schedule(
-                            alt_done,
-                            Event::TransferComplete {
-                                node: node as u32,
-                                function,
-                                gen: t.gen,
-                            },
-                        );
-                    }
-                }
+                } => k.hedge_fire(now, node, function, gen),
                 Event::HeartbeatTick { round } => {
-                    if let Some(c) = &mut chaos {
-                        c.tick(round, now, &mut queue);
+                    if let Some(c) = &mut k.chaos {
+                        c.tick(round, now, &mut k.queue);
                     }
                 }
                 // Never scheduled by the cluster kernel: boots collapse
@@ -1107,74 +447,7 @@ impl ClusterSim {
                 Event::BootComplete { .. } | Event::PoolTick { .. } => {}
             }
         }
-
-        // End sweep: waiters still parked on an orphaned transfer never
-        // got a completion path — the baseline's hang, counted as failed.
-        let mut hung = 0u64;
-        for n in 0..nodes {
-            for fi in 0..width {
-                let Some(t) = &state[slot_index(n, width, fi)].transfer else {
-                    continue;
-                };
-                if t.done != SimNanos::MAX {
-                    continue;
-                }
-                for &(_, id) in &t.waiters {
-                    if instances.contains(id) {
-                        hung += 1;
-                        failed += 1;
-                        if let Some(c) = &mut chaos {
-                            c.record(horizon, n, ChaosEvent::Hung);
-                        }
-                    }
-                }
-            }
-        }
-
-        let per_node_peak: Vec<usize> = node_state.iter().map(|n| n.peak).collect();
-        let peak_node_instances = per_node_peak.iter().copied().max().unwrap_or(0);
-        let heartbeats = chaos.as_ref().map_or(0, ChaosState::heartbeats);
-        let suspected = chaos.as_ref().map_or(0, |c| c.count(ChaosEvent::Suspect));
-        let requests = u64::try_from(trace.len()).unwrap_or(u64::MAX);
-        Ok(ChaosOutcome {
-            cluster: ClusterOutcome {
-                requests,
-                completed,
-                shed,
-                reuses,
-                local,
-                remote,
-                cold,
-                reroutes,
-                transfers,
-                transfer_faults,
-                node_repairs,
-                expirations,
-                events: queue.scheduled(),
-                horizon,
-                per_node_peak,
-                peak_node_instances,
-                goodput: fraction(completed, requests),
-                cold_rate: fraction(cold, requests),
-                startup: Quantiles::from_histogram(&startup_hist),
-                end_to_end: Quantiles::from_histogram(&e2e_hist),
-                remote_startup: Quantiles::from_histogram(&remote_hist),
-                cold_startup: Quantiles::from_histogram(&cold_hist),
-                route_hash,
-            },
-            failed,
-            hung,
-            crashes,
-            heartbeats,
-            suspected,
-            failovers,
-            rereplications,
-            hedges,
-            hedge_wins,
-            aborted_transfers,
-            unreachable,
-            chaos_log: chaos.map_or_else(Vec::new, ChaosState::into_log),
-        })
+        Ok(k.finish())
     }
 
     /// Boots each distinct cost shape on one real [`Catalyzer`], initialised
@@ -1212,6 +485,706 @@ fn shape_costs(
     let mut ctx = BootCtx::fresh(model);
     system.boot(BootMode::Cold, profile, &mut ctx)?;
     Ok((fork, ctx.now()))
+}
+
+/// One request being routed, or served, at `now`.
+#[derive(Clone, Copy)]
+struct Call {
+    now: SimNanos,
+    request: u64,
+    function: usize,
+    /// Time since the trace arrival: a failover re-arrival, or a waiter
+    /// on a transfer, is served later, and its latency honestly includes
+    /// the wait.
+    lag: SimNanos,
+    f: ClusterFn,
+}
+
+/// The cluster kernel's state between events, and one method per event
+/// class. Its counters are the fields of the [`ChaosOutcome`] it returns.
+struct Kernel<'t> {
+    sim: ClusterSim,
+    trace: &'t [TraceRequest],
+    queue: EventQueue<'t>,
+    fns: Vec<ClusterFn>,
+    nodes: usize,
+    /// Template holders per function at placement.
+    replicas: usize,
+    /// Health-aware routing, re-replication, hedging and waiter timeouts;
+    /// off both for the no-failover baseline and for a run with no chaos
+    /// layer, where static placement is simply true.
+    failover: bool,
+    injector: Option<FaultInjector>,
+    chaos: Option<ChaosState>,
+    /// Per-(node, function) serving state, indexed by [`Kernel::slot`].
+    state: Vec<Replica>,
+    node_state: Vec<NodeState>,
+    /// Every live instance, tagged with its node.
+    instances: Arena<Instance<usize>>,
+    /// What the scheduler sees of each node at the current arrival:
+    /// physically reachable, gray stretch, and eligible for new work.
+    /// `reach`/`slow` are re-read from the chaos layer when an arrival
+    /// passes a plan instant and `elig` is re-derived per arrival; without
+    /// a chaos layer they keep these inert values for the whole run.
+    reach: Vec<bool>,
+    slow: Vec<f64>,
+    elig: Vec<bool>,
+    startup: LatencyHistogram,
+    e2e: LatencyHistogram,
+    remote: LatencyHistogram,
+    cold: LatencyHistogram,
+    out: ChaosOutcome,
+}
+
+impl<'t> Kernel<'t> {
+    fn new(
+        mut sim: ClusterSim,
+        trace: &'t [TraceRequest],
+        queue: EventQueue<'t>,
+        fns: Vec<ClusterFn>,
+        chaos: Option<ChaosState>,
+    ) -> Kernel<'t> {
+        let nodes = sim.config.nodes;
+        let width = fns.len();
+        // Placement: the same round-robin spread as the closed-loop
+        // scheduler — holders are provisioned (template built offline).
+        let replicas = sim.config.placement_budget.min(nodes);
+        let mut state: Vec<Replica> = Vec::new();
+        state.resize_with(nodes.saturating_mul(width), Replica::default);
+        for f in 0..width {
+            for r in 0..replicas {
+                state[(f + r) % nodes * width + f].has_template = true;
+            }
+        }
+        let instances = Arena::with_capacity(trace.len().min(1 << 20));
+        Kernel {
+            failover: chaos.as_ref().is_some_and(|c| c.policy().failover),
+            injector: sim.plan.take().map(FaultInjector::new),
+            sim,
+            trace,
+            queue,
+            fns,
+            nodes,
+            replicas,
+            chaos,
+            state,
+            node_state: vec![NodeState::default(); nodes],
+            instances,
+            reach: vec![true; nodes],
+            slow: vec![1.0; nodes],
+            elig: vec![true; nodes],
+            startup: LatencyHistogram::new(),
+            e2e: LatencyHistogram::new(),
+            remote: LatencyHistogram::new(),
+            cold: LatencyHistogram::new(),
+            out: ChaosOutcome {
+                cluster: ClusterOutcome {
+                    requests: u64::try_from(trace.len()).unwrap_or(u64::MAX),
+                    route_hash: 0xcbf2_9ce4_8422_2325,
+                    ..ClusterOutcome::default()
+                },
+                ..ChaosOutcome::default()
+            },
+        }
+    }
+
+    /// Debug builds, after every pop: virtual time never runs back, and
+    /// the nodes' instance counts sum to the arena's.
+    fn check_invariants(&self, now: SimNanos) {
+        debug_assert!(now >= self.out.cluster.horizon, "time ran back to {now}");
+        debug_assert_eq!(
+            self.node_state.iter().map(|n| n.live).sum::<usize>(),
+            self.instances.len(),
+            "per-node live counts drifted from the arena"
+        );
+    }
+
+    /// Index of `(node, function)` in `state`.
+    fn slot(&self, node: usize, function: usize) -> usize {
+        node * self.fns.len() + function
+    }
+
+    /// The least-loaded node `ok` admits, the lowest-indexed on a tie.
+    fn least_loaded(&self, ok: impl Fn(usize) -> bool) -> Option<usize> {
+        (0..self.nodes)
+            .filter(|&n| ok(n))
+            .min_by_key(|&n| (self.node_state[n].live, n))
+    }
+
+    /// Eligible for new work and under capacity (`0` is unbounded).
+    fn open(&self, node: usize) -> bool {
+        let cap = self.sim.node_capacity;
+        self.elig[node] && (cap == 0 || self.node_state[node].live < cap)
+    }
+
+    /// The scheduler believes `node` holds `function`'s template. Full
+    /// policy believes physical placement (crashes clear it,
+    /// re-replication restores it); otherwise the scheduler believes the
+    /// original round-robin spread.
+    fn believed(&self, node: usize, function: usize) -> bool {
+        self.state[self.slot(node, function)].has_template
+            || (!self.failover && (0..self.replicas).any(|r| (function + r) % self.nodes == node))
+    }
+
+    fn reachable(&self, node: usize, now: SimNanos) -> bool {
+        self.chaos.as_ref().is_none_or(|c| c.reachable(node, now))
+    }
+
+    fn slowdown(&self, node: usize, now: SimNanos) -> f64 {
+        self.chaos.as_ref().map_or(1.0, |c| c.slowdown(node, now))
+    }
+
+    fn record(&mut self, now: SimNanos, node: usize, kind: ChaosEvent) {
+        if let Some(c) = &mut self.chaos {
+            c.record(now, node, kind);
+        }
+    }
+
+    /// `request` at `now`, with its function's costs.
+    fn call(&self, now: SimNanos, request: u64) -> Option<Call> {
+        let req = self.trace.get(usize::try_from(request).ok()?)?;
+        Some(Call {
+            now,
+            request,
+            function: req.function,
+            lag: now.saturating_sub(req.arrival),
+            f: *self.fns.get(req.function)?,
+        })
+    }
+
+    /// Folds one routing decision `(request, node, kind)` into the FNV-1a
+    /// routing-history hash.
+    fn mix(&mut self, request: u64, node: u64, kind: u64) {
+        let hash = &mut self.out.cluster.route_hash;
+        for value in [request, node, kind] {
+            for byte in value.to_le_bytes() {
+                *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+    }
+
+    /// Re-reads the scheduler's view of the nodes for an arrival at `now`.
+    /// Full policy routes only at reachable nodes believed `Up`, falling
+    /// back to any reachable node when the belief map offers none. The
+    /// baseline believes static placement and routes anywhere — and pays
+    /// for it.
+    fn look(&mut self, now: SimNanos) {
+        let Some(c) = &mut self.chaos else { return };
+        if c.passed_an_instant(now) {
+            for (n, (r, s)) in self.reach.iter_mut().zip(&mut self.slow).enumerate() {
+                *r = c.reachable(n, now);
+                *s = c.slowdown(n, now);
+            }
+        }
+        let reach = &self.reach;
+        let any_up = (0..self.nodes).any(|n| reach[n] && c.health(n) == NodeHealth::Up);
+        for (n, e) in self.elig.iter_mut().enumerate() {
+            *e = !self.failover || (reach[n] && (!any_up || c.health(n) == NodeHealth::Up));
+        }
+    }
+
+    /// The call was routed at a node the fabric cannot reach (crash or
+    /// partition): it fails typed.
+    fn fail_unreachable(&mut self, call: &Call, node: usize) {
+        self.out.failed += 1;
+        self.out.unreachable += 1;
+        self.record(call.now, node, ChaosEvent::Unreachable);
+        self.mix(call.request, node as u64, ROUTE_FAILED);
+    }
+
+    /// Commits the routing decision: hashes it and reserves a busy
+    /// instance on `node`.
+    fn place(&mut self, call: &Call, node: usize, kind: u64) -> InstanceId {
+        self.mix(call.request, node as u64, kind);
+        let ns = &mut self.node_state[node];
+        ns.live += 1;
+        ns.peak = ns.peak.max(ns.live);
+        let function = FnId::from_index(call.function);
+        self.instances.insert(Instance::serving(function, node))
+    }
+
+    /// Starts serving the call on `id` after `cost` of startup, its handler
+    /// stretched by `slowdown`; returns the startup latency.
+    fn serve(&mut self, call: &Call, id: InstanceId, cost: SimNanos, slowdown: f64) -> SimNanos {
+        let startup = call.lag.saturating_add(cost);
+        let exec = stretch(call.f.fork.exec, slowdown);
+        self.startup.record(startup);
+        self.e2e.record(startup.saturating_add(exec));
+        let (request, instance) = (call.request, id);
+        let done = call.now.saturating_add(cost).saturating_add(exec);
+        self.queue
+            .schedule(done, Event::ExecComplete { request, instance });
+        startup
+    }
+
+    /// Routes one arrival down the ladder — reuse, local sfork, remote
+    /// sfork, cold — or sheds it.
+    fn arrival(&mut self, now: SimNanos, request: u64) {
+        let Some(call) = self.call(now, request) else {
+            return;
+        };
+        let fi = call.function;
+        self.look(now);
+
+        // Rung 0 — reuse: the lowest-indexed routable node with a live
+        // warm instance serves at the hand-off cost.
+        let warm = (0..self.nodes).filter(|&n| self.elig[n]).find_map(|n| {
+            let s = &mut self.state[n * self.fns.len() + fi];
+            s.warm.pop(&self.instances).map(|id| (n, id))
+        });
+        if let Some((node, id)) = warm {
+            if !self.reach[node] {
+                // Baseline only: the believed-warm node is on an island —
+                // the request fails typed.
+                return self.fail_unreachable(&call, node);
+            }
+            if let Some(inst) = self.instances.get_mut(id) {
+                inst.reuse();
+            }
+            self.out.cluster.reuses += 1;
+            self.mix(request, node as u64, ROUTE_REUSE);
+            self.serve(&call, id, REUSE_HANDOFF, self.slow[node]);
+            return;
+        }
+
+        // Rung 1 — local sfork on the least-loaded believed template
+        // holder under capacity.
+        if let Some(node) = self.least_loaded(|n| self.open(n) && self.believed(n, fi)) {
+            if !self.reach[node] {
+                return self.fail_unreachable(&call, node);
+            }
+            self.out.cluster.local += 1;
+            let id = self.place(&call, node, ROUTE_LOCAL);
+            let slow = self.slow[node];
+            self.serve(&call, id, stretch(call.f.fork.boot, slow), slow);
+            return;
+        }
+
+        // Template-local nodes saturated (or nonexistent): the scheduler
+        // pushes the request off-holder. A re-route is only counted when
+        // some other node actually serves it — with nowhere to go, the
+        // request sheds and only the shed bucket moves.
+        //
+        // Rung 2a — join the in-flight transfer: the joiner becomes a
+        // waiter with the same fate as the initiator (fork when the
+        // template lands; timeout and re-route on abort under the full
+        // policy; a hang under the baseline).
+        let remote_fork = self.sim.config.routing == RoutingPolicy::RemoteFork;
+        let joinable = self.least_loaded(|n| {
+            remote_fork && self.open(n) && self.state[self.slot(n, fi)].transfer.is_some()
+        });
+        if let Some(node) = joinable {
+            if !self.reach[node] {
+                return self.fail_unreachable(&call, node);
+            }
+            self.out.cluster.reroutes += 1;
+            self.out.cluster.remote += 1;
+            let id = self.place(&call, node, ROUTE_REMOTE);
+            let i = self.slot(node, fi);
+            if let Some(t) = self.state[i].transfer.as_mut() {
+                t.waiters.push((request, id));
+            }
+            return;
+        }
+
+        // Rung 2b — start a transfer from a holder the policy believes in.
+        let transferable = self.least_loaded(|n| {
+            let s = &self.state[self.slot(n, fi)];
+            remote_fork && self.open(n) && !s.has_template && s.transfer.is_none()
+        });
+        // A poisoned transfer pins its cold fallback to the node it was
+        // headed for: `(node, detection delay)`.
+        let mut poisoned = None;
+        if let Some(node) = transferable {
+            if !self.reach[node] {
+                return self.fail_unreachable(&call, node);
+            }
+            let source = self.least_loaded(|n| {
+                n != node && self.believed(n, fi) && (!self.failover || self.reach[n])
+            });
+            // No holder left anywhere: fall to cold.
+            if let Some(src) = source {
+                if !self.reach[src] {
+                    // Baseline only: the believed holder is gone — the
+                    // transfer dies at setup.
+                    return self.fail_unreachable(&call, src);
+                }
+                let Some(detect) = self.start_transfer(&call, node, src) else {
+                    return;
+                };
+                poisoned = Some((node, detect));
+            }
+        }
+
+        // Rung 3 — cold: registry pull (once per node) plus the full cold
+        // boot, on the poisoned transfer's node or the least-loaded
+        // routable one. The LocalCold baseline always lands here.
+        let coldable = poisoned.or_else(|| {
+            self.least_loaded(|n| self.open(n))
+                .map(|n| (n, SimNanos::ZERO))
+        });
+        if let Some((node, detect)) = coldable {
+            if !self.reach[node] {
+                return self.fail_unreachable(&call, node);
+            }
+            self.out.cluster.reroutes += 1;
+            self.out.cluster.cold += 1;
+            let slow = self.slow[node];
+            let i = self.slot(node, fi);
+            let s = &mut self.state[i];
+            let mut cost = detect.saturating_add(stretch(call.f.cold_boot, slow));
+            if !s.pulled {
+                cost = cost.saturating_add(COLD_PULL);
+                s.pulled = true;
+            }
+            self.cold.record(call.lag.saturating_add(cost));
+            let id = self.place(&call, node, ROUTE_COLD);
+            self.serve(&call, id, cost, slow);
+            return;
+        }
+
+        // Every routable node at capacity: shed.
+        self.out.cluster.shed += 1;
+        self.mix(request, u64::MAX, ROUTE_SHED);
+    }
+
+    /// Rung 2b: starts a template transfer from `src` to `node`, the call
+    /// its first waiter. A gray source stretches the wire time — exactly
+    /// what the hedge exists to beat. A poisoned transfer starts nothing:
+    /// it returns the detection delay the call's cold fallback pays.
+    fn start_transfer(&mut self, call: &Call, node: usize, src: usize) -> Option<SimNanos> {
+        let now = call.now;
+        let mut wire = stretch(call.f.transfer, self.slow[src]);
+        let fault = self
+            .injector
+            .as_mut()
+            .and_then(|i| i.check(InjectionPoint::TemplateTransfer, now));
+        if let Some(fault) = fault {
+            self.out.cluster.transfer_faults += 1;
+            if fault.kind == FaultKind::Poison {
+                // The in-flight replica is corrupt: degrade this request
+                // down the ladder and repair the fabric in the background.
+                let ns = &mut self.node_state[node];
+                if !ns.repair_pending {
+                    ns.repair_pending = true;
+                    let event = Event::NodeRepair { node: node as u32 };
+                    self.queue.schedule(now.saturating_add(REPAIR_DELAY), event);
+                }
+                return Some(fault.delay);
+            }
+            // Transient/stall: detection delay plus one retry backoff,
+            // then the retry goes through.
+            wire = wire
+                .saturating_add(fault.delay)
+                .saturating_add(TRANSFER_BACKOFF);
+        }
+        self.out.cluster.reroutes += 1;
+        self.out.cluster.remote += 1;
+        self.out.cluster.transfers += 1;
+        let id = self.place(call, node, ROUTE_REMOTE);
+        let done = now.saturating_add(wire);
+        let waiters = vec![(call.request, id)];
+        let gen = self.begin_transfer(node, call.function, src, done, !self.failover, waiters);
+        if self.failover {
+            let (node, function) = (node as u32, FnId::from_index(call.function));
+            let hedge = Event::HedgeFire {
+                node,
+                function,
+                gen,
+            };
+            self.queue.schedule(now.saturating_add(HEDGE_DELAY), hedge);
+        }
+        None
+    }
+
+    /// Registers a transfer of `function`'s template from `src` into
+    /// `node`, landing at `done`, and schedules its completion; returns the
+    /// generation its events carry.
+    fn begin_transfer(
+        &mut self,
+        node: usize,
+        function: usize,
+        src: usize,
+        done: SimNanos,
+        hedged: bool,
+        waiters: Vec<(u64, InstanceId)>,
+    ) -> u32 {
+        let i = self.slot(node, function);
+        let s = &mut self.state[i];
+        let gen = s.next_gen();
+        s.transfer = Some(Transfer {
+            gen,
+            source: src,
+            done,
+            hedged,
+            waiters,
+        });
+        let (node, function) = (node as u32, FnId::from_index(function));
+        let landed = Event::TransferComplete {
+            node,
+            function,
+            gen,
+        };
+        self.queue.schedule(done, landed);
+        gen
+    }
+
+    /// An instance finished its request: it parks warm or retires.
+    fn exec_complete(&mut self, now: SimNanos, id: InstanceId) {
+        let Some(inst) = self.instances.get(id) else {
+            return;
+        };
+        self.out.cluster.completed += 1;
+        let (node, i) = (inst.tag, self.slot(inst.tag, inst.function.index()));
+        let (keep_alive, max_idle) = (self.sim.keep_alive, self.sim.max_idle);
+        let warm = &mut self.state[i].warm;
+        if !warm.park(
+            id,
+            &mut self.instances,
+            now,
+            keep_alive,
+            max_idle,
+            &mut self.queue,
+        ) {
+            self.node_state[node].live -= 1;
+        }
+    }
+
+    fn expiry(&mut self, now: SimNanos, id: InstanceId) {
+        let Some(inst) = self.instances.get(id) else {
+            return;
+        };
+        let (node, i) = (inst.tag, self.slot(inst.tag, inst.function.index()));
+        let warm = &mut self.state[i].warm;
+        if warm.expire(id, &mut self.instances, now, self.sim.keep_alive) {
+            self.out.cluster.expirations += 1;
+            self.node_state[node].live -= 1;
+        }
+    }
+
+    /// A template landed: the node holds it now, and its waiters fork.
+    fn transfer_complete(&mut self, now: SimNanos, node: u32, function: FnId, gen: u32) {
+        let node = usize::try_from(node).unwrap_or(usize::MAX);
+        let i = self.slot(node, function.index());
+        let Some(s) = self.state.get_mut(i) else {
+            return;
+        };
+        // Stale generation: aborted, orphaned, hedged out, or the
+        // destination crashed — lazy miss.
+        let Some(t) = s.transfer.take_if(|t| t.gen == gen) else {
+            return;
+        };
+        s.has_template = true;
+        let slowdown = self.slowdown(node, now);
+        for (request, id) in t.waiters {
+            let call = self.call(now, request);
+            let Some(call) = call.filter(|_| self.instances.contains(id)) else {
+                continue;
+            };
+            let startup = self.serve(&call, id, stretch(call.f.fork.boot, slowdown), slowdown);
+            self.remote.record(startup);
+        }
+    }
+
+    fn node_repair(&mut self, node: u32) {
+        let node = usize::try_from(node).unwrap_or(usize::MAX);
+        if let Some(ns) = self.node_state.get_mut(node) {
+            ns.repair_pending = false;
+            self.out.cluster.node_repairs += 1;
+            if let Some(injector) = &mut self.injector {
+                injector.heal(InjectionPoint::TemplateTransfer);
+            }
+        }
+    }
+
+    /// A scheduled crash fires: the node loses its instances, templates and
+    /// inbound transfers; transfers it sourced abort.
+    fn node_crash(&mut self, now: SimNanos, node: u32) {
+        if self.chaos.is_none() {
+            return;
+        }
+        let node = usize::try_from(node).unwrap_or(usize::MAX);
+        self.out.crashes += 1;
+        self.record(now, node, ChaosEvent::Crash);
+        // 1. Kill sweep: every instance on the node dies; busy ones take
+        // their requests with them. Their pending events lazy-miss on the
+        // bumped arena generation.
+        let victims: Vec<InstanceId> = self
+            .instances
+            .iter()
+            .filter(|(_, inst)| inst.tag == node)
+            .map(|(id, _)| id)
+            .collect();
+        for id in victims {
+            if self.instances.remove(id).is_some_and(|inst| inst.busy()) {
+                self.out.failed += 1;
+            }
+        }
+        if let Some(ns) = self.node_state.get_mut(node) {
+            ns.live = 0;
+        }
+        // 2. Clear the node's per-function state but its generation
+        // source, remembering which templates it held for
+        // re-replication. A transfer *into* the dead node dies with it —
+        // its waiters were just killed above.
+        let mut held: Vec<usize> = Vec::new();
+        for fi in 0..self.fns.len() {
+            let i = self.slot(node, fi);
+            let s = &mut self.state[i];
+            if s.has_template {
+                held.push(fi);
+            }
+            let gen_counter = s.gen_counter;
+            *s = Replica {
+                gen_counter,
+                ..Replica::default()
+            };
+        }
+        // 3. Abort sweep: transfers *sourced* from the dead node lose their
+        // template mid-wire. The full policy times the waiters out onto a
+        // fresh route; the baseline orphans them — `done = MAX`,
+        // generation bumped so the pending completion lazy-misses, and the
+        // waiters hang.
+        for i in 0..self.state.len() {
+            let n = i / self.fns.len();
+            let s = &mut self.state[i];
+            if n == node || s.transfer.as_ref().is_none_or(|t| t.source != node) {
+                continue;
+            }
+            if !self.failover {
+                let gen = s.next_gen();
+                if let Some(t) = s.transfer.as_mut() {
+                    t.done = SimNanos::MAX;
+                    t.gen = gen;
+                }
+            }
+            let waiters = s.transfer.take_if(|_| self.failover);
+            self.out.aborted_transfers += 1;
+            self.record(now, n, ChaosEvent::TransferAbort);
+            let Some(t) = waiters else {
+                continue;
+            };
+            for (request, id) in t.waiters {
+                if self.instances.remove(id).is_some() {
+                    self.node_state[n].live -= 1;
+                }
+                self.out.failovers += 1;
+                let retry = Event::Arrival { request };
+                self.queue
+                    .schedule(now.saturating_add(TRANSFER_TIMEOUT), retry);
+            }
+            self.record(now, n, ChaosEvent::Failover);
+        }
+        // 4. Re-replication: the full policy rebuilds each lost template
+        // back up to the placement budget, from the least-loaded surviving
+        // holder onto the lowest reachable non-holder. Background repairs
+        // are not hedged and carry no waiters.
+        if !self.failover {
+            return;
+        }
+        for fi in held {
+            let holds =
+                |n: usize| self.state[self.slot(n, fi)].has_template && self.reachable(n, now);
+            if (0..self.nodes).filter(|&n| holds(n)).count() >= self.replicas {
+                continue;
+            }
+            let dest = (0..self.nodes).find(|&n| {
+                let s = &self.state[self.slot(n, fi)];
+                self.reachable(n, now) && !s.has_template && s.transfer.is_none()
+            });
+            let (Some(dest), Some(src)) = (dest, self.least_loaded(holds)) else {
+                continue;
+            };
+            let wire = stretch(self.fns[fi].transfer, self.slowdown(src, now));
+            let done = now.saturating_add(REPAIR_DELAY).saturating_add(wire);
+            self.begin_transfer(dest, fi, src, done, true, Vec::new());
+            self.out.rereplications += 1;
+            self.record(now, dest, ChaosEvent::Rereplicate);
+        }
+    }
+
+    /// A transfer's hedge delay elapsed: a second source, distinct from the
+    /// primary — the least-loaded other reachable holder — races it once.
+    fn hedge_fire(&mut self, now: SimNanos, node: u32, function: FnId, gen: u32) {
+        let node = usize::try_from(node).unwrap_or(usize::MAX);
+        let fi = function.index();
+        let i = self.slot(node, fi);
+        let Some(t) = self.state.get(i).and_then(|s| s.transfer.as_ref()) else {
+            return;
+        };
+        if self.chaos.is_none() || t.gen != gen || t.hedged {
+            return;
+        }
+        let (primary, primary_done) = (t.source, t.done);
+        let alt = self.least_loaded(|n| {
+            n != node
+                && n != primary
+                && self.state[self.slot(n, fi)].has_template
+                && self.reachable(n, now)
+        });
+        let Some(t) = self.state[i].transfer.as_mut() else {
+            return;
+        };
+        t.hedged = true;
+        let Some(alt) = alt else {
+            return;
+        };
+        let alt_done = now.saturating_add(stretch(self.fns[fi].transfer, self.slowdown(alt, now)));
+        self.out.hedges += 1;
+        self.record(now, node, ChaosEvent::HedgeFired);
+        if alt_done >= primary_done {
+            return;
+        }
+        // The hedge wins: re-point the transfer at the new source under a
+        // fresh generation. The primary's completion event now
+        // lazy-misses — cancellation by generation, no un-scheduling.
+        self.out.hedge_wins += 1;
+        self.record(now, node, ChaosEvent::HedgeWon);
+        self.out.cluster.transfers += 1;
+        let waiters = self.state[i]
+            .transfer
+            .take()
+            .map_or_else(Vec::new, |t| t.waiters);
+        self.begin_transfer(node, fi, alt, alt_done, true, waiters);
+    }
+
+    /// End sweep — waiters still parked on an orphaned transfer never got
+    /// a completion path: the baseline's hang, counted as failed — then
+    /// the digests.
+    fn finish(mut self) -> ChaosOutcome {
+        let horizon = self.out.cluster.horizon;
+        for (i, s) in self.state.iter().enumerate() {
+            let Some(t) = s.transfer.as_ref().filter(|t| t.done == SimNanos::MAX) else {
+                continue;
+            };
+            for &(_, id) in &t.waiters {
+                if self.instances.contains(id) {
+                    self.out.hung += 1;
+                    self.out.failed += 1;
+                    if let Some(c) = &mut self.chaos {
+                        c.record(horizon, i / self.fns.len(), ChaosEvent::Hung);
+                    }
+                }
+            }
+        }
+        let mut out = self.out;
+        let c = &mut out.cluster;
+        c.events = self.queue.scheduled();
+        c.per_node_peak = self.node_state.iter().map(|n| n.peak).collect();
+        c.peak_node_instances = c.per_node_peak.iter().copied().max().unwrap_or(0);
+        c.goodput = fraction(c.completed, c.requests);
+        c.cold_rate = fraction(c.cold, c.requests);
+        c.startup = Quantiles::from_histogram(&self.startup);
+        c.end_to_end = Quantiles::from_histogram(&self.e2e);
+        c.remote_startup = Quantiles::from_histogram(&self.remote);
+        c.cold_startup = Quantiles::from_histogram(&self.cold);
+        if let Some(chaos) = self.chaos {
+            out.heartbeats = chaos.heartbeats();
+            out.suspected = chaos.count(ChaosEvent::Suspect);
+            out.chaos_log = chaos.into_log();
+        }
+        out
+    }
 }
 
 #[cfg(test)]

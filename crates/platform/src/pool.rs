@@ -31,6 +31,7 @@ use simtime::{CostModel, MetricsRegistry, SimClock, SimNanos};
 
 use crate::admission::SPAN_REPAIR;
 use crate::resilience::{resilient_boot, ResiliencePolicy};
+use crate::simulate::REUSE_HANDOFF;
 use crate::PlatformError;
 
 /// One pooled, idle instance.
@@ -183,7 +184,7 @@ impl<E: BootEngine> InstancePool<E> {
         now: SimNanos,
         model: &CostModel,
     ) -> Result<PoolServe, PlatformError> {
-        self.lend(None).serve_at(now, model)
+        self.serve_with(now, model, None)
     }
 
     fn note_poison(&mut self, point: InjectionPoint) {
@@ -207,71 +208,47 @@ impl<E: BootEngine> InstancePool<E> {
     ///
     /// Engine errors from the rebuild.
     pub fn tick(&mut self, now: SimNanos, model: &CostModel) -> Result<(), PlatformError> {
-        self.lend(None).tick(now, model)
+        self.tick_with(now, model, None)
     }
 
-    /// Lends `injector` to the pool for one call — how the closed loop,
-    /// which owns one injector per run, serves and ticks its pools.
-    pub(crate) fn lend<'a>(&'a mut self, injector: Option<&'a mut FaultInjector>) -> Lent<'a, E> {
-        Lent {
-            pool: self,
-            injector,
-        }
-    }
-}
-
-/// An [`InstancePool`] with a fault injector on loan: scale-up boots
-/// consult it and the repair pass heals it.
-pub(crate) struct Lent<'a, E: BootEngine> {
-    pool: &'a mut InstancePool<E>,
-    injector: Option<&'a mut FaultInjector>,
-}
-
-impl<E: BootEngine> Lent<'_, E> {
-    /// [`InstancePool::serve_at`] under the lent injector.
-    pub(crate) fn serve_at(
-        self,
+    /// [`InstancePool::serve_at`] with `injector` lent for the call — how
+    /// the closed loop, which owns one injector per run, serves its pools:
+    /// a scale-up boot consults it.
+    pub(crate) fn serve_with(
+        &mut self,
         now: SimNanos,
         model: &CostModel,
+        injector: Option<&mut FaultInjector>,
     ) -> Result<PoolServe, PlatformError> {
-        let Lent { pool, injector } = self;
-        pool.reap(now);
-        let (mut outcome, startup, reused, degraded, poisoned) = match pool.idle.pop_front() {
+        self.reap(now);
+        let (mut outcome, startup, reused, degraded, poisoned) = match self.idle.pop_front() {
             Some(instance) => {
-                pool.stats.reuses += 1;
-                pool.metrics.inc(names::POOL_REUSE);
+                self.stats.reuses += 1;
+                self.metrics.inc(names::POOL_REUSE);
                 // Reuse: scheduler hand-off only.
-                (
-                    instance.outcome,
-                    crate::simulate::REUSE_HANDOFF,
-                    true,
-                    false,
-                    false,
-                )
+                (instance.outcome, REUSE_HANDOFF, true, false, false)
             }
             None => {
-                pool.stats.boots += 1;
-                pool.metrics.inc(names::POOL_BOOT);
+                self.stats.boots += 1;
+                self.metrics.inc(names::POOL_BOOT);
                 let mut ctx = BootCtx::new(&SimClock::starting_at(now), model);
                 if let Some(injector) = injector {
                     ctx = ctx.with_injector(injector);
                 }
                 let booted = match resilient_boot(
-                    &mut pool.engine,
-                    &pool.profile,
-                    &pool.policy,
+                    &mut self.engine,
+                    &self.profile,
+                    &self.policy,
                     &mut ctx,
-                    &mut pool.metrics,
+                    &mut self.metrics,
                 ) {
                     Ok(booted) => booted,
                     Err(err) => {
                         // A deferred poison on a failed boot still owes the
                         // repair loop a rebuild and an injector heal.
-                        if pool.policy.defer_quarantine {
-                            if let SandboxError::Fault(fault) = &err {
-                                if fault.kind == FaultKind::Poison {
-                                    pool.note_poison(fault.point);
-                                }
+                        if let SandboxError::Fault(fault) = &err {
+                            if self.policy.defer_quarantine && fault.kind == FaultKind::Poison {
+                                self.note_poison(fault.point);
                             }
                         }
                         return Err(err.into());
@@ -279,28 +256,28 @@ impl<E: BootEngine> Lent<'_, E> {
                 };
                 let poisoned = !booted.poisoned.is_empty();
                 for &point in &booted.poisoned {
-                    pool.note_poison(point);
+                    self.note_poison(point);
                 }
                 if booted.degraded() {
-                    pool.metrics.inc(names::POOL_DEGRADED);
-                    pool.metrics.observe(names::POOL_RECOVERY, booted.recovery);
+                    self.metrics.inc(names::POOL_DEGRADED);
+                    self.metrics.observe(names::POOL_RECOVERY, booted.recovery);
                 }
                 let startup = ctx.now().saturating_sub(now);
                 let degraded = booted.degraded();
                 (booted.outcome, startup, false, degraded, poisoned)
             }
         };
-        pool.metrics.observe(names::POOL_STARTUP, startup);
+        self.metrics.observe(names::POOL_STARTUP, startup);
         let ctx = BootCtx::fresh(model);
         outcome.program.invoke_handler(ctx.clock(), ctx.model())?;
         let exec = ctx.now();
-        if pool.idle.len() < pool.max_idle {
-            pool.idle.push_back(IdleInstance {
+        if self.idle.len() < self.max_idle {
+            self.idle.push_back(IdleInstance {
                 outcome,
                 idle_since: now.saturating_add(startup).saturating_add(exec),
             });
-            pool.metrics
-                .set_gauge(names::POOL_IDLE, pool.idle.len() as i64);
+            self.metrics
+                .set_gauge(names::POOL_IDLE, self.idle.len() as i64);
         }
         Ok(PoolServe {
             startup,
@@ -311,37 +288,42 @@ impl<E: BootEngine> Lent<'_, E> {
         })
     }
 
-    /// [`InstancePool::tick`] under the lent injector.
-    pub(crate) fn tick(self, now: SimNanos, model: &CostModel) -> Result<(), PlatformError> {
-        let Lent { pool, injector } = self;
-        pool.reap(now);
-        if pool.pending_repair.is_empty() {
+    /// [`InstancePool::tick`] with `injector` lent for the call: the
+    /// repair pass heals it.
+    pub(crate) fn tick_with(
+        &mut self,
+        now: SimNanos,
+        model: &CostModel,
+        injector: Option<&mut FaultInjector>,
+    ) -> Result<(), PlatformError> {
+        self.reap(now);
+        if self.pending_repair.is_empty() {
             return Ok(());
         }
-        let evicted = u64::try_from(pool.idle.len()).unwrap_or(u64::MAX);
-        pool.idle.clear();
-        pool.metrics.set_gauge(names::POOL_IDLE, 0);
-        pool.repair_stats.evicted += evicted;
-        pool.metrics.add(names::POOL_REPAIR_EVICTED, evicted);
+        let evicted = u64::try_from(self.idle.len()).unwrap_or(u64::MAX);
+        self.idle.clear();
+        self.metrics.set_gauge(names::POOL_IDLE, 0);
+        self.repair_stats.evicted += evicted;
+        self.metrics.add(names::POOL_REPAIR_EVICTED, evicted);
 
-        let mut ctx = BootCtx::new(&pool.repair_clock, model);
+        let mut ctx = BootCtx::new(&self.repair_clock, model);
         let done = ctx.span(SPAN_REPAIR, |ctx| {
-            let spent = pool.engine.repair(&pool.profile, model)?;
+            let spent = self.engine.repair(&self.profile, model)?;
             ctx.charge_span("rebuild", spent);
             if let Some(injector) = injector {
-                for &point in &pool.pending_repair {
+                for &point in &self.pending_repair {
                     injector.heal(point);
                 }
             }
-            pool.pending_repair.clear();
-            pool.repair_stats.repairs += 1;
-            pool.repair_stats.repair_time = pool.repair_stats.repair_time.saturating_add(spent);
-            pool.metrics.inc(names::POOL_REPAIR_COUNT);
-            pool.metrics.observe(names::POOL_REPAIR_TIME, spent);
+            self.pending_repair.clear();
+            self.repair_stats.repairs += 1;
+            self.repair_stats.repair_time = self.repair_stats.repair_time.saturating_add(spent);
+            self.metrics.inc(names::POOL_REPAIR_COUNT);
+            self.metrics.observe(names::POOL_REPAIR_TIME, spent);
             Ok::<(), PlatformError>(())
         });
         if done.is_err() {
-            pool.metrics.inc(names::POOL_REPAIR_FAILED);
+            self.metrics.inc(names::POOL_REPAIR_FAILED);
         }
         done
     }
@@ -441,8 +423,7 @@ mod tests {
 
         // Request path: the poison is only *marked* — no rebuild charged.
         let served = pool
-            .lend(Some(&mut injector))
-            .serve_at(SimNanos::ZERO, &model)
+            .serve_with(SimNanos::ZERO, &model, Some(&mut injector))
             .unwrap();
         assert!(served.poisoned, "poison absorbed and reported");
         assert!(served.degraded);
@@ -455,8 +436,7 @@ mod tests {
         assert!(injector.is_poisoned(InjectionPoint::SforkMerge));
 
         // Background pass: evict quarantined capacity, rebuild, heal.
-        pool.lend(Some(&mut injector))
-            .tick(SimNanos::from_millis(10), &model)
+        pool.tick_with(SimNanos::from_millis(10), &model, Some(&mut injector))
             .unwrap();
         assert!(!injector.is_poisoned(InjectionPoint::SforkMerge));
         let stats = pool.repair_stats();
@@ -468,8 +448,7 @@ mod tests {
         // The next request boots from the rebuilt template, clean: a poison
         // left unhealed would fire again outside the fault window.
         let served = pool
-            .lend(Some(&mut injector))
-            .serve_at(SimNanos::from_millis(20), &model)
+            .serve_with(SimNanos::from_millis(20), &model, Some(&mut injector))
             .unwrap();
         assert!(!served.reused, "the suspect instance was evicted");
         assert!(!served.poisoned);

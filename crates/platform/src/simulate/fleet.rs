@@ -22,7 +22,14 @@
 //!    cost or a cold boot is scheduled at the calibrated cost; boot and
 //!    execution completions, keep-alive expiries, and self-healing pool
 //!    ticks are all events. Instances live in a generational [`Arena`] —
-//!    a stale expiry against a reused slot simply misses.
+//!    a stale expiry against a reused slot simply misses. Keep-alive is
+//!    one rule, `WarmSet`, that the cluster kernel runs too: the newest
+//!    warm instance serves first, at most `max_idle` park per function,
+//!    and each is reclaimed one window after it parked.
+//!
+//! The run counts straight into the [`FleetOutcome`] it returns. Debug
+//! builds check after every pop that virtual time never runs back and
+//! that no more requests are in flight than instances live.
 //!
 //! Faults ([`Simulation::with_faults`]) consult the same deterministic
 //! [`FaultInjector`] schedule at each cold boot: transients and stalls
@@ -48,14 +55,14 @@ use sandbox::{BootCtx, BootOutcome, SandboxError};
 use serde::{Deserialize, Serialize};
 use simtime::{CostModel, LatencyHistogram, SimNanos};
 
-use super::arena::{Arena, FnId, InstanceId};
+use super::arena::{Arena, FnId};
 use super::events::{Event, EventQueue};
-use super::{validate_trace, Simulation, TraceRequest, REUSE_HANDOFF};
+use super::{validate_trace, Instance, Simulation, TraceRequest, WarmSet, REUSE_HANDOFF};
 use crate::PlatformError;
 
 /// Latency distribution digest from a fixed-ladder histogram: quantiles
 /// are conservative upper bounds with bounded, schema-stable error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Quantiles {
     /// Samples recorded.
     pub count: u64,
@@ -88,7 +95,7 @@ impl Quantiles {
 }
 
 /// What one open-loop fleet run produced: the density-grid cell.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct FleetOutcome {
     /// Requests in the trace.
     pub requests: u64,
@@ -164,22 +171,9 @@ struct FleetFn {
     cost: ShapeCost,
     /// A poison's repair tick is queued: set until the tick heals it.
     poisoned: bool,
-    /// LIFO stack of warm instances (lazily pruned: expired entries miss
-    /// the arena's generation check and are skipped on pop).
-    idle: Vec<InstanceId>,
-    /// Warm instances actually live (the stack may hold stale ids).
-    idle_live: usize,
+    warm: WarmSet,
     /// Requests currently in flight against this function.
     in_flight: usize,
-}
-
-/// One live instance slot.
-struct Instance {
-    function: FnId,
-    /// The request being served (meaningful while `busy`).
-    request: u64,
-    busy: bool,
-    idle_since: SimNanos,
 }
 
 impl Simulation {
@@ -206,119 +200,92 @@ impl Simulation {
         let mut queue = EventQueue::over(validate_trace(trace, self.catalogue.len())?);
         let mut fns = self.calibrate()?;
         let mut injector = self.plan.take().map(FaultInjector::new);
-        let cap = self.admission.as_ref().map(|p| {
-            if p.max_in_flight == 0 {
-                usize::MAX
-            } else {
-                p.max_in_flight.saturating_add(p.max_queue)
-            }
-        });
+        let cap = self
+            .admission
+            .as_ref()
+            .filter(|p| p.max_in_flight > 0)
+            .map(|p| p.max_in_flight.saturating_add(p.max_queue));
+        let (keep_alive, max_idle) = (self.keep_alive, self.max_idle);
+        // An instance's tag is the request it serves.
+        let mut instances: Arena<Instance<u64>> = Arena::with_capacity(trace.len().min(1 << 20));
 
-        let mut instances: Arena<Instance> = Arena::with_capacity(trace.len().min(1 << 20));
-
-        let mut completed = 0u64;
-        let mut shed = 0u64;
-        let mut cold_boots = 0u64;
-        let mut reuses = 0u64;
-        let mut expirations = 0u64;
-        let mut degraded = 0u64;
-        let mut repairs = 0u64;
+        let mut out = FleetOutcome {
+            requests: u64::try_from(trace.len()).unwrap_or(u64::MAX),
+            ..FleetOutcome::default()
+        };
         let mut in_flight = 0usize;
-        let mut peak_in_flight = 0usize;
-        let mut horizon = SimNanos::ZERO;
         let mut startup_hist = LatencyHistogram::new();
         let mut e2e_hist = LatencyHistogram::new();
 
         while let Some((now, event)) = queue.pop() {
-            horizon = now;
+            debug_assert!(now >= out.horizon, "time ran back to {now}");
+            debug_assert!(
+                in_flight <= instances.len(),
+                "a request in flight lost its instance"
+            );
+            out.horizon = now;
             match event {
                 Event::Arrival { request } => {
                     let Some(req) = trace.get(usize::try_from(request).unwrap_or(usize::MAX))
                     else {
                         continue;
                     };
+                    let function = FnId::from_index(req.function);
                     let Some(f) = fns.get_mut(req.function) else {
                         continue;
                     };
                     if cap.is_some_and(|cap| f.in_flight >= cap) {
-                        shed += 1;
+                        out.shed += 1;
                         continue;
                     }
                     f.in_flight += 1;
                     in_flight += 1;
-                    peak_in_flight = peak_in_flight.max(in_flight);
+                    out.peak_in_flight = out.peak_in_flight.max(in_flight);
 
-                    // Warm path: pop past stale ids (expired slots miss the
-                    // generation check) to the newest live warm instance.
-                    let mut warm = None;
-                    while let Some(id) = f.idle.pop() {
-                        if instances.contains(id) {
-                            warm = Some(id);
-                            break;
+                    // Warm path: the newest live warm instance.
+                    if let Some(instance) = f.warm.pop(&instances) {
+                        if let Some(inst) = instances.get_mut(instance) {
+                            inst.reuse();
+                            inst.tag = request;
                         }
-                    }
-                    if let Some(id) = warm {
-                        f.idle_live = f.idle_live.saturating_sub(1);
-                        if let Some(inst) = instances.get_mut(id) {
-                            inst.busy = true;
-                            inst.request = request;
-                        }
-                        reuses += 1;
+                        out.reuses += 1;
+                        let e2e = REUSE_HANDOFF.saturating_add(f.cost.exec);
                         startup_hist.record(REUSE_HANDOFF);
-                        e2e_hist.record(REUSE_HANDOFF.saturating_add(f.cost.exec));
-                        queue.schedule(
-                            now.saturating_add(REUSE_HANDOFF)
-                                .saturating_add(f.cost.exec),
-                            Event::ExecComplete {
-                                request,
-                                instance: id,
-                            },
-                        );
+                        e2e_hist.record(e2e);
+                        let done = now.saturating_add(e2e);
+                        queue.schedule(done, Event::ExecComplete { request, instance });
                         continue;
                     }
 
                     // Cold path: one calibrated boot.
-                    cold_boots += 1;
+                    out.cold_boots += 1;
                     let mut cost = f.cost.boot;
-                    if let Some(injector) = &mut injector {
-                        if let Some(fault) = injector.check(InjectionPoint::SforkMerge, now) {
-                            if fault.kind == FaultKind::Poison {
-                                // Deferred quarantine at fleet scale: this
-                                // boot pays its detection delay, and one
-                                // repair tick per poisoning heals the
-                                // injector a boot later.
-                                if !f.poisoned {
-                                    queue.schedule(
-                                        now.saturating_add(f.cost.boot),
-                                        Event::PoolTick {
-                                            function: FnId::from_index(req.function),
-                                        },
-                                    );
-                                }
-                                f.poisoned = true;
-                                cost = cost.saturating_add(fault.delay);
-                            } else {
-                                // Transient/stall: detection delay plus one
-                                // retry backoff, then the retry succeeds.
-                                cost = cost
-                                    .saturating_add(fault.delay)
-                                    .saturating_add(self.policy.backoff_base);
-                                degraded += 1;
+                    let fault = injector
+                        .as_mut()
+                        .and_then(|i| i.check(InjectionPoint::SforkMerge, now));
+                    if let Some(fault) = fault {
+                        // Every fault charges its detection delay.
+                        cost = cost.saturating_add(fault.delay);
+                        if fault.kind == FaultKind::Poison {
+                            // Deferred quarantine at fleet scale: one repair
+                            // tick per poisoning heals the injector a boot
+                            // later.
+                            if !f.poisoned {
+                                let tick = now.saturating_add(f.cost.boot);
+                                queue.schedule(tick, Event::PoolTick { function });
                             }
+                            f.poisoned = true;
+                        } else {
+                            // Transient/stall: plus one retry backoff, then
+                            // the retry succeeds.
+                            cost = cost.saturating_add(self.policy.backoff_base);
+                            out.degraded += 1;
                         }
                     }
-                    let id = instances.insert(Instance {
-                        function: FnId::from_index(req.function),
-                        request,
-                        busy: true,
-                        idle_since: SimNanos::ZERO,
-                    });
+                    let instance = instances.insert(Instance::serving(function, request));
                     startup_hist.record(cost);
                     e2e_hist.record(cost.saturating_add(f.cost.exec));
-                    queue.schedule(
-                        now.saturating_add(cost),
-                        Event::BootComplete { instance: id },
-                    );
+                    queue.schedule(now.saturating_add(cost), Event::BootComplete { instance });
                 }
                 Event::BootComplete { instance } => {
                     let Some(inst) = instances.get(instance) else {
@@ -327,58 +294,35 @@ impl Simulation {
                     let exec = fns
                         .get(inst.function.index())
                         .map_or(SimNanos::ZERO, |f| f.cost.exec);
+                    let request = inst.tag;
                     queue.schedule(
                         now.saturating_add(exec),
-                        Event::ExecComplete {
-                            request: inst.request,
-                            instance,
-                        },
+                        Event::ExecComplete { request, instance },
                     );
                 }
                 Event::ExecComplete { instance: id, .. } => {
-                    let Some(inst) = instances.get_mut(id) else {
+                    let Some(inst) = instances.get(id) else {
                         continue;
                     };
                     let function = inst.function;
-                    completed += 1;
+                    out.completed += 1;
                     in_flight = in_flight.saturating_sub(1);
                     let Some(f) = fns.get_mut(function.index()) else {
                         continue;
                     };
                     f.in_flight = f.in_flight.saturating_sub(1);
-                    if f.idle_live < self.max_idle {
-                        // Park warm: the id stays current, so the expiry
-                        // scheduled here resolves unless the slot is reused
-                        // (then `busy`/a fresher `idle_since` defers it).
-                        inst.busy = false;
-                        inst.idle_since = now;
-                        f.idle.push(id);
-                        f.idle_live += 1;
-                        queue.schedule(
-                            now.saturating_add(self.keep_alive),
-                            Event::KeepAliveExpiry { instance: id },
-                        );
-                    } else {
-                        // Warm set full: retire the instance outright.
-                        instances.remove(id);
-                    }
+                    f.warm
+                        .park(id, &mut instances, now, keep_alive, max_idle, &mut queue);
                 }
                 Event::KeepAliveExpiry { instance } => {
-                    let due = match instances.get(instance) {
-                        // Reused since parking: the expiry for the *next*
-                        // park (if any) supersedes this one.
-                        Some(inst) if inst.busy => false,
-                        Some(inst) => now.saturating_sub(inst.idle_since) >= self.keep_alive,
-                        // Already reclaimed (retired or expired).
-                        None => false,
+                    let Some(f) = instances
+                        .get(instance)
+                        .and_then(|inst| fns.get_mut(inst.function.index()))
+                    else {
+                        continue;
                     };
-                    if due {
-                        if let Some(inst) = instances.remove(instance) {
-                            expirations += 1;
-                            if let Some(f) = fns.get_mut(inst.function.index()) {
-                                f.idle_live = f.idle_live.saturating_sub(1);
-                            }
-                        }
+                    if f.warm.expire(instance, &mut instances, now, keep_alive) {
+                        out.expirations += 1;
                     }
                 }
                 // Cluster- and chaos-only classes: the single-node fleet
@@ -393,7 +337,7 @@ impl Simulation {
                     let Some(f) = fns.get_mut(function.index()) else {
                         continue;
                     };
-                    repairs += 1;
+                    out.repairs += 1;
                     f.poisoned = false;
                     if let Some(injector) = &mut injector {
                         injector.heal(InjectionPoint::SforkMerge);
@@ -402,27 +346,13 @@ impl Simulation {
             }
         }
 
-        let faults = injector.map_or(0, |i| i.total_fired());
-
-        Ok(FleetOutcome {
-            requests: u64::try_from(trace.len()).unwrap_or(u64::MAX),
-            completed,
-            shed,
-            cold_boots,
-            reuses,
-            expirations,
-            prewarm_boots: 0,
-            faults,
-            degraded,
-            repairs,
-            peak_instances: instances.peak_live(),
-            peak_in_flight,
-            events: queue.scheduled(),
-            horizon,
-            startup: Quantiles::from_histogram(&startup_hist),
-            end_to_end: Quantiles::from_histogram(&e2e_hist),
-            reuse_rate: super::fraction(reuses, completed),
-        })
+        out.faults = injector.map_or(0, |i| i.total_fired());
+        out.peak_instances = instances.peak_live();
+        out.events = queue.scheduled();
+        out.startup = Quantiles::from_histogram(&startup_hist);
+        out.end_to_end = Quantiles::from_histogram(&e2e_hist);
+        out.reuse_rate = super::fraction(out.reuses, out.completed);
+        Ok(out)
     }
 
     /// Boots each distinct cost shape's real engine once on an offline
@@ -437,8 +367,7 @@ impl Simulation {
             .map(|cost| FleetFn {
                 cost,
                 poisoned: false,
-                idle: Vec::new(),
-                idle_live: 0,
+                warm: WarmSet::default(),
                 in_flight: 0,
             })
             .collect())

@@ -59,6 +59,7 @@ pub mod arena;
 pub mod events;
 pub mod fleet;
 mod trace;
+mod warm;
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -85,6 +86,7 @@ pub use events::{Event, EventQueue};
 pub(crate) use fleet::{calibrate_shapes, ShapeCost};
 pub use fleet::{FleetOutcome, Quantiles};
 pub(crate) use trace::validate_trace;
+pub(crate) use warm::{Instance, WarmSet};
 
 /// Scheduler hand-off charged when a request is served by reusing a warm
 /// instance instead of booting one. Both engines — the closed-loop pools
@@ -266,7 +268,7 @@ impl Simulation {
             let pool = &mut pools[req.function];
             // The repair daemon wakes between arrivals: anything poisoned
             // earlier is rebuilt and healed here, off the request path.
-            pool.lend(injector.as_mut()).tick(now, &self.model)?;
+            pool.tick_with(now, &self.model, injector.as_mut())?;
             let slot = match &mut ctrl {
                 Some(ctrl) => match ctrl.admit(name, now) {
                     Ok(slot) => slot,
@@ -288,10 +290,7 @@ impl Simulation {
                 },
             };
             admitted += 1;
-            let served = match pool
-                .lend(injector.as_mut())
-                .serve_at(slot.start, &self.model)
-            {
+            let served = match pool.serve_with(slot.start, &self.model, injector.as_mut()) {
                 Ok(served) => served,
                 Err(err) => {
                     // Availability loss: the admitted request died. The

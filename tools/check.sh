@@ -54,8 +54,11 @@ step() {
 # benchmark/ do not see it). Every panic source is denied crate-wide
 # in imagefmt, memsim, guest-kernel and simtime (their Cargo.toml), and
 # `as` casts and indexing in each module that parses untrusted bytes (an
-# inner attribute at its top). And `run_fleet` and `drive` deny
-# `clippy::wildcard_enum_match_arm`, so each names every DES event variant.
+# inner attribute at its top). And the two open-loop event loops deny
+# `clippy::wildcard_enum_match_arm`, so each names every DES event
+# variant: `run_fleet`, and `drive`, whose one match calls one method of
+# the cluster kernel's state per event class (crates/platform/src/
+# simulate/fleet.rs, cluster/fleet.rs).
 FIRST_PARTY=(--workspace
   --exclude bytes --exclude crossbeam
   --exclude parking_lot --exclude proptest --exclude rand
