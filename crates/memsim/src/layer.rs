@@ -1,5 +1,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 use std::sync::Arc;
 
 use simtime::{CostModel, SimClock};
@@ -29,6 +30,9 @@ pub(crate) enum EptEntry {
 const LEAF_SPAN: usize = 512;
 const LEAF_SPAN_U64: u64 = LEAF_SPAN as u64;
 
+/// Words of an overlay's own mask: one bit per slot.
+const MASK_WORDS: usize = LEAF_SPAN / 64;
+
 /// Splits a page number into its leaf key and the slot within that leaf.
 fn split(vpn: Vpn) -> (u64, usize) {
     (vpn / LEAF_SPAN_U64, (vpn % LEAF_SPAN_U64) as usize)
@@ -39,28 +43,93 @@ pub(crate) fn same_leaf(a: Vpn, b: Vpn) -> bool {
     a / LEAF_SPAN_U64 == b / LEAF_SPAN_U64
 }
 
-/// One last-level table: 512 slots plus the count of those in use, so a
-/// table's length never needs a walk.
+/// One last-level table as a table holds it: a plain leaf, or an overlay
+/// over one (paper §3.1's private-over-shared layering, one leaf wide).
 ///
-/// A frame leaves a table through [`release`], so the page blocks a dropped
-/// or emptied leaf held last go to the thread's spares (`FrameRef::release`).
+/// A table that writes through a plain leaf it shares does not copy the
+/// leaf: it puts an [`Overlay`] in its place that holds what it writes and
+/// reads everything else through the plain leaf below. Overlays stay one
+/// deep: writing through a shared overlay makes a sibling over the same
+/// plain leaf, never an overlay of an overlay.
 #[derive(Clone)]
-pub(crate) struct Leaf {
+pub(crate) enum Leaf {
+    /// Slots of its own; shared by every table and overlay that holds it.
+    Plain(Arc<Plain>),
+    /// A private layer of slots over a shared plain leaf.
+    Overlay(Arc<Overlay>),
+}
+
+/// 512 slots, the count of those in use, and two counts the overlays over
+/// it keep: how many there are and, per slot, how many of them own it.
+///
+/// A frame leaves a plain leaf through [`release`], so the page blocks a
+/// dropped or emptied leaf held last go to the thread's spares
+/// (`FrameRef::release`).
+pub(crate) struct Plain {
     slots: [Option<EptEntry>; LEAF_SPAN],
     /// Slots that are `Some`.
     entries: usize,
+    /// Overlays over this leaf (each holds one of its `Arc` counts).
+    overlays: AtomicU32,
+    /// Per slot, the overlays that own it, and so do not read it here.
+    owners: [AtomicU32; LEAF_SPAN],
 }
 
-impl Leaf {
-    fn empty() -> Leaf {
-        Leaf {
+/// A table's private slots over a shared plain leaf.
+///
+/// A slot whose bit is set in `own` is the overlay's: its entry, or a
+/// tombstone (`None`) that hides the plain leaf's entry. Every other slot
+/// reads through to `base`, and holds `None` here.
+pub(crate) struct Overlay {
+    slots: [Option<EptEntry>; LEAF_SPAN],
+    own: [u64; MASK_WORDS],
+    /// Slots visible through the overlay: its own entries and the base
+    /// entries it does not hide.
+    entries: usize,
+    base: Arc<Plain>,
+}
+
+/// Checks the count invariant the sole-viewer rule stands on: no slot has
+/// more owners than its plain leaf has overlays.
+fn debug_check_owners(base: &Plain, slot: usize) {
+    debug_assert!(
+        base.owners(slot) <= base.overlays(),
+        "slot {slot}: {} owners of {} overlays",
+        base.owners(slot),
+        base.overlays()
+    );
+}
+
+/// One bit of an own mask.
+fn bit(slot: usize) -> (usize, u64) {
+    (slot / 64, 1 << (slot % 64))
+}
+
+/// The slots an own mask sets, ascending.
+fn owned_slots(own: [u64; MASK_WORDS]) -> impl Iterator<Item = usize> {
+    (0..MASK_WORDS).flat_map(move |word| {
+        let mut bits = own[word];
+        std::iter::from_fn(move || {
+            let at = bits.trailing_zeros() as usize;
+            bits &= bits.checked_sub(1)?;
+            Some(word * 64 + at)
+        })
+    })
+}
+
+impl Plain {
+    fn empty() -> Plain {
+        Plain {
             slots: [const { None }; LEAF_SPAN],
             entries: 0,
+            overlays: AtomicU32::new(0),
+            owners: [const { AtomicU32::new(0) }; LEAF_SPAN],
         }
     }
 
     /// Stores `new` in `slot` and returns what was there, keeping the
-    /// count true. The only place a slot is assigned.
+    /// count true. Only a leaf held by one table alone is written, so no
+    /// overlay reads the slot.
     fn replace(&mut self, slot: usize, new: Option<EptEntry>) -> Option<EptEntry> {
         self.entries += usize::from(new.is_some());
         let old = std::mem::replace(&mut self.slots[slot], new);
@@ -68,33 +137,39 @@ impl Leaf {
         old
     }
 
-    /// The resident frame this leaf maps at `vpn`, borrowed.
-    pub(crate) fn frame(&self, vpn: Vpn) -> Option<&FrameRef> {
-        match &self.slots[split(vpn).1] {
-            Some(EptEntry::Present { frame }) => Some(frame),
-            _ => None,
-        }
+    fn overlays(&self) -> usize {
+        self.overlays.load(Relaxed) as usize
     }
 
-    /// The frame at `vpn` if it may be written in place: `leaf` is held by
-    /// its table alone, the frame by `leaf` alone, and it is not an image
-    /// page. The one statement of the rule; see
-    /// [`EptLayer::writable_frame`].
-    pub(crate) fn writable_frame(leaf: &mut Arc<Leaf>, vpn: Vpn) -> Option<&mut [u8; PAGE_SIZE]> {
-        match &mut Arc::get_mut(leaf)?.slots[split(vpn).1] {
-            Some(EptEntry::Present { frame }) => frame.get_mut(),
-            _ => None,
-        }
+    fn owners(&self, slot: usize) -> usize {
+        self.owners[slot].load(Relaxed) as usize
+    }
+
+    /// True if `slot` holds an owned frame no other handle holds.
+    fn sole_frame(&self, slot: usize) -> bool {
+        matches!(&self.slots[slot], Some(EptEntry::Present { frame }) if frame.is_sole_handle())
     }
 }
 
-impl Drop for Leaf {
+/// A private copy of the entries, with no overlay over it. Never taken by
+/// the table, which puts an overlay over a shared plain leaf instead; it is
+/// what lets [`Arc::make_mut`] hand out a leaf the table holds alone.
+impl Clone for Plain {
+    fn clone(&self) -> Plain {
+        let mut copy = Plain::empty();
+        copy.slots.clone_from(&self.slots);
+        copy.entries = self.entries;
+        copy
+    }
+}
+
+impl Drop for Plain {
     fn drop(&mut self) {
         // Every frame's count is read before any is let go of: the reads do
         // not wait for each other, so their cache misses overlap, where each
-        // lock-prefixed decrement would wait for the one before it. A forked
-        // child's copied leaf holds 512 frames, most shared with its
-        // template, each count in a block of its own.
+        // lock-prefixed decrement would wait for the one before it. A
+        // template's leaf holds 512 frames, each count in a block of its
+        // own.
         let mut last = [false; LEAF_SPAN];
         for (slot, last) in self.slots.iter().zip(&mut last) {
             if let Some(EptEntry::Present { frame }) = slot {
@@ -105,6 +180,319 @@ impl Drop for Leaf {
             if last {
                 release(slot.take());
             }
+        }
+    }
+}
+
+impl Overlay {
+    /// An overlay over `base` that owns nothing yet.
+    fn over(base: Arc<Plain>) -> Overlay {
+        base.overlays.fetch_add(1, Relaxed);
+        Overlay {
+            slots: [const { None }; LEAF_SPAN],
+            own: [0; MASK_WORDS],
+            entries: base.entries,
+            base,
+        }
+    }
+
+    fn owns(&self, slot: usize) -> bool {
+        let (word, bit) = bit(slot);
+        self.own[word] & bit != 0
+    }
+
+    fn get(&self, slot: usize) -> Option<&EptEntry> {
+        if self.owns(slot) {
+            self.slots[slot].as_ref()
+        } else {
+            self.base.slots[slot].as_ref()
+        }
+    }
+
+    /// Moves this overlay's own slots into its plain leaf, if it is the
+    /// leaf's last holder, and returns the leaf; the overlay is left owning
+    /// nothing.
+    fn fold(&mut self) -> Option<Arc<Plain>> {
+        let base = Arc::get_mut(&mut self.base)?;
+        for slot in owned_slots(self.own) {
+            release(base.replace(slot, self.slots[slot].take()));
+            *base.owners[slot].get_mut() -= 1;
+        }
+        self.own = [0; MASK_WORDS];
+        debug_assert_eq!(base.entries, self.entries);
+        Some(Arc::clone(&self.base))
+    }
+
+    /// Stores `new` in `slot`, owning it from now on, and returns the entry
+    /// the overlay owned there (a base entry it hides stays the base's).
+    fn replace(&mut self, slot: usize, new: Option<EptEntry>) -> Option<EptEntry> {
+        let visible = self.get(slot).is_some();
+        self.entries += usize::from(new.is_some());
+        self.entries -= usize::from(visible);
+        if !self.owns(slot) {
+            let (word, bit) = bit(slot);
+            self.own[word] |= bit;
+            self.base.owners[slot].fetch_add(1, Relaxed);
+            debug_check_owners(&self.base, slot);
+        }
+        std::mem::replace(&mut self.slots[slot], new)
+    }
+}
+
+/// A sibling over the same plain leaf: copies of this overlay's own
+/// entries — never of the plain leaf's — counted as one more overlay and
+/// one more owner of each slot it owns.
+impl Clone for Overlay {
+    fn clone(&self) -> Overlay {
+        let mut sibling = Overlay::over(Arc::clone(&self.base));
+        sibling.own = self.own;
+        sibling.entries = self.entries;
+        for slot in owned_slots(self.own) {
+            sibling.slots[slot].clone_from(&self.slots[slot]);
+            self.base.owners[slot].fetch_add(1, Relaxed);
+            debug_check_owners(&self.base, slot);
+        }
+        sibling
+    }
+}
+
+impl Drop for Overlay {
+    fn drop(&mut self) {
+        // As a plain leaf's drop does: every count read first, then let go.
+        self.base.overlays.fetch_sub(1, Relaxed);
+        let mut last = [false; LEAF_SPAN];
+        for slot in owned_slots(self.own) {
+            if let Some(EptEntry::Present { frame }) = &self.slots[slot] {
+                last[slot] = frame.is_sole_handle();
+            }
+        }
+        for slot in owned_slots(self.own) {
+            self.base.owners[slot].fetch_sub(1, Relaxed);
+            debug_check_owners(&self.base, slot);
+            if last[slot] {
+                release(self.slots[slot].take());
+            }
+        }
+    }
+}
+
+/// A leaf table this table holds alone, to write.
+enum LeafMut<'a> {
+    Plain(&'a mut Plain),
+    Overlay(&'a mut Overlay),
+}
+
+impl LeafMut<'_> {
+    fn get(&self, slot: usize) -> Option<&EptEntry> {
+        match self {
+            LeafMut::Plain(plain) => plain.slots[slot].as_ref(),
+            LeafMut::Overlay(overlay) => overlay.get(slot),
+        }
+    }
+
+    fn replace(&mut self, slot: usize, new: Option<EptEntry>) -> Option<EptEntry> {
+        match self {
+            LeafMut::Plain(plain) => plain.replace(slot, new),
+            LeafMut::Overlay(overlay) => overlay.replace(slot, new),
+        }
+    }
+}
+
+/// How a write may reach the frame at one slot: see [`Leaf::writable_frame`].
+enum Access {
+    /// Through the table's own slot, if the frame's handle is sole.
+    Borrow,
+    /// The space is the frame's sole viewer, but the frame sits in a plain
+    /// leaf others hold: copied into the table's overlay first.
+    HostCopy,
+    /// Another space sees the frame: the write faults.
+    Fault,
+}
+
+impl Leaf {
+    fn empty() -> Leaf {
+        Leaf::Plain(Arc::new(Plain::empty()))
+    }
+
+    /// Slots visible through this leaf.
+    fn entries(&self) -> usize {
+        match self {
+            Leaf::Plain(plain) => plain.entries,
+            Leaf::Overlay(overlay) => overlay.entries,
+        }
+    }
+
+    fn get(&self, slot: usize) -> Option<&EptEntry> {
+        match self {
+            Leaf::Plain(plain) => plain.slots[slot].as_ref(),
+            Leaf::Overlay(overlay) => overlay.get(slot),
+        }
+    }
+
+    /// Applies `f` to every visible `(slot, entry)` pair, ascending.
+    fn for_each(&self, mut f: impl FnMut(usize, &EptEntry)) {
+        match self {
+            Leaf::Plain(plain) => {
+                for (slot, entry) in plain.slots.iter().enumerate() {
+                    if let Some(entry) = entry {
+                        f(slot, entry);
+                    }
+                }
+            }
+            Leaf::Overlay(overlay) => {
+                for slot in 0..LEAF_SPAN {
+                    if let Some(entry) = overlay.get(slot) {
+                        f(slot, entry);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The entry this leaf maps at `vpn`, borrowed.
+    pub(crate) fn entry(&self, vpn: Vpn) -> Option<&EptEntry> {
+        self.get(split(vpn).1)
+    }
+
+    /// The resident frame this leaf maps at `vpn`, borrowed.
+    pub(crate) fn frame(&self, vpn: Vpn) -> Option<&FrameRef> {
+        match self.entry(vpn) {
+            Some(EptEntry::Present { frame }) => Some(frame),
+            _ => None,
+        }
+    }
+
+    /// The frame at `vpn` if this table's space may write it in place, free:
+    /// it is the only space that sees the frame, which is owned, not an
+    /// image page. The one statement of the rule; see
+    /// [`EptLayer::writable_frame`].
+    ///
+    /// A sole viewer whose frame sits in a plain leaf other tables or
+    /// overlays hold gets a copy of it in its overlay first — made on the
+    /// host and charged to nobody, since the guest would have written in
+    /// place.
+    pub(crate) fn writable_frame(&mut self, vpn: Vpn) -> Option<&mut [u8; PAGE_SIZE]> {
+        let slot = split(vpn).1;
+        match self.access(slot) {
+            Access::Borrow => {}
+            // A fold leaves the frame in a plain leaf the table holds alone.
+            Access::HostCopy => {
+                if let LeafMut::Overlay(overlay) = self.make_mut() {
+                    let copy = match &overlay.base.slots[slot] {
+                        Some(EptEntry::Present { frame }) => frame.cow_copy(),
+                        _ => return None,
+                    };
+                    overlay.replace(slot, Some(EptEntry::Present { frame: copy }));
+                }
+            }
+            Access::Fault => return None,
+        }
+        let entry = match self {
+            Leaf::Plain(plain) => &mut Arc::get_mut(plain)?.slots[slot],
+            Leaf::Overlay(overlay) => {
+                let overlay = Arc::get_mut(overlay)?;
+                if !overlay.owns(slot) {
+                    return None;
+                }
+                &mut overlay.slots[slot]
+            }
+        };
+        match entry {
+            Some(EptEntry::Present { frame }) => frame.get_mut(),
+            _ => None,
+        }
+    }
+
+    /// Which way a write reaches `slot`. A space is the frame's sole viewer
+    /// when one of these holds:
+    ///
+    /// - its leaf is plain and no other table or overlay reads the slot:
+    ///   every holder of the leaf but this table is an overlay
+    ///   (`strong_count − overlays == 1`) and every overlay owns the slot;
+    /// - its leaf is an overlay it holds alone, and the overlay owns the slot;
+    /// - its leaf is an overlay it holds alone that reads the slot through,
+    ///   no table holds the plain leaf directly (`strong_count == overlays`)
+    ///   and every other overlay owns the slot;
+    ///
+    /// and the frame's handle is sole (checked on the borrow).
+    fn access(&self, slot: usize) -> Access {
+        let (base, readers) = match self {
+            Leaf::Plain(plain) => {
+                let holders = Arc::strong_count(plain);
+                if holders == 1 {
+                    return Access::Borrow;
+                }
+                let overlays = plain.overlays();
+                let sole =
+                    holders.checked_sub(overlays) == Some(1) && overlays == plain.owners(slot);
+                (plain, usize::from(!sole))
+            }
+            Leaf::Overlay(overlay) => {
+                if Arc::strong_count(overlay) != 1 {
+                    return Access::Fault;
+                }
+                if overlay.owns(slot) {
+                    return Access::Borrow;
+                }
+                let base = &overlay.base;
+                let overlays = base.overlays();
+                let direct = Arc::strong_count(base).saturating_sub(overlays);
+                let through = overlays.saturating_sub(base.owners(slot));
+                // This overlay is one of those reading through.
+                (base, (direct + through).saturating_sub(1))
+            }
+        };
+        if readers == 0 && base.sole_frame(slot) {
+            Access::HostCopy
+        } else {
+            Access::Fault
+        }
+    }
+
+    /// Makes this leaf the table's alone to write, copying no leaf: a plain
+    /// leaf others hold goes under a new overlay, a shared overlay becomes a
+    /// sibling over the same plain leaf, and an overlay that is the last
+    /// holder of its plain leaf folds back into it.
+    fn make_mut(&mut self) -> LeafMut<'_> {
+        if let Leaf::Plain(plain) = self {
+            if Arc::strong_count(plain) > 1 {
+                *self = Leaf::Overlay(Arc::new(Overlay::over(Arc::clone(plain))));
+            }
+        }
+        if let Leaf::Overlay(overlay) = self {
+            if let Some(plain) = Arc::get_mut(overlay).and_then(Overlay::fold) {
+                *self = Leaf::Plain(plain);
+            }
+        }
+        match self {
+            Leaf::Plain(plain) => LeafMut::Plain(Arc::make_mut(plain)),
+            Leaf::Overlay(overlay) => LeafMut::Overlay(Arc::make_mut(overlay)),
+        }
+    }
+
+    /// This leaf to write, if the table holds it alone: as it is, with no
+    /// overlay made, shared or folded.
+    fn unique_mut(&mut self) -> Option<LeafMut<'_>> {
+        match self {
+            Leaf::Plain(plain) => Arc::get_mut(plain).map(LeafMut::Plain),
+            Leaf::Overlay(overlay) => Arc::get_mut(overlay).map(LeafMut::Overlay),
+        }
+    }
+
+    /// Maps `make()` at `vpn` if nothing is visible there and the table
+    /// holds this leaf alone; true if it did. A demand-zero fault inside a
+    /// sweep, with no leaf to look up again.
+    pub(crate) fn fill_hole(&mut self, vpn: Vpn, make: impl FnOnce() -> FrameRef) -> bool {
+        let slot = split(vpn).1;
+        if self.get(slot).is_some() {
+            return false;
+        }
+        match self.unique_mut() {
+            Some(mut leaf) => {
+                leaf.replace(slot, Some(EptEntry::Present { frame: make() }));
+                true
+            }
+            None => false,
         }
     }
 }
@@ -130,17 +518,19 @@ fn release(entry: Option<EptEntry>) {
 /// touch, as the host page cache is under a read-only `mmap`.
 ///
 /// `Clone` is the page-table copy of `sfork`: it shares every leaf by
-/// reference — one `Arc` per *table*, no per-page work — and a leaf is
-/// copied only when one of its sharers first writes a slot in it
-/// (`Arc::make_mut`). Dropping a clone that never wrote is the same handful
-/// of `Arc` operations. Empty leaves are freed, so the map never holds one.
+/// reference — one `Arc` per *table*, no per-page work. A sharer's first
+/// write into a shared leaf copies no leaf: the table puts an overlay over
+/// it that holds what it writes, one deep (a write through a shared overlay
+/// makes a sibling that copies only the overlay's own entries). Dropping a
+/// clone releases only what it wrote. Empty leaves are freed, so the map
+/// never holds one.
 ///
 /// Consequence for copy-on-write: a frame reachable through a *shared leaf*
 /// is shared even when its own `Arc::strong_count` is 1. Only
 /// `EptLayer::writable_frame` decides what may be written in place.
 #[derive(Clone, Default)]
 pub struct EptLayer {
-    leaves: BTreeMap<u64, Arc<Leaf>>,
+    leaves: BTreeMap<u64, Leaf>,
 }
 
 impl EptLayer {
@@ -198,7 +588,7 @@ impl EptLayer {
 
     /// Number of entries (any state): a sum of per-leaf counters.
     pub fn len(&self) -> usize {
-        self.leaves.values().map(|leaf| leaf.entries).sum()
+        self.leaves.values().map(Leaf::entries).sum()
     }
 
     /// True if the layer has no entries (it never holds an empty leaf).
@@ -209,24 +599,22 @@ impl EptLayer {
     /// The entry for `vpn`, borrowed.
     pub(crate) fn get(&self, vpn: Vpn) -> Option<&EptEntry> {
         let (key, slot) = split(vpn);
-        self.leaves.get(&key)?.slots[slot].as_ref()
+        self.leaves.get(&key)?.get(slot)
     }
 
-    /// Inserts or replaces the entry for `vpn`, copying its leaf first if
-    /// the leaf is shared.
+    /// Inserts or replaces the entry for `vpn`. A leaf the table shares gets
+    /// an overlay, not a copy.
     pub(crate) fn insert(&mut self, vpn: Vpn, entry: EptEntry) {
         let (key, slot) = split(vpn);
-        let leaf = self
-            .leaves
-            .entry(key)
-            .or_insert_with(|| Arc::new(Leaf::empty()));
-        release(Arc::make_mut(leaf).replace(slot, Some(entry)));
+        let leaf = self.leaves.entry(key).or_insert_with(Leaf::empty);
+        release(leaf.make_mut().replace(slot, Some(entry)));
     }
 
     /// Removes every entry in `[start, end)`. Walks the leaves that exist in
     /// the window, never the page numbers, so a sparse 2^40-page window
-    /// costs what it holds: leaves wholly inside go in one step, the (at
-    /// most two) leaves on the edges are cleared slot by slot.
+    /// costs what it holds: leaves wholly emptied go in one step, the others
+    /// are cleared slot by slot — a shared one through an overlay of
+    /// tombstones, never a copy.
     pub(crate) fn remove_range(&mut self, start: Vpn, end: Vpn) {
         if start >= end {
             return;
@@ -237,13 +625,15 @@ impl EptLayer {
             let first = key * LEAF_SPAN_U64;
             let (_, lo) = split(start.max(first));
             let hi = (end - first).min(LEAF_SPAN_U64) as usize;
-            let doomed = leaf.slots[lo..hi].iter().flatten().count();
-            if doomed == leaf.entries {
+            let doomed = (lo..hi).filter(|&slot| leaf.get(slot).is_some()).count();
+            if doomed == leaf.entries() {
                 emptied.push(key);
             } else if doomed > 0 {
-                let leaf = Arc::make_mut(leaf);
+                let mut leaf = leaf.make_mut();
                 for slot in lo..hi {
-                    release(leaf.replace(slot, None));
+                    if leaf.get(slot).is_some() {
+                        release(leaf.replace(slot, None));
+                    }
                 }
             }
         }
@@ -257,27 +647,29 @@ impl EptLayer {
     pub(crate) fn for_each(&self, mut f: impl FnMut(Vpn, &EptEntry)) {
         for (key, leaf) in &self.leaves {
             let first = key * LEAF_SPAN_U64;
-            for (offset, slot) in (0..LEAF_SPAN_U64).zip(&leaf.slots) {
-                if let Some(entry) = slot {
-                    f(first + offset, entry);
-                }
-            }
+            leaf.for_each(|slot, entry| f(first + slot as u64, entry));
         }
     }
 
-    /// The frame at `vpn` if it may be written in place: its leaf is held by
-    /// this table alone, the frame by that leaf alone, and it is not an
-    /// image page. Anything else — a missing or lazy entry, a leaf still
-    /// shared with an `sfork` relative, a frame another leaf or a reader
-    /// holds — is `None`, and the write must take the copy-on-write arm.
+    /// The frame at `vpn` if it may be written in place: this space is the
+    /// only one that sees the frame, no reader holds it, and it is not an
+    /// image page ([`Leaf::writable_frame`]). Anything else — a missing or
+    /// lazy entry, a frame an `sfork` relative still sees through a shared
+    /// leaf or overlay, a frame a snapshot holds — is `None`, and the write
+    /// must take the copy-on-write arm.
     pub(crate) fn writable_frame(&mut self, vpn: Vpn) -> Option<&mut [u8; PAGE_SIZE]> {
-        Leaf::writable_frame(self.leaf_mut(vpn)?, vpn)
+        self.leaf_mut(vpn)?.writable_frame(vpn)
     }
 
     /// The leaf table that maps `vpn`, if there is one — what a sweep holds
     /// across the pages of one leaf instead of searching the map per page.
-    pub(crate) fn leaf_mut(&mut self, vpn: Vpn) -> Option<&mut Arc<Leaf>> {
+    pub(crate) fn leaf_mut(&mut self, vpn: Vpn) -> Option<&mut Leaf> {
         self.leaves.get_mut(&split(vpn).0)
+    }
+
+    /// The leaf table that maps `vpn`, borrowed.
+    pub(crate) fn leaf(&self, vpn: Vpn) -> Option<&Leaf> {
+        self.leaves.get(&split(vpn).0)
     }
 
     /// Leaf tables held (shared or not).
@@ -503,6 +895,109 @@ mod tests {
         let image = FrameRef::from_image_slice(SharedBytes::from(vec![0u8; PAGE_SIZE]));
         table.insert(4, EptEntry::Present { frame: image });
         assert!(table.writable_frame(4).is_none());
+    }
+
+    /// The leaf that maps `vpn`: its overlay's plain leaf, or itself.
+    fn plain_under(layer: &EptLayer, vpn: Vpn) -> &Arc<Plain> {
+        match layer.leaf(vpn) {
+            Some(Leaf::Plain(plain)) => plain,
+            Some(Leaf::Overlay(overlay)) => &overlay.base,
+            None => panic!("no leaf at {vpn}"),
+        }
+    }
+
+    #[test]
+    fn a_write_through_a_shared_leaf_makes_an_overlay_not_a_copy() {
+        let mut table = EptLayer::default();
+        let frames: Vec<FrameRef> = (0..3).map(|_| FrameRef::zeroed()).collect();
+        for (vpn, frame) in (0..).zip(&frames) {
+            table.insert(vpn, present(frame));
+        }
+        let mut child = table.clone();
+        let mine = FrameRef::zeroed();
+        child.insert(1, present(&mine));
+        assert!(matches!(child.leaf(1), Some(Leaf::Overlay(_))));
+        assert!(Arc::ptr_eq(plain_under(&child, 1), plain_under(&table, 1)));
+        // The frames the child reads through gained no handle (the test
+        // holds one, the plain leaf the other).
+        assert!(frames.iter().all(|frame| frame.handles() == 2));
+        assert!(FrameRef::ptr_eq(&frame_at(&child, 0), &frames[0]));
+        assert!(FrameRef::ptr_eq(&frame_at(&child, 1), &mine));
+        assert!(FrameRef::ptr_eq(&frame_at(&table, 1), &frames[1]));
+
+        // A removal is a tombstone: it hides the plain leaf's entry.
+        child.remove_range(2, 3);
+        assert!(child.get(2).is_none());
+        assert!(FrameRef::ptr_eq(&frame_at(&table, 2), &frames[2]));
+        assert_eq!((table.len(), child.len()), (3, 2));
+        let plain = plain_under(&table, 0);
+        assert_eq!(
+            (plain.overlays(), plain.owners(1), plain.owners(2)),
+            (1, 1, 1)
+        );
+
+        // Dropping the child releases what it wrote and its counts.
+        drop(child);
+        let plain = plain_under(&table, 0);
+        assert_eq!(
+            (plain.overlays(), plain.owners(1), plain.owners(2)),
+            (0, 0, 0)
+        );
+        assert_eq!(Arc::strong_count(plain), 1);
+        assert_eq!(mine.handles(), 1);
+    }
+
+    #[test]
+    fn overlays_stay_one_deep_and_fold_back_when_alone() {
+        let mut table = EptLayer::default();
+        table.insert(0, present(&FrameRef::zeroed()));
+        table.insert(1, present(&FrameRef::zeroed()));
+        let mut child = table.clone();
+        child.insert(0, present(&FrameRef::zeroed()));
+
+        // A write through the child's overlay that a grandchild shares makes
+        // a sibling over the same plain leaf, copying the overlay's own
+        // entry: the grandchild keeps the original overlay.
+        let grandchild = child.clone();
+        child.insert(1, present(&FrameRef::zeroed()));
+        for layer in [&child, &grandchild] {
+            assert!(matches!(layer.leaf(0), Some(Leaf::Overlay(_))));
+            assert!(Arc::ptr_eq(plain_under(layer, 0), plain_under(&table, 0)));
+        }
+        assert!(FrameRef::ptr_eq(
+            &frame_at(&child, 0),
+            &frame_at(&grandchild, 0)
+        ));
+        let plain = plain_under(&table, 0);
+        assert_eq!(
+            (plain.overlays(), plain.owners(0), plain.owners(1)),
+            (2, 2, 1)
+        );
+
+        // Once the child's overlay is its plain leaf's last holder, its next
+        // write folds the two back into one plain leaf.
+        drop((table, grandchild));
+        let kept = frame_at(&child, 1);
+        child.remove_range(0, 1);
+        assert!(matches!(child.leaf(1), Some(Leaf::Plain(_))));
+        assert!(child.get(0).is_none());
+        assert!(FrameRef::ptr_eq(&frame_at(&child, 1), &kept));
+        assert_eq!(child.len(), 1);
+        drop(kept);
+        assert!(child.writable_frame(1).is_some());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "owners of")]
+    fn more_owners_than_overlays_fails_when_an_overlay_drops() {
+        let mut table = EptLayer::default();
+        table.insert(1, present(&FrameRef::zeroed()));
+        let mut child = table.clone();
+        child.insert(1, present(&FrameRef::zeroed()));
+        // A count bug: one owner more than there are overlays.
+        plain_under(&child, 1).owners[1].fetch_add(1, Relaxed);
+        drop(child);
     }
 
     // -----------------------------------------------------------------------

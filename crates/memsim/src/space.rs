@@ -5,7 +5,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 use simtime::{CostModel, SimClock};
 
-use crate::layer::{same_leaf, EptEntry, Leaf};
+use crate::layer::{same_leaf, EptEntry};
 use crate::{EptLayer, FrameRef, MemError, Perms, Vpn, VpnRange, PAGE_SIZE};
 
 /// Bytes an [`AddressSpace::sweep`] reads from the start of each page.
@@ -375,10 +375,13 @@ impl AddressSpace {
     /// [`AddressSpace::write`] on that page, in the same order. The
     /// difference is the cost to the host: the VMA and the 512-page leaf
     /// table are found once per run of pages that share them, and a
-    /// resident page is read — and, where [`EptLayer`]'s leaf-and-frame
-    /// rule allows, written — through the borrowed leaf. Every other page
-    /// goes through `read` / `write` themselves, so they stay the only code
-    /// that takes a fault, charges the clock or returns an error.
+    /// resident page is read — and, where [`EptLayer`]'s sole-viewer rule
+    /// allows, written — through the borrowed leaf. A demand-zero page of
+    /// a writable mapping that no Base-EPT entry covers, in a leaf the
+    /// space holds alone, is filled through the borrowed leaf too, counted
+    /// and charged as `write`'s demand-zero arm does. Every other page goes
+    /// through `read` / `write` themselves, so they stay the only code that
+    /// takes any other fault or returns an error.
     ///
     /// # Errors
     ///
@@ -397,6 +400,8 @@ impl AddressSpace {
             return Err(MemError::ZeroStride);
         }
         let mut done = Swept::default();
+        // Held apart from `self`, whose `read` / `write` the walk calls.
+        let base = self.base.clone();
         let mut next = Some(walk.start);
         while let Some(first) = next.filter(|&vpn| vpn < walk.bound && done.touched < walk.count) {
             // One run: the pages from `first` on that share its VMA and its
@@ -410,8 +415,23 @@ impl AddressSpace {
                 ),
                 None => (false, first, None),
             };
+            let base_leaf = base.as_deref().and_then(|base| base.leaf(first));
             let mut vpn = first;
             loop {
+                // Demand zero, as `write`'s arm takes it: nothing here or
+                // in the Base-EPT, and the leaf is this table's alone.
+                if writable
+                    && leaf
+                        .as_deref()
+                        .is_some_and(|leaf| leaf.entry(vpn).is_none())
+                    && base_leaf.is_none_or(|base| base.entry(vpn).is_none())
+                    && leaf
+                        .as_mut()
+                        .is_some_and(|leaf| leaf.fill_hole(vpn, FrameRef::zeroed))
+                {
+                    self.stats.minor_faults += 1;
+                    clock.charge(model.mem.page_fault);
+                }
                 let mut head = [0u8; HEAD];
                 let patch = match touch {
                     Touch::Read { write_at } => {
@@ -434,7 +454,7 @@ impl AddressSpace {
                     let in_place = leaf
                         .as_mut()
                         .filter(|_| writable)
-                        .and_then(|leaf| Leaf::writable_frame(leaf, vpn))
+                        .and_then(|leaf| leaf.writable_frame(vpn))
                         .and_then(|page| page.get_mut(at..)?.get_mut(..len));
                     match in_place {
                         Some(dst) => dst.copy_from_slice(src),
@@ -1086,6 +1106,123 @@ mod tests {
         template.write(1, 1, &[3], &clock, &model).unwrap();
         assert_eq!(template.stats().cow_faults, 2, "sole owner: in place");
         assert_eq!(clock.now(), t0);
+    }
+
+    #[test]
+    fn a_childs_first_write_into_a_shared_leaf_counts_no_other_frame() {
+        let (clock, model) = setup();
+        let mut template = AddressSpace::new("tmpl");
+        template
+            .map_anonymous(VpnRange::new(0, 512), Perms::RW, ShareMode::Private, "heap")
+            .unwrap();
+        for vpn in 0..512 {
+            template.install_page(vpn, &[1]).unwrap();
+        }
+        let before = frame_counts(&template);
+
+        // One page copied, one overlay made: the 511 frames the child still
+        // reads through the template's leaf gain no handle.
+        let mut child = template.sfork_clone("child").unwrap();
+        child.write(0, 0, &[2], &clock, &model).unwrap();
+        assert_eq!(child.stats().cow_faults, 1);
+        assert_eq!(frame_counts(&template), before);
+        assert_eq!(frame_counts(&child)[1..], before[1..]);
+        assert_eq!(child.private_pages(), 512);
+
+        // And its drop lets go of the one page it wrote.
+        drop(child);
+        assert_eq!(frame_counts(&template), before);
+    }
+
+    #[test]
+    fn a_sole_viewer_beside_a_sibling_overlay_writes_in_place() {
+        let (clock, model) = setup();
+        let mut template = AddressSpace::new("tmpl");
+        template
+            .map_anonymous(VpnRange::new(0, 512), Perms::RW, ShareMode::Private, "heap")
+            .unwrap();
+        let mut byte = [0u8; 1];
+        template.read(511, 0, &mut byte, &clock, &model).unwrap();
+        let mut first = template.sfork_clone("first").unwrap();
+        template.write(0, 0, &[1], &clock, &model).unwrap();
+        let snapshots = [
+            first.snapshot_private_pages(),
+            first.snapshot_private_pages(),
+        ];
+        let second = template.sfork_clone("second").unwrap();
+        template.write(511, 0, &[2], &clock, &model).unwrap();
+        assert_eq!(template.stats().cow_faults, 1, "the snapshots share 511");
+        drop(snapshots);
+        drop(second);
+
+        // Only `first` sees its page 511 now: the template wrote its own
+        // copy, the snapshots and the second child are gone.
+        let (stats, t0) = (first.stats(), clock.now());
+        first.write(511, 0, &[3], &clock, &model).unwrap();
+        assert_eq!(first.stats(), stats, "sole viewer: in place, no fault");
+        assert_eq!(clock.now(), t0);
+        for (space, want) in [(&mut first, 3), (&mut template, 2)] {
+            space.read(511, 0, &mut byte, &clock, &model).unwrap();
+            assert_eq!(byte[0], want, "{}", space.name());
+        }
+        first.read(0, 0, &mut byte, &clock, &model).unwrap();
+        assert_eq!(byte[0], 0, "the template's page 0 came after the fork");
+    }
+
+    #[test]
+    fn a_childs_write_is_free_once_the_template_and_the_owner_are_gone() {
+        let (clock, model) = setup();
+        let mut template = AddressSpace::new("tmpl");
+        template
+            .map_anonymous(VpnRange::new(0, 8), Perms::RW, ShareMode::Private, "heap")
+            .unwrap();
+        let (p, q) = (5, 6);
+        template.write(p, 0, &[1], &clock, &model).unwrap();
+        template.write(q, 0, &[1], &clock, &model).unwrap();
+        let mut a = template.sfork_clone("a").unwrap();
+        let mut b = template.sfork_clone("b").unwrap();
+        a.write(p, 0, &[2], &clock, &model).unwrap();
+        b.write(q, 0, &[3], &clock, &model).unwrap();
+        assert_eq!((a.stats().cow_faults, b.stats().cow_faults), (1, 1));
+
+        // The template is replaced while both children hold overlays over
+        // its leaf: `a` owns p, so `b` alone sees the template's p — and
+        // `b` owns q, so `a` alone sees the template's q.
+        drop(template);
+        for (space, vpn, val) in [(&mut b, p, 4), (&mut a, q, 5)] {
+            let (stats, t0) = (space.stats(), clock.now());
+            space.write(vpn, 1, &[val], &clock, &model).unwrap();
+            assert_eq!(
+                space.stats(),
+                stats,
+                "{} page {vpn}: in place",
+                space.name()
+            );
+            assert_eq!(clock.now(), t0);
+        }
+        let mut page = [0u8; 2];
+        for (space, want_p, want_q) in [(&mut a, [2, 0], [1, 5]), (&mut b, [1, 4], [3, 0])] {
+            space.read(p, 0, &mut page, &clock, &model).unwrap();
+            assert_eq!(page, want_p, "{} page p", space.name());
+            space.read(q, 0, &mut page, &clock, &model).unwrap();
+            assert_eq!(page, want_q, "{} page q", space.name());
+        }
+    }
+
+    #[test]
+    fn a_sweep_fills_demand_zero_pages_as_write_does() {
+        let (clock, model) = setup();
+        let scratch = VpnRange::new(0, 600);
+        let mut s = AddressSpace::new("s");
+        s.map_anonymous(scratch, Perms::RW, ShareMode::Private, "scratch")
+            .unwrap();
+        assert_eq!(s.touch_range(scratch, true, &clock, &model).unwrap(), 600);
+        assert_eq!(s.stats().minor_faults, 600);
+        assert_eq!(clock.now(), model.mem.page_fault.saturating_mul(600));
+        assert_eq!(s.private_pages(), 600);
+        for vpn in [0, 1, 511, 512, 599] {
+            assert_eq!(resident(&s, vpn)[..2], [0xA5, 0]);
+        }
     }
 
     /// The resident private frame at `vpn`.

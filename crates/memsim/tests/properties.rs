@@ -441,7 +441,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// A template, its children and their children, reading and writing in
-    /// any interleaving, with members dropped along the way: every space's
+    /// any interleaving, with members — the template too — dropped along
+    /// the way: every space's
     /// bytes, `SpaceStats` and clock agree with an oracle in which each fork
     /// is a deep copy and sharing is counted per page. Sharing whole leaf
     /// tables must be invisible, and a checkpoint snapshot — which shares
@@ -467,7 +468,9 @@ proptest! {
             template.space.write(vpn, 0, &[val], &template.clock, &model).unwrap();
             oracle.write(&mut template.oracle, vpn, 0, val, &model);
         }
-        // Member 0 is the template; it outlives everyone.
+        // Member 0 is the template. Any member may be dropped, the template
+        // included while its children live, as a quarantined or repaired
+        // template is replaced.
         let mut family = vec![template];
         let mut forks = 0;
         let mut snapshots: Vec<Held> = Vec::new();
@@ -506,7 +509,7 @@ proptest! {
                 }
                 FamilyOp::Drop { who } => {
                     if family.len() > 1 {
-                        let gone = family.remove(1 + who % (family.len() - 1));
+                        let gone = family.remove(who % family.len());
                         oracle.drop_space(gone.oracle);
                     }
                 }

@@ -29,6 +29,14 @@
 //!   on the reused child (`walk`: `WrappedProgram::walk_heap`, the
 //!   `AddressSpace::sweep` call `invoke_handler` makes), and dropping the
 //!   outcome (`drop`).
+//! - **mix**: `sfork-closed`'s seed-11 repetition, built as its benchmark
+//!   builds it (4,000 requests, Poisson 200 Hz, exact Zipf(1.0) shares in a
+//!   seeded order, fork boot, 50 ms keep-alive, two idle instances), run
+//!   once through an engine that counts each profile's boots; the rest of
+//!   its requests reuse an instance. Beside the counts, the fork table's
+//!   medians weighted by them: `(first + drop) × boots` and
+//!   `again × reuses`, and the repetition's own wall time (`run`). It
+//!   shows where the closed loop's time goes.
 //!
 //! Prints the median of each stage in ms, per profile and summed over the
 //! ten.
@@ -43,20 +51,34 @@
 //! build of this probe in alternation; a guest's fast and slow phases last
 //! minutes.
 
+use std::cell::Cell;
 use std::hint::black_box;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
+use catalyzer_suite::faultsim::InjectionPoint;
 use catalyzer_suite::guest_kernel::GuestKernel;
 use catalyzer_suite::imagefmt::{self, flat};
 use catalyzer_suite::memsim::{MappedImage, PAGE_SIZE};
+use catalyzer_suite::platform::{AdmissionPolicy, Simulation, TraceRequest};
 use catalyzer_suite::prelude::*;
+use catalyzer_suite::sandbox::{IsolationLevel, SandboxError};
+use catalyzer_suite::workloads::generator::{open_loop, Arrivals, Popularity, TraceSpec};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const WRITE_STAGES: [&str; 4] = ["init", "source", "write", "wcrc"];
 const RESTORE_STAGES: [&str; 9] = [
     "crc3", "meta", "kernel", "droprec", "dropker", "shell", "cold", "warm", "dropboot",
 ];
 const FORK_STAGES: [&str; 5] = ["fork", "first", "again", "walk", "drop"];
+
+/// `sfork-closed`'s repetition: its seed, size and pool settings.
+const MIX_SEED: u64 = 11;
+const MIX_REQUESTS: usize = 4_000;
+const MIX_KEEP_ALIVE: SimNanos = SimNanos::from_millis(50);
+const MIX_MAX_IDLE: usize = 2;
 
 fn ms(since: Instant) -> f64 {
     since.elapsed().as_secs_f64() * 1e3
@@ -84,14 +106,18 @@ impl Table {
         }
     }
 
-    fn row(&mut self, profile: &str, objects: u64, samples: &mut [Vec<f64>]) {
+    /// Prints and returns the row's stage medians.
+    fn row(&mut self, profile: &str, objects: u64, samples: &mut [Vec<f64>]) -> Vec<f64> {
         print!("{profile:<16} {objects:>7}");
+        let mut medians = Vec::with_capacity(samples.len());
         for (sum, stage) in self.sums.iter_mut().zip(samples) {
             let m = median(stage);
             *sum += m;
+            medians.push(m);
             print!(" {m:>8.3}");
         }
         println!();
+        medians
     }
 
     fn finish(self) {
@@ -221,14 +247,15 @@ fn restore_side(
 
 /// A fork from each profile's template, its first and second request, the
 /// second one's heap walk alone, and its drop. One template at a time, so
-/// only one large heap is resident.
+/// only one large heap is resident. Returns each profile's stage medians.
 fn fork_side(
     profiles: &[AppProfile],
     rounds: usize,
     model: &CostModel,
-) -> Result<(), Box<dyn std::error::Error>> {
+) -> Result<Vec<Vec<f64>>, Box<dyn std::error::Error>> {
     let config = CatalyzerConfig::full();
     let mut table = Table::new("fork", &FORK_STAGES);
+    let mut medians = Vec::with_capacity(profiles.len());
     for profile in profiles {
         let mut template = Template::generate(profile, model)?;
         let objects = template.program_mut().kernel.object_count();
@@ -250,9 +277,177 @@ fn fork_side(
             drop(outcome);
             samples[4].push(ms(t));
         }
-        table.row(&profile.name, objects, &mut samples);
+        medians.push(table.row(&profile.name, objects, &mut samples));
     }
     table.finish();
+    Ok(medians)
+}
+
+/// A `CatalyzerEngine` that counts its boots.
+struct Counted {
+    engine: CatalyzerEngine,
+    boots: Rc<Cell<u64>>,
+}
+
+impl BootEngine for Counted {
+    fn name(&self) -> &'static str {
+        self.engine.name()
+    }
+
+    fn isolation(&self) -> IsolationLevel {
+        self.engine.isolation()
+    }
+
+    fn boot(
+        &mut self,
+        profile: &AppProfile,
+        ctx: &mut BootCtx,
+    ) -> Result<BootOutcome, SandboxError> {
+        self.boots.set(self.boots.get() + 1);
+        self.engine.boot(profile, ctx)
+    }
+
+    fn warm(&mut self, profile: &AppProfile, model: &CostModel) -> Result<(), SandboxError> {
+        self.engine.warm(profile, model)
+    }
+
+    fn degrade(&mut self) -> Option<&'static str> {
+        self.engine.degrade()
+    }
+
+    fn reset_path(&mut self) {
+        self.engine.reset_path();
+    }
+
+    fn quarantine(
+        &mut self,
+        profile: &AppProfile,
+        point: InjectionPoint,
+        clock: &SimClock,
+        model: &CostModel,
+    ) -> Result<(), SandboxError> {
+        self.engine.quarantine(profile, point, clock, model)
+    }
+
+    fn mark_suspect(&mut self, profile: &AppProfile, point: InjectionPoint) {
+        self.engine.mark_suspect(profile, point);
+    }
+
+    fn repair(
+        &mut self,
+        profile: &AppProfile,
+        model: &CostModel,
+    ) -> Result<SimNanos, SandboxError> {
+        self.engine.repair(profile, model)
+    }
+}
+
+/// `sfork-closed`'s trace at `seed`: Poisson arrivals, and each function's
+/// exact Zipf(1.0) share of the requests in a seeded order.
+fn closed_loop_trace(functions: usize, seed: u64) -> Vec<TraceRequest> {
+    let mut trace: Vec<TraceRequest> = open_loop(&TraceSpec {
+        functions,
+        count: MIX_REQUESTS,
+        arrivals: Arrivals::Poisson { rate_hz: 200.0 },
+        popularity: Popularity::Zipf { exponent: 1.0 },
+        seed,
+    })
+    .into_iter()
+    .map(|request| TraceRequest {
+        arrival: request.arrival,
+        function: request.function,
+    })
+    .collect();
+    let weights: Vec<f64> = (1..=functions).map(|rank| 1.0 / rank as f64).collect();
+    let total: f64 = weights.iter().sum();
+    let mut picks: Vec<usize> = Vec::with_capacity(trace.len());
+    for (function, weight) in weights.iter().enumerate() {
+        let share = (trace.len() as f64 * weight / total).round() as usize;
+        picks.extend([function].repeat(share));
+    }
+    picks.resize(trace.len(), 0);
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in (1..picks.len()).rev() {
+        picks.swap(i, rng.gen_range(0..=i));
+    }
+    for (request, function) in trace.iter_mut().zip(picks) {
+        request.function = function;
+    }
+    trace
+}
+
+/// One run of `sfork-closed`'s repetition, its boots counted per profile,
+/// beside the fork table's medians (`fork`) weighted by them.
+fn mix_side(
+    profiles: &[AppProfile],
+    fork: &[Vec<f64>],
+    model: &CostModel,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let trace = closed_loop_trace(profiles.len(), MIX_SEED);
+    let mut system = Catalyzer::new();
+    for profile in profiles {
+        system.ensure_template(profile, model)?;
+    }
+    let system = Rc::new(std::cell::RefCell::new(system));
+    let boots: Vec<Rc<Cell<u64>>> = profiles.iter().map(|_| Rc::default()).collect();
+    let counters: Vec<(String, Rc<Cell<u64>>)> = profiles
+        .iter()
+        .map(|profile| profile.name.clone())
+        .zip(boots.iter().cloned())
+        .collect();
+    let simulation = Simulation::new(profiles.to_vec())
+        .with_engine(move |profile| Counted {
+            engine: CatalyzerEngine::new(Rc::clone(&system), BootMode::Fork),
+            boots: counters
+                .iter()
+                .find(|(name, _)| *name == profile.name)
+                .map(|(_, boots)| Rc::clone(boots))
+                .unwrap_or_default(),
+        })
+        .with_model(model.clone())
+        .with_keep_alive(MIX_KEEP_ALIVE)
+        .with_max_idle(MIX_MAX_IDLE)
+        .with_admission(AdmissionPolicy::unlimited());
+    let t = Instant::now();
+    let report = simulation.run(&trace)?;
+    let run = ms(t);
+
+    let title = format!("mix (seed {MIX_SEED})");
+    println!(
+        "{title:<16} {:>8} {:>8} {:>8} {:>8} {:>8}",
+        "requests", "boots", "reuses", "boot", "reuse"
+    );
+    let (mut counts, mut costs) = ([0u64; 3], [0f64; 2]);
+    for (function, profile) in profiles.iter().enumerate() {
+        let requests = trace.iter().filter(|r| r.function == function).count() as u64;
+        let booted = boots[function].get();
+        let reuses = requests.saturating_sub(booted);
+        let [_, first, again, _, drop] = fork[function][..] else {
+            return Err("a fork row has five stages".into());
+        };
+        let cost = [(first + drop) * booted as f64, again * reuses as f64];
+        println!(
+            "{:<16} {requests:>8} {booted:>8} {reuses:>8} {:>8.3} {:>8.3}",
+            profile.name, cost[0], cost[1]
+        );
+        for (sum, n) in counts.iter_mut().zip([requests, booted, reuses]) {
+            *sum += n;
+        }
+        for (sum, ms) in costs.iter_mut().zip(cost) {
+            *sum += ms;
+        }
+    }
+    if report.completed != report.requests || counts[2] != report.reuses {
+        return Err(format!(
+            "{} of {} requests completed, {} reuses counted against {}",
+            report.completed, report.requests, counts[2], report.reuses
+        )
+        .into());
+    }
+    println!(
+        "{:<16} {:>8} {:>8} {:>8} {:>8.3} {:>8.3}   run {run:.3} ms",
+        "SUM (ms)", counts[0], counts[1], counts[2], costs[0], costs[1]
+    );
     Ok(())
 }
 
@@ -269,5 +464,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
     restore_side(&profiles, rounds, &model)?;
     println!();
-    fork_side(&profiles, rounds, &model)
+    let fork = fork_side(&profiles, rounds, &model)?;
+    println!();
+    mix_side(&profiles, &fork, &model)
 }
