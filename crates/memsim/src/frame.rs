@@ -189,8 +189,10 @@ impl FrameRef {
     }
 
     /// The page's bytes to write in place, if this handle may: it is the
-    /// only one on an owned block. The address space also requires the leaf
-    /// table holding it to be unshared (`EptLayer::writable_frame`).
+    /// only one on an owned block. The address space also requires its
+    /// space to be the only one that sees the frame
+    /// (`EptLayer::writable_frame`).
+    #[inline]
     pub(crate) fn get_mut(&mut self) -> Option<&mut Block> {
         match &mut self.0 {
             Page::Owned(block) => Arc::get_mut(block),

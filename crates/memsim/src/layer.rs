@@ -34,6 +34,7 @@ const LEAF_SPAN_U64: u64 = LEAF_SPAN as u64;
 const MASK_WORDS: usize = LEAF_SPAN / 64;
 
 /// Splits a page number into its leaf key and the slot within that leaf.
+#[inline]
 fn split(vpn: Vpn) -> (u64, usize) {
     (vpn / LEAF_SPAN_U64, (vpn % LEAF_SPAN_U64) as usize)
 }
@@ -101,6 +102,7 @@ fn debug_check_owners(base: &Plain, slot: usize) {
 }
 
 /// One bit of an own mask.
+#[inline]
 fn bit(slot: usize) -> (usize, u64) {
     (slot / 64, 1 << (slot % 64))
 }
@@ -196,11 +198,13 @@ impl Overlay {
         }
     }
 
+    #[inline]
     fn owns(&self, slot: usize) -> bool {
         let (word, bit) = bit(slot);
         self.own[word] & bit != 0
     }
 
+    #[inline]
     fn get(&self, slot: usize) -> Option<&EptEntry> {
         if self.owns(slot) {
             self.slots[slot].as_ref()
@@ -322,6 +326,7 @@ impl Leaf {
         }
     }
 
+    #[inline]
     fn get(&self, slot: usize) -> Option<&EptEntry> {
         match self {
             Leaf::Plain(plain) => plain.slots[slot].as_ref(),
@@ -352,14 +357,6 @@ impl Leaf {
     /// The entry this leaf maps at `vpn`, borrowed.
     pub(crate) fn entry(&self, vpn: Vpn) -> Option<&EptEntry> {
         self.get(split(vpn).1)
-    }
-
-    /// The resident frame this leaf maps at `vpn`, borrowed.
-    pub(crate) fn frame(&self, vpn: Vpn) -> Option<&FrameRef> {
-        match self.entry(vpn) {
-            Some(EptEntry::Present { frame }) => Some(frame),
-            _ => None,
-        }
     }
 
     /// The frame at `vpn` if this table's space may write it in place, free:
@@ -470,12 +467,71 @@ impl Leaf {
         }
     }
 
-    /// This leaf to write, if the table holds it alone: as it is, with no
-    /// overlay made, shared or folded.
-    fn unique_mut(&mut self) -> Option<LeafMut<'_>> {
+    /// This leaf as a sweep holds it across a run of pages: the leaf
+    /// itself, borrowed once, when the table holds it alone.
+    pub(crate) fn hold(&mut self) -> Held<'_> {
+        let alone = match self {
+            Leaf::Plain(plain) => Arc::strong_count(plain) == 1,
+            Leaf::Overlay(overlay) => Arc::strong_count(overlay) == 1,
+        };
+        if !alone {
+            return Held::Shared(self);
+        }
+        // `make_mut` clones nothing here: the table holds the only count.
         match self {
-            Leaf::Plain(plain) => Arc::get_mut(plain).map(LeafMut::Plain),
-            Leaf::Overlay(overlay) => Arc::get_mut(overlay).map(LeafMut::Overlay),
+            Leaf::Plain(plain) => Held::Plain(Arc::make_mut(plain)),
+            Leaf::Overlay(overlay) => Held::Overlay(Arc::make_mut(overlay)),
+        }
+    }
+}
+
+/// A leaf table a sweep holds across one run of pages. A leaf the table
+/// holds alone is borrowed once for the run, so its pages are read and
+/// written with no count taken per page; any other is the table's [`Leaf`],
+/// under the whole rule.
+pub(crate) enum Held<'a> {
+    /// A plain leaf the table holds alone: every slot writable in place.
+    Plain(&'a mut Plain),
+    /// An overlay the table holds alone: its own slots writable in place,
+    /// the rest read through its plain leaf.
+    Overlay(&'a mut Overlay),
+    /// A leaf other tables hold too.
+    Shared(&'a mut Leaf),
+}
+
+// A sweep is compiled in its caller's crate; its per-page calls are
+// `#[inline]` so they are compiled there with it, not called.
+impl Held<'_> {
+    /// The resident frame mapped at `vpn`, borrowed.
+    #[inline]
+    pub(crate) fn frame(&self, vpn: Vpn) -> Option<&FrameRef> {
+        let slot = split(vpn).1;
+        let entry = match self {
+            Held::Plain(plain) => plain.slots[slot].as_ref(),
+            Held::Overlay(overlay) => overlay.get(slot),
+            Held::Shared(leaf) => leaf.get(slot),
+        };
+        match entry {
+            Some(EptEntry::Present { frame }) => Some(frame),
+            _ => None,
+        }
+    }
+
+    /// [`Leaf::writable_frame`], through the held borrow. An overlay's
+    /// slot it does not own is `None` here: the write goes to
+    /// `AddressSpace::write`, which applies the whole rule.
+    #[inline]
+    pub(crate) fn writable_frame(&mut self, vpn: Vpn) -> Option<&mut [u8; PAGE_SIZE]> {
+        let slot = split(vpn).1;
+        let entry = match self {
+            Held::Plain(plain) => &mut plain.slots[slot],
+            Held::Overlay(overlay) if overlay.owns(slot) => &mut overlay.slots[slot],
+            Held::Overlay(_) => return None,
+            Held::Shared(leaf) => return leaf.writable_frame(vpn),
+        };
+        match entry {
+            Some(EptEntry::Present { frame }) => frame.get_mut(),
+            _ => None,
         }
     }
 
@@ -484,16 +540,16 @@ impl Leaf {
     /// sweep, with no leaf to look up again.
     pub(crate) fn fill_hole(&mut self, vpn: Vpn, make: impl FnOnce() -> FrameRef) -> bool {
         let slot = split(vpn).1;
-        if self.get(slot).is_some() {
+        let mut leaf = match self {
+            Held::Plain(plain) => LeafMut::Plain(plain),
+            Held::Overlay(overlay) => LeafMut::Overlay(overlay),
+            Held::Shared(_) => return false,
+        };
+        if leaf.get(slot).is_some() {
             return false;
         }
-        match self.unique_mut() {
-            Some(mut leaf) => {
-                leaf.replace(slot, Some(EptEntry::Present { frame: make() }));
-                true
-            }
-            None => false,
-        }
+        leaf.replace(slot, Some(EptEntry::Present { frame: make() }));
+        true
     }
 }
 

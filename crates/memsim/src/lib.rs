@@ -20,10 +20,12 @@
 //!   hardware-style merge-on-access, copy-on-write faults, demand zero-fill,
 //!   and `sfork`-style CoW duplication (including the paper's new CoW flag
 //!   for `MAP_SHARED` mappings). A layer is a two-level table whose
-//!   512-page leaf tables are themselves shared copy-on-write, so a fork
-//!   costs page *tables*, not pages — what the paper's sfork does and what
-//!   the cost model charges. The Base-EPT is such a table built once
-//!   ([`EptLayer::map_image`]) and never written again.
+//!   512-page leaf tables are themselves shared, so a fork costs page
+//!   *tables*, not pages — what the paper's sfork does and what the cost
+//!   model charges — and a write through a shared leaf puts a one-deep
+//!   overlay over it that holds only what was written. The Base-EPT is
+//!   such a table built once ([`EptLayer::map_image`]) and never written
+//!   again.
 //!
 //! Shared state here is immutable once built, or a monotone atomic record;
 //! no type in this crate takes a lock.

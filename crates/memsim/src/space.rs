@@ -5,7 +5,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 use simtime::{CostModel, SimClock};
 
-use crate::layer::{same_leaf, EptEntry};
+use crate::layer::{same_leaf, EptEntry, Held, Leaf};
 use crate::{EptLayer, FrameRef, MemError, Perms, Vpn, VpnRange, PAGE_SIZE};
 
 /// Bytes an [`AddressSpace::sweep`] reads from the start of each page.
@@ -309,11 +309,11 @@ impl AddressSpace {
             return Err(MemError::Protection { vpn });
         }
 
-        // In place: the page is resident and owned outright — its leaf table
-        // is not shared with an `sfork` relative, its frame is held by that
-        // leaf alone, and it is not an image page. A frame's own refcount
-        // cannot tell: after `sfork_clone` it is still 1, behind a leaf two
-        // spaces hold. `writable_frame` checks both.
+        // In place: this space is the only one that sees the page's frame,
+        // no other handle holds it, and it is not an image page. A frame's
+        // own refcount cannot tell: after `sfork_clone` it is still 1,
+        // behind a leaf two spaces hold. `writable_frame` checks the tables
+        // and the frame.
         if let Some(page) = self.private.writable_frame(vpn) {
             page[offset..offset + src.len()].copy_from_slice(src);
             return Ok(());
@@ -411,40 +411,33 @@ impl AddressSpace {
                 Some(vma) => (
                     vma.perms.writable(),
                     vma.range.end.min(walk.bound),
-                    self.private.leaf_mut(first),
+                    self.private.leaf_mut(first).map(Leaf::hold),
                 ),
                 None => (false, first, None),
             };
             let base_leaf = base.as_deref().and_then(|base| base.leaf(first));
             let mut vpn = first;
             loop {
-                // Demand zero, as `write`'s arm takes it: nothing here or
-                // in the Base-EPT, and the leaf is this table's alone.
-                if writable
-                    && leaf
-                        .as_deref()
-                        .is_some_and(|leaf| leaf.entry(vpn).is_none())
-                    && base_leaf.is_none_or(|base| base.entry(vpn).is_none())
-                    && leaf
-                        .as_mut()
-                        .is_some_and(|leaf| leaf.fill_hole(vpn, FrameRef::zeroed))
-                {
-                    self.stats.minor_faults += 1;
-                    clock.charge(model.mem.page_fault);
-                }
                 let mut head = [0u8; HEAD];
+                let fill = |leaf: Option<&mut Held>, stats: &mut SpaceStats| {
+                    writable && fill_demand_zero(leaf, base_leaf, vpn, stats, clock, model)
+                };
                 let patch = match touch {
                     Touch::Read { write_at } => {
-                        match leaf.as_deref().and_then(|leaf| leaf.frame(vpn)) {
+                        match leaf.as_ref().and_then(|leaf| leaf.frame(vpn)) {
                             Some(frame) => head.copy_from_slice(&frame.bytes()[..HEAD]),
+                            // Filled, the head is the zeroes it holds.
                             None => {
-                                self.read(vpn, 0, &mut head, clock, model)?;
-                                leaf = self.private.leaf_mut(vpn);
+                                if !fill(leaf.as_mut(), &mut self.stats) {
+                                    self.read(vpn, 0, &mut head, clock, model)?;
+                                    leaf = self.private.leaf_mut(vpn).map(Leaf::hold);
+                                }
                             }
                         }
                         visit(vpn, &head, done).then_some((write_at, HEAD))
                     }
                     Touch::Write(byte) => {
+                        fill(leaf.as_mut(), &mut self.stats);
                         head[0] = byte;
                         Some((0, 1))
                     }
@@ -460,7 +453,7 @@ impl AddressSpace {
                         Some(dst) => dst.copy_from_slice(src),
                         None => {
                             self.write(vpn, at, src, clock, model)?;
-                            leaf = self.private.leaf_mut(vpn);
+                            leaf = self.private.leaf_mut(vpn).map(Leaf::hold);
                         }
                     }
                     done.written += 1;
@@ -627,6 +620,29 @@ impl AddressSpace {
         });
         out
     }
+}
+
+/// A demand-zero fault a sweep takes through its borrowed leaf: where
+/// nothing is visible at `vpn`, no Base-EPT entry covers it and the table
+/// holds `leaf` alone, maps a zeroed frame, counting and charging exactly
+/// what [`AddressSpace::write`]'s demand-zero arm does. True if it did; the
+/// caller has checked that the mapping is writable.
+fn fill_demand_zero(
+    leaf: Option<&mut Held>,
+    base: Option<&Leaf>,
+    vpn: Vpn,
+    stats: &mut SpaceStats,
+    clock: &SimClock,
+    model: &CostModel,
+) -> bool {
+    let filled = leaf.is_some_and(|leaf| {
+        base.is_none_or(|base| base.entry(vpn).is_none()) && leaf.fill_hole(vpn, FrameRef::zeroed)
+    });
+    if filled {
+        stats.minor_faults += 1;
+        clock.charge(model.mem.page_fault);
+    }
+    filled
 }
 
 impl fmt::Display for AddressSpace {
