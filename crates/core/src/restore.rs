@@ -179,13 +179,17 @@ pub(crate) fn restore_boot(
                 // (scratch clock), only its latency is overlapped.
                 ctx.span("io-cache-replay", |ctx| {
                     let scratch = SimClock::new();
-                    let fds: Vec<i32> = kernel.vfs.iter_fds().map(|(fd, _)| fd).collect();
+                    // The manifest lists the files in fd order: walk the fd
+                    // table beside it.
                     let files = manifest.iter().filter(|c| c.kind == IoConnKind::File);
-                    for (fd, conn) in fds.iter().zip(files) {
+                    let mut next = kernel.vfs.next_open_fd(0);
+                    for conn in files {
+                        let Some(fd) = next else { break };
                         if conn.used_immediately {
                             ctx.charge(ctx.model().io.io_cache_replay);
-                            kernel.vfs.ensure_connected(*fd, &scratch, ctx.model())?;
+                            kernel.vfs.ensure_connected(fd, &scratch, ctx.model())?;
                         }
+                        next = kernel.vfs.next_open_fd(fd + 1);
                     }
                     let socks: Vec<(u64, bool)> = kernel
                         .net

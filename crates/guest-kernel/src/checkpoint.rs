@@ -32,6 +32,7 @@ use crate::kernel::{DentryRow, GuestKernel};
 use crate::net::SockState;
 use crate::table::{Lists, RunRow, RunTable, Span, Text};
 use crate::tasks::{GuestThread, NamespaceInfo, Session, Task};
+use crate::vfs::{FileDesc, RestoredFds};
 use crate::KernelError;
 
 /// Length prefix for a collection. `usize` → `u64` cannot truncate on any
@@ -146,9 +147,58 @@ fn check_dentries(run: &RecordRun) -> Result<(), KernelError> {
 /// four (below 2²⁸, so in `u32` range). Every dentry a checkpoint writes for
 /// a path under 128 bytes and a table under 2²⁸ rows has this shape; the
 /// general reader's three varint loops and `Result`s cost nearly twice as
-/// much.
+/// much. A payload of 16 to 45 bytes — every path of 15 to 31 bytes — is
+/// judged on its first and last 16 bytes as words ([`plain_dentry_words`]),
+/// any other byte by byte.
 #[inline]
 fn plain_dentry(p: &[u8]) -> Option<()> {
+    match plain_dentry_words(p) {
+        Some(plain) => plain.then_some(()),
+        None => plain_dentry_bytes(p),
+    }
+}
+
+/// Bit 7 of each byte of a 16-byte word: the bit a byte under 0x80 has
+/// clear — an ASCII byte, or the last byte of a varint.
+const HIGH_BITS: u128 = u128::from_le_bytes([0x80; 16]);
+
+/// [`plain_dentry_bytes`]'s verdict on a payload of at least 16 bytes whose
+/// path length byte and path lie in its first 32 and whose varints lie in
+/// its last 13, read out of two or three 16-byte words without a loop: the
+/// varints end at the first two bytes of the tail under 0x80, and the
+/// path is ASCII when no byte before the varints has bit 7 set. `None` for
+/// any other payload.
+#[inline]
+fn plain_dentry_words(p: &[u8]) -> Option<bool> {
+    let first = u128::from_le_bytes(*p.first_chunk::<16>()?);
+    let last = u128::from_le_bytes(*p.last_chunk::<16>()?);
+    let (&len, _) = p.split_first()?;
+    let head = 1 + usize::from(len);
+    let Some(rest) = p.len().checked_sub(head) else {
+        return Some(false);
+    };
+    if rest < 2 {
+        return Some(false);
+    }
+    if rest > 13 || head > 32 {
+        return None;
+    }
+    // The tail's bytes under 0x80, the first byte of the varints at bit 7.
+    let ends = (!last & HIGH_BITS) >> (8 * (16 - u32::try_from(rest).ok()?));
+    let inode = ends.trailing_zeros() / 8;
+    let parent = (ends & ends.wrapping_sub(1)).trailing_zeros() / 8;
+    let head_bits = match head.checked_sub(16) {
+        // The head is the first word's low `head` bytes.
+        None => first & (u128::MAX >> (8 * (16 - u32::try_from(head).ok()?))),
+        // The head is the first word and the 16 bytes that end it.
+        Some(from) => first | u128::from_le_bytes(*p.get(from..)?.first_chunk::<16>()?),
+    };
+    Some(inode < 9 && parent < inode + 5 && head_bits & HIGH_BITS == 0)
+}
+
+/// [`plain_dentry`], byte by byte.
+#[inline]
+fn plain_dentry_bytes(p: &[u8]) -> Option<()> {
     let (&len, rest) = p.split_first()?;
     let (path, rest) = rest.split_at_checked(usize::from(len))?;
     let inode = rest.iter().position(|b| *b < 0x80)?;
@@ -297,13 +347,17 @@ impl GuestKernel {
         for (blob, m_id) in self.misc_shared().zip(&misc_ids) {
             out.push(ObjRecord::new(*m_id, ObjKind::Misc, 0, vec![], blob));
         }
-        // --- files + fd slots (I/O state) ---
-        for (((fd, desc), f_id), s_id) in fds.iter().zip(&file_ids).zip(&fdslot_ids) {
+        // --- files, then fd slots (I/O state) ---
+        // Two runs, in the order their ids were given out: a restore takes
+        // each whole. The k-th slot names the fd of the k-th file.
+        for ((_, desc), f_id) in fds.iter().zip(&file_ids) {
             let mut p = Vec::new();
             varint::put_bytes(&mut p, desc.path().as_bytes());
             varint::put_u64(&mut p, desc.offset);
             let flags = u32::from(desc.writable) | (u32::from(desc.used) << 1);
             out.push(ObjRecord::new(*f_id, ObjKind::File, flags, vec![], p));
+        }
+        for (((fd, _), f_id), s_id) in fds.iter().zip(&file_ids).zip(&fdslot_ids) {
             let mut sp = Vec::new();
             varint::put_u64(&mut sp, fd_u64(*fd));
             out.push(ObjRecord::new(*s_id, ObjKind::FdSlot, 0, vec![*f_id], sp));
@@ -417,6 +471,9 @@ impl GuestKernel {
             RunTable::default(),
             Lists::default(),
         );
+        // The descriptors: the descriptions in one table, and each one at
+        // the fd its slot record names.
+        let mut fds = RestoredFds::default();
 
         let mut non_io_objects: u64 = 0;
         for run in records.runs() {
@@ -437,6 +494,7 @@ impl GuestKernel {
                     dentries.push_run(whole);
                     continue;
                 }
+                (ObjKind::File, _) => fds.reserve_files(run.len()),
                 _ => {}
             }
             for rec in run.views() {
@@ -536,14 +594,11 @@ impl GuestKernel {
                         let path = text_field(&rec, &mut pos, "file path")?;
                         let offset = varint::get_u64(p, &mut pos).map_err(imgerr)?;
                         let writable = rec.flags & 1 != 0;
-                        // Installed as read: records keep checkpoint order, so the
-                        // descriptors are numbered densely in that order.
-                        kernel
-                            .vfs
-                            .install_restored_fd(path, writable, offset)
-                            .map_err(|e| bad(format!("fd install: {e}")))?;
+                        fds.push_file(FileDesc::restored(path, writable, offset));
                     }
-                    ObjKind::FdSlot => { /* slot numbering is restored via order */ }
+                    ObjKind::FdSlot => {
+                        fds.push_slot(varint::get_u64(p, &mut pos).map_err(imgerr)?)?;
+                    }
                     ObjKind::Socket => {
                         let addr = text_field(&rec, &mut pos, "socket addr")?;
                         let state = match varint::get_u64(p, &mut pos).map_err(imgerr)? {
@@ -567,6 +622,7 @@ impl GuestKernel {
         }
 
         kernel.install_tables(dentries, waitqueues, misc, epolls);
+        kernel.vfs.install_restored(fds)?;
         for pid in task_order {
             let task = tasks_by_pid
                 .remove(&pid)
@@ -626,6 +682,7 @@ pub(crate) fn sealed_func_image(records: Vec<ObjRecord>) -> imagefmt::flat::Rest
 mod tests {
     use super::*;
     use crate::synth::GraphSpec;
+    use crate::vfs::MAX_FDS;
     use simtime::SimNanos;
 
     fn test_fs() -> Arc<FsServer> {
@@ -768,6 +825,90 @@ mod tests {
             GuestKernel::restore_from_records("x", &records, test_fs(), false, &clock, &model),
             Err(KernelError::CorruptGraph { .. })
         ));
+    }
+
+    /// A descriptor comes back at the fd it was checkpointed at, holes
+    /// included, from owned records and from a sealed func-image alike; the
+    /// old order, each file's slot record right after it, restores the same
+    /// table. A slot record naming an fd twice, one past the table or one
+    /// that does not parse is a corrupt graph.
+    #[test]
+    fn fd_numbers_survive_checkpoint_and_restore() {
+        let (clock, model) = (SimClock::new(), CostModel::experimental_machine());
+        let mut k = GuestKernel::boot("holes", test_fs(), &clock, &model);
+        for (path, writable) in [
+            ("/app/bin", false),
+            ("/var/log/app.log", true),
+            ("/app/bin", false),
+        ] {
+            k.vfs.open(path, writable, &clock, &model).unwrap();
+        }
+        k.vfs.close(1, &clock, &model).unwrap();
+        let table = |k: &GuestKernel| -> Vec<(i32, String, bool)> {
+            k.vfs
+                .iter_fds()
+                .map(|(fd, d)| (fd, d.path().to_string(), d.writable))
+                .collect()
+        };
+        let want = table(&k);
+        assert_eq!(want.iter().map(|(fd, ..)| *fd).collect::<Vec<_>>(), [0, 2]);
+
+        let records = k.checkpoint_objects();
+        let kinds: Vec<ObjKind> = records.iter().map(|r| r.kind).collect();
+        let at = kinds
+            .iter()
+            .position(|kind| *kind == ObjKind::File)
+            .unwrap();
+        assert_eq!(
+            kinds[at..at + 4],
+            [
+                ObjKind::File,
+                ObjKind::File,
+                ObjKind::FdSlot,
+                ObjKind::FdSlot
+            ],
+            "the files, then their slots"
+        );
+        let mut interleaved = records.clone();
+        interleaved.swap(at + 1, at + 2);
+        let restore = |records: Records<'_>| {
+            GuestKernel::restore_from_records("r", records, test_fs(), false, &clock, &model)
+        };
+        for records in [&records, &interleaved] {
+            let sealed = sealed_func_image(records.clone());
+            for restored in [restore(records.into()), restore((&sealed).into())] {
+                let restored = restored.unwrap();
+                assert_eq!(table(&restored), want);
+                assert_eq!(restored.checkpoint_objects(), k.checkpoint_objects());
+                // The hole is the next open's.
+                let mut restored = restored;
+                assert_eq!(restored.vfs.open("/app/bin", false, &clock, &model), Ok(1));
+            }
+        }
+
+        let slot = |fd: &[u8]| {
+            let mut forged = records.clone();
+            forged[at + 3].payload = fd.to_vec().into();
+            forged
+        };
+        let mut far = Vec::new();
+        varint::put_u64(&mut far, MAX_FDS as u64);
+        for (forged, want) in [
+            (slot(&[0]), "fd 0 restored twice".to_string()),
+            (slot(&far), "fd slot 1024 out of range".to_string()),
+            (
+                slot(&[0x80]),
+                format!("payload: {}", ImageError::Truncated { what: "varint" }),
+            ),
+        ] {
+            let sealed = sealed_func_image(forged.clone());
+            for restored in [restore((&forged).into()), restore((&sealed).into())] {
+                match restored {
+                    Err(KernelError::CorruptGraph { detail }) => assert_eq!(detail, want),
+                    other => panic!("{want}: {other:?}"),
+                }
+            }
+        }
     }
 
     /// Every string a restore keeps is checked once, and a forged one is a
@@ -1076,6 +1217,9 @@ mod tests {
                         let read = DentryRow::read(p);
                         if plain_dentry(p).is_some() {
                             assert!(read.is_ok(), "{p:?}: {read:?}");
+                        }
+                        if let Some(plain) = plain_dentry_words(p) {
+                            assert_eq!(plain, plain_dentry_bytes(p).is_some(), "{p:?}");
                         }
                         tried += 1;
                     }

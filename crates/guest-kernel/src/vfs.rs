@@ -65,6 +65,32 @@ impl FileDesc {
     pub fn path(&self) -> &str {
         self.path.as_str()
     }
+
+    /// A description restored from a checkpoint, in the disconnected state
+    /// (reconnection happens eagerly, lazily, or via the I/O cache depending
+    /// on the restore engine). Its backend is a placeholder until
+    /// [`Vfs::ensure_connected`] re-grants `path`: it names no grant (id 0)
+    /// and no path of its own, so a restored descriptor allocates nothing —
+    /// its path is a view of the record's bytes.
+    pub(crate) fn restored(path: Text, writable: bool, offset: u64) -> FileDesc {
+        let placeholder = GoferFd {
+            id: 0,
+            path: String::new(),
+            writable,
+        };
+        FileDesc {
+            path,
+            offset,
+            writable,
+            backend: if writable {
+                Backend::Persistent(placeholder)
+            } else {
+                Backend::Gofer(placeholder)
+            },
+            connected: false,
+            used: false,
+        }
+    }
 }
 
 /// A mount-table entry.
@@ -104,12 +130,66 @@ impl MountInfo {
 /// One fd slot's description.
 #[derive(Debug, Clone)]
 enum Slot {
-    /// The description at this index of [`Vfs::restored`], read in place
-    /// until a write copies it out into a slot of its own.
+    /// The description at this index of [`Vfs::restored`], read in place,
+    /// and written there too while no `sfork` relative shares the table; a
+    /// write under a shared table copies it out into a slot of its own.
     Restored(usize),
     /// A description of this sandbox's, shared with its `sfork` relatives
     /// until either side writes it.
     Own(Arc<FileDesc>),
+}
+
+/// The descriptors a restore reads out of a checkpoint, gathered before
+/// [`Vfs::install_restored`] installs them: the descriptions in checkpoint
+/// order, and the fd table in which the k-th fd slot record holds the k-th
+/// description at the fd it names. Files and fd slots may come in either
+/// order, as two runs or interleaved.
+#[derive(Debug, Default)]
+pub(crate) struct RestoredFds {
+    files: Vec<FileDesc>,
+    fds: Vec<Option<Slot>>,
+    /// Fd slot records read so far.
+    slots: usize,
+}
+
+impl RestoredFds {
+    /// Room for `additional` more descriptions: a run of them is one
+    /// reservation.
+    pub(crate) fn reserve_files(&mut self, additional: usize) {
+        self.files.reserve(additional);
+    }
+
+    /// The next description, in checkpoint order.
+    pub(crate) fn push_file(&mut self, desc: FileDesc) {
+        self.files.push(desc);
+    }
+
+    /// The next fd slot record's fd: the next description's number.
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError::CorruptGraph`] for an fd past the table's
+    /// [`MAX_FDS`] slots, or one an earlier slot record named.
+    pub(crate) fn push_slot(&mut self, fd: u64) -> Result<(), KernelError> {
+        let at = usize::try_from(fd)
+            .ok()
+            .filter(|at| *at < MAX_FDS)
+            .ok_or_else(|| KernelError::CorruptGraph {
+                detail: format!("fd slot {fd} out of range"),
+            })?;
+        if self.fds.len() <= at {
+            self.fds.resize_with(at + 1, || None);
+        }
+        let slot = &mut self.fds[at];
+        if slot.is_some() {
+            return Err(KernelError::CorruptGraph {
+                detail: format!("fd {fd} restored twice"),
+            });
+        }
+        *slot = Some(Slot::Restored(self.slots));
+        self.slots += 1;
+        Ok(())
+    }
 }
 
 /// The per-sandbox VFS.
@@ -225,8 +305,10 @@ impl Vfs {
             .ok_or(KernelError::BadFd { fd })
     }
 
-    /// The description for writing: copies it first out of the restored
-    /// table, or if an `sfork` relative still shares this slot.
+    /// The description for writing: a row of the restored table is written
+    /// in place while no `sfork` relative shares the table, and copied out
+    /// into a slot of its own first otherwise; a slot of its own is copied
+    /// first if a relative still shares it.
     fn desc_mut(&mut self, fd: i32) -> Result<&mut FileDesc, KernelError> {
         let bad = || KernelError::BadFd { fd };
         let slot = self
@@ -235,12 +317,16 @@ impl Vfs {
             .and_then(Option::as_mut)
             .ok_or_else(bad)?;
         if let Slot::Restored(row) = *slot {
-            let desc = self.restored.get(row).ok_or_else(bad)?;
-            *slot = Slot::Own(Arc::new(desc.clone()));
+            if Arc::get_mut(&mut self.restored).is_none() {
+                let desc = self.restored.get(row).ok_or_else(bad)?;
+                *slot = Slot::Own(Arc::new(desc.clone()));
+            }
         }
         match slot {
             Slot::Own(desc) => Ok(Arc::make_mut(desc)),
-            Slot::Restored(_) => Err(bad()),
+            Slot::Restored(row) => Arc::get_mut(&mut self.restored)
+                .and_then(|rows| rows.get_mut(*row))
+                .ok_or_else(bad),
         }
     }
 
@@ -542,45 +628,24 @@ impl Vfs {
         }
     }
 
-    /// Installs a descriptor restored from a checkpoint, in the disconnected
-    /// state (reconnection happens eagerly, lazily, or via the I/O cache
-    /// depending on the restore engine), as a row of the restored table.
+    /// Installs the descriptors a restore read into this VFS of an empty
+    /// shell: the descriptions become the restored table, one row each, and
+    /// each one's slot is the fd its checkpoint named, holes included.
     ///
     /// # Errors
     ///
-    /// [`KernelError::ResourceExhausted`].
-    pub(crate) fn install_restored_fd(
-        &mut self,
-        path: Text,
-        writable: bool,
-        offset: u64,
-    ) -> Result<i32, KernelError> {
-        // A placeholder until `ensure_connected` re-grants `path`: it names
-        // no grant (id 0) and no path of its own, so a restored descriptor
-        // allocates nothing — its path is a view of the record's bytes.
-        let placeholder = GoferFd {
-            id: 0,
-            path: String::new(),
-            writable,
-        };
-        let backend = if writable {
-            Backend::Persistent(placeholder)
-        } else {
-            Backend::Gofer(placeholder)
-        };
-        if self.open_fds() >= MAX_FDS {
-            return Err(KernelError::ResourceExhausted { what: "guest fds" });
+    /// [`KernelError::CorruptGraph`] when the checkpoint has a different
+    /// number of descriptions and fd slots.
+    pub(crate) fn install_restored(&mut self, fds: RestoredFds) -> Result<(), KernelError> {
+        if fds.files.len() != fds.slots {
+            return Err(KernelError::CorruptGraph {
+                detail: format!("{} files for {} fd slots", fds.files.len(), fds.slots),
+            });
         }
-        let row = self.restored.len();
-        Arc::make_mut(&mut self.restored).push(FileDesc {
-            path,
-            offset,
-            writable,
-            backend,
-            connected: false,
-            used: false,
-        });
-        self.alloc_slot(Slot::Restored(row))
+        self.holes = fds.fds.len() - fds.slots;
+        self.fds = fds.fds;
+        self.restored = Arc::new(fds.files);
+        Ok(())
     }
 
     /// Iterates over open descriptors as `(fd, desc)`.
@@ -589,6 +654,15 @@ impl Vfs {
             let desc = self.resolve(slot.as_ref()?)?;
             Some((i as i32, desc))
         })
+    }
+
+    /// The lowest open descriptor at or above `fd`: a walk over the fd
+    /// table in order that holds no borrow of it from one step to the next,
+    /// so each step may reconnect what it finds.
+    pub fn next_open_fd(&self, fd: i32) -> Option<i32> {
+        let from = usize::try_from(fd).unwrap_or(0);
+        let at = self.fds.get(from..)?.iter().position(Option::is_some)?;
+        i32::try_from(from + at).ok()
     }
 
     /// Paths currently materialized in the upper overlay layer.
@@ -736,18 +810,31 @@ mod tests {
         ));
     }
 
+    /// Restores one read-only descriptor per path into `vfs`, numbered in
+    /// order, and returns their fds.
+    fn restore(vfs: &mut Vfs, paths: &[&str]) -> Vec<i32> {
+        let mut fds = RestoredFds::default();
+        for (fd, path) in paths.iter().enumerate() {
+            fds.push_file(FileDesc::restored(Text::from(*path), false, 0));
+            fds.push_slot(fd as u64).unwrap();
+        }
+        vfs.install_restored(fds).unwrap();
+        (0..paths.len() as i32).collect()
+    }
+
     #[test]
     fn restored_fd_reconnects_on_first_use() {
         let (clock, model, mut vfs) = setup();
-        let fd = vfs
-            .install_restored_fd(Text::from("/app/config.json"), false, 0)
-            .unwrap();
+        let fd = restore(&mut vfs, &["/app/config.json"])[0];
         assert_eq!(vfs.reconnects(), 0);
         let before = vfs.server().opens_served();
         let data = vfs.read(fd, 2, &clock, &model).unwrap();
         assert_eq!(&data[..], b"{}");
         assert_eq!(vfs.reconnects(), 1);
         assert_eq!(vfs.server().opens_served(), before + 1);
+        // Reconnected in its row of the unshared table: no slot of its own.
+        assert_eq!(vfs.share_counts(), [1, 1, 1]);
+        assert!(vfs.iter_fds().all(|(_, desc)| desc.connected && desc.used));
         // Second read: no further reconnection.
         vfs.read(fd, 0, &clock, &model).unwrap();
         assert_eq!(vfs.reconnects(), 1);
@@ -759,10 +846,7 @@ mod tests {
     #[test]
     fn restored_descriptors_are_shared_rows_until_written() {
         let (clock, model, mut vfs) = setup();
-        let fds: Vec<i32> = ["/app/config.json", "/lib/base.so"]
-            .into_iter()
-            .map(|path| vfs.install_restored_fd(Text::from(path), false, 0).unwrap())
-            .collect();
+        let fds = restore(&mut vfs, &["/app/config.json", "/lib/base.so"]);
         let mut child = vfs.sfork_clone(&clock, &model);
         assert_eq!(vfs.share_counts(), [2, 2, 2]);
         assert_eq!(child.shared_with(&vfs), (true, true, fds.clone()));
@@ -793,6 +877,51 @@ mod tests {
         child.write(cfd, b"child!", &clock, &model).unwrap();
         let pfd = vfs.open("/tmp/x", false, &clock, &model).unwrap();
         assert_eq!(&vfs.read(pfd, 6, &clock, &model).unwrap()[..], b"parent");
+    }
+
+    /// Restored descriptors sit at the fds their slot records name, holes
+    /// included, and the first open after the restore fills the lowest hole.
+    /// A slot past the table or a second slot at one fd is a corrupt graph,
+    /// and so is a count of slots that is not the count of descriptions.
+    #[test]
+    fn restored_fds_keep_their_numbers() {
+        let (clock, model, mut vfs) = setup();
+        let mut fds = RestoredFds::default();
+        for (fd, path) in [(3, "/app/config.json"), (0, "/lib/base.so")] {
+            fds.push_file(FileDesc::restored(Text::from(path), false, 0));
+            fds.push_slot(fd).unwrap();
+        }
+        vfs.install_restored(fds).unwrap();
+        let open: Vec<(i32, &str)> = vfs.iter_fds().map(|(fd, d)| (fd, d.path())).collect();
+        assert_eq!(open, [(0, "/lib/base.so"), (3, "/app/config.json")]);
+        assert_eq!(vfs.open_fds(), 2);
+        assert_eq!(vfs.next_open_fd(1), Some(3));
+        assert_eq!(vfs.next_open_fd(4), None);
+        assert_eq!(vfs.open("/lib/base.so", false, &clock, &model).unwrap(), 1);
+
+        let corrupt = |detail: &str| KernelError::CorruptGraph {
+            detail: detail.to_string(),
+        };
+        let mut fds = RestoredFds::default();
+        fds.push_slot(2).unwrap();
+        assert_eq!(
+            fds.push_slot(2).unwrap_err(),
+            corrupt("fd 2 restored twice")
+        );
+        assert_eq!(
+            fds.push_slot(MAX_FDS as u64).unwrap_err(),
+            corrupt("fd slot 1024 out of range")
+        );
+        assert_eq!(
+            fds.push_slot(u64::MAX).unwrap_err(),
+            corrupt(&format!("fd slot {} out of range", u64::MAX))
+        );
+        assert_eq!(
+            Vfs::new(Arc::clone(vfs.server()))
+                .install_restored(fds)
+                .unwrap_err(),
+            corrupt("0 files for 1 fd slots")
+        );
     }
 
     #[test]

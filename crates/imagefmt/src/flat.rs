@@ -21,23 +21,25 @@
 //! reduction in Figure 12.
 //!
 //! The host code does the same, in one pass. [`FlatImage::restore_metadata`]
-//! checksums the three metadata sections, then walks the records once: each
+//! checksums the three metadata sections, then checks the records once: each
 //! index entry must be where the previous record ended (the records tile the
 //! arena), each header must bound its body inside it, and the relation table
 //! must cover every pointer slot exactly once, in order — the writer emits
 //! one entry per slot, `(record, slot)` strictly increasing, so "the next
 //! entry is the slot that is due" is the whole check, and order, duplicates,
-//! dangling entries and uncovered slots all fail it. Nothing per object is
-//! stored: what comes back, a [`RestoredRecords`], is the three sections
-//! themselves, a view the check has validated, plus where each run of
-//! same-kind records starts — one compare a record as the pass goes, one
+//! dangling entries and uncovered slots all fail it. Each header is read at
+//! the offset its index entry holds, so no load waits on the record before
+//! it, and a failure is named by a sequential walk of the same checks. Nothing
+//! per object is stored: what comes back, a [`RestoredRecords`], is the three
+//! sections themselves, a view the check has validated, plus where each run
+//! of same-kind records starts — one compare a record as the pass goes, one
 //! entry a run. A reader takes those runs ([`crate::Records::runs`]): a run
-//! it keeps whole is a [`RecordRun`] — one reference count on the arena,
-//! however long — that it reads in place when it reads it at all, and any
-//! other run it walks through borrowed [`ObjView`]s, a record's pointers
-//! being its run of relation entries, read in place; the arena's own slot
-//! bytes are never read. Three reference counts and the run list, whatever
-//! the object count.
+//! it keeps whole is a [`RecordRun`] — two reference counts, on the arena and
+//! the run's index entries, however long — that it reads in place when it
+//! reads it at all, and any other run it walks through borrowed
+//! [`ObjView`]s, a record's pointers being its run of relation entries, read
+//! in place; the arena's own slot bytes are never read. Three reference
+//! counts and the run list, whatever the object count.
 //!
 //! Every pointer is really taken from the table and totality really checked,
 //! on the calling thread; only the parallel *schedule* is modelled. Spawning
@@ -399,8 +401,27 @@ impl FlatImage {
         clock: &SimClock,
         model: &CostModel,
     ) -> Result<RestoredRecords, ImageError> {
+        self.restore_metadata_with(clock, model, |index, arena, entries, chunk_len| {
+            match check_records(index, arena, entries, chunk_len) {
+                Some(checked) => Ok(checked),
+                None => check_records_in_order(index, arena, entries, chunk_len),
+            }
+        })
+    }
+
+    /// [`FlatImage::restore_metadata`] with the check pass `check`: the
+    /// records' index entries, their arena, their relation entries and the
+    /// modelled workers' chunk length in, what the pass learns out.
+    #[inline]
+    fn restore_metadata_with(
+        &self,
+        clock: &SimClock,
+        model: &CostModel,
+        check: impl FnOnce(&[[u8; 8]], &[u8], &[[u8; REL_ENTRY]], usize) -> Result<Checked, ImageError>,
+    ) -> Result<RestoredRecords, ImageError> {
         // Stage 1: map.
-        let index = self.section_bytes(self.sections.meta_index, "meta index", clock, model)?;
+        let index_bytes =
+            self.section_bytes(self.sections.meta_index, "meta index", clock, model)?;
         let arena = self.section_bytes(self.sections.meta_arena, "meta arena", clock, model)?;
         let rel = self.section_bytes(self.sections.rel_table, "relation table", clock, model)?;
 
@@ -410,7 +431,7 @@ impl FlatImage {
         let want = n_objects.checked_mul(8).ok_or(ImageError::Malformed {
             what: "object count",
         })?;
-        if index.len() != want {
+        if index_bytes.len() != want {
             return Err(ImageError::Truncated { what: "meta index" });
         }
         let (entries, stray) = rel.as_chunks::<REL_ENTRY>();
@@ -421,90 +442,21 @@ impl FlatImage {
         }
 
         // The check of stage 1 and stage 2's pointer re-establishment, in one
-        // pass. The writer lays records down back to back and emits one
-        // relation entry per pointer slot, `(record, slot)` strictly
-        // increasing, so both where the next record starts and the entry
-        // that is due are known before either is read; a record's pointers
-        // are then its run of entries, which a view reads in place. What the
-        // arena holds in a slot is never read, and no two entries write one
-        // slot: any partition over workers yields these same records, and
-        // only that partition's schedule is modelled — the slowest chunk's
-        // pointer count, tallied as the pass goes.
-        //
-        // The pass also notes where each run of same-kind records starts —
-        // one compare a record — so a reader can take a run whole.
+        // pass over the records that keeps nothing but where each run of
+        // same-kind records starts. Any partition over workers yields these
+        // same records, and only that partition's schedule is modelled — the
+        // slowest chunk's pointer count, tallied as the pass goes. A record
+        // that fails a check sends the records through the sequential
+        // reference, which names the first error.
+        let index = index_bytes.as_chunks::<8>().0;
         let chunk_len = n_objects.div_ceil(model.parallel_workers.max(1)).max(1);
-        let mut slowest = 0u64;
-        let n_entries = entries.len();
-        let mut entries = entries.iter().map(relation_entry);
-        let (mut at, mut i) = (0usize, 0usize);
         // The arena's bytes are read out of its handle once: the run list's
         // growth is a call the loop would otherwise have to reload them after.
         let arena_bytes: &[u8] = &arena;
-        let (mut runs, mut kind) = (Vec::new(), None);
-        for chunk in index.as_chunks::<8>().0.chunks(chunk_len) {
-            let mut patched = 0u64;
-            for entry in chunk {
-                if index_offset(entry) != Some(at) {
-                    return Err(ImageError::Malformed {
-                        what: "meta index entry",
-                    });
-                }
-                let Some(rec) = header_at(arena_bytes, at) else {
-                    return Err(record_error(arena_bytes, at));
-                };
-                if kind != Some(rec.kind) {
-                    kind = Some(rec.kind);
-                    runs.push(KindRun {
-                        kind: rec.kind,
-                        first: i,
-                        len: 0,
-                        relations: n_entries - entries.len(),
-                    });
-                }
-                for due_slot in 0..rec.n_refs {
-                    let due = (w64(i), due_slot);
-                    match entries.next() {
-                        Some((record, slot, _)) if (u64::from(record), slot) == due => {}
-                        // Behind the slot that is due: dangling, a duplicate,
-                        // or out of order.
-                        Some((record, slot, _)) if (u64::from(record), slot) < due => {
-                            return Err(ImageError::BadRelation { record, slot });
-                        }
-                        // Ahead of it, or the table has ended: nothing will
-                        // cover the due slot any more.
-                        _ => {
-                            return Err(ImageError::BadRelation {
-                                record: u32::try_from(i).unwrap_or(u32::MAX),
-                                slot: due_slot,
-                            });
-                        }
-                    }
-                }
-                at = rec.payload.1;
-                patched += u64::from(rec.n_refs);
-                i += 1;
-            }
-            slowest = slowest.max(patched);
-        }
-        if at != arena.len() {
-            return Err(ImageError::Malformed {
-                what: "meta arena past its last record",
-            });
-        }
-        // Each run ends where the next one starts.
-        let mut end = n_objects;
-        for run in runs.iter_mut().rev() {
-            run.len = end - run.first;
-            end = run.first;
-        }
-        // Totality the other way round: no entry without a slot.
-        if let Some((record, slot, _)) = entries.next() {
-            return Err(ImageError::BadRelation { record, slot });
-        }
+        let Checked { runs, slowest } = check(index, arena_bytes, entries, chunk_len)?;
         clock.charge_parallel([model.obj.fixup_per_pointer.saturating_mul(slowest)]);
         Ok(RestoredRecords {
-            index,
+            index: index_bytes,
             arena,
             rel,
             runs,
@@ -663,6 +615,174 @@ fn record_error(arena: &[u8], at: usize) -> ImageError {
     }
 }
 
+/// What the check pass learns of records that pass it: the runs of
+/// same-kind records, and the pointer count of the slowest modelled worker.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Checked {
+    runs: Vec<KindRun>,
+    slowest: u64,
+}
+
+/// The check pass: `Some` exactly when [`check_records_in_order`] is `Ok`,
+/// and then the same. Each record's header is read at the offset its index
+/// entry holds, so no load waits on the record before it; the checks fold
+/// into one flag a chunk of `chunk_len` records — the index entry is where
+/// the record before it ended, and the relation entries due are the
+/// record's slots in order — and the kind code is decoded only where it
+/// changes, which is where a run starts. That every header bounds its body
+/// inside the arena follows: each record ends where the next one's header
+/// was read, and the last where the arena does. `None` on any failure, which
+/// the sequential reference then names.
+#[inline]
+fn check_records(
+    index: &[[u8; 8]],
+    arena: &[u8],
+    entries: &[[u8; REL_ENTRY]],
+    chunk_len: usize,
+) -> Option<Checked> {
+    let mut runs = Vec::new();
+    // The kind code of the run the records are in: none yet, and no code
+    // fits a `u16` and equals this.
+    let mut code = u32::MAX;
+    // Where the record before ended, and the relation entry that is due.
+    let (mut end, mut rel) = (0usize, 0usize);
+    let (mut i, mut slowest) = (0usize, 0u64);
+    for chunk in index.chunks(chunk_len) {
+        let (mut ok, mut patched) = (true, 0u64);
+        for entry in chunk {
+            let at = index_offset(entry)?;
+            ok &= at == end;
+            let (head, _) = arena.get(at..)?.split_first_chunk::<REC_HEADER>()?;
+            let [.., k0, k1, _, _, _, _, n0, n1, l0, l1, l2, l3] = *head;
+            let kind = u16::from_le_bytes([k0, k1]);
+            if u32::from(kind) != code {
+                runs.push(KindRun {
+                    kind: ObjKind::from_code(kind)?,
+                    first: i,
+                    len: 0,
+                    relations: rel,
+                });
+                code = u32::from(kind);
+            }
+            let n_refs = u16::from_le_bytes([n0, n1]);
+            let slots = usize::from(n_refs);
+            let payload_len = usize::try_from(u32::from_le_bytes([l0, l1, l2, l3])).ok()?;
+            // At most 65,535 slots of 8 bytes: no overflow before the adds.
+            // No compare with the arena's length: the next record must start
+            // here, and the last one end where the arena does.
+            end = at
+                .saturating_add(REC_HEADER + slots * 8)
+                .saturating_add(payload_len);
+            let record = w64(i);
+            let due = entries.get(rel..rel.checked_add(slots)?)?;
+            for (slot, entry) in (0u16..).zip(due) {
+                let (r, s, _) = relation_entry(entry);
+                ok &= u64::from(r) == record && s == slot;
+            }
+            rel += slots;
+            patched += u64::from(n_refs);
+            i += 1;
+        }
+        if !ok {
+            return None;
+        }
+        slowest = slowest.max(patched);
+    }
+    if end != arena.len() || rel != entries.len() {
+        return None;
+    }
+    close_runs(&mut runs, index.len());
+    Some(Checked { runs, slowest })
+}
+
+/// The check pass as a walk down the arena, one record after the other, and
+/// the reference [`check_records`] is held to: each index entry must be where
+/// the previous record ended (the records tile the arena), each header must
+/// bound its body inside it, and the relation table must cover every pointer
+/// slot exactly once, in order. The writer emits one entry per slot,
+/// `(record, slot)` strictly increasing, so "the next entry is the slot that
+/// is due" is the whole check, and order, duplicates, dangling entries and
+/// uncovered slots all fail it. The first failure is the error.
+#[cold]
+fn check_records_in_order(
+    index: &[[u8; 8]],
+    arena: &[u8],
+    entries: &[[u8; REL_ENTRY]],
+    chunk_len: usize,
+) -> Result<Checked, ImageError> {
+    let mut slowest = 0u64;
+    let n_entries = entries.len();
+    let mut entries = entries.iter().map(relation_entry);
+    let (mut at, mut i) = (0usize, 0usize);
+    let (mut runs, mut kind) = (Vec::new(), None);
+    for chunk in index.chunks(chunk_len) {
+        let mut patched = 0u64;
+        for entry in chunk {
+            if index_offset(entry) != Some(at) {
+                return Err(ImageError::Malformed {
+                    what: "meta index entry",
+                });
+            }
+            let Some(rec) = header_at(arena, at) else {
+                return Err(record_error(arena, at));
+            };
+            if kind != Some(rec.kind) {
+                kind = Some(rec.kind);
+                runs.push(KindRun {
+                    kind: rec.kind,
+                    first: i,
+                    len: 0,
+                    relations: n_entries - entries.len(),
+                });
+            }
+            for due_slot in 0..rec.n_refs {
+                let due = (w64(i), due_slot);
+                match entries.next() {
+                    Some((record, slot, _)) if (u64::from(record), slot) == due => {}
+                    // Behind the slot that is due: dangling, a duplicate, or
+                    // out of order.
+                    Some((record, slot, _)) if (u64::from(record), slot) < due => {
+                        return Err(ImageError::BadRelation { record, slot });
+                    }
+                    // Ahead of it, or the table has ended: nothing will cover
+                    // the due slot any more.
+                    _ => {
+                        return Err(ImageError::BadRelation {
+                            record: u32::try_from(i).unwrap_or(u32::MAX),
+                            slot: due_slot,
+                        });
+                    }
+                }
+            }
+            at = rec.payload.1;
+            patched += u64::from(rec.n_refs);
+            i += 1;
+        }
+        slowest = slowest.max(patched);
+    }
+    if at != arena.len() {
+        return Err(ImageError::Malformed {
+            what: "meta arena past its last record",
+        });
+    }
+    // Totality the other way round: no entry without a slot.
+    if let Some((record, slot, _)) = entries.next() {
+        return Err(ImageError::BadRelation { record, slot });
+    }
+    close_runs(&mut runs, index.len());
+    Ok(Checked { runs, slowest })
+}
+
+/// Sets each run's length: it ends where the next one starts, the last one
+/// at record `n_objects`.
+fn close_runs(runs: &mut [KindRun], n_objects: usize) {
+    let mut end = n_objects;
+    for run in runs.iter_mut().rev() {
+        run.len = end - run.first;
+        end = run.first;
+    }
+}
+
 /// The metadata objects of a restored func-image, as separated state
 /// recovery leaves them: the mapped index, arena and relation table, held
 /// once each, that [`FlatImage::restore_metadata`] checked record by record,
@@ -717,13 +837,23 @@ impl RestoredRecords {
         self.views(run.first, run.len, run.relations)
     }
 
-    /// `run` as a [`RecordRun`]: two reference counts.
+    /// `run` as a [`RecordRun`]: two reference counts, on the arena and on
+    /// the run's index entries.
     pub(crate) fn record_run(&self, run: &KindRun) -> RecordRun {
-        let first = index_entries(&self.index, run.first, 1).first();
+        let entries = run
+            .first
+            .checked_mul(8)
+            .zip(
+                run.first
+                    .checked_add(run.len)
+                    .and_then(|end| end.checked_mul(8)),
+            )
+            .filter(|&(_, end)| end <= self.index.len());
         RecordRun {
             arena: self.arena.clone(),
-            at: first.and_then(index_offset).unwrap_or(0),
-            len: run.len,
+            index: entries.map_or_else(SharedBytes::default, |(start, end)| {
+                self.index.slice(start..end)
+            }),
         }
     }
 
@@ -778,28 +908,26 @@ impl fmt::Debug for RestoredRecords {
 }
 
 /// Records of a restored func-image that lie one after another, held as
-/// the arena, where the first of them starts and how many there are: one
-/// reference count however many records there are. A table whose rows are
-/// these records' payloads — the guest kernel's runtime objects and
-/// dentries — keeps the run instead of a row each and reads every row in
-/// place.
+/// the arena and their entries of the meta index: two reference counts
+/// however many records there are. A table whose rows are these records'
+/// payloads — the guest kernel's runtime objects and dentries — keeps the
+/// run instead of a row each and reads every row in place.
 #[derive(Debug, Clone)]
 pub struct RecordRun {
     arena: SharedBytes,
-    /// Where the first record starts in the arena.
-    at: usize,
-    len: usize,
+    /// The records' index entries: where each one starts in the arena.
+    index: SharedBytes,
 }
 
 impl RecordRun {
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.len
+        self.index.len() / 8
     }
 
     /// True for a run without records.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.index.is_empty()
     }
 
     /// The buffer the records' payloads lie in.
@@ -812,21 +940,19 @@ impl RecordRun {
     pub fn payloads(&self) -> Payloads<'_> {
         Payloads {
             arena: &self.arena,
-            at: self.at,
-            left: self.len,
+            index: self.index.as_chunks::<8>().0.iter(),
         }
     }
 }
 
-/// Iterator over the payload ranges of a [`RecordRun`]: a walk down the
-/// arena from the run's first record, each record ending where the next
-/// begins.
+/// Iterator over the payload ranges of a [`RecordRun`]: each record's index
+/// entry says where it starts, and its header how long its slots and its
+/// payload are — no record's bounds wait on the record before it.
 #[derive(Debug, Clone)]
 pub struct Payloads<'a> {
     arena: &'a [u8],
-    /// Where the next record starts.
-    at: usize,
-    left: usize,
+    /// The index entries of the records still to come.
+    index: std::slice::Iter<'a, [u8; 8]>,
 }
 
 impl Iterator for Payloads<'_> {
@@ -834,16 +960,18 @@ impl Iterator for Payloads<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<(usize, usize)> {
-        self.left = self.left.checked_sub(1)?;
-        // A run is made of records `restore_metadata` checked, and they
-        // tile the arena.
-        let rec = header_at(self.arena, self.at)?;
-        self.at = rec.payload.1;
-        Some(rec.payload)
+        // A run is made of records `restore_metadata` checked: each header
+        // bounds its body inside the arena.
+        let at = index_offset(self.index.next()?)?;
+        let lengths = at.checked_add(REC_HEADER - 6)?;
+        let (&[n0, n1, l0, l1, l2, l3], _) = self.arena.get(lengths..)?.split_first_chunk()?;
+        let start = lengths + 6 + 8 * usize::from(u16::from_le_bytes([n0, n1]));
+        let len = usize::try_from(u32::from_le_bytes([l0, l1, l2, l3])).ok()?;
+        Some((start, start.saturating_add(len)))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left, Some(self.left))
+        self.index.size_hint()
     }
 }
 
@@ -1028,7 +1156,7 @@ mod tests {
             let src = sample_source(n, 0);
             for workers in [1usize, 4, 16] {
                 let mut model = CostModel::experimental_machine();
-                model.parallel_workers = workers;
+                model.parallel_workers = [1, 4, 16][workers];
                 let mut free_fixup = model.clone();
                 free_fixup.obj.fixup_per_pointer = SimNanos::ZERO;
                 // Fresh image each time, so stage 1 sees the same cold cache.
@@ -1240,6 +1368,204 @@ mod tests {
             );
             // The sections a reader does not use are not its business.
             assert!(manifest.restore_metadata(&clock, &model).is_ok());
+        }
+    }
+
+    /// Recomputes the checksums of the three metadata sections in `image`'s
+    /// header, so a forged section reaches the check pass.
+    fn reseal(image: &mut [u8]) {
+        for section in 0..3 {
+            let at = 24 + 20 * section;
+            let field = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap());
+            let (offset, len) = (field(at) as usize, field(at + 8) as usize);
+            let crc = crc32(&image[offset..offset + len]);
+            image[at + 16..at + 20].copy_from_slice(&crc.to_le_bytes());
+        }
+    }
+
+    /// One forgery of a valid func-image's metadata: a field overwritten
+    /// with `value` (or moved by it), its place picked by `at` modulo what
+    /// there is.
+    #[derive(Debug, Clone)]
+    enum Forgery {
+        None,
+        /// An index entry.
+        Index {
+            at: usize,
+            value: u64,
+        },
+        /// A header field of a record: id, kind, flags, pointer count or
+        /// payload length.
+        Header {
+            at: usize,
+            field: usize,
+            value: u64,
+        },
+        /// A relation entry's record, slot or target.
+        Relation {
+            at: usize,
+            field: usize,
+            value: u64,
+        },
+        /// The length of the arena section (`rel` false) or of the relation
+        /// table.
+        SectionLen {
+            rel: bool,
+            by: i64,
+        },
+    }
+
+    fn forgery() -> impl proptest::Strategy<Value = Forgery> {
+        use proptest::prelude::*;
+        // Values near the ones a valid image holds, or any value at all.
+        (
+            0usize..5,
+            any::<usize>(),
+            0usize..5,
+            0u64..64,
+            any::<u64>(),
+            any::<bool>(),
+        )
+            .prop_map(|(what, at, field, small, any, near)| {
+                let value = if near { small } else { any };
+                match what {
+                    0 => Forgery::None,
+                    1 => Forgery::Index { at, value },
+                    2 => Forgery::Header { at, field, value },
+                    3 => Forgery::Relation {
+                        at,
+                        field: field % 3,
+                        value,
+                    },
+                    _ => Forgery::SectionLen {
+                        rel: field % 2 == 1,
+                        by: small as i64 - 32,
+                    },
+                }
+            })
+    }
+
+    /// `src` written, forged, resealed and parsed.
+    fn forged_image(src: &CheckpointSource, forgery: &Forgery) -> FlatImage {
+        let (clock, model) = setup();
+        let mut image = write(src, &clock, &model).to_vec();
+        let sections = FlatImage::parse(
+            &MappedImage::new("valid", image.clone().into()),
+            &clock,
+            &model,
+        )
+        .unwrap()
+        .sections;
+        let (index, arena, rel) = (
+            sections.meta_index.offset as usize,
+            sections.meta_arena.offset as usize,
+            sections.rel_table.offset as usize,
+        );
+        let put = |image: &mut Vec<u8>, at: usize, width: usize, value: u64| {
+            image[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+        };
+        let n = src.objects.len();
+        let n_rel = sections.rel_table.len as usize / REL_ENTRY;
+        match *forgery {
+            Forgery::None => {}
+            Forgery::Index { at, value } if n > 0 => {
+                put(&mut image, index + 8 * (at % n), 8, value)
+            }
+            Forgery::Header { at, field, value } if n > 0 => {
+                let record = at % n;
+                let start = arena
+                    + u64::from_le_bytes(image[index + 8 * record..][..8].try_into().unwrap())
+                        as usize;
+                let (offset, width) = [(0, 8), (8, 2), (10, 4), (14, 2), (16, 4)][field];
+                // Small values move the field; larger ones replace it.
+                let old = {
+                    let mut bytes = [0u8; 8];
+                    bytes[..width].copy_from_slice(&image[start + offset..][..width]);
+                    u64::from_le_bytes(bytes)
+                };
+                let new = if value < 8 { old ^ value } else { value };
+                put(&mut image, start + offset, width, new);
+            }
+            Forgery::Relation { at, field, value } if n_rel > 0 => {
+                let (offset, width) = [(0, 4), (4, 2), (6, 8)][field];
+                put(
+                    &mut image,
+                    rel + REL_ENTRY * (at % n_rel) + offset,
+                    width,
+                    value,
+                );
+            }
+            Forgery::SectionLen { rel, by } => {
+                let section = if rel {
+                    sections.rel_table
+                } else {
+                    sections.meta_arena
+                };
+                let len = (section.len as i64 + by).max(0) as u64;
+                put(&mut image, 24 + 20 * (1 + usize::from(rel)) + 8, 8, len);
+            }
+            _ => {}
+        }
+        reseal(&mut image);
+        FlatImage::parse(&MappedImage::new("forged", image.into()), &clock, &model).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The check pass that reads each header where its index entry
+        /// says agrees with the sequential walk it replaced, on valid images
+        /// of mixed kinds and pointers and on each one-field forgery of
+        /// them: the same runs and slowest worker when both pass, and
+        /// `restore_metadata` fails with the reference's first error
+        /// otherwise, charging the clock alike either way.
+        #[test]
+        fn the_check_pass_is_the_sequential_walk(
+            objects in proptest::collection::vec(
+                (0usize..14, 0usize..4, 0usize..4, 0usize..24),
+                0..48,
+            ),
+            forgery in forgery(),
+            workers in 0usize..3,
+        ) {
+            // Runs: a record takes its predecessor's kind unless it draws a
+            // repeat count of zero.
+            let mut kind = ObjKind::Task;
+            let src = CheckpointSource {
+                objects: objects
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(k, repeat, refs, payload))| {
+                        if repeat == 0 {
+                            kind = ObjKind::ALL[k];
+                        }
+                        let refs = (0..refs as u64).map(|r| r * 7 + i as u64).collect();
+                        ObjRecord::new(i as u64 + 1, kind, i as u32, refs, vec![i as u8; payload])
+                    })
+                    .collect(),
+                ..CheckpointSource::default()
+            };
+            let flat = forged_image(&src, &forgery);
+            let mut model = CostModel::experimental_machine();
+            model.parallel_workers = [1, 4, 16][workers];
+
+            let agree = std::cell::Cell::new(true);
+            let reference_clock = SimClock::new();
+            let reference = flat
+                .restore_metadata_with(&reference_clock, &model, |index, arena, entries, chunk| {
+                    let reference = check_records_in_order(index, arena, entries, chunk);
+                    agree.set(check_records(index, arena, entries, chunk) == reference.clone().ok());
+                    reference
+                })
+                .map(|records| records.runs);
+            proptest::prop_assert!(agree.get(), "{:?}: {:?}", forgery, reference);
+            let clock = SimClock::new();
+            let restored = flat.restore_metadata(&clock, &model).map(|records| records.runs);
+            proptest::prop_assert_eq!(&restored, &reference, "{:?}", forgery);
+            proptest::prop_assert_eq!(clock.now(), reference_clock.now());
+            if matches!(forgery, Forgery::None) {
+                proptest::prop_assert!(restored.is_ok());
+            }
         }
     }
 

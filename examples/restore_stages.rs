@@ -15,9 +15,13 @@
 //!   every record header and relation entry and keeps nothing),
 //!   `GuestKernel::restore_from_records` (`kernel`: the kernel built from
 //!   the runs of same-kind records `restore_metadata` noted — the runtime
-//!   objects' run taken whole, the dentries' after one checking pass, and
-//!   the other one record in ten read one by one), dropping the records and
-//!   then the kernel,
+//!   objects' run taken whole, the dentries' after one checking pass, the
+//!   descriptors' `File` and `FdSlot` runs in one pass each, and the rest
+//!   read one by one), the same call split per table (`dentries`, `fds`,
+//!   `rest`: each over an image of its own that holds only the `Dentry`
+//!   records, only the `File` and `FdSlot` records, or every other record,
+//!   so the three add up to about `kernel`), dropping the records and then
+//!   the kernel,
 //!   `GvisorEngine::prepare_sandbox` and the drop of what it returns, as a
 //!   cold boot calls it (`shell`: the sandbox shell over the function's
 //!   stored FS server), and a whole cold and warm `Catalyzer::boot` with the
@@ -59,7 +63,7 @@ use std::time::Instant;
 
 use catalyzer_suite::faultsim::InjectionPoint;
 use catalyzer_suite::guest_kernel::GuestKernel;
-use catalyzer_suite::imagefmt::{self, flat};
+use catalyzer_suite::imagefmt::{self, flat, CheckpointSource, ObjKind, ObjRecord};
 use catalyzer_suite::memsim::{MappedImage, PAGE_SIZE};
 use catalyzer_suite::platform::{AdmissionPolicy, Simulation, TraceRequest};
 use catalyzer_suite::prelude::*;
@@ -69,8 +73,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const WRITE_STAGES: [&str; 4] = ["init", "source", "write", "wcrc"];
-const RESTORE_STAGES: [&str; 9] = [
-    "crc3", "meta", "kernel", "droprec", "dropker", "shell", "cold", "warm", "dropboot",
+const RESTORE_STAGES: [&str; 12] = [
+    "crc3", "meta", "kernel", "dentries", "fds", "rest", "droprec", "dropker", "shell", "cold",
+    "warm", "dropboot",
 ];
 const FORK_STAGES: [&str; 5] = ["fork", "first", "again", "walk", "drop"];
 
@@ -188,6 +193,8 @@ fn restore_side(
     for profile in profiles {
         let mut samples: [Vec<f64>; RESTORE_STAGES.len()] = Default::default();
         let mut objects = 0;
+        let stored = system.store().get(&profile.name).expect("warmed above");
+        let parts = split_per_table(&stored.flat, model)?;
         for _ in 0..rounds {
             let stored = system.store().get(&profile.name).expect("warmed above");
             objects = stored.flat.object_count();
@@ -211,12 +218,25 @@ fn restore_side(
                 model,
             )?;
             samples[2].push(ms(t));
+            for (part, stage) in parts.iter().zip(3..) {
+                let t = Instant::now();
+                let kernel = GuestKernel::restore_from_records(
+                    profile.name.clone(),
+                    part,
+                    Arc::clone(&stored.fs),
+                    false,
+                    &SimClock::new(),
+                    model,
+                )?;
+                samples[stage].push(ms(t));
+                drop(kernel);
+            }
             let t = Instant::now();
             drop(records);
-            samples[3].push(ms(t));
+            samples[6].push(ms(t));
             let t = Instant::now();
             drop(kernel);
-            samples[4].push(ms(t));
+            samples[7].push(ms(t));
 
             let tweaks = system.config().tweaks;
             let fs = Arc::clone(&stored.fs);
@@ -225,9 +245,9 @@ fn restore_side(
             drop(black_box(GvisorEngine::prepare_sandbox(
                 tweaks, profile, fs, true, &mut ctx,
             )?));
-            samples[5].push(ms(t));
+            samples[8].push(ms(t));
 
-            for (mode, stage) in [(BootMode::Cold, 6), (BootMode::Warm, 7)] {
+            for (mode, stage) in [(BootMode::Cold, 9), (BootMode::Warm, 10)] {
                 let mut ctx = BootCtx::fresh(model);
                 let t = Instant::now();
                 let boot = system.boot(mode, profile, &mut ctx)?;
@@ -235,7 +255,7 @@ fn restore_side(
                 let t = Instant::now();
                 drop(boot);
                 if mode == BootMode::Cold {
-                    samples[8].push(ms(t));
+                    samples[11].push(ms(t));
                 }
             }
         }
@@ -243,6 +263,44 @@ fn restore_side(
     }
     table.finish();
     Ok(())
+}
+
+/// `image`'s records split per table and each part restored from an image
+/// of its own: the dentries, the descriptors (`File` and `FdSlot`), and
+/// every other record, each in checkpoint order.
+fn split_per_table(
+    image: &flat::FlatImage,
+    model: &CostModel,
+) -> Result<[flat::RestoredRecords; 3], Box<dyn std::error::Error>> {
+    let clock = SimClock::new();
+    let records = image.restore_metadata(&clock, model)?;
+    let part = |keep: &dyn Fn(ObjKind) -> bool| -> Result<_, Box<dyn std::error::Error>> {
+        let objects = records
+            .iter()
+            .filter(|view| keep(view.kind))
+            .map(|view| {
+                ObjRecord::new(
+                    view.id,
+                    view.kind,
+                    view.flags,
+                    view.refs().collect(),
+                    view.payload().to_vec(),
+                )
+            })
+            .collect();
+        let source = CheckpointSource {
+            objects,
+            ..CheckpointSource::default()
+        };
+        let image = MappedImage::new("part", flat::write(&source, &clock, model));
+        Ok(flat::FlatImage::parse(&image, &clock, model)?.restore_metadata(&clock, model)?)
+    };
+    let fds = |kind| matches!(kind, ObjKind::File | ObjKind::FdSlot);
+    Ok([
+        part(&|kind| kind == ObjKind::Dentry)?,
+        part(&fds)?,
+        part(&|kind| kind != ObjKind::Dentry && !fds(kind))?,
+    ])
 }
 
 /// A fork from each profile's template, its first and second request, the
