@@ -181,11 +181,13 @@ pub(crate) fn restore_boot(
                     let scratch = SimClock::new();
                     // The manifest lists the files in fd order: walk the fd
                     // table beside it.
-                    let files = manifest.iter().filter(|c| c.kind == IoConnKind::File);
+                    let files = manifest
+                        .hints()
+                        .filter(|(kind, _)| *kind == IoConnKind::File);
                     let mut next = kernel.vfs.next_open_fd(0);
-                    for conn in files {
+                    for (_, used_immediately) in files {
                         let Some(fd) = next else { break };
-                        if conn.used_immediately {
+                        if used_immediately {
                             ctx.charge(ctx.model().io.io_cache_replay);
                             kernel.vfs.ensure_connected(fd, &scratch, ctx.model())?;
                         }

@@ -262,11 +262,13 @@ pub(crate) fn encode_conn(out: &mut Vec<u8>, conn: &IoConn) {
     varint::put_bytes(out, conn.target.as_bytes());
 }
 
-/// The connection at `*pos` of `buf`, read in place.
-pub(crate) fn decode_conn<'a>(
+/// The connection at `*pos` of `buf` as it lies: its kind, its
+/// `used_immediately` and `writable` hints, and its target's bytes, not yet
+/// checked to be UTF-8.
+pub(crate) fn conn_fields<'a>(
     buf: &'a [u8],
     pos: &mut usize,
-) -> Result<IoConnView<'a>, ImageError> {
+) -> Result<(IoConnKind, bool, bool, &'a [u8]), ImageError> {
     let get_byte = |pos: &mut usize| -> Result<u8, ImageError> {
         let b = *buf
             .get(*pos)
@@ -285,13 +287,41 @@ pub(crate) fn decode_conn<'a>(
     };
     let used_immediately = get_byte(pos)? != 0;
     let writable = get_byte(pos)? != 0;
-    let target =
-        std::str::from_utf8(varint::get_bytes(buf, pos)?).map_err(|_| ImageError::Truncated {
-            what: "io conn target",
-        })?;
+    Ok((
+        kind,
+        used_immediately,
+        writable,
+        varint::get_bytes(buf, pos)?,
+    ))
+}
+
+/// A connection target that is not UTF-8.
+fn bad_target() -> ImageError {
+    ImageError::Truncated {
+        what: "io conn target",
+    }
+}
+
+/// Checks the connection at `*pos` of `buf` as [`decode_conn`] reads it,
+/// with the same errors, and steps over it. An ASCII target — every path and
+/// address a checkpoint writes — is checked a word at a time.
+pub(crate) fn check_conn(buf: &[u8], pos: &mut usize) -> Result<(), ImageError> {
+    let (.., target) = conn_fields(buf, pos)?;
+    if target.is_ascii() || std::str::from_utf8(target).is_ok() {
+        return Ok(());
+    }
+    Err(bad_target())
+}
+
+/// The connection at `*pos` of `buf`, read in place.
+pub(crate) fn decode_conn<'a>(
+    buf: &'a [u8],
+    pos: &mut usize,
+) -> Result<IoConnView<'a>, ImageError> {
+    let (kind, used_immediately, writable, target) = conn_fields(buf, pos)?;
     Ok(IoConnView {
         kind,
-        target,
+        target: std::str::from_utf8(target).map_err(|_| bad_target())?,
         used_immediately,
         writable,
     })

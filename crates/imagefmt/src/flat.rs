@@ -61,8 +61,8 @@ use crate::crc::Crc32;
 use crate::record::{relation_entry, PayloadBuf, REF_PLACEHOLDER, REL_ENTRY};
 use crate::varint::{read_u16_le, read_u32_le, read_u64_le};
 use crate::{
-    classic, crc32, CheckpointSource, ImageError, IoConn, IoConnView, ObjId, ObjKind, ObjRecord,
-    ObjView,
+    classic, crc32, CheckpointSource, ImageError, IoConn, IoConnKind, IoConnView, ObjId, ObjKind,
+    ObjRecord, ObjView,
 };
 
 const MAGIC: &[u8; 4] = b"FUNC";
@@ -487,7 +487,7 @@ impl FlatImage {
         })?;
         let first = pos;
         for _ in 0..len {
-            classic::decode_conn(&bytes, &mut pos)?;
+            classic::check_conn(&bytes, &mut pos)?;
         }
         Ok(IoManifest { bytes, first, len })
     }
@@ -644,8 +644,8 @@ fn check_records(
     // The kind code of the run the records are in: none yet, and no code
     // fits a `u16` and equals this.
     let mut code = u32::MAX;
-    // Where the record before ended, and the relation entry that is due.
-    let (mut end, mut rel) = (0usize, 0usize);
+    // Where the record before ended, and the relation entries still due.
+    let (mut end, mut remaining) = (0usize, entries);
     let (mut i, mut slowest) = (0usize, 0u64);
     for chunk in index.chunks(chunk_len) {
         let (mut ok, mut patched) = (true, 0u64);
@@ -660,7 +660,7 @@ fn check_records(
                     kind: ObjKind::from_code(kind)?,
                     first: i,
                     len: 0,
-                    relations: rel,
+                    relations: entries.len() - remaining.len(),
                 });
                 code = u32::from(kind);
             }
@@ -673,13 +673,16 @@ fn check_records(
             end = at
                 .saturating_add(REC_HEADER + slots * 8)
                 .saturating_add(payload_len);
-            let record = w64(i);
-            let due = entries.get(rel..rel.checked_add(slots)?)?;
-            for (slot, entry) in (0u16..).zip(due) {
-                let (r, s, _) = relation_entry(entry);
-                ok &= u64::from(r) == record && s == slot;
+            // Most records have no pointer slot: one compare skips them.
+            if slots != 0 {
+                let (due, rest) = remaining.split_at_checked(slots)?;
+                remaining = rest;
+                let record = w64(i);
+                for (slot, entry) in (0u16..).zip(due) {
+                    let (r, s, _) = relation_entry(entry);
+                    ok &= u64::from(r) == record && s == slot;
+                }
             }
-            rel += slots;
             patched += u64::from(n_refs);
             i += 1;
         }
@@ -688,7 +691,7 @@ fn check_records(
         }
         slowest = slowest.max(patched);
     }
-    if end != arena.len() || rel != entries.len() {
+    if end != arena.len() || !remaining.is_empty() {
         return None;
     }
     close_runs(&mut runs, index.len());
@@ -1007,6 +1010,18 @@ impl IoManifest {
             left: self.len,
         }
     }
+
+    /// Each connection's kind and `used_immediately` hint, in checkpoint
+    /// order: what an I/O-cache replay reads, stepping over the targets
+    /// without reading them.
+    pub fn hints(&self) -> impl Iterator<Item = (IoConnKind, bool)> + '_ {
+        let mut pos = self.first;
+        (0..self.len).map_while(move |_| {
+            // `read_io_manifest` checked every connection once already.
+            let (kind, used_immediately, ..) = classic::conn_fields(&self.bytes, &mut pos).ok()?;
+            Some((kind, used_immediately))
+        })
+    }
 }
 
 impl<'a> IntoIterator for &'a IoManifest {
@@ -1156,7 +1171,7 @@ mod tests {
             let src = sample_source(n, 0);
             for workers in [1usize, 4, 16] {
                 let mut model = CostModel::experimental_machine();
-                model.parallel_workers = [1, 4, 16][workers];
+                model.parallel_workers = workers;
                 let mut free_fixup = model.clone();
                 free_fixup.obj.fixup_per_pointer = SimNanos::ZERO;
                 // Fresh image each time, so stage 1 sees the same cold cache.
@@ -1574,7 +1589,11 @@ mod tests {
         let (clock, model) = setup();
         let src = sample_source(10, 0);
         let flat = FlatImage::parse(&make_image(&src), &clock, &model).unwrap();
-        assert_eq!(flat.read_io_manifest(&clock, &model).unwrap(), src.io_conns);
+        let manifest = flat.read_io_manifest(&clock, &model).unwrap();
+        assert_eq!(manifest, src.io_conns);
+        assert!(manifest
+            .hints()
+            .eq(src.io_conns.iter().map(|c| (c.kind, c.used_immediately))));
     }
 
     #[test]
