@@ -25,6 +25,7 @@ use std::sync::Arc;
 use imagefmt::flat::RecordRun;
 use imagefmt::varint;
 use imagefmt::{ImageError, ObjKind, ObjRecord, ObjView, Records};
+use memsim::SharedBytes;
 use simtime::{CostModel, SimClock};
 
 use crate::gofer::FsServer;
@@ -32,7 +33,7 @@ use crate::kernel::{DentryRow, GuestKernel};
 use crate::net::SockState;
 use crate::table::{Lists, RunRow, RunTable, Span, Text};
 use crate::tasks::{GuestThread, NamespaceInfo, Session, Task};
-use crate::vfs::{FileDesc, RestoredFds};
+use crate::vfs::RestoredFds;
 use crate::KernelError;
 
 /// Length prefix for a collection. `usize` → `u64` cannot truncate on any
@@ -74,18 +75,27 @@ fn not_utf8(what: &str) -> KernelError {
     }
 }
 
+/// The length-prefixed string field at `*pos` of `rec`'s payload, checked:
+/// where it lies, as the buffer the record is viewed out of (for a
+/// func-image, the mapped arena), the offset there and the length.
+#[inline]
+fn field_range<'a>(
+    rec: &ObjView<'a>,
+    pos: &mut usize,
+    what: &str,
+) -> Result<(&'a SharedBytes, usize, usize), KernelError> {
+    let field = varint::get_bytes(rec.payload(), pos).map_err(payload_err)?;
+    check_utf8(field, what)?;
+    let (buf, at) = rec.payload_source();
+    Ok((buf, at.saturating_add(*pos - field.len()), field.len()))
+}
+
 /// The length-prefixed string field at `*pos` of `rec`'s payload, checked
 /// and kept where it lies: a span of the buffer the record is viewed out of
 /// (for a func-image, the mapped arena), not a copy.
 fn text_field(rec: &ObjView<'_>, pos: &mut usize, what: &str) -> Result<Text, KernelError> {
-    let field = varint::get_bytes(rec.payload(), pos).map_err(payload_err)?;
-    check_utf8(field, what)?;
-    let (buf, at) = rec.payload_source();
-    Ok(Text::span(
-        buf,
-        at.saturating_add(*pos - field.len()),
-        field.len(),
-    ))
+    let (buf, at, len) = field_range(rec, pos, what)?;
+    Ok(Text::span(buf, at, len))
 }
 
 /// A dentry record's payload: the path — checked to be UTF-8, kept as its
@@ -237,8 +247,7 @@ impl GuestKernel {
         let timer_ids: Vec<u64> = self.timers.iter().map(|_| id()).collect();
         let wq_ids: Vec<u64> = (0..self.waitqueues().len()).map(|_| id()).collect();
         let misc_ids: Vec<u64> = (0..self.misc().len()).map(|_| id()).collect();
-        let fds: Vec<(i32, crate::vfs::FileDesc)> =
-            self.vfs.iter_fds().map(|(fd, d)| (fd, d.clone())).collect();
+        let fds: Vec<(i32, crate::vfs::FdView<'_>)> = self.vfs.iter_fds().collect();
         let file_ids: Vec<u64> = fds.iter().map(|_| id()).collect();
         let fdslot_ids: Vec<u64> = fds.iter().map(|_| id()).collect();
         let mut fdslot_by_fd: BTreeMap<i32, u64> = BTreeMap::new();
@@ -591,10 +600,9 @@ impl GuestKernel {
                     }
                     ObjKind::Misc => misc.push_record(&rec)?,
                     ObjKind::File => {
-                        let path = text_field(&rec, &mut pos, "file path")?;
+                        let path = field_range(&rec, &mut pos, "file path")?;
                         let offset = varint::get_u64(p, &mut pos).map_err(imgerr)?;
-                        let writable = rec.flags & 1 != 0;
-                        fds.push_file(FileDesc::restored(path, writable, offset));
+                        fds.push_file(path, offset, rec.flags & 1 != 0);
                     }
                     ObjKind::FdSlot => {
                         fds.push_slot(varint::get_u64(p, &mut pos).map_err(imgerr)?)?;

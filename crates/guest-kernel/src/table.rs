@@ -141,6 +141,23 @@ impl<R> Table<R> {
         self.rows.push(row);
     }
 
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.rows.reserve(additional);
+    }
+
+    pub(crate) fn get(&self, row: usize) -> Option<&R> {
+        self.rows.get(row)
+    }
+
+    pub(crate) fn get_mut(&mut self, row: usize) -> Option<&mut R> {
+        self.rows.get_mut(row)
+    }
+
+    /// The buffer every row's spans are ranges of.
+    pub(crate) fn bytes(&self) -> &SharedBytes {
+        &self.bytes
+    }
+
     /// Where the `len` bytes at `at` of `buf` lie in this table. In place
     /// when `buf` is the table's buffer, and a table without bytes yet takes
     /// `buf` as its buffer (one reference count) — so every object of a

@@ -25,7 +25,7 @@ use memsim::SharedBytes;
 use simtime::{CostModel, SimClock};
 
 use crate::gofer::{FsServer, GoferFd};
-use crate::table::Text;
+use crate::table::{Span, Table, Text};
 use crate::KernelError;
 
 /// Maximum guest descriptors per sandbox.
@@ -42,17 +42,56 @@ pub enum Backend {
     Persistent(GoferFd),
 }
 
-/// One open file description.
+/// What an open file description holds besides its path.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FileDesc {
-    /// Path within the sandbox rootfs.
-    pub(crate) path: Text,
+struct DescState {
+    offset: u64,
+    writable: bool,
+    backend: Backend,
+    connected: bool,
+    used: bool,
+}
+
+impl DescState {
+    /// A description just opened: at offset 0, connected, not yet used.
+    fn opened(writable: bool, backend: Backend) -> DescState {
+        DescState {
+            offset: 0,
+            writable,
+            backend,
+            connected: true,
+            used: false,
+        }
+    }
+}
+
+/// An open file description of this sandbox's own: its path and its state.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct FileDesc {
+    path: Text,
+    state: DescState,
+}
+
+/// A description a restore installed, as a row of the restored table: its
+/// path a span of the table's buffer — for a func-image, the mapped arena —
+/// so a row holds no reference count.
+#[derive(Debug, Clone)]
+struct RestoredDesc {
+    path: Span,
+    state: DescState,
+}
+
+/// An open file description as [`Vfs::iter_fds`] shows it, borrowed from
+/// wherever the VFS keeps it.
+#[derive(Debug, Clone, Copy)]
+pub struct FdView<'a> {
+    path: &'a str,
     /// Current file offset.
     pub offset: u64,
     /// Whether writes are allowed.
     pub writable: bool,
     /// Backing layer.
-    pub backend: Backend,
+    pub backend: &'a Backend,
     /// False right after a restore until the connection is re-established.
     pub connected: bool,
     /// True once the descriptor has been used (read/written) — feeds the
@@ -60,36 +99,21 @@ pub struct FileDesc {
     pub used: bool,
 }
 
-impl FileDesc {
-    /// Path within the sandbox rootfs.
-    pub fn path(&self) -> &str {
-        self.path.as_str()
+impl<'a> FdView<'a> {
+    fn of(path: &'a str, state: &'a DescState) -> FdView<'a> {
+        FdView {
+            path,
+            offset: state.offset,
+            writable: state.writable,
+            backend: &state.backend,
+            connected: state.connected,
+            used: state.used,
+        }
     }
 
-    /// A description restored from a checkpoint, in the disconnected state
-    /// (reconnection happens eagerly, lazily, or via the I/O cache depending
-    /// on the restore engine). Its backend is a placeholder until
-    /// [`Vfs::ensure_connected`] re-grants `path`: it names no grant (id 0)
-    /// and no path of its own, so a restored descriptor allocates nothing —
-    /// its path is a view of the record's bytes.
-    pub(crate) fn restored(path: Text, writable: bool, offset: u64) -> FileDesc {
-        let placeholder = GoferFd {
-            id: 0,
-            path: String::new(),
-            writable,
-        };
-        FileDesc {
-            path,
-            offset,
-            writable,
-            backend: if writable {
-                Backend::Persistent(placeholder)
-            } else {
-                Backend::Gofer(placeholder)
-            },
-            connected: false,
-            used: false,
-        }
+    /// Path within the sandbox rootfs.
+    pub fn path(&self) -> &'a str {
+        self.path
     }
 }
 
@@ -130,9 +154,9 @@ impl MountInfo {
 /// One fd slot's description.
 #[derive(Debug, Clone)]
 enum Slot {
-    /// The description at this index of [`Vfs::restored`], read in place,
-    /// and written there too while no `sfork` relative shares the table; a
-    /// write under a shared table copies it out into a slot of its own.
+    /// The row at this index of [`Vfs::restored`], read in place, and
+    /// written there too while no `sfork` relative shares the table; a write
+    /// under a shared table copies it out into a slot of its own.
     Restored(usize),
     /// A description of this sandbox's, shared with its `sfork` relatives
     /// until either side writes it.
@@ -146,7 +170,7 @@ enum Slot {
 /// order, as two runs or interleaved.
 #[derive(Debug, Default)]
 pub(crate) struct RestoredFds {
-    files: Vec<FileDesc>,
+    files: Table<RestoredDesc>,
     fds: Vec<Option<Slot>>,
     /// Fd slot records read so far.
     slots: usize,
@@ -159,9 +183,40 @@ impl RestoredFds {
         self.files.reserve(additional);
     }
 
-    /// The next description, in checkpoint order.
-    pub(crate) fn push_file(&mut self, desc: FileDesc) {
-        self.files.push(desc);
+    /// The next description, in checkpoint order: its path the `len` bytes
+    /// at `at` of `buf` — placed as [`Table::place`] does, in place for every
+    /// file of a func-image — then its offset and whether it is writable.
+    /// It comes back disconnected (reconnection happens eagerly, lazily, or
+    /// via the I/O cache depending on the restore engine), with a backend
+    /// that names no grant (id 0) and no path of its own until
+    /// [`Vfs::ensure_connected`] re-grants the path: a restored descriptor
+    /// allocates nothing.
+    pub(crate) fn push_file(
+        &mut self,
+        (buf, at, len): (&SharedBytes, usize, usize),
+        offset: u64,
+        writable: bool,
+    ) {
+        let placeholder = GoferFd {
+            id: 0,
+            path: String::new(),
+            writable,
+        };
+        let path = self.files.place(buf, at, len);
+        self.files.push(RestoredDesc {
+            path,
+            state: DescState {
+                offset,
+                writable,
+                backend: if writable {
+                    Backend::Persistent(placeholder)
+                } else {
+                    Backend::Gofer(placeholder)
+                },
+                connected: false,
+                used: false,
+            },
+        });
     }
 
     /// The next fd slot record's fd: the next description's number.
@@ -208,7 +263,7 @@ pub struct Vfs {
     fds: Vec<Option<Slot>>,
     /// The descriptions a restore installed, in one table: a restore adds a
     /// row per descriptor, not an allocation, and a fork shares the table.
-    restored: Arc<Vec<FileDesc>>,
+    restored: Arc<Table<RestoredDesc>>,
     /// Empty slots in `fds`. An open reuses the lowest one; while there is
     /// none it appends without a scan, so a restore installing hundreds of
     /// descriptors is linear, not quadratic.
@@ -270,8 +325,9 @@ impl Vfs {
         self.desc(fd).is_ok()
     }
 
-    fn alloc_fd(&mut self, desc: FileDesc) -> Result<i32, KernelError> {
-        self.alloc_slot(Slot::Own(Arc::new(desc)))
+    fn alloc_fd(&mut self, path: &str, state: DescState) -> Result<i32, KernelError> {
+        let path = path.into();
+        self.alloc_slot(Slot::Own(Arc::new(FileDesc { path, state })))
     }
 
     fn alloc_slot(&mut self, slot: Slot) -> Result<i32, KernelError> {
@@ -290,14 +346,29 @@ impl Vfs {
     }
 
     /// The description `slot` holds.
-    fn resolve<'a>(&'a self, slot: &'a Slot) -> Option<&'a FileDesc> {
+    fn resolve<'a>(&'a self, slot: &'a Slot) -> Option<FdView<'a>> {
         match slot {
-            Slot::Restored(row) => self.restored.get(*row),
-            Slot::Own(desc) => Some(desc),
+            Slot::Restored(row) => {
+                let desc = self.restored.get(*row)?;
+                let path = std::str::from_utf8(desc.path.of(self.restored.bytes()));
+                Some(FdView::of(path.unwrap_or_default(), &desc.state))
+            }
+            Slot::Own(desc) => Some(FdView::of(desc.path.as_str(), &desc.state)),
         }
     }
 
-    fn desc(&self, fd: i32) -> Result<&FileDesc, KernelError> {
+    /// The path `slot`'s description holds, as a string of its own: for a
+    /// restored row, a view of the table's buffer.
+    fn path_text(&self, slot: &Slot) -> Text {
+        match slot {
+            Slot::Restored(row) => self.restored.get(*row).map_or_else(Text::default, |desc| {
+                Text::Span(desc.path.view(self.restored.bytes()))
+            }),
+            Slot::Own(desc) => desc.path.clone(),
+        }
+    }
+
+    fn desc(&self, fd: i32) -> Result<FdView<'_>, KernelError> {
         self.fds
             .get(fd as usize)
             .and_then(Option::as_ref)
@@ -305,27 +376,37 @@ impl Vfs {
             .ok_or(KernelError::BadFd { fd })
     }
 
-    /// The description for writing: a row of the restored table is written
-    /// in place while no `sfork` relative shares the table, and copied out
-    /// into a slot of its own first otherwise; a slot of its own is copied
-    /// first if a relative still shares it.
-    fn desc_mut(&mut self, fd: i32) -> Result<&mut FileDesc, KernelError> {
+    /// The description's state for writing: a row of the restored table is
+    /// written in place while no `sfork` relative shares the table, and
+    /// copied out into a slot of its own first otherwise; a slot of its own
+    /// is copied first if a relative still shares it.
+    fn desc_mut(&mut self, fd: i32) -> Result<&mut DescState, KernelError> {
         let bad = || KernelError::BadFd { fd };
+        let slot = self
+            .fds
+            .get(fd as usize)
+            .and_then(Option::as_ref)
+            .ok_or_else(bad)?;
+        if let Slot::Restored(row) = *slot {
+            if Arc::get_mut(&mut self.restored).is_none() {
+                let state = self.restored.get(row).ok_or_else(bad)?.state.clone();
+                let own = Slot::Own(Arc::new(FileDesc {
+                    path: self.path_text(slot),
+                    state,
+                }));
+                self.fds[fd as usize] = Some(own);
+            }
+        }
         let slot = self
             .fds
             .get_mut(fd as usize)
             .and_then(Option::as_mut)
             .ok_or_else(bad)?;
-        if let Slot::Restored(row) = *slot {
-            if Arc::get_mut(&mut self.restored).is_none() {
-                let desc = self.restored.get(row).ok_or_else(bad)?;
-                *slot = Slot::Own(Arc::new(desc.clone()));
-            }
-        }
         match slot {
-            Slot::Own(desc) => Ok(Arc::make_mut(desc)),
+            Slot::Own(desc) => Ok(&mut Arc::make_mut(desc).state),
             Slot::Restored(row) => Arc::get_mut(&mut self.restored)
                 .and_then(|rows| rows.get_mut(*row))
+                .map(|desc| &mut desc.state)
                 .ok_or_else(bad),
         }
     }
@@ -348,25 +429,11 @@ impl Vfs {
         clock.charge(model.host.syscall_base);
         // Upper layer wins (overlay precedence).
         if self.upper.contains_key(path) {
-            return self.alloc_fd(FileDesc {
-                path: path.into(),
-                offset: 0,
-                writable,
-                backend: Backend::Upper,
-                connected: true,
-                used: false,
-            });
+            return self.alloc_fd(path, DescState::opened(writable, Backend::Upper));
         }
         if writable {
             if let Ok(grant) = self.server.grant_persistent(path, clock, model) {
-                return self.alloc_fd(FileDesc {
-                    path: path.into(),
-                    offset: 0,
-                    writable: true,
-                    backend: Backend::Persistent(grant),
-                    connected: true,
-                    used: false,
-                });
+                return self.alloc_fd(path, DescState::opened(true, Backend::Persistent(grant)));
             }
             // Copy-up: adopt the lower contents into the overlay. The server
             // hands back a `SharedBytes` view, so no bytes are duplicated until a
@@ -375,24 +442,10 @@ impl Vfs {
             let len = usize::try_from(self.server.size_of(path).unwrap_or(0)).unwrap_or(usize::MAX);
             let data = self.server.read(&gfd, 0, len, clock, model)?;
             Arc::make_mut(&mut self.upper).insert(path.to_string(), data);
-            return self.alloc_fd(FileDesc {
-                path: path.into(),
-                offset: 0,
-                writable: true,
-                backend: Backend::Upper,
-                connected: true,
-                used: false,
-            });
+            return self.alloc_fd(path, DescState::opened(true, Backend::Upper));
         }
         let gfd = self.server.open(path, clock, model)?;
-        self.alloc_fd(FileDesc {
-            path: path.into(),
-            offset: 0,
-            writable: false,
-            backend: Backend::Gofer(gfd),
-            connected: true,
-            used: false,
-        })
+        self.alloc_fd(path, DescState::opened(false, Backend::Gofer(gfd)))
     }
 
     /// Creates (or truncates) a file in the overlay layer.
@@ -408,14 +461,7 @@ impl Vfs {
     ) -> Result<i32, KernelError> {
         clock.charge(model.host.syscall_base);
         Arc::make_mut(&mut self.upper).insert(path.to_string(), SharedBytes::default());
-        self.alloc_fd(FileDesc {
-            path: path.into(),
-            offset: 0,
-            writable: true,
-            backend: Backend::Upper,
-            connected: true,
-            used: false,
-        })
+        self.alloc_fd(path, DescState::opened(true, Backend::Upper))
     }
 
     /// Re-establishes a disconnected descriptor (on-demand I/O reconnection).
@@ -434,7 +480,7 @@ impl Vfs {
         if desc.connected {
             return Ok(());
         }
-        let backend = match desc.backend {
+        let backend = match *desc.backend {
             Backend::Upper => Backend::Upper,
             Backend::Gofer(_) => Backend::Gofer(self.server.open(desc.path(), clock, model)?),
             Backend::Persistent(_) => {
@@ -463,7 +509,7 @@ impl Vfs {
         clock.charge(model.host.syscall_base);
         self.ensure_connected(fd, clock, model)?;
         let desc = self.desc(fd)?;
-        let data = match &desc.backend {
+        let data = match desc.backend {
             Backend::Upper => {
                 // `cloned()` bumps a refcount; `slice()` is a zero-copy view.
                 // Only the simulated guest→user copy is charged.
@@ -505,7 +551,7 @@ impl Vfs {
         if !desc.writable {
             return Err(KernelError::ReadOnly { fd });
         }
-        match &desc.backend {
+        match desc.backend {
             Backend::Upper => {
                 // Copy-on-write: materialize a private buffer, mutate, and
                 // store the new view.
@@ -547,8 +593,21 @@ impl Vfs {
         model: &CostModel,
     ) -> Result<i32, KernelError> {
         clock.charge(model.host.syscall_base.saturating_add(model.io.dup_fast));
-        let desc = self.desc(fd)?.clone();
-        self.alloc_fd(desc)
+        let bad = || KernelError::BadFd { fd };
+        let slot = self
+            .fds
+            .get(fd as usize)
+            .and_then(Option::as_ref)
+            .ok_or_else(bad)?;
+        let state = match slot {
+            Slot::Restored(row) => self.restored.get(*row).ok_or_else(bad)?.state.clone(),
+            Slot::Own(desc) => desc.state.clone(),
+        };
+        let desc = FileDesc {
+            path: self.path_text(slot),
+            state,
+        };
+        self.alloc_slot(Slot::Own(Arc::new(desc)))
     }
 
     /// Closes a descriptor.
@@ -606,9 +665,14 @@ impl Vfs {
                 if let Backend::Persistent(_) = desc.backend {
                     if let Ok(grant) = self.server.grant_persistent(desc.path(), clock, model) {
                         return Some(Slot::Own(Arc::new(FileDesc {
-                            path: desc.path.clone(),
-                            backend: Backend::Persistent(grant),
-                            ..*desc
+                            path: self.path_text(slot),
+                            state: DescState {
+                                offset: desc.offset,
+                                writable: desc.writable,
+                                backend: Backend::Persistent(grant),
+                                connected: desc.connected,
+                                used: desc.used,
+                            },
                         })));
                     }
                 }
@@ -649,7 +713,7 @@ impl Vfs {
     }
 
     /// Iterates over open descriptors as `(fd, desc)`.
-    pub fn iter_fds(&self) -> impl Iterator<Item = (i32, &FileDesc)> {
+    pub fn iter_fds(&self) -> impl Iterator<Item = (i32, FdView<'_>)> {
         self.fds.iter().enumerate().filter_map(|(i, slot)| {
             let desc = self.resolve(slot.as_ref()?)?;
             Some((i as i32, desc))
@@ -692,10 +756,17 @@ impl Vfs {
     /// What `self` still shares with `other`: the upper map, the mount
     /// table, and which descriptors.
     pub(crate) fn shared_with(&self, other: &Vfs) -> (bool, bool, Vec<i32>) {
-        let fds = self
-            .iter_fds()
-            .filter(|(fd, desc)| other.desc(*fd).is_ok_and(|o| std::ptr::eq(*desc, o)))
-            .map(|(fd, _)| fd)
+        let fds = (0..self.fds.len())
+            .filter(
+                |fd| match (&self.fds[*fd], other.fds.get(*fd).and_then(Option::as_ref)) {
+                    (Some(Slot::Own(mine)), Some(Slot::Own(theirs))) => Arc::ptr_eq(mine, theirs),
+                    (Some(Slot::Restored(mine)), Some(Slot::Restored(theirs))) => {
+                        mine == theirs && Arc::ptr_eq(&self.restored, &other.restored)
+                    }
+                    _ => false,
+                },
+            )
+            .map(|fd| fd as i32)
             .collect();
         (
             Arc::ptr_eq(&self.upper, &other.upper),
@@ -815,7 +886,8 @@ mod tests {
     fn restore(vfs: &mut Vfs, paths: &[&str]) -> Vec<i32> {
         let mut fds = RestoredFds::default();
         for (fd, path) in paths.iter().enumerate() {
-            fds.push_file(FileDesc::restored(Text::from(*path), false, 0));
+            let path = SharedBytes::from(path.as_bytes().to_vec());
+            fds.push_file((&path, 0, path.len()), 0, false);
             fds.push_slot(fd as u64).unwrap();
         }
         vfs.install_restored(fds).unwrap();
@@ -888,7 +960,8 @@ mod tests {
         let (clock, model, mut vfs) = setup();
         let mut fds = RestoredFds::default();
         for (fd, path) in [(3, "/app/config.json"), (0, "/lib/base.so")] {
-            fds.push_file(FileDesc::restored(Text::from(path), false, 0));
+            let path = SharedBytes::from(path.as_bytes().to_vec());
+            fds.push_file((&path, 0, path.len()), 0, false);
             fds.push_slot(fd).unwrap();
         }
         vfs.install_restored(fds).unwrap();
