@@ -414,10 +414,15 @@ impl GuestKernel {
     /// runtime-object table, taken in O(1) without visiting a record, and a
     /// run of its dentries is the dentry table after one tight pass that
     /// makes every check the rows are read with. Rows of either are read in
-    /// place and made only on the first write. The other records — tasks,
-    /// threads, timers, wait queues, files, sockets, epolls: one in ten — are
-    /// read one by one, strings kept as ranges of the arena. Owned records'
-    /// bytes are copied into the tables' own buffers.
+    /// place and made only on the first write. The descriptors are a run of
+    /// files, each a row of the restored-descriptor table with its path a
+    /// range of the arena, then a run of fd slots: the k-th slot installs the
+    /// k-th file at the fd it names, holes included, so a restored kernel
+    /// numbers its descriptors as the checkpointed one did (either order of
+    /// the two kinds restores alike). The other records — tasks, threads,
+    /// timers, wait queues, sockets, epolls — are read one by one, strings
+    /// kept as ranges of the arena. Owned records' bytes are copied into the
+    /// tables' own buffers.
     ///
     /// Charges [`simtime::ObjectCosts::recover_per_object_non_io`] for every
     /// non-I/O object (the paper's "Recover Kernel" redo work). With
@@ -427,8 +432,10 @@ impl GuestKernel {
     ///
     /// # Errors
     ///
-    /// [`KernelError::CorruptGraph`] on malformed payloads or dangling
-    /// references.
+    /// [`KernelError::CorruptGraph`] on malformed payloads, dangling
+    /// references, an fd slot naming an fd twice or one past
+    /// [`crate::vfs::MAX_FDS`], or a count of fd slots that is not the count
+    /// of files.
     pub fn restore_from_records<'a>(
         name: impl Into<String>,
         records: impl Into<Records<'a>>,
@@ -1043,7 +1050,7 @@ mod tests {
     /// written, split into several runs among the other kinds, alternating
     /// in runs of one, ahead of every other kind, or missing. Each order
     /// keeps every kind's own order (a dentry's parent is an index into the
-    /// dentries, a descriptor's number its place among the files) and so
+    /// dentries, an fd slot's file its place among the files) and so
     /// every thread after its task.
     fn odd_layouts(records: &[ObjRecord]) -> Vec<(&'static str, Vec<ObjRecord>)> {
         let of = |kind| -> Vec<ObjRecord> {
@@ -1213,6 +1220,13 @@ mod tests {
             b"/\xC3\xA9",
             b"/\xFF",
             &[b'a'; 130],
+            // Heads of 13, 20, 32 and 33 bytes: either side of the words'
+            // reach, a byte past the first word not ASCII.
+            b"/proc/x/abcd",
+            b"/proc/\xC3\xA9/abc",
+            b"/proc/cache/entr\xFF-7",
+            &[b'b'; 31],
+            &[b'c'; 32],
         ] {
             for inode in varints {
                 for parent in varints {
