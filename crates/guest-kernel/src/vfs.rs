@@ -368,6 +368,18 @@ impl Vfs {
         }
     }
 
+    /// A copy of `slot`'s description that is this sandbox's own.
+    fn owned(&self, slot: &Slot) -> Option<FileDesc> {
+        let state = match slot {
+            Slot::Restored(row) => &self.restored.get(*row)?.state,
+            Slot::Own(desc) => &desc.state,
+        };
+        Some(FileDesc {
+            path: self.path_text(slot),
+            state: state.clone(),
+        })
+    }
+
     fn desc(&self, fd: i32) -> Result<FdView<'_>, KernelError> {
         self.fds
             .get(fd as usize)
@@ -387,15 +399,9 @@ impl Vfs {
             .get(fd as usize)
             .and_then(Option::as_ref)
             .ok_or_else(bad)?;
-        if let Slot::Restored(row) = *slot {
-            if Arc::get_mut(&mut self.restored).is_none() {
-                let state = self.restored.get(row).ok_or_else(bad)?.state.clone();
-                let own = Slot::Own(Arc::new(FileDesc {
-                    path: self.path_text(slot),
-                    state,
-                }));
-                self.fds[fd as usize] = Some(own);
-            }
+        if matches!(slot, Slot::Restored(_)) && Arc::get_mut(&mut self.restored).is_none() {
+            let own = self.owned(slot).ok_or_else(bad)?;
+            self.fds[fd as usize] = Some(Slot::Own(Arc::new(own)));
         }
         let slot = self
             .fds
@@ -593,20 +599,12 @@ impl Vfs {
         model: &CostModel,
     ) -> Result<i32, KernelError> {
         clock.charge(model.host.syscall_base.saturating_add(model.io.dup_fast));
-        let bad = || KernelError::BadFd { fd };
-        let slot = self
+        let desc = self
             .fds
             .get(fd as usize)
             .and_then(Option::as_ref)
-            .ok_or_else(bad)?;
-        let state = match slot {
-            Slot::Restored(row) => self.restored.get(*row).ok_or_else(bad)?.state.clone(),
-            Slot::Own(desc) => desc.state.clone(),
-        };
-        let desc = FileDesc {
-            path: self.path_text(slot),
-            state,
-        };
+            .and_then(|slot| self.owned(slot))
+            .ok_or(KernelError::BadFd { fd })?;
         self.alloc_slot(Slot::Own(Arc::new(desc)))
     }
 
