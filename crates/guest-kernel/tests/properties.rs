@@ -158,9 +158,9 @@ enum FamilyOp {
         path: usize,
         log: bool,
     },
-    /// Closes the highest descriptor the sequence itself opened. (Highest,
-    /// because a restore renumbers descriptors densely; the template's own
-    /// stay, because its epolls watch them.)
+    /// Closes the highest descriptor the sequence itself opened. (The
+    /// highest, so that which one closes does not depend on the holes below
+    /// it; the template's own stay, because its epolls watch them.)
     CloseLast,
     /// Moves an open descriptor's offset: a read, or a write to the log.
     Use {
