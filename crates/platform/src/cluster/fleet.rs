@@ -47,10 +47,13 @@
 //! of the [`ChaosOutcome`] it returns, and keep-alive is the fleet's own
 //! warm set, one per node and function. Debug builds check after every
 //! pop that virtual time never runs back and that the nodes' instance
-//! counts sum to the arena's.
+//! counts sum to the arena's, and every 64 pops that each live instance is
+//! busy or parked in exactly one warm set whose count is exact.
 //!
 //! Determinism is byte-exact: same catalogue, config, knobs, and trace —
 //! same [`ClusterOutcome`], including the routing-decision hash.
+
+use std::collections::BTreeSet;
 
 use faultsim::{FaultInjector, FaultKind, FaultPlan, InjectionPoint, NodePlan};
 use runtimes::AppProfile;
@@ -86,6 +89,10 @@ const REPAIR_DELAY: SimNanos = SimNanos::from_millis(5);
 
 /// Retry backoff charged when a transfer absorbs a transient or stall.
 const TRANSFER_BACKOFF: SimNanos = SimNanos::from_micros(200);
+
+/// Debug builds run [`Kernel::check_arena`] once this many pops, so that
+/// its O(arena) pass stays a small share of a debug run.
+const ARENA_CHECK_EVERY: u64 = 64;
 
 /// Builder for an open-loop cluster run: the catalogue, the cluster shape,
 /// and the per-node serving knobs.
@@ -589,13 +596,41 @@ impl<'t> Kernel<'t> {
     }
 
     /// Debug builds, after every pop: virtual time never runs back, and
-    /// the nodes' instance counts sum to the arena's.
+    /// the nodes' instance counts sum to the arena's. Every
+    /// [`ARENA_CHECK_EVERY`] pops, the O(arena) [`Kernel::check_arena`].
     fn check_invariants(&self, now: SimNanos) {
         debug_assert!(now >= self.out.cluster.horizon, "time ran back to {now}");
         debug_assert_eq!(
             self.node_state.iter().map(|n| n.live).sum::<usize>(),
             self.instances.len(),
             "per-node live counts drifted from the arena"
+        );
+        // Events entered less those pending: the pops so far.
+        if cfg!(debug_assertions)
+            && (self.queue.scheduled() - self.queue.len() as u64).is_multiple_of(ARENA_CHECK_EVERY)
+        {
+            self.check_arena();
+        }
+    }
+
+    /// Every live instance is busy or parked in exactly one warm set, and
+    /// each set's count is its parked instances.
+    fn check_arena(&self) {
+        let mut parked = BTreeSet::new();
+        for s in &self.state {
+            let before = parked.len();
+            for id in s.warm.parked(&self.instances) {
+                let once = parked.insert(id);
+                debug_assert!(once, "{id:?} parked twice");
+            }
+            let count = parked.len() - before;
+            debug_assert_eq!(count, s.warm.live(), "a warm set miscounts");
+        }
+        let busy = self.instances.iter().filter(|(_, i)| i.busy()).count();
+        debug_assert_eq!(
+            parked.len() + busy,
+            self.instances.len(),
+            "an instance is neither busy nor parked in one warm set"
         );
     }
 
@@ -726,25 +761,23 @@ impl<'t> Kernel<'t> {
         let fi = call.function;
         self.look(now);
 
-        // Rung 0 — reuse: the lowest-indexed routable node with a live
+        // Rung 0 — reuse: the lowest-indexed routable node with a parked
         // warm instance serves at the hand-off cost.
-        let warm = (0..self.nodes).filter(|&n| self.elig[n]).find_map(|n| {
-            let s = &mut self.state[n * self.fns.len() + fi];
-            s.warm.pop(&self.instances).map(|id| (n, id))
-        });
-        if let Some((node, id)) = warm {
+        let warm =
+            (0..self.nodes).find(|&n| self.elig[n] && self.state[self.slot(n, fi)].warm.live() > 0);
+        if let Some(node) = warm {
             if !self.reach[node] {
                 // Baseline only: the believed-warm node is on an island —
-                // the request fails typed.
+                // the request fails typed and the instance stays parked.
                 return self.fail_unreachable(&call, node);
             }
-            if let Some(inst) = self.instances.get_mut(id) {
-                inst.reuse();
+            let i = self.slot(node, fi);
+            if let Some(id) = self.state[i].warm.reuse(&mut self.instances) {
+                self.out.cluster.reuses += 1;
+                self.mix(request, node as u64, ROUTE_REUSE);
+                self.serve(&call, id, REUSE_HANDOFF, self.slow[node]);
+                return;
             }
-            self.out.cluster.reuses += 1;
-            self.mix(request, node as u64, ROUTE_REUSE);
-            self.serve(&call, id, REUSE_HANDOFF, self.slow[node]);
-            return;
         }
 
         // Rung 1 — local sfork on the least-loaded believed template
@@ -1460,6 +1493,32 @@ mod tests {
         );
         assert_eq!(out.failed, 0, "{out:?}");
         assert!((out.cluster.goodput - 1.0).abs() < f64::EPSILON);
+    }
+
+    #[test]
+    fn a_warm_instance_cut_off_by_a_partition_is_reused_after_the_heal() {
+        // Node 0 holds the only template; the first request leaves its
+        // warm instance parked there, and the 10 ms cut is far shorter
+        // than the 5 s keep-alive. The baseline still routes at the island:
+        // the request during the cut fails typed, and the instance it
+        // believed warm is still parked for the first request after the
+        // heal.
+        let plan = NodePlan::quiet(7).with_partition(
+            vec![0],
+            SimNanos::from_millis(10),
+            SimNanos::from_millis(20),
+        );
+        let trace = [0, 15, 25].map(|ms| TraceRequest {
+            arrival: SimNanos::from_millis(ms),
+            function: 0,
+        });
+        let out = ClusterSim::new(vec![AppProfile::c_hello()], ClusterConfig::new(2, 1))
+            .with_chaos(plan, ChaosPolicy::none())
+            .run_chaos(&trace)
+            .unwrap();
+        let c = &out.cluster;
+        assert_eq!((out.failed, out.unreachable), (1, 1), "{out:?}");
+        assert_eq!((c.local, c.reuses, c.completed), (1, 1, 2), "{out:?}");
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //!    and each is reclaimed one window after it parked.
 //!
 //! The run counts straight into the [`FleetOutcome`] it returns. Debug
-//! builds check after every pop that virtual time never runs back and
-//! that no more requests are in flight than instances live.
+//! builds check after every pop that virtual time never runs back, that
+//! no more requests are in flight than instances live, and that every
+//! arrival popped is in flight, completed or shed.
 //!
 //! Faults ([`Simulation::with_faults`]) consult the same deterministic
 //! [`FaultInjector`] schedule at each cold boot: transients and stalls
@@ -206,14 +207,14 @@ impl Simulation {
             .filter(|p| p.max_in_flight > 0)
             .map(|p| p.max_in_flight.saturating_add(p.max_queue));
         let (keep_alive, max_idle) = (self.keep_alive, self.max_idle);
-        // An instance's tag is the request it serves.
+        // An instance's tag is the request its boot serves.
         let mut instances: Arena<Instance<u64>> = Arena::with_capacity(trace.len().min(1 << 20));
 
         let mut out = FleetOutcome {
             requests: u64::try_from(trace.len()).unwrap_or(u64::MAX),
             ..FleetOutcome::default()
         };
-        let mut in_flight = 0usize;
+        let (mut in_flight, mut arrived) = (0usize, 0u64);
         let mut startup_hist = LatencyHistogram::new();
         let mut e2e_hist = LatencyHistogram::new();
 
@@ -223,9 +224,15 @@ impl Simulation {
                 in_flight <= instances.len(),
                 "a request in flight lost its instance"
             );
+            debug_assert_eq!(
+                in_flight as u64 + out.completed + out.shed,
+                arrived,
+                "an arrival was neither in flight, completed nor shed"
+            );
             out.horizon = now;
             match event {
                 Event::Arrival { request } => {
+                    arrived += 1;
                     let Some(req) = trace.get(usize::try_from(request).unwrap_or(usize::MAX))
                     else {
                         continue;
@@ -243,11 +250,7 @@ impl Simulation {
                     out.peak_in_flight = out.peak_in_flight.max(in_flight);
 
                     // Warm path: the newest live warm instance.
-                    if let Some(instance) = f.warm.pop(&instances) {
-                        if let Some(inst) = instances.get_mut(instance) {
-                            inst.reuse();
-                            inst.tag = request;
-                        }
+                    if let Some(instance) = f.warm.reuse(&mut instances) {
                         out.reuses += 1;
                         let e2e = REUSE_HANDOFF.saturating_add(f.cost.exec);
                         startup_hist.record(REUSE_HANDOFF);
@@ -306,11 +309,11 @@ impl Simulation {
                     };
                     let function = inst.function;
                     out.completed += 1;
-                    in_flight = in_flight.saturating_sub(1);
+                    in_flight -= 1;
                     let Some(f) = fns.get_mut(function.index()) else {
                         continue;
                     };
-                    f.in_flight = f.in_flight.saturating_sub(1);
+                    f.in_flight -= 1;
                     f.warm
                         .park(id, &mut instances, now, keep_alive, max_idle, &mut queue);
                 }

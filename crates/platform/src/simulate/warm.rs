@@ -9,14 +9,13 @@ use super::arena::{Arena, FnId, InstanceId};
 use super::events::{Event, EventQueue};
 
 /// One instance of an open-loop kernel: busy serving a request, or parked
-/// warm. `T` is what the kernel keeps beside it — the fleet the request it
-/// serves, the cluster the node it runs on.
+/// warm. `T` is what the kernel keeps beside it — the fleet the request its
+/// boot serves, the cluster the node it runs on.
 pub(crate) struct Instance<T> {
     pub(crate) function: FnId,
     pub(crate) tag: T,
-    busy: bool,
-    /// When it last parked (meaningful while not `busy`).
-    idle_since: SimNanos,
+    /// When it parked; `None` while it serves a request.
+    parked: Option<SimNanos>,
 }
 
 impl<T> Instance<T> {
@@ -25,25 +24,19 @@ impl<T> Instance<T> {
         Instance {
             function,
             tag,
-            busy: true,
-            idle_since: SimNanos::ZERO,
+            parked: None,
         }
     }
 
     /// Serving a request, not parked.
     pub(crate) fn busy(&self) -> bool {
-        self.busy
-    }
-
-    /// Takes the instance [`WarmSet::pop`] handed out back into service.
-    pub(crate) fn reuse(&mut self) {
-        self.busy = true;
+        self.parked.is_none()
     }
 }
 
 /// The warm instances of one function: a LIFO stack pruned lazily (an id
 /// whose slot was reclaimed misses the arena's generation check and is
-/// skipped on pop) and the count of those actually live.
+/// skipped) and the exact count of those parked: each sits on it once.
 #[derive(Default)]
 pub(crate) struct WarmSet {
     idle: Vec<InstanceId>,
@@ -51,16 +44,34 @@ pub(crate) struct WarmSet {
 }
 
 impl WarmSet {
-    /// Pops past stale ids to the newest live parked instance; it leaves
-    /// the set's count. The caller [`reuse`](Instance::reuse)s it.
-    pub(crate) fn pop<T>(&mut self, instances: &Arena<Instance<T>>) -> Option<InstanceId> {
+    /// Instances parked in the set.
+    pub(crate) fn live(&self) -> usize {
+        self.live
+    }
+
+    /// Puts the newest parked instance back to work, popping past stale
+    /// ids, and returns it; `None` when nothing is parked.
+    pub(crate) fn reuse<T>(&mut self, instances: &mut Arena<Instance<T>>) -> Option<InstanceId> {
         while let Some(id) = self.idle.pop() {
-            if instances.contains(id) {
-                self.live = self.live.saturating_sub(1);
+            if let Some(inst) = instances.get_mut(id) {
+                inst.parked = None;
+                self.live -= 1;
                 return Some(id);
             }
         }
         None
+    }
+
+    /// The ids on the stack that still resolve — with the count exact,
+    /// the set's parked instances. For debug checks.
+    pub(crate) fn parked<'a, T>(
+        &'a self,
+        instances: &'a Arena<Instance<T>>,
+    ) -> impl Iterator<Item = InstanceId> + 'a {
+        self.idle
+            .iter()
+            .copied()
+            .filter(|&id| instances.contains(id))
     }
 
     /// An instance finished its request at `now`: parks it warm and
@@ -80,8 +91,11 @@ impl WarmSet {
             instances.remove(instance);
             return false;
         };
-        inst.busy = false;
-        inst.idle_since = now;
+        inst.parked = Some(now);
+        if self.live == 0 {
+            // Nothing parked: every id left on the stack is stale.
+            self.idle.clear();
+        }
         self.idle.push(instance);
         self.live += 1;
         let expiry = Event::KeepAliveExpiry { instance };
@@ -102,10 +116,11 @@ impl WarmSet {
     ) -> bool {
         let due = instances
             .get(id)
-            .is_some_and(|inst| !inst.busy && now.saturating_sub(inst.idle_since) >= keep_alive);
+            .and_then(|inst| inst.parked)
+            .is_some_and(|since| now.saturating_sub(since) >= keep_alive);
         if due {
             instances.remove(id);
-            self.live = self.live.saturating_sub(1);
+            self.live -= 1;
         }
         due
     }
@@ -135,24 +150,26 @@ mod tests {
         assert!(warm.park(b, &mut instances, at(1), WINDOW, 2, &mut queue));
         assert!(!warm.park(c, &mut instances, at(2), WINDOW, 2, &mut queue));
         assert!(!instances.contains(c));
-        assert_eq!(warm.pop(&instances), Some(b));
-        instances.get_mut(b).unwrap().reuse();
+        assert_eq!(warm.reuse(&mut instances), Some(b));
+        assert!(instances.get(b).unwrap().busy());
 
         // `a` idles its window out; `b`, still serving, is not due.
         assert!(warm.expire(a, &mut instances, at(10), WINDOW));
         assert!(!warm.expire(b, &mut instances, at(11), WINDOW));
 
-        // Re-parked at 13 ms, `b` is not due at the expiry its 12 ms park
-        // scheduled, only at its own.
+        // Parked into the emptied set, `b` drops `a`'s stale id. Re-parked
+        // at 13 ms, it is not due at the expiry its 12 ms park scheduled,
+        // only at its own.
         assert!(warm.park(b, &mut instances, at(12), WINDOW, 2, &mut queue));
-        assert_eq!(warm.pop(&instances), Some(b));
-        instances.get_mut(b).unwrap().reuse();
+        assert_eq!(warm.idle, [b]);
+        assert_eq!(warm.reuse(&mut instances), Some(b));
         assert!(warm.park(b, &mut instances, at(13), WINDOW, 2, &mut queue));
         assert!(!warm.expire(b, &mut instances, at(22), WINDOW));
         assert!(warm.expire(b, &mut instances, at(23), WINDOW));
 
-        // Both ids left on the stack are stale: a pop skips them to nothing.
-        assert_eq!(warm.pop(&instances), None);
+        // The id left on the stack is stale: a reuse skips it to nothing.
+        assert_eq!((warm.live(), warm.idle.len()), (0, 1));
+        assert_eq!(warm.reuse(&mut instances), None);
         let expiries: Vec<_> = std::iter::from_fn(|| queue.pop()).map(|(t, _)| t).collect();
         assert_eq!(expiries, [at(10), at(11), at(22), at(23)]);
     }

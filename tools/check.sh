@@ -8,10 +8,12 @@
 #
 #   tools/check.sh [--record]
 #
+# The summary also prints the tree's non-test line count (tools/loc.sh).
 # With --record, a passing run also appends one JSON line to
 # docs/ledger.jsonl: "kind": "check", the host as tools/pairs.sh writes it
 # (`uname -m`, CPU model, vCPUs), the commit (and whether the tree had
-# uncommitted changes) and each step's seconds. Needs python3.
+# uncommitted changes), each step's seconds and the line count as "loc".
+# Needs python3.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -204,6 +206,9 @@ echo "  -------  ----"
 for i in "${!STEP_NAMES[@]}"; do
   echo "  ${STEP_SECS[$i]}  ${STEP_NAMES[$i]}"
 done
+loc="$(bash tools/loc.sh | awk '$1 == "total" { print $2 }')"
+echo
+echo "  non-test lines in crates/*/src: ${loc} (tools/loc.sh)"
 
 if [[ -n "${record}" ]]; then
   dirty=0
@@ -212,7 +217,7 @@ if [[ -n "${record}" ]]; then
     printf '%s\t%s\n' "${STEP_SECS[$i]}" "${STEP_NAMES[$i]}"
   done | python3 -c '
 import datetime, json, sys
-arch, cpu, vcpus, commit, dirty = sys.argv[1:]
+arch, cpu, vcpus, commit, dirty, loc = sys.argv[1:]
 steps = {}
 for row in sys.stdin:
     secs, name = row.rstrip("\n").split("\t", 1)
@@ -224,11 +229,12 @@ line = {
     "commit": commit,
     "dirty": dirty == "1",
     "steps": steps,
+    "loc": int(loc),
 }
 with open("docs/ledger.jsonl", "a") as out:
     out.write(json.dumps(line, sort_keys=True) + "\n")
 ' "$(uname -m)" "$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -n 1)" \
-    "$(nproc)" "$(git rev-parse HEAD)" "${dirty}"
+    "$(nproc)" "$(git rev-parse HEAD)" "${dirty}" "${loc}"
   echo
   echo "recorded in docs/ledger.jsonl"
 fi
