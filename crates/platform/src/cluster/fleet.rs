@@ -47,8 +47,9 @@
 //! of the [`ChaosOutcome`] it returns, and keep-alive is the fleet's own
 //! warm set, one per node and function. Debug builds check after every
 //! pop that virtual time never runs back and that the nodes' instance
-//! counts sum to the arena's, and every 64 pops that each live instance is
-//! busy or parked in exactly one warm set whose count is exact.
+//! counts sum to the arena's, and every `ARENA_CHECK_EVERY` pops that each
+//! live instance is busy or parked in exactly one warm set whose count is
+//! exact.
 //!
 //! Determinism is byte-exact: same catalogue, config, knobs, and trace —
 //! same [`ClusterOutcome`], including the routing-decision hash.
